@@ -117,13 +117,21 @@ tier2-obs:
 obs-demo:
 	go run ./examples/chaos
 
-# Bench: the full benchmark suite with -benchmem, converted to BENCH_PR2.json
-# (name → ns/op, allocs/op, domain metrics) for the committed perf trajectory.
-# -benchtime 0.2s keeps the run inside the CI budget; the scale benches take a
-# couple of seconds each regardless because one iteration is that big.
+# Bench: the repository's one fixed benchmark (bench/README.md) — all seven
+# workloads, untraced and traced, one child process each — written to a run
+# document under .bench_build/ (git-ignored). The BENCH_PR2–10.json files are
+# frozen history; nothing overwrites them.
 .PHONY: bench
 bench:
-	go test -run '^$$' -bench . -benchmem -benchtime 0.2s ./... | go run ./cmd/benchjson -o BENCH_PR2.json
+	bash bench/run.sh -workload all -o .bench_build/run.json
+
+# Bench compare: judge two run documents written by `make bench`, metric by
+# metric, against the bounds and run-to-run spread; non-zero exit on "worse".
+#   make bench-compare OLD=before.json NEW=.bench_build/run.json
+.PHONY: bench-compare
+bench-compare:
+	@test -n "$(OLD)" && test -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.json NEW=new.json" >&2; exit 2; }
+	bash bench/run.sh compare $(OLD) $(NEW)
 
 # Durability bench: the acceptance run behind BENCH_PR6.json — the
 # million-user/64-server sweep with durable stores off, on (fsync never and

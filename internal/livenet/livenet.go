@@ -17,6 +17,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,17 +79,46 @@ func (d *Directory) SetAuthority(user names.Name, servers []string) {
 	d.lists[user] = append([]string(nil), servers...)
 }
 
-// Authority returns the user's ordered authority list.
+// Authority returns the user's ordered authority list. The slice is the
+// directory's own and immutable — SetAuthority stores a private copy and
+// replaces it whole — so callers must not modify it.
 func (d *Directory) Authority(user names.Name) []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return append([]string(nil), d.lists[user]...)
+	return d.lists[user]
 }
 
-// request is a unit of work executed by a server's loop goroutine.
+// request is a unit of work executed by a server's loop goroutine. Requests
+// are pooled, and the two per-message operations carry their arguments and
+// result in typed fields, so a Deposit or CheckMail allocates neither a
+// closure nor a completion channel; everything else rides fn.
 type request struct {
-	fn   func(*serverState)
+	op   reqOp
+	user names.Name         // opDeposit: the recipient; opCheckMail: the mailbox
+	msg  mail.Message       // opDeposit
+	fn   func(*serverState) // opFunc
+	out  []mail.Stored      // opCheckMail: the drained mail
+	// done is buffered, so the loop never waits for a caller that gave up,
+	// and is reused for as long as the request is pooled.
 	done chan struct{}
+}
+
+type reqOp uint8
+
+const (
+	opFunc reqOp = iota
+	opDeposit
+	opCheckMail
+)
+
+var requestPool = sync.Pool{New: func() any { return &request{done: make(chan struct{}, 1)} }}
+
+// release clears the request and returns it to the pool. Only a request that
+// is not in flight may be released: one that never reached a loop, or whose
+// completion has been received.
+func (r *request) release() {
+	*r = request{done: r.done}
+	requestPool.Put(r)
 }
 
 // serverState is owned exclusively by the server goroutine. The sharded
@@ -115,7 +145,7 @@ type Server struct {
 	// a whole generation under the write lock; call() snapshots one under
 	// the read lock.
 	runMu   sync.RWMutex
-	reqs    chan request
+	reqs    chan *request
 	quit    chan struct{}
 	done    chan struct{}
 	store   *mailstore.Store
@@ -209,38 +239,52 @@ func (s *Server) SetDropProb(p float64) {
 	}
 }
 
-// call runs fn on the server goroutine and waits for completion. Injected
-// faults gate the call up front, so a failed call has not executed at all.
-func (s *Server) call(fn func(*serverState)) error {
+// callFn runs fn on the server goroutine and waits for completion.
+func (s *Server) callFn(fn func(*serverState)) error {
+	_, err := s.call(opFunc, names.Name{}, mail.Message{}, fn)
+	return err
+}
+
+// call runs one operation on the server goroutine and waits for completion,
+// returning what a CheckMail drained. Injected faults gate the call up
+// front, so a failed call has not executed at all.
+func (s *Server) call(op reqOp, user names.Name, msg mail.Message, fn func(*serverState)) ([]mail.Stored, error) {
 	if d := time.Duration(s.latencyNs.Load()); d > 0 {
 		time.Sleep(d) // the caller's goroutine stalls, not the server loop
 	}
 	if !s.Up() {
-		return fmt.Errorf("%w: %s", ErrServerDown, s.name)
+		return nil, fmt.Errorf("%w: %s", ErrServerDown, s.name)
 	}
 	if !s.Reachable() {
-		return fmt.Errorf("%w: %s", ErrUnreachable, s.name)
+		return nil, fmt.Errorf("%w: %s", ErrUnreachable, s.name)
 	}
 	if p := s.dropMilli.Load(); p > 0 && rand.Int63n(1000) < p {
 		if s.stats != nil {
 			s.stats.Inc("injected_drops")
 		}
-		return fmt.Errorf("%w: %s", ErrInjected, s.name)
+		return nil, fmt.Errorf("%w: %s", ErrInjected, s.name)
 	}
 	s.runMu.RLock()
 	reqs, quit := s.reqs, s.quit
 	s.runMu.RUnlock()
-	req := request{fn: fn, done: make(chan struct{})}
+	req := requestPool.Get().(*request)
+	req.op, req.user, req.msg, req.fn = op, user, msg, fn
 	select {
 	case reqs <- req:
 	case <-quit:
-		return s.downErr(quit)
+		req.release() // never handed over
+		return nil, s.downErr(quit)
 	}
 	select {
 	case <-req.done:
-		return nil
+		out := req.out
+		req.release()
+		return out, nil
 	case <-quit:
-		return s.downErr(quit)
+		// Abandoned in flight: the dying loop may still run it and signal
+		// done. It is left to the garbage collector — back in the pool it
+		// would hand the next caller this call's completion.
+		return nil, s.downErr(quit)
 	}
 }
 
@@ -268,13 +312,16 @@ func (s *Server) downErr(gen chan struct{}) error {
 // Deposit buffers a message for a recipient. It fails when the server is
 // down, letting the caller fail over to the next authority server.
 func (s *Server) Deposit(msg mail.Message, rcpt names.Name) error {
-	err := s.call(func(st *serverState) {
-		if st.store.Deposit(rcpt, msg, 0) {
-			s.deposits.Inc()
-			s.qdepth.Add(1)
-		}
-	})
+	_, err := s.call(opDeposit, rcpt, msg, nil)
 	return err
+}
+
+// deposit stores one recipient copy; server goroutine only.
+func (s *Server) deposit(st *serverState, msg mail.Message, rcpt names.Name) {
+	if st.store.Deposit(rcpt, msg, 0) {
+		s.deposits.Inc()
+		s.qdepth.Add(1)
+	}
 }
 
 // BatchDeposit is one recipient copy inside a DepositBatch call.
@@ -289,37 +336,22 @@ type BatchDeposit struct {
 // spool worker to drain coalesced redeliveries. Per-mailbox duplicate
 // suppression applies item by item, exactly as with individual Deposits.
 func (s *Server) DepositBatch(items []BatchDeposit) error {
-	err := s.call(func(st *serverState) {
+	return s.callFn(func(st *serverState) {
 		for _, it := range items {
-			if st.store.Deposit(it.Rcpt, it.Msg, 0) {
-				s.deposits.Inc()
-				s.qdepth.Add(1)
-			}
+			s.deposit(st, it.Msg, it.Rcpt)
 		}
 	})
-	return err
 }
 
 // CheckMail drains the user's mailbox ("get mail from server").
 func (s *Server) CheckMail(user names.Name) ([]mail.Stored, error) {
-	var out []mail.Stored
-	err := s.call(func(st *serverState) {
-		s.checks.Inc()
-		out = st.store.Drain(user)
-		if len(out) > 0 {
-			s.qdepth.Add(int64(-len(out)))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.call(opCheckMail, user, mail.Message{}, nil)
 }
 
 // MailboxLen reports buffered messages for a user.
 func (s *Server) MailboxLen(user names.Name) (int, error) {
 	n := 0
-	err := s.call(func(st *serverState) {
+	err := s.callFn(func(st *serverState) {
 		n = st.store.Len(user)
 	})
 	return n, err
@@ -330,7 +362,7 @@ func (s *Server) MailboxLen(user names.Name) (int, error) {
 // loop like every other state access.
 func (s *Server) StoredBytes() (int64, error) {
 	var n int64
-	err := s.call(func(st *serverState) {
+	err := s.callFn(func(st *serverState) {
 		n = st.store.TotalBytes()
 	})
 	return n, err
@@ -342,7 +374,7 @@ func (s *Server) StoredBytes() (int64, error) {
 // returns nothing, which opQuery surfaces as an explicit refusal instead.
 func (s *Server) Search(terms []string) ([]names.Name, error) {
 	var out []names.Name
-	err := s.call(func(st *serverState) {
+	err := s.callFn(func(st *serverState) {
 		out = st.store.SearchTerms(terms)
 	})
 	if err != nil {
@@ -357,7 +389,7 @@ func (s *Server) Search(terms []string) ([]names.Name, error) {
 func (s *Server) Sketch() (*sketch.Filter, uint64, error) {
 	var f *sketch.Filter
 	var gen uint64
-	err := s.call(func(st *serverState) {
+	err := s.callFn(func(st *serverState) {
 		f, gen = st.store.Sketch()
 	})
 	if err != nil {
@@ -369,13 +401,24 @@ func (s *Server) Sketch() (*sketch.Filter, uint64, error) {
 // loop serves one run generation. The channels are passed explicitly — not
 // read from the struct — so a Restart that swaps in a new generation cannot
 // race with an old goroutine still draining its own.
-func (s *Server) loop(st *serverState, reqs chan request, quit, done chan struct{}) {
+func (s *Server) loop(st *serverState, reqs chan *request, quit, done chan struct{}) {
 	defer close(done)
 	for {
 		select {
 		case req := <-reqs:
-			req.fn(st)
-			close(req.done)
+			switch req.op {
+			case opDeposit:
+				s.deposit(st, req.msg, req.user)
+			case opCheckMail:
+				s.checks.Inc()
+				req.out = st.store.Drain(req.user)
+				if n := len(req.out); n > 0 {
+					s.qdepth.Add(int64(-n))
+				}
+			default:
+				req.fn(st)
+			}
+			req.done <- struct{}{}
 		case <-quit:
 			return
 		}
@@ -447,7 +490,7 @@ func (s *Server) Restart() error {
 		return fmt.Errorf("livenet: server %s already running", s.name)
 	}
 	s.store = st
-	s.reqs = make(chan request)
+	s.reqs = make(chan *request)
 	s.quit = make(chan struct{})
 	s.done = make(chan struct{})
 	s.stopped = false
@@ -614,7 +657,7 @@ func (c *Cluster) AddServer(name string) (*Server, error) {
 		deposits: c.stats.Counter(name + ".deposits"),
 		checks:   c.stats.Counter(name + ".checks"),
 		qdepth:   c.stats.Gauge(name + ".qdepth"),
-		reqs:     make(chan request),
+		reqs:     make(chan *request),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		store:    st,
@@ -799,7 +842,7 @@ func (c *Cluster) SubmitContext(ctx context.Context, from names.Name, to []names
 		Subject: subject,
 		Body:    body,
 	}
-	c.trace.Stamp(msg.ID.String(), obs.StageSubmit, "cluster")
+	c.trace.StampKey(msg.ID.TraceKey(), obs.StageSubmit, "cluster")
 	var errs []error
 	for _, rcpt := range msg.To {
 		if err := ctxErr(ctx); err != nil {
@@ -861,7 +904,7 @@ func (c *Cluster) depositFailover(msg mail.Message, rcpt names.Name) error {
 	if len(list) == 0 {
 		return fmt.Errorf("%w: %v", ErrNoAuthority, rcpt)
 	}
-	c.trace.Stamp(msg.ID.String(), obs.StageResolve, "directory")
+	c.trace.StampKey(msg.ID.TraceKey(), obs.StageResolve, "directory")
 	var lastErr error
 	for i, name := range list {
 		s, ok := c.Server(name)
@@ -877,7 +920,7 @@ func (c *Cluster) depositFailover(msg mail.Message, rcpt names.Name) error {
 			if i > 0 {
 				c.stats.Inc("deposit_failovers")
 			}
-			c.trace.Stamp(msg.ID.String(), obs.StageDeposit, name)
+			c.trace.StampKey(msg.ID.TraceKey(), obs.StageDeposit, name)
 			return nil
 		}
 		lastErr = err
@@ -924,8 +967,14 @@ func (c *Cluster) NewAgent(user names.Name) (*Agent, error) {
 // User returns the agent's name.
 func (a *Agent) User() names.Name { return a.user }
 
-// Inbox returns the messages retrieved so far.
+// Inbox returns the messages retrieved so far (since the last DropInbox).
 func (a *Agent) Inbox() []mail.Stored { return append([]mail.Stored(nil), a.inbox...) }
+
+// DropInbox releases the retrieved messages the agent holds, for owners that
+// have passed them on and keep the agent alive indefinitely (the wire
+// server's per-user agents). The duplicate-suppression memory stays, so a
+// copy that failed over to a second server is still recognised.
+func (a *Agent) DropInbox() { a.inbox = nil }
 
 // Polls reports CheckMail calls issued.
 func (a *Agent) Polls() int { return a.polls }
@@ -1006,13 +1055,14 @@ func (a *Agent) poll(s *Server) error {
 	if err != nil {
 		return err
 	}
+	a.inbox = slices.Grow(a.inbox, len(msgs))
 	for _, m := range msgs {
 		if a.seen[m.ID] {
 			continue
 		}
 		a.seen[m.ID] = true
 		a.inbox = append(a.inbox, m)
-		a.cluster.trace.Stamp(m.ID.String(), obs.StageRetrieve, s.name)
+		a.cluster.trace.StampKey(m.ID.TraceKey(), obs.StageRetrieve, s.name)
 	}
 	return nil
 }

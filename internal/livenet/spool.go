@@ -219,7 +219,7 @@ func (sp *spool) deliverDue() {
 		sp.c.stats.Inc("spool_batch_drains")
 		sp.c.stats.Add("spool_batch_msgs", int64(len(es)))
 		for _, e := range es {
-			sp.c.trace.Stamp(e.msg.ID.String(), obs.StageDeposit, name)
+			sp.c.trace.StampKey(e.msg.ID.TraceKey(), obs.StageDeposit, name)
 			sp.settle(e)
 		}
 	}

@@ -323,10 +323,13 @@ func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 	p0, dup0 := a.Polls(), a.Duplicates()
 	msgs := a.GetMail()
 	ids := make([]string, len(msgs))
-	where := hostLabel(d.CurrentHost(u))
+	var where string
+	if len(msgs) > 0 { // most retrievals find nothing; spare them the label
+		where = hostLabel(d.CurrentHost(u))
+	}
 	for i, m := range msgs {
 		ids[i] = m.ID.String()
-		d.trace.Stamp(ids[i], obs.StageRetrieve, where)
+		d.trace.StampKey(m.ID.TraceKey(), obs.StageRetrieve, where)
 	}
 	return RetrieveResult{
 		IDs:          ids,

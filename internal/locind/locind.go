@@ -259,13 +259,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.hosts[tok] = id
 	}
 	for _, id := range cfg.Servers {
-		p := &Server{
-			id: id, sys: s,
-			mailboxes: make(map[names.Name]*mail.Mailbox),
-			locations: make(map[names.Name]graph.NodeID),
-			pending:   make(map[uint64]*pendingDeposit),
-			notifying: make(map[uint64]*pendingNotify),
-		}
+		p := newServer(s, id)
 		if err := cfg.Net.Register(id, p); err != nil {
 			return nil, err
 		}
@@ -407,13 +401,7 @@ func (s *System) AddServer(id graph.NodeID) error {
 	if _, dup := s.procs[id]; dup {
 		return fmt.Errorf("locind: server %d already present", id)
 	}
-	p := &Server{
-		id: id, sys: s,
-		mailboxes: make(map[names.Name]*mail.Mailbox),
-		locations: make(map[names.Name]graph.NodeID),
-		pending:   make(map[uint64]*pendingDeposit),
-		notifying: make(map[uint64]*pendingNotify),
-	}
+	p := newServer(s, id)
 	if err := s.net.Register(id, p); err != nil {
 		return err
 	}

@@ -17,8 +17,9 @@ import (
 // first active authority server, and notifies recipients at their current
 // location using the probe-primary-then-consult procedure of §3.2.2c.
 type Server struct {
-	id  graph.NodeID
-	sys *System
+	id    graph.NodeID
+	sys   *System
+	where string // "s<node>", this server's label in trace stamps
 
 	mailboxes map[names.Name]*mail.Mailbox
 	// locations is this server's own knowledge of current user locations
@@ -50,6 +51,17 @@ type pendingNotify struct {
 	msgID   mail.MessageID
 	consult []graph.NodeID // servers still to ask
 	started sim.Time       // when the notification began, for lat_roam_resolve
+}
+
+// newServer builds the process for one server node of sys.
+func newServer(sys *System, id graph.NodeID) *Server {
+	return &Server{
+		id: id, sys: sys, where: fmt.Sprintf("s%d", id),
+		mailboxes: make(map[names.Name]*mail.Mailbox),
+		locations: make(map[names.Name]graph.NodeID),
+		pending:   make(map[uint64]*pendingDeposit),
+		notifying: make(map[uint64]*pendingNotify),
+	}
 }
 
 // ID returns the server's node.
@@ -138,9 +150,7 @@ func (p *Server) submit(m Submit) mail.MessageID {
 		SubmittedAt: p.sys.net.Scheduler().Now(),
 	}
 	p.sys.stats.Inc("submissions")
-	if p.sys.trace != nil {
-		p.sys.trace.Stamp(msg.ID.String(), obs.StageSubmit, serverWhere(p.id))
-	}
+	p.sys.trace.StampKey(msg.ID.TraceKey(), obs.StageSubmit, p.where)
 	for _, rcpt := range msg.To {
 		if rcpt.Region != p.sys.region {
 			p.forwardRemote(msg, rcpt)
@@ -282,9 +292,7 @@ func (p *Server) depositLocal(msg mail.Message, rcpt names.Name) {
 	}
 	p.sys.stats.Inc("deposits")
 	p.deposits++
-	if p.sys.trace != nil {
-		p.sys.trace.Stamp(msg.ID.String(), obs.StageDeposit, serverWhere(p.id))
-	}
+	p.sys.trace.StampKey(msg.ID.TraceKey(), obs.StageDeposit, p.where)
 	p.notify(rcpt, msg.ID)
 }
 
@@ -414,9 +422,6 @@ func (p *Server) onMailboxTransfer(m MailboxTransfer) {
 		}
 	}
 }
-
-// serverWhere labels a server node for trace stamps.
-func serverWhere(id graph.NodeID) string { return fmt.Sprintf("s%d", id) }
 
 // Users returns the users with mailboxes on this server, sorted.
 func (p *Server) Users() []names.Name {

@@ -7,10 +7,10 @@ package mail
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/obs"
 	"github.com/largemail/largemail/internal/sim"
 )
 
@@ -21,17 +21,13 @@ type MessageID struct {
 	Seq  uint64
 }
 
-// String formats the ID as "m<node>-<seq>". Built with strconv, not fmt:
-// the tracer stamps an ID string per pipeline stage, which put Sprintf on
-// the wire hot path.
-func (id MessageID) String() string {
-	buf := make([]byte, 0, 24)
-	buf = append(buf, 'm')
-	buf = strconv.AppendInt(buf, int64(id.Node), 10)
-	buf = append(buf, '-')
-	buf = strconv.AppendUint(buf, id.Seq, 10)
-	return string(buf)
-}
+// String formats the ID as "m<node>-<seq>" — obs.Key's text, so the format
+// and its parser (obs.ParseKey) live in one place.
+func (id MessageID) String() string { return id.TraceKey().String() }
+
+// TraceKey is the ID as the lifecycle tracer's value key; stamping by value
+// keeps String off the delivery path.
+func (id MessageID) TraceKey() obs.Key { return obs.Key{Node: int64(id.Node), Seq: id.Seq} }
 
 // IsZero reports whether the ID is unset.
 func (id MessageID) IsZero() bool { return id == MessageID{} }

@@ -80,11 +80,14 @@ func Parse(s string) (Name, error) {
 	if strings.Contains(s, "@") && !strings.Contains(s, Delimiter) {
 		sep = "@"
 	}
-	parts := strings.Split(s, sep)
-	if len(parts) != 3 {
+	// Exactly two separators; Cut keeps the wire's per-request parses free
+	// of the slice strings.Split would allocate.
+	region, rest, ok1 := strings.Cut(s, sep)
+	host, user, ok2 := strings.Cut(rest, sep)
+	if !ok1 || !ok2 || strings.Contains(user, sep) {
 		return Name{}, fmt.Errorf("%w: %q", ErrBadStructure, s)
 	}
-	n := Name{Region: parts[0], Host: parts[1], User: parts[2]}
+	n := Name{Region: region, Host: host, User: user}
 	if err := n.Validate(); err != nil {
 		return Name{}, err
 	}

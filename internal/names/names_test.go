@@ -2,7 +2,9 @@ package names
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -45,6 +47,57 @@ func TestParseInvalid(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Parse(c.in); !errors.Is(err, c.wantErr) {
 			t.Errorf("Parse(%q) err = %v, want %v", c.in, err, c.wantErr)
+		}
+	}
+}
+
+// parseBySplit is Parse as it was written before the wire path made its
+// allocations matter; the reference for results and errors.
+func parseBySplit(s string) (Name, error) {
+	sep := Delimiter
+	if strings.Contains(s, "@") && !strings.Contains(s, Delimiter) {
+		sep = "@"
+	}
+	parts := strings.Split(s, sep)
+	if len(parts) != 3 {
+		return Name{}, fmt.Errorf("%w: %q", ErrBadStructure, s)
+	}
+	n := Name{Region: parts[0], Host: parts[1], User: parts[2]}
+	if err := n.Validate(); err != nil {
+		return Name{}, err
+	}
+	return n, nil
+}
+
+// TestParseMatchesSplit: same name or same error text as the Split-based
+// parser, on every string of up to six characters over an alphabet that
+// holds both delimiters, a valid and an invalid token character.
+func TestParseMatchesSplit(t *testing.T) {
+	const alphabet = "a.@-!"
+	var walk func(prefix string)
+	walk = func(prefix string) {
+		got, err := Parse(prefix)
+		want, wantErr := parseBySplit(prefix)
+		if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("Parse(%q) = %v, %v; the Split parser gives %v, %v", prefix, got, err, want, wantErr)
+		}
+		if len(prefix) < 6 {
+			for _, c := range alphabet {
+				walk(prefix + string(c))
+			}
+		}
+	}
+	walk("")
+}
+
+func TestParseAllocs(t *testing.T) {
+	for _, in := range []string{"R1.h12.u123456", "east@alpha@alice"} {
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, err := Parse(in); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Parse(%q): %v allocs, want 0", in, n)
 		}
 	}
 }

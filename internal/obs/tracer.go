@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -81,9 +83,85 @@ func (t Trace) Complete() bool {
 	return okS && okD && okR && sub <= dep && dep <= ret
 }
 
+// Key identifies a traced message by value: the node that accepted the
+// submission and its per-node sequence number — mail.MessageID's fields,
+// restated here because obs imports nothing from the mail packages.
+type Key struct {
+	Node int64
+	Seq  uint64
+}
+
+// String renders the key in mail.MessageID's "m<node>-<seq>" text.
+func (k Key) String() string { return string(k.appendTo(make([]byte, 0, 24))) }
+
+func (k Key) appendTo(buf []byte) []byte {
+	buf = append(buf, 'm')
+	buf = strconv.AppendInt(buf, k.Node, 10)
+	buf = append(buf, '-')
+	return strconv.AppendUint(buf, k.Seq, 10)
+}
+
+// ParseKey is the inverse of Key.String. It accepts canonical text only —
+// exactly what String prints, so no two strings name one key — and reports
+// false for everything else (signs, leading zeros, spaces, overflow).
+func ParseKey(id string) (Key, bool) {
+	dash := strings.LastIndexByte(id, '-') // the node may carry a '-' of its own
+	if dash < 2 || id[0] != 'm' {
+		return Key{}, false
+	}
+	node, errN := strconv.ParseInt(id[1:dash], 10, 64)
+	seq, errS := strconv.ParseUint(id[dash+1:], 10, 64)
+	k := Key{Node: node, Seq: seq}
+	var buf [48]byte
+	if errN != nil || errS != nil || string(k.appendTo(buf[:0])) != id {
+		return Key{}, false
+	}
+	return k, true
+}
+
+const (
+	// traceShards is the number of independently locked trace tables:
+	// stampers of different messages contend only when their keys share one,
+	// rare at 64 for the 8–16 server goroutines a cluster runs.
+	traceShards = 1 << shardBits
+	shardBits   = 6
+	// inlineEvents is how many events a record holds before spilling into its
+	// overflow slice: one pass through all six pipeline stages fits, so only
+	// multi-recipient and retried messages pay for a slice.
+	inlineEvents = 6
+	// A shard's slabs double from slabMin to slabMax records: a tracer that
+	// sees few messages stays small, a busy one pays one allocation per
+	// slabMax new traces, and what is allocated ahead of use stays under one
+	// slab per shard (1 MB in all).
+	slabMin, slabMax = 8, 64
+)
+
+// record is one message's trace: a fixed-size slab cell.
+type record struct {
+	n      int // events in inline
+	inline [inlineEvents]SpanEvent
+	more   []SpanEvent // events beyond inline, in stamp order
+	// The instants a stamp needs, kept so it never walks the events.
+	last, submitAt int64 // At of the latest event and of the first submit
+	hasSubmit      bool
+}
+
+// traceShard is one table of the trace store. Records live in slabs and
+// never move, so the index holds plain pointers.
+type traceShard struct {
+	mu    sync.Mutex
+	index map[Key]*record
+	slab  []record // current slab; slab[:len] are in use
+}
+
 // Tracer stamps message-lifecycle spans. All methods are safe for concurrent
 // use and are no-ops on a nil receiver, so call sites need no guards when
 // tracing is not wired.
+//
+// Traces are keyed by Key value and spread over traceShards tables, each with
+// its own lock. A stamp on a message already seen writes into that message's
+// record and allocates nothing (past inlineEvents, what growing the overflow
+// slice costs); a new message takes the next cell of its shard's slab.
 //
 // Each stamp also feeds the bound registry (when present): the span from the
 // previous stamped event to this one lands in histogram "lat_<stage>", and a
@@ -103,42 +181,74 @@ type Tracer struct {
 	stageHist [StageRetrieve + 1]atomic.Pointer[Histogram]
 	e2eHist   atomic.Pointer[Histogram]
 
-	mu     sync.Mutex
-	traces map[string]*Trace
+	shards [traceShards]traceShard
 }
 
 // NewTracer returns a tracer reading instants from clock and feeding span
 // histograms into reg (nil reg disables the histograms, not the traces).
 func NewTracer(clock Clock, reg *Registry) *Tracer {
-	return &Tracer{clock: clock, reg: reg, traces: make(map[string]*Trace)}
+	return &Tracer{clock: clock, reg: reg}
 }
 
-// Stamp records that the message reached a pipeline stage at the current
-// instant. where names the component that stamped (server name, cluster).
+// shard picks the key's table. Sequence numbers are dense, so the multiply
+// spreads neighbours; the node is folded in for multi-node deployments.
+func (t *Tracer) shard(k Key) *traceShard {
+	h := (k.Seq ^ uint64(k.Node)<<32) * 0x9E3779B97F4A7C15
+	return &t.shards[h>>(64-shardBits)]
+}
+
+// record returns the key's record, creating it when absent; sh.mu is held.
+func (sh *traceShard) record(k Key) *record {
+	if r := sh.index[k]; r != nil {
+		return r
+	}
+	if sh.index == nil {
+		sh.index = make(map[Key]*record)
+	}
+	if len(sh.slab) == cap(sh.slab) {
+		sh.slab = make([]record, 0, min(max(2*cap(sh.slab), slabMin), slabMax))
+	}
+	sh.slab = sh.slab[:len(sh.slab)+1]
+	r := &sh.slab[len(sh.slab)-1]
+	sh.index[k] = r
+	return r
+}
+
+// Stamp is StampKey for callers that hold the ID as text — the benchmark's
+// tracer replay and tests. It forwards canonical "m<node>-<seq>" text (see
+// ParseKey) and drops any other string without recording anything: the
+// tracer has no string-keyed store, so such an ID has no trace, and Trace
+// and Incomplete report it missing.
 func (t *Tracer) Stamp(id string, stage Stage, where string) {
+	if k, ok := ParseKey(id); ok {
+		t.StampKey(k, stage, where)
+	}
+}
+
+// StampKey records that the message reached a pipeline stage at the current
+// instant. where names the component that stamped (server name, cluster).
+func (t *Tracer) StampKey(k Key, stage Stage, where string) {
 	if t == nil {
 		return
 	}
 	now := t.clock()
-	t.mu.Lock()
-	tr := t.traces[id]
-	if tr == nil {
-		tr = &Trace{ID: id}
-		t.traces[id] = tr
+	sh := t.shard(k)
+	sh.mu.Lock()
+	r := sh.record(k)
+	hasPrev, prev := r.n > 0, r.last
+	submitAt, submitOK := r.submitAt, r.hasSubmit && stage == StageRetrieve
+	if stage == StageSubmit && !r.hasSubmit {
+		r.submitAt, r.hasSubmit = now, true
 	}
-	var prev int64
-	hasPrev := false
-	if n := len(tr.Events); n > 0 {
-		prev = tr.Events[n-1].At
-		hasPrev = true
+	r.last = now
+	ev := SpanEvent{Stage: stage, At: now, Where: where}
+	if r.n < inlineEvents {
+		r.inline[r.n] = ev
+		r.n++
+	} else {
+		r.more = append(r.more, ev)
 	}
-	var submitAt int64
-	submitOK := false
-	if stage == StageRetrieve {
-		submitAt, submitOK = tr.StageAt(StageSubmit)
-	}
-	tr.Events = append(tr.Events, SpanEvent{Stage: stage, At: now, Where: where})
-	t.mu.Unlock()
+	sh.mu.Unlock()
 
 	if t.reg == nil {
 		return
@@ -165,19 +275,23 @@ func (t *Tracer) Stamp(id string, stage Stage, where string) {
 	}
 }
 
-// Trace returns a copy of the message's recorded lifecycle.
+// Trace returns a copy of the message's recorded lifecycle. id is the
+// canonical "m<node>-<seq>" text; any other string has no trace.
 func (t *Tracer) Trace(id string) (Trace, bool) {
-	if t == nil {
+	k, ok := ParseKey(id)
+	if t == nil || !ok {
 		return Trace{}, false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tr, ok := t.traces[id]
-	if !ok {
+	sh := t.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	r := sh.index[k]
+	if r == nil {
 		return Trace{}, false
 	}
-	out := Trace{ID: tr.ID, Events: append([]SpanEvent(nil), tr.Events...)}
-	return out, true
+	events := make([]SpanEvent, 0, r.n+len(r.more))
+	events = append(append(events, r.inline[:r.n]...), r.more...)
+	return Trace{ID: id, Events: events}, true
 }
 
 // Len reports how many messages have at least one stamped event.
@@ -185,22 +299,31 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.traces)
+	n := 0
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		n += len(sh.index)
+		sh.mu.Unlock()
+	}
+	return n
 }
 
-// IDs returns every traced message ID, sorted.
+// IDs returns every traced message ID as "m<node>-<seq>" text, sorted as
+// strings.
 func (t *Tracer) IDs() []string {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	out := make([]string, 0, len(t.traces))
-	for id := range t.traces {
-		out = append(out, id)
+	out := make([]string, 0, t.Len())
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		for k := range sh.index {
+			out = append(out, k.String())
+		}
+		sh.mu.Unlock()
 	}
-	t.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
@@ -226,7 +349,10 @@ func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.traces = make(map[string]*Trace)
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		sh.index, sh.slab = nil, nil
+		sh.mu.Unlock()
+	}
 }

@@ -152,6 +152,9 @@ type Server struct {
 
 	stats *obs.Registry
 	trace *obs.Tracer // nil-safe; shared across the deployment when set
+	// where names this server in span events, matching the per-entity
+	// instrument prefix convention ("s<node>"); built once, stamped often.
+	where string
 }
 
 // rerouteKey identifies one recipient copy for reroute dedup.
@@ -220,6 +223,7 @@ func New(cfg Config) (*Server, error) {
 		inflight:     make(map[uint64]*inflightBatch),
 		stats:        obs.NewRegistry(),
 		trace:        cfg.Trace,
+		where:        fmt.Sprintf("s%d", cfg.ID),
 	}
 	if err := cfg.Net.Register(cfg.ID, s); err != nil {
 		return nil, err
@@ -374,7 +378,7 @@ func (s *Server) accept(req SubmitRequest) mail.Message {
 		SubmittedAt: s.net.Scheduler().Now(),
 	}
 	s.stats.Inc("submissions")
-	s.trace.Stamp(msg.ID.String(), obs.StageSubmit, s.whereLabel())
+	s.trace.StampKey(msg.ID.TraceKey(), obs.StageSubmit, s.where)
 	return msg
 }
 
@@ -436,7 +440,7 @@ func (s *Server) Route(msg mail.Message, rcpt names.Name) {
 		rotated = append(rotated, candidates[:rot]...)
 		candidates = rotated
 	}
-	s.trace.Stamp(msg.ID.String(), obs.StageRelay, s.whereLabel())
+	s.trace.StampKey(msg.ID.TraceKey(), obs.StageRelay, s.where)
 	s.enqueue(TransferForward, msg, rcpt, candidates)
 }
 
@@ -474,7 +478,7 @@ func (s *Server) deliverLocal(msg mail.Message, rcpt names.Name) {
 		s.stats.Inc("unresolvable")
 		return
 	}
-	s.trace.Stamp(msg.ID.String(), obs.StageResolve, s.whereLabel())
+	s.trace.StampKey(msg.ID.TraceKey(), obs.StageResolve, s.where)
 	// If this server is the first *active* authority server, deposit
 	// without network traffic.
 	for _, cand := range list {
@@ -506,13 +510,13 @@ func (s *Server) depositLocal(msg mail.Message, rcpt names.Name) {
 		return
 	}
 	s.stats.Inc("deposits_local")
-	s.trace.Stamp(msg.ID.String(), obs.StageDeposit, s.whereLabel())
+	s.trace.StampKey(msg.ID.TraceKey(), obs.StageDeposit, s.where)
 	if evicted > 0 {
 		s.stats.Add("cleanup_evicted", int64(evicted))
 	}
 	if host, ok := s.online[rcpt]; ok {
 		s.stats.Inc("notifies")
-		s.trace.Stamp(msg.ID.String(), obs.StageNotify, s.whereLabel())
+		s.trace.StampKey(msg.ID.TraceKey(), obs.StageNotify, s.where)
 		_ = s.net.Send(s.id, host, Notify{User: rcpt, ID: msg.ID, Server: s.id})
 	}
 }
@@ -670,7 +674,7 @@ func (s *Server) handleLogin(l Login) {
 	})
 	if ok && !first.IsZero() {
 		s.stats.Inc("notifies")
-		s.trace.Stamp(first.String(), obs.StageNotify, s.whereLabel())
+		s.trace.StampKey(first.TraceKey(), obs.StageNotify, s.where)
 		_ = s.net.Send(s.id, l.Host, Notify{User: l.User, ID: first, Server: s.id})
 	}
 }
@@ -827,15 +831,10 @@ func (s *Server) stampRetrieved(msgs []mail.Stored) {
 	if s.trace == nil {
 		return
 	}
-	where := s.whereLabel()
 	for _, m := range msgs {
-		s.trace.Stamp(m.ID.String(), obs.StageRetrieve, where)
+		s.trace.StampKey(m.ID.TraceKey(), obs.StageRetrieve, s.where)
 	}
 }
-
-// whereLabel names this server in span events, matching the per-entity
-// instrument prefix convention ("s<node>").
-func (s *Server) whereLabel() string { return fmt.Sprintf("s%d", s.id) }
 
 // ArchivedCount reports how many retained (read) copies a user's mailbox
 // holds under the KeepCopies option.

@@ -802,6 +802,9 @@ func (s *Server) opGetMail(req Request) Response {
 	msgs := agent.GetMail()
 	polls := agent.Polls()
 	last := agent.LastCheckingTime().UnixNano()
+	// The response owns the batch now; agents live as long as the server,
+	// so one that kept its inbox would retain every body it ever returned.
+	agent.DropInbox()
 	s.agentMu.Unlock()
 	return Response{OK: true, Messages: wireMessages(msgs), Polls: polls, LastChecking: last}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -320,5 +321,49 @@ func TestStatusSnapshotStructured(t *testing.T) {
 	}
 	if hs := snap.Histograms["lat_e2e"]; hs.P50 <= 0 || hs.P99 < hs.P50 {
 		t.Errorf("lat_e2e quantiles implausible: %+v", hs)
+	}
+}
+
+// TestGetMailDoesNotRetainBodies: the server keeps one agent per user for as
+// long as it runs, so whatever an agent holds after a getmail is held
+// forever. Submit→getmail cycles may grow the heap by what dedup and the
+// tracer remember per message (IDs, a trace record), never by the bodies.
+func TestGetMailDoesNotRetainBodies(t *testing.T) {
+	s := newServer(t)
+	c := newClient(t, s)
+	for _, u := range []string{"R1.h1.from", "R1.h1.to"} {
+		if err := c.Register(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const cycles, bodySize = 400, 16 << 10
+	body := strings.Repeat("b", bodySize)
+	cycle := func() {
+		if _, err := c.Submit("R1.h1.from", []string{"R1.h1.to"}, "s", body); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.GetMail("R1.h1.to")
+		if err != nil || len(got) != 1 || len(got[0].Body) != bodySize {
+			t.Fatalf("getmail = %d messages, err %v", len(got), err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < 20; i++ { // fill pools, create the agent and the mailbox
+		cycle()
+	}
+	before := heap()
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	grown := int64(heap()) - int64(before)
+	if limit := int64(cycles * bodySize / 4); grown > limit {
+		t.Errorf("heap grew %d B over %d cycles of %d B bodies (limit %d): bodies are being retained",
+			grown, cycles, bodySize, limit)
 	}
 }
