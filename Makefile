@@ -1,6 +1,7 @@
-# Tier-1: the seed gate — must always pass.
+# Tier-1: the seed gate — must always pass. An unformatted file fails it.
 .PHONY: tier1
 tier1:
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l:" >&2; echo "$$unformatted" >&2; exit 1; }
 	go build ./...
 	go vet ./...
 	go test ./...
@@ -85,7 +86,7 @@ tier2-arch:
 tier2-attr-prune:
 	go test -race ./internal/sketch/
 	go test -race -run 'TestDistribute|TestStaleSketch|TestPrunedNodeSet|TestRefresh' ./internal/broadcast/
-	go test -race -run 'TestQuery|TestSketch|TestSearchTerms' ./internal/wire/ ./internal/mail/mailstore/
+	go test -race -run 'TestQuery|TestSketch|TestSearchTerms|TestTermIndex' ./internal/wire/ ./internal/mail/mailstore/
 	go test -race -run 'TestAttrPrune|TestAttrPruned' ./internal/loadgen/
 
 # Check: the full pre-merge gate.
@@ -93,11 +94,13 @@ tier2-attr-prune:
 check: tier1 tier1-race fuzz-smoke bench-relay tier2-durability tier2-wire tier2-balance tier2-arch tier2-attr-prune
 
 # Mailbench: the capacity harness acceptance run — a million-user population
-# on 64 simulated servers, no faults, auditors on, capacity sweep written to
-# BENCH_PR4.json.
+# on 64 simulated servers, no faults, auditors on. The sweep that produced
+# BENCH_PR4.json; like every bench-* target below it now writes under
+# .bench_build/ (git-ignored) — the committed BENCH_PR*.json are frozen.
 .PHONY: mailbench
 mailbench:
-	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 -o BENCH_PR4.json
+	@mkdir -p .bench_build
+	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 -o .bench_build/BENCH_PR4.json
 
 # Chaos: just the fault-injection soaks, verbosely.
 .PHONY: chaos
@@ -139,9 +142,10 @@ bench-compare:
 # cold recovery-replay time per point.
 .PHONY: bench-durability
 bench-durability:
+	@mkdir -p .bench_build
 	rm -rf /tmp/mailbench-pr6
 	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 \
-		-datadir /tmp/mailbench-pr6 -durability off,never,always,chaos -o BENCH_PR6.json
+		-datadir /tmp/mailbench-pr6 -durability off,never,always,chaos -o .bench_build/BENCH_PR6.json
 	rm -rf /tmp/mailbench-pr6
 
 # Wire bench: the acceptance run behind BENCH_PR7.json — the million-user/
@@ -151,10 +155,11 @@ bench-durability:
 # appended to prove exactly-once holds at speed.
 .PHONY: bench-wire
 bench-wire:
+	@mkdir -p .bench_build
 	go run ./cmd/mailbench -transport wire -users 1000000 -servers 64 -seed 1 \
-		-proto text,binary -inflight 1,8,32 -batch 1,16 -o BENCH_PR7.json
+		-proto text,binary -inflight 1,8,32 -batch 1,16 -o .bench_build/BENCH_PR7.json
 	go run ./cmd/mailbench -transport wire -users 1000000 -servers 64 -seed 1 \
-		-proto binary -inflight 8 -batch 1 -faults -append -o BENCH_PR7.json
+		-proto binary -inflight 8 -batch 1 -faults -append -o .bench_build/BENCH_PR7.json
 
 # Balance bench: the acceptance run behind BENCH_PR8.json — the million-user/
 # 64-server sweep racing the §3.1.1 static optimum against JSQ(2) submit-time
@@ -164,12 +169,13 @@ bench-wire:
 # migrations_total and migration_cost.
 .PHONY: bench-balance
 bench-balance:
+	@mkdir -p .bench_build
 	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 \
 		-messages 6000 -ticks 300 -sessions 256 -srate 4 -retry 200 \
-		-policy static,jsq,rebalance -profile hotspot -o BENCH_PR8.json
+		-policy static,jsq,rebalance -profile hotspot -o .bench_build/BENCH_PR8.json
 	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 \
 		-messages 6000 -ticks 300 -sessions 256 -srate 4 -retry 200 \
-		-policy static,jsq,rebalance -profile flash:100:60 -append -o BENCH_PR8.json
+		-policy static,jsq,rebalance -profile flash:100:60 -append -o .bench_build/BENCH_PR8.json
 
 # Architecture bench: the acceptance run behind BENCH_PR9.json — the
 # three-architecture shoot-out at a million users on 64 servers. The §3.2
@@ -180,16 +186,17 @@ bench-balance:
 # flagged); a syntax-architecture point heads the document for comparison.
 .PHONY: bench-arch
 bench-arch:
+	@mkdir -p .bench_build
 	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 \
-		-messages 6000 -ticks 300 -sessions 256 -retry 200 -o BENCH_PR9.json
+		-messages 6000 -ticks 300 -sessions 256 -retry 200 -o .bench_build/BENCH_PR9.json
 	go run ./cmd/mailbench -arch roaming -users 1000000 -servers 64 -seed 1 \
-		-messages 6000 -ticks 300 -sessions 256 -append -o BENCH_PR9.json
+		-messages 6000 -ticks 300 -sessions 256 -append -o .bench_build/BENCH_PR9.json
 	go run ./cmd/mailbench -arch roaming -users 1000000 -servers 64 -seed 1 \
-		-messages 6000 -ticks 300 -sessions 256 -faults -append -o BENCH_PR9.json
+		-messages 6000 -ticks 300 -sessions 256 -faults -append -o .bench_build/BENCH_PR9.json
 	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -seed 1 \
-		-ticks 300 -queries 60 -append -o BENCH_PR9.json
+		-ticks 300 -queries 60 -append -o .bench_build/BENCH_PR9.json
 	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -seed 1 \
-		-ticks 300 -queries 60 -faults -append -o BENCH_PR9.json
+		-ticks 300 -queries 60 -faults -append -o .bench_build/BENCH_PR9.json
 
 # Attr-prune bench: the acceptance run behind BENCH_PR10.json — E22, the
 # selective multicast vs E21's exhaustive broadcast at a million users on 64
@@ -200,12 +207,13 @@ bench-arch:
 # crashes produce flagged partials.
 .PHONY: bench-attr
 bench-attr:
+	@mkdir -p .bench_build
 	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -seed 1 \
-		-ticks 300 -queries 60 -noprune -o BENCH_PR10.json
+		-ticks 300 -queries 60 -noprune -o .bench_build/BENCH_PR10.json
 	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -seed 1 \
-		-ticks 300 -queries 60 -append -o BENCH_PR10.json
+		-ticks 300 -queries 60 -append -o .bench_build/BENCH_PR10.json
 	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -seed 1 \
-		-ticks 300 -queries 60 -faults -sketchrefresh 8 -append -o BENCH_PR10.json
+		-ticks 300 -queries 60 -faults -sketchrefresh 8 -append -o .bench_build/BENCH_PR10.json
 
 .PHONY: all
 all: tier2

@@ -51,8 +51,8 @@ func runFaults(seed int64, messages, ticks int) error {
 		return err
 	}
 	sched, err := faults.Compile(faults.Spec{
-		Seed:  seed,
-		Ticks: ticks,
+		Seed:    seed,
+		Ticks:   ticks,
 		Servers: []string{"s1", "s2", "s3"},
 		Links: [][2]string{
 			{"s1", "s2"}, {"s2", "s3"}, {"s1", "s3"},

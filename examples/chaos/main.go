@@ -54,8 +54,8 @@ func run() error {
 	}
 
 	sched, err := faults.Compile(faults.Spec{
-		Seed:  42,
-		Ticks: 120,
+		Seed:    42,
+		Ticks:   120,
 		Servers: []string{"s1", "s2", "s3"},
 		Links: [][2]string{
 			{"net", "s1"}, {"net", "s2"}, {"net", "s3"},

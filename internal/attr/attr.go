@@ -14,7 +14,7 @@ package attr
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/largemail/largemail/internal/names"
@@ -207,7 +207,9 @@ func valueMatches(value string, pred Predicate) bool {
 	case OpPrefix:
 		return strings.HasPrefix(v, pat)
 	case OpOneOf:
-		for _, alt := range strings.Split(pat, "|") {
+		for rest, more := pat, true; more; {
+			var alt string
+			alt, rest, more = strings.Cut(rest, "|")
 			if v == strings.TrimSpace(alt) {
 				return true
 			}
@@ -312,6 +314,6 @@ func (r *Registry) Search(q Query) ([]names.Name, error) {
 			out = append(out, user)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, names.Compare)
 	return out, nil
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/largemail/largemail/internal/attr"
 	"github.com/largemail/largemail/internal/broadcast"
@@ -156,9 +156,7 @@ func (s *AttributeSystem) Search(origin graph.NodeID, q attr.Query, targets map[
 			res.Matches = append(res.Matches, u)
 		}
 	}
-	sort.Slice(res.Matches, func(i, j int) bool {
-		return res.Matches[i].String() < res.Matches[j].String()
-	})
+	slices.SortFunc(res.Matches, names.Compare)
 	return res, nil
 }
 
@@ -189,7 +187,7 @@ func (s *AttributeSystem) FloodSearch(origin graph.NodeID, q attr.Query) (Search
 			s.Net.Stats().Add("delivered", 2)
 		}
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].String() < matches[j].String() })
+	slices.SortFunc(matches, names.Compare)
 	res.Matches = matches
 	res.TrafficCost = float64(s.Net.Stats().Get("cost_milli")-costBefore) / 1000
 	return res, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -133,7 +134,7 @@ func (f *LocationFederation) Users() []names.Name {
 	for u := range f.agents {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, names.Compare)
 	return out
 }
 

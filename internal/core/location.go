@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/largemail/largemail/internal/evalsys"
@@ -114,7 +115,7 @@ func (s *LocationSystem) Users() []names.Name {
 	for u := range s.agents {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, names.Compare)
 	return out
 }
 

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"github.com/largemail/largemail/internal/assign"
@@ -167,7 +168,7 @@ func NewSyntax(cfg SyntaxConfig) (*SyntaxSystem, error) {
 			srv, err := server.New(server.Config{
 				ID: sv, Region: region, Net: s.Net,
 				Dir: dir, Regions: s.regionMap, Retention: cfg.Retention,
-				Trace: s.trace,
+				Trace:   s.trace,
 				DataDir: s.serverDataDir(sv), Fsync: cfg.Fsync,
 			})
 			if err != nil {
@@ -248,7 +249,7 @@ func (s *SyntaxSystem) Users() []names.Name {
 	for u := range s.agents {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, names.Compare)
 	return out
 }
 
@@ -401,7 +402,7 @@ func (s *SyntaxSystem) AddServer(id graph.NodeID, region string, maxLoad int) er
 	srv, err := server.New(server.Config{
 		ID: id, Region: region, Net: s.Net,
 		Dir: s.dirs[region], Regions: s.regionMap, Retention: s.cfg.Retention,
-		Trace: s.trace,
+		Trace:   s.trace,
 		DataDir: s.serverDataDir(id), Fsync: s.cfg.Fsync,
 	})
 	if err != nil {

@@ -68,8 +68,8 @@ func chaosSimWorld(t *testing.T, seed int64) (*core.SyntaxSystem, map[string]gra
 // and genuinely strand mail beyond the GetMail walk.
 func chaosSimSpec(seed int64) faults.Spec {
 	return faults.Spec{
-		Seed:  seed,
-		Ticks: 120,
+		Seed:    seed,
+		Ticks:   120,
 		Servers: []string{"s1", "s2", "s3"},
 		Links: [][2]string{
 			{"s1", "s2"}, {"s2", "s3"}, {"s1", "s3"},
@@ -228,8 +228,8 @@ func TestChaosSoakLive(t *testing.T) {
 	}
 
 	sched, err := faults.Compile(faults.Spec{
-		Seed:  42,
-		Ticks: 120,
+		Seed:    42,
+		Ticks:   120,
 		Servers: []string{"s1", "s2", "s3"},
 		Links: [][2]string{
 			{"net", "s1"}, {"net", "s2"}, {"net", "s3"},

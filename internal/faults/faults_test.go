@@ -8,8 +8,8 @@ import (
 
 func chaosSpec() Spec {
 	return Spec{
-		Seed:  7,
-		Ticks: 100,
+		Seed:    7,
+		Ticks:   100,
 		Servers: []string{"s1", "s2", "s3"},
 		Links: [][2]string{
 			{"s1", "s2"}, {"s2", "s3"}, {"s1", "s3"},

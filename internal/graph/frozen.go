@@ -20,14 +20,14 @@ import (
 // algorithms). A Frozen is safe for concurrent use; it never observes later
 // mutations of the Graph it was built from.
 type Frozen struct {
-	ids      []NodeID          // dense index -> NodeID, ascending
-	index    map[NodeID]int32  // NodeID -> dense index
-	rowStart []int32           // CSR row offsets, len = Len()+1
-	nbr      []int32           // neighbor dense indices, row-sorted ascending
-	wt       []float64         // edge weights parallel to nbr
-	edges    []Edge            // undirected edges sorted by (A, B)
-	byWeight []Edge            // undirected edges sorted by (Weight, A, B)
-	bwIdx    [][2]int32        // dense endpoints parallel to byWeight
+	ids      []NodeID         // dense index -> NodeID, ascending
+	index    map[NodeID]int32 // NodeID -> dense index
+	rowStart []int32          // CSR row offsets, len = Len()+1
+	nbr      []int32          // neighbor dense indices, row-sorted ascending
+	wt       []float64        // edge weights parallel to nbr
+	edges    []Edge           // undirected edges sorted by (A, B)
+	byWeight []Edge           // undirected edges sorted by (Weight, A, B)
+	bwIdx    [][2]int32       // dense endpoints parallel to byWeight
 }
 
 // Frozen returns the cached frozen view, building it on first use. Any

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"github.com/largemail/largemail/internal/attr"
 	"github.com/largemail/largemail/internal/broadcast"
@@ -155,6 +156,12 @@ type AttrScenario struct {
 	aud   *Auditors
 	rng   *rand.Rand
 
+	// residents holds what a §3.3 server stores for each of its users — the
+	// name mail is deposited under and the attribute profile predicates are
+	// matched against — indexed by population index and filled on first
+	// touch (see resident).
+	residents []*attr.Profile
+
 	pending   map[uint64]*attrQuery
 	pendingID []uint64 // launch order, for deterministic completion sweeps
 	undrained map[graph.NodeID]map[int]bool
@@ -177,6 +184,7 @@ func NewAttrScenario(cfg AttrConfig) (*AttrScenario, error) {
 		store:     make(map[graph.NodeID]*mailstore.Store),
 		pending:   make(map[uint64]*attrQuery),
 		undrained: make(map[graph.NodeID]map[int]bool),
+		residents: make([]*attr.Profile, cfg.Pop.Users),
 	}
 	g := s.buildTopology()
 	s.net = netsim.New(s.sched, g)
@@ -257,13 +265,21 @@ func (s *AttrScenario) homeServer(u int) int {
 	return s.pop.RegionOf(u)*s.pop.ServersPerRegion + s.pop.HostOf(u)%s.pop.ServersPerRegion
 }
 
-// profileOf synthesizes user u's attribute profile deterministically — the
-// population is virtual, so profiles are derived, not stored.
-func (s *AttrScenario) profileOf(u int) *attr.Profile {
-	p := &attr.Profile{User: s.pop.Name(u)}
-	p.Add(attr.TypeInterest, fmt.Sprintf("g%d", u%s.cfg.Groups), attr.Public).
-		Add(attr.TypeCity, attrCities[u%len(attrCities)], attr.Public).
-		Add(attr.TypeName, fmt.Sprintf("user%d", u), attr.Public)
+// resident returns user u's record. The population is virtual — a pure
+// function of the index — so a record is derived the first time a query, a
+// deposit or a sweep touches the user and kept from then on: a distribution
+// costs its audience one record each, once, not one per candidate per
+// evaluation. Only touched users are ever held.
+func (s *AttrScenario) resident(u int) *attr.Profile {
+	if p := s.residents[u]; p != nil {
+		return p
+	}
+	p := &attr.Profile{User: s.pop.Name(u), Attrs: []attr.Attribute{
+		{Type: attr.TypeInterest, Value: token(groupTokens, "g", u%s.cfg.Groups), Visibility: attr.Public},
+		{Type: attr.TypeCity, Value: attrCities[u%len(attrCities)], Visibility: attr.Public},
+		{Type: attr.TypeName, Value: "user" + strconv.Itoa(u), Visibility: attr.Public},
+	}}
+	s.residents[u] = p
 	return p
 }
 
@@ -275,7 +291,7 @@ func (s *AttrScenario) matchingOn(gs, group int, q attr.Query) []int {
 		if s.homeServer(u) != gs {
 			continue
 		}
-		if q.Matches(s.profileOf(u)) {
+		if q.Matches(s.resident(u)) {
 			out = append(out, u)
 		}
 	}
@@ -299,7 +315,7 @@ func (s *AttrScenario) eval(node graph.NodeID, payload any) []any {
 		items := make([]any, 0, len(users))
 		now := s.sched.Now()
 		for _, u := range users {
-			s.store[node].Deposit(s.pop.Name(u), mail.Message{
+			s.store[node].Deposit(s.resident(u).User, mail.Message{
 				ID: p.MsgID, Subject: p.Subject, Body: p.Body, SubmittedAt: now,
 			}, now)
 			if s.undrained[node] == nil {
@@ -402,7 +418,7 @@ func (s *AttrScenario) launch(content bool) {
 		}
 		q.truth = make(map[int]bool)
 		for u := group; u < s.pop.Users; u += s.cfg.Groups {
-			if query.Matches(s.profileOf(u)) {
+			if query.Matches(s.resident(u)) {
 				q.truth[u] = true
 			}
 		}
@@ -672,6 +688,10 @@ func (s *AttrScenario) sweep() {
 		nodes = append(nodes, id)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	// One bulletin is drained from thousands of mailboxes: its ID is
+	// rendered for the ledger once per sweep, not once per copy.
+	idText := make(map[mail.MessageID]string)
+	var ids []string
 	for _, node := range nodes {
 		if !s.net.IsUp(node) {
 			continue // a crashed store is unreachable until recovery
@@ -682,9 +702,14 @@ func (s *AttrScenario) sweep() {
 		}
 		sort.Ints(users)
 		for _, u := range users {
-			ids := make([]string, 0, 1)
-			for _, st := range s.store[node].Drain(s.pop.Name(u)) {
-				ids = append(ids, st.ID.String())
+			ids = ids[:0]
+			for _, st := range s.store[node].Drain(s.resident(u).User) {
+				text, ok := idText[st.ID]
+				if !ok {
+					text = st.ID.String()
+					idText[st.ID] = text
+				}
+				ids = append(ids, text)
 			}
 			s.aud.CreditRetrieved(u, ids)
 		}

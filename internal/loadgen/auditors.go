@@ -48,8 +48,8 @@ type Auditors struct {
 	authorityLen int
 	pollStrict   bool
 
-	outstanding map[string]bool // committed copy keys not yet retrieved
-	seen        map[string]bool // copy keys retrieved at least once
+	outstanding map[copyKey]bool // committed copies not yet retrieved
+	seen        map[copyKey]bool // copies retrieved at least once
 	lastCheck   map[int]int64
 	retrievals  map[int]int
 
@@ -66,8 +66,8 @@ func NewAuditors(authorityLen int, pollStrict bool) *Auditors {
 	return &Auditors{
 		authorityLen: authorityLen,
 		pollStrict:   pollStrict,
-		outstanding:  make(map[string]bool),
-		seen:         make(map[string]bool),
+		outstanding:  make(map[copyKey]bool),
+		seen:         make(map[copyKey]bool),
 		lastCheck:    make(map[int]int64),
 		retrievals:   make(map[int]int),
 		counts:       make(map[string]int),
@@ -81,7 +81,15 @@ func (a *Auditors) PollStrict() bool { return a.pollStrict }
 // reconfiguration began after construction).
 func (a *Auditors) DisablePolls() { a.pollStrict = false }
 
-func copyKey(id string, u int) string { return fmt.Sprintf("%s@u%d", id, u) }
+// copyKey identifies one committed copy in the ledger: a message ID and the
+// recipient it is owed to. It is rendered as text only when a violation
+// names it.
+type copyKey struct {
+	id string
+	u  int
+}
+
+func (k copyKey) String() string { return fmt.Sprintf("%s@u%d", k.id, k.u) }
 
 func (a *Auditors) violate(kind, detail string) {
 	a.counts[kind]++
@@ -94,7 +102,7 @@ func (a *Auditors) violate(kind, detail string) {
 // RecordSubmit ledgers a committed message: one copy owed per recipient.
 func (a *Auditors) RecordSubmit(id string, rcpts []int) {
 	for _, u := range rcpts {
-		a.outstanding[copyKey(id, u)] = true
+		a.outstanding[copyKey{id, u}] = true
 	}
 }
 
@@ -103,15 +111,15 @@ func (a *Auditors) RecordSubmit(id string, rcpts []int) {
 // pre-migration drain of §3.1.4.
 func (a *Auditors) CreditRetrieved(u int, ids []string) {
 	for _, id := range ids {
-		key := copyKey(id, u)
+		key := copyKey{id, u}
 		switch {
 		case a.seen[key]:
-			a.violate(ViolationDuplicate, key)
+			a.violate(ViolationDuplicate, key.String())
 		case a.outstanding[key]:
 			delete(a.outstanding, key)
 			a.seen[key] = true
 		default:
-			a.violate(ViolationUnledgered, key)
+			a.violate(ViolationUnledgered, key.String())
 			a.seen[key] = true
 		}
 	}
@@ -163,7 +171,7 @@ func (a *Auditors) RecordTraceGaps(ids []string) {
 func (a *Auditors) FinishOutstanding() {
 	keys := make([]string, 0, len(a.outstanding))
 	for k := range a.outstanding {
-		keys = append(keys, k)
+		keys = append(keys, k.String())
 	}
 	sort.Strings(keys)
 	for _, k := range keys {

@@ -1,10 +1,13 @@
 package loadgen
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/largemail/largemail/internal/faults"
+	"github.com/largemail/largemail/internal/names"
 )
 
 func newSimDriver(t *testing.T, cfg SimConfig) *SimDriver {
@@ -45,6 +48,89 @@ func TestPopulationMapping(t *testing.T) {
 		if name.Region != p.RegionName(p.RegionOf(u)) {
 			t.Fatalf("Name(%d).Region = %q", u, name.Region)
 		}
+	}
+}
+
+// TestPopulationNameTokens: the table-driven Name renders what the three
+// Sprintfs it replaced rendered, inside the token tables and past them, with
+// one allocation (the user token).
+func TestPopulationNameTokens(t *testing.T) {
+	p := Population{Users: 5_000_000, Regions: 3, HostsPerRegion: 700, ServersPerRegion: 4}.withDefaults()
+	for _, u := range []int{0, 7, 99, 100, 1023, 1024, 2099, 2100, 123456, 4_999_999} {
+		want := names.Name{
+			Region: fmt.Sprintf("R%d", p.RegionOf(u)),
+			Host:   fmt.Sprintf("h%d", p.HostOf(u)),
+			User:   fmt.Sprintf("u%d", u),
+		}
+		if got := p.Name(u); got != want {
+			t.Fatalf("Name(%d) = %v, want %v", u, got, want)
+		}
+		if got, ok := p.UserIndex(want); !ok || got != u {
+			t.Fatalf("UserIndex(%v) = %d, %v", want, got, ok)
+		}
+	}
+	if got := p.RegionName(tokenTableLen + 5); got != fmt.Sprintf("R%d", tokenTableLen+5) {
+		t.Fatalf("RegionName past the table = %q", got)
+	}
+	small := Population{Users: 1_000_000, Regions: 4, HostsPerRegion: 32, ServersPerRegion: 16}
+	u := 0
+	var sink names.Name
+	if n := testing.AllocsPerRun(1000, func() { sink = small.Name(u); u += 997 }); n > 1 {
+		t.Errorf("Population.Name: %v allocs, want <= 1", n)
+	}
+	_ = sink
+}
+
+// TestAuditorsLedgerText pins the violation text the value-keyed ledger
+// renders — "<id>@u<n>", losses in the order of that text — and that
+// ledgering and crediting a copy allocates nothing of its own.
+func TestAuditorsLedgerText(t *testing.T) {
+	a := NewAuditors(2, false)
+	a.RecordSubmit("m2-1", []int{10, 2})
+	a.RecordSubmit("m10-1", []int{2})
+	a.RecordSubmit("m1-1", []int{4})
+	a.CreditRetrieved(4, []string{"m1-1", "m1-1", "m9-9"})
+	a.FinishOutstanding()
+	want := []string{
+		"duplicate: m1-1@u4",
+		"unledgered: m9-9@u4",
+		"lost: m10-1@u2",
+		"lost: m2-1@u10",
+		"lost: m2-1@u2",
+	}
+	if got := a.Violations(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("violations = %q, want %q", got, want)
+	}
+
+	b := NewAuditors(2, false)
+	rcpts := make([]int, 64)
+	for i := range rcpts {
+		rcpts[i] = i * 3
+	}
+	ids := make([]string, 512)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m7-%d", i+1)
+	}
+	round := 0
+	cycle := func() {
+		id := ids[round%len(ids)]
+		round++
+		b.RecordSubmit(id, rcpts)
+		for _, u := range rcpts {
+			b.CreditRetrieved(u, ids[(round-1)%len(ids):][:1])
+		}
+	}
+	for i := 0; i < 256; i++ { // grow the maps first
+		cycle()
+	}
+	// 64 copies a cycle; AllocsPerRun floors the mean, so what is left of
+	// the seen-set's growth (a handful of table splits over 6 400 inserts)
+	// reads as 0 while one allocation per copy would read as 64.
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("RecordSubmit + CreditRetrieved of 64 copies: %v allocs, want 0", n)
+	}
+	if !b.Ok() || b.Outstanding() != 0 {
+		t.Fatalf("ledger not clean: %v, %d outstanding", b.Violations(), b.Outstanding())
 	}
 }
 

@@ -20,7 +20,6 @@
 package loadgen
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 
@@ -86,18 +85,42 @@ func (p Population) UsersOnHost(gh int) int {
 	return n
 }
 
+// Region, host and interest-group tokens depend on nothing but their index,
+// so the first tokenTableLen of each are formatted once, at start-up, and
+// shared by every population; Name then formats only the user token.
+const tokenTableLen = 1024
+
+var regionTokens, hostTokens, groupTokens = tokenTable("R"), tokenTable("h"), tokenTable("g")
+
+func tokenTable(prefix string) *[tokenTableLen]string {
+	var t [tokenTableLen]string
+	for i := range t {
+		t[i] = prefix + strconv.Itoa(i)
+	}
+	return &t
+}
+
+func token(table *[tokenTableLen]string, prefix string, i int) string {
+	if i >= 0 && i < tokenTableLen {
+		return table[i]
+	}
+	return prefix + strconv.Itoa(i)
+}
+
 // Name returns the user's syntax-directed name: region Rr, host token hg,
 // user token u<index>.
 func (p Population) Name(u int) names.Name {
+	var buf [24]byte
+	user := strconv.AppendInt(append(buf[:0], 'u'), int64(u), 10)
 	return names.Name{
-		Region: fmt.Sprintf("R%d", p.RegionOf(u)),
-		Host:   fmt.Sprintf("h%d", p.HostOf(u)),
-		User:   fmt.Sprintf("u%d", u),
+		Region: p.RegionName(p.RegionOf(u)),
+		Host:   token(hostTokens, "h", p.HostOf(u)),
+		User:   string(user),
 	}
 }
 
 // RegionName returns the token for a region index.
-func (p Population) RegionName(r int) string { return fmt.Sprintf("R%d", r) }
+func (p Population) RegionName(r int) string { return token(regionTokens, "R", r) }
 
 // UserIndex inverts Name: the population index behind a syntax-directed
 // name's user token ("u<index>"), with false for tokens that are not a

@@ -21,6 +21,7 @@ package locind
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -364,7 +365,7 @@ func (s *System) evacuate(p *Server) (moved int) {
 	for u := range p.mailboxes {
 		users = append(users, u)
 	}
-	sort.Slice(users, func(i, j int) bool { return users[i].String() < users[j].String() })
+	slices.SortFunc(users, names.Compare)
 	for _, u := range users {
 		auth := s.AuthorityFor(u)
 		keep := false

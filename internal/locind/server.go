@@ -2,6 +2,7 @@ package locind
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -429,7 +430,7 @@ func (p *Server) Users() []names.Name {
 	for u := range p.mailboxes {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, names.Compare)
 	return out
 }
 

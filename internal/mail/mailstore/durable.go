@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -559,7 +560,7 @@ func (s *Store) compactShard(i int) error {
 	for u := range sh.boxes {
 		users = append(users, u)
 	}
-	sort.Slice(users, func(a, b int) bool { return users[a].String() < users[b].String() })
+	slices.SortFunc(users, names.Compare)
 
 	buf := lg.scratch[:0]
 	buf = append(buf, segMagic...)

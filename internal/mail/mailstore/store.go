@@ -20,7 +20,7 @@ package mailstore
 
 import (
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -35,14 +35,20 @@ import (
 const DefaultShards = 16
 
 type shard struct {
-	mu    sync.RWMutex
+	mu sync.RWMutex
+	// boxes holds the shard's mailboxes. A mailbox is never removed or
+	// replaced once created (a drained one stays for its duplicate memory),
+	// so its pointer identifies the user for as long as the store lives —
+	// the term index keys its postings by it.
 	boxes map[names.Name]*mail.Mailbox
 	msgs  int64
 	bytes int64
 	// terms is the optional per-shard term index (see termindex.go): term →
-	// users whose buffered mail contains it, with per-user reference counts.
-	// nil until EnableTermIndex.
-	terms map[string]map[names.Name]int
+	// mailboxes whose buffered mail contains it, each with the number of
+	// buffered messages that do. msgTerms is its MessageID → terms table.
+	// Both nil until EnableTermIndex.
+	terms    map[string]map[*mail.Mailbox]int32
+	msgTerms map[mail.MessageID]*msgTerms
 	// sk summarises the live term set as a counting Bloom filter (see
 	// sketch.go); skGen counts sketch mutations so cached aggregates built
 	// from a Snapshot can detect staleness. nil until EnableTermIndex.
@@ -255,6 +261,6 @@ func (s *Store) Users() []names.Name {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, names.Compare)
 	return out
 }

@@ -1,7 +1,7 @@
 package mailstore
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/largemail/largemail/internal/mail"
@@ -62,6 +62,17 @@ func Terms(subject, body string) []string {
 	return out
 }
 
+// msgTerms is one entry of a shard's MessageID → terms table: the terms of
+// a message some mailbox of the shard buffers, tokenised once for all of its
+// copies. subject and body are what was tokenised, so a deposit that reuses
+// the ID with other content is told apart; refs counts the copies indexed
+// through the entry, and the entry goes with the last of them.
+type msgTerms struct {
+	subject, body string
+	terms         []string
+	refs          int32
+}
+
 // EnableTermIndex turns on the per-shard term index, rebuilding it from the
 // messages already buffered. The index maps each term to the users whose
 // buffered mail contains it, and is maintained by Deposit and Drain under
@@ -76,12 +87,13 @@ func (s *Store) EnableTermIndex() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.terms = make(map[string]map[names.Name]int)
+		sh.terms = make(map[string]map[*mail.Mailbox]int32)
+		sh.msgTerms = make(map[mail.MessageID]*msgTerms)
 		sh.sk = sketch.NewCounting()
 		sh.skGen++
-		for u, mb := range sh.boxes {
+		for _, mb := range sh.boxes {
 			for _, st := range mb.Peek() {
-				sh.indexAdd(u, st.Message)
+				sh.indexAdd(mb, st.Message)
 			}
 		}
 		sh.mu.Unlock()
@@ -96,32 +108,59 @@ func (s *Store) TermIndexed() bool {
 	return sh.terms != nil
 }
 
-// indexAdd references every term of m for user. Caller holds the shard lock.
-func (sh *shard) indexAdd(user names.Name, m mail.Message) {
-	for _, t := range Terms(m.Subject, m.Body) {
-		users := sh.terms[t]
-		if users == nil {
-			users = make(map[names.Name]int)
-			sh.terms[t] = users
+// termsFor returns the terms of m while taking (ref +1, at deposit) or
+// releasing (ref -1, at drain) one reference on its table entry, so a message
+// fanned out to many mailboxes of the shard is tokenised once, not once per
+// copy at deposit and again at drain. What it returns is always exactly
+// Terms(m.Subject, m.Body): a message without an ID, and one whose content
+// differs from the entry recorded under its ID, tokenise directly and leave
+// the table alone. Caller holds the shard lock.
+func (sh *shard) termsFor(m mail.Message, ref int32) []string {
+	if m.ID.IsZero() {
+		return Terms(m.Subject, m.Body)
+	}
+	e := sh.msgTerms[m.ID]
+	switch {
+	case e == nil && ref > 0:
+		e = &msgTerms{subject: m.Subject, body: m.Body, terms: Terms(m.Subject, m.Body)}
+		sh.msgTerms[m.ID] = e
+	case e == nil, // indexed directly, or its entry is already freed
+		e.subject != m.Subject || e.body != m.Body:
+		return Terms(m.Subject, m.Body)
+	}
+	if e.refs += ref; e.refs == 0 {
+		delete(sh.msgTerms, m.ID)
+	}
+	return e.terms
+}
+
+// indexAdd references every term of m for mailbox mb. Caller holds the shard
+// lock.
+func (sh *shard) indexAdd(mb *mail.Mailbox, m mail.Message) {
+	for _, t := range sh.termsFor(m, +1) {
+		boxes := sh.terms[t]
+		if boxes == nil {
+			boxes = make(map[*mail.Mailbox]int32)
+			sh.terms[t] = boxes
 			// First reference in this shard: the term joins the sketch.
 			sh.sk.Add(t)
 			sh.skGen++
 		}
-		users[user]++
+		boxes[mb]++
 	}
 }
 
-// indexRemove drops one reference per term of m for user. Caller holds the
-// shard lock.
-func (sh *shard) indexRemove(user names.Name, m mail.Message) {
-	for _, t := range Terms(m.Subject, m.Body) {
-		users := sh.terms[t]
-		if users == nil {
+// indexRemove drops one reference per term of m for mailbox mb. Caller holds
+// the shard lock.
+func (sh *shard) indexRemove(mb *mail.Mailbox, m mail.Message) {
+	for _, t := range sh.termsFor(m, -1) {
+		boxes := sh.terms[t]
+		if boxes == nil {
 			continue
 		}
-		if users[user]--; users[user] <= 0 {
-			delete(users, user)
-			if len(users) == 0 {
+		if boxes[mb]--; boxes[mb] <= 0 {
+			delete(boxes, mb)
+			if len(boxes) == 0 {
 				delete(sh.terms, t)
 				// Last reference gone: counting filters subtract exactly.
 				sh.sk.Remove(t)
@@ -135,44 +174,61 @@ func (sh *shard) indexRemove(user names.Name, m mail.Message) {
 // the term (case-insensitive), sorted by name. It returns nil when the index
 // is disabled.
 func (s *Store) SearchTerm(term string) []names.Name {
-	term = strings.ToLower(strings.TrimSpace(term))
-	if term == "" {
-		return nil
-	}
-	var out []names.Name
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for u := range sh.terms[term] {
-			out = append(out, u)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	return s.SearchTerms([]string{term})
 }
 
 // SearchTerms returns the users whose buffered mail contains every one of
 // the terms (conjunction), sorted by name — the evaluation form of a
 // planned content query's probe terms. Nil for an empty term list or a
 // disabled index.
+//
+// Each shard intersects its postings under its read lock, walking the
+// shortest and probing the rest, so the cost follows the rarest term; the
+// names are sorted once, at the end.
 func (s *Store) SearchTerms(terms []string) []names.Name {
 	if len(terms) == 0 {
 		return nil
 	}
-	hold := make(map[names.Name]int)
-	for _, t := range terms {
-		for _, u := range s.SearchTerm(t) {
-			hold[u]++
-		}
+	norm := make([]string, len(terms))
+	for i, t := range terms {
+		norm[i] = strings.ToLower(strings.TrimSpace(t))
 	}
+	posts := make([]map[*mail.Mailbox]int32, len(terms))
 	var out []names.Name
-	for u, n := range hold {
-		if n == len(terms) {
-			out = append(out, u)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		out = sh.appendHolders(out, norm, posts)
+		sh.mu.RUnlock()
+	}
+	slices.SortFunc(out, names.Compare)
+	return out
+}
+
+// appendHolders appends the owners of the shard's mailboxes that hold every
+// term; posts is scratch, one slot per term. Caller holds the shard lock.
+func (sh *shard) appendHolders(out []names.Name, terms []string, posts []map[*mail.Mailbox]int32) []names.Name {
+	rarest := 0
+	for i, t := range terms {
+		if posts[i] = sh.terms[t]; len(posts[i]) == 0 {
+			return out
+		}
+		if len(posts[i]) < len(posts[rarest]) {
+			rarest = i
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+next:
+	for mb := range posts[rarest] {
+		for i, p := range posts {
+			if i == rarest {
+				continue
+			}
+			if _, held := p[mb]; !held {
+				continue next
+			}
+		}
+		out = append(out, mb.Owner())
+	}
 	return out
 }
 
@@ -199,7 +255,7 @@ func (s *Store) depositIndexed(user names.Name, m mail.Message, at sim.Time) boo
 		s.logOps(i, user, mb)
 	}
 	if fresh && sh.terms != nil {
-		sh.indexAdd(user, m)
+		sh.indexAdd(mb, m)
 	}
 	return fresh
 }
@@ -224,7 +280,7 @@ func (s *Store) drainIndexed(user names.Name) []mail.Stored {
 	}
 	if sh.terms != nil {
 		for _, st := range out {
-			sh.indexRemove(user, st.Message)
+			sh.indexRemove(mb, st.Message)
 		}
 	}
 	return out

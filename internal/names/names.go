@@ -13,6 +13,7 @@
 package names
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -41,6 +42,36 @@ type Name struct {
 // String formats the name as region.host.user.
 func (n Name) String() string {
 	return n.Region + Delimiter + n.Host + Delimiter + n.User
+}
+
+// Compare orders two names exactly as their String() forms order, without
+// building either string: -1, 0 or +1. Comparing token by token would be
+// wrong — '-' sorts before the '.' delimiter, so "a-b.h.u" < "a.h.u" although
+// "a" < "a-b" — so it walks the five pieces of each virtual string (the
+// tokens and the delimiters between them) a common-length run at a time.
+func Compare(a, b Name) int {
+	as := [5]string{a.Region, Delimiter, a.Host, Delimiter, a.User}
+	bs := [5]string{b.Region, Delimiter, b.Host, Delimiter, b.User}
+	i, j := 0, 0
+	ra, rb := as[0], bs[0]
+	for {
+		for ra == "" && i < len(as)-1 {
+			i++
+			ra = as[i]
+		}
+		for rb == "" && j < len(bs)-1 {
+			j++
+			rb = bs[j]
+		}
+		if ra == "" || rb == "" { // a string ended: the shorter sorts first
+			return cmp.Compare(len(ra), len(rb))
+		}
+		n := min(len(ra), len(rb))
+		if c := strings.Compare(ra[:n], rb[:n]); c != 0 {
+			return c
+		}
+		ra, rb = ra[n:], rb[n:]
+	}
 }
 
 // IsZero reports whether the name is entirely empty.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -159,7 +160,7 @@ func (d *Directory) Users() []names.Name {
 	for u := range d.authority {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, names.Compare)
 	return out
 }
 

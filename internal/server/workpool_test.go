@@ -91,7 +91,7 @@ func TestWorkQueueBackpressure(t *testing.T) {
 	started := make(chan struct{})
 	q := p.NewQueue(2)
 	q.Enqueue(func() { close(started); <-gate }) // occupies the only worker
-	<-started            // the worker now holds the (drained-empty) queue
+	<-started                                    // the worker now holds the (drained-empty) queue
 	q.Enqueue(func() {})
 	q.Enqueue(func() {}) // fills the queue to cap while the worker is busy
 

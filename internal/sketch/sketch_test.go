@@ -120,10 +120,10 @@ func TestNormalizeTerm(t *testing.T) {
 		{"Budget", "budget", true},
 		{"budget", "budget", true},
 		{"X9", "x9", true},
-		{"a", "", false},               // too short
-		{"two words", "", false},       // not a single token
-		{"hyphen-ated", "", false},     // punctuation
-		{"", "", false},                // empty
+		{"a", "", false},                      // too short
+		{"two words", "", false},              // not a single token
+		{"hyphen-ated", "", false},            // punctuation
+		{"", "", false},                       // empty
 		{string(make([]byte, 40)), "", false}, // too long
 	}
 	for _, c := range cases {

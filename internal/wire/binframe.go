@@ -67,8 +67,8 @@ var wireCRC = crc32.MakeTable(crc32.IEEE)
 // taxonomy twin; ErrFrameCorrupt means the CRC trailer did not match — the
 // stream cannot be resynchronized and the connection must close.
 var (
-	ErrFrameTooLarge = fmt.Errorf("wire: frame exceeds %d bytes: %w", MaxLine, mailerr.ErrOversized)
-	ErrFrameCorrupt  = errors.New("wire: frame CRC mismatch")
+	ErrFrameTooLarge  = fmt.Errorf("wire: frame exceeds %d bytes: %w", MaxLine, mailerr.ErrOversized)
+	ErrFrameCorrupt   = errors.New("wire: frame CRC mismatch")
 	errFrameTruncated = errors.New("wire: truncated frame")
 	errBadPayload     = errors.New("wire: malformed binary payload")
 )

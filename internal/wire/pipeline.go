@@ -116,8 +116,8 @@ func (p *Pipeline) Do(req Request) *Future {
 	p.sem <- struct{}{} // in-flight slot; released when the future completes
 	p.wmu.Lock()
 	var (
-		frame []byte
-		bp    *[]byte
+		frame  []byte
+		bp     *[]byte
 		encErr error
 		tag    uint32
 	)
