@@ -89,9 +89,33 @@ tier2-attr-prune:
 	go test -race -run 'TestQuery|TestSketch|TestSearchTerms|TestTermIndex' ./internal/wire/ ./internal/mail/mailstore/
 	go test -race -run 'TestAttrPrune|TestAttrPruned' ./internal/loadgen/
 
+# Tier-2 determinism gate: same seed ⇒ same bytes, as a test and not a habit.
+# One small mailbench run per architecture, faults off and on, executed twice;
+# stdout and the benchmark document must be byte-identical once the
+# wall-clock lines (ns/op, "… wall", msgs/s, elapsed, the "wrote" path) are
+# dropped. Everything it writes goes under .bench_build/.
+.PHONY: tier2-determinism
+tier2-determinism:
+	@mkdir -p .bench_build/determinism
+	go build -o .bench_build/determinism/mailbench ./cmd/mailbench
+	@set -e; cd .bench_build/determinism; \
+	for arch in syntax roaming attr; do for faults in "" -faults; do \
+		case $$arch in \
+			attr) args="-ticks 150 -queries 20" ;; \
+			*) args="-messages 1500 -ticks 150 -sessions 128" ;; \
+		esac; \
+		for pass in a b; do \
+			./mailbench -arch $$arch -users 20000 -servers 8 -seed 3 $$args $$faults -o $$pass.json > $$pass.out; \
+			cat $$pass.json >> $$pass.out; \
+			grep -v -E 'ns/op|wall|msgs/s|elapsed|^wrote ' $$pass.out > $$pass.txt; \
+		done; \
+		cmp a.txt b.txt || { echo "tier2-determinism: -arch $$arch $$faults differs between two runs of seed 3" >&2; diff a.txt b.txt | head -20 >&2; exit 1; }; \
+		echo "deterministic: -arch $$arch $$faults ($$(wc -l < a.txt) lines)"; \
+	done; done
+
 # Check: the full pre-merge gate.
 .PHONY: check
-check: tier1 tier1-race fuzz-smoke bench-relay tier2-durability tier2-wire tier2-balance tier2-arch tier2-attr-prune
+check: tier1 tier1-race fuzz-smoke bench-relay tier2-durability tier2-wire tier2-balance tier2-arch tier2-attr-prune tier2-determinism
 
 # Mailbench: the capacity harness acceptance run — a million-user population
 # on 64 simulated servers, no faults, auditors on. The sweep that produced

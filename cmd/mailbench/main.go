@@ -12,7 +12,7 @@
 //	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1
 //	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 -faults
 //	go run ./cmd/mailbench -transport livenet -users 2000 -servers 8
-//	go run ./cmd/mailbench -users 10000,100000 -servers 16,64 -o BENCH_PR4.json
+//	go run ./cmd/mailbench -users 10000,100000 -servers 16,64 -o .bench_build/sweep.json
 //	go run ./cmd/mailbench -users 1000000 -servers 64 -batch 1,4,16,64 -faults -o BENCH_PR5.json
 //	go run ./cmd/mailbench -users 1000000 -servers 64 -datadir /tmp/mb -faults -o BENCH_PR6.json
 //	go run ./cmd/mailbench -users 1000000 -servers 64 -policy static,jsq,rebalance -profile hotspot -o BENCH_PR8.json
@@ -126,7 +126,7 @@ func main() {
 	noprune := flag.Bool("noprune", false, "disable sketch pruning of content queries — the exhaustive E21 baseline (-arch attr only)")
 	sketchRefresh := flag.Int("sketchrefresh", 0, "refresh subtree sketches every N ticks instead of before each pruned launch; leaves stale windows that must fail open (-arch attr only)")
 	appendDoc := flag.Bool("append", false, "append to an existing benchmark document instead of overwriting it")
-	out := flag.String("o", "BENCH_PR4.json", "benchmark document path (empty = stdout)")
+	out := flag.String("o", ".bench_build/mailbench.json", "benchmark document path, its directory created if missing (empty = stdout)")
 	flag.Parse()
 
 	switch *archFlag {
@@ -307,6 +307,12 @@ func main() {
 					}
 				}
 			}
+		}
+	}
+	if *out != "" {
+		if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, "mailbench: write:", err)
+			os.Exit(1)
 		}
 	}
 	if err := doc.WriteFile(*out); err != nil {
@@ -974,12 +980,18 @@ func benchName(p params) string {
 // live ρ: by the time the run's final snapshot is taken the drain phase has
 // decayed every arrival EWMA to zero.
 func rhoGaugeStats(snap obs.Snapshot) (mean, max float64) {
-	n := 0
-	for k, v := range snap.Gauges {
-		if !strings.HasSuffix(k, ".rho_peak") {
-			continue
+	// Summed in key order: float addition is not associative, and map order
+	// would make the last digit of the mean differ between identical runs.
+	keys := make([]string, 0, len(snap.Gauges))
+	for k := range snap.Gauges {
+		if strings.HasSuffix(k, ".rho_peak") {
+			keys = append(keys, k)
 		}
-		rho := float64(v) / placement.RhoScale
+	}
+	sort.Strings(keys)
+	n := 0
+	for _, k := range keys {
+		rho := float64(snap.Gauges[k]) / placement.RhoScale
 		mean += rho
 		if rho > max {
 			max = rho

@@ -100,7 +100,7 @@ type Agent struct {
 	host        *Host
 	net         *netsim.Network
 	servers     Directory
-	authority   []graph.NodeID
+	authority   []graph.NodeID // replaced, never edited: may be a directory's stored list
 	nameServers []graph.NodeID // non-empty = §3.1.2a name-server mode
 
 	lastChecking  sim.Time
@@ -200,15 +200,26 @@ func (a *Agent) refreshAuthority() {
 // Stats returns a copy of the agent's counters.
 func (a *Agent) Stats() Stats { return a.stats }
 
-// Inbox returns the messages retrieved so far, in retrieval order.
+// Inbox returns the messages retrieved so far (since the last DropInbox),
+// in retrieval order.
 func (a *Agent) Inbox() []mail.Stored {
 	return append([]mail.Stored(nil), a.inbox...)
 }
 
-// Notifications returns the mail-arrival alerts received so far.
+// DropInbox releases the retrieved messages the agent holds, for owners that
+// have read what GetMail returned and keep the agent alive for a long run.
+// The duplicate-suppression memory stays, so a copy that failed over to a
+// second server is still recognised.
+func (a *Agent) DropInbox() { a.inbox = nil }
+
+// Notifications returns the mail-arrival alerts received so far (since the
+// last DropNotifications).
 func (a *Agent) Notifications() []server.Notify {
 	return append([]server.Notify(nil), a.notifications...)
 }
+
+// DropNotifications releases the alerts the agent holds.
+func (a *Agent) DropNotifications() { a.notifications = nil }
 
 // Connect performs the connection setup of §3.1.2a: "the user interface
 // will contact the first server from that list, and ask for a mail service.

@@ -331,6 +331,9 @@ func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 		ids[i] = m.ID.String()
 		d.trace.StampKey(m.ID.TraceKey(), obs.StageRetrieve, where)
 	}
+	// Only the IDs leave here; an agent lives as long as the run does.
+	a.DropInbox()
+	a.DropNotifications()
 	return RetrieveResult{
 		IDs:          ids,
 		Polls:        a.Polls() - p0,

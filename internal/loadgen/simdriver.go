@@ -532,6 +532,9 @@ func (d *SimDriver) Retrieve(u int) RetrieveResult {
 	for i, m := range msgs {
 		ids[i] = m.ID.String()
 	}
+	// Only the IDs leave here; an agent lives as long as the run does.
+	a.DropInbox()
+	a.DropNotifications()
 	return RetrieveResult{
 		IDs:          ids,
 		Polls:        after.Polls - before.Polls,

@@ -102,15 +102,25 @@ func (a *Agent) CurrentHost() graph.NodeID { return a.current.id }
 // AtPrimary reports whether the agent is at its primary location.
 func (a *Agent) AtPrimary() bool { return a.current.id == a.primary }
 
-// Notifications returns alerts received so far.
+// Notifications returns alerts received so far (since the last
+// DropNotifications).
 func (a *Agent) Notifications() []Alert {
 	return append([]Alert(nil), a.notifications...)
 }
 
-// Inbox returns retrieved messages.
+// DropNotifications releases the alerts the agent holds.
+func (a *Agent) DropNotifications() { a.notifications = nil }
+
+// Inbox returns retrieved messages (since the last DropInbox).
 func (a *Agent) Inbox() []mail.Stored {
 	return append([]mail.Stored(nil), a.inbox...)
 }
+
+// DropInbox releases the retrieved messages the agent holds, for owners that
+// have read what GetMail returned and keep the agent alive for a long run.
+// The duplicate-suppression memory stays, so a retried deposit that landed
+// on a second server is still recognised.
+func (a *Agent) DropInbox() { a.inbox = nil }
 
 // Polls reports how many server mailbox checks the agent has issued.
 func (a *Agent) Polls() int { return a.polls }

@@ -159,7 +159,7 @@ func (f *Federation) serversOf(region string) []graph.NodeID {
 	if !ok {
 		return nil
 	}
-	return append([]graph.NodeID(nil), s.servers...)
+	return s.servers
 }
 
 // Config describes one region's location-independent system.
@@ -191,11 +191,20 @@ type Config struct {
 type System struct {
 	region     string
 	net        *netsim.Network
-	servers    []graph.NodeID
 	hosts      map[string]graph.NodeID
 	subgroups  int
 	listLen    int
 	ackTimeout sim.Time
+
+	// servers is the rotation; authority holds every sub-group's list, row g
+	// at [g·listLen, (g+1)·listLen); others maps each server process to the
+	// rotation without it. All three are replaced, never edited, whenever
+	// the rotation or the modulus changes (retable), so a row handed out by
+	// AuthorityFor — to a pending deposit, a consultation walk, a caller —
+	// stays what it was when it was read, and nobody may write to one.
+	servers   []graph.NodeID
+	authority []graph.NodeID
+	others    map[graph.NodeID][]graph.NodeID
 
 	procs  map[graph.NodeID]*Server
 	hostPs map[graph.NodeID]*Hostd
@@ -266,7 +275,32 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		s.procs[id] = p
 	}
+	s.retable()
 	return s, nil
+}
+
+// retable rebuilds the authority table and the per-server consultation
+// lists from the current rotation, modulus and list length: sub-group g is
+// served by servers[g mod n], servers[(g+1) mod n], ... for ListLen entries,
+// which spreads sub-groups evenly.
+func (s *System) retable() {
+	n := len(s.servers)
+	s.authority = make([]graph.NodeID, 0, s.subgroups*s.listLen)
+	for g := 0; g < s.subgroups; g++ {
+		for i := 0; i < s.listLen; i++ {
+			s.authority = append(s.authority, s.servers[(g+i)%n])
+		}
+	}
+	s.others = make(map[graph.NodeID][]graph.NodeID, len(s.procs))
+	for id := range s.procs {
+		row := make([]graph.NodeID, 0, n)
+		for _, sid := range s.servers {
+			if sid != id {
+				row = append(row, sid)
+			}
+		}
+		s.others[id] = row
+	}
 }
 
 // Stats returns region-wide counters: "deposits", "notify_home",
@@ -291,16 +325,15 @@ func (s *System) Server(id graph.NodeID) (*Server, bool) {
 }
 
 // AuthorityFor returns the ordered authority-server list of the user's hash
-// sub-group: sub-group g is served by servers[g mod n], servers[(g+1) mod
-// n], ... for ListLen entries, which spreads sub-groups evenly.
+// sub-group: a row of the current table, shared and read-only.
 func (s *System) AuthorityFor(user names.Name) []graph.NodeID {
-	g := user.Subgroup(s.subgroups)
-	n := len(s.servers)
-	out := make([]graph.NodeID, 0, s.listLen)
-	for i := 0; i < s.listLen; i++ {
-		out = append(out, s.servers[(g+i)%n])
-	}
-	return out
+	lo := user.Subgroup(s.subgroups) * s.listLen
+	return s.authority[lo : lo+s.listLen : lo+s.listLen]
+}
+
+// isAuthority reports whether id is on the user's authority list.
+func (s *System) isAuthority(id graph.NodeID, user names.Name) bool {
+	return slices.Contains(s.AuthorityFor(user), id)
 }
 
 // PrimaryHost returns the node of the user's primary location (the host
@@ -347,6 +380,7 @@ func (s *System) Rehash(k int) (moved int, err error) {
 		return 0, fmt.Errorf("locind: invalid sub-group count %d", k)
 	}
 	s.subgroups = k
+	s.retable()
 	serverIDs := append([]graph.NodeID(nil), s.servers...)
 	sort.Slice(serverIDs, func(i, j int) bool { return serverIDs[i] < serverIDs[j] })
 	for _, sid := range serverIDs {
@@ -367,15 +401,7 @@ func (s *System) evacuate(p *Server) (moved int) {
 	}
 	slices.SortFunc(users, names.Compare)
 	for _, u := range users {
-		auth := s.AuthorityFor(u)
-		keep := false
-		for _, a := range auth {
-			if a == p.id {
-				keep = true
-				break
-			}
-		}
-		if keep {
+		if s.isAuthority(p.id, u) {
 			continue
 		}
 		msgs := p.mailboxes[u].Drain()
@@ -407,7 +433,7 @@ func (s *System) AddServer(id graph.NodeID) error {
 		return err
 	}
 	s.procs[id] = p
-	s.servers = append(s.servers, id)
+	s.servers = append(s.servers[:len(s.servers):len(s.servers)], id)
 	_, err := s.Rehash(s.subgroups)
 	return err
 }
@@ -440,18 +466,8 @@ func (s *System) RemoveServer(id graph.NodeID) (moved int, err error) {
 	if s.listLen > len(s.servers) {
 		s.listLen = len(s.servers)
 	}
+	s.retable()
 	moved = s.evacuate(p)
 	m, err := s.Rehash(s.subgroups)
 	return moved + m, err
-}
-
-// otherServers returns the servers except exclude, in preference order.
-func (s *System) otherServers(exclude graph.NodeID) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(s.servers)-1)
-	for _, id := range s.servers {
-		if id != exclude {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -35,13 +35,27 @@ type Server struct {
 	deposits  int64
 }
 
+// pendingDeposit is a deposit or forward awaiting its ack. It owns its retry
+// timer: retry is the scheduler record, armed by dispatch with the deposit
+// itself as the runner.
 type pendingDeposit struct {
+	retry      sim.Event
+	p          *Server
+	tok        uint64
 	msg        mail.Message
 	recipient  names.Name
-	candidates []graph.NodeID
+	candidates []graph.NodeID // shared, never edited: a table row or a rotation
 	next       int
-	timer      *sim.Event
 	forward    bool // true: inter-region Forward, false: intra-region Deposit
+}
+
+// Run is the ack timeout: try the next candidate.
+func (pd *pendingDeposit) Run() {
+	p := pd.p
+	if _, still := p.pending[pd.tok]; still && p.sys.net.IsUp(p.id) {
+		p.sys.stats.Inc("deposit_retries")
+		p.dispatch(pd.tok)
+	}
 }
 
 // pendingNotify tracks the notification state machine: probe the primary
@@ -50,7 +64,7 @@ type pendingDeposit struct {
 type pendingNotify struct {
 	user    names.Name
 	msgID   mail.MessageID
-	consult []graph.NodeID // servers still to ask
+	consult []graph.NodeID // servers still to ask; re-sliced, never written
 	started sim.Time       // when the notification began, for lat_roam_resolve
 }
 
@@ -177,7 +191,7 @@ func (p *Server) route(msg mail.Message, rcpt names.Name) {
 	}
 	p.nextToken++
 	tok := p.nextToken
-	p.pending[tok] = &pendingDeposit{msg: msg, recipient: rcpt, candidates: auth}
+	p.pending[tok] = &pendingDeposit{p: p, tok: tok, msg: msg, recipient: rcpt, candidates: auth}
 	p.dispatch(tok)
 }
 
@@ -185,10 +199,6 @@ func (p *Server) dispatch(tok uint64) {
 	pd, ok := p.pending[tok]
 	if !ok || !p.sys.net.IsUp(p.id) {
 		return
-	}
-	if pd.timer != nil {
-		p.sys.net.Scheduler().Cancel(pd.timer)
-		pd.timer = nil
 	}
 	n := len(pd.candidates)
 	target := pd.candidates[pd.next%n]
@@ -209,12 +219,8 @@ func (p *Server) dispatch(tok uint64) {
 		payload = Deposit{Msg: pd.msg, Recipient: pd.recipient, Origin: p.id, Token: tok}
 	}
 	_ = p.sys.net.Send(p.id, target, payload)
-	pd.timer = p.sys.net.Scheduler().After(p.sys.ackTimeout, func() {
-		if _, still := p.pending[tok]; still && p.sys.net.IsUp(p.id) {
-			p.sys.stats.Inc("deposit_retries")
-			p.dispatch(tok)
-		}
-	})
+	sched := p.sys.net.Scheduler()
+	sched.Schedule(&pd.retry, sched.Now()+p.sys.ackTimeout, pd)
 }
 
 // forwardRemote relays a copy toward the recipient's region through the
@@ -230,7 +236,7 @@ func (p *Server) forwardRemote(msg mail.Message, rcpt names.Name) {
 	}
 	p.nextToken++
 	tok := p.nextToken
-	p.pending[tok] = &pendingDeposit{msg: msg, recipient: rcpt, candidates: candidates, forward: true}
+	p.pending[tok] = &pendingDeposit{p: p, tok: tok, msg: msg, recipient: rcpt, candidates: candidates, forward: true}
 	p.dispatch(tok)
 }
 
@@ -254,9 +260,7 @@ func (p *Server) onDeposit(m Deposit) {
 
 func (p *Server) onDepositAck(m DepositAck) {
 	if pd, ok := p.pending[m.Token]; ok {
-		if pd.timer != nil {
-			p.sys.net.Scheduler().Cancel(pd.timer)
-		}
+		p.sys.net.Scheduler().Cancel(&pd.retry)
 		delete(p.pending, m.Token)
 	}
 }
@@ -275,14 +279,7 @@ func (p *Server) depositLocal(msg mail.Message, rcpt names.Name) {
 	// deposit while it was in flight. A server no longer on the recipient's
 	// authority list must bounce the message back into rotation — buffering
 	// it here would strand it where no retrieval will look.
-	member := false
-	for _, a := range p.sys.AuthorityFor(rcpt) {
-		if a == p.id {
-			member = true
-			break
-		}
-	}
-	if !member {
+	if !p.sys.isAuthority(p.id, rcpt) {
 		p.sys.stats.Inc("deposit_reroutes")
 		p.route(msg, rcpt)
 		return
@@ -321,7 +318,7 @@ func (p *Server) notify(user names.Name, id mail.MessageID) {
 	tok := p.nextToken
 	p.notifying[tok] = &pendingNotify{
 		user: user, msgID: id,
-		consult: p.sys.otherServers(p.id),
+		consult: p.sys.others[p.id],
 		started: p.sys.net.Scheduler().Now(),
 	}
 	p.sys.stats.Inc("notify_probe_primary")

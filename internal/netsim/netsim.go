@@ -82,7 +82,15 @@ type Network struct {
 	extraDelay map[graph.NodeID]sim.Time
 	dropProb   map[graph.NodeID]float64
 
-	pathCache map[graph.NodeID]graph.Paths
+	// routes caches, per source, the hop count and cost of the shortest path
+	// to every reachable node. A row is built once from that source's
+	// Dijkstra result and the whole cache is dropped — never edited — when
+	// the topology changes (FailLink/RestoreLink).
+	routes map[graph.NodeID]map[graph.NodeID]route
+
+	// free holds flights that have landed, for reuse by the next post. The
+	// network is single-threaded, so a plain stack does.
+	free []*flight
 
 	// DelayPerCost converts one unit of edge-weight cost into virtual time.
 	// Defaults to sim.Unit (one paper time unit per cost unit).
@@ -105,7 +113,7 @@ func New(sched *sim.Scheduler, topo *graph.Graph) *Network {
 		lastStart:    make(map[graph.NodeID]sim.Time),
 		extraDelay:   make(map[graph.NodeID]sim.Time),
 		dropProb:     make(map[graph.NodeID]float64),
-		pathCache:    make(map[graph.NodeID]graph.Paths),
+		routes:       make(map[graph.NodeID]map[graph.NodeID]route),
 		DelayPerCost: sim.Unit,
 		stats:        reg,
 		latency:      reg.Histogram("lat_net_delivery", nil),
@@ -205,7 +213,7 @@ func (n *Network) FailLink(a, b graph.NodeID) error {
 	if err := n.topo.RemoveEdge(a, b); err != nil {
 		return err
 	}
-	n.pathCache = make(map[graph.NodeID]graph.Paths)
+	n.routes = make(map[graph.NodeID]map[graph.NodeID]route)
 	return nil
 }
 
@@ -221,7 +229,7 @@ func (n *Network) RestoreLink(a, b graph.NodeID, w float64) error {
 	if err := n.topo.AddEdge(a, b, w); err != nil {
 		return err
 	}
-	n.pathCache = make(map[graph.NodeID]graph.Paths)
+	n.routes = make(map[graph.NodeID]map[graph.NodeID]route)
 	for _, id := range []graph.NodeID{a, b} {
 		h, registered := n.handlers[id]
 		if !registered || n.down[id] {
@@ -262,29 +270,92 @@ func (n *Network) SetDropProb(id graph.NodeID, p float64) {
 	n.dropProb[id] = p
 }
 
-func (n *Network) paths(src graph.NodeID) (graph.Paths, error) {
-	if p, ok := n.pathCache[src]; ok {
-		return p, nil
+// route is one entry of a source's row: what Send stamps on an envelope.
+type route struct {
+	cost float64 // shortest-path cost, Paths.Dist
+	hops int     // links on that path, len(Paths.PathTo)-1
+}
+
+// routesFrom returns src's row, running Dijkstra on first use.
+func (n *Network) routesFrom(src graph.NodeID) (map[graph.NodeID]route, error) {
+	if row, ok := n.routes[src]; ok {
+		return row, nil
 	}
 	p, err := n.topo.ShortestPaths(src)
 	if err != nil {
-		return graph.Paths{}, err
+		return nil, err
 	}
-	n.pathCache[src] = p
-	return p, nil
+	// Hop counts in one pass over Prev: climb from each node to the nearest
+	// ancestor already counted, then number the climbed nodes on the way back.
+	row := make(map[graph.NodeID]route, len(p.Dist))
+	row[src] = route{}
+	var climbed []graph.NodeID
+	for id := range p.Dist {
+		at := id
+		for {
+			if _, done := row[at]; done {
+				break
+			}
+			climbed = append(climbed, at)
+			at = p.Prev[at]
+		}
+		hops := row[at].hops
+		for i := len(climbed) - 1; i >= 0; i-- {
+			hops++
+			row[climbed[i]] = route{cost: p.Dist[climbed[i]], hops: hops}
+		}
+		climbed = climbed[:0]
+	}
+	n.routes[src] = row
+	return row, nil
 }
 
 // Cost returns the shortest-path cost between two nodes.
 func (n *Network) Cost(from, to graph.NodeID) (float64, error) {
-	p, err := n.paths(from)
+	row, err := n.routesFrom(from)
 	if err != nil {
 		return 0, err
 	}
-	d, ok := p.Dist[to]
+	r, ok := row[to]
 	if !ok {
 		return 0, fmt.Errorf("%w: %d→%d", ErrNoRoute, from, to)
 	}
-	return d, nil
+	return r.cost, nil
+}
+
+// flight is an envelope in the air: the scheduler record that lands it and
+// the envelope itself, in one reusable allocation owned by the network.
+type flight struct {
+	ev  sim.Event
+	n   *Network
+	env Envelope
+}
+
+// Run lands the flight. The envelope is copied out and the flight returned
+// to the free list before the handler sees anything, so a handler that sends
+// from inside Receive may be handed this very flight: nothing of the landed
+// envelope is left in it.
+func (f *flight) Run() {
+	n, env := f.n, f.env
+	f.env = Envelope{}
+	n.free = append(n.free, f)
+	n.deliver(env)
+}
+
+// post puts an envelope in the air for hops links at the given route cost.
+func (n *Network) post(from, to graph.NodeID, payload any, hops int, cost float64) {
+	var f *flight
+	if last := len(n.free) - 1; last >= 0 {
+		f, n.free = n.free[last], n.free[:last]
+	} else {
+		f = &flight{n: n}
+	}
+	f.env = Envelope{
+		From: from, To: to, Payload: payload,
+		SentAt: n.sched.Now(), Hops: hops, Cost: cost,
+	}
+	delay := sim.Time(cost*float64(n.DelayPerCost)) + n.extraDelay[from] + n.extraDelay[to]
+	n.sched.Schedule(&f.ev, n.sched.Now()+delay, f)
 }
 
 // Send routes a message from one node to another along the shortest path.
@@ -299,24 +370,18 @@ func (n *Network) Send(from, to graph.NodeID, payload any) error {
 	if n.down[from] {
 		return fmt.Errorf("%w: %d", ErrSenderDown, from)
 	}
-	if _, ok := n.topo.Node(to); !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, to)
-	}
-	p, err := n.paths(from)
+	row, err := n.routesFrom(from)
 	if err != nil {
 		return err
 	}
-	dist, ok := p.Dist[to]
+	r, ok := row[to]
 	if !ok {
+		if _, known := n.topo.Node(to); !known {
+			return fmt.Errorf("%w: %d", ErrUnknownNode, to)
+		}
 		return fmt.Errorf("%w: %d→%d", ErrNoRoute, from, to)
 	}
-	hops := len(p.PathTo(to)) - 1
-	env := Envelope{
-		From: from, To: to, Payload: payload,
-		SentAt: n.sched.Now(), Hops: hops, Cost: dist,
-	}
-	delay := sim.Time(dist*float64(n.DelayPerCost)) + n.extraDelay[from] + n.extraDelay[to]
-	n.sched.After(delay, func() { n.deliver(env) })
+	n.post(from, to, payload, r.hops, r.cost)
 	return nil
 }
 
@@ -334,12 +399,7 @@ func (n *Network) SendDirect(from, to graph.NodeID, payload any) error {
 	if !ok {
 		return fmt.Errorf("%w: %d-%d", ErrNotNeighbors, from, to)
 	}
-	env := Envelope{
-		From: from, To: to, Payload: payload,
-		SentAt: n.sched.Now(), Hops: 1, Cost: w,
-	}
-	delay := sim.Time(w*float64(n.DelayPerCost)) + n.extraDelay[from] + n.extraDelay[to]
-	n.sched.After(delay, func() { n.deliver(env) })
+	n.post(from, to, payload, 1, w)
 	return nil
 }
 

@@ -25,15 +25,25 @@ import (
 
 // stagedBatch is a per-destination batch being filled.
 type stagedBatch struct {
-	toks  []uint64
-	timer *sim.Event // FlushInterval watermark
+	flush  sim.Event // FlushInterval watermark
+	s      *Server
+	target graph.NodeID
+	toks   []uint64
 }
+
+// Run is the time watermark: ship whatever has been staged.
+func (b *stagedBatch) Run() { b.s.flushStaged(b.target) }
 
 // inflightBatch is a flushed batch awaiting its TransferBatchAck.
 type inflightBatch struct {
+	retry sim.Event // retry-timeout: on expiry the batch splits
+	s     *Server
+	tok   uint64
 	toks  []uint64
-	timer *sim.Event // retry-timeout: on expiry the batch splits
 }
+
+// Run is the retry timeout: no batch ack arrived.
+func (fb *inflightBatch) Run() { fb.s.splitBatch(fb.tok) }
 
 // stage adds a pending transfer to the batch of its picked destination,
 // flushing on the size watermark. Staging counts as the transfer's first
@@ -56,11 +66,10 @@ func (s *Server) stage(tok uint64) {
 func (s *Server) addToBatch(tok uint64, target graph.NodeID) {
 	b := s.staged[target]
 	if b == nil {
-		b = &stagedBatch{}
+		b = &stagedBatch{s: s, target: target}
 		s.staged[target] = b
-		b.timer = s.net.Scheduler().After(s.flushEvery, func() {
-			s.flushStaged(target)
-		})
+		sched := s.net.Scheduler()
+		sched.Schedule(&b.flush, sched.Now()+s.flushEvery, b)
 	}
 	b.toks = append(b.toks, tok)
 	if len(b.toks) >= s.batchSize {
@@ -87,9 +96,7 @@ func (s *Server) flushStaged(target graph.NodeID) {
 		return
 	}
 	delete(s.staged, target)
-	if b.timer != nil {
-		s.net.Scheduler().Cancel(b.timer)
-	}
+	s.net.Scheduler().Cancel(&b.flush)
 	if !s.Up() {
 		return // crash raced the flush; items stay pending for recovery
 	}
@@ -127,12 +134,11 @@ func (s *Server) flushStaged(target graph.NodeID) {
 	s.stats.Inc("relay_envelopes")
 	s.stats.Add("transfers_out", int64(len(items)))
 	s.stats.Add("batched_transfers", int64(len(items)))
-	fb := &inflightBatch{toks: live}
+	fb := &inflightBatch{s: s, tok: btok, toks: live}
 	s.inflight[btok] = fb
 	_ = s.net.Send(s.id, target, TransferBatch{Origin: s.id, Token: btok, Items: items})
-	fb.timer = s.net.Scheduler().After(s.retryTimeout, func() {
-		s.splitBatch(btok)
-	})
+	sched := s.net.Scheduler()
+	sched.Schedule(&fb.retry, sched.Now()+s.retryTimeout, fb)
 }
 
 // splitBatch handles a batch whose ack never arrived: dissolve it and hand
@@ -183,9 +189,7 @@ func (s *Server) handleBatchAck(ack TransferBatchAck) {
 	if !ok {
 		return
 	}
-	if fb.timer != nil {
-		s.net.Scheduler().Cancel(fb.timer)
-	}
+	s.net.Scheduler().Cancel(&fb.retry)
 	delete(s.inflight, ack.Token)
 	failedSet := make(map[int]bool, len(ack.Failed))
 	for _, i := range ack.Failed {
@@ -199,9 +203,7 @@ func (s *Server) handleBatchAck(ack TransferBatchAck) {
 			continue
 		}
 		if p, still := s.pending[tok]; still {
-			if p.timer != nil {
-				s.net.Scheduler().Cancel(p.timer)
-			}
+			s.net.Scheduler().Cancel(&p.retry)
 			delete(s.pending, tok)
 		}
 	}

@@ -21,14 +21,17 @@ import (
 // with §3.1.2b: "if the recipient is located within the local region then
 // his server can be located directly from other servers in the region".
 type Directory struct {
-	region    string
+	region string
+	// authority holds each user's list. A stored list is immutable:
+	// SetAuthority installs a fresh copy and nothing ever writes to one in
+	// place, so Resolve hands the stored slice itself to servers, pending
+	// transfers and name-service clients, none of which may modify it.
 	authority map[names.Name][]graph.NodeID
 	redirects map[names.Name]names.Name
 	groups    map[names.Name][]names.Name
 
 	// Resolution cache (§3.1.2a name-service queries): memoizes Resolve
-	// results, both positive (the authority slice, shared with the authority
-	// map — SetAuthority replaces that slice, never mutates it) and negative
+	// results, both positive (the stored authority slice) and negative
 	// (a nil entry, so group/redirect names stop paying a map miss on every
 	// copy routed through them). Every directory write invalidates exactly
 	// the names it touches, which is what the reconfig ops of §3.1.3/§3.1.4
@@ -102,8 +105,10 @@ func (d *Directory) Instrument(reg *obs.Registry) {
 func (d *Directory) CacheStats() (hits, misses int64) { return d.hits, d.misses }
 
 // Resolve returns the user's ordered authority-server list through the
-// resolution cache (nil if the user is unknown). Servers resolve recipients
-// through this; Authority stays the uncached administrative read.
+// resolution cache (nil if the user is unknown). The result is the stored
+// list, shared and read-only (see the authority field). Servers resolve
+// recipients through this; Authority stays the uncached, copying
+// administrative read.
 func (d *Directory) Resolve(user names.Name) []graph.NodeID {
 	list, ok := d.cache[user]
 	if ok {
@@ -119,10 +124,7 @@ func (d *Directory) Resolve(user names.Name) []graph.NodeID {
 		list = d.authority[user] // nil for unknown users: cached negative
 		d.cache[user] = list
 	}
-	if list == nil {
-		return nil
-	}
-	return append([]graph.NodeID(nil), list...)
+	return list
 }
 
 // Region returns the region this directory covers.

@@ -33,11 +33,23 @@ func TestResolveCachesAndInvalidates(t *testing.T) {
 			reg.Get("rescache_hits"), reg.Get("rescache_misses"))
 	}
 
-	// The returned slice is a copy: mutating it must not poison the cache.
-	got := d.Resolve(u)
-	got[0] = 999
+	// Resolve hands out the stored list itself — read-only by contract (see
+	// Directory.authority) and free; the copying reads are SetAuthority's
+	// input and Authority, so neither of those can poison the cache.
+	if a, b := d.Resolve(u), d.Resolve(u); &a[0] != &b[0] {
+		t.Error("Resolve copied the stored list")
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Resolve(u) }); n != 0 {
+		t.Errorf("Resolve allocates %v per call, want 0", n)
+	}
+	in := []graph.NodeID{101, 102}
+	if err := d.SetAuthority(u, in); err != nil {
+		t.Fatal(err)
+	}
+	in[0] = 999
+	d.Authority(u)[0] = 999
 	if again := d.Resolve(u); again[0] != 101 {
-		t.Error("cache poisoned through returned slice")
+		t.Error("stored list poisoned through SetAuthority's input or Authority's result")
 	}
 
 	// A reconfig write invalidates exactly that user.

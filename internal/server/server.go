@@ -163,15 +163,26 @@ type rerouteKey struct {
 	rcpt names.Name
 }
 
-// pendingTransfer is a queued server-to-server transfer awaiting its ack.
+// pendingTransfer is a queued server-to-server transfer awaiting its ack. It
+// owns its retry timer: retry is the scheduler record, armed by dispatch with
+// the transfer itself as the runner.
 type pendingTransfer struct {
+	retry      sim.Event
+	s          *Server
+	tok        uint64
 	kind       TransferKind
 	msg        mail.Message
 	recipient  names.Name
-	candidates []graph.NodeID // servers to try, in order
+	candidates []graph.NodeID // servers to try, in order; shared, never edited
 	next       int            // index of the next candidate to try
 	attempt    int
-	timer      *sim.Event
+}
+
+// Run is the retry timeout: no ack arrived, try the next candidate.
+func (p *pendingTransfer) Run() {
+	if _, still := p.s.pending[p.tok]; still && p.s.Up() {
+		p.s.dispatch(p.tok)
+	}
 }
 
 // New creates a server and registers it on its network node.
@@ -303,21 +314,20 @@ func (s *Server) Receive(env netsim.Envelope) {
 // individually on recovery.
 func (s *Server) Crashed(sim.Time) {
 	for _, p := range s.pending {
-		if p.timer != nil {
-			s.net.Scheduler().Cancel(p.timer)
-			p.timer = nil
-		}
+		s.net.Scheduler().Cancel(&p.retry)
 	}
+	s.dissolveBatches()
+}
+
+// dissolveBatches drops every staged and in-flight batch with its timer;
+// the items stay in s.pending.
+func (s *Server) dissolveBatches() {
 	for target, b := range s.staged {
-		if b.timer != nil {
-			s.net.Scheduler().Cancel(b.timer)
-		}
+		s.net.Scheduler().Cancel(&b.flush)
 		delete(s.staged, target)
 	}
 	for tok, fb := range s.inflight {
-		if fb.timer != nil {
-			s.net.Scheduler().Cancel(fb.timer)
-		}
+		s.net.Scheduler().Cancel(&fb.retry)
 		delete(s.inflight, tok)
 	}
 }
@@ -332,18 +342,7 @@ func (s *Server) Crashed(sim.Time) {
 // resuming mid-rotation could park mail at a secondary while the primary
 // is healthy, where no retrieval walk would ever look.
 func (s *Server) Recovered(sim.Time) {
-	for target, b := range s.staged {
-		if b.timer != nil {
-			s.net.Scheduler().Cancel(b.timer)
-		}
-		delete(s.staged, target)
-	}
-	for tok, fb := range s.inflight {
-		if fb.timer != nil {
-			s.net.Scheduler().Cancel(fb.timer)
-		}
-		delete(s.inflight, tok)
-	}
+	s.dissolveBatches()
 	tokens := make([]uint64, 0, len(s.pending))
 	for tok := range s.pending {
 		tokens = append(tokens, tok)
@@ -521,7 +520,9 @@ func (s *Server) depositLocal(msg mail.Message, rcpt names.Name) {
 	}
 }
 
-// enqueue creates a pending transfer against the candidate list and either
+// enqueue creates a pending transfer against the candidate list — kept, not
+// copied: a resolved authority list is immutable, a relay list is the
+// caller's own — and either
 // dispatches its first attempt immediately (batchSize <= 1: the classic
 // single-Transfer protocol, unchanged) or stages it into the per-destination
 // batch for coalesced delivery.
@@ -529,10 +530,11 @@ func (s *Server) enqueue(kind TransferKind, msg mail.Message, rcpt names.Name, c
 	s.nextToken++
 	tok := s.nextToken
 	s.pending[tok] = &pendingTransfer{
+		s: s, tok: tok,
 		kind:       kind,
 		msg:        msg,
 		recipient:  rcpt,
-		candidates: append([]graph.NodeID(nil), candidates...),
+		candidates: candidates,
 	}
 	if s.batchSize <= 1 {
 		s.dispatch(tok)
@@ -561,11 +563,8 @@ func (s *Server) dispatch(tok uint64) {
 		Kind: p.kind, Msg: p.msg, Recipient: p.recipient,
 		Origin: s.id, Token: tok, Attempt: p.attempt,
 	})
-	p.timer = s.net.Scheduler().After(s.retryTimeout, func() {
-		if _, still := s.pending[tok]; still && s.Up() {
-			s.dispatch(tok)
-		}
-	})
+	sched := s.net.Scheduler()
+	sched.Schedule(&p.retry, sched.Now()+s.retryTimeout, p)
 }
 
 // pickCandidate chooses the next candidate, preferring up servers starting
@@ -656,9 +655,7 @@ func (s *Server) handleAck(ack TransferAck) {
 	if !ok {
 		return
 	}
-	if p.timer != nil {
-		s.net.Scheduler().Cancel(p.timer)
-	}
+	s.net.Scheduler().Cancel(&p.retry)
 	delete(s.pending, ack.Token)
 }
 

@@ -44,17 +44,24 @@ func (t Time) Units() float64 { return float64(t) / float64(Unit) }
 // String formats the time in paper time units.
 func (t Time) String() string { return fmt.Sprintf("%gu", t.Units()) }
 
-// Event is a scheduled callback. The zero value is not usable; events are
-// created by Scheduler.At and Scheduler.After.
+// Runner is what a scheduled event does when it fires.
+type Runner interface{ Run() }
+
+// Event is one scheduling record. The zero value is ready to use and the
+// record belongs to whoever declared it: a caller embeds an Event in the
+// structure the timer is about (a pending transfer, a message in flight),
+// hands its address to Scheduler.Schedule, and keeps the structure alive
+// and in place — the scheduler holds the pointer, never a copy — until the
+// event has fired or been canceled. At and After allocate a record for
+// callers that have none.
 type Event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	canceled bool
-	index    int // position in the heap, -1 once popped
+	at    Time
+	seq   uint64
+	r     Runner
+	index int // position in the heap plus one; 0 while not pending
 }
 
-// At reports the virtual time the event fires at.
+// At reports the virtual time the event fires (or last fired) at.
 func (e *Event) At() Time { return e.at }
 
 type eventHeap []*Event
@@ -70,14 +77,14 @@ func (h eventHeap) Less(i, j int) bool {
 
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = i + 1
+	h[j].index = j + 1
 }
 
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
-	e.index = len(*h)
 	*h = append(*h, e)
+	e.index = len(*h)
 }
 
 func (h *eventHeap) Pop() any {
@@ -85,7 +92,7 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
+	e.index = 0
 	*h = old[:n-1]
 	return e
 }
@@ -119,15 +126,36 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 // Pending reports how many events are scheduled but not yet fired.
 func (s *Scheduler) Pending() int { return len(s.events) }
 
-// At schedules fn to run at virtual time t. Scheduling in the past (t before
-// Now) fires the event at the current time instead, preserving causality.
-func (s *Scheduler) At(t Time, fn func()) *Event {
+// Schedule arms the caller-owned record e to run r at virtual time t. A time
+// in the past (t before Now) fires at the current time instead, preserving
+// causality. Arming a record that is still pending replaces its time and
+// runner: one record is one timer, so a retry that re-arms "its" timer can
+// never leave the superseded one behind to fire as well. Every call takes
+// the next place in the same-instant order, exactly as a Cancel followed by a
+// fresh At would.
+func (s *Scheduler) Schedule(e *Event, t Time, r Runner) {
 	if t < s.now {
 		t = s.now
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn}
+	e.at, e.seq, e.r = t, s.seq, r
 	s.seq++
+	if e.index > 0 {
+		heap.Fix(&s.events, e.index-1)
+		return
+	}
 	heap.Push(&s.events, e)
+}
+
+// funcRunner adapts a plain function to Runner.
+type funcRunner func()
+
+func (f funcRunner) Run() { f() }
+
+// At schedules fn to run at virtual time t on a record of its own; see
+// Schedule for the clamping of past times.
+func (s *Scheduler) At(t Time, fn func()) *Event {
+	e := new(Event)
+	s.Schedule(e, t, funcRunner(fn))
 	return e
 }
 
@@ -143,29 +171,23 @@ func (s *Scheduler) After(d Time, fn func()) *Event {
 // Cancel prevents a scheduled event from firing. Canceling an event that has
 // already fired or been canceled is a no-op.
 func (s *Scheduler) Cancel(e *Event) {
-	if e == nil || e.canceled {
-		return
-	}
-	e.canceled = true
-	if e.index >= 0 {
-		heap.Remove(&s.events, e.index)
+	if e != nil && e.index > 0 {
+		heap.Remove(&s.events, e.index-1)
 	}
 }
 
 // Step fires the next pending event and advances the clock to its time. It
-// reports whether an event fired.
+// reports whether an event fired. The record is out of the queue before its
+// runner is called, so the runner may re-arm or recycle it.
 func (s *Scheduler) Step() bool {
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*Event)
-		if e.canceled {
-			continue
-		}
-		s.now = e.at
-		s.processed++
-		e.fn()
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	e := heap.Pop(&s.events).(*Event)
+	s.now = e.at
+	s.processed++
+	e.r.Run()
+	return true
 }
 
 // Run fires events until none remain.
@@ -177,14 +199,7 @@ func (s *Scheduler) Run() {
 // RunUntil fires events with time ≤ deadline, then advances the clock to
 // deadline. Events scheduled later stay pending.
 func (s *Scheduler) RunUntil(deadline Time) {
-	for len(s.events) > 0 {
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.at > deadline {
-			break
-		}
+	for len(s.events) > 0 && s.events[0].at <= deadline {
 		s.Step()
 	}
 	if s.now < deadline {
@@ -196,23 +211,12 @@ func (s *Scheduler) RunUntil(deadline Time) {
 // exactly d.
 func (s *Scheduler) RunFor(d Time) { s.RunUntil(s.now + d) }
 
-func (s *Scheduler) peek() *Event {
-	for len(s.events) > 0 {
-		e := s.events[0]
-		if !e.canceled {
-			return e
-		}
-		heap.Pop(&s.events)
-	}
-	return nil
-}
-
 // Ticker repeatedly schedules a callback at a fixed period until stopped.
 type Ticker struct {
+	ev     Event
 	s      *Scheduler
 	period Time
 	fn     func()
-	ev     *Event
 	done   bool
 }
 
@@ -224,28 +228,22 @@ func (s *Scheduler) Every(period Time, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive ticker period %d", period))
 	}
 	t := &Ticker{s: s, period: period, fn: fn}
-	t.arm()
+	s.Schedule(&t.ev, s.now+period, t)
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.s.After(t.period, func() {
-		if t.done {
-			return
-		}
-		t.fn()
-		if !t.done {
-			t.arm()
-		}
-	})
+// Run fires one tick and arms the next unless the callback stopped the
+// ticker.
+func (t *Ticker) Run() {
+	t.fn()
+	if !t.done {
+		t.s.Schedule(&t.ev, t.s.now+t.period, t)
+	}
 }
 
 // Stop prevents future ticks. Safe to call multiple times and from inside
 // the tick callback.
 func (t *Ticker) Stop() {
-	if t.done {
-		return
-	}
 	t.done = true
-	t.s.Cancel(t.ev)
+	t.s.Cancel(&t.ev)
 }
