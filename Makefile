@@ -50,10 +50,12 @@ tier2-durability:
 
 # Tier-2 wire slice: the v3 wire path under the race detector — binary
 # framing, pipelining, the cross-version compat matrix, the bounded worker
-# pool, and the pooled text reader.
+# pool, the pooled text reader, and the read path's plumbing: per-batch
+# response flush (Coalesce, Flush), pooled work items (WorkItem) and the
+# encode-from-the-mailbox's-slice retrieval (HandOver).
 .PHONY: tier2-wire
 tier2-wire:
-	go test -race -run 'Compat|Pipeline|Binary|Negotiat|WorkPool|WorkQueue|ConnReader' ./internal/wire/ ./internal/server/
+	go test -race -run 'Compat|Pipeline|Binary|Negotiat|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver' ./internal/wire/ ./internal/server/
 
 # Tier-2 balance slice: the pluggable placement seam under the race detector —
 # the policy unit tests (JSQ sampling, rebalancer hysteresis/budget/diversion),

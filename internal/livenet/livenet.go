@@ -951,30 +951,21 @@ type Agent struct {
 	retrievals   int
 }
 
-// NewAgent creates an agent for a user registered in the directory.
+// NewAgent creates an agent for a user registered in the directory. Its two
+// maps are made when something is first written to them: most agents poll an
+// empty mailbox on servers that are up, and never write either.
 func (c *Cluster) NewAgent(user names.Name) (*Agent, error) {
 	if len(c.dir.Authority(user)) == 0 {
 		return nil, fmt.Errorf("%w: %v", ErrNoAuthority, user)
 	}
-	return &Agent{
-		user:        user,
-		cluster:     c,
-		prevUnavail: make(map[string]bool),
-		seen:        make(map[mail.MessageID]bool),
-	}, nil
+	return &Agent{user: user, cluster: c}, nil
 }
 
 // User returns the agent's name.
 func (a *Agent) User() names.Name { return a.user }
 
-// Inbox returns the messages retrieved so far (since the last DropInbox).
+// Inbox returns the messages retrieved so far (since the last TakeMail).
 func (a *Agent) Inbox() []mail.Stored { return append([]mail.Stored(nil), a.inbox...) }
-
-// DropInbox releases the retrieved messages the agent holds, for owners that
-// have passed them on and keep the agent alive indefinitely (the wire
-// server's per-user agents). The duplicate-suppression memory stays, so a
-// copy that failed over to a second server is still recognised.
-func (a *Agent) DropInbox() { a.inbox = nil }
 
 // Polls reports CheckMail calls issued.
 func (a *Agent) Polls() int { return a.polls }
@@ -992,13 +983,34 @@ func (a *Agent) Send(to []names.Name, subject, body string) (mail.MessageID, err
 // before the last check; collect from servers previously seen unavailable.
 // A server whose poll fails — down, unreachable, or an injected drop — joins
 // PreviouslyUnavailableServers and is retried on later retrievals; its
-// buffered mail is untouched by the failed poll.
+// buffered mail is untouched by the failed poll. The result is the caller's
+// own copy; the agent keeps the messages in its inbox.
 func (a *Agent) GetMail() []mail.Stored {
+	return append([]mail.Stored(nil), a.inbox[a.walk():]...)
+}
+
+// TakeMail is GetMail for an owner that passes the batch on and keeps the
+// agent alive indefinitely (the wire server's per-user agents): the walk's
+// messages are handed over, not copied, and the agent forgets its inbox (the
+// duplicate-suppression memory stays). The batch may be a slice a mailbox
+// gave away (see poll); whoever holds it must not write to it.
+func (a *Agent) TakeMail() []mail.Stored {
+	out := a.inbox[a.walk():]
+	a.inbox = nil
+	return out
+}
+
+// walk runs one retrieval and returns where in the inbox its messages start.
+// The authority list is read once: a SetAuthority during the walk takes
+// effect at the next one, and names that have left the list leave
+// PreviouslyUnavailableServers with it.
+func (a *Agent) walk() int {
 	a.retrievals++
 	before := len(a.inbox)
 	current := time.Now()
+	list := a.cluster.dir.Authority(a.user)
 	finished := false
-	for _, name := range a.cluster.dir.Authority(a.user) {
+	for _, name := range list {
 		if finished {
 			break
 		}
@@ -1008,7 +1020,7 @@ func (a *Agent) GetMail() []mail.Stored {
 		}
 		if s.Up() {
 			if err := a.poll(s); err != nil {
-				a.prevUnavail[name] = true
+				a.markUnavail(name)
 				continue
 			}
 			delete(a.prevUnavail, name)
@@ -1016,10 +1028,15 @@ func (a *Agent) GetMail() []mail.Stored {
 				finished = true
 			}
 		} else {
-			a.prevUnavail[name] = true
+			a.markUnavail(name)
 		}
 	}
-	for _, name := range a.cluster.dir.Authority(a.user) {
+	for name := range a.prevUnavail {
+		if !slices.Contains(list, name) {
+			delete(a.prevUnavail, name)
+		}
+	}
+	for _, name := range list {
 		if !a.prevUnavail[name] {
 			continue
 		}
@@ -1031,7 +1048,14 @@ func (a *Agent) GetMail() []mail.Stored {
 		}
 	}
 	a.lastChecking = current
-	return append([]mail.Stored(nil), a.inbox[before:]...)
+	return before
+}
+
+func (a *Agent) markUnavail(name string) {
+	if a.prevUnavail == nil {
+		a.prevUnavail = make(map[string]bool)
+	}
+	a.prevUnavail[name] = true
 }
 
 // PreviouslyUnavailable returns the agent's PreviouslyUnavailableServers
@@ -1049,20 +1073,41 @@ func (a *Agent) PreviouslyUnavailable() []string {
 // LastCheckingTime returns the agent's LastCheckingTime[user] variable.
 func (a *Agent) LastCheckingTime() time.Time { return a.lastChecking }
 
+// poll drains the user's mailbox on s into the inbox, dropping copies the
+// agent has already seen. Drain gives the slice away, so when the inbox is
+// empty and nothing is a duplicate the agent adopts it as the inbox instead
+// of copying it — with its capacity clipped, so that a later poll's append
+// moves to a fresh array and never writes the adopted one.
 func (a *Agent) poll(s *Server) error {
 	a.polls++
 	msgs, err := s.CheckMail(a.user)
 	if err != nil {
 		return err
 	}
-	a.inbox = slices.Grow(a.inbox, len(msgs))
-	for _, m := range msgs {
-		if a.seen[m.ID] {
+	if len(msgs) == 0 {
+		return nil
+	}
+	if a.seen == nil {
+		a.seen = make(map[mail.MessageID]bool)
+	}
+	adopt := len(a.inbox) == 0
+	for i := range msgs {
+		id := msgs[i].ID
+		if a.seen[id] {
+			if adopt {
+				adopt = false
+				a.inbox = append(a.inbox, msgs[:i]...)
+			}
 			continue
 		}
-		a.seen[m.ID] = true
-		a.inbox = append(a.inbox, m)
-		a.cluster.trace.StampKey(m.ID.TraceKey(), obs.StageRetrieve, s.name)
+		a.seen[id] = true
+		if !adopt {
+			a.inbox = append(a.inbox, msgs[i])
+		}
+		a.cluster.trace.StampKey(id.TraceKey(), obs.StageRetrieve, s.name)
+	}
+	if adopt {
+		a.inbox = msgs[:len(msgs):len(msgs)]
 	}
 	return nil
 }

@@ -27,6 +27,13 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("Cluster.Submit, one recipient: %v allocs, want ≤ 6", n)
 	}
 
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := c.NewAgent(bob); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("NewAgent: %v allocs, want 1 (its maps wait for a first write)", n)
+	}
 	b, err := c.NewAgent(bob)
 	if err != nil {
 		t.Fatal(err)

@@ -25,6 +25,9 @@ type MessageID struct {
 // and its parser (obs.ParseKey) live in one place.
 func (id MessageID) String() string { return id.TraceKey().String() }
 
+// AppendTo appends the ID's String() form to dst, without building it.
+func (id MessageID) AppendTo(dst []byte) []byte { return id.TraceKey().AppendTo(dst) }
+
 // TraceKey is the ID as the lifecycle tracer's value key; stamping by value
 // keeps String off the delivery path.
 func (id MessageID) TraceKey() obs.Key { return obs.Key{Node: int64(id.Node), Seq: id.Seq} }
@@ -143,6 +146,12 @@ func (b *Mailbox) Owner() names.Name { return b.owner }
 // here on is recorded as an Op until collected with TakeOps. No-op mutations
 // (duplicate deposits, empty drains, misses) are not journaled.
 func (b *Mailbox) EnableJournal() { b.journaling = true }
+
+// LendJournal gives the mailbox a buffer to journal the next mutation into,
+// in place of one it would allocate; TakeOps hands it back. A store whose
+// mutations are serialised and each followed by TakeOps can pass one buffer
+// round all its mailboxes. Only an empty journal may be lent to.
+func (b *Mailbox) LendJournal(buf []Op) { b.journal = buf[:0] }
 
 // TakeOps returns and clears the journaled ops accumulated since the last
 // call. The caller owns the returned slice.

@@ -26,6 +26,9 @@ func TestMessageIDString(t *testing.T) {
 	if id.String() != "m7-42" {
 		t.Errorf("String() = %q", id.String())
 	}
+	if got := id.AppendTo([]byte("x")); string(got) != "xm7-42" {
+		t.Errorf("AppendTo = %q", got)
+	}
 	if id.IsZero() {
 		t.Error("non-zero ID reported zero")
 	}
@@ -92,6 +95,26 @@ func TestDuplicateSuppression(t *testing.T) {
 	b.Drain()
 	if b.Deposit(m, 9) {
 		t.Error("re-deposit after drain accepted")
+	}
+}
+
+// TestLendJournal: a lent buffer is what the mutation is journaled into and
+// what TakeOps hands back; without one the journal allocates its own, as
+// before.
+func TestLendJournal(t *testing.T) {
+	b := NewMailbox(owner)
+	b.EnableJournal()
+	buf := make([]Op, 0, 4)
+	b.LendJournal(buf)
+	b.Deposit(msg(1, "a"), 0)
+	b.Drain()
+	ops := b.TakeOps()
+	if len(ops) != 2 || ops[0].Kind != OpDeposit || ops[1].Kind != OpDrain || &ops[0] != &buf[:1][0] {
+		t.Fatalf("journal not in the lent buffer: %+v", ops)
+	}
+	b.Deposit(msg(2, "b"), 0)
+	if own := b.TakeOps(); len(own) != 1 || &own[0] == &buf[:1][0] {
+		t.Fatalf("journal reused a buffer it had handed back: %+v", own)
 	}
 }
 

@@ -169,6 +169,9 @@ type shardLog struct {
 	size         int64  // bytes in the open segment
 	sinceCompact int64  // bytes appended since the last snapshot
 	scratch      []byte // reusable encode buffer
+	// ops is the journal buffer lent to whichever of the shard's mailboxes is
+	// being mutated (Store.lend) and taken back, cleared, by logOps.
+	ops []mail.Op
 }
 
 // Open recovers (or creates) a durable store rooted at dir with the given
@@ -459,11 +462,28 @@ func createSegment(dir, path string) (*os.File, error) {
 	return f, nil
 }
 
-// logOps drains the mailbox journal and appends it to shard i's log. Called
-// with the shard write lock held; errors are latched (Err) and the store
-// keeps serving from memory.
+// lend hands shard i's journal buffer to mb for the mutation about to run.
+// Called with the shard write lock held, which is what makes one buffer per
+// shard enough. A no-op on memory stores.
+func (s *Store) lend(i int, mb *mail.Mailbox) {
+	if s.w != nil {
+		mb.LendJournal(s.w.logs[i].ops)
+	}
+}
+
+// logOps drains the mailbox journal — the buffer lend gave it — appends it to
+// shard i's log and keeps the buffer for the next mutation, cleared so it
+// pins no message body. Called with the shard write lock held.
 func (s *Store) logOps(i int, user names.Name, mb *mail.Mailbox) {
 	ops := mb.TakeOps()
+	s.appendOps(i, user, ops)
+	clear(ops)
+	s.w.logs[i].ops = ops[:0]
+}
+
+// appendOps writes ops to shard i's log; errors are latched (Err) and the
+// store keeps serving from memory.
+func (s *Store) appendOps(i int, user names.Name, ops []mail.Op) {
 	if len(ops) == 0 || s.w.errp.Load() != nil || s.w.closed.Load() {
 		return
 	}

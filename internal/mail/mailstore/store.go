@@ -118,6 +118,7 @@ func (s *Store) Update(user names.Name, fn func(*mail.Mailbox)) {
 		sh.boxes[user] = mb
 	}
 	l0, b0 := mb.Len(), mb.Bytes()
+	s.lend(i, mb)
 	fn(mb)
 	sh.msgs += int64(mb.Len() - l0)
 	sh.bytes += int64(mb.Bytes() - b0)
@@ -140,6 +141,7 @@ func (s *Store) UpdateExisting(user names.Name, fn func(*mail.Mailbox)) bool {
 		return false
 	}
 	l0, b0 := mb.Len(), mb.Bytes()
+	s.lend(i, mb)
 	fn(mb)
 	sh.msgs += int64(mb.Len() - l0)
 	sh.bytes += int64(mb.Bytes() - b0)

@@ -248,6 +248,7 @@ func (s *Store) depositIndexed(user names.Name, m mail.Message, at sim.Time) boo
 		sh.boxes[user] = mb
 	}
 	l0, b0 := mb.Len(), mb.Bytes()
+	s.lend(i, mb)
 	fresh := mb.Deposit(m, at)
 	sh.msgs += int64(mb.Len() - l0)
 	sh.bytes += int64(mb.Bytes() - b0)
@@ -272,6 +273,7 @@ func (s *Store) drainIndexed(user names.Name) []mail.Stored {
 		return nil
 	}
 	l0, b0 := mb.Len(), mb.Bytes()
+	s.lend(i, mb)
 	out := mb.Drain()
 	sh.msgs += int64(mb.Len() - l0)
 	sh.bytes += int64(mb.Bytes() - b0)

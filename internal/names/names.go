@@ -44,6 +44,20 @@ func (n Name) String() string {
 	return n.Region + Delimiter + n.Host + Delimiter + n.User
 }
 
+// AppendTo appends the name's String() form to dst, without building it.
+func (n Name) AppendTo(dst []byte) []byte {
+	dst = append(dst, n.Region...)
+	dst = append(dst, Delimiter...)
+	dst = append(dst, n.Host...)
+	dst = append(dst, Delimiter...)
+	return append(dst, n.User...)
+}
+
+// TextLen is len(n.String()).
+func (n Name) TextLen() int {
+	return len(n.Region) + len(n.Host) + len(n.User) + 2*len(Delimiter)
+}
+
 // Compare orders two names exactly as their String() forms order, without
 // building either string: -1, 0 or +1. Comparing token by token would be
 // wrong — '-' sorts before the '.' delimiter, so "a-b.h.u" < "a.h.u" although

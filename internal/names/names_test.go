@@ -113,6 +113,17 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendToMatchesString: AppendTo and TextLen are String and its length
+// without the string, for the zero name too.
+func TestAppendToMatchesString(t *testing.T) {
+	for _, n := range []Name{{"west", "beta", "bob"}, {"r", "", "u"}, {}} {
+		got := n.AppendTo([]byte("x"))
+		if string(got) != "x"+n.String() || n.TextLen() != len(n.String()) {
+			t.Errorf("%#v: AppendTo = %q, TextLen = %d; String = %q", n, got, n.TextLen(), n.String())
+		}
+	}
+}
+
 func TestMustParsePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -92,9 +92,10 @@ type Key struct {
 }
 
 // String renders the key in mail.MessageID's "m<node>-<seq>" text.
-func (k Key) String() string { return string(k.appendTo(make([]byte, 0, 24))) }
+func (k Key) String() string { return string(k.AppendTo(make([]byte, 0, 24))) }
 
-func (k Key) appendTo(buf []byte) []byte {
+// AppendTo appends the key's String() form to buf.
+func (k Key) AppendTo(buf []byte) []byte {
 	buf = append(buf, 'm')
 	buf = strconv.AppendInt(buf, k.Node, 10)
 	buf = append(buf, '-')
@@ -113,7 +114,7 @@ func ParseKey(id string) (Key, bool) {
 	seq, errS := strconv.ParseUint(id[dash+1:], 10, 64)
 	k := Key{Node: node, Seq: seq}
 	var buf [48]byte
-	if errN != nil || errS != nil || string(k.appendTo(buf[:0])) != id {
+	if errN != nil || errS != nil || string(k.AppendTo(buf[:0])) != id {
 		return Key{}, false
 	}
 	return k, true

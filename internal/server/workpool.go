@@ -24,11 +24,11 @@ import (
 // worker holds a given queue at any instant, so per-queue ordering is total
 // even though the pool executes many queues concurrently.
 type WorkPool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	runq   []*WorkQueue // queues with pending items, FIFO
-	closed bool
-	wg     sync.WaitGroup
+	mu         sync.Mutex
+	cond       *sync.Cond
+	head, tail *WorkQueue // queues with pending items, FIFO, linked through next
+	closed     bool
+	wg         sync.WaitGroup
 }
 
 // DefaultWireWorkers is the worker count a zero configuration gets:
@@ -56,7 +56,7 @@ func NewWorkPool(workers int) *WorkPool {
 func (p *WorkPool) Close() {
 	p.mu.Lock()
 	p.closed = true
-	p.runq = nil
+	p.head, p.tail = nil, nil
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	p.wg.Wait()
@@ -66,29 +66,48 @@ func (p *WorkPool) worker() {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		for len(p.runq) == 0 && !p.closed {
+		for p.head == nil && !p.closed {
 			p.cond.Wait()
 		}
 		if p.closed {
 			p.mu.Unlock()
 			return
 		}
-		q := p.runq[0]
-		p.runq = p.runq[1:]
+		q := p.head
+		if p.head, q.next = q.next, nil; p.head == nil {
+			p.tail = nil
+		}
 		p.mu.Unlock()
 		q.drain()
 	}
 }
 
-// schedule appends q to the run queue. Callers hold q.mu but never p.mu.
+// schedule appends q to the run queue. A queue is on it at most once (its
+// scheduled flag), which is what lets the list run through the queues
+// themselves and cost nothing to grow.
 func (p *WorkPool) schedule(q *WorkQueue) {
 	p.mu.Lock()
 	if !p.closed {
-		p.runq = append(p.runq, q)
+		if p.tail == nil {
+			p.head = q
+		} else {
+			p.tail.next = q
+		}
+		p.tail = q
 	}
 	p.mu.Unlock()
 	p.cond.Signal()
 }
+
+// Runner is one unit of queued work. The queue holds the value it is given
+// and nothing else, so an item that is a pointer to a caller-owned (pooled)
+// record costs no allocation to enqueue.
+type Runner interface{ Run() }
+
+// funcRunner adapts a plain function to Runner.
+type funcRunner func()
+
+func (f funcRunner) Run() { f() }
 
 // WorkQueue is one connection's pending work. Enqueue blocks while the
 // queue is at capacity — that stall propagates to the connection's reader
@@ -96,29 +115,38 @@ func (p *WorkPool) schedule(q *WorkQueue) {
 // transport's backpressure: a client cannot hold more than the queue bound
 // plus a socket buffer of unprocessed requests against the server.
 type WorkQueue struct {
-	pool *WorkPool
-	cap  int
+	pool     *WorkPool
+	cap      int
+	batchEnd Runner     // run by the draining worker after each batch; may be nil
+	next     *WorkQueue // the pool's run queue; guarded by pool.mu
 
 	mu        sync.Mutex
 	notFull   *sync.Cond
-	items     []func()
-	scheduled bool // on the pool's run queue or held by a worker
+	items     []Runner
+	spare     []Runner // the previous batch's slice, emptied, for the next swap
+	scheduled bool     // on the pool's run queue or held by a worker
 	closed    bool
 }
 
-// NewQueue creates a queue drained by this pool. cap <= 0 means 64.
-func (p *WorkPool) NewQueue(cap int) *WorkQueue {
+// NewQueue creates a queue drained by this pool. cap <= 0 means 64. batchEnd,
+// when not nil, runs on the draining worker each time it has finished the
+// items it picked up — the point where a connection flushes the responses
+// the batch produced.
+func (p *WorkPool) NewQueue(cap int, batchEnd Runner) *WorkQueue {
 	if cap <= 0 {
 		cap = 64
 	}
-	q := &WorkQueue{pool: p, cap: cap}
+	q := &WorkQueue{pool: p, cap: cap, batchEnd: batchEnd}
 	q.notFull = sync.NewCond(&q.mu)
 	return q
 }
 
-// Enqueue appends one item, blocking while the queue is full. It reports
-// false when the queue was closed (the item is dropped).
-func (q *WorkQueue) Enqueue(fn func()) bool {
+// Enqueue is EnqueueRunner for a plain function.
+func (q *WorkQueue) Enqueue(fn func()) bool { return q.EnqueueRunner(funcRunner(fn)) }
+
+// EnqueueRunner appends one item, blocking while the queue is full. It
+// reports false when the queue was closed (the item is dropped).
+func (q *WorkQueue) EnqueueRunner(r Runner) bool {
 	q.mu.Lock()
 	for len(q.items) >= q.cap && !q.closed {
 		q.notFull.Wait()
@@ -127,7 +155,7 @@ func (q *WorkQueue) Enqueue(fn func()) bool {
 		q.mu.Unlock()
 		return false
 	}
-	q.items = append(q.items, fn)
+	q.items = append(q.items, r)
 	need := !q.scheduled
 	if need {
 		q.scheduled = true
@@ -149,20 +177,26 @@ func (q *WorkQueue) Close() {
 	q.notFull.Broadcast()
 }
 
-// drain runs the queue's current batch in order, then reschedules the queue
-// if more items arrived while the batch ran. Exactly one worker runs drain
-// for a given queue at a time (guarded by the scheduled flag), which is
-// what makes per-queue execution order total.
+// drain runs the queue's current batch in order, then batchEnd, then
+// reschedules the queue if more items arrived while the batch ran. Exactly
+// one worker runs drain for a given queue at a time (guarded by the
+// scheduled flag), which is what makes per-queue execution order total —
+// and what lets the batch slice and the spare one simply trade places.
 func (q *WorkQueue) drain() {
 	q.mu.Lock()
 	batch := q.items
-	q.items = nil
+	q.items, q.spare = q.spare, nil
 	q.mu.Unlock()
 	q.notFull.Broadcast()
-	for _, fn := range batch {
-		fn()
+	for _, r := range batch {
+		r.Run()
 	}
+	if q.batchEnd != nil {
+		q.batchEnd.Run()
+	}
+	clear(batch) // a finished item must not stay reachable from the queue
 	q.mu.Lock()
+	q.spare = batch[:0]
 	if len(q.items) > 0 && !q.closed {
 		q.mu.Unlock()
 		q.pool.schedule(q)

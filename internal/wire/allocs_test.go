@@ -1,0 +1,174 @@
+package wire
+
+import (
+	"context"
+	"encoding/binary"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/largemail/largemail/internal/mail"
+)
+
+// sinkConn is a connection that swallows what the server writes and says so.
+type sinkConn struct {
+	net.Conn
+	wrote chan int
+}
+
+func (c sinkConn) Write(b []byte) (int, error)    { c.wrote <- len(b); return len(b), nil }
+func (sinkConn) SetWriteDeadline(time.Time) error { return nil }
+func (sinkConn) Close() error                     { return nil }
+
+func framePayload(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	payload, _, err := splitFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// TestReadPathAllocs holds the single-frame read path to its budgets, layer
+// by layer: what an empty getmail costs is the user's name on the way in and
+// the Future on the way out, not the plumbing in between.
+func TestReadPathAllocs(t *testing.T) {
+	reqPayload := framePayload(t, mustFrameRequest(t, Request{Op: "getmail", User: "R1.h1.alice"}, 7))
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, _, err := DecodeBinaryRequest(reqPayload); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("DecodeBinaryRequest(getmail): %v allocs, want ≤ 1 (the payload string)", n)
+	}
+	respFrame, err := AppendBinaryResponse(nil, binOpGetMail, 7, Response{OK: true, Polls: 3, LastChecking: 12345})
+	if err != nil {
+		t.Fatal(err)
+	}
+	respPayload := framePayload(t, respFrame)
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, _, err := DecodeBinaryResponse(respPayload); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("DecodeBinaryResponse(empty getmail): %v allocs, want ≤ 1", n)
+	}
+
+	// Server side, without a socket: decode, pooled work item through the
+	// real queue and worker, opGetMail, response encoded into the
+	// connection's buffer and flushed into a sink at the batch end.
+	s := newServer(t)
+	pipelineRegister(t, newClient(t, s), "R1.h1.alice")
+	sink := sinkConn{wrote: make(chan int, 1)}
+	st := &connState{srv: s, conn: sink, ver: 3, binary: true}
+	q := s.pool.NewQueue(0, st)
+	defer q.Close()
+	serve := func() {
+		req, tag, err := DecodeBinaryRequest(reqPayload)
+		if err != nil || !s.enqueue(q, st, req, tag, true) {
+			t.Fatal("request not queued")
+		}
+		<-sink.wrote // the batch end's flush: this request's response
+	}
+	serve() // creates the agent, whose first walk visits every server
+	if n := testing.AllocsPerRun(1000, serve); n > 2 {
+		t.Errorf("server-side empty getmail: %v allocs, want ≤ 2 (the payload string)", n)
+	}
+}
+
+// TestPipelineClientAllocs measures Pipeline.Do + Future.Response alone,
+// against a hand-rolled peer that answers every frame from a fixed buffer
+// and so adds nothing to the count.
+func TestPipelineClientAllocs(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		cr := newConnReader(conn)
+		defer cr.release()
+		if _, err := cr.readLine(); err != nil { // the hello
+			return
+		}
+		if _, err := conn.Write([]byte(`{"ok":true,"version":3,"binary":true}` + "\n")); err != nil {
+			return
+		}
+		in, out := getFrameBuf(), make([]byte, 0, 256)
+		defer putFrameBuf(in)
+		for {
+			payload, err := cr.readFrame(in)
+			if err != nil || len(payload) < 5 {
+				return
+			}
+			out, _ = AppendBinaryResponse(out[:0], payload[0], binary.LittleEndian.Uint32(payload[1:]), Response{OK: true})
+			if _, err := conn.Write(out); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p, err := c.Pipeline(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Op: "getmail", User: "R1.h1.alice"}
+	do := func() {
+		f := p.Do(req)
+		if _, err := f.Response(); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := f.Response(); err != nil || !resp.OK { // a completed Future stays readable
+			t.Fatalf("second Response: %+v, %v", resp, err)
+		}
+	}
+	do()
+	if n := testing.AllocsPerRun(1000, do); n > 2 {
+		t.Errorf("Pipeline.Do + Response: %v allocs, want ≤ 2 (the Future)", n)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlushEarlyKeepsBufferPoolable: a batch of retrievals far larger than
+// the output buffer may grow goes out in pieces, and the buffer the batch end
+// gives back is still one the pool keeps. (Flushing only at the pooling limit
+// let two 35 KB responses grow it past that limit, so every such batch threw
+// its buffer away and the next one grew a new one from 4 KiB.)
+func TestFlushEarlyKeepsBufferPoolable(t *testing.T) {
+	s := newServer(t)
+	sink := sinkConn{wrote: make(chan int, 16)}
+	st := &connState{srv: s, conn: sink, ver: 3, binary: true}
+	batch := make([]mail.Stored, 64)
+	for i := range batch {
+		batch[i].ID = mail.MessageID{Node: 1, Seq: uint64(i + 1)}
+		batch[i].Body = strings.Repeat("b", 512)
+	}
+	for round := 0; round < 3; round++ {
+		total := 0
+		for i := 0; i < 4; i++ {
+			st.respond(true, binOpGetMail, uint32(i), Response{OK: true, stored: batch})
+			if c := cap(*st.out); c > connReaderBufSize {
+				t.Fatalf("round %d: output buffer grew to %d bytes, past what the pool keeps", round, c)
+			}
+		}
+		st.Run()
+		for len(sink.wrote) > 0 {
+			total += <-sink.wrote
+		}
+		if total < 4*64*512 {
+			t.Fatalf("round %d: %d bytes written, want four full responses", round, total)
+		}
+	}
+}

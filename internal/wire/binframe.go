@@ -43,6 +43,7 @@ import (
 	"io"
 	"sync"
 
+	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/mailerr"
 )
 
@@ -132,11 +133,12 @@ func appendStr(dst []byte, s string) []byte {
 // binReader walks a frame payload with a latched error, returning zero
 // values after the first malformed field.
 //
-// s, when set, is the whole payload as one string; str() slices into it, so
-// decoding a frame costs one string allocation total instead of one per
-// field. The substrings share that backing array and keep the whole payload
-// reachable — the right trade for message frames, where bodies (which the
-// mailbox retains anyway) dominate the payload.
+// s is the whole payload as one string, made by the first non-empty str();
+// str() slices into it, so decoding a frame costs one string allocation
+// total instead of one per field, and none for a frame without strings (an
+// empty getmail response). The substrings share that backing array and keep
+// the whole payload reachable — the right trade for message frames, where
+// bodies (which the mailbox retains anyway) dominate the payload.
 type binReader struct {
 	b   []byte
 	s   string
@@ -175,10 +177,10 @@ func (r *binReader) str() string {
 	if len(b) == 0 {
 		return ""
 	}
-	if r.s != "" {
-		return r.s[r.off-len(b) : r.off]
+	if r.s == "" {
+		r.s = string(r.b)
 	}
-	return string(b)
+	return r.s[r.off-len(b) : r.off]
 }
 
 // count reads a list length, rejecting counts that could not possibly fit in
@@ -291,7 +293,7 @@ func AppendBinaryRequest(dst []byte, req Request, tag uint32) ([]byte, error) {
 // of the payload — the single copy is the []byte→string conversion; there is
 // no quoting pass and no intermediate document.
 func DecodeBinaryRequest(payload []byte) (Request, uint32, error) {
-	r := &binReader{b: payload, s: string(payload)}
+	r := binReader{b: payload}
 	op := r.byte1()
 	tag := r.u32()
 	var req Request
@@ -339,10 +341,8 @@ func DecodeBinaryRequest(payload []byte) (Request, uint32, error) {
 		if r.bad {
 			break
 		}
-		if err := json.Unmarshal(payload[r.off:], &req); err != nil {
-			return Request{}, tag, fmt.Errorf("%w: %v", errBadPayload, err)
-		}
-		r.off = len(payload)
+		req, err := decodeJSON(payload[r.off:], req)
+		return req, tag, err
 	default:
 		return Request{}, tag, fmt.Errorf("%w: unknown op byte %d", errBadPayload, op)
 	}
@@ -350,6 +350,18 @@ func DecodeBinaryRequest(payload []byte) (Request, uint32, error) {
 		return Request{}, tag, errBadPayload
 	}
 	return req, tag, nil
+}
+
+// decodeJSON is the binOpJSON arm of both decoders: it fills v, the value
+// decoded so far, from the JSON object. json.Unmarshal needs an address, and
+// a variable whose address is taken lives on the heap for every call of its
+// function; here that is this function's copy, not the decoders' req/resp.
+func decodeJSON[T any](js []byte, v T) (T, error) {
+	if err := json.Unmarshal(js, &v); err != nil {
+		var zero T
+		return zero, fmt.Errorf("%w: %v", errBadPayload, err)
+	}
+	return v, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -385,12 +397,16 @@ func AppendBinaryResponse(dst []byte, op byte, tag uint32, resp Response) ([]byt
 			dst = appendStr(dst, f.Error)
 		}
 	case binOpGetMail, binOpCheckMail:
-		dst = binary.AppendUvarint(dst, uint64(len(resp.Messages)))
-		for _, m := range resp.Messages {
-			dst = appendStr(dst, m.ID)
-			dst = appendStr(dst, m.From)
-			dst = appendStr(dst, m.Subject)
-			dst = appendStr(dst, m.Body)
+		if resp.stored != nil {
+			dst = appendStored(dst, resp.stored)
+		} else {
+			dst = binary.AppendUvarint(dst, uint64(len(resp.Messages)))
+			for _, m := range resp.Messages {
+				dst = appendStr(dst, m.ID)
+				dst = appendStr(dst, m.From)
+				dst = appendStr(dst, m.Subject)
+				dst = appendStr(dst, m.Body)
+			}
 		}
 		if op == binOpGetMail {
 			dst = binary.AppendUvarint(dst, uint64(resp.Polls))
@@ -406,9 +422,30 @@ func AppendBinaryResponse(dst []byte, op byte, tag uint32, resp Response) ([]byt
 	return sealAt(dst, start)
 }
 
+// appendStored appends a retrieved batch as the message list of a getmail or
+// checkmail response, byte for byte what the []Message form of the same
+// batch encodes to, without building that form: IDs and sender names are
+// formatted straight into the frame. msgs is only read.
+func appendStored(dst []byte, msgs []mail.Stored) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(msgs)))
+	for i := range msgs {
+		m := &msgs[i]
+		// "m<int64>-<uint64>" is at most 42 bytes, so its uvarint length is
+		// the one byte reserved here.
+		at := len(dst)
+		dst = m.ID.AppendTo(append(dst, 0))
+		dst[at] = byte(len(dst) - at - 1)
+		dst = binary.AppendUvarint(dst, uint64(m.From.TextLen()))
+		dst = m.From.AppendTo(dst)
+		dst = appendStr(dst, m.Subject)
+		dst = appendStr(dst, m.Body)
+	}
+	return dst
+}
+
 // DecodeBinaryResponse parses one v3 response payload.
 func DecodeBinaryResponse(payload []byte) (Response, uint32, error) {
-	r := &binReader{b: payload, s: string(payload)}
+	r := binReader{b: payload}
 	op := r.byte1()
 	tag := r.u32()
 	ok := r.byte1()
@@ -462,10 +499,8 @@ func DecodeBinaryResponse(payload []byte) (Response, uint32, error) {
 			resp.LastChecking = int64(r.u64())
 		}
 	case binOpJSON:
-		if err := json.Unmarshal(payload[r.off:], &resp); err != nil {
-			return Response{}, tag, fmt.Errorf("%w: %v", errBadPayload, err)
-		}
-		r.off = len(payload)
+		resp, err := decodeJSON(payload[r.off:], resp)
+		return resp, tag, err
 	default:
 		return Response{}, tag, fmt.Errorf("%w: unknown op byte %d", errBadPayload, op)
 	}
@@ -487,7 +522,13 @@ var frameBufPool = sync.Pool{New: func() any {
 
 func getFrameBuf() *[]byte { return frameBufPool.Get().(*[]byte) }
 
+// putFrameBuf recycles a buffer, unless a large frame grew it past the read
+// window: pooling that one would leave every connection that ever saw a
+// MaxLine frame holding a megabyte.
 func putFrameBuf(p *[]byte) {
+	if cap(*p) > connReaderBufSize {
+		return
+	}
 	*p = (*p)[:0]
 	frameBufPool.Put(p)
 }
@@ -504,7 +545,8 @@ const connReaderBufSize = 64 << 10
 // garbage on every accepted connection.
 type connReader struct {
 	br   *bufio.Reader
-	line []byte // scratch for lines spanning the bufio window
+	line []byte          // scratch for lines spanning the bufio window
+	hdr  [binHdrLen]byte // readFrame's length header; a local would escape through io.ReadFull
 }
 
 var connReaderPool = sync.Pool{New: func() any {
@@ -567,11 +609,10 @@ func trimEOL(b []byte) []byte {
 // returns the verified payload, which aliases *bufp. Any error is fatal to
 // the stream: a binary connection cannot resynchronize past a bad frame.
 func (cr *connReader) readFrame(bufp *[]byte) ([]byte, error) {
-	var hdr [binHdrLen]byte
-	if _, err := io.ReadFull(cr.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(cr.br, cr.hdr[:]); err != nil {
 		return nil, err
 	}
-	plen := int(binary.LittleEndian.Uint32(hdr[:]))
+	plen := int(binary.LittleEndian.Uint32(cr.hdr[:]))
 	if plen > MaxLine {
 		return nil, ErrFrameTooLarge
 	}

@@ -3,11 +3,21 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/largemail/largemail/internal/graph"
+	"github.com/largemail/largemail/internal/mail"
+	"github.com/largemail/largemail/internal/names"
 )
 
 func mustFrameRequest(t *testing.T, req Request, tag uint32) []byte {
@@ -254,9 +264,9 @@ func FuzzBinaryFrame(f *testing.F) {
 		if err != nil {
 			return // rejected input: the only requirement is not panicking
 		}
-		// Both decoders must be panic-free on any checksummed payload.
-		resp, _, _ := DecodeBinaryResponse(payload)
-		_ = resp
+		// Both decoders must be panic-free on any checksummed payload, and
+		// agree with the reference decoders on it.
+		sameDecode(t, payload)
 		req, tag, err := DecodeBinaryRequest(payload)
 		if err != nil {
 			return
@@ -299,4 +309,352 @@ func FuzzBinaryFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refBinReader and the two ref decoders are the decoders as they were before
+// the by-value rewrite (heap-allocated reader, eager payload string, JSON
+// arms inline), kept as the reference the live ones are compared against.
+type refBinReader struct{ binReader }
+
+func (r *refBinReader) str() string {
+	b := r.bytes()
+	if len(b) == 0 {
+		return ""
+	}
+	return r.s[r.off-len(b) : r.off]
+}
+
+func refDecodeBinaryRequest(payload []byte) (Request, uint32, error) {
+	r := &refBinReader{binReader{b: payload, s: string(payload)}}
+	op := r.byte1()
+	tag := r.u32()
+	var req Request
+	switch op {
+	case binOpSubmit:
+		req.Op = "submit"
+		req.From = r.str()
+		req.Subject = r.str()
+		req.Body = r.str()
+		n := r.count()
+		if n > 0 {
+			req.To = make([]string, 0, n)
+			for i := 0; i < n && !r.bad; i++ {
+				req.To = append(req.To, r.str())
+			}
+		}
+	case binOpTBatch:
+		req.Op = "tbatch"
+		req.From = r.str()
+		n := r.count()
+		if n > 0 {
+			req.Msgs = make([]BatchMsg, 0, n)
+		}
+		for i := 0; i < n && !r.bad; i++ {
+			var m BatchMsg
+			m.Subject = r.str()
+			m.Body = r.str()
+			nt := r.count()
+			if nt > 0 {
+				m.To = make([]string, 0, nt)
+				for j := 0; j < nt && !r.bad; j++ {
+					m.To = append(m.To, r.str())
+				}
+			}
+			req.Msgs = append(req.Msgs, m)
+		}
+	case binOpGetMail:
+		req.Op = "getmail"
+		req.User = r.str()
+	case binOpCheckMail:
+		req.Op = "checkmail"
+		req.User = r.str()
+		req.Server = r.str()
+	case binOpJSON:
+		if r.bad {
+			break
+		}
+		if err := json.Unmarshal(payload[r.off:], &req); err != nil {
+			return Request{}, tag, fmt.Errorf("%w: %v", errBadPayload, err)
+		}
+		r.off = len(payload)
+	default:
+		return Request{}, tag, fmt.Errorf("%w: unknown op byte %d", errBadPayload, op)
+	}
+	if r.bad {
+		return Request{}, tag, errBadPayload
+	}
+	return req, tag, nil
+}
+
+func refDecodeBinaryResponse(payload []byte) (Response, uint32, error) {
+	r := &refBinReader{binReader{b: payload, s: string(payload)}}
+	op := r.byte1()
+	tag := r.u32()
+	ok := r.byte1()
+	var resp Response
+	if r.bad {
+		return Response{}, tag, errBadPayload
+	}
+	if ok == 0 {
+		resp.Code = r.str()
+		resp.Error = r.str()
+		if r.bad {
+			return Response{}, tag, errBadPayload
+		}
+		return resp, tag, nil
+	}
+	resp.OK = true
+	switch op {
+	case binOpSubmit:
+		resp.ID = r.str()
+	case binOpTBatch:
+		n := r.count()
+		if n > 0 {
+			resp.IDs = make([]string, 0, n)
+			for i := 0; i < n && !r.bad; i++ {
+				resp.IDs = append(resp.IDs, r.str())
+			}
+		}
+		nf := r.count()
+		for i := 0; i < nf && !r.bad; i++ {
+			var f BatchFailure
+			f.Index = int(r.uvarint())
+			f.Code = r.str()
+			f.Error = r.str()
+			resp.Failed = append(resp.Failed, f)
+		}
+	case binOpGetMail, binOpCheckMail:
+		n := r.count()
+		if n > 0 {
+			resp.Messages = make([]Message, 0, n)
+		}
+		for i := 0; i < n && !r.bad; i++ {
+			var m Message
+			m.ID = r.str()
+			m.From = r.str()
+			m.Subject = r.str()
+			m.Body = r.str()
+			resp.Messages = append(resp.Messages, m)
+		}
+		if op == binOpGetMail {
+			resp.Polls = int(r.uvarint())
+			resp.LastChecking = int64(r.u64())
+		}
+	case binOpJSON:
+		if err := json.Unmarshal(payload[r.off:], &resp); err != nil {
+			return Response{}, tag, fmt.Errorf("%w: %v", errBadPayload, err)
+		}
+		r.off = len(payload)
+	default:
+		return Response{}, tag, fmt.Errorf("%w: unknown op byte %d", errBadPayload, op)
+	}
+	if r.bad {
+		return Response{}, tag, errBadPayload
+	}
+	return resp, tag, nil
+}
+
+// sameDecode fails the test unless both decoders agree with their references
+// on payload: same value, same tag, and the same error text or none.
+func sameDecode(t *testing.T, payload []byte) {
+	t.Helper()
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	req, tag, err := DecodeBinaryRequest(payload)
+	wreq, wtag, werr := refDecodeBinaryRequest(payload)
+	if !reflect.DeepEqual(req, wreq) || tag != wtag || errText(err) != errText(werr) {
+		t.Fatalf("request decode of %x:\n got %+v tag %d err %v\nwant %+v tag %d err %v", payload, req, tag, err, wreq, wtag, werr)
+	}
+	resp, tag, err := DecodeBinaryResponse(payload)
+	wresp, wtag, werr := refDecodeBinaryResponse(payload)
+	if !reflect.DeepEqual(resp, wresp) || tag != wtag || errText(err) != errText(werr) {
+		t.Fatalf("response decode of %x:\n got %+v tag %d err %v\nwant %+v tag %d err %v", payload, resp, tag, err, wresp, wtag, werr)
+	}
+}
+
+// TestBinaryDecodersMatchReference is the seeded property test: well-formed
+// payloads of every op (the JSON-wrapped ones included), every prefix of
+// each, and random single-byte damage decode exactly as the reference
+// decoders decode them.
+func TestBinaryDecodersMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	word := func() string {
+		b := make([]byte, rng.Intn(12))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		return string(b)
+	}
+	list := func() []string {
+		out := make([]string, rng.Intn(4))
+		for i := range out {
+			out[i] = word()
+		}
+		return out
+	}
+	for round := 0; round < 300; round++ {
+		reqs := []Request{
+			{Op: "submit", From: word(), To: list(), Subject: word(), Body: word()},
+			{Op: "tbatch", From: word(), Msgs: []BatchMsg{{To: list(), Subject: word(), Body: word()}, {To: list()}}},
+			{Op: "getmail", User: word()},
+			{Op: "checkmail", User: word(), Server: word()},
+			{Op: "register", User: word(), Servers: list()},
+			{Op: "hello", Version: rng.Intn(5), Binary: rng.Intn(2) == 0},
+			{Op: "query", Query: word()},
+		}
+		var frames [][]byte
+		for _, req := range reqs {
+			frames = append(frames, mustFrameRequest(t, req, rng.Uint32()))
+		}
+		resps := []struct {
+			op   byte
+			resp Response
+		}{
+			{binOpSubmit, Response{OK: true, ID: word()}},
+			{binOpSubmit, Response{Error: word(), Code: word()}},
+			{binOpTBatch, Response{OK: true, IDs: list(), Failed: []BatchFailure{{Index: rng.Intn(9), Error: word(), Code: word()}}}},
+			{binOpGetMail, Response{OK: true, Messages: []Message{{ID: word(), From: word(), Subject: word(), Body: word()}}, Polls: rng.Intn(99), LastChecking: rng.Int63()}},
+			{binOpGetMail, Response{OK: true, Polls: rng.Intn(99)}},
+			{binOpCheckMail, Response{OK: true, Messages: []Message{{ID: word()}, {Body: word()}}}},
+			{binOpJSON, Response{OK: true, Version: 3, Binary: true, Matches: list()}},
+		}
+		for _, c := range resps {
+			frame, err := AppendBinaryResponse(nil, c.op, rng.Uint32(), c.resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, frame)
+		}
+		for _, frame := range frames {
+			payload, _, err := splitFrame(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameDecode(t, payload)
+			sameDecode(t, payload[:rng.Intn(len(payload)+1)]) // truncated
+			mut := append([]byte(nil), payload...)
+			mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
+			sameDecode(t, mut) // damaged: op byte, a length, a count, JSON text
+		}
+	}
+}
+
+// TestBinaryGoldenFrames pins the bytes on the wire: one request and one
+// response of each op, recorded from the encoders before the read-path
+// rewrite. The getmail and checkmail responses must come out the same from
+// the []Message form and from the []mail.Stored form the server encodes.
+func TestBinaryGoldenFrames(t *testing.T) {
+	reqs := []struct {
+		req  Request
+		want string
+	}{
+		{Request{Op: "submit", From: "R1.h1.alice", To: []string{"R1.h1.bob", "R2.h9.carol"}, Subject: "hi", Body: "body \"q\"\n\x00"},
+			"3600000001000302010b52312e68312e616c6963650268690a626f6479202271220a00020952312e68312e626f620b52322e68392e6361726f6ca0cc04c8"},
+		{Request{Op: "tbatch", From: "R1.h1.alice", Msgs: []BatchMsg{{To: []string{"R1.h1.bob"}, Subject: "a", Body: "b"}, {To: []string{"R1.h1.bob", "R1.h1.carol"}}}},
+			"3a00000002010302010b52312e68312e616c6963650201610162010952312e68312e626f620000020952312e68312e626f620b52312e68312e6361726f6ca6abc24f"},
+		{Request{Op: "getmail", User: "R1.h1.bob"}, "0f00000003020302010952312e68312e626f62e47f6af3"},
+		{Request{Op: "checkmail", User: "R1.h1.bob", Server: "s2"}, "1200000004030302010952312e68312e626f620273321e22a3fd"},
+		{Request{Op: "register", User: "R1.h1.alice", Servers: []string{"s1", "s2"}},
+			"4100000000040302017b226f70223a227265676973746572222c2275736572223a2252312e68312e616c696365222c2273657276657273223a5b227331222c227332225d7d5438ac09"},
+	}
+	for i, c := range reqs {
+		if got := hex.EncodeToString(mustFrameRequest(t, c.req, uint32(0x01020300+i))); got != c.want {
+			t.Errorf("%s request frame:\n got %s\nwant %s", c.req.Op, got, c.want)
+		}
+	}
+	alice, z := names.MustParse("R1.h1.alice"), names.MustParse("R2.h2.z")
+	resps := []struct {
+		op   byte
+		resp Response
+		want string
+	}{
+		{binOpSubmit, Response{OK: true, ID: "m1-17"}, "0c00000001000c0b0a01056d312d3137aa292378"},
+		{binOpTBatch, Response{OK: true, IDs: []string{"m1-1", "", "m1-3"}, Failed: []BatchFailure{{Index: 1, Error: "no recipients", Code: "unknown_user"}}},
+			"2f00000002010c0b0a0103046d312d3100046d312d3301010c756e6b6e6f776e5f757365720d6e6f20726563697069656e7473be35b298"},
+		{binOpGetMail, Response{OK: true, Messages: []Message{{ID: "m1-1", From: "R1.h1.alice", Subject: "s", Body: "b"}, {ID: "m-3-18446744073709551615", From: "R2.h2.z"}}, Polls: 42, LastChecking: 1700000000000000000},
+			"4800000003020c0b0a0102046d312d310b52312e68312e616c69636501730162186d2d332d31383434363734343037333730393535313631350752322e68322e7a00002a00002a36fe9c97178c35da4c"},
+		{binOpGetMail, Response{OK: true, stored: []mail.Stored{
+			{Message: mail.Message{ID: mail.MessageID{Node: 1, Seq: 1}, From: alice, Subject: "s", Body: "b"}},
+			{Message: mail.Message{ID: mail.MessageID{Node: -3, Seq: math.MaxUint64}, From: z}},
+		}, Polls: 42, LastChecking: 1700000000000000000},
+			"4800000003020c0b0a0102046d312d310b52312e68312e616c69636501730162186d2d332d31383434363734343037333730393535313631350752322e68322e7a00002a00002a36fe9c97178c35da4c"},
+		{binOpCheckMail, Response{OK: true, Messages: []Message{{ID: "m9-9", From: "R2.h2.z", Body: "x"}}}, "1700000004030c0b0a0101046d392d390752322e68322e7a0001784659f3fd"},
+		{binOpCheckMail, Response{OK: true, stored: []mail.Stored{{Message: mail.Message{ID: mail.MessageID{Node: 9, Seq: 9}, From: z, Body: "x"}}}},
+			"1700000004030c0b0a0101046d392d390752322e68322e7a0001784659f3fd"},
+		{binOpJSON, Response{OK: true, Version: 3, Binary: true}, "2b00000000040c0b0a017b226f6b223a747275652c2276657273696f6e223a332c2262696e617279223a747275657d45b1fdfb"},
+		{binOpGetMail, Response{Error: "getmail: no such user", Code: "unknown_user"}, "2900000003050c0b0a000c756e6b6e6f776e5f75736572156765746d61696c3a206e6f207375636820757365722f103bcc"},
+	}
+	tags := []uint32{0, 1, 2, 2, 3, 3, 4, 5} // the stored twins reuse their Messages form's tag
+	for i, c := range resps {
+		frame, err := AppendBinaryResponse(nil, c.op, 0x0a0b0c00+tags[i], c.resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(frame); got != c.want {
+			t.Errorf("response %d (op %d) frame:\n got %s\nwant %s", i, c.op, got, c.want)
+		}
+	}
+}
+
+// TestHandOverEncodingMatchesMessages: for seeded batches, the frame encoded
+// straight from []mail.Stored is the frame its []Message conversion encodes
+// to, and encoding leaves the batch as it found it.
+func TestHandOverEncodingMatchesMessages(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		batch := make([]mail.Stored, 1+rng.Intn(5))
+		for i := range batch {
+			batch[i].ID = mail.MessageID{Node: graph.NodeID(rng.Intn(7) - 3), Seq: rng.Uint64() >> uint(rng.Intn(64))}
+			batch[i].From = names.Name{Region: "R" + strconv.Itoa(rng.Intn(99)), Host: "h" + strconv.Itoa(rng.Intn(999)), User: strings.Repeat("u", 1+rng.Intn(40))}
+			batch[i].Subject = strings.Repeat("s", rng.Intn(200))
+			batch[i].Body = strings.Repeat("b", rng.Intn(3000))
+		}
+		before := append([]mail.Stored(nil), batch...)
+		for _, op := range []byte{binOpGetMail, binOpCheckMail} {
+			direct, err := AppendBinaryResponse(nil, op, 5, Response{OK: true, stored: batch, Polls: 3, LastChecking: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaMessages, err := AppendBinaryResponse(nil, op, 5, Response{OK: true, Messages: wireMessages(batch), Polls: 3, LastChecking: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(direct, viaMessages) {
+				t.Fatalf("round %d op %d: frames differ:\n%x\n%x", round, op, direct, viaMessages)
+			}
+		}
+		if !reflect.DeepEqual(batch, before) {
+			t.Fatalf("round %d: encoding wrote to the batch", round)
+		}
+	}
+}
+
+// TestFrameBufPoolDropsLargeBuffers: a MaxLine-sized frame grows the reader's
+// buffer; returning that buffer must not leave a megabyte in the pool for
+// the next taker.
+func TestFrameBufPoolDropsLargeBuffers(t *testing.T) {
+	frame := mustFrameRequest(t, Request{Op: "submit", From: "R1.h1.a", To: []string{"R1.h1.b"}, Body: strings.Repeat("x", MaxLine-64)}, 1)
+	for round := 0; round < 8; round++ {
+		cr := newConnReader(bytes.NewReader(frame))
+		bp := getFrameBuf()
+		if _, err := cr.readFrame(bp); err != nil {
+			t.Fatal(err)
+		}
+		if cap(*bp) < MaxLine-64 {
+			t.Fatalf("reader buffer did not grow: cap %d", cap(*bp))
+		}
+		putFrameBuf(bp)
+		cr.release()
+	}
+	for i := 0; i < 64; i++ {
+		bp := getFrameBuf()
+		if cap(*bp) > connReaderBufSize {
+			t.Fatalf("pool handed out a %d-byte buffer after a large frame", cap(*bp))
+		}
+		defer putFrameBuf(bp) // keep them out of the pool so each Get is a different buffer
+	}
 }

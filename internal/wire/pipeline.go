@@ -35,6 +35,12 @@ var errPipelineClosed = errors.New("wire: pipeline closed")
 // transport (a pipelined stream has no request boundaries to resynchronize
 // on), every in-flight and future request fails with the same error, and
 // Close drops the connection so the next Client use starts fresh.
+//
+// Do does not write to the socket. It encodes the request behind whatever is
+// already waiting in the pipeline's output buffer and returns; one writer
+// goroutine per pipeline swaps that buffer for an empty one and sends what
+// accumulated in a single write, so a burst of requests costs one write(2),
+// not one each, and a lone request goes out as soon as the writer wakes.
 type Pipeline struct {
 	c      *Client
 	binary bool
@@ -42,20 +48,25 @@ type Pipeline struct {
 	sem    chan struct{} // one slot per in-flight request
 	expect chan struct{} // one token per successfully written request
 
-	wmu sync.Mutex // serializes writes; fifo append happens under it
-
 	mu      sync.Mutex
+	wake    *sync.Cond         // the writer waits here for output, failure or Close
+	out     []byte             // encoded requests not yet handed to the socket
+	outN    int                // how many requests out holds
 	pending map[uint32]*Future // binary: tag → future
 	fifo    []*Future          // text: response order
 	werr    error              // sticky transport failure
 	closed  bool
 
+	writerDone chan struct{}
 	readerDone chan struct{}
 }
 
-// Future is one pipelined request's pending result.
+// Future is one pipelined request's pending result. It is a single
+// allocation — the wait is an embedded WaitGroup, not a channel — and stays
+// readable for good: Response may be called any number of times, from any
+// goroutine, and returns the same result each time.
 type Future struct {
-	done chan struct{}
+	done sync.WaitGroup
 	resp Response
 	err  error
 }
@@ -63,7 +74,7 @@ type Future struct {
 // Response blocks until the request completes and returns its result, with
 // refused responses mapped to typed errors exactly like Client.Do.
 func (f *Future) Response() (Response, error) {
-	<-f.done
+	f.done.Wait()
 	return f.resp, f.err
 }
 
@@ -98,8 +109,11 @@ func (c *Client) Pipeline(ctx context.Context, maxInflight int) (*Pipeline, erro
 		sem:        make(chan struct{}, maxInflight),
 		expect:     make(chan struct{}, maxInflight),
 		pending:    make(map[uint32]*Future),
+		writerDone: make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
+	p.wake = sync.NewCond(&p.mu)
+	go p.writer()
 	go p.reader()
 	return p, nil
 }
@@ -107,75 +121,77 @@ func (c *Client) Pipeline(ctx context.Context, maxInflight int) (*Pipeline, erro
 // Do pipelines one request. It blocks only when maxInflight requests are
 // already outstanding (the pipeline's backpressure), then returns a Future.
 func (p *Pipeline) Do(req Request) *Future {
-	f := &Future{done: make(chan struct{})}
-	if err := p.broken(); err != nil {
-		f.resp, f.err = Response{}, err
-		close(f.done)
-		return f
-	}
+	f := new(Future)
+	f.done.Add(1)
 	p.sem <- struct{}{} // in-flight slot; released when the future completes
-	p.wmu.Lock()
-	var (
-		frame  []byte
-		bp     *[]byte
-		encErr error
-		tag    uint32
-	)
-	if p.binary {
-		tag = p.c.nextTag()
-		bp = getFrameBuf()
-		frame, encErr = AppendBinaryRequest((*bp)[:0], req, tag)
-	} else {
-		frame, encErr = EncodeRequest(req)
-	}
-	if encErr != nil {
-		if bp != nil {
-			putFrameBuf(bp)
-		}
-		p.wmu.Unlock()
-		p.finish(f, Response{}, encErr) // this request never touched the wire
-		return f
-	}
-	// Register before the bytes go out so a fast response can never beat the
-	// bookkeeping; registration order under wmu is write order, which is
-	// what FIFO matching in text mode relies on.
 	p.mu.Lock()
-	if p.werr != nil || p.closed {
-		err := p.werr
-		if err == nil {
-			err = errPipelineClosed
+	err := p.werr
+	if err == nil && p.closed {
+		err = errPipelineClosed
+	}
+	var tag uint32
+	if err == nil {
+		if p.binary {
+			tag = p.c.nextTag()
+			p.out, err = AppendBinaryRequest(p.out, req, tag)
+		} else {
+			var line []byte
+			line, err = EncodeRequest(req)
+			p.out = append(p.out, line...)
 		}
+	}
+	if err != nil {
 		p.mu.Unlock()
-		if bp != nil {
-			putFrameBuf(bp)
-		}
-		p.wmu.Unlock()
-		p.finish(f, Response{}, err)
+		p.finish(f, Response{}, err) // this request never touched the wire
 		return f
 	}
+	// Registered under the same lock the bytes are queued under, so a fast
+	// response can never beat the bookkeeping, and registration order is
+	// write order, which is what FIFO matching in text mode relies on.
 	if p.binary {
 		p.pending[tag] = f
 	} else {
 		p.fifo = append(p.fifo, f)
 	}
+	p.outN++
 	p.mu.Unlock()
-	if t := p.c.opts.Timeout; t > 0 {
-		_ = p.c.conn.SetWriteDeadline(time.Now().Add(t))
-	}
-	_, werr := p.c.conn.Write(frame)
-	if bp != nil {
-		*bp = frame
-		putFrameBuf(bp)
-	}
-	p.wmu.Unlock()
-	if werr != nil {
-		// Mid-stream write failure: the connection's framing state is gone,
-		// so everything in flight (including f, already registered) fails.
-		p.failAll(werr)
-		return f
-	}
-	p.expect <- struct{}{}
+	p.wake.Signal()
 	return f
+}
+
+// writer sends what Do queued, one write per wake-up, and issues the reader
+// one expect token per request written. It exits on the first transport
+// failure (its own or the reader's) and, once Close was called, when nothing
+// is left to send.
+func (p *Pipeline) writer() {
+	defer close(p.writerDone)
+	var spare []byte
+	for {
+		p.mu.Lock()
+		for p.outN == 0 && !p.closed && p.werr == nil {
+			p.wake.Wait()
+		}
+		if p.outN == 0 || p.werr != nil {
+			p.mu.Unlock()
+			return
+		}
+		buf, n := p.out, p.outN
+		p.out, p.outN = spare[:0], 0
+		p.mu.Unlock()
+		if t := p.c.opts.Timeout; t > 0 {
+			_ = p.c.conn.SetWriteDeadline(time.Now().Add(t))
+		}
+		if _, err := p.c.conn.Write(buf); err != nil {
+			// Mid-stream write failure: the connection's framing state is
+			// gone, so everything in flight fails.
+			p.failAll(err)
+			return
+		}
+		for ; n > 0; n-- {
+			p.expect <- struct{}{}
+		}
+		spare = buf
+	}
 }
 
 // Submit pipelines one submit request.
@@ -190,15 +206,17 @@ func (p *Pipeline) SubmitBatch(from string, msgs []BatchMsg) *Future {
 	return p.Do(Request{Op: "tbatch", From: from, Msgs: msgs})
 }
 
-// Close waits for every in-flight request to complete, stops the response
-// reader, and returns the pipeline's sticky transport error, if any (in
-// which case the underlying connection is dropped so the Client's next use
-// reconnects). No Do may be issued concurrently with or after Close.
+// Close waits for every in-flight request to complete, joins the writer and
+// the response reader, and returns the pipeline's sticky transport error, if
+// any (in which case the underlying connection is dropped so the Client's
+// next use reconnects). No Do may be issued concurrently with or after Close.
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
 	already := p.closed
 	p.closed = true
 	p.mu.Unlock()
+	p.wake.Signal()
+	<-p.writerDone // everything queued has been written, or the pipeline failed
 	if !already {
 		close(p.expect)
 	}
@@ -214,24 +232,10 @@ func (p *Pipeline) Close() error {
 	return nil
 }
 
-// broken returns the sticky error, or closure, if the pipeline cannot
-// accept work.
-func (p *Pipeline) broken() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.werr != nil {
-		return p.werr
-	}
-	if p.closed {
-		return errPipelineClosed
-	}
-	return nil
-}
-
 // finish completes one future and releases its in-flight slot.
 func (p *Pipeline) finish(f *Future, resp Response, err error) {
 	f.resp, f.err = resp, err
-	close(f.done)
+	f.done.Done()
 	<-p.sem
 }
 
@@ -248,6 +252,7 @@ func (p *Pipeline) failAll(err error) {
 	fifo := p.fifo
 	p.fifo = nil
 	p.mu.Unlock()
+	p.wake.Signal() // the writer has nothing left to wait for
 	for _, f := range pend {
 		p.finish(f, Response{}, err)
 	}

@@ -88,10 +88,15 @@ const (
 	protoQuery  = 3 // query verb (sketch-pruned content search)
 )
 
-// writeStallTimeout bounds one response write. A peer that stops reading
-// cannot wedge a pool worker forever: the write times out, the connection is
-// closed, and the worker moves on.
+// writeStallTimeout bounds one flush of a connection's buffered responses. A
+// peer that stops reading cannot wedge a pool worker forever: the write times
+// out, the connection is closed, and the worker moves on.
 const writeStallTimeout = 30 * time.Second
+
+// outFlushSize is how much buffered output makes a worker flush before its
+// batch ends. Half of what putFrameBuf still pools: flushing only at the
+// pooling limit would grow the buffer past it, and throw it away, every time.
+const outFlushSize = connReaderBufSize / 2
 
 // Request is the client→server frame.
 type Request struct {
@@ -184,6 +189,11 @@ type Response struct {
 	// Binary, on hello responses, confirms the connection switches to the
 	// v3 binary framing after this response.
 	Binary bool `json:"binary,omitempty"`
+	// stored, on the server, is a getmail/checkmail result still in the form
+	// the mailbox gave it up in; binary responses are encoded straight from
+	// it (appendStored) and text ones convert it to Messages. Read only: the
+	// slice may be one a mailbox handed over (livenet.Agent.TakeMail).
+	stored []mail.Stored
 	// Polls is the user's cumulative server-poll count after a getmail walk
 	// (v3 servers); LastChecking is the walk's LastCheckingTime in UnixNano.
 	// Together they let remote load generators run the paper's §3.1.2c poll
@@ -246,7 +256,8 @@ type Server struct {
 	pool       *server.WorkPool
 	queueDepth int
 	maxProto   int
-	termIndex  bool // cluster runs the term index; query verb is servable
+	termIndex  bool          // cluster runs the term index; query verb is servable
+	writeStall time.Duration // writeStallTimeout; tests shorten it
 
 	bytesIn   *obs.Counter
 	bytesOut  *obs.Counter
@@ -260,8 +271,17 @@ type Server struct {
 
 	// agents holds one server-side agent per user so the getmail op uses
 	// the paper's retrieval algorithm with persistent LastCheckingTime.
+	// agentMu guards the map only; a walk runs under its own agent's lock, so
+	// retrievals for different users proceed in parallel.
 	agentMu sync.Mutex
-	agents  map[names.Name]*livenet.Agent
+	agents  map[names.Name]*userAgent
+}
+
+// userAgent is one user's server-side agent and the lock that makes it the
+// single actor livenet.Agent requires, whichever connections poll for it.
+type userAgent struct {
+	mu sync.Mutex
+	a  *livenet.Agent
 }
 
 // NewServer builds a memory-backed cluster with the given server names and
@@ -314,12 +334,13 @@ func NewServerWith(addr string, serverNames []string, cfg ServerConfig) (*Server
 		queueDepth: cfg.QueueDepth,
 		maxProto:   maxProto,
 		termIndex:  cfg.Cluster.TermIndex,
+		writeStall: writeStallTimeout,
 		bytesIn:    reg.Counter("wire_bytes_in"),
 		bytesOut:   reg.Counter("wire_bytes_out"),
 		decodeLat:  reg.Histogram("lat_wire_decode", nil),
 		ln:         ln,
 		conns:      make(map[net.Conn]struct{}),
-		agents:     make(map[names.Name]*livenet.Agent),
+		agents:     make(map[names.Name]*userAgent),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -373,24 +394,61 @@ func (s *Server) acceptLoop() {
 }
 
 // connState is one connection's negotiated protocol state plus its write
-// half. ver and binary are written only by hello work items; the reader
-// observes the framing switch through the hello's completion channel and
-// workers through the queue's own ordering, so no extra lock is needed for
-// them. wmu serializes the rare cross-goroutine writes (a reader-side
-// framing error racing a worker's response).
+// half. ver, binary and helloDone are touched only by the worker holding the
+// connection's queue; the reader observes the framing switch through the
+// hello's completion channel, so no extra lock is needed for them.
+//
+// respond appends each response to out; the buffer goes to the socket in one
+// write at the queue's batch end (Run), early past outFlushSize, and at once
+// behind a reader-side error answer — no timer: a lone request is a batch of
+// one (DESIGN §10). out is borrowed from frameBufPool while it holds
+// something. wmu guards it: the reader's error answers race the worker's.
 type connState struct {
-	srv    *Server
-	conn   net.Conn
-	ver    int
-	binary bool
-	wmu    sync.Mutex
+	srv       *Server
+	conn      net.Conn
+	ver       int
+	binary    bool
+	helloDone chan struct{} // closed, after the flush, by the batch end that follows a hello
+
+	wmu sync.Mutex
+	out *[]byte
 }
 
-func (st *connState) write(b []byte) error {
+// respond appends one response, in the framing the request arrived in, to the
+// connection's output buffer.
+func (st *connState) respond(bin bool, op byte, tag uint32, resp Response) {
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
-	_ = st.conn.SetWriteDeadline(time.Now().Add(writeStallTimeout))
-	n, err := st.conn.Write(b)
+	if st.out == nil {
+		st.out = getFrameBuf()
+	}
+	buf := *st.out
+	if bin {
+		var err error
+		if buf, err = AppendBinaryResponse(buf, op, tag, resp); err != nil {
+			buf, _ = AppendBinaryResponse(buf, op, tag, Response{Error: "response too large", Code: mailerr.Code(err)})
+		}
+	} else {
+		if resp.stored != nil {
+			resp.Messages = wireMessages(resp.stored)
+		}
+		line, err := EncodeResponse(resp)
+		if err != nil {
+			line, _ = EncodeResponse(Response{Error: "response too large", Code: mailerr.Code(err)})
+		}
+		buf = append(buf, line...)
+	}
+	*st.out = buf
+	if len(buf) >= outFlushSize {
+		st.writeLocked()
+	}
+}
+
+// writeLocked sends the buffered output in one write and empties the buffer.
+// Caller holds wmu.
+func (st *connState) writeLocked() {
+	_ = st.conn.SetWriteDeadline(time.Now().Add(st.srv.writeStall))
+	n, err := st.conn.Write(*st.out)
 	if n > 0 {
 		st.srv.bytesOut.Add(int64(n))
 	}
@@ -398,35 +456,52 @@ func (st *connState) write(b []byte) error {
 		// A dead or stalled peer: close so the reader unblocks too.
 		_ = st.conn.Close()
 	}
-	return err
+	*st.out = (*st.out)[:0]
 }
 
-func (st *connState) writeText(resp Response) {
-	b, err := EncodeResponse(resp)
-	if err != nil {
-		b, _ = EncodeResponse(Response{Error: "response too large", Code: mailerr.Code(err)})
+// flush sends whatever is buffered and gives the buffer back.
+func (st *connState) flush() {
+	st.wmu.Lock()
+	if st.out != nil {
+		if len(*st.out) > 0 {
+			st.writeLocked()
+		}
+		putFrameBuf(st.out)
+		st.out = nil
 	}
-	_ = st.write(b)
+	st.wmu.Unlock()
 }
 
-func (st *connState) writeBinary(op byte, tag uint32, resp Response) {
-	bp := getFrameBuf()
-	frame, err := AppendBinaryResponse((*bp)[:0], op, tag, resp)
-	if err != nil {
-		frame, _ = AppendBinaryResponse((*bp)[:0], op, tag,
-			Response{Error: "response too large", Code: mailerr.Code(err)})
+// Run is the batch end of the connection's work queue: one write for all the
+// responses the batch produced. A hello is always the last item of its batch
+// (the reader waits for it), so the flush here is also what puts the
+// handshake response on the wire before the reader moves on.
+func (st *connState) Run() {
+	st.flush()
+	if st.helloDone != nil {
+		close(st.helloDone)
+		st.helloDone = nil
 	}
-	_ = st.write(frame)
-	*bp = frame
-	putFrameBuf(bp)
 }
 
-func (st *connState) respond(bin bool, op byte, tag uint32, resp Response) {
-	if bin {
-		st.writeBinary(op, tag, resp)
-	} else {
-		st.writeText(resp)
-	}
+// work is one decoded request on its way through a connection's queue. Items
+// are pooled: the reader fills every field, and Run — the only thing that
+// ever happens to a queued item — empties it and puts it back, so no body,
+// tag or connection outlives its request there.
+type work struct {
+	st  *connState
+	req Request
+	tag uint32
+	bin bool
+	op  byte
+}
+
+var workPool = sync.Pool{New: func() any { return new(work) }}
+
+func (w *work) Run() {
+	w.st.respond(w.bin, w.op, w.tag, w.st.srv.dispatch(w.req, w.st))
+	*w = work{}
+	workPool.Put(w)
 }
 
 // countingReader feeds the wire_bytes_in counter from the socket reads
@@ -452,11 +527,12 @@ func (cr countingReader) Read(p []byte) (int, error) {
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	st := &connState{srv: s, conn: conn, ver: 1}
-	q := s.pool.NewQueue(s.queueDepth)
+	q := s.pool.NewQueue(s.queueDepth, st)
 	cr := newConnReader(countingReader{r: conn, c: s.bytesIn})
 	framep := getFrameBuf()
 	defer func() {
 		q.Close()
+		st.flush() // what the worker has answered so far still goes out
 		putFrameBuf(framep)
 		cr.release()
 		s.mu.Lock()
@@ -483,7 +559,7 @@ func (s *Server) serveTextLine(cr *connReader, q *server.WorkQueue, st *connStat
 		// A line past MaxLine cannot be consumed; tell the client why
 		// instead of silently hanging up on them.
 		if errors.Is(err, ErrLineTooLong) {
-			st.writeText(Response{
+			st.answerAndFlush(false, 0, Response{
 				Error: fmt.Sprintf("request line exceeds %d bytes", MaxLine),
 				Code:  mailerr.CodeOversized,
 			})
@@ -495,7 +571,7 @@ func (s *Server) serveTextLine(cr *connReader, q *server.WorkQueue, st *connStat
 	s.decodeLat.Observe(float64(time.Since(start)))
 	if derr != nil {
 		resp := Response{Error: fmt.Sprintf("bad request: %v", derr), Code: mailerr.Code(derr)}
-		return q.Enqueue(func() { st.writeText(resp) })
+		return q.Enqueue(func() { st.respond(false, 0, 0, resp) })
 	}
 	return s.enqueue(q, st, req, 0, false)
 }
@@ -504,7 +580,7 @@ func (s *Server) serveBinaryFrame(cr *connReader, framep *[]byte, q *server.Work
 	payload, err := cr.readFrame(framep)
 	if err != nil {
 		if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrFrameCorrupt) {
-			st.writeBinary(binOpJSON, 0, Response{Error: err.Error(), Code: mailerr.Code(err)})
+			st.answerAndFlush(true, 0, Response{Error: err.Error(), Code: mailerr.Code(err)})
 		}
 		return false
 	}
@@ -514,33 +590,47 @@ func (s *Server) serveBinaryFrame(cr *connReader, framep *[]byte, q *server.Work
 	if derr != nil {
 		// The frame checksummed clean but the payload is malformed: the
 		// peer's codec cannot be trusted, so answer and drop the connection.
-		st.writeBinary(binOpJSON, tag, Response{Error: derr.Error(), Code: mailerr.Code(derr)})
+		st.answerAndFlush(true, tag, Response{Error: derr.Error(), Code: mailerr.Code(derr)})
 		return false
 	}
 	return s.enqueue(q, st, req, tag, true)
 }
 
-// enqueue hands one decoded request to the connection's work queue. hello is
-// special: the reader must not read the next bytes until the handshake
-// response is out and the framing switch (if granted) applied, so it waits
-// for the work item to finish — which also orders the switch after every
-// earlier response on the queue.
+// answerAndFlush is the reader's own answer to input it cannot queue (an
+// oversized line, a bad CRC, a malformed payload), sent just before it drops
+// the connection: appended behind whatever the worker has buffered so far and
+// written at once, so the peer learns why.
+func (st *connState) answerAndFlush(bin bool, tag uint32, resp Response) {
+	st.respond(bin, binOpJSON, tag, resp)
+	st.flush()
+}
+
+// enqueue hands one decoded request to the connection's work queue, as a
+// pooled work item.
 func (s *Server) enqueue(q *server.WorkQueue, st *connState, req Request, tag uint32, bin bool) bool {
-	op := binaryOpFor(req.Op)
 	if req.Op == "hello" {
-		done := make(chan struct{})
-		ok := q.Enqueue(func() {
-			defer close(done)
-			st.respond(bin, op, tag, s.opHello(req, st))
-		})
-		if ok {
-			<-done
-		}
-		return ok
+		return s.enqueueHello(q, st, req, tag, bin)
 	}
-	return q.Enqueue(func() {
-		st.respond(bin, op, tag, s.dispatch(req, st))
+	w := workPool.Get().(*work)
+	w.st, w.req, w.tag, w.bin, w.op = st, req, tag, bin, binaryOpFor(req.Op)
+	return q.EnqueueRunner(w)
+}
+
+// enqueueHello is enqueue for the handshake. The reader must not read the
+// next bytes until the handshake response is out and the framing switch (if
+// granted) applied, so it waits for the batch end behind the hello item —
+// which also orders the switch after every earlier response on the queue.
+// A function of its own: the closure makes its req a heap variable.
+func (s *Server) enqueueHello(q *server.WorkQueue, st *connState, req Request, tag uint32, bin bool) bool {
+	done := make(chan struct{})
+	ok := q.Enqueue(func() {
+		st.respond(bin, binOpJSON, tag, s.opHello(req, st))
+		st.helloDone = done
 	})
+	if ok {
+		<-done
+	}
+	return ok
 }
 
 func (s *Server) dispatch(req Request, st *connState) Response {
@@ -630,7 +720,7 @@ func (s *Server) opSubmit(req Request) Response {
 	if err != nil {
 		return fail("from: %v", err)
 	}
-	var to []names.Name
+	to := make([]names.Name, 0, len(req.To))
 	for _, raw := range req.To {
 		n, err := names.Parse(raw)
 		if err != nil {
@@ -781,7 +871,7 @@ func (s *Server) opCheckMail(req Request) Response {
 	if err != nil {
 		return failErr("checkmail", err)
 	}
-	return Response{OK: true, Messages: wireMessages(msgs)}
+	return Response{OK: true, stored: msgs}
 }
 
 func (s *Server) opGetMail(req Request) Response {
@@ -790,23 +880,25 @@ func (s *Server) opGetMail(req Request) Response {
 		return fail("user: %v", err)
 	}
 	s.agentMu.Lock()
-	agent, ok := s.agents[user]
-	if !ok {
-		agent, err = s.cluster.NewAgent(user)
+	ua := s.agents[user]
+	if ua == nil {
+		agent, err := s.cluster.NewAgent(user)
 		if err != nil {
 			s.agentMu.Unlock()
 			return failErr("getmail", err)
 		}
-		s.agents[user] = agent
+		ua = &userAgent{a: agent}
+		s.agents[user] = ua
 	}
-	msgs := agent.GetMail()
-	polls := agent.Polls()
-	last := agent.LastCheckingTime().UnixNano()
-	// The response owns the batch now; agents live as long as the server,
-	// so one that kept its inbox would retain every body it ever returned.
-	agent.DropInbox()
 	s.agentMu.Unlock()
-	return Response{OK: true, Messages: wireMessages(msgs), Polls: polls, LastChecking: last}
+	// The response takes the batch over: agents live as long as the server,
+	// so one that kept its inbox would retain every body it ever returned.
+	ua.mu.Lock()
+	msgs := ua.a.TakeMail()
+	polls := ua.a.Polls()
+	last := ua.a.LastCheckingTime().UnixNano()
+	ua.mu.Unlock()
+	return Response{OK: true, stored: msgs, Polls: polls, LastChecking: last}
 }
 
 func (s *Server) opStatus() Response {
