@@ -162,6 +162,33 @@ bench-compare:
 	@test -n "$(OLD)" && test -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.json NEW=new.json" >&2; exit 2; }
 	bash bench/run.sh compare $(OLD) $(NEW)
 
+# Bench pairs: N alternating parent/change runs of one workload, the way a
+# change that claims a gain is measured (EXPERIMENTS E23 onwards did this by
+# hand). REF is checked out with `git worktree` under .bench_build/pairs/ref;
+# both sides build and run through their own bench/run.sh from their own
+# checkout, pair i runs seed i on both sides (the allocation counts repeat per
+# seed), the side that goes first alternates from pair to pair, and each side
+# appends to its own run document, which bench/run.sh compare then judges.
+# The worktree stays for the next call (another WORKLOAD, another REF);
+# `git worktree remove --force .bench_build/pairs/ref` takes it away.
+#   make bench-pairs REF=HEAD~1 WORKLOAD=sim_deliver N=10
+N ?= 10
+.PHONY: bench-pairs
+bench-pairs:
+	@test -n "$(REF)" && test -n "$(WORKLOAD)" || { echo "usage: make bench-pairs REF=<commit> WORKLOAD=<name> [N=10]" >&2; exit 2; }
+	@mkdir -p .bench_build/pairs
+	@test -d .bench_build/pairs/ref || git worktree add --detach .bench_build/pairs/ref $(REF)
+	git -C .bench_build/pairs/ref checkout --detach $(REF)
+	@rm -f .bench_build/pairs/ref-$(WORKLOAD).json .bench_build/pairs/new-$(WORKLOAD).json
+	@set -e; here=$$PWD; \
+	ref() { (cd $$here/.bench_build/pairs/ref && bash bench/run.sh -workload $(WORKLOAD) -seed $$1 -trace 0 -o $$here/.bench_build/pairs/ref-$(WORKLOAD).json | tail -1); }; \
+	new() { bash bench/run.sh -workload $(WORKLOAD) -seed $$1 -trace 0 -o $$here/.bench_build/pairs/new-$(WORKLOAD).json | tail -1; }; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then echo "pair $$i: ref, new"; ref $$i; new $$i; \
+		else echo "pair $$i: new, ref"; new $$i; ref $$i; fi; \
+	done
+	bash bench/run.sh compare .bench_build/pairs/ref-$(WORKLOAD).json .bench_build/pairs/new-$(WORKLOAD).json
+
 # Durability bench: the acceptance run behind BENCH_PR6.json — the
 # million-user/64-server sweep with durable stores off, on (fsync never and
 # always), and on + kill-restart chaos; reports WAL append throughput and

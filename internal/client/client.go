@@ -94,18 +94,27 @@ type Stats struct {
 // lookup map; the indirection keeps the client testable.
 type Directory func(graph.NodeID) *server.Server
 
-// Agent is one user's mail agent.
+// Agent is one user's mail agent. Of a large population nearly every agent
+// is idle, so an agent is one allocation until something happens to it: the
+// authority list is the caller's (or a directory's) own slice, the duplicate
+// memory holds its first IDs inline, and PreviouslyUnavailableServers is made
+// by the first failed probe.
 type Agent struct {
-	user        names.Name
-	host        *Host
-	net         *netsim.Network
-	servers     Directory
-	authority   []graph.NodeID // replaced, never edited: may be a directory's stored list
+	user    names.Name
+	host    *Host
+	net     *netsim.Network
+	servers Directory
+	// authority is shared and immutable: NewAgent, SetAuthority and the
+	// name-server refresh install the slice they are given (a host's list, a
+	// directory's stored list) and Authority hands it out, so neither the
+	// agent, nor whoever supplied a list, nor whoever read it may write to it.
+	// A change of placement is a new slice.
+	authority   []graph.NodeID
 	nameServers []graph.NodeID // non-empty = §3.1.2a name-server mode
 
 	lastChecking  sim.Time
-	prevUnavail   map[graph.NodeID]bool
-	seen          map[mail.MessageID]bool
+	prevUnavail   map[graph.NodeID]bool // nil until a probe fails
+	seen          mail.IDSet
 	inbox         []mail.Stored
 	notifications []server.Notify
 
@@ -113,7 +122,8 @@ type Agent struct {
 }
 
 // NewAgent creates an agent for user attached to host, with the given
-// ordered authority-server list.
+// ordered authority-server list, which the agent keeps and the caller must
+// not modify afterwards (see Agent.authority).
 func NewAgent(user names.Name, host *Host, servers Directory, authority []graph.NodeID) (*Agent, error) {
 	if host == nil {
 		return nil, ErrNotAttached
@@ -122,13 +132,11 @@ func NewAgent(user names.Name, host *Host, servers Directory, authority []graph.
 		return nil, fmt.Errorf("client: %v has an empty authority list", user)
 	}
 	a := &Agent{
-		user:        user,
-		host:        host,
-		net:         host.net,
-		servers:     servers,
-		authority:   append([]graph.NodeID(nil), authority...),
-		prevUnavail: make(map[graph.NodeID]bool),
-		seen:        make(map[mail.MessageID]bool),
+		user:      user,
+		host:      host,
+		net:       host.net,
+		servers:   servers,
+		authority: authority,
 	}
 	host.agents[user] = a
 	return a, nil
@@ -137,20 +145,19 @@ func NewAgent(user names.Name, host *Host, servers Directory, authority []graph.
 // User returns the agent's user name.
 func (a *Agent) User() names.Name { return a.user }
 
-// Authority returns the agent's ordered authority-server list.
-func (a *Agent) Authority() []graph.NodeID {
-	return append([]graph.NodeID(nil), a.authority...)
-}
+// Authority returns the agent's ordered authority-server list: the stored
+// slice itself, read-only for the caller.
+func (a *Agent) Authority() []graph.NodeID { return a.authority }
 
 // SetAuthority replaces the locally kept authority list (pushed after a
-// reconfiguration). Each push is the maintenance overhead §3.1.2a warns
-// about: "the lists still need to be updated when there are changes in
-// system configurations."
+// reconfiguration) with list, which the caller gives up. Each push is the
+// maintenance overhead §3.1.2a warns about: "the lists still need to be
+// updated when there are changes in system configurations."
 func (a *Agent) SetAuthority(list []graph.NodeID) error {
 	if len(list) == 0 {
 		return fmt.Errorf("client: empty authority list for %v", a.user)
 	}
-	a.authority = append([]graph.NodeID(nil), list...)
+	a.authority = list
 	a.stats.ListUpdates++
 	return nil
 }
@@ -200,17 +207,11 @@ func (a *Agent) refreshAuthority() {
 // Stats returns a copy of the agent's counters.
 func (a *Agent) Stats() Stats { return a.stats }
 
-// Inbox returns the messages retrieved so far (since the last DropInbox),
-// in retrieval order.
+// Inbox returns the messages retrieved so far (since the last TakeMail), in
+// retrieval order.
 func (a *Agent) Inbox() []mail.Stored {
 	return append([]mail.Stored(nil), a.inbox...)
 }
-
-// DropInbox releases the retrieved messages the agent holds, for owners that
-// have read what GetMail returned and keep the agent alive for a long run.
-// The duplicate-suppression memory stays, so a copy that failed over to a
-// second server is still recognised.
-func (a *Agent) DropInbox() { a.inbox = nil }
 
 // Notifications returns the mail-arrival alerts received so far (since the
 // last DropNotifications).
@@ -287,7 +288,7 @@ func (a *Agent) Login() error {
 // Seen reports whether the agent has already delivered this message to the
 // user — the query half of the dedup set NoteDelivered seeds. Migration
 // drains consult it so straggler copies are discarded rather than credited.
-func (a *Agent) Seen(id mail.MessageID) bool { return a.seen[id] }
+func (a *Agent) Seen(id mail.MessageID) bool { return a.seen.Has(id) }
 
 // NoteDelivered seeds the duplicate-suppression set with message IDs that
 // reached the user out of band — e.g. a §3.1.4 migration drain collected
@@ -298,11 +299,10 @@ func (a *Agent) Seen(id mail.MessageID) bool { return a.seen[id] }
 func (a *Agent) NoteDelivered(ids []mail.MessageID) []mail.MessageID {
 	fresh := make([]mail.MessageID, 0, len(ids))
 	for _, id := range ids {
-		if a.seen[id] {
+		if !a.seen.Add(id) {
 			a.stats.Duplicates++
 			continue
 		}
-		a.seen[id] = true
 		fresh = append(fresh, id)
 	}
 	return fresh
@@ -318,6 +318,10 @@ func (a *Agent) Logout() error {
 }
 
 // poll retrieves mail from one server, updating counters and the dedup set.
+// CheckMail gives its slice away, so when the inbox is empty and nothing is a
+// duplicate the agent adopts it as the inbox instead of copying it — with its
+// capacity clipped, so that a later poll's append moves to a fresh array and
+// never writes the adopted one (livenet.Agent.poll's rule).
 func (a *Agent) poll(id graph.NodeID) (got int) {
 	srv := a.servers(id)
 	if srv == nil {
@@ -328,18 +332,27 @@ func (a *Agent) poll(id graph.NodeID) (got int) {
 		a.stats.PollCost += 2 * c // round trip
 	}
 	msgs, err := srv.CheckMail(a.user)
-	if err != nil {
+	if err != nil || len(msgs) == 0 {
 		return 0
 	}
-	for _, m := range msgs {
-		if a.seen[m.ID] {
+	adopt := len(a.inbox) == 0
+	for i := range msgs {
+		if !a.seen.Add(msgs[i].ID) {
 			a.stats.Duplicates++
+			if adopt {
+				adopt = false
+				a.inbox = append(a.inbox, msgs[:i]...)
+			}
 			continue
 		}
-		a.seen[m.ID] = true
-		a.inbox = append(a.inbox, m)
+		if !adopt {
+			a.inbox = append(a.inbox, msgs[i])
+		}
 		a.stats.Received++
 		got++
+	}
+	if adopt {
+		a.inbox = msgs[:len(msgs):len(msgs)]
 	}
 	return got
 }
@@ -368,6 +381,22 @@ func (a *Agent) GetMailContext(ctx context.Context) ([]mail.Stored, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
+	return append([]mail.Stored(nil), a.inbox[a.walk():]...), nil
+}
+
+// TakeMail is GetMail for an owner that reads the batch once and keeps the
+// agent alive for a long run (livenet.Agent.TakeMail's contract): the walk's
+// messages are handed over, not copied, and the agent forgets its inbox. The
+// duplicate-suppression memory stays, so a copy that failed over to a second
+// server is still recognised.
+func (a *Agent) TakeMail() []mail.Stored {
+	out := a.inbox[a.walk():]
+	a.inbox = nil
+	return out
+}
+
+// walk runs one retrieval and returns where in the inbox its messages start.
+func (a *Agent) walk() int {
 	a.refreshAuthority()
 	a.stats.Retrievals++
 	before := len(a.inbox)
@@ -387,6 +416,9 @@ func (a *Agent) GetMailContext(ctx context.Context) ([]mail.Stored, error) {
 			}
 		} else {
 			a.stats.FailedProbes++
+			if a.prevUnavail == nil {
+				a.prevUnavail = make(map[graph.NodeID]bool)
+			}
 			a.prevUnavail[s] = true
 		}
 	}
@@ -401,7 +433,7 @@ func (a *Agent) GetMailContext(ctx context.Context) ([]mail.Stored, error) {
 		}
 	}
 	a.lastChecking = current
-	return append([]mail.Stored(nil), a.inbox[before:]...), nil
+	return before
 }
 
 // PollAll is the naive baseline GetMail is compared against: "the most

@@ -945,14 +945,15 @@ type Agent struct {
 
 	lastChecking time.Time
 	prevUnavail  map[string]bool
-	seen         map[mail.MessageID]bool
+	seen         mail.IDSet
 	inbox        []mail.Stored
 	polls        int
 	retrievals   int
 }
 
-// NewAgent creates an agent for a user registered in the directory. Its two
-// maps are made when something is first written to them: most agents poll an
+// NewAgent creates an agent for a user registered in the directory: one
+// allocation. PreviouslyUnavailableServers is made by the first failed poll
+// and the duplicate memory holds its first IDs inline; most agents poll an
 // empty mailbox on servers that are up, and never write either.
 func (c *Cluster) NewAgent(user names.Name) (*Agent, error) {
 	if len(c.dir.Authority(user)) == 0 {
@@ -1087,20 +1088,16 @@ func (a *Agent) poll(s *Server) error {
 	if len(msgs) == 0 {
 		return nil
 	}
-	if a.seen == nil {
-		a.seen = make(map[mail.MessageID]bool)
-	}
 	adopt := len(a.inbox) == 0
 	for i := range msgs {
 		id := msgs[i].ID
-		if a.seen[id] {
+		if !a.seen.Add(id) {
 			if adopt {
 				adopt = false
 				a.inbox = append(a.inbox, msgs[:i]...)
 			}
 			continue
 		}
-		a.seen[id] = true
 		if !adopt {
 			a.inbox = append(a.inbox, msgs[i])
 		}

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"math/rand"
+	"strings"
 
 	"github.com/largemail/largemail/internal/faults"
 )
@@ -86,6 +87,9 @@ type Report struct {
 	Loads      []ServerLoad   // predicted vs observed per-server load
 }
 
+// az is what message bodies are made of.
+const az = "abcdefghijklmnopqrstuvwxyz"
+
 // session is one closed-loop user: send, think, send again.
 type session struct {
 	user int
@@ -107,6 +111,10 @@ type Engine struct {
 	// legitimately forces extra polls).
 	OnTick func(tick int)
 
+	// alphabet is az repeated past MaxBody: the body of a message fired at
+	// tick t is the n bytes from offset t%len(az), a slice of this one string.
+	alphabet string
+
 	sessions  []*session
 	touched   map[int]bool
 	sweepList []int    // touched users, in first-touch order
@@ -124,6 +132,7 @@ func New(drv Driver, cfg Config) *Engine {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		touched: make(map[int]bool),
 	}
+	e.alphabet = strings.Repeat(az, cfg.Workload.MaxBody/len(az)+2)
 	stride := pop.Users / cfg.Sessions
 	if stride < 1 {
 		stride = 1
@@ -236,11 +245,9 @@ func (e *Engine) fire(s *session, tick int, rep *Report) {
 	if len(rcpts) == 0 {
 		return
 	}
-	body := make([]byte, w.sampleBody(e.rng))
-	for i := range body {
-		body[i] = 'a' + byte((i+tick)%26)
-	}
-	id, err := e.drv.Submit(s.user, rcpts, "bench", string(body))
+	off := tick % len(az)
+	body := e.alphabet[off : off+w.sampleBody(e.rng)]
+	id, err := e.drv.Submit(s.user, rcpts, "bench", body)
 	if err != nil {
 		// No commit: every authority server of the sender was down. The
 		// closed loop retries after a think; nothing is owed to the ledger.

@@ -113,6 +113,8 @@ type SimDriver struct {
 
 	hosts   map[graph.NodeID]*client.Host
 	agents  map[int]*client.Agent
+	lookup  client.Directory   // d.servers[id], bound once and shared by every agent
+	toNames []names.Name       // Submit's recipient names; server.accept copies them
 	nameOf  map[int]names.Name // overrides for migrated users
 	hostIdx map[int]int        // overrides for migrated users' host index
 
@@ -164,6 +166,7 @@ func NewSimDriver(cfg SimConfig) (*SimDriver, error) {
 			}
 		}
 	}
+	d.lookup = func(id graph.NodeID) *server.Server { return d.servers[id] }
 	d.reg = obs.NewRegistry()
 	sched := d.sched
 	d.trace = obs.NewTracer(func() int64 { return int64(sched.Now()) }, d.reg)
@@ -482,8 +485,6 @@ func (d *SimDriver) ensure(u int) (*client.Agent, error) {
 	return a, nil
 }
 
-func (d *SimDriver) lookup(id graph.NodeID) *server.Server { return d.servers[id] }
-
 // Submit implements Driver: the sender's first live authority server
 // accepts the message in-process (server.Submit), which is the commit
 // point. No SubmitAck round-trip is scheduled — only the delivery pipeline
@@ -493,19 +494,20 @@ func (d *SimDriver) Submit(from int, to []int, subject, body string) (string, er
 	if err != nil {
 		return "", err
 	}
-	toNames := make([]names.Name, len(to))
-	for i, u := range to {
-		if _, err := d.ensure(u); err != nil {
+	d.toNames = d.toNames[:0]
+	for _, u := range to {
+		a, err := d.ensure(u)
+		if err != nil {
 			return "", err
 		}
-		toNames[i] = d.UserName(u)
+		d.toNames = append(d.toNames, a.User())
 	}
 	for _, sv := range fa.Authority() {
 		if !d.net.IsUp(sv) {
 			continue
 		}
 		id, err := d.servers[sv].Submit(server.SubmitRequest{
-			From: fa.User(), To: toNames, Subject: subject, Body: body,
+			From: fa.User(), To: d.toNames, Subject: subject, Body: body,
 		})
 		if err != nil {
 			return "", err
@@ -522,7 +524,7 @@ func (d *SimDriver) Retrieve(u int) RetrieveResult {
 		return RetrieveResult{}
 	}
 	before := a.Stats()
-	msgs := a.GetMail()
+	msgs := a.TakeMail() // only the IDs leave here; an agent lives as long as the run does
 	after := a.Stats()
 	if d.policy != nil {
 		d.recv[u] += int64(len(msgs))
@@ -532,8 +534,6 @@ func (d *SimDriver) Retrieve(u int) RetrieveResult {
 	for i, m := range msgs {
 		ids[i] = m.ID.String()
 	}
-	// Only the IDs leave here; an agent lives as long as the run does.
-	a.DropInbox()
 	a.DropNotifications()
 	return RetrieveResult{
 		IDs:          ids,

@@ -63,7 +63,7 @@ type Agent struct {
 	primary graph.NodeID
 
 	loggedIn      bool
-	seen          map[mail.MessageID]bool
+	seen          mail.IDSet
 	inbox         []mail.Stored
 	notifications []Alert
 	polls         int
@@ -85,10 +85,7 @@ func (s *System) NewAgent(user names.Name) (*Agent, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: node %d has no host process", ErrUnknownHost, primary)
 	}
-	a := &Agent{
-		user: user, sys: s, current: h, primary: primary,
-		seen: make(map[mail.MessageID]bool),
-	}
+	a := &Agent{user: user, sys: s, current: h, primary: primary}
 	h.agents[user] = a
 	return a, nil
 }
@@ -234,11 +231,10 @@ func (a *Agent) getMail(from graph.NodeID, costFactor float64) []mail.Stored {
 			continue
 		}
 		for _, m := range msgs {
-			if a.seen[m.ID] {
+			if !a.seen.Add(m.ID) {
 				a.dupes++
 				continue
 			}
-			a.seen[m.ID] = true
 			a.inbox = append(a.inbox, m)
 		}
 	}

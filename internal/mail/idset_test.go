@@ -1,0 +1,312 @@
+package mail
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"github.com/largemail/largemail/internal/graph"
+	"github.com/largemail/largemail/internal/sim"
+)
+
+// refSeen is the duplicate memory IDSet replaced: a plain map. It stays here
+// as the model IDSet and Mailbox are checked against.
+type refSeen map[MessageID]bool
+
+// sameSet fails the test unless s holds exactly ref's IDs, by Has over the
+// universe, by Len and by Each (every member once).
+func sameSet(t *testing.T, ctx string, s *IDSet, ref refSeen, universe []MessageID) {
+	t.Helper()
+	if s.Len() != len(ref) {
+		t.Fatalf("%s: Len = %d, want %d", ctx, s.Len(), len(ref))
+	}
+	for _, id := range universe {
+		if s.Has(id) != ref[id] {
+			t.Fatalf("%s: Has(%v) = %v, want %v", ctx, id, s.Has(id), ref[id])
+		}
+	}
+	each := refSeen{}
+	s.Each(func(id MessageID) {
+		if each[id] {
+			t.Fatalf("%s: Each visited %v twice", ctx, id)
+		}
+		each[id] = true
+	})
+	if !reflect.DeepEqual(each, ref) {
+		t.Fatalf("%s: Each visited %v, want %v", ctx, each, ref)
+	}
+}
+
+// TestIDSetMatchesReference runs seeded add/has/delete programs against the
+// map. The universe is nine IDs, the zero ID among them, so a program keeps
+// crossing the inline → map boundary in both directions of size and hits
+// present and absent IDs alike.
+func TestIDSetMatchesReference(t *testing.T) {
+	universe := []MessageID{{}, {Node: 0, Seq: 1}, {Node: 1, Seq: 0}}
+	for i := 1; i <= 6; i++ {
+		universe = append(universe, MessageID{Node: graph.NodeID(1 + i%2), Seq: uint64(i)})
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var s IDSet
+		ref := refSeen{}
+		// Programs of odd seeds favour adds, so they spill early; the others
+		// hover around the inline size.
+		addBias := 3 + int(seed%2)*3
+		for step := 0; step < 60; step++ {
+			id := universe[rng.Intn(len(universe))]
+			ctx := fmt.Sprintf("seed %d step %d id %v", seed, step, id)
+			if rng.Intn(addBias+3) < addBias {
+				if got, want := s.Add(id), !ref[id]; got != want {
+					t.Fatalf("%s: Add = %v, want %v", ctx, got, want)
+				}
+				ref[id] = true
+			} else {
+				if got, want := s.Delete(id), ref[id]; got != want {
+					t.Fatalf("%s: Delete = %v, want %v", ctx, got, want)
+				}
+				delete(ref, id)
+			}
+			sameSet(t, ctx, &s, ref, universe)
+		}
+	}
+}
+
+// TestIDSetBoundary walks the cases by hand: delete from each inline slot and
+// re-add, the fourth ID's spill, emptying a spilled set, and the zero ID as
+// an ordinary member.
+func TestIDSetBoundary(t *testing.T) {
+	id := func(n uint64) MessageID { return MessageID{Node: 7, Seq: n} }
+	universe := []MessageID{{}, id(1), id(2), id(3), id(4), id(5)}
+	for slot := uint64(1); slot <= 3; slot++ {
+		var s IDSet
+		ref := refSeen{}
+		for n := uint64(1); n <= 3; n++ {
+			s.Add(id(n))
+			ref[id(n)] = true
+		}
+		if !s.Delete(id(slot)) || s.Delete(id(slot)) {
+			t.Fatalf("slot %d: Delete did not report present then absent", slot)
+		}
+		delete(ref, id(slot))
+		sameSet(t, fmt.Sprintf("slot %d deleted", slot), &s, ref, universe)
+		if !s.Add(id(slot)) || s.Add(id(slot)) {
+			t.Fatalf("slot %d: re-Add did not report new then held", slot)
+		}
+		ref[id(slot)] = true
+		sameSet(t, fmt.Sprintf("slot %d re-added", slot), &s, ref, universe)
+		if s.spill != nil {
+			t.Fatalf("slot %d: three IDs made a map", slot)
+		}
+		s.Add(id(4)) // the spill
+		ref[id(4)] = true
+		sameSet(t, fmt.Sprintf("slot %d spilled", slot), &s, ref, universe)
+		if s.spill == nil || s.n != 0 {
+			t.Fatalf("slot %d: fourth ID left n=%d spill=%v", slot, s.n, s.spill)
+		}
+		for n := uint64(1); n <= 4; n++ {
+			s.Delete(id(n))
+			delete(ref, id(n))
+		}
+		sameSet(t, fmt.Sprintf("slot %d emptied", slot), &s, ref, universe)
+		s.Add(id(5))
+		ref[id(5)] = true
+		sameSet(t, fmt.Sprintf("slot %d after emptying", slot), &s, ref, universe)
+	}
+
+	var s IDSet
+	if s.Has(MessageID{}) || s.Delete(MessageID{}) || s.Len() != 0 {
+		t.Fatal("empty set holds the zero ID")
+	}
+	if !s.Add(MessageID{}) || s.Add(MessageID{}) || !s.Has(MessageID{}) || s.Len() != 1 {
+		t.Fatal("zero ID is not an ordinary member")
+	}
+	if s.Has(id(1)) {
+		t.Fatal("set of the zero ID holds another")
+	}
+	if !s.Delete(MessageID{}) || s.Has(MessageID{}) || s.Len() != 0 {
+		t.Fatal("zero ID not deleted")
+	}
+}
+
+// refMailbox is the parent's Mailbox where it touched the seen-set: Deposit,
+// Forget, Suppress, Remove (indexing every list), SeenIDs and MaxSeenSeq over
+// a map, with the same journal.
+type refMailbox struct {
+	msgs    []Stored
+	seen    refSeen
+	journal []Op
+}
+
+func (b *refMailbox) Deposit(m Message, at sim.Time) bool {
+	if b.seen[m.ID] {
+		return false
+	}
+	b.seen[m.ID] = true
+	b.msgs = append(b.msgs, Stored{Message: m, ArrivedAt: at})
+	b.journal = append(b.journal, Op{Kind: OpDeposit, Msg: m, At: at})
+	return true
+}
+
+func (b *refMailbox) Drain() []Stored {
+	out := b.msgs
+	if len(out) > 0 {
+		b.journal = append(b.journal, Op{Kind: OpDrain})
+	}
+	b.msgs = nil
+	return out
+}
+
+func (b *refMailbox) Forget(id MessageID) bool {
+	was := b.seen[id]
+	delete(b.seen, id)
+	return was
+}
+
+func (b *refMailbox) Suppress(id MessageID) bool {
+	if b.seen[id] {
+		return false
+	}
+	b.seen[id] = true
+	b.journal = append(b.journal, Op{Kind: OpSuppress, IDs: []MessageID{id}})
+	return true
+}
+
+func (b *refMailbox) Remove(ids ...MessageID) int {
+	drop := refSeen{}
+	for _, id := range ids {
+		drop[id] = true
+	}
+	var removed []MessageID
+	kept := b.msgs[:0]
+	for _, m := range b.msgs {
+		if drop[m.ID] {
+			removed = append(removed, m.ID)
+			continue
+		}
+		kept = append(kept, m)
+	}
+	b.msgs = kept
+	if len(removed) > 0 {
+		b.journal = append(b.journal, Op{Kind: OpEvict, IDs: removed})
+	}
+	return len(removed)
+}
+
+func (b *refMailbox) SeenIDs() []MessageID {
+	out := make([]MessageID, 0, len(b.seen))
+	for id := range b.seen {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Node != out[j].Node {
+			return out[i].Node < out[j].Node
+		}
+		return out[i].Seq < out[j].Seq
+	})
+	return out
+}
+
+func (b *refMailbox) MaxSeenSeq(node graph.NodeID) uint64 {
+	var maxSeq uint64
+	for id := range b.seen {
+		if id.Node == node && id.Seq > maxSeq {
+			maxSeq = id.Seq
+		}
+	}
+	return maxSeq
+}
+
+// TestMailboxMatchesReference runs seeded schedules — deliveries out of
+// order, retries of IDs already held, drains, evictions by short and by long
+// ID lists, Forget (PR 9's un-swallow: a forgotten ID must deposit again) and
+// Suppress — through a Mailbox and the map-backed reference, and compares
+// every return value, the stored messages, the journal, SeenIDs and
+// MaxSeenSeq after every step.
+func TestMailboxMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewMailbox(owner)
+		b.EnableJournal()
+		ref := &refMailbox{seen: refSeen{}}
+		// A window of IDs from two origins, delivered in shuffled order with
+		// repeats; small windows keep the set inline, large ones spill it.
+		window := 2 + rng.Intn(3+int(seed%3)*8)
+		pick := func() MessageID {
+			return MessageID{Node: graph.NodeID(101 + rng.Intn(2)), Seq: uint64(rng.Intn(window))}
+		}
+		for step := 0; step < 120; step++ {
+			ctx := fmt.Sprintf("seed %d step %d", seed, step)
+			var got, want any
+			switch op := rng.Intn(12); {
+			case op < 5:
+				m := msg(0, "body")
+				m.ID = pick()
+				got, want = b.Deposit(m, sim.Time(step)), ref.Deposit(m, sim.Time(step))
+			case op < 6:
+				got, want = b.Drain(), ref.Drain()
+			case op < 8:
+				id := pick()
+				got, want = b.Forget(id), ref.Forget(id)
+			case op < 10:
+				id := pick()
+				got, want = b.Suppress(id), ref.Suppress(id)
+			default:
+				ids := make([]MessageID, 1+rng.Intn(2)*rng.Intn(2*removeScanMax))
+				for i := range ids {
+					ids[i] = pick()
+				}
+				got, want = b.Remove(ids...), ref.Remove(ids...)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: returned %v, reference %v", ctx, got, want)
+			}
+			if got, want := b.Peek(), ref.msgs; !slices.EqualFunc(got, want, func(a, b Stored) bool { return reflect.DeepEqual(a, b) }) {
+				t.Fatalf("%s: stored %v, reference %v", ctx, got, want)
+			}
+			if got, want := b.SeenIDs(), ref.SeenIDs(); !slices.Equal(got, want) {
+				t.Fatalf("%s: SeenIDs %v, reference %v", ctx, got, want)
+			}
+			for node := graph.NodeID(100); node <= 103; node++ {
+				if got, want := b.MaxSeenSeq(node), ref.MaxSeenSeq(node); got != want {
+					t.Fatalf("%s: MaxSeenSeq(%d) = %d, reference %d", ctx, node, got, want)
+				}
+			}
+			if got, want := b.TakeOps(), ref.journal; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: journal %+v, reference %+v", ctx, got, want)
+			}
+			ref.journal = nil
+		}
+	}
+}
+
+// TestMailboxFirstTouchAllocs: an idle user's mailbox is one allocation, and
+// the first message it receives adds only the message slot — the duplicate
+// memory lives in the mailbox until a fourth ID arrives.
+func TestMailboxFirstTouchAllocs(t *testing.T) {
+	var b *Mailbox
+	if n := testing.AllocsPerRun(200, func() { b = NewMailbox(owner) }); n != 1 {
+		t.Errorf("NewMailbox: %v allocs, want 1 (3 with a map for the seen-set)", n)
+	}
+	m := msg(1, "first")
+	if n := testing.AllocsPerRun(200, func() {
+		b = NewMailbox(owner)
+		b.Deposit(m, 0)
+	}); n > 2 {
+		t.Errorf("NewMailbox + first Deposit: %v allocs, want ≤ 2 (the mailbox and its one-slot []Stored)", n)
+	}
+	m2, m3 := msg(2, "second"), msg(3, "third")
+	b = NewMailbox(owner)
+	b.Deposit(m, 0)
+	b.Drain()
+	if n := testing.AllocsPerRun(1, func() {
+		b.Deposit(m2, 0)
+		b.Drain()
+		b.Deposit(m3, 0)
+	}); n > 2 {
+		t.Errorf("second and third Deposit: %v allocs, want ≤ 2 (one []Stored each, the IDs inline)", n)
+	}
+}

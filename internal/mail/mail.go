@@ -6,6 +6,7 @@ package mail
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -127,7 +128,7 @@ type Op struct {
 type Mailbox struct {
 	owner names.Name
 	msgs  []Stored
-	seen  map[MessageID]bool
+	seen  IDSet
 	bytes int
 
 	journaling bool
@@ -136,7 +137,7 @@ type Mailbox struct {
 
 // NewMailbox returns an empty mailbox for the named user.
 func NewMailbox(owner names.Name) *Mailbox {
-	return &Mailbox{owner: owner, seen: make(map[MessageID]bool)}
+	return &Mailbox{owner: owner}
 }
 
 // Owner returns the mailbox owner's name.
@@ -164,10 +165,9 @@ func (b *Mailbox) TakeOps() []Op {
 // Deposit stores a message, reporting whether it was newly stored (false
 // for duplicates).
 func (b *Mailbox) Deposit(m Message, at sim.Time) bool {
-	if b.seen[m.ID] {
+	if !b.seen.Add(m.ID) {
 		return false
 	}
-	b.seen[m.ID] = true
 	b.msgs = append(b.msgs, Stored{Message: m, ArrivedAt: at})
 	b.bytes += m.Size()
 	if b.journaling {
@@ -222,27 +222,23 @@ func (b *Mailbox) MarkRead(id MessageID) bool {
 // reconfiguration routing it back would swallow it as a duplicate. Not
 // journaled — callers that persist mailboxes must not combine it with
 // journaling. It reports whether the ID was present.
-func (b *Mailbox) Forget(id MessageID) bool {
-	if !b.seen[id] {
-		return false
-	}
-	delete(b.seen, id)
-	return true
-}
+func (b *Mailbox) Forget(id MessageID) bool { return b.seen.Delete(id) }
 
 // Suppress adds an ID to the duplicate-suppression memory without storing a
 // message, reporting whether the ID was new. Snapshots use it to persist the
 // seen-set of drained messages separately from the stored ones.
 func (b *Mailbox) Suppress(id MessageID) bool {
-	if b.seen[id] {
+	if !b.seen.Add(id) {
 		return false
 	}
-	b.seen[id] = true
 	if b.journaling {
 		b.journal = append(b.journal, Op{Kind: OpSuppress, IDs: []MessageID{id}})
 	}
 	return true
 }
+
+// removeScanMax is the longest ID list Remove scans without indexing it.
+const removeScanMax = 8
 
 // Remove evicts stored messages by ID, retaining the duplicate-suppression
 // memory, and reports how many were present. It is the replay form of
@@ -252,15 +248,24 @@ func (b *Mailbox) Remove(ids ...MessageID) int {
 	if len(ids) == 0 {
 		return 0
 	}
-	drop := make(map[MessageID]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
+	// A short list — one ID, from Cleanup's replay, is the usual case — is
+	// scanned per stored message; only a long one is worth indexing first.
+	var index map[MessageID]struct{}
+	if len(ids) > removeScanMax {
+		index = make(map[MessageID]struct{}, len(ids))
+		for _, id := range ids {
+			index[id] = struct{}{}
+		}
 	}
 	removed := 0
 	var removedIDs []MessageID
 	kept := b.msgs[:0]
 	for i := range b.msgs {
-		if drop[b.msgs[i].ID] {
+		_, drop := index[b.msgs[i].ID]
+		if index == nil {
+			drop = slices.Contains(ids, b.msgs[i].ID)
+		}
+		if drop {
 			b.bytes -= b.msgs[i].Size()
 			removed++
 			removedIDs = append(removedIDs, b.msgs[i].ID)
@@ -278,10 +283,8 @@ func (b *Mailbox) Remove(ids ...MessageID) int {
 // SeenIDs returns the duplicate-suppression memory sorted by (Node, Seq), a
 // deterministic order snapshots rely on.
 func (b *Mailbox) SeenIDs() []MessageID {
-	out := make([]MessageID, 0, len(b.seen))
-	for id := range b.seen {
-		out = append(out, id)
-	}
+	out := make([]MessageID, 0, b.seen.Len())
+	b.seen.Each(func(id MessageID) { out = append(out, id) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Node != out[j].Node {
 			return out[i].Node < out[j].Node
@@ -297,11 +300,11 @@ func (b *Mailbox) SeenIDs() []MessageID {
 // ID and be swallowed as a duplicate.
 func (b *Mailbox) MaxSeenSeq(node graph.NodeID) uint64 {
 	var maxSeq uint64
-	for id := range b.seen {
+	b.seen.Each(func(id MessageID) {
 		if id.Node == node && id.Seq > maxSeq {
 			maxSeq = id.Seq
 		}
-	}
+	})
 	return maxSeq
 }
 

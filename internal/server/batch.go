@@ -203,8 +203,7 @@ func (s *Server) handleBatchAck(ack TransferBatchAck) {
 			continue
 		}
 		if p, still := s.pending[tok]; still {
-			s.net.Scheduler().Cancel(&p.retry)
-			delete(s.pending, tok)
+			s.settle(p)
 		}
 	}
 }

@@ -230,6 +230,11 @@ func (d *Directory) Group(group names.Name) ([]names.Name, bool) {
 // server nodes exist in each region, so a message for a non-local name can
 // be "transmitted to one of the servers in the recipient region" (§3.1.2b).
 type RegionMap struct {
+	// servers holds each region's list. A stored list is immutable, like a
+	// Directory's: AddServer and RemoveServer install a fresh slice and
+	// nothing writes to one in place, so Servers hands out the stored slice
+	// itself — to Route, whose pending transfers keep it as their candidate
+	// list — and no caller may modify it.
 	servers map[string][]graph.NodeID
 }
 
@@ -245,19 +250,13 @@ func (m *RegionMap) AddServer(region string, id graph.NodeID) {
 			return
 		}
 	}
-	m.servers[region] = append(m.servers[region], id)
+	m.servers[region] = append(slices.Clip(m.servers[region]), id)
 }
 
 // RemoveServer removes a server from a region (part of §3.1.3c: the deleted
 // server "notifies all other servers before it is removed").
 func (m *RegionMap) RemoveServer(region string, id graph.NodeID) {
-	list := m.servers[region]
-	out := list[:0]
-	for _, s := range list {
-		if s != id {
-			out = append(out, s)
-		}
-	}
+	out := slices.DeleteFunc(slices.Clone(m.servers[region]), func(s graph.NodeID) bool { return s == id })
 	if len(out) == 0 {
 		delete(m.servers, region)
 		return
@@ -265,10 +264,9 @@ func (m *RegionMap) RemoveServer(region string, id graph.NodeID) {
 	m.servers[region] = out
 }
 
-// Servers returns the servers of a region in registration order.
-func (m *RegionMap) Servers(region string) []graph.NodeID {
-	return append([]graph.NodeID(nil), m.servers[region]...)
-}
+// Servers returns the servers of a region in registration order: the stored
+// list, shared and read-only (see the servers field).
+func (m *RegionMap) Servers(region string) []graph.NodeID { return m.servers[region] }
 
 // Regions returns all known regions, sorted.
 func (m *RegionMap) Regions() []string {

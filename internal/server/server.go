@@ -134,6 +134,9 @@ type Server struct {
 	nextSeq   uint64
 	nextToken uint64
 	pending   map[uint64]*pendingTransfer
+	// freePending holds settled records for the next enqueue (see
+	// pendingTransfer); the server is single-threaded, so a plain stack does.
+	freePending []*pendingTransfer
 	// rerouted remembers recipient copies this server already forwarded
 	// under the placement-reroute path. Retries of the same transfer (our
 	// ack racing the origin's timeout) must not each spawn another forward:
@@ -166,6 +169,15 @@ type rerouteKey struct {
 // pendingTransfer is a queued server-to-server transfer awaiting its ack. It
 // owns its retry timer: retry is the scheduler record, armed by dispatch with
 // the transfer itself as the runner.
+//
+// Records are recycled: settle cancels the retry timer, takes the record out
+// of s.pending and puts it on s.freePending, and enqueue hands it to the next
+// transfer under a fresh token. That is safe because a record is only ever
+// reached through s.pending, by token: acks, batch acks, staged and in-flight
+// batches and recovery all carry tokens, never pointers, and the one pointer
+// the scheduler holds (the armed retry) is cancelled before the record is
+// released. So a late or duplicate ack finds its token gone and stops, and no
+// timer armed for one tenant can fire for the next.
 type pendingTransfer struct {
 	retry      sim.Event
 	s          *Server
@@ -529,13 +541,20 @@ func (s *Server) depositLocal(msg mail.Message, rcpt names.Name) {
 func (s *Server) enqueue(kind TransferKind, msg mail.Message, rcpt names.Name, candidates []graph.NodeID) {
 	s.nextToken++
 	tok := s.nextToken
-	s.pending[tok] = &pendingTransfer{
+	var p *pendingTransfer
+	if last := len(s.freePending) - 1; last >= 0 {
+		p, s.freePending = s.freePending[last], s.freePending[:last]
+	} else {
+		p = new(pendingTransfer)
+	}
+	*p = pendingTransfer{
 		s: s, tok: tok,
 		kind:       kind,
 		msg:        msg,
 		recipient:  rcpt,
 		candidates: candidates,
 	}
+	s.pending[tok] = p
 	if s.batchSize <= 1 {
 		s.dispatch(tok)
 		return
@@ -651,12 +670,18 @@ func (s *Server) misplacedDeposit(rcpt names.Name) bool {
 }
 
 func (s *Server) handleAck(ack TransferAck) {
-	p, ok := s.pending[ack.Token]
-	if !ok {
-		return
+	if p, ok := s.pending[ack.Token]; ok {
+		s.settle(p)
 	}
+}
+
+// settle takes an acknowledged transfer off the ledger and recycles its
+// record, timer cancelled first and message dropped.
+func (s *Server) settle(p *pendingTransfer) {
 	s.net.Scheduler().Cancel(&p.retry)
-	delete(s.pending, ack.Token)
+	delete(s.pending, p.tok)
+	*p = pendingTransfer{}
+	s.freePending = append(s.freePending, p)
 }
 
 func (s *Server) handleLogin(l Login) {
