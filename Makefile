@@ -32,14 +32,6 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 5s ./internal/mail/mailstore/
 	go test -run '^$$' -fuzz '^FuzzPredicateQuery$$' -fuzztime 5s ./internal/attr/
 
-# Relay-batching gate: the server-side batching fabric (coalescing, flush
-# watermarks, retry splitting, batch-size-1 equivalence) plus the O(1)
-# StoredBytes regression bench over three store sizes.
-.PHONY: bench-relay
-bench-relay:
-	go test -run 'TestBatch|TestResolve|TestDelivery' ./internal/server/
-	go test -run '^$$' -bench 'BenchmarkTotalBytes' -benchtime 0.2s ./internal/mail/mailstore/
-
 # Tier-2 durability slice: the WAL/snapshot/recovery store tests, the
 # kill-restart-from-disk paths on both transports, and the no-spool chaos
 # soaks — all under the race detector.
@@ -48,14 +40,14 @@ tier2-durability:
 	go test -race -run 'Durable|TornTail|CorruptSealed|ShardMismatch|KillRestart|ClusterReopen|WALRecord' ./internal/mail/mailstore/ ./internal/livenet/ ./internal/server/ ./internal/faults/
 	go test -race -run 'TestSimNoLoss|TestSimMemory|TestLiveNoLoss|TestKillRestartLoses' ./internal/loadgen/
 
-# Tier-2 wire slice: the v3 wire path under the race detector — binary
-# framing, pipelining, the cross-version compat matrix, the bounded worker
-# pool, the pooled text reader, and the read path's plumbing: per-batch
-# response flush (Coalesce, Flush), pooled work items (WorkItem) and the
-# encode-from-the-mailbox's-slice retrieval (HandOver).
+# Tier-2 wire slice: the wire path under the race detector — text from a raw
+# socket and the hello that switches framing, binary framing, pipelining (the
+# burst under faults included), the bounded worker pool, the pooled reader,
+# and the read path's plumbing: per-batch response flush (Coalesce, Flush),
+# pooled work items (WorkItem) and the hand-over retrieval (HandOver).
 .PHONY: tier2-wire
 tier2-wire:
-	go test -race -run 'Compat|Pipeline|Binary|Negotiat|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver' ./internal/wire/ ./internal/server/
+	go test -race -run 'RawTextPeer|HelloNegotiation|Pipeline|Binary|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver' ./internal/wire/ ./internal/server/
 
 # Tier-2 balance slice: the pluggable placement seam under the race detector —
 # the policy unit tests (JSQ sampling, rebalancer hysteresis/budget/diversion),
@@ -117,16 +109,7 @@ tier2-determinism:
 
 # Check: the full pre-merge gate.
 .PHONY: check
-check: tier1 tier1-race fuzz-smoke bench-relay tier2-durability tier2-wire tier2-balance tier2-arch tier2-attr-prune tier2-determinism
-
-# Mailbench: the capacity harness acceptance run — a million-user population
-# on 64 simulated servers, no faults, auditors on. The sweep that produced
-# BENCH_PR4.json; like every bench-* target below it now writes under
-# .bench_build/ (git-ignored) — the committed BENCH_PR*.json are frozen.
-.PHONY: mailbench
-mailbench:
-	@mkdir -p .bench_build
-	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 -o .bench_build/BENCH_PR4.json
+check: tier1 tier1-race fuzz-smoke tier2-durability tier2-wire tier2-balance tier2-arch tier2-attr-prune tier2-determinism
 
 # Chaos: just the fault-injection soaks, verbosely.
 .PHONY: chaos
@@ -148,8 +131,7 @@ obs-demo:
 
 # Bench: the repository's one fixed benchmark (bench/README.md) — all seven
 # workloads, untraced and traced, one child process each — written to a run
-# document under .bench_build/ (git-ignored). The BENCH_PR2–10.json files are
-# frozen history; nothing overwrites them.
+# document under .bench_build/ (git-ignored).
 .PHONY: bench
 bench:
 	bash bench/run.sh -workload all -o .bench_build/run.json
@@ -189,84 +171,10 @@ bench-pairs:
 	done
 	bash bench/run.sh compare .bench_build/pairs/ref-$(WORKLOAD).json .bench_build/pairs/new-$(WORKLOAD).json
 
-# Durability bench: the acceptance run behind BENCH_PR6.json — the
-# million-user/64-server sweep with durable stores off, on (fsync never and
-# always), and on + kill-restart chaos; reports WAL append throughput and
-# cold recovery-replay time per point.
-.PHONY: bench-durability
-bench-durability:
-	@mkdir -p .bench_build
-	rm -rf /tmp/mailbench-pr6
-	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 \
-		-datadir /tmp/mailbench-pr6 -durability off,never,always,chaos -o .bench_build/BENCH_PR6.json
-	rm -rf /tmp/mailbench-pr6
-
-# Wire bench: the acceptance run behind BENCH_PR7.json — the million-user/
-# 64-server sweep over text-v2 vs binary-v3 framing at inflight 1/8/32 and
-# batch 1/16, each point reporting the pipelined-burst msgs/sec and
-# allocs/msg alongside the capacity metrics, plus one faults-on binary point
-# appended to prove exactly-once holds at speed.
-.PHONY: bench-wire
-bench-wire:
-	@mkdir -p .bench_build
-	go run ./cmd/mailbench -transport wire -users 1000000 -servers 64 -seed 1 \
-		-proto text,binary -inflight 1,8,32 -batch 1,16 -o .bench_build/BENCH_PR7.json
-	go run ./cmd/mailbench -transport wire -users 1000000 -servers 64 -seed 1 \
-		-proto binary -inflight 8 -batch 1 -faults -append -o .bench_build/BENCH_PR7.json
-
-# Balance bench: the acceptance run behind BENCH_PR8.json — the million-user/
-# 64-server sweep racing the §3.1.1 static optimum against JSQ(2) submit-time
-# choice and the continuous rebalancer, first under the hot-spot profile the
-# optimizer cannot see, then under a flash crowd appended to the same document.
-# Every point runs with auditors on; the rebalancer points also report
-# migrations_total and migration_cost.
-.PHONY: bench-balance
-bench-balance:
-	@mkdir -p .bench_build
-	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 \
-		-messages 6000 -ticks 300 -sessions 256 -srate 4 -retry 200 \
-		-policy static,jsq,rebalance -profile hotspot -o .bench_build/BENCH_PR8.json
-	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 \
-		-messages 6000 -ticks 300 -sessions 256 -srate 4 -retry 200 \
-		-policy static,jsq,rebalance -profile flash:100:60 -append -o .bench_build/BENCH_PR8.json
-
-# Architecture bench: the acceptance run behind BENCH_PR9.json — the
-# three-architecture shoot-out at a million users on 64 servers. The §3.2
-# roaming scenario runs with live rehash reconfiguration, then again under
-# the chaos schedule; the §3.3 attribute-broadcast scenario likewise. Every
-# point runs with its auditors on (§3.2.2c overhead, exactly-once across
-# roams, no lost broadcast deliveries, bounded convergecast, partials
-# flagged); a syntax-architecture point heads the document for comparison.
-.PHONY: bench-arch
-bench-arch:
-	@mkdir -p .bench_build
-	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 \
-		-messages 6000 -ticks 300 -sessions 256 -retry 200 -o .bench_build/BENCH_PR9.json
-	go run ./cmd/mailbench -arch roaming -users 1000000 -servers 64 -seed 1 \
-		-messages 6000 -ticks 300 -sessions 256 -append -o .bench_build/BENCH_PR9.json
-	go run ./cmd/mailbench -arch roaming -users 1000000 -servers 64 -seed 1 \
-		-messages 6000 -ticks 300 -sessions 256 -faults -append -o .bench_build/BENCH_PR9.json
-	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -seed 1 \
-		-ticks 300 -queries 60 -append -o .bench_build/BENCH_PR9.json
-	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -seed 1 \
-		-ticks 300 -queries 60 -faults -append -o .bench_build/BENCH_PR9.json
-
-# Attr-prune bench: the acceptance run behind BENCH_PR10.json — E22, the
-# selective multicast vs E21's exhaustive broadcast at a million users on 64
-# servers. Point one replays E21 exactly (-noprune); point two runs the same
-# seed with sketch pruning (identical match sets, auditors checking every
-# pruned subtree for false negatives); point three adds the chaos schedule
-# with a periodic refresh cadence, so stale caches must fail open while
-# crashes produce flagged partials.
-.PHONY: bench-attr
-bench-attr:
-	@mkdir -p .bench_build
-	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -seed 1 \
-		-ticks 300 -queries 60 -noprune -o .bench_build/BENCH_PR10.json
-	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -seed 1 \
-		-ticks 300 -queries 60 -append -o .bench_build/BENCH_PR10.json
-	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -seed 1 \
-		-ticks 300 -queries 60 -faults -sketchrefresh 8 -append -o .bench_build/BENCH_PR10.json
+# Size: non-test Go lines outside bench/, what ROADMAP's size target counts.
+.PHONY: size
+size:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 .PHONY: all
 all: tier2

@@ -62,7 +62,7 @@ func run(args []string) error {
 		if len(rest) < 2 {
 			return fmt.Errorf("usage: register <user> [servers...]")
 		}
-		if err := c.RegisterContext(ctx, rest[1], rest[2:]...); err != nil {
+		if _, err := c.DoContext(ctx, wire.Request{Op: "register", User: rest[1], Servers: rest[2:]}); err != nil {
 			return err
 		}
 		fmt.Println("registered", rest[1])
@@ -70,24 +70,24 @@ func run(args []string) error {
 		if len(rest) < 5 {
 			return fmt.Errorf("usage: submit <from> <to> <subject> <body>")
 		}
-		id, err := c.SubmitContext(ctx, rest[1], []string{rest[2]}, rest[3], rest[4])
+		resp, err := c.DoContext(ctx, wire.Request{Op: "submit", From: rest[1], To: []string{rest[2]}, Subject: rest[3], Body: rest[4]})
 		if err != nil {
 			return err
 		}
-		fmt.Println("accepted", id)
+		fmt.Println("accepted", resp.ID)
 	case "getmail":
 		if len(rest) != 2 {
 			return fmt.Errorf("usage: getmail <user>")
 		}
-		msgs, err := c.GetMailContext(ctx, rest[1])
+		resp, err := c.DoContext(ctx, wire.Request{Op: "getmail", User: rest[1]})
 		if err != nil {
 			return err
 		}
-		if len(msgs) == 0 {
+		if len(resp.Messages) == 0 {
 			fmt.Println("no new mail")
 			return nil
 		}
-		for _, m := range msgs {
+		for _, m := range resp.Messages {
 			fmt.Printf("%s  from %s: %q\n%s\n", m.ID, m.From, m.Subject, m.Body)
 		}
 	case "status":
@@ -96,9 +96,13 @@ func run(args []string) error {
 		if err := sfs.Parse(rest[1:]); err != nil {
 			return err
 		}
-		snap, err := c.StatusSnapshotContext(ctx)
+		resp, err := c.DoContext(ctx, wire.Request{Op: "status"})
 		if err != nil {
 			return err
+		}
+		var snap wire.StatusSnapshot
+		if resp.Status != nil {
+			snap = *resp.Status
 		}
 		if *asJSON {
 			out, err := json.MarshalIndent(snap, "", "  ")
@@ -113,15 +117,18 @@ func run(args []string) error {
 		if len(rest) != 2 {
 			return fmt.Errorf(`usage: query "<content=term[, content=term...]>"`)
 		}
-		res, err := c.QueryContext(ctx, rest[1])
+		resp, err := c.DoContext(ctx, wire.Request{Op: "query", Query: rest[1]})
 		if err != nil {
 			return err
 		}
-		for _, u := range res.Matches {
+		for _, u := range resp.Matches {
 			fmt.Println(u)
 		}
-		st := res.Stats
-		fmt.Printf("%d match(es); %d server(s): %d visited, %d pruned", len(res.Matches), st.Servers, st.Visited, st.Pruned)
+		var st wire.QueryStats
+		if resp.QueryStats != nil {
+			st = *resp.QueryStats
+		}
+		fmt.Printf("%d match(es); %d server(s): %d visited, %d pruned", len(resp.Matches), st.Servers, st.Visited, st.Pruned)
 		if st.SketchFP > 0 {
 			fmt.Printf(" (%d sketch false positive(s))", st.SketchFP)
 		}
@@ -133,7 +140,7 @@ func run(args []string) error {
 		if len(rest) != 2 {
 			return fmt.Errorf("usage: %s <server>", cmd)
 		}
-		if err := c.SetAvailabilityContext(ctx, rest[1], cmd == "recover"); err != nil {
+		if _, err := c.DoContext(ctx, wire.Request{Op: cmd, Server: rest[1]}); err != nil {
 			return err
 		}
 		fmt.Println(cmd, rest[1], "ok")

@@ -56,7 +56,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for _, s := range status {
+	for _, s := range status.Servers {
 		fmt.Printf("  %s up=%v deposits=%d\n", s.Name, s.Up, s.Deposits)
 	}
 

@@ -35,7 +35,7 @@
 // host (the min/max scan) instead of O(H+S). The zero-load communication
 // costs are computed by per-host Dijkstra runs fanned out across GOMAXPROCS
 // workers on the topology's frozen view (graph.Frozen). The retained
-// map-based implementation (reference.go) pins down exact equivalence.
+// map-based implementation (reference_test.go) pins down exact equivalence.
 package assign
 
 import (

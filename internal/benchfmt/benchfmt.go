@@ -1,5 +1,5 @@
 // Package benchfmt is the repository's benchmark-document format: the
-// stable JSON schema committed as BENCH*.json files, plus the parser that
+// stable JSON schema cmd/mailbench and cmd/benchjson write, plus the parser that
 // turns `go test -bench` output into it. cmd/benchjson pipes the test
 // stream through ParseStream; cmd/mailbench builds Results directly from
 // its capacity runs — both emit the same document, so benchmark history

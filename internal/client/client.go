@@ -13,7 +13,6 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -237,31 +236,10 @@ func (a *Agent) Connect() (graph.NodeID, error) {
 	return 0, fmt.Errorf("%w: user %v", ErrNoServerAvailable, a.user)
 }
 
-// ctxErr maps a context cancellation or deadline into the shared timeout
-// taxonomy (nil while the context is live). The simulated agent's calls are
-// instantaneous, so the check happens once at the operation boundary —
-// matching the live transport's per-step checks without pretending the
-// simulator can block.
-func ctxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("client: %w: %v", mailerr.ErrTimeout, err)
-	}
-	return nil
-}
-
 // Send submits a message through the first available authority server and
 // returns the server used. Delivery is asynchronous; the submission ack
 // arrives at the host later.
 func (a *Agent) Send(to []names.Name, subject, body string) (graph.NodeID, error) {
-	return a.SendContext(context.Background(), to, subject, body)
-}
-
-// SendContext is Send honoring a context: a cancelled or expired context
-// refuses the submission with mailerr.ErrTimeout before anything commits.
-func (a *Agent) SendContext(ctx context.Context, to []names.Name, subject, body string) (graph.NodeID, error) {
-	if err := ctxErr(ctx); err != nil {
-		return 0, err
-	}
 	srv, err := a.Connect()
 	if err != nil {
 		return 0, err
@@ -370,18 +348,7 @@ func (a *Agent) poll(id graph.NodeID) (got int) {
 //	were thought unavailable).
 //	LastCheckingTime := CurrentCheckingTime
 func (a *Agent) GetMail() []mail.Stored {
-	msgs, _ := a.GetMailContext(context.Background())
-	return msgs
-}
-
-// GetMailContext is GetMail honoring a context: a cancelled or expired
-// context fails the retrieval with mailerr.ErrTimeout before any server is
-// polled (so LastCheckingTime does not advance and no mail can be skipped).
-func (a *Agent) GetMailContext(ctx context.Context) ([]mail.Stored, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	return append([]mail.Stored(nil), a.inbox[a.walk():]...), nil
+	return append([]mail.Stored(nil), a.inbox[a.walk():]...)
 }
 
 // TakeMail is GetMail for an owner that reads the batch once and keeps the

@@ -14,11 +14,10 @@ import (
 // WireConfig parameterizes a WireDriver.
 type WireConfig struct {
 	Pop Population
-	// Proto selects the client framing: "text" (v2 JSON lines) or "binary"
-	// (v3 length-prefixed frames). Default "binary".
+	// Proto selects the client framing: "text" (JSON lines, what a connection
+	// speaks until a hello switches it) or "binary" (length-prefixed frames).
+	// Default "binary".
 	Proto string
-	// WireWorkers sizes the server's bounded worker pool (0 = GOMAXPROCS).
-	WireWorkers int
 	// Tick is the wall-clock duration of one schedule tick (default 2ms).
 	Tick time.Duration
 	// Addr is the TCP listen address (default loopback, ephemeral port).
@@ -41,7 +40,7 @@ type WireDriver struct {
 	prevPolls  map[int]int
 }
 
-// NewWireDriver starts the server, dials the client, and negotiates the
+// NewWireDriver starts the server, dials the client, and switches it to the
 // requested framing. Call Close when done.
 func NewWireDriver(cfg WireConfig) (*WireDriver, error) {
 	cfg.Pop = cfg.Pop.withDefaults()
@@ -61,28 +60,23 @@ func NewWireDriver(cfg WireConfig) (*WireDriver, error) {
 	for gs := range names {
 		names[gs] = fmt.Sprintf("S%d", gs)
 	}
-	srv, err := wire.NewServerWith(cfg.Addr, names, wire.ServerConfig{
-		WireWorkers: cfg.WireWorkers,
-	})
+	srv, err := wire.NewServer(cfg.Addr, names)
 	if err != nil {
 		return nil, err
 	}
-	c, err := wire.DialOptions(srv.Addr(), wire.Options{TextOnly: cfg.Proto == "text"})
+	c, err := wire.Dial(srv.Addr())
 	if err != nil {
 		srv.Close()
 		return nil, err
 	}
-	// Negotiation is lazy on plain verbs; run it now so a binary driver
-	// speaks frames from the first submit on.
-	if _, err := c.Negotiate(context.Background()); err != nil {
-		_ = c.Close()
-		srv.Close()
-		return nil, err
-	}
-	if cfg.Proto == "binary" && !c.BinaryFraming() {
-		_ = c.Close()
-		srv.Close()
-		return nil, fmt.Errorf("wiredriver: server declined binary framing")
+	if cfg.Proto == "binary" {
+		// Plain verbs never leave text on their own; switch now so the
+		// driver speaks frames from the first submit on.
+		if err := c.Negotiate(context.Background()); err != nil {
+			_ = c.Close()
+			srv.Close()
+			return nil, err
+		}
 	}
 	d := &WireDriver{
 		cfg: cfg,
@@ -107,12 +101,8 @@ func (d *WireDriver) Close() {
 	d.srv.Close()
 }
 
-// Client exposes the driver's wire client (for pipelined bursts sharing the
-// driver's server).
+// Client exposes the driver's wire client.
 func (d *WireDriver) Client() *wire.Client { return d.c }
-
-// Addr returns the server's listen address.
-func (d *WireDriver) Addr() string { return d.srv.Addr() }
 
 // ensure lazily registers user u's authority list over the wire.
 func (d *WireDriver) ensure(u int) (string, error) {
@@ -149,8 +139,8 @@ func (d *WireDriver) Submit(from int, to []int, subject, body string) (string, e
 	return d.c.Submit(fromName, rcpts, subject, body)
 }
 
-// Retrieve implements Driver: a getmail request. Poll counts ride the v3
-// response fields; the per-retrieval delta comes from the previous total.
+// Retrieve implements Driver: a getmail request. Poll counts ride the
+// response; the per-retrieval delta comes from the previous total.
 func (d *WireDriver) Retrieve(u int) RetrieveResult {
 	name, err := d.ensure(u)
 	if err != nil {

@@ -61,7 +61,7 @@ func TestReadPathAllocs(t *testing.T) {
 	s := newServer(t)
 	pipelineRegister(t, newClient(t, s), "R1.h1.alice")
 	sink := sinkConn{wrote: make(chan int, 1)}
-	st := &connState{srv: s, conn: sink, ver: 3, binary: true}
+	st := &connState{srv: s, conn: sink, binary: true}
 	q := s.pool.NewQueue(0, st)
 	defer q.Close()
 	serve := func() {
@@ -149,7 +149,7 @@ func TestPipelineClientAllocs(t *testing.T) {
 func TestFlushEarlyKeepsBufferPoolable(t *testing.T) {
 	s := newServer(t)
 	sink := sinkConn{wrote: make(chan int, 16)}
-	st := &connState{srv: s, conn: sink, ver: 3, binary: true}
+	st := &connState{srv: s, conn: sink, binary: true}
 	batch := make([]mail.Stored, 64)
 	for i := range batch {
 		batch[i].ID = mail.MessageID{Node: 1, Seq: uint64(i + 1)}

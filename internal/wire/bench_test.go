@@ -10,14 +10,14 @@ import (
 )
 
 // benchBurst pumps b.N messages through a pipelined client: the wire path's
-// msgs/sec microbenchmark (bodies 512B, matching make bench-wire).
-func benchBurst(b *testing.B, textOnly bool, batch, inflight int) {
+// msgs/sec microbenchmark (bodies 512B, as bench/'s wire_ingest uses).
+func benchBurst(b *testing.B, batch, inflight int) {
 	s, err := NewServerWith("127.0.0.1:0", []string{"s1"}, ServerConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	c, err := DialOptions(s.Addr(), Options{TextOnly: textOnly})
+	c, err := Dial(s.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,10 +77,8 @@ func benchBurst(b *testing.B, textOnly bool, batch, inflight int) {
 	}
 }
 
-func BenchmarkBurstTextB1(b *testing.B)    { benchBurst(b, true, 1, 32) }
-func BenchmarkBurstTextB16(b *testing.B)   { benchBurst(b, true, 16, 32) }
-func BenchmarkBurstBinaryB1(b *testing.B)  { benchBurst(b, false, 1, 32) }
-func BenchmarkBurstBinaryB16(b *testing.B) { benchBurst(b, false, 16, 32) }
+func BenchmarkBurstBinaryB1(b *testing.B)  { benchBurst(b, 1, 32) }
+func BenchmarkBurstBinaryB16(b *testing.B) { benchBurst(b, 16, 32) }
 
 // writeCounter counts the Write calls on one side of a connection: each is a
 // write(2) on a socket, the cost the per-batch flush exists to share.

@@ -1,11 +1,11 @@
-// Binary framing for protocol version 3.
+// Binary framing.
 //
 // The text protocol spends most of its wire-path CPU inside encoding/json:
 // every submit body is escape-scanned twice (client quote, server unquote),
 // every response allocates an intermediate DOM, and the per-line scanner
-// copies each request once more. Version 3 negotiates (via the existing
-// hello handshake) a length-prefixed binary codec that mirrors the WAL's
-// on-disk framing from the durability layer:
+// copies each request once more. A hello{"binary":true} switches the
+// connection to a length-prefixed binary codec that mirrors the WAL's on-disk
+// framing from the durability layer:
 //
 //	uint32-LE payload length | payload | uint32-LE CRC32-IEEE(payload)
 //
@@ -245,7 +245,7 @@ func binaryOpFor(op string) byte {
 	}
 }
 
-// AppendBinaryRequest appends one framed v3 request to dst. The hot verbs
+// AppendBinaryRequest appends one framed request to dst. The hot verbs
 // use their native encodings; everything else wraps the JSON form.
 func AppendBinaryRequest(dst []byte, req Request, tag uint32) ([]byte, error) {
 	start := len(dst)
@@ -288,7 +288,7 @@ func AppendBinaryRequest(dst []byte, req Request, tag uint32) ([]byte, error) {
 	return sealAt(dst, start)
 }
 
-// DecodeBinaryRequest parses one v3 request payload (the bytes between the
+// DecodeBinaryRequest parses one request payload (the bytes between the
 // length header and the CRC trailer). String fields are sliced directly out
 // of the payload — the single copy is the []byte→string conversion; there is
 // no quoting pass and no intermediate document.
@@ -367,7 +367,7 @@ func decodeJSON[T any](js []byte, v T) (T, error) {
 // ---------------------------------------------------------------------------
 // response codec
 
-// AppendBinaryResponse appends one framed v3 response to dst. op is the
+// AppendBinaryResponse appends one framed response to dst. op is the
 // request's frame op byte (echoed so the response is self-describing), tag
 // the request's tag.
 func AppendBinaryResponse(dst []byte, op byte, tag uint32, resp Response) ([]byte, error) {
@@ -443,7 +443,7 @@ func appendStored(dst []byte, msgs []mail.Stored) []byte {
 	return dst
 }
 
-// DecodeBinaryResponse parses one v3 response payload.
+// DecodeBinaryResponse parses one response payload.
 func DecodeBinaryResponse(payload []byte) (Response, uint32, error) {
 	r := binReader{b: payload}
 	op := r.byte1()
@@ -539,7 +539,7 @@ func putFrameBuf(p *[]byte) {
 const connReaderBufSize = 64 << 10
 
 // connReader is a pooled buffered reader speaking both wire framings: text
-// lines until hello negotiates binary, length-prefixed frames after. Both
+// lines until a hello switches to binary, length-prefixed frames after. Both
 // the server's per-connection serve loop and the client use it, replacing
 // the per-connection bufio.Scanner whose max-line buffer used to be fresh
 // garbage on every accepted connection.

@@ -42,7 +42,7 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 		{Op: "getmail", User: "R1.h1.bob"},
 		{Op: "checkmail", User: "R1.h1.bob", Server: "s2"},
 		// Cold verbs ride the JSON op.
-		{Op: "hello", Version: 3, Binary: true},
+		{Op: "hello", Binary: true},
 		{Op: "register", User: "R1.h1.alice", Servers: []string{"s1", "s2"}},
 		{Op: "status"},
 		{Op: "crash", Server: "s1"},
@@ -84,7 +84,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		}, Polls: 42, LastChecking: 1700000000000000000}},
 		{binOpGetMail, Response{OK: true, Polls: 1, LastChecking: -1}},
 		{binOpCheckMail, Response{OK: true, Messages: []Message{{ID: "9:9", From: "R2.h2.z"}}}},
-		{binOpJSON, Response{OK: true, Version: 3, Binary: true}},
+		{binOpJSON, Response{OK: true, Binary: true}},
 		{binOpJSON, Response{Error: "unknown op \"nope\""}},
 	}
 	for i, tc := range cases {
@@ -238,7 +238,7 @@ func FuzzBinaryFrame(f *testing.F) {
 		{Request{Op: "tbatch", From: "R1.h1.alice", Msgs: []BatchMsg{{To: []string{"R1.h1.bob"}, Body: "x"}}}, 2},
 		{Request{Op: "getmail", User: "R1.h1.bob"}, 3},
 		{Request{Op: "checkmail", User: "R1.h1.bob", Server: "s1"}, 4},
-		{Request{Op: "hello", Version: 3, Binary: true}, 5},
+		{Request{Op: "hello", Binary: true}, 5},
 		{Request{Op: "status"}, 6},
 	}
 	for _, s := range seedReqs {
@@ -503,7 +503,7 @@ func TestBinaryDecodersMatchReference(t *testing.T) {
 			{Op: "getmail", User: word()},
 			{Op: "checkmail", User: word(), Server: word()},
 			{Op: "register", User: word(), Servers: list()},
-			{Op: "hello", Version: rng.Intn(5), Binary: rng.Intn(2) == 0},
+			{Op: "hello", Binary: rng.Intn(2) == 0},
 			{Op: "query", Query: word()},
 		}
 		var frames [][]byte
@@ -520,7 +520,7 @@ func TestBinaryDecodersMatchReference(t *testing.T) {
 			{binOpGetMail, Response{OK: true, Messages: []Message{{ID: word(), From: word(), Subject: word(), Body: word()}}, Polls: rng.Intn(99), LastChecking: rng.Int63()}},
 			{binOpGetMail, Response{OK: true, Polls: rng.Intn(99)}},
 			{binOpCheckMail, Response{OK: true, Messages: []Message{{ID: word()}, {Body: word()}}}},
-			{binOpJSON, Response{OK: true, Version: 3, Binary: true, Matches: list()}},
+			{binOpJSON, Response{OK: true, Binary: true, Matches: list()}},
 		}
 		for _, c := range resps {
 			frame, err := AppendBinaryResponse(nil, c.op, rng.Uint32(), c.resp)
@@ -585,7 +585,7 @@ func TestBinaryGoldenFrames(t *testing.T) {
 		{binOpCheckMail, Response{OK: true, Messages: []Message{{ID: "m9-9", From: "R2.h2.z", Body: "x"}}}, "1700000004030c0b0a0101046d392d390752322e68322e7a0001784659f3fd"},
 		{binOpCheckMail, Response{OK: true, stored: []mail.Stored{{Message: mail.Message{ID: mail.MessageID{Node: 9, Seq: 9}, From: z, Body: "x"}}}},
 			"1700000004030c0b0a0101046d392d390752322e68322e7a0001784659f3fd"},
-		{binOpJSON, Response{OK: true, Version: 3, Binary: true}, "2b00000000040c0b0a017b226f6b223a747275652c2276657273696f6e223a332c2262696e617279223a747275657d45b1fdfb"},
+		{binOpJSON, Response{OK: true, Binary: true}, "1f00000000040c0b0a017b226f6b223a747275652c2262696e617279223a747275657d6cda2f27"},
 		{binOpGetMail, Response{Error: "getmail: no such user", Code: "unknown_user"}, "2900000003050c0b0a000c756e6b6e6f776e5f75736572156765746d61696c3a206e6f207375636820757365722f103bcc"},
 	}
 	tags := []uint32{0, 1, 2, 2, 3, 3, 4, 5} // the stored twins reuse their Messages form's tag

@@ -2,174 +2,124 @@ package wire
 
 import (
 	"context"
-	"fmt"
+	"net"
 	"strconv"
 	"testing"
 	"time"
 )
 
-// compatServer starts a server capped at the given protocol version.
-func compatServer(t *testing.T, maxProto int) *Server {
+// rawText dials addr by hand and returns, with the connection and its reader,
+// a function that sends one text line and decodes the one line that answers
+// it — a peer that knows nothing but newline-delimited JSON.
+func rawText(t *testing.T, addr string) (net.Conn, *connReader, func(line string) Response) {
 	t.Helper()
-	s, err := NewServerWith("127.0.0.1:0", []string{"s1", "s2", "s3"},
-		ServerConfig{MaxProtocol: maxProto})
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
-	return s
+	t.Cleanup(func() { _ = conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	cr := newConnReader(conn)
+	t.Cleanup(cr.release)
+	return conn, cr, func(line string) Response {
+		t.Helper()
+		if _, err := conn.Write([]byte(line + "\n")); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		answer, err := cr.readLine()
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		resp, err := DecodeResponse(answer)
+		if err != nil {
+			t.Fatalf("%s: answered %q: %v", line, answer, err)
+		}
+		return resp
+	}
 }
 
-// TestCompatMatrix runs {v1,v2,v3 client} x {v2,v3 server} through submit,
-// tbatch, status, and a pipelined burst, asserting the negotiated version is
-// min(client, server) and binary framing appears only at v3 x v3.
-func TestCompatMatrix(t *testing.T) {
-	for _, serverMax := range []int{2, 3} {
-		for _, clientMax := range []int{1, 2, 3} {
-			name := fmt.Sprintf("client_v%d/server_v%d", clientMax, serverMax)
-			t.Run(name, func(t *testing.T) {
-				s := compatServer(t, serverMax)
-				c, err := DialOptions(s.Addr(), Options{MaxVersion: clientMax})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { _ = c.Close() })
+// TestRawTextPeer drives every verb, tbatch and query included, from a raw
+// socket that never says hello: the text framing is the whole protocol, not
+// a floor some verbs sit above.
+func TestRawTextPeer(t *testing.T) {
+	s := newQueryServer(t, ServerConfig{})
+	_, _, do := rawText(t, s.Addr())
+	ok := func(line string) Response {
+		t.Helper()
+		resp := do(line)
+		if !resp.OK {
+			t.Fatalf("%s: refused: %s", line, resp.Error)
+		}
+		return resp
+	}
+	ok(`{"op":"register","user":"R1.h1.alice","servers":["s1","s2"]}`)
+	ok(`{"op":"register","user":"R1.h2.bob","servers":["s2"]}`)
+	if resp := ok(`{"op":"submit","from":"R1.h2.bob","to":["R1.h1.alice"],"subject":"one","body":"the budget is late"}`); resp.ID == "" {
+		t.Fatal("submit: no id")
+	}
+	resp := ok(`{"op":"tbatch","from":"R1.h2.bob","msgs":[{"to":["R1.h1.alice"],"subject":"two"},{"to":["R1.h9.ghost"]},{"to":["R1.h1.alice"],"subject":"three"}]}`)
+	if len(resp.IDs) != 3 || resp.IDs[0] == "" || resp.IDs[1] != "" || resp.IDs[2] == "" {
+		t.Fatalf("tbatch ids = %q", resp.IDs)
+	}
+	if len(resp.Failed) != 1 || resp.Failed[0].Index != 1 || resp.Failed[0].Code == "" {
+		t.Fatalf("tbatch failed = %+v", resp.Failed)
+	}
+	resp = ok(`{"op":"query","query":"content=budget"}`)
+	if len(resp.Matches) != 1 || resp.Matches[0] != "R1.h1.alice" || resp.QueryStats == nil {
+		t.Fatalf("query: matches %q, stats %+v", resp.Matches, resp.QueryStats)
+	}
+	if resp = ok(`{"op":"checkmail","user":"R1.h2.bob","server":"s2"}`); len(resp.Messages) != 0 {
+		t.Fatalf("checkmail found %d messages for a user nobody wrote to", len(resp.Messages))
+	}
+	ok(`{"op":"crash","server":"s1"}`)
+	if resp = ok(`{"op":"status"}`); resp.Status == nil || len(resp.Status.Servers) != 3 || resp.Status.Servers[0].Up {
+		t.Fatalf("status after crash: %+v", resp.Status)
+	}
+	ok(`{"op":"recover","server":"s1"}`)
+	resp = ok(`{"op":"getmail","user":"R1.h1.alice"}`)
+	if len(resp.Messages) != 3 || resp.Polls == 0 || resp.LastChecking == 0 {
+		t.Fatalf("getmail: %d of 3 messages, polls=%d last_checking=%d", len(resp.Messages), resp.Polls, resp.LastChecking)
+	}
+	if resp = do(`{"op":"frobnicate"}`); resp.OK {
+		t.Fatal("unknown op accepted")
+	}
+}
 
-				want := clientMax
-				if serverMax < want {
-					want = serverMax
-				}
-				ver, err := c.Negotiate(context.Background())
-				if err != nil {
-					t.Fatalf("negotiate: %v", err)
-				}
-				if ver != want {
-					t.Fatalf("negotiated v%d, want min(%d,%d)=%d", ver, clientMax, serverMax, want)
-				}
-				wantBinary := want >= 3
-				if c.BinaryFraming() != wantBinary {
-					t.Fatalf("binary framing = %v, want %v at negotiated v%d",
-						c.BinaryFraming(), wantBinary, want)
-				}
-
-				if err := c.Register("R1.h1.alice"); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Register("R1.h1.bob"); err != nil {
-					t.Fatal(err)
-				}
-
-				// submit
-				id, err := c.Submit("R1.h1.alice", []string{"R1.h1.bob"}, "s", "b")
-				if err != nil || id == "" {
-					t.Fatalf("submit: id=%q err=%v", id, err)
-				}
-
-				// tbatch: one frame from v2 on; at v1 the client falls back
-				// to single submits, so the call succeeds either way.
-				ids, err := c.SubmitBatch("R1.h1.alice", []BatchMsg{
-					{To: []string{"R1.h1.bob"}, Subject: "t1"},
-					{To: []string{"R1.h1.bob"}, Subject: "t2"},
-				})
-				if err != nil || len(ids) != 2 || ids[0] == "" || ids[1] == "" {
-					t.Fatalf("tbatch at v%d: ids=%v err=%v", want, ids, err)
-				}
-
-				// status
-				if _, err := c.Status(); err != nil {
-					t.Fatalf("status: %v", err)
-				}
-
-				// pipelined burst: valid at every version (FIFO on text,
-				// tagged on binary).
-				p, err := c.Pipeline(context.Background(), 8)
-				if err != nil {
-					t.Fatalf("pipeline: %v", err)
-				}
-				const burst = 40
-				futs := make([]*Future, burst)
-				for i := range futs {
-					futs[i] = p.Submit("R1.h1.alice", []string{"R1.h1.bob"}, "p"+strconv.Itoa(i), "b")
-				}
-				for i, f := range futs {
-					if _, err := f.Response(); err != nil {
-						t.Fatalf("burst future %d: %v", i, err)
-					}
-				}
-				if err := p.Close(); err != nil {
-					t.Fatalf("pipeline close: %v", err)
-				}
-
-				wantMail := 1 + 2 + burst
-				msgs, err := c.GetMail("R1.h1.bob")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(msgs) != wantMail {
-					t.Fatalf("delivered %d, want %d", len(msgs), wantMail)
-				}
-				// Exactly-once per submitted ID.
-				seen := map[string]bool{}
-				for _, m := range msgs {
-					if seen[m.ID] {
-						t.Fatalf("duplicate delivery of %s", m.ID)
-					}
-					seen[m.ID] = true
-				}
-			})
+// TestHelloNegotiation pins the handshake: a hello that does not ask for
+// frames — the legacy versioned one included — is answered ok and leaves the
+// connection on text; hello{"binary":true} switches it, and nothing switches
+// it back.
+func TestHelloNegotiation(t *testing.T) {
+	s := newServer(t)
+	conn, cr, do := rawText(t, s.Addr())
+	for _, hello := range []string{`{"op":"hello","version":2}`, `{"op":"hello"}`} {
+		if resp := do(hello); !resp.OK || resp.Binary {
+			t.Fatalf("%s answered %+v, want ok on text", hello, resp)
+		}
+		if resp := do(`{"op":"register","user":"R1.h1.alice"}`); !resp.OK {
+			t.Fatalf("text request after %s: %+v", hello, resp)
 		}
 	}
-}
-
-// TestCompatRawV1Peer pins the lazy-hello fallback: a client that never
-// sends hello (pre-handshake peer) gets a working v1 text session on a v3
-// server, with tbatch refused as a protocol error.
-func TestCompatRawV1Peer(t *testing.T) {
-	s := newServer(t) // v3 server
-	c, err := DialOptions(s.Addr(), Options{MaxVersion: 1})
+	if resp := do(`{"op":"hello","binary":true}`); !resp.OK || !resp.Binary {
+		t.Fatalf("binary hello answered %+v", resp)
+	}
+	// From here on the connection speaks frames, and a hello that does not
+	// ask for them reports the framing instead of undoing it.
+	frames, err := AppendBinaryRequest(nil, Request{Op: "hello"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = c.Close() })
-	// Register works with no handshake at all (lazy negotiation never runs
-	// for plain verbs on a v1 peer).
-	if err := c.Register("R1.h1.alice"); err != nil {
+	if frames, err = AppendBinaryRequest(frames, Request{Op: "getmail", User: "R1.h1.alice"}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if ver, err := c.Negotiate(context.Background()); err != nil || ver != 1 {
-		t.Fatalf("v1 peer negotiated v%d, err=%v", ver, err)
-	}
-	if c.BinaryFraming() {
-		t.Fatal("v1 peer switched to binary framing")
-	}
-	// The raw tbatch verb (no client-side gate) is refused by the server.
-	if _, err := c.Do(Request{Op: "tbatch", From: "R1.h1.alice",
-		Msgs: []BatchMsg{{To: []string{"R1.h1.alice"}}}}); err == nil {
-		t.Fatal("server accepted tbatch from a v1 connection")
-	}
-}
-
-// TestCompatV3ClientOldErrorShape: a server that rejects hello outright
-// (simulating a pre-v2 daemon) pins the client to v1 and the session works.
-func TestCompatV3ClientOldErrorShape(t *testing.T) {
-	s := compatServer(t, 1)
-	c, err := Dial(s.Addr())
-	if err != nil {
+	if _, err := conn.Write(frames); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = c.Close() })
-	ver, err := c.Negotiate(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if resp, tag := readBinary(t, cr); tag != 1 || !resp.OK || !resp.Binary {
+		t.Fatalf("hello on frames: tag %d, %+v", tag, resp)
 	}
-	if ver != 1 || c.BinaryFraming() {
-		t.Fatalf("ver=%d binary=%v, want v1 text", ver, c.BinaryFraming())
-	}
-	if err := c.Register("R1.h1.alice"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Submit("R1.h1.alice", []string{"R1.h1.alice"}, "s", "b"); err != nil {
-		t.Fatal(err)
+	if resp, tag := readBinary(t, cr); tag != 2 || !resp.OK {
+		t.Fatalf("getmail after the second hello: tag %d, %+v", tag, resp)
 	}
 }
 

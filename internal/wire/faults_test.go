@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"errors"
 	"net"
 	"os"
@@ -74,6 +75,44 @@ func TestOversizedLineGetsErrorResponse(t *testing.T) {
 	if !errors.Is(err, mailerr.ErrOversized) {
 		t.Errorf("error = %v does not match mailerr.ErrOversized", err)
 	}
+
+	// The cap is on what travels. 300 KiB of control bytes is six times that
+	// as a JSON line (\u0001 each) and refused on text; as a frame it is
+	// 300 KiB and legal, through Do and through Pipeline.Do alike.
+	if err := c.Register("R1.h1.a"); err != nil {
+		t.Fatal(err)
+	}
+	ctl := Request{Op: "submit", From: "R1.h1.a", To: []string{"R1.h1.a"}, Body: strings.Repeat("\x01", 300<<10)}
+	if _, err := c.Do(ctl); !errors.Is(err, ErrLineTooLong) {
+		t.Fatalf("control-byte body on text: err = %v, want ErrLineTooLong", err)
+	}
+	if err := c.Negotiate(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Do(ctl); err != nil {
+		t.Fatalf("control-byte body in a frame, Do: %v", err)
+	}
+	p, err := c.Pipeline(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Do(ctl).Response(); err != nil {
+		t.Fatalf("control-byte body in a frame, Pipeline.Do: %v", err)
+	}
+	big := Request{Op: "submit", From: "R1.h1.a", To: []string{"R1.h1.a"}, Body: strings.Repeat("x", MaxLine+1)}
+	if _, err := p.Do(big).Response(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized frame, Pipeline.Do: err = %v, want ErrFrameTooLarge", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Do(big); !errors.Is(err, ErrFrameTooLarge) || !errors.Is(err, mailerr.ErrOversized) {
+		t.Errorf("oversized frame, Do: err = %v, want ErrFrameTooLarge matching mailerr.ErrOversized", err)
+	}
+	msgs, err := c.GetMail("R1.h1.a")
+	if err != nil || len(msgs) != 2 || msgs[0].Body != ctl.Body || msgs[1].Body != ctl.Body {
+		t.Fatalf("getmail after the two framed submits: %d messages, err %v", len(msgs), err)
+	}
 }
 
 // TestClientReconnectsAfterBrokenConnection kills the client's TCP
@@ -113,18 +152,18 @@ func TestStatusCarriesClusterCounters(t *testing.T) {
 	if _, err := c.Submit("R1.h1.alice", []string{"R1.h1.alice"}, "fo", "b"); err != nil {
 		t.Fatal(err)
 	}
-	_, counters, err := c.StatusFull()
+	snap, err := c.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counters == nil {
+	if snap.Counters == nil {
 		t.Fatal("status response has no counters")
 	}
-	if _, ok := counters["spool_depth"]; !ok {
-		t.Error("counters missing spool_depth")
+	if _, ok := snap.Gauges["spool_depth"]; !ok {
+		t.Error("gauges missing spool_depth")
 	}
-	if counters["deposit_failovers"] == 0 {
-		t.Errorf("deposit_failovers = 0 after failover submit; counters = %v", counters)
+	if snap.Counters["deposit_failovers"] == 0 {
+		t.Errorf("deposit_failovers = 0 after failover submit; counters = %v", snap.Counters)
 	}
 }
 

@@ -13,25 +13,12 @@ import (
 )
 
 // rawBinary dials addr by hand and switches the connection to binary framing
-// with a text hello, the way any v3 peer does.
+// with a text hello (a legacy one: its "version" field is ignored).
 func rawBinary(t *testing.T, addr string) (net.Conn, *connReader) {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = conn.Close() })
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	cr := newConnReader(conn)
-	if _, err := conn.Write([]byte(`{"op":"hello","version":3,"binary":true}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	line, err := cr.readLine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := DecodeResponse(line); err != nil || !resp.OK || !resp.Binary {
-		t.Fatalf("hello: %+v, %v", resp, err)
+	conn, cr, do := rawText(t, addr)
+	if resp := do(`{"op":"hello","version":3,"binary":true}`); !resp.OK || !resp.Binary {
+		t.Fatalf("hello: %+v", resp)
 	}
 	return conn, cr
 }
@@ -283,7 +270,7 @@ func TestWorkItemRecycledClean(t *testing.T) {
 	t.Cleanup(s.Close)
 	c := newClient(t, s)
 	pipelineRegister(t, c, "R1.h1.alice", "R1.h1.bob")
-	ghost := &connState{srv: s, ver: 3, binary: true}
+	ghost := &connState{srv: s, binary: true}
 	for i := 0; i < 64; i++ {
 		workPool.Put(&work{st: ghost, tag: 0xdeadbeef, bin: true, op: binOpCheckMail, req: Request{
 			Op: "crash", Server: "s1", User: "R9.h9.poison", Body: "POISON", To: []string{"R1.h1.bob"}, Msgs: []BatchMsg{{Body: "POISON"}},

@@ -17,17 +17,15 @@ var errPipelineClosed = errors.New("wire: pipeline closed")
 
 // Pipeline keeps up to maxInflight requests in flight on the client's single
 // connection: callers get a Future per request immediately and the pipeline
-// overlaps the round trips, which is where the v3 transport's throughput
-// comes from — one in-flight request pays the full RTT per request, 32 pay
-// it once per window.
+// overlaps the round trips, which is where the transport's throughput comes
+// from — one in-flight request pays the full RTT per request, 32 pay it once
+// per window.
 //
-// On a binary (v3) connection, requests are tagged frames and responses are
-// matched by tag, so a server may legally complete them out of order. On a
-// text connection the same pipelining works against any server version —
-// the stream is still one-line-per-request — with responses matched in FIFO
-// order. Either way this package's own server executes one connection's
-// requests in submission order (see the worker pool), so "pipelined" never
-// weakens the per-connection ordering the exactly-once auditors check.
+// A pipeline speaks binary frames: requests are tagged and responses are
+// matched by tag, so a server may legally complete them out of order. This
+// package's own server executes one connection's requests in submission
+// order (see the worker pool), so "pipelined" never weakens the
+// per-connection ordering the exactly-once auditors check.
 //
 // A Pipeline owns the client's connection from Pipeline() until Close():
 // the Client's own request methods must not be used in between. Do/Submit/
@@ -42,8 +40,7 @@ var errPipelineClosed = errors.New("wire: pipeline closed")
 // accumulated in a single write, so a burst of requests costs one write(2),
 // not one each, and a lone request goes out as soon as the writer wakes.
 type Pipeline struct {
-	c      *Client
-	binary bool
+	c *Client
 
 	sem    chan struct{} // one slot per in-flight request
 	expect chan struct{} // one token per successfully written request
@@ -52,8 +49,7 @@ type Pipeline struct {
 	wake    *sync.Cond         // the writer waits here for output, failure or Close
 	out     []byte             // encoded requests not yet handed to the socket
 	outN    int                // how many requests out holds
-	pending map[uint32]*Future // binary: tag → future
-	fifo    []*Future          // text: response order
+	pending map[uint32]*Future // tag → future
 	werr    error              // sticky transport failure
 	closed  bool
 
@@ -78,34 +74,17 @@ func (f *Future) Response() (Response, error) {
 	return f.resp, f.err
 }
 
-// Pipeline negotiates the protocol (lazily, like SubmitBatch) and returns a
-// pipeline with the given depth (≤ 0 → DefaultMaxInflight). The connection
-// uses binary framing when the negotiated version allows it and Options
-// don't forbid it; otherwise text framing, which still pipelines against
-// servers of any version.
+// Pipeline switches the client to binary framing (see Negotiate) and returns
+// a pipeline with the given depth (≤ 0 → DefaultMaxInflight).
 func (c *Client) Pipeline(ctx context.Context, maxInflight int) (*Pipeline, error) {
 	if maxInflight <= 0 {
 		maxInflight = DefaultMaxInflight
 	}
-	if _, err := c.negotiate(ctx); err != nil {
+	if err := c.Negotiate(ctx); err != nil {
 		return nil, err
 	}
-	if c.conn == nil {
-		if err := c.connect(); err != nil {
-			return nil, err
-		}
-	}
-	if !c.binOn && c.wantBinary() {
-		_ = c.conn.SetDeadline(c.deadline(ctx))
-		if err := c.enterBinary(); err != nil {
-			c.drop()
-			return nil, err
-		}
-	}
-	_ = c.conn.SetDeadline(time.Time{})
 	p := &Pipeline{
 		c:          c,
-		binary:     c.binOn,
 		sem:        make(chan struct{}, maxInflight),
 		expect:     make(chan struct{}, maxInflight),
 		pending:    make(map[uint32]*Future),
@@ -131,14 +110,8 @@ func (p *Pipeline) Do(req Request) *Future {
 	}
 	var tag uint32
 	if err == nil {
-		if p.binary {
-			tag = p.c.nextTag()
-			p.out, err = AppendBinaryRequest(p.out, req, tag)
-		} else {
-			var line []byte
-			line, err = EncodeRequest(req)
-			p.out = append(p.out, line...)
-		}
+		tag = p.c.nextTag()
+		p.out, err = AppendBinaryRequest(p.out, req, tag)
 	}
 	if err != nil {
 		p.mu.Unlock()
@@ -146,13 +119,8 @@ func (p *Pipeline) Do(req Request) *Future {
 		return f
 	}
 	// Registered under the same lock the bytes are queued under, so a fast
-	// response can never beat the bookkeeping, and registration order is
-	// write order, which is what FIFO matching in text mode relies on.
-	if p.binary {
-		p.pending[tag] = f
-	} else {
-		p.fifo = append(p.fifo, f)
-	}
+	// response can never beat the bookkeeping.
+	p.pending[tag] = f
 	p.outN++
 	p.mu.Unlock()
 	p.wake.Signal()
@@ -199,9 +167,7 @@ func (p *Pipeline) Submit(from string, to []string, subject, body string) *Futur
 	return p.Do(Request{Op: "submit", From: from, To: to, Subject: subject, Body: body})
 }
 
-// SubmitBatch pipelines one tbatch request (the connection must have
-// negotiated version ≥ 2; the server refuses it otherwise, like any other
-// refused request).
+// SubmitBatch pipelines one tbatch request.
 func (p *Pipeline) SubmitBatch(from string, msgs []BatchMsg) *Future {
 	return p.Do(Request{Op: "tbatch", From: from, Msgs: msgs})
 }
@@ -249,29 +215,20 @@ func (p *Pipeline) failAll(err error) {
 	}
 	pend := p.pending
 	p.pending = make(map[uint32]*Future)
-	fifo := p.fifo
-	p.fifo = nil
 	p.mu.Unlock()
 	p.wake.Signal() // the writer has nothing left to wait for
 	for _, f := range pend {
 		p.finish(f, Response{}, err)
 	}
-	for _, f := range fifo {
-		p.finish(f, Response{}, err)
-	}
 }
 
-// reader consumes one response per expect token, matching by tag (binary)
-// or FIFO order (text). It exits when Close closes the token channel and
-// every outstanding response has been read, or on the first transport
-// error.
+// reader consumes one response per expect token, matching by tag. It exits
+// when Close closes the token channel and every outstanding response has
+// been read, or on the first transport error.
 func (p *Pipeline) reader() {
 	defer close(p.readerDone)
-	var rbuf *[]byte
-	if p.binary {
-		rbuf = getFrameBuf()
-		defer putFrameBuf(rbuf)
-	}
+	rbuf := getFrameBuf()
+	defer putFrameBuf(rbuf)
 	for range p.expect {
 		if t := p.c.opts.Timeout; t > 0 {
 			_ = p.c.conn.SetReadDeadline(time.Now().Add(t))
@@ -279,30 +236,18 @@ func (p *Pipeline) reader() {
 		var (
 			resp Response
 			tag  uint32
-			err  error
 		)
-		if p.binary {
-			var payload []byte
-			payload, err = p.c.cr.readFrame(rbuf)
-			if err == nil {
-				resp, tag, err = DecodeBinaryResponse(payload)
-			}
-		} else {
-			resp, err = p.c.readResponse()
+		payload, err := p.c.cr.readFrame(rbuf)
+		if err == nil {
+			resp, tag, err = DecodeBinaryResponse(payload)
 		}
 		if err != nil {
 			p.failAll(err)
 			return
 		}
-		var f *Future
 		p.mu.Lock()
-		if p.binary {
-			f = p.pending[tag]
-			delete(p.pending, tag)
-		} else if len(p.fifo) > 0 {
-			f = p.fifo[0]
-			p.fifo = p.fifo[1:]
-		}
+		f := p.pending[tag]
+		delete(p.pending, tag)
 		p.mu.Unlock()
 		if f == nil {
 			p.failAll(fmt.Errorf("wire: response with unmatched tag %d", tag))

@@ -32,7 +32,7 @@ func TestPipelineBinaryBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !c.BinaryFraming() {
-		t.Fatal("pipeline on a v3 server did not negotiate binary framing")
+		t.Fatal("pipeline did not switch to binary framing")
 	}
 	const n = 200
 	futs := make([]*Future, n)
@@ -107,42 +107,6 @@ func TestPipelineOrdering(t *testing.T) {
 		if m.Subject != strconv.Itoa(i) {
 			t.Fatalf("position %d holds submit #%s: per-connection order broken", i, m.Subject)
 		}
-	}
-}
-
-// TestPipelineTextMode pipelines against the same server with a TextOnly
-// client: same semantics, FIFO-matched responses.
-func TestPipelineTextMode(t *testing.T) {
-	s := newServer(t)
-	c, err := DialOptions(s.Addr(), Options{TextOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	pipelineRegister(t, c, "R1.h1.alice", "R1.h1.bob")
-
-	p, err := c.Pipeline(context.Background(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.BinaryFraming() {
-		t.Fatal("TextOnly client negotiated binary framing")
-	}
-	const n = 50
-	futs := make([]*Future, n)
-	for i := 0; i < n; i++ {
-		futs[i] = p.Submit("R1.h1.alice", []string{"R1.h1.bob"}, "s", "b"+strconv.Itoa(i))
-	}
-	for i, f := range futs {
-		if _, err := f.Response(); err != nil {
-			t.Fatalf("future %d: %v", i, err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if msgs, _ := c.GetMail("R1.h1.bob"); len(msgs) != n {
-		t.Fatalf("delivered %d of %d", len(msgs), n)
 	}
 }
 
@@ -232,7 +196,7 @@ func TestPipelineMixedVerbs(t *testing.T) {
 		t.Fatalf("getmail saw %d of 3 messages", len(resp.Messages))
 	}
 	if resp.Polls == 0 || resp.LastChecking == 0 {
-		t.Fatalf("getmail polls=%d last_checking=%d: v3 poll accounting missing",
+		t.Fatalf("getmail polls=%d last_checking=%d: poll accounting missing",
 			resp.Polls, resp.LastChecking)
 	}
 	if err := p.Close(); err != nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -94,35 +95,6 @@ func TestQueryConjunction(t *testing.T) {
 	}
 }
 
-// TestQueryRequiresNegotiation pins the version gate server-side: the verb
-// is v3-only, and a connection that never said hello speaks v1.
-func TestQueryRequiresNegotiation(t *testing.T) {
-	s := newQueryServer(t, ServerConfig{})
-	c := newClient(t, s)
-	_, err := c.Do(Request{Op: "query", Query: "content=budget"})
-	if err == nil {
-		t.Fatal("query before hello succeeded")
-	}
-	if !strings.Contains(err.Error(), "hello") {
-		t.Errorf("error = %v, want a pointer at the handshake", err)
-	}
-}
-
-// TestQueryAgainstOldServer pins the client-side gate: against a v2 server
-// the negotiated version is below the verb's floor and Query refuses
-// locally, with an error naming both versions.
-func TestQueryAgainstOldServer(t *testing.T) {
-	s := newQueryServer(t, ServerConfig{MaxProtocol: 2})
-	c := newClient(t, s)
-	_, err := c.Query("content=budget")
-	if err == nil {
-		t.Fatal("query against v2 server succeeded")
-	}
-	if !strings.Contains(err.Error(), "protocol version") {
-		t.Errorf("error = %v, want a protocol-version refusal", err)
-	}
-}
-
 // TestQueryRequiresTermIndex: a cluster without the index cannot serve the
 // verb, and says so instead of returning a silently empty match set.
 func TestQueryRequiresTermIndex(t *testing.T) {
@@ -183,35 +155,29 @@ func TestQueryCountsUnavailable(t *testing.T) {
 	}
 }
 
-// TestQueryBinaryFraming: the verb rides the v3 binary framing like any
-// other cold op (JSON-in-frame), on the same negotiated connection.
+// TestQueryBinaryFraming: the verb rides the binary framing like any other
+// cold op (JSON-in-frame), and answers the same on a connection that never
+// left text.
 func TestQueryBinaryFraming(t *testing.T) {
 	s := newQueryServer(t, ServerConfig{})
 	c := newClient(t, s)
 	seedQueryMail(t, c)
-	res, err := c.Query("content=budget")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.BinaryFraming() {
-		t.Fatal("connection did not negotiate binary framing")
-	}
-	if len(res.Matches) != 1 || res.Matches[0] != "R1.h1.alice" {
-		t.Fatalf("matches over binary framing = %v", res.Matches)
-	}
-	// And over the text framing for contrast.
-	tc, err := DialOptions(s.Addr(), Options{TextOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
-	if res, err = tc.Query("content=budget"); err != nil {
-		t.Fatal(err)
-	} else if len(res.Matches) != 1 {
-		t.Fatalf("matches over text framing = %v", res.Matches)
-	}
-	if tc.BinaryFraming() {
-		t.Error("TextOnly client negotiated binary framing")
+	for _, binary := range []bool{false, true} {
+		if binary {
+			if err := c.Negotiate(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.BinaryFraming() != binary {
+			t.Fatalf("binary framing = %v, want %v", c.BinaryFraming(), binary)
+		}
+		res, err := c.Query("content=budget")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != 1 || res.Matches[0] != "R1.h1.alice" {
+			t.Fatalf("matches (binary framing %v) = %v", binary, res.Matches)
+		}
 	}
 }
 

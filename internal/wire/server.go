@@ -1,0 +1,752 @@
+// Package wire exposes a live mail cluster (internal/livenet) over TCP. It is
+// the deployable surface of the reproduction: the same authority-list and
+// GetMail semantics the paper defines, reachable from real processes.
+//
+// There is one protocol in two framings. A connection starts on text: one
+// JSON object per line in each direction. Requests carry an "op" plus
+// op-specific fields; responses carry "ok", an optional "error", and
+// op-specific results. Operations:
+//
+//	hello     {binary}                     → {ok, binary}       (framing switch)
+//	register  {user, servers[]}            → {ok}
+//	submit    {from, to[], subject, body}  → {ok, id}
+//	tbatch    {from, msgs[]}               → {ok, ids[], failed[]}  (batched submit)
+//	checkmail {user, server}               → {ok, messages[]}
+//	getmail   {user}                       → {ok, messages[], polls, last_checking}
+//	query     {query}                      → {ok, matches[], query_stats}  (content search)
+//	status    {}                           → {ok, status}       (versioned observability snapshot)
+//	crash     {server} / recover {server}  → {ok}               (operations testing hook)
+//
+// Failed responses carry an optional machine-readable "code" drawn from the
+// mailerr taxonomy (unknown_user, server_down, oversized, timeout); clients
+// reconstruct typed errors from it so errors.Is works across the TCP hop.
+//
+// A hello carrying {"binary": true} switches both directions to
+// length-prefixed CRC-checked frames (see binframe.go), starting with the
+// first request after the (text) hello response; the switch is sticky for the
+// connection's lifetime. Any other hello is answered ok and changes nothing,
+// so a peer that says hello out of habit stays on text. Every verb is served
+// on both framings. Binary frames carry a client-assigned tag, which is what
+// allows pipelining (Client.Pipeline): up to MaxInflight tagged requests in
+// flight per connection.
+//
+// Server side, connections do not get a handler goroutine each. A reader
+// goroutine per connection decodes requests and enqueues them on a
+// per-connection FIFO queue drained by a bounded worker pool
+// (internal/server.WorkPool, size ServerConfig.WireWorkers), preserving
+// per-connection order; a full queue blocks the reader, which is the
+// transport's backpressure (see DESIGN.md §10).
+//
+// The status result is a versioned StatusSnapshot: per-server rows plus the
+// cluster's full instrument set — counters, gauges, and per-stage latency
+// histograms with precomputed p50/p95/p99 — so operational tooling (mailctl)
+// and the machine-readable exports read the same registry, the wire-path
+// instruments (wire_bytes_in/wire_bytes_out, lat_wire_decode) included.
+package wire
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sort"
+	"sync"
+	"time"
+
+	"github.com/largemail/largemail/internal/attr"
+	"github.com/largemail/largemail/internal/livenet"
+	"github.com/largemail/largemail/internal/mail"
+	"github.com/largemail/largemail/internal/mailerr"
+	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/obs"
+	"github.com/largemail/largemail/internal/server"
+)
+
+// writeStallTimeout bounds one flush of a connection's buffered responses. A
+// peer that stops reading cannot wedge a pool worker forever: the write times
+// out, the connection is closed, and the worker moves on.
+const writeStallTimeout = 30 * time.Second
+
+// outFlushSize is how much buffered output makes a worker flush before its
+// batch ends. Half of what putFrameBuf still pools: flushing only at the
+// pooling limit would grow the buffer past it, and throw it away, every time.
+const outFlushSize = connReaderBufSize / 2
+
+// queuedPerConn caps one connection's decoded-but-unexecuted requests. A full
+// queue blocks the connection's reader — backpressure, not disconnection.
+const queuedPerConn = 64
+
+// ServerConfig tunes a wire server beyond the cluster it fronts.
+type ServerConfig struct {
+	// Cluster configures the backing livenet cluster (durable stores via
+	// DataDir, fsync policy, ...).
+	Cluster livenet.ClusterConfig
+	// WireWorkers bounds the worker pool that executes decoded requests
+	// (0 → one worker per scheduler thread). This replaces goroutine-per-
+	// connection handling: concurrency is this bound regardless of how many
+	// connections are open.
+	WireWorkers int
+}
+
+// Server serves the wire protocol over a listener, backed by a live
+// cluster. Create with NewServer; stop with Close.
+type Server struct {
+	cluster    *livenet.Cluster
+	names      []string // server names, registration order
+	pool       *server.WorkPool
+	termIndex  bool          // cluster runs the term index; query verb is servable
+	writeStall time.Duration // writeStallTimeout; tests shorten it
+
+	bytesIn   *obs.Counter
+	bytesOut  *obs.Counter
+	decodeLat *obs.Histogram
+
+	ln     net.Listener
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	wg     sync.WaitGroup
+	closed bool
+
+	// agents holds one server-side agent per user so the getmail op uses
+	// the paper's retrieval algorithm with persistent LastCheckingTime.
+	// agentMu guards the map only; a walk runs under its own agent's lock, so
+	// retrievals for different users proceed in parallel.
+	agentMu sync.Mutex
+	agents  map[names.Name]*userAgent
+}
+
+// userAgent is one user's server-side agent and the lock that makes it the
+// single actor livenet.Agent requires, whichever connections poll for it.
+type userAgent struct {
+	mu sync.Mutex
+	a  *livenet.Agent
+}
+
+// NewServer builds a memory-backed cluster with the given server names and
+// starts accepting connections on addr (e.g. "127.0.0.1:0"). The returned
+// server owns the cluster.
+func NewServer(addr string, serverNames []string) (*Server, error) {
+	return NewServerWith(addr, serverNames, ServerConfig{})
+}
+
+// NewServerWith is NewServer with the full server configuration: the cluster
+// (durable stores via ClusterConfig.DataDir, ...) and the worker-pool size.
+func NewServerWith(addr string, serverNames []string, cfg ServerConfig) (*Server, error) {
+	if len(serverNames) == 0 {
+		return nil, errors.New("wire: need at least one server name")
+	}
+	cluster := livenet.NewClusterWith(cfg.Cluster)
+	for _, n := range serverNames {
+		if _, err := cluster.AddServer(n); err != nil {
+			cluster.Close()
+			return nil, err
+		}
+	}
+	// Spooled redelivery makes submits accept-and-retry instead of failing
+	// outright when every authority server is briefly down.
+	if err := cluster.EnableSpool(livenet.SpoolConfig{}); err != nil {
+		cluster.Close()
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		cluster.Close()
+		return nil, err
+	}
+	reg := cluster.Obs()
+	s := &Server{
+		cluster:    cluster,
+		names:      append([]string(nil), serverNames...),
+		pool:       server.NewWorkPool(cfg.WireWorkers),
+		termIndex:  cfg.Cluster.TermIndex,
+		writeStall: writeStallTimeout,
+		bytesIn:    reg.Counter("wire_bytes_in"),
+		bytesOut:   reg.Counter("wire_bytes_out"),
+		decodeLat:  reg.Histogram("lat_wire_decode", nil),
+		ln:         ln,
+		conns:      make(map[net.Conn]struct{}),
+		agents:     make(map[names.Name]*userAgent),
+	}
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return s, nil
+}
+
+// Addr returns the listening address.
+func (s *Server) Addr() string { return s.ln.Addr().String() }
+
+// Cluster exposes the backing live cluster — the hook load generators use
+// for fault injection and settle checks against a wire server they own.
+func (s *Server) Cluster() *livenet.Cluster { return s.cluster }
+
+// Close stops accepting, closes every connection, waits for handlers to
+// exit, and shuts down the worker pool and the cluster.
+func (s *Server) Close() {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.closed = true
+	_ = s.ln.Close()
+	for c := range s.conns {
+		_ = c.Close()
+	}
+	s.mu.Unlock()
+	s.wg.Wait()
+	s.pool.Close()
+	s.cluster.Close()
+}
+
+func (s *Server) acceptLoop() {
+	defer s.wg.Done()
+	for {
+		conn, err := s.ln.Accept()
+		if err != nil {
+			return // listener closed
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.wg.Add(1)
+		s.mu.Unlock()
+		go s.handle(conn)
+	}
+}
+
+// connState is one connection's framing state plus its write half. binary
+// and helloDone are touched only by the worker holding the
+// connection's queue; the reader observes the framing switch through the
+// hello's completion channel, so no extra lock is needed for them.
+//
+// respond appends each response to out; the buffer goes to the socket in one
+// write at the queue's batch end (Run), early past outFlushSize, and at once
+// behind a reader-side error answer — no timer: a lone request is a batch of
+// one (DESIGN §10). out is borrowed from frameBufPool while it holds
+// something. wmu guards it: the reader's error answers race the worker's.
+type connState struct {
+	srv       *Server
+	conn      net.Conn
+	binary    bool
+	helloDone chan struct{} // closed, after the flush, by the batch end that follows a hello
+
+	wmu sync.Mutex
+	out *[]byte
+}
+
+// respond appends one response, in the framing the request arrived in, to the
+// connection's output buffer.
+func (st *connState) respond(bin bool, op byte, tag uint32, resp Response) {
+	st.wmu.Lock()
+	defer st.wmu.Unlock()
+	if st.out == nil {
+		st.out = getFrameBuf()
+	}
+	buf := *st.out
+	if bin {
+		var err error
+		if buf, err = AppendBinaryResponse(buf, op, tag, resp); err != nil {
+			buf, _ = AppendBinaryResponse(buf, op, tag, Response{Error: "response too large", Code: mailerr.Code(err)})
+		}
+	} else {
+		if resp.stored != nil {
+			resp.Messages = wireMessages(resp.stored)
+		}
+		line, err := EncodeResponse(resp)
+		if err != nil {
+			line, _ = EncodeResponse(Response{Error: "response too large", Code: mailerr.Code(err)})
+		}
+		buf = append(buf, line...)
+	}
+	*st.out = buf
+	if len(buf) >= outFlushSize {
+		st.writeLocked()
+	}
+}
+
+// writeLocked sends the buffered output in one write and empties the buffer.
+// Caller holds wmu.
+func (st *connState) writeLocked() {
+	_ = st.conn.SetWriteDeadline(time.Now().Add(st.srv.writeStall))
+	n, err := st.conn.Write(*st.out)
+	if n > 0 {
+		st.srv.bytesOut.Add(int64(n))
+	}
+	if err != nil {
+		// A dead or stalled peer: close so the reader unblocks too.
+		_ = st.conn.Close()
+	}
+	*st.out = (*st.out)[:0]
+}
+
+// flush sends whatever is buffered and gives the buffer back.
+func (st *connState) flush() {
+	st.wmu.Lock()
+	if st.out != nil {
+		if len(*st.out) > 0 {
+			st.writeLocked()
+		}
+		putFrameBuf(st.out)
+		st.out = nil
+	}
+	st.wmu.Unlock()
+}
+
+// Run is the batch end of the connection's work queue: one write for all the
+// responses the batch produced. A hello is always the last item of its batch
+// (the reader waits for it), so the flush here is also what puts the
+// handshake response on the wire before the reader moves on.
+func (st *connState) Run() {
+	st.flush()
+	if st.helloDone != nil {
+		close(st.helloDone)
+		st.helloDone = nil
+	}
+}
+
+// work is one decoded request on its way through a connection's queue. Items
+// are pooled: the reader fills every field, and Run — the only thing that
+// ever happens to a queued item — empties it and puts it back, so no body,
+// tag or connection outlives its request there.
+type work struct {
+	st  *connState
+	req Request
+	tag uint32
+	bin bool
+	op  byte
+}
+
+var workPool = sync.Pool{New: func() any { return new(work) }}
+
+func (w *work) Run() {
+	w.st.respond(w.bin, w.op, w.tag, w.st.srv.dispatch(w.req, w.st))
+	*w = work{}
+	workPool.Put(w)
+}
+
+// countingReader feeds the wire_bytes_in counter from the socket reads
+// underneath the buffered reader.
+type countingReader struct {
+	r io.Reader
+	c *obs.Counter
+}
+
+func (cr countingReader) Read(p []byte) (int, error) {
+	n, err := cr.r.Read(p)
+	if n > 0 {
+		cr.c.Add(int64(n))
+	}
+	return n, err
+}
+
+// handle is one connection's reader loop: decode a request (text line or
+// binary frame, per the connection's current framing), enqueue it on the
+// connection's work queue, repeat. Execution and response writes happen on
+// the worker pool; a full queue blocks this loop, which stops reading the
+// socket — backpressure via the peer's TCP window.
+func (s *Server) handle(conn net.Conn) {
+	defer s.wg.Done()
+	st := &connState{srv: s, conn: conn}
+	q := s.pool.NewQueue(queuedPerConn, st)
+	cr := newConnReader(countingReader{r: conn, c: s.bytesIn})
+	framep := getFrameBuf()
+	defer func() {
+		q.Close()
+		st.flush() // what the worker has answered so far still goes out
+		putFrameBuf(framep)
+		cr.release()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		_ = conn.Close()
+	}()
+	for {
+		var ok bool
+		if st.binary {
+			ok = s.serveBinaryFrame(cr, framep, q, st)
+		} else {
+			ok = s.serveTextLine(cr, q, st)
+		}
+		if !ok {
+			return
+		}
+	}
+}
+
+func (s *Server) serveTextLine(cr *connReader, q *server.WorkQueue, st *connState) bool {
+	line, err := cr.readLine()
+	if err != nil {
+		// A line past MaxLine cannot be consumed; tell the client why
+		// instead of silently hanging up on them.
+		if errors.Is(err, ErrLineTooLong) {
+			st.answerAndFlush(false, 0, Response{
+				Error: fmt.Sprintf("request line exceeds %d bytes", MaxLine),
+				Code:  mailerr.CodeOversized,
+			})
+		}
+		return false
+	}
+	start := time.Now()
+	req, derr := DecodeRequest(line)
+	s.decodeLat.Observe(float64(time.Since(start)))
+	if derr != nil {
+		resp := Response{Error: fmt.Sprintf("bad request: %v", derr), Code: mailerr.Code(derr)}
+		return q.Enqueue(func() { st.respond(false, 0, 0, resp) })
+	}
+	return s.enqueue(q, st, req, 0, false)
+}
+
+func (s *Server) serveBinaryFrame(cr *connReader, framep *[]byte, q *server.WorkQueue, st *connState) bool {
+	payload, err := cr.readFrame(framep)
+	if err != nil {
+		if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrFrameCorrupt) {
+			st.answerAndFlush(true, 0, Response{Error: err.Error(), Code: mailerr.Code(err)})
+		}
+		return false
+	}
+	start := time.Now()
+	req, tag, derr := DecodeBinaryRequest(payload)
+	s.decodeLat.Observe(float64(time.Since(start)))
+	if derr != nil {
+		// The frame checksummed clean but the payload is malformed: the
+		// peer's codec cannot be trusted, so answer and drop the connection.
+		st.answerAndFlush(true, tag, Response{Error: derr.Error(), Code: mailerr.Code(derr)})
+		return false
+	}
+	return s.enqueue(q, st, req, tag, true)
+}
+
+// answerAndFlush is the reader's own answer to input it cannot queue (an
+// oversized line, a bad CRC, a malformed payload), sent just before it drops
+// the connection: appended behind whatever the worker has buffered so far and
+// written at once, so the peer learns why.
+func (st *connState) answerAndFlush(bin bool, tag uint32, resp Response) {
+	st.respond(bin, binOpJSON, tag, resp)
+	st.flush()
+}
+
+// enqueue hands one decoded request to the connection's work queue, as a
+// pooled work item.
+func (s *Server) enqueue(q *server.WorkQueue, st *connState, req Request, tag uint32, bin bool) bool {
+	if req.Op == "hello" {
+		return s.enqueueHello(q, st, req, tag, bin)
+	}
+	w := workPool.Get().(*work)
+	w.st, w.req, w.tag, w.bin, w.op = st, req, tag, bin, binaryOpFor(req.Op)
+	return q.EnqueueRunner(w)
+}
+
+// enqueueHello is enqueue for the handshake. The reader must not read the
+// next bytes until the handshake response is out and the framing switch (if
+// granted) applied, so it waits for the batch end behind the hello item —
+// which also orders the switch after every earlier response on the queue.
+// A function of its own: the closure makes its req a heap variable.
+func (s *Server) enqueueHello(q *server.WorkQueue, st *connState, req Request, tag uint32, bin bool) bool {
+	done := make(chan struct{})
+	ok := q.Enqueue(func() {
+		st.respond(bin, binOpJSON, tag, s.opHello(req, st))
+		st.helloDone = done
+	})
+	if ok {
+		<-done
+	}
+	return ok
+}
+
+func (s *Server) dispatch(req Request, st *connState) Response {
+	switch req.Op {
+	case "hello":
+		return s.opHello(req, st)
+	case "register":
+		return s.opRegister(req)
+	case "submit":
+		return s.opSubmit(req)
+	case "tbatch":
+		return s.opTBatch(req)
+	case "query":
+		return s.opQuery(req)
+	case "checkmail":
+		return s.opCheckMail(req)
+	case "getmail":
+		return s.opGetMail(req)
+	case "status":
+		return s.opStatus()
+	case "crash", "recover":
+		return s.opAvailability(req)
+	default:
+		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
+	}
+}
+
+func fail(format string, args ...any) Response {
+	return Response{Error: fmt.Sprintf(format, args...)}
+}
+
+// failErr reports a failure whose cause may map onto the mailerr taxonomy;
+// the code rides along so the client can rebuild a typed error.
+func failErr(prefix string, err error) Response {
+	return Response{Error: fmt.Sprintf("%s: %v", prefix, err), Code: mailerr.Code(err)}
+}
+
+// opHello switches the connection to binary framing when the client asks
+// (sticky once on: a later hello cannot switch back — the peer could never
+// know which framing the in-flight responses use) and reports the framing the
+// connection speaks from here on.
+func (s *Server) opHello(req Request, st *connState) Response {
+	if req.Binary {
+		st.binary = true
+	}
+	return Response{OK: true, Binary: st.binary}
+}
+
+func (s *Server) opRegister(req Request) Response {
+	user, err := names.Parse(req.User)
+	if err != nil {
+		return fail("user: %v", err)
+	}
+	servers := req.Servers
+	if len(servers) == 0 {
+		// A registration without an explicit list is a placement decision:
+		// the cluster's policy makes it when one is configured; otherwise
+		// fall back to the historical default (all servers, registration
+		// order).
+		if placed := s.cluster.PlaceUser(user); len(placed) > 0 {
+			servers = placed
+		} else {
+			servers = s.names
+		}
+	}
+	for _, n := range servers {
+		if _, ok := s.cluster.Server(n); !ok {
+			return fail("unknown server %q", n)
+		}
+	}
+	s.cluster.Directory().SetAuthority(user, servers)
+	return Response{OK: true}
+}
+
+func (s *Server) opSubmit(req Request) Response {
+	from, err := names.Parse(req.From)
+	if err != nil {
+		return fail("from: %v", err)
+	}
+	to := make([]names.Name, 0, len(req.To))
+	for _, raw := range req.To {
+		n, err := names.Parse(raw)
+		if err != nil {
+			return fail("to %q: %v", raw, err)
+		}
+		to = append(to, n)
+	}
+	if len(to) == 0 {
+		return fail("no recipients")
+	}
+	id, err := s.cluster.Submit(from, to, req.Subject, req.Body)
+	if err != nil {
+		return failErr("submit", err)
+	}
+	return Response{OK: true, ID: id.String()}
+}
+
+// opTBatch submits a batch of messages sharing one sender in a single
+// protocol round — the wire face of the relay-batching fabric. Item failures
+// are partial results, not request failures: IDs aligns with Msgs ("" where
+// an item failed) and Failed carries index, message, and taxonomy code so
+// the client can retry-split exactly the failed items.
+func (s *Server) opTBatch(req Request) Response {
+	from, err := names.Parse(req.From)
+	if err != nil {
+		return fail("from: %v", err)
+	}
+	if len(req.Msgs) == 0 {
+		return fail("empty batch")
+	}
+	ids := make([]string, len(req.Msgs))
+	var failed []BatchFailure
+	for i, m := range req.Msgs {
+		to, err := parseNames(m.To)
+		if err == nil && len(to) == 0 {
+			err = errors.New("no recipients")
+		}
+		if err == nil {
+			var id mail.MessageID
+			id, err = s.cluster.Submit(from, to, m.Subject, m.Body)
+			if err == nil {
+				ids[i] = id.String()
+				continue
+			}
+		}
+		failed = append(failed, BatchFailure{Index: i, Error: err.Error(), Code: mailerr.Code(err)})
+	}
+	return Response{OK: true, IDs: ids, Failed: failed}
+}
+
+func parseNames(raw []string) ([]names.Name, error) {
+	out := make([]names.Name, 0, len(raw))
+	for _, r := range raw {
+		n, err := names.Parse(r)
+		if err != nil {
+			return nil, fmt.Errorf("to %q: %w", r, err)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
+// opQuery serves the first-class Query API over the wire: a canonical
+// attr.Query text ("content=budget") fans out across the cluster's stores,
+// probing each server's live term sketch first and searching only servers
+// the sketch cannot prove empty.
+//
+// Only fully content-equality queries are servable here: profile predicates
+// need the directory's profile store, which lives with the broadcast fabric
+// (internal/loadgen), not behind the wire — and a silently dropped conjunct
+// would widen the match set, the one direction a query must never err in.
+func (s *Server) opQuery(req Request) Response {
+	if !s.termIndex {
+		return fail("query requires the term index; start the server with it enabled")
+	}
+	q, err := attr.ParseQuery(req.Query)
+	if err != nil {
+		return fail("query: %v", err)
+	}
+	plan := attr.PlanQuery(q)
+	if plan.Route != attr.RoutePruned || len(plan.Terms) != len(q.Predicates) {
+		return fail("query %q: only exact-match content predicates are served over the wire", req.Query)
+	}
+	stats := QueryStats{Servers: len(s.names)}
+	set := make(map[string]bool)
+	for _, n := range s.names {
+		srv, ok := s.cluster.Server(n)
+		if !ok {
+			stats.Unavailable++
+			continue
+		}
+		f, _, err := srv.Sketch()
+		if err != nil {
+			stats.Unavailable++
+			continue
+		}
+		if f != nil {
+			pruned := false
+			for _, t := range plan.Terms {
+				if !f.MayContain(t) {
+					pruned = true
+					break
+				}
+			}
+			if pruned {
+				stats.Pruned++
+				continue
+			}
+		}
+		users, err := srv.Search(plan.Terms)
+		if err != nil {
+			stats.Unavailable++
+			continue
+		}
+		stats.Visited++
+		if f != nil && len(users) == 0 {
+			stats.SketchFP++
+		}
+		for _, u := range users {
+			set[u.String()] = true
+		}
+	}
+	matches := make([]string, 0, len(set))
+	for u := range set {
+		matches = append(matches, u)
+	}
+	sort.Strings(matches)
+	return Response{OK: true, Matches: matches, QueryStats: &stats}
+}
+
+func (s *Server) opCheckMail(req Request) Response {
+	user, err := names.Parse(req.User)
+	if err != nil {
+		return fail("user: %v", err)
+	}
+	srv, ok := s.cluster.Server(req.Server)
+	if !ok {
+		return fail("unknown server %q", req.Server)
+	}
+	msgs, err := srv.CheckMail(user)
+	if err != nil {
+		return failErr("checkmail", err)
+	}
+	return Response{OK: true, stored: msgs}
+}
+
+func (s *Server) opGetMail(req Request) Response {
+	user, err := names.Parse(req.User)
+	if err != nil {
+		return fail("user: %v", err)
+	}
+	s.agentMu.Lock()
+	ua := s.agents[user]
+	if ua == nil {
+		agent, err := s.cluster.NewAgent(user)
+		if err != nil {
+			s.agentMu.Unlock()
+			return failErr("getmail", err)
+		}
+		ua = &userAgent{a: agent}
+		s.agents[user] = ua
+	}
+	s.agentMu.Unlock()
+	// The response takes the batch over: agents live as long as the server,
+	// so one that kept its inbox would retain every body it ever returned.
+	ua.mu.Lock()
+	msgs := ua.a.TakeMail()
+	polls := ua.a.Polls()
+	last := ua.a.LastCheckingTime().UnixNano()
+	ua.mu.Unlock()
+	return Response{OK: true, stored: msgs, Polls: polls, LastChecking: last}
+}
+
+func (s *Server) opStatus() Response {
+	var rows []ServerStatus
+	for _, n := range s.names {
+		srv, ok := s.cluster.Server(n)
+		if !ok {
+			continue
+		}
+		rows = append(rows, ServerStatus{Name: n, Up: srv.Up(), Deposits: srv.Deposits()})
+	}
+	snap := s.cluster.Snapshot()
+	return Response{OK: true, Status: &StatusSnapshot{
+		Version:    snap.Version,
+		Servers:    rows,
+		Counters:   snap.Counters,
+		Gauges:     snap.Gauges,
+		Histograms: snap.Histograms,
+	}}
+}
+
+func (s *Server) opAvailability(req Request) Response {
+	srv, ok := s.cluster.Server(req.Server)
+	if !ok {
+		return fail("unknown server %q", req.Server)
+	}
+	if req.Op == "crash" {
+		srv.Crash()
+	} else {
+		srv.Recover()
+	}
+	return Response{OK: true}
+}
+
+func wireMessages(msgs []mail.Stored) []Message {
+	out := make([]Message, 0, len(msgs))
+	for _, m := range msgs {
+		out = append(out, Message{
+			ID: m.ID.String(), From: m.From.String(),
+			Subject: m.Subject, Body: m.Body,
+		})
+	}
+	return out
+}

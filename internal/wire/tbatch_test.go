@@ -1,55 +1,14 @@
 package wire
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"net"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/largemail/largemail/internal/mailerr"
 )
-
-func TestHelloNegotiation(t *testing.T) {
-	s := newServer(t)
-	c := newClient(t, s)
-	resp, err := c.Do(Request{Op: "hello", Version: ProtocolVersion})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Version != ProtocolVersion {
-		t.Errorf("negotiated version = %d, want %d", resp.Version, ProtocolVersion)
-	}
-	// A client older than the server gets its own version back, not ours.
-	resp, err = c.Do(Request{Op: "hello", Version: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Version != 1 {
-		t.Errorf("negotiated version for v1 client = %d, want 1", resp.Version)
-	}
-}
-
-// TestTBatchRequiresNegotiation pins the version gate: the batched verb is
-// opt-in per connection, so a client that never said hello cannot use it.
-func TestTBatchRequiresNegotiation(t *testing.T) {
-	s := newServer(t)
-	c := newClient(t, s)
-	if err := c.Register("R1.h1.alice"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := c.Do(Request{Op: "tbatch", From: "R1.h1.alice",
-		Msgs: []BatchMsg{{To: []string{"R1.h1.alice"}}}})
-	if err == nil {
-		t.Fatal("tbatch before hello succeeded")
-	}
-	if !strings.Contains(err.Error(), "hello") {
-		t.Errorf("error = %v, want a pointer at the handshake", err)
-	}
-}
 
 func TestSubmitBatchRoundTrip(t *testing.T) {
 	s := newServer(t)
@@ -82,8 +41,8 @@ func TestSubmitBatchRoundTrip(t *testing.T) {
 	if len(msgs) != 3 {
 		t.Errorf("bob retrieved %d messages, want 3", len(msgs))
 	}
-	if c.version != ProtocolVersion {
-		t.Errorf("client pinned version %d, want %d", c.version, ProtocolVersion)
+	if c.BinaryFraming() {
+		t.Error("SubmitBatch switched the connection to binary framing")
 	}
 }
 
@@ -120,77 +79,6 @@ func TestSubmitBatchPartialFailure(t *testing.T) {
 	}
 }
 
-// fakeV1Server speaks the pre-handshake protocol: hello is an unknown op,
-// submit always succeeds. It stands in for an old deployment so the client's
-// fallback path can be exercised against a real socket.
-func fakeV1Server(t *testing.T) (addr string, submits *atomic.Int32) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	var count atomic.Int32
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				sc := bufio.NewScanner(conn)
-				sc.Buffer(make([]byte, 0, 4096), MaxLine)
-				for sc.Scan() {
-					req, err := DecodeRequest(sc.Bytes())
-					var resp Response
-					switch {
-					case err != nil:
-						resp = Response{Error: "bad request"}
-					case req.Op == "submit":
-						count.Add(1)
-						resp = Response{OK: true, ID: "1:1"}
-					default:
-						resp = Response{Error: `unknown op "` + req.Op + `"`}
-					}
-					line, _ := EncodeResponse(resp)
-					if _, err := conn.Write(line); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String(), &count
-}
-
-// TestSubmitBatchFallsBackToV1: against a server without the handshake the
-// client degrades to single submits — old deployments keep working.
-func TestSubmitBatchFallsBackToV1(t *testing.T) {
-	addr, submits := fakeV1Server(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ids, err := c.SubmitBatch("R1.h1.alice", []BatchMsg{
-		{To: []string{"R1.h1.alice"}, Subject: "a"},
-		{To: []string{"R1.h1.alice"}, Subject: "b"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.version != 1 {
-		t.Errorf("client pinned version %d against v1 server, want 1", c.version)
-	}
-	if len(ids) != 2 || ids[0] == "" || ids[1] == "" {
-		t.Errorf("ids = %v, want 2 non-empty", ids)
-	}
-	if got := submits.Load(); got != 2 {
-		t.Errorf("server saw %d single submits, want 2", got)
-	}
-}
-
 // TestTypedErrorsOverWire: taxonomy codes survive the TCP hop — the client
 // reconstructs errors that match mailerr sentinels, not just strings.
 func TestTypedErrorsOverWire(t *testing.T) {
@@ -212,7 +100,7 @@ func TestDoContextCancelled(t *testing.T) {
 		t.Errorf("DoContext(cancelled) = %v, want mailerr.ErrTimeout", err)
 	}
 	// The client survives: a live context works on the same connection.
-	if _, err := c.StatusSnapshotContext(context.Background()); err != nil {
+	if _, err := c.Status(); err != nil {
 		t.Fatalf("status after cancelled request: %v", err)
 	}
 }

@@ -92,7 +92,7 @@ func TestFailoverOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	byName := map[string]ServerStatus{}
-	for _, st := range status {
+	for _, st := range status.Servers {
 		byName[st.Name] = st
 	}
 	if byName["s1"].Up {
@@ -291,7 +291,7 @@ func TestStatusSnapshotStructured(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := c.StatusSnapshot()
+	snap, err := c.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
