@@ -83,6 +83,18 @@ tier2-attr-prune:
 	go test -race -run 'TestQuery|TestSketch|TestSearchTerms|TestTermIndex' ./internal/wire/ ./internal/mail/mailstore/
 	go test -race -run 'TestAttrPrune|TestAttrPruned' ./internal/loadgen/
 
+# Tier-2 retained-memory slice: what a message the daemon is done with leaves
+# behind, under the race detector — the flat-heap gate (160 000 messages
+# through a durable wire server; retained_bytes_per_msg is not a BENCHMARK.json
+# metric, so this test is what holds it), the bounded tracer against its model
+# and under concurrent stampers, the IDSet run layout, and the two
+# frame-aliasing pins.
+.PHONY: tier2-retained
+tier2-retained:
+	go test -race -run 'TestIngestRetainedFlat|TestMailboxKeyDoesNotAliasFrame|TestKeptIDDoesNotPinNeighbours' ./internal/wire/
+	go test -race -run 'Ring|TestTracerMatchesReference|TestStampAllocs' ./internal/obs/
+	go test -race -run 'IDSet|TestMailboxMatchesReference|TestDurableSeenSetSameLayout' ./internal/mail/ ./internal/mail/mailstore/
+
 # Tier-2 determinism gate: same seed ⇒ same bytes, as a test and not a habit.
 # One small mailbench run per architecture, faults off and on, executed twice;
 # stdout and the benchmark document must be byte-identical once the
@@ -109,7 +121,7 @@ tier2-determinism:
 
 # Check: the full pre-merge gate.
 .PHONY: check
-check: tier1 tier1-race fuzz-smoke tier2-durability tier2-wire tier2-balance tier2-arch tier2-attr-prune tier2-determinism
+check: tier1 tier1-race fuzz-smoke tier2-durability tier2-wire tier2-balance tier2-arch tier2-attr-prune tier2-retained tier2-determinism
 
 # Chaos: just the fault-injection soaks, verbosely.
 .PHONY: chaos

@@ -157,8 +157,11 @@ type LiveSystem struct {
 }
 
 // NewLiveSystem wraps a live cluster. tick is the wall-clock length of one
-// schedule tick (e.g. time.Millisecond).
+// schedule tick (e.g. time.Millisecond). AuditTraces reads the trace of every
+// committed message after the soak, so the cluster's tracer is told to keep
+// them all.
 func NewLiveSystem(c *livenet.Cluster, tick time.Duration) *LiveSystem {
+	c.Tracer().KeepAll()
 	return &LiveSystem{
 		Cluster: c, Tick: tick,
 		byName:   make(map[string]names.Name),

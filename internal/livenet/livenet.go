@@ -60,15 +60,26 @@ const maxTransientRetries = 4
 // for concurrent use.
 type Directory struct {
 	mu    sync.RWMutex
-	lists map[names.Name][]string
+	lists map[names.Name]dirEntry
+}
+
+// dirEntry is one registration: the name as it was registered and its
+// authority list. The name is kept so that whatever a delivery leaves behind
+// for good — a mailbox, its store's map key — can be made under the
+// directory's copy of it and not the submitter's, which may be a piece of a
+// request frame many times its size (see lookup).
+type dirEntry struct {
+	user    names.Name
+	servers []string
 }
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{lists: make(map[names.Name][]string)}
+	return &Directory{lists: make(map[names.Name]dirEntry)}
 }
 
-// SetAuthority records the ordered authority list for a user.
+// SetAuthority records the ordered authority list for a user. The directory
+// keeps user's strings for as long as the registration stands.
 func (d *Directory) SetAuthority(user names.Name, servers []string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -76,16 +87,27 @@ func (d *Directory) SetAuthority(user names.Name, servers []string) {
 		delete(d.lists, user)
 		return
 	}
-	d.lists[user] = append([]string(nil), servers...)
+	d.lists[user] = dirEntry{user: user, servers: append([]string(nil), servers...)}
 }
 
 // Authority returns the user's ordered authority list. The slice is the
 // directory's own and immutable — SetAuthority stores a private copy and
 // replaces it whole — so callers must not modify it.
 func (d *Directory) Authority(user names.Name) []string {
+	_, servers := d.lookup(user)
+	return servers
+}
+
+// lookup is Authority for the delivery path: with the list it returns the
+// name the user was registered under — equal to user, but the directory's own
+// strings and not the caller's (user itself when there is no registration).
+func (d *Directory) lookup(user names.Name) (names.Name, []string) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.lists[user]
+	if e, ok := d.lists[user]; ok {
+		return e.user, e.servers
+	}
+	return user, nil
 }
 
 // request is a unit of work executed by a server's loop goroutine. Requests
@@ -551,7 +573,10 @@ type Cluster struct {
 // NewCluster returns an empty memory-only cluster with its directory.
 // Lifecycle tracing is always on: every submitted message is stamped through
 // the pipeline on the wall clock, feeding the per-stage latency histograms
-// in Obs().
+// in Obs(). The tracer is the bounded one (obs.NewRingTracer) — a cluster is
+// what a daemon runs for months — so it holds the most recent traces only; an
+// auditor that reads every trace when its run ends calls Tracer().KeepAll()
+// before it submits anything.
 func NewCluster() *Cluster { return NewClusterWith(ClusterConfig{}) }
 
 // NewClusterWith is NewCluster with explicit store configuration — shard
@@ -563,7 +588,7 @@ func NewClusterWith(cfg ClusterConfig) *Cluster {
 		dir:     NewDirectory(),
 		servers: make(map[string]*Server),
 		stats:   reg,
-		trace:   obs.NewTracer(obs.WallClock, reg),
+		trace:   obs.NewRingTracer(obs.WallClock, reg),
 	}
 }
 
@@ -828,6 +853,12 @@ func (c *Cluster) Submit(from names.Name, to []names.Name, subject, body string)
 // reported as mailerr.ErrTimeout failures. Recipients already deposited (or
 // spooled) before the expiry stay committed — a context error is a partial
 // result, exactly like a per-recipient delivery error.
+//
+// The cluster keeps to as the message's recipient list: the caller gives the
+// slice up and must not write to it afterwards (the wire server and the load
+// drivers build one per call; Agent.Send, which is handed a user's, copies).
+// The recipients' strings are not kept past retrieval: each copy is deposited,
+// or spooled, under the directory's copy of the recipient's name.
 func (c *Cluster) SubmitContext(ctx context.Context, from names.Name, to []names.Name, subject, body string) (mail.MessageID, error) {
 	if c.closed.Load() {
 		return mail.MessageID{}, ErrClosed
@@ -838,7 +869,7 @@ func (c *Cluster) SubmitContext(ctx context.Context, from names.Name, to []names
 	msg := mail.Message{
 		ID:      mail.MessageID{Node: 1, Seq: c.nextSeq.Add(1)},
 		From:    from,
-		To:      append([]names.Name(nil), to...),
+		To:      to,
 		Subject: subject,
 		Body:    body,
 	}
@@ -849,7 +880,8 @@ func (c *Cluster) SubmitContext(ctx context.Context, from names.Name, to []names
 			errs = append(errs, fmt.Errorf("deliver to %v: %w", rcpt, err))
 			continue
 		}
-		err := c.depositFailover(msg, rcpt)
+		rcpt, list := c.dir.lookup(rcpt)
+		err := c.depositFailover(msg, rcpt, list)
 		if err == nil {
 			continue
 		}
@@ -889,18 +921,17 @@ func (c *Cluster) firstAvailable(rcpt names.Name) (string, bool) {
 	return "", false
 }
 
-// depositFailover deposits one recipient copy following §3.1.2c: walk the
-// authority list, skipping servers that are down or unreachable (their
-// recovery stamps a fresh LastStartTime, which is what lets GetMail find
-// mail that failed over past them), and deposit at the first available
-// server.
+// depositFailover deposits one recipient copy following §3.1.2c: walk list,
+// the recipient's authority list, skipping servers that are down or
+// unreachable (their recovery stamps a fresh LastStartTime, which is what
+// lets GetMail find mail that failed over past them), and deposit at the
+// first available server.
 //
 // Transient faults (ErrInjected) are retried a few times against the same
 // server and then reported to the caller — they must never cause failover,
 // because skipping a live, stable server would strand the copy beyond the
 // point where the recipient's GetMail walk stops.
-func (c *Cluster) depositFailover(msg mail.Message, rcpt names.Name) error {
-	list := c.dir.Authority(rcpt)
+func (c *Cluster) depositFailover(msg mail.Message, rcpt names.Name, list []string) error {
 	if len(list) == 0 {
 		return fmt.Errorf("%w: %v", ErrNoAuthority, rcpt)
 	}
@@ -976,7 +1007,7 @@ func (a *Agent) Retrievals() int { return a.retrievals }
 
 // Send submits a message through the cluster.
 func (a *Agent) Send(to []names.Name, subject, body string) (mail.MessageID, error) {
-	return a.cluster.Submit(a.user, to, subject, body)
+	return a.cluster.Submit(a.user, append([]names.Name(nil), to...), subject, body)
 }
 
 // GetMail is the §3.1.2c retrieval algorithm on wall-clock time: walk the

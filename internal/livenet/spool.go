@@ -224,7 +224,7 @@ func (sp *spool) deliverDue() {
 		}
 	}
 	for _, e := range singles {
-		err := sp.c.depositFailover(e.msg, e.rcpt)
+		err := sp.c.depositFailover(e.msg, e.rcpt, sp.c.dir.Authority(e.rcpt))
 		sp.mu.Lock()
 		if err == nil {
 			sp.c.stats.Inc("spool_redelivered")

@@ -113,6 +113,7 @@ func NewLiveDriver(cfg LiveConfig) (*LiveDriver, error) {
 		agents:    make(map[int]*livenet.Agent),
 		prevPolls: make(map[int]int),
 	}
+	d.cluster.Tracer().KeepAll() // the engine's trace-gap audit reads every trace at the end
 	for gs := 0; gs < d.pop.TotalServers(); gs++ {
 		if _, err := d.cluster.AddServer(d.serverName(gs)); err != nil {
 			d.cluster.Close()

@@ -78,6 +78,7 @@ func NewWireDriver(cfg WireConfig) (*WireDriver, error) {
 			return nil, err
 		}
 	}
+	srv.Cluster().Tracer().KeepAll() // as NewLiveDriver: the audit reads every trace
 	d := &WireDriver{
 		cfg: cfg,
 		pop: cfg.Pop,

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/sim"
@@ -308,5 +309,158 @@ func TestMailboxFirstTouchAllocs(t *testing.T) {
 		b.Deposit(m3, 0)
 	}); n > 2 {
 		t.Errorf("second and third Deposit: %v allocs, want ≤ 2 (one []Stored each, the IDs inline)", n)
+	}
+}
+
+// runsOf returns a spilled set's runs as {node, lo, hi} triples.
+func runsOf(t *testing.T, s *IDSet) [][3]uint64 {
+	t.Helper()
+	if s.spill == nil {
+		t.Fatal("set has not spilled")
+	}
+	out := make([][3]uint64, 0, len(*s.spill))
+	for _, r := range *s.spill {
+		out = append(out, [3]uint64{uint64(r.node), r.lo, r.hi})
+	}
+	return out
+}
+
+// TestIDSetRuns walks the run layout by hand — a run grows at either end, two
+// runs join when the ID between them arrives, Delete trims an end, splits a
+// run or removes it, the ends of the sequence space are ordinary members, two
+// origins keep their runs apart — checking the runs themselves and, after
+// every step, the set against the map.
+func TestIDSetRuns(t *testing.T) {
+	const last = ^uint64(0)
+	id := func(node int, seq uint64) MessageID { return MessageID{Node: graph.NodeID(node), Seq: seq} }
+	var universe []MessageID
+	for node := 1; node <= 2; node++ {
+		for _, seq := range []uint64{0, 1, 2, 3, 9, 10, 11, 12, 13, 14, 15, 20, last - 2, last - 1, last} {
+			universe = append(universe, id(node, seq))
+		}
+	}
+	var s IDSet
+	ref := refSeen{}
+	step := 0
+	do := func(add bool, x MessageID, want ...[3]uint64) {
+		t.Helper()
+		step++
+		ctx := fmt.Sprintf("step %d (add=%v %v)", step, add, x)
+		if add {
+			if got := s.Add(x); got != !ref[x] {
+				t.Fatalf("%s: Add = %v", ctx, got)
+			}
+			ref[x] = true
+		} else {
+			if got := s.Delete(x); got != ref[x] {
+				t.Fatalf("%s: Delete = %v", ctx, got)
+			}
+			delete(ref, x)
+		}
+		sameSet(t, ctx, &s, ref, universe)
+		if want != nil {
+			if got := runsOf(t, &s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: runs %v, want %v", ctx, got, want)
+			}
+		}
+	}
+	run := func(node int, lo, hi uint64) [3]uint64 { return [3]uint64{uint64(node), lo, hi} }
+
+	do(true, id(1, 10))
+	do(true, id(1, 12))
+	do(true, id(1, 14)) // three inline
+	do(true, id(1, 20), run(1, 10, 10), run(1, 12, 12), run(1, 14, 14), run(1, 20, 20))
+	do(true, id(1, 13), run(1, 10, 10), run(1, 12, 14), run(1, 20, 20))  // joins 12 and 14
+	do(true, id(1, 15), run(1, 10, 10), run(1, 12, 15), run(1, 20, 20))  // extends high
+	do(true, id(1, 9), run(1, 9, 10), run(1, 12, 15), run(1, 20, 20))    // extends low
+	do(true, id(1, 11), run(1, 9, 15), run(1, 20, 20))                   // joins two longer runs
+	do(true, id(1, 11), run(1, 9, 15), run(1, 20, 20))                   // held already
+	do(false, id(1, 12), run(1, 9, 11), run(1, 13, 15), run(1, 20, 20))  // splits
+	do(false, id(1, 9), run(1, 10, 11), run(1, 13, 15), run(1, 20, 20))  // trims low
+	do(false, id(1, 15), run(1, 10, 11), run(1, 13, 14), run(1, 20, 20)) // trims high
+	do(false, id(1, 20), run(1, 10, 11), run(1, 13, 14))                 // removes a run of one
+	do(false, id(1, 12), run(1, 10, 11), run(1, 13, 14))                 // absent, between runs
+	do(true, id(2, 11), run(1, 10, 11), run(1, 13, 14), run(2, 11, 11))  // another origin
+	do(true, id(2, 12), run(1, 10, 11), run(1, 13, 14), run(2, 11, 12))  // does not touch node 1's 13
+	do(true, id(1, 12), run(1, 10, 14), run(2, 11, 12))                  // nor does node 1's 12 touch node 2
+	do(true, id(1, 0), run(1, 0, 0), run(1, 10, 14), run(2, 11, 12))     // Seq 0
+	do(true, id(1, 1), run(1, 0, 1), run(1, 10, 14), run(2, 11, 12))     //
+	do(false, id(1, 0), run(1, 1, 1), run(1, 10, 14), run(2, 11, 12))    // trims at 0 without wrapping
+	do(true, id(1, last), run(1, 1, 1), run(1, 10, 14), run(1, last, last), run(2, 11, 12))
+	do(true, id(1, last-1), run(1, 1, 1), run(1, 10, 14), run(1, last-1, last), run(2, 11, 12))
+	do(true, id(2, 0), run(1, 1, 1), run(1, 10, 14), run(1, last-1, last), run(2, 0, 0), run(2, 11, 12)) // node 1's last and node 2's 0 are not neighbours
+	do(false, id(1, last), run(1, 1, 1), run(1, 10, 14), run(1, last-1, last-1), run(2, 0, 0), run(2, 11, 12))
+	do(true, id(1, last), run(1, 1, 1), run(1, 10, 14), run(1, last-1, last), run(2, 0, 0), run(2, 11, 12))
+	do(true, id(1, last-2), run(1, 1, 1), run(1, 10, 14), run(1, last-2, last), run(2, 0, 0), run(2, 11, 12))
+	do(false, id(1, last-1), run(1, 1, 1), run(1, 10, 14), run(1, last-2, last-2), run(1, last, last), run(2, 0, 0), run(2, 11, 12))
+	for _, x := range universe { // empty it: a spilled set stays spilled
+		do(false, x)
+	}
+	if got := runsOf(t, &s); len(got) != 0 || s.Len() != 0 {
+		t.Fatalf("emptied set keeps runs %v", got)
+	}
+	do(true, id(2, 3), run(2, 3, 3))
+}
+
+// TestIDSetOutOfOrder delivers 10 000 IDs of two origins in a seeded shuffle,
+// each twice, checks every Add against the map, and expects the runs to have
+// closed up: two dense ranges with a gap in each are four runs whatever the
+// arrival order. Then it deletes every third ID in another shuffle.
+func TestIDSetOutOfOrder(t *testing.T) {
+	var ids []MessageID
+	for i := 0; i < 5000; i++ {
+		seq := uint64(1000 + i)
+		if i >= 2500 {
+			seq++ // the gap
+		}
+		ids = append(ids, MessageID{Node: 1, Seq: seq}, MessageID{Node: 2, Seq: seq})
+	}
+	rng := rand.New(rand.NewSource(5))
+	order := append(append([]MessageID(nil), ids...), ids...)
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	var s IDSet
+	ref := refSeen{}
+	for _, x := range order {
+		if got := s.Add(x); got != !ref[x] {
+			t.Fatalf("Add(%v) = %v", x, got)
+		}
+		ref[x] = true
+	}
+	universe := append(ids, MessageID{Node: 1, Seq: 999}, MessageID{Node: 1, Seq: 3500}, MessageID{Node: 2, Seq: 6001}, MessageID{Node: 3, Seq: 1000})
+	sameSet(t, "after the shuffle", &s, ref, universe)
+	want := [][3]uint64{{1, 1000, 3499}, {1, 3501, 6000}, {2, 1000, 3499}, {2, 3501, 6000}}
+	if got := runsOf(t, &s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("runs %v, want %v", got, want)
+	}
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	for i, x := range ids {
+		if i%3 == 0 {
+			if !s.Delete(x) || s.Delete(x) {
+				t.Fatalf("Delete(%v) did not report held then absent", x)
+			}
+			delete(ref, x)
+		}
+	}
+	sameSet(t, "after the deletes", &s, ref, universe)
+}
+
+// TestIDSetSize: every mailbox and every agent embeds an IDSet, a million of
+// each in the large simulations, so the struct may not outgrow the 64 bytes
+// it had with a map behind it; and a spill is two allocations, as the map's
+// was, with room for idRunsFirst scattered IDs before the next.
+func TestIDSetSize(t *testing.T) {
+	if got := unsafe.Sizeof(IDSet{}); got > 64 {
+		t.Errorf("Sizeof(IDSet{}) = %d, want ≤ 64", got)
+	}
+	if got := unsafe.Sizeof(idRun{}); got != 24 {
+		t.Errorf("Sizeof(idRun{}) = %d, want 24", got)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		var s IDSet
+		for seq := uint64(0); seq < 2*idRunsFirst; seq += 2 { // isolated IDs: one run each
+			s.Add(MessageID{Node: 1, Seq: seq})
+		}
+	}); n > 2 {
+		t.Errorf("a set of %d scattered IDs: %v allocs, want ≤ 2", idRunsFirst, n)
 	}
 }

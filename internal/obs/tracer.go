@@ -135,6 +135,13 @@ const (
 	// slabMax new traces, and what is allocated ahead of use stays under one
 	// slab per shard (1 MB in all).
 	slabMin, slabMax = 8, 64
+	// ringRecords is how many traces one shard of a bounded tracer keeps
+	// (NewRingTracer): 1 024 × 64 shards × (a 248 B record, its ring slot and
+	// its index entry) is about 21 MB at most, however long the process runs.
+	// The window it gives — the newest 65 536 messages, spread by the shard
+	// hash — is far longer than a message's time to retrieval on a server that
+	// is keeping up; trace_evictions counts how often it was not.
+	ringRecords = 1024
 )
 
 // record is one message's trace: a fixed-size slab cell.
@@ -147,12 +154,26 @@ type record struct {
 	hasSubmit      bool
 }
 
+// ringSlot names one live record of a bounded shard and the key it is
+// indexed under, which eviction needs to delete that index entry.
+type ringSlot struct {
+	key Key
+	rec *record
+}
+
 // traceShard is one table of the trace store. Records live in slabs and
 // never move, so the index holds plain pointers.
 type traceShard struct {
 	mu    sync.Mutex
 	index map[Key]*record
 	slab  []record // current slab; slab[:len] are in use
+	// limit is how many records the shard may hold, 0 for no bound. A bounded
+	// shard lists its records in ring in creation order; once it holds limit
+	// of them ring[next] is the oldest, and the next new key takes that record
+	// over instead of a fresh slab cell.
+	limit int
+	ring  []ringSlot
+	next  int
 }
 
 // Tracer stamps message-lifecycle spans. All methods are safe for concurrent
@@ -163,6 +184,15 @@ type traceShard struct {
 // its own lock. A stamp on a message already seen writes into that message's
 // record and allocates nothing (past inlineEvents, what growing the overflow
 // slice costs); a new message takes the next cell of its shard's slab.
+//
+// NewTracer keeps every trace until Reset: the simulations and the auditors
+// read whole traces when a run ends. NewRingTracer, what a long-running
+// server builds, keeps the newest ringRecords traces of each shard: past that
+// a new message takes over the record of the shard's oldest one, by creation
+// order, whose trace is then gone — Trace, Incomplete, Len and IDs report it
+// as a message never seen. A stamp that arrives for such a message (a
+// retrieval long after the deposit) starts a fresh record like any new key:
+// it has no previous event and no submit instant, so it feeds no histogram.
 //
 // Each stamp also feeds the bound registry (when present): the span from the
 // previous stamped event to this one lands in histogram "lat_<stage>", and a
@@ -181,38 +211,96 @@ type Tracer struct {
 	// harmless: Registry.Histogram is idempotent.
 	stageHist [StageRetrieve + 1]atomic.Pointer[Histogram]
 	e2eHist   atomic.Pointer[Histogram]
+	// evictions is the registry's "trace_evictions" counter, made by the first
+	// eviction: a tracer that never evicts adds nothing to a snapshot.
+	evictions atomic.Pointer[Counter]
 
 	shards [traceShards]traceShard
 }
 
 // NewTracer returns a tracer reading instants from clock and feeding span
-// histograms into reg (nil reg disables the histograms, not the traces).
+// histograms into reg (nil reg disables the histograms, not the traces). It
+// keeps every trace until Reset.
 func NewTracer(clock Clock, reg *Registry) *Tracer {
 	return &Tracer{clock: clock, reg: reg}
 }
 
-// shard picks the key's table. Sequence numbers are dense, so the multiply
-// spreads neighbours; the node is folded in for multi-node deployments.
-func (t *Tracer) shard(k Key) *traceShard {
-	h := (k.Seq ^ uint64(k.Node)<<32) * 0x9E3779B97F4A7C15
-	return &t.shards[h>>(64-shardBits)]
+// NewRingTracer is NewTracer with bounded memory: each shard keeps its
+// newest ringRecords traces and counts the ones it dropped in reg's
+// "trace_evictions".
+func NewRingTracer(clock Clock, reg *Registry) *Tracer {
+	t := NewTracer(clock, reg)
+	for i := range t.shards {
+		t.shards[i].limit = ringRecords
+	}
+	return t
 }
 
-// record returns the key's record, creating it when absent; sh.mu is held.
-func (sh *traceShard) record(k Key) *record {
+// KeepAll lifts the bound of a NewRingTracer from here on — what an auditor
+// that reads every trace when its run ends asks for before the first stamp.
+// Traces already dropped stay dropped.
+func (t *Tracer) KeepAll() {
+	if t == nil {
+		return
+	}
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		sh.limit, sh.ring = 0, nil
+		sh.mu.Unlock()
+	}
+}
+
+// shardIndex picks the key's table. Sequence numbers are dense, so the
+// multiply spreads neighbours; the node is folded in for multi-node
+// deployments.
+func shardIndex(k Key) int {
+	h := (k.Seq ^ uint64(k.Node)<<32) * 0x9E3779B97F4A7C15
+	return int(h >> (64 - shardBits))
+}
+
+func (t *Tracer) shard(k Key) *traceShard { return &t.shards[shardIndex(k)] }
+
+// record returns the key's record, creating it when absent, and reports
+// whether that took another key's record over; sh.mu is held.
+func (sh *traceShard) record(k Key) (r *record, evicted bool) {
 	if r := sh.index[k]; r != nil {
-		return r
+		return r, false
+	}
+	if sh.limit > 0 && len(sh.ring) == sh.limit {
+		slot := &sh.ring[sh.next]
+		sh.next = (sh.next + 1) % sh.limit
+		delete(sh.index, slot.key)
+		// Everything but the overflow array goes: a record that kept its
+		// last or submitAt would hand the new key a previous event.
+		more := slot.rec.more
+		clear(more)
+		*slot.rec = record{more: more[:0]}
+		slot.key = k
+		sh.index[k] = slot.rec
+		return slot.rec, true
 	}
 	if sh.index == nil {
 		sh.index = make(map[Key]*record)
 	}
 	if len(sh.slab) == cap(sh.slab) {
-		sh.slab = make([]record, 0, min(max(2*cap(sh.slab), slabMin), slabMax))
+		n := min(max(2*cap(sh.slab), slabMin), slabMax)
+		if sh.limit > 0 {
+			// A bounded shard makes its last slab no larger than the cells it
+			// still needs, and its ring grows with the slabs, to the cell: what
+			// a full shard holds is then exactly limit of each.
+			n = min(n, sh.limit-len(sh.ring))
+			sh.ring = append(make([]ringSlot, 0, len(sh.ring)+n), sh.ring...)
+		}
+		sh.slab = make([]record, 0, n)
 	}
 	sh.slab = sh.slab[:len(sh.slab)+1]
-	r := &sh.slab[len(sh.slab)-1]
+	r = &sh.slab[len(sh.slab)-1]
 	sh.index[k] = r
-	return r
+	if sh.limit > 0 {
+		sh.ring = append(sh.ring, ringSlot{key: k, rec: r})
+	}
+	return r, false
 }
 
 // Stamp is StampKey for callers that hold the ID as text — the benchmark's
@@ -235,7 +323,7 @@ func (t *Tracer) StampKey(k Key, stage Stage, where string) {
 	now := t.clock()
 	sh := t.shard(k)
 	sh.mu.Lock()
-	r := sh.record(k)
+	r, evicted := sh.record(k)
 	hasPrev, prev := r.n > 0, r.last
 	submitAt, submitOK := r.submitAt, r.hasSubmit && stage == StageRetrieve
 	if stage == StageSubmit && !r.hasSubmit {
@@ -253,6 +341,14 @@ func (t *Tracer) StampKey(k Key, stage Stage, where string) {
 
 	if t.reg == nil {
 		return
+	}
+	if evicted {
+		c := t.evictions.Load()
+		if c == nil {
+			c = t.reg.Counter("trace_evictions")
+			t.evictions.Store(c)
+		}
+		c.Inc()
 	}
 	if hasPrev {
 		if int(stage) < len(t.stageHist) {
@@ -353,7 +449,7 @@ func (t *Tracer) Reset() {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		sh.index, sh.slab = nil, nil
+		sh.index, sh.slab, sh.ring, sh.next = nil, nil, nil, 0
 		sh.mu.Unlock()
 	}
 }

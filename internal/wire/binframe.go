@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strings"
 	"sync"
 
 	"github.com/largemail/largemail/internal/mail"
@@ -138,7 +139,10 @@ func appendStr(dst []byte, s string) []byte {
 // total instead of one per field, and none for a frame without strings (an
 // empty getmail response). The substrings share that backing array and keep
 // the whole payload reachable — the right trade for message frames, where
-// bodies (which the mailbox retains anyway) dominate the payload.
+// bodies (which the mailbox retains anyway) dominate the payload, and the
+// wrong one for any small field that outlives them: what is kept past the
+// request is re-homed where it becomes long-lived (rehomeIDs on the client;
+// the directory's own copy of a recipient's name in livenet).
 type binReader struct {
 	b   []byte
 	s   string
@@ -494,6 +498,7 @@ func DecodeBinaryResponse(payload []byte) (Response, uint32, error) {
 			m.Body = r.str()
 			resp.Messages = append(resp.Messages, m)
 		}
+		rehomeIDs(resp.Messages)
 		if op == binOpGetMail {
 			resp.Polls = int(r.uvarint())
 			resp.LastChecking = int64(r.u64())
@@ -508,6 +513,32 @@ func DecodeBinaryResponse(payload []byte) (Response, uint32, error) {
 		return Response{}, tag, errBadPayload
 	}
 	return resp, tag, nil
+}
+
+// rehomeIDs gives the IDs of a response that carries two or more messages one
+// string of their own. The ID is the field a caller keeps — a deduplicating
+// client remembers it long after it has dropped the body — and as a piece of
+// the payload string it would keep every neighbour's body reachable with it.
+// A single message's ID pins only what it arrived with, so it stays where it
+// is, and an empty or one-message response decodes without this allocation.
+func rehomeIDs(msgs []Message) {
+	if len(msgs) < 2 {
+		return
+	}
+	n := 0
+	for i := range msgs {
+		n += len(msgs[i].ID)
+	}
+	var own strings.Builder
+	own.Grow(n)
+	for i := range msgs {
+		own.WriteString(msgs[i].ID)
+	}
+	ids := own.String()
+	for i := range msgs {
+		n = len(msgs[i].ID)
+		msgs[i].ID, ids = ids[:n], ids[n:]
+	}
 }
 
 // ---------------------------------------------------------------------------
