@@ -95,6 +95,19 @@ tier2-retained:
 	go test -race -run 'Ring|TestTracerMatchesReference|TestStampAllocs' ./internal/obs/
 	go test -race -run 'IDSet|TestMailboxMatchesReference|TestDurableSeenSetSameLayout' ./internal/mail/ ./internal/mail/mailstore/
 
+# Tier-2 transit slice: who owns a payload in the air, under the race detector —
+# netsim's recycled boxes (handed back once on every end of a flight, cleared,
+# never under their reader, Broadcast refused), the recycled transfer, batch,
+# deposit and notification records against counters recorded from the commits
+# that allocated them, the same seeded schedules with recycled boxes
+# overwritten with garbage instead of zeros, the hand-over retrievals, and the
+# allocation budgets of the transit side (0 per warmed transfer or deposit
+# cycle).
+.PHONY: tier2-transit
+tier2-transit:
+	go test -race -run 'Recycled|Poisoned|BroadcastRefuses|TransitAllocs|TakeMail|DispatchAllocs|SendAllocs|ReusesRecord|TestSimSubmitAllocs' \
+		./internal/netsim/ ./internal/server/ ./internal/client/ ./internal/locind/ ./internal/loadgen/
+
 # Tier-2 determinism gate: same seed ⇒ same bytes, as a test and not a habit.
 # One small mailbench run per architecture, faults off and on, executed twice;
 # stdout and the benchmark document must be byte-identical once the
@@ -121,7 +134,7 @@ tier2-determinism:
 
 # Check: the full pre-merge gate.
 .PHONY: check
-check: tier1 tier1-race fuzz-smoke tier2-durability tier2-wire tier2-balance tier2-arch tier2-attr-prune tier2-retained tier2-determinism
+check: tier1 tier1-race fuzz-smoke tier2-durability tier2-wire tier2-balance tier2-arch tier2-attr-prune tier2-retained tier2-transit tier2-determinism
 
 # Chaos: just the fault-injection soaks, verbosely.
 .PHONY: chaos

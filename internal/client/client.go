@@ -65,9 +65,9 @@ func (h *Host) Receive(env netsim.Envelope) {
 	switch p := env.Payload.(type) {
 	case server.SubmitAck:
 		h.acks = append(h.acks, p)
-	case server.Notify:
-		if a, ok := h.agents[p.User]; ok {
-			a.notifications = append(a.notifications, p)
+	case *netsim.Box[server.Notify]: // the network's box: keep the value, not p
+		if a, ok := h.agents[p.V.User]; ok {
+			a.notifications = append(a.notifications, p.V)
 		}
 	}
 }

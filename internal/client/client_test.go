@@ -53,6 +53,7 @@ func newWorld(t *testing.T) *world {
 
 	sched := sim.New(11)
 	net := netsim.New(sched, g)
+	net.AfterRecycle(poisonPayload) // every test of this world runs on scribbled boxes
 	w := &world{
 		sched:   sched,
 		net:     net,
@@ -285,9 +286,9 @@ func TestDuplicateSuppressionAcrossServers(t *testing.T) {
 	// transfer could); the agent must deliver it once.
 	m := mail.Message{ID: mail.MessageID{Node: 77, Seq: 1}, From: bob, To: []names.Name{alice}, Subject: "dup"}
 	for _, sid := range []graph.NodeID{s1, s2} {
-		if err := w.net.Send(h2, sid, server.Transfer{
+		if err := w.net.Send(h2, sid, new(netsim.FreeList[server.Transfer]).Box(server.Transfer{
 			Kind: server.TransferDeposit, Msg: m, Recipient: alice, Origin: h2, Token: uint64(sid),
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/netsim"
 	"github.com/largemail/largemail/internal/server"
 	"github.com/largemail/largemail/internal/sim"
 )
@@ -78,9 +79,9 @@ func TestTakeMailMatchesGetMail(t *testing.T) {
 				for _, w := range worlds {
 					m := mail.Message{ID: id, From: w.sender.user, To: []names.Name{w.reader.user}, Subject: "dup"}
 					for _, sid := range []graph.NodeID{ms1, ms2} {
-						_ = w.net.Send(mh1, sid, server.Transfer{
+						_ = w.net.Send(mh1, sid, new(netsim.FreeList[server.Transfer]).Box(server.Transfer{
 							Kind: server.TransferDeposit, Msg: m, Recipient: w.reader.user, Origin: mh1, Token: uint64(sid),
-						})
+						}))
 					}
 					w.sched.Run()
 				}

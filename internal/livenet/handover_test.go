@@ -173,6 +173,48 @@ func TestHandOverAdoptsDrainedSlice(t *testing.T) {
 	}
 }
 
+// TestHandOverGiveBackLeadsNextBatch: the tail an owner could not pass on
+// goes back to the agent, and the next TakeMail hands it over again ahead of
+// what its own walk finds — in order, nothing twice, the part already passed
+// on never written, and nothing kept once the last of it is out.
+func TestHandOverGiveBackLeadsNextBatch(t *testing.T) {
+	c := newCluster(t)
+	a, err := c.NewAgent(alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(subject string) {
+		t.Helper()
+		if _, err := c.Submit(bob, []names.Name{alice}, subject, "b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		send(fmt.Sprint(i))
+	}
+	batch := a.TakeMail()
+	if len(batch) != 5 {
+		t.Fatalf("first batch: %d messages, want 5", len(batch))
+	}
+	sent := batch[:2:2]
+	snapshot := append([]mail.Stored(nil), sent...)
+	a.GiveBack(batch[2:])
+	send("5") // arrives while the tail waits
+	var subjects []string
+	for _, m := range a.TakeMail() {
+		subjects = append(subjects, m.Subject)
+	}
+	if got := fmt.Sprint(subjects); got != "[2 3 4 5]" {
+		t.Errorf("batch after GiveBack = %s, want [2 3 4 5]", got)
+	}
+	if !reflect.DeepEqual(sent, snapshot) {
+		t.Error("the part already passed on was written by the walk that followed")
+	}
+	if rest := a.TakeMail(); len(rest) != 0 || len(a.inbox) != 0 {
+		t.Errorf("%d messages handed over again, %d still held", len(rest), len(a.inbox))
+	}
+}
+
 // TestWalkPrunesDepartedServers: a server that leaves the authority list
 // while it is in PreviouslyUnavailableServers leaves that set at the next
 // walk — the list is read once, and no later loop could ever clear the name.

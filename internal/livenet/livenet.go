@@ -1022,15 +1022,24 @@ func (a *Agent) GetMail() []mail.Stored {
 }
 
 // TakeMail is GetMail for an owner that passes the batch on and keeps the
-// agent alive indefinitely (the wire server's per-user agents): the walk's
-// messages are handed over, not copied, and the agent forgets its inbox (the
-// duplicate-suppression memory stays). The batch may be a slice a mailbox
-// gave away (see poll); whoever holds it must not write to it.
+// agent alive indefinitely (the wire server's per-user agents): the inbox —
+// what GiveBack returned, then the walk's messages — is handed over, not
+// copied, and the agent forgets it (the duplicate-suppression memory stays).
+// The batch may be a slice a mailbox gave away (see poll); whoever holds it
+// must not write to it.
 func (a *Agent) TakeMail() []mail.Stored {
-	out := a.inbox[a.walk():]
+	a.walk()
+	out := a.inbox
 	a.inbox = nil
 	return out
 }
+
+// GiveBack returns the tail of the batch the last TakeMail handed over, for an
+// owner that could not pass all of it on (a wire response carries at most
+// MaxLine): the next TakeMail hands it over again, ahead of what its walk
+// finds. The mailboxes no longer have these messages; until then the agent is
+// the only place they are.
+func (a *Agent) GiveBack(rest []mail.Stored) { a.inbox = rest }
 
 // walk runs one retrieval and returns where in the inbox its messages start.
 // The authority list is read once: a SetAuthority during the walk takes

@@ -321,7 +321,7 @@ func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 		return RetrieveResult{}
 	}
 	p0, dup0 := a.Polls(), a.Duplicates()
-	msgs := a.GetMail()
+	msgs := a.TakeMail() // only the IDs leave here; an agent lives as long as the run does
 	ids := make([]string, len(msgs))
 	var where string
 	if len(msgs) > 0 { // most retrievals find nothing; spare them the label
@@ -331,8 +331,6 @@ func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 		ids[i] = m.ID.String()
 		d.trace.StampKey(m.ID.TraceKey(), obs.StageRetrieve, where)
 	}
-	// Only the IDs leave here; an agent lives as long as the run does.
-	a.DropInbox()
 	a.DropNotifications()
 	return RetrieveResult{
 		IDs:          ids,

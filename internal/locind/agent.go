@@ -38,17 +38,18 @@ func (h *Hostd) ID() graph.NodeID { return h.id }
 
 // Receive implements netsim.Handler.
 func (h *Hostd) Receive(env netsim.Envelope) {
-	switch m := env.Payload.(type) {
-	case NotifyProbe:
+	switch b := env.Payload.(type) {
+	case *netsim.Box[NotifyProbe]:
+		m := b.V
 		a, here := h.agents[m.User]
 		found := here && a.loggedIn
 		if found {
 			a.notifications = append(a.notifications, Alert{User: m.User, ID: m.ID, Server: m.Server})
 		}
-		_ = h.sys.net.Send(h.id, m.Server, ProbeReply{Token: m.Token, Found: found})
-	case Alert:
-		if a, here := h.agents[m.User]; here {
-			a.notifications = append(a.notifications, m)
+		_ = h.sys.net.Send(h.id, m.Server, h.sys.free.probeReply.Box(ProbeReply{Token: m.Token, Found: found}))
+	case *netsim.Box[Alert]:
+		if a, here := h.agents[b.V.User]; here {
+			a.notifications = append(a.notifications, b.V)
 		}
 	}
 }
@@ -108,16 +109,10 @@ func (a *Agent) Notifications() []Alert {
 // DropNotifications releases the alerts the agent holds.
 func (a *Agent) DropNotifications() { a.notifications = nil }
 
-// Inbox returns retrieved messages (since the last DropInbox).
+// Inbox returns retrieved messages (since the last TakeMail).
 func (a *Agent) Inbox() []mail.Stored {
 	return append([]mail.Stored(nil), a.inbox...)
 }
-
-// DropInbox releases the retrieved messages the agent holds, for owners that
-// have read what GetMail returned and keep the agent alive for a long run.
-// The duplicate-suppression memory stays, so a retried deposit that landed
-// on a second server is still recognised.
-func (a *Agent) DropInbox() { a.inbox = nil }
 
 // Polls reports how many server mailbox checks the agent has issued.
 func (a *Agent) Polls() int { return a.polls }
@@ -163,7 +158,7 @@ func (a *Agent) Login() error {
 		return err
 	}
 	a.loggedIn = true
-	return a.sys.net.Send(a.current.id, srv, LoginMsg{User: a.user, Host: a.current.id})
+	return a.sys.net.Send(a.current.id, srv, a.sys.free.login.Box(LoginMsg{User: a.user, Host: a.current.id}))
 }
 
 // Logout withdraws presence.
@@ -173,7 +168,7 @@ func (a *Agent) Logout() error {
 		return err
 	}
 	a.loggedIn = false
-	return a.sys.net.Send(a.current.id, srv, LogoutMsg{User: a.user})
+	return a.sys.net.Send(a.current.id, srv, a.sys.free.logout.Box(LogoutMsg{User: a.user}))
 }
 
 // Send submits a message via the nearest active server — from wherever the
@@ -184,13 +179,24 @@ func (a *Agent) Send(to []names.Name, subject, body string) error {
 	if err != nil {
 		return err
 	}
-	return a.sys.net.Send(a.current.id, srv, Submit{From: a.user, To: to, Subject: subject, Body: body})
+	return a.sys.net.Send(a.current.id, srv, a.sys.free.submit.Box(Submit{From: a.user, To: to, Subject: subject, Body: body}))
 }
 
 // GetMail collects buffered mail from the live authority servers of the
 // agent's sub-group and returns the newly retrieved messages.
 func (a *Agent) GetMail() []mail.Stored {
-	return a.getMail(a.current.id, 1)
+	return append([]mail.Stored(nil), a.inbox[a.walk(a.current.id, 1):]...)
+}
+
+// TakeMail is GetMail for an owner that reads the batch once and keeps the
+// agent alive for a long run (client.Agent.TakeMail's contract): the walk's
+// messages are handed over, not copied, and the agent forgets its inbox. The
+// duplicate-suppression memory stays, so a retried deposit that landed on a
+// second server is still recognised.
+func (a *Agent) TakeMail() []mail.Stored {
+	out := a.inbox[a.walk(a.current.id, 1):]
+	a.inbox = nil
+	return out
 }
 
 // RemoteAccessFactor models §3.2.4's observation about cross-region remote
@@ -207,11 +213,17 @@ const RemoteAccessFactor = 4
 // incurred.
 func (a *Agent) RemoteGetMail(from graph.NodeID) ([]mail.Stored, float64) {
 	costBefore := a.pollCost
-	msgs := a.getMail(from, RemoteAccessFactor)
+	msgs := append([]mail.Stored(nil), a.inbox[a.walk(from, RemoteAccessFactor):]...)
 	return msgs, a.pollCost - costBefore
 }
 
-func (a *Agent) getMail(from graph.NodeID, costFactor float64) []mail.Stored {
+// walk runs one retrieval from the given access point and returns where in
+// the inbox its messages start. CheckMail gives its slice away, so when the
+// inbox is empty and nothing is a duplicate the agent adopts it as the inbox
+// instead of copying it — with its capacity clipped, so that a later append
+// moves to a fresh array and never writes the adopted one (client.Agent.poll's
+// rule).
+func (a *Agent) walk(from graph.NodeID, costFactor float64) int {
 	a.retrievals++
 	before := len(a.inbox)
 	for _, sid := range a.sys.AuthorityFor(a.user) {
@@ -227,16 +239,26 @@ func (a *Agent) getMail(from graph.NodeID, costFactor float64) []mail.Stored {
 			a.pollCost += 2 * c * costFactor
 		}
 		msgs, err := srv.CheckMail(a.user)
-		if err != nil {
+		if err != nil || len(msgs) == 0 {
 			continue
 		}
-		for _, m := range msgs {
-			if !a.seen.Add(m.ID) {
+		adopt := len(a.inbox) == 0
+		for i := range msgs {
+			if !a.seen.Add(msgs[i].ID) {
 				a.dupes++
+				if adopt {
+					adopt = false
+					a.inbox = append(a.inbox, msgs[:i]...)
+				}
 				continue
 			}
-			a.inbox = append(a.inbox, m)
+			if !adopt {
+				a.inbox = append(a.inbox, msgs[i])
+			}
+		}
+		if adopt {
+			a.inbox = msgs[:len(msgs):len(msgs)]
 		}
 	}
-	return append([]mail.Stored(nil), a.inbox[before:]...)
+	return before
 }

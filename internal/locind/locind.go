@@ -40,7 +40,9 @@ var (
 	ErrNoServerUp  = errors.New("locind: no server reachable")
 )
 
-// Protocol payloads.
+// Protocol payloads. Every one travels in a netsim.Box from the sending
+// system's free lists (System.free), so a handler reads it in place and keeps
+// nothing of it past Receive.
 type (
 	// Submit asks a server to deliver a message (sent from the user's
 	// current host).
@@ -102,11 +104,6 @@ type (
 		User   names.Name
 		ID     mail.MessageID
 		Server graph.NodeID
-	}
-	// MailboxTransfer bulk-moves a mailbox during rehash reconfiguration.
-	MailboxTransfer struct {
-		User names.Name
-		Msgs []mail.Stored
 	}
 	// Forward relays a message into the recipient's region (§3.2.2b);
 	// acked and retried like Deposit.
@@ -208,6 +205,7 @@ type System struct {
 
 	procs  map[graph.NodeID]*Server
 	hostPs map[graph.NodeID]*Hostd
+	free   payloadLists
 	stats  *obs.Registry
 	trace  *obs.Tracer // nil when lifecycle stamping is off
 	fed    *Federation // nil outside a federation
@@ -218,6 +216,24 @@ type System struct {
 	// roamed user. The §3.2.2c auditor uses it to verify that overhead is
 	// only ever incurred for users who actually left their primary host.
 	onOverhead func(user names.Name, event string)
+}
+
+// payloadLists holds one free list per payload type for the whole region: its
+// servers, hosts and agents all send from the one event loop, and a box finds
+// its way back to the list it was taken from (netsim.FreeList).
+type payloadLists struct {
+	submit      netsim.FreeList[Submit]
+	deposit     netsim.FreeList[Deposit]
+	depositAck  netsim.FreeList[DepositAck]
+	login       netsim.FreeList[LoginMsg]
+	logout      netsim.FreeList[LogoutMsg]
+	notifyProbe netsim.FreeList[NotifyProbe]
+	probeReply  netsim.FreeList[ProbeReply]
+	locQuery    netsim.FreeList[LocQuery]
+	locReply    netsim.FreeList[LocReply]
+	alert       netsim.FreeList[Alert]
+	forward     netsim.FreeList[Forward]
+	forwardAck  netsim.FreeList[ForwardAck]
 }
 
 // SetOverheadHook installs the roaming-overhead observer (see §3.2.2c:

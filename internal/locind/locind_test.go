@@ -56,6 +56,7 @@ func newWorld(t *testing.T, subgroups int) *world {
 
 	sched := sim.New(13)
 	net := netsim.New(sched, g)
+	net.AfterRecycle(poisonPayload) // every test of this world runs on scribbled boxes
 	sys, err := NewSystem(Config{
 		Region: "R1", Net: net,
 		Servers:   []graph.NodeID{s1, s2},
@@ -443,7 +444,7 @@ func TestDuplicateDepositSuppressed(t *testing.T) {
 	head, _ := w.sys.Server(auth[0])
 	msg := mail.Message{ID: mail.MessageID{Node: 9, Seq: 1}, From: uBob, To: []names.Name{uAlice}}
 	for i := 0; i < 2; i++ {
-		if err := w.net.Send(hb, auth[0], Deposit{Msg: msg, Recipient: uAlice, Origin: hb, Token: uint64(i)}); err != nil {
+		if err := w.net.Send(hb, auth[0], new(netsim.FreeList[Deposit]).Box(Deposit{Msg: msg, Recipient: uAlice, Origin: hb, Token: uint64(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -48,6 +48,7 @@ func newRaceWorld(t *testing.T) *raceWorld {
 
 	sched := sim.New(41)
 	net := netsim.New(sched, g)
+	net.AfterRecycle(poisonPayload) // every test of this world runs on scribbled boxes
 	sys, err := NewSystem(Config{
 		Region: "R1", Net: net,
 		Servers:   []graph.NodeID{t1, t2, t3},

@@ -32,12 +32,23 @@ type Server struct {
 	nextToken uint64
 	pending   map[uint64]*pendingDeposit
 	notifying map[uint64]*pendingNotify
-	deposits  int64
+	// freeDeposits and freeNotifies hold released records for the next route
+	// or notify; the server is single-threaded, so plain stacks do.
+	freeDeposits []*pendingDeposit
+	freeNotifies []*pendingNotify
+	deposits     int64
 }
 
 // pendingDeposit is a deposit or forward awaiting its ack. It owns its retry
 // timer: retry is the scheduler record, armed by dispatch with the deposit
 // itself as the runner.
+//
+// Records are recycled as internal/server's pendingTransfer records are, and
+// for the same reason it is safe: one is only ever reached through p.pending,
+// by token — acks, retries and recovery carry tokens, never pointers — and the
+// one pointer the scheduler holds (the armed retry) is cancelled before
+// onDepositAck releases the record. A late or duplicate ack finds its token
+// gone and stops; no timer armed for one tenant can fire for the next.
 type pendingDeposit struct {
 	retry      sim.Event
 	p          *Server
@@ -60,12 +71,27 @@ func (pd *pendingDeposit) Run() {
 
 // pendingNotify tracks the notification state machine: probe the primary
 // host, then consult the other servers in order, then alert the located
-// host.
+// host. Records are recycled like pendingDeposit: reached only through
+// p.notifying by the token probes and replies carry, released — cleared — by
+// endNotify where the machine stops (notify_home, notify_offline, the roam
+// alert), so a reply that arrives twice finds nothing.
 type pendingNotify struct {
 	user    names.Name
 	msgID   mail.MessageID
 	consult []graph.NodeID // servers still to ask; re-sliced, never written
 	started sim.Time       // when the notification began, for lat_roam_resolve
+}
+
+// take pops a recycled record off a free list, or makes one when none has
+// been released yet.
+func take[T any](free *[]*T) *T {
+	last := len(*free) - 1
+	if last < 0 {
+		return new(T)
+	}
+	r := (*free)[last]
+	*free = (*free)[:last]
+	return r
 }
 
 // newServer builds the process for one server node of sys.
@@ -112,34 +138,30 @@ func (p *Server) KnownLocation(user names.Name) (graph.NodeID, bool) {
 // Receive implements netsim.Handler.
 func (p *Server) Receive(env netsim.Envelope) {
 	switch m := env.Payload.(type) {
-	case Submit:
-		p.onSubmit(m)
-	case Deposit:
-		p.onDeposit(m)
-	case DepositAck:
-		p.onDepositAck(m)
-	case LoginMsg:
-		p.onLogin(m)
-	case LogoutMsg:
-		delete(p.locations, m.User)
-	case ProbeReply:
-		p.onProbeReply(m)
-	case LocQuery:
-		p.onLocQuery(m, env.From)
-	case LocReply:
-		p.onLocReply(m)
-	case MailboxTransfer:
-		p.onMailboxTransfer(m)
-	case Forward:
-		p.onForward(m)
-	case ForwardAck:
-		p.onDepositAck(DepositAck{Token: m.Token})
+	case *netsim.Box[Submit]:
+		p.submit(m.V)
+	case *netsim.Box[Deposit]:
+		p.onDeposit(m.V)
+	case *netsim.Box[DepositAck]:
+		p.onDepositAck(m.V.Token)
+	case *netsim.Box[LoginMsg]:
+		p.onLogin(m.V)
+	case *netsim.Box[LogoutMsg]:
+		delete(p.locations, m.V.User)
+	case *netsim.Box[ProbeReply]:
+		p.onProbeReply(m.V)
+	case *netsim.Box[LocQuery]:
+		p.onLocQuery(m.V)
+	case *netsim.Box[LocReply]:
+		p.onLocReply(m.V)
+	case *netsim.Box[Forward]:
+		p.onForward(m.V)
+	case *netsim.Box[ForwardAck]:
+		p.onDepositAck(m.V.Token)
 	default:
 		p.sys.stats.Inc("unknown_payload")
 	}
 }
-
-func (p *Server) onSubmit(m Submit) { p.submit(m) }
 
 // Accept is the in-process submission entry point used by workload
 // harnesses: it commits the message exactly as a Submit payload would (same
@@ -189,9 +211,17 @@ func (p *Server) route(msg mail.Message, rcpt names.Name) {
 		}
 		break
 	}
+	p.enqueue(msg, rcpt, auth, false)
+}
+
+// enqueue ledgers one copy against its candidate list — shared, never edited —
+// in a recycled record under a fresh token, and sends the first attempt.
+func (p *Server) enqueue(msg mail.Message, rcpt names.Name, candidates []graph.NodeID, forward bool) {
 	p.nextToken++
 	tok := p.nextToken
-	p.pending[tok] = &pendingDeposit{p: p, tok: tok, msg: msg, recipient: rcpt, candidates: auth}
+	pd := take(&p.freeDeposits)
+	*pd = pendingDeposit{p: p, tok: tok, msg: msg, recipient: rcpt, candidates: candidates, forward: forward}
+	p.pending[tok] = pd
 	p.dispatch(tok)
 }
 
@@ -213,10 +243,10 @@ func (p *Server) dispatch(tok uint64) {
 	var payload any
 	if pd.forward {
 		p.sys.stats.Inc("forwards_out")
-		payload = Forward{Msg: pd.msg, Recipient: pd.recipient, Origin: p.id, Token: tok}
+		payload = p.sys.free.forward.Box(Forward{Msg: pd.msg, Recipient: pd.recipient, Origin: p.id, Token: tok})
 	} else {
 		p.sys.stats.Inc("deposit_transfers")
-		payload = Deposit{Msg: pd.msg, Recipient: pd.recipient, Origin: p.id, Token: tok}
+		payload = p.sys.free.deposit.Box(Deposit{Msg: pd.msg, Recipient: pd.recipient, Origin: p.id, Token: tok})
 	}
 	_ = p.sys.net.Send(p.id, target, payload)
 	sched := p.sys.net.Scheduler()
@@ -234,17 +264,14 @@ func (p *Server) forwardRemote(msg mail.Message, rcpt names.Name) {
 		p.sys.stats.Inc("nonlocal_recipients")
 		return
 	}
-	p.nextToken++
-	tok := p.nextToken
-	p.pending[tok] = &pendingDeposit{p: p, tok: tok, msg: msg, recipient: rcpt, candidates: candidates, forward: true}
-	p.dispatch(tok)
+	p.enqueue(msg, rcpt, candidates, true)
 }
 
 // onForward accepts an inter-region relay: ack the origin, then resolve and
 // deliver locally ("[the remote server] will assume the responsibility of
 // resolving the name and delivering the messages", §3.2.2b).
 func (p *Server) onForward(m Forward) {
-	_ = p.sys.net.Send(p.id, m.Origin, ForwardAck{Token: m.Token})
+	_ = p.sys.net.Send(p.id, m.Origin, p.sys.free.forwardAck.Box(ForwardAck{Token: m.Token}))
 	p.sys.stats.Inc("forwards_in")
 	if m.Recipient.Region != p.sys.region {
 		p.forwardRemote(m.Msg, m.Recipient) // stale routing: pass it on
@@ -254,14 +281,18 @@ func (p *Server) onForward(m Forward) {
 }
 
 func (p *Server) onDeposit(m Deposit) {
-	_ = p.sys.net.Send(p.id, m.Origin, DepositAck{Token: m.Token})
+	_ = p.sys.net.Send(p.id, m.Origin, p.sys.free.depositAck.Box(DepositAck{Token: m.Token}))
 	p.depositLocal(m.Msg, m.Recipient)
 }
 
-func (p *Server) onDepositAck(m DepositAck) {
-	if pd, ok := p.pending[m.Token]; ok {
+// onDepositAck settles a deposit or forward: the record leaves the ledger and
+// is recycled, timer cancelled first and message dropped.
+func (p *Server) onDepositAck(tok uint64) {
+	if pd, ok := p.pending[tok]; ok {
 		p.sys.net.Scheduler().Cancel(&pd.retry)
-		delete(p.pending, m.Token)
+		delete(p.pending, tok)
+		*pd = pendingDeposit{}
+		p.freeDeposits = append(p.freeDeposits, pd)
 	}
 }
 
@@ -306,7 +337,7 @@ func (p *Server) notify(user names.Name, id mail.MessageID) {
 	// Connecting-server fast path: this server saw the login itself.
 	if host, ok := p.locations[user]; ok {
 		p.sys.stats.Inc("notify_known")
-		_ = p.sys.net.Send(p.id, host, Alert{User: user, ID: id, Server: p.id})
+		p.alert(host, user, id)
 		return
 	}
 	primary, err := p.sys.PrimaryHost(user)
@@ -316,13 +347,27 @@ func (p *Server) notify(user names.Name, id mail.MessageID) {
 	}
 	p.nextToken++
 	tok := p.nextToken
-	p.notifying[tok] = &pendingNotify{
+	pn := take(&p.freeNotifies)
+	*pn = pendingNotify{
 		user: user, msgID: id,
 		consult: p.sys.others[p.id],
 		started: p.sys.net.Scheduler().Now(),
 	}
+	p.notifying[tok] = pn
 	p.sys.stats.Inc("notify_probe_primary")
-	_ = p.sys.net.Send(p.id, primary, NotifyProbe{User: user, ID: id, Server: p.id, Token: tok})
+	_ = p.sys.net.Send(p.id, primary, p.sys.free.notifyProbe.Box(NotifyProbe{User: user, ID: id, Server: p.id, Token: tok}))
+}
+
+// alert sends the final notification to the host the user was located at.
+func (p *Server) alert(host graph.NodeID, user names.Name, id mail.MessageID) {
+	_ = p.sys.net.Send(p.id, host, p.sys.free.alert.Box(Alert{User: user, ID: id, Server: p.id}))
+}
+
+// endNotify stops a notification's state machine and recycles its record.
+func (p *Server) endNotify(tok uint64, pn *pendingNotify) {
+	delete(p.notifying, tok)
+	*pn = pendingNotify{}
+	p.freeNotifies = append(p.freeNotifies, pn)
 }
 
 func (p *Server) onProbeReply(m ProbeReply) {
@@ -334,7 +379,7 @@ func (p *Server) onProbeReply(m ProbeReply) {
 		// User was at their primary location; the probe already alerted
 		// them. Zero extra traffic — the home case of experiment E7.
 		p.sys.stats.Inc("notify_home")
-		delete(p.notifying, m.Token)
+		p.endNotify(m.Token, pn)
 		return
 	}
 	p.consultNext(m.Token, pn)
@@ -352,17 +397,17 @@ func (p *Server) consultNext(tok uint64, pn *pendingNotify) {
 		if p.sys.onOverhead != nil {
 			p.sys.onOverhead(pn.user, "consult")
 		}
-		_ = p.sys.net.Send(p.id, next, LocQuery{User: pn.user, From: p.id, Token: tok})
+		_ = p.sys.net.Send(p.id, next, p.sys.free.locQuery.Box(LocQuery{User: pn.user, From: p.id, Token: tok}))
 		return
 	}
 	// Nobody knows: the user is offline; mail waits in the mailbox.
 	p.sys.stats.Inc("notify_offline")
-	delete(p.notifying, tok)
+	p.endNotify(tok, pn)
 }
 
-func (p *Server) onLocQuery(m LocQuery, from graph.NodeID) {
+func (p *Server) onLocQuery(m LocQuery) {
 	host, known := p.locations[m.User]
-	_ = p.sys.net.Send(p.id, m.From, LocReply{User: m.User, Host: host, Known: known, Token: m.Token})
+	_ = p.sys.net.Send(p.id, m.From, p.sys.free.locReply.Box(LocReply{User: m.User, Host: host, Known: known, Token: m.Token}))
 }
 
 func (p *Server) onLocReply(m LocReply) {
@@ -380,8 +425,8 @@ func (p *Server) onLocReply(m LocReply) {
 	}
 	elapsed := p.sys.net.Scheduler().Now() - pn.started
 	p.sys.stats.Histogram("lat_roam_resolve", nil).Observe(float64(elapsed))
-	_ = p.sys.net.Send(p.id, m.Host, Alert{User: pn.user, ID: pn.msgID, Server: p.id})
-	delete(p.notifying, m.Token)
+	p.alert(m.Host, pn.user, pn.msgID)
+	p.endNotify(m.Token, pn)
 }
 
 func (p *Server) onLogin(m LoginMsg) {
@@ -390,7 +435,7 @@ func (p *Server) onLogin(m LoginMsg) {
 	// "Notify him as soon as he is connected": buffered mail here triggers
 	// an immediate alert.
 	if mb, ok := p.mailboxes[m.User]; ok && mb.Len() > 0 {
-		_ = p.sys.net.Send(p.id, m.Host, Alert{User: m.User, ID: mb.Peek()[0].ID, Server: p.id})
+		p.alert(m.Host, m.User, mb.Peek()[0].ID)
 	}
 }
 
@@ -408,16 +453,6 @@ func (p *Server) Recovered(at sim.Time) {
 	for _, tok := range toks {
 		p.sys.stats.Inc("recovery_redispatches")
 		p.dispatch(tok)
-	}
-}
-
-func (p *Server) onMailboxTransfer(m MailboxTransfer) {
-	mb := p.mailbox(m.User)
-	now := p.sys.net.Scheduler().Now()
-	for _, s := range m.Msgs {
-		if mb.Deposit(s.Message, now) {
-			p.sys.stats.Inc("rehash_messages_moved")
-		}
 	}
 }
 

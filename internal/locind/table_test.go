@@ -240,8 +240,8 @@ func TestDispatchAllocs(t *testing.T) {
 		w.sched.RunFor(3 * sim.Unit) // lands the flight; the retry stays armed
 	}
 	attempt()
-	if n := testing.AllocsPerRun(100, attempt); n > 1 {
-		t.Errorf("locind dispatch allocates %v per attempt, want ≤ 1 (the boxed Deposit)", n)
+	if n := testing.AllocsPerRun(100, attempt); n != 0 {
+		t.Errorf("locind dispatch allocates %v per attempt, want 0 (the Deposit rides the box the last dropped attempt gave back)", n)
 	}
 	if w.sched.Pending() != 1 {
 		t.Errorf("%d events pending after repeated dispatch, want the one retry record", w.sched.Pending())

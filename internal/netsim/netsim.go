@@ -35,6 +35,9 @@ var (
 )
 
 // Envelope is a message in flight, delivered to the destination's Handler.
+// A Payload that is a *Box belongs to the network until the flight ends and
+// to its free list afterwards: a handler copies out what it keeps and never
+// holds the pointer, or anything inside the box, past Receive.
 type Envelope struct {
 	From, To graph.NodeID
 	Payload  any
@@ -53,6 +56,60 @@ type HandlerFunc func(env Envelope)
 
 // Receive calls f(env).
 func (f HandlerFunc) Receive(env Envelope) { f(env) }
+
+// FreeList recycles the payloads one sender puts in the air. A protocol struct
+// handed to Send as `any` is boxed — one heap allocation per envelope, and the
+// sender cannot know when the last reader is done with it (a retry's
+// duplicate may land after the ack that settled the original). The network
+// can: a Box taken from a FreeList comes back to that list, cleared, when its
+// flight ends, whichever way it ends. The zero value is ready to use; a
+// FreeList must not be copied once used, and like the Network it serves it is
+// not safe for concurrent use.
+type FreeList[T any] struct {
+	free []*Box[T]
+}
+
+// Box is one recyclable payload: the value a handler reads, and the way home.
+type Box[T any] struct {
+	V    T
+	home *FreeList[T]
+}
+
+// Get returns a cleared box from the list, allocating only when none has
+// landed yet. The box is for exactly one Send or SendDirect, which takes it
+// over whether or not it accepts the message.
+func (l *FreeList[T]) Get() *Box[T] {
+	if last := len(l.free) - 1; last >= 0 {
+		b := l.free[last]
+		l.free = l.free[:last]
+		return b
+	}
+	return &Box[T]{home: l}
+}
+
+// Box is Get with the payload filled in.
+func (l *FreeList[T]) Box(v T) *Box[T] {
+	b := l.Get()
+	b.V = v
+	return b
+}
+
+// recyclable is what the network asks of a payload; only *Box answers.
+type recyclable interface{ recycle() }
+
+// recycle clears the box — a pooled box must not pin a message body, nor show
+// one tenant's fields to the next — and puts it back on its list. A payload
+// type that carries an array worth keeping (a batch's items) says how it is
+// cleared with a Reset method; every other type is set to its zero value.
+func (b *Box[T]) recycle() {
+	if r, ok := any(&b.V).(interface{ Reset() }); ok {
+		r.Reset()
+	} else {
+		var zero T
+		b.V = zero
+	}
+	b.home.free = append(b.home.free, b)
+}
 
 // Recoverer is an optional extension of Handler: nodes implementing it are
 // told when they recover from a crash (with the recovery time, which becomes
@@ -91,6 +148,10 @@ type Network struct {
 	// free holds flights that have landed, for reuse by the next post. The
 	// network is single-threaded, so a plain stack does.
 	free []*flight
+
+	// afterRecycle, when set via AfterRecycle, sees every box the network has
+	// just handed back.
+	afterRecycle func(payload any)
 
 	// DelayPerCost converts one unit of edge-weight cost into virtual time.
 	// Defaults to sim.Unit (one paper time unit per cost unit).
@@ -334,13 +395,33 @@ type flight struct {
 // Run lands the flight. The envelope is copied out and the flight returned
 // to the free list before the handler sees anything, so a handler that sends
 // from inside Receive may be handed this very flight: nothing of the landed
-// envelope is left in it.
+// envelope is left in it. The payload is the other way round: it goes home
+// only once deliver is back — delivered or dropped — so a handler that sends
+// from inside Receive is never handed the box it is still reading.
 func (f *flight) Run() {
 	n, env := f.n, f.env
 	f.env = Envelope{}
 	n.free = append(n.free, f)
 	n.deliver(env)
+	n.recycle(env.Payload)
 }
+
+// recycle ends the network's ownership of a payload: a Box goes back to its
+// sender's free list, anything else is left to the garbage collector.
+func (n *Network) recycle(payload any) {
+	if r, ok := payload.(recyclable); ok {
+		r.recycle()
+		if n.afterRecycle != nil {
+			n.afterRecycle(payload)
+		}
+	}
+}
+
+// AfterRecycle installs a test hook that is handed every box right after the
+// network has cleared it and put it back on its free list. A test overwrites
+// the box with garbage there, so a handler that kept a pointer past Receive
+// reads nonsense and not plausible zeros. Pass nil to remove it.
+func (n *Network) AfterRecycle(fn func(payload any)) { n.afterRecycle = fn }
 
 // post puts an envelope in the air for hops links at the given route cost.
 func (n *Network) post(from, to graph.NodeID, payload any, hops int, cost float64) {
@@ -362,8 +443,22 @@ func (n *Network) post(from, to graph.NodeID, payload any, hops int, cost float6
 // The sender must be up and a route must exist; whether the destination is
 // up is only checked at delivery time (messages to a node that is down on
 // arrival are dropped and counted, which is how the paper's servers "become
-// unavailable for receiving mail").
+// unavailable for receiving mail"). A *Box payload is the network's from this
+// call on: it is recycled when the flight ends, or at once if Send refuses.
 func (n *Network) Send(from, to graph.NodeID, payload any) error {
+	return n.refused(payload, n.send(from, to, payload))
+}
+
+// refused passes a send's verdict on; a payload whose flight never started
+// goes home at once.
+func (n *Network) refused(payload any, err error) error {
+	if err != nil {
+		n.recycle(payload)
+	}
+	return err
+}
+
+func (n *Network) send(from, to graph.NodeID, payload any) error {
 	if _, ok := n.handlers[from]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, from)
 	}
@@ -387,8 +482,13 @@ func (n *Network) Send(from, to graph.NodeID, payload any) error {
 
 // SendDirect sends a message across a single link; from and to must be
 // adjacent. This is the primitive the distributed MST algorithm uses
-// ("sending messages over attached links", §3.3.1-A).
+// ("sending messages over attached links", §3.3.1-A). It takes a *Box payload
+// over exactly as Send does.
 func (n *Network) SendDirect(from, to graph.NodeID, payload any) error {
+	return n.refused(payload, n.sendDirect(from, to, payload))
+}
+
+func (n *Network) sendDirect(from, to graph.NodeID, payload any) error {
 	if _, ok := n.handlers[from]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, from)
 	}
@@ -426,8 +526,14 @@ func (n *Network) deliver(env Envelope) {
 
 // Broadcast sends the payload from one node to every other registered node
 // individually — the naive mass-distribution baseline the paper's MST
-// broadcast is compared against. It returns how many sends were issued.
+// broadcast is compared against. It returns how many sends were issued. The
+// payload must be a plain value: a *Box is one allocation with one way home,
+// and N flights would hand it back N times — the first landing would clear it
+// under the other N-1 readers.
 func (n *Network) Broadcast(from graph.NodeID, payload any) (int, error) {
+	if _, ok := payload.(recyclable); ok {
+		panic("netsim: Broadcast of a recyclable payload: one box cannot ride N flights (the first to land would clear it under the rest); broadcast a value")
+	}
 	if _, ok := n.handlers[from]; !ok {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownNode, from)
 	}

@@ -23,7 +23,10 @@ import (
 // carrying transfers (one per single Transfer, one per TransferBatch) and is
 // the metric the batch-size sweeps report.
 
-// stagedBatch is a per-destination batch being filled.
+// stagedBatch is a per-destination batch being filled. Recycled like
+// inflightBatch below: reached only through s.staged, by destination, and
+// released (flush timer cancelled, toks emptied, array kept) by the flush or
+// the crash that ends it.
 type stagedBatch struct {
 	flush  sim.Event // FlushInterval watermark
 	s      *Server
@@ -34,7 +37,11 @@ type stagedBatch struct {
 // Run is the time watermark: ship whatever has been staged.
 func (b *stagedBatch) Run() { b.s.flushStaged(b.target) }
 
-// inflightBatch is a flushed batch awaiting its TransferBatchAck.
+// inflightBatch is a flushed batch awaiting its TransferBatchAck. Records are
+// recycled as pendingTransfer records are, and on the same terms: one is only
+// reached through s.inflight, by batch token, and releaseBatch cancels the
+// retry timer before the record goes on s.freeInflight — with toks emptied
+// and its capacity kept for the next flush.
 type inflightBatch struct {
 	retry sim.Event // retry-timeout: on expiry the batch splits
 	s     *Server
@@ -44,6 +51,24 @@ type inflightBatch struct {
 
 // Run is the retry timeout: no batch ack arrived.
 func (fb *inflightBatch) Run() { fb.s.splitBatch(fb.tok) }
+
+// releaseStaged takes a staged batch out of the table and recycles its record.
+func (s *Server) releaseStaged(b *stagedBatch) {
+	s.net.Scheduler().Cancel(&b.flush)
+	if s.staged[b.target] == b {
+		delete(s.staged, b.target)
+	}
+	*b = stagedBatch{toks: b.toks[:0]}
+	s.freeStaged = append(s.freeStaged, b)
+}
+
+// releaseBatch takes a batch off the in-flight ledger and recycles its record.
+func (s *Server) releaseBatch(fb *inflightBatch) {
+	s.net.Scheduler().Cancel(&fb.retry)
+	delete(s.inflight, fb.tok)
+	*fb = inflightBatch{toks: fb.toks[:0]}
+	s.freeInflight = append(s.freeInflight, fb)
+}
 
 // stage adds a pending transfer to the batch of its picked destination,
 // flushing on the size watermark. Staging counts as the transfer's first
@@ -66,7 +91,8 @@ func (s *Server) stage(tok uint64) {
 func (s *Server) addToBatch(tok uint64, target graph.NodeID) {
 	b := s.staged[target]
 	if b == nil {
-		b = &stagedBatch{s: s, target: target}
+		b = take(&s.freeStaged)
+		b.s, b.target = s, target
 		s.staged[target] = b
 		sched := s.net.Scheduler()
 		sched.Schedule(&b.flush, sched.Now()+s.flushEvery, b)
@@ -95,13 +121,14 @@ func (s *Server) flushStaged(target graph.NodeID) {
 	if !ok {
 		return
 	}
-	delete(s.staged, target)
-	s.net.Scheduler().Cancel(&b.flush)
+	delete(s.staged, target) // a transfer staged for target from here on starts a new batch
+	defer s.releaseStaged(b)
 	if !s.Up() {
 		return // crash raced the flush; items stay pending for recovery
 	}
-	items := make([]Transfer, 0, len(b.toks))
-	live := make([]uint64, 0, len(b.toks))
+	// The envelope's items and the ledger's tokens are built in a recycled box
+	// and a recycled record, both arriving empty with their arrays kept.
+	box, fb := s.batches.Get(), take(&s.freeInflight)
 	for _, tok := range b.toks {
 		p, still := s.pending[tok]
 		if !still {
@@ -120,23 +147,22 @@ func (s *Server) flushStaged(target graph.NodeID) {
 			s.addToBatch(tok, fresh)
 			continue
 		}
-		items = append(items, Transfer{
-			Kind: p.kind, Msg: p.msg, Recipient: p.recipient,
-			Origin: s.id, Token: tok, Attempt: p.attempt,
-		})
-		live = append(live, tok)
+		box.V.Items = append(box.V.Items, p.transfer())
+		fb.toks = append(fb.toks, tok)
 	}
-	if len(items) == 0 {
+	n := int64(len(fb.toks))
+	if n == 0 {
+		s.releaseBatch(fb) // the unsent, still empty box is left to the collector
 		return
 	}
 	s.nextBatch++
-	btok := s.nextBatch
+	fb.s, fb.tok = s, s.nextBatch
+	box.V.Origin, box.V.Token = s.id, fb.tok
 	s.stats.Inc("relay_envelopes")
-	s.stats.Add("transfers_out", int64(len(items)))
-	s.stats.Add("batched_transfers", int64(len(items)))
-	fb := &inflightBatch{s: s, tok: btok, toks: live}
-	s.inflight[btok] = fb
-	_ = s.net.Send(s.id, target, TransferBatch{Origin: s.id, Token: btok, Items: items})
+	s.stats.Add("transfers_out", n)
+	s.stats.Add("batched_transfers", n)
+	s.inflight[fb.tok] = fb
+	_ = s.net.Send(s.id, target, box)
 	sched := s.net.Scheduler()
 	sched.Schedule(&fb.retry, sched.Now()+s.retryTimeout, fb)
 }
@@ -148,13 +174,13 @@ func (s *Server) splitBatch(btok uint64) {
 	if !ok || !s.Up() {
 		return
 	}
-	delete(s.inflight, btok)
 	s.stats.Inc("batch_splits")
 	for _, tok := range fb.toks {
 		if _, still := s.pending[tok]; still {
 			s.dispatch(tok)
 		}
 	}
+	s.releaseBatch(fb)
 }
 
 // handleTransferBatch processes a received batch item by item — the same
@@ -179,7 +205,7 @@ func (s *Server) handleTransferBatch(tb TransferBatch) {
 			failed = append(failed, i)
 		}
 	}
-	_ = s.net.Send(s.id, tb.Origin, TransferBatchAck{Token: tb.Token, Failed: failed})
+	_ = s.net.Send(s.id, tb.Origin, s.batchAcks.Box(TransferBatchAck{Token: tb.Token, Failed: failed}))
 }
 
 // handleBatchAck settles a batch: acked items leave the pending ledger,
@@ -189,8 +215,6 @@ func (s *Server) handleBatchAck(ack TransferBatchAck) {
 	if !ok {
 		return
 	}
-	s.net.Scheduler().Cancel(&fb.retry)
-	delete(s.inflight, ack.Token)
 	failedSet := make(map[int]bool, len(ack.Failed))
 	for _, i := range ack.Failed {
 		failedSet[i] = true
@@ -206,4 +230,5 @@ func (s *Server) handleBatchAck(ack TransferBatchAck) {
 			s.settle(p)
 		}
 	}
+	s.releaseBatch(fb)
 }

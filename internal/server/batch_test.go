@@ -6,6 +6,7 @@ import (
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/netsim"
 	"github.com/largemail/largemail/internal/sim"
 )
 
@@ -161,14 +162,14 @@ func TestBatchReceiverReportsUnprocessable(t *testing.T) {
 	w := newWorld(t, mail.Retention{})
 	good := mail.Message{ID: mail.MessageID{Node: 99, Seq: 1}, To: []names.Name{bob}, Body: "x"}
 	bad := mail.Message{ID: mail.MessageID{Node: 99, Seq: 2}, To: []names.Name{bob}, Body: "y"}
-	if err := w.net.Send(h2, s3, TransferBatch{
+	if err := w.net.Send(h2, s3, new(netsim.FreeList[TransferBatch]).Box(TransferBatch{
 		Origin: h2,
 		Token:  7,
 		Items: []Transfer{
 			{Kind: TransferDeposit, Msg: good, Recipient: bob, Token: 1},
 			{Kind: TransferKind(0), Msg: bad, Recipient: bob, Token: 2}, // unknown kind
 		},
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	w.sched.Run()

@@ -86,6 +86,14 @@ type TransferBatch struct {
 	Items  []Transfer
 }
 
+// Reset is how a recycled box clears a batch (netsim.Box): every item is
+// zeroed, so no message body stays pinned, and the array is kept for the
+// next flush to fill.
+func (tb *TransferBatch) Reset() {
+	clear(tb.Items)
+	*tb = TransferBatch{Items: tb.Items[:0]}
+}
+
 // TransferBatchAck confirms a TransferBatch. Failed lists the indices of
 // items the receiver could not process; the origin re-dispatches exactly
 // those as individual transfers (retry splitting on partial failure), while

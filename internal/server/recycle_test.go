@@ -14,6 +14,45 @@ import (
 	"github.com/largemail/largemail/internal/sim"
 )
 
+// poisonPayload is the netsim.AfterRecycle hook of this package's test world
+// (newWorld): every box the network hands back is overwritten with a
+// plausible wrong transfer — a real recipient, a small token, a server of the
+// world — where production leaves zeros. Correct code never looks: a box is
+// filled again before it flies again, and a batch box is taken empty (so the
+// junk items go into the kept array, past its length). A handler that kept a
+// pointer into a box past Receive would deposit the junk message or settle
+// the wrong transfer, and the exactly-once ledger and the recorded counters
+// of TestRecycledTransferRecords would show it.
+func poisonPayload(payload any) {
+	switch b := payload.(type) {
+	case *netsim.Box[Transfer]:
+		b.V = junkTransfer
+	case *netsim.Box[TransferAck]:
+		b.V = TransferAck{Token: 2}
+	case *netsim.Box[TransferBatch]:
+		items := b.V.Items[:cap(b.V.Items)]
+		for i := range items {
+			items[i] = junkTransfer
+		}
+		b.V.Origin, b.V.Token = s3, 1
+	case *netsim.Box[TransferBatchAck]:
+		b.V = TransferBatchAck{Token: 1, Failed: junkFailed}
+	case *netsim.Box[Notify]:
+		b.V = Notify{User: carol, ID: junkTransfer.Msg.ID, Server: s2}
+	}
+}
+
+// The junk is built once, so the hook allocates nothing and the allocation
+// budgets hold with it installed.
+var (
+	junkTransfer = Transfer{
+		Kind:      TransferDeposit,
+		Msg:       mail.Message{ID: mail.MessageID{Node: 666, Seq: 666}, From: bob, To: []names.Name{alice}, Subject: "poison", Body: "poison"},
+		Recipient: alice, Origin: s2, Token: 1, Attempt: 9,
+	}
+	junkFailed = []int{0}
+)
+
 // ackProbe stands between the network and a server. It makes some batch acks
 // report a processed item as failed (so the origin re-dispatches a copy the
 // receiver already holds while the batch's other items settle), and around
@@ -48,18 +87,17 @@ func (a ackProbe) snapshot() []pendingState {
 
 func (a ackProbe) Receive(env netsim.Envelope) {
 	switch ack := env.Payload.(type) {
-	case TransferBatchAck:
-		if fb, ok := a.inflight[ack.Token]; ok && a.rng.Intn(3) == 0 {
-			ack.Failed = append(ack.Failed, a.rng.Intn(len(fb.toks)))
-			env.Payload = ack
+	case *netsim.Box[TransferBatchAck]:
+		if fb, ok := a.inflight[ack.V.Token]; ok && a.rng.Intn(3) == 0 {
+			ack.V.Failed = append(ack.V.Failed, a.rng.Intn(len(fb.toks)))
 		}
-	case TransferAck:
-		if _, pending := a.pending[ack.Token]; !pending {
+	case *netsim.Box[TransferAck]:
+		if _, pending := a.pending[ack.V.Token]; !pending {
 			*a.late++
 			before := a.snapshot()
 			a.Server.Receive(env)
 			if after := a.snapshot(); !reflect.DeepEqual(before, after) {
-				a.t.Fatalf("s%d: late ack for token %d changed the ledger:\nbefore %+v\nafter  %+v", a.id, ack.Token, before, after)
+				a.t.Fatalf("s%d: late ack for token %d changed the ledger:\nbefore %+v\nafter  %+v", a.id, ack.V.Token, before, after)
 			}
 			return
 		}
@@ -75,20 +113,31 @@ func (a ackProbe) Receive(env netsim.Envelope) {
 // ack that still reached the old record would show: as a lost or doubled
 // copy, as a moved ledger entry (ackProbe), or as a retry count other than
 // the one the same schedule produced when every transfer allocated its own
-// record — the counters below are recorded from the parent commit.
+// record — the counters below are recorded from the parent commit. The
+// payloads' boxes are shared the same way, so each schedule runs twice: with
+// recycled boxes cleared, as in production, and with them overwritten with
+// garbage (poisonPayload) — same ledger, same counters.
 func TestRecycledTransferRecords(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mutate []func(*Config)
+		poison bool
 		want   string
 	}{
-		{"single", nil,
+		{"single", nil, false,
 			"183 copies; transfers_out 496 retries 369 duplicate_deposits 117 deposits_local 204 relay_envelopes 496 batch_splits 0; late acks 61"},
-		{"batched", []func(*Config){batched(4, 2*sim.Unit)},
+		{"batched", []func(*Config){batched(4, 2*sim.Unit)}, false,
+			"179 copies; transfers_out 511 retries 408 duplicate_deposits 157 deposits_local 206 relay_envelopes 464 batch_splits 37; late acks 55"},
+		{"single, poisoned boxes", nil, true,
+			"183 copies; transfers_out 496 retries 369 duplicate_deposits 117 deposits_local 204 relay_envelopes 496 batch_splits 0; late acks 61"},
+		{"batched, poisoned boxes", []func(*Config){batched(4, 2*sim.Unit)}, true,
 			"179 copies; transfers_out 511 retries 408 duplicate_deposits 157 deposits_local 206 relay_envelopes 464 batch_splits 37; late acks 55"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newWorld(t, mail.Retention{}, tc.mutate...)
+			if !tc.poison {
+				w.net.AfterRecycle(nil)
+			}
 			rng := rand.New(rand.NewSource(17))
 			late := 0
 			order := []graph.NodeID{s1, s2, s3}
@@ -190,14 +239,22 @@ func TestRecycledTransferRecords(t *testing.T) {
 						t.Errorf("s%d: idle record still holds %+v", id, *p)
 					}
 				}
+				if n := len(srv.freeInflight) + len(srv.inflight); int64(n)*4 > srv.Stats().Get("relay_envelopes") && n > 1 {
+					t.Errorf("s%d made %d batch records for %d envelopes; they are not being reused", id, n, srv.Stats().Get("relay_envelopes"))
+				}
+				for _, fb := range srv.freeInflight {
+					if len(fb.toks) != 0 || !reflect.DeepEqual(*fb, inflightBatch{toks: fb.toks}) {
+						t.Errorf("s%d: idle batch record still holds %+v", id, *fb)
+					}
+				}
 			}
 		})
 	}
 }
 
 // TestAckRoundTripReusesRecord: once a server has settled one transfer, the
-// next enqueue → transfer → ack round trip allocates the two boxed payloads
-// it puts on the network and the message's recipient list — no pending record.
+// next submit → transfer → ack round trip allocates the message's recipient
+// list and the mailbox slot — no pending record, and no payload box.
 func TestAckRoundTripReusesRecord(t *testing.T) {
 	w := newWorld(t, mail.Retention{})
 	s := w.servers[s1]
@@ -227,8 +284,45 @@ func TestAckRoundTripReusesRecord(t *testing.T) {
 	}
 	w.sched.Run()
 	w.servers[s3].Store().Drain(bob)
-	// Transfer box, TransferAck box, accept's To copy, S3's []Stored slot.
-	if n := testing.AllocsPerRun(100, roundTrip); n > 4 {
-		t.Errorf("warmed submit → forward → deposit → ack: %v allocs, want ≤ 4 (5 with a pending record per transfer)", n)
+	// accept's To copy, S3's []Stored slot.
+	if n := testing.AllocsPerRun(100, roundTrip); n > 2 {
+		t.Errorf("warmed submit → forward → deposit → ack: %v allocs, want ≤ 2 (4 with a box per payload, 5 with a pending record per transfer)", n)
+	}
+}
+
+// TestTransferRoundTripTransitAllocs (budget): a warmed remote transfer —
+// enqueue, dispatch, handleTransfer, ack, settle, single or batched —
+// allocates nothing at all once the message exists. The copy routed is one the
+// destination already holds, so the store's side (a mailbox slot) is out of
+// the picture and what is left is transit: the record, the two envelopes and
+// their payloads, the batch's items and its ledger entry.
+func TestTransferRoundTripTransitAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate []func(*Config)
+	}{
+		{"single", nil},
+		{"batched", []func(*Config){batched(2, sim.Unit)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, mail.Retention{}, tc.mutate...)
+			s := w.servers[s1]
+			msg := mail.Message{ID: mail.MessageID{Node: s1, Seq: 1}, From: alice, To: []names.Name{bob}, Body: "b"}
+			roundTrip := func() {
+				s.Route(msg, bob)
+				s.Route(msg, bob) // fills a batch of two
+				w.sched.Run()
+				if s.PendingTransfers() != 0 {
+					t.Fatalf("%d transfers unsettled", s.PendingTransfers())
+				}
+			}
+			roundTrip() // routes cached, flights, boxes and records pooled, counters registered
+			if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+				t.Errorf("two warmed transfer round trips allocate %v, want 0", n)
+			}
+			if got := w.servers[s3].MailboxLen(bob); got != 1 {
+				t.Errorf("bob holds %d copies, want the 1 every round trip re-sent", got)
+			}
+		})
 	}
 }

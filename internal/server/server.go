@@ -137,6 +137,13 @@ type Server struct {
 	// freePending holds settled records for the next enqueue (see
 	// pendingTransfer); the server is single-threaded, so a plain stack does.
 	freePending []*pendingTransfer
+	// The envelopes this server sends per copy ride boxes from these lists;
+	// the network hands each back when its flight ends (netsim.FreeList).
+	transfers netsim.FreeList[Transfer]
+	acks      netsim.FreeList[TransferAck]
+	notifies  netsim.FreeList[Notify]
+	batches   netsim.FreeList[TransferBatch]
+	batchAcks netsim.FreeList[TransferBatchAck]
 	// rerouted remembers recipient copies this server already forwarded
 	// under the placement-reroute path. Retries of the same transfer (our
 	// ack racing the origin's timeout) must not each spawn another forward:
@@ -146,12 +153,15 @@ type Server struct {
 
 	// Relay-batching state (inactive when batchSize <= 1): staged holds
 	// per-destination batches being filled; inflight holds flushed batches
-	// awaiting their TransferBatchAck.
-	batchSize  int
-	flushEvery sim.Time
-	staged     map[graph.NodeID]*stagedBatch
-	inflight   map[uint64]*inflightBatch
-	nextBatch  uint64
+	// awaiting their TransferBatchAck, freeStaged and freeInflight the records
+	// of flushed and of settled batches.
+	batchSize    int
+	flushEvery   sim.Time
+	staged       map[graph.NodeID]*stagedBatch
+	inflight     map[uint64]*inflightBatch
+	freeStaged   []*stagedBatch
+	freeInflight []*inflightBatch
+	nextBatch    uint64
 
 	stats *obs.Registry
 	trace *obs.Tracer // nil-safe; shared across the deployment when set
@@ -188,6 +198,26 @@ type pendingTransfer struct {
 	candidates []graph.NodeID // servers to try, in order; shared, never edited
 	next       int            // index of the next candidate to try
 	attempt    int
+}
+
+// transfer is the record as it goes on the wire, alone or as a batch item.
+func (p *pendingTransfer) transfer() Transfer {
+	return Transfer{
+		Kind: p.kind, Msg: p.msg, Recipient: p.recipient,
+		Origin: p.s.id, Token: p.tok, Attempt: p.attempt,
+	}
+}
+
+// take pops a recycled record off a free list, or makes one when none has
+// been released yet. The server is single-threaded, so plain stacks do.
+func take[T any](free *[]*T) *T {
+	last := len(*free) - 1
+	if last < 0 {
+		return new(T)
+	}
+	r := (*free)[last]
+	*free = (*free)[:last]
+	return r
 }
 
 // Run is the retry timeout: no ack arrived, try the next candidate.
@@ -298,19 +328,22 @@ func (s *Server) WALStats() (mailstore.WALStats, bool) {
 	return ws, true
 }
 
-// Receive implements netsim.Handler.
+// Receive implements netsim.Handler. The server-to-server payloads arrive in
+// boxes the network takes back when Receive returns: each arm hands its
+// handler the value, and no handler keeps a pointer into the box (a batch's
+// items are read in place and copied one by one).
 func (s *Server) Receive(env netsim.Envelope) {
 	switch p := env.Payload.(type) {
 	case SubmitRequest:
 		s.handleSubmit(env.From, p)
-	case Transfer:
-		s.handleTransfer(p)
-	case TransferAck:
-		s.handleAck(p)
-	case TransferBatch:
-		s.handleTransferBatch(p)
-	case TransferBatchAck:
-		s.handleBatchAck(p)
+	case *netsim.Box[Transfer]:
+		s.handleTransfer(p.V)
+	case *netsim.Box[TransferAck]:
+		s.handleAck(p.V)
+	case *netsim.Box[TransferBatch]:
+		s.handleTransferBatch(p.V)
+	case *netsim.Box[TransferBatchAck]:
+		s.handleBatchAck(p.V)
 	case Login:
 		s.handleLogin(p)
 	case Logout:
@@ -334,13 +367,11 @@ func (s *Server) Crashed(sim.Time) {
 // dissolveBatches drops every staged and in-flight batch with its timer;
 // the items stay in s.pending.
 func (s *Server) dissolveBatches() {
-	for target, b := range s.staged {
-		s.net.Scheduler().Cancel(&b.flush)
-		delete(s.staged, target)
+	for _, b := range s.staged {
+		s.releaseStaged(b)
 	}
-	for tok, fb := range s.inflight {
-		s.net.Scheduler().Cancel(&fb.retry)
-		delete(s.inflight, tok)
+	for _, fb := range s.inflight {
+		s.releaseBatch(fb)
 	}
 }
 
@@ -528,7 +559,7 @@ func (s *Server) depositLocal(msg mail.Message, rcpt names.Name) {
 	if host, ok := s.online[rcpt]; ok {
 		s.stats.Inc("notifies")
 		s.trace.StampKey(msg.ID.TraceKey(), obs.StageNotify, s.where)
-		_ = s.net.Send(s.id, host, Notify{User: rcpt, ID: msg.ID, Server: s.id})
+		_ = s.net.Send(s.id, host, s.notifies.Box(Notify{User: rcpt, ID: msg.ID, Server: s.id}))
 	}
 }
 
@@ -541,12 +572,7 @@ func (s *Server) depositLocal(msg mail.Message, rcpt names.Name) {
 func (s *Server) enqueue(kind TransferKind, msg mail.Message, rcpt names.Name, candidates []graph.NodeID) {
 	s.nextToken++
 	tok := s.nextToken
-	var p *pendingTransfer
-	if last := len(s.freePending) - 1; last >= 0 {
-		p, s.freePending = s.freePending[last], s.freePending[:last]
-	} else {
-		p = new(pendingTransfer)
-	}
+	p := take(&s.freePending)
 	*p = pendingTransfer{
 		s: s, tok: tok,
 		kind:       kind,
@@ -578,10 +604,7 @@ func (s *Server) dispatch(tok uint64) {
 	}
 	s.stats.Inc("transfers_out")
 	s.stats.Inc("relay_envelopes") // one physical envelope per single transfer
-	_ = s.net.Send(s.id, target, Transfer{
-		Kind: p.kind, Msg: p.msg, Recipient: p.recipient,
-		Origin: s.id, Token: tok, Attempt: p.attempt,
-	})
+	_ = s.net.Send(s.id, target, s.transfers.Box(p.transfer()))
 	sched := s.net.Scheduler()
 	sched.Schedule(&p.retry, sched.Now()+s.retryTimeout, p)
 }
@@ -606,7 +629,7 @@ func (s *Server) pickCandidate(p *pendingTransfer) graph.NodeID {
 
 // handleTransfer processes a server-to-server transfer and acks it.
 func (s *Server) handleTransfer(tr Transfer) {
-	_ = s.net.Send(s.id, tr.Origin, TransferAck{Token: tr.Token})
+	_ = s.net.Send(s.id, tr.Origin, s.acks.Box(TransferAck{Token: tr.Token}))
 	switch tr.Kind {
 	case TransferDeposit:
 		if s.reroute && s.misplacedDeposit(tr.Recipient) {
@@ -697,7 +720,7 @@ func (s *Server) handleLogin(l Login) {
 	if ok && !first.IsZero() {
 		s.stats.Inc("notifies")
 		s.trace.StampKey(first.TraceKey(), obs.StageNotify, s.where)
-		_ = s.net.Send(s.id, l.Host, Notify{User: l.User, ID: first, Server: s.id})
+		_ = s.net.Send(s.id, l.Host, s.notifies.Box(Notify{User: l.User, ID: first, Server: s.id}))
 	}
 }
 

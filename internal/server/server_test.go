@@ -36,10 +36,10 @@ func (h *hostRec) Receive(env netsim.Envelope) {
 	switch p := env.Payload.(type) {
 	case SubmitAck:
 		h.acks = append(h.acks, p)
-	case Notify:
-		h.notifies = append(h.notifies, p)
-	case TransferBatchAck:
-		h.batchAcks = append(h.batchAcks, p)
+	case *netsim.Box[Notify]:
+		h.notifies = append(h.notifies, p.V)
+	case *netsim.Box[TransferBatchAck]:
+		h.batchAcks = append(h.batchAcks, p.V)
 	}
 }
 
@@ -71,6 +71,7 @@ func newWorld(t *testing.T, retention mail.Retention, mutate ...func(*Config)) *
 
 	sched := sim.New(7)
 	net := netsim.New(sched, g)
+	net.AfterRecycle(poisonPayload) // every test of this world runs on scribbled boxes
 	w := &world{
 		sched:   sched,
 		net:     net,
@@ -434,9 +435,9 @@ func TestMisroutedForwardIsRerouted(t *testing.T) {
 	// Hand S1 a forward for bob (R2) as if a stale region map had routed it
 	// here; S1 must route it onward to S3.
 	msg := mail.Message{ID: mail.MessageID{Node: 999, Seq: 1}, From: alice, To: []names.Name{bob}}
-	if err := w.net.Send(h1, s1, Transfer{
+	if err := w.net.Send(h1, s1, new(netsim.FreeList[Transfer]).Box(Transfer{
 		Kind: TransferForward, Msg: msg, Recipient: bob, Origin: h1, Token: 1,
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	w.sched.Run()

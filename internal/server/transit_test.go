@@ -10,10 +10,10 @@ import (
 	"github.com/largemail/largemail/internal/sim"
 )
 
-// Allocation budget (aim 1): a transfer attempt costs the one box its payload
-// needs. The route walk, the flight closure and event, and the retry closure
-// and event that used to ride along (7 per attempt at the parent commit) are
-// gone.
+// Allocation budget (aim 1): a transfer attempt costs nothing. The route
+// walk, the flight closure and event, and the retry closure and event that
+// used to ride along (7 per attempt before PR 15) are gone, and the payload's
+// box is the one the last dropped attempt gave back.
 func TestDispatchAllocs(t *testing.T) {
 	w := newWorld(t, mail.Retention{})
 	// Both R1 servers down: every attempt from S3 flies blind, is dropped at
@@ -32,8 +32,8 @@ func TestDispatchAllocs(t *testing.T) {
 		w.sched.RunFor(4 * sim.Unit) // lands the flight; the retry stays armed
 	}
 	attempt()
-	if n := testing.AllocsPerRun(100, attempt); n > 1 {
-		t.Errorf("server dispatch allocates %v per attempt, want ≤ 1 (the boxed Transfer)", n)
+	if n := testing.AllocsPerRun(100, attempt); n != 0 {
+		t.Errorf("server dispatch allocates %v per attempt, want 0", n)
 	}
 	if w.sched.Pending() != 1 {
 		t.Errorf("%d events pending after repeated dispatch, want the one retry record", w.sched.Pending())

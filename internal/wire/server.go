@@ -52,6 +52,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"github.com/largemail/largemail/internal/attr"
 	"github.com/largemail/largemail/internal/livenet"
@@ -247,15 +248,15 @@ func (st *connState) respond(bin bool, op byte, tag uint32, resp Response) {
 		st.out = getFrameBuf()
 	}
 	buf := *st.out
+	if resp.stored != nil && (!bin || op == binOpJSON) {
+		resp.Messages = wireMessages(resp.stored) // JSON has no stored form
+	}
 	if bin {
 		var err error
 		if buf, err = AppendBinaryResponse(buf, op, tag, resp); err != nil {
 			buf, _ = AppendBinaryResponse(buf, op, tag, Response{Error: "response too large", Code: mailerr.Code(err)})
 		}
 	} else {
-		if resp.stored != nil {
-			resp.Messages = wireMessages(resp.stored)
-		}
 		line, err := EncodeResponse(resp)
 		if err != nil {
 			line, _ = EncodeResponse(Response{Error: "response too large", Code: mailerr.Code(err)})
@@ -323,7 +324,8 @@ type work struct {
 var workPool = sync.Pool{New: func() any { return new(work) }}
 
 func (w *work) Run() {
-	w.st.respond(w.bin, w.op, w.tag, w.st.srv.dispatch(w.req, w.st))
+	native := w.bin && w.op != binOpJSON
+	w.st.respond(w.bin, w.op, w.tag, w.st.srv.dispatch(w.req, w.st, native))
 	*w = work{}
 	workPool.Put(w)
 }
@@ -457,7 +459,10 @@ func (s *Server) enqueueHello(q *server.WorkQueue, st *connState, req Request, t
 	return ok
 }
 
-func (s *Server) dispatch(req Request, st *connState) Response {
+// dispatch runs one request. native says the response will go out in the
+// op's own binary encoding and not as JSON (a text line, or a binOpJSON
+// frame), which is what decides how much mail fits in it.
+func (s *Server) dispatch(req Request, st *connState, native bool) Response {
 	switch req.Op {
 	case "hello":
 		return s.opHello(req, st)
@@ -472,7 +477,7 @@ func (s *Server) dispatch(req Request, st *connState) Response {
 	case "checkmail":
 		return s.opCheckMail(req)
 	case "getmail":
-		return s.opGetMail(req)
+		return s.opGetMail(req, native)
 	case "status":
 		return s.opStatus()
 	case "crash", "recover":
@@ -681,7 +686,7 @@ func (s *Server) opCheckMail(req Request) Response {
 	return Response{OK: true, stored: msgs}
 }
 
-func (s *Server) opGetMail(req Request) Response {
+func (s *Server) opGetMail(req Request, native bool) Response {
 	user, err := names.Parse(req.User)
 	if err != nil {
 		return fail("user: %v", err)
@@ -700,12 +705,80 @@ func (s *Server) opGetMail(req Request) Response {
 	s.agentMu.Unlock()
 	// The response takes the batch over: agents live as long as the server,
 	// so one that kept its inbox would retain every body it ever returned.
+	// It takes only what it can carry: the walk has emptied the mailboxes, so
+	// a batch answered with "response too large" would be mail lost. The
+	// prefix that fits goes out, the rest goes back to the agent's inbox and
+	// leads the next getmail's batch.
 	ua.mu.Lock()
 	msgs := ua.a.TakeMail()
+	if n := fitResponse(msgs, native); n < len(msgs) {
+		ua.a.GiveBack(msgs[n:])
+		msgs = msgs[:n:n]
+	}
 	polls := ua.a.Polls()
 	last := ua.a.LastCheckingTime().UnixNano()
 	ua.mu.Unlock()
 	return Response{OK: true, stored: msgs, Polls: polls, LastChecking: last}
+}
+
+// fitResponse reports how many leading messages of a retrieved batch one
+// getmail response can carry within MaxLine: their encoded size, bounded
+// from above, in the binary encoding (native) or as JSON. It is never 0 for a
+// non-empty batch: a message that cannot be carried alone goes out alone and
+// is refused by the encoder, as it always was, and takes nothing with it.
+func fitResponse(msgs []mail.Stored, native bool) int {
+	// The other fields of the largest response and the frame around it:
+	// {"ok":true,"messages":[…],"polls":N,"last_checking":N} is under 100
+	// bytes, the binary header, counts and CRC under 40.
+	size := 128
+	for i := range msgs {
+		m := &msgs[i]
+		if native {
+			// One length byte and at most 42 of "m<int64>-<uint64>", then
+			// three strings behind uvarint lengths of at most 3 bytes.
+			size += 43 + 3*3 + m.From.TextLen() + len(m.Subject) + len(m.Body)
+		} else {
+			// {"id":"…","from":"r.h.u","subject":"…","body":"…"}, and a comma:
+			// 43 bytes of punctuation, an ID of at most 42, the name's two dots.
+			size += 42 + 43 + 2 + jsonTextLen(m.From.Region) + jsonTextLen(m.From.Host) + jsonTextLen(m.From.User) +
+				jsonTextLen(m.Subject) + jsonTextLen(m.Body)
+		}
+		if size > MaxLine {
+			return max(i, 1)
+		}
+	}
+	return len(msgs)
+}
+
+// jsonTextLen bounds from above the bytes encoding/json writes between the
+// quotes for s: 2 for a quote, a backslash, \n, \r or \t, 6 for everything
+// else it escapes (other controls, <, >, &, U+2028/9, each byte of invalid
+// UTF-8), and the bytes themselves otherwise.
+func jsonTextLen(s string) int {
+	n := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		switch {
+		case c == '"' || c == '\\' || c == '\n' || c == '\r' || c == '\t':
+			n += 2
+			i++
+		case c < 0x20 || c == '<' || c == '>' || c == '&':
+			n += 6
+			i++
+		case c < utf8.RuneSelf:
+			n++
+			i++
+		default:
+			r, w := utf8.DecodeRuneInString(s[i:])
+			if (r == utf8.RuneError && w == 1) || r == '\u2028' || r == '\u2029' {
+				n += 6
+			} else {
+				n += w
+			}
+			i += w
+		}
+	}
+	return n
 }
 
 func (s *Server) opStatus() Response {
