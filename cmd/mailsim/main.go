@@ -7,7 +7,6 @@
 //	mailsim                                  # defaults: syntax design
 //	mailsim -design location -roam 0.3
 //	mailsim -hosts 12 -servers 4 -users 8 -rounds 500 -fail 0.1 -seed 7
-//	mailsim -faults -seed 42                 # seeded chaos soak + no-loss audit
 //	mailsim -datadir /tmp/mailsim            # durable stores (syntax design)
 //
 // With -datadir the syntax design journals every server's mailbox store to
@@ -45,8 +44,6 @@ func run(args []string) error {
 	failProb := fs.Float64("fail", 0, "per-round server crash probability")
 	roamProb := fs.Float64("roam", 0, "per-round user roam probability (location design)")
 	seed := fs.Int64("seed", 1, "deterministic seed")
-	faultsMode := fs.Bool("faults", false, "run the seeded chaos soak (fault schedule + no-loss audit) instead of the workload")
-	faultTicks := fs.Int("fault-ticks", 120, "fault-schedule horizon in ticks (with -faults)")
 	datadir := fs.String("datadir", "", "durable store root for the syntax design (empty = memory-only)")
 	fsyncFlag := fs.String("fsync", "never", "WAL fsync policy with -datadir: never|always")
 	if err := fs.Parse(args); err != nil {
@@ -55,9 +52,6 @@ func run(args []string) error {
 	fsync, err := mailstore.ParseFsyncMode(*fsyncFlag)
 	if err != nil {
 		return err
-	}
-	if *faultsMode {
-		return runFaults(*seed, *rounds*3, *faultTicks)
 	}
 
 	g, userMap := regionTopology(*hosts, *servers, *users, *seed)

@@ -1,76 +1,6 @@
 package benchfmt
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestParseBench(t *testing.T) {
-	r, ok := ParseBench("BenchmarkBalanceScaleDense-8   \t      12\t   3973042 ns/op\t      1742 moves\t   2.203 max_util", "p")
-	if !ok {
-		t.Fatal("line rejected")
-	}
-	if r.Name != "BenchmarkBalanceScaleDense" {
-		t.Errorf("name = %q", r.Name)
-	}
-	if r.Iterations != 12 {
-		t.Errorf("iterations = %d", r.Iterations)
-	}
-	if r.Metrics["ns/op"] != 3973042 || r.Metrics["moves"] != 1742 || r.Metrics["max_util"] != 2.203 {
-		t.Errorf("metrics = %v", r.Metrics)
-	}
-	if r.Pkg != "p" {
-		t.Errorf("pkg = %q", r.Pkg)
-	}
-}
-
-func TestParseBenchNoCPUSuffix(t *testing.T) {
-	r, ok := ParseBench("BenchmarkX 5 100 ns/op", "p")
-	if !ok || r.Name != "BenchmarkX" || r.Metrics["ns/op"] != 100 {
-		t.Fatalf("got %+v ok=%v", r, ok)
-	}
-}
-
-func TestParseBenchRejectsNonResults(t *testing.T) {
-	for _, line := range []string{
-		"BenchmarkX --- SKIP",           // odd field count, non-numeric
-		"BenchmarkY",                    // bare name
-		"BenchmarkZ-4 notanint 1 ns/op", // bad iteration count
-	} {
-		if _, ok := ParseBench(line, ""); ok {
-			t.Errorf("line %q accepted", line)
-		}
-	}
-}
-
-func TestParseStream(t *testing.T) {
-	in := strings.Join([]string{
-		"goos: linux",
-		"goarch: amd64",
-		"pkg: example/a",
-		"BenchmarkOne-4 10 200 ns/op",
-		"pkg: example/b",
-		"BenchmarkTwo 5 100 ns/op 3 moves",
-		"PASS",
-	}, "\n")
-	var echoed strings.Builder
-	d, err := ParseStream(strings.NewReader(in), &echoed)
-	if err != nil {
-		t.Fatalf("ParseStream: %v", err)
-	}
-	if d.Goos != "linux" || d.Goarch != "amd64" {
-		t.Fatalf("header = %+v", d)
-	}
-	if len(d.Benchmarks) != 2 {
-		t.Fatalf("benchmarks = %+v", d.Benchmarks)
-	}
-	if d.Benchmarks[0].Pkg != "example/a" || d.Benchmarks[1].Metrics["moves"] != 3 {
-		t.Fatalf("benchmarks = %+v", d.Benchmarks)
-	}
-	if !strings.Contains(echoed.String(), "PASS") {
-		t.Fatal("stream not echoed")
-	}
-}
+import "testing"
 
 func TestMarshalStableOrder(t *testing.T) {
 	d := Doc{Benchmarks: []Result{

@@ -112,9 +112,9 @@ type Agent struct {
 	nameServers []graph.NodeID // non-empty = §3.1.2a name-server mode
 
 	lastChecking  sim.Time
-	prevUnavail   map[graph.NodeID]bool // nil until a probe fails
+	prevUnavail   mail.Unavailable[graph.NodeID]
 	seen          mail.IDSet
-	inbox         []mail.Stored
+	inbox         mail.Inbox
 	notifications []server.Notify
 
 	stats Stats
@@ -208,9 +208,7 @@ func (a *Agent) Stats() Stats { return a.stats }
 
 // Inbox returns the messages retrieved so far (since the last TakeMail), in
 // retrieval order.
-func (a *Agent) Inbox() []mail.Stored {
-	return append([]mail.Stored(nil), a.inbox...)
-}
+func (a *Agent) Inbox() []mail.Stored { return a.inbox.Since(0) }
 
 // Notifications returns the mail-arrival alerts received so far (since the
 // last DropNotifications).
@@ -295,110 +293,59 @@ func (a *Agent) Logout() error {
 	return a.net.Send(a.host.id, srv, server.Logout{User: a.user})
 }
 
-// poll retrieves mail from one server, updating counters and the dedup set.
-// CheckMail gives its slice away, so when the inbox is empty and nothing is a
-// duplicate the agent adopts it as the inbox instead of copying it — with its
-// capacity clipped, so that a later poll's append moves to a fresh array and
-// never writes the adopted one (livenet.Agent.poll's rule).
-func (a *Agent) poll(id graph.NodeID) (got int) {
+// poll retrieves mail from one server into the inbox, updating the counters.
+func (a *Agent) poll(id graph.NodeID) {
 	srv := a.servers(id)
 	if srv == nil {
-		return 0
+		return
 	}
 	a.stats.Polls++
 	if c, err := a.net.Cost(a.host.id, id); err == nil {
 		a.stats.PollCost += 2 * c // round trip
 	}
 	msgs, err := srv.CheckMail(a.user)
-	if err != nil || len(msgs) == 0 {
-		return 0
+	if err != nil {
+		return
 	}
-	adopt := len(a.inbox) == 0
-	for i := range msgs {
-		if !a.seen.Add(msgs[i].ID) {
-			a.stats.Duplicates++
-			if adopt {
-				adopt = false
-				a.inbox = append(a.inbox, msgs[:i]...)
-			}
-			continue
-		}
-		if !adopt {
-			a.inbox = append(a.inbox, msgs[i])
-		}
-		a.stats.Received++
-		got++
-	}
-	if adopt {
-		a.inbox = msgs[:len(msgs):len(msgs)]
-	}
-	return got
+	fresh := a.inbox.Absorb(&a.seen, msgs)
+	a.stats.Received += fresh
+	a.stats.Duplicates += len(msgs) - fresh
 }
 
-// GetMail runs the paper's retrieval algorithm (§3.1.2c) and returns the
-// newly retrieved messages. Following the pseudocode:
-//
-//	CurrentCheckingTime := CurrentTime
-//	walk the authority list; for each live server: get mail, drop it from
-//	PreviouslyUnavailableServers, and stop as soon as a server has been up
-//	since before LastCheckingTime (no older mail can be anywhere else);
-//	dead servers join PreviouslyUnavailableServers.
-//	Then collect from any live servers still in
-//	PreviouslyUnavailableServers (they may hold mail deposited while they
-//	were thought unavailable).
-//	LastCheckingTime := CurrentCheckingTime
-func (a *Agent) GetMail() []mail.Stored {
-	return append([]mail.Stored(nil), a.inbox[a.walk():]...)
+// poller is the agent as the §3.1.2c walk sees it.
+type poller Agent
+
+// Poll implements mail.Poller: a server the network reports down is
+// unavailable; one that is up is polled, and a poll cannot fail.
+func (p *poller) Poll(s graph.NodeID) (mail.Visit, int64) {
+	a := (*Agent)(p)
+	if !a.net.IsUp(s) {
+		return mail.Down, 0
+	}
+	a.poll(s)
+	lastStart, _ := a.net.LastStart(s)
+	return mail.Polled, int64(lastStart)
 }
+
+// GetMail runs the paper's retrieval algorithm (§3.1.2c, mail.Unavailable.Walk)
+// and returns the newly retrieved messages.
+func (a *Agent) GetMail() []mail.Stored { return a.inbox.Since(a.walk()) }
 
 // TakeMail is GetMail for an owner that reads the batch once and keeps the
-// agent alive for a long run (livenet.Agent.TakeMail's contract): the walk's
-// messages are handed over, not copied, and the agent forgets its inbox. The
-// duplicate-suppression memory stays, so a copy that failed over to a second
-// server is still recognised.
-func (a *Agent) TakeMail() []mail.Stored {
-	out := a.inbox[a.walk():]
-	a.inbox = nil
-	return out
-}
+// agent alive for a long run: the walk's messages are handed over, not copied,
+// and the agent forgets its inbox (mail.Inbox.Take). The duplicate-suppression
+// memory stays, so a copy that failed over to a second server is still
+// recognised.
+func (a *Agent) TakeMail() []mail.Stored { return a.inbox.Take(a.walk()) }
 
 // walk runs one retrieval and returns where in the inbox its messages start.
+// Every server the walk's first pass finds down is a failed probe.
 func (a *Agent) walk() int {
 	a.refreshAuthority()
 	a.stats.Retrievals++
 	before := len(a.inbox)
 	current := a.net.Scheduler().Now()
-
-	finished := false
-	for _, s := range a.authority {
-		if finished {
-			break
-		}
-		if a.net.IsUp(s) {
-			a.poll(s)
-			delete(a.prevUnavail, s)
-			lastStart, _ := a.net.LastStart(s)
-			if a.lastChecking > lastStart {
-				finished = true
-			}
-		} else {
-			a.stats.FailedProbes++
-			if a.prevUnavail == nil {
-				a.prevUnavail = make(map[graph.NodeID]bool)
-			}
-			a.prevUnavail[s] = true
-		}
-	}
-	// "Get old mail in servers that might have it but were unavailable."
-	for _, s := range a.authority { // authority order keeps runs deterministic
-		if !a.prevUnavail[s] {
-			continue
-		}
-		if a.net.IsUp(s) {
-			a.poll(s)
-			delete(a.prevUnavail, s)
-		}
-	}
+	a.stats.FailedProbes += a.prevUnavail.Walk((*poller)(a), a.authority, int64(a.lastChecking))
 	a.lastChecking = current
 	return before
 }
@@ -416,19 +363,13 @@ func (a *Agent) PollAll() []mail.Stored {
 			a.stats.FailedProbes++
 		}
 	}
-	return append([]mail.Stored(nil), a.inbox[before:]...)
+	return a.inbox.Since(before)
 }
 
 // PreviouslyUnavailable returns the servers currently on the agent's
 // PreviouslyUnavailableServers list, in authority order.
 func (a *Agent) PreviouslyUnavailable() []graph.NodeID {
-	var out []graph.NodeID
-	for _, s := range a.authority {
-		if a.prevUnavail[s] {
-			out = append(out, s)
-		}
-	}
-	return out
+	return a.prevUnavail.Listed(a.authority)
 }
 
 // LastCheckingTime returns the agent's LastCheckingTime[user] variable.

@@ -9,11 +9,11 @@
 // The paper's §3.1.2c headline guarantee is that GetMail plus
 // authority-list buffering loses no messages "even when some servers fail"
 // (claims E2/E12). A guarantee exercised only on a deterministic simulator
-// is a conjecture about the concurrent runtime; the Soak harness in this
-// package runs a seeded workload under a randomized-but-reproducible fault
-// schedule on either transport and checks the invariant directly: every
-// accepted message is retrieved exactly once — zero losses, zero
-// duplicates.
+// is a conjecture about the concurrent runtime, so a schedule runs on either
+// transport. This package compiles and injects; the workload and the audit
+// that every accepted message is retrieved exactly once are
+// internal/loadgen's Engine and Auditors, which take a Schedule in their
+// Config and an Injector from their Driver (chaos_test.go here runs them).
 //
 // Time in a schedule is measured in abstract ticks, so the same schedule is
 // replayable on virtual time (one tick = a fixed slice of simulated time)

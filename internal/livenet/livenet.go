@@ -160,6 +160,7 @@ type serverState struct {
 type Server struct {
 	name    string
 	stats   *obs.Registry // cluster-wide instrument registry (concurrency-safe)
+	trace   *obs.Tracer   // the cluster's lifecycle tracer
 	mkStore func() (*mailstore.Store, error)
 
 	// runMu guards the run generation: the channels the goroutine serves,
@@ -338,12 +339,15 @@ func (s *Server) Deposit(msg mail.Message, rcpt names.Name) error {
 	return err
 }
 
-// deposit stores one recipient copy; server goroutine only.
+// deposit stores one recipient copy and stamps it deposited; server goroutine
+// only, as every CheckMail of this server is — a caller stamping after its call
+// returned could come second to the retrieval that drained the copy.
 func (s *Server) deposit(st *serverState, msg mail.Message, rcpt names.Name) {
 	if st.store.Deposit(rcpt, msg, 0) {
 		s.deposits.Inc()
 		s.qdepth.Add(1)
 	}
+	s.trace.StampKey(msg.ID.TraceKey(), obs.StageDeposit, s.name)
 }
 
 // BatchDeposit is one recipient copy inside a DepositBatch call.
@@ -678,6 +682,7 @@ func (c *Cluster) AddServer(name string) (*Server, error) {
 	s := &Server{
 		name:     name,
 		stats:    c.stats,
+		trace:    c.trace,
 		mkStore:  func() (*mailstore.Store, error) { return c.newStore(name) },
 		deposits: c.stats.Counter(name + ".deposits"),
 		checks:   c.stats.Counter(name + ".checks"),
@@ -951,7 +956,6 @@ func (c *Cluster) depositFailover(msg mail.Message, rcpt names.Name, list []stri
 			if i > 0 {
 				c.stats.Inc("deposit_failovers")
 			}
-			c.trace.StampKey(msg.ID.TraceKey(), obs.StageDeposit, name)
 			return nil
 		}
 		lastErr = err
@@ -974,10 +978,10 @@ type Agent struct {
 	user    names.Name
 	cluster *Cluster
 
-	lastChecking time.Time
-	prevUnavail  map[string]bool
+	lastChecking int64 // unix nanos, the clock Server.LastStart is kept on; 0 = never
+	prevUnavail  mail.Unavailable[string]
 	seen         mail.IDSet
-	inbox        []mail.Stored
+	inbox        mail.Inbox
 	polls        int
 	retrievals   int
 }
@@ -997,7 +1001,7 @@ func (c *Cluster) NewAgent(user names.Name) (*Agent, error) {
 func (a *Agent) User() names.Name { return a.user }
 
 // Inbox returns the messages retrieved so far (since the last TakeMail).
-func (a *Agent) Inbox() []mail.Stored { return append([]mail.Stored(nil), a.inbox...) }
+func (a *Agent) Inbox() []mail.Stored { return a.inbox.Since(0) }
 
 // Polls reports CheckMail calls issued.
 func (a *Agent) Polls() int { return a.polls }
@@ -1010,28 +1014,24 @@ func (a *Agent) Send(to []names.Name, subject, body string) (mail.MessageID, err
 	return a.cluster.Submit(a.user, append([]names.Name(nil), to...), subject, body)
 }
 
-// GetMail is the §3.1.2c retrieval algorithm on wall-clock time: walk the
-// authority list; stop at the first live server that has been up since
-// before the last check; collect from servers previously seen unavailable.
-// A server whose poll fails — down, unreachable, or an injected drop — joins
-// PreviouslyUnavailableServers and is retried on later retrievals; its
-// buffered mail is untouched by the failed poll. The result is the caller's
+// GetMail is the §3.1.2c retrieval algorithm (mail.Unavailable.Walk) on
+// wall-clock time: walk the authority list; stop at the first live server that
+// has been up since before the last check; collect from servers previously seen
+// unavailable. A server whose poll fails — down, unreachable, or an injected
+// drop — joins PreviouslyUnavailableServers and is retried on later retrievals;
+// its buffered mail is untouched by the failed poll. The result is the caller's
 // own copy; the agent keeps the messages in its inbox.
-func (a *Agent) GetMail() []mail.Stored {
-	return append([]mail.Stored(nil), a.inbox[a.walk():]...)
-}
+func (a *Agent) GetMail() []mail.Stored { return a.inbox.Since(a.walk()) }
 
 // TakeMail is GetMail for an owner that passes the batch on and keeps the
 // agent alive indefinitely (the wire server's per-user agents): the inbox —
 // what GiveBack returned, then the walk's messages — is handed over, not
 // copied, and the agent forgets it (the duplicate-suppression memory stays).
-// The batch may be a slice a mailbox gave away (see poll); whoever holds it
-// must not write to it.
+// The batch may be a slice a mailbox gave away (see mail.Inbox.Absorb); whoever
+// holds it must not write to it.
 func (a *Agent) TakeMail() []mail.Stored {
 	a.walk()
-	out := a.inbox
-	a.inbox = nil
-	return out
+	return a.inbox.Take(0)
 }
 
 // GiveBack returns the tail of the batch the last TakeMail handed over, for an
@@ -1044,47 +1044,15 @@ func (a *Agent) GiveBack(rest []mail.Stored) { a.inbox = rest }
 // walk runs one retrieval and returns where in the inbox its messages start.
 // The authority list is read once: a SetAuthority during the walk takes
 // effect at the next one, and names that have left the list leave
-// PreviouslyUnavailableServers with it.
+// PreviouslyUnavailableServers with it — no walk could ever clear them.
 func (a *Agent) walk() int {
 	a.retrievals++
 	before := len(a.inbox)
-	current := time.Now()
+	current := time.Now().UnixNano()
 	list := a.cluster.dir.Authority(a.user)
-	finished := false
-	for _, name := range list {
-		if finished {
-			break
-		}
-		s, ok := a.cluster.Server(name)
-		if !ok {
-			continue
-		}
-		if s.Up() {
-			if err := a.poll(s); err != nil {
-				a.markUnavail(name)
-				continue
-			}
-			delete(a.prevUnavail, name)
-			if a.lastChecking.After(s.LastStart()) {
-				finished = true
-			}
-		} else {
-			a.markUnavail(name)
-		}
-	}
+	a.prevUnavail.Walk((*poller)(a), list, a.lastChecking)
 	for name := range a.prevUnavail {
 		if !slices.Contains(list, name) {
-			delete(a.prevUnavail, name)
-		}
-	}
-	for _, name := range list {
-		if !a.prevUnavail[name] {
-			continue
-		}
-		if s, ok := a.cluster.Server(name); ok && s.Up() {
-			if err := a.poll(s); err != nil {
-				continue // stays previously-unavailable for the next retrieval
-			}
 			delete(a.prevUnavail, name)
 		}
 	}
@@ -1092,59 +1060,49 @@ func (a *Agent) walk() int {
 	return before
 }
 
-func (a *Agent) markUnavail(name string) {
-	if a.prevUnavail == nil {
-		a.prevUnavail = make(map[string]bool)
-	}
-	a.prevUnavail[name] = true
-}
-
 // PreviouslyUnavailable returns the agent's PreviouslyUnavailableServers
 // list (§3.1.2c), in authority-list order.
 func (a *Agent) PreviouslyUnavailable() []string {
-	var out []string
-	for _, name := range a.cluster.dir.Authority(a.user) {
-		if a.prevUnavail[name] {
-			out = append(out, name)
-		}
-	}
-	return out
+	return a.prevUnavail.Listed(a.cluster.dir.Authority(a.user))
 }
 
-// LastCheckingTime returns the agent's LastCheckingTime[user] variable.
-func (a *Agent) LastCheckingTime() time.Time { return a.lastChecking }
+// LastCheckingTime returns the agent's LastCheckingTime[user] variable; the
+// zero time before the first retrieval.
+func (a *Agent) LastCheckingTime() time.Time {
+	if a.lastChecking == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, a.lastChecking)
+}
+
+// poller is the agent as the §3.1.2c walk sees it.
+type poller Agent
+
+// Poll implements mail.Poller. A name with no server process is passed by; a
+// server that is down, or whose poll fails, is unavailable.
+func (p *poller) Poll(name string) (mail.Visit, int64) {
+	a := (*Agent)(p)
+	s, ok := a.cluster.Server(name)
+	if !ok {
+		return mail.Absent, 0
+	}
+	if !s.Up() || a.poll(s) != nil {
+		return mail.Down, 0
+	}
+	return mail.Polled, s.lastStart.Load()
+}
 
 // poll drains the user's mailbox on s into the inbox, dropping copies the
-// agent has already seen. Drain gives the slice away, so when the inbox is
-// empty and nothing is a duplicate the agent adopts it as the inbox instead
-// of copying it — with its capacity clipped, so that a later poll's append
-// moves to a fresh array and never writes the adopted one.
+// agent has already seen and stamping the rest retrieved.
 func (a *Agent) poll(s *Server) error {
 	a.polls++
 	msgs, err := s.CheckMail(a.user)
 	if err != nil {
 		return err
 	}
-	if len(msgs) == 0 {
-		return nil
-	}
-	adopt := len(a.inbox) == 0
-	for i := range msgs {
-		id := msgs[i].ID
-		if !a.seen.Add(id) {
-			if adopt {
-				adopt = false
-				a.inbox = append(a.inbox, msgs[:i]...)
-			}
-			continue
-		}
-		if !adopt {
-			a.inbox = append(a.inbox, msgs[i])
-		}
-		a.cluster.trace.StampKey(id.TraceKey(), obs.StageRetrieve, s.name)
-	}
-	if adopt {
-		a.inbox = msgs[:len(msgs):len(msgs)]
+	fresh := a.inbox.Newest(a.inbox.Absorb(&a.seen, msgs))
+	for i := range fresh {
+		a.cluster.trace.StampKey(fresh[i].ID.TraceKey(), obs.StageRetrieve, s.name)
 	}
 	return nil
 }

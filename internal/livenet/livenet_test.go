@@ -247,3 +247,43 @@ func TestMultiRecipientFanout(t *testing.T) {
 		t.Error("fanout copy missing")
 	}
 }
+
+// TestDepositStampedBeforeRetrieval: a retriever spinning on the server a
+// submitter deposits to sits in the server's queue right behind the deposit,
+// so it drains and stamps the copy retrieved before the submitter's goroutine
+// runs again. The deposit stamp is taken on the server goroutine, ahead of
+// that CheckMail; taken by the submitter after its call returned, it came
+// second and the trace read retrieve-before-deposit — the trace_gap the live
+// chaos soak showed once the workload engine retrieved beside the spool.
+func TestDepositStampedBeforeRetrieval(t *testing.T) {
+	c := newCluster(t)
+	c.Tracer().KeepAll()
+	a, err := c.NewAgent(alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for got := 0; got < n; {
+			got += len(a.TakeMail())
+		}
+	}()
+	ids := make([]string, n)
+	for i := range ids {
+		id, err := c.Submit(bob, []names.Name{alice}, "s", "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id.String()
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the retriever never saw every message")
+	}
+	if gaps := c.Tracer().Incomplete(ids); len(gaps) != 0 {
+		t.Fatalf("%d of %d traces out of order or incomplete, first %s", len(gaps), n, gaps[0])
+	}
+}

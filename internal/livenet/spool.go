@@ -8,7 +8,6 @@ import (
 
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
-	"github.com/largemail/largemail/internal/obs"
 )
 
 // SpoolConfig tunes the cluster's redelivery spool. Zero fields take the
@@ -219,7 +218,6 @@ func (sp *spool) deliverDue() {
 		sp.c.stats.Inc("spool_batch_drains")
 		sp.c.stats.Add("spool_batch_msgs", int64(len(es)))
 		for _, e := range es {
-			sp.c.trace.StampKey(e.msg.ID.TraceKey(), obs.StageDeposit, name)
 			sp.settle(e)
 		}
 	}

@@ -196,7 +196,7 @@ func NewAttrScenario(cfg AttrConfig) (*AttrScenario, error) {
 	for gs := 0; gs < s.pop.TotalServers(); gs++ {
 		st := mailstore.New(4)
 		st.EnableTermIndex()
-		s.store[roamServerID(gs)] = st
+		s.store[serverID(gs)] = st
 	}
 	s.tree, err = broadcast.Setup(broadcast.Config{
 		Net:       s.net,
@@ -232,7 +232,7 @@ func (s *AttrScenario) buildTopology() *graph.Graph {
 		for j := 0; j < spr; j++ {
 			gs := r*spr + j
 			g.MustAddNode(graph.Node{
-				ID: roamServerID(gs), Label: serverLabel(gs),
+				ID: serverID(gs), Label: serverLabel(gs),
 				Region: region, Kind: graph.KindServer,
 			})
 		}
@@ -241,7 +241,7 @@ func (s *AttrScenario) buildTopology() *graph.Graph {
 			if next == j {
 				break
 			}
-			g.MustAddEdge(roamServerID(r*spr+j), roamServerID(r*spr+next), jitter(1))
+			g.MustAddEdge(serverID(r*spr+j), serverID(r*spr+next), jitter(1))
 			if spr == 2 {
 				break
 			}
@@ -252,7 +252,7 @@ func (s *AttrScenario) buildTopology() *graph.Graph {
 		if next == r {
 			break
 		}
-		g.MustAddEdge(roamServerID(r*spr), roamServerID(next*spr), jitter(2))
+		g.MustAddEdge(serverID(r*spr), serverID(next*spr), jitter(2))
 		if p.Regions == 2 {
 			break
 		}
@@ -351,7 +351,7 @@ func (s *AttrScenario) contentHolders(node graph.NodeID, terms []string) []int {
 func (s *AttrScenario) downNodes(origin graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
 	for gs := 0; gs < s.pop.TotalServers(); gs++ {
-		id := roamServerID(gs)
+		id := serverID(gs)
 		if id != origin && !s.net.IsUp(id) {
 			out = append(out, id)
 		}
@@ -366,7 +366,7 @@ func (s *AttrScenario) launch(content bool) {
 	seq := s.seq
 	s.seq++
 	sender := s.rng.Intn(s.pop.Users)
-	origin := roamServerID(s.homeServer(sender))
+	origin := serverID(s.homeServer(sender))
 	if content && len(s.pending) > 0 {
 		content = false // don't stall the schedule; send a distribution instead
 	}
@@ -394,7 +394,7 @@ func (s *AttrScenario) launch(content bool) {
 		pruned = plan.Route == attr.RoutePruned && !s.cfg.DisablePrune
 		q.truthByNode = make(map[graph.NodeID]map[int]bool)
 		for gs := 0; gs < s.pop.TotalServers(); gs++ {
-			id := roamServerID(gs)
+			id := serverID(gs)
 			holders := make(map[int]bool)
 			for _, u := range s.contentHolders(id, plan.Terms) {
 				holders[u] = true
@@ -586,7 +586,7 @@ func (s *AttrScenario) audit(q *attrQuery, sum broadcast.Summary, at sim.Time) {
 		if got[u] {
 			continue
 		}
-		if excused[roamServerID(s.homeServer(u))] {
+		if excused[serverID(s.homeServer(u))] {
 			continue
 		}
 		if len(sum.Unavailable) == 0 {
@@ -639,7 +639,7 @@ func (s *AttrScenario) auditContent(q *attrQuery, got map[int]bool, excused, pru
 		}
 	}
 	for u := range got {
-		home := roamServerID(s.homeServer(u))
+		home := serverID(s.homeServer(u))
 		if excused[home] {
 			continue // evaluated before its subtree's summary was lost
 		}
@@ -666,7 +666,7 @@ func (s *AttrScenario) recordPrune(q *attrQuery, sum broadcast.Summary, prunedSe
 	s.reg.Add("attr_sketch_fp", int64(st.FPSubtrees))
 	s.reg.Add("attr_sketch_stale_open", int64(st.StaleOpen))
 	for gs := 0; gs < s.pop.TotalServers(); gs++ {
-		id := roamServerID(gs)
+		id := serverID(gs)
 		boxes := int64(s.store[id].NumUsers())
 		s.rep.CQMailboxesFull += boxes
 		if !prunedSet[id] {
@@ -778,7 +778,7 @@ func (s *AttrScenario) Run() AttrReport {
 func (s *AttrScenario) nodeMap() map[string]graph.NodeID {
 	nodes := make(map[string]graph.NodeID)
 	for gs := 0; gs < s.pop.TotalServers(); gs++ {
-		nodes[serverLabel(gs)] = roamServerID(gs)
+		nodes[serverLabel(gs)] = serverID(gs)
 	}
 	return nodes
 }
@@ -812,17 +812,8 @@ func (s *AttrScenario) Tree() *broadcast.Tree { return s.tree }
 func (s *AttrScenario) Network() *netsim.Network { return s.net }
 
 // Store returns the mailstore of global server gs.
-func (s *AttrScenario) Store(gs int) *mailstore.Store { return s.store[roamServerID(gs)] }
+func (s *AttrScenario) Store(gs int) *mailstore.Store { return s.store[serverID(gs)] }
 
 // Snapshot returns counters and histograms (lat_broadcast,
 // lat_convergecast, bcast_deposits, net_*).
-func (s *AttrScenario) Snapshot() obs.Snapshot {
-	snap := s.reg.Snapshot()
-	if snap.Counters == nil {
-		snap.Counters = make(map[string]int64)
-	}
-	for k, v := range s.net.Stats().Counters() {
-		snap.Counters["net_"+k] = v
-	}
-	return snap
-}
+func (s *AttrScenario) Snapshot() obs.Snapshot { return netSnapshot(s.reg, s.net) }

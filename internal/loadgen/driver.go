@@ -1,8 +1,6 @@
 package loadgen
 
 import (
-	"sort"
-
 	"github.com/largemail/largemail/internal/faults"
 	"github.com/largemail/largemail/internal/obs"
 )
@@ -62,48 +60,6 @@ type PlacementRebalancer interface {
 	RebalanceTick(tick int) []MigrationResult
 }
 
-// migrationCooldown is how many ticks a migrated user is pinned before the
-// rebalancer may move them again. Without it a two-server region ping-pongs
-// its hottest users across the mean every tick — each hop pure drain cost.
-const migrationCooldown = 16
-
-// rankByHeat orders candidate users hottest-first and returns, aligned with
-// the returned order, each candidate's expected-traffic weight plus the
-// total. A user's weight is their own retrieved-copy count plus their host's
-// per-user share of observed host traffic: the workload's skew lives on
-// hosts, so at large populations — where most individual users have not yet
-// received anything and per-user counts carry no signal — a hot host's users
-// are statistically hot, and moving them sheds future load in expectation.
-// Ranking by personal counts alone would spend the migration budget on
-// whoever happened to be polled already; ignoring personal counts would
-// waste it on cold mailboxes of lukewarm hosts. Ties break by index for
-// determinism.
-func rankByHeat(users []int, recv, hostRecv map[int]int64,
-	hostOf func(int) int, hostUsers func(int) int) ([]int, []float64, float64) {
-	weight := func(u int) float64 {
-		h := hostOf(u)
-		w := float64(recv[u])
-		if n := hostUsers(h); n > 0 {
-			w += float64(hostRecv[h]) / float64(n)
-		}
-		return w
-	}
-	sort.Slice(users, func(i, j int) bool {
-		wi, wj := weight(users[i]), weight(users[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return users[i] < users[j]
-	})
-	var total float64
-	weights := make([]float64, len(users))
-	for i, u := range users {
-		weights[i] = weight(u)
-		total += weights[i]
-	}
-	return users, weights, total
-}
-
 // Driver is the transport contract of the workload engine: a mail system
 // the engine can submit into, retrieve from, advance in schedule ticks, and
 // inject faults into. SimDriver (netsim, event time) and LiveDriver
@@ -137,8 +93,8 @@ type Driver interface {
 	// safe fault candidates filled in (Servers, Links, DropTargets,
 	// Protected) and all window counts zero; callers set counts, seed and
 	// ticks. The driver is the right owner of this knowledge: what is safe
-	// to drop or partition differs per transport (see chaos_test.go's
-	// server-drop stranding hazard).
+	// to drop or partition differs per transport (see
+	// Population.faultSurface's server-drop stranding hazard).
 	FaultSurface() faults.Spec
 	// ServerLoads returns predicted vs observed load per server.
 	ServerLoads() []ServerLoad

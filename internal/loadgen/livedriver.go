@@ -2,8 +2,6 @@ package loadgen
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"time"
 
 	"github.com/largemail/largemail/internal/faults"
@@ -79,15 +77,8 @@ type LiveDriver struct {
 	agents    map[int]*livenet.Agent
 	prevPolls map[int]int
 
-	// Placement-policy state (nil/empty when cfg.Policy == "").
-	policy   placement.Policy
-	world    placement.World
-	bySlot   []map[int]struct{} // per slot: materialized users homed there
-	rehomed  map[int]int        // users moved off their base placement → tick of the move
-	recv     map[int]int64      // per user: copies retrieved (the traffic signal migrations rank by)
-	recvHost map[int]int64      // per host: copies retrieved by its users (locates workload skew)
-	prevDep  []int64
-	arrEWMA  []float64
+	// placer is the placement-policy loop (zero when cfg.Policy == "").
+	placer
 }
 
 // NewLiveDriver builds the cluster and starts one goroutine per server.
@@ -115,7 +106,7 @@ func NewLiveDriver(cfg LiveConfig) (*LiveDriver, error) {
 	}
 	d.cluster.Tracer().KeepAll() // the engine's trace-gap audit reads every trace at the end
 	for gs := 0; gs < d.pop.TotalServers(); gs++ {
-		if _, err := d.cluster.AddServer(d.serverName(gs)); err != nil {
+		if _, err := d.cluster.AddServer(serverLabel(gs)); err != nil {
 			d.cluster.Close()
 			return nil, err
 		}
@@ -134,41 +125,15 @@ func NewLiveDriver(cfg LiveConfig) (*LiveDriver, error) {
 
 // initPolicy builds the configured placement policy over the round-robin
 // reference — the live transport's historical static placement. Slot gs IS
-// server "S<gs>", so the placement default label convention applies as-is.
+// server "S<gs>".
 func (d *LiveDriver) initPolicy() {
-	p := d.pop
-	d.world = placement.World{
-		Regions:          p.Regions,
-		ServersPerRegion: p.ServersPerRegion,
-		HostsPerRegion:   p.HostsPerRegion,
-		AuthorityLen:     p.AuthorityLen,
-	}
-	base := placement.NewRoundRobin(d.world)
-	pcfg := placement.Config{
-		World: d.world, Seed: int64(p.Users), D: d.cfg.JSQD,
-		Gauges:               d.cluster.Obs(),
+	world := d.pop.world()
+	d.placer.start(d, d.pop, d.cfg.Policy, placement.NewRoundRobin(world), placement.Config{
+		World: world, Seed: int64(d.pop.Users), D: d.cfg.JSQD,
+		Gauges: d.cluster.Obs(), Label: serverLabel,
 		MaxMigrationsPerTick: d.cfg.MaxMigrationsPerTick,
 		HysteresisBand:       d.cfg.HysteresisBand,
-	}
-	switch d.cfg.Policy {
-	case placement.NameJSQ:
-		d.policy = placement.NewJSQ(base, pcfg)
-	case placement.NameRebalance:
-		d.policy = placement.NewRebalancer(base, pcfg)
-	default:
-		d.policy = base
-	}
-	n := d.world.TotalServers()
-	d.bySlot = make([]map[int]struct{}, n)
-	for i := range d.bySlot {
-		d.bySlot[i] = make(map[int]struct{})
-	}
-	d.prevDep = make([]int64, n)
-	d.arrEWMA = make([]float64, n)
-	d.rehomed = make(map[int]int)
-	d.recv = make(map[int]int64)
-	d.recvHost = make(map[int]int64)
-	d.refreshGauges(1)
+	}, d.cfg.ServiceRate)
 }
 
 // Close stops the spool and every server goroutine.
@@ -176,8 +141,6 @@ func (d *LiveDriver) Close() { d.cluster.Close() }
 
 // Cluster exposes the underlying cluster for tests.
 func (d *LiveDriver) Cluster() *livenet.Cluster { return d.cluster }
-
-func (d *LiveDriver) serverName(gs int) string { return fmt.Sprintf("S%d", gs) }
 
 // authority returns user u's ordered authority list: AuthorityLen servers
 // of u's region, starting at the slot the user's host maps to.
@@ -187,7 +150,7 @@ func (d *LiveDriver) authority(u int) []string {
 	out := make([]string, 0, d.pop.AuthorityLen)
 	for i := 0; i < d.pop.AuthorityLen; i++ {
 		s := (start + i) % d.pop.ServersPerRegion
-		out = append(out, d.serverName(r*d.pop.ServersPerRegion+s))
+		out = append(out, serverLabel(r*d.pop.ServersPerRegion+s))
 	}
 	return out
 }
@@ -200,12 +163,11 @@ func (d *LiveDriver) ensure(u int) (*livenet.Agent, names.Name, error) {
 	}
 	list := d.authority(u)
 	if d.policy != nil {
-		if slots := d.policy.Place(placement.User{Index: u, Host: d.pop.HostOf(u)}); len(slots) > 0 {
+		if slots := d.place(u, d.pop.HostOf(u)); len(slots) > 0 {
 			list = make([]string, len(slots))
 			for i, s := range slots {
-				list[i] = d.serverName(s)
+				list[i] = serverLabel(s)
 			}
-			d.bySlot[slots[0]][u] = struct{}{}
 		}
 	}
 	d.cluster.Directory().SetAuthority(name, list)
@@ -256,8 +218,7 @@ func (d *LiveDriver) Retrieve(u int) RetrieveResult {
 	}
 	got := ag.GetMail()
 	if d.policy != nil {
-		d.recv[u] += int64(len(got))
-		d.recvHost[d.pop.HostOf(u)] += int64(len(got))
+		d.noteRetrieved(u, len(got))
 	}
 	res := RetrieveResult{
 		Polls:        ag.Polls() - d.prevPolls[u],
@@ -278,125 +239,38 @@ func (d *LiveDriver) Step(n int) {
 		time.Sleep(time.Duration(n) * d.cfg.Tick)
 	}
 	if d.policy != nil && n > 0 {
-		d.refreshGauges(n)
+		d.refresh(n)
 	}
 }
 
-// refreshGauges publishes "<name>.rho" / "<name>.placed" for every server
-// from the deposit counters, mirroring the sim driver's loop: arrival-rate
-// EWMA over ServiceRate when the congestion model is on, placement share
-// otherwise; overloaded servers get injected latency proportional to their
-// overload (capped at 4 ticks).
-func (d *LiveDriver) refreshGauges(ticks int) {
-	reg := d.cluster.Obs()
-	perServer := 0
-	if d.pop.TotalServers() > 0 {
-		perServer = d.pop.Users / d.pop.TotalServers()
-	}
-	maxLoad := perServer + perServer/4 + 4
-	for slot := 0; slot < d.world.TotalServers(); slot++ {
-		name := d.serverName(slot)
-		dep := reg.Counter(name + ".deposits").Value()
-		perTick := float64(dep-d.prevDep[slot]) / float64(ticks)
-		d.arrEWMA[slot] = ewmaAlpha*perTick + (1-ewmaAlpha)*d.arrEWMA[slot]
-		d.prevDep[slot] = dep
-		var rho float64
-		if d.cfg.ServiceRate > 0 {
-			rho = d.arrEWMA[slot] / d.cfg.ServiceRate
-		} else if maxLoad > 0 {
-			rho = float64(len(d.bySlot[slot])) / float64(maxLoad)
-		}
-		fixed := int64(rho * placement.RhoScale)
-		reg.Gauge(name + ".rho").Set(fixed)
-		if peak := reg.Gauge(name + ".rho_peak"); fixed > peak.Value() {
-			peak.Set(fixed)
-		}
-		reg.Gauge(name + ".placed").Set(int64(len(d.bySlot[slot])))
-		if d.cfg.ServiceRate > 0 {
-			if s, ok := d.cluster.Server(name); ok {
-				var extra time.Duration
-				if over := rho - 1; over > 0 {
-					if over > 4 {
-						over = 4
-					}
-					extra = time.Duration(over * float64(d.cfg.Tick))
-				}
-				s.SetLatency(extra)
-			}
-		}
-	}
+// deposits implements placedTransport.
+func (d *LiveDriver) deposits(_ int, label string) (int64, bool) {
+	return d.cluster.Obs().Counter(label + ".deposits").Value(), true
 }
 
-// RebalanceActive implements PlacementRebalancer.
-func (d *LiveDriver) RebalanceActive() bool {
-	return d.policy != nil && d.policy.Name() == placement.NameRebalance
-}
-
-// RebalanceTick implements PlacementRebalancer on the live transport. The
-// §3.1.4 handover is only attempted in calm conditions — empty spool (a
-// spooled entry is a deposit still in flight somewhere), every involved
-// server up and reachable, no servers owed a recovery visit — because only
-// then does a drain prove the old mailboxes empty; otherwise the user is
-// left put and the next tick retries.
-func (d *LiveDriver) RebalanceTick(tick int) []MigrationResult {
-	if d.policy == nil {
-		return nil
+// slow implements placedTransport: an overloaded server answers later.
+func (d *LiveDriver) slow(slot int, ticks float64) {
+	if s, ok := d.cluster.Server(serverLabel(slot)); ok {
+		s.SetLatency(time.Duration(ticks * float64(d.cfg.Tick)))
 	}
-	if d.cluster.SpoolDepth() > 0 {
-		return nil
-	}
-	migs := d.policy.Rebalance(d.Snapshot())
-	var out []MigrationResult
-	for _, mg := range migs {
-		users, weights, total := rankByHeat(d.liveUsersOnSlot(mg.From),
-			d.recv, d.recvHost, d.pop.HostOf, d.pop.UsersOnHost)
-		target := mg.Frac * total
-		var shed float64
-		moved := 0
-		for i, u := range users {
-			if moved >= mg.Count || (target > 0 && shed >= target) {
-				break
-			}
-			if last, ok := d.rehomed[u]; ok && tick-last < migrationCooldown {
-				continue // recently moved; let the load observation settle
-			}
-			res := d.migrateToSlot(u, mg.From, mg.To, tick)
-			if res.Moved {
-				moved++
-				shed += weights[i]
-			}
-			if res.Moved || len(res.Drained) > 0 {
-				out = append(out, res)
-			}
-		}
-	}
-	return out
-}
-
-func (d *LiveDriver) liveUsersOnSlot(slot int) []int {
-	if slot < 0 || slot >= len(d.bySlot) {
-		return nil
-	}
-	out := make([]int, 0, len(d.bySlot[slot]))
-	for u := range d.bySlot[slot] {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // migrateToSlot re-homes one live user onto slot to: drain under the old
 // list, then swap the directory entry to a list led by the target with the
 // old servers kept as secondaries (the agent re-reads the directory on every
-// GetMail, so the swap is the whole handover).
+// GetMail, so the swap is the whole handover). The handover is only attempted
+// in calm conditions — empty spool (a spooled entry is a deposit still in
+// flight somewhere), every involved server up and reachable, no servers owed
+// a recovery visit — because only then does a drain prove the old mailboxes
+// empty; otherwise the user is left put and the next tick retries.
 func (d *LiveDriver) migrateToSlot(u, from, to, tick int) MigrationResult {
 	res := MigrationResult{User: u}
 	ag := d.agents[u]
-	if ag == nil {
+	if ag == nil || d.cluster.SpoolDepth() > 0 {
 		return res
 	}
 	name := d.pop.Name(u)
-	toName := d.serverName(to)
+	toName := serverLabel(to)
 	if s, ok := d.cluster.Server(toName); !ok || !s.Up() || !s.Reachable() {
 		return res
 	}
@@ -412,9 +286,8 @@ func (d *LiveDriver) migrateToSlot(u, from, to, tick int) MigrationResult {
 	for _, m := range ag.GetMail() {
 		res.Drained = append(res.Drained, m.ID.String())
 	}
-	d.recv[u] += int64(len(res.Drained)) // drained mail is traffic too
-	d.recvHost[d.pop.HostOf(u)] += int64(len(res.Drained))
-	d.prevPolls[u] = ag.Polls() // the drain's polls are not the next sweep's
+	d.noteRetrieved(u, len(res.Drained)) // drained mail is traffic too
+	d.prevPolls[u] = ag.Polls()          // the drain's polls are not the next sweep's
 	if len(ag.PreviouslyUnavailable()) > 0 {
 		return res // a server failed mid-drain; keep the user put
 	}
@@ -426,12 +299,8 @@ func (d *LiveDriver) migrateToSlot(u, from, to, tick int) MigrationResult {
 		}
 	}
 	d.cluster.Directory().SetAuthority(name, newList)
-	delete(d.bySlot[from], u)
-	d.bySlot[to][u] = struct{}{}
-	d.rehomed[u] = tick
+	d.moved(u, from, to, tick, len(res.Drained))
 	res.Moved = true
-	d.cluster.Obs().Counter("migrations_total").Inc()
-	d.cluster.Obs().Counter("migration_cost").Add(int64(len(res.Drained)))
 	return res
 }
 
@@ -462,19 +331,8 @@ func (d *LiveDriver) Injector() faults.Injector {
 // stamps LastStartTime on restore, so the GetMail walk recovers deposits
 // that failed over past the partition.
 func (d *LiveDriver) FaultSurface() faults.Spec {
-	var sp faults.Spec
-	sp.Servers = d.cluster.ServerNames()
+	sp := faults.Spec{Servers: d.cluster.ServerNames(), Links: d.pop.ringLinks(0)}
 	sp.DropTargets = append([]string(nil), sp.Servers...)
-	for r := 0; r < d.pop.Regions; r++ {
-		if d.pop.ServersPerRegion < 3 {
-			continue // a 2-server region cannot spare a link
-		}
-		for s := 0; s < d.pop.ServersPerRegion; s++ {
-			gs := r*d.pop.ServersPerRegion + s
-			next := r*d.pop.ServersPerRegion + (s+1)%d.pop.ServersPerRegion
-			sp.Links = append(sp.Links, [2]string{d.serverName(gs), d.serverName(next)})
-		}
-	}
 	// Kill-restart only survives a durable store; a memory-only cluster
 	// must not offer targets (Compile would schedule guaranteed data loss).
 	if d.cluster.Durable() {
@@ -494,11 +352,7 @@ func (d *LiveDriver) DurabilityStats() (mailstore.WALStats, bool) {
 // observed deposits from the per-server counters.
 func (d *LiveDriver) ServerLoads() []ServerLoad {
 	deposits := d.cluster.Obs().Counters()
-	perServer := 0
-	if d.pop.TotalServers() > 0 {
-		perServer = d.pop.Users / d.pop.TotalServers()
-	}
-	maxLoad := perServer + perServer/4 + 4
+	maxLoad := d.pop.MaxLoad()
 	loads := make([]int, d.pop.TotalServers())
 	for gh := 0; gh < d.pop.TotalHosts(); gh++ {
 		r := gh / d.pop.HostsPerRegion
@@ -506,7 +360,7 @@ func (d *LiveDriver) ServerLoads() []ServerLoad {
 	}
 	out := make([]ServerLoad, 0, len(loads))
 	for gs, l := range loads {
-		name := d.serverName(gs)
+		name := serverLabel(gs)
 		rho := float64(l) / float64(maxLoad)
 		out = append(out, ServerLoad{
 			Name:     name,

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/largemail/largemail/internal/faults"
@@ -11,9 +12,10 @@ import (
 // population big enough that the §3.1.1 optimizer spreads users evenly, a
 // workload profile it cannot see at assignment time, and a service rate low
 // enough that the hot server saturates.
-func hotspotSimConfig(policy string) SimConfig {
+func hotspotSimConfig(policy string, batch int) SimConfig {
 	return SimConfig{
-		Seed: 3,
+		Seed:      3,
+		BatchSize: batch,
 		Pop: Population{
 			Users:            20000,
 			Regions:          2,
@@ -25,9 +27,9 @@ func hotspotSimConfig(policy string) SimConfig {
 	}
 }
 
-func runHotspot(t *testing.T, policy string) (*SimDriver, Report) {
+func runHotspot(t *testing.T, policy string, batch int) (*SimDriver, Report) {
 	t.Helper()
-	drv := newSimDriver(t, hotspotSimConfig(policy))
+	drv := newSimDriver(t, hotspotSimConfig(policy, batch))
 	eng := New(drv, Config{
 		Seed: 3, Messages: 1500, Sessions: 128, Ticks: 150,
 		Profile: Profile{Kind: "hotspot"},
@@ -91,8 +93,8 @@ func TestJSQSpreadsHotspot(t *testing.T) {
 		}
 		return float64(peak) / float64(total)
 	}
-	staticDrv, _ := runHotspot(t, "static")
-	jsqDrv, _ := runHotspot(t, "jsq")
+	staticDrv, _ := runHotspot(t, "static", 0)
+	jsqDrv, _ := runHotspot(t, "jsq", 0)
 	sp, jp := peakShare(staticDrv), peakShare(jsqDrv)
 	if jp >= sp {
 		t.Fatalf("JSQ peak deposit share %.3f did not beat static %.3f", jp, sp)
@@ -102,35 +104,44 @@ func TestJSQSpreadsHotspot(t *testing.T) {
 	}
 }
 
+// relayBatchSizes is the second input of the rebalance tests: the classic
+// single-transfer relay and the batched one. A deposit the policy has moved
+// away must re-route from either envelope.
+var relayBatchSizes = []int{0, 16}
+
 // TestRebalancerMigratesUnderHotspot: the continuous policy must actually
 // move users off the saturated server (bounded per tick), report the drain
 // cost, and keep every auditor clean while doing so.
 func TestRebalancerMigratesUnderHotspot(t *testing.T) {
-	drv, _ := runHotspot(t, "rebalance")
-	snap := drv.Snapshot()
-	if snap.Counters["migrations_total"] == 0 {
-		t.Fatal("rebalancer never migrated anyone under a saturated hot spot")
-	}
-	if len(drv.rehomed) == 0 {
-		t.Fatal("migrations_total counted but no user is tracked as rehomed")
-	}
-	if _, ok := snap.Counters["migration_cost"]; !ok {
-		t.Error("migration_cost counter missing from the snapshot")
-	}
-	// The peak ρ observed anywhere must improve on the static run's: the
-	// whole point of shedding the hot server.
-	peakRho := func(d *SimDriver) int64 {
-		var peak int64
-		for g, v := range d.Snapshot().Gauges {
-			if len(g) > 9 && g[len(g)-9:] == ".rho_peak" && v > peak {
-				peak = v
+	for _, batch := range relayBatchSizes {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			drv, _ := runHotspot(t, "rebalance", batch)
+			snap := drv.Snapshot()
+			if snap.Counters["migrations_total"] == 0 {
+				t.Fatal("rebalancer never migrated anyone under a saturated hot spot")
 			}
-		}
-		return peak
-	}
-	staticDrv, _ := runHotspot(t, "static")
-	if rp, sp := peakRho(drv), peakRho(staticDrv); rp >= sp {
-		t.Errorf("rebalancer peak ρ %d did not improve on static %d", rp, sp)
+			if len(drv.rehomed) == 0 {
+				t.Fatal("migrations_total counted but no user is tracked as rehomed")
+			}
+			if _, ok := snap.Counters["migration_cost"]; !ok {
+				t.Error("migration_cost counter missing from the snapshot")
+			}
+			// The peak ρ observed anywhere must improve on the static run's: the
+			// whole point of shedding the hot server.
+			peakRho := func(d *SimDriver) int64 {
+				var peak int64
+				for g, v := range d.Snapshot().Gauges {
+					if len(g) > 9 && g[len(g)-9:] == ".rho_peak" && v > peak {
+						peak = v
+					}
+				}
+				return peak
+			}
+			staticDrv, _ := runHotspot(t, "static", batch)
+			if rp, sp := peakRho(drv), peakRho(staticDrv); rp >= sp {
+				t.Errorf("rebalancer peak ρ %d did not improve on static %d", rp, sp)
+			}
+		})
 	}
 }
 
@@ -139,54 +150,59 @@ func TestRebalancerMigratesUnderHotspot(t *testing.T) {
 // The directory's placement-event funnel is what keeps every resolver cache
 // coherent while two writers move users; the auditors are the oracle.
 func TestReconfigUnderRebalance(t *testing.T) {
-	drv := newSimDriver(t, SimConfig{
-		Seed: 9,
-		Pop: Population{
-			Users:            10000,
-			Regions:          2,
-			ServersPerRegion: 4,
-		},
-		Policy:                "rebalance",
-		ServiceRate:           4,
-		RetryTimeout:          200 * sim.Unit,
-		SpareServersPerRegion: 1,
-	})
-	pop := drv.Population()
-	victim := 4 // a region-0 user manually migrated mid-run
-	if pop.RegionOf(victim) != 0 {
-		t.Fatalf("test setup: user %d not in region 0", victim)
-	}
-	eng := New(drv, Config{
-		Seed: 9, Messages: 1200, Sessions: 128, Ticks: 150,
-		Profile: Profile{Kind: "hotspot"},
-	})
-	var added string
-	eng.OnTick = func(tick int) {
-		switch tick {
-		case 40:
-			label, err := drv.AddServer(0)
-			if err != nil {
-				t.Fatalf("tick %d AddServer: %v", tick, err)
+	for _, batch := range relayBatchSizes {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			drv := newSimDriver(t, SimConfig{
+				Seed: 9,
+				Pop: Population{
+					Users:            10000,
+					Regions:          2,
+					ServersPerRegion: 4,
+				},
+				BatchSize:             batch,
+				Policy:                "rebalance",
+				ServiceRate:           4,
+				RetryTimeout:          200 * sim.Unit,
+				SpareServersPerRegion: 1,
+			})
+			pop := drv.Population()
+			victim := 4 // a region-0 user manually migrated mid-run
+			if pop.RegionOf(victim) != 0 {
+				t.Fatalf("test setup: user %d not in region 0", victim)
 			}
-			added = label
-		case 80:
-			drained, err := drv.MigrateUser(victim, pop.HostsPerRegion)
-			if err != nil {
-				t.Fatalf("tick %d MigrateUser: %v", tick, err)
+			eng := New(drv, Config{
+				Seed: 9, Messages: 1200, Sessions: 128, Ticks: 150,
+				Profile: Profile{Kind: "hotspot"},
+			})
+			var added string
+			eng.OnTick = func(tick int) {
+				switch tick {
+				case 40:
+					label, err := drv.AddServer(0)
+					if err != nil {
+						t.Fatalf("tick %d AddServer: %v", tick, err)
+					}
+					added = label
+				case 80:
+					drained, err := drv.MigrateUser(victim, pop.HostsPerRegion)
+					if err != nil {
+						t.Fatalf("tick %d MigrateUser: %v", tick, err)
+					}
+					eng.CreditRetrieved(victim, drained)
+				}
 			}
-			eng.CreditRetrieved(victim, drained)
-		}
-	}
-	rep := eng.Run()
-	requireClean(t, rep)
-	if added == "" {
-		t.Fatal("AddServer never fired")
-	}
-	if drv.Snapshot().Counters["migrations_total"] == 0 {
-		t.Fatal("rebalancer idle for the whole reconfig run")
-	}
-	if got := drv.UserName(victim); got.Region != pop.RegionName(1) {
-		t.Errorf("manually migrated user resolves to %v, want region %s", got, pop.RegionName(1))
+			rep := eng.Run()
+			requireClean(t, rep)
+			if added == "" {
+				t.Fatal("AddServer never fired")
+			}
+			if drv.Snapshot().Counters["migrations_total"] == 0 {
+				t.Fatal("rebalancer idle for the whole reconfig run")
+			}
+			if got := drv.UserName(victim); got.Region != pop.RegionName(1) {
+				t.Errorf("manually migrated user resolves to %v, want region %s", got, pop.RegionName(1))
+			}
+		})
 	}
 }
 

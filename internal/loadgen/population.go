@@ -12,18 +12,22 @@
 // same trick the paper's own evaluation plays by simulating user counts
 // rather than user processes (§3.1.1 balances user *counts* per host).
 //
-// The invariant auditors (Auditors) layer on the existing obs tracer and
-// the faults soak's ledger discipline: exactly-once deposit per recipient
+// The invariant auditors (Auditors) layer on the existing obs tracer and a
+// commit ledger: exactly-once deposit per recipient
 // copy, no loss of committed messages across injected crashes, monotone
 // LastCheckingTime per user, and §3.1.2c's "≈1 poll per retrieval when
 // failure-free" guarantee — all checked during the run, not post-hoc.
 package loadgen
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 
+	"github.com/largemail/largemail/internal/faults"
+	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/placement"
 )
 
 // Population describes the shape of a synthetic user population. Users are
@@ -83,6 +87,127 @@ func (p Population) UsersOnHost(gh int) int {
 		n++
 	}
 	return n
+}
+
+// MaxLoad is each server's capacity M_j: the uniform share of the population
+// plus ~25% headroom, as core derives it.
+func (p Population) MaxLoad() int {
+	perServer := p.Users / p.TotalServers()
+	return perServer + perServer/4 + 4
+}
+
+// world is the population as the placement policies index it.
+func (p Population) world() placement.World {
+	return placement.World{
+		Regions:          p.Regions,
+		ServersPerRegion: p.ServersPerRegion,
+		HostsPerRegion:   p.HostsPerRegion,
+		AuthorityLen:     p.AuthorityLen,
+	}
+}
+
+// Node ID layout for generated topologies. Hosts and servers get disjoint
+// ranges sized for million-user populations (graph.HostBase/ServerBase are
+// only 100 apart — too tight for 128 hosts).
+const (
+	simHostBase   graph.NodeID = 0
+	simServerBase graph.NodeID = 1 << 20
+)
+
+// hostID maps a global host index to its node ID; serverID likewise for a
+// global server slot (region r, slot j → r*slots+j, where slots is
+// ServersPerRegion plus the spare slots the topology was built with; a
+// region's spare slots follow its wired ones).
+func hostID(gh int) graph.NodeID   { return simHostBase + 1 + graph.NodeID(gh) }
+func serverID(gs int) graph.NodeID { return simServerBase + 1 + graph.NodeID(gs) }
+
+func hostLabel(gh int) string   { return fmt.Sprintf("H%d", gh) }
+func serverLabel(gs int) string { return fmt.Sprintf("S%d", gs) }
+
+// topology wires the deterministic regional network the simulated drivers
+// run on: every host spokes into one of its region's servers (weight 1), the
+// region's servers form a ring (weight 1) so every server pair has two
+// disjoint routes, and region r's first server links to region r+1's
+// (weight 2) closing an inter-region ring. spares server nodes per region join
+// their region's ring after the wired ones. It also returns the label → node
+// map fault injectors resolve event targets through.
+func (p Population) topology(spares int) (*graph.Graph, map[string]graph.NodeID) {
+	g := graph.New()
+	nodes := make(map[string]graph.NodeID)
+	add := func(id graph.NodeID, label, region string, kind graph.Kind) {
+		g.MustAddNode(graph.Node{ID: id, Label: label, Region: region, Kind: kind})
+		nodes[label] = id
+	}
+	slots := p.ServersPerRegion + spares
+	for r := 0; r < p.Regions; r++ {
+		region := p.RegionName(r)
+		for j := 0; j < slots; j++ {
+			add(serverID(r*slots+j), serverLabel(r*slots+j), region, graph.KindServer)
+		}
+		for j := 0; j < slots; j++ {
+			next := (j + 1) % slots
+			if next == j {
+				break // single-server region: no ring
+			}
+			g.MustAddEdge(serverID(r*slots+j), serverID(r*slots+next), 1)
+			if slots == 2 {
+				break // two servers: one edge, not a doubled ring
+			}
+		}
+		for i := 0; i < p.HostsPerRegion; i++ {
+			gh := r*p.HostsPerRegion + i
+			add(hostID(gh), hostLabel(gh), region, graph.KindHost)
+			g.MustAddEdge(hostID(gh), serverID(r*slots+i%p.ServersPerRegion), 1)
+		}
+	}
+	for r := 0; r < p.Regions && p.Regions > 1; r++ {
+		next := (r + 1) % p.Regions
+		if next == r {
+			break
+		}
+		g.MustAddEdge(serverID(r*slots), serverID(next*slots), 2)
+		if p.Regions == 2 {
+			break
+		}
+	}
+	return g, nodes
+}
+
+// faultSurface is what a schedule may safely break on topology(spares), all
+// window counts zero and Servers left to the driver. Drop targets are HOST
+// nodes only: a server-bound drop would make a retry fail over past a live,
+// stable authority server, stranding mail beyond where the recipient's
+// GetMail walk stops; with in-process submission the only host-bound traffic
+// is notifications, probes and alerts, which no delivery invariant depends on.
+func (p Population) faultSurface(spares int) faults.Spec {
+	spec := faults.Spec{Links: p.ringLinks(spares)}
+	for gh := 0; gh < p.TotalHosts(); gh++ {
+		spec.DropTargets = append(spec.DropTargets, hostLabel(gh))
+	}
+	return spec
+}
+
+// ringLinks lists the links a schedule may cut: intra-region ring edges
+// between wired servers only, and only in regions with ≥3 servers, where the
+// ring gives every server pair a second route — a host's spoke edge would
+// partition it outright. With spares present the wrap edge runs through spare
+// slots, so it is left out.
+func (p Population) ringLinks(spares int) [][2]string {
+	if p.ServersPerRegion < 3 {
+		return nil
+	}
+	var links [][2]string
+	slots := p.ServersPerRegion + spares
+	for r := 0; r < p.Regions; r++ {
+		for j := 0; j < p.ServersPerRegion; j++ {
+			next := (j + 1) % p.ServersPerRegion
+			if spares > 0 && next == 0 {
+				break
+			}
+			links = append(links, [2]string{serverLabel(r*slots + j), serverLabel(r*slots + next)})
+		}
+	}
+	return links
 }
 
 // Region, host and interest-group tokens depend on nothing but their index,

@@ -2,14 +2,12 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"github.com/largemail/largemail/internal/faults"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/locind"
 	"github.com/largemail/largemail/internal/names"
-	"github.com/largemail/largemail/internal/netsim"
 	"github.com/largemail/largemail/internal/obs"
 	"github.com/largemail/largemail/internal/queueing"
 	"github.com/largemail/largemail/internal/sim"
@@ -46,14 +44,7 @@ type OverheadEvent struct {
 // not apply: run this driver through RunRoamScenario (which always installs
 // an OnTick hook, disabling that audit) or under a fault schedule.
 type RoamDriver struct {
-	cfg   RoamConfig
-	pop   Population
-	sched *sim.Scheduler
-	net   *netsim.Network
-	topo  *graph.Graph
-
-	reg   *obs.Registry
-	trace *obs.Tracer
+	simWorld
 
 	fed     *locind.Federation
 	systems []*locind.System // per region
@@ -63,45 +54,26 @@ type RoamDriver struct {
 	order   []int        // materialized users, in first-touch order
 
 	overhead []OverheadEvent
-	maxLoad  int
 }
-
-// roamServerID maps a global server index to its node ID (no spare slots in
-// the roaming topology).
-func roamServerID(gs int) graph.NodeID { return simServerBase + 1 + graph.NodeID(gs) }
 
 // NewRoamDriver builds the federated location-independent world.
 func NewRoamDriver(cfg RoamConfig) (*RoamDriver, error) {
 	cfg.Pop = cfg.Pop.withDefaults()
-	if cfg.Tick <= 0 {
-		cfg.Tick = 10 * sim.Unit
-	}
 	p := cfg.Pop
 	if cfg.Subgroups <= 0 {
 		cfg.Subgroups = 2 * p.ServersPerRegion
 	}
 	d := &RoamDriver{
-		cfg:     cfg,
-		pop:     p,
-		sched:   sim.New(cfg.Seed),
-		fed:     locind.NewFederation(),
-		agents:  make(map[int]*locind.Agent),
-		loginOK: make(map[int]bool),
+		simWorld: newSimWorld(cfg.Seed, p, cfg.Tick, 0),
+		fed:      locind.NewFederation(),
+		agents:   make(map[int]*locind.Agent),
+		loginOK:  make(map[int]bool),
 	}
-	d.reg = obs.NewRegistry()
-	sched := d.sched
-	d.trace = obs.NewTracer(func() int64 { return int64(sched.Now()) }, d.reg)
-
-	d.topo = d.buildTopology()
-	d.net = netsim.New(d.sched, d.topo)
-
-	perServer := p.Users / p.TotalServers()
-	d.maxLoad = perServer + perServer/4 + 4
 
 	for r := 0; r < p.Regions; r++ {
 		servers := make([]graph.NodeID, p.ServersPerRegion)
 		for j := range servers {
-			servers[j] = roamServerID(r*p.ServersPerRegion + j)
+			servers[j] = serverID(r*p.ServersPerRegion + j)
 		}
 		sys, err := locind.NewSystem(locind.Config{
 			Region:     p.RegionName(r),
@@ -131,54 +103,6 @@ func NewRoamDriver(cfg RoamConfig) (*RoamDriver, error) {
 	return d, nil
 }
 
-// buildTopology mirrors the SimDriver wiring without spare slots: host
-// spokes (weight 1), intra-region server rings (weight 1), inter-region ring
-// (weight 2).
-func (d *RoamDriver) buildTopology() *graph.Graph {
-	p := d.pop
-	g := graph.New()
-	spr := p.ServersPerRegion
-	for r := 0; r < p.Regions; r++ {
-		region := p.RegionName(r)
-		for j := 0; j < spr; j++ {
-			gs := r*spr + j
-			g.MustAddNode(graph.Node{
-				ID: roamServerID(gs), Label: serverLabel(gs),
-				Region: region, Kind: graph.KindServer,
-			})
-		}
-		for j := 0; j < spr; j++ {
-			next := (j + 1) % spr
-			if next == j {
-				break
-			}
-			g.MustAddEdge(roamServerID(r*spr+j), roamServerID(r*spr+next), 1)
-			if spr == 2 {
-				break
-			}
-		}
-		for i := 0; i < p.HostsPerRegion; i++ {
-			gh := r*p.HostsPerRegion + i
-			g.MustAddNode(graph.Node{
-				ID: hostID(gh), Label: hostLabel(gh),
-				Region: region, Kind: graph.KindHost,
-			})
-			g.MustAddEdge(hostID(gh), roamServerID(r*spr+i%spr), 1)
-		}
-	}
-	for r := 0; r < p.Regions && p.Regions > 1; r++ {
-		next := (r + 1) % p.Regions
-		if next == r {
-			break
-		}
-		g.MustAddEdge(roamServerID(r*spr), roamServerID(next*spr), 2)
-		if p.Regions == 2 {
-			break
-		}
-	}
-	return g
-}
-
 // noteOverhead buffers one overhead-hook event for DrainOverheadEvents.
 func (d *RoamDriver) noteOverhead(user names.Name, event string) {
 	if len(user.User) < 2 || user.User[0] != 'u' {
@@ -199,20 +123,8 @@ func (d *RoamDriver) DrainOverheadEvents() []OverheadEvent {
 	return out
 }
 
-// Scheduler exposes the simulation clock.
-func (d *RoamDriver) Scheduler() *sim.Scheduler { return d.sched }
-
-// Network exposes the simulated network.
-func (d *RoamDriver) Network() *netsim.Network { return d.net }
-
 // System returns region r's locind system.
 func (d *RoamDriver) System(r int) *locind.System { return d.systems[r] }
-
-// Population implements Driver.
-func (d *RoamDriver) Population() Population { return d.pop }
-
-// Tracer implements Driver.
-func (d *RoamDriver) Tracer() *obs.Tracer { return d.trace }
 
 // LoginOK reports whether user u's last login attempt succeeded — users the
 // overhead auditor may hold to the at-primary-means-no-consultation rule.
@@ -341,65 +253,25 @@ func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 }
 
 // Step implements Driver.
-func (d *RoamDriver) Step(n int) { d.sched.RunFor(sim.Time(n) * d.cfg.Tick) }
-
-// Settle implements Driver.
-func (d *RoamDriver) Settle() { d.sched.Run() }
+func (d *RoamDriver) Step(n int) { d.sched.RunFor(sim.Time(n) * d.tick) }
 
 // Snapshot implements Driver: the shared locind counters and histograms
 // (deposits, consultations, notify_*, lat_roam_resolve, ...) plus network
 // counters.
-func (d *RoamDriver) Snapshot() obs.Snapshot {
-	snap := d.reg.Snapshot()
-	if snap.Counters == nil {
-		snap.Counters = make(map[string]int64)
-	}
-	for k, v := range d.net.Stats().Counters() {
-		snap.Counters["net_"+k] = v
-	}
-	return snap
-}
+func (d *RoamDriver) Snapshot() obs.Snapshot { return netSnapshot(d.reg, d.net) }
 
 // Injector implements Driver.
-func (d *RoamDriver) Injector() faults.Injector {
-	nodes := make(map[string]graph.NodeID)
-	for gh := 0; gh < d.pop.TotalHosts(); gh++ {
-		nodes[hostLabel(gh)] = hostID(gh)
-	}
-	for gs := 0; gs < d.pop.TotalServers(); gs++ {
-		nodes[serverLabel(gs)] = roamServerID(gs)
-	}
-	return faults.NewSimTarget(d.net, nodes, d.cfg.Tick)
-}
+func (d *RoamDriver) Injector() faults.Injector { return d.injector() }
 
-// FaultSurface implements Driver. Same safety reasoning as the SimDriver:
-// servers take crashes and latency (deposit retries plus the Recovered
-// re-dispatch cover them), only hosts take drops (host-bound traffic is
-// probes and alerts, which no delivery invariant depends on — retrieval
-// polls the servers directly), and only ≥3-server rings risk link cuts.
-// No kill targets: the roaming driver's stores are memory-only.
+// FaultSurface implements Driver. Same safety reasoning as the SimDriver
+// (Population.faultSurface): servers take crashes and latency (deposit
+// retries plus the Recovered re-dispatch cover them), only hosts take drops
+// — retrieval polls the servers directly — and only ≥3-server rings risk
+// link cuts. No kill targets: the roaming driver's stores are memory-only.
 func (d *RoamDriver) FaultSurface() faults.Spec {
-	p := d.pop
-	spec := faults.Spec{}
-	for gs := 0; gs < p.TotalServers(); gs++ {
+	spec := d.pop.faultSurface(0)
+	for gs := 0; gs < d.pop.TotalServers(); gs++ {
 		spec.Servers = append(spec.Servers, serverLabel(gs))
-	}
-	for gh := 0; gh < p.TotalHosts(); gh++ {
-		spec.DropTargets = append(spec.DropTargets, hostLabel(gh))
-	}
-	if p.ServersPerRegion >= 3 {
-		for r := 0; r < p.Regions; r++ {
-			for j := 0; j < p.ServersPerRegion; j++ {
-				next := (j + 1) % p.ServersPerRegion
-				if next == j {
-					break
-				}
-				spec.Links = append(spec.Links, [2]string{
-					serverLabel(r*p.ServersPerRegion + j),
-					serverLabel(r*p.ServersPerRegion + next),
-				})
-			}
-		}
 	}
 	return spec
 }
@@ -410,24 +282,21 @@ func (d *RoamDriver) FaultSurface() faults.Spec {
 func (d *RoamDriver) ServerLoads() []ServerLoad {
 	p := d.pop
 	perServer := p.Users / p.TotalServers()
-	rho := float64(perServer) / float64(d.maxLoad)
+	maxLoad := p.MaxLoad()
+	rho := float64(perServer) / float64(maxLoad)
 	var out []ServerLoad
 	for r, sys := range d.systems {
-		ids := make([]graph.NodeID, 0, p.ServersPerRegion)
 		for j := 0; j < p.ServersPerRegion; j++ {
-			ids = append(ids, roamServerID(r*p.ServersPerRegion+j))
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
+			gs := r*p.ServersPerRegion + j
 			sl := ServerLoad{
-				Name:    serverLabel(int(id - simServerBase - 1)),
+				Name:    serverLabel(gs),
 				Region:  p.RegionName(r),
 				Load:    perServer,
-				MaxLoad: d.maxLoad,
+				MaxLoad: maxLoad,
 				Rho:     rho,
 				QWait:   queueing.Wait(rho),
 			}
-			if srv, ok := sys.Server(id); ok {
+			if srv, ok := sys.Server(serverID(gs)); ok {
 				sl.Deposits = srv.Deposits()
 			}
 			out = append(out, sl)

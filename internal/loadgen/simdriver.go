@@ -13,20 +13,11 @@ import (
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/mail/mailstore"
 	"github.com/largemail/largemail/internal/names"
-	"github.com/largemail/largemail/internal/netsim"
 	"github.com/largemail/largemail/internal/obs"
 	"github.com/largemail/largemail/internal/placement"
 	"github.com/largemail/largemail/internal/queueing"
 	"github.com/largemail/largemail/internal/server"
 	"github.com/largemail/largemail/internal/sim"
-)
-
-// Node ID layout for generated topologies. Hosts and servers get disjoint
-// ranges sized for million-user populations (graph.HostBase/ServerBase are
-// only 100 apart — too tight for 128 hosts).
-const (
-	simHostBase   graph.NodeID = 0
-	simServerBase graph.NodeID = 1 << 20
 )
 
 // SimConfig configures a SimDriver.
@@ -92,19 +83,12 @@ type SimConfig struct {
 // workload touches users — core.NewSyntax creates every agent eagerly,
 // which a million-user population cannot afford.
 type SimDriver struct {
-	cfg   SimConfig
-	pop   Population
-	sched *sim.Scheduler
-	net   *netsim.Network
-	topo  *graph.Graph
-
-	reg   *obs.Registry
-	trace *obs.Tracer
+	simWorld
+	cfg SimConfig
 
 	regionMap *server.RegionMap
 	dirs      []*server.Directory  // per region
 	assigns   []*assign.Assignment // per region
-	maxLoad   int                  // per-server capacity M_j
 
 	servers map[graph.NodeID]*server.Server
 	active  []graph.NodeID                  // wired servers, sorted
@@ -118,26 +102,16 @@ type SimDriver struct {
 	nameOf  map[int]names.Name // overrides for migrated users
 	hostIdx map[int]int        // overrides for migrated users' host index
 
-	// Placement-policy state (nil/empty when cfg.Policy == "": the legacy
-	// hard-wired path, untouched).
-	policy    placement.Policy
+	// placer is the placement-policy loop (zero when cfg.Policy == "": the
+	// legacy hard-wired path, untouched).
+	placer
 	staticPol *placement.Static // base reference, for cache invalidation
-	world     placement.World
-	bySlot    []map[int]struct{} // per slot: materialized users homed there
-	rehomed   map[int]int        // users moved off their static placement → tick of the move
-	recv      map[int]int64      // per user: copies retrieved (the traffic signal migrations rank by)
-	recvHost  map[int]int64      // per host: copies retrieved by its users (locates workload skew)
-	prevDep   []int64            // per slot: deposits_local at last gauge tick
-	arrEWMA   []float64          // per slot: smoothed deposit arrivals/tick
-	ticks     int                // schedule ticks stepped so far (policy mode)
+	ticks     int               // schedule ticks stepped so far (policy mode)
 }
 
 // NewSimDriver builds the simulated world for a population.
 func NewSimDriver(cfg SimConfig) (*SimDriver, error) {
 	cfg.Pop = cfg.Pop.withDefaults()
-	if cfg.Tick <= 0 {
-		cfg.Tick = 10 * sim.Unit
-	}
 	if cfg.Policy != "" {
 		if _, err := placement.ParseName(cfg.Policy); err != nil {
 			return nil, err
@@ -145,9 +119,8 @@ func NewSimDriver(cfg SimConfig) (*SimDriver, error) {
 	}
 	p := cfg.Pop
 	d := &SimDriver{
+		simWorld:  newSimWorld(cfg.Seed, p, cfg.Tick, cfg.SpareServersPerRegion),
 		cfg:       cfg,
-		pop:       p,
-		sched:     sim.New(cfg.Seed),
 		regionMap: server.NewRegionMap(),
 		servers:   make(map[graph.NodeID]*server.Server),
 		lists:     make(map[graph.NodeID][]graph.NodeID),
@@ -156,30 +129,19 @@ func NewSimDriver(cfg SimConfig) (*SimDriver, error) {
 		nameOf:    make(map[int]names.Name),
 		hostIdx:   make(map[int]int),
 	}
-	{
-		p := cfg.Pop
-		d.spares = make([][]graph.NodeID, p.Regions)
-		slots := p.ServersPerRegion + cfg.SpareServersPerRegion
-		for r := 0; r < p.Regions; r++ {
-			for j := p.ServersPerRegion; j < slots; j++ {
-				d.spares[r] = append(d.spares[r], d.serverID(r*slots+j))
-			}
+	d.spares = make([][]graph.NodeID, p.Regions)
+	slots := p.ServersPerRegion + cfg.SpareServersPerRegion
+	for r := 0; r < p.Regions; r++ {
+		for j := p.ServersPerRegion; j < slots; j++ {
+			d.spares[r] = append(d.spares[r], serverID(r*slots+j))
 		}
 	}
 	d.lookup = func(id graph.NodeID) *server.Server { return d.servers[id] }
-	d.reg = obs.NewRegistry()
-	sched := d.sched
-	d.trace = obs.NewTracer(func() int64 { return int64(sched.Now()) }, d.reg)
-
-	d.topo = d.buildTopology()
-	d.net = netsim.New(d.sched, d.topo)
 
 	// Per-region assignment: balance user counts, then derive authority
 	// lists and per-server predicted utilization.
 	commW, procW, procTime := assign.PaperWeights()
-	total := p.Users
-	perServer := total / p.TotalServers()
-	d.maxLoad = perServer + perServer/4 + 4 // ~25% headroom, as core derives
+	capacity := p.MaxLoad()
 	for r := 0; r < p.Regions; r++ {
 		hosts := d.regionHosts(r)
 		servers := d.regionServers(r)
@@ -189,7 +151,7 @@ func NewSimDriver(cfg SimConfig) (*SimDriver, error) {
 		}
 		maxLoad := make(map[graph.NodeID]int, len(servers))
 		for _, s := range servers {
-			maxLoad[s] = d.maxLoad
+			maxLoad[s] = capacity
 		}
 		a, err := assign.New(assign.Config{
 			Topology: d.topo,
@@ -207,21 +169,9 @@ func NewSimDriver(cfg SimConfig) (*SimDriver, error) {
 		dir.Instrument(d.reg) // rescache_hits/rescache_misses in Snapshot
 		d.dirs = append(d.dirs, dir)
 		for _, sv := range servers {
-			srv, err := server.New(server.Config{
-				ID: sv, Region: p.RegionName(r), Net: d.net,
-				Dir: dir, Regions: d.regionMap,
-				Retention: cfg.Retention, Trace: d.trace,
-				BatchSize: cfg.BatchSize, FlushInterval: cfg.FlushInterval,
-				StoreShards: cfg.StoreShards, RetryTimeout: cfg.RetryTimeout,
-				DataDir: d.serverDataDir(sv), Fsync: cfg.Fsync,
-				PlacementReroute: d.onlinePolicy(),
-				SpreadRelay:      d.onlinePolicy(),
-			})
-			if err != nil {
+			if err := d.startServer(sv, r); err != nil {
 				return nil, err
 			}
-			d.servers[sv] = srv
-			d.active = append(d.active, sv)
 		}
 		for h, list := range a.AuthorityLists(p.AuthorityLen) {
 			d.lists[h] = list
@@ -243,6 +193,27 @@ func NewSimDriver(cfg SimConfig) (*SimDriver, error) {
 	return d, nil
 }
 
+// startServer starts the server process of node id in region r and puts it in
+// service; the caller keeps d.active sorted.
+func (d *SimDriver) startServer(id graph.NodeID, r int) error {
+	srv, err := server.New(server.Config{
+		ID: id, Region: d.pop.RegionName(r), Net: d.net,
+		Dir: d.dirs[r], Regions: d.regionMap,
+		Retention: d.cfg.Retention, Trace: d.trace,
+		BatchSize: d.cfg.BatchSize, FlushInterval: d.cfg.FlushInterval,
+		StoreShards: d.cfg.StoreShards, RetryTimeout: d.cfg.RetryTimeout,
+		DataDir: d.serverDataDir(id), Fsync: d.cfg.Fsync,
+		PlacementReroute: d.onlinePolicy(),
+		SpreadRelay:      d.onlinePolicy(),
+	})
+	if err != nil {
+		return err
+	}
+	d.servers[id] = srv
+	d.active = append(d.active, id)
+	return nil
+}
+
 // onlinePolicy reports whether the configured policy can change a user's
 // placement after registration — the modes that need deposit-time re-routing
 // on the servers.
@@ -255,15 +226,9 @@ func (d *SimDriver) onlinePolicy() bool {
 // added from the spare pool later keep working but stay outside JSQ sampling
 // and rebalancing.
 func (d *SimDriver) initPolicy() error {
-	p := d.pop
-	d.world = placement.World{
-		Regions:          p.Regions,
-		ServersPerRegion: p.ServersPerRegion,
-		HostsPerRegion:   p.HostsPerRegion,
-		AuthorityLen:     p.AuthorityLen,
-	}
+	world := d.pop.world()
 	static, err := placement.NewStatic(placement.StaticConfig{
-		World:    d.world,
+		World:    world,
 		Assigns:  d.assigns,
 		HostNode: hostID,
 		SlotOf:   d.nodeSlot,
@@ -272,31 +237,12 @@ func (d *SimDriver) initPolicy() error {
 		return err
 	}
 	d.staticPol = static
-	pcfg := placement.Config{
-		World: d.world, Seed: d.cfg.Seed, D: d.cfg.JSQD,
+	d.placer.start(d, d.pop, d.cfg.Policy, static, placement.Config{
+		World: world, Seed: d.cfg.Seed, D: d.cfg.JSQD,
 		Gauges: d.reg, Label: d.slotLabel,
 		MaxMigrationsPerTick: d.cfg.MaxMigrationsPerTick,
 		HysteresisBand:       d.cfg.HysteresisBand,
-	}
-	switch d.cfg.Policy {
-	case placement.NameJSQ:
-		d.policy = placement.NewJSQ(static, pcfg)
-	case placement.NameRebalance:
-		d.policy = placement.NewRebalancer(static, pcfg)
-	default:
-		d.policy = static
-	}
-	n := d.world.TotalServers()
-	d.bySlot = make([]map[int]struct{}, n)
-	for i := range d.bySlot {
-		d.bySlot[i] = make(map[int]struct{})
-	}
-	d.rehomed = make(map[int]int)
-	d.recv = make(map[int]int64)
-	d.recvHost = make(map[int]int64)
-	d.prevDep = make([]int64, n)
-	d.arrEWMA = make([]float64, n)
-	d.refreshGauges() // publish zeros so JSQ's first samples resolve
+	}, d.cfg.ServiceRate)
 	return nil
 }
 
@@ -307,7 +253,7 @@ func (d *SimDriver) initPolicy() error {
 // "S<slot>" would collide with a different server whenever spares exist.
 func (d *SimDriver) slotNode(slot int) graph.NodeID {
 	slots := d.pop.ServersPerRegion + d.cfg.SpareServersPerRegion
-	return d.serverID(slot/d.pop.ServersPerRegion*slots + slot%d.pop.ServersPerRegion)
+	return serverID(slot/d.pop.ServersPerRegion*slots + slot%d.pop.ServersPerRegion)
 }
 
 func (d *SimDriver) nodeSlot(id graph.NodeID) (int, bool) {
@@ -324,15 +270,6 @@ func (d *SimDriver) slotLabel(slot int) string {
 	return serverLabel(int(d.slotNode(slot) - simServerBase - 1))
 }
 
-// hostID maps a global host index to its node ID; serverID likewise for a
-// global server index (region r, slot j → r*ServersPerRegion+j; spare slots
-// continue past the wired ones).
-func hostID(gh int) graph.NodeID                  { return simHostBase + 1 + graph.NodeID(gh) }
-func (d *SimDriver) serverID(gs int) graph.NodeID { return simServerBase + 1 + graph.NodeID(gs) }
-
-func hostLabel(gh int) string   { return fmt.Sprintf("H%d", gh) }
-func serverLabel(gs int) string { return fmt.Sprintf("S%d", gs) }
-
 // serverDataDir returns the durable store directory for a server node, or
 // "" (memory store) when the driver is not configured for durability.
 func (d *SimDriver) serverDataDir(id graph.NodeID) string {
@@ -340,56 +277,6 @@ func (d *SimDriver) serverDataDir(id graph.NodeID) string {
 		return ""
 	}
 	return filepath.Join(d.cfg.DataDir, serverLabel(int(id-simServerBase-1)))
-}
-
-// buildTopology wires a deterministic regional network: every host spokes
-// into one of its region's servers (weight 1), the region's servers form a
-// ring (weight 1) so every server pair has two disjoint routes, and region
-// r's first server links to region r+1's (weight 2) closing an inter-region
-// ring. Spare server nodes join their region's ring but stay unregistered.
-func (d *SimDriver) buildTopology() *graph.Graph {
-	p := d.pop
-	g := graph.New()
-	slots := p.ServersPerRegion + d.cfg.SpareServersPerRegion
-	for r := 0; r < p.Regions; r++ {
-		region := p.RegionName(r)
-		for j := 0; j < slots; j++ {
-			gs := r*slots + j
-			g.MustAddNode(graph.Node{
-				ID: d.serverID(gs), Label: serverLabel(gs),
-				Region: region, Kind: graph.KindServer,
-			})
-		}
-		for j := 0; j < slots; j++ {
-			next := (j + 1) % slots
-			if next == j {
-				break // single-server region: no ring
-			}
-			g.MustAddEdge(d.serverID(r*slots+j), d.serverID(r*slots+next), 1)
-			if slots == 2 {
-				break // two servers: one edge, not a doubled ring
-			}
-		}
-		for i := 0; i < p.HostsPerRegion; i++ {
-			gh := r*p.HostsPerRegion + i
-			g.MustAddNode(graph.Node{
-				ID: hostID(gh), Label: hostLabel(gh),
-				Region: region, Kind: graph.KindHost,
-			})
-			g.MustAddEdge(hostID(gh), d.serverID(r*slots+i%p.ServersPerRegion), 1)
-		}
-	}
-	for r := 0; r < p.Regions && p.Regions > 1; r++ {
-		next := (r + 1) % p.Regions
-		if next == r {
-			break
-		}
-		g.MustAddEdge(d.serverID(r*slots), d.serverID(next*slots), 2)
-		if p.Regions == 2 {
-			break
-		}
-	}
-	return g
 }
 
 // regionHosts returns region r's host node IDs in index order.
@@ -406,22 +293,10 @@ func (d *SimDriver) regionServers(r int) []graph.NodeID {
 	slots := d.pop.ServersPerRegion + d.cfg.SpareServersPerRegion
 	out := make([]graph.NodeID, d.pop.ServersPerRegion)
 	for j := range out {
-		out[j] = d.serverID(r*slots + j)
+		out[j] = serverID(r*slots + j)
 	}
 	return out
 }
-
-// Scheduler exposes the simulation clock (tests advance and inspect it).
-func (d *SimDriver) Scheduler() *sim.Scheduler { return d.sched }
-
-// Network exposes the simulated network (tests inject faults directly).
-func (d *SimDriver) Network() *netsim.Network { return d.net }
-
-// Population implements Driver.
-func (d *SimDriver) Population() Population { return d.pop }
-
-// Tracer implements Driver.
-func (d *SimDriver) Tracer() *obs.Tracer { return d.trace }
 
 // UserName returns the user's current name (migrations rename).
 func (d *SimDriver) UserName(u int) names.Name {
@@ -451,7 +326,7 @@ func (d *SimDriver) ensure(u int) (*client.Agent, error) {
 	h := hostID(gh)
 	list := d.lists[h]
 	if d.policy != nil {
-		if slots := d.policy.Place(placement.User{Index: u, Host: gh}); len(slots) > 0 {
+		if slots := d.place(u, gh); len(slots) > 0 {
 			static := list
 			list = make([]graph.NodeID, len(slots))
 			offStatic := len(slots) != len(static)
@@ -461,7 +336,6 @@ func (d *SimDriver) ensure(u int) (*client.Agent, error) {
 					offStatic = true
 				}
 			}
-			d.bySlot[slots[0]][u] = struct{}{}
 			if offStatic {
 				// A load-aware placement (JSQ sample, admission diversion)
 				// is a rehoming the moment it happens: refreshRegion must
@@ -527,8 +401,7 @@ func (d *SimDriver) Retrieve(u int) RetrieveResult {
 	msgs := a.TakeMail() // only the IDs leave here; an agent lives as long as the run does
 	after := a.Stats()
 	if d.policy != nil {
-		d.recv[u] += int64(len(msgs))
-		d.recvHost[d.pop.HostOf(u)] += int64(len(msgs))
+		d.noteRetrieved(u, len(msgs))
 	}
 	ids := make([]string, len(msgs))
 	for i, m := range msgs {
@@ -548,81 +421,39 @@ func (d *SimDriver) Retrieve(u int) RetrieveResult {
 // ServiceRate closes the loop, the congestion delays.
 func (d *SimDriver) Step(n int) {
 	if d.policy == nil {
-		d.sched.RunFor(sim.Time(n) * d.cfg.Tick)
+		d.sched.RunFor(sim.Time(n) * d.tick)
 		return
 	}
 	for i := 0; i < n; i++ {
-		d.sched.RunFor(d.cfg.Tick)
+		d.sched.RunFor(d.tick)
 		d.ticks++
-		d.refreshGauges()
+		d.refresh(1)
 	}
 }
 
-// ewmaAlpha smooths per-tick deposit arrivals into the ρ estimate: high
-// enough to track a flash crowd within a few ticks, low enough that one
-// bursty tick does not trigger migrations on its own.
-const ewmaAlpha = 0.3
-
-// refreshGauges publishes each wired server's observability gauges —
-// "<label>.qdepth" (deposits − retrievals: mail buffered awaiting pickup),
-// "<label>.rho" (utilization, RhoScale fixed-point) and "<label>.placed"
-// (users homed there) — and, when ServiceRate > 0, applies the congestion
-// feedback: a server with ρ>1 gets extra per-message delay proportional to
-// its overload (capped at 4 ticks), which is what makes hot placement
-// decisions visibly slow and gives the online policies their signal.
-func (d *SimDriver) refreshGauges() {
-	for slot := 0; slot < d.world.TotalServers(); slot++ {
-		id := d.slotNode(slot)
-		srv, ok := d.servers[id]
-		if !ok {
-			continue // removed from service
-		}
-		label := d.slotLabel(slot)
-		dep := srv.Stats().Get("deposits_local")
-		d.reg.Gauge(label + ".qdepth").Set(dep - srv.Stats().Get("retrieved_msgs"))
-		d.arrEWMA[slot] = ewmaAlpha*float64(dep-d.prevDep[slot]) + (1-ewmaAlpha)*d.arrEWMA[slot]
-		d.prevDep[slot] = dep
-		var rho float64
-		if d.cfg.ServiceRate > 0 {
-			rho = d.arrEWMA[slot] / d.cfg.ServiceRate
-		} else if d.maxLoad > 0 {
-			rho = float64(len(d.bySlot[slot])) / float64(d.maxLoad)
-		}
-		fixed := int64(rho * placement.RhoScale)
-		d.reg.Gauge(label + ".rho").Set(fixed)
-		// Peak ρ survives the drain phase (where the EWMA decays to zero),
-		// so post-run reports see how hot the run actually got.
-		if peak := d.reg.Gauge(label + ".rho_peak"); fixed > peak.Value() {
-			peak.Set(fixed)
-		}
-		d.reg.Gauge(label + ".placed").Set(int64(len(d.bySlot[slot])))
-		if d.cfg.ServiceRate > 0 {
-			var extra sim.Time
-			if over := rho - 1; over > 0 {
-				if over > 4 {
-					over = 4
-				}
-				extra = sim.Time(over * float64(d.cfg.Tick))
-			}
-			d.net.SetExtraDelay(id, extra)
-		}
+// deposits implements placedTransport. It also publishes "<label>.qdepth"
+// (deposits − retrievals: mail buffered awaiting pickup), which the live
+// servers keep inline.
+func (d *SimDriver) deposits(slot int, label string) (int64, bool) {
+	srv, ok := d.servers[d.slotNode(slot)]
+	if !ok {
+		return 0, false // removed from service
 	}
+	dep := srv.Stats().Get("deposits_local")
+	d.reg.Gauge(label + ".qdepth").Set(dep - srv.Stats().Get("retrieved_msgs"))
+	return dep, true
 }
 
-// Settle implements Driver: run the simulator to quiescence so retry timers
-// and in-flight transfers complete.
-func (d *SimDriver) Settle() { d.sched.Run() }
+// slow implements placedTransport: queueing delay — §2.2's "minimize the
+// mail delay" in observable form — is extra network delay to the server.
+func (d *SimDriver) slow(slot int, ticks float64) {
+	d.net.SetExtraDelay(d.slotNode(slot), sim.Time(ticks*float64(d.tick)))
+}
 
 // Snapshot implements Driver: the tracer-fed latency histograms plus the
 // network's and servers' counters (prefixed net_/srv_).
 func (d *SimDriver) Snapshot() obs.Snapshot {
-	snap := d.reg.Snapshot()
-	if snap.Counters == nil {
-		snap.Counters = make(map[string]int64)
-	}
-	for k, v := range d.net.Stats().Counters() {
-		snap.Counters["net_"+k] = v
-	}
+	snap := netSnapshot(d.reg, d.net)
 	for _, id := range d.active {
 		for k, v := range d.servers[id].Stats().Counters() {
 			snap.Counters["srv_"+k] += v
@@ -635,15 +466,7 @@ func (d *SimDriver) Snapshot() obs.Snapshot {
 // not just the network node — a network crash alone cannot destroy and
 // recover mailbox state — so the target carries every active server.
 func (d *SimDriver) Injector() faults.Injector {
-	nodes := make(map[string]graph.NodeID)
-	slots := d.pop.ServersPerRegion + d.cfg.SpareServersPerRegion
-	for gh := 0; gh < d.pop.TotalHosts(); gh++ {
-		nodes[hostLabel(gh)] = hostID(gh)
-	}
-	for gs := 0; gs < d.pop.Regions*slots; gs++ {
-		nodes[serverLabel(gs)] = d.serverID(gs)
-	}
-	tgt := faults.NewSimTarget(d.net, nodes, d.cfg.Tick)
+	tgt := d.injector()
 	tgt.Servers = make(map[string]faults.KillRestarter, len(d.active))
 	for _, id := range d.active {
 		tgt.Servers[serverLabel(int(id-simServerBase-1))] = d.servers[id]
@@ -651,48 +474,14 @@ func (d *SimDriver) Injector() faults.Injector {
 	return tgt
 }
 
-// FaultSurface implements Driver. Safety constraints baked in:
-//
-//   - Crash/latency candidates: every wired server. Crashes are covered by
-//     transfer retries plus GetMail's LastStartTime walk; injected latency
-//     may double-send a transfer, which mailbox dedup absorbs.
-//   - Drop targets: HOST nodes only. A server-bound drop would make a retry
-//     fail over past a live, stable authority server, stranding mail beyond
-//     where the recipient's GetMail walk stops (see chaos_test.go); with
-//     in-process submission the only host-bound traffic is Notify, which no
-//     invariant depends on.
-//   - Link candidates: intra-region ring edges only, and only in regions
-//     with ≥3 servers, where the ring gives every server pair a second
-//     route — a host's spoke edge would partition it outright.
+// FaultSurface implements Driver: Population.faultSurface's drop targets and
+// ring links, plus crash/latency candidates — every wired server; crashes are
+// covered by transfer retries plus GetMail's LastStartTime walk, and injected
+// latency may double-send a transfer, which mailbox dedup absorbs.
 func (d *SimDriver) FaultSurface() faults.Spec {
-	p := d.pop
-	slots := p.ServersPerRegion + d.cfg.SpareServersPerRegion
-	spec := faults.Spec{}
+	spec := d.pop.faultSurface(d.cfg.SpareServersPerRegion)
 	for _, id := range d.active {
-		gs := int(id - simServerBase - 1)
-		spec.Servers = append(spec.Servers, serverLabel(gs))
-	}
-	for gh := 0; gh < p.TotalHosts(); gh++ {
-		spec.DropTargets = append(spec.DropTargets, hostLabel(gh))
-	}
-	if p.ServersPerRegion >= 3 {
-		for r := 0; r < p.Regions; r++ {
-			for j := 0; j < p.ServersPerRegion; j++ {
-				next := (j + 1) % p.ServersPerRegion
-				if next == j {
-					break
-				}
-				spec.Links = append(spec.Links, [2]string{
-					serverLabel(r*slots + j), serverLabel(r*slots + next),
-				})
-				// Only ring edges between wired servers are safe; with
-				// spares present the wrap edge j=SPR-1 → 0 runs through
-				// spare slots in the topology, so stop before it.
-				if d.cfg.SpareServersPerRegion > 0 && next == 0 {
-					break
-				}
-			}
-		}
+		spec.Servers = append(spec.Servers, serverLabel(int(id-simServerBase-1)))
 	}
 	// Kill-restart only survives a durable store; a memory-only driver must
 	// not offer targets (Compile would schedule guaranteed data loss).
@@ -748,7 +537,7 @@ func (d *SimDriver) ServerLoads() []ServerLoad {
 				Name:    serverLabel(int(id - simServerBase - 1)),
 				Region:  d.pop.RegionName(r),
 				Load:    loads[id],
-				MaxLoad: d.maxLoad,
+				MaxLoad: d.pop.MaxLoad(),
 				Rho:     rho,
 				QWait:   queueing.Wait(rho),
 			}
@@ -758,62 +547,6 @@ func (d *SimDriver) ServerLoads() []ServerLoad {
 			out = append(out, sl)
 		}
 	}
-	return out
-}
-
-// RebalanceActive implements PlacementRebalancer: only the rebalance policy
-// migrates on ticks.
-func (d *SimDriver) RebalanceActive() bool {
-	return d.policy != nil && d.policy.Name() == placement.NameRebalance
-}
-
-// RebalanceTick implements PlacementRebalancer: consult the policy with the
-// current snapshot and execute the migrations it emits through the §3.1.4
-// machinery. Returns one result per user whose authority list changed or
-// whose drain surfaced messages (the engine credits those to its ledger).
-func (d *SimDriver) RebalanceTick(tick int) []MigrationResult {
-	if d.policy == nil {
-		return nil
-	}
-	migs := d.policy.Rebalance(d.Snapshot())
-	var out []MigrationResult
-	for _, mg := range migs {
-		users, weights, total := rankByHeat(d.usersOnSlot(mg.From),
-			d.recv, d.recvHost, d.pop.HostOf, d.pop.UsersOnHost)
-		target := mg.Frac * total
-		var shed float64
-		moved := 0
-		for i, u := range users {
-			if moved >= mg.Count || (target > 0 && shed >= target) {
-				break
-			}
-			if last, ok := d.rehomed[u]; ok && tick-last < migrationCooldown {
-				continue // recently moved; let the load observation settle
-			}
-			res := d.migrateToSlot(u, mg.From, mg.To, tick)
-			if res.Moved {
-				moved++
-				shed += weights[i]
-			}
-			if res.Moved || len(res.Drained) > 0 {
-				out = append(out, res)
-			}
-		}
-	}
-	return out
-}
-
-// usersOnSlot returns the materialized users homed on a slot, sorted for
-// deterministic migration order.
-func (d *SimDriver) usersOnSlot(slot int) []int {
-	if slot < 0 || slot >= len(d.bySlot) {
-		return nil
-	}
-	out := make([]int, 0, len(d.bySlot[slot]))
-	for u := range d.bySlot[slot] {
-		out = append(out, u)
-	}
-	sort.Ints(out)
 	return out
 }
 
@@ -881,20 +614,15 @@ func (d *SimDriver) migrateToSlot(u, from, to, tick int) MigrationResult {
 	for _, id := range a.NoteDelivered(drainedIDs) {
 		res.Drained = append(res.Drained, id.String())
 	}
-	d.recv[u] += int64(len(res.Drained)) // drained mail is traffic too
-	d.recvHost[d.pop.HostOf(u)] += int64(len(res.Drained))
+	d.noteRetrieved(u, len(res.Drained)) // drained mail is traffic too
 	if err := a.SetAuthority(newList); err != nil {
 		// Roll the directory back; the drained mail re-deposits nowhere, but
 		// the engine ledger is credited by the caller either way.
 		_ = d.dirs[r].SetAuthority(name, old)
 		return res
 	}
-	delete(d.bySlot[from], u)
-	d.bySlot[to][u] = struct{}{}
-	d.rehomed[u] = tick
+	d.moved(u, from, to, tick, len(res.Drained))
 	res.Moved = true
-	d.reg.Counter("migrations_total").Inc()
-	d.reg.Counter("migration_cost").Add(int64(len(res.Drained)))
 	return res
 }
 
@@ -911,8 +639,8 @@ func (d *SimDriver) migrationList(to int, old []graph.NodeID) []graph.NodeID {
 	}
 	toNode := d.slotNode(to)
 	list := []graph.NodeID{toNode}
-	r := d.world.RegionOfSlot(to)
-	spr := d.world.ServersPerRegion
+	spr := d.pop.ServersPerRegion
+	r := to / spr
 	for i := 1; i < spr && len(list) < d.pop.AuthorityLen; i++ {
 		slot := r*spr + (to%spr+i)%spr
 		id := d.slotNode(slot)
@@ -985,23 +713,11 @@ func (d *SimDriver) AddServer(r int) (string, error) {
 	}
 	var id graph.NodeID
 	id, d.spares[r] = d.spares[r][0], d.spares[r][1:]
-	srv, err := server.New(server.Config{
-		ID: id, Region: d.pop.RegionName(r), Net: d.net,
-		Dir: d.dirs[r], Regions: d.regionMap,
-		Retention: d.cfg.Retention, Trace: d.trace,
-		BatchSize: d.cfg.BatchSize, FlushInterval: d.cfg.FlushInterval,
-		StoreShards: d.cfg.StoreShards, RetryTimeout: d.cfg.RetryTimeout,
-		DataDir: d.serverDataDir(id), Fsync: d.cfg.Fsync,
-		PlacementReroute: d.onlinePolicy(),
-		SpreadRelay:      d.onlinePolicy(),
-	})
-	if err != nil {
+	if err := d.startServer(id, r); err != nil {
 		return "", err
 	}
-	d.servers[id] = srv
-	d.active = append(d.active, id)
 	sort.Slice(d.active, func(i, j int) bool { return d.active[i] < d.active[j] })
-	if _, err := d.assigns[r].AddServer(id, d.maxLoad); err != nil {
+	if _, err := d.assigns[r].AddServer(id, d.pop.MaxLoad()); err != nil {
 		return "", err
 	}
 	if err := d.refreshRegion(r); err != nil {
@@ -1055,9 +771,6 @@ func (d *SimDriver) RemoveServer(label string) error {
 			d.active = append(d.active[:i], d.active[i+1:]...)
 			break
 		}
-	}
-	if d.spares == nil {
-		d.spares = make([][]graph.NodeID, d.pop.Regions)
 	}
 	d.spares[r] = append(d.spares[r], id)
 	return nil

@@ -58,7 +58,7 @@ func NewWireDriver(cfg WireConfig) (*WireDriver, error) {
 	}
 	names := make([]string, cfg.Pop.TotalServers())
 	for gs := range names {
-		names[gs] = fmt.Sprintf("S%d", gs)
+		names[gs] = serverLabel(gs)
 	}
 	srv, err := wire.NewServer(cfg.Addr, names)
 	if err != nil {

@@ -65,7 +65,7 @@ type Agent struct {
 
 	loggedIn      bool
 	seen          mail.IDSet
-	inbox         []mail.Stored
+	inbox         mail.Inbox
 	notifications []Alert
 	polls         int
 	retrievals    int
@@ -110,9 +110,7 @@ func (a *Agent) Notifications() []Alert {
 func (a *Agent) DropNotifications() { a.notifications = nil }
 
 // Inbox returns retrieved messages (since the last TakeMail).
-func (a *Agent) Inbox() []mail.Stored {
-	return append([]mail.Stored(nil), a.inbox...)
-}
+func (a *Agent) Inbox() []mail.Stored { return a.inbox.Since(0) }
 
 // Polls reports how many server mailbox checks the agent has issued.
 func (a *Agent) Polls() int { return a.polls }
@@ -184,20 +182,14 @@ func (a *Agent) Send(to []names.Name, subject, body string) error {
 
 // GetMail collects buffered mail from the live authority servers of the
 // agent's sub-group and returns the newly retrieved messages.
-func (a *Agent) GetMail() []mail.Stored {
-	return append([]mail.Stored(nil), a.inbox[a.walk(a.current.id, 1):]...)
-}
+func (a *Agent) GetMail() []mail.Stored { return a.inbox.Since(a.walk(a.current.id, 1)) }
 
 // TakeMail is GetMail for an owner that reads the batch once and keeps the
 // agent alive for a long run (client.Agent.TakeMail's contract): the walk's
 // messages are handed over, not copied, and the agent forgets its inbox. The
 // duplicate-suppression memory stays, so a retried deposit that landed on a
 // second server is still recognised.
-func (a *Agent) TakeMail() []mail.Stored {
-	out := a.inbox[a.walk(a.current.id, 1):]
-	a.inbox = nil
-	return out
-}
+func (a *Agent) TakeMail() []mail.Stored { return a.inbox.Take(a.walk(a.current.id, 1)) }
 
 // RemoteAccessFactor models §3.2.4's observation about cross-region remote
 // access: "remote access is usually slow and imposes large overhead on the
@@ -213,16 +205,13 @@ const RemoteAccessFactor = 4
 // incurred.
 func (a *Agent) RemoteGetMail(from graph.NodeID) ([]mail.Stored, float64) {
 	costBefore := a.pollCost
-	msgs := append([]mail.Stored(nil), a.inbox[a.walk(from, RemoteAccessFactor):]...)
+	msgs := a.inbox.Since(a.walk(from, RemoteAccessFactor))
 	return msgs, a.pollCost - costBefore
 }
 
 // walk runs one retrieval from the given access point and returns where in
-// the inbox its messages start. CheckMail gives its slice away, so when the
-// inbox is empty and nothing is a duplicate the agent adopts it as the inbox
-// instead of copying it — with its capacity clipped, so that a later append
-// moves to a fresh array and never writes the adopted one (client.Agent.poll's
-// rule).
+// the inbox its messages start. This design keeps no LastCheckingTime: every
+// live authority server of the user's sub-group is polled on every call.
 func (a *Agent) walk(from graph.NodeID, costFactor float64) int {
 	a.retrievals++
 	before := len(a.inbox)
@@ -239,26 +228,10 @@ func (a *Agent) walk(from graph.NodeID, costFactor float64) int {
 			a.pollCost += 2 * c * costFactor
 		}
 		msgs, err := srv.CheckMail(a.user)
-		if err != nil || len(msgs) == 0 {
+		if err != nil {
 			continue
 		}
-		adopt := len(a.inbox) == 0
-		for i := range msgs {
-			if !a.seen.Add(msgs[i].ID) {
-				a.dupes++
-				if adopt {
-					adopt = false
-					a.inbox = append(a.inbox, msgs[:i]...)
-				}
-				continue
-			}
-			if !adopt {
-				a.inbox = append(a.inbox, msgs[i])
-			}
-		}
-		if adopt {
-			a.inbox = msgs[:len(msgs):len(msgs)]
-		}
+		a.dupes += len(msgs) - a.inbox.Absorb(&a.seen, msgs)
 	}
 	return before
 }

@@ -183,25 +183,14 @@ func (s *Server) splitBatch(btok uint64) {
 	s.releaseBatch(fb)
 }
 
-// handleTransferBatch processes a received batch item by item — the same
-// deposit/forward logic as a single Transfer — and acks the batch as a unit,
-// reporting the indices it could not process so the origin can retry exactly
-// those individually.
+// handleTransferBatch processes a received batch item by item — handleItem,
+// as for a single Transfer — and acks the batch as a unit, reporting the
+// indices it could not process so the origin can retry exactly those
+// individually.
 func (s *Server) handleTransferBatch(tb TransferBatch) {
 	var failed []int
 	for i, tr := range tb.Items {
-		switch tr.Kind {
-		case TransferDeposit:
-			s.depositLocal(tr.Msg, tr.Recipient)
-		case TransferForward:
-			s.stats.Inc("forwards_in")
-			if tr.Recipient.Region != s.region {
-				// Mis-routed (e.g. stale region map): route onward.
-				s.Route(tr.Msg, tr.Recipient)
-				continue
-			}
-			s.deliverLocal(tr.Msg, tr.Recipient)
-		default:
+		if !s.handleItem(tr) {
 			failed = append(failed, i)
 		}
 	}

@@ -630,6 +630,14 @@ func (s *Server) pickCandidate(p *pendingTransfer) graph.NodeID {
 // handleTransfer processes a server-to-server transfer and acks it.
 func (s *Server) handleTransfer(tr Transfer) {
 	_ = s.net.Send(s.id, tr.Origin, s.acks.Box(TransferAck{Token: tr.Token}))
+	s.handleItem(tr)
+}
+
+// handleItem is what a received transfer does once it is here, alone in its
+// envelope or as one item of a batch: deposit (or re-route a deposit the
+// placement policy has moved away), or deliver a forward. It reports false
+// for a kind it does not know.
+func (s *Server) handleItem(tr Transfer) bool {
 	switch tr.Kind {
 	case TransferDeposit:
 		if s.reroute && s.misplacedDeposit(tr.Recipient) {
@@ -640,7 +648,7 @@ func (s *Server) handleTransfer(tr Transfer) {
 				// origin's timeout). The first forward is in the pending
 				// ledger with its own retries; another would snowball.
 				s.stats.Inc("reroute_retries_dropped")
-				return
+				return true
 			case tr.Msg.Expansions >= MaxGroupExpansions:
 				// A migration storm could bounce a copy between stale lists
 				// forever; past the cap, deposit here — the migration drain
@@ -652,7 +660,7 @@ func (s *Server) handleTransfer(tr Transfer) {
 				m := tr.Msg
 				m.Expansions++
 				s.Route(m, tr.Recipient)
-				return
+				return true
 			}
 		}
 		s.depositLocal(tr.Msg, tr.Recipient)
@@ -661,10 +669,13 @@ func (s *Server) handleTransfer(tr Transfer) {
 		if tr.Recipient.Region != s.region {
 			// Mis-routed (e.g. stale region map): route onward.
 			s.Route(tr.Msg, tr.Recipient)
-			return
+			return true
 		}
 		s.deliverLocal(tr.Msg, tr.Recipient)
+	default:
+		return false
 	}
+	return true
 }
 
 // misplacedDeposit reports whether a deposit arriving here is for a user
