@@ -19,6 +19,7 @@ package broadcast
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -36,8 +37,9 @@ var (
 
 // Evaluator computes a node's local contribution to a query — for the mail
 // system, the users on this node matching the attribute predicate. It must
-// not retain query.
-type Evaluator func(node graph.NodeID, query any) []any
+// not retain query, and the slice it returns becomes the tree's (see
+// SummaryOf.Items): the evaluator keeps no reference to it.
+type Evaluator[T any] func(node graph.NodeID, query any) []T
 
 // Query is the downward message.
 type Query struct {
@@ -53,11 +55,15 @@ type Query struct {
 	Prune bool
 }
 
-// Summary is the upward message: one child subtree's combined response.
-type Summary struct {
-	ID    uint64
-	From  graph.NodeID
-	Items []any
+// SummaryOf is the upward message: one child subtree's combined response.
+type SummaryOf[T any] struct {
+	ID   uint64
+	From graph.NodeID
+	// Items are the subtree's matches, in no specified order. A summary owns
+	// its items for exactly one flight; finish and Take give them away — to
+	// the parent, which appends to whichever slice is longer, and to Take's
+	// caller. Copy out what you keep.
+	Items []T
 	// Unavailable lists nodes whose subtrees timed out ("the unavailable
 	// estimates can be marked so").
 	Unavailable []graph.NodeID
@@ -72,9 +78,9 @@ type Summary struct {
 	PrunedNodes int
 }
 
-// Tree runs broadcast/convergecast over a fixed spanning tree on a simulated
-// network. It registers one process per tree node.
-type Tree struct {
+// TreeOf runs broadcast/convergecast over a fixed spanning tree on a simulated
+// network, collecting items of type T. It registers one process per tree node.
+type TreeOf[T any] struct {
 	net     *netsim.Network
 	adj     map[graph.NodeID][]graph.NodeID
 	regions map[graph.NodeID]string
@@ -86,14 +92,24 @@ type Tree struct {
 	// depth, so a slow-but-healthy deep subtree is not falsely marked
 	// unavailable while a dead immediate child is still detected after one
 	// base timeout.
-	depthVia    map[graph.NodeID]map[graph.NodeID]int
-	eval        Evaluator
-	timeout     sim.Time
-	nodes       map[graph.NodeID]*bcastNode
-	nextID      uint64
-	results     map[uint64]Summary
-	done        map[uint64]bool
-	completedAt map[uint64]sim.Time
+	depthVia map[graph.NodeID]map[graph.NodeID]int
+	eval     Evaluator[T]
+	timeout  sim.Time
+	nodes    map[graph.NodeID]*bcastNode[T]
+	nextID   uint64
+	// queries is the one table of queries started and not yet taken: each
+	// entry is the origin's own pending record, which collects the result and
+	// the pruning ledger and stays here, finished, until Take.
+	queries map[uint64]*pendingQuery[T]
+	// late absorbs ledger entries of a query already taken (a node behind a
+	// slow link deciding its branches after the origin gave up on it).
+	late PruneStats
+
+	// What a query puts in the air and on the nodes is recycled: a completed
+	// query leaves nothing behind.
+	free      []*pendingQuery[T]
+	queryBox  netsim.FreeList[Query]
+	summaries netsim.FreeList[SummaryOf[T]]
 
 	// Sketch-pruning state (see prune.go). nodesVia[n][nb] lists every node
 	// in the subtree hanging off n through nb; sketchVia/genVia cache that
@@ -104,16 +120,14 @@ type Tree struct {
 	nodesVia    map[graph.NodeID]map[graph.NodeID][]graph.NodeID
 	sketchVia   map[graph.NodeID]map[graph.NodeID]*sketch.Filter
 	genVia      map[graph.NodeID]map[graph.NodeID]uint64
-	refreshes   int
-	pstats      map[uint64]*PruneStats
 }
 
-// Config for Setup.
-type Config struct {
+// ConfigOf configures SetupOf.
+type ConfigOf[T any] struct {
 	Net  *netsim.Network
 	Tree graph.Tree
 	// Eval computes local matches; nil means "no local items".
-	Eval Evaluator
+	Eval Evaluator[T]
 	// Timeout is how long a parent waits for a child's summary before
 	// marking the subtree unavailable. Zero means 50 paper time units.
 	Timeout sim.Time
@@ -127,8 +141,19 @@ type Config struct {
 	SketchGen func(graph.NodeID) uint64
 }
 
-// Setup registers a broadcast process on every node of the tree.
-func Setup(cfg Config) (*Tree, error) {
+// Tree, Config, Summary and Setup are the mail system's tree: its items are
+// UserMatch.
+type (
+	Tree    = TreeOf[UserMatch]
+	Config  = ConfigOf[UserMatch]
+	Summary = SummaryOf[UserMatch]
+)
+
+// Setup is SetupOf for the mail system's item type.
+func Setup(cfg Config) (*Tree, error) { return SetupOf(cfg) }
+
+// SetupOf registers a broadcast process on every node of the tree.
+func SetupOf[T any](cfg ConfigOf[T]) (*TreeOf[T], error) {
 	if cfg.Net == nil {
 		return nil, errors.New("broadcast: nil network")
 	}
@@ -136,9 +161,9 @@ func Setup(cfg Config) (*Tree, error) {
 		cfg.Timeout = 50 * sim.Unit
 	}
 	if cfg.Eval == nil {
-		cfg.Eval = func(graph.NodeID, any) []any { return nil }
+		cfg.Eval = func(graph.NodeID, any) []T { return nil }
 	}
-	t := &Tree{
+	t := &TreeOf[T]{
 		net:         cfg.Net,
 		adj:         cfg.Tree.Adjacency(),
 		regions:     make(map[graph.NodeID]string),
@@ -146,16 +171,13 @@ func Setup(cfg Config) (*Tree, error) {
 		depthVia:    make(map[graph.NodeID]map[graph.NodeID]int),
 		eval:        cfg.Eval,
 		timeout:     cfg.Timeout,
-		nodes:       make(map[graph.NodeID]*bcastNode),
-		results:     make(map[uint64]Summary),
-		done:        make(map[uint64]bool),
-		completedAt: make(map[uint64]sim.Time),
+		nodes:       make(map[graph.NodeID]*bcastNode[T]),
+		queries:     make(map[uint64]*pendingQuery[T]),
 		sketchFn:    cfg.Sketch,
 		sketchGenFn: cfg.SketchGen,
 		nodesVia:    make(map[graph.NodeID]map[graph.NodeID][]graph.NodeID),
 		sketchVia:   make(map[graph.NodeID]map[graph.NodeID]*sketch.Filter),
 		genVia:      make(map[graph.NodeID]map[graph.NodeID]uint64),
-		pstats:      make(map[uint64]*PruneStats),
 	}
 	if t.sketchFn != nil && t.sketchGenFn == nil {
 		return nil, errors.New("broadcast: Sketch hook without SketchGen")
@@ -167,7 +189,7 @@ func Setup(cfg Config) (*Tree, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("broadcast: empty tree")
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		n, ok := cfg.Net.Topology().Node(id)
 		if !ok {
@@ -177,7 +199,7 @@ func Setup(cfg Config) (*Tree, error) {
 	}
 	t.computeRegionsVia(ids)
 	for _, id := range ids {
-		bn := &bcastNode{id: id, tree: t, pending: make(map[uint64]*pendingQuery)}
+		bn := &bcastNode[T]{id: id, tree: t, pending: make(map[uint64]*pendingQuery[T])}
 		if err := cfg.Net.Register(id, bn); err != nil {
 			return nil, err
 		}
@@ -189,7 +211,7 @@ func Setup(cfg Config) (*Tree, error) {
 // computeRegionsVia fills the per-direction region reachability sets by DFS
 // from every node (trees are small relative to query volume; this is a
 // one-time cost).
-func (t *Tree) computeRegionsVia(ids []graph.NodeID) {
+func (t *TreeOf[T]) computeRegionsVia(ids []graph.NodeID) {
 	var collect func(at, from graph.NodeID, acc map[string]bool) int
 	collect = func(at, from graph.NodeID, acc map[string]bool) int {
 		acc[t.regions[at]] = true
@@ -221,7 +243,7 @@ func (t *Tree) computeRegionsVia(ids []graph.NodeID) {
 // collectNodes lists the subtree reached from `from` through `at`, the node
 // set a cached subtree sketch summarises (and the set excused-by-proof when
 // that branch is pruned).
-func (t *Tree) collectNodes(at, from graph.NodeID, acc []graph.NodeID) []graph.NodeID {
+func (t *TreeOf[T]) collectNodes(at, from graph.NodeID, acc []graph.NodeID) []graph.NodeID {
 	acc = append(acc, at)
 	for _, nb := range t.adj[at] {
 		if nb != from {
@@ -233,7 +255,7 @@ func (t *Tree) collectNodes(at, from graph.NodeID, acc []graph.NodeID) []graph.N
 
 // wantBranch reports whether a targeted query needs to travel from node to
 // neighbor nb.
-func (t *Tree) wantBranch(node, nb graph.NodeID, targets map[string]bool) bool {
+func (t *TreeOf[T]) wantBranch(node, nb graph.NodeID, targets map[string]bool) bool {
 	if targets == nil {
 		return true
 	}
@@ -246,13 +268,13 @@ func (t *Tree) wantBranch(node, nb graph.NodeID, targets map[string]bool) bool {
 }
 
 // Start injects a query at origin. Targets of nil means all regions. It
-// returns the query ID; the result is available via Result once the
+// returns the query ID; the result is available via Take once the
 // convergecast completes (run the scheduler).
-func (t *Tree) Start(origin graph.NodeID, payload any, targets map[string]bool) (uint64, error) {
+func (t *TreeOf[T]) Start(origin graph.NodeID, payload any, targets map[string]bool) (uint64, error) {
 	return t.start(origin, payload, targets, false)
 }
 
-func (t *Tree) start(origin graph.NodeID, payload any, targets map[string]bool, prune bool) (uint64, error) {
+func (t *TreeOf[T]) start(origin graph.NodeID, payload any, targets map[string]bool, prune bool) (uint64, error) {
 	node, ok := t.nodes[origin]
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownNode, origin)
@@ -261,33 +283,32 @@ func (t *Tree) start(origin graph.NodeID, payload any, targets map[string]bool, 
 		return 0, fmt.Errorf("%w: %d", ErrNodeDown, origin)
 	}
 	t.nextID++
-	id := t.nextID
-	q := Query{ID: id, Origin: origin, Payload: payload, Targets: targets, Prune: prune}
-	node.begin(q, origin) // origin is its own parent sentinel
-	return id, nil
+	// The origin is its own parent: the sentinel finish and begin know it by.
+	node.begin(Query{ID: t.nextID, Origin: origin, Payload: payload, Targets: targets, Prune: prune}, origin)
+	return t.nextID, nil
 }
 
-// Result returns the completed summary for a query, if available.
-func (t *Tree) Result(id uint64) (Summary, bool) {
-	s, ok := t.results[id]
-	return s, ok
+// Take returns a completed query's summary, the simulated time the
+// convergecast finished at the origin — what the bounded-completion auditor
+// checks against the depth-scaled timeout — and its pruning ledger, and
+// forgets the query: the summary's slices are the caller's from here on, and
+// a second Take of the same ID reports false, as does one of a query still in
+// progress.
+func (t *TreeOf[T]) Take(id uint64) (SummaryOf[T], sim.Time, PruneStats, bool) {
+	pq := t.queries[id]
+	if pq == nil || !pq.done {
+		return SummaryOf[T]{}, 0, PruneStats{}, false
+	}
+	delete(t.queries, id)
+	s, at, st := pq.summary(), pq.at, pq.stats
+	t.release(pq)
+	return s, at, st, true
 }
-
-// ResultAt returns the completed summary and the simulated time the
-// convergecast finished at the origin — the timestamp the bounded-completion
-// auditor checks against the depth-scaled timeout.
-func (t *Tree) ResultAt(id uint64) (Summary, sim.Time, bool) {
-	s, ok := t.results[id]
-	return s, t.completedAt[id], ok
-}
-
-// Timeout returns the per-edge parent wait.
-func (t *Tree) Timeout() sim.Time { return t.timeout }
 
 // MaxDepthFrom returns the depth in edges of the deepest subtree below
 // origin — the factor the origin's own wait scales with, and therefore the
 // worst-case convergecast bound multiplier.
-func (t *Tree) MaxDepthFrom(origin graph.NodeID) int {
+func (t *TreeOf[T]) MaxDepthFrom(origin graph.NodeID) int {
 	max := 0
 	for _, d := range t.depthVia[origin] {
 		if d > max {
@@ -298,151 +319,179 @@ func (t *Tree) MaxDepthFrom(origin graph.NodeID) int {
 }
 
 // bcastNode is the per-node broadcast process.
-type bcastNode struct {
+type bcastNode[T any] struct {
 	id      graph.NodeID
-	tree    *Tree
-	pending map[uint64]*pendingQuery
+	tree    *TreeOf[T]
+	pending map[uint64]*pendingQuery[T]
 }
 
-type pendingQuery struct {
-	parent   graph.NodeID
-	waiting  map[graph.NodeID]bool
-	items    []any
-	unavail  []graph.NodeID
-	nodes    int
-	timer    *sim.Event
-	finished bool
+// pendingQuery is one node's state for one query, from the Query's arrival
+// until the node's summary leaves (at the origin: until Take). The record is
+// recycled through the tree's free list, and it is its own timeout: ev is the
+// timer and Run what it fires.
+type pendingQuery[T any] struct {
+	ev      sim.Event
+	node    *bcastNode[T]
+	id      uint64
+	parent  graph.NodeID
+	waiting []graph.NodeID
+	items   []T
+	unavail []graph.NodeID
+	nodes   int
 	// pruned/prunedNodes accumulate this node's own sketch-pruned branches
-	// plus those reported by children; sketchPassed marks children whose
-	// subtree sketch claimed a possible match, so an empty summary from
-	// them can be counted as a Bloom false positive.
-	pruned       []graph.NodeID
-	prunedNodes  int
-	sketchPassed map[graph.NodeID]bool
+	// plus those reported by children; passed lists children whose subtree
+	// sketch claimed a possible match, so an empty summary from them can be
+	// counted as a Bloom false positive.
+	pruned      []graph.NodeID
+	prunedNodes int
+	passed      []graph.NodeID
+	// Origin only: the whole query's pruning ledger, and whether the
+	// convergecast is complete (at time at) and the record awaits Take.
+	stats PruneStats
+	done  bool
+	at    sim.Time
+}
+
+func (t *TreeOf[T]) newPending(n *bcastNode[T], id uint64, parent graph.NodeID) *pendingQuery[T] {
+	var pq *pendingQuery[T]
+	if last := len(t.free) - 1; last >= 0 {
+		pq, t.free = t.free[last], t.free[:last]
+	} else {
+		pq = new(pendingQuery[T])
+	}
+	pq.node, pq.id, pq.parent = n, id, parent
+	return pq
+}
+
+// release recycles a record whose slices have been given away (or, for
+// waiting and passed, emptied for the next tenant).
+func (t *TreeOf[T]) release(pq *pendingQuery[T]) {
+	*pq = pendingQuery[T]{waiting: pq.waiting[:0], passed: pq.passed[:0]}
+	t.free = append(t.free, pq)
+}
+
+// summary hands the record's collected result over.
+func (pq *pendingQuery[T]) summary() SummaryOf[T] {
+	return SummaryOf[T]{
+		ID: pq.id, From: pq.node.id, Items: pq.items, Unavailable: pq.unavail,
+		Nodes: pq.nodes, Pruned: pq.pruned, PrunedNodes: pq.prunedNodes,
+	}
 }
 
 // Receive implements netsim.Handler.
-func (n *bcastNode) Receive(env netsim.Envelope) {
+func (n *bcastNode[T]) Receive(env netsim.Envelope) {
 	switch p := env.Payload.(type) {
-	case Query:
-		n.begin(p, env.From)
-	case Summary:
-		n.onSummary(p, env.From)
+	case *netsim.Box[Query]:
+		n.begin(p.V, env.From)
+	case *netsim.Box[SummaryOf[T]]:
+		n.onSummary(&p.V, env.From)
 	}
 }
 
 // begin evaluates the query locally and fans it out to child branches.
-func (n *bcastNode) begin(q Query, parent graph.NodeID) {
+func (n *bcastNode[T]) begin(q Query, parent graph.NodeID) {
 	if _, dup := n.pending[q.ID]; dup {
-		return // duplicate query delivery; trees have no cycles, but be safe
+		// The query is already in progress here. Once answered its ID is
+		// forgotten, with no tombstone: a parent sends each child one Query per
+		// ID and netsim drops but never duplicates.
+		return
 	}
-	pq := &pendingQuery{parent: parent, waiting: make(map[graph.NodeID]bool)}
+	t := n.tree
+	pq := t.newPending(n, q.ID, parent)
 	n.pending[q.ID] = pq
-	if q.Targets == nil || q.Targets[n.tree.regions[n.id]] {
-		pq.items = append(pq.items, n.tree.eval(n.id, q.Payload)...)
+	if parent == n.id {
+		t.queries[q.ID] = pq
+	}
+	if q.Targets == nil || q.Targets[t.regions[n.id]] {
+		pq.items = t.eval(n.id, q.Payload)
 		pq.nodes = 1
 	}
-	probe := n.tree.probeTerms(q)
-	for _, nb := range n.tree.adj[n.id] {
-		if nb == parent && parent != n.id {
-			continue
-		}
-		if nb == n.id {
-			continue
-		}
-		if !n.tree.wantBranch(n.id, nb, q.Targets) {
+	probe := t.probeTerms(q)
+	// Wait proportionally to the deepest awaited subtree, so descendants'
+	// own timeouts can resolve before this node gives up on them.
+	maxDepth := 1
+	for _, nb := range t.adj[n.id] {
+		if nb == parent || nb == n.id || !t.wantBranch(n.id, nb, q.Targets) {
 			continue
 		}
 		if probe != nil {
-			switch verdict, covered := n.tree.checkBranch(n.id, nb, probe, q.ID); verdict {
+			switch verdict, covered := t.checkBranch(n.id, nb, probe, t.pruneStats(q.ID)); verdict {
 			case branchPrune:
 				pq.pruned = append(pq.pruned, nb)
 				pq.prunedNodes += covered
 				continue
 			case branchPass:
-				if pq.sketchPassed == nil {
-					pq.sketchPassed = make(map[graph.NodeID]bool)
-				}
-				pq.sketchPassed[nb] = true
+				pq.passed = append(pq.passed, nb)
 			}
 		}
-		pq.waiting[nb] = true
-		_ = n.tree.net.Send(n.id, nb, q)
-	}
-	if len(pq.waiting) == 0 {
-		n.finish(q.ID, pq)
-		return
-	}
-	// Wait proportionally to the deepest awaited subtree, so descendants'
-	// own timeouts can resolve before this node gives up on them.
-	maxDepth := 1
-	for nb := range pq.waiting {
-		if d := n.tree.depthVia[n.id][nb]; d > maxDepth {
+		pq.waiting = append(pq.waiting, nb)
+		if d := t.depthVia[n.id][nb]; d > maxDepth {
 			maxDepth = d
 		}
+		_ = t.net.Send(n.id, nb, t.queryBox.Box(q))
 	}
-	pq.timer = n.tree.net.Scheduler().After(n.tree.timeout*sim.Time(maxDepth), func() {
-		n.onTimeout(q.ID)
-	})
+	if len(pq.waiting) == 0 {
+		n.finish(pq)
+		return
+	}
+	sched := t.net.Scheduler()
+	sched.Schedule(&pq.ev, sched.Now()+t.timeout*sim.Time(maxDepth), pq)
 }
 
-func (n *bcastNode) onSummary(s Summary, from graph.NodeID) {
+func (n *bcastNode[T]) onSummary(s *SummaryOf[T], from graph.NodeID) {
 	pq, ok := n.pending[s.ID]
-	if !ok || pq.finished || !pq.waiting[from] {
-		return // late or unexpected summary; subtree already marked unavailable
+	if !ok {
+		return // late summary; subtree already marked unavailable
 	}
-	delete(pq.waiting, from)
+	i := slices.Index(pq.waiting, from)
+	if i < 0 {
+		return // unexpected summary
+	}
+	pq.waiting = slices.Delete(pq.waiting, i, i+1)
+	if len(s.Items) == 0 && len(s.Unavailable) == 0 && slices.Contains(pq.passed, from) {
+		// The subtree sketch said "maybe" but the whole subtree held
+		// nothing: a Bloom false positive we paid a visit for.
+		n.tree.pruneStats(s.ID).FPSubtrees++
+	}
+	// Adopt the longer of the two item slices and append the shorter, so an
+	// item is copied O(1) times on its way up and not once per level.
+	if len(s.Items) > len(pq.items) {
+		pq.items, s.Items = s.Items, pq.items
+	}
 	pq.items = append(pq.items, s.Items...)
 	pq.unavail = append(pq.unavail, s.Unavailable...)
 	pq.nodes += s.Nodes
 	pq.pruned = append(pq.pruned, s.Pruned...)
 	pq.prunedNodes += s.PrunedNodes
-	if pq.sketchPassed[from] && len(s.Items) == 0 && len(s.Unavailable) == 0 {
-		// The subtree sketch said "maybe" but the whole subtree held
-		// nothing: a Bloom false positive we paid a visit for.
-		n.tree.pruneStats(s.ID).FPSubtrees++
-	}
 	if len(pq.waiting) == 0 {
-		if pq.timer != nil {
-			n.tree.net.Scheduler().Cancel(pq.timer)
-		}
-		n.finish(s.ID, pq)
+		n.tree.net.Scheduler().Cancel(&pq.ev)
+		n.finish(pq)
 	}
 }
 
-// onTimeout gives up on the remaining children, marking them unavailable
-// ("problem may occur if one of the children nodes goes down while the
-// parent node is waiting ... a parent node should time out").
-func (n *bcastNode) onTimeout(id uint64) {
-	pq, ok := n.pending[id]
-	if !ok || pq.finished {
-		return
-	}
-	missing := make([]graph.NodeID, 0, len(pq.waiting))
-	for nb := range pq.waiting {
-		missing = append(missing, nb)
-	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-	pq.unavail = append(pq.unavail, missing...)
-	pq.waiting = make(map[graph.NodeID]bool)
-	n.finish(id, pq)
+// Run is the timeout: the node gives up on the remaining children, marking
+// them unavailable ("problem may occur if one of the children nodes goes down
+// while the parent node is waiting ... a parent node should time out").
+func (pq *pendingQuery[T]) Run() {
+	slices.Sort(pq.waiting)
+	pq.unavail = append(pq.unavail, pq.waiting...)
+	pq.node.finish(pq)
 }
 
-// finish sends the combined summary to the parent, or records the final
-// result at the origin.
-func (n *bcastNode) finish(id uint64, pq *pendingQuery) {
-	pq.finished = true
-	s := Summary{
-		ID: id, From: n.id, Items: pq.items, Unavailable: pq.unavail,
-		Nodes: pq.nodes, Pruned: pq.pruned, PrunedNodes: pq.prunedNodes,
-	}
+// finish sends the combined summary to the parent and forgets the query, or
+// at the origin marks the record complete for Take. Either way the node's
+// table no longer knows the ID: a summary that arrives from now on is late.
+func (n *bcastNode[T]) finish(pq *pendingQuery[T]) {
+	delete(n.pending, pq.id)
+	t := n.tree
 	if pq.parent == n.id {
-		n.tree.results[id] = s
-		n.tree.done[id] = true
-		n.tree.completedAt[id] = n.tree.net.Scheduler().Now()
+		pq.done, pq.at = true, t.net.Scheduler().Now()
 		return
 	}
-	_ = n.tree.net.Send(n.id, pq.parent, s)
+	b := t.summaries.Box(pq.summary())
+	parent := pq.parent
+	t.release(pq)
+	_ = t.net.Send(n.id, parent, b)
 }
 
 // SelectRegions is the budget flow control of §3.3.1-B: given the cost table

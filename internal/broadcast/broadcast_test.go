@@ -3,6 +3,7 @@ package broadcast
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -13,7 +14,7 @@ import (
 
 // testTree builds a 3-region line tree over 6 nodes:
 // A: 1-2, B: 3-4, C: 5-6; tree edges 1-2, 2-3, 3-4, 4-5, 5-6.
-func testTree(t *testing.T, timeout sim.Time) (*sim.Scheduler, *netsim.Network, *Tree) {
+func testTree(t *testing.T, timeout sim.Time) (*sim.Scheduler, *netsim.Network, *TreeOf[string]) {
 	t.Helper()
 	g := graph.New()
 	regions := []string{"A", "A", "B", "B", "C", "C"}
@@ -28,11 +29,11 @@ func testTree(t *testing.T, timeout sim.Time) (*sim.Scheduler, *netsim.Network, 
 	}
 	sched := sim.New(2)
 	net := netsim.New(sched, g)
-	bt, err := Setup(Config{
+	bt, err := SetupOf(ConfigOf[string]{
 		Net:  net,
 		Tree: tree,
-		Eval: func(id graph.NodeID, q any) []any {
-			return []any{fmt.Sprintf("n%d:%v", id, q)}
+		Eval: func(id graph.NodeID, q any) []string {
+			return []string{fmt.Sprintf("n%d:%v", id, q)}
 		},
 		Timeout: timeout,
 	})
@@ -49,7 +50,7 @@ func TestFullBroadcastCollectsAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run()
-	res, ok := bt.Result(id)
+	res, _, _, ok := bt.Take(id)
 	if !ok {
 		t.Fatal("no result")
 	}
@@ -68,7 +69,7 @@ func TestStartFromInteriorNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run()
-	res, ok := bt.Result(id)
+	res, _, _, ok := bt.Take(id)
 	if !ok || res.Nodes != 6 {
 		t.Errorf("result = %+v, %v", res, ok)
 	}
@@ -81,7 +82,7 @@ func TestTargetedQueryPrunesBranches(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run()
-	res, _ := bt.Result(id)
+	res, _, _, _ := bt.Take(id)
 	if res.Nodes != 4 {
 		t.Errorf("targeted query evaluated %d nodes, want 4 (regions A+B)", res.Nodes)
 	}
@@ -101,7 +102,7 @@ func TestTimeoutMarksUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run()
-	res, ok := bt.Result(id)
+	res, _, _, ok := bt.Take(id)
 	if !ok {
 		t.Fatal("no result despite timeouts")
 	}
@@ -125,16 +126,20 @@ func TestLateSummaryIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.RunFor(30 * sim.Unit)
-	res1, ok := bt.Result(id)
+	res, _, _, ok := bt.Take(id)
 	if !ok {
 		t.Fatal("no result")
 	}
+	items := slices.Clone(res.Items)
 	net.Recover(3)
 	sched.Run()
-	res2, _ := bt.Result(id)
-	if res1.Nodes != res2.Nodes || len(res1.Items) != len(res2.Items) {
-		t.Error("late summary mutated a finished result")
+	if _, _, _, again := bt.Take(id); again {
+		t.Error("late summary resurrected a taken query")
 	}
+	if !slices.Equal(res.Items, items) {
+		t.Error("late summary mutated a taken result")
+	}
+	assertNothingPending(t, bt)
 }
 
 func TestStartErrors(t *testing.T) {
@@ -256,10 +261,10 @@ func TestPropertyTargeting(t *testing.T) {
 		net := netsim.New(sim.New(seed), g)
 		sched := net.Scheduler()
 		var evaluated []graph.NodeID
-		bt, err := Setup(Config{
+		bt, err := SetupOf(ConfigOf[string]{
 			Net:  net,
 			Tree: res.Combined,
-			Eval: func(id graph.NodeID, q any) []any {
+			Eval: func(id graph.NodeID, q any) []string {
 				evaluated = append(evaluated, id)
 				return nil
 			},

@@ -16,7 +16,7 @@ import (
 
 // chaosTree mirrors the in-package testTree harness: a 6-node line tree
 // 1-2-3-4-5-6 where killing an interior node severs a whole subtree.
-func chaosTree(t *testing.T, timeout sim.Time) (*sim.Scheduler, *netsim.Network, *broadcast.Tree) {
+func chaosTree(t *testing.T, timeout sim.Time) (*sim.Scheduler, *netsim.Network, *broadcast.TreeOf[string]) {
 	t.Helper()
 	g := graph.New()
 	regions := []string{"A", "A", "B", "B", "C", "C"}
@@ -31,11 +31,11 @@ func chaosTree(t *testing.T, timeout sim.Time) (*sim.Scheduler, *netsim.Network,
 	}
 	sched := sim.New(2)
 	net := netsim.New(sched, g)
-	bt, err := broadcast.Setup(broadcast.Config{
+	bt, err := broadcast.SetupOf(broadcast.ConfigOf[string]{
 		Net:  net,
 		Tree: tree,
-		Eval: func(id graph.NodeID, q any) []any {
-			return []any{fmt.Sprintf("n%d:%v", id, q)}
+		Eval: func(id graph.NodeID, q any) []string {
+			return []string{fmt.Sprintf("n%d:%v", id, q)}
 		},
 		Timeout: timeout,
 	})
@@ -80,7 +80,7 @@ func TestConvergecastUnderNodeKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run()
-	res, at, ok := bt.ResultAt(id)
+	res, at, _, ok := bt.Take(id)
 	if !ok {
 		t.Fatal("convergecast never completed at the origin")
 	}
@@ -121,7 +121,7 @@ func TestConvergecastUnderNodeKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run()
-	res2, ok := bt.Result(id2)
+	res2, _, _, ok := bt.Take(id2)
 	if !ok || res2.Nodes != 6 || len(res2.Unavailable) != 0 {
 		t.Fatalf("post-recovery result = %+v, %v; want 6 nodes, no unavailable", res2, ok)
 	}
@@ -145,7 +145,7 @@ func TestConvergecastMidFlightCrash(t *testing.T) {
 	net.Crash(4)
 	sched.Run()
 
-	res, at, ok := bt.ResultAt(id)
+	res, at, _, ok := bt.Take(id)
 	if !ok {
 		t.Fatal("no result")
 	}

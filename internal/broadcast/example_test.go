@@ -22,11 +22,11 @@ func Example() {
 	tree := graph.Tree{Edges: []graph.Edge{{A: 1, B: 2, Weight: 1}, {A: 2, B: 3, Weight: 1}}}
 
 	net := netsim.New(sim.New(1), g)
-	bt, err := broadcast.Setup(broadcast.Config{
+	bt, err := broadcast.SetupOf(broadcast.ConfigOf[string]{
 		Net:  net,
 		Tree: tree,
-		Eval: func(id graph.NodeID, q any) []any {
-			return []any{fmt.Sprintf("node%d", id)}
+		Eval: func(id graph.NodeID, q any) []string {
+			return []string{fmt.Sprintf("node%d", id)}
 		},
 	})
 	if err != nil {
@@ -35,12 +35,8 @@ func Example() {
 	}
 	qid, _ := bt.Start(1, "who is out there?", nil)
 	net.Scheduler().Run()
-	res, _ := bt.Result(qid)
-	items := make([]string, 0, len(res.Items))
-	for _, it := range res.Items {
-		items = append(items, it.(string))
-	}
-	sort.Strings(items)
-	fmt.Println(items)
+	res, _, _, _ := bt.Take(qid) // the items are ours now, in no particular order
+	sort.Strings(res.Items)
+	fmt.Println(res.Items)
 	// Output: [node1 node2 node3]
 }

@@ -6,11 +6,10 @@ import (
 	"github.com/largemail/largemail/internal/mail"
 )
 
-// Typed query/result payloads shared between the broadcast layer and its
-// drivers (internal/loadgen, examples). These replace the stringly
-// scenario-private structs that previously rode the tree — matched users
-// crossed the convergecast as space-joined "u<n>" tokens reparsed at the
-// origin — so summaries now carry data the compiler can check.
+// The mail system's payloads, shared between the broadcast layer and its
+// driver (internal/loadgen): AttrQuery rides down the tree as Query.Payload,
+// and UserMatch is the item type Tree, Config and Summary are instantiated
+// with, so a summary's Items are []UserMatch end to end.
 
 // AttrQuery is the downward payload of the §3.3 attribute architecture:
 // either a mass distribution (deposit the message at every matching
@@ -25,6 +24,9 @@ type AttrQuery struct {
 	// audience; for content searches the planner (attr.PlanQuery) decides
 	// whether its content terms allow the pruned route.
 	Query attr.Query
+	// Terms are the planner's probe terms for a content search, planned once
+	// at the origin; every node's evaluator and prune decision read them.
+	Terms []string
 	// Subject and Body are the message text for distributions; their terms
 	// feed the per-store sketch and term index on deposit.
 	Subject string
@@ -41,11 +43,10 @@ func (q AttrQuery) SketchTerms() []string {
 	if q.Distribute {
 		return nil
 	}
-	return attr.PlanQuery(q.Query).Terms
+	return q.Terms
 }
 
-// UserMatch is the upward item: one matched user at one node. It is the
-// typed replacement for the "u<n>" string tokens.
+// UserMatch is the upward item: one matched user at one node.
 type UserMatch struct {
 	User int
 	Node graph.NodeID

@@ -1,6 +1,8 @@
 package broadcast
 
 import (
+	"slices"
+
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/sketch"
 )
@@ -61,7 +63,7 @@ type PruneStats struct {
 // Distribute injects a query like Start, but with sketch pruning enabled
 // for payloads implementing Probe. With no Sketch hook configured, or a
 // payload exposing no probe terms, it degrades to exactly Start.
-func (t *Tree) Distribute(origin graph.NodeID, payload any, targets map[string]bool) (uint64, error) {
+func (t *TreeOf[T]) Distribute(origin graph.NodeID, payload any, targets map[string]bool) (uint64, error) {
 	return t.start(origin, payload, targets, true)
 }
 
@@ -77,7 +79,7 @@ func (t *Tree) Distribute(origin graph.NodeID, payload any, targets map[string]b
 // depend on who did the ORing. Down nodes are not special-cased: a down
 // node's store is frozen, so reading it equals keeping its last summary,
 // and its generation cannot move until it recovers.
-func (t *Tree) RefreshSketches() int {
+func (t *TreeOf[T]) RefreshSketches() int {
 	if t.sketchFn == nil {
 		return 0
 	}
@@ -115,24 +117,12 @@ func (t *Tree) RefreshSketches() int {
 			cached++
 		}
 	}
-	t.refreshes++
 	return cached
-}
-
-// SketchRefreshes returns how many aggregation phases have run.
-func (t *Tree) SketchRefreshes() int { return t.refreshes }
-
-// QueryPruneStats returns the pruning ledger for one query.
-func (t *Tree) QueryPruneStats(id uint64) PruneStats {
-	if st := t.pstats[id]; st != nil {
-		return *st
-	}
-	return PruneStats{}
 }
 
 // probeTerms extracts the sketch probe for a query, or nil when pruning
 // does not apply (Start-path query, no hook, non-Probe payload, no terms).
-func (t *Tree) probeTerms(q Query) []string {
+func (t *TreeOf[T]) probeTerms(q Query) []string {
 	if !q.Prune || t.sketchFn == nil {
 		return nil
 	}
@@ -156,10 +146,10 @@ const (
 )
 
 // checkBranch decides whether the branch node→nb can be pruned for a query
-// requiring every term in probe. Returns the covered node count with
-// branchPrune so the caller can account excused nodes.
-func (t *Tree) checkBranch(node, nb graph.NodeID, probe []string, qid uint64) (branchVerdict, int) {
-	st := t.pruneStats(qid)
+// requiring every term in probe, entering the decision in the query's ledger
+// st. Returns the covered node count with branchPrune so the caller can
+// account excused nodes.
+func (t *TreeOf[T]) checkBranch(node, nb graph.NodeID, probe []string, st *PruneStats) (branchVerdict, int) {
 	st.Checked++
 	f := t.sketchVia[node][nb]
 	if f == nil {
@@ -191,52 +181,28 @@ func (t *Tree) checkBranch(node, nb graph.NodeID, probe []string, qid uint64) (b
 	return branchPass, 0
 }
 
-func (t *Tree) pruneStats(id uint64) *PruneStats {
-	st := t.pstats[id]
-	if st == nil {
-		st = &PruneStats{}
-		t.pstats[id] = st
+// pruneStats returns the ledger of a query: it lives in the origin's record.
+func (t *TreeOf[T]) pruneStats(id uint64) *PruneStats {
+	if pq := t.queries[id]; pq != nil {
+		return &pq.stats
 	}
-	return st
+	return &t.late
 }
 
-// SubtreeNodes returns the nodes covered by the branch origin→root — the
-// set an audit must excuse (and cross-check for false negatives) when that
-// branch appears in Summary.Pruned. The slice is shared; callers must not
-// mutate it.
-func (t *Tree) SubtreeNodes(origin, root graph.NodeID) []graph.NodeID {
-	return t.nodesVia[origin][root]
-}
-
-// PrunedNodeSet expands a summary's pruned roots into the full excused node
-// set, resolving each root against the node that pruned it. Roots are
-// resolved by searching the parent side: a root r was pruned by its tree
-// neighbor on the path toward the origin, which is the unique neighbor nb
-// of r with origin in nodesVia[r][nb]... inverted here by using the
-// recorded directed-edge sets directly.
-func (t *Tree) PrunedNodeSet(origin graph.NodeID, roots []graph.NodeID) map[graph.NodeID]bool {
+// PrunedNodeSet expands the roots a summary of a query from origin lists —
+// Pruned, or Unavailable — into the full node set below them: what an audit
+// excuses. A root's subtree is the one its neighbor on the path toward the
+// origin reaches through it, which is the unique recorded directed-edge set
+// through the root that does not contain the origin.
+func (t *TreeOf[T]) PrunedNodeSet(origin graph.NodeID, roots []graph.NodeID) map[graph.NodeID]bool {
 	if len(roots) == 0 {
 		return nil
 	}
 	set := make(map[graph.NodeID]bool)
 	for _, r := range roots {
-		// The pruning parent is r's neighbor whose subtree-through-r exists
-		// and does NOT contain the origin (pruning always happens on the
-		// path away from the origin). For the origin itself as parent the
-		// check also holds.
 		for _, p := range t.adj[r] {
 			covered := t.nodesVia[p][r]
-			if covered == nil {
-				continue
-			}
-			containsOrigin := false
-			for _, c := range covered {
-				if c == origin {
-					containsOrigin = true
-					break
-				}
-			}
-			if containsOrigin {
+			if slices.Contains(covered, origin) {
 				continue
 			}
 			for _, c := range covered {

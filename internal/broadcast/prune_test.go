@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -27,7 +28,7 @@ func (p termProbe) SketchTerms() []string { return p.Terms }
 type pruneWorld struct {
 	sched  *sim.Scheduler
 	net    *netsim.Network
-	tree   *Tree
+	tree   *TreeOf[string]
 	stores map[graph.NodeID]*mailstore.Store
 	n      int
 	seq    uint64
@@ -56,16 +57,16 @@ func newPruneWorld(t *testing.T, n int, rng *rand.Rand) *pruneWorld {
 	}
 	w.sched = sim.New(1)
 	w.net = netsim.New(w.sched, g)
-	bt, err := Setup(Config{
+	bt, err := SetupOf(ConfigOf[string]{
 		Net:  w.net,
 		Tree: tr,
-		Eval: func(id graph.NodeID, q any) []any {
+		Eval: func(id graph.NodeID, q any) []string {
 			p, ok := q.(termProbe)
 			if !ok {
 				return nil
 			}
 			holders := w.stores[id].SearchTerms(p.Terms)
-			out := make([]any, 0, len(holders))
+			out := make([]string, 0, len(holders))
 			for _, h := range holders {
 				out = append(out, fmt.Sprintf("%s@%d", h.User, id))
 			}
@@ -91,8 +92,8 @@ func (w *pruneWorld) deposit(node graph.NodeID, user int, body string) {
 }
 
 // run launches via start (pruned or not), drives the scheduler, and returns
-// the summary.
-func (w *pruneWorld) run(t *testing.T, origin graph.NodeID, p termProbe, pruned bool) Summary {
+// the summary and the pruning ledger.
+func (w *pruneWorld) run(t *testing.T, origin graph.NodeID, p termProbe, pruned bool) (SummaryOf[string], PruneStats) {
 	t.Helper()
 	var id uint64
 	var err error
@@ -105,19 +106,15 @@ func (w *pruneWorld) run(t *testing.T, origin graph.NodeID, p termProbe, pruned 
 		t.Fatal(err)
 	}
 	w.sched.Run()
-	res, ok := w.tree.Result(id)
+	res, _, st, ok := w.tree.Take(id)
 	if !ok {
 		t.Fatal("no result")
 	}
-	res.ID = id // convenience for QueryPruneStats lookups by callers
-	return res
+	return res, st
 }
 
-func itemSet(items []any) []string {
-	out := make([]string, 0, len(items))
-	for _, it := range items {
-		out = append(out, fmt.Sprint(it))
-	}
+func itemSet(items []string) []string {
+	out := slices.Clone(items)
 	sort.Strings(out)
 	return out
 }
@@ -128,7 +125,7 @@ func TestDistributePrunesProvenEmptySubtrees(t *testing.T) {
 	w.deposit(1, 100, "quarterly budget numbers")
 	w.tree.RefreshSketches()
 
-	res := w.run(t, 1, termProbe{Terms: []string{"budget"}}, true)
+	res, st := w.run(t, 1, termProbe{Terms: []string{"budget"}}, true)
 	if got := itemSet(res.Items); !reflect.DeepEqual(got, []string{"u100@1"}) {
 		t.Fatalf("items = %v, want the one holder", got)
 	}
@@ -138,7 +135,6 @@ func TestDistributePrunesProvenEmptySubtrees(t *testing.T) {
 	if res.Nodes != 1 {
 		t.Fatalf("visited %d nodes, want 1", res.Nodes)
 	}
-	st := w.tree.QueryPruneStats(res.ID)
 	if st.PrunedSubtrees == 0 || st.PrunedNodes != w.n-1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -175,8 +171,9 @@ func TestDistributeMatchesStartProperty(t *testing.T) {
 		}
 		origin := graph.NodeID(1 + rng.Intn(n))
 
-		want := itemSet(w.run(t, origin, probe, false).Items)
-		got := w.run(t, origin, probe, true)
+		full, _ := w.run(t, origin, probe, false)
+		want := itemSet(full.Items)
+		got, _ := w.run(t, origin, probe, true)
 		if !reflect.DeepEqual(itemSet(got.Items), want) {
 			t.Fatalf("seed %d: pruned run items %v != unpruned %v (probe %v)",
 				seed, itemSet(got.Items), want, probe.Terms)
@@ -195,18 +192,17 @@ func TestStaleSketchFailsOpen(t *testing.T) {
 	// A deposit after aggregation makes every cache covering node 9 stale.
 	w.deposit(9, 42, "the offsite agenda")
 
-	res := w.run(t, 1, termProbe{Terms: []string{"offsite"}}, true)
+	res, st := w.run(t, 1, termProbe{Terms: []string{"offsite"}}, true)
 	if got := itemSet(res.Items); !reflect.DeepEqual(got, []string{"u42@9"}) {
 		t.Fatalf("stale caches lost the match: items = %v", got)
 	}
-	st := w.tree.QueryPruneStats(res.ID)
 	if st.StaleOpen == 0 {
 		t.Fatalf("expected stale caches to fail open, stats = %+v", st)
 	}
 	// After re-aggregation the same query prunes the matchless branches and
 	// still finds the holder.
 	w.tree.RefreshSketches()
-	res2 := w.run(t, 1, termProbe{Terms: []string{"offsite"}}, true)
+	res2, _ := w.run(t, 1, termProbe{Terms: []string{"offsite"}}, true)
 	if got := itemSet(res2.Items); !reflect.DeepEqual(got, []string{"u42@9"}) {
 		t.Fatalf("fresh caches lost the match: items = %v", got)
 	}
@@ -223,7 +219,7 @@ func TestDistributeWithoutSketchHookEqualsStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run()
-	res, ok := bt.Result(id)
+	res, _, _, ok := bt.Take(id)
 	if !ok || res.Nodes != 6 || res.PrunedNodes != 0 {
 		t.Fatalf("result = %+v, %v", res, ok)
 	}
@@ -234,7 +230,7 @@ func TestPrunedNodeSetResolvesSubtrees(t *testing.T) {
 	w := newPruneWorld(t, 14, rng)
 	w.deposit(1, 1, "budget")
 	w.tree.RefreshSketches()
-	res := w.run(t, 1, termProbe{Terms: []string{"budget"}}, true)
+	res, _ := w.run(t, 1, termProbe{Terms: []string{"budget"}}, true)
 	set := w.tree.PrunedNodeSet(1, res.Pruned)
 	if len(set) != res.PrunedNodes {
 		t.Fatalf("expanded pruned set has %d nodes, summary says %d", len(set), res.PrunedNodes)
@@ -255,7 +251,7 @@ func TestDistributeUnderCrashStillFlagsUnavailable(t *testing.T) {
 	w.tree.RefreshSketches()
 	victim := graph.NodeID(5)
 	w.net.Crash(victim)
-	res := w.run(t, 1, termProbe{Terms: []string{"deadline"}}, true)
+	res, _ := w.run(t, 1, termProbe{Terms: []string{"deadline"}}, true)
 	found := false
 	for _, u := range res.Unavailable {
 		if u == victim {

@@ -36,7 +36,7 @@ type AttributeSystem struct {
 	// Backbone is the two-level MST structure broadcasts run over.
 	Backbone mst.BackboneResult
 
-	tree       *broadcast.Tree
+	tree       *broadcast.TreeOf[names.Name]
 	registries map[graph.NodeID]*attr.Registry
 }
 
@@ -79,24 +79,17 @@ func NewAttribute(cfg AttributeConfig) (*AttributeSystem, error) {
 		}
 		s.registries[n.ID] = reg
 	}
-	tree, err := broadcast.Setup(broadcast.Config{
+	tree, err := broadcast.SetupOf(broadcast.ConfigOf[names.Name]{
 		Net:     net,
 		Tree:    backbone.Combined,
 		Timeout: cfg.Timeout,
-		Eval: func(id graph.NodeID, query any) []any {
+		Eval: func(id graph.NodeID, query any) []names.Name {
 			q, ok := query.(attr.Query)
 			if !ok {
 				return nil
 			}
-			users, err := s.registries[id].Search(q)
-			if err != nil {
-				return nil
-			}
-			out := make([]any, len(users))
-			for i, u := range users {
-				out[i] = u
-			}
-			return out
+			users, _ := s.registries[id].Search(q) // a registry that cannot answer contributes nothing
+			return users
 		},
 	})
 	if err != nil {
@@ -142,22 +135,17 @@ func (s *AttributeSystem) Search(origin graph.NodeID, q attr.Query, targets map[
 		return SearchResult{}, err
 	}
 	s.Sched.Run()
-	sum, ok := s.tree.Result(id)
+	sum, _, _, ok := s.tree.Take(id)
 	if !ok {
 		return SearchResult{}, errors.New("core: search did not complete")
 	}
-	res := SearchResult{
+	slices.SortFunc(sum.Items, names.Compare)
+	return SearchResult{
+		Matches:       sum.Items,
 		Unavailable:   sum.Unavailable,
 		NodesSearched: sum.Nodes,
 		TrafficCost:   float64(s.Net.Stats().Get("cost_milli")-costBefore) / 1000,
-	}
-	for _, item := range sum.Items {
-		if u, ok := item.(names.Name); ok {
-			res.Matches = append(res.Matches, u)
-		}
-	}
-	slices.SortFunc(res.Matches, names.Compare)
-	return res, nil
+	}, nil
 }
 
 // FloodSearch is the naive baseline: the query is unicast from origin to

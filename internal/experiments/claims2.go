@@ -52,30 +52,30 @@ func E6ConvergecastFailures() Result {
 
 // mstBroadcastRun runs one broadcast over the topology's back-bone tree
 // with the given nodes crashed; each node contributes one item.
-func mstBroadcastRun(g *graph.Graph, crashed []graph.NodeID) (broadcast.Summary, error) {
+func mstBroadcastRun(g *graph.Graph, crashed []graph.NodeID) (broadcast.SummaryOf[graph.NodeID], error) {
 	res, err := backboneOf(g)
 	if err != nil {
-		return broadcast.Summary{}, err
+		return broadcast.SummaryOf[graph.NodeID]{}, err
 	}
 	net := netsim.New(sim.New(41), g)
-	bt, err := broadcast.Setup(broadcast.Config{
+	bt, err := broadcast.SetupOf(broadcast.ConfigOf[graph.NodeID]{
 		Net: net, Tree: res, Timeout: 20 * sim.Unit,
-		Eval: func(id graph.NodeID, q any) []any { return []any{id} },
+		Eval: func(id graph.NodeID, q any) []graph.NodeID { return []graph.NodeID{id} },
 	})
 	if err != nil {
-		return broadcast.Summary{}, err
+		return broadcast.SummaryOf[graph.NodeID]{}, err
 	}
 	for _, id := range crashed {
 		net.Crash(id)
 	}
 	qid, err := bt.Start(1, "q", nil)
 	if err != nil {
-		return broadcast.Summary{}, err
+		return broadcast.SummaryOf[graph.NodeID]{}, err
 	}
 	net.Scheduler().Run()
-	sum, ok := bt.Result(qid)
+	sum, _, _, ok := bt.Take(qid)
 	if !ok {
-		return broadcast.Summary{}, fmt.Errorf("experiments: no result")
+		return broadcast.SummaryOf[graph.NodeID]{}, fmt.Errorf("experiments: no result")
 	}
 	return sum, nil
 }

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/largemail/largemail/internal/faults"
@@ -98,5 +99,32 @@ func TestAttrScenarioWithFaults(t *testing.T) {
 	// means dead subtrees were silently merged or never hit.
 	if rep.Partial == 0 {
 		t.Fatalf("no partial summaries under a crash schedule: %+v", rep)
+	}
+}
+
+// TestAttrScenarioAllocBudget is the §3.3 workload's allocation budget per
+// deposited copy, at 20 000 users on 8 servers. What a copy still costs is
+// its Stored slot, each recipient's first-touch record and mailbox, and the
+// audit's truth and got sets; the convergecast that reports it adds the
+// evaluator's one []UserMatch per node: 3.78 measured. The parent paid 5.99: a boxed
+// UserMatch per copy, a re-copy of every item at every level of the tree, and
+// six objects per first-touched user instead of three.
+func TestAttrScenarioAllocBudget(t *testing.T) {
+	s := newAttrScenario(t, AttrConfig{
+		Seed: 1, Queries: 40,
+		Pop: Population{Users: 20000, Regions: 2, HostsPerRegion: 8, ServersPerRegion: 4, AuthorityLen: 2},
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := s.Run()
+	runtime.ReadMemStats(&after)
+	requireAttrClean(t, rep)
+	if rep.Deliveries < 20000 {
+		t.Fatalf("only %d copies deposited", rep.Deliveries)
+	}
+	perCopy := float64(after.Mallocs-before.Mallocs) / float64(rep.Deliveries)
+	t.Logf("%d copies, %.2f allocations per copy", rep.Deliveries, perCopy)
+	if perCopy > 4.2 {
+		t.Errorf("%.2f allocations per deposited copy, budget 4.2", perCopy)
 	}
 }

@@ -151,7 +151,6 @@ type AttrScenario struct {
 	net   *netsim.Network
 	reg   *obs.Registry
 	tree  *broadcast.Tree
-	adj   map[graph.NodeID][]graph.NodeID
 	store map[graph.NodeID]*mailstore.Store
 	aud   *Auditors
 	rng   *rand.Rand
@@ -160,7 +159,7 @@ type AttrScenario struct {
 	// name mail is deposited under and the attribute profile predicates are
 	// matched against — indexed by population index and filled on first
 	// touch (see resident).
-	residents []*attr.Profile
+	residents []*resident
 
 	pending   map[uint64]*attrQuery
 	pendingID []uint64 // launch order, for deterministic completion sweeps
@@ -184,7 +183,7 @@ func NewAttrScenario(cfg AttrConfig) (*AttrScenario, error) {
 		store:     make(map[graph.NodeID]*mailstore.Store),
 		pending:   make(map[uint64]*attrQuery),
 		undrained: make(map[graph.NodeID]map[int]bool),
-		residents: make([]*attr.Profile, cfg.Pop.Users),
+		residents: make([]*resident, cfg.Pop.Users),
 	}
 	g := s.buildTopology()
 	s.net = netsim.New(s.sched, g)
@@ -192,7 +191,6 @@ func NewAttrScenario(cfg AttrConfig) (*AttrScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.adj = bb.Combined.Adjacency()
 	for gs := 0; gs < s.pop.TotalServers(); gs++ {
 		st := mailstore.New(4)
 		st.EnableTermIndex()
@@ -265,22 +263,31 @@ func (s *AttrScenario) homeServer(u int) int {
 	return s.pop.RegionOf(u)*s.pop.ServersPerRegion + s.pop.HostOf(u)%s.pop.ServersPerRegion
 }
 
+// resident is one user's record in one allocation: the profile and the array
+// its Attrs point into.
+type resident struct {
+	attr.Profile
+	attrs [3]attr.Attribute
+}
+
 // resident returns user u's record. The population is virtual — a pure
 // function of the index — so a record is derived the first time a query, a
 // deposit or a sweep touches the user and kept from then on: a distribution
 // costs its audience one record each, once, not one per candidate per
 // evaluation. Only touched users are ever held.
 func (s *AttrScenario) resident(u int) *attr.Profile {
-	if p := s.residents[u]; p != nil {
-		return p
+	if r := s.residents[u]; r != nil {
+		return &r.Profile
 	}
-	p := &attr.Profile{User: s.pop.Name(u), Attrs: []attr.Attribute{
+	var buf [24]byte
+	r := &resident{attrs: [3]attr.Attribute{
 		{Type: attr.TypeInterest, Value: token(groupTokens, "g", u%s.cfg.Groups), Visibility: attr.Public},
 		{Type: attr.TypeCity, Value: attrCities[u%len(attrCities)], Visibility: attr.Public},
-		{Type: attr.TypeName, Value: "user" + strconv.Itoa(u), Visibility: attr.Public},
+		{Type: attr.TypeName, Value: string(strconv.AppendInt(append(buf[:0], "user"...), int64(u), 10)), Visibility: attr.Public},
 	}}
-	s.residents[u] = p
-	return p
+	r.Profile = attr.Profile{User: s.pop.Name(u), Attrs: r.attrs[:]}
+	s.residents[u] = r
+	return &r.Profile
 }
 
 // matchingOn enumerates group candidates homed on server gs and verifies
@@ -301,18 +308,16 @@ func (s *AttrScenario) matchingOn(gs, group int, q attr.Query) []int {
 // eval is the broadcast Evaluator. The payload is the typed
 // broadcast.AttrQuery shared with the tree layer: a mass distribution
 // deposits a copy for every local match (and ledgers it owed), a content
-// search evaluates the planner's terms against the term index. Items are
-// broadcast.UserMatch either way — the typed convergecast currency that
-// replaced space-joined "u<n>" tokens.
-func (s *AttrScenario) eval(node graph.NodeID, payload any) []any {
+// search evaluates the terms planned at the origin against the term index.
+// The returned slice is the tree's from here on.
+func (s *AttrScenario) eval(node graph.NodeID, payload any) []broadcast.UserMatch {
 	p, ok := payload.(broadcast.AttrQuery)
 	if !ok {
 		return nil
 	}
 	if p.Distribute {
-		gs := int(node - simServerBase - 1)
-		users := s.matchingOn(gs, p.Group, p.Query)
-		items := make([]any, 0, len(users))
+		users := s.matchingOn(int(node-simServerBase-1), p.Group, p.Query)
+		items := make([]broadcast.UserMatch, 0, len(users))
 		now := s.sched.Now()
 		for _, u := range users {
 			s.store[node].Deposit(s.resident(u).User, mail.Message{
@@ -328,9 +333,10 @@ func (s *AttrScenario) eval(node graph.NodeID, payload any) []any {
 		s.aud.RecordSubmit(p.MsgID.String(), users)
 		return items
 	}
-	var items []any
-	for _, u := range s.contentHolders(node, attr.PlanQuery(p.Query).Terms) {
-		items = append(items, broadcast.UserMatch{User: u, Node: node})
+	holders := s.contentHolders(node, p.Terms)
+	items := make([]broadcast.UserMatch, len(holders))
+	for i, u := range holders {
+		items[i] = broadcast.UserMatch{User: u, Node: node}
 	}
 	return items
 }
@@ -374,11 +380,10 @@ func (s *AttrScenario) launch(content bool) {
 		s.rep.Skipped++
 		return
 	}
-	if d := s.tree.MaxDepthFrom(origin); d > s.rep.MaxDepth {
-		s.rep.MaxDepth = d
-	}
+	depth := s.tree.MaxDepthFrom(origin)
+	s.rep.MaxDepth = max(s.rep.MaxDepth, depth)
 	q := &attrQuery{origin: origin, start: s.sched.Now(), content: content}
-	q.bound = q.start + s.cfg.Timeout*sim.Time(s.tree.MaxDepthFrom(origin)) + sim.Unit
+	q.bound = q.start + s.cfg.Timeout*sim.Time(depth) + sim.Unit
 	q.deadAtStart = s.downNodes(origin)
 
 	var payload broadcast.AttrQuery
@@ -395,15 +400,14 @@ func (s *AttrScenario) launch(content bool) {
 		q.truthByNode = make(map[graph.NodeID]map[int]bool)
 		for gs := 0; gs < s.pop.TotalServers(); gs++ {
 			id := serverID(gs)
-			holders := make(map[int]bool)
 			for _, u := range s.contentHolders(id, plan.Terms) {
-				holders[u] = true
-			}
-			if len(holders) > 0 {
-				q.truthByNode[id] = holders
+				if q.truthByNode[id] == nil {
+					q.truthByNode[id] = make(map[int]bool)
+				}
+				q.truthByNode[id][u] = true
 			}
 		}
-		payload = broadcast.AttrQuery{Group: -1, Query: query}
+		payload = broadcast.AttrQuery{Group: -1, Query: query, Terms: plan.Terms}
 	} else {
 		group := s.rng.Intn(s.cfg.Groups)
 		qs := fmt.Sprintf("interest=g%d", group)
@@ -456,75 +460,38 @@ func (s *AttrScenario) launch(content bool) {
 	s.pendingID = append(s.pendingID, id)
 }
 
-// excused returns every node in a subtree rooted at an unavailable child —
-// users homed there are excused from the delivery audit for this query.
-func (s *AttrScenario) excused(origin graph.NodeID, roots []graph.NodeID) map[graph.NodeID]bool {
-	if len(roots) == 0 {
-		return nil
-	}
-	// Parent relation from this origin.
-	parent := map[graph.NodeID]graph.NodeID{origin: origin}
-	queue := []graph.NodeID{origin}
-	for len(queue) > 0 {
-		at := queue[0]
-		queue = queue[1:]
-		for _, nb := range s.adj[at] {
-			if _, seen := parent[nb]; !seen {
-				parent[nb] = at
-				queue = append(queue, nb)
-			}
-		}
-	}
-	out := make(map[graph.NodeID]bool)
-	for _, r := range roots {
-		stack := []graph.NodeID{r}
-		for len(stack) > 0 {
-			at := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if out[at] {
-				continue
-			}
-			out[at] = true
-			for _, nb := range s.adj[at] {
-				if nb != parent[at] {
-					stack = append(stack, nb)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // harvest audits every completed in-flight query.
 func (s *AttrScenario) harvest() {
 	remaining := s.pendingID[:0]
 	for _, id := range s.pendingID {
 		q := s.pending[id]
-		sum, at, ok := s.tree.ResultAt(id)
+		sum, at, st, ok := s.tree.Take(id)
 		if !ok {
 			remaining = append(remaining, id)
 			continue
 		}
 		delete(s.pending, id)
-		s.audit(q, sum, at)
+		s.audit(q, sum, at, st)
 	}
 	s.pendingID = remaining
 }
 
 // audit holds one completed query to the §3.3 invariants.
-func (s *AttrScenario) audit(q *attrQuery, sum broadcast.Summary, at sim.Time) {
+func (s *AttrScenario) audit(q *attrQuery, sum broadcast.Summary, at sim.Time, st broadcast.PruneStats) {
 	// Bounded completion: the origin's own depth-scaled timer is the worst
 	// case; exceeding it means a parent failed to time out on a dead child.
 	if at > q.bound {
 		s.aud.RecordViolation(ViolationConvergecastBound,
 			fmt.Sprintf("query %d finished at %d, bound %d", q.id, at, q.bound))
 	}
-	excused := s.excused(q.origin, sum.Unavailable)
+	// Users homed under an unavailable root are excused from the delivery
+	// audit for this query.
+	excused := s.tree.PrunedNodeSet(q.origin, sum.Unavailable)
 	// Subtrees in sum.Pruned are excused *by proof*: a fresh sketch showed
 	// no possible match below, so they owe no items and no unavailability
 	// flag — but any ground-truth match inside one is a false negative,
 	// checked in auditContent.
-	prunedSet := s.excused(q.origin, sum.Pruned)
+	prunedSet := s.tree.PrunedNodeSet(q.origin, sum.Pruned)
 	if len(sum.Unavailable) > 0 {
 		s.rep.Partial++
 	}
@@ -542,13 +509,7 @@ func (s *AttrScenario) audit(q *attrQuery, sum broadcast.Summary, at sim.Time) {
 		}
 	}
 	got := make(map[int]bool)
-	for _, it := range sum.Items {
-		m, ok := it.(broadcast.UserMatch)
-		if !ok {
-			s.aud.RecordViolation(ViolationBroadcastLoss,
-				fmt.Sprintf("query %d: non-user item %v", q.id, it))
-			continue
-		}
+	for _, m := range sum.Items {
 		if got[m.User] {
 			s.aud.RecordViolation(ViolationBroadcastLoss,
 				fmt.Sprintf("query %d: u%d summarized twice", q.id, m.User))
@@ -562,7 +523,7 @@ func (s *AttrScenario) audit(q *attrQuery, sum broadcast.Summary, at sim.Time) {
 	if q.content {
 		s.rep.ContentQueries++
 		s.auditContent(q, got, excused, prunedSet)
-		s.recordPrune(q, sum, prunedSet)
+		s.recordPrune(sum, st, prunedSet)
 		lat := float64(at-q.start) / float64(sim.Unit)
 		s.reg.Histogram("lat_convergecast", nil).Observe(lat)
 		return
@@ -653,8 +614,7 @@ func (s *AttrScenario) auditContent(q *attrQuery, got map[int]bool, excused, pru
 // recordPrune folds one content query's pruning ledger into the report and
 // the obs counters, including the mailboxes-visited accounting the E22
 // comparison against E21 is built on.
-func (s *AttrScenario) recordPrune(q *attrQuery, sum broadcast.Summary, prunedSet map[graph.NodeID]bool) {
-	st := s.tree.QueryPruneStats(q.id)
+func (s *AttrScenario) recordPrune(sum broadcast.Summary, st broadcast.PruneStats, prunedSet map[graph.NodeID]bool) {
 	s.rep.PrunedSubtrees += st.PrunedSubtrees
 	s.rep.PrunedNodes += st.PrunedNodes
 	s.rep.VisitedNodes += sum.Nodes
