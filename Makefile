@@ -44,10 +44,12 @@ tier2-durability:
 # socket and the hello that switches framing, binary framing, pipelining (the
 # burst under faults included), the bounded worker pool, the pooled reader,
 # and the read path's plumbing: per-batch response flush (Coalesce, Flush),
-# pooled work items (WorkItem) and the hand-over retrieval (HandOver).
+# pooled work items (WorkItem), the hand-over retrieval (HandOver), getmail
+# bound to its agent on the reader (BinaryGetMailBoundOnReader) and the mailbox
+# slot a response gives back (ReleasedSlot, ReleaseTakes, OversizedBatch).
 .PHONY: tier2-wire
 tier2-wire:
-	go test -race -run 'RawTextPeer|HelloNegotiation|Pipeline|Binary|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver' ./internal/wire/ ./internal/server/
+	go test -race -run 'RawTextPeer|HelloNegotiation|Pipeline|Binary|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver|ReleasedSlot|ReleaseTakes|OversizedBatch' ./internal/wire/ ./internal/server/
 
 # Tier-2 balance slice: the pluggable placement seam under the race detector —
 # the policy unit tests (JSQ sampling, rebalancer hysteresis/budget/diversion),
@@ -107,11 +109,15 @@ tier2-retained:
 # overwritten with garbage instead of zeros, the hand-over retrievals and the
 # convergecast's handed-over item slices, and the allocation budgets of the
 # transit side (0 per warmed transfer or deposit cycle, 1 per warmed §3.3
-# query, 4.2 per copy the attr scenario deposits).
+# query, 4.2 per copy the attr scenario deposits). And the mailbox slot a wire
+# response gives back (mail.Release), scribbled on the same way and run ten
+# times: the hand-over schedules, the oversized batch, eight connections under
+# kill-restart.
 .PHONY: tier2-transit
 tier2-transit:
 	go test -race -run 'Recycled|Poisoned|BroadcastRefuses|TransitAllocs|TakeMail|HandedOver|DispatchAllocs|SendAllocs|ReusesRecord|TestSimSubmitAllocs|AllocBudget' \
 		./internal/netsim/ ./internal/server/ ./internal/client/ ./internal/locind/ ./internal/loadgen/ ./internal/broadcast/
+	go test -race -count=10 -run 'ReleasedSlot|ReleaseTakes|OversizedBatch|TestDrainFit' ./internal/mail/ ./internal/wire/ ./internal/livenet/
 
 # Tier-2 determinism gate: same seed ⇒ same bytes, as a test and not a habit.
 # One small mailbench run per architecture, faults off and on, executed twice;
@@ -214,7 +220,7 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 27016
+SIZE_CEILING = 27267
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:

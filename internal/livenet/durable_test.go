@@ -146,6 +146,72 @@ func TestClusterReopenRecovers(t *testing.T) {
 	}
 }
 
+// TestQDepthFollowsTheStoreAcrossRestarts: "<server>.qdepth", the gauge JSQ(d)
+// placement samples, is the buffered count after a reopen over a data
+// directory with a backlog, after a durable kill-restart and after a memory
+// one — not 0 and then negative, and not mail that died with the process.
+func TestQDepthFollowsTheStoreAcrossRestarts(t *testing.T) {
+	alice := names.Name{Region: "R0", Host: "h0", User: "alice"}
+	start := func(cfg ClusterConfig) (*Cluster, *Server) {
+		t.Helper()
+		c := NewClusterWith(cfg)
+		s, err := c.AddServer("s1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Directory().SetAuthority(alice, []string{"s1"})
+		return c, s
+	}
+	check := func(c *Cluster, s *Server, when string, want int64) {
+		t.Helper()
+		n, err := s.MailboxLen(alice)
+		if q := c.Obs().Gauge("s1.qdepth").Value(); err != nil || q != want || int64(n) != want {
+			t.Fatalf("%s: s1.qdepth = %d, mailbox holds %d (%v), want %d", when, q, n, err, want)
+		}
+	}
+	submit := func(c *Cluster, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := c.Submit(alice, []names.Name{alice}, "s", "b"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	restart := func(c *Cluster) {
+		t.Helper()
+		if err := c.KillServer("s1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RestartServer("s1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dir := t.TempDir()
+	c, s := start(ClusterConfig{DataDir: dir})
+	submit(c, 2)
+	check(c, s, "durable, two submits", 2)
+	c.Close()
+
+	c, s = start(ClusterConfig{DataDir: dir})
+	defer c.Close()
+	check(c, s, "reopened over the backlog", 2)
+	submit(c, 1)
+	restart(c)
+	check(c, s, "durable kill-restart", 3)
+	if got, err := s.CheckMail(alice); err != nil || len(got) != 3 {
+		t.Fatalf("CheckMail after the restart: %d messages, %v", len(got), err)
+	}
+	check(c, s, "drained", 0)
+
+	m, ms := start(ClusterConfig{})
+	defer m.Close()
+	submit(m, 1)
+	check(m, ms, "memory, one submit", 1)
+	restart(m)
+	check(m, ms, "memory kill-restart", 0)
+}
+
 // TestKilledGenerationMapsToServerDown: a caller that snapshotted a run
 // generation's quit channel, then observed its close only after a Kill AND a
 // complete Restart, must get retryable ErrServerDown — by then the killed

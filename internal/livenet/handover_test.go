@@ -3,6 +3,7 @@ package livenet
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -132,6 +133,44 @@ func TestHandOverMatchesCopyingGetMail(t *testing.T) {
 		}
 		if total == 0 {
 			t.Fatalf("seed %d delivered nothing: the schedule tests nothing", seed)
+		}
+	}
+}
+
+// TestMain runs every test of this package on scribbled slots: a mailbox slot
+// handed to mail.Release is overwritten with a plausible message, so a batch
+// read after its release, or a deposit that trusted its slot to be clear,
+// shows.
+func TestMain(m *testing.M) {
+	poison := mail.Stored{
+		Message: mail.Message{ID: mail.MessageID{Node: 666, Seq: 666}, From: bob, To: []names.Name{bob}, Subject: "poison", Body: "poison"},
+		Read:    true,
+	}
+	mail.AfterRelease = func(slot *mail.Stored) { *slot = poison }
+	os.Exit(m.Run())
+}
+
+// TestHandOverReleasedSlotsPoisoned: the same schedules with every batch
+// released by its last holder — copied out first, as a response encodes it —
+// so that each deposit into an empty mailbox draws a slot an earlier
+// retrieval gave back, scribbled on. Batches and agent state, retrieval by
+// retrieval, are what the copying GetMail produces with no slot ever reused.
+func TestHandOverReleasedSlotsPoisoned(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		want := runHandOverSchedule(t, seed, (*Agent).GetMail)
+		got := runHandOverSchedule(t, seed, func(a *Agent) []mail.Stored {
+			batch := a.TakeMail()
+			out := append([]mail.Stored(nil), batch...)
+			mail.Release(batch)
+			return out
+		})
+		if !reflect.DeepEqual(got.state, want.state) {
+			t.Fatalf("seed %d: agent state %q, want %q", seed, got.state, want.state)
+		}
+		for i := range want.batches {
+			if len(got.batches[i]) != len(want.batches[i]) || (len(want.batches[i]) > 0 && !reflect.DeepEqual(got.batches[i], want.batches[i])) {
+				t.Fatalf("seed %d retrieval %d:\n got %v\nwant %v", seed, i, got.batches[i], want.batches[i])
+			}
 		}
 	}
 }

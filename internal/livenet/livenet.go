@@ -110,6 +110,16 @@ func (d *Directory) lookup(user names.Name) (names.Name, []string) {
 	return user, nil
 }
 
+// Registered finds a registration by the tokens of its name as they lie in a
+// read buffer and returns the name it was made under, the directory's own
+// strings. The tokens are converted inside the map index: nothing is allocated.
+func (d *Directory) Registered(region, host, user []byte) (names.Name, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	e, ok := d.lists[names.Name{Region: string(region), Host: string(host), User: string(user)}]
+	return e.user, ok
+}
+
 // request is a unit of work executed by a server's loop goroutine. Requests
 // are pooled, and the two per-message operations carry their arguments and
 // result in typed fields, so a Deposit or CheckMail allocates neither a
@@ -374,6 +384,28 @@ func (s *Server) CheckMail(user names.Name) ([]mail.Stored, error) {
 	return s.call(opCheckMail, user, mail.Message{}, nil)
 }
 
+// CheckMailFit is CheckMail for a caller with no agent to hold what it cannot
+// pass on at once (the wire checkmail verb): fit is shown the buffered
+// messages on the server goroutine, read-only, and says how many of the
+// leading ones to take; the rest stay in the mailbox for the next call.
+func (s *Server) CheckMailFit(user names.Name, fit func([]mail.Stored) int) ([]mail.Stored, error) {
+	var out []mail.Stored
+	if err := s.callFn(func(st *serverState) { out = s.checkMail(st, user, fit) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// checkMail serves one poll; server goroutine only.
+func (s *Server) checkMail(st *serverState, user names.Name, fit func([]mail.Stored) int) []mail.Stored {
+	s.checks.Inc()
+	out := st.store.DrainFit(user, fit)
+	if n := len(out); n > 0 {
+		s.qdepth.Add(int64(-n))
+	}
+	return out
+}
+
 // MailboxLen reports buffered messages for a user.
 func (s *Server) MailboxLen(user names.Name) (int, error) {
 	n := 0
@@ -436,11 +468,7 @@ func (s *Server) loop(st *serverState, reqs chan *request, quit, done chan struc
 			case opDeposit:
 				s.deposit(st, req.msg, req.user)
 			case opCheckMail:
-				s.checks.Inc()
-				req.out = st.store.Drain(req.user)
-				if n := len(req.out); n > 0 {
-					s.qdepth.Add(int64(-n))
-				}
+				req.out = s.checkMail(st, req.user, nil)
 			default:
 				req.fn(st)
 			}
@@ -522,7 +550,8 @@ func (s *Server) Restart() error {
 	s.stopped = false
 	go s.loop(&serverState{store: st}, s.reqs, s.quit, s.done)
 	s.runMu.Unlock()
-	ts := st.LastStartTime() // zero on memory stores
+	s.qdepth.Set(st.TotalMessages()) // what the store recovered, not what the dead one held
+	ts := st.LastStartTime()         // zero on memory stores
 	if ts.IsZero() {
 		ts = time.Now()
 	}
@@ -692,6 +721,7 @@ func (c *Cluster) AddServer(name string) (*Server, error) {
 		done:     make(chan struct{}),
 		store:    st,
 	}
+	s.qdepth.Set(st.TotalMessages()) // a reopened data directory comes with its backlog
 	ts := st.LastStartTime()
 	if ts.IsZero() {
 		ts = time.Now()
@@ -991,10 +1021,24 @@ type Agent struct {
 // and the duplicate memory holds its first IDs inline; most agents poll an
 // empty mailbox on servers that are up, and never write either.
 func (c *Cluster) NewAgent(user names.Name) (*Agent, error) {
-	if len(c.dir.Authority(user)) == 0 {
-		return nil, fmt.Errorf("%w: %v", ErrNoAuthority, user)
+	a := new(Agent)
+	if err := c.InitAgent(a, user); err != nil {
+		return nil, err
 	}
-	return &Agent{user: user, cluster: c}, nil
+	return a, nil
+}
+
+// InitAgent is NewAgent in place, for an owner that keeps the agent inside a
+// record of its own: no allocation. The agent goes by the directory's copy of
+// the name, not the caller's, which may be a piece of a request many times its
+// size. On an error a is left as it was.
+func (c *Cluster) InitAgent(a *Agent, user names.Name) error {
+	user, list := c.dir.lookup(user)
+	if len(list) == 0 {
+		return fmt.Errorf("%w: %v", ErrNoAuthority, user)
+	}
+	*a = Agent{user: user, cluster: c}
+	return nil
 }
 
 // User returns the agent's name.

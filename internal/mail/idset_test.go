@@ -310,6 +310,15 @@ func TestMailboxFirstTouchAllocs(t *testing.T) {
 	}); n > 2 {
 		t.Errorf("second and third Deposit: %v allocs, want ≤ 2 (one []Stored each, the IDs inline)", n)
 	}
+	// A batch its last holder released is the next deposit's slot.
+	next := msg(3, "next")
+	if n := testing.AllocsPerRun(200, func() {
+		Release(b.Drain())
+		next.ID.Seq++
+		b.Deposit(next, 0)
+	}); n != 0 {
+		t.Errorf("Deposit after a released Drain: %v allocs, want 0 (the slot comes back)", n)
+	}
 }
 
 // runsOf returns a spilled set's runs as {node, lo, hi} triples.

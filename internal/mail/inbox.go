@@ -46,8 +46,8 @@ func (in Inbox) Newest(n int) []Stored { return in[len(in)-n:] }
 func (in Inbox) Since(mark int) []Stored { return append([]Stored(nil), in[mark:]...) }
 
 // Take hands over the messages from mark on, not copied, and forgets all that
-// is held. The batch may be a slice a mailbox gave away (see Absorb): whoever
-// holds it must not write to it.
+// is held. The batch may be a slice a mailbox gave away (see Absorb): it is
+// read-only for every holder; the last one may Release it.
 func (in *Inbox) Take(mark int) []Stored {
 	out := (*in)[mark:]
 	*in = nil

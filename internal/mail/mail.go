@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/names"
@@ -168,6 +169,9 @@ func (b *Mailbox) Deposit(m Message, at sim.Time) bool {
 	if !b.seen.Add(m.ID) {
 		return false
 	}
+	if b.msgs == nil {
+		b.msgs = slots.Get().(*[1]Stored)[:0]
+	}
 	b.msgs = append(b.msgs, Stored{Message: m, ArrivedAt: at})
 	b.bytes += m.Size()
 	if b.journaling {
@@ -175,6 +179,38 @@ func (b *Mailbox) Deposit(m Message, at sim.Time) bool {
 	}
 	return true
 }
+
+// slots is where an empty mailbox gets the one-slot array its next message
+// goes into: most mailboxes hold one message between two retrievals, and the
+// drain that empties one gives its array away. Release brings it back.
+var slots = sync.Pool{New: func() any { return new([1]Stored) }}
+
+// Release is for the last holder of a batch a mailbox drained and gave away
+// (Drain, and from there Inbox.Take): once nothing will read msgs again, a
+// batch that is one message filling its array goes back, cleared, to the next
+// Deposit into an empty mailbox. Anything else is left to the garbage
+// collector, so a caller releases what it was handed without looking — but
+// never one element of an array something else still reads: whoever splits a
+// batch keeps the pieces away from here. (A one-message batch its mailbox
+// compacted out of a longer array may come clipped to look like a slot; its
+// holder owns that whole array, whose other slots Remove and Cleanup cleared.)
+func Release(msgs []Stored) {
+	if len(msgs) != 1 || cap(msgs) != 1 {
+		return
+	}
+	slot := (*[1]Stored)(msgs)
+	slot[0] = Stored{}
+	if AfterRelease != nil {
+		AfterRelease(&slot[0])
+	}
+	slots.Put(slot)
+}
+
+// AfterRelease, when a test sets it (in its TestMain: it is read
+// unsynchronised), is handed every slot Release has just cleared. The test
+// scribbles on the slot, so a holder that reads a batch it has released sees
+// nonsense and not plausible zeros; Deposit overwrites the slot whole.
+var AfterRelease func(*Stored)
 
 // Len reports the number of stored messages.
 func (b *Mailbox) Len() int { return len(b.msgs) }
@@ -198,6 +234,28 @@ func (b *Mailbox) Drain() []Stored {
 	}
 	b.msgs = nil
 	b.bytes = 0
+	return out
+}
+
+// DrainFit is Drain for a caller that can pass on only so much at a time: fit
+// is shown the stored messages, which it must neither write nor keep, and says
+// how many of the leading ones to take. All of them is a Drain; fewer are
+// removed by ID (Remove, the journaled eviction) and returned as the caller's
+// own copy, and the rest stay for the next call. A nil fit takes everything.
+func (b *Mailbox) DrainFit(fit func([]Stored) int) []Stored {
+	n := len(b.msgs)
+	if fit != nil {
+		n = fit(b.msgs)
+	}
+	if n >= len(b.msgs) {
+		return b.Drain()
+	}
+	out := append([]Stored(nil), b.msgs[:n]...)
+	ids := make([]MessageID, n)
+	for i := range out {
+		ids[i] = out[i].ID
+	}
+	b.Remove(ids...)
 	return out
 }
 
@@ -273,6 +331,7 @@ func (b *Mailbox) Remove(ids ...MessageID) int {
 		}
 		kept = append(kept, b.msgs[i])
 	}
+	clear(b.msgs[len(kept):]) // a vacated slot pins no body
 	b.msgs = kept
 	if b.journaling && removed > 0 {
 		b.journal = append(b.journal, Op{Kind: OpEvict, IDs: removedIDs})
@@ -362,6 +421,7 @@ func (b *Mailbox) Cleanup(p Retention, now sim.Time) []Stored {
 			}
 			kept = append(kept, b.msgs[i])
 		}
+		clear(b.msgs[len(kept):])
 		b.msgs = kept
 	}
 	if p.MaxMessages > 0 && len(b.msgs) > p.MaxMessages {
@@ -374,6 +434,7 @@ func (b *Mailbox) Cleanup(p Retention, now sim.Time) []Stored {
 			}
 			kept = append(kept, b.msgs[i])
 		}
+		clear(b.msgs[len(kept):])
 		b.msgs = kept
 	}
 	if b.journaling && len(evicted) > 0 {

@@ -612,3 +612,43 @@ func TestDurableCloseLatchesAppends(t *testing.T) {
 		t.Fatal("fresh store carries stale error")
 	}
 }
+
+// TestDurableDrainFit: a partial drain takes the leading messages it is told
+// to, keeps the counters and the term index exact for what stays, and is on
+// disk as what it did — the reopened store holds the rest, in order, and still
+// remembers the IDs that left.
+func TestDurableDrainFit(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.EnableTermIndex()
+	u1 := duser(1)
+	for seq, body := range []string{"alpha", "beta", "gamma"} {
+		st.Deposit(u1, dmsg(uint64(seq+1), u1, body), 1)
+	}
+	got := st.DrainFit(u1, func(buffered []mail.Stored) int { return len(buffered) - 1 })
+	if len(got) != 2 || got[0].Body != "alpha" || got[1].Body != "beta" {
+		t.Fatalf("DrainFit = %v, want the two leading messages", ids(got))
+	}
+	if len(st.SearchTerms([]string{"alpha"})) != 0 || len(st.SearchTerms([]string{"gamma"})) != 1 {
+		t.Error("term index out of step with the partial drain")
+	}
+	want := func() map[string][]mail.MessageID {
+		return map[string][]mail.MessageID{u1.String(): {{Node: 1, Seq: 3}}}
+	}
+	requireState(t, st, want())
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	requireState(t, re, want())
+	if re.Deposit(u1, dmsg(1, u1, "alpha"), 2) {
+		t.Error("a message the partial drain took was deposited again after the reopen")
+	}
+}

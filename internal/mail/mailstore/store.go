@@ -175,7 +175,13 @@ func (s *Store) Deposit(user names.Name, m mail.Message, at sim.Time) bool {
 // Drain removes and returns the user's stored messages in arrival order,
 // releasing their term-index references.
 func (s *Store) Drain(user names.Name) []mail.Stored {
-	return s.drainIndexed(user)
+	return s.drainIndexed(user, nil)
+}
+
+// DrainFit is Drain taking only the leading messages fit accepts and leaving
+// the rest buffered (mail.Mailbox.DrainFit); fit runs under the shard lock.
+func (s *Store) DrainFit(user names.Name, fit func([]mail.Stored) int) []mail.Stored {
+	return s.drainIndexed(user, fit)
 }
 
 // Peek returns the user's stored messages without removing them.

@@ -261,9 +261,9 @@ func (s *Store) depositIndexed(user names.Name, m mail.Message, at sim.Time) boo
 	return fresh
 }
 
-// drainIndexed is the native Drain body; drained messages release their
-// index references.
-func (s *Store) drainIndexed(user names.Name) []mail.Stored {
+// drainIndexed is the native Drain and DrainFit body (fit nil: everything);
+// drained messages release their index references.
+func (s *Store) drainIndexed(user names.Name, fit func([]mail.Stored) int) []mail.Stored {
 	i := s.shardIndex(user)
 	sh := &s.shards[i]
 	sh.mu.Lock()
@@ -274,7 +274,7 @@ func (s *Store) drainIndexed(user names.Name) []mail.Stored {
 	}
 	l0, b0 := mb.Len(), mb.Bytes()
 	s.lend(i, mb)
-	out := mb.Drain()
+	out := mb.DrainFit(fit)
 	sh.msgs += int64(mb.Len() - l0)
 	sh.bytes += int64(mb.Bytes() - b0)
 	if s.w != nil {

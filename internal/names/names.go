@@ -13,6 +13,7 @@
 package names
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -107,15 +108,25 @@ func validateToken(tok string) error {
 	if tok == "" {
 		return ErrEmptyToken
 	}
-	for i, r := range tok {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-		case (r == '-' || r == '_') && i > 0:
-		default:
-			return fmt.Errorf("%w: %q", ErrBadToken, tok)
-		}
+	if !inAlphabet(tok) {
+		return fmt.Errorf("%w: %q", ErrBadToken, tok)
 	}
 	return nil
+}
+
+// inAlphabet reports whether a non-empty token is drawn from the naming
+// alphabet: letters and digits, hyphen and underscore after the first
+// character. Every byte of a multi-byte rune is outside it.
+func inAlphabet[T string | []byte](tok T) bool {
+	for i := 0; i < len(tok); i++ {
+		switch c := tok[i]; {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
+		case (c == '-' || c == '_') && i > 0:
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // Parse parses "region.host.user" (or "region@host@user") into a Name and
@@ -137,6 +148,27 @@ func Parse(s string) (Name, error) {
 		return Name{}, err
 	}
 	return n, nil
+}
+
+// Tokens is Parse for a name still in a read buffer: it cuts text into its
+// three tokens, which alias text, and reports ok exactly where
+// Parse(string(text)) succeeds. A caller that only looks the name up converts
+// the tokens inside the map index expression and so allocates nothing.
+func Tokens(text []byte) (region, host, user []byte, ok bool) {
+	sep := byte('.')
+	if bytes.IndexByte(text, sep) < 0 && bytes.IndexByte(text, '@') >= 0 {
+		sep = '@'
+	}
+	i := bytes.IndexByte(text, sep)
+	j := bytes.LastIndexByte(text, sep)
+	if i <= 0 || j <= i+1 || j == len(text)-1 || bytes.IndexByte(text[i+1:j], sep) >= 0 {
+		return nil, nil, nil, false
+	}
+	region, host, user = text[:i], text[i+1:j], text[j+1:]
+	if !inAlphabet(region) || !inAlphabet(host) || !inAlphabet(user) {
+		return nil, nil, nil, false
+	}
+	return region, host, user, true
 }
 
 // MustParse is Parse for static test fixtures; it panics on error.

@@ -71,15 +71,21 @@ func parseBySplit(s string) (Name, error) {
 
 // TestParseMatchesSplit: same name or same error text as the Split-based
 // parser, on every string of up to six characters over an alphabet that
-// holds both delimiters, a valid and an invalid token character.
+// holds both delimiters, a valid token character, an invalid one and one of
+// two bytes — and Tokens, on the same bytes, cuts the same three tokens where
+// Parse succeeds and reports false where it does not.
 func TestParseMatchesSplit(t *testing.T) {
-	const alphabet = "a.@-!"
+	const alphabet = "a.@-!é"
 	var walk func(prefix string)
 	walk = func(prefix string) {
 		got, err := Parse(prefix)
 		want, wantErr := parseBySplit(prefix)
 		if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("Parse(%q) = %v, %v; the Split parser gives %v, %v", prefix, got, err, want, wantErr)
+		}
+		r, h, u, ok := Tokens([]byte(prefix))
+		if cut := (Name{string(r), string(h), string(u)}); ok != (err == nil) || cut != got {
+			t.Fatalf("Tokens(%q) = %v, %v; Parse gives %v, %v", prefix, cut, ok, got, err)
 		}
 		if len(prefix) < 6 {
 			for _, c := range alphabet {
@@ -99,6 +105,18 @@ func TestParseAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("Parse(%q): %v allocs, want 0", in, n)
 		}
+	}
+	// Tokens and a map lookup keyed by them: nothing, however long the tokens.
+	long := strings.Repeat("u", 100)
+	text := []byte("R1.h12." + long)
+	table := map[Name]int{{Region: "R1", Host: "h12", User: long}: 7}
+	if n := testing.AllocsPerRun(1000, func() {
+		r, h, u, ok := Tokens(text)
+		if !ok || table[Name{Region: string(r), Host: string(h), User: string(u)}] != 7 {
+			t.Fatal("registered name not found by its tokens")
+		}
+	}); n != 0 {
+		t.Errorf("Tokens + lookup: %v allocs, want 0", n)
 	}
 }
 

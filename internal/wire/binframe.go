@@ -388,7 +388,11 @@ func AppendBinaryResponse(dst []byte, op byte, tag uint32, resp Response) ([]byt
 	dst = append(dst, 1)
 	switch op {
 	case binOpSubmit:
-		dst = appendStr(dst, resp.ID)
+		if resp.id.IsZero() {
+			dst = appendStr(dst, resp.ID)
+		} else {
+			dst = appendID(dst, resp.id)
+		}
 	case binOpTBatch:
 		dst = binary.AppendUvarint(dst, uint64(len(resp.IDs)))
 		for _, id := range resp.IDs {
@@ -434,16 +438,22 @@ func appendStored(dst []byte, msgs []mail.Stored) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(msgs)))
 	for i := range msgs {
 		m := &msgs[i]
-		// "m<int64>-<uint64>" is at most 42 bytes, so its uvarint length is
-		// the one byte reserved here.
-		at := len(dst)
-		dst = m.ID.AppendTo(append(dst, 0))
-		dst[at] = byte(len(dst) - at - 1)
+		dst = appendID(dst, m.ID)
 		dst = binary.AppendUvarint(dst, uint64(m.From.TextLen()))
 		dst = m.From.AppendTo(dst)
 		dst = appendStr(dst, m.Subject)
 		dst = appendStr(dst, m.Body)
 	}
+	return dst
+}
+
+// appendID appends id as appendStr(dst, id.String()) would, without building
+// the string. "m<int64>-<uint64>" is at most 42 bytes, so its uvarint length
+// is the one byte reserved here.
+func appendID(dst []byte, id mail.MessageID) []byte {
+	at := len(dst)
+	dst = id.AppendTo(append(dst, 0))
+	dst[at] = byte(len(dst) - at - 1)
 	return dst
 }
 

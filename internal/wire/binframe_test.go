@@ -259,6 +259,14 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{3, 0, 0, 0, 1, 2, 3, 0, 0, 0, 0})
+	// The reader's own decoder runs against a server that knows one of the
+	// seeds' users (and no connection: nothing is queued).
+	s, err := NewServer("127.0.0.1:0", []string{"s1"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	s.cluster.Directory().SetAuthority(names.MustParse("R1.h1.bob"), []string{"s1"})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, _, err := splitFrame(data)
 		if err != nil {
@@ -268,8 +276,25 @@ func FuzzBinaryFrame(f *testing.F) {
 		// agree with the reference decoders on it.
 		sameDecode(t, payload)
 		req, tag, err := DecodeBinaryRequest(payload)
+		// So must the decoder the server's reader runs, which agrees with
+		// DecodeBinaryRequest on everything but how a getmail names its user:
+		// by the agent it was bound to, when the name is a registered user's.
+		bound, btag, berr := s.decodeFrame(payload)
+		if (berr == nil) != (err == nil) || btag != tag || (err != nil && berr.Error() != err.Error()) {
+			t.Fatalf("reader decodes (%v, tag %d), DecodeBinaryRequest (%v, tag %d)", berr, btag, err, tag)
+		}
 		if err != nil {
 			return
+		}
+		if bound.agent != nil {
+			user, perr := names.Parse(req.User)
+			if perr != nil || bound.agent.a.User() != user || req.Op != "getmail" || bound.User != "" {
+				t.Fatalf("%+v bound to %v's agent (its user parses: %v)", req, bound.agent.a.User(), perr)
+			}
+			bound.agent, bound.User = nil, req.User
+		}
+		if !reflect.DeepEqual(bound, req) {
+			t.Fatalf("reader decodes %+v, DecodeBinaryRequest %+v", bound, req)
 		}
 		// Canonical fixed point at the frame level: one re-encode may
 		// normalize (a JSON-op frame whose op names a hot verb re-encodes

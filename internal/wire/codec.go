@@ -31,6 +31,11 @@ type Request struct {
 	// Query carries an attr.Query in its canonical text form on query
 	// requests, e.g. "content=budget".
 	Query string `json:"query,omitempty"`
+	// agent, on the server, is the user's agent a native getmail frame was
+	// bound to by the connection's reader (Server.bind); User is then empty —
+	// no string was made of it. Nil for every other request, and for a getmail
+	// whose user the reader could not resolve, which goes by User.
+	agent *userAgent
 }
 
 // BatchMsg is one message of a tbatch request. The whole batch shares the
@@ -96,13 +101,19 @@ type Response struct {
 	Code     string    `json:"code,omitempty"`
 	ID       string    `json:"id,omitempty"`
 	Messages []Message `json:"messages,omitempty"`
+	// id, on the server, is a submit's ID still as the cluster minted it; a
+	// native ack is formatted from it straight into the frame and only a JSON
+	// one makes the string (ID).
+	id mail.MessageID
 	// Binary, on hello responses, says the connection speaks the binary
 	// framing from the next request on.
 	Binary bool `json:"binary,omitempty"`
 	// stored, on the server, is a getmail/checkmail result still in the form
 	// the mailbox gave it up in; binary responses are encoded straight from
 	// it (appendStored) and text ones convert it to Messages. Read only: the
-	// slice may be one a mailbox handed over (livenet.Agent.TakeMail).
+	// slice may be one a mailbox handed over (livenet.Agent.TakeMail). The
+	// response is its last holder: connState.respond encodes it and then
+	// hands it to mail.Release.
 	stored []mail.Stored
 	// Polls is the user's cumulative server-poll count after a getmail walk;
 	// LastChecking is the walk's LastCheckingTime in UnixNano.

@@ -260,8 +260,8 @@ func TestFlushStalledPeerClosesConnection(t *testing.T) {
 // TestWorkItemRecycledClean poisons the work-item pool, drives real traffic
 // through it, and then empties it again. Every request must be served from
 // its own fields alone (enqueue overwrites a recycled item completely), and
-// no item may come back from a request still holding its body, its tag or
-// its connection.
+// no item may come back from a request still holding its body, its tag, its
+// connection or the agent it was bound to.
 func TestWorkItemRecycledClean(t *testing.T) {
 	s, err := NewServerWith("127.0.0.1:0", []string{"s1"}, ServerConfig{WireWorkers: 4})
 	if err != nil {
@@ -274,6 +274,7 @@ func TestWorkItemRecycledClean(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		workPool.Put(&work{st: ghost, tag: 0xdeadbeef, bin: true, op: binOpCheckMail, req: Request{
 			Op: "crash", Server: "s1", User: "R9.h9.poison", Body: "POISON", To: []string{"R1.h1.bob"}, Msgs: []BatchMsg{{Body: "POISON"}},
+			agent: new(userAgent),
 		}})
 	}
 	p, err := c.Pipeline(context.Background(), 32)
@@ -310,7 +311,7 @@ func TestWorkItemRecycledClean(t *testing.T) {
 		if w.st == ghost {
 			continue // a poisoned item no request drew
 		}
-		if w.st != nil || w.tag != 0 || w.bin || w.op != 0 || w.req.Op != "" || w.req.Body != "" || w.req.To != nil || w.req.Msgs != nil {
+		if w.st != nil || w.tag != 0 || w.bin || w.op != 0 || w.req.Op != "" || w.req.Body != "" || w.req.To != nil || w.req.Msgs != nil || w.req.agent != nil {
 			t.Fatalf("pooled work item still holds its request: %+v", *w)
 		}
 	}

@@ -43,11 +43,13 @@ func fillMailbox(t *testing.T, c *Client, from, to string, n int) []string {
 // TestGetMailOversizedBatchArrivesInParts: a mailbox holding more than one
 // response can carry is handed out over several getmails — every ID exactly
 // once, in order, no response an error — on the text framing, on the binary
-// one, and for a JSON getmail wrapped in a binary frame. At the parent the
-// first getmail drained the mailbox and answered "response too large".
+// one, and for a JSON getmail wrapped in a binary frame; and over several
+// checkmails on its first authority server, where what does not fit stays in
+// the mailbox. Before each verb learnt to take only what it can carry, its
+// first call drained the mailbox and answered "response too large".
 func TestGetMailOversizedBatchArrivesInParts(t *testing.T) {
 	const n = 1500 // × 1 KB: past MaxLine in any encoding
-	for _, framing := range []string{"text", "binary", "json-in-binary"} {
+	for _, framing := range []string{"text", "binary", "json-in-binary", "checkmail-text", "checkmail-binary"} {
 		t.Run(framing, func(t *testing.T) {
 			s := newServer(t)
 			c := newClient(t, s)
@@ -61,8 +63,18 @@ func TestGetMailOversizedBatchArrivesInParts(t *testing.T) {
 				}
 				return msgs
 			}
+			checkmail := strings.HasPrefix(framing, "checkmail")
+			if checkmail {
+				getmail = func() []Message {
+					resp, err := c.Do(Request{Op: "checkmail", User: "R1.h1.bob", Server: "s1"})
+					if err != nil {
+						t.Fatalf("checkmail: %v", err)
+					}
+					return resp.Messages
+				}
+			}
 			switch framing {
-			case "binary":
+			case "binary", "checkmail-binary":
 				if err := c.Negotiate(context.Background()); err != nil {
 					t.Fatal(err)
 				}
@@ -111,6 +123,13 @@ func TestGetMailOversizedBatchArrivesInParts(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("message %d is %s, want %s: parts out of order or repeated", i, got[i], want[i])
 				}
+			}
+			if checkmail {
+				s1, _ := s.cluster.Server("s1")
+				if q := s.cluster.Obs().Gauge("s1.qdepth").Value(); q != 0 || s1.Checks() != int64(responses+1) {
+					t.Errorf("after %d checkmails: s1.qdepth = %d, s1.checks = %d", responses+1, q, s1.Checks())
+				}
+				return
 			}
 			s.agentMu.Lock()
 			held := s.agents[names.MustParse("R1.h1.bob")].a.Inbox()

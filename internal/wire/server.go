@@ -117,10 +117,11 @@ type Server struct {
 }
 
 // userAgent is one user's server-side agent and the lock that makes it the
-// single actor livenet.Agent requires, whichever connections poll for it.
+// single actor livenet.Agent requires, whichever connections poll for it: one
+// allocation per user, made by the user's first getmail.
 type userAgent struct {
 	mu sync.Mutex
-	a  *livenet.Agent
+	a  livenet.Agent
 }
 
 // NewServer builds a memory-backed cluster with the given server names and
@@ -248,8 +249,13 @@ func (st *connState) respond(bin bool, op byte, tag uint32, resp Response) {
 		st.out = getFrameBuf()
 	}
 	buf := *st.out
-	if resp.stored != nil && (!bin || op == binOpJSON) {
-		resp.Messages = wireMessages(resp.stored) // JSON has no stored form
+	if !bin || op == binOpJSON { // JSON has no stored form, and IDs are strings there
+		if resp.stored != nil {
+			resp.Messages = wireMessages(resp.stored)
+		}
+		if !resp.id.IsZero() {
+			resp.ID = resp.id.String()
+		}
 	}
 	if bin {
 		var err error
@@ -263,6 +269,9 @@ func (st *connState) respond(bin bool, op byte, tag uint32, resp Response) {
 		}
 		buf = append(buf, line...)
 	}
+	// Encoded, or refused as too large: either way nothing reads the batch
+	// again, and its strings have been copied into buf or into Messages.
+	mail.Release(resp.stored)
 	*st.out = buf
 	if len(buf) >= outFlushSize {
 		st.writeLocked()
@@ -410,8 +419,13 @@ func (s *Server) serveBinaryFrame(cr *connReader, framep *[]byte, q *server.Work
 		}
 		return false
 	}
+	return s.servePayload(payload, q, st)
+}
+
+// servePayload decodes one checksummed frame payload and queues the request.
+func (s *Server) servePayload(payload []byte, q *server.WorkQueue, st *connState) bool {
 	start := time.Now()
-	req, tag, derr := DecodeBinaryRequest(payload)
+	req, tag, derr := s.decodeFrame(payload)
 	s.decodeLat.Observe(float64(time.Since(start)))
 	if derr != nil {
 		// The frame checksummed clean but the payload is malformed: the
@@ -420,6 +434,76 @@ func (s *Server) serveBinaryFrame(cr *connReader, framep *[]byte, q *server.Work
 		return false
 	}
 	return s.enqueue(q, st, req, tag, true)
+}
+
+// decodeFrame is DecodeBinaryRequest as a connection's reader runs it. A
+// native getmail — what a poll loop sends, nearly always to find nothing — is
+// bound to its user's agent here, from the frame's bytes: no string is made of
+// the name, and the worker neither parses it nor looks it up. A name bind
+// cannot resolve is no error yet: the request goes on by name, and opGetMail
+// answers in its own words when its turn comes. Bytes behind the name are
+// ignored, as DecodeBinaryRequest ignores them.
+func (s *Server) decodeFrame(payload []byte) (Request, uint32, error) {
+	if len(payload) == 0 || payload[0] != binOpGetMail {
+		return DecodeBinaryRequest(payload)
+	}
+	r := binReader{b: payload}
+	r.byte1()
+	tag := r.u32()
+	user := r.bytes()
+	if r.bad {
+		return Request{}, tag, errBadPayload
+	}
+	req := Request{Op: "getmail"}
+	if req.agent = s.bind(user); req.agent == nil {
+		req.User = string(user)
+	}
+	return req, tag, nil
+}
+
+// bind resolves a user's name, still text in the read buffer, to the user's
+// agent: from the agent table or, at a user's first getmail, made under the
+// name the directory registered. Nil when the text is no name or names no
+// registered user — one whose register is still queued ahead of this frame on
+// the same connection included.
+func (s *Server) bind(text []byte) *userAgent {
+	region, host, user, ok := names.Tokens(text)
+	if !ok {
+		return nil
+	}
+	s.agentMu.Lock()
+	ua := s.agents[names.Name{Region: string(region), Host: string(host), User: string(user)}]
+	s.agentMu.Unlock()
+	if ua == nil {
+		if registered, ok := s.cluster.Directory().Registered(region, host, user); ok {
+			ua, _ = s.agentFor(registered)
+		}
+	}
+	return ua
+}
+
+// agentFor returns the user's agent, making it at the user's first getmail.
+// The directory is read outside agentMu; of two first getmails that race, one
+// agent is kept and both use it.
+func (s *Server) agentFor(user names.Name) (*userAgent, error) {
+	s.agentMu.Lock()
+	ua := s.agents[user]
+	s.agentMu.Unlock()
+	if ua != nil {
+		return ua, nil
+	}
+	ua = new(userAgent)
+	if err := s.cluster.InitAgent(&ua.a, user); err != nil {
+		return nil, err
+	}
+	s.agentMu.Lock()
+	if first := s.agents[user]; first != nil {
+		ua = first
+	} else {
+		s.agents[ua.a.User()] = ua // keyed by the directory's strings, as the agent is named
+	}
+	s.agentMu.Unlock()
+	return ua, nil
 }
 
 // answerAndFlush is the reader's own answer to input it cannot queue (an
@@ -475,7 +559,7 @@ func (s *Server) dispatch(req Request, st *connState, native bool) Response {
 	case "query":
 		return s.opQuery(req)
 	case "checkmail":
-		return s.opCheckMail(req)
+		return s.opCheckMail(req, native)
 	case "getmail":
 		return s.opGetMail(req, native)
 	case "status":
@@ -554,7 +638,7 @@ func (s *Server) opSubmit(req Request) Response {
 	if err != nil {
 		return failErr("submit", err)
 	}
-	return Response{OK: true, ID: id.String()}
+	return Response{OK: true, id: id}
 }
 
 // opTBatch submits a batch of messages sharing one sender in a single
@@ -670,7 +754,10 @@ func (s *Server) opQuery(req Request) Response {
 	return Response{OK: true, Matches: matches, QueryStats: &stats}
 }
 
-func (s *Server) opCheckMail(req Request) Response {
+// opCheckMail takes from one server's mailbox what one response can carry and
+// leaves the rest there: a drained batch answered with "response too large"
+// would be mail lost, and this verb has no agent to hold a remainder.
+func (s *Server) opCheckMail(req Request, native bool) Response {
 	user, err := names.Parse(req.User)
 	if err != nil {
 		return fail("user: %v", err)
@@ -679,7 +766,7 @@ func (s *Server) opCheckMail(req Request) Response {
 	if !ok {
 		return fail("unknown server %q", req.Server)
 	}
-	msgs, err := srv.CheckMail(user)
+	msgs, err := srv.CheckMailFit(user, func(buffered []mail.Stored) int { return fitResponse(buffered, native) })
 	if err != nil {
 		return failErr("checkmail", err)
 	}
@@ -687,33 +774,33 @@ func (s *Server) opCheckMail(req Request) Response {
 }
 
 func (s *Server) opGetMail(req Request, native bool) Response {
-	user, err := names.Parse(req.User)
-	if err != nil {
-		return fail("user: %v", err)
-	}
-	s.agentMu.Lock()
-	ua := s.agents[user]
-	if ua == nil {
-		agent, err := s.cluster.NewAgent(user)
+	ua := req.agent
+	if ua == nil { // a text line, a JSON frame, or a user the reader could not resolve
+		user, err := names.Parse(req.User)
 		if err != nil {
-			s.agentMu.Unlock()
+			return fail("user: %v", err)
+		}
+		if ua, err = s.agentFor(user); err != nil {
 			return failErr("getmail", err)
 		}
-		ua = &userAgent{a: agent}
-		s.agents[user] = ua
 	}
-	s.agentMu.Unlock()
 	// The response takes the batch over: agents live as long as the server,
 	// so one that kept its inbox would retain every body it ever returned.
 	// It takes only what it can carry: the walk has emptied the mailboxes, so
 	// a batch answered with "response too large" would be mail lost. The
 	// prefix that fits goes out, the rest goes back to the agent's inbox and
-	// leads the next getmail's batch.
+	// leads the next getmail's batch. Neither half of a split batch may look
+	// like a whole one-slot array to mail.Release: the prefix keeps its
+	// capacity, and a tail of one message moves to a slot of its own.
 	ua.mu.Lock()
 	msgs := ua.a.TakeMail()
 	if n := fitResponse(msgs, native); n < len(msgs) {
-		ua.a.GiveBack(msgs[n:])
-		msgs = msgs[:n:n]
+		rest := msgs[n:]
+		if len(rest) == 1 {
+			rest = []mail.Stored{rest[0]}
+		}
+		ua.a.GiveBack(rest)
+		msgs = msgs[:n]
 	}
 	polls := ua.a.Polls()
 	last := ua.a.LastCheckingTime().UnixNano()
