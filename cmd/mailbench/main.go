@@ -80,7 +80,7 @@ type params struct {
 	fsync     mailstore.FsyncMode
 	proto     string // wire framing: "text" or "binary" (wire transport only)
 
-	policy  string          // placement policy ("" = legacy hard-wired path)
+	policy  string          // placement policy ("" = not asked for: static, and no balance report)
 	jsqd    int             // JSQ(d) sample width
 	profile loadgen.Profile // workload shape (hotspot/diurnal/flash)
 	profStr string          // the -profile flag value, for labels
@@ -117,7 +117,7 @@ func run(args []string, stdout io.Writer) int {
 	fs.StringVar(&p.datadir, "datadir", "", "durable store root; the point journals under its own subdirectory and reports WAL throughput")
 	fsyncFlag := fs.String("fsync", "never", "WAL fsync policy with -datadir: never|always")
 	fs.StringVar(&p.proto, "proto", "binary", "wire framing: text or binary (-transport wire only)")
-	policyFlag := fs.String("policy", "", "placement policy: static, jsq or rebalance (empty = legacy hard-wired placement)")
+	policyFlag := fs.String("policy", "", "placement policy: static, jsq or rebalance (empty = static, without the balance report and the derived -srate)")
 	fs.IntVar(&p.jsqd, "d", 2, "JSQ(d) sample width (with -policy jsq)")
 	fs.StringVar(&p.profStr, "profile", "", "workload profile: hotspot[:hosts[:frac%]], diurnal[:period], flash[:start:len] (empty = uniform)")
 	fs.Float64Var(&p.srate, "srate", 0, "per-server service rate in deposits/tick for the congestion model (0 = derived from the message budget when -policy is set)")

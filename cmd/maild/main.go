@@ -107,14 +107,6 @@ func installPolicy(cl *livenet.Cluster, policy string, d int, names []string) {
 		AuthorityLen:     2,
 	}
 	label := func(slot int) string { return names[slot] }
-	base := placement.NewRoundRobin(world)
-	var pol placement.Policy = base
 	pcfg := placement.Config{World: world, D: d, Gauges: cl.Obs(), Label: label}
-	switch policy {
-	case placement.NameJSQ:
-		pol = placement.NewJSQ(base, pcfg)
-	case placement.NameRebalance:
-		pol = placement.NewRebalancer(base, pcfg)
-	}
-	cl.SetPlacement(pol, label)
+	cl.SetPlacement(placement.New(policy, placement.NewRoundRobin(world), pcfg), label)
 }

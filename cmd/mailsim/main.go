@@ -24,6 +24,7 @@ import (
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/mail/mailstore"
 	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/server"
 	"github.com/largemail/largemail/internal/sim"
 )
 
@@ -120,7 +121,7 @@ func regionTopology(hosts, servers, usersPerHost int, seed int64) (*graph.Graph,
 func runSyntax(g *graph.Graph, userMap map[graph.NodeID][]string, rng *rand.Rand, rounds int, failProb float64, datadir string, fsync mailstore.FsyncMode) error {
 	s, err := core.NewSyntax(core.SyntaxConfig{
 		Topology: g, UsersPerHost: userMap, Seed: rng.Int63(),
-		DataDir: datadir, Fsync: fsync,
+		Server: server.Config{DataDir: datadir, Fsync: fsync},
 	})
 	if err != nil {
 		return err

@@ -66,9 +66,6 @@ type Config struct {
 	// or one gives the paper's base algorithm; larger values give the
 	// paper's accelerated variant.
 	MoveBatch int
-	// MaxIterations bounds the balancing sweeps as a safety net. Zero
-	// means a generous default proportional to the user population.
-	MaxIterations int
 	// ChannelUtil optionally reports the utilisation ρ of the channel
 	// between two adjacent nodes, enabling the paper's final modification:
 	// "include variable communication delays by having approximate queuing
@@ -123,16 +120,10 @@ func normalizeConfig(cfg Config) (Config, error) {
 		maxLoad[k] = v
 	}
 	cfg.MaxLoad = maxLoad
-	total := 0
 	for _, h := range cfg.Hosts {
-		n := cfg.Users[h]
-		if n < 0 {
+		if n := cfg.Users[h]; n < 0 {
 			return Config{}, fmt.Errorf("%w: host %d has %d", ErrNegativeUsers, h, n)
 		}
-		total += n
-	}
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 10 * (total + len(cfg.Hosts)*len(cfg.Servers) + 100)
 	}
 	for _, s := range cfg.Servers {
 		if _, ok := cfg.Topology.Node(s); !ok {
@@ -393,6 +384,16 @@ type BalanceStats struct {
 	Overloaded []graph.NodeID // servers still above MaxLoad afterwards
 }
 
+// maxSweeps bounds the balancing sweeps as a safety net: generous, and
+// proportional to the problem's population and size.
+func maxSweeps(cfg Config) int {
+	total := 0
+	for _, h := range cfg.Hosts {
+		total += cfg.Users[h]
+	}
+	return 10 * (total + len(cfg.Hosts)*len(cfg.Servers) + 100)
+}
+
 // Balance runs the paper's balancing procedure until no host can lower its
 // cost by moving users, then reports whether any servers remain overloaded
 // (the procedure's final "check if some of the servers are still
@@ -401,7 +402,7 @@ type BalanceStats struct {
 func (a *Assignment) Balance() BalanceStats {
 	var stats BalanceStats
 	const eps = 1e-9
-	for stats.Sweeps < a.cfg.MaxIterations {
+	for limit := maxSweeps(a.cfg); stats.Sweeps < limit; {
 		stats.Sweeps++
 		changed := false
 		for hi := range a.cfg.Hosts {

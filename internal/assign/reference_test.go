@@ -121,7 +121,7 @@ func (r *referenceAssignment) connectionCost(host, server graph.NodeID) float64 
 func (r *referenceAssignment) balance() BalanceStats {
 	var stats BalanceStats
 	const eps = 1e-9
-	for stats.Sweeps < r.cfg.MaxIterations {
+	for limit := maxSweeps(r.cfg); stats.Sweeps < limit; {
 		stats.Sweeps++
 		changed := false
 		for _, h := range r.cfg.Hosts {

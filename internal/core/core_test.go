@@ -8,6 +8,7 @@ import (
 	"github.com/largemail/largemail/internal/evalsys"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/sim"
 )
 
 // twoRegionTopology builds the Figure 1 region (R1: H1..H6, S1..S3) plus a
@@ -134,6 +135,45 @@ func TestSyntaxMigration(t *testing.T) {
 	}
 	if _, err := s.MigrateUser(newName, graph.ServerBase+1); err == nil {
 		t.Error("migrating to a server node accepted")
+	}
+}
+
+// TestSyntaxMigrateWithMailInFlight: a message on its way to the old name when
+// the user moves reaches them — drained into the old agent's inbox before the
+// handover, or redirected to the new name after it — and no copy is left in an
+// old-name mailbox, which no agent polls again. Before the fabric quiesced the
+// simulator ahead of the drain, 12 of these 84 cases deposited under the old
+// name after it (sent 1–1.5 units before the move) and stayed there.
+func TestSyntaxMigrateWithMailInFlight(t *testing.T) {
+	h7 := graph.HostBase + 7
+	delays := []sim.Time{sim.Unit / 2, sim.Unit, 3 * sim.Unit / 2, 2 * sim.Unit, 5 * sim.Unit / 2, 3 * sim.Unit, 4 * sim.Unit}
+	for _, to := range []string{"R1.H1.u1_0", "R1.H3.u3_1", "R1.H5.u5_2", "R1.H6.u6_0"} {
+		for _, from := range []string{"R1.H2.u2_0", "R1.H4.u4_0", "R2.H7.remote0"} {
+			for _, delay := range delays {
+				s := newSyntaxWorld(t)
+				old := names.MustParse(to)
+				if err := s.Send(names.MustParse(from), []names.Name{old}, "in flight", "b"); err != nil {
+					t.Fatal(err)
+				}
+				s.RunFor(delay)
+				oldAgent, _ := s.Agent(old)
+				newName, err := s.MigrateUser(old, h7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Run()
+				newAgent, _ := s.Agent(newName)
+				if got := len(oldAgent.Inbox()) + len(newAgent.GetMail()); got != 1 {
+					t.Errorf("%s → %s, moved %v after the send: user holds %d copies, want 1", from, to, delay, got)
+				}
+				for _, id := range s.Servers() {
+					srv, _ := s.Server(id)
+					if n := srv.MailboxLen(old); n != 0 {
+						t.Errorf("%s → %s, moved %v after the send: %d stranded under the old name on server %d", from, to, delay, n, id)
+					}
+				}
+			}
+		}
 	}
 }
 

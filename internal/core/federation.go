@@ -40,6 +40,13 @@ type LocationFederation struct {
 // NewLocationFederation builds one locind.System per region in the topology
 // and federates them.
 func NewLocationFederation(cfg FederationConfig) (*LocationFederation, error) {
+	return newFederation(cfg, nil)
+}
+
+// newFederation is the one §3.2 builder: a locind.System for each of regions
+// (nil: every region of the topology) that has servers, with every host added
+// in token order and one agent per user at their primary location.
+func newFederation(cfg FederationConfig, regions []string) (*LocationFederation, error) {
 	if cfg.Topology == nil {
 		return nil, errors.New("core: nil topology")
 	}
@@ -50,25 +57,22 @@ func NewLocationFederation(cfg FederationConfig) (*LocationFederation, error) {
 		systems: make(map[string]*locind.System),
 		agents:  make(map[names.Name]*locind.Agent),
 	}
-	regions := cfg.Topology.Regions()
-	sort.Strings(regions)
-	type hostEntry struct {
-		tok string
-		id  graph.NodeID
+	if regions == nil {
+		regions = cfg.Topology.Regions() // sorted
 	}
-	regionHosts := make(map[string][]hostEntry)
 	for _, region := range regions {
+		type hostEntry struct {
+			tok string
+			id  graph.NodeID
+		}
 		var servers []graph.NodeID
+		var hosts []hostEntry
 		for _, n := range cfg.Topology.NodesInRegion(region) {
 			switch n.Kind {
 			case graph.KindServer:
 				servers = append(servers, n.ID)
 			case graph.KindHost:
-				tok := n.Label
-				if tok == "" {
-					tok = fmt.Sprintf("h%d", n.ID)
-				}
-				regionHosts[region] = append(regionHosts[region], hostEntry{tok, n.ID})
+				hosts = append(hosts, hostEntry{hostToken(n), n.ID})
 			}
 		}
 		if len(servers) == 0 {
@@ -84,19 +88,13 @@ func NewLocationFederation(cfg FederationConfig) (*LocationFederation, error) {
 			return nil, err
 		}
 		f.systems[region] = sys
-	}
-	if len(f.systems) == 0 {
-		return nil, errors.New("core: no regions with servers")
-	}
-	for region, sys := range f.systems {
-		entries := regionHosts[region]
-		sort.Slice(entries, func(i, j int) bool { return entries[i].tok < entries[j].tok })
-		for _, h := range entries {
+		sort.Slice(hosts, func(i, j int) bool { return hosts[i].tok < hosts[j].tok })
+		for _, h := range hosts {
 			if _, err := sys.AddHost(h.tok, h.id); err != nil {
 				return nil, err
 			}
 		}
-		for _, h := range entries {
+		for _, h := range hosts {
 			for _, user := range cfg.UsersPerHost[h.id] {
 				name := names.Name{Region: region, Host: h.tok, User: user}
 				if err := name.Validate(); err != nil {
@@ -109,6 +107,9 @@ func NewLocationFederation(cfg FederationConfig) (*LocationFederation, error) {
 				f.agents[name] = a
 			}
 		}
+	}
+	if len(f.systems) == 0 {
+		return nil, errors.New("core: no regions with servers")
 	}
 	return f, nil
 }

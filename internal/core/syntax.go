@@ -9,16 +9,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
-	"sort"
 
-	"github.com/largemail/largemail/internal/assign"
 	"github.com/largemail/largemail/internal/client"
 	"github.com/largemail/largemail/internal/evalsys"
 	"github.com/largemail/largemail/internal/graph"
-	"github.com/largemail/largemail/internal/mail"
-	"github.com/largemail/largemail/internal/mail/mailstore"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/netsim"
 	"github.com/largemail/largemail/internal/obs"
@@ -46,183 +41,91 @@ type SyntaxConfig struct {
 	// MaxLoad is the per-server capacity M_j; zero derives a capacity that
 	// fits the population with ~25% headroom.
 	MaxLoad int
-	// Retention is each server's mailbox clean-up policy.
-	Retention mail.Retention
 	// Seed drives the simulation's deterministic randomness.
 	Seed int64
-	// DataDir, when set, makes every server's mailbox store durable: server
+	// Server is the template every server is configured from (retention,
+	// relay batching, durability, …); the system fills in the network, the
+	// tracer and what differs per server. With Server.DataDir set, server
 	// node N journals to DataDir/s<N>, and rebuilding the system over the
 	// same directory recovers all buffered mail by WAL replay.
-	DataDir string
-	// Fsync is the WAL fsync policy when DataDir is set.
-	Fsync mailstore.FsyncMode
+	Server server.Config
 }
 
-// SyntaxSystem is a fully wired syntax-directed mail system (§3.1).
+// SyntaxSystem is a fully wired syntax-directed mail system (§3.1): the
+// Fabric plus every user's agent, created up front and keyed by name.
 type SyntaxSystem struct {
-	Sched *sim.Scheduler
-	Net   *netsim.Network
+	*Fabric
 
-	cfg       SyntaxConfig
-	assigns   map[string]*assign.Assignment
-	dirs      map[string]*server.Directory
-	regionMap *server.RegionMap
-	servers   map[graph.NodeID]*server.Server
-	hosts     map[graph.NodeID]*client.Host
-	agents    map[names.Name]*client.Agent
-
-	hostToken  map[graph.NodeID]string
-	renames    int64
+	cfg        SyntaxConfig
+	agents     map[names.Name]*client.Agent
+	hostOf     map[names.Name]graph.NodeID // each user's host node
 	migrations int64
-	reconfigs  int64
 
 	reg   *obs.Registry
 	trace *obs.Tracer
 }
 
-// NewSyntax builds the system: per region it runs the §3.1.1 assignment
-// algorithm to derive authority lists, creates directories and servers, and
-// attaches one agent per user.
+// NewSyntax builds the system: the fabric over the topology (per region the
+// §3.1.1 assignment, directory, servers, hosts and authority lists), and one
+// agent per user.
 func NewSyntax(cfg SyntaxConfig) (*SyntaxSystem, error) {
 	if cfg.Topology == nil {
 		return nil, errors.New("core: nil topology")
 	}
-	if cfg.AuthorityLen <= 0 {
-		cfg.AuthorityLen = 2
-	}
 	sched := sim.New(cfg.Seed)
 	reg := obs.NewRegistry()
 	s := &SyntaxSystem{
-		Sched:     sched,
-		reg:       reg,
-		trace:     obs.NewTracer(func() int64 { return int64(sched.Now()) }, reg),
-		cfg:       cfg,
-		assigns:   make(map[string]*assign.Assignment),
-		dirs:      make(map[string]*server.Directory),
-		regionMap: server.NewRegionMap(),
-		servers:   make(map[graph.NodeID]*server.Server),
-		hosts:     make(map[graph.NodeID]*client.Host),
-		agents:    make(map[names.Name]*client.Agent),
-		hostToken: make(map[graph.NodeID]string),
+		reg:    reg,
+		trace:  obs.NewTracer(func() int64 { return int64(sched.Now()) }, reg),
+		cfg:    cfg,
+		agents: make(map[names.Name]*client.Agent),
+		hostOf: make(map[names.Name]graph.NodeID),
 	}
-	s.Net = netsim.New(s.Sched, cfg.Topology)
+	counts := make(map[graph.NodeID]int, len(cfg.UsersPerHost))
+	for h, toks := range cfg.UsersPerHost {
+		counts[h] = len(toks)
+	}
+	tmpl := cfg.Server
+	tmpl.Net, tmpl.Trace = netsim.New(sched, cfg.Topology), s.trace
+	var err error
+	if s.Fabric, err = NewFabric(cfg.Topology, tmpl, counts, cfg.AuthorityLen, cfg.MaxLoad); err != nil {
+		return nil, err
+	}
+	s.Fabric.Users = s.eachUser
 
-	// Partition nodes by region and kind.
-	regionHosts := make(map[string][]graph.NodeID)
-	regionServers := make(map[string][]graph.NodeID)
 	for _, n := range cfg.Topology.Nodes() {
-		switch n.Kind {
-		case graph.KindHost:
-			regionHosts[n.Region] = append(regionHosts[n.Region], n.ID)
-			tok := n.Label
-			if tok == "" {
-				tok = fmt.Sprintf("h%d", n.ID)
-			}
-			s.hostToken[n.ID] = tok
-		case graph.KindServer:
-			regionServers[n.Region] = append(regionServers[n.Region], n.ID)
+		if n.Kind != graph.KindHost || s.hosts[n.ID] == nil {
+			continue
 		}
-	}
-	regions := make([]string, 0, len(regionServers))
-	for r := range regionServers {
-		regions = append(regions, r)
-	}
-	sort.Strings(regions)
-
-	commW, procW, procTime := assign.PaperWeights()
-	for _, region := range regions {
-		hosts := regionHosts[region]
-		servers := regionServers[region]
-		if len(hosts) == 0 {
-			return nil, fmt.Errorf("core: region %s has servers but no hosts", region)
-		}
-		users := make(map[graph.NodeID]int, len(hosts))
-		total := 0
-		for _, h := range hosts {
-			users[h] = len(cfg.UsersPerHost[h])
-			total += users[h]
-		}
-		maxLoad := make(map[graph.NodeID]int, len(servers))
-		cap := cfg.MaxLoad
-		if cap <= 0 {
-			cap = total/len(servers) + total/(4*len(servers)) + 4
-		}
-		for _, sv := range servers {
-			maxLoad[sv] = cap
-		}
-		a, err := assign.New(assign.Config{
-			Topology: cfg.Topology,
-			Hosts:    hosts, Servers: servers,
-			Users: users, MaxLoad: maxLoad,
-			ProcTime: procTime, CommW: commW, ProcW: procW,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("region %s: %w", region, err)
-		}
-		a.Run()
-		s.assigns[region] = a
-
-		dir := server.NewDirectory(region)
-		s.dirs[region] = dir
-		for _, sv := range servers {
-			srv, err := server.New(server.Config{
-				ID: sv, Region: region, Net: s.Net,
-				Dir: dir, Regions: s.regionMap, Retention: cfg.Retention,
-				Trace:   s.trace,
-				DataDir: s.serverDataDir(sv), Fsync: cfg.Fsync,
-			})
-			if err != nil {
+		for _, tok := range cfg.UsersPerHost[n.ID] {
+			name := names.Name{Region: n.Region, Host: hostToken(n), User: tok}
+			if err := name.Validate(); err != nil {
 				return nil, err
 			}
-			s.servers[sv] = srv
-		}
-		lists := a.AuthorityLists(cfg.AuthorityLen)
-		for _, h := range hosts {
-			host, err := client.NewHost(s.Net, h)
-			if err != nil {
+			s.hostOf[name] = n.ID
+			if s.agents[name], err = s.Register(name, n.ID, s.lists[n.ID]); err != nil {
 				return nil, err
-			}
-			s.hosts[h] = host
-			for _, tok := range cfg.UsersPerHost[h] {
-				name := names.Name{Region: region, Host: s.hostToken[h], User: tok}
-				if err := name.Validate(); err != nil {
-					return nil, err
-				}
-				if err := dir.SetAuthority(name, lists[h]); err != nil {
-					return nil, err
-				}
-				agent, err := client.NewAgent(name, host, s.lookupServer, lists[h])
-				if err != nil {
-					return nil, err
-				}
-				s.agents[name] = agent
 			}
 		}
 	}
 	return s, nil
 }
 
-func (s *SyntaxSystem) lookupServer(id graph.NodeID) *server.Server { return s.servers[id] }
-
-// serverDataDir returns the durable store directory for a server node, or
-// "" (memory store) when the system is not configured for durability.
-func (s *SyntaxSystem) serverDataDir(id graph.NodeID) string {
-	if s.cfg.DataDir == "" {
-		return ""
-	}
-	return filepath.Join(s.cfg.DataDir, fmt.Sprintf("s%d", id))
-}
-
-// Close syncs and closes every server's durable store (no-op for memory
-// stores).
-func (s *SyntaxSystem) Close() error {
-	var first error
-	for _, srv := range s.servers {
-		if err := srv.Close(); err != nil && first == nil {
-			first = err
+// eachUser is the fabric's Users hook over the by-name table.
+func (s *SyntaxSystem) eachUser(region string, fn func(a *client.Agent, host graph.NodeID, pinned bool)) {
+	for name, agent := range s.agents {
+		if name.Region == region {
+			fn(agent, s.hostOf[name], false)
 		}
 	}
-	return first
+}
+
+// hostToken is the name token of a host node: its label, or h<node>.
+func hostToken(n graph.Node) string {
+	if n.Label == "" {
+		return fmt.Sprintf("h%d", n.ID)
+	}
+	return n.Label
 }
 
 // Obs returns the deployment-wide instrument registry holding the tracer-fed
@@ -253,46 +156,6 @@ func (s *SyntaxSystem) Users() []names.Name {
 	return out
 }
 
-// Servers returns every server node, sorted.
-func (s *SyntaxSystem) Servers() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(s.servers))
-	for id := range s.servers {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Server returns the server process on a node.
-func (s *SyntaxSystem) Server(id graph.NodeID) (*server.Server, bool) {
-	srv, ok := s.servers[id]
-	return srv, ok
-}
-
-// Hosts returns every host process, sorted by node ID. Hosts collect the
-// submission acks, which is how callers learn which submissions the system
-// has durably accepted.
-func (s *SyntaxSystem) Hosts() []*client.Host {
-	out := make([]*client.Host, 0, len(s.hosts))
-	for _, h := range s.hosts {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	return out
-}
-
-// Assignment returns a region's load-balanced assignment.
-func (s *SyntaxSystem) Assignment(region string) (*assign.Assignment, bool) {
-	a, ok := s.assigns[region]
-	return a, ok
-}
-
-// Directory returns a region's directory.
-func (s *SyntaxSystem) Directory(region string) (*server.Directory, bool) {
-	d, ok := s.dirs[region]
-	return d, ok
-}
-
 // Send submits a message from one user. The simulation must be advanced
 // (Run/RunFor) for delivery to happen.
 func (s *SyntaxSystem) Send(from names.Name, to []names.Name, subject, body string) error {
@@ -311,9 +174,9 @@ func (s *SyntaxSystem) Run() { s.Sched.Run() }
 func (s *SyntaxSystem) RunFor(d sim.Time) { s.Sched.RunFor(d) }
 
 // MigrateUser moves a user to a new host, possibly in another region,
-// following §3.1.4: the user gets a new location-dependent name, is added at
-// the new location, deleted at the old one, and a redirect forwards mail
-// sent to the old name. It returns the new name.
+// following §3.1.4 (Fabric.Move): the user gets a new location-dependent
+// name, is added at the new location, deleted at the old one, and a redirect
+// forwards mail sent to the old name. It returns the new name.
 func (s *SyntaxSystem) MigrateUser(old names.Name, newHost graph.NodeID) (names.Name, error) {
 	agent, ok := s.agents[old]
 	if !ok {
@@ -326,121 +189,19 @@ func (s *SyntaxSystem) MigrateUser(old names.Name, newHost graph.NodeID) (names.
 	if node.Kind != graph.KindHost {
 		return names.Name{}, fmt.Errorf("%w: %d", ErrNotAHost, newHost)
 	}
-	host, ok := s.hosts[newHost]
-	if !ok {
-		return names.Name{}, fmt.Errorf("%w: host %d not wired", ErrUnknownNode, newHost)
-	}
-	newName := old.Rename(node.Region, s.hostToken[newHost])
+	newName := old.Rename(node.Region, hostToken(node))
 	if _, exists := s.agents[newName]; exists {
 		return names.Name{}, fmt.Errorf("core: %v already exists at destination", newName)
 	}
-
-	// Drain mail buffered under the old name before the handover.
-	agent.GetMail()
-
-	// Add at the new location (rebalancing the destination region).
-	newAssign := s.assigns[node.Region]
-	if _, err := newAssign.AddUsers(newHost, 1); err != nil {
-		return names.Name{}, err
-	}
-	newList := newAssign.AuthorityLists(s.cfg.AuthorityLen)[newHost]
-	if err := s.dirs[node.Region].SetAuthority(newName, newList); err != nil {
-		return names.Name{}, err
-	}
-	newAgent, err := client.NewAgent(newName, host, s.lookupServer, newList)
+	moved, _, err := s.Move(agent, s.hostOf[old], newHost, newName)
 	if err != nil {
 		return names.Name{}, err
 	}
-	// Carry the drained inbox conceptually: the paper moves the user, not
-	// the mailbox; retrieved mail stays with the user interface.
-	s.agents[newName] = newAgent
-
-	// Delete at the old location and install the redirect.
-	oldRegion := old.Region
-	if a, ok := s.assigns[oldRegion]; ok {
-		if oldHostNode, ok2 := s.hostNodeByToken(oldRegion, old.Host); ok2 {
-			if _, err := a.RemoveUsers(oldHostNode, 1); err != nil {
-				return names.Name{}, err
-			}
-		}
-	}
-	if err := s.dirs[oldRegion].SetAuthority(old, nil); err != nil {
-		return names.Name{}, err
-	}
-	if err := s.dirs[oldRegion].SetRedirect(old, newName); err != nil {
-		return names.Name{}, err
-	}
+	s.agents[newName], s.hostOf[newName] = moved, newHost
 	delete(s.agents, old)
+	delete(s.hostOf, old)
 	s.migrations++
-	s.renames++ // syntax-directed migration always renames
 	return newName, nil
-}
-
-func (s *SyntaxSystem) hostNodeByToken(region, token string) (graph.NodeID, bool) {
-	for id, tok := range s.hostToken {
-		if tok != token {
-			continue
-		}
-		if n, ok := s.cfg.Topology.Node(id); ok && n.Region == region {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// AddServer wires a new server node into a region (§3.1.3c): the assignment
-// rebalances onto it and every affected user's authority list is refreshed
-// in the directory and the live agents.
-func (s *SyntaxSystem) AddServer(id graph.NodeID, region string, maxLoad int) error {
-	if _, dup := s.servers[id]; dup {
-		return fmt.Errorf("core: server %d already present", id)
-	}
-	a, ok := s.assigns[region]
-	if !ok {
-		return fmt.Errorf("core: unknown region %s", region)
-	}
-	srv, err := server.New(server.Config{
-		ID: id, Region: region, Net: s.Net,
-		Dir: s.dirs[region], Regions: s.regionMap, Retention: s.cfg.Retention,
-		Trace:   s.trace,
-		DataDir: s.serverDataDir(id), Fsync: s.cfg.Fsync,
-	})
-	if err != nil {
-		return err
-	}
-	s.servers[id] = srv
-	if _, err := a.AddServer(id, maxLoad); err != nil {
-		return err
-	}
-	return s.refreshAuthority(region)
-}
-
-// refreshAuthority pushes recomputed authority lists to the directory and
-// agents of a region, counting the updates as reconfiguration traffic.
-func (s *SyntaxSystem) refreshAuthority(region string) error {
-	a := s.assigns[region]
-	lists := a.AuthorityLists(s.cfg.AuthorityLen)
-	for name, agent := range s.agents {
-		if name.Region != region {
-			continue
-		}
-		hostNode, ok := s.hostNodeByToken(region, name.Host)
-		if !ok {
-			continue
-		}
-		list := lists[hostNode]
-		if len(list) == 0 {
-			continue
-		}
-		if err := s.dirs[region].SetAuthority(name, list); err != nil {
-			return err
-		}
-		if err := agent.SetAuthority(list); err != nil {
-			return err
-		}
-		s.reconfigs++
-	}
-	return nil
 }
 
 // Evaluate harvests the run into a §4 criteria report.
@@ -479,7 +240,7 @@ func (s *SyntaxSystem) Evaluate() evalsys.Report {
 	for i := int64(0); i < s.migrations; i++ {
 		c.CountMigration(1) // syntax-directed migration always renames
 	}
-	c.CountReconfigMessages(s.reconfigs)
+	c.CountReconfigMessages(s.relisted)
 	// Response time (§4.4) comes straight from the lifecycle traces:
 	// submission → retrieval per message, on the simulated clock.
 	for _, id := range s.trace.IDs() {

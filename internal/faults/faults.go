@@ -152,9 +152,12 @@ type Spec struct {
 	MinOutage int // shortest window in ticks (default Ticks/20, min 1)
 	MaxOutage int // longest window in ticks (default Ticks/5, min MinOutage)
 
-	MaxDelayTicks int     // latency window ceiling (default 2)
-	MaxDropProb   float64 // drop window ceiling (default 0.3)
+	MaxDelayTicks int // latency window ceiling (default 2)
 }
+
+// maxDropProb is the drop window ceiling: a window drops between a quarter of
+// it and all of it.
+const maxDropProb = 0.3
 
 func (sp Spec) withDefaults() Spec {
 	if sp.MinOutage <= 0 {
@@ -181,9 +184,6 @@ func (sp Spec) withDefaults() Spec {
 	}
 	if sp.MaxDelayTicks <= 0 {
 		sp.MaxDelayTicks = 2
-	}
-	if sp.MaxDropProb <= 0 {
-		sp.MaxDropProb = 0.3
 	}
 	return sp
 }
@@ -281,7 +281,7 @@ func Compile(sp Spec) (Schedule, error) {
 	for i := 0; i < sp.Drops; i++ {
 		t := sp.DropTargets[rng.Intn(len(sp.DropTargets))]
 		start, end := window()
-		p := sp.MaxDropProb * (0.25 + 0.75*rng.Float64())
+		p := maxDropProb * (0.25 + 0.75*rng.Float64())
 		events = append(events,
 			Event{Tick: start, Kind: Drop, Target: t, Prob: p},
 			Event{Tick: end, Kind: Drop, Target: t, Prob: 0})

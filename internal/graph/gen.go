@@ -173,23 +173,20 @@ type MultiRegionSpec struct {
 	NodesPerRegion int // nodes inside each region (≥ 1)
 	ExtraIntra     int // extra intra-region edges beyond the spanning tree
 	InterLinks     int // inter-region links per adjacent region pair (≥ 1)
-	WeightScale    float64
 }
 
 // MultiRegion generates the internetwork shape of Figure 2: several regions,
 // each internally connected, joined by inter-region links between border
 // nodes. Region r gets nodes labelled "R<r>/n<i>" with region tag "R<r>".
 // Regions are joined in a ring (plus the requested extra inter-links),
-// so the whole graph is connected. All edge weights are distinct.
+// so the whole graph is connected. All edge weights are distinct: a
+// permutation of 1..E.
 func MultiRegion(rng *rand.Rand, spec MultiRegionSpec) *Graph {
 	if spec.Regions < 1 || spec.NodesPerRegion < 1 {
 		return New()
 	}
 	if spec.InterLinks < 1 {
 		spec.InterLinks = 1
-	}
-	if spec.WeightScale <= 0 {
-		spec.WeightScale = 1
 	}
 	g := New()
 	nodeID := func(region, i int) NodeID {
@@ -259,7 +256,7 @@ func MultiRegion(rng *rand.Rand, spec MultiRegionSpec) *Graph {
 	}
 	weights := rng.Perm(len(chosen))
 	for i, p := range chosen {
-		g.MustAddEdge(p.a, p.b, float64(weights[i]+1)*spec.WeightScale)
+		g.MustAddEdge(p.a, p.b, float64(weights[i]+1))
 	}
 	return g
 }

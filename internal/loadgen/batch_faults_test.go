@@ -57,8 +57,8 @@ func TestBatchNoLossUnderFaults(t *testing.T) {
 		t.Fatalf("auditors flagged violations under faults: %v\nexamples: %v",
 			rep.Violations, rep.Examples)
 	}
-	for _, id := range drv.active {
-		if n := drv.servers[id].PendingTransfers(); n > 0 {
+	for _, id := range drv.fab.Servers() {
+		if n := drv.fab.Lookup(id).PendingTransfers(); n > 0 {
 			t.Errorf("server %v: %d transfers stranded in the pending ledger", id, n)
 		}
 	}

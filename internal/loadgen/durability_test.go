@@ -70,8 +70,8 @@ func TestSimNoLossUnderKillRestart(t *testing.T) {
 	if !ok || st.Appends == 0 {
 		t.Fatalf("WAL not exercised: stats = %+v ok = %v", st, ok)
 	}
-	for _, id := range drv.active {
-		if n := drv.servers[id].PendingTransfers(); n > 0 {
+	for _, id := range drv.fab.Servers() {
+		if n := drv.fab.Lookup(id).PendingTransfers(); n > 0 {
 			t.Errorf("server %v: %d transfers stranded in the pending ledger", id, n)
 		}
 	}

@@ -33,11 +33,14 @@ type Config struct {
 	// ticks come due. Its presence disables the strict §3.1.2c poll audit —
 	// extra polls during failures are the algorithm working as designed.
 	Schedule *faults.Schedule
-	// SettleRounds is how many consecutive empty retrieval sweeps end the
-	// drain phase (default 3); MaxSettle caps the sweeps (default 200).
-	SettleRounds int
-	MaxSettle    int
 }
+
+// settleRounds consecutive empty retrieval sweeps end the drain phase;
+// maxSettle caps the sweeps.
+const (
+	settleRounds = 3
+	maxSettle    = 200
+)
 
 func (c Config) withDefaults(pop Population) Config {
 	if c.Messages <= 0 {
@@ -61,12 +64,6 @@ func (c Config) withDefaults(pop Population) Config {
 	c.Workload = c.Workload.withDefaults()
 	if c.Profile.Kind != "" {
 		c.Profile = c.Profile.withDefaults()
-	}
-	if c.SettleRounds <= 0 {
-		c.SettleRounds = 3
-	}
-	if c.MaxSettle <= 0 {
-		c.MaxSettle = 200
 	}
 	return c
 }
@@ -111,7 +108,7 @@ type Engine struct {
 	// legitimately forces extra polls).
 	OnTick func(tick int)
 
-	// alphabet is az repeated past MaxBody: the body of a message fired at
+	// alphabet is az repeated past maxBody: the body of a message fired at
 	// tick t is the n bytes from offset t%len(az), a slice of this one string.
 	alphabet string
 
@@ -132,7 +129,7 @@ func New(drv Driver, cfg Config) *Engine {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		touched: make(map[int]bool),
 	}
-	e.alphabet = strings.Repeat(az, cfg.Workload.MaxBody/len(az)+2)
+	e.alphabet = strings.Repeat(az, maxBody/len(az)+2)
 	stride := pop.Users / cfg.Sessions
 	if stride < 1 {
 		stride = 1
@@ -141,7 +138,7 @@ func New(drv Driver, cfg Config) *Engine {
 		u := (k * stride) % pop.Users
 		e.sessions = append(e.sessions, &session{
 			user: u,
-			next: k % cfg.Workload.ThinkMax, // stagger first sends
+			next: k % thinkMax, // stagger first sends
 		})
 	}
 	return e
@@ -224,9 +221,9 @@ func (e *Engine) diurnalHost(tick int) int {
 // window everyone types as fast as they can.
 func (e *Engine) think(tick int) int {
 	if e.cfg.Profile.Kind == "flash" && e.cfg.Profile.active(tick) {
-		return e.cfg.Workload.ThinkMin
+		return thinkMin
 	}
-	return e.cfg.Workload.sampleThink(e.rng)
+	return sampleThink(e.rng)
 }
 
 func (e *Engine) fire(s *session, tick int, rep *Report) {
@@ -246,7 +243,7 @@ func (e *Engine) fire(s *session, tick int, rep *Report) {
 		return
 	}
 	off := tick % len(az)
-	body := e.alphabet[off : off+w.sampleBody(e.rng)]
+	body := e.alphabet[off : off+sampleBody(e.rng)]
 	id, err := e.drv.Submit(s.user, rcpts, "bench", body)
 	if err != nil {
 		// No commit: every authority server of the sender was down. The
@@ -343,11 +340,11 @@ func (e *Engine) Run() Report {
 	}
 	rep.Ticks = tick
 
-	// Drain: settle in-flight work, then sweep until SettleRounds
+	// Drain: settle in-flight work, then sweep until settleRounds
 	// consecutive sweeps retrieve nothing.
 	e.drv.Settle()
 	empty := 0
-	for round := 0; round < e.cfg.MaxSettle && empty < e.cfg.SettleRounds; round++ {
+	for round := 0; round < maxSettle && empty < settleRounds; round++ {
 		if e.sweep(&rep) == 0 {
 			empty++
 		} else {

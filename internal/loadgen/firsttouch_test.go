@@ -11,9 +11,8 @@ import (
 func TestEngineBodyBytes(t *testing.T) {
 	drv := newSimDriver(t, SimConfig{Seed: 1, Pop: Population{Users: 64, Regions: 1, ServersPerRegion: 2}})
 	e := New(drv, Config{Seed: 1})
-	w := e.cfg.Workload
 	for tick := 0; tick < 60; tick++ {
-		for _, n := range []int{w.MinBody, w.MinBody + 1, 777, w.MaxBody} {
+		for _, n := range []int{minBody, minBody + 1, 777, maxBody} {
 			want := make([]byte, n)
 			for i := range want {
 				want[i] = 'a' + byte((i+tick)%26)
@@ -75,5 +74,32 @@ func TestSimSubmitAllocs(t *testing.T) {
 	}
 	if got := drv.Snapshot().Counters["srv_transfers_out"]; got < int64(i) {
 		t.Errorf("%d transfers for %d copies: the copies did not cross the network", got, i)
+	}
+}
+
+// TestFirstTouchAllocs: materialising a user under the static policy — the
+// path every default run takes — costs what the hard-wired Policy == "" path
+// cost before it was retired: the name's user token, the agent and the
+// directory entry (AllocsPerRun truncates the maps' amortised growth away).
+// Measured over the same 20 000 first touches at the commit that still had
+// the fork: 3 down the "" path, 5 through the seam (a copy of the slot list,
+// a node list per user; the per-slot set entry grew a map). The seam now adds
+// nothing per user: the static policy hands out the host's cached list and
+// the books are a count.
+func TestFirstTouchAllocs(t *testing.T) {
+	for _, policy := range []string{"", "static"} {
+		drv := newSimDriver(t, SimConfig{Seed: 1, Policy: policy, Pop: Population{
+			Users: 100000, Regions: 4, ServersPerRegion: 4,
+		}})
+		u := 0
+		n := testing.AllocsPerRun(20000, func() {
+			if _, err := drv.ensure(u); err != nil {
+				t.Fatal(err)
+			}
+			u++
+		})
+		if n > 3 {
+			t.Errorf("policy %q: first touch of a user: %v allocs, want ≤ 3", policy, n)
+		}
 	}
 }

@@ -31,13 +31,6 @@ type LiveConfig struct {
 	// commit all-or-nothing. This is how the durability soak proves the
 	// store alone (not spool redelivery) carries mail across kill-restarts.
 	NoSpool bool
-	// SubmitTimeout bounds each Submit through the cluster's context API
-	// (0 = no deadline). Recipients already committed when the deadline
-	// fires stay committed; the rest report mailerr.ErrTimeout.
-	SubmitTimeout time.Duration
-	// StoreShards overrides each server's mailbox-store shard count
-	// (0 = mailstore.DefaultShards).
-	StoreShards int
 	// DataDir, when set, makes every server's mailbox store durable
 	// (server NAME journals to DataDir/NAME) and adds KillTargets to the
 	// fault surface.
@@ -45,9 +38,8 @@ type LiveConfig struct {
 	// Fsync is the WAL fsync policy when DataDir is set.
 	Fsync mailstore.FsyncMode
 
-	// Policy selects the placement policy ("static", "jsq", "rebalance").
-	// Empty keeps the historical hard-wired round-robin path untouched;
-	// "static" routes the same round-robin lists through the placement seam.
+	// Policy selects the placement policy ("static", "jsq", "rebalance");
+	// empty means static, which here is placement.RoundRobin.
 	Policy string
 	// JSQD is JSQ(d)'s sample width (0 = d=2).
 	JSQD int
@@ -57,18 +49,15 @@ type LiveConfig struct {
 	// congestion loop on wall-clock time. Zero publishes placement-share ρ
 	// and leaves latency alone.
 	ServiceRate float64
-	// MaxMigrationsPerTick / HysteresisBand tune the rebalancer (zero =
-	// placement defaults).
-	MaxMigrationsPerTick int
-	HysteresisBand       float64
 }
 
 // LiveDriver drives the livenet transport: goroutine servers, wall-clock
 // time, spool-backed redelivery. Server gs of region r is named
-// "S<r·ServersPerRegion+s>"; user authority lists are AuthorityLen servers
-// of the user's region starting at slot (host mod ServersPerRegion), so
-// primary load spreads evenly without running the full §3.1.1 engine — the
-// predicted loads in ServerLoads use that same round-robin placement.
+// "S<r·ServersPerRegion+s>" and is placement slot gs; the static placement is
+// placement.RoundRobin — AuthorityLen servers of the user's region starting at
+// slot (host mod ServersPerRegion), so primary load spreads evenly without
+// running the full §3.1.1 engine — and the predicted loads in ServerLoads use
+// that same round-robin placement.
 type LiveDriver struct {
 	cfg     LiveConfig
 	pop     Population
@@ -77,7 +66,6 @@ type LiveDriver struct {
 	agents    map[int]*livenet.Agent
 	prevPolls map[int]int
 
-	// placer is the placement-policy loop (zero when cfg.Policy == "").
 	placer
 }
 
@@ -88,52 +76,42 @@ func NewLiveDriver(cfg LiveConfig) (*LiveDriver, error) {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 2 * time.Millisecond
 	}
-	if cfg.Policy != "" {
-		if _, err := placement.ParseName(cfg.Policy); err != nil {
-			return nil, err
-		}
+	policy, err := placement.ParseName(cfg.Policy)
+	if err != nil {
+		return nil, err
 	}
-	d := &LiveDriver{
-		cfg: cfg,
-		pop: cfg.Pop,
-		cluster: livenet.NewClusterWith(livenet.ClusterConfig{
-			StoreShards: cfg.StoreShards,
-			DataDir:     cfg.DataDir,
-			Fsync:       cfg.Fsync,
-		}),
-		agents:    make(map[int]*livenet.Agent),
-		prevPolls: make(map[int]int),
-	}
-	d.cluster.Tracer().KeepAll() // the engine's trace-gap audit reads every trace at the end
-	for gs := 0; gs < d.pop.TotalServers(); gs++ {
-		if _, err := d.cluster.AddServer(serverLabel(gs)); err != nil {
-			d.cluster.Close()
+	cluster := livenet.NewClusterWith(livenet.ClusterConfig{DataDir: cfg.DataDir, Fsync: cfg.Fsync})
+	for gs := 0; gs < cfg.Pop.TotalServers(); gs++ {
+		if _, err := cluster.AddServer(serverLabel(gs)); err != nil {
+			cluster.Close()
 			return nil, err
 		}
 	}
 	if !cfg.NoSpool {
-		if err := d.cluster.EnableSpool(cfg.Spool); err != nil {
-			d.cluster.Close()
+		if err := cluster.EnableSpool(cfg.Spool); err != nil {
+			cluster.Close()
 			return nil, err
 		}
 	}
-	if cfg.Policy != "" {
-		d.initPolicy()
-	}
-	return d, nil
+	return newLiveDriver(cluster, cfg, policy), nil
 }
 
-// initPolicy builds the configured placement policy over the round-robin
-// reference — the live transport's historical static placement. Slot gs IS
-// server "S<gs>".
-func (d *LiveDriver) initPolicy() {
+// newLiveDriver is the driver over a running cluster (its own, or the one
+// behind a wire server) whose servers are "S0".."S<TotalServers-1>": the user
+// table and the placement loop for the named policy.
+func newLiveDriver(cluster *livenet.Cluster, cfg LiveConfig, policy string) *LiveDriver {
+	d := &LiveDriver{
+		cfg: cfg, pop: cfg.Pop, cluster: cluster,
+		agents:    make(map[int]*livenet.Agent),
+		prevPolls: make(map[int]int),
+	}
+	cluster.Tracer().KeepAll() // the engine's trace-gap audit reads every trace at the end
 	world := d.pop.world()
-	d.placer.start(d, d.pop, d.cfg.Policy, placement.NewRoundRobin(world), placement.Config{
-		World: world, Seed: int64(d.pop.Users), D: d.cfg.JSQD,
-		Gauges: d.cluster.Obs(), Label: serverLabel,
-		MaxMigrationsPerTick: d.cfg.MaxMigrationsPerTick,
-		HysteresisBand:       d.cfg.HysteresisBand,
-	}, d.cfg.ServiceRate)
+	d.placer.start(d, d.pop, policy, placement.NewRoundRobin(world), placement.Config{
+		World: world, Seed: int64(d.pop.Users), D: cfg.JSQD,
+		Gauges: cluster.Obs(), Label: serverLabel,
+	}, cfg.ServiceRate)
+	return d
 }
 
 // Close stops the spool and every server goroutine.
@@ -142,17 +120,15 @@ func (d *LiveDriver) Close() { d.cluster.Close() }
 // Cluster exposes the underlying cluster for tests.
 func (d *LiveDriver) Cluster() *livenet.Cluster { return d.cluster }
 
-// authority returns user u's ordered authority list: AuthorityLen servers
-// of u's region, starting at the slot the user's host maps to.
-func (d *LiveDriver) authority(u int) []string {
-	r := d.pop.RegionOf(u)
-	start := d.pop.HostOf(u) % d.pop.ServersPerRegion
-	out := make([]string, 0, d.pop.AuthorityLen)
-	for i := 0; i < d.pop.AuthorityLen; i++ {
-		s := (start + i) % d.pop.ServersPerRegion
-		out = append(out, serverLabel(r*d.pop.ServersPerRegion+s))
+// homeOf places user u — once, on first touch — and returns the names of the
+// servers the policy chose, primary first.
+func (d *LiveDriver) homeOf(u int) []string {
+	slots := d.place(u, d.pop.HostOf(u))
+	list := make([]string, len(slots))
+	for i, s := range slots {
+		list[i] = serverLabel(s)
 	}
-	return out
+	return list
 }
 
 // ensure lazily registers user u in the directory and creates its agent.
@@ -161,16 +137,7 @@ func (d *LiveDriver) ensure(u int) (*livenet.Agent, names.Name, error) {
 	if ag, ok := d.agents[u]; ok {
 		return ag, name, nil
 	}
-	list := d.authority(u)
-	if d.policy != nil {
-		if slots := d.place(u, d.pop.HostOf(u)); len(slots) > 0 {
-			list = make([]string, len(slots))
-			for i, s := range slots {
-				list[i] = serverLabel(s)
-			}
-		}
-	}
-	d.cluster.Directory().SetAuthority(name, list)
+	d.cluster.Directory().SetAuthority(name, d.homeOf(u))
 	ag, err := d.cluster.NewAgent(name)
 	if err != nil {
 		return nil, name, err
@@ -197,13 +164,7 @@ func (d *LiveDriver) Submit(from int, to []int, subject, body string) (string, e
 		}
 		rcpts = append(rcpts, name)
 	}
-	ctx := context.Background()
-	if d.cfg.SubmitTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.cfg.SubmitTimeout)
-		defer cancel()
-	}
-	id, err := d.cluster.SubmitContext(ctx, fromName, rcpts, subject, body)
+	id, err := d.cluster.SubmitContext(context.Background(), fromName, rcpts, subject, body)
 	if err != nil {
 		return "", err
 	}
@@ -217,9 +178,7 @@ func (d *LiveDriver) Retrieve(u int) RetrieveResult {
 		return RetrieveResult{}
 	}
 	got := ag.GetMail()
-	if d.policy != nil {
-		d.noteRetrieved(u, len(got))
-	}
+	d.noteRetrieved(u, len(got))
 	res := RetrieveResult{
 		Polls:        ag.Polls() - d.prevPolls[u],
 		LastChecking: ag.LastCheckingTime().UnixNano(),
@@ -231,21 +190,19 @@ func (d *LiveDriver) Retrieve(u int) RetrieveResult {
 	return res
 }
 
-// Step implements Driver: one tick is a short wall-clock sleep. With a
-// placement policy configured each Step also refreshes the per-server ρ and
-// placed gauges (qdepth is maintained inline by the servers).
+// Step implements Driver: one tick is a short wall-clock sleep, after which
+// the per-server ρ and placed gauges are refreshed (qdepth is maintained
+// inline by the servers).
 func (d *LiveDriver) Step(n int) {
 	if n > 0 {
 		time.Sleep(time.Duration(n) * d.cfg.Tick)
-	}
-	if d.policy != nil && n > 0 {
 		d.refresh(n)
 	}
 }
 
 // deposits implements placedTransport.
-func (d *LiveDriver) deposits(_ int, label string) (int64, bool) {
-	return d.cluster.Obs().Counter(label + ".deposits").Value(), true
+func (d *LiveDriver) deposits(slot int, _ *obs.Gauge) (int64, bool) {
+	return d.cluster.Obs().Counter(serverLabel(slot) + ".deposits").Value(), true
 }
 
 // slow implements placedTransport: an overloaded server answers later.

@@ -2,9 +2,14 @@ package loadgen
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"github.com/largemail/largemail/internal/core"
 	"github.com/largemail/largemail/internal/faults"
+	"github.com/largemail/largemail/internal/graph"
+	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/placement"
 	"github.com/largemail/largemail/internal/sim"
 )
 
@@ -39,40 +44,186 @@ func runHotspot(t *testing.T, policy string, batch int) (*SimDriver, Report) {
 	return drv, rep
 }
 
-// TestStaticPolicyBitCompat: routing the §3.1.1 optimizer through the
-// placement.Policy seam must not change a single placement decision — the
-// same population assigns the same load to the same servers and the run
-// deposits the same mail on each of them as the legacy hard-wired path.
-func TestStaticPolicyBitCompat(t *testing.T) {
-	run := func(policy string) ([]ServerLoad, *SimDriver) {
-		drv := newSimDriver(t, SimConfig{
-			Seed: 5,
-			Pop:  Population{Users: 4000, Regions: 2, ServersPerRegion: 3},
-			// policy "" is the legacy path; "static" goes through the seam.
-			Policy: policy,
-		})
-		eng := New(drv, Config{Seed: 5, Messages: 600, Sessions: 64, Ticks: 100})
-		rep := eng.Run()
-		requireClean(t, rep)
-		return drv.ServerLoads(), drv
+// TestStaticPlacementIsTheAssignment: the static policy is the §3.1.1
+// assignment and nothing else. For every host of seeded populations,
+// Static.Place mapped to nodes — and the list a user first touched on that
+// host is registered and polls with — equals the host's entry in the region's
+// AuthorityLists, which is what the retired Policy == "" path read (kept here
+// as the `want` line), at build and after each reconfiguration: a server
+// wired from the spare pool, a user moved across regions, a server deleted.
+func TestStaticPlacementIsTheAssignment(t *testing.T) {
+	pops := []Population{
+		{Users: 4000, Regions: 2, ServersPerRegion: 3},
+		{Users: 900, Regions: 3, HostsPerRegion: 5, ServersPerRegion: 4, AuthorityLen: 3},
 	}
-	legacy, legacyDrv := run("")
-	seamed, seamedDrv := run("static")
-	if len(legacy) != len(seamed) {
-		t.Fatalf("server counts differ: %d vs %d", len(legacy), len(seamed))
-	}
-	for i := range legacy {
-		l, s := legacy[i], seamed[i]
-		if l.Name != s.Name || l.Load != s.Load || l.Deposits != s.Deposits {
-			t.Errorf("server %s: legacy {load %d, deposits %d} vs static-policy {load %d, deposits %d}",
-				l.Name, l.Load, l.Deposits, s.Load, s.Deposits)
+	for i, pop := range pops {
+		for _, policy := range []string{"", "static"} {
+			drv := newSimDriver(t, SimConfig{Seed: int64(5 + i), Pop: pop, Policy: policy, SpareServersPerRegion: 1})
+			p := drv.Population()
+			fresh := 0 // every check touches users nobody has touched yet
+			check := func(when string) {
+				t.Helper()
+				for gh := 0; gh < p.TotalHosts(); gh++ {
+					assignment, _ := drv.fab.Assignment(p.RegionName(gh / p.HostsPerRegion))
+					want := assignment.AuthorityLists(p.AuthorityLen)[hostID(gh)]
+					var got []graph.NodeID
+					for _, s := range drv.static.Place(placement.User{Index: gh, Host: gh}) {
+						got = append(got, drv.slotNode(s))
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("pop %d, policy %q, %s: host %d places on %v, the assignment lists %v", i, policy, when, gh, got, want)
+					}
+					u := gh + (8+fresh)*p.TotalHosts()
+					a, err := drv.ensure(u)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(a.Authority(), want) || !slices.Equal(drv.dirs[gh/p.HostsPerRegion].Authority(a.User()), want) {
+						t.Fatalf("pop %d, policy %q, %s: user %d of host %d got %v, the assignment lists %v", i, policy, when, u, gh, a.Authority(), want)
+					}
+				}
+				fresh++
+			}
+			check("at build")
+			added, err := drv.AddServer(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("after AddServer")
+			if _, err := drv.MigrateUser(2, p.HostsPerRegion); err != nil {
+				t.Fatal(err)
+			}
+			check("after MigrateUser")
+			if err := drv.RemoveServer(drv.ServerLoads()[0].Name); err != nil {
+				t.Fatal(err)
+			}
+			check("after RemoveServer")
+			if err := drv.RemoveServer(added); err != nil {
+				t.Fatal(err)
+			}
+			check("after removing the added server")
+			if len(drv.rehomed) != 0 {
+				t.Errorf("pop %d, policy %q: the static policy rehomed %d users", i, policy, len(drv.rehomed))
+			}
 		}
 	}
-	// Spot-check that individual users resolve to identical names too.
-	for _, u := range []int{0, 1, 7, 1234, 3999} {
-		if a, b := legacyDrv.UserName(u), seamedDrv.UserName(u); a != b {
-			t.Errorf("user %d: legacy name %v vs static-policy name %v", u, a, b)
+}
+
+// TestRoundRobinIsTheLiveFormula: LiveDriver used to compute a user's list
+// itself when no policy was configured — AuthorityLen servers of the user's
+// region, starting at the slot the user's host maps to. It now asks
+// placement.RoundRobin like every other policy; over a grid of populations
+// the two agree on every user.
+func TestRoundRobinIsTheLiveFormula(t *testing.T) {
+	for _, regions := range []int{1, 2, 3} {
+		for _, spr := range []int{1, 2, 4, 5} {
+			for _, hpr := range []int{0, 3, 8} {
+				for _, alen := range []int{1, 2, 3, 9} {
+					pop := Population{Users: 500, Regions: regions, ServersPerRegion: spr,
+						HostsPerRegion: hpr, AuthorityLen: alen}.withDefaults()
+					rr := placement.NewRoundRobin(pop.world())
+					for u := 0; u < pop.Users; u++ {
+						var want []int // the deleted LiveDriver.authority, in slots
+						start := pop.HostOf(u) % pop.ServersPerRegion
+						for i := 0; i < pop.AuthorityLen; i++ {
+							want = append(want, pop.RegionOf(u)*pop.ServersPerRegion+(start+i)%pop.ServersPerRegion)
+						}
+						if got := rr.Place(placement.User{Index: u, Host: pop.HostOf(u)}); !slices.Equal(got, want) {
+							t.Fatalf("%+v: user %d placed on %v, the live formula says %v", pop, u, got, want)
+						}
+					}
+				}
+			}
 		}
+	}
+}
+
+// TestOneWorld: core.NewSyntax (every user up front, by name) and NewSimDriver
+// (users on first touch, by index) are two user tables over one core.Fabric.
+// Built over the same Population.topology they give every host the same
+// authority list, and after the same AddServer / MigrateUser / RemoveServer
+// sequence every user has the same directory entry and every moved user the
+// same redirect. (The two name a host differently — its label, "H3", against
+// the population's token, "h3" — which is all the mapping below translates.)
+func TestOneWorld(t *testing.T) {
+	pop := Population{Users: 120, Regions: 2, ServersPerRegion: 3, AuthorityLen: 2}.withDefaults()
+	const spares = 1
+	topo, _ := pop.topology(spares)
+	tokens := make(map[graph.NodeID][]string)
+	for u := 0; u < pop.Users; u++ {
+		tokens[hostID(pop.HostOf(u))] = append(tokens[hostID(pop.HostOf(u))], pop.Name(u).User)
+	}
+	eager, err := core.NewSyntax(core.SyntaxConfig{
+		Topology: topo, UsersPerHost: tokens, AuthorityLen: pop.AuthorityLen, MaxLoad: pop.MaxLoad(), Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := newSimDriver(t, SimConfig{Seed: 7, Pop: pop, SpareServersPerRegion: spares})
+	for u := 0; u < pop.Users; u++ {
+		if _, err := lazy.ensure(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byLabel := func(n names.Name) names.Name { // the lazy table's name → the eager table's
+		n.Host = "H" + n.Host[1:]
+		return n
+	}
+	same := func(when string) {
+		t.Helper()
+		for h, list := range lazy.lists {
+			if !slices.Equal(eager.Lists()[h], list) {
+				t.Fatalf("%s: host %d: eager %v, lazy %v", when, h, eager.Lists()[h], list)
+			}
+		}
+		if !slices.Equal(eager.Servers(), lazy.fab.Servers()) {
+			t.Fatalf("%s: servers in service: eager %v, lazy %v", when, eager.Servers(), lazy.fab.Servers())
+		}
+		for u := 0; u < pop.Users; u++ {
+			for _, n := range []names.Name{pop.Name(u), lazy.UserName(u)} { // the old name too, once moved
+				ld, _ := lazy.fab.Directory(n.Region)
+				ed, _ := eager.Directory(n.Region)
+				if a, b := ed.Authority(byLabel(n)), ld.Authority(n); !slices.Equal(a, b) {
+					t.Fatalf("%s: %v: eager directory %v, lazy %v", when, n, a, b)
+				}
+				to, moved := ld.Redirect(n)
+				if eto, emoved := ed.Redirect(byLabel(n)); moved != emoved || (moved && eto != byLabel(to)) {
+					t.Fatalf("%s: %v: eager redirect %v %v, lazy %v %v", when, n, eto, emoved, to, moved)
+				}
+			}
+		}
+	}
+	same("at build")
+
+	label, err := lazy.AddServer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := lazy.nodes[label]
+	if err := eager.AddServer(added, pop.RegionName(0), pop.MaxLoad()); err != nil {
+		t.Fatal(err)
+	}
+	same("after AddServer")
+
+	for _, u := range []int{2, 7} { // region 0 → region 1, region 1 → region 0
+		to := (pop.HostOf(u) + pop.HostsPerRegion) % pop.TotalHosts()
+		if _, err := lazy.MigrateUser(u, to); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eager.MigrateUser(byLabel(pop.Name(u)), hostID(to)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("after MigrateUser")
+
+	for _, id := range []graph.NodeID{serverID(0), added} {
+		if err := lazy.RemoveServer(nodeLabel(id)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eager.RemoveServer(id); err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("after RemoveServer(%s)", nodeLabel(id)))
 	}
 }
 

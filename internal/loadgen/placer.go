@@ -12,10 +12,10 @@ import (
 // the policy reads.
 type placedTransport interface {
 	Snapshot() obs.Snapshot
-	// deposits returns the cumulative local deposits of the server on slot,
-	// whose instruments go by label; ok is false for a slot that has left
-	// service.
-	deposits(slot int, label string) (n int64, ok bool)
+	// deposits returns the cumulative local deposits of the server on slot; a
+	// transport whose servers do not keep their "<label>.qdepth" themselves
+	// sets it on the way. ok is false for a slot that has left service.
+	deposits(slot int, qdepth *obs.Gauge) (n int64, ok bool)
 	// slow applies the congestion feedback: every message to slot's server
 	// takes ticks schedule ticks longer (0 clears it).
 	slow(slot int, ticks float64)
@@ -24,76 +24,102 @@ type placedTransport interface {
 	migrateToSlot(u, from, to, tick int) MigrationResult
 }
 
-// placer is the online-placement loop of a driver: the configured policy,
-// who is homed where, the traffic signal migrations are ranked by, and the
-// per-tick gauge refresh with its congestion feedback. SimDriver and
-// LiveDriver embed one; its zero value (Config.Policy == "") is the
-// historical hard-wired path, no policy object at all, and every method but
-// RebalanceActive is then never called.
+// placer is the placement loop of a driver — every user of SimDriver and
+// LiveDriver is placed through one: the configured policy, how many users are
+// homed where, and the per-tick gauge refresh with its congestion feedback.
+// What only a migrating policy needs — who is homed where, and the traffic
+// signal migrations are ranked by — is kept only under one, so the static
+// policy costs nothing per user and four gauge writes per server per tick.
 type placer struct {
 	users  Population
 	on     placedTransport
 	policy placement.Policy
-	gauges *obs.Registry         // what the policies observe, and the migration counters
-	label  func(slot int) string // names a slot's instruments
+	gauges *obs.Registry // the migration counters
 	// serviceRate is each server's capacity in deposits per tick; > 0 closes
 	// the loop (arrival-rate ρ, overloaded servers slowed), 0 publishes
 	// placement-share ρ and slows nobody.
 	serviceRate float64
 
-	bySlot   []map[int]struct{} // per slot: materialized users homed there
-	rehomed  map[int]int        // users moved off their base placement → tick of the move
-	recv     map[int]int64      // per user: copies retrieved (the traffic signal migrations rank by)
-	recvHost map[int]int64      // per host: copies retrieved by its users (locates workload skew)
-	prevDep  []int64            // per slot: deposits at the last refresh
-	arrEWMA  []float64          // per slot: smoothed deposit arrivals/tick
+	slots   []slot
+	rehomed map[int]int // users moved off their host's list → tick of the move
+
+	// Under a policy that migrates on ticks only (nil otherwise):
+	recv     map[int]int64 // per user: copies retrieved (the traffic signal migrations rank by)
+	recvHost map[int]int64 // per host: copies retrieved by its users (locates workload skew)
+}
+
+// slot is one server of the policy world.
+type slot struct {
+	// "<label>.rho", ".rho_peak", ".placed", ".qdepth": what the policies
+	// observe, resolved once.
+	rho, peak, placed, qdepth *obs.Gauge
+
+	users   int              // materialized users homed here
+	members map[int]struct{} // who they are, under a policy that migrates on ticks (nil otherwise)
+	prevDep int64            // deposits at the last refresh
+	arrEWMA float64          // smoothed deposit arrivals/tick
 }
 
 // start builds the policy named name over base — the transport's static
 // placement — and publishes zeroed gauges so JSQ's first samples resolve.
 func (p *placer) start(on placedTransport, pop Population, name string, base placement.Policy, cfg placement.Config, serviceRate float64) {
-	p.on, p.users, p.gauges, p.label, p.serviceRate = on, pop, cfg.Gauges, cfg.Label, serviceRate
-	switch name {
-	case placement.NameJSQ:
-		p.policy = placement.NewJSQ(base, cfg)
-	case placement.NameRebalance:
-		p.policy = placement.NewRebalancer(base, cfg)
-	default:
-		p.policy = base
-	}
-	n := cfg.World.TotalServers()
-	p.bySlot = make([]map[int]struct{}, n)
-	for i := range p.bySlot {
-		p.bySlot[i] = make(map[int]struct{})
-	}
+	p.on, p.users, p.gauges, p.serviceRate = on, pop, cfg.Gauges, serviceRate
+	p.policy = placement.New(name, base, cfg)
 	p.rehomed = make(map[int]int)
-	p.recv = make(map[int]int64)
-	p.recvHost = make(map[int]int64)
-	p.prevDep = make([]int64, n)
-	p.arrEWMA = make([]float64, n)
+	migrates := p.RebalanceActive()
+	if migrates {
+		p.recv = make(map[int]int64)
+		p.recvHost = make(map[int]int64)
+	}
+	p.slots = make([]slot, cfg.World.TotalServers())
+	for i := range p.slots {
+		g := func(suffix string) *obs.Gauge { return cfg.Gauges.Gauge(cfg.Label(i) + suffix) }
+		p.slots[i] = slot{rho: g(".rho"), peak: g(".rho_peak"), placed: g(".placed"), qdepth: g(".qdepth")}
+		if migrates {
+			p.slots[i].members = make(map[int]struct{})
+		}
+	}
 	p.refresh(1)
 }
 
-// place asks the policy where user u of global host gh goes and records the
-// primary; an empty answer leaves the transport's own list in force.
+// place asks the policy where user u of global host gh goes and books the
+// primary; an empty answer leaves the transport's own list in force. The
+// answer is the policy's own slice: read-only.
 func (p *placer) place(u, gh int) []int {
 	slots := p.policy.Place(placement.User{Index: u, Host: gh})
 	if len(slots) > 0 {
-		p.bySlot[slots[0]][u] = struct{}{}
+		p.book(u, -1, slots[0])
 	}
 	return slots
 }
 
+// book moves user u in the books from slot from to slot to (-1: none). A slot
+// outside the policy world (a server wired from the spare pool) keeps no books.
+func (p *placer) book(u, from, to int) {
+	if from >= 0 && from < len(p.slots) {
+		p.slots[from].users--
+		delete(p.slots[from].members, u)
+	}
+	if to >= 0 && to < len(p.slots) {
+		p.slots[to].users++
+		if p.slots[to].members != nil {
+			p.slots[to].members[u] = struct{}{}
+		}
+	}
+}
+
 // noteRetrieved feeds the traffic signal: n copies reached user u.
 func (p *placer) noteRetrieved(u, n int) {
+	if p.recv == nil {
+		return
+	}
 	p.recv[u] += int64(n)
 	p.recvHost[p.users.HostOf(u)] += int64(n)
 }
 
 // moved books a completed migration whose drain delivered drained messages.
 func (p *placer) moved(u, from, to, tick, drained int) {
-	delete(p.bySlot[from], u)
-	p.bySlot[to][u] = struct{}{}
+	p.book(u, from, to)
 	p.rehomed[u] = tick
 	p.gauges.Counter("migrations_total").Inc()
 	p.gauges.Counter("migration_cost").Add(int64(drained))
@@ -113,44 +139,36 @@ const ewmaAlpha = 0.3
 // placement decisions visibly slow and gives the online policies their signal.
 func (p *placer) refresh(ticks int) {
 	maxLoad := p.users.MaxLoad()
-	for slot := range p.bySlot {
-		label := p.label(slot)
-		dep, ok := p.on.deposits(slot, label)
+	for i := range p.slots {
+		s := &p.slots[i]
+		dep, ok := p.on.deposits(i, s.qdepth)
 		if !ok {
 			continue
 		}
-		perTick := float64(dep-p.prevDep[slot]) / float64(ticks)
-		p.arrEWMA[slot] = ewmaAlpha*perTick + (1-ewmaAlpha)*p.arrEWMA[slot]
-		p.prevDep[slot] = dep
-		rho := float64(len(p.bySlot[slot])) / float64(maxLoad)
+		perTick := float64(dep-s.prevDep) / float64(ticks)
+		s.arrEWMA = ewmaAlpha*perTick + (1-ewmaAlpha)*s.arrEWMA
+		s.prevDep = dep
+		rho := float64(s.users) / float64(maxLoad)
 		if p.serviceRate > 0 {
-			rho = p.arrEWMA[slot] / p.serviceRate
+			rho = s.arrEWMA / p.serviceRate
 		}
 		fixed := int64(rho * placement.RhoScale)
-		p.gauges.Gauge(label + ".rho").Set(fixed)
+		s.rho.Set(fixed)
 		// Peak ρ survives the drain phase (where the EWMA decays to zero),
 		// so post-run reports see how hot the run actually got.
-		if peak := p.gauges.Gauge(label + ".rho_peak"); fixed > peak.Value() {
-			peak.Set(fixed)
+		if fixed > s.peak.Value() {
+			s.peak.Set(fixed)
 		}
-		p.gauges.Gauge(label + ".placed").Set(int64(len(p.bySlot[slot])))
+		s.placed.Set(int64(s.users))
 		if p.serviceRate > 0 {
-			over := rho - 1
-			if over < 0 {
-				over = 0
-			} else if over > 4 {
-				over = 4
-			}
-			p.on.slow(slot, over)
+			p.on.slow(i, min(max(rho-1, 0), 4))
 		}
 	}
 }
 
 // RebalanceActive implements PlacementRebalancer: only the rebalance policy
 // migrates on ticks.
-func (p *placer) RebalanceActive() bool {
-	return p.policy != nil && p.policy.Name() == placement.NameRebalance
-}
+func (p *placer) RebalanceActive() bool { return p.policy.Name() == placement.NameRebalance }
 
 // RebalanceTick implements PlacementRebalancer: consult the policy with the
 // current snapshot and execute the migrations it emits through the
@@ -188,11 +206,11 @@ func (p *placer) RebalanceTick(tick int) []MigrationResult {
 // usersOnSlot returns the materialized users homed on a slot, sorted for
 // deterministic migration order.
 func (p *placer) usersOnSlot(slot int) []int {
-	if slot < 0 || slot >= len(p.bySlot) {
+	if slot < 0 || slot >= len(p.slots) {
 		return nil
 	}
-	out := make([]int, 0, len(p.bySlot[slot]))
-	for u := range p.bySlot[slot] {
+	out := make([]int, 0, len(p.slots[slot].members))
+	for u := range p.slots[slot].members {
 		out = append(out, u)
 	}
 	sort.Ints(out)

@@ -128,9 +128,10 @@ func serverLabel(gs int) string { return fmt.Sprintf("S%d", gs) }
 // run on: every host spokes into one of its region's servers (weight 1), the
 // region's servers form a ring (weight 1) so every server pair has two
 // disjoint routes, and region r's first server links to region r+1's
-// (weight 2) closing an inter-region ring. spares server nodes per region join
-// their region's ring after the wired ones. It also returns the label → node
-// map fault injectors resolve event targets through.
+// (weight 2) closing an inter-region ring. spares more nodes per region join
+// their region's ring after the wired servers, tagged routers — which is what
+// a node without a server process is — until AddServer claims one. It also
+// returns the label → node map fault injectors resolve event targets through.
 func (p Population) topology(spares int) (*graph.Graph, map[string]graph.NodeID) {
 	g := graph.New()
 	nodes := make(map[string]graph.NodeID)
@@ -142,7 +143,11 @@ func (p Population) topology(spares int) (*graph.Graph, map[string]graph.NodeID)
 	for r := 0; r < p.Regions; r++ {
 		region := p.RegionName(r)
 		for j := 0; j < slots; j++ {
-			add(serverID(r*slots+j), serverLabel(r*slots+j), region, graph.KindServer)
+			kind := graph.KindServer
+			if j >= p.ServersPerRegion {
+				kind = graph.KindRouter
+			}
+			add(serverID(r*slots+j), serverLabel(r*slots+j), region, kind)
 		}
 		for j := 0; j < slots; j++ {
 			next := (j + 1) % slots
@@ -264,8 +269,8 @@ func (p Population) UserIndex(n names.Name) (int, bool) {
 }
 
 // Workload describes the per-message distributions of the closed-loop
-// sessions: how many recipients, how large a body, how long a user thinks
-// between sends, and how regionally local their correspondents are.
+// sessions a caller may shape: how many recipients, and how regionally local
+// their correspondents are. Body sizes and think times are fixed.
 type Workload struct {
 	// MaxRecipients caps the per-message recipient count; counts are drawn
 	// 1..MaxRecipients with a geometric-ish decay (default 3).
@@ -274,13 +279,15 @@ type Workload struct {
 	// sender's region (default 0.8 — the locality assumption behind the
 	// paper's regional partitioning, §3.1.2b).
 	LocalBias float64
-	// MinBody/MaxBody bound the message body size in bytes (defaults 64
-	// and 2048).
-	MinBody, MaxBody int
-	// ThinkMin/ThinkMax bound a session's think time between sends, in
-	// schedule ticks (defaults 3 and 12).
-	ThinkMin, ThinkMax int
 }
+
+const (
+	// minBody and maxBody bound the message body size in bytes.
+	minBody, maxBody = 64, 2048
+	// thinkMin and thinkMax bound a session's think time between sends, in
+	// schedule ticks.
+	thinkMin, thinkMax = 3, 12
+)
 
 func (w Workload) withDefaults() Workload {
 	if w.MaxRecipients <= 0 {
@@ -288,24 +295,6 @@ func (w Workload) withDefaults() Workload {
 	}
 	if w.LocalBias <= 0 || w.LocalBias > 1 {
 		w.LocalBias = 0.8
-	}
-	if w.MinBody <= 0 {
-		w.MinBody = 64
-	}
-	if w.MaxBody < w.MinBody {
-		w.MaxBody = 2048
-		if w.MaxBody < w.MinBody {
-			w.MaxBody = w.MinBody
-		}
-	}
-	if w.ThinkMin <= 0 {
-		w.ThinkMin = 3
-	}
-	if w.ThinkMax < w.ThinkMin {
-		w.ThinkMax = 12
-		if w.ThinkMax < w.ThinkMin {
-			w.ThinkMax = w.ThinkMin
-		}
 	}
 	return w
 }
@@ -321,18 +310,18 @@ func (w Workload) sampleRecipients(rng *rand.Rand) int {
 	return n
 }
 
-// sampleBody draws a body size in [MinBody, MaxBody], skewed small by
+// sampleBody draws a body size in [minBody, maxBody], skewed small by
 // taking the minimum of two uniform draws.
-func (w Workload) sampleBody(rng *rand.Rand) int {
-	span := w.MaxBody - w.MinBody + 1
+func sampleBody(rng *rand.Rand) int {
+	span := maxBody - minBody + 1
 	a, b := rng.Intn(span), rng.Intn(span)
 	if b < a {
 		a = b
 	}
-	return w.MinBody + a
+	return minBody + a
 }
 
-// sampleThink draws a think time in [ThinkMin, ThinkMax] ticks.
-func (w Workload) sampleThink(rng *rand.Rand) int {
-	return w.ThinkMin + rng.Intn(w.ThinkMax-w.ThinkMin+1)
+// sampleThink draws a think time in [thinkMin, thinkMax] ticks.
+func sampleThink(rng *rand.Rand) int {
+	return thinkMin + rng.Intn(thinkMax-thinkMin+1)
 }

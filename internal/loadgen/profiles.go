@@ -29,7 +29,7 @@ type Profile struct {
 
 	// FlashStart/FlashLen bound the flash-crowd window in ticks (defaults
 	// 40/60). Outside the window traffic is the uniform baseline; inside it
-	// the hot set lights up AND senders think at ThinkMin, so the spike is
+	// the hot set lights up AND senders think at thinkMin, so the spike is
 	// both skewed and intense.
 	FlashStart, FlashLen int
 }

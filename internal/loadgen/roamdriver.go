@@ -19,10 +19,6 @@ type RoamConfig struct {
 	Pop  Population
 	// Tick is the virtual length of one schedule tick (default 10 units).
 	Tick sim.Time
-	// Subgroups is each region's hash modulus (default 2 × servers/region).
-	Subgroups int
-	// AckTimeout overrides the deposit-retry timeout (0 = locind default).
-	AckTimeout sim.Time
 }
 
 // OverheadEvent is one piece of roaming-tracking work a delivery incurred,
@@ -60,9 +56,6 @@ type RoamDriver struct {
 func NewRoamDriver(cfg RoamConfig) (*RoamDriver, error) {
 	cfg.Pop = cfg.Pop.withDefaults()
 	p := cfg.Pop
-	if cfg.Subgroups <= 0 {
-		cfg.Subgroups = 2 * p.ServersPerRegion
-	}
 	d := &RoamDriver{
 		simWorld: newSimWorld(cfg.Seed, p, cfg.Tick, 0),
 		fed:      locind.NewFederation(),
@@ -76,14 +69,13 @@ func NewRoamDriver(cfg RoamConfig) (*RoamDriver, error) {
 			servers[j] = serverID(r*p.ServersPerRegion + j)
 		}
 		sys, err := locind.NewSystem(locind.Config{
-			Region:     p.RegionName(r),
-			Net:        d.net,
-			Servers:    servers,
-			Subgroups:  cfg.Subgroups,
-			ListLen:    p.AuthorityLen,
-			AckTimeout: cfg.AckTimeout,
-			Stats:      d.reg,
-			Trace:      d.trace,
+			Region:    p.RegionName(r),
+			Net:       d.net,
+			Servers:   servers,
+			Subgroups: 2 * p.ServersPerRegion, // the hash modulus a region starts with
+			ListLen:   p.AuthorityLen,
+			Stats:     d.reg,
+			Trace:     d.trace,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: region %d: %w", r, err)

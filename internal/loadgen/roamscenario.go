@@ -14,30 +14,23 @@ type RoamScenarioConfig struct {
 	RoamEvery int
 	// RoamsPerWave is how many materialized users move per wave (default 8).
 	RoamsPerWave int
-	// ReturnProb is the chance a roamed user moves back to their primary
-	// host instead of onward (default 0.3).
-	ReturnProb float64
-	// RehashEvery triggers a live Rehash every n ticks (0 disables).
+	// RehashEvery triggers a live Rehash every n ticks (0 disables). The
+	// rehashes alternate the moduli 2×servers-per-region + 1 and
+	// 2×servers-per-region: a modulus that is a multiple of the server count
+	// maps every sub-group to the same server as before, so one must not be.
 	RehashEvery int
-	// RehashModuli is cycled through on each rehash (default alternates
-	// 2×servers-per-region + 1 and 2×servers-per-region: a modulus that is
-	// a multiple of the server count maps every sub-group to the same
-	// server as before, so at least one modulus must not be).
-	RehashModuli []int
 }
 
-func (sc RoamScenarioConfig) withDefaults(p Population) RoamScenarioConfig {
+// returnProb is the chance a roamed user moves back to their primary host
+// instead of onward.
+const returnProb = 0.3
+
+func (sc RoamScenarioConfig) withDefaults() RoamScenarioConfig {
 	if sc.RoamEvery == 0 {
 		sc.RoamEvery = 5
 	}
 	if sc.RoamsPerWave <= 0 {
 		sc.RoamsPerWave = 8
-	}
-	if sc.ReturnProb <= 0 {
-		sc.ReturnProb = 0.3
-	}
-	if len(sc.RehashModuli) == 0 {
-		sc.RehashModuli = []int{2*p.ServersPerRegion + 1, 2 * p.ServersPerRegion}
 	}
 	return sc
 }
@@ -55,7 +48,7 @@ func (sc RoamScenarioConfig) withDefaults(p Population) RoamScenarioConfig {
 // engine's standard ledger keeps charging every committed message to its
 // recipient wherever the recipient's agent happens to be.
 func RunRoamScenario(drv *RoamDriver, cfg Config, sc RoamScenarioConfig) Report {
-	sc = sc.withDefaults(drv.Population())
+	sc = sc.withDefaults()
 	eng := New(drv, cfg)
 	rng := rand.New(rand.NewSource(sc.Seed ^ 0x9e3779b97f4a7c15&0x7fffffffffffffff))
 	roamed := make(map[int]bool)
@@ -74,7 +67,7 @@ func RunRoamScenario(drv *RoamDriver, cfg Config, sc RoamScenarioConfig) Report 
 	}
 
 	pop := drv.Population()
-	rehashIdx := 0
+	rehashes := 0
 	eng.OnTick = func(tick int) {
 		audit()
 		if sc.RoamEvery > 0 && tick > 0 && tick%sc.RoamEvery == 0 {
@@ -86,7 +79,7 @@ func RunRoamScenario(drv *RoamDriver, cfg Config, sc RoamScenarioConfig) Report 
 				}
 				r := pop.RegionOf(u)
 				var target int
-				if roamed[u] && rng.Float64() < sc.ReturnProb {
+				if roamed[u] && rng.Float64() < returnProb {
 					target = pop.HostOf(u)
 				} else {
 					target = r*pop.HostsPerRegion + rng.Intn(pop.HostsPerRegion)
@@ -101,9 +94,8 @@ func RunRoamScenario(drv *RoamDriver, cfg Config, sc RoamScenarioConfig) Report 
 			}
 		}
 		if sc.RehashEvery > 0 && tick > 0 && tick%sc.RehashEvery == 0 {
-			k := sc.RehashModuli[rehashIdx%len(sc.RehashModuli)]
-			rehashIdx++
-			_, _ = drv.Rehash(k)
+			rehashes++
+			_, _ = drv.Rehash(2*pop.ServersPerRegion + rehashes%2)
 		}
 	}
 

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/largemail/largemail/internal/faults"
-	"github.com/largemail/largemail/internal/livenet"
-	"github.com/largemail/largemail/internal/obs"
+	"github.com/largemail/largemail/internal/placement"
 	"github.com/largemail/largemail/internal/wire"
 )
 
@@ -20,8 +18,6 @@ type WireConfig struct {
 	Proto string
 	// Tick is the wall-clock duration of one schedule tick (default 2ms).
 	Tick time.Duration
-	// Addr is the TCP listen address (default loopback, ephemeral port).
-	Addr string
 }
 
 // WireDriver drives the full TCP wire path: a wire.Server fronting a livenet
@@ -30,14 +26,14 @@ type WireConfig struct {
 // identical to LiveDriver's round-robin scheme — the wire leg is the only
 // difference, which is what makes text-vs-binary sweeps comparable.
 type WireDriver struct {
-	cfg   WireConfig
-	pop   Population
-	srv   *wire.Server
-	c     *wire.Client
-	inner *LiveDriver // placement + cluster-side hooks over srv.Cluster()
+	// The live driver over srv.Cluster(): placement, ticks, snapshot, tracer
+	// and fault injection are cluster-side and its own; Submit, Retrieve and
+	// registration go over the wire instead.
+	*LiveDriver
+	srv *wire.Server
+	c   *wire.Client
 
 	registered map[int]bool
-	prevPolls  map[int]int
 }
 
 // NewWireDriver starts the server, dials the client, and switches it to the
@@ -53,14 +49,11 @@ func NewWireDriver(cfg WireConfig) (*WireDriver, error) {
 	if cfg.Proto != "text" && cfg.Proto != "binary" {
 		return nil, fmt.Errorf("wiredriver: unknown proto %q", cfg.Proto)
 	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
 	names := make([]string, cfg.Pop.TotalServers())
 	for gs := range names {
 		names[gs] = serverLabel(gs)
 	}
-	srv, err := wire.NewServer(cfg.Addr, names)
+	srv, err := wire.NewServer("127.0.0.1:0", names) // loopback, ephemeral port
 	if err != nil {
 		return nil, err
 	}
@@ -78,21 +71,12 @@ func NewWireDriver(cfg WireConfig) (*WireDriver, error) {
 			return nil, err
 		}
 	}
-	srv.Cluster().Tracer().KeepAll() // as NewLiveDriver: the audit reads every trace
-	d := &WireDriver{
-		cfg: cfg,
-		pop: cfg.Pop,
-		srv: srv,
-		c:   c,
-		inner: &LiveDriver{
-			cfg:     LiveConfig{Pop: cfg.Pop, Tick: cfg.Tick},
-			pop:     cfg.Pop,
-			cluster: srv.Cluster(),
-		},
+	return &WireDriver{
+		LiveDriver: newLiveDriver(srv.Cluster(), LiveConfig{Pop: cfg.Pop, Tick: cfg.Tick}, placement.NameStatic),
+		srv:        srv,
+		c:          c,
 		registered: make(map[int]bool),
-		prevPolls:  make(map[int]int),
-	}
-	return d, nil
+	}, nil
 }
 
 // Close drops the client connection and stops the server (which closes the
@@ -111,15 +95,12 @@ func (d *WireDriver) ensure(u int) (string, error) {
 	if d.registered[u] {
 		return name, nil
 	}
-	if err := d.c.Register(name, d.inner.authority(u)...); err != nil {
+	if err := d.c.Register(name, d.homeOf(u)...); err != nil {
 		return name, err
 	}
 	d.registered[u] = true
 	return name, nil
 }
-
-// Population implements Driver.
-func (d *WireDriver) Population() Population { return d.pop }
 
 // Submit implements Driver: one submit request over the wire. The server's
 // spool makes a nil error the all-or-nothing commit point, same as
@@ -161,29 +142,3 @@ func (d *WireDriver) Retrieve(u int) RetrieveResult {
 	}
 	return res
 }
-
-// Step implements Driver.
-func (d *WireDriver) Step(n int) { d.inner.Step(n) }
-
-// Settle implements Driver: wait for the server-side spool to drain.
-func (d *WireDriver) Settle() { d.inner.Settle() }
-
-// Snapshot implements Driver. Taken cluster-side: identical content to what
-// a status request returns, without perturbing the wire byte counters.
-func (d *WireDriver) Snapshot() obs.Snapshot { return d.inner.Snapshot() }
-
-// Tracer implements Driver.
-func (d *WireDriver) Tracer() *obs.Tracer { return d.inner.Tracer() }
-
-// Injector implements Driver: cluster-side fault injection, same surface as
-// the live transport.
-func (d *WireDriver) Injector() faults.Injector { return d.inner.Injector() }
-
-// FaultSurface implements Driver.
-func (d *WireDriver) FaultSurface() faults.Spec { return d.inner.FaultSurface() }
-
-// ServerLoads implements Driver.
-func (d *WireDriver) ServerLoads() []ServerLoad { return d.inner.ServerLoads() }
-
-// Cluster exposes the server-side cluster for tests.
-func (d *WireDriver) Cluster() *livenet.Cluster { return d.srv.Cluster() }

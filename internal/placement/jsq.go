@@ -36,7 +36,7 @@ func (j *JSQ) Name() string { return NameJSQ }
 // Place implements Policy.
 func (j *JSQ) Place(u User) []int {
 	tail := j.base.Place(u)
-	if len(tail) == 0 || j.cfg.Gauges == nil {
+	if len(tail) == 0 || tail[0] >= j.cfg.World.TotalServers() || j.cfg.Gauges == nil {
 		return tail
 	}
 	r := j.cfg.World.RegionOfSlot(tail[0])

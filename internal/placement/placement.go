@@ -77,7 +77,10 @@ type Migration struct {
 
 // Policy is the placement decision interface. Place is consulted when a user
 // first materializes (registration/submit time) and must return the ordered
-// authority list as global server slots, primary first. Rebalance is
+// authority list as global server slots, primary first — possibly a slice the
+// policy keeps, so the caller only reads it. A base policy may name a slot
+// past World.TotalServers (a server the driver wired after the world was
+// drawn); the online policies leave a user with such a primary to the base. Rebalance is
 // consulted once per engine tick with the current observability snapshot and
 // returns the migrations to execute this tick — nil/empty when the policy is
 // content (the static reference always is).
@@ -104,18 +107,21 @@ type Config struct {
 	// move (default 32). The bound is what keeps a mis-tuned policy from
 	// melting the system with migration traffic.
 	MaxMigrationsPerTick int
-	// HysteresisBand is the dead zone around the regional mean ρ: only
-	// servers above mean·(1+band) shed users and only servers below
-	// mean·(1−band) receive them (default 0.25). Without the band the
-	// rebalancer thrashes users back and forth across the mean.
-	HysteresisBand float64
-	// MinShedRho is the absolute ρ floor below which a server never sheds
-	// users (default 0.5). The relative band alone misfires in a near-idle
-	// region, where a single arrival puts a server "25% above" a tiny mean;
-	// a server comfortably under capacity is not overloaded no matter how
-	// its neighbors idle.
-	MinShedRho float64
 }
+
+const (
+	// hysteresisBand is the dead zone around the regional mean ρ: only
+	// servers above mean·(1+band) shed users and only servers below
+	// mean·(1−band) receive them. Without the band the rebalancer thrashes
+	// users back and forth across the mean.
+	hysteresisBand = 0.25
+	// minShedRho is the absolute ρ floor below which a server never sheds
+	// users. The relative band alone misfires in a near-idle region, where a
+	// single arrival puts a server "25% above" a tiny mean; a server
+	// comfortably under capacity is not overloaded no matter how its
+	// neighbors idle.
+	minShedRho = 0.5
+)
 
 func (c Config) withDefaults() Config {
 	if c.D <= 0 {
@@ -126,12 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxMigrationsPerTick <= 0 {
 		c.MaxMigrationsPerTick = 32
-	}
-	if c.HysteresisBand <= 0 {
-		c.HysteresisBand = 0.25
-	}
-	if c.MinShedRho <= 0 {
-		c.MinShedRho = 0.5
 	}
 	return c
 }
@@ -149,6 +149,18 @@ const (
 	NameJSQ       = "jsq"
 	NameRebalance = "rebalance"
 )
+
+// New builds the policy family name over base — the transport's static
+// placement, which is what "static" (and "") names.
+func New(name string, base Policy, cfg Config) Policy {
+	switch name {
+	case NameJSQ:
+		return NewJSQ(base, cfg)
+	case NameRebalance:
+		return NewRebalancer(base, cfg)
+	}
+	return base
+}
 
 // ParseName validates a -policy flag value ("" means static).
 func ParseName(s string) (string, error) {

@@ -17,7 +17,7 @@ import (
 //   - Hysteresis: only servers outside mean·(1±band) participate. A server
 //     hovering near the mean is left alone, so the policy cannot thrash a
 //     user back and forth across a noisy boundary.
-//   - An absolute floor: a server below MinShedRho never sheds, however far
+//   - An absolute floor: a server below minShedRho never sheds, however far
 //     above a near-idle region's mean it sits — relative bands misread noise
 //     as skew when there is no traffic to balance.
 //   - Budget: at most MaxMigrationsPerTick users move per tick, so migration
@@ -45,11 +45,11 @@ func (rb *Rebalancer) Name() string { return NameRebalance }
 // registration to the region's coldest server is a migration at zero cost:
 // the user has no mailbox yet, so there is nothing to drain and no copy in
 // flight to chase. The shed criterion is the same one Rebalance applies
-// (above the hysteresis band and the MinShedRho floor), read from the live
+// (above the hysteresis band and the minShedRho floor), read from the live
 // gauges, so a healthy region places exactly like the base policy.
 func (rb *Rebalancer) Place(u User) []int {
 	out := rb.base.Place(u)
-	if len(out) == 0 || rb.cfg.Gauges == nil {
+	if len(out) == 0 || out[0] >= rb.cfg.World.TotalServers() || rb.cfg.Gauges == nil {
 		return out
 	}
 	r := rb.cfg.World.RegionOfSlot(out[0])
@@ -69,9 +69,9 @@ func (rb *Rebalancer) Place(u User) []int {
 		}
 	}
 	mean /= float64(len(slots))
-	hi := mean * (1 + rb.cfg.HysteresisBand)
-	if hi < rb.cfg.MinShedRho {
-		hi = rb.cfg.MinShedRho
+	hi := mean * (1 + hysteresisBand)
+	if hi < minShedRho {
+		hi = minShedRho
 	}
 	if rho(out[0]) <= hi || cold == out[0] {
 		return out
@@ -114,11 +114,11 @@ func (rb *Rebalancer) Rebalance(snap obs.Snapshot) []Migration {
 		if mean <= 0 {
 			continue // no traffic observed yet
 		}
-		hi := mean * (1 + rb.cfg.HysteresisBand)
-		if hi < rb.cfg.MinShedRho {
-			hi = rb.cfg.MinShedRho // a near-idle region has nothing to shed
+		hi := mean * (1 + hysteresisBand)
+		if hi < minShedRho {
+			hi = minShedRho // a near-idle region has nothing to shed
 		}
-		lo := mean * (1 - rb.cfg.HysteresisBand)
+		lo := mean * (1 - hysteresisBand)
 		var overs, unders []slotLoad
 		for _, l := range loads {
 			switch {

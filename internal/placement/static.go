@@ -2,26 +2,24 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 
-	"github.com/largemail/largemail/internal/assign"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/obs"
 )
 
 // StaticConfig wires the §3.1.1 optimizer into the Policy interface. The
-// driver keeps building the per-region assign.Assignment engines exactly as
-// before (they need the real topology); Static turns their authority lists
-// into slot-space Place answers, bit-compatible with reading the assignment
-// directly.
+// driver keeps running the per-region assign.Assignment engines (they need the
+// real topology) and keeps each host's authority list current; Static turns
+// those lists into slot-space Place answers.
 type StaticConfig struct {
 	World World
-	// Assigns holds one ran §3.1.1 assignment per region.
-	Assigns []*assign.Assignment
-	// HostNode maps a global host index to its topology node; SlotOf maps a
-	// topology server node back to its global slot (ok=false for nodes that
-	// are not placeable servers).
-	HostNode func(gh int) graph.NodeID
-	// SlotOf maps a topology server node to its global slot.
+	// Lists returns a global host's current authority list as topology nodes:
+	// the driver's own slice, replaced (never edited) when a reconfiguration
+	// re-runs the assignment.
+	Lists func(gh int) []graph.NodeID
+	// SlotOf maps a topology server node to its global slot (ok=false for
+	// nodes that are not placeable servers).
 	SlotOf func(id graph.NodeID) (int, bool)
 }
 
@@ -29,74 +27,49 @@ type StaticConfig struct {
 // never rebalances — that is the point being raced against.
 type Static struct {
 	cfg   StaticConfig
-	lists []map[int][]int // per region: global host → slot list, lazily built
+	hosts []hostList // per global host
 }
 
-// NewStatic wraps ran per-region assignments as a Policy.
+// hostList is a host's authority list as last seen and its translation.
+type hostList struct {
+	nodes []graph.NodeID
+	slots []int
+}
+
+// NewStatic wraps the driver's per-host §3.1.1 lists as a Policy.
 func NewStatic(cfg StaticConfig) (*Static, error) {
-	if len(cfg.Assigns) != cfg.World.Regions {
-		return nil, fmt.Errorf("placement: %d assignments for %d regions",
-			len(cfg.Assigns), cfg.World.Regions)
+	if cfg.Lists == nil || cfg.SlotOf == nil {
+		return nil, fmt.Errorf("placement: static policy needs Lists and SlotOf")
 	}
-	if cfg.HostNode == nil || cfg.SlotOf == nil {
-		return nil, fmt.Errorf("placement: static policy needs HostNode and SlotOf")
-	}
-	return &Static{cfg: cfg, lists: make([]map[int][]int, cfg.World.Regions)}, nil
+	return &Static{cfg: cfg, hosts: make([]hostList, cfg.World.Regions*cfg.World.HostsPerRegion)}, nil
 }
 
 // Name implements Policy.
 func (s *Static) Name() string { return NameStatic }
 
-// Place implements Policy: the host's authority list from the region's
-// assignment, translated to slots.
+// Place implements Policy: the host's authority list, translated to slots.
+// Every user of a host gets the same cached slice — the reference policy
+// costs nothing per user — so callers must not write to it (no policy
+// wrapping this one does). The translation is redone when the host's list is
+// no longer the one it was made from.
 func (s *Static) Place(u User) []int {
-	gh := u.Host
-	if gh < 0 || gh >= s.cfg.World.Regions*s.cfg.World.HostsPerRegion {
+	if u.Host < 0 || u.Host >= len(s.hosts) {
 		return nil
 	}
-	r := s.cfg.World.RegionOfHost(gh)
-	if s.lists[r] == nil {
-		s.build(r)
-	}
-	return append([]int(nil), s.lists[r][gh]...)
-}
-
-// build materializes region r's host → slot lists from the assignment.
-func (s *Static) build(r int) {
-	w := s.cfg.World
-	m := make(map[int][]int, w.HostsPerRegion)
-	for node, list := range s.cfg.Assigns[r].AuthorityLists(w.AuthorityLen) {
-		gh := -1
-		for i := 0; i < w.HostsPerRegion; i++ {
-			if s.cfg.HostNode(r*w.HostsPerRegion+i) == node {
-				gh = r*w.HostsPerRegion + i
-				break
-			}
-		}
-		if gh < 0 {
-			continue
-		}
-		slots := make([]int, 0, len(list))
-		for _, sv := range list {
+	h := &s.hosts[u.Host]
+	if nodes := s.cfg.Lists(u.Host); !slices.Equal(nodes, h.nodes) {
+		h.nodes, h.slots = nodes, make([]int, 0, len(nodes))
+		for _, sv := range nodes {
 			if slot, ok := s.cfg.SlotOf(sv); ok {
-				slots = append(slots, slot)
+				h.slots = append(h.slots, slot)
 			}
 		}
-		m[gh] = slots
 	}
-	s.lists[r] = m
+	return h.slots
 }
 
 // Rebalance implements Policy: the static optimum never moves anyone.
 func (s *Static) Rebalance(obs.Snapshot) []Migration { return nil }
-
-// Invalidate drops region r's cached lists after a reconfiguration
-// (AddServer/RemoveServer/Add-RemoveUsers re-ran the assignment).
-func (s *Static) Invalidate(r int) {
-	if r >= 0 && r < len(s.lists) {
-		s.lists[r] = nil
-	}
-}
 
 // RoundRobin is the live transport's historical static placement: region r's
 // slots assigned round-robin from the user's host offset. It exists so the
