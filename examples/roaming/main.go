@@ -37,7 +37,7 @@ func run() error {
 
 	// Carol's sub-group authority servers are hash-derived (§3.2.2b) and do
 	// not change when she moves.
-	fmt.Printf("carol's sub-group authority servers: %v\n", sys.Sys.AuthorityFor(carol))
+	fmt.Printf("carol's sub-group authority servers: %v\n", sys.Sys.Resolve(carol))
 
 	// At the primary host: delivery needs no location consultation.
 	if err := cAgent.Login(); err != nil {

@@ -250,7 +250,7 @@ func (f *Fabric) RemoveServer(id graph.NodeID) error {
 	// already headed here may deposit after the first evacuation.
 	for i := 0; i < 16; i++ {
 		f.Sched.Run()
-		if srv.Evacuate() == 0 && srv.PendingTransfers() == 0 {
+		if _, n := srv.Evacuate(); n == 0 && srv.PendingTransfers() == 0 {
 			break
 		}
 	}

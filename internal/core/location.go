@@ -65,14 +65,25 @@ func (s *LocationSystem) MigrateUser(user names.Name, newHost graph.NodeID) erro
 func (s *LocationSystem) Evaluate() evalsys.Report {
 	c := evalsys.NewCollector("location-independent")
 	st := s.Sys.Stats()
-	submitted := st.Get("submissions")
+	var submitted, delivered, duplicates, retries, notifies int64
+	for _, id := range s.Sys.Servers() {
+		srv, _ := s.Sys.Server(id)
+		st := srv.Stats()
+		submitted += st.Get("submissions")
+		delivered += st.Get("deposits_local")
+		duplicates += st.Get("duplicate_deposits")
+		retries += st.Get("retries")
+		notifies += st.Get("notifies")
+	}
 	for i := int64(0); i < submitted; i++ {
 		c.CountSubmission(true)
 	}
-	c.CountDelivered(int(st.Get("deposits")))
-	c.CountDuplicates(int(st.Get("duplicate_deposits")))
-	c.CountRetries(int(st.Get("deposit_retries")))
-	c.CountNotified(int(st.Get("notify_home") + st.Get("notify_roaming") + st.Get("notify_known")))
+	c.CountDelivered(int(delivered))
+	c.CountDuplicates(int(duplicates))
+	c.CountRetries(int(retries))
+	// A user logged on with the depositing server is notified as in §3.1;
+	// the others are found by §3.2.2c's probe or consultation.
+	c.CountNotified(int(notifies + st.Get("notify_home") + st.Get("notify_roaming")))
 	for _, a := range s.agents {
 		if r := a.Retrievals(); r > 0 {
 			// First entry carries the agent's whole poll count; the mean

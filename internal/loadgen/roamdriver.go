@@ -10,6 +10,7 @@ import (
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/obs"
 	"github.com/largemail/largemail/internal/queueing"
+	"github.com/largemail/largemail/internal/server"
 	"github.com/largemail/largemail/internal/sim"
 )
 
@@ -210,7 +211,7 @@ func (d *RoamDriver) Submit(from int, to []int, subject, body string) (string, e
 	if !ok {
 		return "", fmt.Errorf("loadgen: no server process on node %d", sid)
 	}
-	id, err := srv.Accept(fa.User(), toNames, subject, body)
+	id, err := srv.Submit(server.SubmitRequest{From: fa.User(), To: toNames, Subject: subject, Body: body})
 	if err != nil {
 		return "", err
 	}
@@ -218,7 +219,8 @@ func (d *RoamDriver) Submit(from int, to []int, subject, body string) (string, e
 }
 
 // Retrieve implements Driver. locind's GetMail polls every live authority
-// server each call, so Polls ≈ the authority length by design here.
+// server each call, so Polls ≈ the authority length by design here; the
+// polled servers stamp what they hand over, as in §3.1.
 func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 	a, err := d.ensure(u)
 	if err != nil {
@@ -227,13 +229,8 @@ func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 	p0, dup0 := a.Polls(), a.Duplicates()
 	msgs := a.TakeMail() // only the IDs leave here; an agent lives as long as the run does
 	ids := make([]string, len(msgs))
-	var where string
-	if len(msgs) > 0 { // most retrievals find nothing; spare them the label
-		where = hostLabel(d.CurrentHost(u))
-	}
 	for i, m := range msgs {
 		ids[i] = m.ID.String()
-		d.trace.StampKey(m.ID.TraceKey(), obs.StageRetrieve, where)
 	}
 	a.DropNotifications()
 	return RetrieveResult{
@@ -248,9 +245,30 @@ func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 func (d *RoamDriver) Step(n int) { d.sched.RunFor(sim.Time(n) * d.tick) }
 
 // Snapshot implements Driver: the shared locind counters and histograms
-// (deposits, consultations, notify_*, lat_roam_resolve, ...) plus network
-// counters.
-func (d *RoamDriver) Snapshot() obs.Snapshot { return netSnapshot(d.reg, d.net) }
+// (consultations, notify_*, rehash_*, lat_roam_resolve, the stage
+// latencies), every server's counters summed under their own names
+// (deposits_local, deposit_transfers, logins, ...) and the network's.
+func (d *RoamDriver) Snapshot() obs.Snapshot {
+	snap := netSnapshot(d.reg, d.net)
+	d.eachServer(func(_ int, srv *server.Server) {
+		for k, v := range srv.Stats().Counters() {
+			snap.Counters[k] += v
+		}
+	})
+	return snap
+}
+
+// eachServer calls fn with every server of every region, in global order.
+func (d *RoamDriver) eachServer(fn func(gs int, srv *server.Server)) {
+	for r, sys := range d.systems {
+		for j := 0; j < d.pop.ServersPerRegion; j++ {
+			gs := r*d.pop.ServersPerRegion + j
+			if srv, ok := sys.Server(serverID(gs)); ok {
+				fn(gs, srv)
+			}
+		}
+	}
+}
 
 // Injector implements Driver.
 func (d *RoamDriver) Injector() faults.Injector { return d.injector() }
@@ -277,22 +295,16 @@ func (d *RoamDriver) ServerLoads() []ServerLoad {
 	maxLoad := p.MaxLoad()
 	rho := float64(perServer) / float64(maxLoad)
 	var out []ServerLoad
-	for r, sys := range d.systems {
-		for j := 0; j < p.ServersPerRegion; j++ {
-			gs := r*p.ServersPerRegion + j
-			sl := ServerLoad{
-				Name:    serverLabel(gs),
-				Region:  p.RegionName(r),
-				Load:    perServer,
-				MaxLoad: maxLoad,
-				Rho:     rho,
-				QWait:   queueing.Wait(rho),
-			}
-			if srv, ok := sys.Server(serverID(gs)); ok {
-				sl.Deposits = srv.Deposits()
-			}
-			out = append(out, sl)
-		}
-	}
+	d.eachServer(func(gs int, srv *server.Server) {
+		out = append(out, ServerLoad{
+			Name:     serverLabel(gs),
+			Region:   p.RegionName(gs / p.ServersPerRegion),
+			Load:     perServer,
+			MaxLoad:  maxLoad,
+			Rho:      rho,
+			QWait:    queueing.Wait(rho),
+			Deposits: srv.Stats().Get("deposits_local"),
+		})
+	})
 	return out
 }

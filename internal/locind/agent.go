@@ -7,6 +7,7 @@ import (
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/netsim"
+	"github.com/largemail/largemail/internal/server"
 )
 
 // Hostd is the host-side process of the location-independent design: it
@@ -44,10 +45,10 @@ func (h *Hostd) Receive(env netsim.Envelope) {
 		a, here := h.agents[m.User]
 		found := here && a.loggedIn
 		if found {
-			a.notifications = append(a.notifications, Alert{User: m.User, ID: m.ID, Server: m.Server})
+			a.notifications = append(a.notifications, server.Notify{User: m.User, ID: m.ID, Server: m.Server})
 		}
 		_ = h.sys.net.Send(h.id, m.Server, h.sys.free.probeReply.Box(ProbeReply{Token: m.Token, Found: found}))
-	case *netsim.Box[Alert]:
+	case *netsim.Box[server.Notify]:
 		if a, here := h.agents[b.V.User]; here {
 			a.notifications = append(a.notifications, b.V)
 		}
@@ -66,7 +67,7 @@ type Agent struct {
 	loggedIn      bool
 	seen          mail.IDSet
 	inbox         mail.Inbox
-	notifications []Alert
+	notifications []server.Notify
 	polls         int
 	retrievals    int
 	dupes         int
@@ -102,8 +103,8 @@ func (a *Agent) AtPrimary() bool { return a.current.id == a.primary }
 
 // Notifications returns alerts received so far (since the last
 // DropNotifications).
-func (a *Agent) Notifications() []Alert {
-	return append([]Alert(nil), a.notifications...)
+func (a *Agent) Notifications() []server.Notify {
+	return append([]server.Notify(nil), a.notifications...)
 }
 
 // DropNotifications releases the alerts the agent holds.
@@ -156,7 +157,7 @@ func (a *Agent) Login() error {
 		return err
 	}
 	a.loggedIn = true
-	return a.sys.net.Send(a.current.id, srv, a.sys.free.login.Box(LoginMsg{User: a.user, Host: a.current.id}))
+	return a.sys.net.Send(a.current.id, srv, a.sys.free.login.Box(server.Login{User: a.user, Host: a.current.id}))
 }
 
 // Logout withdraws presence.
@@ -166,7 +167,7 @@ func (a *Agent) Logout() error {
 		return err
 	}
 	a.loggedIn = false
-	return a.sys.net.Send(a.current.id, srv, a.sys.free.logout.Box(LogoutMsg{User: a.user}))
+	return a.sys.net.Send(a.current.id, srv, a.sys.free.logout.Box(server.Logout{User: a.user}))
 }
 
 // Send submits a message via the nearest active server — from wherever the
@@ -215,7 +216,7 @@ func (a *Agent) RemoteGetMail(from graph.NodeID) ([]mail.Stored, float64) {
 func (a *Agent) walk(from graph.NodeID, costFactor float64) int {
 	a.retrievals++
 	before := len(a.inbox)
-	for _, sid := range a.sys.AuthorityFor(a.user) {
+	for _, sid := range a.sys.Resolve(a.user) {
 		if !a.sys.net.IsUp(sid) {
 			continue
 		}

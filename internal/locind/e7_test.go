@@ -14,7 +14,7 @@ func pickUserWithHead(t *testing.T, w *world, head graph.NodeID) names.Name {
 	t.Helper()
 	for _, tok := range []string{"carol", "dave", "erin", "frank", "gail", "hank", "iris", "jack"} {
 		n := names.Name{Region: "R1", Host: "ha", User: tok}
-		if w.sys.AuthorityFor(n)[0] == head {
+		if w.sys.Resolve(n)[0] == head {
 			return n
 		}
 	}

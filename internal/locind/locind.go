@@ -11,11 +11,16 @@
 // reallocation of load can be done by changing the hashing functions"
 // (§3.2.3c) — no renames.
 //
-// Delivery notification follows §3.2.2c: a server holding new mail first
-// tries the user's primary location; "if the user is not at his primary
-// location, the server has to consult with other local servers to find out
-// the current location of the user." Overhead is incurred only when the
-// user roams — the property experiment E7 measures.
+// Everything else is §3.1's: each server node runs an internal/server
+// Server — submission, the first-active deposit, acked and retried
+// transfers, the inter-region relay, crash recovery — with the sub-group
+// table as its resolver. What this package adds is that table and its
+// rehash, and delivery notification per §3.2.2c: a server holding new mail
+// for a user not logged on with it first tries the user's primary location;
+// "if the user is not at his primary location, the server has to consult
+// with other local servers to find out the current location of the user."
+// Overhead is incurred only when the user roams — the property experiment E7
+// measures.
 package locind
 
 import (
@@ -29,7 +34,7 @@ import (
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/netsim"
 	"github.com/largemail/largemail/internal/obs"
-	"github.com/largemail/largemail/internal/sim"
+	"github.com/largemail/largemail/internal/server"
 )
 
 // Errors reported by the package.
@@ -42,35 +47,13 @@ var (
 
 // Protocol payloads. Every one travels in a netsim.Box from the sending
 // system's free lists (System.free), so a handler reads it in place and keeps
-// nothing of it past Receive.
+// nothing of it past Receive. Logins, logouts and alerts are §3.1's
+// server.Login, server.Logout and server.Notify.
 type (
 	// Submit asks a server to deliver a message (sent from the user's
-	// current host).
-	Submit struct {
-		From    names.Name
-		To      []names.Name
-		Subject string
-		Body    string
-	}
-	// Deposit hands a message to an authority server of the recipient's
-	// sub-group; acked and retried like the syntax-directed design.
-	Deposit struct {
-		Msg       mail.Message
-		Recipient names.Name
-		Origin    graph.NodeID
-		Token     uint64
-	}
-	// DepositAck confirms a Deposit.
-	DepositAck struct{ Token uint64 }
-	// LoginMsg announces a user's presence at a host to the connecting
-	// server ("whenever a user logs on to a host, the host will inform the
-	// nearest active server", §3.2.2c).
-	LoginMsg struct {
-		User names.Name
-		Host graph.NodeID
-	}
-	// LogoutMsg withdraws the login.
-	LogoutMsg struct{ User names.Name }
+	// current host). Unlike server.SubmitRequest it is not acknowledged:
+	// the agent learns nothing back, so a send costs E7 one message.
+	Submit server.SubmitRequest
 	// NotifyProbe asks a host whether the user is connected there; if so
 	// the alert is delivered with it.
 	NotifyProbe struct {
@@ -99,22 +82,6 @@ type (
 		Known bool
 		Token uint64
 	}
-	// Alert is the final notification to the user's located host.
-	Alert struct {
-		User   names.Name
-		ID     mail.MessageID
-		Server graph.NodeID
-	}
-	// Forward relays a message into the recipient's region (§3.2.2b);
-	// acked and retried like Deposit.
-	Forward struct {
-		Msg       mail.Message
-		Recipient names.Name
-		Origin    graph.NodeID
-		Token     uint64
-	}
-	// ForwardAck confirms a Forward.
-	ForwardAck struct{ Token uint64 }
 )
 
 // Federation links the location-independent systems of several regions
@@ -122,14 +89,17 @@ type (
 // name is not a local name, the server has to contact the corresponding
 // server in the region where the name belongs. The request will be
 // forwarded to that server which will assume the responsibility of
-// resolving the name and delivering the messages."
+// resolving the name and delivering the messages." That step is the
+// servers' relay (server.Server.Route); the federation gives every member's
+// servers one region map to relay by.
 type Federation struct {
 	systems map[string]*System
+	regions *server.RegionMap
 }
 
 // NewFederation returns an empty federation.
 func NewFederation() *Federation {
-	return &Federation{systems: make(map[string]*System)}
+	return &Federation{systems: make(map[string]*System), regions: server.NewRegionMap()}
 }
 
 // Add joins a region's system to the federation. Systems must share one
@@ -138,8 +108,13 @@ func (f *Federation) Add(sys *System) error {
 	if _, dup := f.systems[sys.region]; dup {
 		return fmt.Errorf("locind: region %s already federated", sys.region)
 	}
+	for _, id := range sys.servers {
+		f.regions.AddServer(sys.region, id)
+	}
+	// The system's servers hold sys.regions; a RegionMap copy shares its
+	// table, so from here on they relay by — and change — the federation's.
+	*sys.regions = *f.regions
 	f.systems[sys.region] = sys
-	sys.fed = f
 	return nil
 }
 
@@ -149,66 +124,51 @@ func (f *Federation) System(region string) (*System, bool) {
 	return s, ok
 }
 
-// serversOf returns a region's servers in preference order, or nil for
-// unknown regions.
-func (f *Federation) serversOf(region string) []graph.NodeID {
-	s, ok := f.systems[region]
-	if !ok {
-		return nil
-	}
-	return s.servers
-}
-
 // Config describes one region's location-independent system.
 type Config struct {
 	Region string
 	Net    *netsim.Network
 	// Servers are the region's mail servers, in preference order.
 	Servers []graph.NodeID
-	// Hosts maps host name tokens to their nodes (needed to find a user's
-	// primary location from their name).
-	Hosts map[string]graph.NodeID
 	// Subgroups is the hash modulus k; zero means max(1, 2×#servers).
 	Subgroups int
 	// ListLen is the authority-list length per sub-group; zero means
 	// min(2, #servers).
 	ListLen int
-	// AckTimeout for deposit retries; zero means 8 paper time units.
-	AckTimeout sim.Time
-	// Stats, when non-nil, is used instead of a private registry — a
+	// Stats, when non-nil, is used instead of a private registry for the
+	// counters this package adds (notification, consultation, rehash) — a
 	// federation's regions can then share one registry and their counters
-	// aggregate.
+	// aggregate. The servers keep their own (System.Server(id).Stats()).
 	Stats *obs.Registry
-	// Trace, when non-nil, stamps the message lifecycle (submit, deposit)
-	// so a workload harness can run its trace-completeness audit.
+	// Trace, when non-nil, stamps the message lifecycle on every server so
+	// a workload harness can run its trace-completeness audit.
 	Trace *obs.Tracer
 }
 
 // System is one region's location-independent mail system.
 type System struct {
-	region     string
-	net        *netsim.Network
-	hosts      map[string]graph.NodeID
-	subgroups  int
-	listLen    int
-	ackTimeout sim.Time
+	region    string
+	net       *netsim.Network
+	hosts     map[string]graph.NodeID
+	subgroups int
+	listLen   int
 
 	// servers is the rotation; authority holds every sub-group's list, row g
 	// at [g·listLen, (g+1)·listLen); others maps each server process to the
 	// rotation without it. All three are replaced, never edited, whenever
 	// the rotation or the modulus changes (retable), so a row handed out by
-	// AuthorityFor — to a pending deposit, a consultation walk, a caller —
-	// stays what it was when it was read, and nobody may write to one.
+	// Resolve — to a pending transfer, a consultation walk, a caller — stays
+	// what it was when it was read, and nobody may write to one.
 	servers   []graph.NodeID
 	authority []graph.NodeID
 	others    map[graph.NodeID][]graph.NodeID
 
-	procs  map[graph.NodeID]*Server
-	hostPs map[graph.NodeID]*Hostd
-	free   payloadLists
-	stats  *obs.Registry
-	trace  *obs.Tracer // nil when lifecycle stamping is off
-	fed    *Federation // nil outside a federation
+	procs   map[graph.NodeID]*locator // each server node's server, with its locator
+	regions *server.RegionMap         // the servers' relay map; the federation's once joined
+	hostPs  map[graph.NodeID]*Hostd
+	free    payloadLists
+	stats   *obs.Registry
+	trace   *obs.Tracer // nil when lifecycle stamping is off
 
 	// onOverhead, when set via SetOverheadHook, observes every piece of
 	// roaming-tracking work a delivery incurs: one "consult" event per
@@ -219,21 +179,17 @@ type System struct {
 }
 
 // payloadLists holds one free list per payload type for the whole region: its
-// servers, hosts and agents all send from the one event loop, and a box finds
-// its way back to the list it was taken from (netsim.FreeList).
+// servers' locators, hosts and agents all send from the one event loop, and a
+// box finds its way back to the list it was taken from (netsim.FreeList).
 type payloadLists struct {
 	submit      netsim.FreeList[Submit]
-	deposit     netsim.FreeList[Deposit]
-	depositAck  netsim.FreeList[DepositAck]
-	login       netsim.FreeList[LoginMsg]
-	logout      netsim.FreeList[LogoutMsg]
+	login       netsim.FreeList[server.Login]
+	logout      netsim.FreeList[server.Logout]
+	notify      netsim.FreeList[server.Notify]
 	notifyProbe netsim.FreeList[NotifyProbe]
 	probeReply  netsim.FreeList[ProbeReply]
 	locQuery    netsim.FreeList[LocQuery]
 	locReply    netsim.FreeList[LocReply]
-	alert       netsim.FreeList[Alert]
-	forward     netsim.FreeList[Forward]
-	forwardAck  netsim.FreeList[ForwardAck]
 }
 
 // SetOverheadHook installs the roaming-overhead observer (see §3.2.2c:
@@ -243,8 +199,8 @@ func (s *System) SetOverheadHook(fn func(user names.Name, event string)) {
 	s.onOverhead = fn
 }
 
-// NewSystem registers a Server process on every server node. Host processes
-// are added with AddHost.
+// NewSystem starts a server on every server node. Host processes are added
+// with AddHost.
 func NewSystem(cfg Config) (*System, error) {
 	if cfg.Net == nil {
 		return nil, errors.New("locind: nil network")
@@ -256,43 +212,48 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg.Subgroups = 2 * len(cfg.Servers)
 	}
 	if cfg.ListLen <= 0 || cfg.ListLen > len(cfg.Servers) {
-		cfg.ListLen = len(cfg.Servers)
-		if cfg.ListLen > 2 {
-			cfg.ListLen = 2
-		}
-	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = 8 * sim.Unit
+		cfg.ListLen = min(2, len(cfg.Servers))
 	}
 	reg := cfg.Stats
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	s := &System{
-		region:     cfg.Region,
-		net:        cfg.Net,
-		servers:    append([]graph.NodeID(nil), cfg.Servers...),
-		hosts:      make(map[string]graph.NodeID, len(cfg.Hosts)),
-		subgroups:  cfg.Subgroups,
-		listLen:    cfg.ListLen,
-		ackTimeout: cfg.AckTimeout,
-		procs:      make(map[graph.NodeID]*Server),
-		hostPs:     make(map[graph.NodeID]*Hostd),
-		stats:      reg,
-		trace:      cfg.Trace,
-	}
-	for tok, id := range cfg.Hosts {
-		s.hosts[tok] = id
+		region:    cfg.Region,
+		net:       cfg.Net,
+		servers:   append([]graph.NodeID(nil), cfg.Servers...),
+		hosts:     make(map[string]graph.NodeID),
+		subgroups: cfg.Subgroups,
+		listLen:   cfg.ListLen,
+		procs:     make(map[graph.NodeID]*locator),
+		regions:   server.NewRegionMap(),
+		hostPs:    make(map[graph.NodeID]*Hostd),
+		stats:     reg,
+		trace:     cfg.Trace,
 	}
 	for _, id := range cfg.Servers {
-		p := newServer(s, id)
-		if err := cfg.Net.Register(id, p); err != nil {
+		if err := s.startServer(id); err != nil {
 			return nil, err
 		}
-		s.procs[id] = p
 	}
 	s.retable()
 	return s, nil
+}
+
+// startServer starts node id's server, resolving by this system's sub-groups
+// and locating recipients per §3.2.2c.
+func (s *System) startServer(id graph.NodeID) error {
+	l := &locator{sys: s, notifying: make(map[uint64]*pendingNotify)}
+	srv, err := server.New(server.Config{
+		ID: id, Region: s.region, Net: s.net, Dir: s, Regions: s.regions,
+		Locate: l, Trace: s.trace,
+	})
+	if err != nil {
+		return err
+	}
+	l.srv = srv
+	s.procs[id] = l
+	return nil
 }
 
 // retable rebuilds the authority table and the per-server consultation
@@ -319,8 +280,10 @@ func (s *System) retable() {
 	}
 }
 
-// Stats returns region-wide counters: "deposits", "notify_home",
-// "notify_roaming", "consultations", "rehash_transfers", ...
+// Stats returns the counters this package adds: "notify_home",
+// "notify_roaming", "notify_offline", "notify_probe_primary",
+// "consultations", "rehash_transfers", "rehash_messages_moved" and the
+// "lat_roam_resolve" histogram. Delivery's counters are each server's.
 func (s *System) Stats() *obs.Registry { return s.stats }
 
 // Region returns the system's region name.
@@ -335,22 +298,27 @@ func (s *System) Servers() []graph.NodeID {
 }
 
 // Server returns the server process on a node.
-func (s *System) Server(id graph.NodeID) (*Server, bool) {
-	p, ok := s.procs[id]
-	return p, ok
+func (s *System) Server(id graph.NodeID) (*server.Server, bool) {
+	l, ok := s.procs[id]
+	if !ok {
+		return nil, false
+	}
+	return l.srv, true
 }
 
-// AuthorityFor returns the ordered authority-server list of the user's hash
-// sub-group: a row of the current table, shared and read-only.
-func (s *System) AuthorityFor(user names.Name) []graph.NodeID {
+// Resolve returns the ordered authority-server list of the user's hash
+// sub-group: a row of the current table, shared and read-only. It is the
+// servers' name resolution (server.Resolver).
+func (s *System) Resolve(user names.Name) []graph.NodeID {
 	lo := user.Subgroup(s.subgroups) * s.listLen
 	return s.authority[lo : lo+s.listLen : lo+s.listLen]
 }
 
-// isAuthority reports whether id is on the user's authority list.
-func (s *System) isAuthority(id graph.NodeID, user names.Name) bool {
-	return slices.Contains(s.AuthorityFor(user), id)
-}
+// Group implements server.Resolver: §3.2 has no distribution lists.
+func (s *System) Group(names.Name) ([]names.Name, bool) { return nil, false }
+
+// Redirect implements server.Resolver: a user who moves keeps their name.
+func (s *System) Redirect(names.Name) (names.Name, bool) { return names.Name{}, false }
 
 // PrimaryHost returns the node of the user's primary location (the host
 // token of their name).
@@ -388,68 +356,43 @@ func (s *System) NearestServer(from graph.NodeID) (graph.NodeID, error) {
 
 // Rehash changes the hash modulus — the paper's reconfiguration lever
 // ("reallocation of servers and reallocation of load can be done by
-// changing the hashing functions", §3.2.3c) — and migrates buffered
-// mailboxes whose sub-group authority no longer includes their current
-// server. No user names change. It returns how many mailboxes moved.
+// changing the hashing functions", §3.2.3c) — and has every server evacuate
+// the mailboxes of users it no longer serves through the normal acked
+// deposit path, so a target that is down mid-rehash is covered by the same
+// retries as any other deposit. No user names change. It returns how many
+// mailboxes moved.
 func (s *System) Rehash(k int) (moved int, err error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("locind: invalid sub-group count %d", k)
 	}
 	s.subgroups = k
 	s.retable()
-	serverIDs := append([]graph.NodeID(nil), s.servers...)
-	sort.Slice(serverIDs, func(i, j int) bool { return serverIDs[i] < serverIDs[j] })
-	for _, sid := range serverIDs {
-		moved += s.evacuate(s.procs[sid])
+	ids := slices.Clone(s.servers)
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		moved += s.evacuate(id)
 	}
 	return moved, nil
 }
 
-// evacuate re-routes every buffered message on p whose sub-group authority
-// no longer includes p, through the normal acked per-message deposit path,
-// so reconfiguration cannot lose mail: a target that is down mid-rehash is
-// covered by the same retry machinery as any other deposit. It returns the
-// number of mailboxes moved.
-func (s *System) evacuate(p *Server) (moved int) {
-	users := make([]names.Name, 0, len(p.mailboxes))
-	for u := range p.mailboxes {
-		users = append(users, u)
-	}
-	slices.SortFunc(users, names.Compare)
-	for _, u := range users {
-		if s.isAuthority(p.id, u) {
-			continue
-		}
-		msgs := p.mailboxes[u].Drain()
-		if len(msgs) == 0 {
-			continue
-		}
-		s.stats.Inc("rehash_transfers")
-		moved++
-		for _, st := range msgs {
-			// The copy leaves this server still undelivered: drop it from the
-			// suppression memory, or a later reconfiguration routing it back
-			// here would swallow it as a duplicate re-deposit.
-			p.mailboxes[u].Forget(st.ID)
-			s.stats.Inc("rehash_messages_moved")
-			p.route(st.Message, u)
-		}
-	}
-	return moved
+// evacuate runs one server's evacuation and counts it.
+func (s *System) evacuate(id graph.NodeID) int {
+	users, msgs := s.procs[id].srv.Evacuate()
+	s.stats.Add("rehash_transfers", int64(users))
+	s.stats.Add("rehash_messages_moved", int64(msgs))
+	return users
 }
 
-// AddServer appends a server to the region (registering its process) and
-// rehashes so sub-groups spread over it.
+// AddServer starts a server on a node of the region and rehashes so
+// sub-groups spread over it.
 func (s *System) AddServer(id graph.NodeID) error {
 	if _, dup := s.procs[id]; dup {
 		return fmt.Errorf("locind: server %d already present", id)
 	}
-	p := newServer(s, id)
-	if err := s.net.Register(id, p); err != nil {
+	if err := s.startServer(id); err != nil {
 		return err
 	}
-	s.procs[id] = p
-	s.servers = append(s.servers[:len(s.servers):len(s.servers)], id)
+	s.servers = append(slices.Clip(s.servers), id)
 	_, err := s.Rehash(s.subgroups)
 	return err
 }
@@ -457,33 +400,25 @@ func (s *System) AddServer(id graph.NodeID) error {
 // RemoveServer takes a server out of the region's rotation: no sub-group's
 // authority list includes it afterwards, and its buffered mail is re-routed
 // through the normal acked deposit path. The process stays registered on
-// the network, so in-flight deposits addressed to it are bounced back into
-// rotation by the stale-authority guard rather than stranded. It returns
-// how many mailboxes moved.
+// the network, so deposits in flight to it are bounced back into rotation
+// (it is on nobody's list) rather than stranded. It returns how many
+// mailboxes moved.
 func (s *System) RemoveServer(id graph.NodeID) (moved int, err error) {
-	p, ok := s.procs[id]
-	if !ok {
+	if _, ok := s.procs[id]; !ok {
 		return 0, fmt.Errorf("locind: server %d not present", id)
 	}
-	idx := -1
-	for i, sid := range s.servers {
-		if sid == id {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(s.servers, id)
 	if idx < 0 {
 		return 0, fmt.Errorf("locind: server %d already removed", id)
 	}
 	if len(s.servers) == 1 {
 		return 0, ErrNoServers
 	}
-	s.servers = append(s.servers[:idx:idx], s.servers[idx+1:]...)
-	if s.listLen > len(s.servers) {
-		s.listLen = len(s.servers)
-	}
+	s.servers = slices.Delete(slices.Clone(s.servers), idx, idx+1)
+	s.regions.RemoveServer(s.region, id)
+	s.listLen = min(s.listLen, len(s.servers))
 	s.retable()
-	moved = s.evacuate(p)
+	moved = s.evacuate(id)
 	m, err := s.Rehash(s.subgroups)
 	return moved + m, err
 }

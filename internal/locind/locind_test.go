@@ -8,10 +8,20 @@ import (
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/netsim"
+	"github.com/largemail/largemail/internal/server"
 	"github.com/largemail/largemail/internal/sim"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// stat sums a counter over the system's own registry and every server's.
+func stat(sys *System, name string) int64 {
+	n := sys.Stats().Get(name)
+	for _, l := range sys.procs {
+		n += l.srv.Stats().Get(name)
+	}
+	return n
+}
 
 const (
 	ha graph.NodeID = 1 // host "ha"
@@ -101,8 +111,8 @@ func TestNewSystemValidation(t *testing.T) {
 
 func TestAuthorityStableUnderRoaming(t *testing.T) {
 	w := newWorld(t, 4)
-	home := w.sys.AuthorityFor(uAlice)
-	roamed := w.sys.AuthorityFor(names.Name{Region: "R1", Host: "hc", User: "alice"})
+	home := w.sys.Resolve(uAlice)
+	roamed := w.sys.Resolve(names.Name{Region: "R1", Host: "hc", User: "alice"})
 	if len(home) == 0 || len(home) != len(roamed) {
 		t.Fatalf("authority lists: %v vs %v", home, roamed)
 	}
@@ -193,7 +203,7 @@ func TestRoamingOverheadOnlyWhenRoaming(t *testing.T) {
 	if baseConsult != 0 {
 		t.Errorf("home delivery consulted %d times", baseConsult)
 	}
-	if roamConsult == 0 && w.sys.Stats().Get("notify_known") <= 1 {
+	if roamConsult == 0 && stat(w.sys, "notifies") <= 1 {
 		t.Error("roaming delivery incurred no tracking traffic at all")
 	}
 }
@@ -217,7 +227,7 @@ func TestLoginAlertsBufferedMail(t *testing.T) {
 	w.sched.Run()
 	// Alice logs in at the server holding her mailbox (her sub-group
 	// authority head) — the alert must fire on login.
-	auth := w.sys.AuthorityFor(uAlice)
+	auth := w.sys.Resolve(uAlice)
 	srv, _ := w.sys.Server(auth[0])
 	if srv.MailboxLen(uAlice) != 1 {
 		t.Fatalf("mail not at authority head")
@@ -236,7 +246,7 @@ func TestLoginAlertsBufferedMail(t *testing.T) {
 
 func TestDepositSkipsDownServer(t *testing.T) {
 	w := newWorld(t, 4)
-	auth := w.sys.AuthorityFor(uAlice)
+	auth := w.sys.Resolve(uAlice)
 	if len(auth) < 2 {
 		t.Fatalf("authority list too short: %v", auth)
 	}
@@ -259,7 +269,7 @@ func TestRehashMigratesMailboxes(t *testing.T) {
 	w.bob.Send([]names.Name{uBob}, "m2", "b")
 	w.sched.Run()
 	// Find a modulus under which alice's authority head changes.
-	oldHead := w.sys.AuthorityFor(uAlice)[0]
+	oldHead := w.sys.Resolve(uAlice)[0]
 	newK := -1
 	for k := 2; k < 12; k++ {
 		g := uAlice.Subgroup(k)
@@ -358,8 +368,8 @@ func TestNonLocalRecipientCounted(t *testing.T) {
 	w := newWorld(t, 4)
 	w.bob.Send([]names.Name{names.MustParse("R9.h.x")}, "s", "b")
 	w.sched.Run()
-	if got := w.sys.Stats().Get("nonlocal_recipients"); got != 1 {
-		t.Errorf("nonlocal_recipients = %d", got)
+	if got := stat(w.sys, "unroutable"); got != 1 {
+		t.Errorf("unroutable = %d", got)
 	}
 }
 
@@ -381,7 +391,7 @@ func TestAccessors(t *testing.T) {
 	if w.sys.Region() != "R1" {
 		t.Errorf("Region = %q", w.sys.Region())
 	}
-	auth := w.sys.AuthorityFor(uAlice)
+	auth := w.sys.Resolve(uAlice)
 	srv, ok := w.sys.Server(auth[0])
 	if !ok || srv.ID() != auth[0] {
 		t.Errorf("Server/ID = %v, %v", srv, ok)
@@ -413,23 +423,23 @@ func TestKnownLocationAndUsers(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, _ := w.sys.Server(connecting)
-	if loc, ok := srv.KnownLocation(uAlice); !ok || loc != ha {
-		t.Errorf("KnownLocation = %v, %v", loc, ok)
+	if loc, ok := srv.Online(uAlice); !ok || loc != ha {
+		t.Errorf("Online = %v, %v", loc, ok)
 	}
 	// Logout clears the record.
 	if err := w.alice.Logout(); err != nil {
 		t.Fatal(err)
 	}
 	w.sched.Run()
-	if _, ok := srv.KnownLocation(uAlice); ok {
+	if _, ok := srv.Online(uAlice); ok {
 		t.Error("location survives logout")
 	}
 	// Users lists mailbox owners.
 	w.bob.Send([]names.Name{uAlice}, "m", "b")
 	w.sched.Run()
-	auth := w.sys.AuthorityFor(uAlice)
+	auth := w.sys.Resolve(uAlice)
 	head, _ := w.sys.Server(auth[0])
-	users := head.Users()
+	users := head.Store().Users()
 	if len(users) != 1 || users[0] != uAlice {
 		t.Errorf("Users = %v", users)
 	}
@@ -440,11 +450,12 @@ func TestKnownLocationAndUsers(t *testing.T) {
 
 func TestDuplicateDepositSuppressed(t *testing.T) {
 	w := newWorld(t, 4)
-	auth := w.sys.AuthorityFor(uAlice)
+	auth := w.sys.Resolve(uAlice)
 	head, _ := w.sys.Server(auth[0])
 	msg := mail.Message{ID: mail.MessageID{Node: 9, Seq: 1}, From: uBob, To: []names.Name{uAlice}}
 	for i := 0; i < 2; i++ {
-		if err := w.net.Send(hb, auth[0], new(netsim.FreeList[Deposit]).Box(Deposit{Msg: msg, Recipient: uAlice, Origin: hb, Token: uint64(i)})); err != nil {
+		tr := server.Transfer{Kind: server.TransferDeposit, Msg: msg, Recipient: uAlice, Origin: hb, Token: uint64(i)}
+		if err := w.net.Send(hb, auth[0], new(netsim.FreeList[server.Transfer]).Box(tr)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -452,14 +463,14 @@ func TestDuplicateDepositSuppressed(t *testing.T) {
 	if head.MailboxLen(uAlice) != 1 {
 		t.Errorf("duplicate deposit stored: %d", head.MailboxLen(uAlice))
 	}
-	if w.sys.Stats().Get("duplicate_deposits") != 1 {
+	if head.Stats().Get("duplicate_deposits") != 1 {
 		t.Error("duplicate_deposits not counted")
 	}
 }
 
 func TestCheckMailWhileDown(t *testing.T) {
 	w := newWorld(t, 4)
-	auth := w.sys.AuthorityFor(uAlice)
+	auth := w.sys.Resolve(uAlice)
 	head, _ := w.sys.Server(auth[0])
 	w.net.Crash(auth[0])
 	if _, err := head.CheckMail(uAlice); err == nil {
@@ -549,16 +560,16 @@ func TestFederatedCrossRegionDelivery(t *testing.T) {
 	}
 	// The R1↔R2 round trip equals the ack timeout, so the first forward may
 	// legitimately retry once; dedup keeps delivery exactly-once.
-	if r1.Stats().Get("forwards_out") < 1 {
+	if stat(r1, "transfers_out")-stat(r1, "deposit_transfers") < 1 {
 		t.Error("forwards_out not counted in R1")
 	}
-	if r2.Stats().Get("forwards_in") < 1 {
+	if stat(r2, "forwards_in") < 1 {
 		t.Error("forwards_in not counted in R2")
 	}
-	if r2.Stats().Get("deposits") != 1 {
-		t.Errorf("deposits = %d, want exactly 1 (dedup)", r2.Stats().Get("deposits"))
+	if stat(r2, "deposits_local") != 1 {
+		t.Errorf("deposits = %d, want exactly 1 (dedup)", stat(r2, "deposits_local"))
 	}
-	if r1.Stats().Get("nonlocal_recipients") != 0 {
+	if stat(r1, "unroutable") != 0 {
 		t.Error("federated send counted as unroutable")
 	}
 }
@@ -596,7 +607,7 @@ func TestFederatedUnknownRegionStillCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run()
-	if r1.Stats().Get("nonlocal_recipients") != 1 {
+	if stat(r1, "unroutable") != 1 {
 		t.Error("unknown region not counted")
 	}
 	if _, ok := fed.System("R9"); ok {

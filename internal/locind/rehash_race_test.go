@@ -159,7 +159,7 @@ func TestRehashRacesInFlightDeliveries(t *testing.T) {
 				live[id] = true
 			}
 			for i := range agents {
-				auth := w.sys.AuthorityFor(uname[i])
+				auth := w.sys.Resolve(uname[i])
 				if len(auth) == 0 {
 					t.Fatalf("%v resolves to an empty authority list", uname[i])
 				}
@@ -205,7 +205,7 @@ func TestRehashRoundTripKeepsMail(t *testing.T) {
 		if _, err := w.sys.Rehash(k); err != nil {
 			t.Fatal(err)
 		}
-		return w.sys.AuthorityFor(n)
+		return w.sys.Resolve(n)
 	}
 	contains := func(list []graph.NodeID, id graph.NodeID) bool {
 		for _, x := range list {

@@ -9,6 +9,7 @@ import (
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/netsim"
+	"github.com/largemail/largemail/internal/server"
 	"github.com/largemail/largemail/internal/sim"
 )
 
@@ -37,18 +38,13 @@ func checkTable(t *testing.T, sys *System, wantListLen int) {
 		for j := 0; j < wantListLen; j++ {
 			want = append(want, servers[(g+j)%n])
 		}
-		got := sys.AuthorityFor(u)
+		got := sys.Resolve(u)
 		if !slices.Equal(got, want) {
 			t.Fatalf("AuthorityFor(%v) = %v, want %v (sub-group %d of %d over %v)",
 				u, got, want, g, sys.Subgroups(), servers)
 		}
 		if cap(got) != len(got) {
 			t.Fatalf("AuthorityFor(%v) has spare capacity %d: an append would write into the next row", u, cap(got)-len(got))
-		}
-		for _, id := range servers {
-			if sys.isAuthority(id, u) != slices.Contains(want, id) {
-				t.Fatalf("isAuthority(%d, %v) = %v, list %v", id, u, sys.isAuthority(id, u), want)
-			}
 		}
 	}
 	if len(sys.others) != len(sys.procs) {
@@ -73,7 +69,7 @@ func TestAuthorityTableMatchesFormula(t *testing.T) {
 
 	// A row handed out before a reconfiguration stays what it was.
 	u := tableUser(7)
-	row := w.sys.AuthorityFor(u)
+	row := w.sys.Resolve(u)
 	was := slices.Clone(row)
 
 	for _, k := range []int{7, 4, 1, 50} {
@@ -144,7 +140,7 @@ func TestPendingDepositWalksOldCandidatesAcrossRehash(t *testing.T) {
 	found := false
 	for i := 0; i < 500 && !found; i++ {
 		u = tableUser(i)
-		old = slices.Clone(w.sys.AuthorityFor(u))
+		old = slices.Clone(w.sys.Resolve(u))
 		g7 := u.Subgroup(7)
 		next := []graph.NodeID{servers[g7%3], servers[(g7+1)%3]}
 		found = !slices.Contains(next, old[1])
@@ -160,31 +156,32 @@ func TestPendingDepositWalksOldCandidatesAcrossRehash(t *testing.T) {
 	}
 	agent := mustAgent(t, w.sys, u)
 	op, _ := w.sys.Server(origin)
+	second, _ := w.sys.Server(old[1])
 
 	// First attempt flies toward old[0], which crashes under it.
-	if _, err := op.Accept(uBob, []names.Name{u}, "s", "b"); err != nil {
+	if _, err := op.Submit(server.SubmitRequest{From: uBob, To: []names.Name{u}, Subject: "s", Body: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	w.net.Crash(old[0])
 	w.sched.RunFor(2 * sim.Unit)
-	if op.PendingLen() != 1 {
-		t.Fatalf("origin has %d pending deposits, want 1", op.PendingLen())
+	if op.PendingTransfers() != 1 {
+		t.Fatalf("origin has %d pending deposits, want 1", op.PendingTransfers())
 	}
 	if _, err := w.sys.Rehash(7); err != nil {
 		t.Fatal(err)
 	}
-	for _, pd := range op.pending {
-		if !slices.Equal(pd.candidates, old) {
-			t.Fatalf("pending deposit's candidates became %v across the rehash, armed with %v", pd.candidates, old)
-		}
-	}
 	w.sched.Run() // ack timeout → retry at old[1] → bounced → new rotation
 
-	if got := w.sys.Stats().Get("deposit_reroutes"); got != 1 {
-		t.Errorf("deposit_reroutes = %d, want 1: the retry should have reached the old second candidate %d and been bounced", got, old[1])
+	// The pending deposit kept the candidates it was armed with: its retry
+	// went to old[1], off the new list, and old[1] bounced it.
+	if got := second.Stats().Get("deposit_reroutes"); got != 1 {
+		t.Errorf("deposit_reroutes at %d = %d, want 1: the retry should have reached the old second candidate and been bounced", old[1], got)
 	}
-	if got := w.sys.Stats().Get("deposit_retries"); got != 1 {
-		t.Errorf("deposit_retries = %d, want 1", got)
+	if got := stat(w.sys, "deposit_reroutes"); got != 1 {
+		t.Errorf("deposit_reroutes = %d, want 1", got)
+	}
+	if got := stat(w.sys, "retries"); got != 1 {
+		t.Errorf("retries = %d, want 1", got)
 	}
 	w.net.Recover(old[0])
 	w.sched.Run()
@@ -192,59 +189,23 @@ func TestPendingDepositWalksOldCandidatesAcrossRehash(t *testing.T) {
 		t.Errorf("recipient retrieved %d copies, want exactly 1", got)
 	}
 	for _, id := range servers {
-		if p, _ := w.sys.Server(id); p.PendingLen() != 0 {
-			t.Errorf("server %d still has %d pending deposits", id, p.PendingLen())
+		if p, _ := w.sys.Server(id); p.PendingTransfers() != 0 {
+			t.Errorf("server %d still has %d pending deposits", id, p.PendingTransfers())
 		}
 	}
 }
 
-// Allocation budgets (aim 1). Reading an authority list is free; a deposit
-// attempt costs the one box its payload needs — the route walk, the flight
-// closure and event, and the retry closure and event it used to allocate on
-// top (7 per attempt at the parent commit) are gone.
+// Allocation budget (aim 1): reading an authority list is free. A deposit
+// attempt's budget is internal/server's TestDispatchAllocs.
 func TestAuthorityForAllocs(t *testing.T) {
 	w := newRaceWorld(t)
 	u := tableUser(3)
 	if n := testing.AllocsPerRun(200, func() {
-		if len(w.sys.AuthorityFor(u)) != 2 || !w.sys.isAuthority(w.sys.AuthorityFor(u)[0], u) {
+		if len(w.sys.Resolve(u)) != 2 {
 			t.Fatal("bad row")
 		}
 	}); n != 0 {
 		t.Errorf("AuthorityFor allocates %v per call, want 0", n)
-	}
-}
-
-func TestDispatchAllocs(t *testing.T) {
-	w := newRaceWorld(t)
-	u := tableUser(3)
-	auth := w.sys.AuthorityFor(u)
-	var origin graph.NodeID
-	for _, id := range w.sys.Servers() {
-		if !slices.Contains(auth, id) {
-			origin = id
-		}
-	}
-	// Both candidates down: every attempt flies, is dropped at a dead
-	// destination, and re-arms the same retry record.
-	w.net.Crash(auth[0])
-	w.net.Crash(auth[1])
-	op, _ := w.sys.Server(origin)
-	if _, err := op.Accept(uBob, []names.Name{u}, "s", "b"); err != nil {
-		t.Fatal(err)
-	}
-	var tok uint64
-	for tok = range op.pending {
-	}
-	attempt := func() {
-		op.dispatch(tok)
-		w.sched.RunFor(3 * sim.Unit) // lands the flight; the retry stays armed
-	}
-	attempt()
-	if n := testing.AllocsPerRun(100, attempt); n != 0 {
-		t.Errorf("locind dispatch allocates %v per attempt, want 0 (the Deposit rides the box the last dropped attempt gave back)", n)
-	}
-	if w.sched.Pending() != 1 {
-		t.Errorf("%d events pending after repeated dispatch, want the one retry record", w.sched.Pending())
 	}
 }
 
@@ -260,7 +221,7 @@ func BenchmarkAuthorityFor(b *testing.B) {
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
-		n += len(w.sys.AuthorityFor(users[i%len(users)]))
+		n += len(w.sys.Resolve(users[i%len(users)]))
 	}
 	if n != 2*b.N {
 		b.Fatal("bad rows")
@@ -279,8 +240,8 @@ func BenchmarkEvacuate(b *testing.B) {
 	const boxes = 4096
 	for i := 0; i < boxes; i++ {
 		u := tableUser(i)
-		p, _ := w.sys.Server(w.sys.AuthorityFor(u)[0])
-		p.mailbox(u).Deposit(mail.Message{
+		p, _ := w.sys.Server(w.sys.Resolve(u)[0])
+		p.Store().Deposit(u, mail.Message{
 			ID: mail.MessageID{Node: 1, Seq: uint64(i + 1)}, To: []names.Name{u}, Subject: "s", Body: "b",
 		}, 0)
 	}
@@ -296,4 +257,57 @@ func BenchmarkEvacuate(b *testing.B) {
 		w.sched.Run()
 	}
 	b.ReportMetric(float64(moved)/float64(b.N), "moved/op")
+}
+
+// TestRoamRecoveryRestartsAtHead pins §3.2's crash re-drive to §3.1's rule —
+// fail-over walks the preference list from the top (Ruohonen's MX
+// measurements, PAPERS.md). The origin's deposit reaches the recipient's
+// primary, the origin crashes before the ack lands, then recovers and
+// re-drives. When locind kept its own ledger, the re-drive resumed the
+// rotation where it stopped and went to the backup, which stored a second
+// copy; now it goes to the primary again, whose mailbox suppresses it.
+func TestRoamRecoveryRestartsAtHead(t *testing.T) {
+	w := newRaceWorld(t)
+	u := tableUser(0)
+	list := w.sys.Resolve(u)
+	var origin graph.NodeID
+	for _, id := range w.sys.Servers() {
+		if !slices.Contains(list, id) {
+			origin = id
+		}
+	}
+	a := mustAgent(t, w.sys, u)
+	op, _ := w.sys.Server(origin)
+	primary, _ := w.sys.Server(list[0])
+	backup, _ := w.sys.Server(list[1])
+	cost, err := w.net.Cost(origin, list[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneWay := sim.Time(cost * float64(sim.Unit))
+
+	if _, err := op.Submit(server.SubmitRequest{From: uBob, To: []names.Name{u}, Subject: "s", Body: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	w.sched.RunFor(oneWay + oneWay/2) // the deposit is in at the primary, its ack in the air
+	if primary.MailboxLen(u) != 1 {
+		t.Fatalf("primary holds %d copies before the crash, want 1", primary.MailboxLen(u))
+	}
+	w.net.Crash(origin)
+	w.sched.RunFor(oneWay) // the ack lands on the crashed origin
+	w.net.Recover(origin)
+	w.sched.Run()
+
+	if got := backup.MailboxLen(u); got != 0 {
+		t.Errorf("backup %d holds %d copies: the re-drive resumed mid-list instead of at the primary", list[1], got)
+	}
+	if got := primary.Stats().Get("duplicate_deposits"); got != 1 {
+		t.Errorf("primary suppressed %d re-driven copies, want 1", got)
+	}
+	if got := len(a.GetMail()); got != 1 {
+		t.Errorf("recipient retrieved %d copies, want 1", got)
+	}
+	if d := a.Duplicates(); d != 0 {
+		t.Errorf("recipient suppressed %d duplicates, want 0", d)
+	}
 }

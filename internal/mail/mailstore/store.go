@@ -260,7 +260,7 @@ func (s *Store) NumUsers() int {
 // Users returns every mailbox owner, sorted by name — the deterministic
 // iteration order audits and Evacuate rely on.
 func (s *Store) Users() []names.Name {
-	var out []names.Name
+	out := make([]names.Name, 0, s.NumUsers()) // sized up front: every §3.2 rehash lists every server's users
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()

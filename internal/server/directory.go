@@ -10,6 +10,17 @@ import (
 	"github.com/largemail/largemail/internal/obs"
 )
 
+// Resolver is how a server resolves the names of its region: §3.1's
+// replicated Directory, or §3.2's hash sub-groups (internal/locind), which
+// have no groups or redirects. A list Resolve returns is shared and
+// read-only, and stays what it was when a reconfiguration replaces it.
+type Resolver interface {
+	Region() string
+	Resolve(user names.Name) []graph.NodeID
+	Group(group names.Name) ([]names.Name, bool)
+	Redirect(old names.Name) (names.Name, bool)
+}
+
 // Directory is one region's replicated name database: for every user of the
 // region, the ordered authority-server list ("each user is assigned several
 // authority servers, which are ordered in a list such that the first server
@@ -234,7 +245,9 @@ type RegionMap struct {
 	// Directory's: AddServer and RemoveServer install a fresh slice and
 	// nothing writes to one in place, so Servers hands out the stored slice
 	// itself — to Route, whose pending transfers keep it as their candidate
-	// list — and no caller may modify it.
+	// list — and no caller may modify it. The field itself is never
+	// reassigned, so a copied RegionMap shares its table with the original
+	// (internal/locind's federation joins its regions' maps that way).
 	servers map[string][]graph.NodeID
 }
 

@@ -4,13 +4,13 @@
 //
 // A Server sits on one node of a simulated network and implements the
 // message-delivery pipeline of §3.1.2: it accepts submissions from user
-// interfaces, resolves recipient names syntax-directedly (local region via
-// the replicated Directory, other regions by relaying to a server there),
-// deposits messages at the first active authority server of each recipient,
-// and notifies logged-on recipients. Server-to-server transfers are
-// acknowledged and retried against the next candidate on timeout, which is
-// what makes the design lose no mail while any authority server is
-// reachable.
+// interfaces, resolves recipient names (local region via its Resolver — the
+// replicated Directory, or §3.2's hash sub-groups — other regions by relaying
+// to a server there), deposits messages at the first active authority server
+// of each recipient, and notifies logged-on recipients (§3.2 adds a Locator
+// for the others). Server-to-server transfers are acknowledged and retried
+// against the next candidate on timeout, which is what makes the design lose
+// no mail while any authority server is reachable.
 //
 // Mailboxes and queued transfers survive crashes (stable storage); what a
 // crashed server cannot do is receive — traffic sent to it while down is
@@ -20,6 +20,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -44,13 +45,23 @@ var (
 	ErrUnknownUser = fmt.Errorf("server: user has no mailbox here: %w", mailerr.ErrUnknownUser)
 )
 
+// Locator is §3.2.2c's search for a recipient not logged on with the server
+// (internal/locind, one per server). Locate runs after each fresh deposit for
+// such a user; Receive handles the procedure's own payloads and reports false
+// for any other. §3.1 has none: such mail waits for the next login or poll.
+type Locator interface {
+	Locate(user names.Name, id mail.MessageID)
+	Receive(env netsim.Envelope) bool
+}
+
 // Config configures a Server.
 type Config struct {
 	ID      graph.NodeID
 	Region  string
 	Net     *netsim.Network
-	Dir     *Directory // this region's replicated directory
+	Dir     Resolver   // this region's names: the replicated directory, or §3.2's sub-groups
 	Regions *RegionMap // global region → servers map
+	Locate  Locator    // §3.2.2c's location procedure; nil in §3.1
 	// Retention is the mailbox clean-up policy; the zero value keeps
 	// everything.
 	Retention mail.Retention
@@ -91,13 +102,12 @@ type Config struct {
 	DataDir string
 	// Fsync is the WAL fsync policy when DataDir is set.
 	Fsync mailstore.FsyncMode
-	// PlacementReroute makes a deposit transfer that arrives at a server no
-	// longer in the recipient's authority list re-enter routing instead of
-	// depositing blind. Online placement policies (internal/placement) move
-	// users while transfers are in flight; without the re-check such a
-	// transfer parks mail on a server no retrieval walk visits any more.
-	// Off (the default), arrival behavior is byte-identical to the
-	// pre-placement server, which static deployments rely on.
+	// PlacementReroute also re-routes a deposit transfer that arrives at a
+	// backup while the recipient's primary is up. A deposit arriving at a
+	// server no longer on the recipient's list always re-enters routing;
+	// online placement policies (internal/placement), which move users while
+	// transfers are in flight, need the backup half too. Off (the default),
+	// a backup deposits whatever reaches it, which static deployments rely on.
 	PlacementReroute bool
 	// SpreadRelay rotates the inter-region relay entry point per message.
 	// §3.1.1: the relay function can be provided by any server of the
@@ -113,8 +123,9 @@ type Server struct {
 	id      graph.NodeID
 	region  string
 	net     *netsim.Network
-	dir     *Directory
+	dir     Resolver
 	regions *RegionMap
+	locate  Locator
 
 	retention    mail.Retention
 	keepCopies   bool
@@ -144,11 +155,11 @@ type Server struct {
 	notifies  netsim.FreeList[Notify]
 	batches   netsim.FreeList[TransferBatch]
 	batchAcks netsim.FreeList[TransferBatchAck]
-	// rerouted remembers recipient copies this server already forwarded
-	// under the placement-reroute path. Retries of the same transfer (our
-	// ack racing the origin's timeout) must not each spawn another forward:
-	// the first forward sits in the pending ledger with its own retries, and
-	// under congestion the duplicates snowball into a transfer storm.
+	// rerouted remembers the transfers this server already re-routed as
+	// misplaced. Retries of the same transfer (our ack racing the origin's
+	// timeout) must not each spawn another forward: the first forward sits in
+	// the pending ledger with its own retries, and under congestion the
+	// duplicates snowball into a transfer storm.
 	rerouted map[rerouteKey]bool
 
 	// Relay-batching state (inactive when batchSize <= 1): staged holds
@@ -170,10 +181,13 @@ type Server struct {
 	where string
 }
 
-// rerouteKey identifies one recipient copy for reroute dedup.
+// rerouteKey identifies one transfer for reroute dedup: its retries carry its
+// origin and token. It is not the copy — the same copy may reach a server
+// again under a later transfer (a rehash moved it away and back, then away
+// again), and that arrival must re-route, not be dropped as a retry.
 type rerouteKey struct {
-	id   mail.MessageID
-	rcpt names.Name
+	origin graph.NodeID
+	tok    uint64
 }
 
 // pendingTransfer is a queued server-to-server transfer awaiting its ack. It
@@ -200,8 +214,12 @@ type pendingTransfer struct {
 	attempt    int
 }
 
-// transfer is the record as it goes on the wire, alone or as a batch item.
+// transfer is the record as it goes on the wire, alone or as a batch item;
+// both senders call it once per send, so it counts the deposit-kind ones.
 func (p *pendingTransfer) transfer() Transfer {
+	if p.kind == TransferDeposit {
+		p.s.stats.Inc("deposit_transfers")
+	}
 	return Transfer{
 		Kind: p.kind, Msg: p.msg, Recipient: p.recipient,
 		Origin: p.s.id, Token: p.tok, Attempt: p.attempt,
@@ -258,6 +276,7 @@ func New(cfg Config) (*Server, error) {
 		net:          cfg.Net,
 		dir:          cfg.Dir,
 		regions:      cfg.Regions,
+		locate:       cfg.Locate,
 		retention:    cfg.Retention,
 		keepCopies:   cfg.KeepCopies,
 		reroute:      cfg.PlacementReroute,
@@ -331,7 +350,8 @@ func (s *Server) WALStats() (mailstore.WALStats, bool) {
 // Receive implements netsim.Handler. The server-to-server payloads arrive in
 // boxes the network takes back when Receive returns: each arm hands its
 // handler the value, and no handler keeps a pointer into the box (a batch's
-// items are read in place and copied one by one).
+// items are read in place and copied one by one). What no arm knows goes to
+// the Locator, when there is one.
 func (s *Server) Receive(env netsim.Envelope) {
 	switch p := env.Payload.(type) {
 	case SubmitRequest:
@@ -346,10 +366,16 @@ func (s *Server) Receive(env netsim.Envelope) {
 		s.handleBatchAck(p.V)
 	case Login:
 		s.handleLogin(p)
+	case *netsim.Box[Login]:
+		s.handleLogin(p.V)
 	case Logout:
 		delete(s.online, p.User)
+	case *netsim.Box[Logout]:
+		delete(s.online, p.V.User)
 	default:
-		s.stats.Inc("unknown_payload")
+		if s.locate == nil || !s.locate.Receive(env) {
+			s.stats.Inc("unknown_payload")
+		}
 	}
 }
 
@@ -560,6 +586,8 @@ func (s *Server) depositLocal(msg mail.Message, rcpt names.Name) {
 		s.stats.Inc("notifies")
 		s.trace.StampKey(msg.ID.TraceKey(), obs.StageNotify, s.where)
 		_ = s.net.Send(s.id, host, s.notifies.Box(Notify{User: rcpt, ID: msg.ID, Server: s.id}))
+	} else if s.locate != nil {
+		s.locate.Locate(rcpt, msg.ID)
 	}
 }
 
@@ -634,17 +662,17 @@ func (s *Server) handleTransfer(tr Transfer) {
 }
 
 // handleItem is what a received transfer does once it is here, alone in its
-// envelope or as one item of a batch: deposit (or re-route a deposit the
-// placement policy has moved away), or deliver a forward. It reports false
-// for a kind it does not know.
+// envelope or as one item of a batch: deposit (or re-route a deposit a
+// reconfiguration or the placement policy has moved away), or deliver a
+// forward. It reports false for a kind it does not know.
 func (s *Server) handleItem(tr Transfer) bool {
 	switch tr.Kind {
 	case TransferDeposit:
-		if s.reroute && s.misplacedDeposit(tr.Recipient) {
-			key := rerouteKey{id: tr.Msg.ID, rcpt: tr.Recipient}
+		if s.misplacedDeposit(tr.Recipient) {
+			key := rerouteKey{origin: tr.Origin, tok: tr.Token}
 			switch {
 			case s.rerouted[key]:
-				// A retry of a copy already forwarded (our ack raced the
+				// A retry of a transfer already forwarded (our ack raced the
 				// origin's timeout). The first forward is in the pending
 				// ledger with its own retries; another would snowball.
 				s.stats.Inc("reroute_retries_dropped")
@@ -679,10 +707,12 @@ func (s *Server) handleItem(tr Transfer) bool {
 }
 
 // misplacedDeposit reports whether a deposit arriving here is for a user
-// whose current authority list no longer includes this server — i.e. the
-// transfer was addressed under a placement the policy has since changed.
-// Unknown users (empty list: redirects mid-grace, group names) are not
-// misplaced; deliverLocal handles those.
+// whose current authority list no longer includes this server — the transfer
+// was addressed under a list a reconfiguration (a server removed, §3.2's
+// rehash) or the placement policy has since changed; buffered here, the copy
+// would sit where no retrieval walk looks. Unknown users (empty list:
+// redirects mid-grace, group names) are not misplaced; deliverLocal handles
+// those.
 func (s *Server) misplacedDeposit(rcpt names.Name) bool {
 	list := s.dir.Resolve(rcpt)
 	if len(list) == 0 || list[0] == s.id {
@@ -695,9 +725,10 @@ func (s *Server) misplacedDeposit(rcpt names.Name) bool {
 			// next walk polls the whole list. But a failover that lands
 			// AFTER the primary recovered (the origin gave up during an
 			// outage the agent never saw; congestion delivered the fallback
-			// late) would strand: the walk stops at the live primary. Treat
-			// it as misplaced so it re-routes to the primary.
-			return s.net.IsUp(list[0])
+			// late) would strand: the walk stops at the live primary. Under
+			// PlacementReroute, treat it as misplaced so it re-routes to the
+			// primary.
+			return s.reroute && s.net.IsUp(list[0])
 		}
 	}
 	return true
@@ -720,6 +751,7 @@ func (s *Server) settle(p *pendingTransfer) {
 
 func (s *Server) handleLogin(l Login) {
 	s.online[l.User] = l.Host
+	s.stats.Inc("logins")
 	// "...or notify him as soon as he is connected to the system" — tell a
 	// connecting user about buffered mail.
 	var first mail.MessageID
@@ -737,6 +769,12 @@ func (s *Server) handleLogin(l Login) {
 
 // PendingTransfers reports how many transfers are queued awaiting acks.
 func (s *Server) PendingTransfers() int { return len(s.pending) }
+
+// Online reports the host a user is logged on at through this server.
+func (s *Server) Online(user names.Name) (graph.NodeID, bool) {
+	host, ok := s.online[user]
+	return host, ok
+}
 
 // Kill models a process death — the failure mode Crash deliberately does
 // not: the network node goes down AND the in-memory mailbox state is
@@ -791,22 +829,33 @@ func (s *Server) RestartFromDisk() error {
 // Close syncs and closes the durable store; no-op for memory stores.
 func (s *Server) Close() error { return s.store.Close() }
 
-// Evacuate drains every mailbox here and re-routes the buffered messages
-// through the current directory — the hand-off step of a §3.1.3c server
-// deletion ("notifies all other servers before it is removed"). Call it
-// after the directory stops listing this server as an authority, so each
-// message lands at its recipient's remaining authority servers; messages
-// re-routed while this server is still listed would deposit right back.
-// Returns how many messages were re-routed.
-func (s *Server) Evacuate() int {
-	n := 0
+// Evacuate re-routes the buffered mail of every user the resolver no longer
+// lists this server for — the hand-off step of a §3.1.3c server deletion
+// ("notifies all other servers before it is removed") and of a §3.2.3c
+// rehash. Each message is forgotten as it leaves: it is still undelivered,
+// and a reconfiguration routing it back here must not find it suppressed as
+// a duplicate. Returns how many mailboxes and messages moved.
+func (s *Server) Evacuate() (users, msgs int) {
 	for _, u := range s.store.Users() { // sorted: deterministic hand-off order
-		for _, m := range s.store.Drain(u) {
-			s.Route(m.Message, u)
-			n++
+		if slices.Contains(s.dir.Resolve(u), s.id) {
+			continue
 		}
+		out := s.store.Drain(u)
+		if len(out) == 0 {
+			continue
+		}
+		s.store.UpdateExisting(u, func(mb *mail.Mailbox) {
+			for _, m := range out {
+				mb.Forget(m.ID)
+			}
+		})
+		for _, m := range out {
+			s.Route(m.Message, u)
+		}
+		users++
+		msgs += len(out)
 	}
-	return n
+	return users, msgs
 }
 
 // CheckMail returns the user's buffered messages — removing them, or, with
