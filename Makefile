@@ -45,11 +45,12 @@ tier2-durability:
 # burst under faults included), the bounded worker pool, the pooled reader,
 # and the read path's plumbing: per-batch response flush (Coalesce, Flush),
 # pooled work items (WorkItem), the hand-over retrieval (HandOver), getmail
-# bound to its agent on the reader (BinaryGetMailBoundOnReader) and the mailbox
-# slot a response gives back (ReleasedSlot, ReleaseTakes, OversizedBatch).
+# bound to its agent on the reader (BinaryGetMailBoundOnReader), the native
+# register against its JSON-wrapped twin (Register) and the mailbox slot a
+# response gives back (ReleasedSlot, ReleaseTakes, OversizedBatch).
 .PHONY: tier2-wire
 tier2-wire:
-	go test -race -run 'RawTextPeer|HelloNegotiation|Pipeline|Binary|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver|ReleasedSlot|ReleaseTakes|OversizedBatch' ./internal/wire/ ./internal/server/
+	go test -race -run 'RawTextPeer|HelloNegotiation|Pipeline|Binary|Register|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver|ReleasedSlot|ReleaseTakes|OversizedBatch' ./internal/wire/ ./internal/server/
 
 # Tier-2 balance slice: the pluggable placement seam under the race detector —
 # the policy unit tests (JSQ sampling, rebalancer hysteresis/budget/diversion),
@@ -235,7 +236,7 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 26593
+SIZE_CEILING = 26626
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:

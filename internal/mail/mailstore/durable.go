@@ -7,7 +7,7 @@
 //
 // Layout under Options.Dir:
 //
-//	MANIFEST.json             {"version":1,"shards":N} — shard count is fixed
+//	MANIFEST.json             {"version":1,"shards":N} — written once; shard count is fixed
 //	shard-0000/seg-%016d.wal  magic header + framed records (see wal.go)
 //	shard-0000/snap-%016d.wal snapshot segment (same format, same seq space)
 //	shard-0001/...
@@ -196,7 +196,9 @@ func OpenOptions(o Options) (*Store, error) {
 	}
 	shards := o.Shards
 	mPath := filepath.Join(o.Dir, manifestName)
-	if raw, err := os.ReadFile(mPath); err == nil {
+	raw, err := os.ReadFile(mPath)
+	fresh := errors.Is(err, os.ErrNotExist)
+	if err == nil {
 		var m manifest
 		if err := json.Unmarshal(raw, &m); err != nil || m.Version != 1 || m.Shards <= 0 {
 			return nil, fmt.Errorf("mailstore: bad manifest %s", mPath)
@@ -206,7 +208,7 @@ func OpenOptions(o Options) (*Store, error) {
 				shards, m.Shards)
 		}
 		shards = m.Shards
-	} else if !errors.Is(err, os.ErrNotExist) {
+	} else if !fresh {
 		return nil, fmt.Errorf("mailstore: %w", err)
 	}
 
@@ -219,13 +221,15 @@ func OpenOptions(o Options) (*Store, error) {
 		logs:         make([]*shardLog, len(s.shards)),
 	}
 	s.w = w
-
-	raw, err := json.Marshal(manifest{Version: 1, Shards: len(s.shards)})
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(mPath, raw, 0o644); err != nil {
-		return nil, fmt.Errorf("mailstore: %w", err)
+	if fresh { // written once: a reopen that rewrote it could be killed mid-write
+		raw, _ := json.Marshal(manifest{Version: 1, Shards: len(s.shards)}) // two ints: cannot fail
+		f, err := publish(mPath, raw, "manifest")
+		if err == nil {
+			err = f.Close()
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	start := time.Now()
@@ -424,6 +428,31 @@ func parseSegName(name string) (seq uint64, snap bool, ok bool) {
 	return seq, snap, true
 }
 
+// publish writes buf to path by way of path.tmp — written, synced, renamed
+// into place and the rename synced — so a kill at any point leaves either
+// nothing at path or all of buf, and returns the file, still open. A temp file
+// a killed publish left behind is overwritten by the next.
+func publish(path string, buf []byte, what string) (*os.File, error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("mailstore: %s: %w", what, err)
+	}
+	if _, err = f.Write(buf); err == nil {
+		if err = f.Sync(); err == nil {
+			err = os.Rename(tmp, path)
+		}
+	}
+	if err == nil {
+		err = syncDir(filepath.Dir(path))
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("mailstore: %s: %w", what, err)
+	}
+	return f, nil
+}
+
 // syncDir fsyncs a directory so renames/creates/unlinks inside it survive an
 // OS crash — without it the file's own fsync says nothing about whether its
 // directory entry is durable.
@@ -614,29 +643,10 @@ func (s *Store) compactShard(i int) error {
 	lg.scratch = buf
 
 	lg.seq++
-	path := snapPath(lg.dir, lg.seq)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	// publish syncs the rename before history is unlinked below: an OS crash
+	// could otherwise keep the unlinks but lose the snapshot.
+	f, err := publish(snapPath(lg.dir, lg.seq), buf, "snapshot")
 	if err != nil {
-		return fmt.Errorf("mailstore: snapshot: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("mailstore: snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("mailstore: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		f.Close()
-		return fmt.Errorf("mailstore: snapshot: %w", err)
-	}
-	// The rename is only durable once the directory entry is — sync the dir
-	// before unlinking history, or an OS crash could keep the unlinks but
-	// lose the snapshot.
-	if err := syncDir(lg.dir); err != nil {
-		f.Close()
 		return err
 	}
 	// The snapshot is durable under its final name; retire the history.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/mail"
@@ -413,6 +414,55 @@ func TestDurableShardMismatch(t *testing.T) {
 	defer re.Close()
 	if re.Shards() != 4 {
 		t.Fatalf("Shards = %d, want 4 from manifest", re.Shards())
+	}
+}
+
+// TestDurableManifestWrittenOnce: the manifest is written by a store's first
+// open and by nothing after it — a reopen leaves its bytes and modification
+// time as they were, so no kill during a reopen can tear it — and the temp
+// file of a first open killed before its rename does not stop the next one.
+func TestDurableManifestWrittenOnce(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, manifestName)
+	if err := os.WriteFile(path+".tmp", []byte(`{"vers`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, 4)
+	if err != nil {
+		t.Fatalf("open over a stray manifest temp file: %v", err)
+	}
+	st.Close()
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("manifest temp file still there: %v", err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{4, 0, 4} {
+		re, err := Open(dir, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re.Close()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) || !fi.ModTime().Equal(old) {
+			t.Fatalf("reopen with %d shards rewrote the manifest: %q at %v, was %q at %v", shards, got, fi.ModTime(), want, old)
+		}
+	}
+	if string(want) != `{"version":1,"shards":4}` {
+		t.Fatalf("manifest %q", want)
 	}
 }
 

@@ -58,6 +58,18 @@ func TestReadPathAllocs(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("DecodeBinaryResponse(empty getmail): %v allocs, want ≤ 1", n)
 	}
+	regFrame, err := AppendBinaryResponse(nil, binOpRegister, 7, Response{OK: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	regPayload := framePayload(t, regFrame)
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, _, err := DecodeBinaryResponse(regPayload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("DecodeBinaryResponse(register): %v allocs, want 0 (5 as JSON)", n)
+	}
 
 	// Server side, without a socket, through the function the reader calls
 	// with every frame it has read: decode and bind, pooled work item through
@@ -112,6 +124,20 @@ func TestReadPathAllocs(t *testing.T) {
 	cycle()
 	budget("submit + the getmail that retrieves it", testing.AllocsPerRun(1000, cycle), 3)
 	budget("submit", testing.AllocsPerRun(1000, func() { serve(submit) }), 3)
+
+	// A native register of a new user costs its request — one string for the
+	// payload, which the user's name and the server names slice, and the
+	// server list — and the directory's copy of the list (13 allocations as
+	// JSON).
+	regs := make([][]byte, fresh+1)
+	for i := range regs {
+		regs[i] = framePayload(t, mustFrameRequest(t, Request{Op: "register", User: fmt.Sprintf("R1.h3.r%d", i), Servers: []string{"s2", "s1"}}, uint32(i)))
+	}
+	next = 0
+	budget("register, a new user", testing.AllocsPerRun(fresh, func() { serve(regs[next]); next++ }), 3)
+	if got := s.cluster.Directory().Authority(names.MustParse(fmt.Sprintf("R1.h3.r%d", fresh))); len(got) != 2 || got[0] != "s2" || got[1] != "s1" {
+		t.Errorf("the last user registered is on %q", got)
+	}
 }
 
 // TestPipelineClientAllocs measures Pipeline.Do + Future.Response alone,

@@ -20,10 +20,12 @@
 // read into pooled buffers (sync.Pool) and payloads are bounded by MaxLine,
 // the same cap the text protocol enforces.
 //
-// The hot verbs (submit, tbatch, getmail, checkmail) have native encodings.
-// Everything else — register, status, hello, crash/recover — rides inside a
+// The hot verbs (submit, tbatch, getmail, checkmail) and register, sent once
+// per user each time a deployment is provisioned, have native encodings.
+// Everything else — hello, status, query, crash/recover — rides inside a
 // binOpJSON frame carrying the familiar JSON object, so the binary protocol
-// never forks the cold-path schema.
+// never forks the cold-path schema. A response echoes its request's op byte:
+// a JSON-wrapped register, as older clients send it, is answered in JSON.
 //
 // The tag is client-assigned and echoed verbatim on the response, which is
 // what allows pipelining: a client may keep MaxInflight tagged requests in
@@ -49,13 +51,14 @@ import (
 )
 
 // Binary-frame op bytes. binOpJSON wraps the text protocol's JSON object for
-// the cold verbs; the hot verbs get native encodings.
+// the cold verbs; the hot verbs and register get native encodings.
 const (
 	binOpJSON      byte = 0
 	binOpSubmit    byte = 1
 	binOpTBatch    byte = 2
 	binOpGetMail   byte = 3
 	binOpCheckMail byte = 4
+	binOpRegister  byte = 5
 )
 
 const (
@@ -131,6 +134,14 @@ func appendStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+func appendStrs(dst []byte, list []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(list)))
+	for _, s := range list {
+		dst = appendStr(dst, s)
+	}
+	return dst
+}
+
 // binReader walks a frame payload with a latched error, returning zero
 // values after the first malformed field.
 //
@@ -185,6 +196,19 @@ func (r *binReader) str() string {
 		r.s = string(r.b)
 	}
 	return r.s[r.off-len(b) : r.off]
+}
+
+// strs reads a counted list of strings: nil when it is empty.
+func (r *binReader) strs() []string {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for i := 0; i < n && !r.bad; i++ {
+		out = append(out, r.str())
+	}
+	return out
 }
 
 // count reads a list length, rejecting counts that could not possibly fit in
@@ -244,6 +268,8 @@ func binaryOpFor(op string) byte {
 		return binOpGetMail
 	case "checkmail":
 		return binOpCheckMail
+	case "register":
+		return binOpRegister
 	default:
 		return binOpJSON
 	}
@@ -262,26 +288,23 @@ func AppendBinaryRequest(dst []byte, req Request, tag uint32) ([]byte, error) {
 		dst = appendStr(dst, req.From)
 		dst = appendStr(dst, req.Subject)
 		dst = appendStr(dst, req.Body)
-		dst = binary.AppendUvarint(dst, uint64(len(req.To)))
-		for _, t := range req.To {
-			dst = appendStr(dst, t)
-		}
+		dst = appendStrs(dst, req.To)
 	case binOpTBatch:
 		dst = appendStr(dst, req.From)
 		dst = binary.AppendUvarint(dst, uint64(len(req.Msgs)))
 		for _, m := range req.Msgs {
 			dst = appendStr(dst, m.Subject)
 			dst = appendStr(dst, m.Body)
-			dst = binary.AppendUvarint(dst, uint64(len(m.To)))
-			for _, t := range m.To {
-				dst = appendStr(dst, t)
-			}
+			dst = appendStrs(dst, m.To)
 		}
 	case binOpGetMail:
 		dst = appendStr(dst, req.User)
 	case binOpCheckMail:
 		dst = appendStr(dst, req.User)
 		dst = appendStr(dst, req.Server)
+	case binOpRegister:
+		dst = appendStr(dst, req.User)
+		dst = appendStrs(dst, req.Servers)
 	default: // binOpJSON
 		js, err := json.Marshal(req)
 		if err != nil {
@@ -307,13 +330,7 @@ func DecodeBinaryRequest(payload []byte) (Request, uint32, error) {
 		req.From = r.str()
 		req.Subject = r.str()
 		req.Body = r.str()
-		n := r.count()
-		if n > 0 {
-			req.To = make([]string, 0, n)
-			for i := 0; i < n && !r.bad; i++ {
-				req.To = append(req.To, r.str())
-			}
-		}
+		req.To = r.strs()
 	case binOpTBatch:
 		req.Op = "tbatch"
 		req.From = r.str()
@@ -325,13 +342,7 @@ func DecodeBinaryRequest(payload []byte) (Request, uint32, error) {
 			var m BatchMsg
 			m.Subject = r.str()
 			m.Body = r.str()
-			nt := r.count()
-			if nt > 0 {
-				m.To = make([]string, 0, nt)
-				for j := 0; j < nt && !r.bad; j++ {
-					m.To = append(m.To, r.str())
-				}
-			}
+			m.To = r.strs()
 			req.Msgs = append(req.Msgs, m)
 		}
 	case binOpGetMail:
@@ -341,6 +352,10 @@ func DecodeBinaryRequest(payload []byte) (Request, uint32, error) {
 		req.Op = "checkmail"
 		req.User = r.str()
 		req.Server = r.str()
+	case binOpRegister:
+		req.Op = "register"
+		req.User = r.str()
+		req.Servers = r.strs()
 	case binOpJSON:
 		if r.bad {
 			break
@@ -420,6 +435,7 @@ func AppendBinaryResponse(dst []byte, op byte, tag uint32, resp Response) ([]byt
 			dst = binary.AppendUvarint(dst, uint64(resp.Polls))
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(resp.LastChecking))
 		}
+	case binOpRegister: // the ok byte is the whole answer
 	default: // binOpJSON
 		js, err := json.Marshal(resp)
 		if err != nil {
@@ -513,6 +529,7 @@ func DecodeBinaryResponse(payload []byte) (Response, uint32, error) {
 			resp.Polls = int(r.uvarint())
 			resp.LastChecking = int64(r.u64())
 		}
+	case binOpRegister:
 	case binOpJSON:
 		resp, err := decodeJSON(payload[r.off:], resp)
 		return resp, tag, err

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"reflect"
 	"strconv"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/placement"
 )
 
 func mustFrameRequest(t *testing.T, req Request, tag uint32) []byte {
@@ -41,9 +43,10 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 		}},
 		{Op: "getmail", User: "R1.h1.bob"},
 		{Op: "checkmail", User: "R1.h1.bob", Server: "s2"},
+		{Op: "register", User: "R1.h1.alice", Servers: []string{"s1", "s2"}},
+		{Op: "register", User: "R1.h1.alice"},
 		// Cold verbs ride the JSON op.
 		{Op: "hello", Binary: true},
-		{Op: "register", User: "R1.h1.alice", Servers: []string{"s1", "s2"}},
 		{Op: "status"},
 		{Op: "crash", Server: "s1"},
 	}
@@ -84,6 +87,8 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		}, Polls: 42, LastChecking: 1700000000000000000}},
 		{binOpGetMail, Response{OK: true, Polls: 1, LastChecking: -1}},
 		{binOpCheckMail, Response{OK: true, Messages: []Message{{ID: "9:9", From: "R2.h2.z"}}}},
+		{binOpRegister, Response{OK: true}},
+		{binOpRegister, Response{Error: `unknown server "s9"`}},
 		{binOpJSON, Response{OK: true, Binary: true}},
 		{binOpJSON, Response{Error: "unknown op \"nope\""}},
 	}
@@ -240,6 +245,13 @@ func FuzzBinaryFrame(f *testing.F) {
 		{Request{Op: "checkmail", User: "R1.h1.bob", Server: "s1"}, 4},
 		{Request{Op: "hello", Binary: true}, 5},
 		{Request{Op: "status"}, 6},
+		// register: one server listed twice, a malformed name, an unknown
+		// server, no server (the placement policy's), an empty name token.
+		{Request{Op: "register", User: "R1.h1.bob", Servers: []string{"s1", "s1"}}, 7},
+		{Request{Op: "register", User: "R1@h1@bob", Servers: []string{"s1"}}, 8},
+		{Request{Op: "register", User: "R1.h1.bob", Servers: []string{"s1", "s9"}}, 9},
+		{Request{Op: "register", User: "R1.h1.bob"}, 10},
+		{Request{Op: "register", User: "R1..bob", Servers: []string{"s1"}}, 11},
 	}
 	for _, s := range seedReqs {
 		frame, err := AppendBinaryRequest(nil, s.req, s.tag)
@@ -394,6 +406,13 @@ func refDecodeBinaryRequest(payload []byte) (Request, uint32, error) {
 		req.Op = "checkmail"
 		req.User = r.str()
 		req.Server = r.str()
+	case binOpRegister:
+		req.Op = "register"
+		req.User = r.str()
+		n := r.count()
+		for i := 0; i < n && !r.bad; i++ {
+			req.Servers = append(req.Servers, r.str())
+		}
 	case binOpJSON:
 		if r.bad {
 			break
@@ -465,6 +484,7 @@ func refDecodeBinaryResponse(payload []byte) (Response, uint32, error) {
 			resp.Polls = int(r.uvarint())
 			resp.LastChecking = int64(r.u64())
 		}
+	case binOpRegister:
 	case binOpJSON:
 		if err := json.Unmarshal(payload[r.off:], &resp); err != nil {
 			return Response{}, tag, fmt.Errorf("%w: %v", errBadPayload, err)
@@ -546,6 +566,7 @@ func TestBinaryDecodersMatchReference(t *testing.T) {
 			{binOpGetMail, Response{OK: true, Polls: rng.Intn(99)}},
 			{binOpCheckMail, Response{OK: true, Messages: []Message{{ID: word()}, {Body: word()}}}},
 			{binOpJSON, Response{OK: true, Binary: true, Matches: list()}},
+			{binOpRegister, Response{OK: true}},
 		}
 		for _, c := range resps {
 			frame, err := AppendBinaryResponse(nil, c.op, rng.Uint32(), c.resp)
@@ -584,7 +605,7 @@ func TestBinaryGoldenFrames(t *testing.T) {
 		{Request{Op: "getmail", User: "R1.h1.bob"}, "0f00000003020302010952312e68312e626f62e47f6af3"},
 		{Request{Op: "checkmail", User: "R1.h1.bob", Server: "s2"}, "1200000004030302010952312e68312e626f620273321e22a3fd"},
 		{Request{Op: "register", User: "R1.h1.alice", Servers: []string{"s1", "s2"}},
-			"4100000000040302017b226f70223a227265676973746572222c2275736572223a2252312e68312e616c696365222c2273657276657273223a5b227331222c227332225d7d5438ac09"},
+			"1800000005040302010b52312e68312e616c69636502027331027332285faa69"},
 	}
 	for i, c := range reqs {
 		if got := hex.EncodeToString(mustFrameRequest(t, c.req, uint32(0x01020300+i))); got != c.want {
@@ -612,8 +633,9 @@ func TestBinaryGoldenFrames(t *testing.T) {
 			"1700000004030c0b0a0101046d392d390752322e68322e7a0001784659f3fd"},
 		{binOpJSON, Response{OK: true, Binary: true}, "1f00000000040c0b0a017b226f6b223a747275652c2262696e617279223a747275657d6cda2f27"},
 		{binOpGetMail, Response{Error: "getmail: no such user", Code: "unknown_user"}, "2900000003050c0b0a000c756e6b6e6f776e5f75736572156765746d61696c3a206e6f207375636820757365722f103bcc"},
+		{binOpRegister, Response{OK: true}, "0600000005060c0b0a01f54d24a5"},
 	}
-	tags := []uint32{0, 1, 2, 2, 3, 3, 4, 5} // the stored twins reuse their Messages form's tag
+	tags := []uint32{0, 1, 2, 2, 3, 3, 4, 5, 6} // the stored twins reuse their Messages form's tag
 	for i, c := range resps {
 		frame, err := AppendBinaryResponse(nil, c.op, 0x0a0b0c00+tags[i], c.resp)
 		if err != nil {
@@ -621,6 +643,128 @@ func TestBinaryGoldenFrames(t *testing.T) {
 		}
 		if got := hex.EncodeToString(frame); got != c.want {
 			t.Errorf("response %d (op %d) frame:\n got %s\nwant %s", i, c.op, got, c.want)
+		}
+	}
+
+	// The register frame clients sent before register had a layout of its
+	// own (the row above, until then) is still accepted, and answered in JSON
+	// under its own op byte.
+	old, err := hex.DecodeString("4100000000040302017b226f70223a227265676973746572222c2275736572223a2252312e68312e616c696365222c2273657276657273223a5b227331222c227332225d7d5438ac09")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(t)
+	conn, cr := rawBinary(t, s.Addr())
+	if _, err := conn.Write(old); err != nil {
+		t.Fatal(err)
+	}
+	bp := getFrameBuf()
+	defer putFrameBuf(bp)
+	payload, err := cr.readFrame(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, _ := appendFrame(nil, payload)
+	if got, want := hex.EncodeToString(answer), "110000000004030201017b226f6b223a747275657d7868ad67"; got != want {
+		t.Errorf("JSON-wrapped register answered:\n got %s\nwant %s", got, want)
+	}
+	if got := s.cluster.Directory().Authority(alice); !reflect.DeepEqual(got, []string{"s1", "s2"}) {
+		t.Errorf("JSON-wrapped register left alice on %q", got)
+	}
+}
+
+// TestBinaryRegisterMatchesJSON is the seeded property test of the native
+// register frame: each register goes to one server in it and to a twin as the
+// JSON-wrapped frame older clients send, and the two must answer alike —
+// error text and code included — and leave the same directory behind. The
+// inputs cover valid registers (one to three known servers, duplicates) and
+// each way one is refused (malformed and over-long names, unknown servers),
+// and no servers at all, with the placement policy off and on.
+func TestBinaryRegisterMatchesJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	long := func(c string) string { return strings.Repeat(c, 150+rng.Intn(300)) }
+	user := func() string {
+		switch rng.Intn(8) {
+		case 0:
+			return []string{"", "bogus", "R1..x", "R1.h1.a b", "R1@h1.x", "R1.h1.é", ".R1.h1", "R1.h1.x."}[rng.Intn(8)]
+		case 1:
+			return "R1.h1." + long("u") // valid, its length a two-byte uvarint
+		case 2:
+			return "R1.h1." + long("u") + " "
+		case 3:
+			return fmt.Sprintf("R%d@h%d@u%d", rng.Intn(2), rng.Intn(3), rng.Intn(20))
+		default:
+			return fmt.Sprintf("R%d.h%d.u%d", rng.Intn(2), rng.Intn(3), rng.Intn(20))
+		}
+	}
+	pool := []string{"s1", "s2", "s3", "s1", "s2", "s3", "s9", "", " s1", "S1", "s" + strings.Repeat("1", 200)}
+	servers := func() []string {
+		var out []string
+		for i := rng.Intn(4); i > 0; i-- {
+			out = append(out, pool[rng.Intn(len(pool))])
+		}
+		return out
+	}
+	for _, placed := range []bool{false, true} {
+		var cfg ServerConfig
+		if placed {
+			cfg.Cluster.Placement = placement.NewRoundRobin(placement.World{Regions: 1, ServersPerRegion: 3, HostsPerRegion: 4, AuthorityLen: 2})
+			cfg.Cluster.PlacementName = func(slot int) string { return "s" + strconv.Itoa(slot+1) }
+		}
+		var twins [2]*Server
+		var conns [2]net.Conn
+		var readers [2]*connReader
+		for i := range twins {
+			s, err := NewServerWith("127.0.0.1:0", []string{"s1", "s2", "s3"}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			twins[i] = s
+			conns[i], readers[i] = rawBinary(t, s.Addr())
+		}
+		ok := 0
+		var seen []string
+		for i := 0; i < 600; i++ {
+			req := Request{Op: "register", User: user(), Servers: servers()}
+			tag := rng.Uint32()
+			native := mustFrameRequest(t, req, tag)
+			js, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrapped, err := appendFrame(nil, append(binary.LittleEndian.AppendUint32([]byte{binOpJSON}, tag), js...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [2]Response
+			for k, frame := range [][]byte{native, wrapped} {
+				if _, err := conns[k].Write(frame); err != nil {
+					t.Fatal(err)
+				}
+				var rtag uint32
+				if got[k], rtag = readBinary(t, readers[k]); rtag != tag {
+					t.Fatalf("register %+v: answered under tag %d, sent %d", req, rtag, tag)
+				}
+			}
+			if !reflect.DeepEqual(got[0], got[1]) {
+				t.Fatalf("placement %v, register %q on %q: native %+v, JSON-wrapped %+v", placed, req.User, req.Servers, got[0], got[1])
+			}
+			if got[0].OK {
+				ok++
+			}
+			seen = append(seen, req.User)
+		}
+		if ok < 100 || len(seen)-ok < 100 {
+			t.Fatalf("%d registers accepted, %d refused: the inputs miss a side", ok, len(seen)-ok)
+		}
+		for _, u := range seen {
+			if n, err := names.Parse(u); err == nil {
+				a, b := twins[0].cluster.Directory().Authority(n), twins[1].cluster.Directory().Authority(n)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("placement %v: %s is on %q natively, on %q JSON-wrapped", placed, u, a, b)
+				}
+			}
 		}
 	}
 }

@@ -154,7 +154,9 @@ func TestFlushOrderAcrossHello(t *testing.T) {
 }
 
 // TestFlushErrorAnswersBeforeClose: input the reader cannot queue is answered
-// — behind the responses already owed — before the server hangs up.
+// — behind the responses already owed — before the server hangs up. The
+// error answer is the last frame: nothing the worker still held comes after
+// it, and nothing owed is dropped for it.
 func TestFlushErrorAnswersBeforeClose(t *testing.T) {
 	good, err := AppendBinaryRequest(nil, Request{Op: "getmail", User: "R1.h1.alice"}, 1)
 	if err != nil {
@@ -183,12 +185,11 @@ func TestFlushErrorAnswersBeforeClose(t *testing.T) {
 			if _, err := conn.Write(append(append([]byte(nil), good...), tc.bad...)); err != nil {
 				t.Fatal(err)
 			}
-			// The good request's answer is not promised: the reader may hang
-			// up before a worker gets to it. The error answer is.
 			resp, tag := readBinary(t, cr)
-			if resp.OK && tag == 1 {
-				resp, tag = readBinary(t, cr)
+			if !resp.OK || tag != 1 {
+				t.Fatalf("the getmail ahead of the bad input: tag %d, %+v", tag, resp)
 			}
+			resp, tag = readBinary(t, cr)
 			if resp.OK || tag != tc.tag || !strings.Contains(resp.Error, tc.want) {
 				t.Fatalf("error answer: tag %d, %+v", tag, resp)
 			}

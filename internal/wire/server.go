@@ -221,20 +221,20 @@ func (s *Server) acceptLoop() {
 }
 
 // connState is one connection's framing state plus its write half. binary
-// and helloDone are touched only by the worker holding the
-// connection's queue; the reader observes the framing switch through the
-// hello's completion channel, so no extra lock is needed for them.
+// and flushed are touched only by the worker holding the connection's queue;
+// the reader observes them through the completion channel it waits on
+// (enqueueAndWait), so no extra lock is needed for them.
 //
 // respond appends each response to out; the buffer goes to the socket in one
-// write at the queue's batch end (Run), early past outFlushSize, and at once
-// behind a reader-side error answer — no timer: a lone request is a batch of
-// one (DESIGN §10). out is borrowed from frameBufPool while it holds
-// something. wmu guards it: the reader's error answers race the worker's.
+// write at the queue's batch end (Run) and early past outFlushSize — no
+// timer: a lone request is a batch of one (DESIGN §10). out is borrowed from
+// frameBufPool while it holds something. wmu guards it: the reader's last
+// flush, as it hangs up, races a worker still holding a batch.
 type connState struct {
-	srv       *Server
-	conn      net.Conn
-	binary    bool
-	helloDone chan struct{} // closed, after the flush, by the batch end that follows a hello
+	srv     *Server
+	conn    net.Conn
+	binary  bool
+	flushed chan struct{} // closed, after the flush, by the batch end behind an item the reader waits on
 
 	wmu sync.Mutex
 	out *[]byte
@@ -307,14 +307,14 @@ func (st *connState) flush() {
 }
 
 // Run is the batch end of the connection's work queue: one write for all the
-// responses the batch produced. A hello is always the last item of its batch
-// (the reader waits for it), so the flush here is also what puts the
-// handshake response on the wire before the reader moves on.
+// responses the batch produced. An item the reader waits on — a hello, or its
+// own error answer — is always the last of its batch, so the flush here is
+// also what puts that answer on the wire before the reader moves on.
 func (st *connState) Run() {
 	st.flush()
-	if st.helloDone != nil {
-		close(st.helloDone)
-		st.helloDone = nil
+	if st.flushed != nil {
+		close(st.flushed)
+		st.flushed = nil
 	}
 }
 
@@ -394,7 +394,7 @@ func (s *Server) serveTextLine(cr *connReader, q *server.WorkQueue, st *connStat
 		// A line past MaxLine cannot be consumed; tell the client why
 		// instead of silently hanging up on them.
 		if errors.Is(err, ErrLineTooLong) {
-			st.answerAndFlush(false, 0, Response{
+			answerLast(q, st, false, 0, Response{
 				Error: fmt.Sprintf("request line exceeds %d bytes", MaxLine),
 				Code:  mailerr.CodeOversized,
 			})
@@ -408,14 +408,14 @@ func (s *Server) serveTextLine(cr *connReader, q *server.WorkQueue, st *connStat
 		resp := Response{Error: fmt.Sprintf("bad request: %v", derr), Code: mailerr.Code(derr)}
 		return q.Enqueue(func() { st.respond(false, 0, 0, resp) })
 	}
-	return s.enqueue(q, st, req, 0, false)
+	return s.enqueue(q, st, req, 0, false, binOpJSON)
 }
 
 func (s *Server) serveBinaryFrame(cr *connReader, framep *[]byte, q *server.WorkQueue, st *connState) bool {
 	payload, err := cr.readFrame(framep)
 	if err != nil {
 		if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrFrameCorrupt) {
-			st.answerAndFlush(true, 0, Response{Error: err.Error(), Code: mailerr.Code(err)})
+			answerLast(q, st, true, 0, Response{Error: err.Error(), Code: mailerr.Code(err)})
 		}
 		return false
 	}
@@ -430,10 +430,10 @@ func (s *Server) servePayload(payload []byte, q *server.WorkQueue, st *connState
 	if derr != nil {
 		// The frame checksummed clean but the payload is malformed: the
 		// peer's codec cannot be trusted, so answer and drop the connection.
-		st.answerAndFlush(true, tag, Response{Error: derr.Error(), Code: mailerr.Code(derr)})
+		answerLast(q, st, true, tag, Response{Error: derr.Error(), Code: mailerr.Code(derr)})
 		return false
 	}
-	return s.enqueue(q, st, req, tag, true)
+	return s.enqueue(q, st, req, tag, true, payload[0])
 }
 
 // decodeFrame is DecodeBinaryRequest as a connection's reader runs it. A
@@ -506,36 +506,42 @@ func (s *Server) agentFor(user names.Name) (*userAgent, error) {
 	return ua, nil
 }
 
-// answerAndFlush is the reader's own answer to input it cannot queue (an
-// oversized line, a bad CRC, a malformed payload), sent just before it drops
-// the connection: appended behind whatever the worker has buffered so far and
-// written at once, so the peer learns why.
-func (st *connState) answerAndFlush(bin bool, tag uint32, resp Response) {
-	st.respond(bin, binOpJSON, tag, resp)
-	st.flush()
+// answerLast is the reader's own answer to input it cannot queue (an
+// oversized line, a bad CRC, a malformed payload), so the peer learns why the
+// connection drops. It is queued like a request, behind every request read
+// before it, and the reader hangs up only once it is written: every answer
+// owed goes out first, and this one is the last frame the connection sends.
+func answerLast(q *server.WorkQueue, st *connState, bin bool, tag uint32, resp Response) {
+	enqueueAndWait(q, st, func() { st.respond(bin, binOpJSON, tag, resp) })
 }
 
-// enqueue hands one decoded request to the connection's work queue, as a
-// pooled work item.
-func (s *Server) enqueue(q *server.WorkQueue, st *connState, req Request, tag uint32, bin bool) bool {
+// enqueue hands one decoded request, from a frame with op byte op, to the
+// connection's work queue as a pooled work item.
+func (s *Server) enqueue(q *server.WorkQueue, st *connState, req Request, tag uint32, bin bool, op byte) bool {
 	if req.Op == "hello" {
 		return s.enqueueHello(q, st, req, tag, bin)
 	}
 	w := workPool.Get().(*work)
-	w.st, w.req, w.tag, w.bin, w.op = st, req, tag, bin, binaryOpFor(req.Op)
+	w.st, w.req, w.tag, w.bin, w.op = st, req, tag, bin, op
 	return q.EnqueueRunner(w)
 }
 
 // enqueueHello is enqueue for the handshake. The reader must not read the
 // next bytes until the handshake response is out and the framing switch (if
-// granted) applied, so it waits for the batch end behind the hello item —
-// which also orders the switch after every earlier response on the queue.
+// granted) applied, so it waits for the hello's batch end.
 // A function of its own: the closure makes its req a heap variable.
 func (s *Server) enqueueHello(q *server.WorkQueue, st *connState, req Request, tag uint32, bin bool) bool {
+	return enqueueAndWait(q, st, func() { st.respond(bin, binOpJSON, tag, s.opHello(req, st)) })
+}
+
+// enqueueAndWait queues one answer the reader must see written before it goes
+// on, and waits for the batch end behind it. The item runs after every earlier
+// item on the queue, so its answer follows theirs.
+func enqueueAndWait(q *server.WorkQueue, st *connState, answer func()) bool {
 	done := make(chan struct{})
 	ok := q.Enqueue(func() {
-		st.respond(bin, binOpJSON, tag, s.opHello(req, st))
-		st.helloDone = done
+		answer()
+		st.flushed = done
 	})
 	if ok {
 		<-done
