@@ -130,9 +130,10 @@ tier2-transit:
 
 # Tier-2 determinism gate: same seed ⇒ same bytes, as a test and not a habit.
 # One small mailbench run per architecture, faults off and on, executed twice;
-# stdout and the benchmark document must be byte-identical once the
-# wall-clock lines (ns/op, "… wall", msgs/s, elapsed, the "wrote" path) are
-# dropped. Everything it writes goes under .bench_build/.
+# stdout must be byte-identical once the wall-clock line ("… wall") is
+# dropped. Full precision — every float of the Report and Snapshot —
+# is tier-1's TestEngineDeterminism and TestRoamScenarioDeterminism. Everything
+# it writes goes under .bench_build/.
 .PHONY: tier2-determinism
 tier2-determinism:
 	@mkdir -p .bench_build/determinism
@@ -144,9 +145,8 @@ tier2-determinism:
 			*) args="-messages 1500 -ticks 150 -sessions 128" ;; \
 		esac; \
 		for pass in a b; do \
-			./mailbench -arch $$arch -users 20000 -servers 8 -seed 3 $$args $$faults -o $$pass.json > $$pass.out; \
-			cat $$pass.json >> $$pass.out; \
-			grep -v -E 'ns/op|wall|msgs/s|elapsed|^wrote ' $$pass.out > $$pass.txt; \
+			./mailbench -arch $$arch -users 20000 -servers 8 -seed 3 $$args $$faults > $$pass.out; \
+			grep -v wall $$pass.out > $$pass.txt; \
 		done; \
 		cmp a.txt b.txt || { echo "tier2-determinism: -arch $$arch $$faults differs between two runs of seed 3" >&2; diff a.txt b.txt | head -20 >&2; exit 1; }; \
 		echo "deterministic: -arch $$arch $$faults ($$(wc -l < a.txt) lines)"; \
@@ -236,7 +236,7 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 26626
+SIZE_CEILING = 26020
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:

@@ -5,7 +5,8 @@
 // ≈1-poll guarantee). It reports per-stage latency quantiles from the obs
 // snapshot, compares the §3.1.1 assignment's predicted utilization and
 // Q(ρ)=ρ/(1−ρ) waits against the deposits each server actually served, and
-// emits a benchmark document (internal/benchfmt).
+// ends with the auditors' verdict. The repository's benchmark is bench/, not
+// this command.
 //
 // Typical runs:
 //
@@ -17,11 +18,11 @@
 //	go run ./cmd/mailbench -arch roaming -users 1000000 -servers 64 -messages 6000 -ticks 300 -sessions 256
 //	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -ticks 300 -queries 60 -faults
 //
-// A sweep is a shell loop over invocations sharing one document, which also
-// gives every point a process of its own:
+// A sweep is a shell loop over invocations, which gives every point a process
+// of its own:
 //
 //	for pol in static jsq rebalance; do
-//		go run ./cmd/mailbench -users 1000000 -servers 64 -policy $pol -profile hotspot -append -o sweep.json
+//		go run ./cmd/mailbench -users 1000000 -servers 64 -policy $pol -profile hotspot
 //	done
 //
 // -arch selects the paper architecture under test: syntax (default, the
@@ -40,19 +41,16 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
-	"github.com/largemail/largemail/internal/benchfmt"
 	"github.com/largemail/largemail/internal/faults"
 	"github.com/largemail/largemail/internal/loadgen"
 	"github.com/largemail/largemail/internal/mail/mailstore"
@@ -125,8 +123,6 @@ func run(args []string, stdout io.Writer) int {
 	fs.IntVar(&p.queries, "queries", 0, "mass-distribution queries per run (0 = scenario default; -arch attr only)")
 	fs.BoolVar(&p.noprune, "noprune", false, "disable sketch pruning of content queries — the exhaustive E21 baseline (-arch attr only)")
 	fs.IntVar(&p.sketchRefresh, "sketchrefresh", 0, "refresh subtree sketches every N ticks instead of before each pruned launch; leaves stale windows that must fail open (-arch attr only)")
-	appendDoc := fs.Bool("append", false, "append to an existing benchmark document instead of overwriting it")
-	out := fs.String("o", ".bench_build/mailbench.json", "benchmark document path, its directory created if missing (empty = stdout)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -195,33 +191,17 @@ func run(args []string, stdout io.Writer) int {
 		return usage("-batch requires -transport netsim")
 	}
 
-	doc := benchfmt.Doc{Goos: runtime.GOOS, Goarch: runtime.GOARCH}
-	if *appendDoc && *out != "" {
-		if buf, err := os.ReadFile(*out); err == nil {
-			if err := json.Unmarshal(buf, &doc); err != nil {
-				return usage("-append: %s: %v", *out, err)
-			}
-		}
-	}
-	var (
-		res        benchfmt.Result
-		violations int
-	)
+	var violations int
 	switch p.arch {
 	case "roaming":
-		res, violations, err = runRoaming(p, stdout)
+		violations, err = runRoaming(p, stdout)
 	case "attr":
-		res, violations, err = runAttr(p, stdout)
+		violations, err = runAttr(p, stdout)
 	default:
-		res, violations, err = runSyntax(p, stdout)
+		violations, err = runSyntax(p, stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mailbench:", err)
-		return 1
-	}
-	doc.Benchmarks = append(doc.Benchmarks, res)
-	if err := writeDoc(&doc, *out, stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "mailbench: write:", err)
 		return 1
 	}
 	if violations > 0 {
@@ -229,27 +209,6 @@ func run(args []string, stdout io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// writeDoc puts the document at path, creating its directory, or on stdout
-// when path is empty.
-func writeDoc(doc *benchfmt.Doc, path string, stdout io.Writer) error {
-	if path == "" {
-		buf, err := doc.Marshal()
-		if err != nil {
-			return err
-		}
-		_, err = stdout.Write(buf)
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	if err := doc.WriteFile(path); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %d runs to %s\n", len(doc.Benchmarks), path)
-	return nil
 }
 
 // population derives the regional layout for the point: servers spread
@@ -332,7 +291,7 @@ func autoServiceRate(p params) float64 {
 }
 
 // runSyntax executes one §3.1 point and renders its report.
-func runSyntax(p params, w io.Writer) (benchfmt.Result, int, error) {
+func runSyntax(p params, w io.Writer) (int, error) {
 	pop := population(p)
 	dataDir := runDataDir(p)
 	var (
@@ -349,7 +308,7 @@ func runSyntax(p params, w io.Writer) (benchfmt.Result, int, error) {
 	case "wire":
 		d, err := loadgen.NewWireDriver(loadgen.WireConfig{Pop: pop, Proto: p.proto})
 		if err != nil {
-			return benchfmt.Result{}, 0, err
+			return 0, err
 		}
 		drv, close = d, d.Close
 		scale, unit = 1e6, "ms"
@@ -363,7 +322,7 @@ func runSyntax(p params, w io.Writer) (benchfmt.Result, int, error) {
 			Policy: p.policy, JSQD: p.jsqd, ServiceRate: srate,
 		})
 		if err != nil {
-			return benchfmt.Result{}, 0, err
+			return 0, err
 		}
 		drv, close = d, func() { _ = d.Close() }
 		scale, unit = float64(sim.Unit), "units"
@@ -374,7 +333,7 @@ func runSyntax(p params, w io.Writer) (benchfmt.Result, int, error) {
 			Policy: p.policy, JSQD: p.jsqd, ServiceRate: srate,
 		})
 		if err != nil {
-			return benchfmt.Result{}, 0, err
+			return 0, err
 		}
 		drv, close = d, d.Close
 		scale, unit = 1e6, "ms"
@@ -389,7 +348,7 @@ func runSyntax(p params, w io.Writer) (benchfmt.Result, int, error) {
 	if p.faults {
 		sched, err := compileChaos(drv.FaultSurface(), p)
 		if err != nil {
-			return benchfmt.Result{}, 0, err
+			return 0, err
 		}
 		cfg.Schedule = sched
 	}
@@ -447,44 +406,29 @@ func runSyntax(p params, w io.Writer) (benchfmt.Result, int, error) {
 	bad := reportAudit(w, rep.Ok, rep.Violations, rep.Examples,
 		"auditors: clean (exactly-once, no-loss, monotone LCT, poll efficiency)")
 
-	m := metrics(rep, snap, elapsed, scale)
-	if p.policy != "" {
-		m["migrations"] = float64(rep.Migrations)
-		m["migrations_total"] = float64(snap.Counters["migrations_total"])
-		m["migration_cost"] = float64(snap.Counters["migration_cost"])
-		m["deposit_reroutes"] = counterSum(snap, "deposit_reroutes")
-		m["reroute_loops_dropped"] = counterSum(snap, "reroute_loops_dropped")
-		m["rho_obs_mean"], m["rho_obs_max"] = rhoGaugeStats(snap)
-		m["srate"] = srate
-	}
 	if ds, ok := drv.(interface {
 		DurabilityStats() (mailstore.WALStats, bool)
 	}); ok {
 		if ws, on := ds.DurabilityStats(); on {
-			addWALMetrics(m, ws)
+			mbps := 0.0
+			if ws.AppendNs > 0 {
+				mbps = float64(ws.Bytes) * 1e3 / float64(ws.AppendNs)
+			}
 			fmt.Fprintf(w, "wal: %d appends, %.1f MB, %.1f MB/s append path, %d syncs, %d rotations, %d compactions\n",
-				ws.Appends, float64(ws.Bytes)/1e6, m["wal_append_mbps"],
-				ws.Syncs, ws.Rotations, ws.Compactions)
+				ws.Appends, float64(ws.Bytes)/1e6, mbps, ws.Syncs, ws.Rotations, ws.Compactions)
 		}
 	}
-
-	res := benchfmt.Result{
-		Name:       benchName(p),
-		Pkg:        "cmd/mailbench",
-		Iterations: 1,
-		Metrics:    m,
-	}
-	return res, bad, nil
+	return bad, nil
 }
 
 // runRoaming executes one §3.2 point: the locind-backed RoamDriver
 // under the closed-loop engine, with roam waves and live rehash
 // reconfiguration layered on top and the §3.2.2c overhead auditor online.
-func runRoaming(p params, w io.Writer) (benchfmt.Result, int, error) {
+func runRoaming(p params, w io.Writer) (int, error) {
 	pop := population(p)
 	drv, err := loadgen.NewRoamDriver(loadgen.RoamConfig{Seed: p.seed, Pop: pop})
 	if err != nil {
-		return benchfmt.Result{}, 0, err
+		return 0, err
 	}
 	cfg := loadgen.Config{
 		Seed: p.seed, Messages: p.messages, Sessions: p.sessions, Ticks: p.ticks,
@@ -492,7 +436,7 @@ func runRoaming(p params, w io.Writer) (benchfmt.Result, int, error) {
 	if p.faults {
 		sched, err := compileChaos(drv.FaultSurface(), p)
 		if err != nil {
-			return benchfmt.Result{}, 0, err
+			return 0, err
 		}
 		cfg.Schedule = sched
 	}
@@ -522,41 +466,26 @@ func runRoaming(p params, w io.Writer) (benchfmt.Result, int, error) {
 		snap.Counters["notify_roaming"], snap.Counters["rehash_transfers"],
 		snap.Counters["rehash_messages_moved"], snap.Counters["deposit_transfers"])
 
-	bad := reportAudit(w, rep.Ok, rep.Violations, rep.Examples,
-		"auditors: clean (exactly-once across roams, no-loss, §3.2.2c overhead-only-off-primary)")
-
-	m := metrics(rep, snap, elapsed, float64(sim.Unit))
-	for _, k := range []string{
-		"logins", "consultations", "notify_home", "notify_roaming",
-		"notify_probe_primary", "rehash_transfers", "rehash_messages_moved",
-		"deposit_transfers", "deposit_reroutes",
-	} {
-		m[k] = float64(snap.Counters[k])
-	}
-	return benchfmt.Result{
-		Name:       benchName(p),
-		Pkg:        "cmd/mailbench",
-		Iterations: 1,
-		Metrics:    m,
-	}, bad, nil
+	return reportAudit(w, rep.Ok, rep.Violations, rep.Examples,
+		"auditors: clean (exactly-once across roams, no-loss, §3.2.2c overhead-only-off-primary)"), nil
 }
 
 // runAttr executes one §3.3 point: mass distribution over the
 // backbone-MST with convergecast aggregation and term-index content
 // retrieval, audited for loss, bounded completion, and flagged partials.
-func runAttr(p params, w io.Writer) (benchfmt.Result, int, error) {
+func runAttr(p params, w io.Writer) (int, error) {
 	pop := population(p)
 	s, err := loadgen.NewAttrScenario(loadgen.AttrConfig{
 		Seed: p.seed, Pop: pop, Queries: p.queries, Ticks: p.ticks,
 		DisablePrune: p.noprune, SketchRefreshEvery: p.sketchRefresh,
 	})
 	if err != nil {
-		return benchfmt.Result{}, 0, err
+		return 0, err
 	}
 	if p.faults {
 		sched, err := compileChaos(s.FaultSurface(), p)
 		if err != nil {
-			return benchfmt.Result{}, 0, err
+			return 0, err
 		}
 		s.SetSchedule(sched)
 	}
@@ -582,43 +511,8 @@ func runAttr(p params, w io.Writer) (benchfmt.Result, int, error) {
 	// The attr scenario observes its latencies pre-scaled to sim units.
 	fmt.Fprint(w, snap.LatencyTable("broadcast latency", 1, "units").Render())
 
-	bad := reportAudit(w, rep.Ok, rep.Violations, rep.Examples,
-		"auditors: clean (no lost broadcast deliveries, bounded convergecast, partials flagged)")
-
-	m := map[string]float64{
-		"queries":         float64(rep.Queries),
-		"content_queries": float64(rep.ContentQueries),
-		"deliveries":      float64(rep.Deliveries),
-		"partial":         float64(rep.Partial),
-		"skipped":         float64(rep.Skipped),
-		"max_depth":       float64(rep.MaxDepth),
-		"ticks":           float64(rep.Ticks),
-		"violations":      0,
-		"ns/op":           float64(elapsed.Nanoseconds()),
-		"bcast_deposits":  float64(snap.Counters["bcast_deposits"]),
-
-		"attr_pruned_subtrees": float64(rep.PrunedSubtrees),
-		"attr_pruned_nodes":    float64(rep.PrunedNodes),
-		"attr_visited_nodes":   float64(rep.VisitedNodes),
-		"attr_sketch_fp":       float64(rep.SketchFP),
-		"attr_stale_open":      float64(rep.StaleOpen),
-		"sketch_refreshes":     float64(rep.Refreshes),
-		"cq_mailboxes":         float64(rep.CQMailboxes),
-		"cq_mailboxes_full":    float64(rep.CQMailboxesFull),
-	}
-	if rep.CQMailboxesFull > 0 {
-		m["cq_visit_ratio"] = float64(rep.CQMailboxes) / float64(rep.CQMailboxesFull)
-	}
-	for _, v := range rep.Violations {
-		m["violations"] += float64(v)
-	}
-	addLatencyMetrics(m, snap, 1)
-	return benchfmt.Result{
-		Name:       benchName(p),
-		Pkg:        "cmd/mailbench",
-		Iterations: 1,
-		Metrics:    m,
-	}, bad, nil
+	return reportAudit(w, rep.Ok, rep.Violations, rep.Examples,
+		"auditors: clean (no lost broadcast deliveries, bounded convergecast, partials flagged)"), nil
 }
 
 // pct renders a/b as a percentage, 0 when b is zero.
@@ -646,52 +540,6 @@ func reportAudit(w io.Writer, ok bool, violations map[string]int, examples []str
 	}
 	fmt.Fprintln(w)
 	return bad
-}
-
-// addWALMetrics flattens the summed WAL counters into the metric map.
-func addWALMetrics(m map[string]float64, ws mailstore.WALStats) {
-	m["wal_appends"] = float64(ws.Appends)
-	m["wal_mb"] = float64(ws.Bytes) / 1e6
-	m["wal_syncs"] = float64(ws.Syncs)
-	m["wal_rotations"] = float64(ws.Rotations)
-	m["wal_compactions"] = float64(ws.Compactions)
-	if ws.AppendNs > 0 {
-		m["wal_append_mbps"] = float64(ws.Bytes) * 1e3 / float64(ws.AppendNs)
-	}
-}
-
-func benchName(p params) string {
-	name := fmt.Sprintf("Mailbench/%s/users=%d/servers=%d", p.transport, p.users, p.servers)
-	if p.arch != "" && p.arch != "syntax" {
-		name += "/arch=" + p.arch
-	}
-	if p.noprune {
-		name += "/noprune"
-	}
-	if p.sketchRefresh > 0 {
-		name += fmt.Sprintf("/sketchrefresh=%d", p.sketchRefresh)
-	}
-	if p.transport == "wire" {
-		name += "/proto=" + p.proto
-	} else if p.batch > 0 {
-		name += fmt.Sprintf("/batch=%d", p.batch)
-	}
-	if p.faults {
-		name += "/faults"
-	}
-	if p.datadir != "" {
-		name += "/durable/fsync=" + p.fsync.String()
-	}
-	if p.policy != "" {
-		name += "/policy=" + p.policy
-		if p.policy == placement.NameJSQ {
-			name += fmt.Sprintf("/d=%d", p.jsqd)
-		}
-	}
-	if p.profStr != "" {
-		name += "/profile=" + strings.ReplaceAll(p.profStr, ":", "-")
-	}
-	return name
 }
 
 // rhoGaugeStats summarizes the per-server peak-ρ gauges an active placement
@@ -786,72 +634,4 @@ func shareError(loads []loadgen.ServerLoad, totalLoad int, deposits int64) float
 		}
 	}
 	return worst
-}
-
-// metrics flattens the run into the benchmark document's metric map. Stage
-// latencies are reported in the transport's table unit (sim units / ms).
-func metrics(rep loadgen.Report, snap obs.Snapshot, elapsed time.Duration, scale float64) map[string]float64 {
-	m := map[string]float64{
-		"messages":   float64(rep.Submitted),
-		"copies":     float64(rep.Copies),
-		"retrievals": float64(rep.Retrievals),
-		"polls":      float64(rep.Polls),
-		"dups":       float64(rep.Duplicates),
-		"ticks":      float64(rep.Ticks),
-		"violations": 0,
-		"ns/op":      float64(elapsed.Nanoseconds()),
-	}
-	for _, v := range rep.Violations {
-		m["violations"] += float64(v)
-	}
-	if rep.Retrievals > 0 {
-		m["polls_per_retrieval"] = float64(rep.Polls) / float64(rep.Retrievals)
-	}
-	if env := counterSum(snap, "relay_envelopes"); env > 0 {
-		m["relay_envelopes"] = env
-		m["transfers_out"] = counterSum(snap, "transfers_out")
-		m["batch_splits"] = counterSum(snap, "batch_splits")
-		m["msgs_per_envelope"] = m["transfers_out"] / env
-	}
-	addLatencyMetrics(m, snap, scale)
-	var deposits int64
-	var totalLoad int
-	maxRho, sumRho, maxQ := 0.0, 0.0, 0.0
-	for _, l := range rep.Loads {
-		deposits += l.Deposits
-		totalLoad += l.Load
-		sumRho += l.Rho
-		if l.Rho > maxRho {
-			maxRho = l.Rho
-		}
-		if l.QWait > maxQ {
-			maxQ = l.QWait
-		}
-	}
-	if n := len(rep.Loads); n > 0 {
-		m["rho_mean"] = sumRho / float64(n)
-		m["rho_max"] = maxRho
-		m["q_wait_max"] = maxQ
-		m["util_share_err"] = shareError(rep.Loads, totalLoad, deposits)
-	}
-	return m
-}
-
-// addLatencyMetrics flattens every non-empty histogram's quantiles into the
-// metric map, scaled to the transport's table unit.
-func addLatencyMetrics(m map[string]float64, snap obs.Snapshot, scale float64) {
-	names := make([]string, 0, len(snap.Histograms))
-	for n := range snap.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := snap.Histograms[n]
-		if h.Count == 0 {
-			continue
-		}
-		m[n+"_p50"] = h.P50 / scale
-		m[n+"_p95"] = h.P95 / scale
-		m[n+"_p99"] = h.P99 / scale
-	}
 }

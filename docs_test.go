@@ -1,0 +1,147 @@
+package largemail_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// commandFlags returns every command under cmd/ with the flags its main.go
+// defines: the name argument of each flag-defining call on the flag package
+// or on a FlagSet the file makes with flag.NewFlagSet (a subcommand's
+// included).
+func commandFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no cmd/*/main.go: %v", err)
+	}
+	out := make(map[string]map[string]bool)
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets := map[string]bool{"flag": true}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+				if isCall(as.Rhs[0], "flag", "NewFlagSet") {
+					if id, ok := as.Lhs[0].(*ast.Ident); ok {
+						sets[id.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		flags := make(map[string]bool)
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if recv, ok := sel.X.(*ast.Ident); !ok || !sets[recv.Name] || len(call.Args) < 3 {
+				return true
+			}
+			arg := 0 // String(name, …), Bool(name, …), Func(name, …)
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1 // StringVar(&p, name, …), Var(value, name, …)
+			}
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				flags[name] = true
+			}
+			return true
+		})
+		out[filepath.Base(filepath.Dir(file))] = flags
+	}
+	return out
+}
+
+func isCall(e ast.Expr, pkg, fn string) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != fn {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == pkg
+}
+
+func readDoc(t *testing.T, path string) string {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(buf)
+}
+
+// TestDocsNameEveryFlag: every flag a command defines is named as -flag in
+// README.md or DESIGN.md.
+func TestDocsNameEveryFlag(t *testing.T) {
+	docs := readDoc(t, "README.md") + readDoc(t, "DESIGN.md")
+	for cmd, flags := range commandFlags(t) {
+		for name := range flags {
+			if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`).MatchString(docs) {
+				t.Errorf("cmd/%s defines -%s, which neither README.md nor DESIGN.md names", cmd, name)
+			}
+		}
+	}
+}
+
+// goRun matches a documented invocation of a command and what follows it on
+// the line.
+var goRun = regexp.MustCompile(`go run \./cmd/([\w-]+)(.*)`)
+
+// TestDocsRunOnlyWhatExists: every `go run ./cmd/<x> …` line of README.md and
+// of the verify skill names an existing command and only flags it defines. A
+// line ending in a backslash goes on on the next; a comment, pipe, redirect
+// or `;` ends the command.
+func TestDocsRunOnlyWhatExists(t *testing.T) {
+	cmds := commandFlags(t)
+	flagTok := regexp.MustCompile(`^--?([A-Za-z][\w-]*)(=.*)?$`)
+	for _, doc := range []string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		lines := strings.Split(readDoc(t, doc), "\n")
+		for i := 0; i < len(lines); i++ {
+			line := lines[i]
+			for j := i; strings.HasSuffix(line, "\\") && j+1 < len(lines); j++ {
+				line = strings.TrimSuffix(line, "\\") + " " + lines[j+1]
+			}
+			for _, m := range goRun.FindAllStringSubmatch(line, -1) {
+				cmd, rest := m[1], m[2]
+				flags, ok := cmds[cmd]
+				if !ok {
+					t.Errorf("%s:%d runs ./cmd/%s, which does not exist", doc, i+1, cmd)
+					continue
+				}
+				if end := strings.IndexAny(rest, "#|;>&"); end >= 0 {
+					rest = rest[:end]
+				}
+				var unknown []string
+				for _, tok := range strings.Fields(rest) {
+					if f := flagTok.FindStringSubmatch(tok); f != nil && !flags[f[1]] {
+						unknown = append(unknown, "-"+f[1])
+					}
+				}
+				if len(unknown) > 0 {
+					sort.Strings(unknown)
+					t.Errorf("%s:%d runs ./cmd/%s with %s, which it does not define", doc, i+1, cmd, strings.Join(unknown, ", "))
+				}
+			}
+		}
+	}
+}

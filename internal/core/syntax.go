@@ -218,14 +218,13 @@ func (s *SyntaxSystem) Evaluate() evalsys.Report {
 			}
 		}
 	}
-	var submitted, delivered, duplicates, retries, evicted, notifies, storage int64
+	var submitted, delivered, duplicates, retries, notifies, storage int64
 	for _, srv := range s.servers {
 		st := srv.Stats()
 		submitted += st.Get("submissions")
 		delivered += st.Get("deposits_local")
 		duplicates += st.Get("duplicate_deposits")
 		retries += st.Get("retries")
-		evicted += st.Get("cleanup_evicted")
 		notifies += st.Get("notifies")
 		storage += int64(srv.StoredBytes())
 	}
@@ -235,7 +234,6 @@ func (s *SyntaxSystem) Evaluate() evalsys.Report {
 	c.CountDelivered(int(delivered))
 	c.CountDuplicates(int(duplicates))
 	c.CountRetries(int(retries))
-	c.CountEvicted(int(evicted))
 	c.CountNotified(int(notifies))
 	for i := int64(0); i < s.migrations; i++ {
 		c.CountMigration(1) // syntax-directed migration always renames

@@ -8,6 +8,8 @@ import (
 
 	"github.com/largemail/largemail/internal/faults"
 	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/obs"
+	"github.com/largemail/largemail/internal/sim"
 )
 
 func newSimDriver(t *testing.T, cfg SimConfig) *SimDriver {
@@ -215,22 +217,79 @@ func TestEngineFailureFreeSim(t *testing.T) {
 	}
 }
 
+// TestEngineDeterminism: two runs of one seed give the same Report and the
+// same Snapshot — every count, ρ, gauge and histogram quantile, compared at
+// full precision — failure-free, under a compiled fault schedule, and under
+// the rebalance policy on a hot spot, where migrations and per-server ρ
+// gauges join the snapshot.
 func TestEngineDeterminism(t *testing.T) {
-	run := func() Report {
-		drv := newSimDriver(t, SimConfig{
-			Seed: 9,
-			Pop:  Population{Users: 150, Regions: 2, ServersPerRegion: 3},
+	for _, pt := range []struct {
+		name   string
+		sim    SimConfig
+		eng    Config
+		faults bool
+	}{
+		{"clean", SimConfig{Seed: 9, Pop: Population{Users: 150, Regions: 2, ServersPerRegion: 3}},
+			Config{Seed: 9, Messages: 80, Sessions: 12}, false},
+		{"faults", SimConfig{Seed: 4, Pop: Population{Users: 200, Regions: 2, ServersPerRegion: 3}},
+			Config{Seed: 4, Messages: 120, Sessions: 16}, true},
+		{"rebalance", SimConfig{Seed: 3, Pop: Population{Users: 4000, Regions: 2, ServersPerRegion: 4},
+			Policy: "rebalance", ServiceRate: 2, RetryTimeout: 200 * sim.Unit},
+			Config{Seed: 3, Messages: 600, Sessions: 64, Ticks: 100, Profile: Profile{Kind: "hotspot"}}, false},
+	} {
+		t.Run(pt.name, func(t *testing.T) {
+			run := func() (Report, obs.Snapshot) {
+				drv := newSimDriver(t, pt.sim)
+				cfg := pt.eng
+				if pt.faults {
+					spec := drv.FaultSurface()
+					spec.Seed, spec.Ticks = pt.eng.Seed, 60
+					spec.Crashes, spec.LinkFaults, spec.Latencies, spec.Drops = 3, 2, 2, 2
+					sched, err := faults.Compile(spec)
+					if err != nil {
+						t.Fatalf("Compile: %v", err)
+					}
+					cfg.Schedule = &sched
+				}
+				return New(drv, cfg).Run(), drv.Snapshot()
+			}
+			a, aSnap := run()
+			b, bSnap := run()
+			requireClean(t, a)
+			requireSameRun(t, a, b, aSnap, bSnap)
+			if pt.sim.Policy != "" && aSnap.Counters["migrations_total"] == 0 {
+				t.Fatal("the rebalance point migrated nobody")
+			}
 		})
-		eng := New(drv, Config{Seed: 9, Messages: 80, Sessions: 12})
-		return eng.Run()
 	}
-	a, b := run(), run()
-	if a.Submitted != b.Submitted || a.Copies != b.Copies ||
-		a.Retrievals != b.Retrievals || a.Polls != b.Polls ||
-		a.Duplicates != b.Duplicates || a.Ticks != b.Ticks {
-		t.Fatalf("same seed, different runs:\n%+v\n%+v", a, b)
+}
+
+// requireSameRun fails unless two runs of one seed reported the same thing,
+// naming the first instrument that differs.
+func requireSameRun(t *testing.T, a, b Report, aSnap, bSnap obs.Snapshot) {
+	t.Helper()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, different reports:\n%+v\n%+v", a, b)
 	}
-	requireClean(t, a)
+	if reflect.DeepEqual(aSnap, bSnap) {
+		return
+	}
+	for k, v := range aSnap.Counters {
+		if bSnap.Counters[k] != v {
+			t.Fatalf("same seed, counter %s: %d, then %d", k, v, bSnap.Counters[k])
+		}
+	}
+	for k, v := range aSnap.Gauges {
+		if bSnap.Gauges[k] != v {
+			t.Fatalf("same seed, gauge %s: %d, then %d", k, v, bSnap.Gauges[k])
+		}
+	}
+	for k, v := range aSnap.Histograms {
+		if !reflect.DeepEqual(bSnap.Histograms[k], v) {
+			t.Fatalf("same seed, histogram %s: %+v, then %+v", k, v, bSnap.Histograms[k])
+		}
+	}
+	t.Fatalf("same seed, different snapshots:\n%+v\n%+v", aSnap, bSnap)
 }
 
 func TestEngineWithFaultsSim(t *testing.T) {

@@ -1,9 +1,11 @@
 package loadgen
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/largemail/largemail/internal/faults"
+	"github.com/largemail/largemail/internal/obs"
 )
 
 func newRoamDriver(t *testing.T, cfg RoamConfig) *RoamDriver {
@@ -53,23 +55,38 @@ func TestRoamScenarioFailureFree(t *testing.T) {
 	}
 }
 
+// TestRoamScenarioDeterminism: two runs of one seed give the same Report and
+// the same Snapshot at full precision, failure-free and under a compiled fault
+// schedule.
 func TestRoamScenarioDeterminism(t *testing.T) {
-	run := func() Report {
-		drv := newRoamDriver(t, RoamConfig{
-			Seed: 7,
-			Pop:  Population{Users: 150, Regions: 2, ServersPerRegion: 3},
+	for _, withFaults := range []bool{false, true} {
+		t.Run(fmt.Sprintf("faults=%v", withFaults), func(t *testing.T) {
+			run := func() (Report, obs.Snapshot) {
+				drv := newRoamDriver(t, RoamConfig{
+					Seed: 7,
+					Pop:  Population{Users: 150, Regions: 2, ServersPerRegion: 3},
+				})
+				cfg := Config{Seed: 7, Messages: 80, Sessions: 12}
+				if withFaults {
+					spec := drv.FaultSurface()
+					spec.Seed, spec.Ticks = 7, 60
+					spec.Crashes, spec.LinkFaults, spec.Latencies, spec.Drops = 3, 2, 2, 2
+					sched, err := faults.Compile(spec)
+					if err != nil {
+						t.Fatalf("Compile: %v", err)
+					}
+					cfg.Schedule = &sched
+				}
+				rep := RunRoamScenario(drv, cfg,
+					RoamScenarioConfig{Seed: 7, RoamEvery: 3, RoamsPerWave: 5, RehashEvery: 10})
+				return rep, drv.Snapshot()
+			}
+			a, aSnap := run()
+			b, bSnap := run()
+			requireClean(t, a)
+			requireSameRun(t, a, b, aSnap, bSnap)
 		})
-		return RunRoamScenario(drv,
-			Config{Seed: 7, Messages: 80, Sessions: 12},
-			RoamScenarioConfig{Seed: 7, RoamEvery: 3, RoamsPerWave: 5, RehashEvery: 10})
 	}
-	a, b := run(), run()
-	if a.Submitted != b.Submitted || a.Copies != b.Copies ||
-		a.Retrievals != b.Retrievals || a.Polls != b.Polls ||
-		a.Duplicates != b.Duplicates || a.Ticks != b.Ticks {
-		t.Fatalf("same seed, different runs:\n%+v\n%+v", a, b)
-	}
-	requireClean(t, a)
 }
 
 func TestRoamScenarioWithFaults(t *testing.T) {

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"strconv"
 
 	"github.com/largemail/largemail/internal/faults"
 	"github.com/largemail/largemail/internal/graph"
@@ -98,14 +97,9 @@ func NewRoamDriver(cfg RoamConfig) (*RoamDriver, error) {
 
 // noteOverhead buffers one overhead-hook event for DrainOverheadEvents.
 func (d *RoamDriver) noteOverhead(user names.Name, event string) {
-	if len(user.User) < 2 || user.User[0] != 'u' {
-		return
+	if idx, ok := d.pop.UserIndex(user); ok {
+		d.overhead = append(d.overhead, OverheadEvent{User: idx, Event: event})
 	}
-	idx, err := strconv.Atoi(user.User[1:])
-	if err != nil {
-		return
-	}
-	d.overhead = append(d.overhead, OverheadEvent{User: idx, Event: event})
 }
 
 // DrainOverheadEvents returns the overhead events recorded since the last

@@ -1,5 +1,5 @@
 // Durability layer: a per-shard append-only segment log under the existing
-// Store API. Every mutation that goes through Update/UpdateExisting is
+// Store API. Every mutation (Deposit, Drain, UpdateExisting) is
 // decomposed into mail.Op primitives by the mailbox journal and appended to
 // the owning shard's log while the shard write lock is held, so the log
 // order is exactly the lock order. Recovery (Open) replays the segments in
@@ -102,7 +102,7 @@ var segMagic = []byte("MAILWAL1")
 
 // WALStats are cumulative write-path counters for a durable store.
 type WALStats struct {
-	Appends     int64 // append batches (one per mutating Update)
+	Appends     int64 // append batches (one per mutating call)
 	Bytes       int64 // framed bytes appended, snapshots excluded
 	AppendNs    int64 // wall time spent in append write+sync calls
 	Syncs       int64 // fsync calls
@@ -161,7 +161,7 @@ type wal struct {
 
 // shardLog is one shard's segment chain. All fields are guarded by the
 // owning shard's write lock — appends, rotation, and compaction only happen
-// inside Update/UpdateExisting, which hold it.
+// inside the mutating calls, which hold it.
 type shardLog struct {
 	dir          string
 	f            *os.File

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/largemail/largemail/internal/mail"
+	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/sim"
 )
 
@@ -40,13 +41,28 @@ func walDigest(t *testing.T, dir string) (string, int64) {
 	return hex.EncodeToString(h.Sum(nil)), total
 }
 
+// update runs fn on the user's durable mailbox, creating an empty one first if
+// there is none — what Store.Update did when the seeded histories below were
+// recorded. An empty mailbox journals nothing, so the bytes are the same.
+func update(st *Store, user names.Name, fn func(*mail.Mailbox)) {
+	sh := st.shard(user)
+	sh.mu.Lock()
+	if sh.boxes[user] == nil {
+		mb := mail.NewMailbox(user)
+		mb.EnableJournal()
+		sh.boxes[user] = mb
+	}
+	sh.mu.Unlock()
+	st.UpdateExisting(user, fn)
+}
+
 // TestDurableJournalBufferSameWAL drives a seeded sequence of every journaled
 // mutation — deposit, drain, mark-read, evict (Cleanup), suppress, through
-// Deposit/Drain and through Update closures that journal several ops at once
-// — over few enough users that the shard's lent journal buffer goes from
-// mailbox to mailbox all the time. The bytes on disk, the WAL counters and
-// what recovery replays are pinned to the values the same sequence produced
-// when every mutation allocated its own journal slice.
+// Deposit/Drain and through closures that journal several ops at once — over
+// few enough users that the shard's lent journal buffer goes from mailbox to
+// mailbox all the time. The bytes on disk, the WAL counters and what recovery
+// replays are pinned to the values the same sequence produced when every
+// mutation allocated its own journal slice.
 func TestDurableJournalBufferSameWAL(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenOptions(Options{Dir: dir, Shards: 2, SegmentBytes: 16 << 10, CompactBytes: 1 << 30})
@@ -64,7 +80,7 @@ func TestDurableJournalBufferSameWAL(t *testing.T) {
 		case 3:
 			st.Drain(u)
 		case 4: // several ops from one closure: two deposits and a mark-read
-			st.Update(u, func(mb *mail.Mailbox) {
+			update(st, u, func(mb *mail.Mailbox) {
 				seq += 2
 				mb.Deposit(dmsg(seq-1, u, "x"), sim.Time(step))
 				mb.Deposit(dmsg(seq, u, "y"), sim.Time(step))
@@ -75,9 +91,9 @@ func TestDurableJournalBufferSameWAL(t *testing.T) {
 				mb.Cleanup(mail.Retention{MaxMessages: 2}, sim.Time(step))
 			})
 		case 6:
-			st.Update(u, func(mb *mail.Mailbox) { mb.Suppress(mail.MessageID{Node: 2, Seq: uint64(rng.Intn(40))}) })
+			update(st, u, func(mb *mail.Mailbox) { mb.Suppress(mail.MessageID{Node: 2, Seq: uint64(rng.Intn(40))}) })
 		case 7: // a mutation that journals nothing: duplicate deposit, miss
-			st.Update(u, func(mb *mail.Mailbox) {
+			update(st, u, func(mb *mail.Mailbox) {
 				mb.Deposit(dmsg(seq, u, "dup"), sim.Time(step))
 				mb.MarkRead(mail.MessageID{Node: 9, Seq: 9})
 			})

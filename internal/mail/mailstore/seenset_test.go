@@ -53,7 +53,7 @@ func TestDurableSeenSetSameLayout(t *testing.T) {
 				mb.Cleanup(mail.Retention{MaxMessages: 2}, sim.Time(step))
 			})
 		case 6:
-			st.Update(u, func(mb *mail.Mailbox) {
+			update(st, u, func(mb *mail.Mailbox) {
 				mb.Suppress(mail.MessageID{Node: 2, Seq: uint64(rng.Intn(6))}) // Seq 0 with Node 2, and…
 				if rng.Intn(4) == 0 {
 					mb.Suppress(mail.MessageID{}) // …the zero ID itself

@@ -14,7 +14,7 @@
 //
 // The counters are maintained by diffing Mailbox.Len()/Bytes() around every
 // mutation while the shard lock is held, so any Mailbox operation — Deposit,
-// Drain, Cleanup — keeps them exact without the Mailbox type knowing about
+// Drain, Remove — keeps them exact without the Mailbox type knowing about
 // the store.
 package mailstore
 
@@ -101,36 +101,11 @@ func (s *Store) shardIndex(user names.Name) int {
 	return int(h.Sum64() & s.mask)
 }
 
-// Update runs fn on the user's mailbox under the shard's write lock,
-// creating the mailbox if absent, and reconciles the shard counters with
-// whatever fn did. All mutations must go through Update (or a helper built
-// on it) or the counters drift.
-func (s *Store) Update(user names.Name, fn func(*mail.Mailbox)) {
-	i := s.shardIndex(user)
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	mb, ok := sh.boxes[user]
-	if !ok {
-		mb = mail.NewMailbox(user)
-		if s.w != nil {
-			mb.EnableJournal()
-		}
-		sh.boxes[user] = mb
-	}
-	l0, b0 := mb.Len(), mb.Bytes()
-	s.lend(i, mb)
-	fn(mb)
-	sh.msgs += int64(mb.Len() - l0)
-	sh.bytes += int64(mb.Bytes() - b0)
-	if s.w != nil {
-		s.logOps(i, user, mb)
-	}
-	sh.mu.Unlock()
-}
-
-// UpdateExisting is Update without mailbox creation; it reports whether the
-// user had a mailbox (fn is not called otherwise). A drained-empty mailbox
-// still exists: its duplicate-suppression memory must survive.
+// UpdateExisting runs fn on the user's mailbox under the shard's write lock
+// and reconciles the shard counters with whatever fn did; it reports whether
+// the user had a mailbox (fn is not called otherwise). A drained-empty mailbox
+// still exists: its duplicate-suppression memory must survive. Mailboxes are
+// created by Deposit, and only Deposit and Drain keep the term index exact.
 func (s *Store) UpdateExisting(user names.Name, fn func(*mail.Mailbox)) bool {
 	i := s.shardIndex(user)
 	sh := &s.shards[i]

@@ -69,7 +69,7 @@ func TestCountersTrackCleanup(t *testing.T) {
 		s.Deposit(u, msg(uint64(i), "xy"), 0)
 	}
 	var evicted int
-	s.Update(u, func(mb *mail.Mailbox) {
+	s.UpdateExisting(u, func(mb *mail.Mailbox) {
 		evicted = len(mb.Cleanup(mail.Retention{MaxMessages: 2}, 0))
 	})
 	if evicted != 3 {

@@ -80,9 +80,9 @@ type msgTerms struct {
 // attribute queries that address message content rather than profiles) then
 // reads the durable store, not a side structure that can drift.
 //
-// Mutations made through raw Update/UpdateExisting closures bypass the
-// index; stores that enable it must route message flow through
-// Deposit/Drain (both transports do).
+// Mutations made through raw UpdateExisting closures bypass the index;
+// stores that enable it must route message flow through Deposit/Drain
+// (every server of both transports does).
 func (s *Store) EnableTermIndex() {
 	for i := range s.shards {
 		sh := &s.shards[i]

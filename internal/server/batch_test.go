@@ -20,7 +20,7 @@ func batched(size int, flush sim.Time) func(*Config) {
 // TestBatchCoalescesOnSizeWatermark: four transfers to the same destination
 // staged before the flush interval must ship as ONE TransferBatch envelope.
 func TestBatchCoalescesOnSizeWatermark(t *testing.T) {
-	w := newWorld(t, mail.Retention{}, batched(4, 100*sim.Unit))
+	w := newWorld(t, batched(4, 100*sim.Unit))
 	for i := 0; i < 4; i++ {
 		if _, err := w.servers[s1].Submit(SubmitRequest{From: alice, To: []names.Name{bob}}); err != nil {
 			t.Fatal(err)
@@ -45,7 +45,7 @@ func TestBatchCoalescesOnSizeWatermark(t *testing.T) {
 // TestBatchFlushesOnInterval: a batch that never reaches the size watermark
 // flushes when FlushInterval elapses — mail must not wait forever.
 func TestBatchFlushesOnInterval(t *testing.T) {
-	w := newWorld(t, mail.Retention{}, batched(16, 2*sim.Unit))
+	w := newWorld(t, batched(16, 2*sim.Unit))
 	for i := 0; i < 2; i++ {
 		if _, err := w.servers[s1].Submit(SubmitRequest{From: alice, To: []names.Name{bob}}); err != nil {
 			t.Fatal(err)
@@ -65,7 +65,7 @@ func TestBatchFlushesOnInterval(t *testing.T) {
 // and splits — its items fall back to individual dispatch with per-item
 // retries, and delivery completes exactly once after recovery.
 func TestBatchTimeoutSplits(t *testing.T) {
-	w := newWorld(t, mail.Retention{}, batched(2, 2*sim.Unit))
+	w := newWorld(t, batched(2, 2*sim.Unit))
 	w.net.Crash(s3)
 	for i := 0; i < 2; i++ {
 		if _, err := w.servers[s1].Submit(SubmitRequest{From: alice, To: []names.Name{bob}}); err != nil {
@@ -98,7 +98,7 @@ func TestBatchTimeoutSplits(t *testing.T) {
 // the origin crashes survive in the pending ledger and are re-dispatched
 // individually on recovery.
 func TestBatchOriginCrashRecovers(t *testing.T) {
-	w := newWorld(t, mail.Retention{}, batched(8, 100*sim.Unit))
+	w := newWorld(t, batched(8, 100*sim.Unit))
 	for i := 0; i < 2; i++ {
 		if _, err := w.servers[s1].Submit(SubmitRequest{From: alice, To: []names.Name{bob}}); err != nil {
 			t.Fatal(err)
@@ -126,7 +126,7 @@ func TestBatchOriginCrashRecovers(t *testing.T) {
 // TestBatchAckRetrySplitting: a TransferBatchAck with Failed indices settles
 // the acked items and re-dispatches exactly the failed ones.
 func TestBatchAckRetrySplitting(t *testing.T) {
-	w := newWorld(t, mail.Retention{}, batched(2, 100*sim.Unit))
+	w := newWorld(t, batched(2, 100*sim.Unit))
 	w.net.Crash(s3) // the real destination never acks; we forge the ack
 	for i := 0; i < 2; i++ {
 		if _, err := w.servers[s1].Submit(SubmitRequest{From: alice, To: []names.Name{bob}}); err != nil {
@@ -159,7 +159,7 @@ func TestBatchAckRetrySplitting(t *testing.T) {
 // item reports its index in the ack instead of silently dropping the whole
 // batch.
 func TestBatchReceiverReportsUnprocessable(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	good := mail.Message{ID: mail.MessageID{Node: 99, Seq: 1}, To: []names.Name{bob}, Body: "x"}
 	bad := mail.Message{ID: mail.MessageID{Node: 99, Seq: 2}, To: []names.Name{bob}, Body: "y"}
 	if err := w.net.Send(h2, s3, new(netsim.FreeList[TransferBatch]).Box(TransferBatch{
@@ -190,7 +190,7 @@ func TestBatchReceiverReportsUnprocessable(t *testing.T) {
 // server, which is what makes the pre-PR equivalence trivially hold.
 func TestBatchSizeOneMatchesDefault(t *testing.T) {
 	run := func(mutate ...func(*Config)) (map[string]int64, int) {
-		w := newWorld(t, mail.Retention{}, mutate...)
+		w := newWorld(t, mutate...)
 		for i := 0; i < 3; i++ {
 			if _, err := w.servers[s1].Submit(SubmitRequest{From: alice, To: []names.Name{bob, alice}}); err != nil {
 				t.Fatal(err)
@@ -222,7 +222,7 @@ func TestBatchSizeOneMatchesDefault(t *testing.T) {
 // redirected, or the deposit would sit where the recipient's §3.1.2c walk
 // never looks behind a healthy primary.
 func TestFlushRedirectsStaleDestination(t *testing.T) {
-	w := newWorld(t, mail.Retention{}, batched(8, 50*sim.Unit))
+	w := newWorld(t, batched(8, 50*sim.Unit))
 	w.net.Crash(s1)
 	srv := w.servers[s2]
 	msg := mail.Message{ID: mail.MessageID{Node: s2, Seq: 1}, From: carol,
@@ -252,7 +252,7 @@ func TestFlushRedirectsStaleDestination(t *testing.T) {
 // at the head of its list — resuming mid-rotation would send the deposit to
 // a secondary while the primary is healthy, stranding it for retrieval.
 func TestRecoveredRestartsCandidateWalk(t *testing.T) {
-	w := newWorld(t, mail.Retention{}, batched(8, 50*sim.Unit))
+	w := newWorld(t, batched(8, 50*sim.Unit))
 	srv := w.servers[s2]
 	msg := mail.Message{ID: mail.MessageID{Node: s2, Seq: 1}, From: carol,
 		To: []names.Name{alice}, Subject: "s", Body: "b"}

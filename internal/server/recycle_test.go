@@ -134,7 +134,7 @@ func TestRecycledTransferRecords(t *testing.T) {
 			"179 copies; transfers_out 511 retries 408 duplicate_deposits 157 deposits_local 206 relay_envelopes 464 batch_splits 37; late acks 55"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newWorld(t, mail.Retention{}, tc.mutate...)
+			w := newWorld(t, tc.mutate...)
 			if !tc.poison {
 				w.net.AfterRecycle(nil)
 			}
@@ -256,7 +256,7 @@ func TestRecycledTransferRecords(t *testing.T) {
 // next submit → transfer → ack round trip allocates the message's recipient
 // list and the mailbox slot — no pending record, and no payload box.
 func TestAckRoundTripReusesRecord(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	s := w.servers[s1]
 	req := SubmitRequest{From: alice, To: []names.Name{bob}, Subject: "s", Body: "b"}
 	roundTrip := func() {
@@ -305,7 +305,7 @@ func TestTransferRoundTripTransitAllocs(t *testing.T) {
 		{"batched", []func(*Config){batched(2, sim.Unit)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newWorld(t, mail.Retention{}, tc.mutate...)
+			w := newWorld(t, tc.mutate...)
 			s := w.servers[s1]
 			msg := mail.Message{ID: mail.MessageID{Node: s1, Seq: 1}, From: alice, To: []names.Name{bob}, Body: "b"}
 			roundTrip := func() {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/largemail/largemail/internal/graph"
-	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/obs"
 )
@@ -96,7 +95,7 @@ func TestResolveNegativeCacheInvalidatedOnRegistration(t *testing.T) {
 // through the cache: repeated deliveries to the same recipient hit after the
 // first resolve.
 func TestDeliveryUsesResolutionCache(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	for i := 0; i < 3; i++ {
 		w.submit(t, h1, s1, carol, alice)
 	}

@@ -62,16 +62,6 @@ type Config struct {
 	Dir     Resolver   // this region's names: the replicated directory, or §3.2's sub-groups
 	Regions *RegionMap // global region → servers map
 	Locate  Locator    // §3.2.2c's location procedure; nil in §3.1
-	// Retention is the mailbox clean-up policy; the zero value keeps
-	// everything.
-	Retention mail.Retention
-	// KeepCopies enables §3.1.2c's archive option: "another option can be
-	// provided to allow a copy of the message to be retained on the
-	// server. In that case, some policy of message archiving and clean-up
-	// must be implemented." With KeepCopies, CheckMail returns messages
-	// without removing them, marking them read so a ReadOnly Retention can
-	// reclaim them later.
-	KeepCopies bool
 	// RetryTimeout is how long a transfer waits for its ack before trying
 	// the next candidate. Zero means 8 paper time units, comfortably above
 	// any round trip in the bundled topologies.
@@ -127,8 +117,6 @@ type Server struct {
 	regions *RegionMap
 	locate  Locator
 
-	retention    mail.Retention
-	keepCopies   bool
 	reroute      bool
 	spreadRelay  bool
 	retryTimeout sim.Time
@@ -277,8 +265,6 @@ func New(cfg Config) (*Server, error) {
 		dir:          cfg.Dir,
 		regions:      cfg.Regions,
 		locate:       cfg.Locate,
-		retention:    cfg.Retention,
-		keepCopies:   cfg.KeepCopies,
 		reroute:      cfg.PlacementReroute,
 		spreadRelay:  cfg.SpreadRelay,
 		retryTimeout: cfg.RetryTimeout,
@@ -311,7 +297,7 @@ func (s *Server) ID() graph.NodeID { return s.id }
 func (s *Server) Region() string { return s.region }
 
 // Stats returns the server's counters: "submissions", "deposits_local",
-// "transfers_out", "forwards_in", "retries", "notifies", "cleanup_evicted".
+// "transfers_out", "forwards_in", "retries", "notifies".
 func (s *Server) Stats() *obs.Registry { return s.stats }
 
 // Up reports whether the server is currently up.
@@ -565,23 +551,12 @@ func (s *Server) deliverLocal(msg mail.Message, rcpt names.Name) {
 // depositLocal buffers the message here and notifies the recipient if they
 // are logged on.
 func (s *Server) depositLocal(msg mail.Message, rcpt names.Name) {
-	now := s.net.Scheduler().Now()
-	fresh, evicted := false, 0
-	s.store.Update(rcpt, func(mb *mail.Mailbox) {
-		fresh = mb.Deposit(msg, now)
-		if fresh {
-			evicted = len(mb.Cleanup(s.retention, now))
-		}
-	})
-	if !fresh {
+	if !s.store.Deposit(rcpt, msg, s.net.Scheduler().Now()) {
 		s.stats.Inc("duplicate_deposits")
 		return
 	}
 	s.stats.Inc("deposits_local")
 	s.trace.StampKey(msg.ID.TraceKey(), obs.StageDeposit, s.where)
-	if evicted > 0 {
-		s.stats.Add("cleanup_evicted", int64(evicted))
-	}
 	if host, ok := s.online[rcpt]; ok {
 		s.stats.Inc("notifies")
 		s.trace.StampKey(msg.ID.TraceKey(), obs.StageNotify, s.where)
@@ -858,39 +833,15 @@ func (s *Server) Evacuate() (users, msgs int) {
 	return users, msgs
 }
 
-// CheckMail returns the user's buffered messages — removing them, or, with
-// KeepCopies, retaining read-marked archive copies subject to the retention
-// policy (§3.1.2c). It models the synchronous retrieve step of the GetMail
-// procedure ("get mail from server") and fails when the server is down —
-// the caller is expected to have checked liveness, but a race-free contract
-// beats a convention.
+// CheckMail removes and returns the user's buffered messages. It models the
+// synchronous retrieve step of the GetMail procedure ("get mail from server")
+// and fails when the server is down — the caller is expected to have checked
+// liveness, but a race-free contract beats a convention.
 func (s *Server) CheckMail(user names.Name) ([]mail.Stored, error) {
 	if !s.Up() {
 		return nil, fmt.Errorf("%w: %d", ErrDown, s.id)
 	}
-	var out []mail.Stored
-	evicted := 0
-	now := s.net.Scheduler().Now()
-	ok := s.store.UpdateExisting(user, func(mb *mail.Mailbox) {
-		if !s.keepCopies {
-			out = mb.Drain()
-			return
-		}
-		for _, m := range mb.Peek() {
-			if m.Read {
-				continue // already retrieved; retained as archive copy
-			}
-			mb.MarkRead(m.ID)
-			out = append(out, m)
-		}
-		evicted = len(mb.Cleanup(s.retention, now))
-	})
-	if !ok {
-		return nil, nil
-	}
-	if evicted > 0 {
-		s.stats.Add("cleanup_evicted", int64(evicted))
-	}
+	out := s.store.Drain(user)
 	if len(out) > 0 {
 		// Paired with "deposits_local" this gives the queue depth the JSQ(d)
 		// placement policy samples: deposits_local − retrieved_msgs.
@@ -901,26 +852,23 @@ func (s *Server) CheckMail(user names.Name) ([]mail.Stored, error) {
 }
 
 // DrainMailbox empties the user's mailbox for a placement-migration
-// handover, regardless of the archive (KeepCopies) option: this server is
-// leaving the user's authority list, and a copy it retains is a copy no
-// retrieval walk will ever visit. Copies the recipient already has — per
-// alreadySeen, typically the user agent's duplicate-suppression set; these
-// are straggler re-routed retries — are removed but not returned and not
-// stamped: they are not deliveries, and a second retrieve stamp would
-// double-sample the latency histograms with a bogus sojourn. All drained
+// handover: this server is leaving the user's authority list, and a copy it
+// retains is a copy no retrieval walk will ever visit. Copies the recipient
+// already has — per alreadySeen, typically the user agent's
+// duplicate-suppression set; these are straggler re-routed retries — are
+// removed but not returned and not stamped: they are not deliveries, and a
+// second retrieve stamp would double-sample the latency histograms with a
+// bogus sojourn. All drained
 // copies still count toward "retrieved_msgs" so the qdepth gauge
 // (deposits − retrievals) returns to zero for the emptied mailbox.
 func (s *Server) DrainMailbox(user names.Name, alreadySeen func(mail.MessageID) bool) []mail.Stored {
-	var out []mail.Stored
-	ok := s.store.UpdateExisting(user, func(mb *mail.Mailbox) {
-		out = mb.Drain()
-	})
-	if !ok || len(out) == 0 {
+	out := s.store.Drain(user)
+	if len(out) == 0 {
 		return nil
 	}
 	fresh := out[:0]
 	for _, m := range out {
-		if m.Read || (alreadySeen != nil && alreadySeen(m.ID)) {
+		if alreadySeen != nil && alreadySeen(m.ID) {
 			s.stats.Inc("drain_stale_discarded")
 			continue
 		}
@@ -939,20 +887,6 @@ func (s *Server) stampRetrieved(msgs []mail.Stored) {
 	for _, m := range msgs {
 		s.trace.StampKey(m.ID.TraceKey(), obs.StageRetrieve, s.where)
 	}
-}
-
-// ArchivedCount reports how many retained (read) copies a user's mailbox
-// holds under the KeepCopies option.
-func (s *Server) ArchivedCount(user names.Name) int {
-	n := 0
-	s.store.View(user, func(mb *mail.Mailbox) {
-		for _, m := range mb.Peek() {
-			if m.Read {
-				n++
-			}
-		}
-	})
-	return n
 }
 
 // PeekMail returns the user's buffered messages without removing them.

@@ -56,7 +56,7 @@ type world struct {
 // H1-S1(1), S1-S2(1), S2-S3(2), H2-S3(1).
 // alice, carol: authority [S1, S2]; bob: authority [S3].
 // Optional mutators adjust each server's Config before construction.
-func newWorld(t *testing.T, retention mail.Retention, mutate ...func(*Config)) *world {
+func newWorld(t *testing.T, mutate ...func(*Config)) *world {
 	t.Helper()
 	g := graph.New()
 	g.MustAddNode(graph.Node{ID: h1, Label: "H1", Region: "R1", Kind: graph.KindHost})
@@ -88,7 +88,7 @@ func newWorld(t *testing.T, retention mail.Retention, mutate ...func(*Config)) *
 	}{{s1, "R1", w.dirR1}, {s2, "R1", w.dirR1}, {s3, "R2", w.dirR2}} {
 		cfg := Config{
 			ID: spec.id, Region: spec.region, Net: net,
-			Dir: spec.dir, Regions: regions, Retention: retention,
+			Dir: spec.dir, Regions: regions,
 		}
 		for _, m := range mutate {
 			m(&cfg)
@@ -130,7 +130,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New with nil deps succeeded")
 	}
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	if _, err := New(Config{
 		ID: 999, Region: "R2", Net: w.net, Dir: w.dirR1, Regions: NewRegionMap(),
 	}); err == nil {
@@ -139,7 +139,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestLocalDepositAtConnectedServer(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	w.submit(t, h1, s1, carol, alice)
 	if got := w.servers[s1].MailboxLen(alice); got != 1 {
 		t.Fatalf("S1 mailbox for alice has %d messages, want 1", got)
@@ -166,7 +166,7 @@ func TestLocalDepositAtConnectedServer(t *testing.T) {
 }
 
 func TestDepositSkipsDownPrimary(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	w.net.Crash(s1)
 	// Submit via S2 (S1 is down): first *active* authority server is S2.
 	w.submit(t, h1, s2, carol, alice)
@@ -179,7 +179,7 @@ func TestDepositSkipsDownPrimary(t *testing.T) {
 }
 
 func TestTransferToRemoteAuthority(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	// Submit at S2; alice's first active authority server is S1 → network
 	// transfer S2→S1 with ack.
 	w.submit(t, h1, s2, carol, alice)
@@ -195,7 +195,7 @@ func TestTransferToRemoteAuthority(t *testing.T) {
 }
 
 func TestInterRegionForward(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	w.submit(t, h1, s1, alice, bob)
 	if got := w.servers[s3].MailboxLen(bob); got != 1 {
 		t.Fatalf("S3 mailbox for bob = %d, want 1", got)
@@ -206,7 +206,7 @@ func TestInterRegionForward(t *testing.T) {
 }
 
 func TestMultiRecipientFanout(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	w.submit(t, h1, s1, carol, alice, bob)
 	if w.servers[s1].MailboxLen(alice) != 1 {
 		t.Error("alice copy missing")
@@ -223,7 +223,7 @@ func TestMultiRecipientFanout(t *testing.T) {
 }
 
 func TestSubmitDirect(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	id, err := w.servers[s1].Submit(SubmitRequest{From: alice, To: []names.Name{bob}, Subject: "s", Body: "b"})
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestSubmitDirect(t *testing.T) {
 }
 
 func TestSubmitDirectDownServer(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	w.net.Crash(s1)
 	if _, err := w.servers[s1].Submit(SubmitRequest{From: alice, To: []names.Name{bob}}); !errors.Is(err, ErrDown) {
 		t.Fatalf("Submit on crashed server err = %v, want ErrDown", err)
@@ -254,7 +254,7 @@ func TestSubmitDirectDownServer(t *testing.T) {
 }
 
 func TestSubmitBatch(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	reqs := []SubmitRequest{
 		{From: alice, To: []names.Name{bob}, Subject: "1"},
 		{From: alice, To: []names.Name{carol}, Subject: "2"},
@@ -287,7 +287,7 @@ func TestSubmitBatch(t *testing.T) {
 }
 
 func TestRetryAfterTargetCrashInFlight(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	// Submit at S2; transfer heads to S1. Crash S1 before delivery: the
 	// message is dropped, the retry timer fires, and the transfer lands at
 	// the next authority server (S2 itself).
@@ -309,7 +309,7 @@ func TestRetryAfterTargetCrashInFlight(t *testing.T) {
 }
 
 func TestAllAuthorityServersDownThenRecovery(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	w.net.Crash(s1)
 	w.net.Crash(s2)
 	// Bob (R2) sends to alice (R1): S3 forwards... but both R1 servers are
@@ -329,7 +329,7 @@ func TestAllAuthorityServersDownThenRecovery(t *testing.T) {
 }
 
 func TestOriginCrashRecoveryResumesTransfers(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	// S2 accepts a submission and queues a transfer to S1; S2 crashes
 	// before the ack returns, recovers later, and must resume the queued
 	// transfer from stable storage.
@@ -351,7 +351,7 @@ func TestOriginCrashRecoveryResumesTransfers(t *testing.T) {
 }
 
 func TestNotifyOnlineUser(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	if err := w.net.Send(h2, s3, Login{User: bob, Host: h2}); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestNotifyOnlineUser(t *testing.T) {
 }
 
 func TestNotifyOnLoginWithBufferedMail(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	w.submit(t, h1, s1, alice, bob) // bob offline; mail buffered at S3
 	if len(w.hosts[h2].notifies) != 0 {
 		t.Fatal("offline user notified")
@@ -389,21 +389,8 @@ func TestNotifyOnLoginWithBufferedMail(t *testing.T) {
 	}
 }
 
-func TestRetentionPolicyApplied(t *testing.T) {
-	w := newWorld(t, mail.Retention{MaxMessages: 2})
-	for i := 0; i < 4; i++ {
-		w.submit(t, h1, s1, carol, alice)
-	}
-	if got := w.servers[s1].MailboxLen(alice); got != 2 {
-		t.Errorf("mailbox = %d, want 2 under MaxMessages=2", got)
-	}
-	if w.servers[s1].Stats().Get("cleanup_evicted") != 2 {
-		t.Errorf("cleanup_evicted = %d, want 2", w.servers[s1].Stats().Get("cleanup_evicted"))
-	}
-}
-
 func TestCheckMailErrors(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	if msgs, err := w.servers[s1].CheckMail(alice); err != nil || msgs != nil {
 		t.Errorf("unknown-user CheckMail = %v, %v; want nil, nil", msgs, err)
 	}
@@ -417,7 +404,7 @@ func TestCheckMailErrors(t *testing.T) {
 }
 
 func TestUnresolvableAndUnroutable(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	ghostLocal := names.MustParse("R1.h1.ghost")
 	ghostRegion := names.MustParse("R9.hx.ghost")
 	w.submit(t, h1, s1, alice, ghostLocal)
@@ -431,7 +418,7 @@ func TestUnresolvableAndUnroutable(t *testing.T) {
 }
 
 func TestMisroutedForwardIsRerouted(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	// Hand S1 a forward for bob (R2) as if a stale region map had routed it
 	// here; S1 must route it onward to S3.
 	msg := mail.Message{ID: mail.MessageID{Node: 999, Seq: 1}, From: alice, To: []names.Name{bob}}
@@ -496,7 +483,7 @@ func TestRegionMap(t *testing.T) {
 }
 
 func TestStoredBytes(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	w.submit(t, h1, s1, carol, alice)
 	if got := w.servers[s1].StoredBytes(); got != len("s")+len("b") {
 		t.Errorf("StoredBytes = %d", got)
@@ -504,7 +491,7 @@ func TestStoredBytes(t *testing.T) {
 }
 
 func TestMigrationRedirect(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	// Alice migrates to R2 as "R2.h2.alice": her R1 authority entry is
 	// removed and a redirect installed (§3.1.4).
 	newName := names.MustParse("R2.h2.alice")
@@ -543,71 +530,8 @@ func TestSetRedirectWrongRegion(t *testing.T) {
 	}
 }
 
-func TestKeepCopiesArchive(t *testing.T) {
-	// A dedicated world with the §3.1.2c archive option enabled and a
-	// read-only retention cap of 2.
-	g := graph.New()
-	g.MustAddNode(graph.Node{ID: h1, Label: "H1", Region: "R1", Kind: graph.KindHost})
-	g.MustAddNode(graph.Node{ID: s1, Label: "S1", Region: "R1", Kind: graph.KindServer})
-	g.MustAddEdge(h1, s1, 1)
-	sched := sim.New(1)
-	net := netsim.New(sched, g)
-	dir := NewDirectory("R1")
-	regions := NewRegionMap()
-	srv, err := New(Config{
-		ID: s1, Region: "R1", Net: net, Dir: dir, Regions: regions,
-		KeepCopies: true,
-		Retention:  mail.Retention{MaxMessages: 2, ReadOnly: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dir.SetAuthority(alice, []graph.NodeID{s1}); err != nil {
-		t.Fatal(err)
-	}
-	net.MustRegister(h1, &hostRec{})
-
-	send := func() {
-		if err := net.Send(h1, s1, SubmitRequest{From: carol, To: []names.Name{alice}}); err != nil {
-			t.Fatal(err)
-		}
-		sched.Run()
-	}
-	send()
-	got, err := srv.CheckMail(alice)
-	if err != nil || len(got) != 1 {
-		t.Fatalf("first CheckMail = %v, %v", got, err)
-	}
-	// The copy is retained, marked read, and not returned again.
-	if srv.ArchivedCount(alice) != 1 {
-		t.Errorf("archived = %d, want 1", srv.ArchivedCount(alice))
-	}
-	got, _ = srv.CheckMail(alice)
-	if len(got) != 0 {
-		t.Errorf("second CheckMail returned archived copies: %v", got)
-	}
-	// New mail still comes through while archives accumulate, and the
-	// read-only retention cap bounds the archive.
-	for i := 0; i < 3; i++ {
-		send()
-		got, _ = srv.CheckMail(alice)
-		if len(got) != 1 {
-			t.Fatalf("round %d: CheckMail = %v", i, got)
-		}
-	}
-	if n := srv.MailboxLen(alice); n > 2 {
-		t.Errorf("mailbox holds %d, retention cap is 2", n)
-	}
-	if srv.Stats().Get("cleanup_evicted") == 0 {
-		t.Error("archive cleanup never evicted")
-	}
-	if srv.ArchivedCount(bob) != 0 {
-		t.Error("phantom archive")
-	}
-}
-
 func TestDistributionListFanout(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	team := names.MustParse("R1.lists.team")
 	if err := w.dirR1.SetGroup(team, []names.Name{alice, carol, bob}); err != nil {
 		t.Fatal(err)
@@ -665,7 +589,7 @@ func TestGroupValidationAndSelfReference(t *testing.T) {
 }
 
 func TestSelfReferentialGroupTerminates(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	team := names.MustParse("R1.lists.loop")
 	if err := w.dirR1.SetGroup(team, []names.Name{team, alice}); err != nil {
 		t.Fatal(err)
@@ -677,7 +601,7 @@ func TestSelfReferentialGroupTerminates(t *testing.T) {
 }
 
 func TestMutuallyRecursiveGroupsTerminate(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	loopA := names.MustParse("R1.lists.loopa")
 	loopB := names.MustParse("R2.lists.loopb")
 	if err := w.dirR1.SetGroup(loopA, []names.Name{loopB, alice}); err != nil {

@@ -15,7 +15,7 @@ import (
 // used to ride along (7 per attempt before PR 15) are gone, and the payload's
 // box is the one the last dropped attempt gave back.
 func TestDispatchAllocs(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	// Both R1 servers down: every attempt from S3 flies blind, is dropped at
 	// a dead destination, and re-arms the same retry record.
 	w.net.Crash(s1)
@@ -44,7 +44,7 @@ func TestDispatchAllocs(t *testing.T) {
 // safe because SetAuthority replaces a list and never edits one: a transfer
 // queued before a reconfiguration keeps the list it was queued with.
 func TestPendingTransferSharesStoredAuthority(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	s := w.servers[s2]
 	stored := w.dirR1.Resolve(alice)
 	s.enqueue(TransferDeposit, mail.Message{ID: mail.MessageID{Node: s2, Seq: 1}}, alice, stored)
@@ -70,7 +70,7 @@ func TestPendingTransferSharesStoredAuthority(t *testing.T) {
 // transfer's own record — it replaces the timer, it does not add a second one
 // that would later fire a spurious extra attempt.
 func TestRedispatchReplacesRetryTimer(t *testing.T) {
-	w := newWorld(t, mail.Retention{})
+	w := newWorld(t)
 	s := w.servers[s2]
 	s.enqueue(TransferDeposit, mail.Message{ID: mail.MessageID{Node: s2, Seq: 1}}, alice, w.dirR1.Resolve(alice))
 	if w.sched.Pending() != 2 {
