@@ -20,9 +20,9 @@ tier2: tier1
 tier1-race:
 	go test -race ./...
 
-# Fuzz smoke: a short bounded run of each wire-protocol and WAL fuzz target
-# (the corpora under */testdata/fuzz/ always run as regression seeds in
-# plain `go test`; this additionally mutates for ~5s per target).
+# Fuzz smoke: a short bounded run of each wire-protocol, WAL and term-index
+# fuzz target (the corpora under */testdata/fuzz/ always run as regression
+# seeds in plain `go test`; this additionally mutates for ~5s per target).
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s ./internal/wire/
@@ -30,6 +30,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzTBatch$$' -fuzztime 5s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzBinaryFrame$$' -fuzztime 5s ./internal/wire/
 	go test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 5s ./internal/mail/mailstore/
+	go test -run '^$$' -fuzz '^FuzzTermIndex$$' -fuzztime 5s ./internal/mail/mailstore/
 	go test -run '^$$' -fuzz '^FuzzPredicateQuery$$' -fuzztime 5s ./internal/attr/
 
 # Tier-2 durability slice: the WAL/snapshot/recovery store tests, the
@@ -118,7 +119,8 @@ tier2-retained:
 # hand-over retrievals and the convergecast's handed-over item slices, and the
 # allocation budgets of the transit side (0 per warmed transfer or §3.2
 # deposit + notify cycle — TestDepositCycleTransitAllocs, 1 per warmed §3.3
-# query, 4.2 per copy the attr scenario deposits). And the mailbox slot a wire
+# query, 2.8 per copy the attr scenario deposits, 3.0 under -race, where
+# sync.Pool drops a quarter of the released slots). And the mailbox slot a wire
 # response gives back (mail.Release), scribbled on the same way and run ten
 # times: the hand-over schedules, the oversized batch, eight connections under
 # kill-restart.
@@ -236,7 +238,7 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 26020
+SIZE_CEILING = 26009
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:

@@ -104,11 +104,14 @@ func TestAttrScenarioWithFaults(t *testing.T) {
 
 // TestAttrScenarioAllocBudget is the §3.3 workload's allocation budget per
 // deposited copy, at 20 000 users on 8 servers. What a copy still costs is
-// its Stored slot, each recipient's first-touch record and mailbox, and the
-// audit's truth and got sets; the convergecast that reports it adds the
-// evaluator's one []UserMatch per node: 3.78 measured. The parent paid 5.99: a boxed
-// UserMatch per copy, a re-copy of every item at every level of the tree, and
-// six objects per first-touched user instead of three.
+// each recipient's first-touch record and mailbox and the audit's truth and
+// got sets; the convergecast that reports it adds the evaluator's one
+// []UserMatch per node: 2.59 measured. At 3.78 a copy also grew every term's
+// posting map once (the term index now takes one holder insert per copy) and
+// took a fresh Stored slot (the sweep now hands drained batches back with
+// mail.Release); at 5.99 before that, a boxed UserMatch per copy, a re-copy of
+// every item at every level of the tree and six objects per first-touched
+// user instead of three.
 func TestAttrScenarioAllocBudget(t *testing.T) {
 	s := newAttrScenario(t, AttrConfig{
 		Seed: 1, Queries: 40,
@@ -124,7 +127,11 @@ func TestAttrScenarioAllocBudget(t *testing.T) {
 	}
 	perCopy := float64(after.Mallocs-before.Mallocs) / float64(rep.Deliveries)
 	t.Logf("%d copies, %.2f allocations per copy", rep.Deliveries, perCopy)
-	if perCopy > 4.2 {
-		t.Errorf("%.2f allocations per deposited copy, budget 4.2", perCopy)
+	budget := 2.8
+	if raceDetector {
+		budget = 3.0 // 2.78–2.80 measured: a quarter of the released slots are dropped
+	}
+	if perCopy > budget {
+		t.Errorf("%.2f allocations per deposited copy, budget %.1f", perCopy, budget)
 	}
 }

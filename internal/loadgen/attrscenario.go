@@ -663,7 +663,8 @@ func (s *AttrScenario) sweep() {
 		sort.Ints(users)
 		for _, u := range users {
 			ids = ids[:0]
-			for _, st := range s.store[node].Drain(s.resident(u).User) {
+			batch := s.store[node].Drain(s.resident(u).User)
+			for _, st := range batch {
 				text, ok := idText[st.ID]
 				if !ok {
 					text = st.ID.String()
@@ -671,6 +672,7 @@ func (s *AttrScenario) sweep() {
 				}
 				ids = append(ids, text)
 			}
+			mail.Release(batch) // the next deposit into an empty mailbox reuses the slot
 			s.aud.CreditRetrieved(u, ids)
 		}
 		delete(s.undrained, node)

@@ -193,7 +193,7 @@ var slots = sync.Pool{New: func() any { return new([1]Stored) }}
 // never one element of an array something else still reads: whoever splits a
 // batch keeps the pieces away from here. (A one-message batch its mailbox
 // compacted out of a longer array may come clipped to look like a slot; its
-// holder owns that whole array, whose other slots Remove and Cleanup cleared.)
+// holder owns that whole array, whose other slots Remove cleared.)
 func Release(msgs []Stored) {
 	if len(msgs) != 1 || cap(msgs) != 1 {
 		return
@@ -217,6 +217,10 @@ func (b *Mailbox) Len() int { return len(b.msgs) }
 
 // Bytes reports the accounted content bytes currently stored.
 func (b *Mailbox) Bytes() int { return b.bytes }
+
+// At returns the i-th stored message's content, in arrival order, without
+// copying the batch as Peek does.
+func (b *Mailbox) At(i int) Message { return b.msgs[i].Message }
 
 // Peek returns the stored messages without removing them.
 func (b *Mailbox) Peek() []Stored {
@@ -299,15 +303,15 @@ func (b *Mailbox) Suppress(id MessageID) bool {
 const removeScanMax = 8
 
 // Remove evicts stored messages by ID, retaining the duplicate-suppression
-// memory, and reports how many were present. It is the replay form of
-// Cleanup's eviction: the policy decision was made once, at journaling time;
-// replay only repeats its outcome.
+// memory, and reports how many were present. It is journaled as one OpEvict,
+// which replay applies by calling Remove again: DrainFit's partial take is
+// an eviction of the leading messages.
 func (b *Mailbox) Remove(ids ...MessageID) int {
 	if len(ids) == 0 {
 		return 0
 	}
-	// A short list — one ID, from Cleanup's replay, is the usual case — is
-	// scanned per stored message; only a long one is worth indexing first.
+	// A short list is scanned per stored message; only a long one is worth
+	// indexing first.
 	var index map[MessageID]struct{}
 	if len(ids) > removeScanMax {
 		index = make(map[MessageID]struct{}, len(ids))
@@ -389,62 +393,6 @@ func (b *Mailbox) Apply(op Op) {
 			b.Suppress(id)
 		}
 	}
-}
-
-// Retention is the archiving/clean-up policy of §3.1.2c: "some policy of
-// message archiving and clean-up must be implemented to protect the servers'
-// storage from being used up". Zero fields disable the corresponding limit.
-type Retention struct {
-	MaxMessages int      // keep at most this many messages (oldest evicted first)
-	MaxAge      sim.Time // evict messages older than this
-	ReadOnly    bool     // only evict messages already read
-}
-
-// Cleanup applies the policy at virtual time now and returns the evicted
-// messages (oldest first).
-func (b *Mailbox) Cleanup(p Retention, now sim.Time) []Stored {
-	var evicted []Stored
-	evict := func(i int) bool {
-		s := b.msgs[i]
-		if p.ReadOnly && !s.Read {
-			return false
-		}
-		evicted = append(evicted, s)
-		b.bytes -= s.Size()
-		return true
-	}
-	if p.MaxAge > 0 {
-		kept := b.msgs[:0]
-		for i := range b.msgs {
-			if now-b.msgs[i].ArrivedAt > p.MaxAge && evict(i) {
-				continue
-			}
-			kept = append(kept, b.msgs[i])
-		}
-		clear(b.msgs[len(kept):])
-		b.msgs = kept
-	}
-	if p.MaxMessages > 0 && len(b.msgs) > p.MaxMessages {
-		over := len(b.msgs) - p.MaxMessages
-		kept := b.msgs[:0]
-		for i := range b.msgs {
-			if over > 0 && evict(i) {
-				over--
-				continue
-			}
-			kept = append(kept, b.msgs[i])
-		}
-		clear(b.msgs[len(kept):])
-		b.msgs = kept
-	}
-	if b.journaling && len(evicted) > 0 {
-		ids := make([]MessageID, len(evicted))
-		for i := range evicted {
-			ids[i] = evicted[i].ID
-		}
-		b.journal = append(b.journal, Op{Kind: OpEvict, IDs: ids})
-	}
-	return evicted
 }
 
 // ContentType classifies a message part. §5 anticipates that "electronic

@@ -146,75 +146,6 @@ func TestMarkRead(t *testing.T) {
 	}
 }
 
-func TestCleanupMaxMessages(t *testing.T) {
-	b := NewMailbox(owner)
-	for i := uint64(1); i <= 5; i++ {
-		b.Deposit(msg(i, "x"), sim.Time(i))
-	}
-	evicted := b.Cleanup(Retention{MaxMessages: 3}, 100)
-	if len(evicted) != 2 {
-		t.Fatalf("evicted %d, want 2", len(evicted))
-	}
-	if evicted[0].ID.Seq != 1 || evicted[1].ID.Seq != 2 {
-		t.Errorf("evicted wrong messages: %v", evicted)
-	}
-	if b.Len() != 3 {
-		t.Errorf("Len = %d, want 3", b.Len())
-	}
-}
-
-func TestCleanupMaxAge(t *testing.T) {
-	b := NewMailbox(owner)
-	b.Deposit(msg(1, "old"), 0)
-	b.Deposit(msg(2, "new"), 90)
-	evicted := b.Cleanup(Retention{MaxAge: 50}, 100)
-	if len(evicted) != 1 || evicted[0].Body != "old" {
-		t.Errorf("evicted = %v", evicted)
-	}
-	if b.Len() != 1 || b.Peek()[0].Body != "new" {
-		t.Error("kept wrong message")
-	}
-}
-
-func TestCleanupReadOnly(t *testing.T) {
-	b := NewMailbox(owner)
-	m1, m2 := msg(1, "read"), msg(2, "unread")
-	b.Deposit(m1, 0)
-	b.Deposit(m2, 0)
-	b.MarkRead(m1.ID)
-	evicted := b.Cleanup(Retention{MaxAge: 10, ReadOnly: true}, 1000)
-	if len(evicted) != 1 || evicted[0].ID != m1.ID {
-		t.Errorf("evicted = %v, want only the read message", evicted)
-	}
-	if b.Len() != 1 {
-		t.Errorf("Len = %d, want 1", b.Len())
-	}
-}
-
-func TestCleanupNoPolicyKeepsAll(t *testing.T) {
-	b := NewMailbox(owner)
-	for i := uint64(1); i <= 4; i++ {
-		b.Deposit(msg(i, "x"), 0)
-	}
-	if evicted := b.Cleanup(Retention{}, 1e9); len(evicted) != 0 {
-		t.Errorf("no-limit policy evicted %d messages", len(evicted))
-	}
-	if b.Len() != 4 {
-		t.Errorf("Len = %d, want 4", b.Len())
-	}
-}
-
-func TestCleanupBytesAccounting(t *testing.T) {
-	b := NewMailbox(owner)
-	b.Deposit(msg(1, "aaaa"), 0)
-	b.Deposit(msg(2, "bb"), 10)
-	b.Cleanup(Retention{MaxMessages: 1}, 20)
-	want := len("s") + len("bb")
-	if b.Bytes() != want {
-		t.Errorf("Bytes after cleanup = %d, want %d", b.Bytes(), want)
-	}
-}
-
 // Property: deposit n distinct messages → Len == n, Drain returns them in
 // arrival order, and total bytes match.
 func TestPropertyDepositDrain(t *testing.T) {

@@ -3,10 +3,12 @@ package mailstore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/sim"
 )
 
 // fuzzSeedRecords are well-formed frames covering every op kind, so the
@@ -81,5 +83,71 @@ func FuzzWALRecord(f *testing.F) {
 		if !bytes.Equal(first, second) {
 			t.Fatalf("encode/decode not a fixed point:\n%x\n%x", first, second)
 		}
+	})
+}
+
+// FuzzTermIndex decodes bytes into deposits and drains over a 4-shard store
+// and holds the term index to refIndex after every op. Each op is two bytes,
+// a kind and an argument: a deposit of one of refVariants (shared IDs, zero
+// IDs, an ID reused with other content) into one of eight mailboxes, the same
+// variant fanned out to all eight, a drain, a DrainFit taking up to two
+// messages, or EnableTermIndex — the store starts unindexed, so its first
+// enable indexes what is already buffered. A fully drained store keeps no
+// posting and no table entry.
+func FuzzTermIndex(f *testing.F) {
+	variants := refVariants()
+	users := make([]names.Name, 8)
+	for i := range users {
+		users[i] = termUser(i)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		st := New(4)
+		var p *indexPair
+		deposit := func(u names.Name, m mail.Message) {
+			if p != nil {
+				p.deposit(u, m)
+			} else {
+				st.Deposit(u, m, sim.Unit)
+			}
+		}
+		take := func(u names.Name, n int) {
+			for _, s := range st.DrainFit(u, func(b []mail.Stored) int { return n }) {
+				if p != nil {
+					p.ref.remove(u, s.Message)
+				}
+			}
+		}
+		for len(ops) >= 2 {
+			kind, arg := ops[0]%5, int(ops[1])
+			ops = ops[2:]
+			u, v := users[arg%len(users)], variants[arg/len(users)%len(variants)]
+			switch kind {
+			case 0:
+				deposit(u, v)
+			case 1:
+				for _, w := range users {
+					deposit(w, v)
+				}
+			case 2:
+				take(u, math.MaxInt)
+			case 3:
+				take(u, arg/len(users)%3)
+			case 4:
+				if p == nil {
+					p = newIndexPair(t, st)
+				}
+			}
+			if p != nil {
+				p.check(refProbes)
+			}
+		}
+		if p == nil {
+			p = newIndexPair(t, st)
+		}
+		for _, u := range users {
+			p.drain(u)
+		}
+		p.check(refProbes)
+		requireIndexEmpty(t, st)
 	})
 }

@@ -57,7 +57,7 @@ func update(st *Store, user names.Name, fn func(*mail.Mailbox)) {
 }
 
 // TestDurableJournalBufferSameWAL drives a seeded sequence of every journaled
-// mutation — deposit, drain, mark-read, evict (Cleanup), suppress, through
+// mutation — deposit, drain, mark-read, evict (Remove), suppress, through
 // Deposit/Drain and through closures that journal several ops at once — over
 // few enough users that the shard's lent journal buffer goes from mailbox to
 // mailbox all the time. The bytes on disk, the WAL counters and what recovery
@@ -87,9 +87,7 @@ func TestDurableJournalBufferSameWAL(t *testing.T) {
 				mb.MarkRead(mail.MessageID{Node: 1, Seq: seq})
 			})
 		case 5:
-			st.UpdateExisting(u, func(mb *mail.Mailbox) {
-				mb.Cleanup(mail.Retention{MaxMessages: 2}, sim.Time(step))
-			})
+			st.UpdateExisting(u, func(mb *mail.Mailbox) { keepNewest(mb, 2) })
 		case 6:
 			update(st, u, func(mb *mail.Mailbox) { mb.Suppress(mail.MessageID{Node: 2, Seq: uint64(rng.Intn(40))}) })
 		case 7: // a mutation that journals nothing: duplicate deposit, miss

@@ -49,9 +49,7 @@ func TestDurableSeenSetSameLayout(t *testing.T) {
 		case 4:
 			st.Drain(u)
 		case 5:
-			st.UpdateExisting(u, func(mb *mail.Mailbox) {
-				mb.Cleanup(mail.Retention{MaxMessages: 2}, sim.Time(step))
-			})
+			st.UpdateExisting(u, func(mb *mail.Mailbox) { keepNewest(mb, 2) })
 		case 6:
 			update(st, u, func(mb *mail.Mailbox) {
 				mb.Suppress(mail.MessageID{Node: 2, Seq: uint64(rng.Intn(6))}) // Seq 0 with Node 2, and…

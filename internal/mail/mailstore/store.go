@@ -44,11 +44,11 @@ type shard struct {
 	msgs  int64
 	bytes int64
 	// terms is the optional per-shard term index (see termindex.go): term →
-	// mailboxes whose buffered mail contains it, each with the number of
-	// buffered messages that do. msgTerms is its MessageID → terms table.
-	// Both nil until EnableTermIndex.
-	terms    map[string]map[*mail.Mailbox]int32
-	msgTerms map[mail.MessageID]*msgTerms
+	// entries of the message table msgTerms whose message contains it; an
+	// entry holds its message's terms and the mailboxes buffering it. Both
+	// nil until EnableTermIndex.
+	terms    map[string]map[*msgTerms]struct{}
+	msgTerms map[msgKey]*msgTerms
 	// sk summarises the live term set as a counting Bloom filter (see
 	// sketch.go); skGen counts sketch mutations so cached aggregates built
 	// from a Snapshot can detect staleness. nil until EnableTermIndex.

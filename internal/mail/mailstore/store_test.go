@@ -69,9 +69,7 @@ func TestCountersTrackCleanup(t *testing.T) {
 		s.Deposit(u, msg(uint64(i), "xy"), 0)
 	}
 	var evicted int
-	s.UpdateExisting(u, func(mb *mail.Mailbox) {
-		evicted = len(mb.Cleanup(mail.Retention{MaxMessages: 2}, 0))
-	})
+	s.UpdateExisting(u, func(mb *mail.Mailbox) { evicted = keepNewest(mb, 2) })
 	if evicted != 3 {
 		t.Fatalf("evicted %d, want 3", evicted)
 	}
@@ -81,6 +79,20 @@ func TestCountersTrackCleanup(t *testing.T) {
 	if got := s.TotalBytes(); got != int64(2*(len("s")+2)) {
 		t.Errorf("TotalBytes after cleanup = %d", got)
 	}
+}
+
+// keepNewest evicts all but the newest keep messages of mb through Remove, the
+// journaled eviction DrainFit uses, and reports how many it evicted.
+func keepNewest(mb *mail.Mailbox, keep int) int {
+	stored := mb.Peek()
+	if len(stored) <= keep {
+		return 0
+	}
+	ids := make([]mail.MessageID, len(stored)-keep)
+	for i := range ids {
+		ids[i] = stored[i].ID
+	}
+	return mb.Remove(ids...)
 }
 
 func TestUsersSortedDeterministic(t *testing.T) {

@@ -62,23 +62,35 @@ func Terms(subject, body string) []string {
 	return out
 }
 
-// msgTerms is one entry of a shard's MessageID → terms table: the terms of
-// a message some mailbox of the shard buffers, tokenised once for all of its
-// copies. subject and body are what was tokenised, so a deposit that reuses
-// the ID with other content is told apart; refs counts the copies indexed
-// through the entry, and the entry goes with the last of them.
-type msgTerms struct {
+// msgKey identifies an entry of a shard's message table by what was
+// tokenised: two deposits share an entry exactly when they share an ID and
+// content, so an ID reused with other content, or a message without one,
+// simply has an entry of its own.
+type msgKey struct {
+	id            mail.MessageID
 	subject, body string
-	terms         []string
-	refs          int32
+}
+
+// msgTerms is one entry of a shard's message table: a message some mailbox of
+// the shard buffers, tokenised once for all of its copies, and the mailboxes
+// holding a copy. A mailbox holds an entry at most once — its duplicate
+// memory refuses a second copy of an ID — so holders form a set. Most
+// messages have one holder (the one-recipient deposit), so the first is kept
+// inline and the map is made only for a second; the entry goes with its last
+// holder.
+type msgTerms struct {
+	terms []string
+	first *mail.Mailbox // nil when only more holds mailboxes
+	more  map[*mail.Mailbox]struct{}
 }
 
 // EnableTermIndex turns on the per-shard term index, rebuilding it from the
-// messages already buffered. The index maps each term to the users whose
-// buffered mail contains it, and is maintained by Deposit and Drain under
-// the same shard lock as the mailbox mutation — content retrieval (the §3.3
-// attribute queries that address message content rather than profiles) then
-// reads the durable store, not a side structure that can drift.
+// messages already buffered. The index maps each term to the buffered
+// messages containing it and each message to the mailboxes holding it, and is
+// maintained by Deposit and Drain under the same shard lock as the mailbox
+// mutation — content retrieval (the §3.3 attribute queries that address
+// message content rather than profiles) then reads the durable store, not a
+// side structure that can drift.
 //
 // Mutations made through raw UpdateExisting closures bypass the index;
 // stores that enable it must route message flow through Deposit/Drain
@@ -87,8 +99,8 @@ func (s *Store) EnableTermIndex() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.terms = make(map[string]map[*mail.Mailbox]int32)
-		sh.msgTerms = make(map[mail.MessageID]*msgTerms)
+		sh.terms = make(map[string]map[*msgTerms]struct{})
+		sh.msgTerms = make(map[msgKey]*msgTerms)
 		sh.sk = sketch.NewCounting()
 		sh.skGen++
 		for _, mb := range sh.boxes {
@@ -108,64 +120,62 @@ func (s *Store) TermIndexed() bool {
 	return sh.terms != nil
 }
 
-// termsFor returns the terms of m while taking (ref +1, at deposit) or
-// releasing (ref -1, at drain) one reference on its table entry, so a message
-// fanned out to many mailboxes of the shard is tokenised once, not once per
-// copy at deposit and again at drain. What it returns is always exactly
-// Terms(m.Subject, m.Body): a message without an ID, and one whose content
-// differs from the entry recorded under its ID, tokenise directly and leave
-// the table alone. Caller holds the shard lock.
-func (sh *shard) termsFor(m mail.Message, ref int32) []string {
-	if m.ID.IsZero() {
-		return Terms(m.Subject, m.Body)
-	}
-	e := sh.msgTerms[m.ID]
-	switch {
-	case e == nil && ref > 0:
-		e = &msgTerms{subject: m.Subject, body: m.Body, terms: Terms(m.Subject, m.Body)}
-		sh.msgTerms[m.ID] = e
-	case e == nil, // indexed directly, or its entry is already freed
-		e.subject != m.Subject || e.body != m.Body:
-		return Terms(m.Subject, m.Body)
-	}
-	if e.refs += ref; e.refs == 0 {
-		delete(sh.msgTerms, m.ID)
-	}
-	return e.terms
-}
-
-// indexAdd references every term of m for mailbox mb. Caller holds the shard
-// lock.
+// indexAdd records that mailbox mb holds a copy of m. Only the copy that
+// creates the entry tokenises m and posts it under its terms; every further
+// copy is one holder insert. Caller holds the shard lock.
 func (sh *shard) indexAdd(mb *mail.Mailbox, m mail.Message) {
-	for _, t := range sh.termsFor(m, +1) {
-		boxes := sh.terms[t]
-		if boxes == nil {
-			boxes = make(map[*mail.Mailbox]int32)
-			sh.terms[t] = boxes
-			// First reference in this shard: the term joins the sketch.
-			sh.sk.Add(t)
-			sh.skGen++
-		}
-		boxes[mb]++
-	}
-}
-
-// indexRemove drops one reference per term of m for mailbox mb. Caller holds
-// the shard lock.
-func (sh *shard) indexRemove(mb *mail.Mailbox, m mail.Message) {
-	for _, t := range sh.termsFor(m, -1) {
-		boxes := sh.terms[t]
-		if boxes == nil {
-			continue
-		}
-		if boxes[mb]--; boxes[mb] <= 0 {
-			delete(boxes, mb)
-			if len(boxes) == 0 {
-				delete(sh.terms, t)
-				// Last reference gone: counting filters subtract exactly.
-				sh.sk.Remove(t)
+	k := msgKey{m.ID, m.Subject, m.Body}
+	e := sh.msgTerms[k]
+	if e == nil {
+		e = &msgTerms{terms: Terms(m.Subject, m.Body)}
+		sh.msgTerms[k] = e
+		for _, t := range e.terms {
+			entries := sh.terms[t]
+			if entries == nil {
+				entries = make(map[*msgTerms]struct{})
+				sh.terms[t] = entries
+				// First live entry in this shard: the term joins the sketch.
+				sh.sk.Add(t)
 				sh.skGen++
 			}
+			entries[e] = struct{}{}
+		}
+	}
+	switch {
+	case e.first == nil:
+		e.first = mb
+	case e.more == nil:
+		e.more = map[*mail.Mailbox]struct{}{mb: {}}
+	default:
+		e.more[mb] = struct{}{}
+	}
+}
+
+// indexRemove records that mailbox mb no longer holds m; the entry's last
+// holder takes it off its terms' postings. Caller holds the shard lock.
+func (sh *shard) indexRemove(mb *mail.Mailbox, m mail.Message) {
+	k := msgKey{m.ID, m.Subject, m.Body}
+	e := sh.msgTerms[k]
+	if e == nil {
+		return
+	}
+	if e.first == mb {
+		e.first = nil
+	} else {
+		delete(e.more, mb)
+	}
+	if e.first != nil || len(e.more) > 0 {
+		return
+	}
+	delete(sh.msgTerms, k)
+	for _, t := range e.terms {
+		entries := sh.terms[t]
+		delete(entries, e)
+		if len(entries) == 0 {
+			delete(sh.terms, t)
+			// Last live entry gone: counting filters subtract exactly.
+			sh.sk.Remove(t)
+			sh.skGen++
 		}
 	}
 }
@@ -183,8 +193,11 @@ func (s *Store) SearchTerm(term string) []names.Name {
 // disabled index.
 //
 // Each shard intersects its postings under its read lock, walking the
-// shortest and probing the rest, so the cost follows the rarest term; the
-// names are sorted once, at the end.
+// holders of the rarest term's messages and probing the rest, so the cost
+// follows the rarest term (a probe the holder's own message does not answer
+// walks the smaller of its mailbox and that term's postings); the names are
+// sorted once, at the end, and a mailbox holding two messages with the
+// rarest term is reported once.
 func (s *Store) SearchTerms(terms []string) []names.Name {
 	if len(terms) == 0 {
 		return nil
@@ -193,7 +206,7 @@ func (s *Store) SearchTerms(terms []string) []names.Name {
 	for i, t := range terms {
 		norm[i] = strings.ToLower(strings.TrimSpace(t))
 	}
-	posts := make([]map[*mail.Mailbox]int32, len(terms))
+	posts := make([]map[*msgTerms]struct{}, len(terms))
 	var out []names.Name
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -202,12 +215,13 @@ func (s *Store) SearchTerms(terms []string) []names.Name {
 		sh.mu.RUnlock()
 	}
 	slices.SortFunc(out, names.Compare)
-	return out
+	return slices.Compact(out)
 }
 
 // appendHolders appends the owners of the shard's mailboxes that hold every
-// term; posts is scratch, one slot per term. Caller holds the shard lock.
-func (sh *shard) appendHolders(out []names.Name, terms []string, posts []map[*mail.Mailbox]int32) []names.Name {
+// term, once per message of the rarest term they hold; posts is scratch, one
+// slot per term. Caller holds the shard lock.
+func (sh *shard) appendHolders(out []names.Name, terms []string, posts []map[*msgTerms]struct{}) []names.Name {
 	rarest := 0
 	for i, t := range terms {
 		if posts[i] = sh.terms[t]; len(posts[i]) == 0 {
@@ -217,17 +231,42 @@ func (sh *shard) appendHolders(out []names.Name, terms []string, posts []map[*ma
 			rarest = i
 		}
 	}
-next:
-	for mb := range posts[rarest] {
+	// holdsAll reports whether mb, a holder of e, holds some message with
+	// each other term: e itself when it is posted there, another entry if not,
+	// found by walking the shorter of mb's messages and that term's entries.
+	holdsAll := func(e *msgTerms, mb *mail.Mailbox) bool {
+	next:
 		for i, p := range posts {
-			if i == rarest {
+			if _, in := p[e]; in || i == rarest {
 				continue
 			}
-			if _, held := p[mb]; !held {
-				continue next
+			if n := mb.Len(); n < len(p) {
+				for j := range n {
+					m := mb.At(j)
+					if _, in := p[sh.msgTerms[msgKey{m.ID, m.Subject, m.Body}]]; in {
+						continue next
+					}
+				}
+				return false
+			}
+			for o := range p {
+				if _, in := o.more[mb]; in || o.first == mb {
+					continue next
+				}
+			}
+			return false
+		}
+		return true
+	}
+	for e := range posts[rarest] {
+		if e.first != nil && holdsAll(e, e.first) {
+			out = append(out, e.first.Owner())
+		}
+		for mb := range e.more {
+			if holdsAll(e, mb) {
+				out = append(out, mb.Owner())
 			}
 		}
-		out = append(out, mb.Owner())
 	}
 	return out
 }

@@ -2,12 +2,16 @@ package mailstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/mail"
@@ -377,20 +381,20 @@ func TestTermIndexMatchesReferenceSchedules(t *testing.T) {
 	}
 }
 
-// TestTermIndexSameIDOtherBody walks the one order of events in which a
-// table entry is freed while a copy indexed through it is still buffered.
+// TestTermIndexSameIDOtherBody: one ID with two bodies is two table entries,
+// each freed with its own last holder, whatever order the copies come and go.
 func TestTermIndexSameIDOtherBody(t *testing.T) {
 	p := newIndexPair(t, New(1))
 	x, y := termMsg(7, "s", "budget"), termMsg(7, "s", "offsite")
 	u := func(i int) names.Name { return termUser(i) }
 	p.deposit(u(1), x) // entry for x
-	p.deposit(u(2), y) // differs: indexed directly
-	p.drain(u(1))      // entry freed
-	p.deposit(u(3), y) // entry for y
+	p.deposit(u(2), y) // entry for y, beside x's
+	p.drain(u(1))      // x's entry freed
+	p.deposit(u(3), y) // a second holder of y
 	p.check(refProbes)
-	p.drain(u(2)) // y released through an entry u(2) never referenced
+	p.drain(u(2)) // y's first holder goes, its entry stays
 	p.check(refProbes)
-	p.deposit(u(4), x) // x now differs from the entry, or fills a fresh one
+	p.deposit(u(4), x) // a fresh entry for x
 	p.check(refProbes)
 	for i := 1; i <= 4; i++ {
 		p.drain(u(i))
@@ -466,7 +470,7 @@ func TestTermIndexAllocs(t *testing.T) {
 			s.EnableTermIndex()
 		}
 		// The holder keeps the table entry alive; a first round creates the
-		// mailboxes and sizes the posting maps.
+		// mailboxes.
 		s.Deposit(termUser(copies+1), bulletin, sim.Unit)
 		users := make([]names.Name, copies+1)
 		for i := range users {
@@ -542,4 +546,115 @@ func TestTermIndexConcurrent(t *testing.T) {
 		t.Fatalf("drained store still reports holders: %v", got)
 	}
 	requireIndexEmpty(t, s)
+}
+
+// TestTermIndexFanoutBytes budgets the index's bytes per fanned-out copy,
+// which AllocsPerRun cannot see: a map growing by doubling costs a fraction of
+// an allocation per insert but all of its bytes. A bulletin goes to 4 000
+// mailboxes of a 4-shard store and is drained, five rounds over; the index's
+// share is what the indexed store allocates beyond the plain one. Posting
+// every term per copy cost 820 B; one holder insert per copy costs 78.
+func TestTermIndexFanoutBytes(t *testing.T) {
+	const users, rounds = 4000, 5
+	us := make([]names.Name, users)
+	for i := range us {
+		us[i] = termUser(i)
+	}
+	measure := func(indexed bool) uint64 {
+		s := New(4)
+		if indexed {
+			s.EnableTermIndex()
+		}
+		for _, u := range us { // the mailboxes exist before the measured rounds
+			s.Deposit(u, termMsg(rounds+1, "welcome", "first message"), sim.Unit)
+			s.Drain(u)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < rounds; r++ {
+			bulletin := termMsg(uint64(r+1), "bulletin interest=g3", "budget notice for group g3: the offsite seminar agenda")
+			for _, u := range us {
+				s.Deposit(u, bulletin, sim.Unit)
+			}
+			for _, u := range us {
+				s.Drain(u)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if indexed {
+			requireIndexEmpty(t, s)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	indexed, plain := measure(true), measure(false)
+	perCopy := (float64(indexed) - float64(plain)) / (users * rounds)
+	t.Logf("index bytes per fanned-out copy: %.0f", perCopy)
+	if perCopy > 128 {
+		t.Errorf("the index allocates %.0f B per fanned-out copy, budget 128", perCopy)
+	}
+}
+
+// TestTermIndexOneCopyAllocs is maild's shape: every message goes to one
+// mailbox, so every deposit makes a table entry of its own and tokenises.
+// The inline first holder keeps that at the 9 allocations it cost when the
+// postings went straight to mailboxes; a holder map made per entry costs 11.
+func TestTermIndexOneCopyAllocs(t *testing.T) {
+	const n = 1000
+	s := New(4)
+	s.EnableTermIndex()
+	users := make([]names.Name, n+1)
+	msgs := make([]mail.Message, n+1)
+	for i := range users {
+		users[i] = termUser(i)
+		msgs[i] = termMsg(uint64(i+1), fmt.Sprintf("Report %d", i), fmt.Sprintf("quarterly figures for desk %d are attached", i))
+		s.Deposit(users[i], termMsg(uint64(n+i+2), "welcome", "first message"), sim.Unit)
+		s.Drain(users[i])
+	}
+	i := 0
+	got := testing.AllocsPerRun(n, func() { s.Deposit(users[i], msgs[i], sim.Unit); i++ })
+	if got > 9 {
+		t.Errorf("indexed one-copy Deposit: %v allocs, want <= 9", got)
+	}
+}
+
+// TestSearchTermsOneCopyScales is a conjunctive query over maild's shape:
+// many distinct one-copy messages carry a common term, a few mailboxes also
+// hold a rare message without it, and the query asks for both. The rare
+// message's entry is not posted under the common term, so each holder is
+// probed for another entry that is; that probe walks the holder's two
+// messages, not the common term's postings, so the query's cost must not
+// follow the number of common messages. Walking the postings instead made
+// the large store's query ≈ 50 times the small one's (2-vCPU Xeon).
+func TestSearchTermsOneCopyScales(t *testing.T) {
+	const rare = 32
+	timeQuery := func(common int) time.Duration {
+		s := New(4)
+		s.EnableTermIndex()
+		var want []names.Name
+		for i := 0; i < common; i++ {
+			u := termUser(i)
+			s.Deposit(u, termMsg(uint64(i+1), fmt.Sprintf("Report %d", i), "quarterly figures attached"), sim.Unit)
+			if i%(common/rare) == 0 {
+				s.Deposit(u, termMsg(uint64(common+i+1), "incident", "the rack lost power"), sim.Unit)
+				want = append(want, u)
+			}
+		}
+		slices.SortFunc(want, names.Compare)
+		query := []string{"incident", "quarterly"}
+		if got := s.SearchTerms(query); !slices.Equal(got, want) {
+			t.Fatalf("%d common: SearchTerms = %v, want %v", common, got, want)
+		}
+		best := time.Duration(math.MaxInt64)
+		for r := 0; r < 200; r++ {
+			start := time.Now()
+			s.SearchTerms(query)
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	small, large := timeQuery(2*rare), timeQuery(16000)
+	t.Logf("(incident, quarterly) over %d holders: %v with %d common messages, %v with %d", rare, small, 2*rare, large, 16000)
+	if large > 8*small {
+		t.Errorf("query over 16000 common messages took %v, %.0f× the %v over %d: the probe follows the postings", large, float64(large)/float64(small), small, 2*rare)
+	}
 }
