@@ -238,12 +238,9 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 26009
+SIZE_CEILING = 25347
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:
 	@$(SIZE)
 	@for d in cmd examples internal internal/*/; do printf '%7d  %s\n' $$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) $${d%/}; done
-
-.PHONY: all
-all: tier2

@@ -510,7 +510,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 // BenchmarkLiveClusterSubmit measures the goroutine-per-server runtime
 // without the TCP layer.
 func BenchmarkLiveClusterSubmit(b *testing.B) {
-	c := livenet.NewCluster()
+	c := livenet.NewClusterWith(livenet.ClusterConfig{})
 	defer c.Close()
 	for _, n := range []string{"s1", "s2"} {
 		if _, err := c.AddServer(n); err != nil {

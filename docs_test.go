@@ -103,32 +103,67 @@ func TestDocsNameEveryFlag(t *testing.T) {
 	}
 }
 
-// goRun matches a documented invocation of a command and what follows it on
-// the line.
-var goRun = regexp.MustCompile(`go run \./cmd/([\w-]+)(.*)`)
+// TestDocsNameEveryMakeTarget: every .PHONY target of the Makefile is named
+// as `make <target>` in README.md or DESIGN.md.
+func TestDocsNameEveryMakeTarget(t *testing.T) {
+	docs := readDoc(t, "README.md") + readDoc(t, "DESIGN.md")
+	var targets []string
+	for _, line := range strings.Split(readDoc(t, "Makefile"), "\n") {
+		if rest, ok := strings.CutPrefix(line, ".PHONY:"); ok {
+			targets = append(targets, strings.Fields(rest)...)
+		}
+	}
+	if len(targets) == 0 {
+		t.Fatal("no .PHONY targets in the Makefile")
+	}
+	for _, target := range targets {
+		if !regexp.MustCompile(`make ` + regexp.QuoteMeta(target) + `([^\w-]|$)`).MatchString(docs) {
+			t.Errorf("make %s: neither README.md nor DESIGN.md names it", target)
+		}
+	}
+}
 
-// TestDocsRunOnlyWhatExists: every `go run ./cmd/<x> …` line of README.md and
-// of the verify skill names an existing command and only flags it defines. A
-// line ending in a backslash goes on on the next; a comment, pipe, redirect
-// or `;` ends the command.
+// goRun matches a documented `go run ./cmd/<x> …` and what follows it on
+// the line; bareRun a built command run by its bare name, or a path ending in
+// it, at the start of a line, with a flag after it.
+var (
+	goRun   = regexp.MustCompile(`go run \./cmd/([\w-]+)(.*)`)
+	bareRun = regexp.MustCompile(`^\s*(?:[\w./-]*/)?([\w-]+)(\s+-.*)$`)
+)
+
+// TestDocsRunOnlyWhatExists: every `go run ./cmd/<x> …` line of README.md,
+// DESIGN.md, EXPERIMENTS.md and the repository's skill notes names an
+// existing command and only flags it defines, and so does every line there
+// that starts with a command's bare name. A line ending in a backslash goes
+// on on the next; a comment, pipe, redirect, `;`, `&` or closing backtick
+// ends the command.
 func TestDocsRunOnlyWhatExists(t *testing.T) {
 	cmds := commandFlags(t)
 	flagTok := regexp.MustCompile(`^--?([A-Za-z][\w-]*)(=.*)?$`)
-	for _, doc := range []string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	skills, err := filepath.Glob(filepath.Join(".*", "skills", "*", "SKILL.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append(docs, skills...) {
 		lines := strings.Split(readDoc(t, doc), "\n")
 		for i := 0; i < len(lines); i++ {
 			line := lines[i]
 			for j := i; strings.HasSuffix(line, "\\") && j+1 < len(lines); j++ {
 				line = strings.TrimSuffix(line, "\\") + " " + lines[j+1]
 			}
-			for _, m := range goRun.FindAllStringSubmatch(line, -1) {
+			runs := goRun.FindAllStringSubmatch(line, -1)
+			if m := bareRun.FindStringSubmatch(line); m != nil && cmds[m[1]] != nil {
+				runs = append(runs, m)
+			}
+			for _, m := range runs {
 				cmd, rest := m[1], m[2]
 				flags, ok := cmds[cmd]
 				if !ok {
 					t.Errorf("%s:%d runs ./cmd/%s, which does not exist", doc, i+1, cmd)
 					continue
 				}
-				if end := strings.IndexAny(rest, "#|;>&"); end >= 0 {
+				if end := strings.IndexAny(rest, "#|;>&`"); end >= 0 {
 					rest = rest[:end]
 				}
 				var unknown []string

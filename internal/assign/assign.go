@@ -514,21 +514,6 @@ func (a *Assignment) MaxUtilization() float64 {
 	return max
 }
 
-// LoadImbalance returns max_j ρ_j − min_j ρ_j.
-func (a *Assignment) LoadImbalance() float64 {
-	min, max := math.Inf(1), math.Inf(-1)
-	for j := range a.cfg.Servers {
-		u := queueing.Utilization(a.loads[j], a.maxLoad[j])
-		if u < min {
-			min = u
-		}
-		if u > max {
-			max = u
-		}
-	}
-	return max - min
-}
-
 // Row is one line of the paper's assignment tables: users of a host assigned
 // to a server.
 type Row struct {

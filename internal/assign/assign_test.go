@@ -319,8 +319,8 @@ func TestTableRendering(t *testing.T) {
 	}
 	a.Initialize()
 	tb := a.Table("Table 1")
-	if tb.NumRows() != 6+3 { // six host rows + three totals
-		t.Errorf("table rows = %d, want 9", tb.NumRows())
+	if len(tb.Rows()) != 6+3 { // six host rows + three totals
+		t.Errorf("table rows = %d, want 9", len(tb.Rows()))
 	}
 	rows := tb.Rows()
 	if rows[0][0] != "H1" || rows[0][1] != "S1" || rows[0][2] != "50" {

@@ -22,8 +22,6 @@ type AttributeConfig struct {
 	// Profiles assigns user profiles to the node that is authoritative for
 	// them.
 	Profiles map[graph.NodeID][]*attr.Profile
-	// Distributed selects the GHS construction for the local MSTs.
-	Distributed bool
 	// Timeout is the convergecast child-timeout base.
 	Timeout sim.Time
 	Seed    int64
@@ -58,7 +56,7 @@ func NewAttribute(cfg AttributeConfig) (*AttributeSystem, error) {
 	if cfg.Topology == nil {
 		return nil, errors.New("core: nil topology")
 	}
-	backbone, err := mst.Backbone(cfg.Topology, cfg.Distributed)
+	backbone, err := mst.Backbone(cfg.Topology, false)
 	if err != nil {
 		return nil, err
 	}

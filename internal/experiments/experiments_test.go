@@ -38,8 +38,8 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestFigure1(t *testing.T) {
 	r := Figure1()
-	if r.Table.NumRows() != 9 {
-		t.Errorf("figure1 rows = %d, want 9", r.Table.NumRows())
+	if len(r.Table.Rows()) != 9 {
+		t.Errorf("figure1 rows = %d, want 9", len(r.Table.Rows()))
 	}
 	if !strings.Contains(r.Text, "graph \"figure1\"") {
 		t.Error("missing DOT output")
@@ -106,8 +106,8 @@ func TestTable3Invariants(t *testing.T) {
 
 func TestFigure2(t *testing.T) {
 	r := Figure2()
-	if r.Table.NumRows() != 3 {
-		t.Errorf("figure2 regions = %d, want 3", r.Table.NumRows())
+	if len(r.Table.Rows()) != 3 {
+		t.Errorf("figure2 regions = %d, want 3", len(r.Table.Rows()))
 	}
 	if !strings.Contains(r.Text, "style=bold") {
 		t.Error("figure2 DOT does not highlight the tree")

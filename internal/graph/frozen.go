@@ -31,10 +31,10 @@ type Frozen struct {
 }
 
 // Frozen returns the cached frozen view, building it on first use. Any
-// mutation of the graph (AddNode, AddEdge, RemoveEdge, RemoveNode)
-// invalidates the cache; the next call rebuilds it. Concurrent readers may
-// call Frozen simultaneously, but mutation remains unsynchronized with
-// reads, as everywhere else on Graph.
+// mutation of the graph (AddNode, AddEdge, RemoveEdge) invalidates the
+// cache; the next call rebuilds it. Concurrent readers may call Frozen
+// simultaneously, but mutation remains unsynchronized with reads, as
+// everywhere else on Graph.
 func (g *Graph) Frozen() *Frozen {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -260,31 +260,3 @@ func MultiRegion(rng *rand.Rand, spec MultiRegionSpec) *Graph {
 	}
 	return g
 }
-
-// Grid generates a rows×cols grid with unit weights plus a small
-// deterministic weight perturbation so all weights are distinct.
-func Grid(rows, cols int) *Graph {
-	g := New()
-	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			g.MustAddNode(Node{ID: id(r, c), Label: fmt.Sprintf("g%d_%d", r, c), Kind: KindRouter})
-		}
-	}
-	eps := 0
-	add := func(a, b NodeID) {
-		eps++
-		g.MustAddEdge(a, b, 1+float64(eps)/1e6)
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				add(id(r, c), id(r, c+1))
-			}
-			if r+1 < rows {
-				add(id(r, c), id(r+1, c))
-			}
-		}
-	}
-	return g
-}

@@ -157,20 +157,6 @@ func (g *Graph) RemoveEdge(a, b NodeID) error {
 	return nil
 }
 
-// RemoveNode deletes a node and all its incident edges.
-func (g *Graph) RemoveNode(id NodeID) error {
-	if _, ok := g.nodes[id]; !ok {
-		return fmt.Errorf("%w: %d", ErrNodeNotFound, id)
-	}
-	for nb := range g.adj[id] {
-		delete(g.adj[nb], id)
-	}
-	delete(g.adj, id)
-	delete(g.nodes, id)
-	g.invalidate()
-	return nil
-}
-
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) (Node, bool) {
 	n, ok := g.nodes[id]

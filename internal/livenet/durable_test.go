@@ -25,7 +25,7 @@ func durableCluster(t *testing.T) *Cluster {
 // the durable store exists to prevent — if this test ever starts passing
 // mail through, the durable soak proves nothing.
 func TestKillRestartMemoryLosesMail(t *testing.T) {
-	c := NewCluster()
+	c := NewClusterWith(ClusterConfig{})
 	defer c.Close()
 	if _, err := c.AddServer("s1"); err != nil {
 		t.Fatal(err)
@@ -35,10 +35,10 @@ func TestKillRestartMemoryLosesMail(t *testing.T) {
 	if _, err := c.Submit(alice, []names.Name{alice}, "s", "lost forever"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.KillServer("s1"); err != nil {
+	if err := mustServer(t, c, "s1").Kill(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RestartServer("s1"); err != nil {
+	if err := mustServer(t, c, "s1").Restart(); err != nil {
 		t.Fatal(err)
 	}
 	a, err := c.NewAgent(alice)
@@ -65,7 +65,7 @@ func TestKillRestartDurableRecoversMail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.KillServer("s1"); err != nil {
+	if err := mustServer(t, c, "s1").Kill(); err != nil {
 		t.Fatal(err)
 	}
 	// While killed the server is down to callers, like a crashed one.
@@ -73,7 +73,7 @@ func TestKillRestartDurableRecoversMail(t *testing.T) {
 	if err := s1.Deposit(mkKillMsg(99, alice), alice); !errors.Is(err, ErrServerDown) {
 		t.Fatalf("deposit on killed server: err = %v, want ErrServerDown", err)
 	}
-	if err := c.RestartServer("s1"); err != nil {
+	if err := mustServer(t, c, "s1").Restart(); err != nil {
 		t.Fatal(err)
 	}
 	a, err := c.NewAgent(alice)
@@ -179,10 +179,10 @@ func TestQDepthFollowsTheStoreAcrossRestarts(t *testing.T) {
 	}
 	restart := func(c *Cluster) {
 		t.Helper()
-		if err := c.KillServer("s1"); err != nil {
+		if err := mustServer(t, c, "s1").Kill(); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.RestartServer("s1"); err != nil {
+		if err := mustServer(t, c, "s1").Restart(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,10 +267,10 @@ func TestDurabilityStatsCumulativeAcrossRestart(t *testing.T) {
 	if !ok || pre.Appends == 0 {
 		t.Fatalf("pre-kill stats = %+v ok=%v, want appends > 0", pre, ok)
 	}
-	if err := c.KillServer("s1"); err != nil {
+	if err := mustServer(t, c, "s1").Kill(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RestartServer("s1"); err != nil {
+	if err := mustServer(t, c, "s1").Restart(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Submit(alice, []names.Name{alice}, "s", "post-restart"); err != nil {
@@ -311,14 +311,14 @@ func TestDurableLastStartDrivesPollEfficiency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.KillServer("s1"); err != nil {
+	if err := mustServer(t, c, "s1").Kill(); err != nil {
 		t.Fatal(err)
 	}
 	id2, err := c.Submit(alice, []names.Name{alice}, "s", "failed over")
 	if err != nil {
 		t.Fatal(err) // deposits at s2: s1 is down
 	}
-	if err := c.RestartServer("s1"); err != nil {
+	if err := mustServer(t, c, "s1").Restart(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -336,4 +336,14 @@ func TestDurableLastStartDrivesPollEfficiency(t *testing.T) {
 	if polls := a.Polls() - before; polls != 1 {
 		t.Fatalf("steady-state retrieval used %d polls, want 1", polls)
 	}
+}
+
+// mustServer returns the cluster's server by name.
+func mustServer(t *testing.T, c *Cluster, name string) *Server {
+	t.Helper()
+	s, ok := c.Server(name)
+	if !ok {
+		t.Fatalf("no server %q", name)
+	}
+	return s
 }

@@ -219,7 +219,7 @@ func TestEnableSpoolValidation(t *testing.T) {
 	if err := c.EnableSpool(SpoolConfig{}); err == nil {
 		t.Error("double EnableSpool accepted")
 	}
-	c2 := NewCluster()
+	c2 := NewClusterWith(ClusterConfig{})
 	c2.Close()
 	if err := c2.EnableSpool(SpoolConfig{}); err == nil {
 		t.Error("EnableSpool on closed cluster accepted")

@@ -519,7 +519,7 @@ func (s *Server) Kill() error {
 	if !s.killed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.stats.Inc("kills") // counted here, not in KillServer: fault injectors call Kill directly
+	s.stats.Inc("kills")
 	s.up.Store(false)
 	s.halt()
 	return s.closeStore()
@@ -603,17 +603,15 @@ type Cluster struct {
 	spool   *spool
 }
 
-// NewCluster returns an empty memory-only cluster with its directory.
-// Lifecycle tracing is always on: every submitted message is stamped through
-// the pipeline on the wall clock, feeding the per-stage latency histograms
-// in Obs(). The tracer is the bounded one (obs.NewRingTracer) — a cluster is
-// what a daemon runs for months — so it holds the most recent traces only; an
-// auditor that reads every trace when its run ends calls Tracer().KeepAll()
-// before it submits anything.
-func NewCluster() *Cluster { return NewClusterWith(ClusterConfig{}) }
-
-// NewClusterWith is NewCluster with explicit store configuration — shard
-// count and, optionally, a data directory that makes every server durable.
+// NewClusterWith returns an empty cluster with its directory. cfg sets the
+// shard count and, optionally, a data directory that makes every server
+// durable; the zero ClusterConfig is a memory-only cluster. Lifecycle tracing
+// is always on: every submitted message is stamped through the pipeline on
+// the wall clock, feeding the per-stage latency histograms in Obs(). The
+// tracer is the bounded one (obs.NewRingTracer) — a cluster is what a daemon
+// runs for months — so it holds the most recent traces only; an auditor that
+// reads every trace when its run ends calls Tracer().KeepAll() before it
+// submits anything.
 func NewClusterWith(cfg ClusterConfig) *Cluster {
 	reg := obs.NewRegistry()
 	return &Cluster{
@@ -772,25 +770,6 @@ func (c *Cluster) SetPlacement(pol placement.Policy, name func(slot int) string)
 		c.cfg.PlacementName = name
 	}
 	c.mu.Unlock()
-}
-
-// KillServer kills a server by name (see Server.Kill).
-func (c *Cluster) KillServer(name string) error {
-	s, ok := c.Server(name)
-	if !ok {
-		return fmt.Errorf("livenet: no server %q", name)
-	}
-	return s.Kill()
-}
-
-// RestartServer restarts a killed server from its store (see
-// Server.Restart).
-func (c *Cluster) RestartServer(name string) error {
-	s, ok := c.Server(name)
-	if !ok {
-		return fmt.Errorf("livenet: no server %q", name)
-	}
-	return s.Restart()
 }
 
 // DurabilityStats sums the WAL write-path counters across every server,

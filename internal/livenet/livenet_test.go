@@ -19,7 +19,7 @@ var (
 // on [s2 s3 s1]; the cluster is closed at test end.
 func newCluster(t *testing.T) *Cluster {
 	t.Helper()
-	c := NewCluster()
+	c := NewClusterWith(ClusterConfig{})
 	t.Cleanup(c.Close)
 	for _, n := range []string{"s1", "s2", "s3"} {
 		if _, err := c.AddServer(n); err != nil {
@@ -152,7 +152,7 @@ func TestDuplicateServerRejected(t *testing.T) {
 }
 
 func TestClosedCluster(t *testing.T) {
-	c := NewCluster()
+	c := NewClusterWith(ClusterConfig{})
 	if _, err := c.AddServer("s"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,7 +48,7 @@ func TestAttrScenarioGolden(t *testing.T) {
 			}
 			rep := s.Run()
 			requireAttrClean(t, rep)
-			snap, err := s.Snapshot().JSON()
+			snap, err := json.MarshalIndent(s.Snapshot(), "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}

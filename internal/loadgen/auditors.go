@@ -77,10 +77,6 @@ func NewAuditors(authorityLen int, pollStrict bool) *Auditors {
 // PollStrict reports whether the poll-efficiency check is armed.
 func (a *Auditors) PollStrict() bool { return a.pollStrict }
 
-// DisablePolls turns the poll-efficiency check off (fault injection or
-// reconfiguration began after construction).
-func (a *Auditors) DisablePolls() { a.pollStrict = false }
-
 // copyKey identifies one committed copy in the ledger: a message ID and the
 // recipient it is owed to. It is rendered as text only when a violation
 // names it.

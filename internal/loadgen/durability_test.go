@@ -183,10 +183,11 @@ func TestKillRestartLosesMailWithoutDurability(t *testing.T) {
 		t.Fatal("no messages committed")
 	}
 	for _, name := range drv.Cluster().ServerNames() {
-		if err := drv.Cluster().KillServer(name); err != nil {
+		srv, _ := drv.Cluster().Server(name)
+		if err := srv.Kill(); err != nil {
 			t.Fatal(err)
 		}
-		if err := drv.Cluster().RestartServer(name); err != nil {
+		if err := srv.Restart(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -108,13 +108,12 @@ func NewSimDriver(cfg SimConfig) (*SimDriver, error) {
 		users[hostID(gh)] = p.UsersOnHost(gh)
 	}
 	// A policy that can change a user's placement after registration needs
-	// deposit-time re-routing on the servers.
-	online := policy != placement.NameStatic
+	// deposit-time re-routing and rotated relays on the servers.
 	d.fab, err = core.NewFabric(d.topo, server.Config{
 		Net: d.net, Trace: d.trace,
 		BatchSize: cfg.BatchSize, FlushInterval: cfg.FlushInterval,
 		RetryTimeout: cfg.RetryTimeout, DataDir: cfg.DataDir, Fsync: cfg.Fsync,
-		PlacementReroute: online, SpreadRelay: online,
+		OnlinePlacement: policy != placement.NameStatic,
 	}, users, p.AuthorityLen, p.MaxLoad())
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: %w", err)

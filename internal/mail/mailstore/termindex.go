@@ -180,15 +180,8 @@ func (sh *shard) indexRemove(mb *mail.Mailbox, m mail.Message) {
 	}
 }
 
-// SearchTerm returns the users with at least one buffered message containing
-// the term (case-insensitive), sorted by name. It returns nil when the index
-// is disabled.
-func (s *Store) SearchTerm(term string) []names.Name {
-	return s.SearchTerms([]string{term})
-}
-
 // SearchTerms returns the users whose buffered mail contains every one of
-// the terms (conjunction), sorted by name — the evaluation form of a
+// the terms (conjunction, case-insensitive), sorted by name — the evaluation form of a
 // planned content query's probe terms. Nil for an empty term list or a
 // disabled index.
 //

@@ -207,126 +207,3 @@ func (n Name) Subgroup(k int) int {
 	h.Write([]byte(n.User))
 	return int(h.Sum32() % uint32(k))
 }
-
-// Space is a partitioned name space: the set of registered names grouped by
-// region context. A single centralized database "is too inefficient to use
-// and manage" in a large system (§2), so Space hands out per-region
-// contexts that servers replicate.
-type Space struct {
-	regions map[string]*Context
-}
-
-// NewSpace returns an empty name space.
-func NewSpace() *Space {
-	return &Space{regions: make(map[string]*Context)}
-}
-
-// Context is the subset of the name space for one region.
-type Context struct {
-	Region string
-	byHost map[string]map[string]Name
-	count  int
-}
-
-// Region returns the context for a region, creating it on first use.
-func (s *Space) Region(region string) *Context {
-	c, ok := s.regions[region]
-	if !ok {
-		c = &Context{Region: region, byHost: make(map[string]map[string]Name)}
-		s.regions[region] = c
-	}
-	return c
-}
-
-// Regions returns the number of region contexts.
-func (s *Space) Regions() int { return len(s.regions) }
-
-// Register adds the name to its region's context. Duplicate registrations
-// within a host fail: user names are "locally unique within a host"
-// (§3.1.1).
-func (s *Space) Register(n Name) error {
-	if err := n.Validate(); err != nil {
-		return err
-	}
-	return s.Region(n.Region).register(n)
-}
-
-// Unregister removes the name. Removing an unknown name fails.
-func (s *Space) Unregister(n Name) error {
-	c, ok := s.regions[n.Region]
-	if !ok {
-		return fmt.Errorf("names: unregister %v: unknown region", n)
-	}
-	return c.unregister(n)
-}
-
-// Contains reports whether the exact name is registered.
-func (s *Space) Contains(n Name) bool {
-	c, ok := s.regions[n.Region]
-	if !ok {
-		return false
-	}
-	_, ok = c.byHost[n.Host][n.User]
-	return ok
-}
-
-// Len reports the total number of registered names.
-func (s *Space) Len() int {
-	total := 0
-	for _, c := range s.regions {
-		total += c.count
-	}
-	return total
-}
-
-func (c *Context) register(n Name) error {
-	host := c.byHost[n.Host]
-	if host == nil {
-		host = make(map[string]Name)
-		c.byHost[n.Host] = host
-	}
-	if _, dup := host[n.User]; dup {
-		return fmt.Errorf("names: %v already registered", n)
-	}
-	host[n.User] = n
-	c.count++
-	return nil
-}
-
-func (c *Context) unregister(n Name) error {
-	host := c.byHost[n.Host]
-	if _, ok := host[n.User]; !ok {
-		return fmt.Errorf("names: %v not registered", n)
-	}
-	delete(host, n.User)
-	c.count--
-	return nil
-}
-
-// Len reports the number of names registered in this region context.
-func (c *Context) Len() int { return c.count }
-
-// Lookup finds a registered name by host and user token.
-func (c *Context) Lookup(host, user string) (Name, bool) {
-	n, ok := c.byHost[host][user]
-	return n, ok
-}
-
-// LookupUser finds a registered name by user token alone, scanning the
-// region — the resolution mode of the location-independent design, where
-// the host token is only the primary location (§3.2.1). If several hosts
-// register the same user token, the lexically smallest host wins, keeping
-// resolution deterministic.
-func (c *Context) LookupUser(user string) (Name, bool) {
-	var best Name
-	found := false
-	for _, users := range c.byHost {
-		if n, ok := users[user]; ok {
-			if !found || n.Host < best.Host {
-				best = n
-				found = true
-			}
-		}
-	}
-	return best, found
-}

@@ -240,96 +240,3 @@ func itoa(i int) string {
 	}
 	return string(b)
 }
-
-func TestSpaceRegisterLookup(t *testing.T) {
-	s := NewSpace()
-	n := MustParse("east.h1.alice")
-	if err := s.Register(n); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Contains(n) {
-		t.Error("registered name not contained")
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
-	}
-	got, ok := s.Region("east").Lookup("h1", "alice")
-	if !ok || got != n {
-		t.Errorf("Lookup = %v, %v", got, ok)
-	}
-	if _, ok := s.Region("east").Lookup("h1", "bob"); ok {
-		t.Error("Lookup found unregistered user")
-	}
-}
-
-func TestSpaceDuplicateRejected(t *testing.T) {
-	s := NewSpace()
-	n := MustParse("east.h1.alice")
-	if err := s.Register(n); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Register(n); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	// Same user token on a different host is fine: uniqueness is per host.
-	if err := s.Register(MustParse("east.h2.alice")); err != nil {
-		t.Errorf("same user on different host rejected: %v", err)
-	}
-}
-
-func TestSpaceRejectsInvalid(t *testing.T) {
-	if err := NewSpace().Register(Name{Region: "e", Host: "", User: "u"}); !errors.Is(err, ErrEmptyToken) {
-		t.Errorf("err = %v, want ErrEmptyToken", err)
-	}
-}
-
-func TestSpaceUnregister(t *testing.T) {
-	s := NewSpace()
-	n := MustParse("east.h1.alice")
-	if err := s.Unregister(n); err == nil {
-		t.Error("unregister of unknown name succeeded")
-	}
-	if err := s.Register(n); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Unregister(n); err != nil {
-		t.Fatal(err)
-	}
-	if s.Contains(n) || s.Len() != 0 {
-		t.Error("name still present after unregister")
-	}
-	if err := s.Unregister(n); err == nil {
-		t.Error("double unregister succeeded")
-	}
-}
-
-func TestLookupUserScansRegion(t *testing.T) {
-	s := NewSpace()
-	for _, raw := range []string{"east.h3.alice", "east.h1.alice", "east.h2.bob"} {
-		if err := s.Register(MustParse(raw)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, ok := s.Region("east").LookupUser("alice")
-	if !ok {
-		t.Fatal("LookupUser failed")
-	}
-	if got.Host != "h1" {
-		t.Errorf("LookupUser returned host %q, want deterministic smallest h1", got.Host)
-	}
-	if _, ok := s.Region("east").LookupUser("carol"); ok {
-		t.Error("LookupUser found unregistered user")
-	}
-}
-
-func TestRegionsCount(t *testing.T) {
-	s := NewSpace()
-	s.Register(MustParse("east.h.u"))
-	s.Register(MustParse("west.h.u"))
-	if s.Regions() != 2 {
-		t.Errorf("Regions() = %d, want 2", s.Regions())
-	}
-	if s.Region("east").Len() != 1 {
-		t.Errorf("east context Len = %d, want 1", s.Region("east").Len())
-	}
-}

@@ -23,15 +23,6 @@ func ladder125(start float64, decades int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n upper bounds: start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // Histogram is a fixed-bucket histogram of float64 observations (typically
 // latencies in clock units). Safe for concurrent use. Create with
 // NewHistogram or Registry.Histogram.

@@ -23,16 +23,6 @@ func TestDefaultLatencyBuckets(t *testing.T) {
 	}
 }
 
-func TestLinearBuckets(t *testing.T) {
-	b := LinearBuckets(10, 5, 4)
-	want := []float64{10, 15, 20, 25}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("LinearBuckets = %v, want %v", b, want)
-		}
-	}
-}
-
 func TestHistogramBucketing(t *testing.T) {
 	h := NewHistogram([]float64{10, 20, 30})
 	for _, v := range []float64{5, 10, 15, 25, 99} {
@@ -72,7 +62,11 @@ func TestQuantileConstant(t *testing.T) {
 // quantile — the histogram's documented accuracy contract.
 func TestQuantileUniform(t *testing.T) {
 	const width = 10.0
-	h := NewHistogram(LinearBuckets(width, width, 100))
+	bounds := make([]float64, 100)
+	for i := range bounds {
+		bounds[i] = width * float64(i+1)
+	}
+	h := NewHistogram(bounds)
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i))
 	}

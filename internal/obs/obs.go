@@ -23,7 +23,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,18 +160,6 @@ func (r *Registry) Get(name string) int64 {
 		return 0
 	}
 	return c.Value()
-}
-
-// Names returns all counter names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Counters returns a consistent copy of all counter values.

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"sort"
-)
+import "sort"
 
 // SnapshotVersion is the schema version stamped on every exported snapshot.
 // Consumers (mailctl, the wire status op, BENCH_*.json tooling) can key
@@ -28,11 +25,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }
 
 // CounterTable renders counters and gauges as one aligned table, sorted by

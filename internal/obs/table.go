@@ -76,21 +76,6 @@ func (s *Summary) Quantile(q float64) float64 {
 	return s.samples[idx]
 }
 
-// StdDev reports the population standard deviation, or NaN with no samples.
-func (s *Summary) StdDev() float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return math.NaN()
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, v := range s.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 func (s *Summary) sortSamples() {
 	if !s.sorted {
 		sort.Float64s(s.samples)
@@ -130,9 +115,6 @@ func trimFloat(v float64) string {
 	s = strings.TrimRight(s, "0")
 	return strings.TrimRight(s, ".")
 }
-
-// NumRows reports the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // Rows returns a copy of the raw cell data.
 func (t *Table) Rows() [][]string {

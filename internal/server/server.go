@@ -92,19 +92,18 @@ type Config struct {
 	DataDir string
 	// Fsync is the WAL fsync policy when DataDir is set.
 	Fsync mailstore.FsyncMode
-	// PlacementReroute also re-routes a deposit transfer that arrives at a
-	// backup while the recipient's primary is up. A deposit arriving at a
-	// server no longer on the recipient's list always re-enters routing;
-	// online placement policies (internal/placement), which move users while
-	// transfers are in flight, need the backup half too. Off (the default),
-	// a backup deposits whatever reaches it, which static deployments rely on.
-	PlacementReroute bool
-	// SpreadRelay rotates the inter-region relay entry point per message.
-	// §3.1.1: the relay function can be provided by any server of the
-	// region; always dispatching to the region list's head builds a fixed
-	// transit hot spot in front of whatever the placement policy chose.
-	// Off (the default) keeps the historical head-first dispatch.
-	SpreadRelay bool
+	// OnlinePlacement says that users can be re-placed while transfers are
+	// in flight, as the online placement policies of internal/placement do.
+	// It turns on two things. A deposit transfer that arrives at a backup
+	// while the recipient's primary is up re-enters routing, as one arriving
+	// at a server no longer on the recipient's list always does. And the
+	// inter-region relay entry point rotates per message: §3.1.1's relay
+	// function can be provided by any server of the region, and always
+	// dispatching to the region list's head builds a fixed transit hot spot
+	// in front of whatever the policy chose. Off (the default), a backup
+	// deposits whatever reaches it and relays go head-first, which static
+	// deployments rely on.
+	OnlinePlacement bool
 }
 
 // Server is a mail server process. Not safe for concurrent use; it runs on
@@ -117,13 +116,12 @@ type Server struct {
 	regions *RegionMap
 	locate  Locator
 
-	reroute      bool
-	spreadRelay  bool
-	retryTimeout sim.Time
-	dataDir      string
-	fsync        mailstore.FsyncMode
-	storeShards  int
-	killed       bool
+	onlinePlacement bool
+	retryTimeout    sim.Time
+	dataDir         string
+	fsync           mailstore.FsyncMode
+	storeShards     int
+	killed          bool
 	// walBase accumulates the WAL counters of stores replaced by
 	// kill-restart cycles, so WALStats stays cumulative.
 	walBase mailstore.WALStats
@@ -259,29 +257,28 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		id:           cfg.ID,
-		region:       cfg.Region,
-		net:          cfg.Net,
-		dir:          cfg.Dir,
-		regions:      cfg.Regions,
-		locate:       cfg.Locate,
-		reroute:      cfg.PlacementReroute,
-		spreadRelay:  cfg.SpreadRelay,
-		retryTimeout: cfg.RetryTimeout,
-		dataDir:      cfg.DataDir,
-		fsync:        cfg.Fsync,
-		storeShards:  cfg.StoreShards,
-		store:        store,
-		online:       make(map[names.Name]graph.NodeID),
-		pending:      make(map[uint64]*pendingTransfer),
-		rerouted:     make(map[rerouteKey]bool),
-		batchSize:    cfg.BatchSize,
-		flushEvery:   cfg.FlushInterval,
-		staged:       make(map[graph.NodeID]*stagedBatch),
-		inflight:     make(map[uint64]*inflightBatch),
-		stats:        obs.NewRegistry(),
-		trace:        cfg.Trace,
-		where:        fmt.Sprintf("s%d", cfg.ID),
+		id:              cfg.ID,
+		region:          cfg.Region,
+		net:             cfg.Net,
+		dir:             cfg.Dir,
+		regions:         cfg.Regions,
+		locate:          cfg.Locate,
+		onlinePlacement: cfg.OnlinePlacement,
+		retryTimeout:    cfg.RetryTimeout,
+		dataDir:         cfg.DataDir,
+		fsync:           cfg.Fsync,
+		storeShards:     cfg.StoreShards,
+		store:           store,
+		online:          make(map[names.Name]graph.NodeID),
+		pending:         make(map[uint64]*pendingTransfer),
+		rerouted:        make(map[rerouteKey]bool),
+		batchSize:       cfg.BatchSize,
+		flushEvery:      cfg.FlushInterval,
+		staged:          make(map[graph.NodeID]*stagedBatch),
+		inflight:        make(map[uint64]*inflightBatch),
+		stats:           obs.NewRegistry(),
+		trace:           cfg.Trace,
+		where:           fmt.Sprintf("s%d", cfg.ID),
 	}
 	if err := cfg.Net.Register(cfg.ID, s); err != nil {
 		return nil, err
@@ -487,7 +484,7 @@ func (s *Server) Route(msg mail.Message, rcpt names.Name) {
 		s.stats.Inc("unroutable")
 		return
 	}
-	if s.spreadRelay && len(candidates) > 1 {
+	if s.onlinePlacement && len(candidates) > 1 {
 		rot := int(msg.ID.Seq % uint64(len(candidates)))
 		rotated := make([]graph.NodeID, 0, len(candidates))
 		rotated = append(rotated, candidates[rot:]...)
@@ -701,9 +698,9 @@ func (s *Server) misplacedDeposit(rcpt names.Name) bool {
 			// AFTER the primary recovered (the origin gave up during an
 			// outage the agent never saw; congestion delivered the fallback
 			// late) would strand: the walk stops at the live primary. Under
-			// PlacementReroute, treat it as misplaced so it re-routes to the
+			// OnlinePlacement, treat it as misplaced so it re-routes to the
 			// primary.
-			return s.reroute && s.net.IsUp(list[0])
+			return s.onlinePlacement && s.net.IsUp(list[0])
 		}
 	}
 	return true
@@ -887,14 +884,6 @@ func (s *Server) stampRetrieved(msgs []mail.Stored) {
 	for _, m := range msgs {
 		s.trace.StampKey(m.ID.TraceKey(), obs.StageRetrieve, s.where)
 	}
-}
-
-// PeekMail returns the user's buffered messages without removing them.
-func (s *Server) PeekMail(user names.Name) ([]mail.Stored, error) {
-	if !s.Up() {
-		return nil, fmt.Errorf("%w: %d", ErrDown, s.id)
-	}
-	return s.store.Peek(user), nil
 }
 
 // LookupAuthority answers a name-service query: the user's authority list

@@ -215,8 +215,8 @@ func TestMultiRecipientFanout(t *testing.T) {
 		t.Error("bob copy missing")
 	}
 	// Both copies share the message ID.
-	am, _ := w.servers[s1].PeekMail(alice)
-	bm, _ := w.servers[s3].PeekMail(bob)
+	am := w.servers[s1].Store().Peek(alice)
+	bm := w.servers[s3].Store().Peek(bob)
 	if am[0].ID != bm[0].ID {
 		t.Errorf("fanout IDs differ: %v vs %v", am[0].ID, bm[0].ID)
 	}
@@ -345,7 +345,7 @@ func TestOriginCrashRecoveryResumesTransfers(t *testing.T) {
 		t.Fatalf("S1 mailbox = %d, want 1", got)
 	}
 	// The resumed duplicate (if the first copy arrived) must be suppressed.
-	if msgs, _ := w.servers[s1].PeekMail(alice); len(msgs) != 1 {
+	if msgs := w.servers[s1].Store().Peek(alice); len(msgs) != 1 {
 		t.Errorf("duplicate transfer not suppressed: %d messages", len(msgs))
 	}
 }
@@ -397,9 +397,6 @@ func TestCheckMailErrors(t *testing.T) {
 	w.net.Crash(s1)
 	if _, err := w.servers[s1].CheckMail(alice); !errors.Is(err, ErrDown) {
 		t.Errorf("down CheckMail err = %v, want ErrDown", err)
-	}
-	if _, err := w.servers[s1].PeekMail(alice); !errors.Is(err, ErrDown) {
-		t.Errorf("down PeekMail err = %v, want ErrDown", err)
 	}
 }
 
@@ -550,8 +547,8 @@ func TestDistributionListFanout(t *testing.T) {
 		t.Error("group expansion not counted")
 	}
 	// All copies share one message ID.
-	am, _ := w.servers[s1].PeekMail(alice)
-	bm, _ := w.servers[s3].PeekMail(bob)
+	am := w.servers[s1].Store().Peek(alice)
+	bm := w.servers[s3].Store().Peek(bob)
 	if am[0].ID != bm[0].ID {
 		t.Error("group copies have different IDs")
 	}

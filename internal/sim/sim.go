@@ -210,40 +210,3 @@ func (s *Scheduler) RunUntil(deadline Time) {
 // RunFor fires events within the next d microticks and advances the clock by
 // exactly d.
 func (s *Scheduler) RunFor(d Time) { s.RunUntil(s.now + d) }
-
-// Ticker repeatedly schedules a callback at a fixed period until stopped.
-type Ticker struct {
-	ev     Event
-	s      *Scheduler
-	period Time
-	fn     func()
-	done   bool
-}
-
-// Every schedules fn to fire every period microticks, first firing one
-// period from now. It panics if period is not positive, because a
-// zero-period ticker would livelock the scheduler at one instant.
-func (s *Scheduler) Every(period Time, fn func()) *Ticker {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: non-positive ticker period %d", period))
-	}
-	t := &Ticker{s: s, period: period, fn: fn}
-	s.Schedule(&t.ev, s.now+period, t)
-	return t
-}
-
-// Run fires one tick and arms the next unless the callback stopped the
-// ticker.
-func (t *Ticker) Run() {
-	t.fn()
-	if !t.done {
-		t.s.Schedule(&t.ev, t.s.now+t.period, t)
-	}
-}
-
-// Stop prevents future ticks. Safe to call multiple times and from inside
-// the tick callback.
-func (t *Ticker) Stop() {
-	t.done = true
-	t.s.Cancel(&t.ev)
-}

@@ -177,15 +177,17 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	}
 }
 
+// A record that re-arms itself from inside Run fires periodically until
+// cancelled; a second cancel is a no-op.
 func TestTicker(t *testing.T) {
 	s := New(1)
 	var ticks []Time
-	tk := s.Every(10, func() {
+	tk := every(s, 10, func() {
 		ticks = append(ticks, s.Now())
 	})
 	s.RunUntil(35)
-	tk.Stop()
-	tk.Stop() // idempotent
+	tk.stop()
+	tk.stop() // idempotent
 	s.RunUntil(100)
 	if len(ticks) != 3 {
 		t.Fatalf("got %d ticks %v, want 3", len(ticks), ticks)
@@ -197,29 +199,21 @@ func TestTicker(t *testing.T) {
 	}
 }
 
+// A record cancelled from inside its own Run is not fired again.
 func TestTickerStopFromCallback(t *testing.T) {
 	s := New(1)
 	n := 0
-	var tk *Ticker
-	tk = s.Every(5, func() {
+	var tk *ticker
+	tk = every(s, 5, func() {
 		n++
 		if n == 2 {
-			tk.Stop()
+			tk.stop()
 		}
 	})
 	s.Run()
 	if n != 2 {
 		t.Errorf("ticker fired %d times, want 2", n)
 	}
-}
-
-func TestTickerZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Every(0, ...) did not panic")
-		}
-	}()
-	New(1).Every(0, func() {})
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
@@ -442,6 +436,35 @@ type ownedRecord struct {
 
 func (o *ownedRecord) Run() { o.fn() }
 
+// ticker is a periodic caller-owned record: it re-arms its own Event from
+// inside Run until stopped.
+type ticker struct {
+	ev     Event
+	s      *Scheduler
+	period Time
+	fn     func()
+	done   bool
+}
+
+func (t *ticker) Run() {
+	t.fn()
+	if !t.done {
+		t.s.Schedule(&t.ev, t.s.Now()+t.period, t)
+	}
+}
+
+// every arms a ticker that first fires one period from now.
+func every(s *Scheduler, period Time, fn func()) *ticker {
+	t := &ticker{s: s, period: period, fn: fn}
+	s.Schedule(&t.ev, s.Now()+period, t)
+	return t
+}
+
+func (t *ticker) stop() {
+	t.done = true
+	t.s.Cancel(&t.ev)
+}
+
 func liveKernel() kernel {
 	s := New(1)
 	return kernel{
@@ -461,7 +484,7 @@ func liveKernel() kernel {
 				s.Schedule(&o.ev, t, o)
 			}, func() { s.Cancel(&o.ev) }
 		},
-		every:     func(p Time, fn func()) func() { return s.Every(p, fn).Stop },
+		every:     func(p Time, fn func()) func() { return every(s, p, fn).stop },
 		runUntil:  s.RunUntil,
 		processed: s.Processed,
 	}

@@ -204,13 +204,13 @@ func TestReleasedSlotsPoisonedUnderKillRestart(t *testing.T) {
 		}(w)
 	}
 	for cycle := 0; cycle < 6; cycle++ {
-		name := servers[cycle%3]
+		srv, _ := s.Cluster().Server(servers[cycle%3])
 		time.Sleep(5 * time.Millisecond)
-		if err := s.Cluster().KillServer(name); err != nil {
+		if err := srv.Kill(); err != nil {
 			t.Error(err)
 		}
 		time.Sleep(5 * time.Millisecond)
-		if err := s.Cluster().RestartServer(name); err != nil {
+		if err := srv.Restart(); err != nil {
 			t.Error(err)
 		}
 	}
