@@ -35,11 +35,15 @@ fuzz-smoke:
 
 # Tier-2 durability slice: the WAL/snapshot/recovery store tests, the
 # kill-restart-from-disk paths on both transports, and the no-spool chaos
-# soaks — all under the race detector.
+# soaks — all under the race detector. And a tbatch frame's group commit:
+# one write and one fsync per shard it touches, the same segment bytes and
+# cold-opened mailboxes as one deposit per message, and a failed start that
+# leaves no store open.
 .PHONY: tier2-durability
 tier2-durability:
 	go test -race -run 'Durable|TornTail|CorruptSealed|ShardMismatch|KillRestart|ClusterReopen|WALRecord' ./internal/mail/mailstore/ ./internal/livenet/ ./internal/server/ ./internal/faults/
 	go test -race -run 'TestSimNoLoss|TestSimMemory|TestLiveNoLoss|TestKillRestartLoses' ./internal/loadgen/
+	go test -race -run 'TestTBatchMatchesReference|TestTBatchOneSyncPerShard|TestNewServerOpenFailure' ./internal/wire/
 
 # Tier-2 wire slice: the wire path under the race detector — text from a raw
 # socket and the hello that switches framing, binary framing, pipelining (the
@@ -47,11 +51,13 @@ tier2-durability:
 # and the read path's plumbing: per-batch response flush (Coalesce, Flush),
 # pooled work items (WorkItem), the hand-over retrieval (HandOver), getmail
 # bound to its agent on the reader (BinaryGetMailBoundOnReader), the native
-# register against its JSON-wrapped twin (Register) and the mailbox slot a
-# response gives back (ReleasedSlot, ReleaseTakes, OversizedBatch).
+# register against its JSON-wrapped twin (Register), the mailbox slot a
+# response gives back (ReleasedSlot, ReleaseTakes, OversizedBatch) and the
+# tbatch frame as one grouped deposit against the per-message loop it
+# replaced, with its allocation budget and partly delivered items (TBatch).
 .PHONY: tier2-wire
 tier2-wire:
-	go test -race -run 'RawTextPeer|HelloNegotiation|Pipeline|Binary|Register|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver|ReleasedSlot|ReleaseTakes|OversizedBatch' ./internal/wire/ ./internal/server/
+	go test -race -run 'RawTextPeer|HelloNegotiation|Pipeline|Binary|Register|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver|ReleasedSlot|ReleaseTakes|OversizedBatch|TBatch' ./internal/wire/ ./internal/server/
 
 # Tier-2 balance slice: the pluggable placement seam under the race detector —
 # the policy unit tests (JSQ sampling, rebalancer hysteresis/budget/diversion),
@@ -238,7 +244,7 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 25347
+SIZE_CEILING = 25494
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:

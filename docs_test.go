@@ -123,6 +123,36 @@ func TestDocsNameEveryMakeTarget(t *testing.T) {
 	}
 }
 
+// TestDocsNameEveryRatchet: every ratchet of `make check` — a recipe line
+// that fails with echo "…" >&2 — has its message quoted verbatim in README.md
+// or DESIGN.md.
+func TestDocsNameEveryRatchet(t *testing.T) {
+	docs := readDoc(t, "README.md") + readDoc(t, "DESIGN.md")
+	echo := regexp.MustCompile(`echo "([^"]+)" >&2`)
+	var msgs []string
+	inCheck := false
+	for _, line := range strings.Split(readDoc(t, "Makefile"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "check:"):
+			inCheck = true
+		case !strings.HasPrefix(line, "\t"):
+			inCheck = false
+		case inCheck:
+			for _, m := range echo.FindAllStringSubmatch(line, -1) {
+				msgs = append(msgs, m[1])
+			}
+		}
+	}
+	if len(msgs) == 0 {
+		t.Fatal("no ratchet in the check recipe")
+	}
+	for _, msg := range msgs {
+		if !strings.Contains(docs, msg) {
+			t.Errorf("make check fails with %q, which neither README.md nor DESIGN.md quotes", msg)
+		}
+	}
+}
+
 // goRun matches a documented `go run ./cmd/<x> …` and what follows it on
 // the line; bareRun a built command run by its bare name, or a path ending in
 // it, at the start of a line, with a flag after it.

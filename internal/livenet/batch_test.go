@@ -8,24 +8,35 @@ import (
 	"time"
 
 	"github.com/largemail/largemail/internal/mail"
+	"github.com/largemail/largemail/internal/mail/mailstore"
 	"github.com/largemail/largemail/internal/mailerr"
 	"github.com/largemail/largemail/internal/names"
 )
 
+// deposit is one copy's DepositBatch, as depositFailover sends it.
+func deposit(s *Server, msg mail.Message, rcpt names.Name) error {
+	return s.DepositBatch([]mailstore.Copy{{User: rcpt, Msg: msg}})
+}
+
 func TestDepositBatch(t *testing.T) {
 	c := newCluster(t)
 	s1, _ := c.Server("s1")
-	items := []BatchDeposit{
-		{Msg: mail.Message{ID: mail.MessageID{Node: 1, Seq: 1}, Body: "a"}, Rcpt: alice},
-		{Msg: mail.Message{ID: mail.MessageID{Node: 1, Seq: 2}, Body: "b"}, Rcpt: alice},
-		{Msg: mail.Message{ID: mail.MessageID{Node: 1, Seq: 1}, Body: "a"}, Rcpt: alice}, // dup
-		{Msg: mail.Message{ID: mail.MessageID{Node: 1, Seq: 3}, Body: "c"}, Rcpt: bob},
+	items := []mailstore.Copy{
+		{Msg: mail.Message{ID: mail.MessageID{Node: 1, Seq: 1}, Body: "a"}, User: alice},
+		{Msg: mail.Message{ID: mail.MessageID{Node: 1, Seq: 2}, Body: "b"}, User: alice},
+		{Msg: mail.Message{ID: mail.MessageID{Node: 1, Seq: 1}, Body: "a"}, User: alice}, // dup
+		{Msg: mail.Message{ID: mail.MessageID{Node: 1, Seq: 3}, Body: "c"}, User: bob},
 	}
 	if err := s1.DepositBatch(items); err != nil {
 		t.Fatal(err)
 	}
 	if got := s1.Deposits(); got != 3 {
 		t.Errorf("deposits = %d, want 3 (duplicate suppressed)", got)
+	}
+	for i, want := range []bool{true, true, false, true} {
+		if items[i].Fresh != want {
+			t.Errorf("copy %d: Fresh = %v, want %v", i, items[i].Fresh, want)
+		}
 	}
 	if n, _ := s1.MailboxLen(alice); n != 2 {
 		t.Errorf("alice mailbox = %d, want 2", n)
@@ -121,7 +132,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	c := newCluster(t)
 	s1, _ := c.Server("s1")
 	s1.Crash()
-	if err := s1.Deposit(mail.Message{ID: mail.MessageID{Node: 1, Seq: 9}}, alice); !errors.Is(err, mailerr.ErrServerDown) {
+	if err := deposit(s1, mail.Message{ID: mail.MessageID{Node: 1, Seq: 9}}, alice); !errors.Is(err, mailerr.ErrServerDown) {
 		t.Errorf("Deposit on crashed server: %v does not match mailerr.ErrServerDown", err)
 	}
 	unknown := names.MustParse("R1.h9.ghost")

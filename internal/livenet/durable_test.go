@@ -70,7 +70,7 @@ func TestKillRestartDurableRecoversMail(t *testing.T) {
 	}
 	// While killed the server is down to callers, like a crashed one.
 	s1, _ := c.Server("s1")
-	if err := s1.Deposit(mkKillMsg(99, alice), alice); !errors.Is(err, ErrServerDown) {
+	if err := deposit(s1, mkKillMsg(99, alice), alice); !errors.Is(err, ErrServerDown) {
 		t.Fatalf("deposit on killed server: err = %v, want ErrServerDown", err)
 	}
 	if err := mustServer(t, c, "s1").Restart(); err != nil {
@@ -86,7 +86,7 @@ func TestKillRestartDurableRecoversMail(t *testing.T) {
 	}
 	// Dedup memory recovered too: a replayed deposit of the retrieved
 	// message must be suppressed by the mailbox, not just the agent.
-	if err := s1.Deposit(mkKillMsg(id.Seq, alice), alice); err != nil {
+	if err := deposit(s1, mkKillMsg(id.Seq, alice), alice); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s1.MailboxLen(alice); n != 0 {

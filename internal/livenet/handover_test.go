@@ -44,7 +44,7 @@ func runHandOverSchedule(t *testing.T, seed int64, take func(*Agent) []mail.Stor
 	for step := 0; step < 60; step++ {
 		switch rng.Intn(6) {
 		case 0, 1: // submit, unless it would be spooled: redelivery is timed by the spool, case 4 waits for it
-			if _, ok := c.firstAvailable(alice); !ok {
+			if c.firstAvailable(c.dir.Authority(alice)) == nil {
 				continue
 			}
 			subject := fmt.Sprintf("s%d", step)
@@ -56,7 +56,7 @@ func runHandOverSchedule(t *testing.T, seed int64, take func(*Agent) []mail.Stor
 		case 2: // a second server holds a copy of a message already sent
 			if len(sent) > 0 {
 				s, _ := c.Server(servers[rng.Intn(len(servers))])
-				_ = s.Deposit(sent[rng.Intn(len(sent))], alice) // refused while the server is down
+				_ = deposit(s, sent[rng.Intn(len(sent))], alice) // refused while the server is down
 			}
 		case 3: // crash or recover one server
 			s, _ := c.Server(servers[rng.Intn(len(servers))])
@@ -200,7 +200,7 @@ func TestHandOverAdoptsDrainedSlice(t *testing.T) {
 	// so the result cannot be the drained slice.
 	s1, _ := c.Server("s1")
 	for _, m := range msgs {
-		if err := s1.Deposit(m, alice); err != nil {
+		if err := deposit(s1, m, alice); err != nil {
 			t.Fatal(err)
 		}
 	}

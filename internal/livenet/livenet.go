@@ -121,15 +121,15 @@ func (d *Directory) Registered(region, host, user []byte) (names.Name, bool) {
 }
 
 // request is a unit of work executed by a server's loop goroutine. Requests
-// are pooled, and the two per-message operations carry their arguments and
-// result in typed fields, so a Deposit or CheckMail allocates neither a
-// closure nor a completion channel; everything else rides fn.
+// are pooled, and the per-message operations carry their arguments and
+// result in typed fields, so a deposit round or a CheckMail allocates neither
+// a closure nor a completion channel; everything else rides fn.
 type request struct {
-	op   reqOp
-	user names.Name         // opDeposit: the recipient; opCheckMail: the mailbox
-	msg  mail.Message       // opDeposit
-	fn   func(*serverState) // opFunc
-	out  []mail.Stored      // opCheckMail: the drained mail
+	op    reqOp
+	user  names.Name         // opCheckMail: the mailbox
+	batch []mailstore.Copy   // opDeposit: the copies, deposited in order
+	fn    func(*serverState) // opFunc
+	out   []mail.Stored      // opCheckMail: the drained mail
 	// done is buffered, so the loop never waits for a caller that gave up,
 	// and is reused for as long as the request is pooled.
 	done chan struct{}
@@ -274,14 +274,14 @@ func (s *Server) SetDropProb(p float64) {
 
 // callFn runs fn on the server goroutine and waits for completion.
 func (s *Server) callFn(fn func(*serverState)) error {
-	_, err := s.call(opFunc, names.Name{}, mail.Message{}, fn)
+	_, err := s.call(opFunc, names.Name{}, nil, fn)
 	return err
 }
 
 // call runs one operation on the server goroutine and waits for completion,
 // returning what a CheckMail drained. Injected faults gate the call up
 // front, so a failed call has not executed at all.
-func (s *Server) call(op reqOp, user names.Name, msg mail.Message, fn func(*serverState)) ([]mail.Stored, error) {
+func (s *Server) call(op reqOp, user names.Name, batch []mailstore.Copy, fn func(*serverState)) ([]mail.Stored, error) {
 	if d := time.Duration(s.latencyNs.Load()); d > 0 {
 		time.Sleep(d) // the caller's goroutine stalls, not the server loop
 	}
@@ -298,10 +298,10 @@ func (s *Server) call(op reqOp, user names.Name, msg mail.Message, fn func(*serv
 		return nil, fmt.Errorf("%w: %s", ErrInjected, s.name)
 	}
 	s.runMu.RLock()
-	reqs, quit := s.reqs, s.quit
+	reqs, quit, exited := s.reqs, s.quit, s.done
 	s.runMu.RUnlock()
 	req := requestPool.Get().(*request)
-	req.op, req.user, req.msg, req.fn = op, user, msg, fn
+	req.op, req.user, req.batch, req.fn = op, user, batch, fn
 	select {
 	case reqs <- req:
 	case <-quit:
@@ -314,9 +314,11 @@ func (s *Server) call(op reqOp, user names.Name, msg mail.Message, fn func(*serv
 		req.release()
 		return out, nil
 	case <-quit:
-		// Abandoned in flight: the dying loop may still run it and signal
-		// done. It is left to the garbage collector — back in the pool it
+		// Abandoned in flight: the dying loop may still run it, so wait for
+		// the loop to exit; after that nothing reads the caller's batch. The
+		// request is left to the garbage collector — back in the pool it
 		// would hand the next caller this call's completion.
+		<-exited
 		return nil, s.downErr(quit)
 	}
 }
@@ -342,46 +344,32 @@ func (s *Server) downErr(gen chan struct{}) error {
 	return ErrClosed
 }
 
-// Deposit buffers a message for a recipient. It fails when the server is
-// down, letting the caller fail over to the next authority server.
-func (s *Server) Deposit(msg mail.Message, rcpt names.Name) error {
-	_, err := s.call(opDeposit, rcpt, msg, nil)
+// DepositBatch buffers recipient copies (User, Msg) in one round: one fault
+// gate, one request on the server loop, one mailstore.Store.DepositBatch. It
+// fails when the server is down, letting the caller fail over to the next
+// authority server.
+func (s *Server) DepositBatch(copies []mailstore.Copy) error {
+	_, err := s.call(opDeposit, names.Name{}, copies, nil)
 	return err
 }
 
-// deposit stores one recipient copy and stamps it deposited; server goroutine
-// only, as every CheckMail of this server is — a caller stamping after its call
+// deposit stores the copies and stamps each deposited; server goroutine only,
+// as every CheckMail of this server is — a caller stamping after its call
 // returned could come second to the retrieval that drained the copy.
-func (s *Server) deposit(st *serverState, msg mail.Message, rcpt names.Name) {
-	if st.store.Deposit(rcpt, msg, 0) {
-		s.deposits.Inc()
-		s.qdepth.Add(1)
-	}
-	s.trace.StampKey(msg.ID.TraceKey(), obs.StageDeposit, s.name)
-}
-
-// BatchDeposit is one recipient copy inside a DepositBatch call.
-type BatchDeposit struct {
-	Msg  mail.Message
-	Rcpt names.Name
-}
-
-// DepositBatch buffers several recipient copies in one server round-trip:
-// one availability/fault gate and one request on the server loop instead of
-// one per copy — the livenet face of the relay-batching fabric, used by the
-// spool worker to drain coalesced redeliveries. Per-mailbox duplicate
-// suppression applies item by item, exactly as with individual Deposits.
-func (s *Server) DepositBatch(items []BatchDeposit) error {
-	return s.callFn(func(st *serverState) {
-		for _, it := range items {
-			s.deposit(st, it.Msg, it.Rcpt)
+func (s *Server) deposit(st *serverState, copies []mailstore.Copy) {
+	st.store.DepositBatch(copies)
+	for i := range copies {
+		if copies[i].Fresh {
+			s.deposits.Inc()
+			s.qdepth.Add(1)
 		}
-	})
+		s.trace.StampKey(copies[i].Msg.ID.TraceKey(), obs.StageDeposit, s.name)
+	}
 }
 
 // CheckMail drains the user's mailbox ("get mail from server").
 func (s *Server) CheckMail(user names.Name) ([]mail.Stored, error) {
-	return s.call(opCheckMail, user, mail.Message{}, nil)
+	return s.call(opCheckMail, user, nil, nil)
 }
 
 // CheckMailFit is CheckMail for a caller with no agent to hold what it cannot
@@ -466,7 +454,7 @@ func (s *Server) loop(st *serverState, reqs chan *request, quit, done chan struc
 		case req := <-reqs:
 			switch req.op {
 			case opDeposit:
-				s.deposit(st, req.msg, req.user)
+				s.deposit(st, req.batch)
 			case opCheckMail:
 				req.out = s.checkMail(st, req.user, nil)
 			default:
@@ -680,14 +668,12 @@ func (c *Cluster) Snapshot() obs.Snapshot {
 // AddServer starts a server goroutine. Names must be unique. On a durable
 // cluster the server's store is recovered from DataDir/<name> (creating it
 // on first start) and the recovered LastStartTime becomes the server's
-// §3.1.2c start stamp.
+// §3.1.2c start stamp. Concurrent adds recover their stores concurrently.
 func (c *Cluster) AddServer(name string) (*Server, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.servers[name]; dup {
+	if _, dup := c.Server(name); dup {
 		return nil, fmt.Errorf("livenet: server %q already exists", name)
 	}
 	st, err := c.newStore(name)
@@ -726,6 +712,12 @@ func (c *Cluster) AddServer(name string) (*Server, error) {
 	}
 	s.lastStart.Store(ts.UnixNano())
 	s.up.Store(true)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, dup := c.servers[name]; dup {
+		st.Close()
+		return nil, fmt.Errorf("livenet: server %q already exists", name)
+	}
 	c.servers[name] = s
 	go s.loop(&serverState{store: st}, s.reqs, s.quit, s.done)
 	return s, nil
@@ -829,10 +821,7 @@ func (c *Cluster) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	c.spoolMu.Lock()
-	sp := c.spool
-	c.spoolMu.Unlock()
-	if sp != nil {
+	if sp := c.spoolOf(); sp != nil {
 		sp.stop()
 	}
 	c.mu.RLock()
@@ -847,26 +836,21 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Submit accepts a message and deposits one copy per recipient at the first
-// available authority server, failing over down the list (§3.1.2c: "mail
-// will be deposited in the first active server from the list"). All
-// recipients are attempted even when some fail; the assigned message ID is
-// returned together with the per-recipient errors joined via errors.Join.
-//
-// With the spool enabled (EnableSpool), a recipient copy that cannot be
-// deposited anywhere right now is buffered for background redelivery instead
-// of failing — Submit then only errors for recipients with no authority list
-// at all, and an accepted message is never lost (§3.1.2b buffering, claim
-// E2).
+// Submit is SubmitContext without a deadline.
 func (c *Cluster) Submit(from names.Name, to []names.Name, subject, body string) (mail.MessageID, error) {
 	return c.SubmitContext(context.Background(), from, to, subject, body)
 }
 
-// SubmitContext is Submit honoring a context: a deadline or cancellation
-// stops the per-recipient delivery loop, and the unattempted recipients are
-// reported as mailerr.ErrTimeout failures. Recipients already deposited (or
-// spooled) before the expiry stay committed — a context error is a partial
-// result, exactly like a per-recipient delivery error.
+// SubmitContext accepts a message and deposits one copy per recipient at the
+// first available authority server, failing over down the list (§3.1.2c: "mail
+// will be deposited in the first active server from the list"). All
+// recipients are attempted even when some fail; the assigned message ID is
+// returned together with the per-recipient errors joined via errors.Join.
+// With the spool enabled (EnableSpool), a recipient copy that cannot be
+// deposited anywhere right now is buffered for background redelivery instead
+// of failing, and an accepted message is never lost (§3.1.2b buffering, claim
+// E2). A deadline or cancellation stops the delivery: the copies not yet
+// attempted fail with mailerr.ErrTimeout, those deposited or spooled stay.
 //
 // The cluster keeps to as the message's recipient list: the caller gives the
 // slice up and must not write to it afterwards (the wire server and the load
@@ -874,44 +858,136 @@ func (c *Cluster) Submit(from names.Name, to []names.Name, subject, body string)
 // The recipients' strings are not kept past retrieval: each copy is deposited,
 // or spooled, under the directory's copy of the recipient's name.
 func (c *Cluster) SubmitContext(ctx context.Context, from names.Name, to []names.Name, subject, body string) (mail.MessageID, error) {
+	sub := [1]Submission{{To: to, Subject: subject, Body: body}}
+	c.SubmitBatch(ctx, from, sub[:])
+	return sub[0].ID, sub[0].Err
+}
+
+// Submission is one message of a SubmitBatch: the caller fills in To,
+// Subject and Body, the cluster the rest.
+type Submission struct {
+	To            []names.Name
+	Subject, Body string
+	ID            mail.MessageID
+	Err           error // the recipients whose copy failed, joined
+	Accepted      int   // copies deposited or spooled: the recipients the ID reaches
+}
+
+// SubmitBatch is SubmitContext for several messages from one sender, as one
+// grouped deposit (deliver): each Submission reports on its message as
+// SubmitContext would, and IDs follow slice order. A Submission that comes
+// with an Err (the caller refused it) is passed by.
+func (c *Cluster) SubmitBatch(ctx context.Context, from names.Name, subs []Submission) {
+	err := ctxErr(ctx)
 	if c.closed.Load() {
-		return mail.MessageID{}, ErrClosed
+		err = ErrClosed
 	}
-	if err := ctxErr(ctx); err != nil {
-		return mail.MessageID{}, err
-	}
-	msg := mail.Message{
-		ID:      mail.MessageID{Node: 1, Seq: c.nextSeq.Add(1)},
-		From:    from,
-		To:      to,
-		Subject: subject,
-		Body:    body,
-	}
-	c.trace.StampKey(msg.ID.TraceKey(), obs.StageSubmit, "cluster")
-	var errs []error
-	for _, rcpt := range msg.To {
-		if err := ctxErr(ctx); err != nil {
-			errs = append(errs, fmt.Errorf("deliver to %v: %w", rcpt, err))
-			continue
-		}
-		rcpt, list := c.dir.lookup(rcpt)
-		err := c.depositFailover(msg, rcpt, list)
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, ErrNoAuthority) {
-			c.spoolMu.Lock()
-			sp := c.spool
-			c.spoolMu.Unlock()
-			if sp != nil {
-				sp.add(msg, rcpt)
-				c.stats.Inc("submit_spooled")
-				continue // accepted: the spool guarantees redelivery
+	b := batchPool.Get().(*batch)
+	defer b.release()
+	for i := range subs {
+		switch sub := &subs[i]; {
+		case sub.Err != nil: // refused by the caller
+		case err != nil:
+			sub.Err = err
+		default:
+			sub.ID = mail.MessageID{Node: 1, Seq: c.nextSeq.Add(1)}
+			c.trace.StampKey(sub.ID.TraceKey(), obs.StageSubmit, "cluster")
+			msg := mail.Message{ID: sub.ID, From: from, To: sub.To, Subject: sub.Subject, Body: sub.Body}
+			for _, rcpt := range sub.To {
+				b.copies = append(b.copies, delivery{sub: i, msg: msg, rcpt: rcpt})
 			}
 		}
-		errs = append(errs, fmt.Errorf("deliver to %v: %w", rcpt, err))
 	}
-	return msg.ID, errors.Join(errs...)
+	c.deliver(ctx, b, true)
+	for _, d := range b.copies {
+		if sub := &subs[d.sub]; d.err == nil {
+			sub.Accepted++
+		} else {
+			sub.Err = errors.Join(sub.Err, fmt.Errorf("deliver to %v: %w", d.rcpt, d.err))
+		}
+	}
+}
+
+// delivery is one recipient copy of a grouped deposit.
+type delivery struct {
+	sub  int // SubmitBatch's: the index of the copy's Submission
+	msg  mail.Message
+	rcpt names.Name // once resolved, the directory's copy of the name
+	list []string   // the recipient's authority list; nil once the copy is settled
+	srv  *Server    // the first available server on list, whose round the copy waits for
+	err  error
+}
+
+// batch is the pooled scratch of one grouped deposit.
+type batch struct {
+	copies []delivery
+	round  []mailstore.Copy
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
+
+// release empties the batch, so the pool pins no message, and pools it.
+func (b *batch) release() {
+	clear(b.copies)
+	b.copies = b.copies[:0]
+	batchPool.Put(b)
+}
+
+// deliver deposits every copy of b (§3.1.2c) and sets its err: nil once
+// deposited or (spool set, and the cluster has one) spooled. The copies for
+// one first available server go to it in one round, in order; a copy whose
+// round fails, or with no server available, walks its list from the head.
+func (c *Cluster) deliver(ctx context.Context, b *batch, spool bool) {
+	for k := range b.copies {
+		d := &b.copies[k]
+		if d.rcpt, d.list = c.dir.lookup(d.rcpt); d.list == nil {
+			d.err = fmt.Errorf("%w: %v", ErrNoAuthority, d.rcpt)
+			continue
+		}
+		c.trace.StampKey(d.msg.ID.TraceKey(), obs.StageResolve, "directory")
+		d.srv = c.firstAvailable(d.list)
+	}
+	for k := range b.copies {
+		srv := b.copies[k].srv
+		if srv == nil {
+			continue
+		}
+		for j := k; j < len(b.copies); j++ {
+			if d := &b.copies[j]; d.srv == srv {
+				b.round = append(b.round, mailstore.Copy{User: d.rcpt, Msg: d.msg})
+			}
+		}
+		ok := srv.DepositBatch(b.round) == nil
+		clear(b.round)
+		b.round = b.round[:0]
+		for j := k; j < len(b.copies); j++ {
+			if d := &b.copies[j]; d.srv == srv {
+				d.srv = nil
+				if ok && d.list[0] != srv.name {
+					c.stats.Inc("deposit_failovers")
+				}
+				if ok {
+					d.list = nil
+				}
+			}
+		}
+	}
+	for k := range b.copies {
+		d := &b.copies[k]
+		if d.list == nil {
+			continue
+		}
+		if d.err = ctxErr(ctx); d.err != nil {
+			continue // not attempted, and so not spooled
+		}
+		if d.err = c.depositFailover(d.msg, d.rcpt, d.list); d.err != nil && spool {
+			if sp := c.spoolOf(); sp != nil {
+				sp.add(d.msg, d.rcpt)
+				c.stats.Inc("submit_spooled")
+				d.err = nil // accepted: the spool guarantees redelivery
+			}
+		}
+	}
 }
 
 // ctxErr maps a context cancellation or deadline into the shared timeout
@@ -923,43 +999,46 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// firstAvailable returns the name of the recipient's first up-and-reachable
-// authority server — the spool's batching key: due entries that share it can
-// be drained with one DepositBatch round.
-func (c *Cluster) firstAvailable(rcpt names.Name) (string, bool) {
-	for _, name := range c.dir.Authority(rcpt) {
+// firstAvailable returns the first up-and-reachable server on list — where
+// §3.1.2c deposits a copy — or nil.
+func (c *Cluster) firstAvailable(list []string) *Server {
+	for _, name := range list {
 		if s, ok := c.Server(name); ok && s.Up() && s.Reachable() {
-			return name, true
+			return s
 		}
 	}
-	return "", false
+	return nil
+}
+
+// spoolOf returns the cluster's spool, nil before EnableSpool.
+func (c *Cluster) spoolOf() *spool {
+	c.spoolMu.Lock()
+	defer c.spoolMu.Unlock()
+	return c.spool
 }
 
 // depositFailover deposits one recipient copy following §3.1.2c: walk list,
-// the recipient's authority list, skipping servers that are down or
-// unreachable (their recovery stamps a fresh LastStartTime, which is what
-// lets GetMail find mail that failed over past them), and deposit at the
-// first available server.
+// the recipient's authority list (not empty), from its head, skipping servers
+// that are down or unreachable (their recovery stamps a fresh LastStartTime,
+// which is what lets GetMail find mail that failed over past them), and
+// deposit at the first available server.
 //
 // Transient faults (ErrInjected) are retried a few times against the same
 // server and then reported to the caller — they must never cause failover,
 // because skipping a live, stable server would strand the copy beyond the
 // point where the recipient's GetMail walk stops.
 func (c *Cluster) depositFailover(msg mail.Message, rcpt names.Name, list []string) error {
-	if len(list) == 0 {
-		return fmt.Errorf("%w: %v", ErrNoAuthority, rcpt)
-	}
-	c.trace.StampKey(msg.ID.TraceKey(), obs.StageResolve, "directory")
 	var lastErr error
 	for i, name := range list {
 		s, ok := c.Server(name)
 		if !ok {
 			continue
 		}
-		err := s.Deposit(msg, rcpt)
+		one := []mailstore.Copy{{User: rcpt, Msg: msg}}
+		err := s.DepositBatch(one)
 		for r := 0; errors.Is(err, ErrInjected) && r < maxTransientRetries; r++ {
 			c.stats.Inc("deposit_retries")
-			err = s.Deposit(msg, rcpt)
+			err = s.DepositBatch(one)
 		}
 		if err == nil {
 			if i > 0 {

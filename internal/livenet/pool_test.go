@@ -87,12 +87,12 @@ func TestPooledRequestsUnderKillRestart(t *testing.T) {
 			seen := make(map[mail.MessageID]bool)
 			for i := uint64(1); !stop.Load(); i++ {
 				id := mail.MessageID{Node: 1, Seq: uint64(w)<<32 | i}
-				if s.Deposit(mail.Message{ID: id, To: []names.Name{sink}, Body: "b"}, sink) == nil {
+				if deposit(s, mail.Message{ID: id, To: []names.Name{sink}, Body: "b"}, sink) == nil {
 					acked[w] = append(acked[w], id)
 					served.Add(1)
 				}
 				id.Node = 2
-				_ = s.Deposit(mail.Message{ID: id, To: []names.Name{box}, Body: "b"}, box)
+				_ = deposit(s, mail.Message{ID: id, To: []names.Name{box}, Body: "b"}, box)
 
 				ran := false
 				if s.callFn(func(*serverState) { ran = true }) == nil && !ran {

@@ -173,7 +173,7 @@ func runWalkSchedule(t *testing.T, seed int64, agent func(*Cluster) retriever) (
 	for step := 0; step < 90; step++ {
 		switch op := rng.Intn(14); {
 		case op < 3:
-			if _, ok := c.firstAvailable(alice); !ok {
+			if c.firstAvailable(c.dir.Authority(alice)) == nil {
 				continue // no spool here: nothing would take it
 			}
 			subject := fmt.Sprintf("s%d", step)
@@ -184,7 +184,7 @@ func runWalkSchedule(t *testing.T, seed int64, agent func(*Cluster) retriever) (
 			sent = append(sent, mail.Message{ID: id, From: bob, To: []names.Name{alice}, Subject: subject, Body: "body " + subject})
 		case op < 4: // a second server holds a copy of a message already sent
 			if len(sent) > 0 {
-				_ = pick().Deposit(sent[rng.Intn(len(sent))], alice) // refused while the server cannot be reached
+				_ = deposit(pick(), sent[rng.Intn(len(sent))], alice) // refused while the server cannot be reached
 			}
 		case op < 6:
 			if s := pick(); s.Up() {

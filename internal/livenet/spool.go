@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -95,9 +96,7 @@ func (c *Cluster) EnableSpool(cfg SpoolConfig) error {
 
 // SpoolDepth reports how many recipient copies are queued for redelivery.
 func (c *Cluster) SpoolDepth() int {
-	c.spoolMu.Lock()
-	sp := c.spool
-	c.spoolMu.Unlock()
+	sp := c.spoolOf()
 	if sp == nil {
 		return 0
 	}
@@ -170,61 +169,31 @@ func (sp *spool) nextDue() time.Duration {
 	return d
 }
 
-// deliverDue retries every due entry once. Due entries whose recipients
-// share the same first-available authority server are drained together with
-// one DepositBatch round (the relay-batching fabric on this transport); a
-// batch that fails falls back to the per-entry deposit-with-failover path,
-// whose transient-retry and backoff handling then applies entry by entry
-// (retry splitting). Entries that still fail get a backed-off new due time;
-// delivered entries leave the spool.
+// deliverDue retries every due entry once, all as one grouped deposit (what
+// SubmitBatch runs). Entries that still fail get a backed-off new due time;
+// delivered entries leave the spool. spool_batch_drains counts the passes
+// that redelivered two or more entries, spool_batch_msgs those entries.
 func (sp *spool) deliverDue() {
 	now := time.Now()
+	b := batchPool.Get().(*batch)
+	defer b.release()
+	var due []*spoolEntry
 	sp.mu.Lock()
-	due := make([]*spoolEntry, 0, len(sp.entries))
 	for _, e := range sp.entries {
 		if !e.due.After(now) {
 			due = append(due, e)
+			b.copies = append(b.copies, delivery{msg: e.msg, rcpt: e.rcpt})
 		}
 	}
 	sp.mu.Unlock()
+	sp.c.deliver(context.Background(), b, false)
 
-	groups := make(map[string][]*spoolEntry)
-	singles := make([]*spoolEntry, 0, len(due))
-	for _, e := range due {
-		if name, ok := sp.c.firstAvailable(e.rcpt); ok {
-			groups[name] = append(groups[name], e)
-		} else {
-			singles = append(singles, e) // no live server: per-entry path backs off
-		}
-	}
-	for name, es := range groups {
-		if len(es) < 2 {
-			singles = append(singles, es...)
-			continue
-		}
-		srv, ok := sp.c.Server(name)
-		if !ok {
-			singles = append(singles, es...)
-			continue
-		}
-		items := make([]BatchDeposit, len(es))
-		for i, e := range es {
-			items[i] = BatchDeposit{Msg: e.msg, Rcpt: e.rcpt}
-		}
-		if err := srv.DepositBatch(items); err != nil {
-			singles = append(singles, es...) // split: retry individually
-			continue
-		}
-		sp.c.stats.Inc("spool_batch_drains")
-		sp.c.stats.Add("spool_batch_msgs", int64(len(es)))
-		for _, e := range es {
-			sp.settle(e)
-		}
-	}
-	for _, e := range singles {
-		err := sp.c.depositFailover(e.msg, e.rcpt, sp.c.dir.Authority(e.rcpt))
-		sp.mu.Lock()
-		if err == nil {
+	delivered := 0
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	for k, e := range due {
+		if b.copies[k].err == nil {
+			delivered++
 			sp.c.stats.Inc("spool_redelivered")
 			sp.removeLocked(e)
 		} else {
@@ -232,16 +201,11 @@ func (sp *spool) deliverDue() {
 			sp.c.stats.Inc("spool_retries")
 			e.due = time.Now().Add(sp.backoff(e.attempts))
 		}
-		sp.mu.Unlock()
 	}
-}
-
-// settle removes a delivered entry and counts the redelivery.
-func (sp *spool) settle(e *spoolEntry) {
-	sp.mu.Lock()
-	sp.c.stats.Inc("spool_redelivered")
-	sp.removeLocked(e)
-	sp.mu.Unlock()
+	if delivered >= 2 {
+		sp.c.stats.Inc("spool_batch_drains")
+		sp.c.stats.Add("spool_batch_msgs", int64(delivered))
+	}
 }
 
 // removeLocked deletes an entry; sp.mu must be held.

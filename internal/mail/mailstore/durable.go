@@ -32,7 +32,8 @@
 // Fsync policy: appends are direct write syscalls — no userspace buffering —
 // so a process kill loses nothing that was acknowledged. FsyncNever (the
 // default) leaves OS-crash durability to the kernel's writeback; FsyncAlways
-// syncs after every append batch. Rotation and compaction always sync.
+// syncs after every write: one mutating call's records, or one shard's of a
+// DepositBatch. Rotation and compaction always sync.
 package mailstore
 
 import (
@@ -59,8 +60,8 @@ const (
 	// FsyncNever (default): write syscalls only. Survives process kill;
 	// an OS crash can lose the kernel's unflushed writeback window.
 	FsyncNever FsyncMode = iota
-	// FsyncAlways: fsync after every append batch. Survives OS crash at the
-	// cost of a disk flush per mutation.
+	// FsyncAlways: fsync after every write. Survives OS crash at the cost of
+	// a disk flush per mutation, or per shard a batched deposit touches.
 	FsyncAlways
 )
 
@@ -102,7 +103,7 @@ var segMagic = []byte("MAILWAL1")
 
 // WALStats are cumulative write-path counters for a durable store.
 type WALStats struct {
-	Appends     int64 // append batches (one per mutating call)
+	Appends     int64 // writes (one per mutating call, or per shard of a DepositBatch)
 	Bytes       int64 // framed bytes appended, snapshots excluded
 	AppendNs    int64 // wall time spent in append write+sync calls
 	Syncs       int64 // fsync calls
@@ -168,7 +169,7 @@ type shardLog struct {
 	seq          uint64 // sequence number of the open segment
 	size         int64  // bytes in the open segment
 	sinceCompact int64  // bytes appended since the last snapshot
-	scratch      []byte // reusable encode buffer
+	scratch      []byte // records awaiting commit; empty between commits, a reusable encode buffer
 	// ops is the journal buffer lent to whichever of the shard's mailboxes is
 	// being mutated (Store.lend) and taken back, cleared, by logOps.
 	ops []mail.Op
@@ -500,40 +501,40 @@ func (s *Store) lend(i int, mb *mail.Mailbox) {
 	}
 }
 
-// logOps drains the mailbox journal — the buffer lend gave it — appends it to
-// shard i's log and keeps the buffer for the next mutation, cleared so it
-// pins no message body. Called with the shard write lock held.
-func (s *Store) logOps(i int, user names.Name, mb *mail.Mailbox) {
-	ops := mb.TakeOps()
-	s.appendOps(i, user, ops)
-	clear(ops)
-	s.w.logs[i].ops = ops[:0]
-}
-
-// appendOps writes ops to shard i's log; errors are latched (Err) and the
-// store keeps serving from memory.
-func (s *Store) appendOps(i int, user names.Name, ops []mail.Op) {
-	if len(ops) == 0 || s.w.errp.Load() != nil || s.w.closed.Load() {
-		return
-	}
-	w, lg := s.w, s.w.logs[i]
-	buf := lg.scratch[:0]
+// journal drains the mailbox journal — the buffer lend gave it — into shard
+// i's records awaiting commit, and keeps the buffer for the next mutation,
+// cleared so it pins no message body. Called with the shard write lock held.
+func (s *Store) journal(i int, user names.Name, mb *mail.Mailbox) {
+	lg, ops := s.w.logs[i], mb.TakeOps()
 	for _, op := range ops {
-		start := len(buf)
-		buf = AppendRecord(buf, Record{User: user, Op: op})
+		start := len(lg.scratch)
+		lg.scratch = AppendRecord(lg.scratch, Record{User: user, Op: op})
 		// ReadRecord treats frames beyond maxPayload as corruption, so a
 		// record that large must never reach the file: it would be
-		// unreplayable and poison every record behind it. Latch the error
-		// without writing the batch; memory state stays ahead of disk,
-		// exactly as for any other append failure.
-		if p := len(buf) - start - frameHeader; p > maxPayload {
-			lg.scratch = buf
-			w.fail(fmt.Errorf("mailstore: record for %v: %w: payload %d > %d bytes",
+		// unreplayable and poison every record behind it. Latch the error, so
+		// commit writes nothing; memory state stays ahead of disk, exactly as
+		// for any other append failure.
+		if p := len(lg.scratch) - start - frameHeader; p > maxPayload {
+			s.w.fail(fmt.Errorf("mailstore: record for %v: %w: payload %d > %d bytes",
 				user, ErrRecordTooLarge, p, maxPayload))
-			return
+			break
 		}
 	}
-	lg.scratch = buf
+	clear(ops)
+	lg.ops = ops[:0]
+}
+
+// commit writes shard i's records awaiting commit in one write — and one
+// fsync under FsyncAlways — then checks the log for compaction and rotation.
+// Errors are latched (Err) and the store keeps serving from memory. Called
+// with the shard write lock held.
+func (s *Store) commit(i int) {
+	w, lg := s.w, s.w.logs[i]
+	buf := lg.scratch
+	lg.scratch = buf[:0]
+	if len(buf) == 0 || w.errp.Load() != nil || w.closed.Load() {
+		return
+	}
 
 	start := time.Now()
 	if _, err := lg.f.Write(buf); err != nil {
@@ -623,7 +624,7 @@ func (s *Store) compactShard(i int) error {
 				Kind: mail.OpDeposit, Msg: st.Message, At: st.ArrivedAt, Read: st.Read,
 			}})
 			if p := len(buf) - start - frameHeader; p > maxPayload {
-				lg.scratch = buf
+				lg.scratch = buf[:0]
 				return fmt.Errorf("mailstore: snapshot record for %v: %w: payload %d > %d bytes",
 					u, ErrRecordTooLarge, p, maxPayload)
 			}
@@ -640,7 +641,7 @@ func (s *Store) compactShard(i int) error {
 			unstored = unstored[n:]
 		}
 	}
-	lg.scratch = buf
+	lg.scratch = buf[:0] // kept for the next records; the snapshot is written from buf below
 
 	lg.seq++
 	// publish syncs the rename before history is unlinked below: an OS crash

@@ -121,7 +121,8 @@ func (s *Store) UpdateExisting(user names.Name, fn func(*mail.Mailbox)) bool {
 	sh.msgs += int64(mb.Len() - l0)
 	sh.bytes += int64(mb.Bytes() - b0)
 	if s.w != nil {
-		s.logOps(i, user, mb)
+		s.journal(i, user, mb)
+		s.commit(i)
 	}
 	return true
 }
@@ -142,9 +143,48 @@ func (s *Store) View(user names.Name, fn func(*mail.Mailbox)) bool {
 
 // Deposit stores a message for a user, reporting whether it was newly stored
 // (false for duplicates). With the term index enabled, a fresh deposit's
-// terms are indexed under the same shard lock.
+// terms are indexed under the same shard lock. It is DepositBatch of one.
 func (s *Store) Deposit(user names.Name, m mail.Message, at sim.Time) bool {
-	return s.depositIndexed(user, m, at)
+	c := [1]Copy{{User: user, Msg: m, At: at}}
+	s.DepositBatch(c[:])
+	return c[0].Fresh
+}
+
+// Copy is one recipient copy of a DepositBatch.
+type Copy struct {
+	User  names.Name
+	Msg   mail.Message
+	At    sim.Time
+	Fresh bool // set by DepositBatch: false for a duplicate
+	shard int  // DepositBatch's own: -1 once deposited
+}
+
+// DepositBatch is Deposit of every copy in slice order, setting Fresh, with
+// each shard touched locked once and, on a durable store, its records (the
+// ones Deposit would log, in order) written in one commit: one write, one
+// fsync under FsyncAlways, one compaction and rotation check.
+func (s *Store) DepositBatch(cs []Copy) {
+	for i := range cs {
+		cs[i].shard = s.shardIndex(cs[i].User)
+	}
+	for i := range cs {
+		k := cs[i].shard
+		if k < 0 {
+			continue
+		}
+		sh := &s.shards[k]
+		sh.mu.Lock()
+		for j := i; j < len(cs); j++ {
+			if cs[j].shard == k {
+				cs[j].Fresh = s.depositLocked(k, &cs[j])
+				cs[j].shard = -1
+			}
+		}
+		if s.w != nil {
+			s.commit(k)
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // Drain removes and returns the user's stored messages in arrival order,

@@ -6,7 +6,6 @@ import (
 
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
-	"github.com/largemail/largemail/internal/sim"
 	"github.com/largemail/largemail/internal/sketch"
 )
 
@@ -264,31 +263,28 @@ func (sh *shard) appendHolders(out []names.Name, terms []string, posts []map[*ms
 	return out
 }
 
-// depositIndexed is the native Deposit body: mailbox mutation, counter
-// reconciliation, WAL append and index maintenance under one shard lock.
-func (s *Store) depositIndexed(user names.Name, m mail.Message, at sim.Time) bool {
-	i := s.shardIndex(user)
+// depositLocked is DepositBatch's body for one copy, in shard i, whose write
+// lock the caller holds, as is the commit of the WAL records journaled here.
+func (s *Store) depositLocked(i int, c *Copy) bool {
 	sh := &s.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	mb, ok := sh.boxes[user]
+	mb, ok := sh.boxes[c.User]
 	if !ok {
-		mb = mail.NewMailbox(user)
+		mb = mail.NewMailbox(c.User)
 		if s.w != nil {
 			mb.EnableJournal()
 		}
-		sh.boxes[user] = mb
+		sh.boxes[c.User] = mb
 	}
 	l0, b0 := mb.Len(), mb.Bytes()
 	s.lend(i, mb)
-	fresh := mb.Deposit(m, at)
+	fresh := mb.Deposit(c.Msg, c.At)
 	sh.msgs += int64(mb.Len() - l0)
 	sh.bytes += int64(mb.Bytes() - b0)
 	if s.w != nil {
-		s.logOps(i, user, mb)
+		s.journal(i, c.User, mb)
 	}
 	if fresh && sh.terms != nil {
-		sh.indexAdd(mb, m)
+		sh.indexAdd(mb, c.Msg)
 	}
 	return fresh
 }
@@ -310,7 +306,8 @@ func (s *Store) drainIndexed(user names.Name, fit func([]mail.Stored) int) []mai
 	sh.msgs += int64(mb.Len() - l0)
 	sh.bytes += int64(mb.Bytes() - b0)
 	if s.w != nil {
-		s.logOps(i, user, mb)
+		s.journal(i, user, mb)
+		s.commit(i)
 	}
 	if sh.terms != nil {
 		for _, st := range out {

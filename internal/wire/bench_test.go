@@ -7,16 +7,21 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"github.com/largemail/largemail/internal/livenet"
+	"github.com/largemail/largemail/internal/mail/mailstore"
 )
 
 // benchBurst pumps b.N messages through a pipelined client: the wire path's
-// msgs/sec microbenchmark (bodies 512B, as bench/'s wire_ingest uses).
-func benchBurst(b *testing.B, batch, inflight int) {
-	s, err := NewServerWith("127.0.0.1:0", []string{"s1"}, ServerConfig{})
+// msgs/sec microbenchmark (bodies 512B, as bench/'s wire_ingest uses). Over a
+// durable cluster it also reports the WAL fsyncs each message cost.
+func benchBurst(b *testing.B, batch, inflight int, cfg ServerConfig) {
+	s, err := NewServerWith("127.0.0.1:0", []string{"s1"}, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
+	wal0, durable := s.cluster.DurabilityStats()
 	c, err := Dial(s.Addr())
 	if err != nil {
 		b.Fatal(err)
@@ -72,13 +77,29 @@ func benchBurst(b *testing.B, batch, inflight int) {
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+	if wal, _ := s.cluster.DurabilityStats(); durable {
+		b.ReportMetric(float64(wal.Syncs-wal0.Syncs)/float64(b.N), "fsyncs/msg")
+	}
 	if err := p.Close(); err != nil {
 		b.Fatal(err)
 	}
 }
 
-func BenchmarkBurstBinaryB1(b *testing.B)  { benchBurst(b, 1, 32) }
-func BenchmarkBurstBinaryB16(b *testing.B) { benchBurst(b, 16, 32) }
+func BenchmarkBurstBinaryB1(b *testing.B)  { benchBurst(b, 1, 32, ServerConfig{}) }
+func BenchmarkBurstBinaryB16(b *testing.B) { benchBurst(b, 16, 32, ServerConfig{}) }
+
+// BenchmarkTBatchFsync is the price of durability at wire_ingest's shape:
+// 16-message frames at pipeline depth 8 into a durable server whose WAL
+// fsyncs never or always. Each recipient's getmail (one every 64 messages)
+// is a write, and under always an fsync, of its own.
+func BenchmarkTBatchFsync(b *testing.B) {
+	for _, mode := range []mailstore.FsyncMode{mailstore.FsyncNever, mailstore.FsyncAlways} {
+		b.Run(mode.String(), func(b *testing.B) {
+			benchBurst(b, 16, 8, ServerConfig{Cluster: livenet.ClusterConfig{DataDir: b.TempDir(), Fsync: mode, StoreShards: 4}})
+		})
+	}
+}
 
 // writeCounter counts the Write calls on one side of a connection: each is a
 // write(2) on a socket, the cost the per-batch flush exists to share.

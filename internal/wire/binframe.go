@@ -211,6 +211,21 @@ func (r *binReader) strs() []string {
 	return out
 }
 
+// recipients counts the To entries of the n tbatch messages ahead of r,
+// without moving r.
+func (r binReader) recipients(n int) (total int) {
+	for i := 0; i < n && !r.bad; i++ {
+		r.bytes() // subject
+		r.bytes() // body
+		k := r.count()
+		for j := 0; j < k && !r.bad; j++ {
+			r.bytes()
+		}
+		total += k
+	}
+	return total
+}
+
 // count reads a list length, rejecting counts that could not possibly fit in
 // the remaining payload (each element costs at least one byte) so corrupt
 // frames cannot force huge allocations.
@@ -338,11 +353,19 @@ func DecodeBinaryRequest(payload []byte) (Request, uint32, error) {
 		if n > 0 {
 			req.Msgs = make([]BatchMsg, 0, n)
 		}
+		// Every message's To is a piece of one array, counted ahead.
+		to := make([]string, 0, r.recipients(n))
 		for i := 0; i < n && !r.bad; i++ {
 			var m BatchMsg
 			m.Subject = r.str()
 			m.Body = r.str()
-			m.To = r.strs()
+			if k := r.count(); k > 0 {
+				start := len(to)
+				for j := 0; j < k && !r.bad; j++ {
+					to = append(to, r.str())
+				}
+				m.To = to[start:len(to):len(to)]
+			}
 			req.Msgs = append(req.Msgs, m)
 		}
 	case binOpGetMail:
@@ -408,10 +431,17 @@ func AppendBinaryResponse(dst []byte, op byte, tag uint32, resp Response) ([]byt
 		} else {
 			dst = appendID(dst, resp.id)
 		}
-	case binOpTBatch:
-		dst = binary.AppendUvarint(dst, uint64(len(resp.IDs)))
+	case binOpTBatch: // with IDs, or (a server's answer) ids
+		dst = binary.AppendUvarint(dst, uint64(len(resp.IDs)+len(resp.ids)))
 		for _, id := range resp.IDs {
 			dst = appendStr(dst, id)
+		}
+		for _, id := range resp.ids {
+			if id.IsZero() {
+				dst = append(dst, 0) // ""
+			} else {
+				dst = appendID(dst, id)
+			}
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(resp.Failed)))
 		for _, f := range resp.Failed {

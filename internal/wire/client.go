@@ -366,6 +366,9 @@ func (c *Client) Submit(from string, to []string, subject, body string) (string,
 // request; items the server reports failed are retry-split into individual
 // submits. The returned slice aligns with msgs ("" where an item ultimately
 // failed); the error joins the per-item failures.
+// An item that reached some of its recipients keeps its ID, and its failure
+// names the ones it missed; it is not resent, which would reach the others
+// again under a new ID their duplicate suppression cannot recognise.
 func (c *Client) SubmitBatch(from string, msgs []BatchMsg) ([]string, error) {
 	if len(msgs) == 0 {
 		return nil, nil
@@ -380,6 +383,11 @@ func (c *Client) SubmitBatch(from string, msgs []BatchMsg) ([]string, error) {
 	for _, f := range resp.Failed {
 		if f.Index < 0 || f.Index >= len(msgs) {
 			errs = append(errs, fmt.Errorf("server reported failure for out-of-range index %d: %s", f.Index, f.Error))
+			continue
+		}
+		if ids[f.Index] != "" { // partly delivered
+			_, err := respErr(Response{Error: f.Error, Code: f.Code})
+			errs = append(errs, fmt.Errorf("msg %d (%s): %w", f.Index, ids[f.Index], err))
 			continue
 		}
 		m := msgs[f.Index]

@@ -122,8 +122,11 @@ type Response struct {
 	Polls        int   `json:"polls,omitempty"`
 	LastChecking int64 `json:"last_checking,omitempty"`
 	// IDs holds the per-item message IDs of a tbatch response, aligned with
-	// the request's Msgs ("" for failed items).
+	// the request's Msgs: "" for an item no recipient received, the ID for
+	// one that reached some or all of them.
 	IDs []string `json:"ids,omitempty"`
+	// ids is to IDs what id is to ID (a zero ID for "").
+	ids []mail.MessageID
 	// Failed lists the tbatch items that were not submitted.
 	Failed []BatchFailure `json:"failed,omitempty"`
 	// Status carries the versioned observability snapshot on status

@@ -45,6 +45,7 @@
 package wire
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -137,12 +138,18 @@ func NewServerWith(addr string, serverNames []string, cfg ServerConfig) (*Server
 	if len(serverNames) == 0 {
 		return nil, errors.New("wire: need at least one server name")
 	}
+	// The servers recover their stores concurrently; a failure closes them all.
 	cluster := livenet.NewClusterWith(cfg.Cluster)
-	for _, n := range serverNames {
-		if _, err := cluster.AddServer(n); err != nil {
-			cluster.Close()
-			return nil, err
-		}
+	errs := make([]error, len(serverNames))
+	var wg sync.WaitGroup
+	for i, n := range serverNames {
+		wg.Add(1)
+		go func() { defer wg.Done(); _, errs[i] = cluster.AddServer(n) }()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		cluster.Close()
+		return nil, err
 	}
 	// Spooled redelivery makes submits accept-and-retry instead of failing
 	// outright when every authority server is briefly down.
@@ -236,6 +243,8 @@ type connState struct {
 	binary  bool
 	flushed chan struct{} // closed, after the flush, by the batch end behind an item the reader waits on
 
+	subs []livenet.Submission // opTBatch's scratch; like binary, only the worker touches it
+
 	wmu sync.Mutex
 	out *[]byte
 }
@@ -255,6 +264,14 @@ func (st *connState) respond(bin bool, op byte, tag uint32, resp Response) {
 		}
 		if !resp.id.IsZero() {
 			resp.ID = resp.id.String()
+		}
+		if resp.ids != nil {
+			resp.IDs = make([]string, len(resp.ids))
+			for i, id := range resp.ids {
+				if !id.IsZero() {
+					resp.IDs[i] = id.String()
+				}
+			}
 		}
 	}
 	if bin {
@@ -561,7 +578,7 @@ func (s *Server) dispatch(req Request, st *connState, native bool) Response {
 	case "submit":
 		return s.opSubmit(req)
 	case "tbatch":
-		return s.opTBatch(req)
+		return s.opTBatch(req, st)
 	case "query":
 		return s.opQuery(req)
 	case "checkmail":
@@ -629,13 +646,9 @@ func (s *Server) opSubmit(req Request) Response {
 	if err != nil {
 		return fail("from: %v", err)
 	}
-	to := make([]names.Name, 0, len(req.To))
-	for _, raw := range req.To {
-		n, err := names.Parse(raw)
-		if err != nil {
-			return fail("to %q: %v", raw, err)
-		}
-		to = append(to, n)
+	to := make([]names.Name, len(req.To))
+	if err := parseNames(to, req.To); err != nil {
+		return fail("%v", err)
 	}
 	if len(to) == 0 {
 		return fail("no recipients")
@@ -648,11 +661,11 @@ func (s *Server) opSubmit(req Request) Response {
 }
 
 // opTBatch submits a batch of messages sharing one sender in a single
-// protocol round — the wire face of the relay-batching fabric. Item failures
-// are partial results, not request failures: IDs aligns with Msgs ("" where
-// an item failed) and Failed carries index, message, and taxonomy code so
-// the client can retry-split exactly the failed items.
-func (s *Server) opTBatch(req Request) Response {
+// protocol round, as one grouped deposit (livenet.Cluster.SubmitBatch). Item
+// failures are partial results: IDs aligns with Msgs, and Failed carries
+// index, message and taxonomy code of each item that missed a recipient,
+// which keeps its ID if it reached any.
+func (s *Server) opTBatch(req Request, st *connState) Response {
 	from, err := names.Parse(req.From)
 	if err != nil {
 		return fail("from: %v", err)
@@ -660,36 +673,48 @@ func (s *Server) opTBatch(req Request) Response {
 	if len(req.Msgs) == 0 {
 		return fail("empty batch")
 	}
-	ids := make([]string, len(req.Msgs))
-	var failed []BatchFailure
-	for i, m := range req.Msgs {
-		to, err := parseNames(m.To)
-		if err == nil && len(to) == 0 {
-			err = errors.New("no recipients")
-		}
-		if err == nil {
-			var id mail.MessageID
-			id, err = s.cluster.Submit(from, to, m.Subject, m.Body)
-			if err == nil {
-				ids[i] = id.String()
-				continue
-			}
-		}
-		failed = append(failed, BatchFailure{Index: i, Error: err.Error(), Code: mailerr.Code(err)})
+	n := 0
+	for _, m := range req.Msgs {
+		n += len(m.To)
 	}
-	return Response{OK: true, IDs: ids, Failed: failed}
+	// Every recipient of the frame in one array: the cluster keeps each
+	// message's piece of it as the message's recipient list.
+	to := make([]names.Name, n)
+	subs := st.subs[:0]
+	for _, m := range req.Msgs {
+		sub := livenet.Submission{To: to[:len(m.To):len(m.To)], Subject: m.Subject, Body: m.Body}
+		to = to[len(m.To):]
+		if sub.Err = parseNames(sub.To, m.To); sub.Err == nil && len(sub.To) == 0 {
+			sub.Err = errors.New("no recipients")
+		}
+		subs = append(subs, sub)
+	}
+	s.cluster.SubmitBatch(context.Background(), from, subs)
+	ids := make([]mail.MessageID, len(subs))
+	var failed []BatchFailure
+	for i, sub := range subs {
+		if sub.Err == nil || sub.Accepted > 0 {
+			ids[i] = sub.ID
+		}
+		if sub.Err != nil {
+			failed = append(failed, BatchFailure{Index: i, Error: sub.Err.Error(), Code: mailerr.Code(sub.Err)})
+		}
+	}
+	clear(subs) // the scratch pins no frame
+	st.subs = subs[:0]
+	return Response{OK: true, ids: ids, Failed: failed}
 }
 
-func parseNames(raw []string) ([]names.Name, error) {
-	out := make([]names.Name, 0, len(raw))
-	for _, r := range raw {
+// parseNames parses raw into dst, which has room for len(raw) names.
+func parseNames(dst []names.Name, raw []string) error {
+	for i, r := range raw {
 		n, err := names.Parse(r)
 		if err != nil {
-			return nil, fmt.Errorf("to %q: %w", r, err)
+			return fmt.Errorf("to %q: %w", r, err)
 		}
-		out = append(out, n)
+		dst[i] = n
 	}
-	return out, nil
+	return nil
 }
 
 // opQuery serves the first-class Query API over the wire: a canonical

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,6 +77,45 @@ func TestSubmitBatchPartialFailure(t *testing.T) {
 	}
 	if len(msgs) != 1 {
 		t.Errorf("alice retrieved %d messages, want 1", len(msgs))
+	}
+}
+
+// TestTBatchPartialItemKeepsID: an item that reached one recipient and not
+// the other answers with its ID, and its failure names the recipient it
+// missed. The client does not resend it, so alice holds it once, under that
+// ID. (At the parent the item answered "" and the client's resend gave alice
+// a second copy under a second ID.)
+func TestTBatchPartialItemKeepsID(t *testing.T) {
+	s := newServer(t)
+	c := newClient(t, s)
+	if err := c.Register("R1.h1.alice"); err != nil {
+		t.Fatal(err)
+	}
+	msgs := []BatchMsg{{To: []string{"R1.h1.alice", "R1.h9.ghost"}, Subject: "partial"}}
+	resp, err := c.Do(Request{Op: "tbatch", From: "R1.h1.alice", Msgs: msgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.IDs) != 1 || resp.IDs[0] == "" {
+		t.Fatalf("ids = %q, want the partly delivered item's ID", resp.IDs)
+	}
+	if len(resp.Failed) != 1 || resp.Failed[0].Index != 0 || resp.Failed[0].Code != mailerr.CodeUnknownUser ||
+		!strings.Contains(resp.Failed[0].Error, "R1.h9.ghost") || strings.Contains(resp.Failed[0].Error, "alice") {
+		t.Fatalf("failed = %+v, want item 0 failing for R1.h9.ghost alone", resp.Failed)
+	}
+	ids, err := c.SubmitBatch("R1.h1.alice", msgs)
+	if !errors.Is(err, mailerr.ErrUnknownUser) {
+		t.Errorf("SubmitBatch error = %v, want mailerr.ErrUnknownUser", err)
+	}
+	if len(ids) != 1 || ids[0] == "" || ids[0] == resp.IDs[0] {
+		t.Fatalf("SubmitBatch ids = %q, want a second item's own ID", ids)
+	}
+	got, err := c.GetMail("R1.h1.alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].ID != resp.IDs[0] || got[1].ID != ids[0] {
+		t.Fatalf("alice holds %+v, want one copy of %s and one of %s", got, resp.IDs[0], ids[0])
 	}
 }
 

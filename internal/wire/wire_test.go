@@ -1,11 +1,15 @@
 package wire
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/largemail/largemail/internal/livenet"
 	"github.com/largemail/largemail/internal/obs"
 )
 
@@ -37,6 +41,55 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer("127.0.0.1:0", []string{"a", "a"}); err == nil {
 		t.Error("duplicate server names accepted")
 	}
+}
+
+// TestNewServerOpenFailureLeavesNothing: the servers' stores open
+// concurrently, and one that fails to open (here, a corrupt manifest) fails
+// NewServerWith with its error and leaves no store open — no file descriptor
+// of any of the eight — and no goroutine behind.
+func TestNewServerOpenFailureLeavesNothing(t *testing.T) {
+	fds := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count open files in")
+		}
+		return len(entries)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "s5"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "s5", "MANIFEST.json"), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	servers := []string{"s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8"}
+	cfg := ServerConfig{Cluster: livenet.ClusterConfig{DataDir: dir, StoreShards: 4}}
+	files, goroutines := fds(), runtime.NumGoroutine()
+	s, err := NewServerWith("127.0.0.1:0", servers, cfg)
+	if err == nil {
+		s.Close()
+		t.Fatal("NewServerWith started over a corrupt store")
+	}
+	if !strings.Contains(err.Error(), "bad manifest") {
+		t.Errorf("error %q does not name the corrupt manifest", err)
+	}
+	if n := fds(); n > files {
+		t.Errorf("%d files open after the failed start, %d before", n, files)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed start, %d before", runtime.NumGoroutine(), goroutines)
+		}
+	}
+	// The seven stores that opened were closed whole: they open again, and
+	// with the manifest fixed the server starts over all eight.
+	if err := os.Remove(filepath.Join(dir, "s5", "MANIFEST.json")); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = NewServerWith("127.0.0.1:0", servers, cfg); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
 }
 
 func TestSubmitGetMailRoundTrip(t *testing.T) {
