@@ -98,7 +98,7 @@ tier2-arch:
 .PHONY: tier2-attr-prune
 tier2-attr-prune:
 	go test -race ./internal/sketch/
-	go test -race -run 'TestDistribute|TestStaleSketch|TestPrunedNodeSet|TestRefresh' ./internal/broadcast/
+	go test -race -run 'TestDistribute|TestStaleSketch|TestPrunedNodeSet' ./internal/broadcast/
 	go test -race -run 'TestQuery|TestSketch|TestSearchTerms|TestTermIndex' ./internal/wire/ ./internal/mail/mailstore/
 	go test -race -run 'TestAttrPrune|TestAttrPruned' ./internal/loadgen/
 
@@ -107,11 +107,12 @@ tier2-attr-prune:
 # through a durable wire server; retained_bytes_per_msg is not a BENCHMARK.json
 # metric, so this test is what holds it), the bounded tracer against its model
 # and under concurrent stampers, the IDSet run layout, the two
-# frame-aliasing pins, and the §3.3 tree after 2 000 taken queries (no pending
-# record, no table entry, a flat heap).
+# frame-aliasing pins, the client's ID arena (a kept ID holds no payload and
+# no body, and is never written again), and the §3.3 tree after 2 000 taken
+# queries (no pending record, no table entry, a flat heap).
 .PHONY: tier2-retained
 tier2-retained:
-	go test -race -run 'TestIngestRetainedFlat|TestMailboxKeyDoesNotAliasFrame|TestKeptIDDoesNotPinNeighbours' ./internal/wire/
+	go test -race -run 'TestIngestRetainedFlat|TestMailboxKeyDoesNotAliasFrame|TestKeptIDPinsNoPayload|TestPipelineKeptIDsHoldNoBodies|TestIDArenaNeverRewrites' ./internal/wire/
 	go test -race -run 'Ring|TestTracerMatchesReference|TestStampAllocs' ./internal/obs/
 	go test -race -run 'IDSet|TestMailboxMatchesReference|TestDurableSeenSetSameLayout' ./internal/mail/ ./internal/mail/mailstore/
 	go test -race -run 'TestTreeRetainsNothing' ./internal/broadcast/
@@ -244,7 +245,7 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 25494
+SIZE_CEILING = 25514
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:

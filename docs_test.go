@@ -1,12 +1,14 @@
 package largemail_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -151,6 +153,86 @@ func TestDocsNameEveryRatchet(t *testing.T) {
 			t.Errorf("make check fails with %q, which neither README.md nor DESIGN.md quotes", msg)
 		}
 	}
+}
+
+// TestMakefileRunsOnlyTestsThatExist: go test passes when a -run pattern
+// matches nothing, so a test renamed or deleted under a Makefile recipe would
+// leave it checking less without a word. Every alternative of every -run '…'
+// in a recipe line (continuations joined; '^$', which runs nothing on purpose,
+// aside) must match a Test, Fuzz, Benchmark or Example function of one of the
+// packages that line names.
+func TestMakefileRunsOnlyTestsThatExist(t *testing.T) {
+	runArg := regexp.MustCompile(`-run '([^']*)'`)
+	group := regexp.MustCompile(`^\^\((.*)\)\$$`)
+	recipes := strings.ReplaceAll(readDoc(t, "Makefile"), "\\\n", " ")
+	checked := 0
+	for _, line := range strings.Split(recipes, "\n") {
+		m := runArg.FindStringSubmatch(line)
+		if !strings.HasPrefix(line, "\t") || m == nil {
+			continue
+		}
+		pattern := strings.ReplaceAll(m[1], "$$", "$")
+		if pattern == "^$" {
+			continue
+		}
+		var pkgs, funcs []string
+		for _, tok := range strings.Fields(line) {
+			if strings.HasPrefix(tok, "./") {
+				pkgs = append(pkgs, tok)
+				funcs = append(funcs, testFuncs(t, tok)...)
+			}
+		}
+		if len(funcs) == 0 {
+			t.Errorf("Makefile: %q names no package with tests", strings.TrimSpace(line))
+			continue
+		}
+		anchor := "%s"
+		if g := group.FindStringSubmatch(pattern); g != nil {
+			pattern, anchor = g[1], "^(?:%s)$"
+		}
+		for _, alt := range strings.Split(pattern, "|") {
+			re, err := regexp.Compile(fmt.Sprintf(anchor, alt))
+			if err != nil {
+				t.Fatalf("Makefile: -run alternative %q: %v", alt, err)
+			}
+			checked++
+			if !slices.ContainsFunc(funcs, re.MatchString) {
+				t.Errorf("Makefile: -run alternative %q matches no test in %s", alt, strings.Join(pkgs, " "))
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no -run pattern in the Makefile")
+	}
+}
+
+// testFuncs lists the Test, Fuzz, Benchmark and Example functions of the
+// package in dir.
+func testFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil {
+				continue
+			}
+			for _, prefix := range []string{"Test", "Fuzz", "Benchmark", "Example"} {
+				if strings.HasPrefix(fn.Name.Name, prefix) {
+					out = append(out, fn.Name.Name)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // goRun matches a documented `go run ./cmd/<x> …` and what follows it on

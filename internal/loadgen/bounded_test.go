@@ -1,6 +1,38 @@
 package loadgen
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
+
+// TestLiveDriverKeepsNoInbox is the same rule on the live transport: after an
+// engine run every agent's inbox is empty — the driver took the messages it
+// retrieved, and kept none of their bodies — and the audit still credits every
+// committed copy exactly once.
+func TestLiveDriverKeepsNoInbox(t *testing.T) {
+	drv, err := NewLiveDriver(LiveConfig{
+		Pop:  Population{Users: 60, Regions: 2, ServersPerRegion: 2},
+		Tick: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drv.Close()
+	eng := New(drv, Config{Seed: 3, Messages: 40, Sessions: 8, Ticks: 20})
+	rep := eng.Run()
+	requireClean(t, rep)
+	if rep.Submitted != 40 || rep.Retrievals == 0 || eng.Auditors().Outstanding() != 0 {
+		t.Fatalf("submitted %d, %d retrievals, %d copies outstanding", rep.Submitted, rep.Retrievals, eng.Auditors().Outstanding())
+	}
+	if len(drv.agents) == 0 {
+		t.Fatal("the run made no agents")
+	}
+	for u, a := range drv.agents {
+		if n := len(a.Inbox()); n != 0 {
+			t.Errorf("live agent u%d keeps %d retrieved messages", u, n)
+		}
+	}
+}
 
 // Bounded agents (aim 3): a driver reads the IDs of what a retrieval
 // returned and keeps the agent for the rest of the run, so the agent must

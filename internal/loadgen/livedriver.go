@@ -177,7 +177,7 @@ func (d *LiveDriver) Retrieve(u int) RetrieveResult {
 	if err != nil {
 		return RetrieveResult{}
 	}
-	got := ag.GetMail()
+	got := ag.TakeMail() // only the IDs leave here; an agent lives as long as the run does
 	d.noteRetrieved(u, len(got))
 	res := RetrieveResult{
 		Polls:        ag.Polls() - d.prevPolls[u],
@@ -240,7 +240,7 @@ func (d *LiveDriver) migrateToSlot(u, from, to, tick int) MigrationResult {
 	if len(ag.PreviouslyUnavailable()) > 0 {
 		return res
 	}
-	for _, m := range ag.GetMail() {
+	for _, m := range ag.TakeMail() {
 		res.Drained = append(res.Drained, m.ID.String())
 	}
 	d.noteRetrieved(u, len(res.Drained)) // drained mail is traffic too

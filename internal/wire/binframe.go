@@ -43,8 +43,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"strings"
 	"sync"
+	"unsafe"
 
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/mailerr"
@@ -151,9 +151,9 @@ func appendStrs(dst []byte, list []string) []byte {
 // empty getmail response). The substrings share that backing array and keep
 // the whole payload reachable — the right trade for message frames, where
 // bodies (which the mailbox retains anyway) dominate the payload, and the
-// wrong one for any small field that outlives them: what is kept past the
-// request is re-homed where it becomes long-lived (rehomeIDs on the client;
-// the directory's own copy of a recipient's name in livenet).
+// wrong one for any small field that outlives them: a decoded response's
+// message IDs go to an idArena instead (id), and livenet keeps the
+// directory's own copy of a recipient's name.
 type binReader struct {
 	b   []byte
 	s   string
@@ -196,6 +196,34 @@ func (r *binReader) str() string {
 		r.s = string(r.b)
 	}
 	return r.s[r.off-len(b) : r.off]
+}
+
+// id reads a message ID as a copy in a, never a piece of the payload string.
+func (r *binReader) id(a *idArena) string { return a.copy(r.bytes()) }
+
+// idArena is where the response decoder puts message IDs, the field a caller
+// keeps — a deduplicating client remembers an ID long after it has dropped
+// the body it came with. It copies each ID to the end of its current chunk
+// and starts a fresh chunk when that one is full; bytes it has handed out are
+// never written again, so an ID stays valid for good and pins its chunk, not
+// a payload. Chunks start at 64 B, so an arena for one answer stays small,
+// and double up to idChunkSize, some hundred IDs: a fraction of an allocation
+// per ID, and a bound on what one kept ID holds of others. One goroutine owns
+// an arena: a Client's sequential requests, or a Pipeline's reader.
+type idArena struct{ chunk []byte }
+
+const idChunkSize = 2 << 10
+
+func (a *idArena) copy(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if len(b) > cap(a.chunk)-len(a.chunk) {
+		a.chunk = make([]byte, 0, max(min(2*cap(a.chunk), idChunkSize), 64, len(b)))
+	}
+	at := len(a.chunk)
+	a.chunk = append(a.chunk, b...)
+	return unsafe.String(&a.chunk[at], len(b))
 }
 
 // strs reads a counted list of strings: nil when it is empty.
@@ -503,8 +531,15 @@ func appendID(dst []byte, id mail.MessageID) []byte {
 	return dst
 }
 
-// DecodeBinaryResponse parses one response payload.
+// DecodeBinaryResponse parses one response payload. Its message IDs are
+// copies of their own; other string fields are pieces of one payload copy.
 func DecodeBinaryResponse(payload []byte) (Response, uint32, error) {
+	return decodeBinaryResponse(payload, new(idArena))
+}
+
+// decodeBinaryResponse parses one response payload, copying its message IDs
+// into ids; a connection's reader passes the same arena for every response.
+func decodeBinaryResponse(payload []byte, ids *idArena) (Response, uint32, error) {
 	r := binReader{b: payload}
 	op := r.byte1()
 	tag := r.u32()
@@ -524,13 +559,13 @@ func DecodeBinaryResponse(payload []byte) (Response, uint32, error) {
 	resp.OK = true
 	switch op {
 	case binOpSubmit:
-		resp.ID = r.str()
+		resp.ID = r.id(ids)
 	case binOpTBatch:
 		n := r.count()
 		if n > 0 {
 			resp.IDs = make([]string, 0, n)
 			for i := 0; i < n && !r.bad; i++ {
-				resp.IDs = append(resp.IDs, r.str())
+				resp.IDs = append(resp.IDs, r.id(ids))
 			}
 		}
 		nf := r.count()
@@ -548,13 +583,12 @@ func DecodeBinaryResponse(payload []byte) (Response, uint32, error) {
 		}
 		for i := 0; i < n && !r.bad; i++ {
 			var m Message
-			m.ID = r.str()
+			m.ID = r.id(ids)
 			m.From = r.str()
 			m.Subject = r.str()
 			m.Body = r.str()
 			resp.Messages = append(resp.Messages, m)
 		}
-		rehomeIDs(resp.Messages)
 		if op == binOpGetMail {
 			resp.Polls = int(r.uvarint())
 			resp.LastChecking = int64(r.u64())
@@ -570,32 +604,6 @@ func DecodeBinaryResponse(payload []byte) (Response, uint32, error) {
 		return Response{}, tag, errBadPayload
 	}
 	return resp, tag, nil
-}
-
-// rehomeIDs gives the IDs of a response that carries two or more messages one
-// string of their own. The ID is the field a caller keeps — a deduplicating
-// client remembers it long after it has dropped the body — and as a piece of
-// the payload string it would keep every neighbour's body reachable with it.
-// A single message's ID pins only what it arrived with, so it stays where it
-// is, and an empty or one-message response decodes without this allocation.
-func rehomeIDs(msgs []Message) {
-	if len(msgs) < 2 {
-		return
-	}
-	n := 0
-	for i := range msgs {
-		n += len(msgs[i].ID)
-	}
-	var own strings.Builder
-	own.Grow(n)
-	for i := range msgs {
-		own.WriteString(msgs[i].ID)
-	}
-	ids := own.String()
-	for i := range msgs {
-		n = len(msgs[i].ID)
-		msgs[i].ID, ids = ids[:n], ids[n:]
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ type Client struct {
 	// tag numbers binary requests; responses echo it. Sequential Do checks
 	// the echo; Pipeline uses it to match out-of-order completions.
 	tag uint32
+	ids idArena // the message IDs doBinary decodes
 }
 
 // Dial connects to a wire server with default Options.
@@ -313,7 +314,7 @@ func (c *Client) doBinary(req Request) (Response, error, bool) {
 		c.drop()
 		return Response{}, rerr, false
 	}
-	resp, rtag, derr := DecodeBinaryResponse(payload)
+	resp, rtag, derr := decodeBinaryResponse(payload, &c.ids)
 	putFrameBuf(rp)
 	if derr != nil {
 		c.drop()

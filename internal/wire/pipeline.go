@@ -229,6 +229,7 @@ func (p *Pipeline) reader() {
 	defer close(p.readerDone)
 	rbuf := getFrameBuf()
 	defer putFrameBuf(rbuf)
+	var ids idArena
 	for range p.expect {
 		if t := p.c.opts.Timeout; t > 0 {
 			_ = p.c.conn.SetReadDeadline(time.Now().Add(t))
@@ -239,7 +240,7 @@ func (p *Pipeline) reader() {
 		)
 		payload, err := p.c.cr.readFrame(rbuf)
 		if err == nil {
-			resp, tag, err = DecodeBinaryResponse(payload)
+			resp, tag, err = decodeBinaryResponse(payload, &ids)
 		}
 		if err != nil {
 			p.failAll(err)

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"time"
@@ -909,6 +910,15 @@ func (s *Server) opStatus() Response {
 		rows = append(rows, ServerStatus{Name: n, Up: srv.Up(), Deposits: srv.Deposits()})
 	}
 	snap := s.cluster.Snapshot()
+	// The process's heap and GC cycles, in the snapshot's copy of the gauges
+	// (never nil: the cluster sets spool_depth) and not in the registry.
+	samples := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(samples)
+	for i, gauge := range [...]string{"go_heap_objects_bytes", "go_gc_cycles"} {
+		if v := samples[i].Value; v.Kind() == metrics.KindUint64 {
+			snap.Gauges[gauge] = int64(v.Uint64())
+		}
+	}
 	return Response{OK: true, Status: &StatusSnapshot{
 		Version:    snap.Version,
 		Servers:    rows,

@@ -377,6 +377,27 @@ func TestStatusSnapshotStructured(t *testing.T) {
 	}
 }
 
+// TestStatusReportsHeap: a status answer says how much heap the process
+// holds and how many collections it has run — the reading a soak of a
+// running daemon takes — without adding either to the cluster's registry,
+// whose snapshots the simulations compare byte for byte.
+func TestStatusReportsHeap(t *testing.T) {
+	s := newServer(t)
+	runtime.GC() // at least one cycle to count, whatever ran before
+	snap, err := newClient(t, s).Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{"go_heap_objects_bytes", "go_gc_cycles"} {
+		if v := snap.Gauges[g]; v <= 0 {
+			t.Errorf("gauge %s = %d, want > 0", g, v)
+		}
+		if _, ok := s.Cluster().Snapshot().Gauges[g]; ok {
+			t.Errorf("gauge %s is in the cluster's registry", g)
+		}
+	}
+}
+
 // TestGetMailDoesNotRetainBodies: the server keeps one agent per user for as
 // long as it runs, so whatever an agent holds after a getmail is held
 // forever. Submit→getmail cycles may grow the heap by what dedup and the
