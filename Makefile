@@ -45,19 +45,20 @@ tier2-durability:
 	go test -race -run 'TestSimNoLoss|TestSimMemory|TestLiveNoLoss|TestKillRestartLoses' ./internal/loadgen/
 	go test -race -run 'TestTBatchMatchesReference|TestTBatchOneSyncPerShard|TestNewServerOpenFailure' ./internal/wire/
 
-# Tier-2 wire slice: the wire path under the race detector — text from a raw
-# socket and the hello that switches framing, binary framing, pipelining (the
-# burst under faults included), the bounded worker pool, the pooled reader,
-# and the read path's plumbing: per-batch response flush (Coalesce, Flush),
-# pooled work items (WorkItem), the hand-over retrieval (HandOver), getmail
-# bound to its agent on the reader (BinaryGetMailBoundOnReader), the native
-# register against its JSON-wrapped twin (Register), the mailbox slot a
+# Tier-2 wire slice: the wire path under the race detector — every verb in
+# frames from a raw socket and a JSON-wrapped hot verb refused
+# (EveryVerbOverFrames), a text line answered with one oversized frame and a
+# hang-up (TextPeerRefused), the frame codec, pipelining (the burst under
+# faults included), the bounded worker pool, the pooled reader, and the read
+# path's plumbing: per-batch response flush (Coalesce, Flush), pooled work
+# items (WorkItem), the hand-over retrieval (HandOver), getmail bound to its
+# agent on the reader (BinaryGetMailBoundOnReader), the mailbox slot a
 # response gives back (ReleasedSlot, ReleaseTakes, OversizedBatch) and the
 # tbatch frame as one grouped deposit against the per-message loop it
 # replaced, with its allocation budget and partly delivered items (TBatch).
 .PHONY: tier2-wire
 tier2-wire:
-	go test -race -run 'RawTextPeer|HelloNegotiation|Pipeline|Binary|Register|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver|ReleasedSlot|ReleaseTakes|OversizedBatch|TBatch' ./internal/wire/ ./internal/server/
+	go test -race -run 'EveryVerbOverFrames|TextPeerRefused|Pipeline|Binary|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver|ReleasedSlot|ReleaseTakes|OversizedBatch|TBatch' ./internal/wire/ ./internal/server/
 
 # Tier-2 balance slice: the pluggable placement seam under the race detector —
 # the policy unit tests (JSQ sampling, rebalancer hysteresis/budget/diversion),
@@ -245,7 +246,7 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 25514
+SIZE_CEILING = 25134
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:

@@ -13,7 +13,7 @@
 //	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1
 //	go run ./cmd/mailbench -transport netsim -users 1000000 -servers 64 -seed 1 -faults
 //	go run ./cmd/mailbench -transport livenet -users 2000 -servers 8
-//	go run ./cmd/mailbench -transport wire -users 20000 -servers 8 -proto text
+//	go run ./cmd/mailbench -transport wire -users 20000 -servers 8
 //	go run ./cmd/mailbench -users 1000000 -servers 64 -datadir /tmp/mb -fsync always -faults
 //	go run ./cmd/mailbench -arch roaming -users 1000000 -servers 64 -messages 6000 -ticks 300 -sessions 256
 //	go run ./cmd/mailbench -arch attr -users 1000000 -servers 64 -ticks 300 -queries 60 -faults
@@ -76,7 +76,6 @@ type params struct {
 	localBias float64 // 0 = workload default
 	datadir   string  // durable store root ("" = memory stores)
 	fsync     mailstore.FsyncMode
-	proto     string // wire framing: "text" or "binary" (wire transport only)
 
 	policy  string          // placement policy ("" = not asked for: static, and no balance report)
 	jsqd    int             // JSQ(d) sample width
@@ -114,7 +113,6 @@ func run(args []string, stdout io.Writer) int {
 	fs.Float64Var(&p.localBias, "localbias", 0, "probability a recipient is region-local (0 = workload default 0.8)")
 	fs.StringVar(&p.datadir, "datadir", "", "durable store root; the point journals under its own subdirectory and reports WAL throughput")
 	fsyncFlag := fs.String("fsync", "never", "WAL fsync policy with -datadir: never|always")
-	fs.StringVar(&p.proto, "proto", "binary", "wire framing: text or binary (-transport wire only)")
 	policyFlag := fs.String("policy", "", "placement policy: static, jsq or rebalance (empty = static, without the balance report and the derived -srate)")
 	fs.IntVar(&p.jsqd, "d", 2, "JSQ(d) sample width (with -policy jsq)")
 	fs.StringVar(&p.profStr, "profile", "", "workload profile: hotspot[:hosts[:frac%]], diurnal[:period], flash[:start:len] (empty = uniform)")
@@ -172,9 +170,6 @@ func run(args []string, stdout io.Writer) int {
 	switch p.transport {
 	case "netsim", "livenet":
 	case "wire":
-		if p.proto != "text" && p.proto != "binary" {
-			return usage("-proto: unknown framing %q", p.proto)
-		}
 		if p.datadir != "" {
 			return usage("-datadir is not supported with -transport wire")
 		}
@@ -306,7 +301,7 @@ func runSyntax(p params, w io.Writer) (int, error) {
 	}
 	switch p.transport {
 	case "wire":
-		d, err := loadgen.NewWireDriver(loadgen.WireConfig{Pop: pop, Proto: p.proto})
+		d, err := loadgen.NewWireDriver(loadgen.WireConfig{Pop: pop})
 		if err != nil {
 			return 0, err
 		}
@@ -355,9 +350,7 @@ func runSyntax(p params, w io.Writer) (int, error) {
 
 	label := fmt.Sprintf("%s users=%d servers=%d faults=%v seed=%d",
 		p.transport, p.users, p.servers, p.faults, p.seed)
-	if p.transport == "wire" {
-		label += " proto=" + p.proto
-	} else if p.batch > 0 {
+	if p.batch > 0 {
 		label += fmt.Sprintf(" batch=%d flush=%d", p.batch, p.flush)
 	}
 	if dataDir != "" {

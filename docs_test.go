@@ -235,6 +235,45 @@ func testFuncs(t *testing.T, dir string) []string {
 	return out
 }
 
+// TestDocEntriesWithinBudget: each PR adds one CHANGES.md entry and one
+// EXPERIMENTS.md section, and these are their budgets — an entry from PR 26
+// on is at most 1 536 bytes, a "## E<n>" section from E34 on (its heading up
+// to the next "## ") at most 60 lines.
+func TestDocEntriesWithinBudget(t *testing.T) {
+	entry := regexp.MustCompile(`^- PRs? (\d+)`)
+	entries := 0
+	for _, line := range strings.Split(readDoc(t, "CHANGES.md"), "\n") {
+		if m := entry.FindStringSubmatch(line); m != nil {
+			if n, _ := strconv.Atoi(m[1]); n >= 26 {
+				entries++
+				if len(line) > 1536 {
+					t.Errorf("CHANGES.md: the PR %d entry is %d bytes, over 1 536", n, len(line))
+				}
+			}
+		}
+	}
+	heading := regexp.MustCompile(`^## E(\d+)\b`)
+	lines := strings.Split(readDoc(t, "EXPERIMENTS.md"), "\n")
+	sections := 0
+	for i, line := range lines {
+		if m := heading.FindStringSubmatch(line); m != nil {
+			end := i + 1
+			for end < len(lines) && !strings.HasPrefix(lines[end], "## ") {
+				end++
+			}
+			if n, _ := strconv.Atoi(m[1]); n >= 34 {
+				sections++
+				if end-i > 60 {
+					t.Errorf("EXPERIMENTS.md: E%d is %d lines, over 60", n, end-i)
+				}
+			}
+		}
+	}
+	if entries == 0 || sections == 0 {
+		t.Fatalf("%d CHANGES.md entries from PR 26 on, %d EXPERIMENTS.md sections from E34 on: the formats changed", entries, sections)
+	}
+}
+
 // goRun matches a documented `go run ./cmd/<x> …` and what follows it on
 // the line; bareRun a built command run by its bare name, or a path ending in
 // it, at the start of a line, with a flag after it.

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -668,10 +669,15 @@ func (c *Cluster) Snapshot() obs.Snapshot {
 // AddServer starts a server goroutine. Names must be unique. On a durable
 // cluster the server's store is recovered from DataDir/<name> (creating it
 // on first start) and the recovered LastStartTime becomes the server's
-// §3.1.2c start stamp. Concurrent adds recover their stores concurrently.
+// §3.1.2c start stamp. Concurrent adds recover their stores concurrently. A
+// name is one directory entry: empty, ".", ".." or one with a path separator
+// is refused, and nothing is opened for it.
 func (c *Cluster) AddServer(name string) (*Server, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
+	}
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
+		return nil, fmt.Errorf("livenet: server name %q is not a directory name", name)
 	}
 	if _, dup := c.Server(name); dup {
 		return nil, fmt.Errorf("livenet: server %q already exists", name)

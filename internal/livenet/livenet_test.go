@@ -3,6 +3,9 @@ package livenet
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -148,6 +151,42 @@ func TestDuplicateServerRejected(t *testing.T) {
 	c := newCluster(t)
 	if _, err := c.AddServer("s1"); err == nil {
 		t.Error("duplicate server accepted")
+	}
+}
+
+// TestAddServerRejectsPathNames: a server name becomes a directory under
+// DataDir, so one that is empty, "." or "..", or holds a path separator, is
+// refused on memory and durable clusters alike, and on a durable one nothing
+// appears on disk — neither beside DataDir nor in it.
+func TestAddServerRejectsPathNames(t *testing.T) {
+	root := t.TempDir()
+	dataDir := filepath.Join(root, "data")
+	for _, cfg := range []ClusterConfig{{}, {DataDir: dataDir}} {
+		c := NewClusterWith(cfg)
+		for _, name := range []string{"", ".", "..", "a/b", `a\b`, "../x", "/abs"} {
+			if _, err := c.AddServer(name); err == nil {
+				t.Errorf("durable %v: server name %q accepted", c.Durable(), name)
+			}
+			if _, ok := c.Server(name); ok {
+				t.Errorf("durable %v: server %q registered", c.Durable(), name)
+			}
+		}
+		if _, err := c.AddServer("s1"); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	var files []string
+	if err := filepath.WalkDir(root, func(path string, _ fs.DirEntry, err error) error {
+		if rel, _ := filepath.Rel(dataDir, path); path != root && path != dataDir && !strings.HasPrefix(rel, "s1") {
+			files = append(files, path)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(files) > 0 {
+		t.Errorf("refused names left %d files behind, the first %q", len(files), files[0])
 	}
 }
 

@@ -1,8 +1,6 @@
 package loadgen
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"github.com/largemail/largemail/internal/placement"
@@ -12,10 +10,6 @@ import (
 // WireConfig parameterizes a WireDriver.
 type WireConfig struct {
 	Pop Population
-	// Proto selects the client framing: "text" (JSON lines, what a connection
-	// speaks until a hello switches it) or "binary" (length-prefixed frames).
-	// Default "binary".
-	Proto string
 	// Tick is the wall-clock duration of one schedule tick (default 2ms).
 	Tick time.Duration
 }
@@ -24,7 +18,7 @@ type WireConfig struct {
 // cluster, and a wire.Client issuing every submit and retrieval as protocol
 // requests. Placement (server names, authority lists, predicted loads) is
 // identical to LiveDriver's round-robin scheme — the wire leg is the only
-// difference, which is what makes text-vs-binary sweeps comparable.
+// difference.
 type WireDriver struct {
 	// The live driver over srv.Cluster(): placement, ticks, snapshot, tracer
 	// and fault injection are cluster-side and its own; Submit, Retrieve and
@@ -36,18 +30,11 @@ type WireDriver struct {
 	registered map[int]bool
 }
 
-// NewWireDriver starts the server, dials the client, and switches it to the
-// requested framing. Call Close when done.
+// NewWireDriver starts the server and dials the client. Call Close when done.
 func NewWireDriver(cfg WireConfig) (*WireDriver, error) {
 	cfg.Pop = cfg.Pop.withDefaults()
 	if cfg.Tick <= 0 {
 		cfg.Tick = 2 * time.Millisecond
-	}
-	if cfg.Proto == "" {
-		cfg.Proto = "binary"
-	}
-	if cfg.Proto != "text" && cfg.Proto != "binary" {
-		return nil, fmt.Errorf("wiredriver: unknown proto %q", cfg.Proto)
 	}
 	names := make([]string, cfg.Pop.TotalServers())
 	for gs := range names {
@@ -61,15 +48,6 @@ func NewWireDriver(cfg WireConfig) (*WireDriver, error) {
 	if err != nil {
 		srv.Close()
 		return nil, err
-	}
-	if cfg.Proto == "binary" {
-		// Plain verbs never leave text on their own; switch now so the
-		// driver speaks frames from the first submit on.
-		if err := c.Negotiate(context.Background()); err != nil {
-			_ = c.Close()
-			srv.Close()
-			return nil, err
-		}
 	}
 	return &WireDriver{
 		LiveDriver: newLiveDriver(srv.Cluster(), LiveConfig{Pop: cfg.Pop, Tick: cfg.Tick}, placement.NameStatic),
@@ -85,9 +63,6 @@ func (d *WireDriver) Close() {
 	_ = d.c.Close()
 	d.srv.Close()
 }
-
-// Client exposes the driver's wire client.
-func (d *WireDriver) Client() *wire.Client { return d.c }
 
 // ensure lazily registers user u's authority list over the wire.
 func (d *WireDriver) ensure(u int) (string, error) {

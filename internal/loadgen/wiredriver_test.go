@@ -21,42 +21,32 @@ func newWireDriver(t *testing.T, cfg WireConfig) *WireDriver {
 }
 
 // TestEngineWireBothProtos runs the audited engine through the full TCP wire
-// path on both framings: same no-loss / no-duplicate / trace-completeness
-// bar as the in-process transports.
+// path: same no-loss / no-duplicate / trace-completeness bar as the
+// in-process transports. The wire once had a text framing beside the binary
+// one; the name and the "binary" subtest are kept, frames being the only
+// protocol left.
 func TestEngineWireBothProtos(t *testing.T) {
-	for _, proto := range []string{"text", "binary"} {
-		t.Run(proto, func(t *testing.T) {
-			drv := newWireDriver(t, WireConfig{
-				Pop:   Population{Users: 60, Regions: 2, ServersPerRegion: 2},
-				Proto: proto,
-			})
-			wantBinary := proto == "binary"
-			if got := drv.Client().BinaryFraming(); got && !wantBinary {
-				t.Fatalf("proto %s negotiated binary framing", proto)
-			}
-			eng := New(drv, Config{Seed: 3, Messages: 40, Sessions: 8, Ticks: 20})
-			rep := eng.Run()
-			requireClean(t, rep)
-			if rep.Submitted != 40 {
-				t.Fatalf("Submitted = %d, want 40", rep.Submitted)
-			}
-			if wantBinary && !drv.Client().BinaryFraming() {
-				t.Fatal("binary run finished without binary framing")
-			}
-			if len(rep.Loads) != 4 {
-				t.Fatalf("ServerLoads = %d entries, want 4", len(rep.Loads))
-			}
-			// The wire instruments saw the traffic.
-			snap := drv.Snapshot()
-			if snap.Counters["wire_bytes_in"] == 0 || snap.Counters["wire_bytes_out"] == 0 {
-				t.Fatalf("wire byte counters empty: in=%d out=%d",
-					snap.Counters["wire_bytes_in"], snap.Counters["wire_bytes_out"])
-			}
-			if hs := snap.Histograms["lat_wire_decode"]; hs.Count == 0 {
-				t.Fatal("lat_wire_decode histogram empty")
-			}
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		drv := newWireDriver(t, WireConfig{Pop: Population{Users: 60, Regions: 2, ServersPerRegion: 2}})
+		eng := New(drv, Config{Seed: 3, Messages: 40, Sessions: 8, Ticks: 20})
+		rep := eng.Run()
+		requireClean(t, rep)
+		if rep.Submitted != 40 {
+			t.Fatalf("Submitted = %d, want 40", rep.Submitted)
+		}
+		if len(rep.Loads) != 4 {
+			t.Fatalf("ServerLoads = %d entries, want 4", len(rep.Loads))
+		}
+		// The wire instruments saw the traffic.
+		snap := drv.Snapshot()
+		if snap.Counters["wire_bytes_in"] == 0 || snap.Counters["wire_bytes_out"] == 0 {
+			t.Fatalf("wire byte counters empty: in=%d out=%d",
+				snap.Counters["wire_bytes_in"], snap.Counters["wire_bytes_out"])
+		}
+		if hs := snap.Histograms["lat_wire_decode"]; hs.Count == 0 {
+			t.Fatal("lat_wire_decode histogram empty")
+		}
+	})
 }
 
 // TestEngineWireWithFaults: cluster-side crash/drop windows during a wire

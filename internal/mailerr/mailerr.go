@@ -6,7 +6,7 @@
 // regardless of which layer produced it.
 //
 // Each layer keeps its own sentinel (server.ErrDown, livenet.ErrServerDown,
-// wire.ErrLineTooLong, ...) for source compatibility, but those sentinels
+// wire.ErrFrameTooLarge, ...) for source compatibility, but those sentinels
 // wrap the taxonomy here, so both
 //
 //	errors.Is(err, livenet.ErrServerDown)

@@ -87,7 +87,7 @@ func TestReadPathAllocs(t *testing.T) {
 	}
 	s.agents = make(map[names.Name]*userAgent, 2*fresh) // the table's growth is not a poll's cost
 	sink := sinkConn{wrote: make(chan int, 1)}
-	st := &connState{srv: s, conn: sink, binary: true}
+	st := &connState{srv: s, conn: sink}
 	q := s.pool.NewQueue(0, st)
 	defer q.Close()
 	serve := func(payload []byte) {
@@ -157,12 +157,6 @@ func TestPipelineClientAllocs(t *testing.T) {
 		defer conn.Close()
 		cr := newConnReader(conn)
 		defer cr.release()
-		if _, err := cr.readLine(); err != nil { // the hello
-			return
-		}
-		if _, err := conn.Write([]byte(`{"ok":true,"version":3,"binary":true}` + "\n")); err != nil {
-			return
-		}
 		in, out := getFrameBuf(), make([]byte, 0, 256)
 		defer putFrameBuf(in)
 		for {
@@ -212,7 +206,7 @@ func TestPipelineClientAllocs(t *testing.T) {
 func TestFlushEarlyKeepsBufferPoolable(t *testing.T) {
 	s := newServer(t)
 	sink := sinkConn{wrote: make(chan int, 16)}
-	st := &connState{srv: s, conn: sink, binary: true}
+	st := &connState{srv: s, conn: sink}
 	batch := make([]mail.Stored, 64)
 	for i := range batch {
 		batch[i].ID = mail.MessageID{Node: 1, Seq: uint64(i + 1)}
@@ -221,7 +215,7 @@ func TestFlushEarlyKeepsBufferPoolable(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		total := 0
 		for i := 0; i < 4; i++ {
-			st.respond(true, binOpGetMail, uint32(i), Response{OK: true, stored: batch})
+			st.respond(binOpGetMail, uint32(i), Response{OK: true, stored: batch})
 			if c := cap(*st.out); c > connReaderBufSize {
 				t.Fatalf("round %d: output buffer grew to %d bytes, past what the pool keeps", round, c)
 			}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,7 +53,7 @@ func getmailFrame(t *testing.T, user string, tag uint32, extra ...byte) []byte {
 func TestBinaryGetMailBoundOnReader(t *testing.T) {
 	s := newServer(t)
 	pipelineRegister(t, newClient(t, s), "R1.h1.alice")
-	conn, cr := rawBinary(t, s.Addr())
+	conn, cr := rawConn(t, s.Addr())
 	ask := func(frame []byte) Response {
 		t.Helper()
 		if _, err := conn.Write(frame); err != nil {
@@ -161,12 +160,6 @@ func TestReleasedSlotsPoisonedUnderKillRestart(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if w%2 == 0 { // half the connections on frames, half on lines
-				if err := c.Negotiate(context.Background()); err != nil {
-					t.Error(err)
-					return
-				}
-			}
 			sent, got := make(map[string]string), make(map[string]bool)
 			retrieve := func() {
 				msgs, err := c.GetMail(user)
@@ -232,11 +225,11 @@ func TestReleaseTakesOnlyWholeSlots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first := s.opGetMail(Request{Op: "getmail", User: "R1.h1.bob"}, true)
+	first := s.opGetMail(Request{Op: "getmail", User: "R1.h1.bob"})
 	if len(first.stored) != 1 || cap(first.stored) < 2 {
 		t.Fatalf("prefix of a split batch: len %d cap %d, want 1 and the shared array's", len(first.stored), cap(first.stored))
 	}
-	second := s.opGetMail(Request{Op: "getmail", User: "R1.h1.bob"}, true)
+	second := s.opGetMail(Request{Op: "getmail", User: "R1.h1.bob"})
 	if len(second.stored) != 1 || cap(second.stored) != 1 || &second.stored[0] == &first.stored[:2][1] {
 		t.Fatalf("tail of one message: len %d cap %d, in the prefix's array: %v", len(second.stored), cap(second.stored), &second.stored[0] == &first.stored[:2][1])
 	}

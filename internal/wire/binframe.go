@@ -1,11 +1,8 @@
-// Binary framing.
+// Framing.
 //
-// The text protocol spends most of its wire-path CPU inside encoding/json:
-// every submit body is escape-scanned twice (client quote, server unquote),
-// every response allocates an intermediate DOM, and the per-line scanner
-// copies each request once more. A hello{"binary":true} switches the
-// connection to a length-prefixed binary codec that mirrors the WAL's on-disk
-// framing from the durability layer:
+// Every connection speaks length-prefixed, CRC-checked frames from its first
+// byte, in both directions. A frame mirrors the WAL's on-disk framing from
+// the durability layer:
 //
 //	uint32-LE payload length | payload | uint32-LE CRC32-IEEE(payload)
 //
@@ -17,15 +14,14 @@
 // Strings are uvarint length + raw bytes — no quoting, no escaping — so a
 // submit body is sliced straight out of the read buffer; the only copy is
 // the final []byte→string conversion at the ownership boundary. Frames are
-// read into pooled buffers (sync.Pool) and payloads are bounded by MaxLine,
-// the same cap the text protocol enforces.
+// read into pooled buffers (sync.Pool) and payloads are bounded by MaxLine.
 //
 // The hot verbs (submit, tbatch, getmail, checkmail) and register, sent once
-// per user each time a deployment is provisioned, have native encodings.
-// Everything else — hello, status, query, crash/recover — rides inside a
-// binOpJSON frame carrying the familiar JSON object, so the binary protocol
-// never forks the cold-path schema. A response echoes its request's op byte:
-// a JSON-wrapped register, as older clients send it, is answered in JSON.
+// per user each time a deployment is provisioned, have native layouts. The
+// cold verbs — status, query, crash/recover — ride inside a binOpJSON frame
+// carrying one JSON object, so their schema is written once. A response
+// echoes its request's op byte. The server refuses a hot verb wrapped in
+// JSON: each verb has one encoding.
 //
 // The tag is client-assigned and echoed verbatim on the response, which is
 // what allows pipelining: a client may keep MaxInflight tagged requests in
@@ -50,8 +46,8 @@ import (
 	"github.com/largemail/largemail/internal/mailerr"
 )
 
-// Binary-frame op bytes. binOpJSON wraps the text protocol's JSON object for
-// the cold verbs; the hot verbs and register get native encodings.
+// Frame op bytes. binOpJSON carries a cold verb's request or response as one
+// JSON object; the hot verbs and register get native encodings.
 const (
 	binOpJSON      byte = 0
 	binOpSubmit    byte = 1
@@ -68,9 +64,9 @@ const (
 
 var wireCRC = crc32.MakeTable(crc32.IEEE)
 
-// Binary-framing errors. ErrFrameTooLarge matches mailerr via ErrLineTooLong's
-// taxonomy twin; ErrFrameCorrupt means the CRC trailer did not match — the
-// stream cannot be resynchronized and the connection must close.
+// Framing errors. ErrFrameTooLarge matches mailerr.ErrOversized;
+// ErrFrameCorrupt means the CRC trailer did not match — the stream cannot be
+// resynchronized and the connection must close.
 var (
 	ErrFrameTooLarge  = fmt.Errorf("wire: frame exceeds %d bytes: %w", MaxLine, mailerr.ErrOversized)
 	ErrFrameCorrupt   = errors.New("wire: frame CRC mismatch")
@@ -609,8 +605,8 @@ func decodeBinaryResponse(payload []byte, ids *idArena) (Response, uint32, error
 // ---------------------------------------------------------------------------
 // pooled connection reader
 
-// frameBufPool recycles frame build/read buffers so steady-state binary
-// traffic allocates nothing per request.
+// frameBufPool recycles frame build/read buffers so steady-state traffic
+// allocates nothing per request.
 var frameBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
@@ -629,20 +625,17 @@ func putFrameBuf(p *[]byte) {
 	frameBufPool.Put(p)
 }
 
-// connReaderBufSize is the bufio window shared by the text and binary read
-// paths. Lines and frames larger than this still work (they spill into the
-// pooled scratch / frame buffer); they just cost an extra copy.
+// connReaderBufSize is the connection reader's bufio window. Frames larger
+// than this still work (they spill into the frame buffer); they just cost an
+// extra copy.
 const connReaderBufSize = 64 << 10
 
-// connReader is a pooled buffered reader speaking both wire framings: text
-// lines until a hello switches to binary, length-prefixed frames after. Both
-// the server's per-connection serve loop and the client use it, replacing
-// the per-connection bufio.Scanner whose max-line buffer used to be fresh
-// garbage on every accepted connection.
+// connReader is a pooled buffered frame reader. Both the server's
+// per-connection serve loop and the client use it, so an accepted connection
+// makes no read buffer of its own.
 type connReader struct {
-	br   *bufio.Reader
-	line []byte          // scratch for lines spanning the bufio window
-	hdr  [binHdrLen]byte // readFrame's length header; a local would escape through io.ReadFull
+	br  *bufio.Reader
+	hdr [binHdrLen]byte // readFrame's length header; a local would escape through io.ReadFull
 }
 
 var connReaderPool = sync.Pool{New: func() any {
@@ -659,51 +652,12 @@ func newConnReader(r io.Reader) *connReader {
 // must not be used afterwards.
 func (cr *connReader) release() {
 	cr.br.Reset(nil)
-	cr.line = cr.line[:0]
 	connReaderPool.Put(cr)
 }
 
-// readLine returns the next newline-terminated line without its terminator,
-// enforcing MaxLine. The returned slice aliases the reader's buffers and is
-// valid only until the next read.
-func (cr *connReader) readLine() ([]byte, error) {
-	cr.line = cr.line[:0]
-	for {
-		frag, err := cr.br.ReadSlice('\n')
-		switch {
-		case err == nil:
-			if len(cr.line) == 0 {
-				return trimEOL(frag), nil
-			}
-			cr.line = append(cr.line, frag...)
-			if len(cr.line) > MaxLine {
-				return nil, ErrLineTooLong
-			}
-			return trimEOL(cr.line), nil
-		case errors.Is(err, bufio.ErrBufferFull):
-			cr.line = append(cr.line, frag...)
-			if len(cr.line) > MaxLine {
-				return nil, ErrLineTooLong
-			}
-		default:
-			return nil, err
-		}
-	}
-}
-
-func trimEOL(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		b = b[:n-1]
-	}
-	if n := len(b); n > 0 && b[n-1] == '\r' {
-		b = b[:n-1]
-	}
-	return b
-}
-
-// readFrame reads one binary frame into *bufp (growing it if needed) and
+// readFrame reads one frame into *bufp (growing it if needed) and
 // returns the verified payload, which aliases *bufp. Any error is fatal to
-// the stream: a binary connection cannot resynchronize past a bad frame.
+// the stream: a connection cannot resynchronize past a bad frame.
 func (cr *connReader) readFrame(bufp *[]byte) ([]byte, error) {
 	if _, err := io.ReadFull(cr.br, cr.hdr[:]); err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -19,9 +18,8 @@ type Options struct {
 	Timeout time.Duration
 	// Retries bounds how many extra attempts Do makes when a request
 	// provably never reached the server — a failed dial or a failed write
-	// (the protocol executes only complete newline-terminated lines or
-	// CRC-complete frames, and a failed write never delivers the terminator
-	// or the tail of the frame). Responses that time out after a successful
+	// (the server executes only CRC-complete frames, and a failed write never
+	// delivers the tail of the frame). Responses that time out after a successful
 	// write are NOT retried: the request may have executed, and submit is
 	// not idempotent. Default 2; negative disables.
 	Retries int
@@ -56,13 +54,7 @@ type Client struct {
 	conn net.Conn
 	cr   *connReader
 
-	// frames is set once the client has switched to binary framing (Pipeline,
-	// Negotiate) and stays set: a reconnect lands on text and re-runs the
-	// handshake before its first request. Plain verbs never set it.
-	frames bool
-	// binOn marks the CURRENT connection as switched; it resets on reconnect.
-	binOn bool
-	// tag numbers binary requests; responses echo it. Sequential Do checks
+	// tag numbers requests; responses echo it. Sequential Do checks
 	// the echo; Pipeline uses it to match out-of-order completions.
 	tag uint32
 	ids idArena // the message IDs doBinary decodes
@@ -94,7 +86,6 @@ func (c *Client) connect() error {
 	}
 	c.conn = conn
 	c.cr = newConnReader(conn)
-	c.binOn = false
 	return nil
 }
 
@@ -108,7 +99,6 @@ func (c *Client) drop() {
 		c.cr.release()
 		c.cr = nil
 	}
-	c.binOn = false
 }
 
 // Close closes the connection.
@@ -122,41 +112,11 @@ func (c *Client) Close() error {
 		c.cr.release()
 		c.cr = nil
 	}
-	c.binOn = false
 	return err
 }
 
-// BinaryFraming reports whether the current connection has switched to the
-// binary framing.
-func (c *Client) BinaryFraming() bool { return c.binOn }
-
-// Negotiate switches the client to binary framing now (Pipeline does it on
-// its own; plain verbs stay on text until one of the two has run).
-func (c *Client) Negotiate(ctx context.Context) error {
-	c.frames = true
-	return c.attempts(ctx, func() (bool, error) { return false, nil })
-}
-
-// handshake switches the current connection, new and on text, to binary
-// frames: one hello line out, one answer line back.
-func (c *Client) handshake() error {
-	hello, err := EncodeRequest(Request{Op: "hello", Binary: true})
-	if err != nil {
-		return err
-	}
-	if _, err := c.conn.Write(hello); err != nil {
-		return err
-	}
-	resp, err := c.readResponse()
-	if err != nil {
-		return err
-	}
-	if !resp.OK || !resp.Binary {
-		return errors.New("wire: server declined binary framing")
-	}
-	c.binOn = true
-	return nil
-}
+// BinaryFraming reports true: every connection speaks frames.
+func (c *Client) BinaryFraming() bool { return true }
 
 // Do sends one request and reads one response, under the configured
 // deadline. See DoContext.
@@ -174,29 +134,12 @@ func (c *Client) Do(req Request) (Response, error) {
 // fresh. A Response with ok=false is returned as an error — typed via
 // mailerr.FromCode when the response carries a taxonomy code.
 //
-// On a connection switched to binary framing the request travels as one
-// tagged frame; retry semantics are identical because the server executes
-// only CRC-complete frames, so a short write provably never executed.
+// The request travels as one tagged frame; the server executes only
+// CRC-complete frames, so a short write provably never executed.
 func (c *Client) DoContext(ctx context.Context, req Request) (Response, error) {
-	var (
-		resp Response
-		line []byte // the text form, encoded by the first attempt on text
-	)
+	var resp Response
 	err := c.attempts(ctx, func() (retry bool, err error) {
-		if c.binOn {
-			resp, err, retry = c.doBinary(req)
-			return retry, err
-		}
-		if line == nil {
-			// Refuse oversized requests before touching the wire: the
-			// server-side reader would abort the whole connection on such a
-			// line, and the client's own reader has the same MaxLine cap.
-			// (doBinary applies the same cap to the frame it builds.)
-			if line, err = EncodeRequest(req); err != nil {
-				return false, err
-			}
-		}
-		resp, err, retry = c.doText(line)
+		resp, err, retry = c.doBinary(req)
 		return retry, err
 	})
 	if err != nil {
@@ -205,10 +148,9 @@ func (c *Client) DoContext(ctx context.Context, req Request) (Response, error) {
 	return respErr(resp)
 }
 
-// attempts runs try on a ready connection — dialled, under the deadline, and
-// switched to frames if the client has been — and again, up to
-// Options.Retries more times, while try reports a failure that provably left
-// nothing executed on the server.
+// attempts runs try on a ready connection — dialled and under the deadline —
+// and again, up to Options.Retries more times, while try reports a failure
+// that provably left nothing executed on the server.
 func (c *Client) attempts(ctx context.Context, try func() (retry bool, err error)) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
@@ -228,14 +170,6 @@ func (c *Client) attempts(ctx context.Context, try func() (retry bool, err error
 			}
 		}
 		_ = c.conn.SetDeadline(c.deadline(ctx))
-		if c.frames && !c.binOn {
-			// The handshake is idempotent, so any failure is retryable.
-			if err := c.handshake(); err != nil {
-				c.drop()
-				lastErr = err
-				continue
-			}
-		}
 		retry, err := try()
 		if err == nil {
 			_ = c.conn.SetDeadline(time.Time{})
@@ -261,35 +195,16 @@ func respErr(resp Response) (Response, error) {
 	return resp, nil
 }
 
-// nextTag returns a fresh tag for one binary request.
+// nextTag returns a fresh tag for one request.
 func (c *Client) nextTag() uint32 {
 	c.tag++
 	return c.tag
 }
 
-// doText runs one request/response exchange in text framing. The third
-// result reports whether a failure is provably-not-executed (safe to retry
-// on a fresh connection).
-func (c *Client) doText(line []byte) (Response, error, bool) {
-	if n, err := c.conn.Write(line); err != nil {
-		c.drop()
-		// The newline terminator is the line's last byte: unless it made it
-		// out, the server will not execute this request.
-		return Response{}, err, n < len(line)
-	}
-	resp, err := c.readResponse()
-	if err != nil {
-		// The request may have executed server-side; surface the error
-		// rather than risking a duplicate submit.
-		c.drop()
-		return Response{}, err, false
-	}
-	return resp, nil, false
-}
-
-// doBinary runs one request/response exchange in binary framing. The third
-// result reports whether a failure is provably-not-executed (safe to retry
-// on a fresh connection).
+// doBinary runs one request/response exchange: one frame out, one frame
+// back. A frame past MaxLine is refused before it touches the wire. The third
+// result reports whether a failure is provably-not-executed (safe to retry on
+// a fresh connection).
 func (c *Client) doBinary(req Request) (Response, error, bool) {
 	tag := c.nextTag()
 	bp := getFrameBuf()
@@ -338,17 +253,6 @@ func (c *Client) deadline(ctx context.Context) time.Time {
 		d = cd
 	}
 	return d
-}
-
-func (c *Client) readResponse() (Response, error) {
-	line, err := c.cr.readLine()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Response{}, errors.New("wire: connection closed")
-		}
-		return Response{}, err
-	}
-	return DecodeResponse(line)
 }
 
 // Register records a user's authority list (empty = all servers).

@@ -1,16 +1,12 @@
 package wire
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"github.com/largemail/largemail/internal/mail"
-	"github.com/largemail/largemail/internal/mailerr"
 	"github.com/largemail/largemail/internal/obs"
 )
 
-// MaxLine bounds a single protocol line or binary frame payload (1 MiB),
-// protecting the server from unbounded memory per connection.
+// MaxLine bounds one frame's payload (1 MiB), protecting the server from
+// unbounded memory per connection.
 const MaxLine = 1 << 20
 
 // Request is the client→server frame.
@@ -23,9 +19,6 @@ type Request struct {
 	To      []string `json:"to,omitempty"`
 	Subject string   `json:"subject,omitempty"`
 	Body    string   `json:"body,omitempty"`
-	// Binary, on hello requests, asks to switch the connection to the binary
-	// framing.
-	Binary bool `json:"binary,omitempty"`
 	// Msgs carries the batch on tbatch requests.
 	Msgs []BatchMsg `json:"msgs,omitempty"`
 	// Query carries an attr.Query in its canonical text form on query
@@ -101,16 +94,13 @@ type Response struct {
 	Code     string    `json:"code,omitempty"`
 	ID       string    `json:"id,omitempty"`
 	Messages []Message `json:"messages,omitempty"`
-	// id, on the server, is a submit's ID still as the cluster minted it; a
-	// native ack is formatted from it straight into the frame and only a JSON
-	// one makes the string (ID).
+	// id, on the server, is a submit's ID still as the cluster minted it; the
+	// ack is formatted from it straight into the frame, and no string (ID) is
+	// made of it.
 	id mail.MessageID
-	// Binary, on hello responses, says the connection speaks the binary
-	// framing from the next request on.
-	Binary bool `json:"binary,omitempty"`
 	// stored, on the server, is a getmail/checkmail result still in the form
-	// the mailbox gave it up in; binary responses are encoded straight from
-	// it (appendStored) and text ones convert it to Messages. Read only: the
+	// the mailbox gave it up in; the response is encoded straight from it
+	// (appendStored), and no Messages are made of it. Read only: the
 	// slice may be one a mailbox handed over (livenet.Agent.TakeMail). The
 	// response is its last holder: connState.respond encodes it and then
 	// hands it to mail.Release.
@@ -150,60 +140,4 @@ type QueryStats struct {
 	// SketchFP counts visited servers whose sketch passed the probe but whose
 	// search then returned nothing: Bloom false positives.
 	SketchFP int `json:"sketch_fp,omitempty"`
-}
-
-// ErrLineTooLong reports a protocol line exceeding MaxLine. Callers see it
-// from EncodeRequest/EncodeResponse before an oversized line is ever sent —
-// an oversized line on the wire aborts the peer's scanner and takes the
-// whole connection down with it, so refusing to emit one is the only safe
-// side of that edge. It matches mailerr.ErrOversized.
-var ErrLineTooLong = fmt.Errorf("wire: line exceeds %d bytes: %w", MaxLine, mailerr.ErrOversized)
-
-// EncodeRequest renders one newline-terminated protocol line, refusing
-// lines past MaxLine.
-func EncodeRequest(req Request) ([]byte, error) {
-	return encodeLine(req)
-}
-
-// DecodeRequest parses one client→server line (with or without the trailing
-// newline). It enforces MaxLine even when the caller's reader did not.
-func DecodeRequest(line []byte) (Request, error) {
-	var req Request
-	if err := decodeLine(line, &req); err != nil {
-		return Request{}, err
-	}
-	return req, nil
-}
-
-// EncodeResponse renders one newline-terminated response line, refusing
-// lines past MaxLine.
-func EncodeResponse(resp Response) ([]byte, error) {
-	return encodeLine(resp)
-}
-
-// DecodeResponse parses one server→client line.
-func DecodeResponse(line []byte) (Response, error) {
-	var resp Response
-	if err := decodeLine(line, &resp); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
-}
-
-func encodeLine(v any) ([]byte, error) {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf)+1 > MaxLine {
-		return nil, ErrLineTooLong
-	}
-	return append(buf, '\n'), nil
-}
-
-func decodeLine(line []byte, v any) error {
-	if len(line) > MaxLine {
-		return ErrLineTooLong
-	}
-	return json.Unmarshal(line, v)
 }

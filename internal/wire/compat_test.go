@@ -2,124 +2,112 @@ package wire
 
 import (
 	"context"
-	"net"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
+
+	"github.com/largemail/largemail/internal/mailerr"
 )
 
-// rawText dials addr by hand and returns, with the connection and its reader,
-// a function that sends one text line and decodes the one line that answers
-// it — a peer that knows nothing but newline-delimited JSON.
-func rawText(t *testing.T, addr string) (net.Conn, *connReader, func(line string) Response) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = conn.Close() })
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	cr := newConnReader(conn)
-	t.Cleanup(cr.release)
-	return conn, cr, func(line string) Response {
-		t.Helper()
-		if _, err := conn.Write([]byte(line + "\n")); err != nil {
-			t.Fatalf("%s: %v", line, err)
-		}
-		answer, err := cr.readLine()
-		if err != nil {
-			t.Fatalf("%s: %v", line, err)
-		}
-		resp, err := DecodeResponse(answer)
-		if err != nil {
-			t.Fatalf("%s: answered %q: %v", line, answer, err)
-		}
-		return resp
-	}
-}
-
-// TestRawTextPeer drives every verb, tbatch and query included, from a raw
-// socket that never says hello: the text framing is the whole protocol, not
-// a floor some verbs sit above.
-func TestRawTextPeer(t *testing.T) {
+// TestEveryVerbOverFrames drives every verb, tbatch and query included,
+// through Client.Do: the connection speaks frames from its first byte, with
+// no request first to switch it. A hot verb wrapped in a JSON frame is
+// refused, and the connection serves the next frame.
+func TestEveryVerbOverFrames(t *testing.T) {
 	s := newQueryServer(t, ServerConfig{})
-	_, _, do := rawText(t, s.Addr())
-	ok := func(line string) Response {
+	c := newClient(t, s)
+	ok := func(req Request) Response {
 		t.Helper()
-		resp := do(line)
-		if !resp.OK {
-			t.Fatalf("%s: refused: %s", line, resp.Error)
+		resp, err := c.Do(req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
 		}
 		return resp
 	}
-	ok(`{"op":"register","user":"R1.h1.alice","servers":["s1","s2"]}`)
-	ok(`{"op":"register","user":"R1.h2.bob","servers":["s2"]}`)
-	if resp := ok(`{"op":"submit","from":"R1.h2.bob","to":["R1.h1.alice"],"subject":"one","body":"the budget is late"}`); resp.ID == "" {
+	ok(Request{Op: "register", User: "R1.h1.alice", Servers: []string{"s1", "s2"}})
+	ok(Request{Op: "register", User: "R1.h2.bob", Servers: []string{"s2"}})
+	if resp := ok(Request{Op: "submit", From: "R1.h2.bob", To: []string{"R1.h1.alice"}, Subject: "one", Body: "the budget is late"}); resp.ID == "" {
 		t.Fatal("submit: no id")
 	}
-	resp := ok(`{"op":"tbatch","from":"R1.h2.bob","msgs":[{"to":["R1.h1.alice"],"subject":"two"},{"to":["R1.h9.ghost"]},{"to":["R1.h1.alice"],"subject":"three"}]}`)
+	resp := ok(Request{Op: "tbatch", From: "R1.h2.bob", Msgs: []BatchMsg{
+		{To: []string{"R1.h1.alice"}, Subject: "two"}, {To: []string{"R1.h9.ghost"}}, {To: []string{"R1.h1.alice"}, Subject: "three"}}})
 	if len(resp.IDs) != 3 || resp.IDs[0] == "" || resp.IDs[1] != "" || resp.IDs[2] == "" {
 		t.Fatalf("tbatch ids = %q", resp.IDs)
 	}
 	if len(resp.Failed) != 1 || resp.Failed[0].Index != 1 || resp.Failed[0].Code == "" {
 		t.Fatalf("tbatch failed = %+v", resp.Failed)
 	}
-	resp = ok(`{"op":"query","query":"content=budget"}`)
+	resp = ok(Request{Op: "query", Query: "content=budget"})
 	if len(resp.Matches) != 1 || resp.Matches[0] != "R1.h1.alice" || resp.QueryStats == nil {
 		t.Fatalf("query: matches %q, stats %+v", resp.Matches, resp.QueryStats)
 	}
-	if resp = ok(`{"op":"checkmail","user":"R1.h2.bob","server":"s2"}`); len(resp.Messages) != 0 {
+	if resp = ok(Request{Op: "checkmail", User: "R1.h2.bob", Server: "s2"}); len(resp.Messages) != 0 {
 		t.Fatalf("checkmail found %d messages for a user nobody wrote to", len(resp.Messages))
 	}
-	ok(`{"op":"crash","server":"s1"}`)
-	if resp = ok(`{"op":"status"}`); resp.Status == nil || len(resp.Status.Servers) != 3 || resp.Status.Servers[0].Up {
+	ok(Request{Op: "crash", Server: "s1"})
+	if resp = ok(Request{Op: "status"}); resp.Status == nil || len(resp.Status.Servers) != 3 || resp.Status.Servers[0].Up {
 		t.Fatalf("status after crash: %+v", resp.Status)
 	}
-	ok(`{"op":"recover","server":"s1"}`)
-	resp = ok(`{"op":"getmail","user":"R1.h1.alice"}`)
+	ok(Request{Op: "recover", Server: "s1"})
+	resp = ok(Request{Op: "getmail", User: "R1.h1.alice"})
 	if len(resp.Messages) != 3 || resp.Polls == 0 || resp.LastChecking == 0 {
 		t.Fatalf("getmail: %d of 3 messages, polls=%d last_checking=%d", len(resp.Messages), resp.Polls, resp.LastChecking)
 	}
-	if resp = do(`{"op":"frobnicate"}`); resp.OK {
+	if _, err := c.Do(Request{Op: "frobnicate"}); err == nil {
 		t.Fatal("unknown op accepted")
 	}
-}
 
-// TestHelloNegotiation pins the handshake: a hello that does not ask for
-// frames — the legacy versioned one included — is answered ok and leaves the
-// connection on text; hello{"binary":true} switches it, and nothing switches
-// it back.
-func TestHelloNegotiation(t *testing.T) {
-	s := newServer(t)
-	conn, cr, do := rawText(t, s.Addr())
-	for _, hello := range []string{`{"op":"hello","version":2}`, `{"op":"hello"}`} {
-		if resp := do(hello); !resp.OK || resp.Binary {
-			t.Fatalf("%s answered %+v, want ok on text", hello, resp)
-		}
-		if resp := do(`{"op":"register","user":"R1.h1.alice"}`); !resp.OK {
-			t.Fatalf("text request after %s: %+v", hello, resp)
-		}
-	}
-	if resp := do(`{"op":"hello","binary":true}`); !resp.OK || !resp.Binary {
-		t.Fatalf("binary hello answered %+v", resp)
-	}
-	// From here on the connection speaks frames, and a hello that does not
-	// ask for them reports the framing instead of undoing it.
-	frames, err := AppendBinaryRequest(nil, Request{Op: "hello"}, 1)
+	conn, cr := rawConn(t, s.Addr())
+	wrapped, err := appendFrame(nil, append(binary.LittleEndian.AppendUint32([]byte{binOpJSON}, 7),
+		`{"op":"submit","from":"R1.h2.bob","to":["R1.h1.alice"],"subject":"wrapped"}`...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frames, err = AppendBinaryRequest(frames, Request{Op: "getmail", User: "R1.h1.alice"}, 2); err != nil {
+	if _, err := conn.Write(append(wrapped, mustFrameRequest(t, Request{Op: "getmail", User: "R1.h1.alice"}, 8)...)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(frames); err != nil {
+	if resp, tag := readOp(t, cr, int(binOpJSON)); resp.OK || tag != 7 {
+		t.Fatalf("JSON-wrapped submit: tag %d, %+v", tag, resp)
+	}
+	if resp, tag := readOp(t, cr, int(binOpGetMail)); !resp.OK || tag != 8 || len(resp.Messages) != 0 {
+		t.Fatalf("getmail behind the refused submit: tag %d, %+v", tag, resp)
+	}
+}
+
+// TestTextPeerRefused: a peer that sends a JSON line has its first four bytes
+// read as a frame length past MaxLine. It is answered with exactly one frame —
+// ErrFrameTooLarge, code oversized — and the connection is closed, leaving no
+// reader or worker goroutine behind.
+func TestTextPeerRefused(t *testing.T) {
+	s := newServer(t)
+	goroutines := runtime.NumGoroutine()
+	conn, cr := rawConn(t, s.Addr())
+	if _, err := conn.Write([]byte(`{"op":"status"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	if resp, tag := readBinary(t, cr); tag != 1 || !resp.OK || !resp.Binary {
-		t.Fatalf("hello on frames: tag %d, %+v", tag, resp)
+	resp, tag := readBinary(t, cr)
+	if resp.OK || tag != 0 || resp.Code != mailerr.CodeOversized || resp.Error != ErrFrameTooLarge.Error() {
+		t.Fatalf("text line answered: tag %d, %+v", tag, resp)
 	}
-	if resp, tag := readBinary(t, cr); tag != 2 || !resp.OK {
-		t.Fatalf("getmail after the second hello: tag %d, %+v", tag, resp)
+	bp := getFrameBuf()
+	defer putFrameBuf(bp)
+	if _, err := cr.readFrame(bp); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the answer: %v, want EOF", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		open := len(s.conns)
+		s.mu.Unlock()
+		if open == 0 && runtime.NumGoroutine() <= goroutines {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections served, %d goroutines after the hang-up, %d before", open, runtime.NumGoroutine(), goroutines)
+		}
 	}
 }
 
@@ -141,9 +129,6 @@ func TestCompatPipelinedBurstUnderFaults(t *testing.T) {
 	p, err := c.Pipeline(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !c.BinaryFraming() {
-		t.Fatal("expected binary framing for the fault burst")
 	}
 	const n = 400
 	futs := make([]*Future, n)

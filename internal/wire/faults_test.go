@@ -57,57 +57,43 @@ func TestClientDeadlineAgainstHungServer(t *testing.T) {
 	}
 }
 
-// TestOversizedLineGetsErrorResponse sends a line past MaxLine: the server
-// must answer with an explanatory error response before hanging up, not
-// silently drop the connection (satellite: no more silent ErrTooLong
-// disconnects).
+// TestOversizedLineGetsErrorResponse: a request whose frame would pass
+// MaxLine is refused by the client before anything is written — the server
+// would drop the connection on such a frame — with an error that matches
+// mailerr.ErrOversized, and the connection stays usable.
 func TestOversizedLineGetsErrorResponse(t *testing.T) {
 	s := newServer(t)
 	c := newClient(t, s)
-	_, err := c.Do(Request{Op: "submit", From: "R1.h1.a", To: []string{"R1.h1.b"},
-		Body: strings.Repeat("x", MaxLine+1)})
-	if err == nil {
-		t.Fatal("oversized request succeeded")
-	}
-	if !errors.Is(err, ErrLineTooLong) {
-		t.Errorf("error = %v, want ErrLineTooLong", err)
-	}
-	if !errors.Is(err, mailerr.ErrOversized) {
-		t.Errorf("error = %v does not match mailerr.ErrOversized", err)
-	}
-
-	// The cap is on what travels. 300 KiB of control bytes is six times that
-	// as a JSON line (\u0001 each) and refused on text; as a frame it is
-	// 300 KiB and legal, through Do and through Pipeline.Do alike.
 	if err := c.Register("R1.h1.a"); err != nil {
 		t.Fatal(err)
 	}
+	big := Request{Op: "submit", From: "R1.h1.a", To: []string{"R1.h1.a"}, Body: strings.Repeat("x", MaxLine+1)}
+	in := s.bytesIn.Value()
+	if _, err := c.Do(big); !errors.Is(err, ErrFrameTooLarge) || !errors.Is(err, mailerr.ErrOversized) {
+		t.Errorf("oversized frame, Do: err = %v, want ErrFrameTooLarge matching mailerr.ErrOversized", err)
+	}
+	if got := s.bytesIn.Value(); got != in {
+		t.Errorf("the refused request put %d bytes on the wire", got-in)
+	}
+
+	// The cap is on what travels: 300 KiB of control bytes is 300 KiB in a
+	// frame, legal through Do and through Pipeline.Do alike.
 	ctl := Request{Op: "submit", From: "R1.h1.a", To: []string{"R1.h1.a"}, Body: strings.Repeat("\x01", 300<<10)}
-	if _, err := c.Do(ctl); !errors.Is(err, ErrLineTooLong) {
-		t.Fatalf("control-byte body on text: err = %v, want ErrLineTooLong", err)
-	}
-	if err := c.Negotiate(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := c.Do(ctl); err != nil {
-		t.Fatalf("control-byte body in a frame, Do: %v", err)
+		t.Fatalf("control-byte body, Do: %v", err)
 	}
 	p, err := c.Pipeline(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Do(ctl).Response(); err != nil {
-		t.Fatalf("control-byte body in a frame, Pipeline.Do: %v", err)
+		t.Fatalf("control-byte body, Pipeline.Do: %v", err)
 	}
-	big := Request{Op: "submit", From: "R1.h1.a", To: []string{"R1.h1.a"}, Body: strings.Repeat("x", MaxLine+1)}
 	if _, err := p.Do(big).Response(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized frame, Pipeline.Do: err = %v, want ErrFrameTooLarge", err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := c.Do(big); !errors.Is(err, ErrFrameTooLarge) || !errors.Is(err, mailerr.ErrOversized) {
-		t.Errorf("oversized frame, Do: err = %v, want ErrFrameTooLarge matching mailerr.ErrOversized", err)
 	}
 	msgs, err := c.GetMail("R1.h1.a")
 	if err != nil || len(msgs) != 2 || msgs[0].Body != ctl.Body || msgs[1].Body != ctl.Body {

@@ -12,25 +12,39 @@ import (
 	"time"
 )
 
-// rawBinary dials addr by hand and switches the connection to binary framing
-// with a text hello (a legacy one: its "version" field is ignored).
-func rawBinary(t *testing.T, addr string) (net.Conn, *connReader) {
+// rawConn dials addr by hand and returns the connection and its reader: a
+// peer that writes frames of its own making.
+func rawConn(t *testing.T, addr string) (net.Conn, *connReader) {
 	t.Helper()
-	conn, cr, do := rawText(t, addr)
-	if resp := do(`{"op":"hello","version":3,"binary":true}`); !resp.OK || !resp.Binary {
-		t.Fatalf("hello: %+v", resp)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	cr := newConnReader(conn)
+	t.Cleanup(cr.release)
 	return conn, cr
 }
 
 // readBinary reads one response frame.
 func readBinary(t *testing.T, cr *connReader) (Response, uint32) {
 	t.Helper()
+	return readOp(t, cr, -1)
+}
+
+// readOp reads one response frame and, unless op is negative, requires its op
+// byte to be op.
+func readOp(t *testing.T, cr *connReader, op int) (Response, uint32) {
+	t.Helper()
 	bp := getFrameBuf()
 	defer putFrameBuf(bp)
 	payload, err := cr.readFrame(bp)
 	if err != nil {
 		t.Fatalf("read frame: %v", err)
+	}
+	if op >= 0 && int(payload[0]) != op {
+		t.Fatalf("answered under op %d, want %d", payload[0], op)
 	}
 	resp, tag, err := DecodeBinaryResponse(payload)
 	if err != nil {
@@ -56,7 +70,7 @@ func TestCoalesceBurstSharesWrites(t *testing.T) {
 	// Each walk holds the worker for a moment, so the reader is always ahead
 	// of it and the batches are as large as the arrival allows.
 	setLatency(s, 2*time.Millisecond)
-	conn, cr := rawBinary(t, addr)
+	conn, cr := rawConn(t, addr)
 
 	const n = 64
 	var burst []byte
@@ -97,62 +111,6 @@ func TestCoalesceBurstSharesWrites(t *testing.T) {
 	}
 }
 
-// TestFlushOrderAcrossHello sends text requests, the hello that switches the
-// framing and binary requests in one segment. Responses must come back in
-// request order, each in the framing its request used: the hello's batch end
-// flushes everything text before the reader is let into the binary frames.
-func TestFlushOrderAcrossHello(t *testing.T) {
-	s := newServer(t)
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-
-	out := []byte(`{"op":"register","user":"R1.h1.alice"}` + "\n" +
-		`{"op":"register","user":"R1.h1.bob"}` + "\n" +
-		`{"op":"submit","from":"R1.h1.alice","to":["R1.h1.bob"],"subject":"t1"}` + "\n" +
-		`{"op":"hello","version":3,"binary":true}` + "\n")
-	for i, req := range []Request{
-		{Op: "submit", From: "R1.h1.alice", To: []string{"R1.h1.bob"}, Subject: "b1"},
-		{Op: "getmail", User: "R1.h1.bob"},
-		{Op: "status"},
-	} {
-		if out, err = AppendBinaryRequest(out, req, uint32(7+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := conn.Write(out); err != nil {
-		t.Fatal(err)
-	}
-	cr := newConnReader(conn)
-	defer cr.release()
-	for i := 0; i < 4; i++ {
-		line, err := cr.readLine()
-		if err != nil {
-			t.Fatalf("text response %d: %v", i, err)
-		}
-		resp, err := DecodeResponse(line)
-		if err != nil || !resp.OK {
-			t.Fatalf("text response %d: %+v, %v", i, resp, err)
-		}
-		if (i == 2) != (resp.ID != "") || (i == 3) != resp.Binary {
-			t.Fatalf("text response %d out of order: %+v", i, resp)
-		}
-	}
-	if resp, tag := readBinary(t, cr); tag != 7 || !resp.OK || resp.ID == "" {
-		t.Fatalf("binary submit: tag %d, %+v", tag, resp)
-	}
-	resp, tag := readBinary(t, cr)
-	if tag != 8 || len(resp.Messages) != 2 || resp.Messages[0].Subject != "t1" || resp.Messages[1].Subject != "b1" {
-		t.Fatalf("binary getmail: tag %d, %+v", tag, resp)
-	}
-	if resp, tag := readBinary(t, cr); tag != 9 || resp.Status == nil {
-		t.Fatalf("binary status: tag %d, %+v", tag, resp)
-	}
-}
-
 // TestFlushErrorAnswersBeforeClose: input the reader cannot queue is answered
 // — behind the responses already owed — before the server hangs up. The
 // error answer is the last frame: nothing the worker still held comes after
@@ -181,7 +139,7 @@ func TestFlushErrorAnswersBeforeClose(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newServer(t)
 			pipelineRegister(t, newClient(t, s), "R1.h1.alice")
-			conn, cr := rawBinary(t, s.Addr())
+			conn, cr := rawConn(t, s.Addr())
 			if _, err := conn.Write(append(append([]byte(nil), good...), tc.bad...)); err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +191,12 @@ func TestFlushStalledPeerClosesConnection(t *testing.T) {
 
 	// Status responses run to kilobytes each; these add up to far more than
 	// the two small socket buffers hold.
-	reqs := []byte(strings.Repeat(`{"op":"status"}`+"\n", 4000))
+	var reqs []byte
+	for tag := uint32(1); tag <= 4000; tag++ {
+		if reqs, err = AppendBinaryRequest(reqs, Request{Op: "status"}, tag); err != nil {
+			t.Fatal(err)
+		}
+	}
 	_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	if _, err := conn.Write(reqs); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
 		// The server may hang up while the tail is still being written.
@@ -271,9 +234,9 @@ func TestWorkItemRecycledClean(t *testing.T) {
 	t.Cleanup(s.Close)
 	c := newClient(t, s)
 	pipelineRegister(t, c, "R1.h1.alice", "R1.h1.bob")
-	ghost := &connState{srv: s, binary: true}
+	ghost := &connState{srv: s}
 	for i := 0; i < 64; i++ {
-		workPool.Put(&work{st: ghost, tag: 0xdeadbeef, bin: true, op: binOpCheckMail, req: Request{
+		workPool.Put(&work{st: ghost, tag: 0xdeadbeef, op: binOpCheckMail, req: Request{
 			Op: "crash", Server: "s1", User: "R9.h9.poison", Body: "POISON", To: []string{"R1.h1.bob"}, Msgs: []BatchMsg{{Body: "POISON"}},
 			agent: new(userAgent),
 		}})
@@ -312,7 +275,7 @@ func TestWorkItemRecycledClean(t *testing.T) {
 		if w.st == ghost {
 			continue // a poisoned item no request drew
 		}
-		if w.st != nil || w.tag != 0 || w.bin || w.op != 0 || w.req.Op != "" || w.req.Body != "" || w.req.To != nil || w.req.Msgs != nil || w.req.agent != nil {
+		if w.st != nil || w.tag != 0 || w.op != 0 || w.req.Op != "" || w.req.Body != "" || w.req.To != nil || w.req.Msgs != nil || w.req.agent != nil {
 			t.Fatalf("pooled work item still holds its request: %+v", *w)
 		}
 	}

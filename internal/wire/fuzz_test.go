@@ -2,29 +2,41 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
 
-// canonical re-encodes a decoded frame; the empty second return means the
-// value has no canonical line (it re-encodes past MaxLine).
-func canonicalRequest(t *testing.T, req Request) ([]byte, bool) {
-	t.Helper()
-	line, err := EncodeRequest(req)
-	if err != nil {
-		if errors.Is(err, ErrLineTooLong) {
-			return nil, false
-		}
-		t.Fatalf("EncodeRequest on decoded value: %v", err)
+// jsonPayload wraps js as the JSON body of a binOpJSON payload under tag 1;
+// a response payload (ok) also carries the ok byte.
+func jsonPayload(js []byte, ok bool) []byte {
+	p := []byte{binOpJSON, 1, 0, 0, 0}
+	if ok {
+		p = append(p, 1)
 	}
-	return line, true
+	return append(p, js...)
 }
 
-// FuzzParseRequest feeds arbitrary bytes through the client→server frame
-// decoder. Properties: no panic on any input, and decoding is canonically
-// stable — once a line decodes, re-encoding and re-decoding it reaches a
-// fixed point (the frame the server dispatches is exactly the frame a
-// well-formed client would have sent).
+// canonicalRequest re-encodes a decoded request as a frame and returns its
+// payload; false when the value has no canonical frame (it re-encodes past
+// MaxLine).
+func canonicalRequest(t *testing.T, req Request) ([]byte, bool) {
+	t.Helper()
+	frame, err := AppendBinaryRequest(nil, req, 1)
+	if err != nil {
+		return nil, false
+	}
+	payload, _, err := splitFrame(frame)
+	if err != nil {
+		t.Fatalf("canonical frame rejected: %v", err)
+	}
+	return payload, true
+}
+
+// FuzzParseRequest feeds arbitrary bytes, as the JSON body of a binOpJSON
+// frame, through the request decoder. Properties: no panic on any input, and
+// decoding is canonically stable — once a payload decodes, re-encoding and
+// re-decoding it reaches a fixed point (the first re-encode may normalize: a
+// hot verb re-encodes in its own layout), so the request the server
+// dispatches is exactly one a well-formed client would have sent.
 func FuzzParseRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"op":"register","user":"R0.h0.alice","servers":["s1","s2"]}`,
@@ -45,8 +57,8 @@ func FuzzParseRequest(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		req, err := DecodeRequest(line)
+	f.Fuzz(func(t *testing.T, js []byte) {
+		req, _, err := DecodeBinaryRequest(jsonPayload(js, false))
 		if err != nil {
 			return // rejected input: the only requirement is not panicking
 		}
@@ -54,13 +66,13 @@ func FuzzParseRequest(f *testing.F) {
 		if !ok {
 			return
 		}
-		again, err := DecodeRequest(first)
+		again, _, err := DecodeBinaryRequest(first)
 		if err != nil {
-			t.Fatalf("canonical line rejected: %v\nline: %q", err, first)
+			t.Fatalf("canonical payload rejected: %v\npayload: %q", err, first)
 		}
 		second, ok := canonicalRequest(t, again)
 		if !ok {
-			t.Fatalf("canonical line grew past MaxLine: %q", first)
+			t.Fatalf("canonical payload grew past MaxLine: %q", first)
 		}
 		if !bytes.Equal(first, second) {
 			t.Fatalf("decode/encode not a fixed point:\n%q\n%q", first, second)
@@ -68,10 +80,11 @@ func FuzzParseRequest(f *testing.F) {
 	})
 }
 
-// FuzzStatusSnapshot feeds arbitrary bytes through the server→client frame
-// decoder, whose deepest surface is the nested StatusSnapshot (counters,
-// gauges, per-stage histogram quantiles). Same properties: no panic, and a
-// canonical fixed point for everything that decodes.
+// FuzzStatusSnapshot feeds arbitrary bytes, as the JSON body of an ok
+// binOpJSON response, through the response decoder, whose deepest surface is
+// the nested StatusSnapshot (counters, gauges, per-stage histogram
+// quantiles). Same properties: no panic, and a canonical fixed point for
+// everything that decodes.
 func FuzzStatusSnapshot(f *testing.F) {
 	for _, seed := range []string{
 		`{"ok":true}`,
@@ -89,23 +102,24 @@ func FuzzStatusSnapshot(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		resp, err := DecodeResponse(line)
+	f.Fuzz(func(t *testing.T, js []byte) {
+		resp, _, err := DecodeBinaryResponse(jsonPayload(js, true))
 		if err != nil {
 			return
 		}
-		first, err := EncodeResponse(resp)
+		first, err := AppendBinaryResponse(nil, binOpJSON, 1, resp)
 		if err != nil {
-			if errors.Is(err, ErrLineTooLong) {
-				return
-			}
-			t.Fatalf("EncodeResponse on decoded value: %v", err)
+			return // no canonical frame: it re-encodes past MaxLine
 		}
-		again, err := DecodeResponse(first)
+		p, _, err := splitFrame(first)
 		if err != nil {
-			t.Fatalf("canonical line rejected: %v\nline: %q", err, first)
+			t.Fatalf("canonical frame rejected: %v", err)
 		}
-		second, err := EncodeResponse(again)
+		again, _, err := DecodeBinaryResponse(p)
+		if err != nil {
+			t.Fatalf("canonical payload rejected: %v\npayload: %q", err, p)
+		}
+		second, err := AppendBinaryResponse(nil, binOpJSON, 1, again)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
@@ -115,13 +129,12 @@ func FuzzStatusSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzTBatch exercises the batch-codec surface added with protocol v2: the
-// hello and tbatch request frames (nested Msgs) and the batched response
-// frames (IDs, per-item Failed with taxonomy codes). Properties: no panic on
-// any input, canonical fixed point for everything that decodes, and the
-// batch payload itself survives the round trip intact (item count and
-// per-item recipients), so a decoded-then-forwarded batch is bit-identical
-// to what the client sent.
+// FuzzTBatch exercises the batch-codec surface: a tbatch request (nested
+// Msgs) as the JSON body of a binOpJSON frame, re-encoded in its own layout.
+// Properties: no panic on any input, canonical fixed point for everything
+// that decodes, and the batch itself survives the change of encoding intact
+// (item count and per-item recipients, JSON in, native out), so a
+// decoded-then-forwarded batch is what the client sent.
 func FuzzTBatch(f *testing.F) {
 	for _, seed := range []string{
 		`{"op":"hello","version":2}`,
@@ -140,8 +153,8 @@ func FuzzTBatch(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		req, err := DecodeRequest(line)
+	f.Fuzz(func(t *testing.T, js []byte) {
+		req, _, err := DecodeBinaryRequest(jsonPayload(js, false))
 		if err != nil {
 			return
 		}
@@ -149,9 +162,9 @@ func FuzzTBatch(f *testing.F) {
 		if !ok {
 			return
 		}
-		again, err := DecodeRequest(first)
+		again, _, err := DecodeBinaryRequest(first)
 		if err != nil {
-			t.Fatalf("canonical line rejected: %v\nline: %q", err, first)
+			t.Fatalf("canonical payload rejected: %v\npayload: %q", err, first)
 		}
 		if len(again.Msgs) != len(req.Msgs) {
 			t.Fatalf("batch length changed across round trip: %d → %d", len(req.Msgs), len(again.Msgs))
@@ -164,30 +177,10 @@ func FuzzTBatch(f *testing.F) {
 		}
 		second, ok := canonicalRequest(t, again)
 		if !ok {
-			t.Fatalf("canonical line grew past MaxLine: %q", first)
+			t.Fatalf("canonical payload grew past MaxLine: %q", first)
 		}
 		if !bytes.Equal(first, second) {
 			t.Fatalf("decode/encode not a fixed point:\n%q\n%q", first, second)
 		}
 	})
-}
-
-// TestDecodeRequestOversized pins the MaxLine guard the fuzz corpus cannot
-// reach cheaply (a >1 MiB input).
-func TestDecodeRequestOversized(t *testing.T) {
-	line := append([]byte(`{"op":"submit","body":"`), bytes.Repeat([]byte{'a'}, MaxLine)...)
-	line = append(line, '"', '}')
-	if _, err := DecodeRequest(line); !errors.Is(err, ErrLineTooLong) {
-		t.Fatalf("err = %v, want ErrLineTooLong", err)
-	}
-}
-
-// TestEncodeRequestOversized pins the client-side guard: an oversized submit
-// must be refused before it reaches the wire, where it would abort the
-// server's line scanner and the connection with it.
-func TestEncodeRequestOversized(t *testing.T) {
-	req := Request{Op: "submit", Body: string(bytes.Repeat([]byte{'a'}, MaxLine))}
-	if _, err := EncodeRequest(req); !errors.Is(err, ErrLineTooLong) {
-		t.Fatalf("err = %v, want ErrLineTooLong", err)
-	}
 }

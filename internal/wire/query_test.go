@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -155,29 +156,32 @@ func TestQueryCountsUnavailable(t *testing.T) {
 	}
 }
 
-// TestQueryBinaryFraming: the verb rides the binary framing like any other
-// cold op (JSON-in-frame), and answers the same on a connection that never
-// left text.
+// TestQueryBinaryFraming: the verb rides a JSON frame like the other cold
+// ops, and answers the same through Client.Do and through a pipeline.
 func TestQueryBinaryFraming(t *testing.T) {
 	s := newQueryServer(t, ServerConfig{})
 	c := newClient(t, s)
 	seedQueryMail(t, c)
-	for _, binary := range []bool{false, true} {
-		if binary {
-			if err := c.Negotiate(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if c.BinaryFraming() != binary {
-			t.Fatalf("binary framing = %v, want %v", c.BinaryFraming(), binary)
-		}
-		res, err := c.Query("content=budget")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Matches) != 1 || res.Matches[0] != "R1.h1.alice" {
-			t.Fatalf("matches (binary framing %v) = %v", binary, res.Matches)
-		}
+	res, err := c.Query("content=budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Matches) != 1 || res.Matches[0] != "R1.h1.alice" {
+		t.Fatalf("matches through Do = %v", res.Matches)
+	}
+	p, err := c.Pipeline(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := p.Do(Request{Op: "query", Query: "content=budget"}).Response()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resp.Matches, res.Matches) || resp.QueryStats == nil || *resp.QueryStats != res.Stats {
+		t.Fatalf("through a pipeline: %v %+v, through Do: %v %+v", resp.Matches, resp.QueryStats, res.Matches, res.Stats)
 	}
 }
 

@@ -54,14 +54,14 @@ func TestMailboxKeyDoesNotAliasFrame(t *testing.T) {
 	}}, 9)
 
 	sink := sinkConn{wrote: make(chan int, 1)}
-	st := &connState{srv: s, conn: sink, binary: true}
+	st := &connState{srv: s, conn: sink}
 	q := s.pool.NewQueue(0, st)
 	defer q.Close()
 	cr := newConnReader(bytes.NewReader(frame))
 	defer cr.release()
 	framep := getFrameBuf()
 	defer putFrameBuf(framep)
-	if !s.serveBinaryFrame(cr, framep, q, st) {
+	if !s.serveFrame(cr, framep, q, st) {
 		t.Fatal("frame not served")
 	}
 	<-sink.wrote

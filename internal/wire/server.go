@@ -2,12 +2,11 @@
 // the deployable surface of the reproduction: the same authority-list and
 // GetMail semantics the paper defines, reachable from real processes.
 //
-// There is one protocol in two framings. A connection starts on text: one
-// JSON object per line in each direction. Requests carry an "op" plus
-// op-specific fields; responses carry "ok", an optional "error", and
-// op-specific results. Operations:
+// Every connection speaks length-prefixed, CRC-checked frames (binframe.go)
+// from its first byte, in both directions. A request carries an op, a
+// client-assigned tag and the op's fields; a response echoes op and tag and
+// carries ok, an optional error, and the op's results. Operations:
 //
-//	hello     {binary}                     → {ok, binary}       (framing switch)
 //	register  {user, servers[]}            → {ok}
 //	submit    {from, to[], subject, body}  → {ok, id}
 //	tbatch    {from, msgs[]}               → {ok, ids[], failed[]}  (batched submit)
@@ -17,18 +16,15 @@
 //	status    {}                           → {ok, status}       (versioned observability snapshot)
 //	crash     {server} / recover {server}  → {ok}               (operations testing hook)
 //
-// Failed responses carry an optional machine-readable "code" drawn from the
-// mailerr taxonomy (unknown_user, server_down, oversized, timeout); clients
+// The first five have frame layouts of their own; query, status and
+// crash/recover travel as one JSON object in a binOpJSON frame. Failed
+// responses carry an optional machine-readable code drawn from the mailerr
+// taxonomy (unknown_user, server_down, oversized, timeout); clients
 // reconstruct typed errors from it so errors.Is works across the TCP hop.
-//
-// A hello carrying {"binary": true} switches both directions to
-// length-prefixed CRC-checked frames (see binframe.go), starting with the
-// first request after the (text) hello response; the switch is sticky for the
-// connection's lifetime. Any other hello is answered ok and changes nothing,
-// so a peer that says hello out of habit stays on text. Every verb is served
-// on both framings. Binary frames carry a client-assigned tag, which is what
-// allows pipelining (Client.Pipeline): up to MaxInflight tagged requests in
-// flight per connection.
+// The tag is what allows pipelining (Client.Pipeline): up to MaxInflight
+// tagged requests in flight per connection. A peer that sends a JSON line
+// instead has its first four bytes read as a length past MaxLine: it gets one
+// ErrFrameTooLarge frame in answer, and the connection is closed.
 //
 // Server side, connections do not get a handler goroutine each. A reader
 // goroutine per connection decodes requests and enqueues them on a
@@ -54,7 +50,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"github.com/largemail/largemail/internal/attr"
 	"github.com/largemail/largemail/internal/livenet"
@@ -228,10 +223,9 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connState is one connection's framing state plus its write half. binary
-// and flushed are touched only by the worker holding the connection's queue;
-// the reader observes them through the completion channel it waits on
-// (enqueueAndWait), so no extra lock is needed for them.
+// connState is one connection's write half. flushed is touched only by the
+// worker holding the connection's queue; the reader observes it through the
+// completion channel it waits on (answerLast), so no extra lock is needed.
 //
 // respond appends each response to out; the buffer goes to the socket in one
 // write at the queue's batch end (Run) and early past outFlushSize — no
@@ -241,54 +235,27 @@ func (s *Server) acceptLoop() {
 type connState struct {
 	srv     *Server
 	conn    net.Conn
-	binary  bool
 	flushed chan struct{} // closed, after the flush, by the batch end behind an item the reader waits on
 
-	subs []livenet.Submission // opTBatch's scratch; like binary, only the worker touches it
+	subs []livenet.Submission // opTBatch's scratch; like flushed, only the worker touches it
 
 	wmu sync.Mutex
 	out *[]byte
 }
 
-// respond appends one response, in the framing the request arrived in, to the
-// connection's output buffer.
-func (st *connState) respond(bin bool, op byte, tag uint32, resp Response) {
+// respond appends one response frame to the connection's output buffer.
+func (st *connState) respond(op byte, tag uint32, resp Response) {
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
 	if st.out == nil {
 		st.out = getFrameBuf()
 	}
-	buf := *st.out
-	if !bin || op == binOpJSON { // JSON has no stored form, and IDs are strings there
-		if resp.stored != nil {
-			resp.Messages = wireMessages(resp.stored)
-		}
-		if !resp.id.IsZero() {
-			resp.ID = resp.id.String()
-		}
-		if resp.ids != nil {
-			resp.IDs = make([]string, len(resp.ids))
-			for i, id := range resp.ids {
-				if !id.IsZero() {
-					resp.IDs[i] = id.String()
-				}
-			}
-		}
-	}
-	if bin {
-		var err error
-		if buf, err = AppendBinaryResponse(buf, op, tag, resp); err != nil {
-			buf, _ = AppendBinaryResponse(buf, op, tag, Response{Error: "response too large", Code: mailerr.Code(err)})
-		}
-	} else {
-		line, err := EncodeResponse(resp)
-		if err != nil {
-			line, _ = EncodeResponse(Response{Error: "response too large", Code: mailerr.Code(err)})
-		}
-		buf = append(buf, line...)
+	buf, err := AppendBinaryResponse(*st.out, op, tag, resp)
+	if err != nil {
+		buf, _ = AppendBinaryResponse(buf, op, tag, Response{Error: "response too large", Code: mailerr.Code(err)})
 	}
 	// Encoded, or refused as too large: either way nothing reads the batch
-	// again, and its strings have been copied into buf or into Messages.
+	// again, and its strings have been copied into buf.
 	mail.Release(resp.stored)
 	*st.out = buf
 	if len(buf) >= outFlushSize {
@@ -325,9 +292,9 @@ func (st *connState) flush() {
 }
 
 // Run is the batch end of the connection's work queue: one write for all the
-// responses the batch produced. An item the reader waits on — a hello, or its
-// own error answer — is always the last of its batch, so the flush here is
-// also what puts that answer on the wire before the reader moves on.
+// responses the batch produced. An item the reader waits on — its own error
+// answer — is always the last of its batch, so the flush here is also what
+// puts that answer on the wire before the reader hangs up.
 func (st *connState) Run() {
 	st.flush()
 	if st.flushed != nil {
@@ -344,15 +311,13 @@ type work struct {
 	st  *connState
 	req Request
 	tag uint32
-	bin bool
 	op  byte
 }
 
 var workPool = sync.Pool{New: func() any { return new(work) }}
 
 func (w *work) Run() {
-	native := w.bin && w.op != binOpJSON
-	w.st.respond(w.bin, w.op, w.tag, w.st.srv.dispatch(w.req, w.st, native))
+	w.st.respond(w.op, w.tag, w.st.srv.dispatch(w.req, w.st))
 	*w = work{}
 	workPool.Put(w)
 }
@@ -372,11 +337,10 @@ func (cr countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// handle is one connection's reader loop: decode a request (text line or
-// binary frame, per the connection's current framing), enqueue it on the
-// connection's work queue, repeat. Execution and response writes happen on
-// the worker pool; a full queue blocks this loop, which stops reading the
-// socket — backpressure via the peer's TCP window.
+// handle is one connection's reader loop: read and decode a frame, enqueue
+// its request on the connection's work queue, repeat. Execution and response
+// writes happen on the worker pool; a full queue blocks this loop, which
+// stops reading the socket — backpressure via the peer's TCP window.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	st := &connState{srv: s, conn: conn}
@@ -393,47 +357,18 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	for {
-		var ok bool
-		if st.binary {
-			ok = s.serveBinaryFrame(cr, framep, q, st)
-		} else {
-			ok = s.serveTextLine(cr, q, st)
-		}
-		if !ok {
-			return
-		}
+	for s.serveFrame(cr, framep, q, st) {
 	}
 }
 
-func (s *Server) serveTextLine(cr *connReader, q *server.WorkQueue, st *connState) bool {
-	line, err := cr.readLine()
-	if err != nil {
-		// A line past MaxLine cannot be consumed; tell the client why
-		// instead of silently hanging up on them.
-		if errors.Is(err, ErrLineTooLong) {
-			answerLast(q, st, false, 0, Response{
-				Error: fmt.Sprintf("request line exceeds %d bytes", MaxLine),
-				Code:  mailerr.CodeOversized,
-			})
-		}
-		return false
-	}
-	start := time.Now()
-	req, derr := DecodeRequest(line)
-	s.decodeLat.Observe(float64(time.Since(start)))
-	if derr != nil {
-		resp := Response{Error: fmt.Sprintf("bad request: %v", derr), Code: mailerr.Code(derr)}
-		return q.Enqueue(func() { st.respond(false, 0, 0, resp) })
-	}
-	return s.enqueue(q, st, req, 0, false, binOpJSON)
-}
-
-func (s *Server) serveBinaryFrame(cr *connReader, framep *[]byte, q *server.WorkQueue, st *connState) bool {
+// serveFrame reads one frame and queues its request. A length past MaxLine —
+// a text line's first four bytes among them — or a bad CRC is answered, and
+// the connection is dropped: the stream cannot be resynchronized.
+func (s *Server) serveFrame(cr *connReader, framep *[]byte, q *server.WorkQueue, st *connState) bool {
 	payload, err := cr.readFrame(framep)
 	if err != nil {
 		if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrFrameCorrupt) {
-			answerLast(q, st, true, 0, Response{Error: err.Error(), Code: mailerr.Code(err)})
+			answerLast(q, st, 0, Response{Error: err.Error(), Code: mailerr.Code(err)})
 		}
 		return false
 	}
@@ -448,10 +383,19 @@ func (s *Server) servePayload(payload []byte, q *server.WorkQueue, st *connState
 	if derr != nil {
 		// The frame checksummed clean but the payload is malformed: the
 		// peer's codec cannot be trusted, so answer and drop the connection.
-		answerLast(q, st, true, tag, Response{Error: derr.Error(), Code: mailerr.Code(derr)})
+		answerLast(q, st, tag, Response{Error: derr.Error(), Code: mailerr.Code(derr)})
 		return false
 	}
-	return s.enqueue(q, st, req, tag, true, payload[0])
+	op := payload[0]
+	if op == binOpJSON && binaryOpFor(req.Op) != binOpJSON {
+		// Each verb has one encoding: a hot one wrapped in JSON is refused, and
+		// the connection goes on.
+		resp := Response{Error: fmt.Sprintf("op %q has a frame layout of its own and is not served as JSON", req.Op)}
+		return q.Enqueue(func() { st.respond(binOpJSON, tag, resp) })
+	}
+	w := workPool.Get().(*work)
+	w.st, w.req, w.tag, w.op = st, req, tag, op
+	return q.EnqueueRunner(w)
 }
 
 // decodeFrame is DecodeBinaryRequest as a connection's reader runs it. A
@@ -525,55 +469,25 @@ func (s *Server) agentFor(user names.Name) (*userAgent, error) {
 }
 
 // answerLast is the reader's own answer to input it cannot queue (an
-// oversized line, a bad CRC, a malformed payload), so the peer learns why the
+// oversized frame, a bad CRC, a malformed payload), so the peer learns why the
 // connection drops. It is queued like a request, behind every request read
-// before it, and the reader hangs up only once it is written: every answer
-// owed goes out first, and this one is the last frame the connection sends.
-func answerLast(q *server.WorkQueue, st *connState, bin bool, tag uint32, resp Response) {
-	enqueueAndWait(q, st, func() { st.respond(bin, binOpJSON, tag, resp) })
-}
-
-// enqueue hands one decoded request, from a frame with op byte op, to the
-// connection's work queue as a pooled work item.
-func (s *Server) enqueue(q *server.WorkQueue, st *connState, req Request, tag uint32, bin bool, op byte) bool {
-	if req.Op == "hello" {
-		return s.enqueueHello(q, st, req, tag, bin)
-	}
-	w := workPool.Get().(*work)
-	w.st, w.req, w.tag, w.bin, w.op = st, req, tag, bin, op
-	return q.EnqueueRunner(w)
-}
-
-// enqueueHello is enqueue for the handshake. The reader must not read the
-// next bytes until the handshake response is out and the framing switch (if
-// granted) applied, so it waits for the hello's batch end.
-// A function of its own: the closure makes its req a heap variable.
-func (s *Server) enqueueHello(q *server.WorkQueue, st *connState, req Request, tag uint32, bin bool) bool {
-	return enqueueAndWait(q, st, func() { st.respond(bin, binOpJSON, tag, s.opHello(req, st)) })
-}
-
-// enqueueAndWait queues one answer the reader must see written before it goes
-// on, and waits for the batch end behind it. The item runs after every earlier
-// item on the queue, so its answer follows theirs.
-func enqueueAndWait(q *server.WorkQueue, st *connState, answer func()) bool {
+// before it, and the reader hangs up only once it is written — the item is the
+// last of its batch, and the batch end closes done after the flush: every
+// answer owed goes out first, and this one is the last frame the connection
+// sends.
+func answerLast(q *server.WorkQueue, st *connState, tag uint32, resp Response) {
 	done := make(chan struct{})
-	ok := q.Enqueue(func() {
-		answer()
+	if q.Enqueue(func() {
+		st.respond(binOpJSON, tag, resp)
 		st.flushed = done
-	})
-	if ok {
+	}) {
 		<-done
 	}
-	return ok
 }
 
-// dispatch runs one request. native says the response will go out in the
-// op's own binary encoding and not as JSON (a text line, or a binOpJSON
-// frame), which is what decides how much mail fits in it.
-func (s *Server) dispatch(req Request, st *connState, native bool) Response {
+// dispatch runs one request.
+func (s *Server) dispatch(req Request, st *connState) Response {
 	switch req.Op {
-	case "hello":
-		return s.opHello(req, st)
 	case "register":
 		return s.opRegister(req)
 	case "submit":
@@ -583,9 +497,9 @@ func (s *Server) dispatch(req Request, st *connState, native bool) Response {
 	case "query":
 		return s.opQuery(req)
 	case "checkmail":
-		return s.opCheckMail(req, native)
+		return s.opCheckMail(req)
 	case "getmail":
-		return s.opGetMail(req, native)
+		return s.opGetMail(req)
 	case "status":
 		return s.opStatus()
 	case "crash", "recover":
@@ -603,17 +517,6 @@ func fail(format string, args ...any) Response {
 // the code rides along so the client can rebuild a typed error.
 func failErr(prefix string, err error) Response {
 	return Response{Error: fmt.Sprintf("%s: %v", prefix, err), Code: mailerr.Code(err)}
-}
-
-// opHello switches the connection to binary framing when the client asks
-// (sticky once on: a later hello cannot switch back — the peer could never
-// know which framing the in-flight responses use) and reports the framing the
-// connection speaks from here on.
-func (s *Server) opHello(req Request, st *connState) Response {
-	if req.Binary {
-		st.binary = true
-	}
-	return Response{OK: true, Binary: st.binary}
 }
 
 func (s *Server) opRegister(req Request) Response {
@@ -789,7 +692,7 @@ func (s *Server) opQuery(req Request) Response {
 // opCheckMail takes from one server's mailbox what one response can carry and
 // leaves the rest there: a drained batch answered with "response too large"
 // would be mail lost, and this verb has no agent to hold a remainder.
-func (s *Server) opCheckMail(req Request, native bool) Response {
+func (s *Server) opCheckMail(req Request) Response {
 	user, err := names.Parse(req.User)
 	if err != nil {
 		return fail("user: %v", err)
@@ -798,16 +701,16 @@ func (s *Server) opCheckMail(req Request, native bool) Response {
 	if !ok {
 		return fail("unknown server %q", req.Server)
 	}
-	msgs, err := srv.CheckMailFit(user, func(buffered []mail.Stored) int { return fitResponse(buffered, native) })
+	msgs, err := srv.CheckMailFit(user, fitResponse)
 	if err != nil {
 		return failErr("checkmail", err)
 	}
 	return Response{OK: true, stored: msgs}
 }
 
-func (s *Server) opGetMail(req Request, native bool) Response {
+func (s *Server) opGetMail(req Request) Response {
 	ua := req.agent
-	if ua == nil { // a text line, a JSON frame, or a user the reader could not resolve
+	if ua == nil { // a user the reader could not resolve
 		user, err := names.Parse(req.User)
 		if err != nil {
 			return fail("user: %v", err)
@@ -826,7 +729,7 @@ func (s *Server) opGetMail(req Request, native bool) Response {
 	// capacity, and a tail of one message moves to a slot of its own.
 	ua.mu.Lock()
 	msgs := ua.a.TakeMail()
-	if n := fitResponse(msgs, native); n < len(msgs) {
+	if n := fitResponse(msgs); n < len(msgs) {
 		rest := msgs[n:]
 		if len(rest) == 1 {
 			rest = []mail.Stored{rest[0]}
@@ -841,63 +744,24 @@ func (s *Server) opGetMail(req Request, native bool) Response {
 }
 
 // fitResponse reports how many leading messages of a retrieved batch one
-// getmail response can carry within MaxLine: their encoded size, bounded
-// from above, in the binary encoding (native) or as JSON. It is never 0 for a
-// non-empty batch: a message that cannot be carried alone goes out alone and
-// is refused by the encoder, as it always was, and takes nothing with it.
-func fitResponse(msgs []mail.Stored, native bool) int {
-	// The other fields of the largest response and the frame around it:
-	// {"ok":true,"messages":[…],"polls":N,"last_checking":N} is under 100
-	// bytes, the binary header, counts and CRC under 40.
+// getmail or checkmail response can carry within MaxLine: their encoded size,
+// bounded from above. It is never 0 for a non-empty batch: a message that
+// cannot be carried alone goes out alone and is refused by the encoder, as it
+// always was, and takes nothing with it.
+func fitResponse(msgs []mail.Stored) int {
+	// The frame around the messages — header, op, tag, ok byte, count, polls,
+	// last-checking time and CRC — is under 40 bytes; 128 leaves a margin.
 	size := 128
 	for i := range msgs {
 		m := &msgs[i]
-		if native {
-			// One length byte and at most 42 of "m<int64>-<uint64>", then
-			// three strings behind uvarint lengths of at most 3 bytes.
-			size += 43 + 3*3 + m.From.TextLen() + len(m.Subject) + len(m.Body)
-		} else {
-			// {"id":"…","from":"r.h.u","subject":"…","body":"…"}, and a comma:
-			// 43 bytes of punctuation, an ID of at most 42, the name's two dots.
-			size += 42 + 43 + 2 + jsonTextLen(m.From.Region) + jsonTextLen(m.From.Host) + jsonTextLen(m.From.User) +
-				jsonTextLen(m.Subject) + jsonTextLen(m.Body)
-		}
+		// One length byte and at most 42 of "m<int64>-<uint64>", then three
+		// strings behind uvarint lengths of at most 3 bytes.
+		size += 43 + 3*3 + m.From.TextLen() + len(m.Subject) + len(m.Body)
 		if size > MaxLine {
 			return max(i, 1)
 		}
 	}
 	return len(msgs)
-}
-
-// jsonTextLen bounds from above the bytes encoding/json writes between the
-// quotes for s: 2 for a quote, a backslash, \n, \r or \t, 6 for everything
-// else it escapes (other controls, <, >, &, U+2028/9, each byte of invalid
-// UTF-8), and the bytes themselves otherwise.
-func jsonTextLen(s string) int {
-	n := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\' || c == '\n' || c == '\r' || c == '\t':
-			n += 2
-			i++
-		case c < 0x20 || c == '<' || c == '>' || c == '&':
-			n += 6
-			i++
-		case c < utf8.RuneSelf:
-			n++
-			i++
-		default:
-			r, w := utf8.DecodeRuneInString(s[i:])
-			if (r == utf8.RuneError && w == 1) || r == '\u2028' || r == '\u2029' {
-				n += 6
-			} else {
-				n += w
-			}
-			i += w
-		}
-	}
-	return n
 }
 
 func (s *Server) opStatus() Response {
@@ -939,15 +803,4 @@ func (s *Server) opAvailability(req Request) Response {
 		srv.Recover()
 	}
 	return Response{OK: true}
-}
-
-func wireMessages(msgs []mail.Stored) []Message {
-	out := make([]Message, 0, len(msgs))
-	for _, m := range msgs {
-		out = append(out, Message{
-			ID: m.ID.String(), From: m.From.String(),
-			Subject: m.Subject, Body: m.Body,
-		})
-	}
-	return out
 }

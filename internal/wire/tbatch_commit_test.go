@@ -399,7 +399,7 @@ func TestTBatchAllocs(t *testing.T) {
 	c := newClient(t, s)
 	pipelineRegister(t, c, "R1.h1.alice", "R1.h1.bob")
 	sink := sinkConn{wrote: make(chan int, 1)}
-	st := &connState{srv: s, conn: sink, binary: true}
+	st := &connState{srv: s, conn: sink}
 	q := s.pool.NewQueue(0, st)
 	defer q.Close()
 	serve := func(payload []byte) {

@@ -42,9 +42,6 @@ func TestSubmitBatchRoundTrip(t *testing.T) {
 	if len(msgs) != 3 {
 		t.Errorf("bob retrieved %d messages, want 3", len(msgs))
 	}
-	if c.BinaryFraming() {
-		t.Error("SubmitBatch switched the connection to binary framing")
-	}
 }
 
 // TestSubmitBatchPartialFailure: one item addressed to a user with no

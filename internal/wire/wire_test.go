@@ -211,24 +211,6 @@ func TestProtocolErrors(t *testing.T) {
 	}
 }
 
-func TestMalformedLineKeepsConnection(t *testing.T) {
-	s := newServer(t)
-	c := newClient(t, s)
-	if _, err := c.conn.Write([]byte("this is not json\n")); err != nil {
-		t.Fatal(err)
-	}
-	line, err := c.cr.readLine()
-	if err != nil {
-		t.Fatalf("no response to malformed line: %v", err)
-	}
-	if !strings.Contains(string(line), "bad request") {
-		t.Errorf("response = %s", line)
-	}
-	if err := c.Register("R1.h1.alice"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConcurrentClients(t *testing.T) {
 	s := newServer(t)
 	admin := newClient(t, s)
@@ -313,13 +295,24 @@ func TestServerSurvivesGarbageRequests(t *testing.T) {
 		}
 		_ = resp
 	}
-	// Raw junk lines interleaved with valid traffic.
-	for _, line := range []string{"", "{", "[1,2,3]", `"str"`, "null"} {
-		if _, err := c.conn.Write([]byte(line + "\n")); err != nil {
+	// JSON frames that decode to no verb, interleaved with valid traffic: an
+	// empty op, and a hello, which is no verb.
+	bp := getFrameBuf()
+	defer putFrameBuf(bp)
+	for _, js := range []string{"{}", "null", `{"op":""}`, `{"op":"hello","binary":true}`} {
+		frame, err := appendFrame(nil, append([]byte{binOpJSON, 1, 0, 0, 0}, js...))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.cr.readLine(); err != nil {
-			t.Fatalf("no response to %q: %v", line, err)
+		if _, err := c.conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := c.cr.readFrame(bp)
+		if err != nil {
+			t.Fatalf("no response to %s: %v", js, err)
+		}
+		if resp, _, err := DecodeBinaryResponse(payload); err != nil || resp.OK || !strings.Contains(resp.Error, "unknown op") {
+			t.Fatalf("%s answered %+v, %v", js, resp, err)
 		}
 	}
 	if err := c.Register("R1.h1.still-works"); err != nil {
