@@ -80,15 +80,16 @@ tier2-balance:
 # the federation and a deposit armed across a rehash, §3.2 delivery on
 # internal/server against the seeded schedules recorded from locind's own
 # delivery half (testdata/delivery.golden) and the crash re-drive restarting
-# at the head of the list, the attr mass-distribution scenario
+# at the head of the list, a rehash's evacuation looking only at mailboxes
+# that hold mail, the attr mass-distribution scenario
 # (loss/bound/partial auditors under chaos), the convergecast node-kill
 # regression, and the typed tree against the old []any convergecast kept as
 # its reference model (topologies × fault cases × seeds: same items,
 # unavailable and pruned roots, ledger and time).
 .PHONY: tier2-arch
 tier2-arch:
-	go test -race -run 'TestRoam|TestE7|TestRehash|TestFederated|TestPendingDepositWalks|TestDeliveryMatchesReference|TestAttrScenario|TestConvergecast' \
-		./internal/loadgen/ ./internal/locind/ ./internal/broadcast/
+	go test -race -run 'TestRoam|TestE7|TestRehash|TestFederated|TestPendingDepositWalks|TestDeliveryMatchesReference|TestAttrScenario|TestConvergecast|TestEvacuate' \
+		./internal/loadgen/ ./internal/locind/ ./internal/broadcast/ ./internal/server/
 	go test -race ./internal/attr/
 
 # Tier-2 attr-prune slice: the selective-multicast machinery under the race
@@ -246,7 +247,7 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 25134
+SIZE_CEILING = 25154
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:

@@ -2,11 +2,31 @@ package loadgen
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"github.com/largemail/largemail/internal/faults"
+	"github.com/largemail/largemail/internal/mail"
+	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/obs"
 )
+
+// TestMain runs every test of this package on scribbled slots: a one-message
+// batch a driver has released is overwritten with a plausible message, so a
+// holder that reads a batch it gave back reports mail that was never sent,
+// which the auditors catch.
+func TestMain(m *testing.M) {
+	poison := mail.Stored{
+		Message: mail.Message{
+			ID:   mail.MessageID{Node: 666, Seq: 666},
+			From: names.MustParse("R6.h6.poison"), To: []names.Name{names.MustParse("R6.h6.poison")},
+			Subject: "poison", Body: "poison",
+		},
+		Read: true,
+	}
+	mail.AfterRelease = func(slot *mail.Stored) { *slot = poison }
+	os.Exit(m.Run())
+}
 
 func newRoamDriver(t *testing.T, cfg RoamConfig) *RoamDriver {
 	t.Helper()

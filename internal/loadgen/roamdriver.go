@@ -6,6 +6,7 @@ import (
 	"github.com/largemail/largemail/internal/faults"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/locind"
+	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/obs"
 	"github.com/largemail/largemail/internal/queueing"
@@ -226,6 +227,7 @@ func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 	for i, m := range msgs {
 		ids[i] = m.ID.String()
 	}
+	mail.Release(msgs) // a one-message batch's slot goes to the next empty mailbox
 	a.DropNotifications()
 	return RetrieveResult{
 		IDs:          ids,

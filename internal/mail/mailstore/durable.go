@@ -248,10 +248,9 @@ func OpenOptions(o Options) (*Store, error) {
 	// Rebuild counters and arm journaling only after every shard replayed.
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.msgs, sh.bytes = 0, 0
+		sh.msgs, sh.bytes, sh.held = 0, 0, 0
 		for _, mb := range sh.boxes {
-			sh.msgs += int64(mb.Len())
-			sh.bytes += int64(mb.Bytes())
+			sh.account(mb, 0, 0)
 			w.recovery.Messages += int64(mb.Len())
 			mb.EnableJournal()
 		}

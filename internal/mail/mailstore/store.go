@@ -9,13 +9,13 @@
 //     number of mailboxes (the Server.StoredBytes fix);
 //   - concurrent access from the live runtime contends per shard, not per
 //     store;
-//   - Users() returns names in sorted order, keeping audits and Evacuate
-//     deterministic even though shard-internal map order is not.
+//   - Users() and Holding() return names in sorted order, keeping audits and
+//     Evacuate deterministic even though shard-internal map order is not.
 //
 // The counters are maintained by diffing Mailbox.Len()/Bytes() around every
-// mutation while the shard lock is held, so any Mailbox operation — Deposit,
-// Drain, Remove — keeps them exact without the Mailbox type knowing about
-// the store.
+// mutation while the shard lock is held (shard.account), so any Mailbox
+// operation — Deposit, Drain, Remove — keeps them exact without the Mailbox
+// type knowing about the store.
 package mailstore
 
 import (
@@ -43,6 +43,7 @@ type shard struct {
 	boxes map[names.Name]*mail.Mailbox
 	msgs  int64
 	bytes int64
+	held  int64 // mailboxes holding at least one message
 	// terms is the optional per-shard term index (see termindex.go): term →
 	// entries of the message table msgTerms whose message contains it; an
 	// entry holds its message's terms and the mailboxes buffering it. Both
@@ -118,8 +119,7 @@ func (s *Store) UpdateExisting(user names.Name, fn func(*mail.Mailbox)) bool {
 	l0, b0 := mb.Len(), mb.Bytes()
 	s.lend(i, mb)
 	fn(mb)
-	sh.msgs += int64(mb.Len() - l0)
-	sh.bytes += int64(mb.Bytes() - b0)
+	sh.account(mb, l0, b0)
 	if s.w != nil {
 		s.journal(i, user, mb)
 		s.commit(i)
@@ -215,25 +215,19 @@ func (s *Store) Len(user names.Name) int {
 
 // TotalMessages reports the number of buffered messages across all
 // mailboxes — an O(shards) counter sum, not a scan.
-func (s *Store) TotalMessages() int64 {
-	var total int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		total += sh.msgs
-		sh.mu.RUnlock()
-	}
-	return total
-}
+func (s *Store) TotalMessages() int64 { return s.sum(func(sh *shard) int64 { return sh.msgs }) }
 
 // TotalBytes reports the accounted content bytes buffered across all
 // mailboxes — an O(shards) counter sum, not a scan.
-func (s *Store) TotalBytes() int64 {
+func (s *Store) TotalBytes() int64 { return s.sum(func(sh *shard) int64 { return sh.bytes }) }
+
+// sum adds f over the shards, each read under its read lock.
+func (s *Store) sum(f func(*shard) int64) int64 {
 	var total int64
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		total += sh.bytes
+		total += f(sh)
 		sh.mu.RUnlock()
 	}
 	return total
@@ -262,28 +256,55 @@ func (s *Store) MaxSeenSeq(node graph.NodeID) uint64 {
 // NumUsers reports how many mailboxes exist (including drained-empty ones,
 // which persist for duplicate suppression).
 func (s *Store) NumUsers() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.boxes)
-		sh.mu.RUnlock()
-	}
-	return n
+	return int(s.sum(func(sh *shard) int64 { return int64(len(sh.boxes)) }))
 }
 
-// Users returns every mailbox owner, sorted by name — the deterministic
-// iteration order audits and Evacuate rely on.
-func (s *Store) Users() []names.Name {
-	out := make([]names.Name, 0, s.NumUsers()) // sized up front: every §3.2 rehash lists every server's users
+// Users returns every mailbox owner, drained-empty ones included, sorted by
+// name — the deterministic order audits rely on.
+func (s *Store) Users() []names.Name { return s.owners(false) }
+
+// Holding returns the owners whose mailbox holds at least one message, sorted
+// by name, and nil when none does: all a §3.2 rehash or a §3.1.3c removal can
+// have to hand on. A shard that holds nothing is not walked.
+func (s *Store) Holding() []names.Name { return s.owners(true) }
+
+// owners is Users (held false) and Holding, in one allocation sized by a first
+// pass over the shard counters; each shard is read under its read lock.
+func (s *Store) owners(held bool) []names.Name {
+	count := func(sh *shard) int64 { return int64(len(sh.boxes)) }
+	if held {
+		count = func(sh *shard) int64 { return sh.held }
+	}
+	n := int(s.sum(count))
+	if n == 0 {
+		return nil
+	}
+	out := make([]names.Name, 0, n)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for u := range sh.boxes {
-			out = append(out, u)
+		if !held || sh.held > 0 {
+			for u, mb := range sh.boxes {
+				if !held || mb.Len() > 0 {
+					out = append(out, u)
+				}
+			}
 		}
 		sh.mu.RUnlock()
 	}
 	slices.SortFunc(out, names.Compare)
 	return out
+}
+
+// account folds a mutation of mb, which held l0 messages of b0 bytes before
+// it, into the shard's counters. Called with the shard write lock held.
+func (sh *shard) account(mb *mail.Mailbox, l0, b0 int) {
+	sh.msgs += int64(mb.Len() - l0)
+	sh.bytes += int64(mb.Bytes() - b0)
+	switch {
+	case l0 == 0 && mb.Len() > 0:
+		sh.held++
+	case l0 > 0 && mb.Len() == 0:
+		sh.held--
+	}
 }

@@ -2,6 +2,7 @@ package mailstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -108,6 +109,72 @@ func TestUsersSortedDeterministic(t *testing.T) {
 		if us[i-1].String() >= us[i].String() {
 			t.Fatalf("Users not sorted at %d: %v >= %v", i, us[i-1], us[i])
 		}
+	}
+}
+
+// TestHoldingIsUsersWithMail: after deposits, a Drain, a partial DrainFit, a
+// Remove of everything, a durable reopen and drains down to one mailbox with
+// mail, Holding is Users filtered to the mailboxes with mail, in the same
+// order, in one allocation of exactly its size; it is nil on an empty store.
+func TestHoldingIsUsersWithMail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := s.Holding(); h != nil {
+		t.Fatalf("Holding on an empty store = %v, want nil", h)
+	}
+	check := func(step string) {
+		t.Helper()
+		var want []names.Name
+		for _, u := range s.Users() {
+			if s.Len(u) > 0 {
+				want = append(want, u)
+			}
+		}
+		got := s.Holding()
+		if !slices.Equal(got, want) || cap(got) != len(got) {
+			t.Fatalf("%s: Holding = %v (cap %d), want %v", step, got, cap(got), want)
+		}
+		if n := testing.AllocsPerRun(10, func() { s.Holding() }); n > 1 {
+			t.Fatalf("%s: Holding allocates %v times, want <= 1", step, n)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		for k := 0; k <= i%3; k++ {
+			s.Deposit(user(i), msg(uint64(100*i+k+1), "b"), 0)
+		}
+	}
+	check("deposits")
+	for i := 0; i < 40; i += 4 {
+		s.Drain(user(i))
+	}
+	check("drain")
+	for i := 2; i < 40; i += 3 { // i%3 == 2: three messages, one taken
+		s.DrainFit(user(i), func([]mail.Stored) int { return 1 })
+	}
+	check("partial DrainFit")
+	for i := 1; i < 40; i += 4 {
+		s.UpdateExisting(user(i), func(mb *mail.Mailbox) { keepNewest(mb, 0) })
+	}
+	check("remove everything")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, 4); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check("reopen")
+	held := s.Holding()
+	for _, u := range held[1:] {
+		s.Drain(u)
+	}
+	check("one left")
+	s.Drain(held[0])
+	if h := s.Holding(); h != nil || len(s.Users()) != 40 {
+		t.Fatalf("all drained: Holding = %v, Users = %d, want nil and 40", h, len(s.Users()))
 	}
 }
 

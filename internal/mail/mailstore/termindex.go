@@ -278,8 +278,7 @@ func (s *Store) depositLocked(i int, c *Copy) bool {
 	l0, b0 := mb.Len(), mb.Bytes()
 	s.lend(i, mb)
 	fresh := mb.Deposit(c.Msg, c.At)
-	sh.msgs += int64(mb.Len() - l0)
-	sh.bytes += int64(mb.Bytes() - b0)
+	sh.account(mb, l0, b0)
 	if s.w != nil {
 		s.journal(i, c.User, mb)
 	}
@@ -303,8 +302,7 @@ func (s *Store) drainIndexed(user names.Name, fit func([]mail.Stored) int) []mai
 	l0, b0 := mb.Len(), mb.Bytes()
 	s.lend(i, mb)
 	out := mb.DrainFit(fit)
-	sh.msgs += int64(mb.Len() - l0)
-	sh.bytes += int64(mb.Bytes() - b0)
+	sh.account(mb, l0, b0)
 	if s.w != nil {
 		s.journal(i, user, mb)
 		s.commit(i)

@@ -808,7 +808,7 @@ func (s *Server) Close() error { return s.store.Close() }
 // and a reconfiguration routing it back here must not find it suppressed as
 // a duplicate. Returns how many mailboxes and messages moved.
 func (s *Server) Evacuate() (users, msgs int) {
-	for _, u := range s.store.Users() { // sorted: deterministic hand-off order
+	for _, u := range s.store.Holding() { // only mailboxes with mail, sorted: deterministic hand-off order
 		if slices.Contains(s.dir.Resolve(u), s.id) {
 			continue
 		}

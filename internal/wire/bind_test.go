@@ -133,7 +133,7 @@ func TestBinaryGetMailBoundOnReader(t *testing.T) {
 // its slot — scribbled on, see TestMain — is drawn by whichever deposit comes
 // next, on any connection; every message that arrives is still exactly the
 // one submitted under its ID, and none comes twice. (Not that all arrive: a
-// poll abandoned by a kill may have drained its mailbox — ROADMAP item 1.)
+// poll abandoned by a kill may have drained its mailbox — ROADMAP item 5(c).)
 func TestReleasedSlotsPoisonedUnderKillRestart(t *testing.T) {
 	servers := []string{"s1", "s2", "s3"}
 	s, err := NewServerWith("127.0.0.1:0", servers, ServerConfig{
