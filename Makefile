@@ -55,10 +55,12 @@ tier2-durability:
 # agent on the reader (BinaryGetMailBoundOnReader), the mailbox slot a
 # response gives back (ReleasedSlot, ReleaseTakes, OversizedBatch) and the
 # tbatch frame as one grouped deposit against the per-message loop it
-# replaced, with its allocation budget and partly delivered items (TBatch).
+# replaced, with its allocation budget and partly delivered items (TBatch);
+# the read path's allocation budgets (ReadPathAllocs) and a submit's
+# recipients parsed on the reader, answered as before (SubmitOnReader).
 .PHONY: tier2-wire
 tier2-wire:
-	go test -race -run 'EveryVerbOverFrames|TextPeerRefused|Pipeline|Binary|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver|ReleasedSlot|ReleaseTakes|OversizedBatch|TBatch' ./internal/wire/ ./internal/server/
+	go test -race -run 'EveryVerbOverFrames|TextPeerRefused|Pipeline|Binary|WorkPool|WorkQueue|ConnReader|Coalesce|Flush|WorkItem|HandOver|ReleasedSlot|ReleaseTakes|OversizedBatch|TBatch|ReadPathAllocs|SubmitOnReader' ./internal/wire/ ./internal/server/
 
 # Tier-2 balance slice: the pluggable placement seam under the race detector —
 # the policy unit tests (JSQ sampling, rebalancer hysteresis/budget/diversion),
@@ -110,11 +112,12 @@ tier2-attr-prune:
 # metric, so this test is what holds it), the bounded tracer against its model
 # and under concurrent stampers, the IDSet run layout, the two
 # frame-aliasing pins, the client's ID arena (a kept ID holds no payload and
-# no body, and is never written again), and the §3.3 tree after 2 000 taken
+# no body, and is never written again) and text arena (a kept body pins one
+# chunk), and the §3.3 tree after 2 000 taken
 # queries (no pending record, no table entry, a flat heap).
 .PHONY: tier2-retained
 tier2-retained:
-	go test -race -run 'TestIngestRetainedFlat|TestMailboxKeyDoesNotAliasFrame|TestKeptIDPinsNoPayload|TestPipelineKeptIDsHoldNoBodies|TestIDArenaNeverRewrites' ./internal/wire/
+	go test -race -run 'TestIngestRetainedFlat|TestMailboxKeyDoesNotAliasFrame|TestKeptIDPinsNoPayload|TestPipelineKeptIDsHoldNoBodies|TestPipelineKeptBodyPinsOneChunk|TestIDArenaNeverRewrites' ./internal/wire/
 	go test -race -run 'Ring|TestTracerMatchesReference|TestStampAllocs' ./internal/obs/
 	go test -race -run 'IDSet|TestMailboxMatchesReference|TestDurableSeenSetSameLayout' ./internal/mail/ ./internal/mail/mailstore/
 	go test -race -run 'TestTreeRetainsNothing' ./internal/broadcast/
@@ -247,7 +250,7 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 25154
+SIZE_CEILING = 25208
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:

@@ -237,3 +237,62 @@ func TestReleaseTakesOnlyWholeSlots(t *testing.T) {
 		t.Fatalf("parts out of order: %q then %q", first.stored[0].Subject, second.stored[0].Subject)
 	}
 }
+
+// TestSubmitOnReaderSameAnswers: the reader parses a native submit's
+// recipients into names, and a submit it cannot parse so — a recipient that is
+// no name, a truncated frame — is decoded as before. Either way every answer
+// is the frame the server sent when each submit was decoded as a list of
+// strings and parsed by the worker, byte for byte (recorded then): the same
+// text in the same order of checks (the sender first), the same code, the
+// same hang-up after a malformed payload.
+func TestSubmitOnReaderSameAnswers(t *testing.T) {
+	s := newServer(t)
+	pipelineRegister(t, newClient(t, s), "R1.h1.alice", "R1.h1.bob")
+	submit := func(from string, to ...string) []byte {
+		return mustFrameRequest(t, Request{Op: "submit", From: from, To: to, Subject: "s", Body: "b"}, 0x0a0b0c0d)
+	}
+	good := submit("R1.h1.alice", "R1.h1.bob", "R1@h1@alice")
+	cut, err := sealAt(append([]byte(nil), good[:len(good)-binCRCLen-6]...), 0) // in the last recipient
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"two names", good, "010d0c0b0a01046d312d31"},
+		{"a recipient that is no name", submit("R1.h1.alice", "R1.h1.bob", "R1.h1"),
+			"010d0c0b0a000052746f202252312e6831223a206e616d65733a206e616d65206d75737420686176652065786163746c7920746872656520746f6b656e732028726567696f6e2e686f73742e75736572293a202252312e683122"},
+		{"an empty token", submit("R1.h1.alice", "R1..bob"),
+			"010d0c0b0a000025746f202252312e2e626f62223a206e616d65733a20656d707479206e616d6520746f6b656e"},
+		{"no recipients", submit("R1.h1.alice"), "010d0c0b0a00000d6e6f20726563697069656e7473"},
+		{"a bad sender", submit("alice", "R1.h1.bob"),
+			"010d0c0b0a00004c66726f6d3a206e616d65733a206e616d65206d75737420686176652065786163746c7920746872656520746f6b656e732028726567696f6e2e686f73742e75736572293a2022616c69636522"},
+		{"a bad sender and a bad recipient", submit("alice", "bob"),
+			"010d0c0b0a00004c66726f6d3a206e616d65733a206e616d65206d75737420686176652065786163746c7920746872656520746f6b656e732028726567696f6e2e686f73742e75736572293a2022616c69636522"},
+		{"an unknown recipient", submit("R1.h1.alice", "R9.h9.nobody"),
+			"010d0c0b0a000c756e6b6e6f776e5f75736572637375626d69743a2064656c6976657220746f2052392e68392e6e6f626f64793a206c6976656e65743a207573657220686173206e6f20617574686f7269747920736572766572733a20756e6b6e6f776e20757365723a2052392e68392e6e6f626f6479"},
+		{"a truncated frame", cut, "000d0c0b0a00001e776972653a206d616c666f726d65642062696e617279207061796c6f6164"},
+	} {
+		conn, cr := rawConn(t, s.Addr())
+		if _, err := conn.Write(c.frame); err != nil {
+			t.Fatal(err)
+		}
+		bp := getFrameBuf()
+		payload, err := cr.readFrame(bp)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := fmt.Sprintf("%x", payload)
+		putFrameBuf(bp)
+		if got != c.want {
+			t.Errorf("%s: answered\n%s\nwant\n%s", c.name, got, c.want)
+		}
+		if c.name == "a truncated frame" {
+			if _, err := cr.readFrame(bp); !errors.Is(err, io.EOF) {
+				t.Errorf("%s: %v after the answer, want EOF", c.name, err)
+			}
+		}
+	}
+}

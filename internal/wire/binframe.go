@@ -149,7 +149,7 @@ func appendStrs(dst []byte, list []string) []byte {
 // bodies (which the mailbox retains anyway) dominate the payload, and the
 // wrong one for any small field that outlives them: a decoded response's
 // message IDs go to an idArena instead (id), and livenet keeps the
-// directory's own copy of a recipient's name.
+// directory's own copy of a recipient's name. Messages come from a textArena.
 type binReader struct {
 	b   []byte
 	s   string
@@ -205,21 +205,30 @@ func (r *binReader) id(a *idArena) string { return a.copy(r.bytes()) }
 // a payload. Chunks start at 64 B, so an arena for one answer stays small,
 // and double up to idChunkSize, some hundred IDs: a fraction of an allocation
 // per ID, and a bound on what one kept ID holds of others. One goroutine owns
-// an arena: a Client's sequential requests, or a Pipeline's reader.
+// an arena and the textArena beside it, which holds no ID: a Client's
+// sequential requests, or a Pipeline's reader.
 type idArena struct{ chunk []byte }
 
-const idChunkSize = 2 << 10
+// textArena is an idArena, in chunks up to textChunkSize, for the payloads of
+// answers with messages, which are sliced from that copy: a kept body pins one
+// chunk (or its own payload if larger), never an ID's chunk or a frame.
+type textArena struct{ chunk []byte }
 
-func (a *idArena) copy(b []byte) string {
+const idChunkSize, textChunkSize = 2 << 10, 16 << 10
+
+func (a *idArena) copy(b []byte) string   { return arenaCopy(&a.chunk, b, idChunkSize) }
+func (a *textArena) copy(b []byte) string { return arenaCopy(&a.chunk, b, textChunkSize) }
+
+func arenaCopy(chunk *[]byte, b []byte, limit int) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if len(b) > cap(a.chunk)-len(a.chunk) {
-		a.chunk = make([]byte, 0, max(min(2*cap(a.chunk), idChunkSize), 64, len(b)))
+	if len(b) > cap(*chunk)-len(*chunk) {
+		*chunk = make([]byte, 0, max(min(2*cap(*chunk), limit), 64, len(b)))
 	}
-	at := len(a.chunk)
-	a.chunk = append(a.chunk, b...)
-	return unsafe.String(&a.chunk[at], len(b))
+	at := len(*chunk)
+	*chunk = append(*chunk, b...)
+	return unsafe.String(&(*chunk)[at], len(b))
 }
 
 // strs reads a counted list of strings: nil when it is empty.
@@ -527,15 +536,19 @@ func appendID(dst []byte, id mail.MessageID) []byte {
 	return dst
 }
 
-// DecodeBinaryResponse parses one response payload. Its message IDs are
-// copies of their own; other string fields are pieces of one payload copy.
+// DecodeBinaryResponse parses one response payload. Its message IDs and text
+// are copies of their own; other string fields are pieces of one payload copy.
 func DecodeBinaryResponse(payload []byte) (Response, uint32, error) {
 	return decodeBinaryResponse(payload, new(idArena))
 }
 
-// decodeBinaryResponse parses one response payload, copying its message IDs
-// into ids; a connection's reader passes the same arena for every response.
 func decodeBinaryResponse(payload []byte, ids *idArena) (Response, uint32, error) {
+	return decodeResponse(payload, ids, new(textArena), nil)
+}
+
+// decodeResponse parses one response payload into a connection's arenas, and
+// an answer of one message into the slot of its Future f, when it has one.
+func decodeResponse(payload []byte, ids *idArena, text *textArena, f *Future) (Response, uint32, error) {
 	r := binReader{b: payload}
 	op := r.byte1()
 	tag := r.u32()
@@ -574,16 +587,20 @@ func decodeBinaryResponse(payload []byte, ids *idArena) (Response, uint32, error
 		}
 	case binOpGetMail, binOpCheckMail:
 		n := r.count()
+		if n == 1 && f != nil {
+			resp.Messages = f.one[:]
+		} else if n > 0 {
+			resp.Messages = make([]Message, n)
+		}
 		if n > 0 {
-			resp.Messages = make([]Message, 0, n)
+			r.s = text.copy(payload) // what str() slices the messages' text from
 		}
 		for i := 0; i < n && !r.bad; i++ {
-			var m Message
+			m := &resp.Messages[i]
 			m.ID = r.id(ids)
 			m.From = r.str()
 			m.Subject = r.str()
 			m.Body = r.str()
-			resp.Messages = append(resp.Messages, m)
 		}
 		if op == binOpGetMail {
 			resp.Polls = int(r.uvarint())

@@ -262,26 +262,10 @@ func FuzzBinaryFrame(f *testing.F) {
 		// Both decoders must be panic-free on any checksummed payload, and
 		// agree with the reference decoders on it.
 		sameDecode(t, payload)
+		sameReaderDecode(t, s, payload)
 		req, tag, err := DecodeBinaryRequest(payload)
-		// So must the decoder the server's reader runs, which agrees with
-		// DecodeBinaryRequest on everything but how a getmail names its user:
-		// by the agent it was bound to, when the name is a registered user's.
-		bound, btag, berr := s.decodeFrame(payload)
-		if (berr == nil) != (err == nil) || btag != tag || (err != nil && berr.Error() != err.Error()) {
-			t.Fatalf("reader decodes (%v, tag %d), DecodeBinaryRequest (%v, tag %d)", berr, btag, err, tag)
-		}
 		if err != nil {
 			return
-		}
-		if bound.agent != nil {
-			user, perr := names.Parse(req.User)
-			if perr != nil || bound.agent.a.User() != user || req.Op != "getmail" || bound.User != "" {
-				t.Fatalf("%+v bound to %v's agent (its user parses: %v)", req, bound.agent.a.User(), perr)
-			}
-			bound.agent, bound.User = nil, req.User
-		}
-		if !reflect.DeepEqual(bound, req) {
-			t.Fatalf("reader decodes %+v, DecodeBinaryRequest %+v", bound, req)
 		}
 		// Canonical fixed point at the frame level: one re-encode may
 		// normalize (a JSON-op frame whose op names a hot verb re-encodes
@@ -321,6 +305,55 @@ func FuzzBinaryFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameReaderDecode fails the test unless the decoder the server's reader runs
+// agrees with DecodeBinaryRequest on payload, field for field, but for how a
+// getmail names its user — by the agent it was bound to, when the name is a
+// registered user's — and how a submit names its recipients: as the names
+// names.Parse makes of DecodeBinaryRequest's To, when every one is a name.
+func sameReaderDecode(t *testing.T, s *Server, payload []byte) {
+	t.Helper()
+	req, tag, err := DecodeBinaryRequest(payload)
+	bound, btag, berr := s.decodeFrame(payload)
+	if (berr == nil) != (err == nil) || btag != tag || (err != nil && berr.Error() != err.Error()) {
+		t.Fatalf("reader decodes (%v, tag %d), DecodeBinaryRequest (%v, tag %d)", berr, btag, err, tag)
+	}
+	if err != nil {
+		return
+	}
+	if bound.agent != nil {
+		user, perr := names.Parse(req.User)
+		if perr != nil || bound.agent.a.User() != user || req.Op != "getmail" || bound.User != "" {
+			t.Fatalf("%+v bound to %v's agent (its user parses: %v)", req, bound.agent.a.User(), perr)
+		}
+		bound.agent, bound.User = nil, req.User
+	}
+	if bound.to != nil {
+		if req.Op != "submit" || bound.To != nil || len(bound.to) != len(req.To) {
+			t.Fatalf("%+v has recipients %v on the reader", req, bound.to)
+		}
+		for i, raw := range req.To {
+			if to, perr := names.Parse(raw); perr != nil || to != bound.to[i] {
+				t.Fatalf("recipient %q read as %v (it parses as %v, %v)", raw, bound.to[i], to, perr)
+			}
+		}
+		bound.to, bound.To = nil, req.To
+	} else if req.Op == "submit" && len(req.To) > 0 && allNames(req.To) {
+		t.Fatalf("submit to %q: the reader made no names of its recipients", req.To)
+	}
+	if !reflect.DeepEqual(bound, req) {
+		t.Fatalf("reader decodes %+v, DecodeBinaryRequest %+v", bound, req)
+	}
+}
+
+func allNames(raw []string) bool {
+	for _, r := range raw {
+		if _, err := names.Parse(r); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // refBinReader and the two ref decoders are the decoders as they were before
@@ -499,9 +532,14 @@ func sameDecode(t *testing.T, payload []byte) {
 // TestBinaryDecodersMatchReference is the seeded property test: well-formed
 // payloads of every op (the JSON-wrapped ones included), every prefix of
 // each, and random single-byte damage decode exactly as the reference
-// decoders decode them.
+// decoders decode them, and as the server's reader decodes them.
 func TestBinaryDecodersMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	s := newServer(t)
+	name := func() string {
+		sep := []string{".", "@"}[rng.Intn(2)]
+		return fmt.Sprintf("R%d%sh%d%su%d", rng.Intn(9), sep, rng.Intn(99), sep, rng.Intn(999))
+	}
 	word := func() string {
 		b := make([]byte, rng.Intn(12))
 		for i := range b {
@@ -519,6 +557,7 @@ func TestBinaryDecodersMatchReference(t *testing.T) {
 	for round := 0; round < 300; round++ {
 		reqs := []Request{
 			{Op: "submit", From: word(), To: list(), Subject: word(), Body: word()},
+			{Op: "submit", From: name(), To: []string{name(), name()}[:rng.Intn(3)], Subject: word(), Body: word()},
 			{Op: "tbatch", From: word(), Msgs: []BatchMsg{{To: list(), Subject: word(), Body: word()}, {To: list()}}},
 			{Op: "getmail", User: word()},
 			{Op: "checkmail", User: word(), Server: word()},
@@ -555,11 +594,13 @@ func TestBinaryDecodersMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameDecode(t, payload)
-			sameDecode(t, payload[:rng.Intn(len(payload)+1)]) // truncated
+			cut := payload[:rng.Intn(len(payload)+1)] // truncated
 			mut := append([]byte(nil), payload...)
-			mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
-			sameDecode(t, mut) // damaged: op byte, a length, a count, JSON text
+			mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255)) // damaged: op byte, a length, a count, JSON text
+			for _, p := range [][]byte{payload, cut, mut} {
+				sameDecode(t, p)
+				sameReaderDecode(t, s, p)
+			}
 		}
 	}
 }

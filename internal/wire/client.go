@@ -56,8 +56,9 @@ type Client struct {
 
 	// tag numbers requests; responses echo it. Sequential Do checks
 	// the echo; Pipeline uses it to match out-of-order completions.
-	tag uint32
-	ids idArena // the message IDs doBinary decodes
+	tag  uint32
+	ids  idArena   // the message IDs doBinary decodes
+	text textArena // and the text of their messages
 }
 
 // Dial connects to a wire server with default Options.
@@ -229,7 +230,7 @@ func (c *Client) doBinary(req Request) (Response, error, bool) {
 		c.drop()
 		return Response{}, rerr, false
 	}
-	resp, rtag, derr := decodeBinaryResponse(payload, &c.ids)
+	resp, rtag, derr := decodeResponse(payload, &c.ids, &c.text, nil)
 	putFrameBuf(rp)
 	if derr != nil {
 		c.drop()

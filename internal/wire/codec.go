@@ -2,6 +2,7 @@ package wire
 
 import (
 	"github.com/largemail/largemail/internal/mail"
+	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/obs"
 )
 
@@ -29,6 +30,8 @@ type Request struct {
 	// no string was made of it. Nil for every other request, and for a getmail
 	// whose user the reader could not resolve, which goes by User.
 	agent *userAgent
+	// to is a native submit's recipients as the reader parsed them (decodeSubmit).
+	to []names.Name
 }
 
 // BatchMsg is one message of a tbatch request. The whole batch shares the

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -58,13 +59,15 @@ type Pipeline struct {
 }
 
 // Future is one pipelined request's pending result. It is a single
-// allocation — the wait is an embedded WaitGroup, not a channel — and stays
-// readable for good: Response may be called any number of times, from any
-// goroutine, and returns the same result each time.
+// allocation — the wait is an embedded WaitGroup, not a channel, and an answer
+// of one message is decoded into one — and, never reused, stays readable for
+// good: Response may be called any number of times, from any goroutine, and
+// returns the same result each time.
 type Future struct {
 	done sync.WaitGroup
 	resp Response
 	err  error
+	one  [1]Message
 }
 
 // Response blocks until the request completes and returns its result, with
@@ -223,36 +226,40 @@ func (p *Pipeline) failAll(err error) {
 	}
 }
 
-// reader consumes one response per expect token, matching by tag. It exits
-// when Close closes the token channel and every outstanding response has
-// been read, or on the first transport error.
+// reader consumes one response per expect token, matching by tag before it
+// decodes. It exits when Close closes the token channel and every
+// outstanding response has been read, or on the first transport error.
 func (p *Pipeline) reader() {
 	defer close(p.readerDone)
 	rbuf := getFrameBuf()
 	defer putFrameBuf(rbuf)
 	var ids idArena
+	var text textArena
 	for range p.expect {
 		if t := p.c.opts.Timeout; t > 0 {
 			_ = p.c.conn.SetReadDeadline(time.Now().Add(t))
 		}
-		var (
-			resp Response
-			tag  uint32
-		)
 		payload, err := p.c.cr.readFrame(rbuf)
+		var f *Future
+		if err == nil && len(payload) > 4 {
+			tag := binary.LittleEndian.Uint32(payload[1:])
+			p.mu.Lock()
+			f = p.pending[tag]
+			delete(p.pending, tag)
+			p.mu.Unlock()
+			if f == nil {
+				err = fmt.Errorf("wire: response with unmatched tag %d", tag)
+			}
+		}
+		var resp Response
 		if err == nil {
-			resp, tag, err = decodeBinaryResponse(payload, &ids)
+			resp, _, err = decodeResponse(payload, &ids, &text, f)
 		}
 		if err != nil {
+			if f != nil {
+				p.finish(f, Response{}, err)
+			}
 			p.failAll(err)
-			return
-		}
-		p.mu.Lock()
-		f := p.pending[tag]
-		delete(p.pending, tag)
-		p.mu.Unlock()
-		if f == nil {
-			p.failAll(fmt.Errorf("wire: response with unmatched tag %d", tag))
 			return
 		}
 		r, rerr := respErr(resp)

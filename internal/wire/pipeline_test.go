@@ -2,7 +2,10 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -266,5 +269,64 @@ func TestPipelineServerGone(t *testing.T) {
 	}
 	if err := p.Close(); err == nil {
 		t.Fatal("Close reported success on a broken pipeline")
+	}
+}
+
+// TestPipelineMalformedAnswerFailsItsFuture: the reader takes an answer's
+// Future by its tag before it decodes the rest, so an answer that matches a
+// request and then does not decode fails that request's Future too, with the
+// decode error, and every later one.
+func TestPipelineMalformedAnswerFailsItsFuture(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		cr := newConnReader(conn)
+		defer cr.release()
+		in := getFrameBuf()
+		defer putFrameBuf(in)
+		payload, err := cr.readFrame(in)
+		if err != nil {
+			return
+		}
+		// A getmail answer of three messages that ends after the count.
+		out, _ := sealAt(append([]byte{0, 0, 0, 0, binOpGetMail}, append(payload[1:5], 1, 3)...), 0)
+		_, _ = conn.Write(out)
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p, err := c.Pipeline(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Do(Request{Op: "getmail", User: "R1.h1.alice"}).Response()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, errBadPayload) {
+			t.Errorf("the malformed answer's Future: %v, want %v", err, errBadPayload)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the Future of a malformed answer never completed")
+	}
+	if _, err := p.Do(Request{Op: "getmail", User: "R1.h1.alice"}).Response(); !errors.Is(err, errBadPayload) {
+		t.Errorf("a request after the malformed answer: %v, want %v", err, errBadPayload)
+	}
+	if err := p.Close(); !errors.Is(err, errBadPayload) {
+		t.Errorf("Close: %v, want %v", err, errBadPayload)
 	}
 }

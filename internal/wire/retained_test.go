@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -269,6 +270,79 @@ func TestPipelineKeptIDsHoldNoBodies(t *testing.T) {
 	}
 	if len(distinct) != msgs || !distinct[kept[0]] {
 		t.Errorf("%d distinct IDs kept of %d messages: the IDs changed after they were handed out", len(distinct), msgs)
+	}
+}
+
+// TestPipelineKeptBodyPinsOneChunk is a client on a Pipeline that keeps some
+// messages: 4 096 messages of 2 KB, each submitted and then read by a getmail
+// of its own, and the caller keeps the message of one answer in k. A kept
+// message is its Future's own slot, its ID a piece of an ID chunk and its
+// text a piece of the reader's text arena, in the copy of its answer: it pins
+// that Future, that ID chunk and one text chunk, at most textChunkSize, and
+// no other answer's messages. Each kept message is some text chunks away from
+// the last, so the heap grows by at most a text chunk, an ID chunk and a
+// Future per kept message, and each reads what it read when its answer came.
+func TestPipelineKeptBodyPinsOneChunk(t *testing.T) {
+	const (
+		msgs   = 4096
+		k      = 64 // answers read per kept message: ≈ 8 text chunks
+		window = 16
+		user   = "R1.h1.alice"
+	)
+	s := newServer(t)
+	c := newClient(t, s)
+	if err := c.Register(user, "s1"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Pipeline(context.Background(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	to, body := []string{user}, strings.Repeat("b", 2<<10)
+	read := func(kept [][]Message) {
+		var fs [2 * window]*Future
+		for i := 0; i < len(kept)*k; i += window {
+			for j := 0; j < window; j++ {
+				fs[2*j] = p.Submit(user, to, strconv.Itoa(i+j), body)
+				fs[2*j+1] = p.Do(Request{Op: "getmail", User: user})
+			}
+			for j := 0; j < window; j++ {
+				if _, err := fs[2*j].Response(); err != nil {
+					t.Fatal(err)
+				}
+				resp, err := fs[2*j+1].Response()
+				if err != nil || len(resp.Messages) != 1 || resp.Messages[0].Subject != strconv.Itoa(i+j) {
+					t.Fatalf("message %d: getmail returned %+v, %v", i+j, resp.Messages, err)
+				}
+				if (i+j)%k == 0 {
+					kept[(i+j)/k] = resp.Messages
+				}
+			}
+		}
+	}
+	heap := func() uint64 {
+		s.Cluster().Tracer().Reset()
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	read(make([][]Message, 4))
+	kept := make([][]Message, msgs/k)
+	h0 := heap()
+	read(kept)
+	h1 := heap()
+	grow := (float64(h1) - float64(h0)) / float64(len(kept))
+	t.Logf("heap %d → %d bytes with %d messages kept: %.0f B per message", h0, h1, len(kept), grow)
+	if limit := textChunkSize + idChunkSize + int(unsafe.Sizeof(Future{})); grow > float64(limit) {
+		t.Errorf("%.0f B retained per kept message, want ≤ %d (a text chunk, an ID chunk, a Future)", grow, limit)
+	}
+	for i, m := range kept {
+		if m[0].Subject != strconv.Itoa(i*k) || m[0].Body != body {
+			t.Fatalf("kept message %d reads subject %q: it changed after it was handed out", i*k, m[0].Subject)
+		}
 	}
 }
 

@@ -406,6 +406,9 @@ func (s *Server) servePayload(payload []byte, q *server.WorkQueue, st *connState
 // answers in its own words when its turn comes. Bytes behind the name are
 // ignored, as DecodeBinaryRequest ignores them.
 func (s *Server) decodeFrame(payload []byte) (Request, uint32, error) {
+	if req, tag, ok := decodeSubmit(payload); ok {
+		return req, tag, nil
+	}
 	if len(payload) == 0 || payload[0] != binOpGetMail {
 		return DecodeBinaryRequest(payload)
 	}
@@ -421,6 +424,27 @@ func (s *Server) decodeFrame(payload []byte) (Request, uint32, error) {
 		req.User = string(user)
 	}
 	return req, tag, nil
+}
+
+// decodeSubmit decodes a native submit with its recipients as the names the
+// cluster keeps (Request.to), aliasing the payload string as the body does.
+// False for any other frame, and for one DecodeBinaryRequest must decode: a
+// malformed one, or one with a recipient that is no name.
+func decodeSubmit(payload []byte) (req Request, tag uint32, ok bool) {
+	r := binReader{b: payload}
+	if r.byte1() != binOpSubmit {
+		return req, 0, false
+	}
+	tag = r.u32()
+	req = Request{Op: "submit", From: r.str(), Subject: r.str(), Body: r.str(), to: make([]names.Name, r.count())}
+	for i := range req.to {
+		to, err := names.Parse(r.str())
+		if err != nil {
+			return Request{}, tag, false
+		}
+		req.to[i] = to
+	}
+	return req, tag, !r.bad
 }
 
 // bind resolves a user's name, still text in the read buffer, to the user's
@@ -550,14 +574,16 @@ func (s *Server) opSubmit(req Request) Response {
 	if err != nil {
 		return fail("from: %v", err)
 	}
-	to := make([]names.Name, len(req.To))
-	if err := parseNames(to, req.To); err != nil {
-		return fail("%v", err)
+	if req.to == nil { // not parsed on the reader: a recipient is no name
+		req.to = make([]names.Name, len(req.To))
+		if err := parseNames(req.to, req.To); err != nil {
+			return fail("%v", err)
+		}
 	}
-	if len(to) == 0 {
+	if len(req.to) == 0 {
 		return fail("no recipients")
 	}
-	id, err := s.cluster.Submit(from, to, req.Subject, req.Body)
+	id, err := s.cluster.Submit(from, req.to, req.Subject, req.Body)
 	if err != nil {
 		return failErr("submit", err)
 	}
