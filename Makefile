@@ -69,12 +69,13 @@ tier2-wire:
 # formula, a first touch under static costs what the retired "" fork cost) and
 # of the one world under it (core.NewSyntax and NewSimDriver over the same
 # fabric), the hot-spot engine races, reconfig racing the rebalancer, the
-# migration-vs-kill-restart chaos, and the directory placement-event funnel.
+# migration-vs-kill-restart chaos, and every directory write visible to the
+# next read.
 .PHONY: tier2-balance
 tier2-balance:
 	go test -race ./internal/placement/
 	go test -race -run 'TestStaticPlacementIsTheAssignment|TestRoundRobinIsTheLiveFormula|TestOneWorld|TestFirstTouchAllocs|TestJSQSpreadsHotspot|TestRebalancerMigrates|TestReconfigUnderRebalance|TestMigrationRacesKillRestart' ./internal/loadgen/
-	go test -race -run 'TestDirectoryPlacementEventFunnel' ./internal/server/
+	go test -race -run 'TestDirectoryBasics' ./internal/server/
 
 # Tier-2 architecture slice: the §3.2/§3.3 shoot-out under the race detector —
 # the roaming scenario (overhead auditor, rehash reconfiguration, faults), the
@@ -250,7 +251,7 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 25208
+SIZE_CEILING = 25097
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:

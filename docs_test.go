@@ -274,6 +274,19 @@ func TestDocEntriesWithinBudget(t *testing.T) {
 	}
 }
 
+// docsTotalBudget bounds DESIGN.md and EXPERIMENTS.md together, in bytes: the
+// size the change that last set it left. Like SIZE_CEILING it only goes
+// down; a change that adds to the docs takes as much out elsewhere.
+const docsTotalBudget = 329584
+
+// TestDocsWithinTotalBudget: DESIGN.md and EXPERIMENTS.md together are at
+// most docsTotalBudget bytes.
+func TestDocsWithinTotalBudget(t *testing.T) {
+	if n := len(readDoc(t, "DESIGN.md")) + len(readDoc(t, "EXPERIMENTS.md")); n > docsTotalBudget {
+		t.Errorf("DESIGN.md + EXPERIMENTS.md are %d bytes, over %d", n, docsTotalBudget)
+	}
+}
+
 // goRun matches a documented `go run ./cmd/<x> …` and what follows it on
 // the line; bareRun a built command run by its bare name, or a path ending in
 // it, at the start of a line, with a flag after it.

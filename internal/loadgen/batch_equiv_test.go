@@ -3,6 +3,7 @@ package loadgen
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -149,13 +150,12 @@ func TestBatchSixteenSameDeliveries(t *testing.T) {
 	}
 }
 
-// TestResolutionCacheInvalidationUnderReconfig fires MigrateUser and
-// RemoveServer from OnTick while the closed loop is live. The resolution
-// cache must serve the steady-state traffic (hits accumulate) yet never
-// serve a stale list across the reconfigs: the auditors' exactly-once/
-// no-loss ledger is the stale-deposit oracle (a deposit routed on a stale
-// authority list would strand a copy and fail the no-loss audit).
-func TestResolutionCacheInvalidationUnderReconfig(t *testing.T) {
+// TestResolveFreshUnderReconfig fires MigrateUser and RemoveServer from
+// OnTick while the closed loop is live. Every copy must be routed on the
+// authority list the directory holds at that moment: the auditors'
+// exactly-once/no-loss ledger is the stale-deposit oracle (a deposit routed on
+// a stale authority list would strand a copy and fail the no-loss audit).
+func TestResolveFreshUnderReconfig(t *testing.T) {
 	drv, err := NewSimDriver(SimConfig{
 		Seed: 19,
 		Pop: Population{
@@ -208,29 +208,16 @@ func TestResolutionCacheInvalidationUnderReconfig(t *testing.T) {
 			rep.Violations, rep.Examples)
 	}
 
-	// The cache carried real traffic and the counters surfaced in the
-	// driver's snapshot (Directory.Instrument wiring).
-	snap := drv.Snapshot()
-	if snap.Counters["rescache_hits"] == 0 {
-		t.Error("rescache_hits = 0; delivery path not using the resolution cache")
+	// The migrated user's new name resolves in region 1 to the list its agent
+	// holds; the old name no longer resolves and redirects to the new one.
+	newName, oldName := drv.UserName(victim), pop.Name(victim)
+	if got := drv.dirs[1].Resolve(newName); newName.Region != pop.RegionName(1) || !slices.Equal(got, drv.agents[victim].Authority()) {
+		t.Errorf("migrated user %v resolves to %v, want region %s and %v", newName, got, pop.RegionName(1), drv.agents[victim].Authority())
 	}
-	if snap.Counters["rescache_misses"] == 0 {
-		t.Error("rescache_misses = 0; cache never populated")
+	if got := drv.dirs[0].Resolve(oldName); got != nil {
+		t.Errorf("old name %v still resolves to %v", oldName, got)
 	}
-	var hits, misses int64
-	for _, dir := range drv.dirs {
-		h, m := dir.CacheStats()
-		hits += h
-		misses += m
-	}
-	if hits != snap.Counters["rescache_hits"] || misses != snap.Counters["rescache_misses"] {
-		t.Errorf("obs counters (%d/%d) disagree with CacheStats (%d/%d)",
-			snap.Counters["rescache_hits"], snap.Counters["rescache_misses"], hits, misses)
-	}
-	// The migrated user's new name resolves through the refreshed directory:
-	// one more message to the victim lands and is retrieved, proving no
-	// negative/stale entry survived the reconfig.
-	if got := drv.UserName(victim); got.Region != pop.RegionName(1) {
-		t.Errorf("migrated user resolves to %v, want region %s", got, pop.RegionName(1))
+	if to, ok := drv.dirs[0].Redirect(oldName); !ok || to != newName {
+		t.Errorf("old name %v redirects to %v (%v), want %v", oldName, to, ok, newName)
 	}
 }

@@ -78,7 +78,7 @@ func TestStaticPlacementIsTheAssignment(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !slices.Equal(a.Authority(), want) || !slices.Equal(drv.dirs[gh/p.HostsPerRegion].Authority(a.User()), want) {
+					if !slices.Equal(a.Authority(), want) || !slices.Equal(drv.dirs[gh/p.HostsPerRegion].Resolve(a.User()), want) {
 						t.Fatalf("pop %d, policy %q, %s: user %d of host %d got %v, the assignment lists %v", i, policy, when, u, gh, a.Authority(), want)
 					}
 				}
@@ -183,7 +183,7 @@ func TestOneWorld(t *testing.T) {
 			for _, n := range []names.Name{pop.Name(u), lazy.UserName(u)} { // the old name too, once moved
 				ld, _ := lazy.fab.Directory(n.Region)
 				ed, _ := eager.Directory(n.Region)
-				if a, b := ed.Authority(byLabel(n)), ld.Authority(n); !slices.Equal(a, b) {
+				if a, b := ed.Resolve(byLabel(n)), ld.Resolve(n); !slices.Equal(a, b) {
 					t.Fatalf("%s: %v: eager directory %v, lazy %v", when, n, a, b)
 				}
 				to, moved := ld.Redirect(n)
@@ -298,8 +298,8 @@ func TestRebalancerMigratesUnderHotspot(t *testing.T) {
 
 // TestReconfigUnderRebalance: §3.1.3 fleet reconfiguration (server addition
 // and §3.1.4 manual migration) racing the online rebalancer's own migrations.
-// The directory's placement-event funnel is what keeps every resolver cache
-// coherent while two writers move users; the auditors are the oracle.
+// Every copy is routed on the list the directory holds when it is resolved,
+// while two writers move users; the auditors are the oracle.
 func TestReconfigUnderRebalance(t *testing.T) {
 	for _, batch := range relayBatchSizes {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {

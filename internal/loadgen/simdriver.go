@@ -122,7 +122,6 @@ func NewSimDriver(cfg SimConfig) (*SimDriver, error) {
 	d.lists = d.fab.Lists()
 	for r := 0; r < p.Regions; r++ {
 		dir, _ := d.fab.Directory(p.RegionName(r))
-		dir.Instrument(d.reg) // rescache_hits/rescache_misses in Snapshot
 		d.dirs = append(d.dirs, dir)
 	}
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/names"
-	"github.com/largemail/largemail/internal/obs"
 )
 
 // Resolver is how a server resolves the names of its region: §3.1's
@@ -40,57 +39,6 @@ type Directory struct {
 	authority map[names.Name][]graph.NodeID
 	redirects map[names.Name]names.Name
 	groups    map[names.Name][]names.Name
-
-	// Resolution cache (§3.1.2a name-service queries): memoizes Resolve
-	// results, both positive (the stored authority slice) and negative
-	// (a nil entry, so group/redirect names stop paying a map miss on every
-	// copy routed through them). Every directory write invalidates exactly
-	// the names it touches, which is what the reconfig ops of §3.1.3/§3.1.4
-	// (AddServer/RemoveServer/MigrateUser) flow through.
-	cache     map[names.Name][]graph.NodeID
-	hits      int64
-	misses    int64
-	hitsCtr   *obs.Counter // nil until Instrument
-	missesCtr *obs.Counter
-
-	// onEvent, when set, observes every placement event after the cache entry
-	// for the touched name has been dropped. See OnPlacementEvent.
-	onEvent func(kind PlacementEvent, user names.Name)
-}
-
-// PlacementEvent classifies a directory write that changed where a name
-// resolves: every register/migrate/remove path funnels through exactly one
-// placementEvent call, so the resolution cache cannot be left stale by a new
-// placement policy reaching the directory through a path the older inline
-// invalidations did not cover.
-type PlacementEvent int
-
-// Placement event kinds, one per mutating directory entry point.
-const (
-	EventAuthority  PlacementEvent = iota // SetAuthority (register/migrate/remove)
-	EventRedirect                         // SetRedirect (§3.1.4 grace period start)
-	EventUnredirect                       // RemoveRedirect (grace period end)
-	EventGroup                            // SetGroup (distribution-list change)
-)
-
-// OnPlacementEvent installs a hook observing every placement event, called
-// after the event's cache invalidation. Policies and drivers use it to chain
-// their own caches (e.g. client authority lists) off directory truth.
-func (d *Directory) OnPlacementEvent(fn func(kind PlacementEvent, user names.Name)) {
-	d.onEvent = fn
-}
-
-// placementEvent is the single funnel for directory writes: it drops the
-// touched name's resolution-cache entry and notifies the hook. All mutating
-// entry points MUST route through here rather than touching d.cache inline,
-// and must call it AFTER the write commits — a hook (or anything it calls)
-// that re-Resolves the name must observe the new truth, not re-cache the
-// old entry the event was invalidating.
-func (d *Directory) placementEvent(kind PlacementEvent, user names.Name) {
-	delete(d.cache, user)
-	if d.onEvent != nil {
-		d.onEvent(kind, user)
-	}
 }
 
 // NewDirectory returns an empty directory for a region.
@@ -100,43 +48,13 @@ func NewDirectory(region string) *Directory {
 		authority: make(map[names.Name][]graph.NodeID),
 		redirects: make(map[names.Name]names.Name),
 		groups:    make(map[names.Name][]names.Name),
-		cache:     make(map[names.Name][]graph.NodeID),
 	}
 }
 
-// Instrument binds the resolution cache's hit/miss counters to a registry
-// ("rescache_hits"/"rescache_misses"), typically the deployment's shared obs
-// registry so drivers surface them in snapshots.
-func (d *Directory) Instrument(reg *obs.Registry) {
-	d.hitsCtr = reg.Counter("rescache_hits")
-	d.missesCtr = reg.Counter("rescache_misses")
-}
-
-// CacheStats reports resolution-cache hits and misses since creation.
-func (d *Directory) CacheStats() (hits, misses int64) { return d.hits, d.misses }
-
-// Resolve returns the user's ordered authority-server list through the
-// resolution cache (nil if the user is unknown). The result is the stored
-// list, shared and read-only (see the authority field). Servers resolve
-// recipients through this; Authority stays the uncached, copying
-// administrative read.
-func (d *Directory) Resolve(user names.Name) []graph.NodeID {
-	list, ok := d.cache[user]
-	if ok {
-		d.hits++
-		if d.hitsCtr != nil {
-			d.hitsCtr.Inc()
-		}
-	} else {
-		d.misses++
-		if d.missesCtr != nil {
-			d.missesCtr.Inc()
-		}
-		list = d.authority[user] // nil for unknown users: cached negative
-		d.cache[user] = list
-	}
-	return list
-}
+// Resolve returns the user's ordered authority-server list, or nil if the
+// user is unknown: the stored list, shared and read-only (see the authority
+// field), so a read copies nothing and a write is seen by the next read.
+func (d *Directory) Resolve(user names.Name) []graph.NodeID { return d.authority[user] }
 
 // Region returns the region this directory covers.
 func (d *Directory) Region() string { return d.region }
@@ -152,33 +70,8 @@ func (d *Directory) SetAuthority(user names.Name, servers []graph.NodeID) error 
 	} else {
 		d.authority[user] = append([]graph.NodeID(nil), servers...)
 	}
-	d.placementEvent(EventAuthority, user)
 	return nil
 }
-
-// Authority returns the user's ordered authority-server list, or nil if the
-// user is unknown.
-func (d *Directory) Authority(user names.Name) []graph.NodeID {
-	list := d.authority[user]
-	if list == nil {
-		return nil
-	}
-	return append([]graph.NodeID(nil), list...)
-}
-
-// Users returns every registered user, sorted by name, for deterministic
-// iteration in experiments.
-func (d *Directory) Users() []names.Name {
-	out := make([]names.Name, 0, len(d.authority))
-	for u := range d.authority {
-		out = append(out, u)
-	}
-	slices.SortFunc(out, names.Compare)
-	return out
-}
-
-// Len reports the number of registered users.
-func (d *Directory) Len() int { return len(d.authority) }
 
 // SetRedirect records that mail for old should be re-addressed to new — the
 // migration mechanism of §3.1.4: "between the two operations, mail addressed
@@ -189,7 +82,6 @@ func (d *Directory) SetRedirect(old, new names.Name) error {
 		return fmt.Errorf("server: redirect source %v is not in region %s", old, d.region)
 	}
 	d.redirects[old] = new
-	d.placementEvent(EventRedirect, old)
 	return nil
 }
 
@@ -203,7 +95,6 @@ func (d *Directory) Redirect(old names.Name) (names.Name, bool) {
 // grace period).
 func (d *Directory) RemoveRedirect(old names.Name) {
 	delete(d.redirects, old)
-	d.placementEvent(EventUnredirect, old)
 }
 
 // SetGroup registers a distribution list: mail addressed to the group name
@@ -224,7 +115,6 @@ func (d *Directory) SetGroup(group names.Name, members []names.Name) error {
 	} else {
 		d.groups[group] = append([]names.Name(nil), members...)
 	}
-	d.placementEvent(EventGroup, group)
 	return nil
 }
 

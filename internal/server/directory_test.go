@@ -5,89 +5,7 @@ import (
 	"testing"
 
 	"github.com/largemail/largemail/internal/graph"
-	"github.com/largemail/largemail/internal/names"
 )
-
-// TestDirectoryPlacementEventFunnel: every mutating directory entry point
-// must flow through the single placementEvent funnel — the hook sees each
-// write, and the resolution cache entry for the touched name is dropped
-// BEFORE the hook fires, so a hook chaining its own cache off directory
-// truth can immediately re-Resolve and get the new answer.
-func TestDirectoryPlacementEventFunnel(t *testing.T) {
-	d := NewDirectory("r0")
-	user := names.Name{Region: "r0", Host: "h0", User: "alice"}
-	alias := names.Name{Region: "r0", Host: "h0", User: "alice-old"}
-	group := names.Name{Region: "r0", Host: "h0", User: "staff"}
-
-	type event struct {
-		kind PlacementEvent
-		user names.Name
-	}
-	var events []event
-	var inHook []graph.NodeID
-	d.OnPlacementEvent(func(kind PlacementEvent, u names.Name) {
-		events = append(events, event{kind, u})
-		if kind == EventAuthority && u == user {
-			// The funnel invalidates before notifying: resolving from
-			// inside the hook must already see the new authority.
-			inHook = d.Resolve(user)
-		}
-	})
-
-	if err := d.SetAuthority(user, []graph.NodeID{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	// Populate the cache, then overwrite the placement.
-	if got := d.Resolve(user); len(got) != 2 || got[0] != 1 {
-		t.Fatalf("Resolve = %v, want [1 2]", got)
-	}
-	if err := d.SetAuthority(user, []graph.NodeID{3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if len(inHook) != 2 || inHook[0] != 3 {
-		t.Fatalf("hook-time Resolve = %v, want the NEW authority [3 4]", inHook)
-	}
-	if got := d.Resolve(user); len(got) != 2 || got[0] != 3 {
-		t.Fatalf("post-write Resolve = %v, want [3 4] (stale cache?)", got)
-	}
-
-	if err := d.SetRedirect(alias, user); err != nil {
-		t.Fatal(err)
-	}
-	d.RemoveRedirect(alias)
-	if err := d.SetGroup(group, []names.Name{user}); err != nil {
-		t.Fatal(err)
-	}
-
-	want := []event{
-		{EventAuthority, user},
-		{EventAuthority, user},
-		{EventRedirect, alias},
-		{EventUnredirect, alias},
-		{EventGroup, group},
-	}
-	if len(events) != len(want) {
-		t.Fatalf("hook saw %d events %v, want %d", len(events), events, len(want))
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("event[%d] = %+v, want %+v", i, events[i], want[i])
-		}
-	}
-
-	// Negative cache entries are invalidated too: resolve an unknown name
-	// (caches nil), then register it.
-	ghost := names.Name{Region: "r0", Host: "h1", User: "bob"}
-	if got := d.Resolve(ghost); got != nil {
-		t.Fatalf("unknown name resolved to %v", got)
-	}
-	if err := d.SetAuthority(ghost, []graph.NodeID{7}); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Resolve(ghost); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("negative cache entry survived registration: Resolve = %v", got)
-	}
-}
 
 // TestRegionMapListsNeverEdited: Servers hands out the stored list, so the map
 // may never write to one. A list taken before AddServer or RemoveServer keeps

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -430,30 +431,60 @@ func TestMisroutedForwardIsRerouted(t *testing.T) {
 	}
 }
 
+// TestDirectoryBasics: every directory write is visible to the next read —
+// SetAuthority's add, replace and remove through Resolve (a name resolved
+// while unknown, then registered, included), SetRedirect and RemoveRedirect
+// through Redirect, SetGroup's add and remove through Group — and Resolve
+// hands out the stored list itself, free, which SetAuthority's input cannot
+// reach.
 func TestDirectoryBasics(t *testing.T) {
 	d := NewDirectory("R1")
 	if err := d.SetAuthority(bob, []graph.NodeID{s3}); err == nil {
 		t.Error("cross-region SetAuthority accepted")
 	}
-	if err := d.SetAuthority(alice, []graph.NodeID{s1, s2}); err != nil {
+	alias, staff := names.MustParse("R1.h1.alice-old"), names.MustParse("R1.h1.staff")
+	steps := []struct {
+		name  string
+		write func() error
+		auth  []graph.NodeID // Resolve(alice) after the write
+		to    names.Name     // Redirect(alias); the zero name: none
+		group []names.Name   // Group(staff); nil: none
+	}{
+		{"unknown", func() error { return nil }, nil, names.Name{}, nil},
+		{"add", func() error { return d.SetAuthority(alice, []graph.NodeID{s1, s2}) }, []graph.NodeID{s1, s2}, names.Name{}, nil},
+		{"replace", func() error { return d.SetAuthority(alice, []graph.NodeID{s2}) }, []graph.NodeID{s2}, names.Name{}, nil},
+		{"redirect", func() error { return d.SetRedirect(alias, alice) }, []graph.NodeID{s2}, alice, nil},
+		{"unredirect", func() error { d.RemoveRedirect(alias); return nil }, []graph.NodeID{s2}, names.Name{}, nil},
+		{"group", func() error { return d.SetGroup(staff, []names.Name{alice, carol}) }, []graph.NodeID{s2}, names.Name{}, []names.Name{alice, carol}},
+		{"ungroup", func() error { return d.SetGroup(staff, nil) }, []graph.NodeID{s2}, names.Name{}, nil},
+		{"remove", func() error { return d.SetAuthority(alice, nil) }, nil, names.Name{}, nil},
+		{"re-register", func() error { return d.SetAuthority(alice, []graph.NodeID{s1}) }, []graph.NodeID{s1}, names.Name{}, nil},
+	}
+	for _, st := range steps {
+		if err := st.write(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if got := d.Resolve(alice); !slices.Equal(got, st.auth) || (got == nil) != (st.auth == nil) {
+			t.Errorf("%s: Resolve = %v, want %v", st.name, got, st.auth)
+		}
+		if to, ok := d.Redirect(alias); to != st.to || ok != (st.to != names.Name{}) {
+			t.Errorf("%s: Redirect = %v %v, want %v", st.name, to, ok, st.to)
+		}
+		if members, ok := d.Group(staff); !slices.Equal(members, st.group) || ok != (st.group != nil) {
+			t.Errorf("%s: Group = %v %v, want %v", st.name, members, ok, st.group)
+		}
+	}
+
+	in := []graph.NodeID{s1, s2}
+	if err := d.SetAuthority(carol, in); err != nil {
 		t.Fatal(err)
 	}
-	got := d.Authority(alice)
-	if len(got) != 2 || got[0] != s1 {
-		t.Errorf("Authority = %v", got)
+	in[0] = 999
+	if a, b := d.Resolve(carol), d.Resolve(carol); a[0] != s1 || &a[0] != &b[0] {
+		t.Errorf("Resolve = %v: not the stored list, or changed through SetAuthority's input", a)
 	}
-	got[0] = 999
-	if d.Authority(alice)[0] != s1 {
-		t.Error("Authority exposed internal slice")
-	}
-	if d.Len() != 1 || len(d.Users()) != 1 {
-		t.Error("Len/Users wrong")
-	}
-	if err := d.SetAuthority(alice, nil); err != nil {
-		t.Fatal(err)
-	}
-	if d.Authority(alice) != nil {
-		t.Error("empty list did not unregister")
+	if n := testing.AllocsPerRun(100, func() { d.Resolve(carol) }); n != 0 {
+		t.Errorf("Resolve allocates %v per call, want 0", n)
 	}
 }
 
