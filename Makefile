@@ -7,8 +7,7 @@ tier1:
 	go test ./...
 
 # Tier-2: the full suite under the race detector — this exercises the
-# parallel Dijkstra fan-out and AllPairs worker pool in internal/graph and
-# internal/assign, plus the seeded chaos soaks (`make chaos`; the live soak
+# parallel Dijkstra fan-out in internal/assign, plus the seeded chaos soaks (`make chaos`; the live soak
 # runs in well under 30s).
 .PHONY: tier2
 tier2: tier1
@@ -125,7 +124,7 @@ tier2-retained:
 
 # Tier-2 transit slice: who owns a payload in the air, under the race detector —
 # netsim's recycled boxes (handed back once on every end of a flight, cleared,
-# never under their reader, Broadcast refused), the recycled transfer, batch
+# never under their reader), the recycled transfer, batch
 # and §3.2 notification records against recorded counters
 # (TestRecycledTransferRecords, TestRecycledPendingRecords), the same seeded
 # schedules with recycled boxes overwritten with garbage instead of zeros, the
@@ -139,7 +138,7 @@ tier2-retained:
 # kill-restart.
 .PHONY: tier2-transit
 tier2-transit:
-	go test -race -run 'Recycled|PendingRecords|Poisoned|BroadcastRefuses|TransitAllocs|DepositCycle|TakeMail|HandedOver|DispatchAllocs|SendAllocs|ReusesRecord|TestSimSubmitAllocs|AllocBudget' \
+	go test -race -run 'Recycled|PendingRecords|Poisoned|TransitAllocs|DepositCycle|TakeMail|HandedOver|DispatchAllocs|SendAllocs|ReusesRecord|TestSimSubmitAllocs|AllocBudget' \
 		./internal/netsim/ ./internal/server/ ./internal/client/ ./internal/locind/ ./internal/loadgen/ ./internal/broadcast/
 	go test -race -count=10 -run 'ReleasedSlot|ReleaseTakes|OversizedBatch|TestDrainFit' ./internal/mail/ ./internal/wire/ ./internal/livenet/
 
@@ -251,7 +250,7 @@ bench-pairs:
 # internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 25097
+SIZE_CEILING = 24463
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 .PHONY: size
 size:

@@ -297,16 +297,6 @@ func (a *Assignment) Load(server graph.NodeID) int {
 	return 0
 }
 
-// Assigned returns A[host][server], the users of host assigned to server.
-func (a *Assignment) Assigned(host, server graph.NodeID) int {
-	hi, ok1 := a.hostIdx[host]
-	si, ok2 := a.serverIdx[server]
-	if !ok1 || !ok2 {
-		return 0
-	}
-	return a.users[hi][si]
-}
-
 // Utilization returns ρ_j = L_j/M_j for a server.
 func (a *Assignment) Utilization(server graph.NodeID) float64 {
 	if si, ok := a.serverIdx[server]; ok {

@@ -489,3 +489,35 @@ func TestChannelUtilSaturatedLinkStillFinite(t *testing.T) {
 		t.Errorf("saturated channel cost = %v", c)
 	}
 }
+
+// RandomAssign discards the current assignment and distributes every host's
+// users uniformly at random over the servers — the deliberately naive
+// baseline the tests hold the balancer against.
+func (a *Assignment) RandomAssign(rng *rand.Rand) {
+	for j := range a.loads {
+		a.loads[j] = 0
+		a.sumNC[j] = 0
+	}
+	for hi := range a.users {
+		row := a.users[hi]
+		for j := range row {
+			row[j] = 0
+		}
+		for k := 0; k < a.cfg.Users[a.cfg.Hosts[hi]]; k++ {
+			si := rng.Intn(len(a.cfg.Servers))
+			row[si]++
+			a.loads[si]++
+			a.sumNC[si] += a.comm[hi][si]
+		}
+	}
+}
+
+// Assigned returns A[host][server], the users of host assigned to server.
+func (a *Assignment) Assigned(host, server graph.NodeID) int {
+	hi, ok1 := a.hostIdx[host]
+	si, ok2 := a.serverIdx[server]
+	if !ok1 || !ok2 {
+		return 0
+	}
+	return a.users[hi][si]
+}

@@ -3,7 +3,6 @@ package assign
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"github.com/largemail/largemail/internal/graph"
 )
@@ -237,26 +236,4 @@ func (a *Assignment) RemoveUsers(host graph.NodeID, n int) (BalanceStats, error)
 		n -= take
 	}
 	return a.Balance(), nil
-}
-
-// RandomAssign discards the current assignment and distributes every host's
-// users uniformly at random over the servers — a deliberately naive baseline
-// for the ablation benchmarks.
-func (a *Assignment) RandomAssign(rng *rand.Rand) {
-	for j := range a.loads {
-		a.loads[j] = 0
-		a.sumNC[j] = 0
-	}
-	for hi := range a.users {
-		row := a.users[hi]
-		for j := range row {
-			row[j] = 0
-		}
-		for k := 0; k < a.cfg.Users[a.cfg.Hosts[hi]]; k++ {
-			si := rng.Intn(len(a.cfg.Servers))
-			row[si]++
-			a.loads[si]++
-			a.sumNC[si] += a.comm[hi][si]
-		}
-	}
 }

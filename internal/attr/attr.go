@@ -288,17 +288,6 @@ func (r *Registry) Put(p *Profile) error {
 	return nil
 }
 
-// Remove deletes a user's profile; removing an absent profile is a no-op.
-func (r *Registry) Remove(user names.Name) {
-	delete(r.profiles, user)
-}
-
-// Get returns a user's profile.
-func (r *Registry) Get(user names.Name) (*Profile, bool) {
-	p, ok := r.profiles[user]
-	return p, ok
-}
-
 // Len reports the number of profiles stored.
 func (r *Registry) Len() int { return len(r.profiles) }
 

@@ -184,14 +184,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := r.Search(Query{}); !errors.Is(err, ErrEmptyQuery) {
 		t.Errorf("empty search err = %v", err)
 	}
-	r.Remove(bob.User)
-	r.Remove(bob.User) // idempotent
-	if r.Len() != 1 {
-		t.Error("Remove failed")
-	}
-	if _, ok := r.Get(bob.User); ok {
-		t.Error("removed profile still present")
-	}
 }
 
 func TestRegistryPutValidatesAndCopies(t *testing.T) {
@@ -205,7 +197,7 @@ func TestRegistryPutValidatesAndCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Attrs[0].Value = "mutated"
-	stored, _ := r.Get(p.User)
+	stored := r.profiles[p.User]
 	if stored.Attrs[0].Value == "mutated" {
 		t.Error("Put aliased caller's attribute slice")
 	}

@@ -211,8 +211,12 @@ func TestTreeCheaperThanFlood(t *testing.T) {
 			}
 		}))
 	}
-	if _, err := floodNet.Broadcast(origin, "blast"); err != nil {
-		t.Fatal(err)
+	for _, id := range g.NodeIDs() {
+		if id != origin {
+			if err := floodNet.Send(origin, id, "blast"); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	fsched.Run()
 	floodCost := float64(floodNet.Stats().Get("cost_milli")) / 1000

@@ -97,12 +97,6 @@ func NewAttribute(cfg AttributeConfig) (*AttributeSystem, error) {
 	return s, nil
 }
 
-// Registry returns the attribute registry on a node.
-func (s *AttributeSystem) Registry(id graph.NodeID) (*attr.Registry, bool) {
-	r, ok := s.registries[id]
-	return r, ok
-}
-
 // CostTable returns the §3.3.1-B per-region cost-estimation table from the
 // perspective of a source region.
 func (s *AttributeSystem) CostTable(sourceRegion string) ([]mst.RegionCostRow, error) {

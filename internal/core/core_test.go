@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/largemail/largemail/internal/attr"
@@ -449,16 +450,6 @@ func TestLocationRunFor(t *testing.T) {
 	s.RunFor(10)
 }
 
-func TestAttributeRegistryAccessor(t *testing.T) {
-	s := attributeWorld(t)
-	if r, ok := s.Registry(1); !ok || r.Len() != 1 {
-		t.Errorf("Registry(1) = %v, %v", r, ok)
-	}
-	if _, ok := s.Registry(999); ok {
-		t.Error("phantom registry")
-	}
-}
-
 func TestLocationFederationCrossRegion(t *testing.T) {
 	g, users := twoRegionTopology() // Figure 1 R1 + one-host R2
 	f, err := NewLocationFederation(FederationConfig{Topology: g, UsersPerHost: users, Seed: 9})
@@ -523,4 +514,14 @@ func TestLocationFederationValidation(t *testing.T) {
 	if _, err := NewLocationFederation(FederationConfig{Topology: g}); err == nil {
 		t.Error("serverless topology accepted")
 	}
+}
+
+// Users returns every user, sorted by name.
+func (s *SyntaxSystem) Users() []names.Name {
+	out := make([]names.Name, 0, len(s.agents))
+	for u := range s.agents {
+		out = append(out, u)
+	}
+	slices.SortFunc(out, names.Compare)
+	return out
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"github.com/largemail/largemail/internal/assign"
 	"github.com/largemail/largemail/internal/client"
@@ -313,18 +312,6 @@ func (f *Fabric) Server(id graph.NodeID) (*server.Server, bool) {
 // own slice, read-only for the caller and stale after the next AddServer or
 // RemoveServer.
 func (f *Fabric) Servers() []graph.NodeID { return f.active }
-
-// Hosts returns every host process, sorted by node ID. Hosts collect the
-// submission acks, which is how callers learn which submissions the system
-// has durably accepted.
-func (f *Fabric) Hosts() []*client.Host {
-	out := make([]*client.Host, 0, len(f.hosts))
-	for _, h := range f.hosts {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	return out
-}
 
 // Lists returns every host's current authority list, keyed by host node: the
 // fabric's own table, which reconfigurations update in place. Read-only, the

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"github.com/largemail/largemail/internal/client"
 	"github.com/largemail/largemail/internal/faults"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/names"
@@ -118,4 +120,16 @@ func TestLostSubmitAckOwesTheMessage(t *testing.T) {
 	if unackedDelivered == 0 {
 		t.Fatal("no submission was accepted, delivered and never acked: the drops ate no SubmitAck")
 	}
+}
+
+// Hosts returns every host process, sorted by node ID. Hosts collect the
+// submission acks, which is how callers learn which submissions the system
+// has durably accepted.
+func (f *Fabric) Hosts() []*client.Host {
+	out := make([]*client.Host, 0, len(f.hosts))
+	for _, h := range f.hosts {
+		out = append(out, h)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	return out
 }

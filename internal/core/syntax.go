@@ -2,14 +2,15 @@
 // ready-to-run systems: SyntaxSystem (§3.1, syntax-directed naming with
 // load-balanced server assignment), LocationSystem (§3.2, limited
 // location-independent access), and AttributeSystem (§3.3, attribute-based
-// naming over a back-bone MST). It is the library's primary entry point:
-// examples, experiments and benchmarks all build worlds through it.
+// naming over a back-bone MST). The examples, loadgen's simulated driver
+// (and through it the benchmarks) and most experiments build their worlds
+// through it; the experiments' three §3.1 retrieval, authority-length and
+// connection-setup rigs are still wired by hand.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/largemail/largemail/internal/client"
 	"github.com/largemail/largemail/internal/evalsys"
@@ -128,11 +129,6 @@ func hostToken(n graph.Node) string {
 	return n.Label
 }
 
-// Obs returns the deployment-wide instrument registry holding the tracer-fed
-// "lat_<stage>" and "lat_e2e" histograms (in microticks; divide by sim.Unit
-// for paper time units).
-func (s *SyntaxSystem) Obs() *obs.Registry { return s.reg }
-
 // Tracer returns the deployment-wide message-lifecycle tracer shared by
 // every server, running on the simulated clock.
 func (s *SyntaxSystem) Tracer() *obs.Tracer { return s.trace }
@@ -144,16 +140,6 @@ func (s *SyntaxSystem) Agent(user names.Name) (*client.Agent, error) {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownUser, user)
 	}
 	return a, nil
-}
-
-// Users returns every user, sorted by name.
-func (s *SyntaxSystem) Users() []names.Name {
-	out := make([]names.Name, 0, len(s.agents))
-	for u := range s.agents {
-		out = append(out, u)
-	}
-	slices.SortFunc(out, names.Compare)
-	return out
 }
 
 // Send submits a message from one user. The simulation must be advanced

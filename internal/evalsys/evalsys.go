@@ -19,23 +19,20 @@ import (
 
 // Efficiency covers §4.1: "connection set-up time, message transportation,
 // message delivery, name resolution, message storage, ... and receiving
-// server notification for existence of mail."
+// server notification for existence of mail." Of those, the runs measure
+// retrieval polls and notification.
 type Efficiency struct {
-	MeanSetupTime      float64 // time units to find a live server
-	MeanDeliveryTime   float64 // submission → buffered at an authority server
-	MeanResolutionHops float64
-	MeanPollsPerCheck  float64 // polls per retrieval (GetMail ≈ 1)
-	NotifyRate         float64 // fraction of deliveries that alerted an online user
+	MeanPollsPerCheck float64 // polls per retrieval (GetMail ≈ 1)
+	NotifyRate        float64 // fraction of deliveries that alerted an online user
 }
 
 // Reliability covers §4.2: "mail-service availability, message flow
 // control, buffer clean-up, and consistency."
 type Reliability struct {
-	Availability    float64 // fraction of submissions that found a live server
-	DeliveredRate   float64 // delivered / submitted (1.0 = no loss)
-	DuplicateRate   float64 // duplicate deposits suppressed / delivered
-	RetriesPerMsg   float64 // transfer retries per delivered message
-	EvictedMessages int64   // clean-up policy evictions
+	Availability  float64 // fraction of submissions that found a live server
+	DeliveredRate float64 // delivered / submitted (1.0 = no loss)
+	DuplicateRate float64 // duplicate deposits suppressed / delivered
+	RetriesPerMsg float64 // transfer retries per delivered message
 }
 
 // Flexibility covers §4.3: "user migration, group naming, system
@@ -86,9 +83,8 @@ func (r Report) Score(w Weights) float64 {
 	if w == (Weights{}) {
 		w = DefaultWeights()
 	}
-	// Efficiency: polls close to 1 and fast delivery are good.
-	eff := saturating(1/math.Max(r.Efficiency.MeanPollsPerCheck, 1)) * 0.5
-	eff += saturating(1/(1+r.Efficiency.MeanDeliveryTime/10)) * 0.5
+	// Efficiency: polls close to 1 are good.
+	eff := saturating(1 / math.Max(r.Efficiency.MeanPollsPerCheck, 1))
 	// Reliability: delivery rate dominates; availability seconds it.
 	rel := clamp01(r.Reliability.DeliveredRate)*0.7 + clamp01(r.Reliability.Availability)*0.3
 	// Flexibility: no renames, roaming and attribute sends are good.
@@ -132,17 +128,13 @@ func saturating(v float64) float64 { return clamp01(v) }
 type Collector struct {
 	system string
 
-	setup      obs.Summary
-	delivery   obs.Summary
-	response   obs.Summary
-	resolution obs.Summary
+	response obs.Summary
 
 	submitted      int64
 	submitFailures int64
 	delivered      int64
 	duplicates     int64
 	retries        int64
-	evicted        int64
 	notified       int64
 
 	polls      int64
@@ -165,17 +157,8 @@ func NewCollector(system string) *Collector {
 	return &Collector{system: system}
 }
 
-// ObserveSetup records a connection-setup duration.
-func (c *Collector) ObserveSetup(d sim.Time) { c.setup.Observe(d.Units()) }
-
-// ObserveDelivery records a submission→buffered latency.
-func (c *Collector) ObserveDelivery(d sim.Time) { c.delivery.Observe(d.Units()) }
-
 // ObserveResponse records a submission→retrieval latency.
 func (c *Collector) ObserveResponse(d sim.Time) { c.response.Observe(d.Units()) }
-
-// ObserveResolutionHops records hops needed to resolve a name.
-func (c *Collector) ObserveResolutionHops(hops int) { c.resolution.Observe(float64(hops)) }
 
 // CountSubmission records one submission attempt; ok is false when no
 // server was reachable.
@@ -194,9 +177,6 @@ func (c *Collector) CountDuplicates(n int) { c.duplicates += int64(n) }
 
 // CountRetries records transfer retries.
 func (c *Collector) CountRetries(n int) { c.retries += int64(n) }
-
-// CountEvicted records clean-up evictions.
-func (c *Collector) CountEvicted(n int) { c.evicted += int64(n) }
 
 // CountNotified records alert signals that reached an online user.
 func (c *Collector) CountNotified(n int) { c.notified += int64(n) }
@@ -234,11 +214,6 @@ func (c *Collector) SetCapabilities(attributeSend, roaming bool) {
 // Report computes the §4 criteria from everything collected.
 func (c *Collector) Report() Report {
 	r := Report{System: c.system}
-	r.Efficiency = Efficiency{
-		MeanSetupTime:      meanOrZero(&c.setup),
-		MeanDeliveryTime:   meanOrZero(&c.delivery),
-		MeanResolutionHops: meanOrZero(&c.resolution),
-	}
 	if c.retrievals > 0 {
 		r.Efficiency.MeanPollsPerCheck = float64(c.polls) / float64(c.retrievals)
 	}
@@ -251,7 +226,6 @@ func (c *Collector) Report() Report {
 		r.Reliability.Availability = 1 - float64(c.submitFailures)/float64(c.submitted)
 		r.Reliability.DeliveredRate = float64(c.delivered) / float64(c.submitted)
 	}
-	r.Reliability.EvictedMessages = c.evicted
 	if c.migrations > 0 {
 		r.Flexibility.RenamesPerMigration = float64(c.renames) / float64(c.migrations)
 	}
@@ -279,14 +253,11 @@ func (r Report) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "§4 criteria — %s\n", r.System)
 	t := obs.NewTable("", "criterion", "measure", "value")
-	t.AddRow("efficiency", "mean setup time (u)", r.Efficiency.MeanSetupTime)
-	t.AddRow("efficiency", "mean delivery time (u)", r.Efficiency.MeanDeliveryTime)
 	t.AddRow("efficiency", "polls per retrieval", r.Efficiency.MeanPollsPerCheck)
 	t.AddRow("efficiency", "notify rate", r.Efficiency.NotifyRate)
 	t.AddRow("reliability", "availability", r.Reliability.Availability)
 	t.AddRow("reliability", "delivered rate", r.Reliability.DeliveredRate)
 	t.AddRow("reliability", "retries per message", r.Reliability.RetriesPerMsg)
-	t.AddRow("reliability", "evicted messages", r.Reliability.EvictedMessages)
 	t.AddRow("flexibility", "renames per migration", r.Flexibility.RenamesPerMigration)
 	t.AddRow("flexibility", "reconfig messages", r.Flexibility.ReconfigMessages)
 	t.AddRow("flexibility", "attribute send", r.Flexibility.SupportsAttributeSend)

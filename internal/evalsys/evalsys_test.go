@@ -10,18 +10,13 @@ import (
 
 func fullCollector() *Collector {
 	c := NewCollector("test")
-	c.ObserveSetup(sim.Units(1))
-	c.ObserveSetup(sim.Units(3))
-	c.ObserveDelivery(sim.Units(4))
 	c.ObserveResponse(sim.Units(10))
-	c.ObserveResolutionHops(2)
 	for i := 0; i < 10; i++ {
 		c.CountSubmission(i != 9) // one failure
 	}
 	c.CountDelivered(9)
 	c.CountDuplicates(1)
 	c.CountRetries(2)
-	c.CountEvicted(3)
 	c.CountNotified(4)
 	c.CountRetrieval(1)
 	c.CountRetrieval(2)
@@ -39,8 +34,8 @@ func TestReportValues(t *testing.T) {
 	if r.System != "test" {
 		t.Errorf("System = %q", r.System)
 	}
-	if r.Efficiency.MeanSetupTime != 2 {
-		t.Errorf("MeanSetupTime = %v", r.Efficiency.MeanSetupTime)
+	if r.Cost.MeanResponseTime != 10 {
+		t.Errorf("MeanResponseTime = %v", r.Cost.MeanResponseTime)
 	}
 	if r.Efficiency.MeanPollsPerCheck != 1.5 {
 		t.Errorf("MeanPollsPerCheck = %v", r.Efficiency.MeanPollsPerCheck)
@@ -68,8 +63,6 @@ func TestReportValues(t *testing.T) {
 func TestEmptyCollectorNoNaNs(t *testing.T) {
 	r := NewCollector("empty").Report()
 	for name, v := range map[string]float64{
-		"setup":     r.Efficiency.MeanSetupTime,
-		"delivery":  r.Efficiency.MeanDeliveryTime,
 		"polls":     r.Efficiency.MeanPollsPerCheck,
 		"avail":     r.Reliability.Availability,
 		"delivered": r.Reliability.DeliveredRate,

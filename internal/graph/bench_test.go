@@ -88,17 +88,3 @@ func BenchmarkFrozenShortestFrom(b *testing.B) {
 		f.ShortestFrom(i%f.Len(), dist, prev)
 	}
 }
-
-// BenchmarkAllPairs600 measures the parallel all-pairs fan-out on a 600-node
-// topology (2k all-pairs would dominate the bench budget).
-func BenchmarkAllPairs600(b *testing.B) {
-	rng := rand.New(rand.NewSource(43))
-	g := RandomConnected(rng, 600, 1800, 1)
-	f := g.Frozen()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := f.AllPairs(); len(rows) != 600 {
-			b.Fatal("short result")
-		}
-	}
-}

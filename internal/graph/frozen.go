@@ -2,16 +2,13 @@ package graph
 
 // This file implements the frozen (indexed) view of a Graph: a dense node
 // index plus CSR-style adjacency arrays, built once and cached until the
-// next mutation. The hot algorithms (Dijkstra, all-pairs, Kruskal, Prim)
-// run on it with array reads instead of map lookups, and the sorted edge
-// lists are computed once per topology instead of once per call.
+// next mutation. Dijkstra and Kruskal run on it with array reads instead of
+// map lookups, and the sorted edge lists are computed once per topology
+// instead of once per call.
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Frozen is an immutable, densely indexed snapshot of a Graph. Nodes are
@@ -125,10 +122,6 @@ func (f *Frozen) IndexOf(id NodeID) (int, bool) {
 // is the cached copy shared by all callers — read-only.
 func (f *Frozen) Edges() []Edge { return f.edges }
 
-// EdgesByWeight returns the undirected edges sorted by (Weight, A, B) —
-// Kruskal's order, computed once per topology. Read-only.
-func (f *Frozen) EdgesByWeight() []Edge { return f.byWeight }
-
 // Row returns node i's CSR adjacency row: neighbor dense indices (ascending)
 // and the parallel edge weights. Both slices are read-only views.
 func (f *Frozen) Row(i int) (nbr []int32, wt []float64) {
@@ -213,39 +206,4 @@ func (f *Frozen) ShortestFrom(src int, dist []float64, prev []int32) {
 			}
 		}
 	}
-}
-
-// AllPairs computes the full distance matrix, one Dijkstra per source,
-// fanned out across GOMAXPROCS workers. out[i][j] is the distance from node
-// i to node j in dense-index order; unreachable pairs are +Inf.
-func (f *Frozen) AllPairs() [][]float64 {
-	n := f.Len()
-	out := make([][]float64, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next int32 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			prev := make([]int32, n)
-			for {
-				i := int(atomic.AddInt32(&next, 1))
-				if i >= n {
-					return
-				}
-				dist := make([]float64, n)
-				f.ShortestFrom(i, dist, prev)
-				out[i] = dist
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }

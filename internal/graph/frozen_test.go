@@ -73,13 +73,13 @@ func TestFrozenEdgesSortedAndCached(t *testing.T) {
 			t.Fatalf("Edges not sorted by (A,B) at %d: %v, %v", i, edges[i-1], edges[i])
 		}
 	}
-	bw := f.EdgesByWeight()
+	bw := f.byWeight
 	if len(bw) != len(edges) {
-		t.Fatalf("EdgesByWeight len %d != Edges len %d", len(bw), len(edges))
+		t.Fatalf("byWeight len %d != Edges len %d", len(bw), len(edges))
 	}
 	for i := 1; i < len(bw); i++ {
 		if bw[i].Weight < bw[i-1].Weight {
-			t.Fatalf("EdgesByWeight not sorted at %d", i)
+			t.Fatalf("byWeight not sorted at %d", i)
 		}
 	}
 	// Graph.Edges returns a defensive copy of the cached slice.
@@ -132,32 +132,6 @@ func TestFrozenShortestFromMatchesBellmanFord(t *testing.T) {
 	}
 }
 
-func TestFrozenAllPairsMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := RandomConnected(rng, 25, 20, 1)
-	f := g.Frozen()
-	dense := f.AllPairs()
-	ap, err := g.AllPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < f.Len(); i++ {
-		p, err := g.ShortestPaths(f.IDOf(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < f.Len(); j++ {
-			want := p.Dist[f.IDOf(j)]
-			if math.Abs(dense[i][j]-want) > 1e-12 {
-				t.Fatalf("dense[%d][%d] = %v, want %v", i, j, dense[i][j], want)
-			}
-			if math.Abs(ap[f.IDOf(i)][f.IDOf(j)]-want) > 1e-12 {
-				t.Fatalf("AllPairs map mismatch at %d,%d", i, j)
-			}
-		}
-	}
-}
-
 // Concurrent read-only use must be race-free: many goroutines forcing the
 // lazy freeze and running queries on the same graph (exercised under -race
 // by tier-2).
@@ -203,8 +177,5 @@ func TestFrozenEmptyGraph(t *testing.T) {
 	f := New().Frozen()
 	if f.Len() != 0 || len(f.Edges()) != 0 {
 		t.Error("empty graph frozen view not empty")
-	}
-	if _, err := New().AllPairs(); err != nil {
-		t.Errorf("AllPairs on empty graph: %v", err)
 	}
 }

@@ -6,8 +6,8 @@
 // Each edge is assigned a finite weight cost" (§3.3.1-A). This package
 // provides that model plus the centralized algorithms the designs rely on:
 // Dijkstra shortest paths (the "shortest-path zero-load algorithm" used to
-// initialize connection costs in §3.1.1) and Kruskal/Prim minimum-weight
-// spanning trees (the correctness baseline for the distributed GHS MST in
+// initialize connection costs in §3.1.1) and Kruskal's minimum-weight
+// spanning tree (the correctness baseline for the distributed GHS MST in
 // internal/mst).
 package graph
 
@@ -59,13 +59,6 @@ type Node struct {
 type Edge struct {
 	A, B   NodeID
 	Weight float64
-}
-
-func normEdge(a, b NodeID, w float64) Edge {
-	if a > b {
-		a, b = b, a
-	}
-	return Edge{A: a, B: b, Weight: w}
 }
 
 // Errors reported by Graph mutations and queries.
@@ -383,26 +376,6 @@ func (p Paths) PathTo(dst NodeID) []NodeID {
 	return rev
 }
 
-// AllPairs computes shortest-path distances between every pair of nodes.
-// The per-source Dijkstras fan out across GOMAXPROCS workers on the frozen
-// view; the result is identical to running ShortestPaths serially.
-func (g *Graph) AllPairs() (map[NodeID]map[NodeID]float64, error) {
-	f := g.Frozen()
-	dense := f.AllPairs()
-	n := f.Len()
-	out := make(map[NodeID]map[NodeID]float64, n)
-	for i := 0; i < n; i++ {
-		row := make(map[NodeID]float64, n)
-		for j, d := range dense[i] {
-			if !math.IsInf(d, 1) {
-				row[f.IDOf(j)] = d
-			}
-		}
-		out[f.IDOf(i)] = row
-	}
-	return out, nil
-}
-
 // unionFind is a disjoint-set forest with path compression over dense
 // indices, for Kruskal.
 type unionFind []int32
@@ -484,97 +457,6 @@ func (g *Graph) KruskalMST() (Tree, error) {
 	if len(t.Edges) != f.Len()-1 {
 		return Tree{}, ErrDisconnected
 	}
-	return t, nil
-}
-
-// PrimMST computes a minimum-weight spanning tree with Prim's algorithm
-// (lazy-deletion edge heap over the frozen view, O(E log E) instead of the
-// previous quadratic frontier rescans). For graphs with distinct edge
-// weights it returns the same tree as KruskalMST; it exists as an
-// independent cross-check. Ties break on (weight, lower endpoint, higher
-// endpoint) for determinism.
-func (g *Graph) PrimMST() (Tree, error) {
-	f := g.Frozen()
-	n := f.Len()
-	if n == 0 {
-		return Tree{}, ErrDisconnected
-	}
-	type cand struct {
-		w        float64
-		from, to int32
-	}
-	less := func(a, b cand) bool {
-		if a.w != b.w {
-			return a.w < b.w
-		}
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		return a.to < b.to
-	}
-	var h []cand
-	push := func(c cand) {
-		h = append(h, c)
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if less(h[p], h[i]) || !less(h[i], h[p]) {
-				break
-			}
-			h[p], h[i] = h[i], h[p]
-			i = p
-		}
-	}
-	pop := func() cand {
-		top := h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		for i := 0; ; {
-			l, r, m := 2*i+1, 2*i+2, i
-			if l < last && less(h[l], h[m]) {
-				m = l
-			}
-			if r < last && less(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-		return top
-	}
-	inTree := make([]bool, n)
-	addFrontier := func(i int32) {
-		inTree[i] = true
-		nbrs, wts := f.Row(int(i))
-		for k, nb := range nbrs {
-			if !inTree[nb] {
-				push(cand{w: wts[k], from: i, to: nb})
-			}
-		}
-	}
-	addFrontier(0) // dense index 0 == lowest NodeID, the previous start node
-	var t Tree
-	for len(t.Edges) < n-1 {
-		if len(h) == 0 {
-			return Tree{}, ErrDisconnected
-		}
-		c := pop()
-		if inTree[c.to] {
-			continue
-		}
-		t.Edges = append(t.Edges, normEdge(f.IDOf(int(c.from)), f.IDOf(int(c.to)), c.w))
-		t.Weight += c.w
-		addFrontier(c.to)
-	}
-	sort.Slice(t.Edges, func(i, j int) bool {
-		if t.Edges[i].A != t.Edges[j].A {
-			return t.Edges[i].A < t.Edges[j].A
-		}
-		return t.Edges[i].B < t.Edges[j].B
-	})
 	return t, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,22 +175,6 @@ func TestShortestPathsUnreachable(t *testing.T) {
 func TestShortestPathsUnknownSource(t *testing.T) {
 	if _, err := line(2).ShortestPaths(42); !errors.Is(err, ErrNodeNotFound) {
 		t.Errorf("err = %v, want ErrNodeNotFound", err)
-	}
-}
-
-func TestAllPairsSymmetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := RandomConnected(rng, 12, 8, 1)
-	ap, err := g.AllPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range g.NodeIDs() {
-		for _, b := range g.NodeIDs() {
-			if ap[a][b] != ap[b][a] {
-				t.Fatalf("asymmetric distance %d↔%d: %v vs %v", a, b, ap[a][b], ap[b][a])
-			}
-		}
 	}
 }
 
@@ -474,4 +459,103 @@ func TestWriteDOT(t *testing.T) {
 			t.Errorf("DOT output missing %q", want)
 		}
 	}
+}
+
+// normEdge and PrimMST are Kruskal's oracle in TestKruskalEqualsPrim.
+func normEdge(a, b NodeID, w float64) Edge {
+	if a > b {
+		a, b = b, a
+	}
+	return Edge{A: a, B: b, Weight: w}
+}
+
+// PrimMST computes a minimum-weight spanning tree with Prim's algorithm
+// (lazy-deletion edge heap over the frozen view, O(E log E) instead of the
+// previous quadratic frontier rescans). For graphs with distinct edge
+// weights it returns the same tree as KruskalMST; it exists as an
+// independent cross-check. Ties break on (weight, lower endpoint, higher
+// endpoint) for determinism.
+func (g *Graph) PrimMST() (Tree, error) {
+	f := g.Frozen()
+	n := f.Len()
+	if n == 0 {
+		return Tree{}, ErrDisconnected
+	}
+	type cand struct {
+		w        float64
+		from, to int32
+	}
+	less := func(a, b cand) bool {
+		if a.w != b.w {
+			return a.w < b.w
+		}
+		if a.from != b.from {
+			return a.from < b.from
+		}
+		return a.to < b.to
+	}
+	var h []cand
+	push := func(c cand) {
+		h = append(h, c)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if less(h[p], h[i]) || !less(h[i], h[p]) {
+				break
+			}
+			h[p], h[i] = h[i], h[p]
+			i = p
+		}
+	}
+	pop := func() cand {
+		top := h[0]
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		for i := 0; ; {
+			l, r, m := 2*i+1, 2*i+2, i
+			if l < last && less(h[l], h[m]) {
+				m = l
+			}
+			if r < last && less(h[r], h[m]) {
+				m = r
+			}
+			if m == i {
+				break
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+		return top
+	}
+	inTree := make([]bool, n)
+	addFrontier := func(i int32) {
+		inTree[i] = true
+		nbrs, wts := f.Row(int(i))
+		for k, nb := range nbrs {
+			if !inTree[nb] {
+				push(cand{w: wts[k], from: i, to: nb})
+			}
+		}
+	}
+	addFrontier(0) // dense index 0 == lowest NodeID, the previous start node
+	var t Tree
+	for len(t.Edges) < n-1 {
+		if len(h) == 0 {
+			return Tree{}, ErrDisconnected
+		}
+		c := pop()
+		if inTree[c.to] {
+			continue
+		}
+		t.Edges = append(t.Edges, normEdge(f.IDOf(int(c.from)), f.IDOf(int(c.to)), c.w))
+		t.Weight += c.w
+		addFrontier(c.to)
+	}
+	sort.Slice(t.Edges, func(i, j int) bool {
+		if t.Edges[i].A != t.Edges[j].A {
+			return t.Edges[i].A < t.Edges[j].A
+		}
+		return t.Edges[i].B < t.Edges[j].B
+	})
+	return t, nil
 }

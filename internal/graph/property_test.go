@@ -70,20 +70,21 @@ func TestPropertyShortestPathMetric(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(12)
 		g := RandomConnected(rng, n, n/2, 1)
-		ap, err := g.AllPairs()
-		if err != nil {
-			return false
+		fr := g.Frozen()
+		ap := make([][]float64, fr.Len())
+		for a := range ap {
+			ap[a] = make([]float64, fr.Len())
+			fr.ShortestFrom(a, ap[a], make([]int32, fr.Len()))
 		}
-		ids := g.NodeIDs()
-		for _, a := range ids {
+		for a := range ap {
 			if ap[a][a] != 0 {
 				return false
 			}
-			for _, b := range ids {
+			for b := range ap {
 				if math.Abs(ap[a][b]-ap[b][a]) > 1e-9 {
 					return false
 				}
-				for _, c := range ids {
+				for c := range ap {
 					if ap[a][c] > ap[a][b]+ap[b][c]+1e-9 {
 						return false
 					}

@@ -155,9 +155,7 @@ func (r *request) release() {
 }
 
 // serverState is owned exclusively by the server goroutine. The sharded
-// store is the same structure the simulation servers use; here its striping
-// additionally lets read-only totals (StoredBytes) be computed without a
-// trip through the request loop.
+// store is the same structure the simulation servers use.
 type serverState struct {
 	store *mailstore.Store
 }
@@ -214,10 +212,6 @@ func (s *Server) Name() string { return s.name }
 
 // Up reports whether the server currently accepts requests.
 func (s *Server) Up() bool { return s.up.Load() }
-
-// LastStart reports when the server last started or recovered — the
-// LastStartTime[server] variable of §3.1.2c.
-func (s *Server) LastStart() time.Time { return time.Unix(0, s.lastStart.Load()) }
 
 // Deposits reports how many messages this server has buffered in total.
 func (s *Server) Deposits() int64 { return s.deposits.Value() }
@@ -400,17 +394,6 @@ func (s *Server) MailboxLen(user names.Name) (int, error) {
 	n := 0
 	err := s.callFn(func(st *serverState) {
 		n = st.store.Len(user)
-	})
-	return n, err
-}
-
-// StoredBytes reports the total buffered content bytes on this server — an
-// O(shards) counter sum over the sharded store, served through the request
-// loop like every other state access.
-func (s *Server) StoredBytes() (int64, error) {
-	var n int64
-	err := s.callFn(func(st *serverState) {
-		n = st.store.TotalBytes()
 	})
 	return n, err
 }
@@ -1113,14 +1096,6 @@ func (a *Agent) Inbox() []mail.Stored { return a.inbox.Since(0) }
 
 // Polls reports CheckMail calls issued.
 func (a *Agent) Polls() int { return a.polls }
-
-// Retrievals reports GetMail invocations.
-func (a *Agent) Retrievals() int { return a.retrievals }
-
-// Send submits a message through the cluster.
-func (a *Agent) Send(to []names.Name, subject, body string) (mail.MessageID, error) {
-	return a.cluster.Submit(a.user, append([]names.Name(nil), to...), subject, body)
-}
 
 // GetMail is the §3.1.2c retrieval algorithm (mail.Unavailable.Walk) on
 // wall-clock time: walk the authority list; stop at the first live server that

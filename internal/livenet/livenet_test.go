@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
 )
 
@@ -325,4 +326,26 @@ func TestDepositStampedBeforeRetrieval(t *testing.T) {
 	if gaps := c.Tracer().Incomplete(ids); len(gaps) != 0 {
 		t.Fatalf("%d of %d traces out of order or incomplete, first %s", len(gaps), n, gaps[0])
 	}
+}
+
+// Test hooks: the tests drive the cluster and read a server through these.
+
+// LastStart reports when the server last started or recovered — the
+// LastStartTime[server] variable of §3.1.2c.
+func (s *Server) LastStart() time.Time { return time.Unix(0, s.lastStart.Load()) }
+
+// StoredBytes reports the total buffered content bytes on this server — an
+// O(shards) counter sum over the sharded store, served through the request
+// loop like every other state access.
+func (s *Server) StoredBytes() (int64, error) {
+	var n int64
+	err := s.callFn(func(st *serverState) {
+		n = st.store.TotalBytes()
+	})
+	return n, err
+}
+
+// Send submits a message through the cluster.
+func (a *Agent) Send(to []names.Name, subject, body string) (mail.MessageID, error) {
+	return a.cluster.Submit(a.user, append([]names.Name(nil), to...), subject, body)
 }

@@ -773,9 +773,6 @@ func (s *AttrScenario) Tree() *broadcast.Tree { return s.tree }
 // Network exposes the simulated network.
 func (s *AttrScenario) Network() *netsim.Network { return s.net }
 
-// Store returns the mailstore of global server gs.
-func (s *AttrScenario) Store(gs int) *mailstore.Store { return s.store[serverID(gs)] }
-
 // Snapshot returns counters and histograms (lat_broadcast,
 // lat_convergecast, bcast_deposits, net_*).
 func (s *AttrScenario) Snapshot() obs.Snapshot { return netSnapshot(s.reg, s.net) }

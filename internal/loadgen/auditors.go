@@ -74,9 +74,6 @@ func NewAuditors(authorityLen int, pollStrict bool) *Auditors {
 	}
 }
 
-// PollStrict reports whether the poll-efficiency check is armed.
-func (a *Auditors) PollStrict() bool { return a.pollStrict }
-
 // copyKey identifies one committed copy in the ledger: a message ID and the
 // recipient it is owed to. It is rendered as text only when a violation
 // names it.
@@ -178,9 +175,6 @@ func (a *Auditors) FinishOutstanding() {
 // Ok reports whether no invariant was violated.
 func (a *Auditors) Ok() bool { return a.total == 0 }
 
-// Total reports the violation count across all kinds.
-func (a *Auditors) Total() int { return a.total }
-
 // Counts returns violation totals by kind.
 func (a *Auditors) Counts() map[string]int {
 	out := make(map[string]int, len(a.counts))
@@ -195,6 +189,3 @@ func (a *Auditors) Counts() map[string]int {
 func (a *Auditors) Violations() []string {
 	return append([]string(nil), a.detail...)
 }
-
-// Outstanding reports how many committed copies are still owed.
-func (a *Auditors) Outstanding() int { return len(a.outstanding) }

@@ -117,9 +117,6 @@ func newLiveDriver(cluster *livenet.Cluster, cfg LiveConfig, policy string) *Liv
 // Close stops the spool and every server goroutine.
 func (d *LiveDriver) Close() { d.cluster.Close() }
 
-// Cluster exposes the underlying cluster for tests.
-func (d *LiveDriver) Cluster() *livenet.Cluster { return d.cluster }
-
 // homeOf places user u — once, on first touch — and returns the names of the
 // servers the policy chose, primary first.
 func (d *LiveDriver) homeOf(u int) []string {

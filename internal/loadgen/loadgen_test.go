@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/largemail/largemail/internal/faults"
+	"github.com/largemail/largemail/internal/livenet"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/obs"
 	"github.com/largemail/largemail/internal/sim"
@@ -365,4 +366,23 @@ func TestEngineWithFaultsLive(t *testing.T) {
 	eng := New(drv, Config{Seed: 11, Messages: 30, Sessions: 6, Schedule: &sched})
 	rep := eng.Run()
 	requireClean(t, rep)
+}
+
+// Test hooks: what the tests read of the auditors and drivers.
+
+// PollStrict reports whether the poll-efficiency check is armed.
+func (a *Auditors) PollStrict() bool { return a.pollStrict }
+
+// Outstanding reports how many committed copies are still owed.
+func (a *Auditors) Outstanding() int { return len(a.outstanding) }
+
+// Cluster exposes the underlying cluster for tests.
+func (d *LiveDriver) Cluster() *livenet.Cluster { return d.cluster }
+
+// UserName returns the user's current name (migrations rename).
+func (d *SimDriver) UserName(u int) names.Name {
+	if a, ok := d.agents[u]; ok {
+		return a.User()
+	}
+	return d.pop.Name(u)
 }

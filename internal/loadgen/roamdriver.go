@@ -111,9 +111,6 @@ func (d *RoamDriver) DrainOverheadEvents() []OverheadEvent {
 	return out
 }
 
-// System returns region r's locind system.
-func (d *RoamDriver) System(r int) *locind.System { return d.systems[r] }
-
 // LoginOK reports whether user u's last login attempt succeeded — users the
 // overhead auditor may hold to the at-primary-means-no-consultation rule.
 func (d *RoamDriver) LoginOK(u int) bool { return d.loginOK[u] }

@@ -178,14 +178,6 @@ func (d *SimDriver) slotLabel(slot int) string { return nodeLabel(d.slotNode(slo
 // nodeLabel is a server node's label in the generated topology.
 func nodeLabel(id graph.NodeID) string { return serverLabel(int(id - simServerBase - 1)) }
 
-// UserName returns the user's current name (migrations rename).
-func (d *SimDriver) UserName(u int) names.Name {
-	if a, ok := d.agents[u]; ok {
-		return a.User()
-	}
-	return d.pop.Name(u)
-}
-
 // userHost returns the user's current global host index (migrations move).
 func (d *SimDriver) userHost(u int) int {
 	if gh, ok := d.hostIdx[u]; ok {

@@ -34,9 +34,6 @@ func (s *System) AddHost(token string, id graph.NodeID) (*Hostd, error) {
 	return h, nil
 }
 
-// ID returns the host's node.
-func (h *Hostd) ID() graph.NodeID { return h.id }
-
 // Receive implements netsim.Handler.
 func (h *Hostd) Receive(env netsim.Envelope) {
 	switch b := env.Payload.(type) {
@@ -122,13 +119,6 @@ func (a *Agent) Retrievals() int { return a.retrievals }
 // Duplicates reports how many already-seen copies the agent's polls have
 // suppressed (retried deposits that landed twice across a fault window).
 func (a *Agent) Duplicates() int { return a.dupes }
-
-// LoggedIn reports whether the agent currently has an announced presence.
-func (a *Agent) LoggedIn() bool { return a.loggedIn }
-
-// PollCost reports the cumulative round-trip cost of the agent's polls,
-// including any remote-access inflation.
-func (a *Agent) PollCost() float64 { return a.pollCost }
 
 // MoveTo roams the agent to another host in the region — no rename, no
 // server reassignment (§3.2.4: "the server assignment of the migrated user

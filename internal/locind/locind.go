@@ -118,12 +118,6 @@ func (f *Federation) Add(sys *System) error {
 	return nil
 }
 
-// System returns a member region's system.
-func (f *Federation) System(region string) (*System, bool) {
-	s, ok := f.systems[region]
-	return s, ok
-}
-
 // Config describes one region's location-independent system.
 type Config struct {
 	Region string
@@ -288,9 +282,6 @@ func (s *System) Stats() *obs.Registry { return s.stats }
 
 // Region returns the system's region name.
 func (s *System) Region() string { return s.region }
-
-// Subgroups returns the current hash modulus.
-func (s *System) Subgroups() int { return s.subgroups }
 
 // Servers returns the current rotation, in authority order.
 func (s *System) Servers() []graph.NodeID {

@@ -691,3 +691,21 @@ func TestRandomizedRoamingNoLoss(t *testing.T) {
 		}
 	}
 }
+
+// Test hooks: what the tests read of agents, systems and federations.
+
+// LoggedIn reports whether the agent currently has an announced presence.
+func (a *Agent) LoggedIn() bool { return a.loggedIn }
+
+// PollCost reports the cumulative round-trip cost of the agent's polls,
+// including any remote-access inflation.
+func (a *Agent) PollCost() float64 { return a.pollCost }
+
+// System returns a member region's system.
+func (f *Federation) System(region string) (*System, bool) {
+	s, ok := f.systems[region]
+	return s, ok
+}
+
+// Subgroups returns the current hash modulus.
+func (s *System) Subgroups() int { return s.subgroups }

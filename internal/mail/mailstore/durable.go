@@ -672,17 +672,6 @@ func (s *Store) compactShard(i int) error {
 	return nil
 }
 
-// durable reports whether the store has a WAL behind it.
-func (s *Store) durable() bool { return s.w != nil }
-
-// Dir returns the durable store's root directory ("" for memory stores).
-func (s *Store) Dir() string {
-	if s.w == nil {
-		return ""
-	}
-	return s.w.dir
-}
-
 // LastStartTime is the wall-clock instant recovery completed — the real
 // "server up since" stamp §3.1.2c's GetMail compares against. Zero for
 // memory-only stores.

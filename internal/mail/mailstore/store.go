@@ -83,9 +83,6 @@ func New(n int) *Store {
 	return s
 }
 
-// Shards reports the shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
 // shard selects a user's shard with FNV-1a, which is deterministic across
 // processes and runs — shard placement must not depend on process-random
 // seeds or the simulation's seeded equivalence runs could diverge in

@@ -243,3 +243,6 @@ func BenchmarkTotalBytes(b *testing.B) {
 		})
 	}
 }
+
+// Shards reports the shard count.
+func (s *Store) Shards() int { return len(s.shards) }

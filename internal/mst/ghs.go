@@ -149,10 +149,6 @@ func (a *Algorithm) Start() {
 	}
 }
 
-// Halted reports whether a core node has executed the halt step (the whole
-// tree is then complete; the remaining nodes are quiescent).
-func (a *Algorithm) Halted() bool { return a.halted }
-
 // Stats returns protocol traffic counters.
 func (a *Algorithm) Stats() Stats {
 	out := a.stats

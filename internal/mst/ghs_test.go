@@ -233,3 +233,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			t1.Weight, t2.Weight, s1.Messages, s2.Messages)
 	}
 }
+
+// Halted reports whether a core node has executed the halt step (the whole
+// tree is then complete; the remaining nodes are quiescent).
+func (a *Algorithm) Halted() bool { return a.halted }

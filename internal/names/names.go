@@ -89,9 +89,6 @@ func Compare(a, b Name) int {
 	}
 }
 
-// IsZero reports whether the name is entirely empty.
-func (n Name) IsZero() bool { return n == Name{} }
-
 // Validate checks the name against the naming convention: exactly three
 // non-empty alphanumeric tokens (hyphen and underscore allowed after the
 // first character).
@@ -179,11 +176,6 @@ func MustParse(s string) Name {
 	}
 	return n
 }
-
-// SameRegion reports whether two names live in the same region — the test
-// that decides between local resolution and inter-region forwarding
-// (§3.1.2b).
-func (n Name) SameRegion(other Name) bool { return n.Region == other.Region }
 
 // Rename returns the name a migrated user obtains in the syntax-directed
 // design (§3.1.4): the location tokens change, the user token is preserved.

@@ -151,18 +151,6 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("nope")
 }
 
-func TestSameRegion(t *testing.T) {
-	a := MustParse("east.h1.u1")
-	b := MustParse("east.h2.u2")
-	c := MustParse("west.h1.u1")
-	if !a.SameRegion(b) {
-		t.Error("same-region names reported different")
-	}
-	if a.SameRegion(c) {
-		t.Error("different-region names reported same")
-	}
-}
-
 func TestRename(t *testing.T) {
 	n := MustParse("east.h1.alice")
 	m := n.Rename("west", "h9")
@@ -171,15 +159,6 @@ func TestRename(t *testing.T) {
 	}
 	if n.Region != "east" {
 		t.Error("Rename mutated receiver")
-	}
-}
-
-func TestIsZero(t *testing.T) {
-	if !(Name{}).IsZero() {
-		t.Error("zero Name not IsZero")
-	}
-	if MustParse("a.b.c").IsZero() {
-		t.Error("non-zero Name IsZero")
 	}
 }
 

@@ -523,34 +523,3 @@ func (n *Network) deliver(env Envelope) {
 	n.latency.Observe(float64(n.sched.Now() - env.SentAt))
 	h.Receive(env)
 }
-
-// Broadcast sends the payload from one node to every other registered node
-// individually — the naive mass-distribution baseline the paper's MST
-// broadcast is compared against. It returns how many sends were issued. The
-// payload must be a plain value: a *Box is one allocation with one way home,
-// and N flights would hand it back N times — the first landing would clear it
-// under the other N-1 readers.
-func (n *Network) Broadcast(from graph.NodeID, payload any) (int, error) {
-	if _, ok := payload.(recyclable); ok {
-		panic("netsim: Broadcast of a recyclable payload: one box cannot ride N flights (the first to land would clear it under the rest); broadcast a value")
-	}
-	if _, ok := n.handlers[from]; !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownNode, from)
-	}
-	if n.down[from] {
-		return 0, fmt.Errorf("%w: %d", ErrSenderDown, from)
-	}
-	sent := 0
-	for _, id := range n.topo.NodeIDs() {
-		if id == from {
-			continue
-		}
-		if _, registered := n.handlers[id]; !registered {
-			continue
-		}
-		if err := n.Send(from, id, payload); err == nil {
-			sent++
-		}
-	}
-	return sent, nil
-}

@@ -256,33 +256,6 @@ func TestRegisterErrors(t *testing.T) {
 	}
 }
 
-func TestBroadcastBaseline(t *testing.T) {
-	sched, net, recs := lineNet(t)
-	sent, err := net.Broadcast(0, "blast")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sent != 3 {
-		t.Errorf("sent = %d, want 3", sent)
-	}
-	sched.Run()
-	for id, r := range recs {
-		if id == 0 {
-			continue
-		}
-		if len(r.got) != 1 {
-			t.Errorf("node %d got %d messages, want 1", id, len(r.got))
-		}
-	}
-	// Broadcast cost on the line: 1 + 2 + 3 = 6 cost units.
-	if got := net.Stats().Get("cost_milli"); got != 6000 {
-		t.Errorf("total cost = %d milli, want 6000", got)
-	}
-	if _, err := net.Broadcast(99, nil); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("unknown broadcaster err = %v", err)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	sched, net, _ := lineNet(t)
 	_ = net.Send(0, 1, "a")
@@ -371,29 +344,6 @@ func TestCostUnknownSource(t *testing.T) {
 	_, net, _ := lineNet(t)
 	if _, err := net.Cost(99, 0); err == nil {
 		t.Error("Cost from unknown node succeeded")
-	}
-}
-
-func TestBroadcastSkipsUnregisteredAndDown(t *testing.T) {
-	g := graph.New()
-	for i := 0; i < 4; i++ {
-		g.MustAddNode(graph.Node{ID: graph.NodeID(i)})
-	}
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(2, 3, 1)
-	sched := sim.New(1)
-	net := New(sched, g)
-	net.MustRegister(0, &recorder{})
-	net.MustRegister(1, &recorder{})
-	// nodes 2, 3 unregistered
-	sent, err := net.Broadcast(0, "b")
-	if err != nil || sent != 1 {
-		t.Errorf("Broadcast = %d, %v; want 1 send", sent, err)
-	}
-	net.Crash(0)
-	if _, err := net.Broadcast(0, "b"); !errors.Is(err, ErrSenderDown) {
-		t.Errorf("down broadcaster err = %v", err)
 	}
 }
 

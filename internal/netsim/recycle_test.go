@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -217,19 +216,4 @@ func TestRecycledPayloadAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Errorf("Send → land of recycled payloads allocates %v, want 0", n)
 	}
-}
-
-// TestBroadcastRefusesRecycledPayload: one box cannot ride N flights, and the
-// panic says so.
-func TestBroadcastRefusesRecycledPayload(t *testing.T) {
-	_, net, _ := lineNet(t)
-	var list FreeList[letter]
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "Broadcast") || !strings.Contains(msg, "one box") {
-			t.Errorf("Broadcast of a box panicked with %q; want a message that says why", msg)
-		}
-	}()
-	_, _ = net.Broadcast(0, list.Box(letter{n: 1}))
-	t.Error("Broadcast accepted a recyclable payload")
 }

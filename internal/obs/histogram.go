@@ -77,13 +77,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count reports the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Snapshot returns a consistent copy with derived quantiles.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()

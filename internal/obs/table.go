@@ -3,84 +3,35 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
-// Summary accumulates scalar samples and reports order statistics. Unlike
-// Histogram it keeps every sample (exact quantiles, O(n) memory) and is NOT
-// safe for concurrent use — it serves the single-threaded simulation and
-// result post-processing. The zero value is ready to use.
+// Summary accumulates scalar samples and reports their count, sum and mean.
+// It is NOT safe for concurrent use — it serves the single-threaded
+// simulation and result post-processing. The zero value is ready to use.
 type Summary struct {
-	samples []float64
-	sorted  bool
-	sum     float64
+	n   int
+	sum float64
 }
 
 // Observe records one sample.
 func (s *Summary) Observe(v float64) {
-	s.samples = append(s.samples, v)
-	s.sorted = false
+	s.n++
 	s.sum += v
 }
 
 // Count reports the number of samples.
-func (s *Summary) Count() int { return len(s.samples) }
+func (s *Summary) Count() int { return s.n }
 
 // Sum reports the total of all samples.
 func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean reports the sample mean, or NaN with no samples.
 func (s *Summary) Mean() float64 {
-	if len(s.samples) == 0 {
+	if s.n == 0 {
 		return math.NaN()
 	}
-	return s.sum / float64(len(s.samples))
-}
-
-// Min reports the smallest sample, or NaN with no samples.
-func (s *Summary) Min() float64 {
-	if len(s.samples) == 0 {
-		return math.NaN()
-	}
-	s.sortSamples()
-	return s.samples[0]
-}
-
-// Max reports the largest sample, or NaN with no samples.
-func (s *Summary) Max() float64 {
-	if len(s.samples) == 0 {
-		return math.NaN()
-	}
-	s.sortSamples()
-	return s.samples[len(s.samples)-1]
-}
-
-// Quantile reports the q-quantile (0 ≤ q ≤ 1) by nearest-rank, or NaN with
-// no samples. Out-of-range q is clamped.
-func (s *Summary) Quantile(q float64) float64 {
-	if len(s.samples) == 0 {
-		return math.NaN()
-	}
-	s.sortSamples()
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	idx := int(math.Ceil(q*float64(len(s.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s.samples[idx]
-}
-
-func (s *Summary) sortSamples() {
-	if !s.sorted {
-		sort.Float64s(s.samples)
-		s.sorted = true
-	}
+	return s.sum / float64(s.n)
 }
 
 // Table is a simple column-aligned text table, used to render the paper's

@@ -47,53 +47,3 @@ func Utilization(load, max int) float64 {
 	}
 	return float64(load) / float64(max)
 }
-
-// MM1 bundles exact M/M/1 steady-state formulas used by the evaluation
-// harness to sanity-check simulated latencies (arrival rate λ, service rate
-// μ, both per time unit).
-type MM1 struct {
-	Lambda float64 // arrival rate
-	Mu     float64 // service rate
-}
-
-// Rho returns the offered load λ/μ.
-func (q MM1) Rho() float64 {
-	if q.Mu == 0 {
-		return math.Inf(1)
-	}
-	return q.Lambda / q.Mu
-}
-
-// Stable reports whether the queue has a steady state (ρ < 1).
-func (q MM1) Stable() bool {
-	rho := q.Rho()
-	return rho >= 0 && rho < 1
-}
-
-// MeanQueueWait returns the mean time spent waiting (excluding service):
-// W_q = ρ/(μ-λ). Unstable queues return +Inf.
-func (q MM1) MeanQueueWait() float64 {
-	if !q.Stable() {
-		return math.Inf(1)
-	}
-	return q.Rho() / (q.Mu - q.Lambda)
-}
-
-// MeanResponse returns the mean total time in system (wait plus service):
-// W = 1/(μ-λ). Unstable queues return +Inf.
-func (q MM1) MeanResponse() float64 {
-	if !q.Stable() {
-		return math.Inf(1)
-	}
-	return 1 / (q.Mu - q.Lambda)
-}
-
-// MeanNumberInSystem returns L = ρ/(1-ρ) (Little's law with MeanResponse).
-// Unstable queues return +Inf.
-func (q MM1) MeanNumberInSystem() float64 {
-	if !q.Stable() {
-		return math.Inf(1)
-	}
-	rho := q.Rho()
-	return rho / (1 - rho)
-}

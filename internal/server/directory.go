@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/names"
@@ -91,12 +90,6 @@ func (d *Directory) Redirect(old names.Name) (names.Name, bool) {
 	return n, ok
 }
 
-// RemoveRedirect deletes a forwarding record (the end of the migration
-// grace period).
-func (d *Directory) RemoveRedirect(old names.Name) {
-	delete(d.redirects, old)
-}
-
 // SetGroup registers a distribution list: mail addressed to the group name
 // fans out to the members. This is the conventional "group naming"
 // mechanism of §4.3 — the maintained-list baseline the attribute-based
@@ -170,13 +163,3 @@ func (m *RegionMap) RemoveServer(region string, id graph.NodeID) {
 // Servers returns the servers of a region in registration order: the stored
 // list, shared and read-only (see the servers field).
 func (m *RegionMap) Servers(region string) []graph.NodeID { return m.servers[region] }
-
-// Regions returns all known regions, sorted.
-func (m *RegionMap) Regions() []string {
-	out := make([]string, 0, len(m.servers))
-	for r := range m.servers {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -53,3 +53,13 @@ func TestRegionMapListsNeverEdited(t *testing.T) {
 		t.Errorf("emptied region still lists %v (regions %v)", got, m.Regions())
 	}
 }
+
+// Regions returns all known regions, sorted.
+func (m *RegionMap) Regions() []string {
+	out := make([]string, 0, len(m.servers))
+	for r := range m.servers {
+		out = append(out, r)
+	}
+	slices.Sort(out)
+	return out
+}

@@ -300,13 +300,6 @@ func (s *Server) Stats() *obs.Registry { return s.stats }
 // Up reports whether the server is currently up.
 func (s *Server) Up() bool { return s.net.IsUp(s.id) }
 
-// LastStart reports when the server last started or recovered — the
-// LastStartTime[server] of §3.1.2c.
-func (s *Server) LastStart() sim.Time {
-	t, _ := s.net.LastStart(s.id)
-	return t
-}
-
 // MailboxLen reports how many messages are buffered for a user here.
 func (s *Server) MailboxLen(user names.Name) int { return s.store.Len(user) }
 
@@ -453,21 +446,6 @@ func (s *Server) Submit(req SubmitRequest) (mail.MessageID, error) {
 		s.Route(msg, rcpt)
 	}
 	return msg.ID, nil
-}
-
-// SubmitBatch accepts many submissions in one call, stopping at the first
-// failure. It returns the IDs of the accepted prefix; a short result with a
-// non-nil error tells the caller exactly which submissions committed.
-func (s *Server) SubmitBatch(reqs []SubmitRequest) ([]mail.MessageID, error) {
-	ids := make([]mail.MessageID, 0, len(reqs))
-	for _, req := range reqs {
-		id, err := s.Submit(req)
-		if err != nil {
-			return ids, err
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
 }
 
 // Route sends one copy of msg toward one recipient, the name-resolution-and-

@@ -254,39 +254,6 @@ func TestSubmitDirectDownServer(t *testing.T) {
 	}
 }
 
-func TestSubmitBatch(t *testing.T) {
-	w := newWorld(t)
-	reqs := []SubmitRequest{
-		{From: alice, To: []names.Name{bob}, Subject: "1"},
-		{From: alice, To: []names.Name{carol}, Subject: "2"},
-		{From: alice, To: []names.Name{bob}, Subject: "3"},
-	}
-	ids, err := w.servers[s1].SubmitBatch(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != len(reqs) {
-		t.Fatalf("SubmitBatch accepted %d, want %d", len(ids), len(reqs))
-	}
-	w.sched.Run()
-	if got, _ := w.servers[s3].CheckMail(bob); len(got) != 2 {
-		t.Errorf("bob received %d messages, want 2", len(got))
-	}
-	if got, _ := w.servers[s1].CheckMail(carol); len(got) != 1 {
-		t.Errorf("carol received %d messages, want 1", len(got))
-	}
-
-	// A mid-batch crash reports the committed prefix.
-	w.net.Crash(s1)
-	ids, err = w.servers[s1].SubmitBatch(reqs)
-	if !errors.Is(err, ErrDown) {
-		t.Fatalf("SubmitBatch on crashed server err = %v, want ErrDown", err)
-	}
-	if len(ids) != 0 {
-		t.Fatalf("crashed SubmitBatch committed %d, want 0", len(ids))
-	}
-}
-
 func TestRetryAfterTargetCrashInFlight(t *testing.T) {
 	w := newWorld(t)
 	// Submit at S2; transfer heads to S1. Crash S1 before delivery: the
@@ -433,8 +400,7 @@ func TestMisroutedForwardIsRerouted(t *testing.T) {
 
 // TestDirectoryBasics: every directory write is visible to the next read —
 // SetAuthority's add, replace and remove through Resolve (a name resolved
-// while unknown, then registered, included), SetRedirect and RemoveRedirect
-// through Redirect, SetGroup's add and remove through Group — and Resolve
+// while unknown, then registered, included), SetRedirect through Redirect, SetGroup's add and remove through Group — and Resolve
 // hands out the stored list itself, free, which SetAuthority's input cannot
 // reach.
 func TestDirectoryBasics(t *testing.T) {
@@ -454,11 +420,10 @@ func TestDirectoryBasics(t *testing.T) {
 		{"add", func() error { return d.SetAuthority(alice, []graph.NodeID{s1, s2}) }, []graph.NodeID{s1, s2}, names.Name{}, nil},
 		{"replace", func() error { return d.SetAuthority(alice, []graph.NodeID{s2}) }, []graph.NodeID{s2}, names.Name{}, nil},
 		{"redirect", func() error { return d.SetRedirect(alias, alice) }, []graph.NodeID{s2}, alice, nil},
-		{"unredirect", func() error { d.RemoveRedirect(alias); return nil }, []graph.NodeID{s2}, names.Name{}, nil},
-		{"group", func() error { return d.SetGroup(staff, []names.Name{alice, carol}) }, []graph.NodeID{s2}, names.Name{}, []names.Name{alice, carol}},
-		{"ungroup", func() error { return d.SetGroup(staff, nil) }, []graph.NodeID{s2}, names.Name{}, nil},
-		{"remove", func() error { return d.SetAuthority(alice, nil) }, nil, names.Name{}, nil},
-		{"re-register", func() error { return d.SetAuthority(alice, []graph.NodeID{s1}) }, []graph.NodeID{s1}, names.Name{}, nil},
+		{"group", func() error { return d.SetGroup(staff, []names.Name{alice, carol}) }, []graph.NodeID{s2}, alice, []names.Name{alice, carol}},
+		{"ungroup", func() error { return d.SetGroup(staff, nil) }, []graph.NodeID{s2}, alice, nil},
+		{"remove", func() error { return d.SetAuthority(alice, nil) }, nil, alice, nil},
+		{"re-register", func() error { return d.SetAuthority(alice, []graph.NodeID{s1}) }, []graph.NodeID{s1}, alice, nil},
 	}
 	for _, st := range steps {
 		if err := st.write(); err != nil {
@@ -541,7 +506,7 @@ func TestMigrationRedirect(t *testing.T) {
 	}
 	// After the grace period the redirect is dropped; old-name mail
 	// becomes unresolvable.
-	w.dirR1.RemoveRedirect(alice)
+	delete(w.dirR1.redirects, alice)
 	w.submit(t, h1, s1, carol, alice)
 	if w.servers[s1].Stats().Get("unresolvable") != 1 {
 		t.Error("post-grace mail not counted unresolvable")

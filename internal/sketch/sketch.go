@@ -6,11 +6,11 @@
 // when a node folds its children's summaries into the subtree sketch cached
 // at its parent edge.
 //
-// The contract is strictly one-sided: MayContain never returns false for a
-// term that was Added and not Removed. False positives are expected (and
-// measured — see FalsePositiveRate); false negatives are a bug. Everything
-// that consults a sketch must therefore treat "maybe" as "visit" and only
-// "definitely not" as permission to prune.
+// The contract is strictly one-sided: a snapshot's MayContain never returns
+// false for a term that was Added and not Removed. False positives are
+// expected (and measured by the package tests); false negatives are a bug.
+// Everything that consults a sketch must therefore treat "maybe" as "visit"
+// and only "definitely not" as permission to prune.
 package sketch
 
 import (
@@ -47,10 +47,6 @@ func hashPair(term string) (uint64, uint64) {
 type Counting struct {
 	counts []uint16
 	hashes int
-	// sticky marks slots whose counter saturated at MaxUint16. Such a slot
-	// can no longer be decremented reliably, so it stays set forever — an
-	// over-approximation, which is the safe side of the contract.
-	sticky bool
 }
 
 // NewCounting returns an empty counting filter with the package-default
@@ -67,8 +63,7 @@ func (c *Counting) Add(term string) {
 	for i := 0; i < c.hashes; i++ {
 		at := (h1 + uint64(i)*h2) & mask
 		if c.counts[at] == math.MaxUint16 {
-			c.sticky = true
-			continue
+			continue // saturated: see Remove
 		}
 		c.counts[at]++
 	}
@@ -86,24 +81,13 @@ func (c *Counting) Remove(term string) {
 			// Clamp: better a stale bit elsewhere than a wrapped counter
 			// that erases live terms.
 		case math.MaxUint16:
-			// Saturated slots are sticky; see the field comment.
+			// A saturated slot can no longer be decremented reliably, so
+			// it stays set forever — an over-approximation, which is the
+			// safe side of the contract.
 		default:
 			c.counts[at]--
 		}
 	}
-}
-
-// MayContain reports whether term might be present. False means definitely
-// absent.
-func (c *Counting) MayContain(term string) bool {
-	h1, h2 := hashPair(term)
-	mask := uint64(len(c.counts) - 1)
-	for i := 0; i < c.hashes; i++ {
-		if c.counts[(h1+uint64(i)*h2)&mask] == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Snapshot renders the current occupancy as an immutable bit filter,
@@ -171,15 +155,7 @@ func (f *Filter) Or(other *Filter) {
 	}
 }
 
-// Clone returns an independent copy.
-func (f *Filter) Clone() *Filter {
-	g := &Filter{words: make([]uint64, len(f.words)), hashes: f.hashes}
-	copy(g.words, f.words)
-	return g
-}
-
-// Bits returns the number of set bits — the load factor's numerator, used
-// by tests and by FalsePositiveRate estimates from live filters.
+// Bits returns the number of set bits — the load factor's numerator.
 func (f *Filter) Bits() int {
 	n := 0
 	for _, w := range f.words {
@@ -194,15 +170,6 @@ func popcount(w uint64) int {
 		n++
 	}
 	return n
-}
-
-// FalsePositiveRate is the classical Bloom estimate (1 − e^(−kn/m))^k for n
-// distinct terms under the package geometry. The sketch_test FP-bound test
-// checks the measured rate against this with headroom.
-func FalsePositiveRate(n int) float64 {
-	k := float64(DefaultHashes)
-	m := float64(DefaultBits)
-	return math.Pow(1-math.Exp(-k*float64(n)/m), k)
 }
 
 // NormalizeTerm canonicalises a query pattern into the token form the

@@ -61,7 +61,7 @@ func benchBurst(b *testing.B, batch, inflight int, cfg ServerConfig) {
 			for i := range msgs {
 				msgs[i] = BatchMsg{To: to, Subject: "b", Body: body}
 			}
-			futs = append(futs, p.SubmitBatch("R1.h1.from", msgs))
+			futs = append(futs, p.Do(Request{Op: "tbatch", From: "R1.h1.from", Msgs: msgs}))
 			sent += batch
 		}
 		// Recipients read their mail: drain each sink every 64 deposits so

@@ -68,22 +68,10 @@ var wireCRC = crc32.MakeTable(crc32.IEEE)
 // ErrFrameCorrupt means the CRC trailer did not match — the stream cannot be
 // resynchronized and the connection must close.
 var (
-	ErrFrameTooLarge  = fmt.Errorf("wire: frame exceeds %d bytes: %w", MaxLine, mailerr.ErrOversized)
-	ErrFrameCorrupt   = errors.New("wire: frame CRC mismatch")
-	errFrameTruncated = errors.New("wire: truncated frame")
-	errBadPayload     = errors.New("wire: malformed binary payload")
+	ErrFrameTooLarge = fmt.Errorf("wire: frame exceeds %d bytes: %w", MaxLine, mailerr.ErrOversized)
+	ErrFrameCorrupt  = errors.New("wire: frame CRC mismatch")
+	errBadPayload    = errors.New("wire: malformed binary payload")
 )
-
-// appendFrame seals payload into dst as one wire frame:
-// length header, payload, CRC trailer.
-func appendFrame(dst, payload []byte) ([]byte, error) {
-	if len(payload) > MaxLine {
-		return dst, ErrFrameTooLarge
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, wireCRC)), nil
-}
 
 // sealAt completes a frame built in place on dst: dst[start:] must begin
 // with binHdrLen reserved bytes followed by the payload. It fills the length
@@ -97,29 +85,6 @@ func sealAt(dst []byte, start int) ([]byte, error) {
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
 	crc := crc32.Checksum(payload, wireCRC)
 	return binary.LittleEndian.AppendUint32(dst, crc), nil
-}
-
-// splitFrame parses one complete frame from the front of b, returning the
-// payload (aliasing b) and the bytes consumed. Used by the fuzz targets; the
-// streaming reader (connReader.readFrame) implements the same format
-// incrementally.
-func splitFrame(b []byte) (payload []byte, n int, err error) {
-	if len(b) < binHdrLen {
-		return nil, 0, errFrameTruncated
-	}
-	plen := int(binary.LittleEndian.Uint32(b))
-	if plen > MaxLine {
-		return nil, 0, ErrFrameTooLarge
-	}
-	total := binHdrLen + plen + binCRCLen
-	if len(b) < total {
-		return nil, 0, errFrameTruncated
-	}
-	payload = b[binHdrLen : binHdrLen+plen]
-	if crc32.Checksum(payload, wireCRC) != binary.LittleEndian.Uint32(b[binHdrLen+plen:]) {
-		return nil, 0, ErrFrameCorrupt
-	}
-	return payload, total, nil
 }
 
 // ---------------------------------------------------------------------------

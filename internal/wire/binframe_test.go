@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -743,4 +744,39 @@ func TestFrameBufPoolDropsLargeBuffers(t *testing.T) {
 		}
 		defer putFrameBuf(bp) // keep them out of the pool so each Get is a different buffer
 	}
+}
+
+var errFrameTruncated = errors.New("wire: truncated frame")
+
+// appendFrame seals payload into dst as one wire frame — length header,
+// payload, CRC trailer — the way a test builds a frame by hand.
+func appendFrame(dst, payload []byte) ([]byte, error) {
+	if len(payload) > MaxLine {
+		return dst, ErrFrameTooLarge
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, wireCRC)), nil
+}
+
+// splitFrame parses one complete frame from the front of b, returning the
+// payload (aliasing b) and the bytes consumed: the reference the fuzz targets
+// and codec tests hold the streaming reader (connReader.readFrame) to.
+func splitFrame(b []byte) (payload []byte, n int, err error) {
+	if len(b) < binHdrLen {
+		return nil, 0, errFrameTruncated
+	}
+	plen := int(binary.LittleEndian.Uint32(b))
+	if plen > MaxLine {
+		return nil, 0, ErrFrameTooLarge
+	}
+	total := binHdrLen + plen + binCRCLen
+	if len(b) < total {
+		return nil, 0, errFrameTruncated
+	}
+	payload = b[binHdrLen : binHdrLen+plen]
+	if crc32.Checksum(payload, wireCRC) != binary.LittleEndian.Uint32(b[binHdrLen+plen:]) {
+		return nil, 0, ErrFrameCorrupt
+	}
+	return payload, total, nil
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -268,67 +267,10 @@ func (c *Client) Submit(from string, to []string, subject, body string) (string,
 	return resp.ID, err
 }
 
-// SubmitBatch submits a batch of messages sharing one sender as one tbatch
-// request; items the server reports failed are retry-split into individual
-// submits. The returned slice aligns with msgs ("" where an item ultimately
-// failed); the error joins the per-item failures.
-// An item that reached some of its recipients keeps its ID, and its failure
-// names the ones it missed; it is not resent, which would reach the others
-// again under a new ID their duplicate suppression cannot recognise.
-func (c *Client) SubmitBatch(from string, msgs []BatchMsg) ([]string, error) {
-	if len(msgs) == 0 {
-		return nil, nil
-	}
-	resp, err := c.Do(Request{Op: "tbatch", From: from, Msgs: msgs})
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, len(msgs))
-	copy(ids, resp.IDs)
-	var errs []error
-	for _, f := range resp.Failed {
-		if f.Index < 0 || f.Index >= len(msgs) {
-			errs = append(errs, fmt.Errorf("server reported failure for out-of-range index %d: %s", f.Index, f.Error))
-			continue
-		}
-		if ids[f.Index] != "" { // partly delivered
-			_, err := respErr(Response{Error: f.Error, Code: f.Code})
-			errs = append(errs, fmt.Errorf("msg %d (%s): %w", f.Index, ids[f.Index], err))
-			continue
-		}
-		m := msgs[f.Index]
-		if ids[f.Index], err = c.Submit(from, m.To, m.Subject, m.Body); err != nil {
-			errs = append(errs, fmt.Errorf("msg %d: %w", f.Index, err))
-		}
-	}
-	return ids, errors.Join(errs...)
-}
-
 // GetMail runs the server-side GetMail walk for the user.
 func (c *Client) GetMail(user string) ([]Message, error) {
 	resp, err := c.Do(Request{Op: "getmail", User: user})
 	return resp.Messages, err
-}
-
-// QueryResult is a wire query's answer: the matching users plus the
-// fan-out accounting (servers visited, pruned on sketch proof, unavailable).
-type QueryResult struct {
-	Matches []string
-	Stats   QueryStats
-}
-
-// Query runs a content query ("content=budget", conjunctions with commas)
-// across the cluster's mailbox stores.
-func (c *Client) Query(query string) (QueryResult, error) {
-	resp, err := c.Do(Request{Op: "query", Query: query})
-	if err != nil {
-		return QueryResult{}, err
-	}
-	out := QueryResult{Matches: resp.Matches}
-	if resp.QueryStats != nil {
-		out.Stats = *resp.QueryStats
-	}
-	return out, nil
 }
 
 // Status fetches the versioned observability snapshot: server rows (per-server

@@ -22,11 +22,11 @@ func fillMailbox(t *testing.T, c *Client, from, to string, n int) []string {
 			k := len(ids) + len(batch)
 			batch = append(batch, BatchMsg{To: []string{to}, Subject: fmt.Sprintf("s%d", k), Body: strings.Repeat("x", 1024)})
 		}
-		got, err := c.SubmitBatch(from, batch)
-		if err != nil {
-			t.Fatal(err)
+		resp, err := c.Do(Request{Op: "tbatch", From: from, Msgs: batch})
+		if err != nil || len(resp.Failed) != 0 {
+			t.Fatal(err, resp.Failed)
 		}
-		ids = append(ids, got...)
+		ids = append(ids, resp.IDs...)
 	}
 	return ids
 }

@@ -29,8 +29,8 @@ var errPipelineClosed = errors.New("wire: pipeline closed")
 // per-connection ordering the exactly-once auditors check.
 //
 // A Pipeline owns the client's connection from Pipeline() until Close():
-// the Client's own request methods must not be used in between. Do/Submit/
-// SubmitBatch are safe for concurrent use. Once any request fails at the
+// the Client's own request methods must not be used in between. Do and
+// Submit are safe for concurrent use. Once any request fails at the
 // transport (a pipelined stream has no request boundaries to resynchronize
 // on), every in-flight and future request fails with the same error, and
 // Close drops the connection so the next Client use starts fresh.
@@ -169,11 +169,6 @@ func (p *Pipeline) writer() {
 // Submit pipelines one submit request.
 func (p *Pipeline) Submit(from string, to []string, subject, body string) *Future {
 	return p.Do(Request{Op: "submit", From: from, To: to, Subject: subject, Body: body})
-}
-
-// SubmitBatch pipelines one tbatch request.
-func (p *Pipeline) SubmitBatch(from string, msgs []BatchMsg) *Future {
-	return p.Do(Request{Op: "tbatch", From: from, Msgs: msgs})
 }
 
 // Close waits for every in-flight request to complete, joins the writer and

@@ -167,10 +167,10 @@ func TestPipelineMixedVerbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := p.Submit("R1.h1.alice", []string{"R1.h1.bob"}, "one", "b")
-	fb := p.SubmitBatch("R1.h1.alice", []BatchMsg{
+	fb := p.Do(Request{Op: "tbatch", From: "R1.h1.alice", Msgs: []BatchMsg{
 		{To: []string{"R1.h1.bob"}, Subject: "two"},
 		{To: []string{"R1.h1.bob"}, Subject: "three"},
-	})
+	}})
 	fstat := p.Do(Request{Op: "status"})
 	fbad := p.Submit("R1.h1.alice", nil, "no recipients", "b")
 	fmail := p.Do(Request{Op: "getmail", User: "R1.h1.bob"})

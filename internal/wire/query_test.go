@@ -42,14 +42,17 @@ func TestQueryRoundTrip(t *testing.T) {
 	s := newQueryServer(t, ServerConfig{})
 	c := newClient(t, s)
 	seedQueryMail(t, c)
-	res, err := c.Query("content=budget")
+	res, err := c.Do(Request{Op: "query", Query: "content=budget"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) != 1 || res.Matches[0] != "R1.h1.alice" {
 		t.Fatalf("matches = %v, want [R1.h1.alice]", res.Matches)
 	}
-	st := res.Stats
+	st := res.QueryStats
+	if st == nil {
+		t.Fatal("query answered without stats")
+	}
 	if st.Servers != 3 {
 		t.Errorf("stats.Servers = %d, want 3", st.Servers)
 	}
@@ -64,15 +67,15 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 	// A query for a term nobody holds matches nothing and needs no visits
 	// beyond false positives.
-	res, err = c.Query("content=zanzibar")
+	res, err = c.Do(Request{Op: "query", Query: "content=zanzibar"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) != 0 {
 		t.Errorf("matches for absent term = %v, want none", res.Matches)
 	}
-	if res.Stats.Visited != res.Stats.SketchFP {
-		t.Errorf("absent-term visits beyond false positives: %+v", res.Stats)
+	if res.QueryStats.Visited != res.QueryStats.SketchFP {
+		t.Errorf("absent-term visits beyond false positives: %+v", res.QueryStats)
 	}
 }
 
@@ -82,14 +85,14 @@ func TestQueryConjunction(t *testing.T) {
 	s := newQueryServer(t, ServerConfig{})
 	c := newClient(t, s)
 	seedQueryMail(t, c)
-	res, err := c.Query("content=budget, content=forecast")
+	res, err := c.Do(Request{Op: "query", Query: "content=budget, content=forecast"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) != 1 || res.Matches[0] != "R1.h1.alice" {
 		t.Fatalf("matches = %v, want [R1.h1.alice]", res.Matches)
 	}
-	if res, err = c.Query("content=budget, content=tacos"); err != nil {
+	if res, err = c.Do(Request{Op: "query", Query: "content=budget, content=tacos"}); err != nil {
 		t.Fatal(err)
 	} else if len(res.Matches) != 0 {
 		t.Errorf("cross-mailbox conjunction matched %v, want none", res.Matches)
@@ -101,7 +104,7 @@ func TestQueryConjunction(t *testing.T) {
 func TestQueryRequiresTermIndex(t *testing.T) {
 	s := newServer(t) // default config: no term index
 	c := newClient(t, s)
-	_, err := c.Query("content=budget")
+	_, err := c.Do(Request{Op: "query", Query: "content=budget"})
 	if err == nil {
 		t.Fatal("query without term index succeeded")
 	}
@@ -117,11 +120,11 @@ func TestQueryRefusesProfilePredicates(t *testing.T) {
 	s := newQueryServer(t, ServerConfig{})
 	c := newClient(t, s)
 	for _, q := range []string{"interest=g3", "content=budget, interest=g3", "content~ofsite"} {
-		if _, err := c.Query(q); err == nil {
+		if _, err := c.Do(Request{Op: "query", Query: q}); err == nil {
 			t.Errorf("query %q succeeded, want refusal", q)
 		}
 	}
-	if _, err := c.Query("content="); err == nil {
+	if _, err := c.Do(Request{Op: "query", Query: "content="}); err == nil {
 		t.Error("malformed query succeeded")
 	}
 }
@@ -138,18 +141,18 @@ func TestQueryCountsUnavailable(t *testing.T) {
 		t.Fatal("no s2")
 	}
 	srv.Crash()
-	res, err := c.Query("content=tacos")
+	res, err := c.Do(Request{Op: "query", Query: "content=tacos"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Unavailable != 1 {
-		t.Errorf("stats = %+v, want exactly s2 unavailable", res.Stats)
+	if res.QueryStats.Unavailable != 1 {
+		t.Errorf("stats = %+v, want exactly s2 unavailable", res.QueryStats)
 	}
 	if len(res.Matches) != 0 {
 		t.Errorf("matches = %v, want none (holder's server is down)", res.Matches)
 	}
 	srv.Recover()
-	if res, err = c.Query("content=tacos"); err != nil {
+	if res, err = c.Do(Request{Op: "query", Query: "content=tacos"}); err != nil {
 		t.Fatal(err)
 	} else if len(res.Matches) != 1 || res.Matches[0] != "R1.h2.bob" {
 		t.Errorf("matches after recovery = %v, want [R1.h2.bob]", res.Matches)
@@ -162,7 +165,7 @@ func TestQueryBinaryFraming(t *testing.T) {
 	s := newQueryServer(t, ServerConfig{})
 	c := newClient(t, s)
 	seedQueryMail(t, c)
-	res, err := c.Query("content=budget")
+	res, err := c.Do(Request{Op: "query", Query: "content=budget"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +183,8 @@ func TestQueryBinaryFraming(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resp.Matches, res.Matches) || resp.QueryStats == nil || *resp.QueryStats != res.Stats {
-		t.Fatalf("through a pipeline: %v %+v, through Do: %v %+v", resp.Matches, resp.QueryStats, res.Matches, res.Stats)
+	if !reflect.DeepEqual(resp.Matches, res.Matches) || resp.QueryStats == nil || *resp.QueryStats != *res.QueryStats {
+		t.Fatalf("through a pipeline: %v %+v, through Do: %v %+v", resp.Matches, resp.QueryStats, res.Matches, res.QueryStats)
 	}
 }
 
@@ -194,7 +197,7 @@ func TestQueryAfterDrain(t *testing.T) {
 	if _, err := c.GetMail("R1.h1.alice"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query("content=budget")
+	res, err := c.Do(Request{Op: "query", Query: "content=budget"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -366,8 +366,8 @@ func TestTBatchOneSyncPerShard(t *testing.T) {
 			msgs[i] = BatchMsg{To: []string{to(i)}, Subject: "s", Body: strings.Repeat("b", 512)}
 		}
 		before, _ := s.cluster.DurabilityStats()
-		if _, err := c.SubmitBatch(users[0], msgs); err != nil {
-			t.Fatal(err)
+		if resp, err := c.Do(Request{Op: "tbatch", From: users[0], Msgs: msgs}); err != nil || len(resp.Failed) != 0 {
+			t.Fatal(err, resp.Failed)
 		}
 		after, _ := s.cluster.DurabilityStats()
 		return after.Appends - before.Appends, after.Syncs - before.Syncs

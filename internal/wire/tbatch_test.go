@@ -19,18 +19,18 @@ func TestSubmitBatchRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids, err := c.SubmitBatch("R1.h1.alice", []BatchMsg{
+	resp, err := c.Do(Request{Op: "tbatch", From: "R1.h1.alice", Msgs: []BatchMsg{
 		{To: []string{"R1.h2.bob"}, Subject: "one"},
 		{To: []string{"R1.h2.bob"}, Subject: "two"},
 		{To: []string{"R1.h2.bob", "R1.h1.alice"}, Subject: "three"},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 3 {
-		t.Fatalf("ids = %v, want 3", ids)
+	if len(resp.IDs) != 3 || len(resp.Failed) != 0 {
+		t.Fatalf("ids = %v, failed = %+v, want 3 IDs and no failure", resp.IDs, resp.Failed)
 	}
-	for i, id := range ids {
+	for i, id := range resp.IDs {
 		if id == "" {
 			t.Errorf("msg %d has no ID", i)
 		}
@@ -52,21 +52,21 @@ func TestSubmitBatchPartialFailure(t *testing.T) {
 	if err := c.Register("R1.h1.alice"); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := c.SubmitBatch("R1.h1.alice", []BatchMsg{
+	resp, err := c.Do(Request{Op: "tbatch", From: "R1.h1.alice", Msgs: []BatchMsg{
 		{To: []string{"R1.h1.alice"}, Subject: "good"},
 		{To: []string{"R1.h9.ghost"}, Subject: "bad"},
-	})
-	if err == nil {
-		t.Fatal("batch with an unresolvable recipient reported no error")
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, mailerr.ErrUnknownUser) {
-		t.Errorf("error = %v does not match mailerr.ErrUnknownUser", err)
+	if len(resp.Failed) != 1 || resp.Failed[0].Index != 1 || resp.Failed[0].Code != mailerr.CodeUnknownUser {
+		t.Errorf("failed = %+v, want item 1 failing with %s", resp.Failed, mailerr.CodeUnknownUser)
 	}
-	if len(ids) != 2 || ids[0] == "" {
-		t.Fatalf("ids = %v, want good item submitted", ids)
+	if len(resp.IDs) != 2 || resp.IDs[0] == "" {
+		t.Fatalf("ids = %v, want good item submitted", resp.IDs)
 	}
-	if ids[1] != "" {
-		t.Errorf("failed item got ID %q", ids[1])
+	if resp.IDs[1] != "" {
+		t.Errorf("failed item got ID %q", resp.IDs[1])
 	}
 	msgs, err := c.GetMail("R1.h1.alice")
 	if err != nil {
@@ -79,9 +79,7 @@ func TestSubmitBatchPartialFailure(t *testing.T) {
 
 // TestTBatchPartialItemKeepsID: an item that reached one recipient and not
 // the other answers with its ID, and its failure names the recipient it
-// missed. The client does not resend it, so alice holds it once, under that
-// ID. (At the parent the item answered "" and the client's resend gave alice
-// a second copy under a second ID.)
+// missed; alice holds it once, under that ID.
 func TestTBatchPartialItemKeepsID(t *testing.T) {
 	s := newServer(t)
 	c := newClient(t, s)
@@ -100,19 +98,12 @@ func TestTBatchPartialItemKeepsID(t *testing.T) {
 		!strings.Contains(resp.Failed[0].Error, "R1.h9.ghost") || strings.Contains(resp.Failed[0].Error, "alice") {
 		t.Fatalf("failed = %+v, want item 0 failing for R1.h9.ghost alone", resp.Failed)
 	}
-	ids, err := c.SubmitBatch("R1.h1.alice", msgs)
-	if !errors.Is(err, mailerr.ErrUnknownUser) {
-		t.Errorf("SubmitBatch error = %v, want mailerr.ErrUnknownUser", err)
-	}
-	if len(ids) != 1 || ids[0] == "" || ids[0] == resp.IDs[0] {
-		t.Fatalf("SubmitBatch ids = %q, want a second item's own ID", ids)
-	}
 	got, err := c.GetMail("R1.h1.alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].ID != resp.IDs[0] || got[1].ID != ids[0] {
-		t.Fatalf("alice holds %+v, want one copy of %s and one of %s", got, resp.IDs[0], ids[0])
+	if len(got) != 1 || got[0].ID != resp.IDs[0] {
+		t.Fatalf("alice holds %+v, want one copy of %s", got, resp.IDs[0])
 	}
 }
 
