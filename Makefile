@@ -245,14 +245,14 @@ bench-pairs:
 	done
 	bash bench/run.sh compare .bench_build/pairs/ref-$(WORKLOAD).json .bench_build/pairs/new-$(WORKLOAD).json
 
-# Size: non-test Go lines outside bench/, what ROADMAP's size target counts —
-# the total, then the same count per top-level directory and per package of
-# internal/ (the root holds doc.go only). SIZE_CEILING is what
+# Size: non-test Go lines outside bench/ and testdata/, what ROADMAP's size
+# target counts — the total, then the same count per top-level directory and
+# per package of internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 24463
-SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+SIZE_CEILING = 24326
+SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 .PHONY: size
 size:
 	@$(SIZE)
-	@for d in cmd examples internal internal/*/; do printf '%7d  %s\n' $$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) $${d%/}; done
+	@for d in cmd examples internal internal/*/; do printf '%7d  %s\n' $$(find $$d -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l) $${d%/}; done

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -73,15 +74,32 @@ var reachAllowed = map[string]string{
 	"internal/sim.Scheduler.Pending":          "test hook: the sim and server tests count queued events",
 }
 
+// optionAllowed lists the option fields no program sets that stay anyway,
+// each with the reason. An entry that a program comes to set, or whose field
+// is gone, fails TestOptionsSetByPrograms: the table only shrinks.
+var optionAllowed = map[string]string{
+	"internal/assign.Config.ChannelUtil":               "§3.1.1's variable-delay modification; the assign tests run it",
+	"internal/loadgen.SimConfig.SpareServersPerRegion": "hardware for §3.1.3 reconfiguration under load, with reachAllowed's SimDriver.AddServer",
+	"internal/core.SyntaxConfig.AuthorityLen":          "the authority-list length; the core tests and loadgen's SimDriver-vs-SyntaxSystem test set it",
+	"internal/core.SyntaxConfig.MaxLoad":               "the §3.1.1 server capacity; loadgen's SimDriver-vs-SyntaxSystem test sets it",
+
+	// The §3.2.2b federation: no program builds one yet (see reachAllowed's
+	// NewLocationFederation).
+	"internal/core.FederationConfig.Topology":     "the §3.2.2b federation's network, set by the core tests",
+	"internal/core.FederationConfig.UsersPerHost": "the §3.2.2b federation's users, set by the core tests",
+	"internal/core.FederationConfig.Seed":         "the §3.2.2b federation's seed, set by the core tests",
+}
+
 // TestReachableFromPrograms: every function and method declared in the
 // module's non-test files is reached from a program — a main in cmd/,
 // examples/ or bench/, an init or a package-level initialiser — or is listed
 // in reachAllowed.
 func TestReachableFromPrograms(t *testing.T) {
-	funcs, dead, err := unreachable(".")
+	p, err := moduleProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
+	funcs, dead := p.unreachable()
 	lines := 0
 	for _, key := range sortedKeys(dead) {
 		lines += dead[key]
@@ -99,35 +117,98 @@ func TestReachableFromPrograms(t *testing.T) {
 	t.Logf("%d of %d functions (%d lines) are reached from no program", len(dead), len(funcs), lines)
 }
 
-// TestReachabilityControl runs the analysis on testdata/reach, a module that
-// reaches one function only from a package-level initialiser, one method only
-// through an interface literal in a type assertion, one as a method value
-// handed to a callback and one of a generic type, and leaves one function
-// dead: exactly that one is reported.
-func TestReachabilityControl(t *testing.T) {
-	_, dead, err := unreachable(filepath.Join("testdata", "reach"))
+// TestOptionsSetByPrograms: every exported field of an option type (an
+// exported struct outside bench/ named …Config, …ConfigOf, …Options, …Spec,
+// …Workload, …Weights or …Population) is set by a program outside the
+// field's own package, or is listed in optionAllowed. A field no program sets
+// has one value on every path: it is a constant, not an option.
+func TestOptionsSetByPrograms(t *testing.T) {
+	p, err := moduleProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sortedKeys(dead); len(got) != 1 || got[0] != "dead" {
-		t.Errorf("unreachable in testdata/reach = %v, want [dead]", got)
+	fields, unset := p.unsetOptions()
+	for _, key := range sortedKeys(unset) {
+		if _, ok := optionAllowed[key]; !ok {
+			t.Errorf("option %s is set by no program: make it a constant, unexport it, delete it, or list it in optionAllowed", key)
+		}
+	}
+	for _, key := range sortedKeys(optionAllowed) {
+		if !fields[key] {
+			t.Errorf("optionAllowed lists %s, which is no longer an exported option field", key)
+		} else if !unset[key] {
+			t.Errorf("optionAllowed lists %s, which a program now sets", key)
+		}
+	}
+	t.Logf("%d of %d option fields are set by no program", len(unset), len(fields))
+}
+
+// TestReachabilityControl runs both analyses on testdata/reach, a module
+// that reaches one function only from a package-level initialiser, one
+// method only through an interface literal in a type assertion, one as a
+// method value handed to a callback and one of a generic type, and leaves one
+// function dead and one method dead that has the name, but not the
+// signature, of flag.Getter's Get: exactly those two are reported. Of its
+// option fields, one set only in its own package (by a literal and an
+// assignment) and one set by nothing are reported; those set from main with a
+// key, through &, or by position in an unkeyed literal are not.
+func TestReachabilityControl(t *testing.T) {
+	p, err := analyse(filepath.Join("testdata", "reach"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dead := p.unreachable()
+	if got, want := strings.Join(sortedKeys(dead), " "), "dead registry.Get"; got != want {
+		t.Errorf("unreachable in testdata/reach = [%s], want [%s]", got, want)
+	}
+	_, unset := p.unsetOptions()
+	if got, want := strings.Join(sortedKeys(unset), " "), "opts.Config.Nothing opts.Config.Own"; got != want {
+		t.Errorf("unset options in testdata/reach = [%s], want [%s]", got, want)
 	}
 }
 
-// unreachable type-checks the non-test files of the module at root and walks
-// the uses of functions from its roots: every main of a main package, every
-// init, every package-level initialiser, and every method that has the name
-// of a method of an interface type in the program — a named one of the module
-// or of a package it imports, or a literal such as interface{ Reset() } —
-// since a call through an interface names no method. It returns every
-// declared function and those the walk does not reach, each keyed
-// "<dir>.<Recv>.<Name>" (dir relative to root) with its lines, doc comment
-// included.
-func unreachable(root string) (funcs, dead map[string]int, err error) {
+// moduleProgram is the analysis of this module, made once for the tests
+// that share it.
+var moduleProgram = sync.OnceValues(func() (*program, error) { return analyse(".") })
+
+// program is a module type-checked from its non-test files, with the
+// functions a walk from its programs reaches.
+type program struct {
+	l      *loader
+	module string
+	decls  map[*types.Func]funcDecl
+	live   map[*types.Func]bool
+}
+
+type funcDecl struct {
+	key   string // "<dir>.<Recv>.<Name>", dir relative to the module root
+	decl  *ast.FuncDecl
+	pkg   *types.Package
+	info  *types.Info
+	lines int  // doc comment included
+	root  bool // a main of a main package, or an init
+}
+
+// dir is the directory of the module's package ip, relative to its root.
+func (p *program) dir(ip string) string {
+	return strings.TrimPrefix(strings.TrimPrefix(ip, p.module), "/")
+}
+
+// analyse type-checks the non-test files of the module at root and walks the
+// uses of functions from its roots: every main of a main package, every init,
+// every package-level initialiser, and every method an interface type of the
+// program may call — a named one of the module or of a package it imports, or
+// a literal such as interface{ Reset() } — since a call through an interface
+// names no method. When a type of the module, T or *T, implements such an
+// interface, the methods its method set selects for the interface's are
+// roots, promoted ones included. A method of a generic type, and any method
+// named like one of a generic interface, is a root by its name alone.
+func analyse(root string) (*program, error) {
 	module, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	p := &program{module: module, decls: make(map[*types.Func]funcDecl), live: make(map[*types.Func]bool)}
 	l := &loader{
 		fset:  token.NewFileSet(),
 		dirs:  make(map[string]string),
@@ -136,6 +217,7 @@ func unreachable(root string) (funcs, dead map[string]int, err error) {
 		files: make(map[string][]*ast.File),
 		std:   importer.Default(),
 	}
+	p.l = l
 	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -151,27 +233,18 @@ func unreachable(root string) (funcs, dead map[string]int, err error) {
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for ip := range l.dirs {
 		if _, err := l.Import(ip); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
-	type fn struct {
-		key   string
-		decl  *ast.FuncDecl
-		info  *types.Info
-		lines int
-	}
-	decls := make(map[*types.Func]fn)
-	ifaceNames := map[string]bool{"Error": true}
-	live := make(map[*types.Func]bool)
 	var work []*types.Func
 	mark := func(f *types.Func) {
-		if f = f.Origin(); !live[f] {
-			live[f] = true
+		if f = f.Origin(); !p.live[f] {
+			p.live[f] = true
 			work = append(work, f)
 		}
 	}
@@ -185,20 +258,39 @@ func unreachable(root string) (funcs, dead map[string]int, err error) {
 			return true
 		})
 	}
+
+	// The interfaces of the program, indexed by the name of their first
+	// method; the method names of all of them and of the generic ones.
+	ifaces := make(map[string][]*types.Interface)
+	ifaceNames, genericNames := make(map[string]bool), make(map[string]bool)
+	seenIface := make(map[*types.Interface]bool)
 	addIface := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				ifaceNames[it.Method(i).Name()] = true
-			}
-		}
-	}
-	seen := make(map[*types.Package]bool)
-	var scopeIfaces func(p *types.Package)
-	scopeIfaces = func(p *types.Package) {
-		if seen[p] {
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || it.NumMethods() == 0 || seenIface[it] {
 			return
 		}
-		seen[p] = true
+		seenIface[it] = true
+		n, _ := t.(*types.Named)
+		generic := n != nil && n.TypeParams().Len() > 0
+		for i := 0; i < it.NumMethods(); i++ {
+			ifaceNames[it.Method(i).Name()] = true
+			if generic {
+				genericNames[it.Method(i).Name()] = true
+			}
+		}
+		if !generic {
+			first := it.Method(0).Name()
+			ifaces[first] = append(ifaces[first], it)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	seenPkg := make(map[*types.Package]bool)
+	var scopeIfaces func(p *types.Package)
+	scopeIfaces = func(p *types.Package) {
+		if seenPkg[p] {
+			return
+		}
+		seenPkg[p] = true
 		for _, name := range p.Scope().Names() {
 			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
 				addIface(tn.Type())
@@ -208,12 +300,19 @@ func unreachable(root string) (funcs, dead map[string]int, err error) {
 			scopeIfaces(imp)
 		}
 	}
-	funcs = make(map[string]int)
+	var named []*types.Named
 	for ip, files := range l.files {
-		info, dir := l.infos[ip], strings.TrimPrefix(strings.TrimPrefix(ip, module), "/")
-		scopeIfaces(l.pkgs[ip])
+		info, pkg, dir := l.infos[ip], l.pkgs[ip], p.dir(ip)
+		scopeIfaces(pkg)
 		for _, tv := range info.Types {
 			addIface(tv.Type)
+		}
+		for _, obj := range info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+			}
 		}
 		for _, f := range files {
 			for _, d := range f.Decls {
@@ -236,35 +335,178 @@ func unreachable(root string) (funcs, dead map[string]int, err error) {
 						start = d.Doc.Pos()
 					}
 					lines := l.fset.Position(d.End()).Line - l.fset.Position(start).Line + 1
-					decls[obj] = fn{key, d, info, lines}
-					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && l.pkgs[ip].Name() == "main") {
+					root := d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Name() == "main")
+					p.decls[obj] = funcDecl{key, d, pkg, info, lines, root}
+					if root {
 						mark(obj)
-					} else {
-						funcs[key] = lines
 					}
 				}
 			}
 		}
 	}
-	for obj, d := range decls {
-		if d.decl.Recv != nil && ifaceNames[obj.Name()] {
-			mark(obj)
+	for _, n := range named {
+		ms := types.NewMethodSet(types.NewPointer(n))
+		for i := 0; i < ms.Len(); i++ {
+			m := ms.At(i).Obj().(*types.Func)
+			if genericNames[m.Name()] || n.TypeParams().Len() > 0 && ifaceNames[m.Name()] {
+				mark(m)
+				continue
+			}
+			for _, it := range ifaces[m.Name()] {
+				if !types.Implements(types.NewPointer(n), it) {
+					continue
+				}
+				for j := 0; j < it.NumMethods(); j++ {
+					im := it.Method(j)
+					mark(ms.Lookup(im.Pkg(), im.Name()).Obj().(*types.Func))
+				}
+			}
 		}
 	}
 	for len(work) > 0 {
 		f := work[len(work)-1]
 		work = work[:len(work)-1]
-		if d, ok := decls[f]; ok && d.decl.Body != nil {
+		if d, ok := p.decls[f]; ok && d.decl.Body != nil {
 			uses(d.info, d.decl.Body)
 		}
 	}
-	dead = make(map[string]int)
-	for obj, d := range decls {
-		if !live[obj] {
+	return p, nil
+}
+
+// unreachable returns every function the module declares but its roots, and
+// those no program reaches, each keyed as funcDecl.key with its lines.
+func (p *program) unreachable() (funcs, dead map[string]int) {
+	funcs, dead = make(map[string]int), make(map[string]int)
+	for obj, d := range p.decls {
+		if d.root {
+			continue
+		}
+		funcs[d.key] = d.lines
+		if !p.live[obj] {
 			dead[d.key] = d.lines
 		}
 	}
-	return funcs, dead, nil
+	return funcs, dead
+}
+
+// optionSuffixes name the option types TestOptionsSetByPrograms checks.
+var optionSuffixes = []string{"Config", "ConfigOf", "Options", "Spec", "Workload", "Weights", "Population"}
+
+// unsetOptions returns every exported field of an exported option type
+// declared outside bench/, keyed "<dir>.<Type>.<Field>", and those that no
+// program sets from outside the field's own package — in a function the walk
+// reaches or a package-level initialiser — as a composite-literal key, an
+// element of an unkeyed literal, an assignment or ++/-- target, or the
+// operand of &.
+func (p *program) unsetOptions() (fields, unset map[string]bool) {
+	keys := make(map[*types.Var]string)
+	for ip, pkg := range p.l.pkgs {
+		dir := p.dir(ip)
+		if dir == "bench" || strings.HasPrefix(dir, "bench/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() || !hasOptionSuffix(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					keys[f] = strings.TrimPrefix(dir+"."+name+"."+f.Name(), ".")
+				}
+			}
+		}
+	}
+	set := make(map[*types.Var]bool)
+	setBy := func(pkg *types.Package, info *types.Info, n ast.Node) {
+		field := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.SelectorExpr:
+					if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() && v.Pkg() != pkg {
+						set[v.Origin()] = true
+					}
+					return
+				default:
+					return
+				}
+			}
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CompositeLit:
+				t := info.Types[x].Type
+				if ptr, ok := t.Underlying().(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range x.Elts {
+					var v *types.Var
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						v, _ = info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+					} else {
+						v = st.Field(i)
+					}
+					if v != nil && v.Pkg() != pkg {
+						set[v.Origin()] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					field(lhs)
+				}
+			case *ast.IncDecStmt:
+				field(x.X)
+			case *ast.UnaryExpr:
+				if x.Op == token.AND {
+					field(x.X)
+				}
+			}
+			return true
+		})
+	}
+	for ip, files := range p.l.files {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				if d, ok := d.(*ast.GenDecl); ok && d.Tok == token.VAR {
+					setBy(p.l.pkgs[ip], p.l.infos[ip], d)
+				}
+			}
+		}
+	}
+	for obj, d := range p.decls {
+		if p.live[obj] && d.decl.Body != nil {
+			setBy(d.pkg, d.info, d.decl.Body)
+		}
+	}
+	fields, unset = make(map[string]bool), make(map[string]bool)
+	for v, key := range keys {
+		fields[key] = true
+		if !set[v] {
+			unset[key] = true
+		}
+	}
+	return fields, unset
+}
+
+func hasOptionSuffix(name string) bool {
+	for _, s := range optionSuffixes {
+		if strings.HasSuffix(name, s) {
+			return true
+		}
+	}
+	return false
 }
 
 // loader type-checks the packages of one module from source, on demand, and

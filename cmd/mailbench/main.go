@@ -409,6 +409,12 @@ func runSyntax(p params, w io.Writer) (int, error) {
 			}
 			fmt.Fprintf(w, "wal: %d appends, %.1f MB, %.1f MB/s append path, %d syncs, %d rotations, %d compactions\n",
 				ws.Appends, float64(ws.Bytes)/1e6, mbps, ws.Syncs, ws.Rotations, ws.Compactions)
+			// A latched store keeps accepting deposits it never journals:
+			// the run's durability claim does not hold.
+			if ws.Latched > 0 {
+				fmt.Fprintf(w, "VIOLATION wal_latched: %d\n", ws.Latched)
+				bad += int(ws.Latched)
+			}
 		}
 	}
 	return bad, nil

@@ -288,9 +288,6 @@ func (r *Registry) Put(p *Profile) error {
 	return nil
 }
 
-// Len reports the number of profiles stored.
-func (r *Registry) Len() int { return len(r.profiles) }
-
 // Search returns the users whose profiles satisfy the query, sorted by name
 // for determinism.
 func (r *Registry) Search(q Query) ([]names.Name, error) {

@@ -239,3 +239,6 @@ func TestOpString(t *testing.T) {
 		}
 	}
 }
+
+// Len reports the number of profiles stored.
+func (r *Registry) Len() int { return len(r.profiles) }

@@ -22,9 +22,7 @@ type AttributeConfig struct {
 	// Profiles assigns user profiles to the node that is authoritative for
 	// them.
 	Profiles map[graph.NodeID][]*attr.Profile
-	// Timeout is the convergecast child-timeout base.
-	Timeout sim.Time
-	Seed    int64
+	Seed     int64
 }
 
 // AttributeSystem is a fully wired attribute-based mail system.
@@ -78,9 +76,8 @@ func NewAttribute(cfg AttributeConfig) (*AttributeSystem, error) {
 		s.registries[n.ID] = reg
 	}
 	tree, err := broadcast.SetupOf(broadcast.ConfigOf[names.Name]{
-		Net:     net,
-		Tree:    backbone.Combined,
-		Timeout: cfg.Timeout,
+		Net:  net,
+		Tree: backbone.Combined,
 		Eval: func(id graph.NodeID, query any) []names.Name {
 			q, ok := query.(attr.Query)
 			if !ok {

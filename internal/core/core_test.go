@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/largemail/largemail/internal/attr"
-	"github.com/largemail/largemail/internal/evalsys"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/sim"
@@ -237,7 +236,7 @@ func TestSyntaxEvaluate(t *testing.T) {
 	if rep.Cost.TotalMessages == 0 || rep.Cost.TotalTrafficCost == 0 {
 		t.Errorf("cost = %+v", rep.Cost)
 	}
-	if score := rep.Score(evalsys.DefaultWeights()); score <= 0 || score > 1 {
+	if score := rep.Score(); score <= 0 || score > 1 {
 		t.Errorf("score = %v", score)
 	}
 }

@@ -21,9 +21,7 @@ type FederationConfig struct {
 	// UsersPerHost lists the user tokens whose primary location is each
 	// host node.
 	UsersPerHost map[graph.NodeID][]string
-	// Subgroups is the per-region hash modulus (0 = 2× server count).
-	Subgroups int
-	Seed      int64
+	Seed         int64
 }
 
 // LocationFederation is a set of federated location-independent regional
@@ -79,7 +77,7 @@ func newFederation(cfg FederationConfig, regions []string) (*LocationFederation,
 			continue // region without mail service (routers only)
 		}
 		sys, err := locind.NewSystem(locind.Config{
-			Region: region, Net: net, Servers: servers, Subgroups: cfg.Subgroups,
+			Region: region, Net: net, Servers: servers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("region %s: %w", region, err)

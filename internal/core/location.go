@@ -18,9 +18,7 @@ type LocationConfig struct {
 	// UsersPerHost lists the user tokens whose primary location is each
 	// host node.
 	UsersPerHost map[graph.NodeID][]string
-	// Subgroups is the hash modulus (0 = 2× server count).
-	Subgroups int
-	Seed      int64
+	Seed         int64
 }
 
 // LocationSystem is a fully wired location-independent mail system for one
@@ -36,8 +34,7 @@ type LocationSystem struct {
 // every user an agent at their primary location.
 func NewLocation(cfg LocationConfig) (*LocationSystem, error) {
 	f, err := newFederation(FederationConfig{
-		Topology: cfg.Topology, UsersPerHost: cfg.UsersPerHost,
-		Subgroups: cfg.Subgroups, Seed: cfg.Seed,
+		Topology: cfg.Topology, UsersPerHost: cfg.UsersPerHost, Seed: cfg.Seed,
 	}, []string{cfg.Region})
 	if err != nil {
 		return nil, err

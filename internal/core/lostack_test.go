@@ -10,6 +10,7 @@ import (
 	"github.com/largemail/largemail/internal/faults"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/obs"
 	"github.com/largemail/largemail/internal/sim"
 )
 
@@ -133,3 +134,7 @@ func (f *Fabric) Hosts() []*client.Host {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
+
+// Tracer returns the deployment-wide message-lifecycle tracer shared by
+// every server, running on the simulated clock.
+func (s *SyntaxSystem) Tracer() *obs.Tracer { return s.trace }

@@ -44,12 +44,6 @@ type SyntaxConfig struct {
 	MaxLoad int
 	// Seed drives the simulation's deterministic randomness.
 	Seed int64
-	// Server is the template every server is configured from (retention,
-	// relay batching, durability, …); the system fills in the network, the
-	// tracer and what differs per server. With Server.DataDir set, server
-	// node N journals to DataDir/s<N>, and rebuilding the system over the
-	// same directory recovers all buffered mail by WAL replay.
-	Server server.Config
 }
 
 // SyntaxSystem is a fully wired syntax-directed mail system (§3.1): the
@@ -86,8 +80,7 @@ func NewSyntax(cfg SyntaxConfig) (*SyntaxSystem, error) {
 	for h, toks := range cfg.UsersPerHost {
 		counts[h] = len(toks)
 	}
-	tmpl := cfg.Server
-	tmpl.Net, tmpl.Trace = netsim.New(sched, cfg.Topology), s.trace
+	tmpl := server.Config{Net: netsim.New(sched, cfg.Topology), Trace: s.trace}
 	var err error
 	if s.Fabric, err = NewFabric(cfg.Topology, tmpl, counts, cfg.AuthorityLen, cfg.MaxLoad); err != nil {
 		return nil, err
@@ -128,10 +121,6 @@ func hostToken(n graph.Node) string {
 	}
 	return n.Label
 }
-
-// Tracer returns the deployment-wide message-lifecycle tracer shared by
-// every server, running on the simulated clock.
-func (s *SyntaxSystem) Tracer() *obs.Tracer { return s.trace }
 
 // Agent returns the user's mail agent.
 func (s *SyntaxSystem) Agent(user names.Name) (*client.Agent, error) {

@@ -62,27 +62,12 @@ type Report struct {
 	Cost        Cost
 }
 
-// Weights control the roll-up Score. Zero-value weights count everything
-// equally.
-type Weights struct {
-	Efficiency  float64
-	Reliability float64
-	Flexibility float64
-	Cost        float64
-}
-
-// DefaultWeights weighs the four criteria equally.
-func DefaultWeights() Weights { return Weights{1, 1, 1, 1} }
-
 // Score rolls the report into a single comparable figure in [0, 1], where
 // higher is better. Each criterion is first normalized into [0, 1] with
-// simple saturating transforms; the weighted mean follows. The transforms
+// simple saturating transforms; their mean follows. The transforms
 // are documented inline — the point is comparability between designs run on
 // the same workload, not absolute meaning.
-func (r Report) Score(w Weights) float64 {
-	if w == (Weights{}) {
-		w = DefaultWeights()
-	}
+func (r Report) Score() float64 {
 	// Efficiency: polls close to 1 are good.
 	eff := saturating(1 / math.Max(r.Efficiency.MeanPollsPerCheck, 1))
 	// Reliability: delivery rate dominates; availability seconds it.
@@ -104,11 +89,7 @@ func (r Report) Score(w Weights) float64 {
 		perMsg = r.Cost.TotalTrafficCost / float64(r.Cost.TotalMessages)
 	}
 	cost := saturating(1 / (1 + perMsg))
-	total := w.Efficiency + w.Reliability + w.Flexibility + w.Cost
-	if total == 0 {
-		return 0
-	}
-	return (eff*w.Efficiency + rel*w.Reliability + flex*w.Flexibility + cost*w.Cost) / total
+	return (eff + rel + flex + cost) / 4
 }
 
 func clamp01(v float64) float64 {

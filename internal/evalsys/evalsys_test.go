@@ -73,20 +73,16 @@ func TestEmptyCollectorNoNaNs(t *testing.T) {
 			t.Errorf("%s is NaN on empty collector", name)
 		}
 	}
-	if s := r.Score(DefaultWeights()); math.IsNaN(s) || s < 0 || s > 1 {
+	if s := r.Score(); math.IsNaN(s) || s < 0 || s > 1 {
 		t.Errorf("empty Score = %v", s)
 	}
 }
 
 func TestScoreBounds(t *testing.T) {
-	r := fullCollector().Report()
-	for _, w := range []Weights{{}, DefaultWeights(), {Efficiency: 1}, {Cost: 5}} {
-		s := r.Score(w)
-		if s < 0 || s > 1 || math.IsNaN(s) {
-			t.Errorf("Score(%+v) = %v out of [0,1]", w, s)
-		}
+	if s := fullCollector().Report().Score(); s < 0 || s > 1 || math.IsNaN(s) {
+		t.Errorf("Score() = %v out of [0,1]", s)
 	}
-	if (Report{}).Score(Weights{}) < 0 {
+	if (Report{}).Score() < 0 {
 		t.Error("zero report score negative")
 	}
 }
@@ -97,7 +93,7 @@ func TestScorePrefersReliableSystem(t *testing.T) {
 	good.CountDelivered(1)
 	bad := NewCollector("bad")
 	bad.CountSubmission(true) // submitted but never delivered
-	if good.Report().Score(Weights{Reliability: 1}) <= bad.Report().Score(Weights{Reliability: 1}) {
+	if good.Report().Score() <= bad.Report().Score() {
 		t.Error("reliable system did not out-score lossy one")
 	}
 }

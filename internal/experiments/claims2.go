@@ -7,7 +7,6 @@ import (
 	"github.com/largemail/largemail/internal/attr"
 	"github.com/largemail/largemail/internal/broadcast"
 	"github.com/largemail/largemail/internal/core"
-	"github.com/largemail/largemail/internal/evalsys"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/mst"
 	"github.com/largemail/largemail/internal/names"
@@ -399,7 +398,6 @@ func E11CriteriaComparison() Result {
 	}
 	repL := loc.Evaluate()
 
-	w := evalsys.DefaultWeights()
 	t := obs.NewTable("E11: §4 criteria, syntax-directed vs location-independent (same workload)",
 		"Measure", "SyntaxDirected", "LocationIndependent")
 	t.AddRow("delivered rate", repS.Reliability.DeliveredRate, repL.Reliability.DeliveredRate)
@@ -407,7 +405,7 @@ func E11CriteriaComparison() Result {
 	t.AddRow("traffic cost", repS.Cost.TotalTrafficCost, repL.Cost.TotalTrafficCost)
 	t.AddRow("renames per migration", repS.Flexibility.RenamesPerMigration, repL.Flexibility.RenamesPerMigration)
 	t.AddRow("roaming", repS.Flexibility.RoamingSupported, repL.Flexibility.RoamingSupported)
-	t.AddRow("score (equal weights)", repS.Score(w), repL.Score(w))
+	t.AddRow("score (equal weights)", repS.Score(), repL.Score())
 	return Result{
 		ID:    "e11",
 		Title: "Evaluating the designs against the §4 criteria",

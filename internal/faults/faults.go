@@ -139,9 +139,6 @@ type Spec struct {
 	// durable stores — kill-restarting a memory-only server is data loss by
 	// construction, not a survivable fault.
 	KillTargets []string
-	// Protected servers are never crashed, made unreachable, or delayed
-	// (e.g. to keep one authority server of every user up).
-	Protected []string
 
 	Crashes      int // crash → recover windows
 	LinkFaults   int // link fail → restore windows
@@ -197,50 +194,28 @@ func Compile(sp Spec) (Schedule, error) {
 	if sp.Ticks <= 1 {
 		return Schedule{}, errors.New("faults: spec needs Ticks > 1")
 	}
-	protected := make(map[string]bool, len(sp.Protected))
-	for _, p := range sp.Protected {
-		protected[p] = true
+	if (sp.Crashes > 0 || sp.Latencies > 0) && len(sp.Servers) == 0 {
+		return Schedule{}, errors.New("faults: no servers for crash/latency windows")
 	}
-	var targets []string
-	for _, s := range sp.Servers {
-		if !protected[s] {
-			targets = append(targets, s)
-		}
-	}
-	if (sp.Crashes > 0 || sp.Latencies > 0) && len(targets) == 0 {
-		return Schedule{}, errors.New("faults: no unprotected servers for crash/latency windows")
-	}
-	var links [][2]string
-	for _, l := range sp.Links {
-		if !protected[l[0]] && !protected[l[1]] {
-			links = append(links, l)
-		}
-	}
-	if sp.LinkFaults > 0 && len(links) == 0 {
-		return Schedule{}, errors.New("faults: no unprotected links for link-fault windows")
+	if sp.LinkFaults > 0 && len(sp.Links) == 0 {
+		return Schedule{}, errors.New("faults: no links for link-fault windows")
 	}
 	if sp.Drops > 0 && len(sp.DropTargets) == 0 {
 		return Schedule{}, errors.New("faults: no DropTargets for drop windows")
 	}
-	var killables []string
-	for _, s := range sp.KillTargets {
-		if !protected[s] {
-			killables = append(killables, s)
-		}
-	}
-	if sp.KillRestarts > 0 && len(killables) == 0 {
-		return Schedule{}, errors.New("faults: no unprotected KillTargets for kill-restart windows")
+	if sp.KillRestarts > 0 && len(sp.KillTargets) == 0 {
+		return Schedule{}, errors.New("faults: no KillTargets for kill-restart windows")
 	}
 	// Crash and kill windows on the same server may interleave so that a
 	// Recover lands between a Kill and its Restart, reviving the node while
 	// its store is torn down. Require disjoint pools when both kinds are in
 	// play rather than compile a schedule with that hazard.
 	if sp.Crashes > 0 && sp.KillRestarts > 0 {
-		crashPool := make(map[string]bool, len(targets))
-		for _, s := range targets {
+		crashPool := make(map[string]bool, len(sp.Servers))
+		for _, s := range sp.Servers {
 			crashPool[s] = true
 		}
-		for _, s := range killables {
+		for _, s := range sp.KillTargets {
 			if crashPool[s] {
 				return Schedule{}, fmt.Errorf(
 					"faults: %q is both a crash and a kill target; the pools must be disjoint when both window kinds are requested", s)
@@ -257,21 +232,21 @@ func Compile(sp Spec) (Schedule, error) {
 		return start, start + length
 	}
 	for i := 0; i < sp.Crashes; i++ {
-		t := targets[rng.Intn(len(targets))]
+		t := sp.Servers[rng.Intn(len(sp.Servers))]
 		start, end := window()
 		events = append(events,
 			Event{Tick: start, Kind: Crash, Target: t},
 			Event{Tick: end, Kind: Recover, Target: t})
 	}
 	for i := 0; i < sp.LinkFaults; i++ {
-		l := links[rng.Intn(len(links))]
+		l := sp.Links[rng.Intn(len(sp.Links))]
 		start, end := window()
 		events = append(events,
 			Event{Tick: start, Kind: LinkFail, Target: l[0], Peer: l[1]},
 			Event{Tick: end, Kind: LinkRestore, Target: l[0], Peer: l[1]})
 	}
 	for i := 0; i < sp.Latencies; i++ {
-		t := targets[rng.Intn(len(targets))]
+		t := sp.Servers[rng.Intn(len(sp.Servers))]
 		start, end := window()
 		delay := 1 + rng.Intn(sp.MaxDelayTicks)
 		events = append(events,
@@ -287,7 +262,7 @@ func Compile(sp Spec) (Schedule, error) {
 			Event{Tick: end, Kind: Drop, Target: t, Prob: 0})
 	}
 	for i := 0; i < sp.KillRestarts; i++ {
-		t := killables[rng.Intn(len(killables))]
+		t := sp.KillTargets[rng.Intn(len(sp.KillTargets))]
 		start, end := window()
 		events = append(events,
 			Event{Tick: start, Kind: Kill, Target: t},

@@ -114,27 +114,6 @@ func TestCompileOversizedOutageClamped(t *testing.T) {
 	}
 }
 
-func TestCompileProtectedTargetsExcluded(t *testing.T) {
-	sp := chaosSpec()
-	sp.Protected = []string{"s1"}
-	sched, err := Compile(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range sched.Events {
-		switch e.Kind {
-		case Crash, Recover, Latency:
-			if e.Target == "s1" {
-				t.Fatalf("protected server faulted: %v", e)
-			}
-		case LinkFail, LinkRestore:
-			if e.Target == "s1" || e.Peer == "s1" {
-				t.Fatalf("protected server's link faulted: %v", e)
-			}
-		}
-	}
-}
-
 func TestCompileValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -142,7 +121,6 @@ func TestCompileValidation(t *testing.T) {
 	}{
 		{"ticks", func(sp *Spec) { sp.Ticks = 1 }},
 		{"no servers", func(sp *Spec) { sp.Servers = nil }},
-		{"all protected", func(sp *Spec) { sp.Protected = append([]string(nil), sp.Servers...) }},
 		{"no links", func(sp *Spec) { sp.Links = nil }},
 		{"no drop targets", func(sp *Spec) { sp.DropTargets = nil }},
 	}

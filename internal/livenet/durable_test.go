@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/largemail/largemail/internal/mail"
@@ -283,6 +284,43 @@ func TestDurabilityStatsCumulativeAcrossRestart(t *testing.T) {
 	}
 	if post.Bytes < pre.Bytes {
 		t.Fatalf("Bytes = %d after kill-restart, want >= pre-kill %d", post.Bytes, pre.Bytes)
+	}
+}
+
+// TestDurabilityStatsCountsLatchedStores: a body past the WAL's 16 MiB
+// record cap latches its store's log — the server keeps taking mail it never
+// journals — and DurabilityStats counts that store as Latched until a
+// kill-restart opens a fresh store, which journals again.
+func TestDurabilityStatsCountsLatchedStores(t *testing.T) {
+	c := durableCluster(t)
+	defer c.Close()
+	for _, name := range []string{"s1", "s2"} {
+		if _, err := c.AddServer(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alice := names.Name{Region: "R0", Host: "h0", User: "alice"}
+	c.Directory().SetAuthority(alice, []string{"s1"})
+	if _, err := c.Submit(alice, []names.Name{alice}, "s", "small"); err != nil {
+		t.Fatal(err)
+	}
+	if ws, _ := c.DurabilityStats(); ws.Latched != 0 {
+		t.Fatalf("Latched = %d before the oversize deposit, want 0", ws.Latched)
+	}
+	if _, err := c.Submit(alice, []names.Name{alice}, "s", strings.Repeat("x", 16<<20+1)); err != nil {
+		t.Fatal(err)
+	}
+	if ws, _ := c.DurabilityStats(); ws.Latched != 1 {
+		t.Fatalf("Latched = %d after the oversize deposit, want 1", ws.Latched)
+	}
+	if err := mustServer(t, c, "s1").Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mustServer(t, c, "s1").Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if ws, _ := c.DurabilityStats(); ws.Latched != 0 {
+		t.Fatalf("Latched = %d after kill-restart, want 0", ws.Latched)
 	}
 }
 

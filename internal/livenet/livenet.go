@@ -207,9 +207,6 @@ type Server struct {
 	qdepth   *obs.Gauge
 }
 
-// Name returns the server's identifier.
-func (s *Server) Name() string { return s.name }
-
 // Up reports whether the server currently accepts requests.
 func (s *Server) Up() bool { return s.up.Load() }
 
@@ -465,14 +462,15 @@ func (s *Server) halt() {
 }
 
 // closeStore detaches and closes the server's store (final WAL sync),
-// folding its WAL counters into walBase first so cumulative durability stats
-// survive the store's replacement.
+// folding its WAL counters, but not its latch, into walBase first so
+// cumulative durability stats survive the store's replacement.
 func (s *Server) closeStore() error {
 	s.runMu.Lock()
 	st := s.store
 	s.store = nil
 	if st != nil {
 		if ws, ok := st.WALStats(); ok {
+			ws.Latched = 0
 			s.walBase.Add(ws)
 		}
 	}
@@ -545,14 +543,6 @@ type ClusterConfig struct {
 	DataDir string
 	// Fsync is the WAL fsync policy for durable stores.
 	Fsync mailstore.FsyncMode
-	// Placement, when set, is the cluster's placement policy: registrations
-	// that arrive without an explicit server list (wire "register") are
-	// placed by consulting it through PlaceUser. Nil keeps the historical
-	// default (every server, registration order).
-	Placement placement.Policy
-	// PlacementName maps a policy slot to a server name (default
-	// placement.DefaultLabel, "S<slot>" — mailbench/maild's convention).
-	PlacementName func(slot int) string
 	// TermIndex turns on every store's per-shard term index and sketch
 	// (mailstore.EnableTermIndex), the structures behind the wire `query`
 	// verb. Off by default: index maintenance rides the deposit/drain hot
@@ -570,6 +560,13 @@ type Cluster struct {
 	nextSeq atomic.Uint64
 	stats   *obs.Registry
 	trace   *obs.Tracer
+
+	// placement, when set by SetPlacement, places the registrations that
+	// arrive without an explicit server list (wire "register") through
+	// PlaceUser; nil keeps the historical default (every server,
+	// registration order). placementName maps its slots to server names.
+	placement     placement.Policy
+	placementName func(slot int) string
 
 	spoolMu sync.Mutex
 	spool   *spool
@@ -719,13 +716,10 @@ func (c *Cluster) AddServer(name string) (*Server, error) {
 // policies while load-driven ones (JSQ) stay free to pick per call.
 func (c *Cluster) PlaceUser(user names.Name) []string {
 	c.mu.RLock()
-	pol, label := c.cfg.Placement, c.cfg.PlacementName
+	pol, label := c.placement, c.placementName
 	c.mu.RUnlock()
 	if pol == nil {
 		return nil
-	}
-	if label == nil {
-		label = placement.DefaultLabel
 	}
 	h := fnv.New32a()
 	h.Write([]byte(user.String()))
@@ -740,23 +734,21 @@ func (c *Cluster) PlaceUser(user names.Name) []string {
 	return out
 }
 
-// SetPlacement installs (or replaces) the cluster's placement policy after
-// construction — the path a policy that samples the cluster's own registry
-// (JSQ) must take, since the registry does not exist until NewClusterWith
-// returns. A nil name keeps the configured slot-to-server mapping.
+// SetPlacement installs (or replaces) the cluster's placement policy and
+// the server name of each of its slots. It is called after construction,
+// since a policy that samples the cluster's own registry (JSQ) needs the
+// cluster.
 func (c *Cluster) SetPlacement(pol placement.Policy, name func(slot int) string) {
 	c.mu.Lock()
-	c.cfg.Placement = pol
-	if name != nil {
-		c.cfg.PlacementName = name
-	}
+	c.placement, c.placementName = pol, name
 	c.mu.Unlock()
 }
 
 // DurabilityStats sums the WAL write-path counters across every server,
 // including the accumulated totals of stores closed by earlier kill-restart
 // cycles — the numbers are cumulative write-path work, not just the current
-// stores'; ok is false on memory-only clusters.
+// stores', but for Latched, which counts the current stores that stopped
+// journaling; ok is false on memory-only clusters.
 func (c *Cluster) DurabilityStats() (mailstore.WALStats, bool) {
 	if !c.Durable() {
 		return mailstore.WALStats{}, false

@@ -25,12 +25,6 @@ import (
 type AttrConfig struct {
 	Seed int64
 	Pop  Population
-	// Tick is the virtual length of one schedule tick (default 10 units).
-	Tick sim.Time
-	// Timeout is the broadcast parent's base per-edge wait (default 30).
-	Timeout sim.Time
-	// Groups is the number of interest groups users hash into (default 16).
-	Groups int
 	// Queries is how many mass-distribution queries to launch (default 20).
 	Queries int
 	// QueryEvery launches one query every n ticks (default 3).
@@ -40,12 +34,9 @@ type AttrConfig struct {
 	ContentEvery int
 	// SweepEvery drains deposited copies every n ticks (default 4).
 	SweepEvery int
-	// Ticks runs the loop this long (default sized to the query schedule,
-	// raised to cover Schedule's horizon).
+	// Ticks runs the loop this long (default sized to the query schedule;
+	// SetSchedule raises it to cover the fault schedule's horizon).
 	Ticks int
-	// Schedule, when non-nil, is a compiled fault schedule injected as its
-	// ticks come due.
-	Schedule *faults.Schedule
 	// DisablePrune routes content searches over the exhaustive Start path
 	// even when the planner says they could prune — the E21-compatible
 	// baseline. Zero value: pruning on.
@@ -58,17 +49,15 @@ type AttrConfig struct {
 	SketchRefreshEvery int
 }
 
+// attrGroups is the number of interest groups users hash into, and
+// attrTimeout the broadcast parent's base per-edge wait.
+const (
+	attrGroups  = 16
+	attrTimeout = 30 * sim.Unit
+)
+
 func (c AttrConfig) withDefaults() AttrConfig {
 	c.Pop = c.Pop.withDefaults()
-	if c.Tick <= 0 {
-		c.Tick = 10 * sim.Unit
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * sim.Unit
-	}
-	if c.Groups <= 0 {
-		c.Groups = 16
-	}
 	if c.Queries <= 0 {
 		c.Queries = 20
 	}
@@ -83,9 +72,6 @@ func (c AttrConfig) withDefaults() AttrConfig {
 	}
 	if c.Ticks <= 0 {
 		c.Ticks = c.Queries*c.QueryEvery + 20
-	}
-	if c.Schedule != nil && c.Schedule.Horizon() > c.Ticks {
-		c.Ticks = c.Schedule.Horizon()
 	}
 	return c
 }
@@ -154,6 +140,9 @@ type AttrScenario struct {
 	store map[graph.NodeID]*mailstore.Store
 	aud   *Auditors
 	rng   *rand.Rand
+	// schedule, when set by SetSchedule, is a compiled fault schedule
+	// injected as its ticks come due.
+	schedule *faults.Schedule
 
 	// residents holds what a §3.3 server stores for each of its users — the
 	// name mail is deposited under and the attribute profile predicates are
@@ -200,7 +189,7 @@ func NewAttrScenario(cfg AttrConfig) (*AttrScenario, error) {
 		Net:       s.net,
 		Tree:      bb.Combined,
 		Eval:      s.eval,
-		Timeout:   cfg.Timeout,
+		Timeout:   attrTimeout,
 		Sketch:    func(id graph.NodeID) (*sketch.Filter, uint64) { return s.store[id].Sketch() },
 		SketchGen: func(id graph.NodeID) uint64 { return s.store[id].SketchGen() },
 	})
@@ -281,7 +270,7 @@ func (s *AttrScenario) resident(u int) *attr.Profile {
 	}
 	var buf [24]byte
 	r := &resident{attrs: [3]attr.Attribute{
-		{Type: attr.TypeInterest, Value: token(groupTokens, "g", u%s.cfg.Groups), Visibility: attr.Public},
+		{Type: attr.TypeInterest, Value: token(groupTokens, "g", u%attrGroups), Visibility: attr.Public},
 		{Type: attr.TypeCity, Value: attrCities[u%len(attrCities)], Visibility: attr.Public},
 		{Type: attr.TypeName, Value: string(strconv.AppendInt(append(buf[:0], "user"...), int64(u), 10)), Visibility: attr.Public},
 	}}
@@ -294,7 +283,7 @@ func (s *AttrScenario) resident(u int) *attr.Profile {
 // each against the real matcher.
 func (s *AttrScenario) matchingOn(gs, group int, q attr.Query) []int {
 	var out []int
-	for u := group; u < s.pop.Users; u += s.cfg.Groups {
+	for u := group; u < s.pop.Users; u += attrGroups {
 		if s.homeServer(u) != gs {
 			continue
 		}
@@ -383,7 +372,7 @@ func (s *AttrScenario) launch(content bool) {
 	depth := s.tree.MaxDepthFrom(origin)
 	s.rep.MaxDepth = max(s.rep.MaxDepth, depth)
 	q := &attrQuery{origin: origin, start: s.sched.Now(), content: content}
-	q.bound = q.start + s.cfg.Timeout*sim.Time(depth) + sim.Unit
+	q.bound = q.start + attrTimeout*sim.Time(depth) + sim.Unit
 	q.deadAtStart = s.downNodes(origin)
 
 	var payload broadcast.AttrQuery
@@ -409,7 +398,7 @@ func (s *AttrScenario) launch(content bool) {
 		}
 		payload = broadcast.AttrQuery{Group: -1, Query: query, Terms: plan.Terms}
 	} else {
-		group := s.rng.Intn(s.cfg.Groups)
+		group := s.rng.Intn(attrGroups)
 		qs := fmt.Sprintf("interest=g%d", group)
 		if s.rng.Intn(3) == 0 {
 			city := attrCities[s.rng.Intn(len(attrCities))]
@@ -421,7 +410,7 @@ func (s *AttrScenario) launch(content bool) {
 			return
 		}
 		q.truth = make(map[int]bool)
-		for u := group; u < s.pop.Users; u += s.cfg.Groups {
+		for u := group; u < s.pop.Users; u += attrGroups {
 			if query.Matches(s.resident(u)) {
 				q.truth[u] = true
 			}
@@ -683,10 +672,10 @@ func (s *AttrScenario) sweep() {
 // harvest completions, sweep deposits, then settle, force a pair of content
 // searches through the quiet world, and close the ledger.
 func (s *AttrScenario) Run() AttrReport {
-	inj := faults.NewSimTarget(s.net, s.nodeMap(), s.cfg.Tick)
+	inj := faults.NewSimTarget(s.net, s.nodeMap(), simTick)
 	var events []faults.Event
-	if s.cfg.Schedule != nil {
-		events = s.cfg.Schedule.Events
+	if s.schedule != nil {
+		events = s.schedule.Events
 	}
 	next := 0
 	launched := 0
@@ -703,7 +692,7 @@ func (s *AttrScenario) Run() AttrReport {
 			s.launch(launched > 0 && launched%s.cfg.ContentEvery == 0)
 			launched++
 		}
-		s.sched.RunFor(s.cfg.Tick)
+		s.sched.RunFor(simTick)
 		s.harvest()
 		if tick > 0 && tick%s.cfg.SweepEvery == 0 {
 			s.sweep()
@@ -748,7 +737,7 @@ func (s *AttrScenario) nodeMap() map[string]graph.NodeID {
 // SetSchedule installs a compiled fault schedule after construction (the
 // surface needs the built scenario) and stretches the run past its horizon.
 func (s *AttrScenario) SetSchedule(sched *faults.Schedule) {
-	s.cfg.Schedule = sched
+	s.schedule = sched
 	if sched != nil && sched.Horizon() > s.cfg.Ticks {
 		s.cfg.Ticks = sched.Horizon()
 	}

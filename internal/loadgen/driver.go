@@ -90,9 +90,9 @@ type Driver interface {
 	// Injector returns the transport's fault injector.
 	Injector() faults.Injector
 	// FaultSurface returns a faults.Spec template with the transport's
-	// safe fault candidates filled in (Servers, Links, DropTargets,
-	// Protected) and all window counts zero; callers set counts, seed and
-	// ticks. The driver is the right owner of this knowledge: what is safe
+	// safe fault candidates filled in (Servers, Links, DropTargets and, over
+	// durable stores, KillTargets) and all window counts zero; callers set
+	// counts, seed and ticks. The driver is the right owner of this knowledge: what is safe
 	// to drop or partition differs per transport (see
 	// Population.faultSurface's server-drop stranding hazard).
 	FaultSurface() faults.Spec

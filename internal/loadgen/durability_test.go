@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -77,6 +78,44 @@ func TestSimNoLossUnderKillRestart(t *testing.T) {
 	}
 }
 
+// TestSimDurabilityStatsCountsLatchedStores: a body past the WAL's 16 MiB
+// record cap latches the recipient server's log, and SimDriver's
+// DurabilityStats counts that store as Latched until a kill-restart opens a
+// fresh one.
+func TestSimDurabilityStatsCountsLatchedStores(t *testing.T) {
+	drv, err := NewSimDriver(SimConfig{
+		Seed:    3,
+		Pop:     Population{Users: 40, Regions: 1, ServersPerRegion: 2},
+		DataDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drv.Close()
+	latched := func() int64 {
+		ws, _ := drv.DurabilityStats()
+		return ws.Latched
+	}
+	if _, err := drv.Submit(0, []int{1}, "s", strings.Repeat("x", 16<<20+1)); err != nil {
+		t.Fatal(err)
+	}
+	drv.Settle()
+	if n := latched(); n != 1 {
+		t.Fatalf("Latched = %d after the oversize deposit, want 1", n)
+	}
+	inj := drv.Injector()
+	for _, s := range drv.FaultSurface().KillTargets {
+		for _, k := range []faults.Kind{faults.Kill, faults.Restart} {
+			if err := inj.Inject(faults.Event{Kind: k, Target: s}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := latched(); n != 0 {
+		t.Fatalf("Latched = %d after kill-restart, want 0", n)
+	}
+}
+
 // TestSimMemoryFaultSurfaceHasNoKillTargets: without DataDir the fault
 // surface must not offer kill-restart — killing a memory server is data
 // loss by construction, and a schedule that drew such a window would turn
@@ -100,7 +139,7 @@ func TestSimMemoryFaultSurfaceHasNoKillTargets(t *testing.T) {
 // TestLiveNoLossUnderKillRestartNoSpool is the tentpole soak: the live
 // transport with the redelivery spool DISABLED, so nothing re-drives a
 // failed deposit later — the only way a committed message survives a
-// kill-restart is the durable store recovering it. MaxRecipients is 1
+// kill-restart is the durable store recovering it. maxRecipients is 1
 // because without the spool a multi-recipient Submit can partially commit
 // while reporting an error, which would poison the no-loss ledger.
 func TestLiveNoLossUnderKillRestartNoSpool(t *testing.T) {
@@ -111,7 +150,7 @@ func TestLiveNoLossUnderKillRestartNoSpool(t *testing.T) {
 			ServersPerRegion: 3,
 		},
 		Tick:    time.Millisecond,
-		NoSpool: true,
+		noSpool: true,
 		DataDir: t.TempDir(),
 	})
 	if err != nil {
@@ -131,7 +170,7 @@ func TestLiveNoLossUnderKillRestartNoSpool(t *testing.T) {
 	}
 	rep := New(drv, Config{
 		Seed: 3, Messages: 400, Sessions: 64, Ticks: 100,
-		Workload: Workload{LocalBias: 0.3, MaxRecipients: 1},
+		Workload: Workload{LocalBias: 0.3, maxRecipients: 1},
 		Schedule: &sched,
 	}).Run()
 	if !rep.Ok {
@@ -162,7 +201,7 @@ func TestKillRestartLosesMailWithoutDurability(t *testing.T) {
 			ServersPerRegion: 2,
 		},
 		Tick:    time.Millisecond,
-		NoSpool: true,
+		noSpool: true,
 	})
 	if err != nil {
 		t.Fatal(err)

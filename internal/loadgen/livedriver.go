@@ -13,6 +13,10 @@ import (
 	"github.com/largemail/largemail/internal/queueing"
 )
 
+// liveTick is the wall-clock duration of one schedule tick on the live
+// transports unless LiveConfig.Tick says otherwise.
+const liveTick = 2 * time.Millisecond
+
 // LiveConfig parameterizes a LiveDriver.
 type LiveConfig struct {
 	Pop Population
@@ -24,13 +28,13 @@ type LiveConfig struct {
 	// authority list at all can fail), which is the commit-point contract
 	// the no-loss auditor depends on.
 	Spool livenet.SpoolConfig
-	// NoSpool disables the redelivery spool entirely. Without it a Submit
+	// noSpool disables the redelivery spool entirely. Without it a Submit
 	// commits only the recipients whose deposit succeeded, so a multi-
 	// recipient Submit can partially commit while reporting an error —
-	// drive no-spool runs with Workload{MaxRecipients: 1} to keep the
+	// drive no-spool runs with Workload{maxRecipients: 1} to keep the
 	// commit all-or-nothing. This is how the durability soak proves the
 	// store alone (not spool redelivery) carries mail across kill-restarts.
-	NoSpool bool
+	noSpool bool
 	// DataDir, when set, makes every server's mailbox store durable
 	// (server NAME journals to DataDir/NAME) and adds KillTargets to the
 	// fault surface.
@@ -74,7 +78,7 @@ type LiveDriver struct {
 func NewLiveDriver(cfg LiveConfig) (*LiveDriver, error) {
 	cfg.Pop = cfg.Pop.withDefaults()
 	if cfg.Tick <= 0 {
-		cfg.Tick = 2 * time.Millisecond
+		cfg.Tick = liveTick
 	}
 	policy, err := placement.ParseName(cfg.Policy)
 	if err != nil {
@@ -87,7 +91,7 @@ func NewLiveDriver(cfg LiveConfig) (*LiveDriver, error) {
 			return nil, err
 		}
 	}
-	if !cfg.NoSpool {
+	if !cfg.noSpool {
 		if err := cluster.EnableSpool(cfg.Spool); err != nil {
 			cluster.Close()
 			return nil, err

@@ -272,9 +272,10 @@ func (p Population) UserIndex(n names.Name) (int, bool) {
 // sessions a caller may shape: how many recipients, and how regionally local
 // their correspondents are. Body sizes and think times are fixed.
 type Workload struct {
-	// MaxRecipients caps the per-message recipient count; counts are drawn
-	// 1..MaxRecipients with a geometric-ish decay (default 3).
-	MaxRecipients int
+	// maxRecipients caps the per-message recipient count; counts are drawn
+	// 1..maxRecipients with a geometric-ish decay (default 3); the package's
+	// no-spool soak sets 1.
+	maxRecipients int
 	// LocalBias is the probability that each recipient lives in the
 	// sender's region (default 0.8 — the locality assumption behind the
 	// paper's regional partitioning, §3.1.2b).
@@ -290,8 +291,8 @@ const (
 )
 
 func (w Workload) withDefaults() Workload {
-	if w.MaxRecipients <= 0 {
-		w.MaxRecipients = 3
+	if w.maxRecipients <= 0 {
+		w.maxRecipients = 3
 	}
 	if w.LocalBias <= 0 || w.LocalBias > 1 {
 		w.LocalBias = 0.8
@@ -299,12 +300,12 @@ func (w Workload) withDefaults() Workload {
 	return w
 }
 
-// sampleRecipients draws a recipient count in [1, MaxRecipients]: each
+// sampleRecipients draws a recipient count in [1, maxRecipients]: each
 // additional recipient survives with probability 0.4, so most mail is
 // person-to-person with a decaying multi-recipient tail.
 func (w Workload) sampleRecipients(rng *rand.Rand) int {
 	n := 1
-	for n < w.MaxRecipients && rng.Float64() < 0.4 {
+	for n < w.maxRecipients && rng.Float64() < 0.4 {
 		n++
 	}
 	return n

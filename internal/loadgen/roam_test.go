@@ -46,7 +46,7 @@ func TestRoamScenarioFailureFree(t *testing.T) {
 		Config{Seed: 1, Messages: 120, Sessions: 16},
 		// RehashEvery deliberately off-phase with the engine's sweep period
 		// so rehashes catch mailboxes with undelivered mail in them.
-		RoamScenarioConfig{Seed: 1, RoamEvery: 4, RoamsPerWave: 6, RehashEvery: 7})
+		RoamScenarioConfig{Seed: 1, roamEvery: 4, roamsPerWave: 6, RehashEvery: 7})
 	requireClean(t, rep)
 	if rep.Submitted != 120 {
 		t.Fatalf("Submitted = %d, want 120", rep.Submitted)
@@ -98,7 +98,7 @@ func TestRoamScenarioDeterminism(t *testing.T) {
 					cfg.Schedule = &sched
 				}
 				rep := RunRoamScenario(drv, cfg,
-					RoamScenarioConfig{Seed: 7, RoamEvery: 3, RoamsPerWave: 5, RehashEvery: 10})
+					RoamScenarioConfig{Seed: 7, roamEvery: 3, roamsPerWave: 5, RehashEvery: 10})
 				return rep, drv.Snapshot()
 			}
 			a, aSnap := run()
@@ -130,7 +130,7 @@ func TestRoamScenarioWithFaults(t *testing.T) {
 	}
 	rep := RunRoamScenario(drv,
 		Config{Seed: 4, Messages: 100, Sessions: 16, Schedule: &sched},
-		RoamScenarioConfig{Seed: 4, RoamEvery: 4, RoamsPerWave: 6, RehashEvery: 15})
+		RoamScenarioConfig{Seed: 4, roamEvery: 4, roamsPerWave: 6, RehashEvery: 15})
 	// Exactly-once across roams, rehashes AND crash windows: no loss, no
 	// duplicate deliveries, no stay-at-home consultations.
 	requireClean(t, rep)

@@ -18,8 +18,6 @@ import (
 type RoamConfig struct {
 	Seed int64
 	Pop  Population
-	// Tick is the virtual length of one schedule tick (default 10 units).
-	Tick sim.Time
 }
 
 // OverheadEvent is one piece of roaming-tracking work a delivery incurred,
@@ -58,7 +56,7 @@ func NewRoamDriver(cfg RoamConfig) (*RoamDriver, error) {
 	cfg.Pop = cfg.Pop.withDefaults()
 	p := cfg.Pop
 	d := &RoamDriver{
-		simWorld: newSimWorld(cfg.Seed, p, cfg.Tick, 0),
+		simWorld: newSimWorld(cfg.Seed, p, 0),
 		fed:      locind.NewFederation(),
 		agents:   make(map[int]*locind.Agent),
 		loginOK:  make(map[int]bool),
@@ -235,7 +233,7 @@ func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 }
 
 // Step implements Driver.
-func (d *RoamDriver) Step(n int) { d.sched.RunFor(sim.Time(n) * d.tick) }
+func (d *RoamDriver) Step(n int) { d.sched.RunFor(sim.Time(n) * simTick) }
 
 // Snapshot implements Driver: the shared locind counters and histograms
 // (consultations, notify_*, rehash_*, lat_roam_resolve, the stage

@@ -10,10 +10,11 @@ import (
 // location index's hash modulus rehashed live underneath them.
 type RoamScenarioConfig struct {
 	Seed int64
-	// RoamEvery triggers a roam wave every n ticks (default 5; <0 disables).
-	RoamEvery int
-	// RoamsPerWave is how many materialized users move per wave (default 8).
-	RoamsPerWave int
+	// roamEvery triggers a roam wave every n ticks (default 5), and
+	// roamsPerWave materialized users move in each (default 8); the
+	// package's tests vary both.
+	roamEvery    int
+	roamsPerWave int
 	// RehashEvery triggers a live Rehash every n ticks (0 disables). The
 	// rehashes alternate the moduli 2×servers-per-region + 1 and
 	// 2×servers-per-region: a modulus that is a multiple of the server count
@@ -26,11 +27,11 @@ type RoamScenarioConfig struct {
 const returnProb = 0.3
 
 func (sc RoamScenarioConfig) withDefaults() RoamScenarioConfig {
-	if sc.RoamEvery == 0 {
-		sc.RoamEvery = 5
+	if sc.roamEvery == 0 {
+		sc.roamEvery = 5
 	}
-	if sc.RoamsPerWave <= 0 {
-		sc.RoamsPerWave = 8
+	if sc.roamsPerWave <= 0 {
+		sc.roamsPerWave = 8
 	}
 	return sc
 }
@@ -70,9 +71,9 @@ func RunRoamScenario(drv *RoamDriver, cfg Config, sc RoamScenarioConfig) Report 
 	rehashes := 0
 	eng.OnTick = func(tick int) {
 		audit()
-		if sc.RoamEvery > 0 && tick > 0 && tick%sc.RoamEvery == 0 {
+		if sc.roamEvery > 0 && tick > 0 && tick%sc.roamEvery == 0 {
 			users := drv.Materialized()
-			for i := 0; i < sc.RoamsPerWave && len(users) > 0; i++ {
+			for i := 0; i < sc.roamsPerWave && len(users) > 0; i++ {
 				u := users[rng.Intn(len(users))]
 				if !drv.LoginOK(u) {
 					continue

@@ -23,8 +23,6 @@ import (
 type SimConfig struct {
 	Seed int64
 	Pop  Population
-	// Tick is the virtual length of one schedule tick (default 10 units).
-	Tick sim.Time
 	// SpareServersPerRegion adds unwired server nodes to each region's
 	// topology so AddServer reconfigurations have hardware to claim
 	// (default 0).
@@ -98,7 +96,7 @@ func NewSimDriver(cfg SimConfig) (*SimDriver, error) {
 	}
 	p := cfg.Pop
 	d := &SimDriver{
-		simWorld: newSimWorld(cfg.Seed, p, cfg.Tick, cfg.SpareServersPerRegion),
+		simWorld: newSimWorld(cfg.Seed, p, cfg.SpareServersPerRegion),
 		cfg:      cfg,
 		agents:   make(map[int]*client.Agent),
 		hostIdx:  make(map[int]int),
@@ -302,7 +300,7 @@ func (d *SimDriver) Retrieve(u int) RetrieveResult {
 // delays.
 func (d *SimDriver) Step(n int) {
 	for i := 0; i < n; i++ {
-		d.sched.RunFor(d.tick)
+		d.sched.RunFor(simTick)
 		d.ticks++
 		d.refresh(1)
 	}
@@ -324,7 +322,7 @@ func (d *SimDriver) deposits(slot int, qdepth *obs.Gauge) (int64, bool) {
 // slow implements placedTransport: queueing delay — §2.2's "minimize the
 // mail delay" in observable form — is extra network delay to the server.
 func (d *SimDriver) slow(slot int, ticks float64) {
-	d.net.SetExtraDelay(d.slotNode(slot), sim.Time(ticks*float64(d.tick)))
+	d.net.SetExtraDelay(d.slotNode(slot), sim.Time(ticks*float64(simTick)))
 }
 
 // Snapshot implements Driver: the tracer-fed latency histograms plus the
@@ -369,8 +367,9 @@ func (d *SimDriver) FaultSurface() faults.Spec {
 }
 
 // DurabilityStats sums the cumulative WAL write-path counters across every
-// active server, including stores replaced by kill-restart cycles; ok is
-// false on a memory-only driver.
+// active server, including stores replaced by kill-restart cycles, and
+// counts the current stores that stopped journaling (Latched); ok is false on
+// a memory-only driver.
 func (d *SimDriver) DurabilityStats() (mailstore.WALStats, bool) {
 	var sum mailstore.WALStats
 	any := false
@@ -417,7 +416,7 @@ func (d *SimDriver) ServerLoads() []ServerLoad {
 //     whose backups come from OUTSIDE the old list. From this instant every
 //     transfer still in the network addressed under the old placement is
 //     misplaced on arrival and re-routes to the new list (the servers'
-//     deposit-time redirect, Config.PlacementReroute).
+//     deposit-time redirect).
 //  2. Drain: empty the old mailboxes server-side. Both steps run inside the
 //     driver with no simulator event in between, so nothing can land on an
 //     old server after its drain.

@@ -14,7 +14,6 @@ import (
 // embed it and add their architecture's servers, hosts and agents.
 type simWorld struct {
 	pop   Population
-	tick  sim.Time // virtual length of one schedule tick
 	sched *sim.Scheduler
 	net   *netsim.Network
 	topo  *graph.Graph
@@ -23,13 +22,13 @@ type simWorld struct {
 	trace *obs.Tracer
 }
 
+// simTick is the virtual length of one schedule tick on the simulator.
+const simTick = 10 * sim.Unit
+
 // newSimWorld builds the world for pop (defaults applied by the caller);
-// tick ≤ 0 takes the default of 10 units, spares is Population.topology's.
-func newSimWorld(seed int64, pop Population, tick sim.Time, spares int) simWorld {
-	if tick <= 0 {
-		tick = 10 * sim.Unit
-	}
-	w := simWorld{pop: pop, tick: tick, sched: sim.New(seed), reg: obs.NewRegistry()}
+// spares is Population.topology's.
+func newSimWorld(seed int64, pop Population, spares int) simWorld {
+	w := simWorld{pop: pop, sched: sim.New(seed), reg: obs.NewRegistry()}
 	sched := w.sched
 	w.trace = obs.NewTracer(func() int64 { return int64(sched.Now()) }, w.reg)
 	w.topo, w.nodes = pop.topology(spares)
@@ -39,9 +38,6 @@ func newSimWorld(seed int64, pop Population, tick sim.Time, spares int) simWorld
 
 // Scheduler exposes the simulation clock (tests advance and inspect it).
 func (w *simWorld) Scheduler() *sim.Scheduler { return w.sched }
-
-// Network exposes the simulated network (tests inject faults directly).
-func (w *simWorld) Network() *netsim.Network { return w.net }
 
 // Population implements Driver.
 func (w *simWorld) Population() Population { return w.pop }
@@ -68,5 +64,5 @@ func netSnapshot(reg *obs.Registry, net *netsim.Network) obs.Snapshot {
 
 // injector returns the fault injector over the world's network and labels.
 func (w *simWorld) injector() *faults.SimTarget {
-	return faults.NewSimTarget(w.net, w.nodes, w.tick)
+	return faults.NewSimTarget(w.net, w.nodes, simTick)
 }

@@ -1,8 +1,6 @@
 package loadgen
 
 import (
-	"time"
-
 	"github.com/largemail/largemail/internal/placement"
 	"github.com/largemail/largemail/internal/wire"
 )
@@ -10,8 +8,6 @@ import (
 // WireConfig parameterizes a WireDriver.
 type WireConfig struct {
 	Pop Population
-	// Tick is the wall-clock duration of one schedule tick (default 2ms).
-	Tick time.Duration
 }
 
 // WireDriver drives the full TCP wire path: a wire.Server fronting a livenet
@@ -33,9 +29,6 @@ type WireDriver struct {
 // NewWireDriver starts the server and dials the client. Call Close when done.
 func NewWireDriver(cfg WireConfig) (*WireDriver, error) {
 	cfg.Pop = cfg.Pop.withDefaults()
-	if cfg.Tick <= 0 {
-		cfg.Tick = 2 * time.Millisecond
-	}
 	names := make([]string, cfg.Pop.TotalServers())
 	for gs := range names {
 		names[gs] = serverLabel(gs)
@@ -50,7 +43,7 @@ func NewWireDriver(cfg WireConfig) (*WireDriver, error) {
 		return nil, err
 	}
 	return &WireDriver{
-		LiveDriver: newLiveDriver(srv.Cluster(), LiveConfig{Pop: cfg.Pop, Tick: cfg.Tick}, placement.NameStatic),
+		LiveDriver: newLiveDriver(srv.Cluster(), LiveConfig{Pop: cfg.Pop, Tick: liveTick}, placement.NameStatic),
 		srv:        srv,
 		c:          c,
 		registered: make(map[int]bool),

@@ -2,16 +2,12 @@ package loadgen
 
 import (
 	"testing"
-	"time"
 
 	"github.com/largemail/largemail/internal/faults"
 )
 
 func newWireDriver(t *testing.T, cfg WireConfig) *WireDriver {
 	t.Helper()
-	if cfg.Tick == 0 {
-		cfg.Tick = time.Millisecond
-	}
 	drv, err := NewWireDriver(cfg)
 	if err != nil {
 		t.Fatalf("NewWireDriver: %v", err)

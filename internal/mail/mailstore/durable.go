@@ -14,13 +14,13 @@
 //
 // Two maintenance actions bound recovery cost:
 //
-//   - rotation: a segment that reaches SegmentBytes is synced, sealed, and a
+//   - rotation: a segment that reaches segmentBytes is synced, sealed, and a
 //     new one started. Sealed segments are therefore fully on disk; a record
 //     that fails CRC in one is real corruption and fails Open, while a bad
 //     tail in the *newest* segment is the expected shape of a crash
 //     mid-append and is truncated away.
 //   - compaction: when the bytes appended since the last snapshot exceed
-//     max(CompactBytes, live content bytes) the shard's entire live state is
+//     max(compactBytes, live content bytes) the shard's entire live state is
 //     written as one snapshot segment (ordinary Deposit/Suppress records)
 //     and older segments are deleted, so replay work is bounded by live
 //     state, not history. Snapshots carry the distinct "snap-" prefix so
@@ -86,11 +86,13 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 
 // Options configures a durable store.
 type Options struct {
-	Dir          string    // root directory (created if absent); required
-	Shards       int       // shard count, as New; must match an existing dir's manifest
-	Fsync        FsyncMode // see FsyncMode
-	SegmentBytes int64     // rotate segments at this size (default 4 MiB)
-	CompactBytes int64     // snapshot when appended-since-snapshot exceeds max(this, live bytes) (default 1 MiB)
+	Dir    string    // root directory (created if absent); required
+	Shards int       // shard count, as New; must match an existing dir's manifest
+	Fsync  FsyncMode // see FsyncMode
+
+	// The package's tests shrink these to reach rotation and compaction.
+	segmentBytes int64 // rotate segments at this size (default 4 MiB)
+	compactBytes int64 // snapshot when appended-since-snapshot exceeds max(this, live bytes) (default 1 MiB)
 }
 
 const (
@@ -107,13 +109,19 @@ type WALStats struct {
 	Bytes       int64 // framed bytes appended, snapshots excluded
 	AppendNs    int64 // wall time spent in append write+sync calls
 	Syncs       int64 // fsync calls
-	Rotations   int64 // segments sealed at SegmentBytes
+	Rotations   int64 // segments sealed at segmentBytes
 	Compactions int64 // snapshot+compact cycles
+	// Latched counts stores whose log has latched an error (Err): they keep
+	// taking mail into memory but journal none of it. It is 0 or 1 for one
+	// store and a count of current stores in a sum, never a total across
+	// restarts: a reopened store starts unlatched.
+	Latched int64
 }
 
 // Add accumulates o's counters into st — how owners carry totals across a
 // store close/reopen cycle (e.g. livenet kill-restart) so cumulative
-// write-path work is not zeroed by each fresh Open.
+// write-path work is not zeroed by each fresh Open, and how they sum stores.
+// An owner folding a closed store into its totals zeroes its Latched first.
 func (st *WALStats) Add(o WALStats) {
 	st.Appends += o.Appends
 	st.Bytes += o.Bytes
@@ -121,6 +129,7 @@ func (st *WALStats) Add(o WALStats) {
 	st.Syncs += o.Syncs
 	st.Rotations += o.Rotations
 	st.Compactions += o.Compactions
+	st.Latched += o.Latched
 }
 
 // RecoveryStats describe what Open replayed.
@@ -186,11 +195,11 @@ func OpenOptions(o Options) (*Store, error) {
 	if o.Dir == "" {
 		return nil, errors.New("mailstore: OpenOptions requires Dir")
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = defaultSegmentBytes
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = defaultSegmentBytes
 	}
-	if o.CompactBytes <= 0 {
-		o.CompactBytes = defaultCompactBytes
+	if o.compactBytes <= 0 {
+		o.compactBytes = defaultCompactBytes
 	}
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("mailstore: %w", err)
@@ -217,8 +226,8 @@ func OpenOptions(o Options) (*Store, error) {
 	w := &wal{
 		dir:          o.Dir,
 		fsync:        o.Fsync,
-		segmentBytes: o.SegmentBytes,
-		compactBytes: o.CompactBytes,
+		segmentBytes: o.segmentBytes,
+		compactBytes: o.compactBytes,
 		logs:         make([]*shardLog, len(s.shards)),
 	}
 	s.w = w
@@ -687,14 +696,18 @@ func (s *Store) WALStats() (st WALStats, ok bool) {
 	if s.w == nil {
 		return WALStats{}, false
 	}
-	return WALStats{
+	st = WALStats{
 		Appends:     s.w.appends.Load(),
 		Bytes:       s.w.bytes.Load(),
 		AppendNs:    s.w.appendNs.Load(),
 		Syncs:       s.w.syncs.Load(),
 		Rotations:   s.w.rotations.Load(),
 		Compactions: s.w.compactions.Load(),
-	}, true
+	}
+	if s.Err() != nil {
+		st.Latched = 1
+	}
+	return st, true
 }
 
 // RecoveryStats reports what Open replayed; ok is false on memory stores.

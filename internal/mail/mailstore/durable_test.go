@@ -148,7 +148,7 @@ func TestDurableCrashRestartMatrix(t *testing.T) {
 	}{
 		{
 			name: "pre-snapshot", // killed before any compaction: pure WAL replay
-			opts: Options{Shards: 1, CompactBytes: 1 << 30},
+			opts: Options{Shards: 1, compactBytes: 1 << 30},
 			run: func(t *testing.T, st *Store) {
 				st.Deposit(u1, dmsg(1, u1, "a"), 1)
 				st.Deposit(u1, dmsg(2, u1, "b"), 2)
@@ -168,7 +168,7 @@ func TestDurableCrashRestartMatrix(t *testing.T) {
 		},
 		{
 			name: "mid-wal", // killed with live WAL records appended after a snapshot
-			opts: Options{Shards: 1, CompactBytes: 512},
+			opts: Options{Shards: 1, compactBytes: 512},
 			run: func(t *testing.T, st *Store) {
 				for seq := uint64(1); seq <= 8; seq++ {
 					st.Deposit(u1, dmsg(seq, u1, big), sim.Time(seq))
@@ -190,7 +190,7 @@ func TestDurableCrashRestartMatrix(t *testing.T) {
 		},
 		{
 			name: "post-compaction", // killed right after a snapshot: replay is the snapshot alone
-			opts: Options{Shards: 1, CompactBytes: 256},
+			opts: Options{Shards: 1, compactBytes: 256},
 			run: func(t *testing.T, st *Store) {
 				st.Deposit(u1, dmsg(1, u1, big), 1)
 				st.Deposit(u2, dmsg(2, u2, big), 2)
@@ -237,7 +237,7 @@ func TestDurableCrashRestartMatrix(t *testing.T) {
 // separately: every ID deposited before the kill is suppressed after it.
 func TestDurableSuppressionSurvivesKill(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 1, CompactBytes: 512}
+	opts := Options{Dir: dir, Shards: 1, compactBytes: 512}
 	st, err := OpenOptions(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestDurableTornTail(t *testing.T) {
 	} {
 		t.Run(tear.name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := Options{Dir: dir, Shards: 1, CompactBytes: 1 << 30}
+			opts := Options{Dir: dir, Shards: 1, compactBytes: 1 << 30}
 			st, err := OpenOptions(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -363,8 +363,8 @@ func TestDurableTornTail(t *testing.T) {
 // segment is real corruption and must fail Open, not silently truncate.
 func TestDurableCorruptSealedSegment(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments force rotation; huge CompactBytes keeps the history.
-	opts := Options{Dir: dir, Shards: 1, SegmentBytes: 128, CompactBytes: 1 << 30}
+	// Tiny segments force rotation; huge compactBytes keeps the history.
+	opts := Options{Dir: dir, Shards: 1, segmentBytes: 128, compactBytes: 1 << 30}
 	st, err := OpenOptions(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +471,7 @@ func TestDurableManifestWrittenOnce(t *testing.T) {
 // reopens and requires the recovered totals to match the survivors exactly.
 func TestDurableConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 8, CompactBytes: 4 << 10}
+	opts := Options{Dir: dir, Shards: 8, compactBytes: 4 << 10}
 	st, err := OpenOptions(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +533,7 @@ func TestDurableInterruptedCompactionDoesNotResurrect(t *testing.T) {
 	u1 := duser(1)
 
 	// Phase 1: two deposits, no compaction — seg 1 holds them.
-	st, err := OpenOptions(Options{Dir: dir, Shards: 1, CompactBytes: 1 << 30})
+	st, err := OpenOptions(Options{Dir: dir, Shards: 1, compactBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestDurableInterruptedCompactionDoesNotResurrect(t *testing.T) {
 	}
 
 	// Phase 2: drain (deliver) both, then force a compaction.
-	st2, err := OpenOptions(Options{Dir: dir, Shards: 1, CompactBytes: 64})
+	st2, err := OpenOptions(Options{Dir: dir, Shards: 1, compactBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestDurableInterruptedCompactionDoesNotResurrect(t *testing.T) {
 	if err := os.WriteFile(oldPath, oldSeg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenOptions(Options{Dir: dir, Shards: 1, CompactBytes: 64})
+	re, err := OpenOptions(Options{Dir: dir, Shards: 1, compactBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,8 +597,9 @@ func TestDurableInterruptedCompactionDoesNotResurrect(t *testing.T) {
 
 // TestDurableOversizeRecordLatched: a record whose payload exceeds the frame
 // cap must never reach the log — ReadRecord would reject it as corruption,
-// poisoning every record behind it. The append latches an error, memory
-// keeps serving, and the store reopens cleanly without the oversize message.
+// poisoning every record behind it. The append latches an error, which
+// WALStats counts as Latched, memory keeps serving, and the store reopens
+// cleanly, unlatched, without the oversize message.
 func TestDurableOversizeRecordLatched(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, Shards: 1}
@@ -608,11 +609,17 @@ func TestDurableOversizeRecordLatched(t *testing.T) {
 	}
 	u1 := duser(1)
 	st.Deposit(u1, dmsg(1, u1, "small"), 1)
+	if ws, _ := st.WALStats(); ws.Latched != 0 {
+		t.Fatalf("Latched = %d before the oversize deposit, want 0", ws.Latched)
+	}
 	if !st.Deposit(u1, dmsg(2, u1, strings.Repeat("x", maxPayload+1)), 2) {
 		t.Fatal("oversize deposit rejected from memory")
 	}
 	if err := st.Err(); !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("Err = %v, want ErrRecordTooLarge", err)
+	}
+	if ws, _ := st.WALStats(); ws.Latched != 1 {
+		t.Fatalf("Latched = %d after the oversize deposit, want 1", ws.Latched)
 	}
 	if st.Len(u1) != 2 {
 		t.Fatalf("Len = %d, want 2 (store keeps serving from memory)", st.Len(u1))
@@ -627,6 +634,9 @@ func TestDurableOversizeRecordLatched(t *testing.T) {
 	defer re.Close()
 	if got := ids(re.Peek(u1)); len(got) != 1 || got[0].Seq != 1 {
 		t.Fatalf("recovered %v, want only seq 1 (oversize record must not hit disk)", got)
+	}
+	if ws, _ := re.WALStats(); ws.Latched != 0 {
+		t.Fatalf("Latched = %d after reopen, want 0", ws.Latched)
 	}
 }
 

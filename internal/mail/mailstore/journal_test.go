@@ -65,7 +65,7 @@ func update(st *Store, user names.Name, fn func(*mail.Mailbox)) {
 // mutation allocated its own journal slice.
 func TestDurableJournalBufferSameWAL(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenOptions(Options{Dir: dir, Shards: 2, SegmentBytes: 16 << 10, CompactBytes: 1 << 30})
+	st, err := OpenOptions(Options{Dir: dir, Shards: 2, segmentBytes: 16 << 10, compactBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

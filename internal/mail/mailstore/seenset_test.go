@@ -24,7 +24,7 @@ import (
 // is also that layout's files recovering under IDSet.
 func TestDurableSeenSetSameLayout(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenOptions(Options{Dir: dir, Shards: 2, SegmentBytes: 8 << 10, CompactBytes: 16 << 10})
+	st, err := OpenOptions(Options{Dir: dir, Shards: 2, segmentBytes: 8 << 10, compactBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

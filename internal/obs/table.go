@@ -23,9 +23,6 @@ func (s *Summary) Observe(v float64) {
 // Count reports the number of samples.
 func (s *Summary) Count() int { return s.n }
 
-// Sum reports the total of all samples.
-func (s *Summary) Sum() float64 { return s.sum }
-
 // Mean reports the sample mean, or NaN with no samples.
 func (s *Summary) Mean() float64 {
 	if s.n == 0 {

@@ -83,3 +83,6 @@ func TestTableRowsCopy(t *testing.T) {
 		t.Error("Rows() exposed internal storage")
 	}
 }
+
+// Sum reports the total of all samples.
+func (s *Summary) Sum() float64 { return s.sum }

@@ -103,10 +103,11 @@ type Config struct {
 	Gauges *obs.Registry
 	// Label names a slot's per-server instruments (default "S<slot>").
 	Label func(slot int) string
-	// MaxMigrationsPerTick bounds how many users one Rebalance call may
+	// maxMigrationsPerTick bounds how many users one Rebalance call may
 	// move (default 32). The bound is what keeps a mis-tuned policy from
-	// melting the system with migration traffic.
-	MaxMigrationsPerTick int
+	// melting the system with migration traffic. The package's tests
+	// lower it to see the budget bind.
+	maxMigrationsPerTick int
 }
 
 const (
@@ -130,8 +131,8 @@ func (c Config) withDefaults() Config {
 	if c.Label == nil {
 		c.Label = DefaultLabel
 	}
-	if c.MaxMigrationsPerTick <= 0 {
-		c.MaxMigrationsPerTick = 32
+	if c.maxMigrationsPerTick <= 0 {
+		c.maxMigrationsPerTick = 32
 	}
 	return c
 }

@@ -153,7 +153,7 @@ func TestRebalancerShedsProportionally(t *testing.T) {
 
 func TestRebalancerBudget(t *testing.T) {
 	w := testWorld()
-	rb := NewRebalancer(NewRoundRobin(w), Config{World: w, MaxMigrationsPerTick: 4})
+	rb := NewRebalancer(NewRoundRobin(w), Config{World: w, maxMigrationsPerTick: 4})
 	migs := rb.Rebalance(snapWithRho(w, []float64{8.0, 0.1, 0.1, 0.1}))
 	total := 0
 	for _, m := range migs {

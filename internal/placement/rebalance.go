@@ -20,7 +20,7 @@ import (
 //   - An absolute floor: a server below minShedRho never sheds, however far
 //     above a near-idle region's mean it sits — relative bands misread noise
 //     as skew when there is no traffic to balance.
-//   - Budget: at most MaxMigrationsPerTick users move per tick, so migration
+//   - Budget: at most maxMigrationsPerTick users move per tick, so migration
 //     traffic (drain + re-register + redirect) stays a bounded tax on the
 //     delivery pipeline no matter how skewed the load gets.
 type Rebalancer struct {
@@ -100,7 +100,7 @@ type slotLoad struct {
 // global per-tick budget.
 func (rb *Rebalancer) Rebalance(snap obs.Snapshot) []Migration {
 	var migs []Migration
-	budget := rb.cfg.MaxMigrationsPerTick
+	budget := rb.cfg.maxMigrationsPerTick
 	for r := 0; r < rb.cfg.World.Regions && budget > 0; r++ {
 		loads := rb.regionLoads(snap, r)
 		if len(loads) < 2 {

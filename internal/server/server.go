@@ -82,9 +82,6 @@ type Config struct {
 	// batch to fill. Zero means 2 paper time units. Ignored when
 	// BatchSize <= 1.
 	FlushInterval sim.Time
-	// StoreShards is the mailbox store's shard count; zero selects
-	// mailstore.DefaultShards.
-	StoreShards int
 	// DataDir, when set, makes the mailbox store durable: every mutation is
 	// WAL-logged under this directory and Kill/RestartFromDisk recovers
 	// from it. Empty keeps the historical memory-only store, where a Kill
@@ -120,7 +117,6 @@ type Server struct {
 	retryTimeout    sim.Time
 	dataDir         string
 	fsync           mailstore.FsyncMode
-	storeShards     int
 	killed          bool
 	// walBase accumulates the WAL counters of stores replaced by
 	// kill-restart cycles, so WALStats stays cumulative.
@@ -246,11 +242,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = 2 * sim.Unit
 	}
-	store := mailstore.New(cfg.StoreShards)
+	store := mailstore.New(mailstore.DefaultShards)
 	if cfg.DataDir != "" {
 		var err error
 		store, err = mailstore.OpenOptions(mailstore.Options{
-			Dir: cfg.DataDir, Shards: cfg.StoreShards, Fsync: cfg.Fsync,
+			Dir: cfg.DataDir, Shards: mailstore.DefaultShards, Fsync: cfg.Fsync,
 		})
 		if err != nil {
 			return nil, err
@@ -267,7 +263,6 @@ func New(cfg Config) (*Server, error) {
 		retryTimeout:    cfg.RetryTimeout,
 		dataDir:         cfg.DataDir,
 		fsync:           cfg.Fsync,
-		storeShards:     cfg.StoreShards,
 		store:           store,
 		online:          make(map[names.Name]graph.NodeID),
 		pending:         make(map[uint64]*pendingTransfer),
@@ -743,7 +738,7 @@ func (s *Server) Kill() error {
 	if s.dataDir != "" {
 		return s.store.Close()
 	}
-	s.store = mailstore.New(s.storeShards)
+	s.store = mailstore.New(mailstore.DefaultShards)
 	return nil
 }
 
@@ -759,14 +754,16 @@ func (s *Server) RestartFromDisk() error {
 	}
 	if s.dataDir != "" {
 		st, err := mailstore.OpenOptions(mailstore.Options{
-			Dir: s.dataDir, Shards: s.storeShards, Fsync: s.fsync,
+			Dir: s.dataDir, Shards: mailstore.DefaultShards, Fsync: s.fsync,
 		})
 		if err != nil {
 			return err
 		}
 		// The fresh store's counters start at zero; fold the outgoing
-		// store's totals into the base so WALStats stays cumulative.
+		// store's totals into the base so WALStats stays cumulative. Its
+		// latch goes with it.
 		if ws, ok := s.store.WALStats(); ok {
+			ws.Latched = 0
 			s.walBase.Add(ws)
 		}
 		s.store = st

@@ -155,23 +155,6 @@ func (f *Filter) Or(other *Filter) {
 	}
 }
 
-// Bits returns the number of set bits — the load factor's numerator.
-func (f *Filter) Bits() int {
-	n := 0
-	for _, w := range f.words {
-		n += popcount(w)
-	}
-	return n
-}
-
-func popcount(w uint64) int {
-	n := 0
-	for ; w != 0; w &= w - 1 {
-		n++
-	}
-	return n
-}
-
 // NormalizeTerm canonicalises a query pattern into the token form the
 // mailbox store's term index uses: lowercase ASCII alphanumeric runs,
 // length 2..32. It returns false when the pattern is not a single plain

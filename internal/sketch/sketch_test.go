@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -139,4 +140,13 @@ func FalsePositiveRate(n int) float64 {
 	k := float64(DefaultHashes)
 	m := float64(DefaultBits)
 	return math.Pow(1-math.Exp(-k*float64(n)/m), k)
+}
+
+// Bits returns the number of set bits — the load factor's numerator.
+func (f *Filter) Bits() int {
+	n := 0
+	for _, w := range f.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }

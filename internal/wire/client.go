@@ -9,35 +9,36 @@ import (
 	"github.com/largemail/largemail/internal/mailerr"
 )
 
-// Options tune a Client's fault behavior.
-type Options struct {
-	// Timeout is the per-request deadline covering write and response read
+// options tune a Client's fault behavior. Programs take the defaults
+// through Dial; the package's tests set them through dialOptions.
+type options struct {
+	// timeout is the per-request deadline covering write and response read
 	// (default 5s). A request against a hung or partitioned server fails
 	// with a timeout error instead of blocking forever. Negative disables.
-	Timeout time.Duration
-	// Retries bounds how many extra attempts Do makes when a request
+	timeout time.Duration
+	// retries bounds how many extra attempts Do makes when a request
 	// provably never reached the server — a failed dial or a failed write
 	// (the server executes only CRC-complete frames, and a failed write never
 	// delivers the tail of the frame). Responses that time out after a successful
 	// write are NOT retried: the request may have executed, and submit is
 	// not idempotent. Default 2; negative disables.
-	Retries int
-	// RetryBackoff is the pause before each retry (default 50ms).
-	RetryBackoff time.Duration
+	retries int
+	// retryBackoff is the pause before each retry (default 50ms).
+	retryBackoff time.Duration
 }
 
-func (o Options) withDefaults() Options {
-	if o.Timeout == 0 {
-		o.Timeout = 5 * time.Second
+func (o options) withDefaults() options {
+	if o.timeout == 0 {
+		o.timeout = 5 * time.Second
 	}
-	if o.Retries == 0 {
-		o.Retries = 2
+	if o.retries == 0 {
+		o.retries = 2
 	}
-	if o.Retries < 0 {
-		o.Retries = 0
+	if o.retries < 0 {
+		o.retries = 0
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
+	if o.retryBackoff <= 0 {
+		o.retryBackoff = 50 * time.Millisecond
 	}
 	return o
 }
@@ -48,7 +49,7 @@ func (o Options) withDefaults() Options {
 // concurrent in-flight requests on one connection.
 type Client struct {
 	addr string
-	opts Options
+	opts options
 
 	conn net.Conn
 	cr   *connReader
@@ -60,14 +61,14 @@ type Client struct {
 	text textArena // and the text of their messages
 }
 
-// Dial connects to a wire server with default Options.
+// Dial connects to a wire server with the default deadline and retries.
 func Dial(addr string) (*Client, error) {
-	return DialOptions(addr, Options{})
+	return dialOptions(addr, options{})
 }
 
-// DialOptions connects to a wire server with explicit deadline/retry
+// dialOptions connects to a wire server with explicit deadline/retry
 // behavior.
-func DialOptions(addr string, opts Options) (*Client, error) {
+func dialOptions(addr string, opts options) (*Client, error) {
 	c := &Client{addr: addr, opts: opts.withDefaults()}
 	if err := c.connect(); err != nil {
 		return nil, err
@@ -77,8 +78,8 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 
 func (c *Client) connect() error {
 	d := net.Dialer{}
-	if c.opts.Timeout > 0 {
-		d.Timeout = c.opts.Timeout
+	if c.opts.timeout > 0 {
+		d.Timeout = c.opts.timeout
 	}
 	conn, err := d.Dial("tcp", c.addr)
 	if err != nil {
@@ -128,7 +129,7 @@ func (c *Client) Do(req Request) (Response, error) {
 // configured per-request deadline and the context: the connection deadline
 // is the earlier of the two, and cancellation is checked before each attempt
 // and during retry backoff (a context failure matches mailerr.ErrTimeout).
-// Dial and write failures are retried up to Options.Retries times
+// Dial and write failures are retried up to options.retries times
 // (reconnecting in between); a failure after the request was fully written
 // is returned as-is, with the connection dropped so the next call starts
 // fresh. A Response with ok=false is returned as an error — typed via
@@ -149,15 +150,15 @@ func (c *Client) DoContext(ctx context.Context, req Request) (Response, error) {
 }
 
 // attempts runs try on a ready connection — dialled and under the deadline —
-// and again, up to Options.Retries more times, while try reports a failure
+// and again, up to options.retries more times, while try reports a failure
 // that provably left nothing executed on the server.
 func (c *Client) attempts(ctx context.Context, try func() (retry bool, err error)) error {
 	var lastErr error
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
+	for attempt := 0; attempt <= c.opts.retries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
-			case <-time.After(c.opts.RetryBackoff):
+			case <-time.After(c.opts.retryBackoff):
 			}
 		}
 		if err := ctx.Err(); err != nil {
@@ -181,7 +182,7 @@ func (c *Client) attempts(ctx context.Context, try func() (retry bool, err error
 		lastErr = err
 	}
 	return fmt.Errorf("wire: request failed after %d attempts: %w",
-		c.opts.Retries+1, lastErr)
+		c.opts.retries+1, lastErr)
 }
 
 // respErr turns a refused response into a typed error.
@@ -242,12 +243,12 @@ func (c *Client) doBinary(req Request) (Response, error, bool) {
 	return resp, nil, false
 }
 
-// deadline is the earlier of the per-request Options.Timeout and the
+// deadline is the earlier of the per-request options.timeout and the
 // context's own deadline; the zero time (no deadline) when neither applies.
 func (c *Client) deadline(ctx context.Context) time.Time {
 	var d time.Time
-	if c.opts.Timeout > 0 {
-		d = time.Now().Add(c.opts.Timeout)
+	if c.opts.timeout > 0 {
+		d = time.Now().Add(c.opts.timeout)
 	}
 	if cd, ok := ctx.Deadline(); ok && (d.IsZero() || cd.Before(d)) {
 		d = cd

@@ -38,7 +38,7 @@ func TestClientDeadlineAgainstHungServer(t *testing.T) {
 		}
 	}()
 
-	c, err := DialOptions(ln.Addr().String(), Options{Timeout: 150 * time.Millisecond, Retries: -1})
+	c, err := dialOptions(ln.Addr().String(), options{timeout: 150 * time.Millisecond, retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStatusCarriesClusterCounters(t *testing.T) {
 // the retry budget is reached.
 func TestDialRetriesWhileServerComesUp(t *testing.T) {
 	s := newServer(t)
-	c, err := DialOptions(s.Addr(), Options{Timeout: time.Second, Retries: 3, RetryBackoff: 20 * time.Millisecond})
+	c, err := dialOptions(s.Addr(), options{timeout: time.Second, retries: 3, retryBackoff: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

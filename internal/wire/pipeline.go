@@ -150,7 +150,7 @@ func (p *Pipeline) writer() {
 		buf, n := p.out, p.outN
 		p.out, p.outN = spare[:0], 0
 		p.mu.Unlock()
-		if t := p.c.opts.Timeout; t > 0 {
+		if t := p.c.opts.timeout; t > 0 {
 			_ = p.c.conn.SetWriteDeadline(time.Now().Add(t))
 		}
 		if _, err := p.c.conn.Write(buf); err != nil {
@@ -164,11 +164,6 @@ func (p *Pipeline) writer() {
 		}
 		spare = buf
 	}
-}
-
-// Submit pipelines one submit request.
-func (p *Pipeline) Submit(from string, to []string, subject, body string) *Future {
-	return p.Do(Request{Op: "submit", From: from, To: to, Subject: subject, Body: body})
 }
 
 // Close waits for every in-flight request to complete, joins the writer and
@@ -231,7 +226,7 @@ func (p *Pipeline) reader() {
 	var ids idArena
 	var text textArena
 	for range p.expect {
-		if t := p.c.opts.Timeout; t > 0 {
+		if t := p.c.opts.timeout; t > 0 {
 			_ = p.c.conn.SetReadDeadline(time.Now().Add(t))
 		}
 		payload, err := p.c.cr.readFrame(rbuf)

@@ -232,7 +232,7 @@ func TestPipelineServerGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialOptions(s.Addr(), Options{Timeout: 2 * time.Second, Retries: -1})
+	c, err := dialOptions(s.Addr(), options{timeout: 2 * time.Second, retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,4 +329,9 @@ func TestPipelineMalformedAnswerFailsItsFuture(t *testing.T) {
 	if err := p.Close(); !errors.Is(err, errBadPayload) {
 		t.Errorf("Close: %v, want %v", err, errBadPayload)
 	}
+}
+
+// Submit pipelines one submit request.
+func (p *Pipeline) Submit(from string, to []string, subject, body string) *Future {
+	return p.Do(Request{Op: "submit", From: from, To: to, Subject: subject, Body: body})
 }

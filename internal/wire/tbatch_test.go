@@ -134,7 +134,7 @@ func TestDoContextCancelled(t *testing.T) {
 }
 
 // TestDoContextDeadlineCapsTimeout: a context deadline earlier than
-// Options.Timeout wins, so a hung server fails the request at the context's
+// options.timeout wins, so a hung server fails the request at the context's
 // pace.
 func TestDoContextDeadlineCapsTimeout(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -157,7 +157,7 @@ func TestDoContextDeadlineCapsTimeout(t *testing.T) {
 			}
 		}
 	}()
-	c, err := DialOptions(ln.Addr().String(), Options{Timeout: 30 * time.Second, Retries: -1})
+	c, err := dialOptions(ln.Addr().String(), options{timeout: 30 * time.Second, retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
