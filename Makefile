@@ -132,14 +132,16 @@ tier2-retained:
 # allocation budgets of the transit side (0 per warmed transfer or §3.2
 # deposit + notify cycle — TestDepositCycleTransitAllocs, 1 per warmed §3.3
 # query, 2.8 per copy the attr scenario deposits, 3.0 under -race, where
-# sync.Pool drops a quarter of the released slots). And the mailbox slot a wire
-# response gives back (mail.Release), scribbled on the same way and run ten
-# times: the hand-over schedules, the oversized batch, eight connections under
+# sync.Pool drops a quarter of the released slots; a slot array per first
+# deposit and the chunks its mailbox is carved from —
+# TestFirstDepositAllocBudget). And the mailbox slot a wire response gives
+# back (mail.Release), scribbled on the same way and run ten times: the
+# hand-over schedules, the oversized batch, eight connections under
 # kill-restart.
 .PHONY: tier2-transit
 tier2-transit:
 	go test -race -run 'Recycled|PendingRecords|Poisoned|TransitAllocs|DepositCycle|TakeMail|HandedOver|DispatchAllocs|SendAllocs|ReusesRecord|TestSimSubmitAllocs|AllocBudget' \
-		./internal/netsim/ ./internal/server/ ./internal/client/ ./internal/locind/ ./internal/loadgen/ ./internal/broadcast/
+		./internal/netsim/ ./internal/server/ ./internal/client/ ./internal/locind/ ./internal/loadgen/ ./internal/broadcast/ ./internal/mail/mailstore/
 	go test -race -count=10 -run 'ReleasedSlot|ReleaseTakes|OversizedBatch|TestDrainFit' ./internal/mail/ ./internal/wire/ ./internal/livenet/
 
 # Tier-2 determinism gate: same seed ⇒ same bytes, as a test and not a habit.
@@ -250,7 +252,7 @@ bench-pairs:
 # per package of internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 24326
+SIZE_CEILING = 24385
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 .PHONY: size
 size:

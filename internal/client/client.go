@@ -94,10 +94,11 @@ type Stats struct {
 type Directory func(graph.NodeID) *server.Server
 
 // Agent is one user's mail agent. Of a large population nearly every agent
-// is idle, so an agent is one allocation until something happens to it: the
-// authority list is the caller's (or a directory's) own slice, the duplicate
-// memory holds its first IDs inline, and PreviouslyUnavailableServers is made
-// by the first failed probe.
+// is idle, so an agent allocates nothing of its own until something happens
+// to it: InitAgent makes one in memory its owner already holds (the §3.1
+// fabric carves them from chunks), the authority list is the caller's (or a
+// directory's) own slice, the duplicate memory holds its first IDs inline,
+// and PreviouslyUnavailableServers is made by the first failed probe.
 type Agent struct {
 	user    names.Name
 	host    *Host
@@ -122,15 +123,27 @@ type Agent struct {
 
 // NewAgent creates an agent for user attached to host, with the given
 // ordered authority-server list, which the agent keeps and the caller must
-// not modify afterwards (see Agent.authority).
+// not modify afterwards (see Agent.authority). It is InitAgent on an agent of
+// its own.
 func NewAgent(user names.Name, host *Host, servers Directory, authority []graph.NodeID) (*Agent, error) {
+	a := new(Agent)
+	if err := InitAgent(a, user, host, servers, authority); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// InitAgent is NewAgent in place, for an owner that keeps agents in memory of
+// its own: no allocation. The host holds a from here on, for as long as the
+// host lives. On an error a is left as it was.
+func InitAgent(a *Agent, user names.Name, host *Host, servers Directory, authority []graph.NodeID) error {
 	if host == nil {
-		return nil, ErrNotAttached
+		return ErrNotAttached
 	}
 	if len(authority) == 0 {
-		return nil, fmt.Errorf("client: %v has an empty authority list", user)
+		return fmt.Errorf("client: %v has an empty authority list", user)
 	}
-	a := &Agent{
+	*a = Agent{
 		user:      user,
 		host:      host,
 		net:       host.net,
@@ -138,7 +151,7 @@ func NewAgent(user names.Name, host *Host, servers Directory, authority []graph.
 		authority: authority,
 	}
 	host.agents[user] = a
-	return a, nil
+	return nil
 }
 
 // User returns the agent's user name.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"unsafe"
 
 	"github.com/largemail/largemail/internal/assign"
 	"github.com/largemail/largemail/internal/client"
@@ -44,8 +45,19 @@ type Fabric struct {
 	hosts        map[graph.NodeID]*client.Host
 	lists        map[graph.NodeID][]graph.NodeID // per host, current
 	lookup       client.Directory                // Lookup, bound once and shared by every agent
+	spare        []client.Agent                  // the rest of the chunk Register carves agents from
 	relisted     int64                           // per-user list updates pushed: §3.1.2a's maintenance traffic
 }
+
+// agentChunk is how many agents Register carves from one allocation: as many
+// as fit, after the 8-byte header Go puts before a pointerful object over
+// 512 B, in the 8 KiB size class. Of a large population nearly every agent is
+// idle, and every agent lives as long as the fabric, whose hosts hold it. One
+// chunk for the whole fabric, not one per host, keeps agents in the order
+// they were made — the order loadgen's retrieval sweeps visit them — where
+// per-host chunks scatter consecutive agents over as many chunks as there are
+// hosts.
+const agentChunk = int((8192 - 8) / unsafe.Sizeof(client.Agent{}))
 
 // NewFabric builds the world over topo: per region (hosts and servers are the
 // nodes tagged so) it runs the §3.1.1 assignment over the per-host user
@@ -153,7 +165,15 @@ func (f *Fabric) Register(name names.Name, host graph.NodeID, list []graph.NodeI
 	if err := f.dirs[name.Region].SetAuthority(name, list); err != nil {
 		return nil, err
 	}
-	return client.NewAgent(name, f.hosts[host], f.lookup, list)
+	if len(f.spare) == 0 {
+		f.spare = make([]client.Agent, agentChunk)
+	}
+	a := &f.spare[0]
+	if err := client.InitAgent(a, name, f.hosts[host], f.lookup, list); err != nil {
+		return nil, err
+	}
+	f.spare = f.spare[1:]
+	return a, nil
 }
 
 // relist recomputes region's per-host authority lists from its assignment.

@@ -230,7 +230,7 @@ func (b *refMailbox) MaxSeenSeq(node graph.NodeID) uint64 {
 func TestMailboxMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		b := NewMailbox(owner)
+		b := newMailbox(owner)
 		b.EnableJournal()
 		ref := &refMailbox{seen: refSeen{}}
 		// A window of IDs from two origins, delivered in shuffled order with
@@ -284,23 +284,24 @@ func TestMailboxMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMailboxFirstTouchAllocs: an idle user's mailbox is one allocation, and
-// the first message it receives adds only the message slot — the duplicate
-// memory lives in the mailbox until a fourth ID arrives.
+// TestMailboxFirstTouchAllocs: making an idle user's mailbox in memory its
+// store already holds allocates nothing, and the first message it receives
+// adds only the message slot — the duplicate memory lives in the mailbox
+// until a fourth ID arrives.
 func TestMailboxFirstTouchAllocs(t *testing.T) {
-	var b *Mailbox
-	if n := testing.AllocsPerRun(200, func() { b = NewMailbox(owner) }); n != 1 {
-		t.Errorf("NewMailbox: %v allocs, want 1 (3 with a map for the seen-set)", n)
+	b := new(Mailbox)
+	if n := testing.AllocsPerRun(200, func() { b.Init(owner) }); n != 0 {
+		t.Errorf("Init: %v allocs, want 0 (2 with a map for the seen-set)", n)
 	}
 	m := msg(1, "first")
 	if n := testing.AllocsPerRun(200, func() {
-		b = NewMailbox(owner)
+		b.Init(owner)
 		b.Deposit(m, 0)
-	}); n > 2 {
-		t.Errorf("NewMailbox + first Deposit: %v allocs, want ≤ 2 (the mailbox and its one-slot []Stored)", n)
+	}); n > 1 {
+		t.Errorf("Init + first Deposit: %v allocs, want ≤ 1 (the one-slot []Stored)", n)
 	}
 	m2, m3 := msg(2, "second"), msg(3, "third")
-	b = NewMailbox(owner)
+	b = newMailbox(owner)
 	b.Deposit(m, 0)
 	b.Drain()
 	if n := testing.AllocsPerRun(1, func() {

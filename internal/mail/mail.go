@@ -125,7 +125,7 @@ type Op struct {
 
 // Mailbox is one user's message store at one server. Messages are kept in
 // arrival order; duplicate deposits of the same MessageID are suppressed.
-// The zero value is not usable; create with NewMailbox.
+// The zero value is not usable; make one with Init.
 type Mailbox struct {
 	owner names.Name
 	msgs  []Stored
@@ -136,10 +136,10 @@ type Mailbox struct {
 	journal    []Op
 }
 
-// NewMailbox returns an empty mailbox for the named user.
-func NewMailbox(owner names.Name) *Mailbox {
-	return &Mailbox{owner: owner}
-}
+// Init makes b an empty mailbox for the named user, in place: a store keeps
+// its mailboxes in memory of its own (a chunk of many), so making one
+// allocates nothing.
+func (b *Mailbox) Init(owner names.Name) { *b = Mailbox{owner: owner} }
 
 // Owner returns the mailbox owner's name.
 func (b *Mailbox) Owner() names.Name { return b.owner }

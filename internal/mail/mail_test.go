@@ -11,6 +11,14 @@ import (
 
 var owner = names.MustParse("east.h1.alice")
 
+// newMailbox is a mailbox of its own for a test; a store carves them from
+// chunks (mailstore's newBox).
+func newMailbox(owner names.Name) *Mailbox {
+	b := new(Mailbox)
+	b.Init(owner)
+	return b
+}
+
 func msg(seq uint64, body string) Message {
 	return Message{
 		ID:      MessageID{Node: 101, Seq: seq},
@@ -51,7 +59,7 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestDepositAndDrain(t *testing.T) {
-	b := NewMailbox(owner)
+	b := newMailbox(owner)
 	if b.Owner() != owner {
 		t.Errorf("Owner = %v", b.Owner())
 	}
@@ -80,7 +88,7 @@ func TestDepositAndDrain(t *testing.T) {
 }
 
 func TestDuplicateSuppression(t *testing.T) {
-	b := NewMailbox(owner)
+	b := newMailbox(owner)
 	m := msg(1, "x")
 	if !b.Deposit(m, 0) {
 		t.Fatal("first deposit rejected")
@@ -102,7 +110,7 @@ func TestDuplicateSuppression(t *testing.T) {
 // what TakeOps hands back; without one the journal allocates its own, as
 // before.
 func TestLendJournal(t *testing.T) {
-	b := NewMailbox(owner)
+	b := newMailbox(owner)
 	b.EnableJournal()
 	buf := make([]Op, 0, 4)
 	b.LendJournal(buf)
@@ -119,7 +127,7 @@ func TestLendJournal(t *testing.T) {
 }
 
 func TestPeekDoesNotRemove(t *testing.T) {
-	b := NewMailbox(owner)
+	b := newMailbox(owner)
 	b.Deposit(msg(1, "x"), 0)
 	p := b.Peek()
 	if len(p) != 1 || b.Len() != 1 {
@@ -132,7 +140,7 @@ func TestPeekDoesNotRemove(t *testing.T) {
 }
 
 func TestMarkRead(t *testing.T) {
-	b := NewMailbox(owner)
+	b := newMailbox(owner)
 	m := msg(1, "x")
 	b.Deposit(m, 0)
 	if !b.MarkRead(m.ID) {
@@ -150,7 +158,7 @@ func TestMarkRead(t *testing.T) {
 // arrival order, and total bytes match.
 func TestPropertyDepositDrain(t *testing.T) {
 	f := func(bodies []string) bool {
-		b := NewMailbox(owner)
+		b := newMailbox(owner)
 		wantBytes := 0
 		for i, body := range bodies {
 			if !b.Deposit(msg(uint64(i+1), body), sim.Time(i)) {
@@ -202,7 +210,7 @@ func TestMultimediaParts(t *testing.T) {
 		t.Errorf("part types = %v, %v", m.Parts[0].Type, m.Parts[1].Type)
 	}
 	// Mailbox byte accounting includes parts.
-	b := NewMailbox(owner)
+	b := newMailbox(owner)
 	m.ID = MessageID{Node: 1, Seq: 1}
 	b.Deposit(m, 0)
 	if b.Bytes() != m.Size() {

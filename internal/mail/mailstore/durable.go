@@ -360,8 +360,7 @@ func (s *Store) recoverShard(i int, lg *shardLog) error {
 			}
 			mb, ok := sh.boxes[rec.User]
 			if !ok {
-				mb = mail.NewMailbox(rec.User)
-				sh.boxes[rec.User] = mb
+				mb = sh.newBox(rec.User)
 			}
 			mb.Apply(rec.Op)
 			w.recovery.Records++

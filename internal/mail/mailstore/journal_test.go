@@ -48,9 +48,7 @@ func update(st *Store, user names.Name, fn func(*mail.Mailbox)) {
 	sh := st.shard(user)
 	sh.mu.Lock()
 	if sh.boxes[user] == nil {
-		mb := mail.NewMailbox(user)
-		mb.EnableJournal()
-		sh.boxes[user] = mb
+		sh.newBox(user).EnableJournal()
 	}
 	sh.mu.Unlock()
 	st.UpdateExisting(user, fn)

@@ -22,6 +22,7 @@ import (
 	"hash/fnv"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/mail"
@@ -41,6 +42,7 @@ type shard struct {
 	// so its pointer identifies the user for as long as the store lives —
 	// the term index keys its postings by it.
 	boxes map[names.Name]*mail.Mailbox
+	spare []mail.Mailbox // the rest of the chunk newBox carves mailboxes from
 	msgs  int64
 	bytes int64
 	held  int64 // mailboxes holding at least one message
@@ -291,6 +293,30 @@ func (s *Store) owners(held bool) []names.Name {
 	}
 	slices.SortFunc(out, names.Compare)
 	return out
+}
+
+// boxChunk is how many mailboxes newBox carves from one allocation: as many
+// as fit, after the 8-byte header Go puts before a pointerful object over
+// 512 B, in the 2 304-byte size class — 13, wasting 8 bytes. It is small
+// because a world has many shards (a store has DefaultShards), and a lightly
+// populated shard would otherwise carry a mostly empty chunk for the
+// collector to scan.
+const boxChunk = int((2304 - 8) / unsafe.Sizeof(mail.Mailbox{}))
+
+// newBox makes user's mailbox and enters it in the shard. Of a large
+// population most users get a mailbox and never another, so mailboxes come
+// from chunks: since a mailbox is never removed (see boxes), a chunk keeps
+// nothing alive that the shard does not hold anyway. Called with the shard
+// write lock held.
+func (sh *shard) newBox(user names.Name) *mail.Mailbox {
+	if len(sh.spare) == 0 {
+		sh.spare = make([]mail.Mailbox, boxChunk)
+	}
+	mb := &sh.spare[0]
+	sh.spare = sh.spare[1:]
+	mb.Init(user)
+	sh.boxes[user] = mb
+	return mb
 }
 
 // account folds a mutation of mb, which held l0 messages of b0 bytes before

@@ -2,6 +2,7 @@ package mailstore
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -246,3 +247,64 @@ func BenchmarkTotalBytes(b *testing.B) {
 
 // Shards reports the shard count.
 func (s *Store) Shards() int { return len(s.shards) }
+
+// TestFirstDepositAllocBudget: a user's first deposit costs the mailbox's
+// one-slot message array and a share of a chunk, so n first deposits to
+// distinct users allocate n slot arrays plus ⌈n/boxChunk⌉ chunks, beside the
+// growth of the shard's map, counted on a map of the same keys. It was 2n
+// while every mailbox was an allocation of its own.
+func TestFirstDepositAllocBudget(t *testing.T) {
+	const n = 50 * boxChunk
+	users := make([]names.Name, n)
+	for i := range users {
+		users[i] = user(i)
+	}
+	chunks := (n + boxChunk - 1) / boxChunk
+	m := msg(1, "first")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	New(1).Deposit(user(n), m, 0) // sets up the slot pool's per-P state for GOMAXPROCS 1
+	ref := New(1).shards[0].boxes // made as the measured store's, on the heap
+	growth := mallocs(func() {
+		for _, u := range users {
+			ref[u] = nil
+		}
+	})
+	s := New(1)
+	got := mallocs(func() {
+		for _, u := range users {
+			s.Deposit(u, m, 0)
+		}
+	})
+	if want := uint64(n+chunks) + growth; got > want {
+		t.Errorf("%d first deposits: %d allocs, want ≤ %d (a slot array each, %d chunks, %d for the map)",
+			n, got, want, chunks, growth)
+	}
+}
+
+// BenchmarkFirstDeposit is a user's first deposit: the mailbox and its first
+// message, into a store replaced (untimed) every 1<<14 users so it stays
+// small.
+func BenchmarkFirstDeposit(b *testing.B) {
+	users := make([]names.Name, 1<<14)
+	for i := range users {
+		users[i] = user(i)
+	}
+	m := msg(1, "first")
+	var s *Store
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%len(users) == 0 {
+			b.StopTimer()
+			s = New(DefaultShards)
+			b.StartTimer()
+		}
+		s.Deposit(users[i%len(users)], m, 0)
+	}
+}

@@ -269,11 +269,10 @@ func (s *Store) depositLocked(i int, c *Copy) bool {
 	sh := &s.shards[i]
 	mb, ok := sh.boxes[c.User]
 	if !ok {
-		mb = mail.NewMailbox(c.User)
+		mb = sh.newBox(c.User)
 		if s.w != nil {
 			mb.EnableJournal()
 		}
-		sh.boxes[c.User] = mb
 	}
 	l0, b0 := mb.Len(), mb.Bytes()
 	s.lend(i, mb)

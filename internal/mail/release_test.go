@@ -26,7 +26,7 @@ func TestMain(m *testing.M) {
 // the next empty mailbox's — whole, whatever was scribbled on it — and costs
 // that deposit no allocation; the scribble never reaches a mailbox.
 func TestReleasedSlotPoisoned(t *testing.T) {
-	a, b := NewMailbox(owner), NewMailbox(owner)
+	a, b := newMailbox(owner), newMailbox(owner)
 	a.Deposit(msg(1, "one"), 10)
 	batch := a.Drain()
 	slot := &batch[0]
@@ -50,7 +50,7 @@ func TestReleasedSlotPoisoned(t *testing.T) {
 // TestReleaseTakesOnlyOneSlotBatches: nothing but a one-message batch that
 // fills its array is taken; what is not taken is not touched.
 func TestReleaseTakesOnlyOneSlotBatches(t *testing.T) {
-	b := NewMailbox(owner)
+	b := newMailbox(owner)
 	b.Deposit(msg(1, "one"), 0)
 	b.Deposit(msg(2, "two"), 0)
 	two := b.Drain()
@@ -69,7 +69,7 @@ func TestReleaseTakesOnlyOneSlotBatches(t *testing.T) {
 // call; the journal records an eviction by ID, which replays to the same
 // mailbox, duplicate memory included.
 func TestDrainFit(t *testing.T) {
-	b := NewMailbox(owner)
+	b := newMailbox(owner)
 	b.EnableJournal()
 	for seq := uint64(1); seq <= 5; seq++ {
 		b.Deposit(msg(seq, "body"), sim.Time(seq))
@@ -97,7 +97,7 @@ func TestDrainFit(t *testing.T) {
 	if len(ops) != 7 || ops[5].Kind != OpEvict || len(ops[5].IDs) != 2 || ops[6].Kind != OpDrain {
 		t.Fatalf("journal = %+v, want five deposits, an eviction of two IDs, a drain", ops)
 	}
-	replayed := NewMailbox(owner)
+	replayed := newMailbox(owner)
 	for _, op := range ops[:6] {
 		replayed.Apply(op)
 	}

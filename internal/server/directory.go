@@ -10,7 +10,7 @@ import (
 
 // Resolver is how a server resolves the names of its region: §3.1's
 // replicated Directory, or §3.2's hash sub-groups (internal/locind), which
-// have no groups or redirects. A list Resolve returns is shared and
+// have no groups or redirects. A list Resolve or Group returns is shared and
 // read-only, and stays what it was when a reconfiguration replaces it.
 type Resolver interface {
 	Region() string
@@ -32,9 +32,11 @@ type Resolver interface {
 type Directory struct {
 	region string
 	// authority holds each user's list. A stored list is immutable:
-	// SetAuthority installs a fresh copy and nothing ever writes to one in
-	// place, so Resolve hands the stored slice itself to servers, pending
-	// transfers and name-service clients, none of which may modify it.
+	// SetAuthority stores the slice it is given, which the caller gives up
+	// (most users of a host share the host's one list), and nothing ever
+	// writes to one in place, so Resolve hands the stored slice itself to
+	// servers, pending transfers and name-service clients, none of which may
+	// modify it. groups holds member lists on the same terms.
 	authority map[names.Name][]graph.NodeID
 	redirects map[names.Name]names.Name
 	groups    map[names.Name][]names.Name
@@ -58,8 +60,9 @@ func (d *Directory) Resolve(user names.Name) []graph.NodeID { return d.authority
 // Region returns the region this directory covers.
 func (d *Directory) Region() string { return d.region }
 
-// SetAuthority records the ordered authority-server list for a user. The
-// list is copied. An empty list removes the user.
+// SetAuthority records the ordered authority-server list for a user: the
+// slice itself, which the caller gives up (see the authority field). An empty
+// list removes the user.
 func (d *Directory) SetAuthority(user names.Name, servers []graph.NodeID) error {
 	if user.Region != d.region {
 		return fmt.Errorf("server: user %v is not in region %s", user, d.region)
@@ -67,7 +70,7 @@ func (d *Directory) SetAuthority(user names.Name, servers []graph.NodeID) error 
 	if len(servers) == 0 {
 		delete(d.authority, user)
 	} else {
-		d.authority[user] = append([]graph.NodeID(nil), servers...)
+		d.authority[user] = servers
 	}
 	return nil
 }
@@ -95,7 +98,8 @@ func (d *Directory) Redirect(old names.Name) (names.Name, bool) {
 // mechanism of §4.3 — the maintained-list baseline the attribute-based
 // design replaces ("no distribution list has to be available", §3.3.1-B).
 // The group name must be in this region and must not collide with a real
-// user. An empty member list removes the group.
+// user. The member slice is stored as given and the caller gives it up. An
+// empty member list removes the group.
 func (d *Directory) SetGroup(group names.Name, members []names.Name) error {
 	if group.Region != d.region {
 		return fmt.Errorf("server: group %v is not in region %s", group, d.region)
@@ -106,18 +110,16 @@ func (d *Directory) SetGroup(group names.Name, members []names.Name) error {
 	if len(members) == 0 {
 		delete(d.groups, group)
 	} else {
-		d.groups[group] = append([]names.Name(nil), members...)
+		d.groups[group] = members
 	}
 	return nil
 }
 
-// Group returns the members of a distribution list.
+// Group returns the members of a distribution list: the stored slice,
+// shared and read-only.
 func (d *Directory) Group(group names.Name) ([]names.Name, bool) {
 	m, ok := d.groups[group]
-	if !ok {
-		return nil, false
-	}
-	return append([]names.Name(nil), m...), true
+	return m, ok
 }
 
 // RegionMap is the inter-region routing knowledge every server holds: which
