@@ -40,12 +40,6 @@ var reachAllowed = map[string]string{
 	"internal/locind.System.RemoveServer":     "§3.2.3c reconfiguration of the location-independent design, run by the locind tests",
 	"internal/server.RegionMap.RemoveServer":  "§3.1.3 server deletion in the region map, run by the server and locind tests",
 
-	// The §3.2.2b federation: no program builds one yet.
-	"internal/core.NewLocationFederation":     "§3.2.2b multi-region location-independent world; the core tests build one",
-	"internal/core.LocationFederation.RunFor": "reader of the §3.2.2b federation, used by the core tests",
-	"internal/core.LocationFederation.System": "reader of the §3.2.2b federation, used by the core tests",
-	"internal/core.LocationFederation.Users":  "reader of the §3.2.2b federation, used by the core tests",
-
 	// Paper operations only the tests run.
 	"internal/client.Agent.Login":      "§3.1.2c login, run by the client and loadgen tests",
 	"internal/client.Agent.Logout":     "§3.1.2c logout, run by the client tests",
@@ -82,12 +76,6 @@ var optionAllowed = map[string]string{
 	"internal/loadgen.SimConfig.SpareServersPerRegion": "hardware for §3.1.3 reconfiguration under load, with reachAllowed's SimDriver.AddServer",
 	"internal/core.SyntaxConfig.AuthorityLen":          "the authority-list length; the core tests and loadgen's SimDriver-vs-SyntaxSystem test set it",
 	"internal/core.SyntaxConfig.MaxLoad":               "the §3.1.1 server capacity; loadgen's SimDriver-vs-SyntaxSystem test sets it",
-
-	// The §3.2.2b federation: no program builds one yet (see reachAllowed's
-	// NewLocationFederation).
-	"internal/core.FederationConfig.Topology":     "the §3.2.2b federation's network, set by the core tests",
-	"internal/core.FederationConfig.UsersPerHost": "the §3.2.2b federation's users, set by the core tests",
-	"internal/core.FederationConfig.Seed":         "the §3.2.2b federation's seed, set by the core tests",
 }
 
 // TestReachableFromPrograms: every function and method declared in the
@@ -596,4 +584,112 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// importsAllowed lists the import edges between the module's packages, in
+// their non-test files: per importing package, the packages it imports.
+// Packages are named by directory, without the leading "internal/".
+// TestImportLayers fails on an edge that is not listed and on a listed edge
+// that is gone: the table only shrinks, and a new dependency between layers
+// is a line of the diff that adds it.
+var importsAllowed = map[string]string{
+	"assign":              "graph obs queueing",
+	"attr":                "names sketch",
+	"bench":               "assign attr broadcast faults graph livenet loadgen mail mail/mailstore mst names netsim obs server sim sketch wire",
+	"broadcast":           "attr graph mail mst netsim sim sketch",
+	"client":              "graph mail mailerr names netsim server sim",
+	"cmd/experiments":     "experiments",
+	"cmd/mailbench":       "faults loadgen mail/mailstore obs placement sim",
+	"cmd/mailctl":         "obs placement wire",
+	"cmd/maild":           "livenet mail/mailstore placement wire",
+	"core":                "assign attr broadcast client evalsys graph locind mail mst names netsim obs server sim",
+	"evalsys":             "obs sim",
+	"examples/attrsearch": "attr core graph names",
+	"examples/chaos":      "faults livenet loadgen",
+	"examples/failover":   "core graph names sim",
+	"examples/groups":     "attr core graph names",
+	"examples/livewire":   "wire",
+	"examples/quickstart": "core graph names",
+	"examples/reconfig":   "assign graph",
+	"examples/roaming":    "core graph names",
+	"experiments":         "assign attr broadcast client core graph locind mst names netsim obs queueing server sim",
+	"faults":              "graph livenet netsim sim",
+	"livenet":             "mail mail/mailstore mailerr names obs placement sketch",
+	"loadgen":             "attr broadcast client core faults graph livenet locind mail mail/mailstore mst names netsim obs placement queueing server sim sketch wire",
+	"locind":              "graph mail names netsim obs server sim",
+	"mail":                "graph names obs sim",
+	"mail/mailstore":      "graph mail names sim sketch",
+	"mst":                 "graph netsim sim",
+	"netsim":              "graph obs sim",
+	"placement":           "graph obs",
+	"server":              "graph mail mail/mailstore mailerr names netsim obs sim",
+	"wire":                "attr livenet mail mailerr names obs",
+}
+
+// daemonExcluded names the packages the mail daemon must not link: the
+// simulator's delivery core, its network and the load harness.
+var daemonExcluded = []string{"server", "netsim", "loadgen"}
+
+// TestImportLayers: the import edges between the module's packages are those
+// importsAllowed lists, and cmd/maild depends on none of daemonExcluded,
+// directly or not.
+func TestImportLayers(t *testing.T) {
+	p, err := moduleProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := p.imports()
+	allowed := make(map[string]bool)
+	for from, tos := range importsAllowed {
+		for _, to := range strings.Fields(tos) {
+			allowed[from+" "+to] = true
+		}
+	}
+	for _, e := range sortedKeys(edges) {
+		if !allowed[e] {
+			t.Errorf("import %q is not in importsAllowed: drop it, or list it there", e)
+		}
+	}
+	for _, e := range sortedKeys(allowed) {
+		if !edges[e] {
+			t.Errorf("importsAllowed lists %q, which no longer exists", e)
+		}
+	}
+	deps := make(map[string][]string)
+	for e := range edges {
+		from, to, _ := strings.Cut(e, " ")
+		deps[from] = append(deps[from], to)
+	}
+	const daemon = "cmd/maild"
+	seen := map[string]bool{daemon: true}
+	for work := []string{daemon}; len(work) > 0; {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, d := range deps[n] {
+			if !seen[d] {
+				seen[d] = true
+				work = append(work, d)
+			}
+		}
+	}
+	for _, d := range daemonExcluded {
+		if seen[d] {
+			t.Errorf("%s depends on %s", daemon, d)
+		}
+	}
+}
+
+// imports returns the import edges between the module's packages, keyed
+// "<importer> <imported>", each named as in importsAllowed.
+func (p *program) imports() map[string]bool {
+	name := func(ip string) string { return strings.TrimPrefix(p.dir(ip), "internal/") }
+	edges := make(map[string]bool)
+	for ip, pkg := range p.l.pkgs {
+		for _, imp := range pkg.Imports() {
+			if _, ok := p.l.pkgs[imp.Path()]; ok {
+				edges[name(ip)+" "+name(imp.Path())] = true
+			}
+		}
+	}
+	return edges
 }

@@ -128,8 +128,9 @@ func BenchmarkFigure2BackboneMST(b *testing.B) {
 }
 
 // benchMailWorld builds a one-region three-server world for the retrieval
-// benches.
-func benchMailWorld(b *testing.B) (*sim.Scheduler, *netsim.Network, *client.Agent, *client.Agent) {
+// benches: a core.Fabric without users, alice on HA and bob on HB registered
+// with lists of their own.
+func benchMailWorld(b *testing.B) (*sim.Scheduler, *client.Agent, *client.Agent) {
 	b.Helper()
 	g := graph.New()
 	g.MustAddNode(graph.Node{ID: 1, Label: "HA", Region: "R1", Kind: graph.KindHost})
@@ -141,51 +142,25 @@ func benchMailWorld(b *testing.B) (*sim.Scheduler, *netsim.Network, *client.Agen
 	g.MustAddEdge(2, 102, 1)
 	g.MustAddEdge(101, 102, 1)
 	g.MustAddEdge(102, 103, 1)
-	sched := sim.New(9)
-	net := netsim.New(sched, g)
-	dir := server.NewDirectory("R1")
-	regions := server.NewRegionMap()
-	servers := []graph.NodeID{101, 102, 103}
-	srvs := make(map[graph.NodeID]*server.Server)
-	for _, id := range servers {
-		srv, err := server.New(server.Config{ID: id, Region: "R1", Net: net, Dir: dir, Regions: regions})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srvs[id] = srv
-	}
-	alice := names.MustParse("R1.HA.alice")
-	bob := names.MustParse("R1.HB.bob")
-	if err := dir.SetAuthority(alice, servers); err != nil {
-		b.Fatal(err)
-	}
-	if err := dir.SetAuthority(bob, []graph.NodeID{102, 101, 103}); err != nil {
-		b.Fatal(err)
-	}
-	hostA, err := client.NewHost(net, 1)
+	f, err := core.NewFabric(g, server.Config{Net: netsim.New(sim.New(9), g)}, nil, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	hostB, err := client.NewHost(net, 2)
+	alice, err := f.Register(names.MustParse("R1.HA.alice"), 1, []graph.NodeID{101, 102, 103})
 	if err != nil {
 		b.Fatal(err)
 	}
-	lookup := func(id graph.NodeID) *server.Server { return srvs[id] }
-	aAgent, err := client.NewAgent(alice, hostA, lookup, servers)
+	bob, err := f.Register(names.MustParse("R1.HB.bob"), 2, []graph.NodeID{102, 101, 103})
 	if err != nil {
 		b.Fatal(err)
 	}
-	bAgent, err := client.NewAgent(bob, hostB, lookup, []graph.NodeID{102, 101, 103})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sched, net, aAgent, bAgent
+	return f.Sched, alice, bob
 }
 
 // BenchmarkE1GetMail measures the paper's retrieval algorithm: one full
 // send+deliver+retrieve round trip, reporting polls per retrieval (§5's ≈1).
 func BenchmarkE1GetMail(b *testing.B) {
-	sched, _, alice, bob := benchMailWorld(b)
+	sched, alice, bob := benchMailWorld(b)
 	alice.GetMail() // cold start outside the measurement
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -202,7 +177,7 @@ func BenchmarkE1GetMail(b *testing.B) {
 // BenchmarkE1PollAll is the baseline ablation: polling the full authority
 // list on every retrieval.
 func BenchmarkE1PollAll(b *testing.B) {
-	sched, _, alice, bob := benchMailWorld(b)
+	sched, alice, bob := benchMailWorld(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := bob.Send([]names.Name{alice.User()}, "s", "b"); err != nil {
@@ -538,9 +513,11 @@ func BenchmarkLiveClusterSubmit(b *testing.B) {
 func BenchmarkLocindRehash(b *testing.B) {
 	ex := graph.Figure1()
 	users := make(map[graph.NodeID][]string)
+	var all []names.Name
 	for i, h := range ex.Hosts {
 		for u := 0; u < 6; u++ {
 			users[h] = append(users[h], fmt.Sprintf("u%d_%d", i, u))
+			all = append(all, names.Name{Region: "R1", Host: fmt.Sprintf("H%d", i+1), User: users[h][u]})
 		}
 	}
 	s, err := core.NewLocation(core.LocationConfig{
@@ -550,7 +527,6 @@ func BenchmarkLocindRehash(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Buffer one message per user so rehash has mailboxes to move.
-	all := s.Users()
 	sender, _ := s.Agent(all[0])
 	for _, u := range all[1:] {
 		if err := sender.Send([]names.Name{u}, "m", "b"); err != nil {

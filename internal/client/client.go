@@ -104,7 +104,7 @@ type Agent struct {
 	host    *Host
 	net     *netsim.Network
 	servers Directory
-	// authority is shared and immutable: NewAgent, SetAuthority and the
+	// authority is shared and immutable: InitAgent, SetAuthority and the
 	// name-server refresh install the slice they are given (a host's list, a
 	// directory's stored list) and Authority hands it out, so neither the
 	// agent, nor whoever supplied a list, nor whoever read it may write to it.
@@ -121,21 +121,11 @@ type Agent struct {
 	stats Stats
 }
 
-// NewAgent creates an agent for user attached to host, with the given
+// InitAgent makes *a the agent of user attached to host, with the given
 // ordered authority-server list, which the agent keeps and the caller must
-// not modify afterwards (see Agent.authority). It is InitAgent on an agent of
-// its own.
-func NewAgent(user names.Name, host *Host, servers Directory, authority []graph.NodeID) (*Agent, error) {
-	a := new(Agent)
-	if err := InitAgent(a, user, host, servers, authority); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// InitAgent is NewAgent in place, for an owner that keeps agents in memory of
-// its own: no allocation. The host holds a from here on, for as long as the
-// host lives. On an error a is left as it was.
+// not modify afterwards (see Agent.authority). It allocates nothing: the
+// owner keeps agents in memory of its own. The host holds a from here on, for
+// as long as the host lives. On an error a is left as it was.
 func InitAgent(a *Agent, user names.Name, host *Host, servers Directory, authority []graph.NodeID) error {
 	if host == nil {
 		return ErrNotAttached

@@ -27,6 +27,15 @@ var (
 	bob   = names.MustParse("R2.h2.bob")
 )
 
+// NewAgent is InitAgent on an agent of its own.
+func NewAgent(user names.Name, host *Host, servers Directory, authority []graph.NodeID) (*Agent, error) {
+	a := new(Agent)
+	if err := InitAgent(a, user, host, servers, authority); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 type world struct {
 	sched   *sim.Scheduler
 	net     *netsim.Network

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -264,8 +265,11 @@ func newLocationWorld(t *testing.T) *LocationSystem {
 
 func TestLocationRoundTripAndRoam(t *testing.T) {
 	s := newLocationWorld(t)
-	if got := len(s.Users()); got != 6 {
+	if got := len(s.agents); got != 6 {
 		t.Fatalf("users = %d, want 6", got)
+	}
+	if _, err := s.Agent(names.MustParse("R9.h.x")); !errors.Is(err, ErrUnknownUser) {
+		t.Errorf("phantom agent: %v", err)
 	}
 	w1 := names.MustParse("R1.H1.w1")
 	w2 := names.MustParse("R1.H2.w2")
@@ -444,74 +448,14 @@ func TestSyntaxAccessors(t *testing.T) {
 	s.RunFor(10)
 }
 
-func TestLocationRunFor(t *testing.T) {
-	s := newLocationWorld(t)
-	s.RunFor(10)
-}
-
-func TestLocationFederationCrossRegion(t *testing.T) {
-	g, users := twoRegionTopology() // Figure 1 R1 + one-host R2
-	f, err := NewLocationFederation(FederationConfig{Topology: g, UsersPerHost: users, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Users()) != 20 {
-		t.Fatalf("users = %d", len(f.Users()))
-	}
-	from := names.MustParse("R1.H1.u1_0")
-	to := names.MustParse("R2.H7.remote0")
-	sender, err := f.Agent(from)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcpt, err := f.Agent(to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sender.Send([]names.Name{to}, "cross", "b"); err != nil {
-		t.Fatal(err)
-	}
-	f.Run()
-	if got := rcpt.GetMail(); len(got) != 1 {
-		t.Fatalf("cross-region GetMail = %v", got)
-	}
-	// The roaming-plus-cross-region combination: rcpt can't roam (single
-	// host in R2), so roam a R1 user and send from R2.
-	roamer := names.MustParse("R1.H2.u2_0")
-	ra, _ := f.Agent(roamer)
-	if err := ra.MoveTo(graph.HostBase + 6); err != nil {
-		t.Fatal(err)
-	}
-	if err := ra.Login(); err != nil {
-		t.Fatal(err)
-	}
-	f.Run()
-	if err := rcpt.Send([]names.Name{roamer}, "to-roamer", "b"); err != nil {
-		t.Fatal(err)
-	}
-	f.Run()
-	if got := ra.GetMail(); len(got) != 1 {
-		t.Errorf("roamer GetMail = %v", got)
-	}
-	if len(ra.Notifications()) != 1 {
-		t.Errorf("roamer notifications = %v", ra.Notifications())
-	}
-	if _, ok := f.System("R1"); !ok {
-		t.Error("System(R1) missing")
-	}
-	if _, err := f.Agent(names.MustParse("R9.h.x")); err == nil {
-		t.Error("phantom agent")
-	}
-}
-
-func TestLocationFederationValidation(t *testing.T) {
-	if _, err := NewLocationFederation(FederationConfig{}); err == nil {
+func TestNewLocationValidation(t *testing.T) {
+	if _, err := NewLocation(LocationConfig{Region: "R1"}); err == nil {
 		t.Error("nil topology accepted")
 	}
 	g := graph.New()
 	g.MustAddNode(graph.Node{ID: 1, Region: "R1", Kind: graph.KindRouter})
-	if _, err := NewLocationFederation(FederationConfig{Topology: g}); err == nil {
-		t.Error("serverless topology accepted")
+	if _, err := NewLocation(LocationConfig{Topology: g, Region: "R1"}); err == nil {
+		t.Error("serverless region accepted")
 	}
 }
 

@@ -3,9 +3,8 @@
 // load-balanced server assignment), LocationSystem (§3.2, limited
 // location-independent access), and AttributeSystem (§3.3, attribute-based
 // naming over a back-bone MST). The examples, loadgen's simulated driver
-// (and through it the benchmarks) and most experiments build their worlds
-// through it; the experiments' three §3.1 retrieval, authority-length and
-// connection-setup rigs are still wired by hand.
+// (and through it the benchmarks) and the experiments build their worlds
+// through it.
 package core
 
 import (

@@ -24,14 +24,16 @@ func E1PollsPerRetrieval() Result {
 	const rounds = 200
 	var steady float64
 	for _, p := range []float64{0, 0.05, 0.1, 0.2, 0.3} {
-		_, recvG, pollsG, checksG := retrievalRun(1, rounds, p, false)
-		_, recvP, pollsP, checksP := retrievalRun(1, rounds, p, true)
-		gm := float64(pollsG) / float64(checksG)
-		pa := float64(pollsP) / float64(checksP)
+		e1 := churnRun{servers: 3, listLen: 3, seed: 1, churnSeed: 1, rounds: rounds, p: p}
+		_, g := e1.run()
+		e1.pollAll = true
+		_, pa := e1.run()
+		gm := float64(g.Polls) / float64(g.Retrievals)
+		pollAll := float64(pa.Polls) / float64(pa.Retrievals)
 		if p == 0 {
 			steady = gm
 		}
-		t.AddRow(fmt.Sprintf("%.2f", p), gm, pa, recvG, recvP)
+		t.AddRow(fmt.Sprintf("%.2f", p), gm, pollAll, g.Received, pa.Received)
 	}
 	return Result{
 		ID:    "e1",
@@ -52,10 +54,10 @@ func E2NoLoss() Result {
 		"Seed", "Sent", "Received", "Lost")
 	lostTotal := 0
 	for seed := int64(0); seed < 6; seed++ {
-		sent, received, _, _ := retrievalRun(seed, 120, 0.3, false)
-		lost := sent - received
+		sent, st := churnRun{servers: 3, listLen: 3, seed: seed, churnSeed: seed, rounds: 120, p: 0.3}.run()
+		lost := sent - st.Received
 		lostTotal += lost
-		t.AddRow(seed, sent, received, lost)
+		t.AddRow(seed, sent, st.Received, lost)
 	}
 	return Result{
 		ID:    "e2",

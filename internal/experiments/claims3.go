@@ -2,34 +2,52 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/largemail/largemail/internal/client"
 	"github.com/largemail/largemail/internal/core"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/locind"
 	"github.com/largemail/largemail/internal/names"
-	"github.com/largemail/largemail/internal/netsim"
 	"github.com/largemail/largemail/internal/obs"
-	"github.com/largemail/largemail/internal/server"
-	"github.com/largemail/largemail/internal/sim"
 )
 
 // E12AuthorityListLength validates §3.1.1: "the length of the list depends
 // on the probability of server failures and the degree of reliability
 // required" — longer authority lists buy mail-service availability at the
-// price of extra polls when failures occur.
+// price of extra polls when failures occur. It runs E1/E2's loop on four
+// servers with alice's list cut to each length, and probes each round
+// whether alice can reach any of her authority servers (Connect).
 func E12AuthorityListLength() Result {
+	const rounds = 150
 	t := obs.NewTable("E12: authority-list length vs service availability (4 servers, p=0.25 churn, 150 rounds)",
 		"ListLen", "ServiceAvail", "Received/Sent", "Polls/Retrieval")
 	notes := []string{}
 	var prevAvail float64 = -1
-	monotone := true
+	monotone, allReceived := true, true
 	for listLen := 1; listLen <= 4; listLen++ {
-		avail, recvRate, polls := authorityLengthRun(listLen, 150, 0.25)
+		accessible := 0
+		sent, st := churnRun{
+			servers: 4, listLen: listLen, seed: int64(listLen), churnSeed: 99, rounds: rounds, p: 0.25,
+			probe: func(alice *client.Agent) {
+				if _, err := alice.Connect(); err == nil {
+					accessible++
+				}
+			},
+		}.run()
+		avail := float64(accessible) / rounds
+		var recvRate, polls float64
+		if sent > 0 {
+			recvRate = float64(st.Received) / float64(sent)
+		}
+		if st.Retrievals > 0 {
+			polls = float64(st.Polls) / float64(st.Retrievals)
+		}
 		t.AddRow(listLen, avail, recvRate, polls)
 		if avail < prevAvail-1e-9 {
 			monotone = false
+		}
+		if recvRate != 1 {
+			allReceived = false
 		}
 		prevAvail = avail
 	}
@@ -38,122 +56,18 @@ func E12AuthorityListLength() Result {
 	} else {
 		notes = append(notes, "WARNING: availability not monotone in list length")
 	}
-	notes = append(notes,
-		"a single authority server leaves the user locked out whenever it is down",
-		"every accepted message is eventually received at every length (deposit retries + GetMail)")
+	notes = append(notes, "a single authority server leaves the user locked out whenever it is down")
+	if allReceived {
+		notes = append(notes, "every accepted message is eventually received at every length (deposit retries + GetMail)")
+	} else {
+		notes = append(notes, "WARNING: some accepted message was never received")
+	}
 	return Result{
 		ID:    "e12",
 		Title: "Authority-list length buys reliability (§3.1.1)",
 		Table: t,
 		Notes: notes,
 	}
-}
-
-// authorityLengthRun builds a 4-server region where alice's authority list
-// is truncated to listLen, churns servers, and measures alice's
-// mail-service availability (Connect success rate), eventual delivery, and
-// polls per retrieval.
-func authorityLengthRun(listLen, rounds int, p float64) (avail, recvRate, pollsPerCheck float64) {
-	const (
-		hA graph.NodeID = 1
-		hB graph.NodeID = 2
-	)
-	serverIDs := []graph.NodeID{101, 102, 103, 104}
-	g := graph.New()
-	g.MustAddNode(graph.Node{ID: hA, Label: "HA", Region: "R1", Kind: graph.KindHost})
-	g.MustAddNode(graph.Node{ID: hB, Label: "HB", Region: "R1", Kind: graph.KindHost})
-	for i, id := range serverIDs {
-		g.MustAddNode(graph.Node{ID: id, Label: fmt.Sprintf("S%d", i+1), Region: "R1", Kind: graph.KindServer})
-	}
-	g.MustAddEdge(hA, serverIDs[0], 1)
-	g.MustAddEdge(hB, serverIDs[1], 1)
-	for i := 0; i+1 < len(serverIDs); i++ {
-		g.MustAddEdge(serverIDs[i], serverIDs[i+1], 1)
-	}
-	sched := sim.New(int64(listLen))
-	net := netsim.New(sched, g)
-	dir := server.NewDirectory("R1")
-	regions := server.NewRegionMap()
-	srvs := make(map[graph.NodeID]*server.Server)
-	for _, id := range serverIDs {
-		srv, err := server.New(server.Config{ID: id, Region: "R1", Net: net, Dir: dir, Regions: regions})
-		if err != nil {
-			panic(err)
-		}
-		srvs[id] = srv
-	}
-	aliceName := names.MustParse("R1.HA.alice")
-	bobName := names.MustParse("R1.HB.bob")
-	aliceList := serverIDs[:listLen]
-	if err := dir.SetAuthority(aliceName, aliceList); err != nil {
-		panic(err)
-	}
-	// Bob keeps the full list so submissions rarely fail on his side.
-	if err := dir.SetAuthority(bobName, []graph.NodeID{serverIDs[1], serverIDs[2], serverIDs[3], serverIDs[0]}); err != nil {
-		panic(err)
-	}
-	hostA, err := client.NewHost(net, hA)
-	if err != nil {
-		panic(err)
-	}
-	hostB, err := client.NewHost(net, hB)
-	if err != nil {
-		panic(err)
-	}
-	lookup := func(id graph.NodeID) *server.Server { return srvs[id] }
-	alice, err := client.NewAgent(aliceName, hostA, lookup, aliceList)
-	if err != nil {
-		panic(err)
-	}
-	bob, err := client.NewAgent(bobName, hostB, lookup, []graph.NodeID{serverIDs[1], serverIDs[2], serverIDs[3], serverIDs[0]})
-	if err != nil {
-		panic(err)
-	}
-
-	rng := rand.New(rand.NewSource(99))
-	sent, accessible := 0, 0
-	for r := 0; r < rounds; r++ {
-		// Churn every server independently, then guarantee global liveness
-		// (at least one server up somewhere) so deposits can always retry.
-		anyUp := false
-		for _, id := range serverIDs {
-			if rng.Float64() < p {
-				net.Crash(id)
-			} else {
-				net.Recover(id)
-				anyUp = true
-			}
-		}
-		if !anyUp {
-			net.Recover(serverIDs[rng.Intn(len(serverIDs))])
-		}
-		if _, err := bob.Send([]names.Name{aliceName}, "s", "b"); err == nil {
-			sent++
-		}
-		sched.RunFor(40 * sim.Unit)
-		// Service availability: can alice reach any of her authority
-		// servers this round?
-		if _, err := alice.Connect(); err == nil {
-			accessible++
-		}
-		alice.GetMail()
-	}
-	for _, id := range serverIDs {
-		net.Recover(id)
-	}
-	sched.RunFor(400 * sim.Unit)
-	sched.Run()
-	alice.GetMail()
-	alice.GetMail()
-	st := alice.Stats()
-	avail = float64(accessible) / float64(rounds)
-	if sent > 0 {
-		recvRate = float64(st.Received) / float64(sent)
-	}
-	if st.Retrievals > 0 {
-		pollsPerCheck = float64(st.Polls) / float64(st.Retrievals)
-	}
-	return avail, recvRate, pollsPerCheck
 }
 
 // E13RemoteAccess quantifies §3.2.4's inter-region trade-off: "a user can
@@ -326,51 +240,19 @@ func E14ConnectionSetup() Result {
 	}
 }
 
-// connectionSetupRun drives one host with several agents through
-// reconfiguration rounds and returns the list-management traffic cost of
-// the chosen mode.
+// connectionSetupRun drives six agents on the rig's host HA through ten
+// reconfigurations of a two-server rig and returns the list-management
+// traffic cost of the chosen mode.
 func connectionSetupRun(connectsPerReconfig int, nameServerMode bool) float64 {
-	const (
-		hA graph.NodeID = 1
-		s1 graph.NodeID = 101
-		s2 graph.NodeID = 102
-	)
-	g := graph.New()
-	g.MustAddNode(graph.Node{ID: hA, Label: "HA", Region: "R1", Kind: graph.KindHost})
-	g.MustAddNode(graph.Node{ID: s1, Label: "S1", Region: "R1", Kind: graph.KindServer})
-	g.MustAddNode(graph.Node{ID: s2, Label: "S2", Region: "R1", Kind: graph.KindServer})
-	g.MustAddEdge(hA, s1, 1)
-	g.MustAddEdge(s1, s2, 1)
-	sched := sim.New(7)
-	net := netsim.New(sched, g)
-	dir := server.NewDirectory("R1")
-	regions := server.NewRegionMap()
-	srvs := make(map[graph.NodeID]*server.Server)
-	for _, id := range []graph.NodeID{s1, s2} {
-		srv, err := server.New(server.Config{ID: id, Region: "R1", Net: net, Dir: dir, Regions: regions})
-		if err != nil {
-			panic(err)
-		}
-		srvs[id] = srv
-	}
-	lookup := func(id graph.NodeID) *server.Server { return srvs[id] }
-	host, err := client.NewHost(net, hA)
-	if err != nil {
-		panic(err)
-	}
+	f, servers := newRig(2, 7)
+	dir, _ := f.Directory("R1")
+	s1, s2 := servers[0], servers[1]
 	lists := [][]graph.NodeID{{s1, s2}, {s2, s1}}
 	agents := make([]*client.Agent, 0, 6)
 	for i := 0; i < 6; i++ {
-		u := names.Name{Region: "R1", Host: "HA", User: fmt.Sprintf("u%d", i)}
-		if err := dir.SetAuthority(u, lists[0]); err != nil {
-			panic(err)
-		}
-		a, err := client.NewAgent(u, host, lookup, lists[0])
-		if err != nil {
-			panic(err)
-		}
+		a := register(f, fmt.Sprintf("R1.HA.u%d", i), rigHA, lists[0])
 		if nameServerMode {
-			if err := a.UseNameServers([]graph.NodeID{s1, s2}); err != nil {
+			if err := a.UseNameServers(servers); err != nil {
 				panic(err)
 			}
 		}

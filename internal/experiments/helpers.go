@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/largemail/largemail/internal/client"
+	"github.com/largemail/largemail/internal/core"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/netsim"
@@ -12,141 +14,104 @@ import (
 	"github.com/largemail/largemail/internal/sim"
 )
 
-// retrievalWorld is the E1/E2 rig: one region, three authority servers, a
-// receiving user (alice) with the full authority list, and a sending user
-// (bob) on a separate host.
-type retrievalWorld struct {
-	sched   *sim.Scheduler
-	net     *netsim.Network
-	rng     *rand.Rand
-	servers []graph.NodeID
-	alice   *client.Agent
-	bob     *client.Agent
-}
-
-var (
-	rwAlice = names.MustParse("R1.HA.alice")
-	rwBob   = names.MustParse("R1.HB.bob")
+// The §3.1 rig of E1/E2, E12 and E14: one region R1, a chain of servers
+// S1…Sn (nodes 101…), host HA on S1 and host HB on S2. It is a core.Fabric
+// built without users; each experiment registers its own with explicit
+// authority lists.
+const (
+	rigHA graph.NodeID = 1
+	rigHB graph.NodeID = 2
 )
 
-func newRetrievalWorld(seed int64) *retrievalWorld {
-	const (
-		hA graph.NodeID = 1
-		hB graph.NodeID = 2
-		s1 graph.NodeID = 101
-		s2 graph.NodeID = 102
-		s3 graph.NodeID = 103
-	)
+// newRig builds the rig with n ≥ 2 servers and its simulation seeded with
+// seed. It returns the fabric and the servers in chain order.
+func newRig(n int, seed int64) (*core.Fabric, []graph.NodeID) {
 	g := graph.New()
-	g.MustAddNode(graph.Node{ID: hA, Label: "HA", Region: "R1", Kind: graph.KindHost})
-	g.MustAddNode(graph.Node{ID: hB, Label: "HB", Region: "R1", Kind: graph.KindHost})
-	for i, id := range []graph.NodeID{s1, s2, s3} {
-		g.MustAddNode(graph.Node{ID: id, Label: fmt.Sprintf("S%d", i+1), Region: "R1", Kind: graph.KindServer})
+	g.MustAddNode(graph.Node{ID: rigHA, Label: "HA", Region: "R1", Kind: graph.KindHost})
+	g.MustAddNode(graph.Node{ID: rigHB, Label: "HB", Region: "R1", Kind: graph.KindHost})
+	servers := make([]graph.NodeID, n)
+	for i := range servers {
+		servers[i] = graph.NodeID(101 + i)
+		g.MustAddNode(graph.Node{ID: servers[i], Label: fmt.Sprintf("S%d", i+1), Region: "R1", Kind: graph.KindServer})
 	}
-	g.MustAddEdge(hA, s1, 1)
-	g.MustAddEdge(hB, s2, 1)
-	g.MustAddEdge(s1, s2, 1)
-	g.MustAddEdge(s2, s3, 1)
+	g.MustAddEdge(rigHA, servers[0], 1)
+	g.MustAddEdge(rigHB, servers[1], 1)
+	for i := 1; i < n; i++ {
+		g.MustAddEdge(servers[i-1], servers[i], 1)
+	}
+	f, err := core.NewFabric(g, server.Config{Net: netsim.New(sim.New(seed), g)}, nil, 0, 0)
+	if err != nil {
+		panic(err)
+	}
+	return f, servers
+}
 
-	sched := sim.New(seed)
-	net := netsim.New(sched, g)
-	dir := server.NewDirectory("R1")
-	regions := server.NewRegionMap()
-	servers := []graph.NodeID{s1, s2, s3}
-	srvs := make(map[graph.NodeID]*server.Server, 3)
-	for _, id := range servers {
-		srv, err := server.New(server.Config{
-			ID: id, Region: "R1", Net: net, Dir: dir, Regions: regions,
-		})
-		if err != nil {
-			panic(err)
+// register enters a user of host into the rig with the authority list.
+func register(f *core.Fabric, user string, host graph.NodeID, list []graph.NodeID) *client.Agent {
+	a, err := f.Register(names.MustParse(user), host, list)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// churnRun is the §3.1.2c loop of E1/E2 and E12.
+type churnRun struct {
+	servers   int     // rig size
+	listLen   int     // alice's authority list: the first listLen servers
+	seed      int64   // the simulation's seed
+	churnSeed int64   // the crash draws' seed
+	rounds    int     // rounds of churn, send and retrieve
+	p         float64 // per server and round, the probability it is down
+	pollAll   bool    // alice retrieves by PollAll, not GetMail
+	// probe, when set, sees alice's agent before each retrieval.
+	probe func(alice *client.Agent)
+}
+
+// run builds the rig with alice on HA and bob on HB. Bob's list is every
+// server, from S2 on and then S1, so his submissions rarely fail. Each round the servers churn (each is down with
+// probability p, and at least one stays up: the paper's liveness
+// assumption), bob sends alice one message, 40 units pass and alice
+// retrieves. Then every server recovers, retries finish and alice retrieves
+// twice (the second pass clears PreviouslyUnavailableServers stragglers). It
+// returns how many sends a server accepted and alice's counters.
+func (c churnRun) run() (sent int, st client.Stats) {
+	f, servers := newRig(c.servers, c.seed)
+	alice := register(f, "R1.HA.alice", rigHA, servers[:c.listLen])
+	bob := register(f, "R1.HB.bob", rigHB, append(slices.Clone(servers[1:]), servers[0]))
+	retrieve := alice.GetMail
+	if c.pollAll {
+		retrieve = alice.PollAll
+	}
+	rng := rand.New(rand.NewSource(c.churnSeed))
+	for r := 0; r < c.rounds; r++ {
+		anyUp := false
+		for _, id := range servers {
+			if rng.Float64() < c.p {
+				f.Net.Crash(id)
+			} else {
+				f.Net.Recover(id)
+				anyUp = true
+			}
 		}
-		srvs[id] = srv
-	}
-	if err := dir.SetAuthority(rwAlice, servers); err != nil {
-		panic(err)
-	}
-	if err := dir.SetAuthority(rwBob, []graph.NodeID{s2, s3, s1}); err != nil {
-		panic(err)
-	}
-	hostA, err := client.NewHost(net, hA)
-	if err != nil {
-		panic(err)
-	}
-	hostB, err := client.NewHost(net, hB)
-	if err != nil {
-		panic(err)
-	}
-	lookup := func(id graph.NodeID) *server.Server { return srvs[id] }
-	alice, err := client.NewAgent(rwAlice, hostA, lookup, servers)
-	if err != nil {
-		panic(err)
-	}
-	bob, err := client.NewAgent(rwBob, hostB, lookup, []graph.NodeID{s2, s3, s1})
-	if err != nil {
-		panic(err)
-	}
-	return &retrievalWorld{
-		sched: sched, net: net, rng: rand.New(rand.NewSource(seed)),
-		servers: servers, alice: alice, bob: bob,
-	}
-}
-
-// churn crashes/recovers alice's authority servers with per-server
-// probability p, always keeping at least one up (the paper's liveness
-// assumption).
-func (w *retrievalWorld) churn(p float64) {
-	anyUp := false
-	for _, id := range w.servers {
-		if w.rng.Float64() < p {
-			w.net.Crash(id)
-		} else {
-			w.net.Recover(id)
-			anyUp = true
+		if !anyUp {
+			f.Net.Recover(servers[rng.Intn(len(servers))])
 		}
-	}
-	if !anyUp {
-		w.net.Recover(w.servers[w.rng.Intn(len(w.servers))])
-	}
-}
-
-// recoverAll brings every server back up.
-func (w *retrievalWorld) recoverAll() {
-	for _, id := range w.servers {
-		w.net.Recover(id)
-	}
-}
-
-// send has bob submit one message to alice; it reports whether a server
-// accepted the submission.
-func (w *retrievalWorld) send() bool {
-	_, err := w.bob.Send([]names.Name{rwAlice}, "s", "b")
-	return err == nil
-}
-
-// retrievalRun drives rounds of churn+send+retrieve and returns (sent,
-// received, polls, retrievals) where retrieve is GetMail or PollAll.
-func retrievalRun(seed int64, rounds int, p float64, pollAll bool) (sent, received, polls, retrievals int) {
-	w := newRetrievalWorld(seed)
-	retrieve := w.alice.GetMail
-	if pollAll {
-		retrieve = w.alice.PollAll
-	}
-	for r := 0; r < rounds; r++ {
-		w.churn(p)
-		if w.send() {
+		if _, err := bob.Send([]names.Name{alice.User()}, "s", "b"); err == nil {
 			sent++
 		}
-		w.sched.RunFor(40 * sim.Unit)
+		f.Sched.RunFor(40 * sim.Unit)
+		if c.probe != nil {
+			c.probe(alice)
+		}
 		retrieve()
 	}
-	// Settle: recover everything, let retries finish, drain twice (the
-	// second pass clears PreviouslyUnavailableServers stragglers).
-	w.recoverAll()
-	w.sched.RunFor(400 * sim.Unit)
-	w.sched.Run()
+	for _, id := range servers {
+		f.Net.Recover(id)
+	}
+	f.Sched.RunFor(400 * sim.Unit)
+	f.Sched.Run()
 	retrieve()
 	retrieve()
-	st := w.alice.Stats()
-	return sent, st.Received, st.Polls, st.Retrievals
+	return sent, alice.Stats()
 }

@@ -29,7 +29,7 @@
 // Server side, connections do not get a handler goroutine each. A reader
 // goroutine per connection decodes requests and enqueues them on a
 // per-connection FIFO queue drained by a bounded worker pool
-// (internal/server.WorkPool, size ServerConfig.WireWorkers), preserving
+// (WorkPool, size ServerConfig.WireWorkers), preserving
 // per-connection order; a full queue blocks the reader, which is the
 // transport's backpressure (see DESIGN.md §10).
 //
@@ -57,7 +57,6 @@ import (
 	"github.com/largemail/largemail/internal/mailerr"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/obs"
-	"github.com/largemail/largemail/internal/server"
 )
 
 // writeStallTimeout bounds one flush of a connection's buffered responses. A
@@ -91,7 +90,7 @@ type ServerConfig struct {
 type Server struct {
 	cluster    *livenet.Cluster
 	names      []string // server names, registration order
-	pool       *server.WorkPool
+	pool       *WorkPool
 	termIndex  bool          // cluster runs the term index; query verb is servable
 	writeStall time.Duration // writeStallTimeout; tests shorten it
 
@@ -162,7 +161,7 @@ func NewServerWith(addr string, serverNames []string, cfg ServerConfig) (*Server
 	s := &Server{
 		cluster:    cluster,
 		names:      append([]string(nil), serverNames...),
-		pool:       server.NewWorkPool(cfg.WireWorkers),
+		pool:       NewWorkPool(cfg.WireWorkers),
 		termIndex:  cfg.Cluster.TermIndex,
 		writeStall: writeStallTimeout,
 		bytesIn:    reg.Counter("wire_bytes_in"),
@@ -364,7 +363,7 @@ func (s *Server) handle(conn net.Conn) {
 // serveFrame reads one frame and queues its request. A length past MaxLine —
 // a text line's first four bytes among them — or a bad CRC is answered, and
 // the connection is dropped: the stream cannot be resynchronized.
-func (s *Server) serveFrame(cr *connReader, framep *[]byte, q *server.WorkQueue, st *connState) bool {
+func (s *Server) serveFrame(cr *connReader, framep *[]byte, q *WorkQueue, st *connState) bool {
 	payload, err := cr.readFrame(framep)
 	if err != nil {
 		if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrFrameCorrupt) {
@@ -376,7 +375,7 @@ func (s *Server) serveFrame(cr *connReader, framep *[]byte, q *server.WorkQueue,
 }
 
 // servePayload decodes one checksummed frame payload and queues the request.
-func (s *Server) servePayload(payload []byte, q *server.WorkQueue, st *connState) bool {
+func (s *Server) servePayload(payload []byte, q *WorkQueue, st *connState) bool {
 	start := time.Now()
 	req, tag, derr := s.decodeFrame(payload)
 	s.decodeLat.Observe(float64(time.Since(start)))
@@ -499,7 +498,7 @@ func (s *Server) agentFor(user names.Name) (*userAgent, error) {
 // last of its batch, and the batch end closes done after the flush: every
 // answer owed goes out first, and this one is the last frame the connection
 // sends.
-func answerLast(q *server.WorkQueue, st *connState, tag uint32, resp Response) {
+func answerLast(q *WorkQueue, st *connState, tag uint32, resp Response) {
 	done := make(chan struct{})
 	if q.Enqueue(func() {
 		st.respond(binOpJSON, tag, resp)

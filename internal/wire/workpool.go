@@ -10,7 +10,7 @@
 // because a queue is held by at most one worker at a time, items of one
 // queue execute in strict FIFO order — the property the wire protocol's
 // exactly-once auditors rely on for per-connection submit ordering.
-package server
+package wire
 
 import (
 	"runtime"
