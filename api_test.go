@@ -45,7 +45,7 @@ var reachAllowed = map[string]string{
 	"internal/client.Agent.Logout":     "§3.1.2c logout, run by the client tests",
 	"internal/mail.Message.AddPart":    "§2 multi-part content; the mail and mailstore tests build voice parts with it",
 	"internal/graph.Graph.BorderNodes": "§3.3.1-A border nodes; the graph and mst tests check backbones against it",
-	"internal/sim.Units":               "paper time units to ticks; the sim and evalsys tests build durations with it",
+	"internal/sim.Units":               "paper time units to ticks; the sim tests build durations with it",
 
 	// Hooks the tests of other packages call.
 	"internal/client.Agent.Inbox":             "test hook: the client, core and loadgen tests read what an agent retrieved",
@@ -57,7 +57,7 @@ var reachAllowed = map[string]string{
 	"internal/livenet.Server.Checks":          "test hook: the wire tests count a server's polls",
 	"internal/locind.Agent.AtPrimary":         "test hook: the locind and core tests check where an agent logged in",
 	"internal/mail/mailstore.Store.Peek":      "test hook: the mailstore, server and wire tests read a mailbox without draining it",
-	"internal/mail/mailstore.Store.Users":     "test hook: the mailstore, locind, server and wire tests list a store's mailboxes",
+	"internal/mail/mailstore.Store.Users":     "test hook: the livenet, mailstore, locind, server and wire tests list a store's mailboxes",
 	"internal/netsim.Network.AfterRecycle":    "test hook: the netsim, broadcast, client, locind and server tests scribble on recycled boxes",
 	"internal/netsim.Network.Deregister":      "test hook: the netsim, broadcast and server tests detach a node's handler",
 	"internal/obs.Table.Rows":                 "test hook: the obs and experiments tests read a table's cells",
@@ -602,8 +602,8 @@ var importsAllowed = map[string]string{
 	"cmd/mailbench":       "faults loadgen mail/mailstore obs placement sim",
 	"cmd/mailctl":         "obs placement wire",
 	"cmd/maild":           "livenet mail/mailstore placement wire",
-	"core":                "assign attr broadcast client evalsys graph locind mail mst names netsim obs server sim",
-	"evalsys":             "obs sim",
+	"core":                "assign attr broadcast client graph locind mail mst names netsim obs server sim",
+	"evalsys":             "obs",
 	"examples/attrsearch": "attr core graph names",
 	"examples/chaos":      "faults livenet loadgen",
 	"examples/failover":   "core graph names sim",
@@ -612,8 +612,8 @@ var importsAllowed = map[string]string{
 	"examples/quickstart": "core graph names",
 	"examples/reconfig":   "assign graph",
 	"examples/roaming":    "core graph names",
-	"experiments":         "assign attr broadcast client core graph locind mst names netsim obs queueing server sim",
-	"faults":              "graph livenet netsim sim",
+	"experiments":         "assign attr broadcast client core evalsys graph loadgen locind mst names netsim obs queueing server sim",
+	"faults":              "graph netsim sim",
 	"livenet":             "mail mail/mailstore mailerr names obs placement sketch",
 	"loadgen":             "attr broadcast client core faults graph livenet locind mail mail/mailstore mst names netsim obs placement queueing server sim sketch wire",
 	"locind":              "graph mail names netsim obs server sim",

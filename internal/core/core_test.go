@@ -123,9 +123,8 @@ func TestSyntaxMigration(t *testing.T) {
 	if len(got) != 1 || got[0].Subject != "follow" {
 		t.Fatalf("redirected mail = %v", got)
 	}
-	rep := s.Evaluate()
-	if rep.Flexibility.RenamesPerMigration != 1 {
-		t.Errorf("renames per migration = %v, want 1", rep.Flexibility.RenamesPerMigration)
+	if a.User() != newName {
+		t.Errorf("moved agent is %v, want the new name %v", a.User(), newName)
 	}
 	// Migration validation failures.
 	if _, err := s.MigrateUser(names.MustParse("R1.H1.ghost"), h7); err == nil {
@@ -209,13 +208,31 @@ func TestSyntaxAddServer(t *testing.T) {
 	if got := a.GetMail(); len(got) != 1 {
 		t.Fatalf("delivery after AddServer = %v", got)
 	}
-	rep := s.Evaluate()
-	if rep.Flexibility.ReconfigMessages == 0 {
-		t.Error("reconfig messages not counted")
+	// The §3.1.3 refresh gave every R1 user the recomputed list, in the
+	// directory and in the agent, and S5 serves some of them.
+	dir, _ := s.Directory("R1")
+	onS5 := 0
+	for _, u := range s.Users() {
+		if u.Region != "R1" {
+			continue
+		}
+		a, _ := s.Agent(u)
+		want := s.Lists()[s.hostOf[u]]
+		if !slices.Equal(dir.Resolve(u), want) || !slices.Equal(a.Authority(), want) {
+			t.Errorf("%v: directory %v, agent %v, want the refreshed list %v", u, dir.Resolve(u), a.Authority(), want)
+		}
+		if slices.Contains(want, s5) {
+			onS5++
+		}
+	}
+	if onS5 == 0 {
+		t.Error("no R1 list names the added server")
 	}
 }
 
-func TestSyntaxEvaluate(t *testing.T) {
+// TestSyntaxDeliveryCounts: five messages, each retrieved at once, are five
+// deposits, one poll per retrieval, and traffic on the network.
+func TestSyntaxDeliveryCounts(t *testing.T) {
 	s := newSyntaxWorld(t)
 	from := names.MustParse("R1.H1.u1_0")
 	to := names.MustParse("R1.H3.u3_1")
@@ -227,18 +244,21 @@ func TestSyntaxEvaluate(t *testing.T) {
 		a, _ := s.Agent(to)
 		a.GetMail()
 	}
-	rep := s.Evaluate()
-	if rep.Reliability.DeliveredRate != 1 {
-		t.Errorf("delivered rate = %v, want 1", rep.Reliability.DeliveredRate)
+	a, _ := s.Agent(to)
+	if st := a.Stats(); st.Received != 5 || st.Retrievals != 5 {
+		t.Errorf("agent received %d in %d retrievals, want 5 in 5", st.Received, st.Retrievals)
+	} else if st.Polls < st.Retrievals || st.Polls > st.Retrievals+len(a.Authority()) {
+		t.Errorf("%d polls for %d retrievals", st.Polls, st.Retrievals)
 	}
-	if rep.Efficiency.MeanPollsPerCheck <= 0 {
-		t.Errorf("polls per check = %v", rep.Efficiency.MeanPollsPerCheck)
+	var deposits int64
+	for _, id := range s.Servers() {
+		deposits += s.Lookup(id).Stats().Get("deposits_local")
 	}
-	if rep.Cost.TotalMessages == 0 || rep.Cost.TotalTrafficCost == 0 {
-		t.Errorf("cost = %+v", rep.Cost)
+	if deposits != 5 {
+		t.Errorf("servers deposited %d copies, want 5", deposits)
 	}
-	if score := rep.Score(); score <= 0 || score > 1 {
-		t.Errorf("score = %v", score)
+	if net := s.Net.Stats(); net.Get("delivered") == 0 || net.Get("cost_milli") == 0 {
+		t.Errorf("network carried %d messages at cost %d", net.Get("delivered"), net.Get("cost_milli"))
 	}
 }
 
@@ -297,15 +317,24 @@ func TestLocationRoundTripAndRoam(t *testing.T) {
 	if len(a1.Notifications()) != 1 {
 		t.Errorf("roaming notifications = %v", a1.Notifications())
 	}
-	rep := s.Evaluate()
-	if rep.Flexibility.RenamesPerMigration != 0 {
-		t.Errorf("renames per migration = %v, want 0", rep.Flexibility.RenamesPerMigration)
+	if a1.User() != w1 {
+		t.Errorf("roamed agent is %v, want its name %v kept", a1.User(), w1)
 	}
-	if !rep.Flexibility.RoamingSupported {
-		t.Error("roaming capability not reported")
+	// One deposit, a GetMail that polls the whole list, and network traffic.
+	var deposits int64
+	for _, n := range s.Net.Topology().NodesInRegion("R1") {
+		if srv, ok := s.Sys.Server(n.ID); ok {
+			deposits += srv.Stats().Get("deposits_local")
+		}
 	}
-	if rep.Reliability.DeliveredRate != 1 {
-		t.Errorf("delivered rate = %v", rep.Reliability.DeliveredRate)
+	if deposits != 1 {
+		t.Errorf("servers deposited %d copies, want 1", deposits)
+	}
+	if a1.Polls() < 2 {
+		t.Errorf("the one GetMail polled %d servers, want the whole list", a1.Polls())
+	}
+	if net := s.Net.Stats(); net.Get("delivered") == 0 || net.Get("cost_milli") == 0 {
+		t.Errorf("network carried %d messages at cost %d", net.Get("delivered"), net.Get("cost_milli"))
 	}
 	if err := s.MigrateUser(names.MustParse("R1.H1.ghost"), graph.HostBase+2); err == nil {
 		t.Error("migrating unknown user accepted")

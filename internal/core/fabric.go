@@ -46,7 +46,6 @@ type Fabric struct {
 	lists        map[graph.NodeID][]graph.NodeID // per host, current
 	lookup       client.Directory                // Lookup, bound once and shared by every agent
 	spare        []client.Agent                  // the rest of the chunk Register carves agents from
-	relisted     int64                           // per-user list updates pushed: §3.1.2a's maintenance traffic
 }
 
 // agentChunk is how many agents Register carves from one allocation: as many
@@ -199,7 +198,6 @@ func (f *Fabric) refresh(region string) error {
 		if err != nil && first == nil {
 			first = err
 		}
-		f.relisted++
 	}
 	loads := f.assigns[region].Loads() // the servers in service after the change
 	f.Users(region, func(a *client.Agent, host graph.NodeID, pinned bool) {

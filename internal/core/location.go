@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/largemail/largemail/internal/evalsys"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/locind"
 	"github.com/largemail/largemail/internal/names"
@@ -32,8 +31,7 @@ type LocationSystem struct {
 	Net   *netsim.Network
 	Sys   *locind.System
 
-	agents     map[names.Name]*locind.Agent
-	migrations int64
+	agents map[names.Name]*locind.Agent
 }
 
 // NewLocation builds the region's system on its own network: a
@@ -115,48 +113,5 @@ func (s *LocationSystem) MigrateUser(user names.Name, newHost graph.NodeID) erro
 	if err := a.MoveTo(newHost); err != nil {
 		return err
 	}
-	s.migrations++
 	return a.Login()
-}
-
-// Evaluate harvests the run into a §4 criteria report.
-func (s *LocationSystem) Evaluate() evalsys.Report {
-	c := evalsys.NewCollector("location-independent")
-	st := s.Sys.Stats()
-	var submitted, delivered, duplicates, retries, notifies int64
-	for _, id := range s.Sys.Servers() {
-		srv, _ := s.Sys.Server(id)
-		st := srv.Stats()
-		submitted += st.Get("submissions")
-		delivered += st.Get("deposits_local")
-		duplicates += st.Get("duplicate_deposits")
-		retries += st.Get("retries")
-		notifies += st.Get("notifies")
-	}
-	for i := int64(0); i < submitted; i++ {
-		c.CountSubmission(true)
-	}
-	c.CountDelivered(int(delivered))
-	c.CountDuplicates(int(duplicates))
-	c.CountRetries(int(retries))
-	// A user logged on with the depositing server is notified as in §3.1;
-	// the others are found by §3.2.2c's probe or consultation.
-	c.CountNotified(int(notifies + st.Get("notify_home") + st.Get("notify_roaming")))
-	for _, a := range s.agents {
-		if r := a.Retrievals(); r > 0 {
-			// First entry carries the agent's whole poll count; the mean
-			// then equals total polls / retrievals.
-			c.CountRetrieval(a.Polls())
-			for i := 1; i < r; i++ {
-				c.CountRetrieval(0)
-			}
-		}
-	}
-	for i := int64(0); i < s.migrations; i++ {
-		c.CountMigration(0) // intra-region moves never rename
-	}
-	net := s.Net.Stats()
-	c.SetTraffic(net.Get("cost_milli"), net.Get("delivered"))
-	c.SetCapabilities(false, true)
-	return c.Report()
 }

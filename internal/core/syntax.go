@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"github.com/largemail/largemail/internal/client"
-	"github.com/largemail/largemail/internal/evalsys"
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/netsim"
@@ -50,13 +49,10 @@ type SyntaxConfig struct {
 type SyntaxSystem struct {
 	*Fabric
 
-	cfg        SyntaxConfig
-	agents     map[names.Name]*client.Agent
-	hostOf     map[names.Name]graph.NodeID // each user's host node
-	migrations int64
-
-	reg   *obs.Registry
-	trace *obs.Tracer
+	cfg    SyntaxConfig
+	agents map[names.Name]*client.Agent
+	hostOf map[names.Name]graph.NodeID // each user's host node
+	trace  *obs.Tracer
 }
 
 // NewSyntax builds the system: the fabric over the topology (per region the
@@ -67,10 +63,8 @@ func NewSyntax(cfg SyntaxConfig) (*SyntaxSystem, error) {
 		return nil, errors.New("core: nil topology")
 	}
 	sched := sim.New(cfg.Seed)
-	reg := obs.NewRegistry()
 	s := &SyntaxSystem{
-		reg:    reg,
-		trace:  obs.NewTracer(func() int64 { return int64(sched.Now()) }, reg),
+		trace:  obs.NewTracer(func() int64 { return int64(sched.Now()) }, obs.NewRegistry()),
 		cfg:    cfg,
 		agents: make(map[names.Name]*client.Agent),
 		hostOf: make(map[names.Name]graph.NodeID),
@@ -174,58 +168,5 @@ func (s *SyntaxSystem) MigrateUser(old names.Name, newHost graph.NodeID) (names.
 	s.agents[newName], s.hostOf[newName] = moved, newHost
 	delete(s.agents, old)
 	delete(s.hostOf, old)
-	s.migrations++
 	return newName, nil
-}
-
-// Evaluate harvests the run into a §4 criteria report.
-func (s *SyntaxSystem) Evaluate() evalsys.Report {
-	c := evalsys.NewCollector("syntax-directed")
-	for _, a := range s.agents {
-		st := a.Stats()
-		if st.Retrievals > 0 {
-			// First entry carries the agent's whole poll count, the rest
-			// zero: the collector's mean is then total polls / retrievals.
-			c.CountRetrieval(st.Polls)
-			for i := 1; i < st.Retrievals; i++ {
-				c.CountRetrieval(0)
-			}
-		}
-	}
-	var submitted, delivered, duplicates, retries, notifies, storage int64
-	for _, srv := range s.servers {
-		st := srv.Stats()
-		submitted += st.Get("submissions")
-		delivered += st.Get("deposits_local")
-		duplicates += st.Get("duplicate_deposits")
-		retries += st.Get("retries")
-		notifies += st.Get("notifies")
-		storage += int64(srv.StoredBytes())
-	}
-	for i := int64(0); i < submitted; i++ {
-		c.CountSubmission(true)
-	}
-	c.CountDelivered(int(delivered))
-	c.CountDuplicates(int(duplicates))
-	c.CountRetries(int(retries))
-	c.CountNotified(int(notifies))
-	for i := int64(0); i < s.migrations; i++ {
-		c.CountMigration(1) // syntax-directed migration always renames
-	}
-	c.CountReconfigMessages(s.relisted)
-	// Response time (§4.4) comes straight from the lifecycle traces:
-	// submission → retrieval per message, on the simulated clock.
-	for _, id := range s.trace.IDs() {
-		tr, _ := s.trace.Trace(id)
-		sub, okS := tr.StageAt(obs.StageSubmit)
-		ret, okR := tr.StageAt(obs.StageRetrieve)
-		if okS && okR {
-			c.ObserveResponse(sim.Time(ret - sub))
-		}
-	}
-	net := s.Net.Stats()
-	c.SetTraffic(net.Get("cost_milli"), net.Get("delivered"))
-	c.SetStorage(storage)
-	c.SetCapabilities(false, false)
-	return c.Report()
 }

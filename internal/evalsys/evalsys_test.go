@@ -4,103 +4,65 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"github.com/largemail/largemail/internal/sim"
 )
 
-func fullCollector() *Collector {
-	c := NewCollector("test")
-	c.ObserveResponse(sim.Units(10))
-	for i := 0; i < 10; i++ {
-		c.CountSubmission(i != 9) // one failure
+func fullReport() Report {
+	return Report{
+		System:      "test",
+		Efficiency:  Efficiency{MeanPollsPerCheck: 1.5, NotifyRate: 0.25},
+		Reliability: Reliability{DeliveredRate: 0.9, DuplicateRate: 0.125, RetriesPerMsg: 0.375},
+		Flexibility: Flexibility{RenamesPerMigration: 0.5, SupportsAttributeSend: true},
+		Cost:        Cost{TotalTrafficCost: 12.5, TotalMessages: 50, MeanResponseTime: 10},
 	}
-	c.CountDelivered(9)
-	c.CountDuplicates(1)
-	c.CountRetries(2)
-	c.CountNotified(4)
-	c.CountRetrieval(1)
-	c.CountRetrieval(2)
-	c.CountMigration(1)
-	c.CountMigration(0)
-	c.CountReconfigMessages(7)
-	c.SetTraffic(12500, 50)
-	c.SetStorage(2048)
-	c.SetCapabilities(true, false)
-	return c
 }
 
+// TestReportValues: Render prints every measure's value in its row.
 func TestReportValues(t *testing.T) {
-	r := fullCollector().Report()
-	if r.System != "test" {
-		t.Errorf("System = %q", r.System)
-	}
-	if r.Cost.MeanResponseTime != 10 {
-		t.Errorf("MeanResponseTime = %v", r.Cost.MeanResponseTime)
-	}
-	if r.Efficiency.MeanPollsPerCheck != 1.5 {
-		t.Errorf("MeanPollsPerCheck = %v", r.Efficiency.MeanPollsPerCheck)
-	}
-	if math.Abs(r.Reliability.Availability-0.9) > 1e-12 {
-		t.Errorf("Availability = %v", r.Reliability.Availability)
-	}
-	if math.Abs(r.Reliability.DeliveredRate-0.9) > 1e-12 {
-		t.Errorf("DeliveredRate = %v", r.Reliability.DeliveredRate)
-	}
-	if r.Flexibility.RenamesPerMigration != 0.5 {
-		t.Errorf("RenamesPerMigration = %v", r.Flexibility.RenamesPerMigration)
-	}
-	if r.Cost.TotalTrafficCost != 12.5 || r.Cost.TotalMessages != 50 {
-		t.Errorf("Cost = %+v", r.Cost)
-	}
-	if r.Cost.StorageBytes != 2048 {
-		t.Errorf("StorageBytes = %d", r.Cost.StorageBytes)
-	}
-	if !r.Flexibility.SupportsAttributeSend || r.Flexibility.RoamingSupported {
-		t.Errorf("capabilities = %+v", r.Flexibility)
-	}
-}
-
-func TestEmptyCollectorNoNaNs(t *testing.T) {
-	r := NewCollector("empty").Report()
-	for name, v := range map[string]float64{
-		"polls":     r.Efficiency.MeanPollsPerCheck,
-		"avail":     r.Reliability.Availability,
-		"delivered": r.Reliability.DeliveredRate,
-		"renames":   r.Flexibility.RenamesPerMigration,
-		"response":  r.Cost.MeanResponseTime,
-	} {
-		if math.IsNaN(v) {
-			t.Errorf("%s is NaN on empty collector", name)
+	rows := map[string]string{}
+	for _, line := range strings.Split(fullReport().Render(), "\n") {
+		if f := strings.Fields(line); len(f) > 2 {
+			rows[strings.Join(f[1:len(f)-1], " ")] = f[len(f)-1]
 		}
 	}
-	if s := r.Score(); math.IsNaN(s) || s < 0 || s > 1 {
-		t.Errorf("empty Score = %v", s)
+	for measure, want := range map[string]string{
+		"polls per retrieval":    "1.5",
+		"alerts per delivery":    "0.25",
+		"delivered rate":         "0.9",
+		"duplicates per message": "0.125",
+		"retries per message":    "0.375",
+		"renames per migration":  "0.5",
+		"attribute send":         "true",
+		"roaming":                "false",
+		"total traffic cost":     "12.5",
+		"total messages":         "50",
+		"mean response time (u)": "10",
+	} {
+		if got := rows[measure]; got != want {
+			t.Errorf("%s = %q, want %q", measure, got, want)
+		}
 	}
 }
 
 func TestScoreBounds(t *testing.T) {
-	if s := fullCollector().Report().Score(); s < 0 || s > 1 || math.IsNaN(s) {
+	if s := fullReport().Score(); s < 0 || s > 1 || math.IsNaN(s) {
 		t.Errorf("Score() = %v out of [0,1]", s)
 	}
-	if (Report{}).Score() < 0 {
-		t.Error("zero report score negative")
+	if s := (Report{}).Score(); s < 0 || s > 1 || math.IsNaN(s) {
+		t.Errorf("zero report Score() = %v out of [0,1]", s)
 	}
 }
 
 func TestScorePrefersReliableSystem(t *testing.T) {
-	good := NewCollector("good")
-	good.CountSubmission(true)
-	good.CountDelivered(1)
-	bad := NewCollector("bad")
-	bad.CountSubmission(true) // submitted but never delivered
-	if good.Report().Score() <= bad.Report().Score() {
+	good := Report{Reliability: Reliability{DeliveredRate: 1}}
+	bad := Report{} // submitted but never delivered
+	if good.Score() <= bad.Score() {
 		t.Error("reliable system did not out-score lossy one")
 	}
 }
 
 func TestRender(t *testing.T) {
-	out := fullCollector().Report().Render()
-	for _, want := range []string{"efficiency", "reliability", "flexibility", "cost", "polls per retrieval"} {
+	out := fullReport().Render()
+	for _, want := range []string{"§4 criteria — test", "efficiency", "reliability", "flexibility", "cost", "polls per retrieval"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render missing %q", want)
 		}

@@ -3,8 +3,13 @@ package experiments
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// allResults runs every experiment once for the tests that read them all:
+// E11 alone drives two 20 000-user runs.
+var allResults = sync.OnceValue(All)
 
 // cell parses a table cell as float.
 func cell(t *testing.T, rows [][]string, r, c int) float64 {
@@ -278,13 +283,36 @@ func TestE10Shape(t *testing.T) {
 }
 
 func TestE11Shape(t *testing.T) {
-	r := E11CriteriaComparison()
+	var r Result
+	for _, x := range allResults() {
+		if x.ID == "e11" {
+			r = x
+		}
+	}
+	if r.Table == nil {
+		t.Fatal("All returned no e11 result")
+	}
 	rows := r.Table.Rows()
 	if rows[0][1] != "1" || rows[0][2] != "1" {
 		t.Errorf("delivered rates: %v", rows[0])
 	}
+	// §3.1.2c: ≈ 1 poll per retrieval; §3.2's GetMail polls the whole list.
+	if polls := cell(t, rows, 1, 1); polls > 1.3 {
+		t.Errorf("syntax-directed polls per retrieval = %v, above 1.3", polls)
+	}
+	if polls := cell(t, rows, 1, 2); polls != 2 {
+		t.Errorf("location-independent polls per retrieval = %v, want the list length 2", polls)
+	}
+	if s, l := cell(t, rows, 2, 1), cell(t, rows, 2, 2); s >= l {
+		t.Errorf("syntax-directed traffic %v not below location-independent %v", s, l)
+	}
 	if rows[3][1] != "1" || rows[3][2] != "0" {
 		t.Errorf("renames row: %v", rows[3])
+	}
+	for _, n := range r.Notes {
+		if strings.HasPrefix(n, "WARNING") {
+			t.Error(n)
+		}
 	}
 	if !strings.Contains(r.Text, "§4 criteria") {
 		t.Error("missing rendered reports")
@@ -382,7 +410,7 @@ func TestE14Shape(t *testing.T) {
 }
 
 func TestAllRunsAndRenders(t *testing.T) {
-	results := All()
+	results := allResults()
 	if len(results) != len(IDs()) {
 		t.Fatalf("All returned %d results", len(results))
 	}

@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite the golden experiment output")
 //	go test ./internal/experiments -run TestGolden -update
 func TestGoldenOutput(t *testing.T) {
 	var b strings.Builder
-	for i, r := range All() {
+	for i, r := range allResults() {
 		if i > 0 {
 			b.WriteByte('\n')
 		}

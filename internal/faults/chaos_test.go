@@ -91,14 +91,12 @@ func TestChaosSoakSimTraceAudit(t *testing.T) {
 	if n := rep.Violations[loadgen.ViolationTraceGap]; n != 0 {
 		t.Fatalf("%d committed messages have incomplete span chains: %v", n, rep.Examples)
 	}
-	if n := drv.Tracer().Len(); n < rep.Submitted {
-		t.Errorf("tracer holds %d traces, want >= %d committed", n, rep.Submitted)
-	}
 	// The per-stage histograms were fed from the same registry the tracer
-	// writes to — retrieval closed lat_e2e for every delivered message.
+	// writes to — retrieval closed lat_e2e for every delivered message, so
+	// it holds at least one span per committed message.
 	hs := drv.Snapshot().Histograms["lat_e2e"]
-	if hs.Count == 0 {
-		t.Fatal("lat_e2e histogram empty after a full soak")
+	if hs.Count < uint64(rep.Submitted) {
+		t.Fatalf("lat_e2e holds %d spans, want >= %d committed", hs.Count, rep.Submitted)
 	}
 	if hs.P50 <= 0 || hs.P95 < hs.P50 || hs.P99 < hs.P95 {
 		t.Errorf("implausible quantiles: %+v", hs)
@@ -156,12 +154,9 @@ func TestChaosSoakLive(t *testing.T) {
 	// The trace audit ran against real spans: the cluster's tracer stamped
 	// every committed message even across crash/recover windows, and the
 	// same registry carries the per-stage latency distributions.
-	if n := drv.Tracer().Len(); n < rep.Submitted {
-		t.Errorf("tracer holds %d traces, want >= %d committed", n, rep.Submitted)
-	}
 	snap := drv.Snapshot()
-	if snap.Histograms["lat_e2e"].Count == 0 {
-		t.Error("lat_e2e histogram empty after live soak")
+	if n := snap.Histograms["lat_e2e"].Count; n < uint64(rep.Submitted) {
+		t.Errorf("lat_e2e holds %d spans after live soak, want >= %d committed", n, rep.Submitted)
 	}
 	if snap.Counters["spool_redelivered"] == 0 && snap.Counters["deposit_failovers"] == 0 {
 		t.Log("note: schedule exercised neither spool nor failover paths")

@@ -4,7 +4,7 @@
 // message drops — from a small spec, and drives both transports through a
 // common Injector interface: the discrete-event simulation
 // (internal/netsim, via SimTarget) and the live goroutine runtime
-// (internal/livenet, via LiveTarget).
+// (internal/livenet, via internal/loadgen's LiveDriver).
 //
 // The paper's §3.1.2c headline guarantee is that GetMail plus
 // authority-list buffering loses no messages "even when some servers fail"

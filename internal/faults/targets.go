@@ -2,10 +2,8 @@ package faults
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/largemail/largemail/internal/graph"
-	"github.com/largemail/largemail/internal/livenet"
 	"github.com/largemail/largemail/internal/netsim"
 	"github.com/largemail/largemail/internal/sim"
 )
@@ -130,64 +128,6 @@ func (t *SimTarget) inject(e Event) error {
 			return srv.Kill()
 		}
 		return srv.RestartFromDisk()
-	default:
-		return fmt.Errorf("faults: unknown event kind %v", e.Kind)
-	}
-	return nil
-}
-
-// LiveTarget injects a schedule into a live cluster. Link events carry over
-// as per-server reachability: the live transport's topology is
-// client–server, so "the link to s1 failed" means s1 is running but
-// unreachable (§3.1.2c's "disconnected from the network"); whichever of
-// Target/Peer names a known server is toggled. One schedule tick equals
-// Tick of wall-clock time.
-type LiveTarget struct {
-	Cluster *livenet.Cluster
-	Tick    time.Duration
-}
-
-// NewLiveTarget wires an injector to a live cluster. tick is the wall-clock
-// duration of one schedule tick (e.g. time.Millisecond).
-func NewLiveTarget(c *livenet.Cluster, tick time.Duration) *LiveTarget {
-	return &LiveTarget{Cluster: c, Tick: tick}
-}
-
-func (t *LiveTarget) server(e Event) (*livenet.Server, error) {
-	if s, ok := t.Cluster.Server(e.Target); ok {
-		return s, nil
-	}
-	if e.Peer != "" {
-		if s, ok := t.Cluster.Server(e.Peer); ok {
-			return s, nil
-		}
-	}
-	return nil, fmt.Errorf("faults: no live server for event %v", e)
-}
-
-// Inject implements Injector on the live cluster.
-func (t *LiveTarget) Inject(e Event) error {
-	s, err := t.server(e)
-	if err != nil {
-		return err
-	}
-	switch e.Kind {
-	case Crash:
-		s.Crash()
-	case Recover:
-		s.Recover()
-	case LinkFail:
-		s.SetReachable(false)
-	case LinkRestore:
-		s.SetReachable(true)
-	case Latency:
-		s.SetLatency(time.Duration(e.DelayTicks) * t.Tick)
-	case Drop:
-		s.SetDropProb(e.Prob)
-	case Kill:
-		return s.Kill()
-	case Restart:
-		return s.Restart()
 	default:
 		return fmt.Errorf("faults: unknown event kind %v", e.Kind)
 	}

@@ -334,13 +334,14 @@ func TestDepositStampedBeforeRetrieval(t *testing.T) {
 // LastStartTime[server] variable of §3.1.2c.
 func (s *Server) LastStart() time.Time { return time.Unix(0, s.lastStart.Load()) }
 
-// StoredBytes reports the total buffered content bytes on this server — an
-// O(shards) counter sum over the sharded store, served through the request
-// loop like every other state access.
+// StoredBytes reports the total buffered content bytes on this server,
+// served through the request loop like every other state access.
 func (s *Server) StoredBytes() (int64, error) {
 	var n int64
 	err := s.callFn(func(st *serverState) {
-		n = st.store.TotalBytes()
+		for _, u := range st.store.Users() {
+			st.store.View(u, func(mb *mail.Mailbox) { n += int64(mb.Bytes()) })
+		}
 	})
 	return n, err
 }

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"github.com/largemail/largemail/internal/faults"
@@ -279,8 +280,49 @@ func (d *LiveDriver) Snapshot() obs.Snapshot { return d.cluster.Snapshot() }
 func (d *LiveDriver) Tracer() *obs.Tracer { return d.cluster.Tracer() }
 
 // Injector implements Driver.
-func (d *LiveDriver) Injector() faults.Injector {
-	return faults.NewLiveTarget(d.cluster, d.cfg.Tick)
+func (d *LiveDriver) Injector() faults.Injector { return liveInjector{d.cluster, d.cfg.Tick} }
+
+// liveInjector injects a schedule into a live cluster. Link events carry over
+// as per-server reachability: the live transport's topology is
+// client–server, so "the link to s1 failed" means s1 is running but
+// unreachable (§3.1.2c's "disconnected from the network"); whichever of
+// Target/Peer names a known server is toggled. One schedule tick is tick of
+// wall-clock time.
+type liveInjector struct {
+	cluster *livenet.Cluster
+	tick    time.Duration
+}
+
+// Inject implements faults.Injector.
+func (t liveInjector) Inject(e faults.Event) error {
+	s, ok := t.cluster.Server(e.Target)
+	if !ok && e.Peer != "" {
+		s, ok = t.cluster.Server(e.Peer)
+	}
+	if !ok {
+		return fmt.Errorf("loadgen: no live server for event %v", e)
+	}
+	switch e.Kind {
+	case faults.Crash:
+		s.Crash()
+	case faults.Recover:
+		s.Recover()
+	case faults.LinkFail:
+		s.SetReachable(false)
+	case faults.LinkRestore:
+		s.SetReachable(true)
+	case faults.Latency:
+		s.SetLatency(time.Duration(e.DelayTicks) * t.tick)
+	case faults.Drop:
+		s.SetDropProb(e.Prob)
+	case faults.Kill:
+		return s.Kill()
+	case faults.Restart:
+		return s.Restart()
+	default:
+		return fmt.Errorf("loadgen: unknown event kind %v", e.Kind)
+	}
+	return nil
 }
 
 // FaultSurface implements Driver. On the live transport servers are safe

@@ -113,9 +113,6 @@ func (a *Agent) Inbox() []mail.Stored { return a.inbox.Since(0) }
 // Polls reports how many server mailbox checks the agent has issued.
 func (a *Agent) Polls() int { return a.polls }
 
-// Retrievals reports how many GetMail calls the agent has made.
-func (a *Agent) Retrievals() int { return a.retrievals }
-
 // Duplicates reports how many already-seen copies the agent's polls have
 // suppressed (retried deposits that landed twice across a fault window).
 func (a *Agent) Duplicates() int { return a.dupes }

@@ -283,11 +283,6 @@ func (s *System) Stats() *obs.Registry { return s.stats }
 // Region returns the system's region name.
 func (s *System) Region() string { return s.region }
 
-// Servers returns the current rotation, in authority order.
-func (s *System) Servers() []graph.NodeID {
-	return append([]graph.NodeID(nil), s.servers...)
-}
-
 // Server returns the server process on a node.
 func (s *System) Server(id graph.NodeID) (*server.Server, bool) {
 	l, ok := s.procs[id]

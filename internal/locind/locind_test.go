@@ -12,6 +12,14 @@ import (
 	"github.com/largemail/largemail/internal/sim"
 )
 
+// Retrievals reports how many GetMail calls the agent has made.
+func (a *Agent) Retrievals() int { return a.retrievals }
+
+// Servers returns the current rotation, in authority order.
+func (s *System) Servers() []graph.NodeID {
+	return append([]graph.NodeID(nil), s.servers...)
+}
+
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // stat sums a counter over the system's own registry and every server's.

@@ -1,12 +1,10 @@
 // Package mailstore provides the sharded mailbox store shared by both
 // transports (internal/server on the simulated network, internal/livenet on
-// the concurrent runtime). The flat map[names.Name]*mail.Mailbox it replaces
-// made StoredBytes an O(mailboxes) scan and serialized every access behind
-// one structure; the Store stripes mailboxes across N shards, each guarded by
-// its own RWMutex and carrying running message/byte counters, so
+// the concurrent runtime). The Store stripes mailboxes across N shards, each
+// guarded by its own RWMutex and carrying running message/byte counters, so
 //
-//   - TotalBytes/TotalMessages are O(shards) counter sums, independent of the
-//     number of mailboxes (the Server.StoredBytes fix);
+//   - TotalMessages is an O(shards) counter sum, independent of the number of
+//     mailboxes, and compaction reads a shard's byte total without a scan;
 //   - concurrent access from the live runtime contends per shard, not per
 //     store;
 //   - Users() and Holding() return names in sorted order, keeping audits and
@@ -215,10 +213,6 @@ func (s *Store) Len(user names.Name) int {
 // TotalMessages reports the number of buffered messages across all
 // mailboxes — an O(shards) counter sum, not a scan.
 func (s *Store) TotalMessages() int64 { return s.sum(func(sh *shard) int64 { return sh.msgs }) }
-
-// TotalBytes reports the accounted content bytes buffered across all
-// mailboxes — an O(shards) counter sum, not a scan.
-func (s *Store) TotalBytes() int64 { return s.sum(func(sh *shard) int64 { return sh.bytes }) }
 
 // sum adds f over the shards, each read under its read lock.
 func (s *Store) sum(f func(*shard) int64) int64 {

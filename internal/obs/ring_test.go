@@ -4,9 +4,44 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
+
+// Len reports how many messages have at least one stamped event.
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	n := 0
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		n += len(sh.index)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// IDs returns every traced message ID as "m<node>-<seq>" text, sorted as
+// strings.
+func (t *Tracer) IDs() []string {
+	if t == nil {
+		return nil
+	}
+	out := make([]string, 0, t.Len())
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		for k := range sh.index {
+			out = append(out, k.String())
+		}
+		sh.mu.Unlock()
+	}
+	sort.Strings(out)
+	return out
+}
 
 // refRing is the bounded tracer's model: refTracer, plus, per shard, the IDs
 // it holds in creation order. A stamp on an ID it does not hold — new, or

@@ -2,34 +2,8 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
-
-// Summary accumulates scalar samples and reports their count, sum and mean.
-// It is NOT safe for concurrent use — it serves the single-threaded
-// simulation and result post-processing. The zero value is ready to use.
-type Summary struct {
-	n   int
-	sum float64
-}
-
-// Observe records one sample.
-func (s *Summary) Observe(v float64) {
-	s.n++
-	s.sum += v
-}
-
-// Count reports the number of samples.
-func (s *Summary) Count() int { return s.n }
-
-// Mean reports the sample mean, or NaN with no samples.
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.sum / float64(s.n)
-}
 
 // Table is a simple column-aligned text table, used to render the paper's
 // Tables 1–3, the experiment reports, and registry snapshots.

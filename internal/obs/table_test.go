@@ -1,33 +1,9 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Count() != 0 || s.Sum() != 0 {
-		t.Error("empty summary has nonzero count or sum")
-	}
-	if !math.IsNaN(s.Mean()) {
-		t.Errorf("Mean of empty summary = %v, want NaN", s.Mean())
-	}
-}
-
-func TestSummaryStats(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{4, 1, 3, 2, 5} {
-		s.Observe(v)
-	}
-	if s.Count() != 5 || s.Sum() != 15 {
-		t.Errorf("Count/Sum = %d/%v", s.Count(), s.Sum())
-	}
-	if s.Mean() != 3 {
-		t.Errorf("Mean = %v, want 3", s.Mean())
-	}
-}
 
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Table 1: loads", "Host", "Server", "Users")
@@ -83,6 +59,3 @@ func TestTableRowsCopy(t *testing.T) {
 		t.Error("Rows() exposed internal storage")
 	}
 }
-
-// Sum reports the total of all samples.
-func (s *Summary) Sum() float64 { return s.sum }

@@ -391,40 +391,6 @@ func (t *Tracer) Trace(id string) (Trace, bool) {
 	return Trace{ID: id, Events: events}, true
 }
 
-// Len reports how many messages have at least one stamped event.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += len(sh.index)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// IDs returns every traced message ID as "m<node>-<seq>" text, sorted as
-// strings.
-func (t *Tracer) IDs() []string {
-	if t == nil {
-		return nil
-	}
-	out := make([]string, 0, t.Len())
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for k := range sh.index {
-			out = append(out, k.String())
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Incomplete returns the subset of ids whose traces are missing or fail
 // Trace.Complete, sorted — the audit primitive the chaos soak builds on:
 // every committed message must show a complete submit→retrieve span chain,

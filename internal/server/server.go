@@ -63,8 +63,11 @@ type Config struct {
 	Regions *RegionMap // global region → servers map
 	Locate  Locator    // §3.2.2c's location procedure; nil in §3.1
 	// RetryTimeout is how long a transfer waits for its ack before trying
-	// the next candidate. Zero means 8 paper time units, comfortably above
-	// any round trip in the bundled topologies.
+	// the next candidate. Zero means 8 paper time units: above the round
+	// trips of the hand-built topologies, but not of every one loadgen
+	// generates — there, a failure-free run of 20 000 users and 6 212 copies
+	// retries about 460 of them, and the deposit suppresses each retried
+	// copy as a duplicate.
 	RetryTimeout sim.Time
 	// Trace, when set, stamps every message's progress through the §3.1.2
 	// pipeline (submit → resolve → relay → deposit → notify → retrieve).
@@ -297,11 +300,6 @@ func (s *Server) Up() bool { return s.net.IsUp(s.id) }
 
 // MailboxLen reports how many messages are buffered for a user here.
 func (s *Server) MailboxLen(user names.Name) int { return s.store.Len(user) }
-
-// StoredBytes reports the total buffered content bytes on this server. With
-// the sharded store this is an O(shards) counter sum — the old per-call scan
-// over every mailbox is gone.
-func (s *Server) StoredBytes() int { return int(s.store.TotalBytes()) }
 
 // Store exposes the server's sharded mailbox store.
 func (s *Server) Store() *mailstore.Store { return s.store }

@@ -477,8 +477,10 @@ func TestRegionMap(t *testing.T) {
 func TestStoredBytes(t *testing.T) {
 	w := newWorld(t)
 	w.submit(t, h1, s1, carol, alice)
-	if got := w.servers[s1].StoredBytes(); got != len("s")+len("b") {
-		t.Errorf("StoredBytes = %d", got)
+	var got int
+	w.servers[s1].Store().View(alice, func(mb *mail.Mailbox) { got = mb.Bytes() })
+	if got != len("s")+len("b") {
+		t.Errorf("stored bytes = %d", got)
 	}
 }
 

@@ -219,8 +219,14 @@ func runRefSchedule(t *testing.T, frames []Request, faults []refFault, rough boo
 	if !rough && s.cluster.SpoolDepth() != 0 || !rough && s.cluster.Obs().Counters()["submit_spooled"] != 0 {
 		t.Fatal("a schedule without rough faults spooled mail")
 	}
-	for _, id := range s.cluster.Tracer().IDs() {
-		tr, _ := s.cluster.Tracer().Trace(id)
+	// The cluster numbers its messages m1-1, m1-2, … and stamps each as it
+	// numbers it, so the traced IDs run from m1-1 to the first one missing.
+	for seq := 1; ; seq++ {
+		id := fmt.Sprintf("m1-%d", seq)
+		tr, ok := s.cluster.Tracer().Trace(id)
+		if !ok {
+			break
+		}
 		var stages []string
 		for _, e := range tr.Events {
 			switch {
