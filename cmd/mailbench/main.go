@@ -72,7 +72,7 @@ type params struct {
 	faults    bool
 	batch     int     // relay batch size (0 = unbatched classic path)
 	flush     int     // relay flush interval, sim units
-	retry     int     // ack retry timeout, sim units (0 = server default)
+	retry     int     // floor of the ack timer, sim units (0 = server default)
 	localBias float64 // 0 = workload default
 	datadir   string  // durable store root ("" = memory stores)
 	fsync     mailstore.FsyncMode
@@ -109,7 +109,7 @@ func run(args []string, stdout io.Writer) int {
 	fs.BoolVar(&p.faults, "faults", false, "inject a compiled crash/link/latency/drop schedule")
 	fs.IntVar(&p.batch, "batch", 0, "relay batch size (netsim only; 0 = unbatched)")
 	fs.IntVar(&p.flush, "flush", 20, "relay batch flush interval in sim units (with -batch)")
-	fs.IntVar(&p.retry, "retry", 0, "transfer ack retry timeout in sim units (0 = server default; set above the topology's ack round-trip for honest batch sweeps)")
+	fs.IntVar(&p.retry, "retry", 0, "floor of the transfer ack timer in sim units, which is otherwise the route's round trip plus 2 (0 = server default, 8)")
 	fs.Float64Var(&p.localBias, "localbias", 0, "probability a recipient is region-local (0 = workload default 0.8)")
 	fs.StringVar(&p.datadir, "datadir", "", "durable store root; the point journals under its own subdirectory and reports WAL throughput")
 	fsyncFlag := fs.String("fsync", "never", "WAL fsync policy with -datadir: never|always")

@@ -319,6 +319,30 @@ func TestE11Shape(t *testing.T) {
 	}
 }
 
+// TestE11NoSpuriousRetries: no server of E11 fails, and every ack timer
+// covers its route's round trip, so neither design retries a copy or
+// suppresses a duplicate deposit.
+func TestE11NoSpuriousRetries(t *testing.T) {
+	var text string
+	for _, x := range allResults() {
+		if x.ID == "e11" {
+			text = x.Text
+		}
+	}
+	rows := 0
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, "retries per message") || strings.Contains(line, "duplicates per message") {
+			rows++
+			if f := strings.Fields(line); f[len(f)-1] != "0" {
+				t.Errorf("E11: %s", line)
+			}
+		}
+	}
+	if rows != 4 {
+		t.Errorf("E11 rendered %d retries and duplicates rows, want 2 per design", rows)
+	}
+}
+
 func TestE12Shape(t *testing.T) {
 	r := E12AuthorityListLength()
 	rows := r.Table.Rows()

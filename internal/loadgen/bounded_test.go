@@ -87,7 +87,8 @@ func TestLongSweepRetainsNoBodies(t *testing.T) {
 		}
 	}
 
-	alerts := sd.Snapshot().Counters["srv_notifies"] + rd.Snapshot().Counters["notify_home"]
+	sc, rc := sd.Snapshot().Counters, rd.Snapshot().Counters
+	alerts := sc["srv_notifies"] + sc["srv_login_alerts"] + rc["notify_home"] + rc["login_alerts"]
 	if alerts == 0 {
 		t.Fatal("no alerts were ever delivered: the notification half of the test is vacuous")
 	}

@@ -34,10 +34,9 @@ type SimConfig struct {
 	// FlushInterval bounds how long a staged batch below the size watermark
 	// may wait (default 2 sim units; only meaningful with BatchSize > 1).
 	FlushInterval sim.Time
-	// RetryTimeout overrides how long a server waits for a transfer (or
-	// batch) ack before retrying (0 = server default). Large topologies
-	// need this above their ack round-trip, or every distant transfer
-	// retries — and every distant batch splits — spuriously.
+	// RetryTimeout is every server's floor on a transfer's (or a batch's)
+	// ack timer, whose value is otherwise the route's round trip plus two
+	// units (0 = server default, 8 units).
 	RetryTimeout sim.Time
 	// DataDir, when set, makes every server's mailbox store durable: the
 	// server on node N journals to DataDir/s<N>, and the fault surface offers

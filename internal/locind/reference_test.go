@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -166,12 +168,16 @@ func TestAgentSizeNotGrown(t *testing.T) {
 // internal/server's, locind carried its own copy of §3.1.2's delivery half —
 // ID assignment, first-active deposit, acked and retried Deposit/Forward
 // transfers, the inter-region forward, the stale-authority bounce, the crash
-// re-drive and a mailbox map. testdata/delivery.golden holds what the seeded
-// schedules below printed on that copy (the parent commit, with submitAt and
-// depositsAt reaching its Accept and Deposits). On a failure-free,
-// rehash-free schedule everything observable must be what it was: deposits
-// per server, the network's message count and cost, every inbox and every
-// alert in order, and the notification and consultation counts. With
+// re-drive and a mailbox map. testdata/delivery_fixed_timer.golden holds what
+// the failure-free schedules below printed on that copy (with submitAt and
+// depositsAt reaching its Accept and Deposits), where every transfer waited a
+// fixed 8 units for its ack: below some of these round trips, so a head that
+// had not yet answered got a second copy at its backup. Since each ack timer
+// covers its route's round trip, testdata/delivery.golden holds the schedules'
+// lines as they print now, and against the fixed-timer record a failure-free
+// line must keep every inbox in order, deposit each copy exactly once (the
+// deposits sum to the copies), and send no more network messages, at no more
+// cost, with no more consultations or notifications of any kind. With
 // rehashes, crashes and recoveries the walk may differ (a recovered origin now
 // restarts at the head of the list), so only the set of delivered copies must
 // be the same — and every copy committed is retrieved exactly once.
@@ -388,22 +394,78 @@ func refSchedules() []refSchedule {
 	return out
 }
 
-// TestDeliveryMatchesReference holds the schedules to the parent's delivery.
+// TestDeliveryMatchesReference holds the schedules to their recorded lines,
+// and the failure-free ones to the fixed-timer record.
 func TestDeliveryMatchesReference(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "delivery.golden"))
+	lines, fixed := goldenLines(t, "delivery.golden"), goldenLines(t, "delivery_fixed_timer.golden")
+	scheds := refSchedules()
+	if len(lines) != len(scheds) || len(fixed) != len(scheds)/2 {
+		t.Fatalf("goldens have %d and %d lines for %d schedules", len(lines), len(fixed), len(scheds))
+	}
+	for i, sc := range scheds {
+		got := sc.String() + ": " + runRefSchedule(t, sc)
+		if got != lines[i] {
+			t.Errorf("schedule differs from the reference:\n got %s\nwant %s", got, lines[i])
+		}
+		if sc.faults {
+			continue
+		}
+		if !strings.HasPrefix(fixed[i], sc.String()+": ") {
+			t.Fatalf("fixed-timer line %d is not %v's", i, sc)
+		}
+		now, was := refFields(t, got), refFields(t, fixed[i])
+		if now["inboxes"] != was["inboxes"] {
+			t.Errorf("%v: inboxes %x, %x under the fixed timer", sc, now["inboxes"], was["inboxes"])
+		}
+		if now["deposits"] != now["copies"] {
+			t.Errorf("%v: %d deposits for %d copies", sc, now["deposits"], now["copies"])
+		}
+		for _, k := range []string{"delivered", "cost_milli", "consultations", "notify_home", "notify_roaming", "notify_offline", "notify_probe_primary", "notify_unknown_host"} {
+			if now[k] > was[k] {
+				t.Errorf("%v: %s %d, %d under the fixed timer", sc, k, now[k], was[k])
+			}
+		}
+	}
+}
+
+// goldenLines reads testdata/name, one schedule a line.
+func goldenLines(t *testing.T, name string) []string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
-	scheds := refSchedules()
-	if len(lines) != len(scheds) {
-		t.Fatalf("golden has %d lines for %d schedules", len(lines), len(scheds))
+	return strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+}
+
+// refFields reads a failure-free line of runRefSchedule back: its copies, the
+// sum of its deposits, and each "name value" pair (the hashes as hex).
+func refFields(t *testing.T, line string) map[string]uint64 {
+	t.Helper()
+	_, rest, _ := strings.Cut(line, ": ")
+	var copies uint64
+	if _, err := fmt.Sscanf(rest, "%d copies", &copies); err != nil {
+		t.Fatalf("%q: %v", line, err)
 	}
-	for i, sc := range scheds {
-		if got := sc.String() + ": " + runRefSchedule(t, sc); got != lines[i] {
-			t.Errorf("schedule differs from the reference:\n got %s\nwant %s", got, lines[i])
+	f := map[string]uint64{"copies": copies}
+	_, deps, _ := strings.Cut(rest, "deposits [")
+	deps, _, _ = strings.Cut(deps, "]")
+	for _, d := range strings.Fields(deps) {
+		n, _ := strconv.ParseUint(d, 10, 64)
+		f["deposits"] += n
+	}
+	for _, m := range regexp.MustCompile(`([a-z_]+) ([0-9a-f]+)\b`).FindAllStringSubmatch(rest, -1) {
+		base := 10
+		if m[1] == "inboxes" || m[1] == "alerts" {
+			base = 16
 		}
+		n, err := strconv.ParseUint(m[2], base, 64)
+		if err != nil {
+			t.Fatalf("%q: %s: %v", line, m[1], err)
+		}
+		f[m[1]] = n
 	}
+	return f
 }
 
 // submitAt and depositsAt are where the schedule reaches a server.

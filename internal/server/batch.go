@@ -164,7 +164,7 @@ func (s *Server) flushStaged(target graph.NodeID) {
 	s.inflight[fb.tok] = fb
 	_ = s.net.Send(s.id, target, box)
 	sched := s.net.Scheduler()
-	sched.Schedule(&fb.retry, sched.Now()+s.retryTimeout, fb)
+	sched.Schedule(&fb.retry, sched.Now()+s.ackTimeout(target), fb)
 }
 
 // splitBatch handles a batch whose ack never arrived: dissolve it and hand

@@ -62,12 +62,10 @@ type Config struct {
 	Dir     Resolver   // this region's names: the replicated directory, or §3.2's sub-groups
 	Regions *RegionMap // global region → servers map
 	Locate  Locator    // §3.2.2c's location procedure; nil in §3.1
-	// RetryTimeout is how long a transfer waits for its ack before trying
-	// the next candidate. Zero means 8 paper time units: above the round
-	// trips of the hand-built topologies, but not of every one loadgen
-	// generates — there, a failure-free run of 20 000 users and 6 212 copies
-	// retries about 460 of them, and the deposit suppresses each retried
-	// copy as a duplicate.
+	// RetryTimeout is the floor of a transfer's ack timer: a transfer (or a
+	// batch) waits for its ack the larger of this and its route's zero-load
+	// round trip plus two paper time units (ackTimeout) before trying the
+	// next candidate. Zero means 8 paper time units.
 	RetryTimeout sim.Time
 	// Trace, when set, stamps every message's progress through the §3.1.2
 	// pipeline (submit → resolve → relay → deposit → notify → retrieve).
@@ -292,7 +290,7 @@ func (s *Server) ID() graph.NodeID { return s.id }
 func (s *Server) Region() string { return s.region }
 
 // Stats returns the server's counters: "submissions", "deposits_local",
-// "transfers_out", "forwards_in", "retries", "notifies".
+// "transfers_out", "forwards_in", "retries", "notifies", "login_alerts".
 func (s *Server) Stats() *obs.Registry { return s.stats }
 
 // Up reports whether the server is currently up.
@@ -577,7 +575,18 @@ func (s *Server) dispatch(tok uint64) {
 	s.stats.Inc("relay_envelopes") // one physical envelope per single transfer
 	_ = s.net.Send(s.id, target, s.transfers.Box(p.transfer()))
 	sched := s.net.Scheduler()
-	sched.Schedule(&p.retry, sched.Now()+s.retryTimeout, p)
+	sched.Schedule(&p.retry, sched.Now()+s.ackTimeout(target), p)
+}
+
+// ackTimeout is how long a transfer to target waits for its ack: the route's
+// zero-load round trip (§3.1.1's C(i,j) each way) plus two units of slack, so
+// no retry fires before the ack could be back, and at least retryTimeout.
+func (s *Server) ackTimeout(target graph.NodeID) sim.Time {
+	c, err := s.net.Cost(s.id, target)
+	if err != nil {
+		return s.retryTimeout
+	}
+	return max(s.retryTimeout, 2*sim.Time(c*float64(s.net.DelayPerCost))+2*sim.Unit)
 }
 
 // pickCandidate chooses the next candidate, preferring up servers starting
@@ -704,7 +713,7 @@ func (s *Server) handleLogin(l Login) {
 		}
 	})
 	if ok && !first.IsZero() {
-		s.stats.Inc("notifies")
+		s.stats.Inc("login_alerts")
 		s.trace.StampKey(first.TraceKey(), obs.StageNotify, s.where)
 		_ = s.net.Send(s.id, l.Host, s.notifies.Box(Notify{User: l.User, ID: first, Server: s.id}))
 	}

@@ -623,3 +623,83 @@ func TestMutuallyRecursiveGroupsTerminate(t *testing.T) {
 		t.Error("cycle never detected")
 	}
 }
+
+// lineWorld builds one region on a line, origin —cost— head —1— backup, and
+// gives dave the authority list [head, backup].
+func lineWorld(t *testing.T, cost float64, mutate ...func(*Config)) (*sim.Scheduler, *netsim.Network, map[graph.NodeID]*Server) {
+	t.Helper()
+	const origin, head, backup graph.NodeID = 1, 2, 3
+	g := graph.New()
+	for _, id := range []graph.NodeID{origin, head, backup} {
+		g.MustAddNode(graph.Node{ID: id, Region: "R1", Kind: graph.KindServer})
+	}
+	g.MustAddEdge(origin, head, cost)
+	g.MustAddEdge(head, backup, 1)
+	sched := sim.New(7)
+	net := netsim.New(sched, g)
+	dir, regions := NewDirectory("R1"), NewRegionMap()
+	servers := map[graph.NodeID]*Server{}
+	for _, id := range []graph.NodeID{origin, head, backup} {
+		cfg := Config{ID: id, Region: "R1", Net: net, Dir: dir, Regions: regions}
+		for _, m := range mutate {
+			m(&cfg)
+		}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[id] = srv
+	}
+	if err := dir.SetAuthority(dave, []graph.NodeID{head, backup}); err != nil {
+		t.Fatal(err)
+	}
+	return sched, net, servers
+}
+
+var dave = names.MustParse("R1.h1.dave")
+
+// TestAckTimeoutCoversRoute: a transfer whose route's round trip is above
+// RetryTimeout waits for its ack, alone or in a batch, so a failure-free run
+// retries nothing, deposits nothing twice and splits no batch. On a short
+// route RetryTimeout is still the floor: the retry fires exactly then.
+func TestAckTimeoutCoversRoute(t *testing.T) {
+	const origin, head = 1, 2
+	for _, size := range []int{1, 4} {
+		sched, net, servers := lineWorld(t, 5, batched(size, 2*sim.Unit))
+		if c, _ := net.Cost(origin, head); 2*c <= 8 { // one cost unit is one time unit
+			t.Fatalf("round trip %v is not above the 8-unit floor", 2*c)
+		}
+		for i := 0; i < 8; i++ {
+			if _, err := servers[origin].Submit(SubmitRequest{From: dave, To: []names.Name{dave}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sched.Run()
+		if got := servers[head].MailboxLen(dave); got != 8 {
+			t.Errorf("batch %d: head holds %d messages, want 8", size, got)
+		}
+		for _, c := range []string{"retries", "duplicate_deposits", "batch_splits"} {
+			var n int64
+			for _, srv := range servers {
+				n += srv.Stats().Get(c)
+			}
+			if n != 0 {
+				t.Errorf("batch %d: %s = %d, want 0", size, c, n)
+			}
+		}
+	}
+
+	sched, net, servers := lineWorld(t, 1)
+	if _, err := servers[origin].Submit(SubmitRequest{From: dave, To: []names.Name{dave}}); err != nil {
+		t.Fatal(err)
+	}
+	net.Crash(head) // the transfer is in the air: it is dropped on arrival
+	sched.RunFor(8*sim.Unit - 1)
+	if n := servers[origin].Stats().Get("retries"); n != 0 {
+		t.Fatalf("retried %d times before the 8-unit floor", n)
+	}
+	sched.RunFor(1)
+	if n := servers[origin].Stats().Get("retries"); n != 1 {
+		t.Errorf("retries at the 8-unit floor = %d, want 1", n)
+	}
+}
