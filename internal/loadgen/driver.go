@@ -9,7 +9,8 @@ import (
 // auditors check.
 type RetrieveResult struct {
 	// IDs are the message IDs newly retrieved, one entry per stored copy
-	// that reached the user's inbox this retrieval.
+	// that reached the user's inbox this retrieval. They are valid until the
+	// driver's next Retrieve, which may reuse the slice.
 	IDs []string
 	// Polls is how many CheckMail calls this retrieval issued — the
 	// §3.1.2c efficiency metric (≈1 when failure-free after the first
@@ -72,7 +73,7 @@ type Driver interface {
 	// Submit sends one message from user index from to the given user
 	// indices. A nil error is the commit point: the message (every
 	// recipient copy) is owed to the no-loss audit. An error means nothing
-	// was accepted.
+	// was accepted. Submit keeps nothing of to: the caller reuses it.
 	Submit(from int, to []int, subject, body string) (id string, err error)
 	// Retrieve runs user u's GetMail.
 	Retrieve(u int) RetrieveResult

@@ -117,6 +117,7 @@ type Engine struct {
 	sweepList []int    // touched users, in first-touch order
 	committed []string // message IDs owed complete traces
 	submitted int
+	rcpts     []int // fire's recipients; Driver.Submit keeps none of them
 }
 
 // New builds an engine over drv. Run may be called once.
@@ -229,7 +230,7 @@ func (e *Engine) think(tick int) int {
 func (e *Engine) fire(s *session, tick int, rep *Report) {
 	w := e.cfg.Workload
 	n := w.sampleRecipients(e.rng)
-	rcpts := make([]int, 0, n)
+	rcpts := e.rcpts[:0]
 	seen := map[int]bool{s.user: true}
 	for len(rcpts) < n {
 		u := e.pickRecipient(s.user, tick)
@@ -239,6 +240,7 @@ func (e *Engine) fire(s *session, tick int, rep *Report) {
 		seen[u] = true
 		rcpts = append(rcpts, u)
 	}
+	e.rcpts = rcpts
 	if len(rcpts) == 0 {
 		return
 	}

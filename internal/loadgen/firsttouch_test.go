@@ -1,7 +1,10 @@
 package loadgen
 
 import (
+	"runtime"
 	"testing"
+
+	"github.com/largemail/largemail/internal/mail"
 )
 
 // TestEngineBodyBytes: the body fire slices out of the engine's alphabet is,
@@ -27,12 +30,15 @@ func TestEngineBodyBytes(t *testing.T) {
 
 // TestSimSubmitAllocs: a message between two users who already exist costs
 // its payload and nothing for the users — one round of Submit, delivery and
-// TakeMail is the driver's string ID, the server's per-copy records (the
-// message's recipient list, the boxed Transfer and TransferAck, the
-// mailbox's message slot) and Retrieve's ID list. The parent also paid a
-// fresh []names.Name with a re-formatted name per recipient, a copy of the
-// sender's authority list, a pending-transfer record, and two copies of the
-// retrieved batch (12 measured).
+// Retrieve is the driver's string ID, Retrieve's string of it, and shares of
+// arrays: the chunk the message's recipient list is carved from, the growth
+// of the duplicate-suppression sets and the tracer's tables. The mailbox's
+// slot comes back when Retrieve releases the batch, which every round does,
+// and Retrieve reuses its ID list. It was 6 while the server copied each recipient list, Retrieve
+// released nothing and made a new ID list, and 12 before that, when it also
+// paid a fresh []names.Name with a re-formatted name per recipient, a copy of
+// the sender's authority list, a pending-transfer record, and two copies of
+// the retrieved batch.
 func TestSimSubmitAllocs(t *testing.T) {
 	drv := newSimDriver(t, SimConfig{Seed: 1, Pop: Population{
 		Users: 4000, Regions: 1, HostsPerRegion: 8, ServersPerRegion: 4, AuthorityLen: 2,
@@ -54,6 +60,9 @@ func TestSimSubmitAllocs(t *testing.T) {
 	if len(rcpts) < 64 {
 		t.Fatalf("only %d users homed off the sender's primary", len(rcpts))
 	}
+	released, scribble := 0, mail.AfterRelease
+	defer func() { mail.AfterRelease = scribble }()
+	mail.AfterRelease = func(slot *mail.Stored) { released++; scribble(slot) }
 	i, to := 0, make([]int, 1)
 	round := func() {
 		to[0] = rcpts[i%len(rcpts)]
@@ -69,11 +78,14 @@ func TestSimSubmitAllocs(t *testing.T) {
 	for range rcpts { // materialise every user and take their first, whole-list walk
 		round()
 	}
-	if n := testing.AllocsPerRun(256, round); n > 7 {
-		t.Errorf("Submit + deliver + Retrieve between existing users: %v allocs, want ≤ 7", n)
+	if n := testing.AllocsPerRun(256, round); n > 3 {
+		t.Errorf("Submit + deliver + Retrieve between existing users: %v allocs, want ≤ 3", n)
 	}
 	if got := drv.Snapshot().Counters["srv_transfers_out"]; got < int64(i) {
 		t.Errorf("%d transfers for %d copies: the copies did not cross the network", got, i)
+	}
+	if released != i {
+		t.Errorf("Retrieve released %d of %d one-message batches", released, i)
 	}
 }
 
@@ -100,5 +112,37 @@ func TestFirstTouchAllocs(t *testing.T) {
 		if n > 1 {
 			t.Errorf("policy %q: first touch of a user: %v allocs, want ≤ 1", policy, n)
 		}
+	}
+}
+
+// TestEngineAllocsPerCopy: a closed loop shaped like the benchmark's
+// sim_deliver workload, at 20 000 users — delivery while it runs, every
+// retrieval in the final drain, the trace audit at the end — allocates per
+// copy what a copy keeps and little else: its ID strings, its share of the
+// tracer's and the mailboxes' arrays, and the first touch of its users. The
+// bound is the measured figure plus 15 %; it was 8.58 while the slots, the
+// recipient lists, each audited trace and the engine's and driver's slices
+// were allocations of their own.
+func TestEngineAllocsPerCopy(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops a quarter of what it is given under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	drv := newSimDriver(t, SimConfig{Seed: 1, Pop: Population{Users: 20000, Regions: 2, ServersPerRegion: 4}})
+	defer drv.Close()
+	eng := New(drv, Config{
+		Seed: 1, Messages: 6000, Sessions: 512, Ticks: 60, RetrieveEvery: 1 << 20,
+		Workload: Workload{maxRecipients: 1}, // a message's own costs are a copy's
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := eng.Run()
+	runtime.ReadMemStats(&after)
+	requireClean(t, rep)
+	perCopy := float64(after.Mallocs-before.Mallocs) / float64(rep.Copies)
+	t.Logf("%d copies, %.3f allocs per copy", rep.Copies, perCopy)
+	const measured = 3.90
+	if perCopy > measured*1.15 {
+		t.Errorf("%.3f allocs per copy, want ≤ %.3f (%.3f measured, plus 15 %%)", perCopy, measured*1.15, measured)
 	}
 }

@@ -79,6 +79,7 @@ type SimDriver struct {
 
 	agents  map[int]*client.Agent
 	toNames []names.Name // Submit's recipient names; server.accept copies them
+	ids     []string     // Retrieve's result IDs, valid until the next Retrieve
 	hostIdx map[int]int  // migrated users' host index
 
 	placer
@@ -271,23 +272,26 @@ func (d *SimDriver) Submit(from int, to []int, subject, body string) (string, er
 	return "", fmt.Errorf("loadgen: no live authority server for %v", fa.User())
 }
 
-// Retrieve implements Driver.
+// Retrieve implements Driver. Only the IDs leave here, in a slice the next
+// Retrieve reuses; the batch itself is released, so a one-message batch's
+// slot goes to the next deposit into an empty mailbox.
 func (d *SimDriver) Retrieve(u int) RetrieveResult {
 	a, err := d.ensure(u)
 	if err != nil {
 		return RetrieveResult{}
 	}
 	before := a.Stats()
-	msgs := a.TakeMail() // only the IDs leave here; an agent lives as long as the run does
+	msgs := a.TakeMail() // an agent lives as long as the run does
 	after := a.Stats()
 	d.noteRetrieved(u, len(msgs))
-	ids := make([]string, len(msgs))
-	for i, m := range msgs {
-		ids[i] = m.ID.String()
+	d.ids = d.ids[:0]
+	for _, m := range msgs {
+		d.ids = append(d.ids, m.ID.String())
 	}
+	mail.Release(msgs)
 	a.DropNotifications()
 	return RetrieveResult{
-		IDs:          ids,
+		IDs:          d.ids,
 		Polls:        after.Polls - before.Polls,
 		Duplicates:   after.Duplicates - before.Duplicates,
 		LastChecking: int64(a.LastCheckingTime()),

@@ -170,7 +170,7 @@ func (b *Mailbox) Deposit(m Message, at sim.Time) bool {
 		return false
 	}
 	if b.msgs == nil {
-		b.msgs = slots.Get().(*[1]Stored)[:0]
+		b.msgs = newSlot()[:0]
 	}
 	b.msgs = append(b.msgs, Stored{Message: m, ArrivedAt: at})
 	b.bytes += m.Size()
@@ -183,7 +183,27 @@ func (b *Mailbox) Deposit(m Message, at sim.Time) bool {
 // slots is where an empty mailbox gets the one-slot array its next message
 // goes into: most mailboxes hold one message between two retrievals, and the
 // drain that empties one gives its array away. Release brings it back.
-var slots = sync.Pool{New: func() any { return new([1]Stored) }}
+var slots sync.Pool
+
+// slotChunk is how many slots newSlot carves from one array when the pool is
+// empty: 32 × 176 B, 5.5 KB that one live slot keeps whole.
+const slotChunk = 32
+
+// newSlot draws a slot from the pool. An empty pool is refilled the way a
+// slab allocator fills a cache, by carving one array: the first slot is
+// returned and the rest pooled. A slot is a one-element array, so a second
+// deposit into its mailbox moves to a fresh array and never writes into a
+// neighbour's slot.
+func newSlot() *[1]Stored {
+	if slot, ok := slots.Get().(*[1]Stored); ok {
+		return slot
+	}
+	chunk := new([slotChunk]Stored)
+	for i := 1; i < slotChunk; i++ {
+		slots.Put((*[1]Stored)(chunk[i:]))
+	}
+	return (*[1]Stored)(chunk[:])
+}
 
 // Release is for the last holder of a batch a mailbox drained and gave away
 // (Drain, and from there Inbox.Take): once nothing will read msgs again, a

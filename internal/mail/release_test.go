@@ -1,9 +1,11 @@
 package mail
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/sim"
@@ -22,12 +24,15 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestReleasedSlotPoisoned: the slot a released one-message batch was in is
-// the next empty mailbox's — whole, whatever was scribbled on it — and costs
-// that deposit no allocation; the scribble never reaches a mailbox.
+// TestReleasedSlotPoisoned: the slot a released one-message batch was in is,
+// when the pool holds no other, the next empty mailbox's — whole, whatever
+// was scribbled on it — and costs that deposit no allocation; the scribble
+// never reaches a mailbox.
 func TestReleasedSlotPoisoned(t *testing.T) {
 	a, b := newMailbox(owner), newMailbox(owner)
 	a.Deposit(msg(1, "one"), 10)
+	for slots.Get() != nil { // the slots carved beside a's
+	}
 	batch := a.Drain()
 	slot := &batch[0]
 	Release(batch)
@@ -104,4 +109,69 @@ func TestDrainFit(t *testing.T) {
 	if got := replayed.Peek(); len(got) != 3 || got[0].ID.Seq != 3 || replayed.Deposit(msg(2, "again"), 9) {
 		t.Fatalf("replay up to the eviction holds %+v (and forgot it ever had message 2: %v)", got, len(got) == 4)
 	}
+}
+
+// TestCarvedSlotsAreIndependent: the slots carved from one array are the
+// first messages of neighbouring mailboxes, and each mailbox's messages stay
+// its own — through a second deposit into one of them, which moves it to an
+// array of its own, through a drain and the release that scribbles on the
+// drained slot, and through the deposit that draws that slot again.
+func TestCarvedSlotsAreIndependent(t *testing.T) {
+	for slots.Get() != nil { // empty the pool, so the next deposit carves
+	}
+	boxes := make([]*Mailbox, 8)
+	want := make([][]uint64, len(boxes)) // each mailbox's message sequence numbers
+	deposit := func(i int, seq uint64) {
+		boxes[i].Deposit(msg(seq, fmt.Sprint("body ", seq)), sim.Time(seq))
+		want[i] = append(want[i], seq)
+	}
+	intact := func(after string) {
+		t.Helper()
+		for i, b := range boxes {
+			if b.Len() != len(want[i]) {
+				t.Fatalf("after %s mailbox %d holds %d messages, want %d", after, i, b.Len(), len(want[i]))
+			}
+			for j, seq := range want[i] {
+				if m := b.At(j); m.ID.Seq != seq || m.Body != fmt.Sprint("body ", seq) {
+					t.Fatalf("after %s mailbox %d message %d is %d %q, want %d", after, i, j, m.ID.Seq, m.Body, seq)
+				}
+			}
+		}
+	}
+	for i := range boxes {
+		boxes[i] = newMailbox(owner)
+		deposit(i, uint64(i+1))
+	}
+	if !raceDetector { // there the pool drops some of what is carved
+		first, size := uintptr(unsafe.Pointer(&boxes[0].msgs[0])), unsafe.Sizeof(Stored{})
+		for i, b := range boxes {
+			if off := uintptr(unsafe.Pointer(&b.msgs[0])) - first; off >= slotChunk*size {
+				t.Fatalf("mailbox %d's slot is not carved from the array of mailbox 0's", i)
+			}
+		}
+	}
+	intact("one deposit each")
+
+	slot := &boxes[3].msgs[0]
+	deposit(3, 100)
+	if &boxes[3].msgs[0] == slot {
+		t.Fatal("a second deposit grew its mailbox inside the carved array")
+	}
+	intact("a second deposit into mailbox 3")
+
+	batch := boxes[5].Drain()
+	want[5] = nil
+	slot = &batch[0]
+	Release(batch)
+	Release(boxes[3].Drain()) // two messages: not a slot, left alone
+	want[3] = nil
+	intact("draining and releasing mailboxes 3 and 5")
+
+	boxes = append(boxes, newMailbox(owner))
+	want = append(want, nil)
+	deposit(len(boxes)-1, 200)
+	if !raceDetector && &boxes[len(boxes)-1].msgs[0] != slot {
+		t.Error("the next deposit into an empty mailbox did not draw the released slot")
+	}
+	intact("a deposit into the released slot")
 }

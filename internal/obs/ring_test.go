@@ -108,7 +108,7 @@ func TestRingTracerMatchesReference(t *testing.T) {
 			for i := 0; i < created; i++ {
 				id := key(i).String()
 				probe = append(probe, id)
-				got, ok := tr.Trace(id)
+				got, ok := tr.Trace(id, nil)
 				want := ref.traces[id]
 				if ok != (want != nil) || (ok && !reflect.DeepEqual(got, *want)) {
 					t.Fatalf("%s: Trace(%s) = %+v, %v; want %+v", when, id, got, ok, want)
@@ -200,7 +200,7 @@ func TestRingLateStamp(t *testing.T) {
 	for _, k := range fill[:ringRecords-1] {
 		tr.StampKey(k, StageSubmit, "s2")
 	}
-	if _, ok := tr.Trace(old.String()); !ok || reg.Get("trace_evictions") != 0 {
+	if _, ok := tr.Trace(old.String(), nil); !ok || reg.Get("trace_evictions") != 0 {
 		t.Fatalf("a shard holding exactly ringRecords keys dropped one (%d evictions)", reg.Get("trace_evictions"))
 	}
 	samples := func() (n uint64) {
@@ -214,10 +214,10 @@ func TestRingLateStamp(t *testing.T) {
 	taker := fill[ringRecords-1]
 	clk.now = 1000
 	tr.StampKey(taker, StageRetrieve, "s3") // takes old's record over
-	if got, ok := tr.Trace(taker.String()); !ok || !reflect.DeepEqual(got.Events, []SpanEvent{{Stage: StageRetrieve, At: 1000, Where: "s3"}}) {
+	if got, ok := tr.Trace(taker.String(), nil); !ok || !reflect.DeepEqual(got.Events, []SpanEvent{{Stage: StageRetrieve, At: 1000, Where: "s3"}}) {
 		t.Errorf("taker's trace = %+v, %v; want its one retrieve", got, ok)
 	}
-	if got, ok := tr.Trace(old.String()); ok {
+	if got, ok := tr.Trace(old.String(), nil); ok {
 		t.Errorf("dropped key still has a trace: %+v", got)
 	}
 	if got := tr.Incomplete([]string{old.String()}); len(got) != 1 {
@@ -229,13 +229,13 @@ func TestRingLateStamp(t *testing.T) {
 
 	clk.now = 2000
 	tr.StampKey(old, StageRetrieve, "s1") // the late stamp
-	if got, _ := tr.Trace(old.String()); len(got.Events) != 1 || got.Events[0].At != 2000 {
+	if got, _ := tr.Trace(old.String(), nil); len(got.Events) != 1 || got.Events[0].At != 2000 {
 		t.Errorf("late stamp's trace = %+v, want one event of its own", got)
 	}
-	if _, ok := tr.Trace(fill[0].String()); ok {
+	if _, ok := tr.Trace(fill[0].String(), nil); ok {
 		t.Error("the late stamp did not drop the shard's oldest key")
 	}
-	if _, ok := tr.Trace(taker.String()); !ok {
+	if _, ok := tr.Trace(taker.String(), nil); !ok {
 		t.Error("the late stamp dropped the newest key, not the oldest")
 	}
 	if after := samples(); after != before {
@@ -256,7 +256,7 @@ func TestRingLateStamp(t *testing.T) {
 		tr.StampKey(k, StageSubmit, "s2")
 	}
 	tr.StampKey(old, StageSubmit, "s1")
-	if _, ok := tr.Trace(fill[0].String()); ok || tr.Len() != ringRecords {
+	if _, ok := tr.Trace(fill[0].String(), nil); ok || tr.Len() != ringRecords {
 		t.Errorf("after Reset the shard holds %d keys, its oldest still there: %v", tr.Len(), ok)
 	}
 }
@@ -293,7 +293,7 @@ func TestRingTracerConcurrent(t *testing.T) {
 	}
 	for _, id := range tr.IDs() {
 		k, _ := ParseKey(id)
-		got, ok := tr.Trace(id)
+		got, ok := tr.Trace(id, nil)
 		if !ok || len(got.Events) == 0 {
 			t.Fatalf("held trace %s: %+v, %v", id, got, ok)
 		}

@@ -372,9 +372,10 @@ func (t *Tracer) StampKey(k Key, stage Stage, where string) {
 	}
 }
 
-// Trace returns a copy of the message's recorded lifecycle. id is the
-// canonical "m<node>-<seq>" text; any other string has no trace.
-func (t *Tracer) Trace(id string) (Trace, bool) {
+// Trace returns the message's recorded lifecycle, its events appended to dst
+// (nil for a copy of the caller's own). id is the canonical "m<node>-<seq>"
+// text; any other string has no trace.
+func (t *Tracer) Trace(id string, dst []SpanEvent) (Trace, bool) {
 	k, ok := ParseKey(id)
 	if t == nil || !ok {
 		return Trace{}, false
@@ -386,19 +387,22 @@ func (t *Tracer) Trace(id string) (Trace, bool) {
 	if r == nil {
 		return Trace{}, false
 	}
-	events := make([]SpanEvent, 0, r.n+len(r.more))
-	events = append(append(events, r.inline[:r.n]...), r.more...)
+	events := append(append(dst, r.inline[:r.n]...), r.more...)
 	return Trace{ID: id, Events: events}, true
 }
 
 // Incomplete returns the subset of ids whose traces are missing or fail
 // Trace.Complete, sorted — the audit primitive the chaos soak builds on:
 // every committed message must show a complete submit→retrieve span chain,
-// even across crash/recover windows.
+// even across crash/recover windows. One buffer holds each trace in turn.
 func (t *Tracer) Incomplete(ids []string) []string {
 	var out []string
+	var events []SpanEvent
 	for _, id := range ids {
-		tr, ok := t.Trace(id)
+		tr, ok := t.Trace(id, events[:0])
+		if ok {
+			events = tr.Events
+		}
 		if !ok || !tr.Complete() {
 			out = append(out, id)
 		}

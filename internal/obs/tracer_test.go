@@ -30,7 +30,7 @@ func TestTracerCompleteChain(t *testing.T) {
 	clk.now = 60
 	tr.Stamp("m1-1", StageRetrieve, "s2")
 
-	trace, ok := tr.Trace("m1-1")
+	trace, ok := tr.Trace("m1-1", nil)
 	if !ok || len(trace.Events) != 5 {
 		t.Fatalf("trace = %+v ok=%v", trace, ok)
 	}
@@ -87,6 +87,30 @@ func TestTraceIncomplete(t *testing.T) {
 	}
 }
 
+// TestIncompleteSharesOneBuffer: Trace appends a trace's events to the buffer
+// it is given, and Incomplete passes one buffer from trace to trace, so
+// auditing complete traces costs no copy of each one's events.
+func TestIncompleteSharesOneBuffer(t *testing.T) {
+	clk := &fakeClock{}
+	tr := NewTracer(clk.Now, nil)
+	ids := make([]string, 256)
+	for i := range ids {
+		ids[i] = Key{Node: 1, Seq: uint64(i + 1)}.String()
+		for _, st := range []Stage{StageSubmit, StageDeposit, StageRetrieve} {
+			clk.now++
+			tr.Stamp(ids[i], st, "s1")
+		}
+	}
+	buf := append(make([]SpanEvent, 0, 8), SpanEvent{Stage: StageNotify})
+	got, ok := tr.Trace(ids[0], buf)
+	if !ok || len(got.Events) != 4 || &got.Events[0] != &buf[0] || got.Events[0].Stage != StageNotify || got.Events[1].Stage != StageSubmit {
+		t.Fatalf("Trace(%s, one event) = %+v, %v; want the three stamps appended in place", ids[0], got.Events, ok)
+	}
+	if n := testing.AllocsPerRun(10, func() { tr.Incomplete(ids) }); n > 1 {
+		t.Errorf("Incomplete over %d complete traces: %v allocs, want ≤ 1", len(ids), n)
+	}
+}
+
 // TestParseKey pins the text form: ParseKey inverts Key.String and refuses
 // every spelling String would not print, so no two strings name one trace.
 func TestParseKey(t *testing.T) {
@@ -121,10 +145,10 @@ func TestStampNonCanonicalID(t *testing.T) {
 	if tr.Len() != 0 || len(tr.IDs()) != 0 {
 		t.Errorf("non-canonical ids left %d traces (%v)", tr.Len(), tr.IDs())
 	}
-	if _, ok := tr.Trace("not-an-id"); ok {
+	if _, ok := tr.Trace("not-an-id", nil); ok {
 		t.Error("Trace of a non-canonical id reported a trace")
 	}
-	if _, ok := tr.Trace("m1-1"); ok {
+	if _, ok := tr.Trace("m1-1", nil); ok {
 		t.Error(`"m01-1" aliased to m1-1`)
 	}
 	if got := tr.Incomplete([]string{"not-an-id"}); len(got) != 1 {
@@ -149,7 +173,7 @@ func TestTraceCausalOrderRequired(t *testing.T) {
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Stamp("id", StageSubmit, "s1") // must not panic
-	if _, ok := tr.Trace("id"); ok {
+	if _, ok := tr.Trace("id", nil); ok {
 		t.Error("nil tracer returned a trace")
 	}
 	if tr.Len() != 0 {
@@ -211,7 +235,7 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Errorf("%d incomplete traces after concurrent stamping", len(gaps))
 	}
 	for i := 0; i < shared; i++ { // far past the inline capacity, none lost
-		got, _ := tr.Trace(fmt.Sprintf("m100-%d", i))
+		got, _ := tr.Trace(fmt.Sprintf("m100-%d", i), nil)
 		if want := workers * msgs / shared; len(got.Events) != want {
 			t.Errorf("shared trace %d has %d events, want %d", i, len(got.Events), want)
 		}
@@ -296,7 +320,7 @@ func TestTracerMatchesReference(t *testing.T) {
 		}
 		overflowed := 0
 		for _, id := range probe {
-			got, ok := tr.Trace(id)
+			got, ok := tr.Trace(id, nil)
 			want := ref.traces[id]
 			if ok != (want != nil) || (ok && !reflect.DeepEqual(got, *want)) {
 				t.Fatalf("%s: Trace(%s) = %+v, %v; want %+v", when, id, got, ok, want)

@@ -157,6 +157,9 @@ type Server struct {
 	freeInflight []*inflightBatch
 	nextBatch    uint64
 
+	// toBuf is where accept's copies of recipient lists are carved from.
+	toBuf []names.Name
+
 	stats *obs.Registry
 	trace *obs.Tracer // nil-safe; shared across the deployment when set
 	// where names this server in span events, matching the per-entity
@@ -407,7 +410,7 @@ func (s *Server) accept(req SubmitRequest) mail.Message {
 	msg := mail.Message{
 		ID:          mail.MessageID{Node: s.id, Seq: s.nextSeq},
 		From:        req.From,
-		To:          append([]names.Name(nil), req.To...),
+		To:          s.keepTo(req.To),
 		Subject:     req.Subject,
 		Body:        req.Body,
 		SubmittedAt: s.net.Scheduler().Now(),
@@ -416,6 +419,26 @@ func (s *Server) accept(req SubmitRequest) mail.Message {
 	s.trace.StampKey(msg.ID.TraceKey(), obs.StageSubmit, s.where)
 	return msg
 }
+
+// keepTo is the server's own copy of a submission's recipients, carved from
+// a chunk of toChunk names shared with the messages accepted before and after
+// it. The copy's capacity is clipped, so an append to one message's To moves
+// it to a fresh array and never writes into a neighbour's list.
+func (s *Server) keepTo(to []names.Name) []names.Name {
+	if len(to) == 0 {
+		return nil
+	}
+	if cap(s.toBuf)-len(s.toBuf) < len(to) {
+		s.toBuf = make([]names.Name, 0, max(toChunk, len(to)))
+	}
+	start := len(s.toBuf)
+	s.toBuf = append(s.toBuf, to...)
+	return s.toBuf[start:len(s.toBuf):len(s.toBuf)]
+}
+
+// toChunk is how many recipient names keepTo carves from one array: 64 × 48 B,
+// a 3 KB size class.
+const toChunk = 64
 
 // Submit accepts a submission handed to the server in-process and returns the
 // assigned message ID synchronously — the batch ingestion hook for drivers

@@ -246,6 +246,51 @@ func TestSubmitDirect(t *testing.T) {
 	}
 }
 
+// TestSubmitToListsAreIndependent: a message keeps its recipient list though
+// the caller reuses the slice it submitted, and the lists of two messages
+// carved side by side stay apart when one of them is appended to.
+func TestSubmitToListsAreIndependent(t *testing.T) {
+	w := newWorld(t)
+	srv := w.servers[s1]
+	to := []names.Name{alice, carol}
+	for _, body := range []string{"one", "two"} {
+		if _, err := srv.Submit(SubmitRequest{From: alice, To: to, Subject: "s", Body: body}); err != nil {
+			t.Fatal(err)
+		}
+		to[0], to[1] = carol, alice
+	}
+	to[0], to[1] = bob, bob
+	got := srv.Store().Peek(carol)
+	if len(got) != 2 {
+		t.Fatalf("carol holds %d messages, want 2", len(got))
+	}
+	one, two := got[0].Message, got[1].Message
+	if !slices.Equal(one.To, []names.Name{alice, carol}) || !slices.Equal(two.To, []names.Name{carol, alice}) {
+		t.Fatalf("recipient lists after the caller reused its slice: %v and %v", one.To, two.To)
+	}
+	grown := append(one.To, bob)
+	if !slices.Equal(two.To, []names.Name{carol, alice}) || !slices.Equal(grown, []names.Name{alice, carol, bob}) {
+		t.Fatalf("appending to one message's recipients made the next one's %v", two.To)
+	}
+}
+
+// TestSubmitAllocs: accepting a message to a local recipient and depositing it
+// allocates nothing per message but shares of arrays — the chunk its
+// recipient list is carved from and the mailbox's growth. Copying the list
+// was one allocation per message.
+func TestSubmitAllocs(t *testing.T) {
+	w := newWorld(t)
+	req := SubmitRequest{From: alice, To: []names.Name{carol}, Subject: "s", Body: "b"}
+	submit := func() {
+		if _, err := w.servers[s1].Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, submit); n != 0 {
+		t.Errorf("Submit to a local recipient: %v allocs, want 0", n)
+	}
+}
+
 func TestSubmitDirectDownServer(t *testing.T) {
 	w := newWorld(t)
 	w.net.Crash(s1)

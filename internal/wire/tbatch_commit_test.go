@@ -223,7 +223,7 @@ func runRefSchedule(t *testing.T, frames []Request, faults []refFault, rough boo
 	// numbers it, so the traced IDs run from m1-1 to the first one missing.
 	for seq := 1; ; seq++ {
 		id := fmt.Sprintf("m1-%d", seq)
-		tr, ok := s.cluster.Tracer().Trace(id)
+		tr, ok := s.cluster.Tracer().Trace(id, nil)
 		if !ok {
 			break
 		}
