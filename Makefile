@@ -10,8 +10,7 @@ tier1:
 # parallel Dijkstra fan-out in internal/assign, plus the seeded chaos soaks (`make chaos`; the live soak
 # runs in well under 30s).
 .PHONY: tier2
-tier2: tier1
-	go test -race ./...
+tier2: tier1 tier1-race
 
 # Tier-1 under the race detector: the seed gate with -race, as one target —
 # what CI runs on every PR alongside plain tier1.
@@ -140,7 +139,7 @@ tier2-retained:
 # kill-restart.
 .PHONY: tier2-transit
 tier2-transit:
-	go test -race -run 'Recycled|PendingRecords|Poisoned|TransitAllocs|DepositCycle|TakeMail|HandedOver|DispatchAllocs|SendAllocs|ReusesRecord|TestSimSubmitAllocs|AllocBudget' \
+	go test -race -run 'Recycled|PendingRecords|Poisoned|TransitAllocs|DepositCycle|TakeMail|HandedOver|DispatchAllocs|SendAllocs|ReusesRecord|TestSimSubmitAllocs|TestRoamSubmitAllocs|AllocBudget' \
 		./internal/netsim/ ./internal/server/ ./internal/client/ ./internal/locind/ ./internal/loadgen/ ./internal/broadcast/ ./internal/mail/mailstore/
 	go test -race -count=10 -run 'ReleasedSlot|ReleaseTakes|OversizedBatch|TestDrainFit' ./internal/mail/ ./internal/wire/ ./internal/livenet/
 
@@ -252,7 +251,7 @@ bench-pairs:
 # per package of internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 23885
+SIZE_CEILING = 23888
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 .PHONY: size
 size:

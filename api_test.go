@@ -53,8 +53,6 @@ var reachAllowed = map[string]string{
 	"internal/client.Host.Acks":               "test hook: the client and core tests read a host's submission acks",
 	"internal/graph.Paths.PathTo":             "test hook: the graph and netsim tests compare routed hops with the shortest path",
 	"internal/livenet.Agent.Inbox":            "test hook: the livenet, loadgen and wire tests read what an agent retrieved",
-	"internal/livenet.Cluster.Metrics":        "test hook: the livenet and loadgen tests read the cluster's counters",
-	"internal/livenet.Server.Checks":          "test hook: the wire tests count a server's polls",
 	"internal/locind.Agent.AtPrimary":         "test hook: the locind and core tests check where an agent logged in",
 	"internal/mail/mailstore.Store.Peek":      "test hook: the mailstore, server and wire tests read a mailbox without draining it",
 	"internal/mail/mailstore.Store.Users":     "test hook: the livenet, mailstore, locind, server and wire tests list a store's mailboxes",
@@ -614,21 +612,24 @@ var importsAllowed = map[string]string{
 	"examples/roaming":    "core graph names",
 	"experiments":         "assign attr broadcast client core evalsys graph loadgen locind mst names netsim obs queueing server sim",
 	"faults":              "graph netsim sim",
+	"graph":               "names",
 	"livenet":             "mail mail/mailstore mailerr names obs placement sketch",
 	"loadgen":             "attr broadcast client core faults graph livenet locind mail mail/mailstore mst names netsim obs placement queueing server sim sketch wire",
 	"locind":              "graph mail names netsim obs server sim",
-	"mail":                "graph names obs sim",
-	"mail/mailstore":      "graph mail names sim sketch",
+	"mail":                "clock names obs",
+	"mail/mailstore":      "clock mail names sketch",
 	"mst":                 "graph netsim sim",
 	"netsim":              "graph obs sim",
-	"placement":           "graph obs",
+	"placement":           "names obs",
 	"server":              "graph mail mail/mailstore mailerr names netsim obs sim",
+	"sim":                 "clock",
 	"wire":                "attr livenet mail mailerr names obs",
 }
 
 // daemonExcluded names the packages the mail daemon must not link: the
-// simulator's delivery core, its network and the load harness.
-var daemonExcluded = []string{"server", "netsim", "loadgen"}
+// simulator's delivery core, its network, the load harness, the
+// discrete-event kernel and the topology model with its graph algorithms.
+var daemonExcluded = []string{"server", "netsim", "loadgen", "sim", "graph"}
 
 // TestImportLayers: the import edges between the module's packages are those
 // importsAllowed lists, and cmd/maild depends on none of daemonExcluded,

@@ -49,7 +49,7 @@ func run(args []string) error {
 	datadir := fs.String("datadir", "", "durable store root (empty = memory-only stores)")
 	fsyncFlag := fs.String("fsync", "never", "WAL fsync policy with -datadir: never|always")
 	workers := fs.Int("workers", 0, "wire worker-pool size (0 = GOMAXPROCS)")
-	policyFlag := fs.String("policy", "", "placement policy for registrations that name no servers: static|jsq|rebalance (empty = all servers, registration order)")
+	policyFlag := fs.String("policy", "", "placement policy for registrations that name no servers: static|jsq (empty = all servers, registration order)")
 	jsqd := fs.Int("d", 2, "JSQ(d) sample width (with -policy jsq)")
 	termIndex := fs.Bool("termindex", true, "maintain per-store term indexes and sketches (serves the query verb)")
 	if err := fs.Parse(args); err != nil {
@@ -63,6 +63,9 @@ func run(args []string) error {
 	if *policyFlag != "" {
 		if policy, err = placement.ParseName(*policyFlag); err != nil {
 			return err
+		}
+		if policy == placement.NameRebalance {
+			return fmt.Errorf("-policy rebalance: maild runs no engine tick and publishes no <name>.rho gauge, so it places exactly as static; use static or jsq")
 		}
 	}
 	names := strings.Split(*servers, ",")
@@ -97,8 +100,6 @@ func run(args []string) error {
 
 // installPolicy builds the requested placement policy over the daemon's flat
 // fleet (one region, all named servers) and installs it on the cluster.
-// maild runs no engine tick, so "rebalance" places like static here —
-// migrations are executed by the loadgen drivers.
 func installPolicy(cl *livenet.Cluster, policy string, d int, names []string) {
 	world := placement.World{
 		Regions:          1,

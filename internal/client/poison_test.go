@@ -34,7 +34,7 @@ func poisonPayload(payload any) {
 var junkTransfer = server.Transfer{
 	Kind:      server.TransferDeposit,
 	Msg:       mail.Message{ID: mail.MessageID{Node: 666, Seq: 666}, From: names.MustParse("R1.h1.sender"), Subject: "poison", Body: "poison"},
-	Recipient: names.MustParse("R1.h1.reader"), Origin: ms2, Token: 1, Attempt: 9,
+	Recipient: names.MustParse("R1.h1.reader"), Origin: ms2, Token: 1,
 }
 
 // TestPoisonedPayloadsChangeNothing drives two identical worlds, one of them

@@ -18,10 +18,13 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"github.com/largemail/largemail/internal/names"
 )
 
-// NodeID identifies a node within one Graph.
-type NodeID int
+// NodeID identifies a node within one Graph: names.NodeID, declared in that
+// leaf package so that the mail layers name nodes without linking this one.
+type NodeID = names.NodeID
 
 // Kind classifies what a node represents in a mail-system topology.
 type Kind int

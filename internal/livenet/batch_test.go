@@ -70,7 +70,7 @@ func TestSpoolDrainsBatches(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if got := c.Metrics()["submit_spooled"]; got != n {
+	if got := c.Snapshot().Counters["submit_spooled"]; got != n {
 		t.Fatalf("submit_spooled = %d, want %d", got, n)
 	}
 	s1, _ := c.Server("s1")
@@ -82,7 +82,7 @@ func TestSpoolDrainsBatches(t *testing.T) {
 	if d := c.SpoolDepth(); d != 0 {
 		t.Fatalf("spool depth = %d after recovery, want 0", d)
 	}
-	m := c.Metrics()
+	m := c.Snapshot().Counters
 	if m["spool_redelivered"] != n {
 		t.Errorf("spool_redelivered = %d, want %d", m["spool_redelivered"], n)
 	}

@@ -93,7 +93,7 @@ func TestKillRestartDurableRecoversMail(t *testing.T) {
 	if n, _ := s1.MailboxLen(alice); n != 0 {
 		t.Fatalf("duplicate re-deposit stored after recovery (len=%d)", n)
 	}
-	m := c.Metrics()
+	m := c.Snapshot().Counters
 	if m["kills"] != 1 || m["restarts"] != 1 {
 		t.Fatalf("kills=%d restarts=%d, want 1/1", m["kills"], m["restarts"])
 	}

@@ -113,7 +113,7 @@ func TestUnreachableServerStampsLastStart(t *testing.T) {
 	if n, _ := s2.MailboxLen(alice); n != 1 {
 		t.Fatalf("secondary holds %d copies, want 1", n)
 	}
-	if c.Metrics()["deposit_failovers"] == 0 {
+	if c.Snapshot().Counters["deposit_failovers"] == 0 {
 		t.Error("deposit_failovers counter did not move")
 	}
 	// The walk marks the unreachable primary previously-unavailable.
@@ -157,7 +157,7 @@ func TestInjectedDropsNeverFailOver(t *testing.T) {
 			t.Errorf("%s holds %d copies — transient fault caused failover", name, n)
 		}
 	}
-	if got := c.Metrics()["deposit_retries"]; got != maxTransientRetries {
+	if got := c.Snapshot().Counters["deposit_retries"]; got != maxTransientRetries {
 		t.Errorf("deposit_retries = %d, want %d", got, maxTransientRetries)
 	}
 	s1.SetDropProb(0)
@@ -187,8 +187,8 @@ func TestSpoolRedeliversAfterTotalOutage(t *testing.T) {
 	if c.SpoolDepth() != 1 {
 		t.Fatalf("spool depth = %d, want 1", c.SpoolDepth())
 	}
-	if c.Metrics()["submit_spooled"] != 1 {
-		t.Errorf("submit_spooled = %d, want 1", c.Metrics()["submit_spooled"])
+	if c.Snapshot().Counters["submit_spooled"] != 1 {
+		t.Errorf("submit_spooled = %d, want 1", c.Snapshot().Counters["submit_spooled"])
 	}
 
 	s2, _ := c.Server("s2")
@@ -200,8 +200,8 @@ func TestSpoolRedeliversAfterTotalOutage(t *testing.T) {
 	if c.SpoolDepth() != 0 {
 		t.Fatal("spool did not drain after recovery")
 	}
-	if c.Metrics()["spool_redelivered"] != 1 {
-		t.Errorf("spool_redelivered = %d, want 1", c.Metrics()["spool_redelivered"])
+	if c.Snapshot().Counters["spool_redelivered"] != 1 {
+		t.Errorf("spool_redelivered = %d, want 1", c.Snapshot().Counters["spool_redelivered"])
 	}
 	a, _ := c.NewAgent(alice)
 	got := a.GetMail()

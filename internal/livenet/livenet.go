@@ -213,9 +213,6 @@ func (s *Server) Up() bool { return s.up.Load() }
 // Deposits reports how many messages this server has buffered in total.
 func (s *Server) Deposits() int64 { return s.deposits.Value() }
 
-// Checks reports how many CheckMail polls this server has served.
-func (s *Server) Checks() int64 { return s.checks.Value() }
-
 // Crash makes the server reject requests. Buffered mail survives.
 func (s *Server) Crash() { s.up.Store(false) }
 
@@ -627,16 +624,6 @@ func (c *Cluster) Obs() *obs.Registry { return c.stats }
 
 // Tracer returns the cluster's message-lifecycle tracer.
 func (c *Cluster) Tracer() *obs.Tracer { return c.trace }
-
-// Metrics returns a flat snapshot of the cluster's counters, including the
-// robustness set ("submit_spooled", "spool_redelivered", "spool_retries",
-// "spool_depth", "deposit_failovers", "deposit_retries", "injected_drops")
-// and the per-server "<name>.deposits"/"<name>.checks" counters.
-func (c *Cluster) Metrics() map[string]int64 {
-	snap := c.stats.Counters()
-	snap["spool_depth"] = int64(c.SpoolDepth())
-	return snap
-}
 
 // Snapshot returns the structured, versioned observability snapshot of the
 // cluster — counters, gauges, and latency histograms — refreshing the

@@ -115,7 +115,6 @@ var attrCities = []string{"boston", "cambridge", "salem", "medford", "quincy", "
 type attrQuery struct {
 	id          uint64
 	content     bool
-	pruneRoute  bool // launched via Distribute (planner said prunable)
 	origin      graph.NodeID
 	start       sim.Time
 	bound       sim.Time
@@ -435,7 +434,6 @@ func (s *AttrScenario) launch(content bool) {
 			s.rep.Refreshes++
 			s.tree.RefreshSketches()
 		}
-		q.pruneRoute = true
 		id, err = s.tree.Distribute(origin, payload, nil)
 	} else {
 		id, err = s.tree.Start(origin, payload, nil)

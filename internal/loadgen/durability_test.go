@@ -177,7 +177,7 @@ func TestLiveNoLossUnderKillRestartNoSpool(t *testing.T) {
 		t.Fatalf("auditors flagged violations under no-spool kill-restart: %v\nexamples: %v",
 			rep.Violations, rep.Examples)
 	}
-	m := drv.Cluster().Metrics()
+	m := drv.Cluster().Snapshot().Counters
 	if m["kills"] == 0 || m["kills"] != m["restarts"] {
 		t.Fatalf("kills=%d restarts=%d; schedule did not exercise kill-restart",
 			m["kills"], m["restarts"])

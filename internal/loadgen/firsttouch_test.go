@@ -89,6 +89,37 @@ func TestSimSubmitAllocs(t *testing.T) {
 	}
 }
 
+// TestRoamSubmitAllocs: the same round on the location-independent driver
+// costs 5 — the driver's string ID, Retrieve's string of it, the agent's
+// notification list (DropNotifications hands it back as nil) and shares of
+// the duplicate-suppression sets and the tracer's tables. Submit keeps one
+// recipient list and Retrieve one ID list, as SimDriver does; it was 7 while
+// each made a new one per call.
+func TestRoamSubmitAllocs(t *testing.T) {
+	drv := newRoamDriver(t, RoamConfig{Seed: 1, Pop: Population{
+		Users: 4000, Regions: 1, HostsPerRegion: 8, ServersPerRegion: 4, AuthorityLen: 2,
+	}})
+	const from = 0
+	i, to := 0, make([]int, 1)
+	round := func() {
+		to[0] = 1 + i%64
+		i++
+		if _, err := drv.Submit(from, to, "s", "body"); err != nil {
+			t.Fatal(err)
+		}
+		drv.Settle()
+		if res := drv.Retrieve(to[0]); len(res.IDs) != 1 {
+			t.Fatalf("user %d retrieved %d messages, want 1", to[0], len(res.IDs))
+		}
+	}
+	for range 64 { // materialise every user and take their first retrieval
+		round()
+	}
+	if n := testing.AllocsPerRun(256, round); n > 5 {
+		t.Errorf("Submit + deliver + Retrieve between existing users: %v allocs, want ≤ 5", n)
+	}
+}
+
 // TestFirstTouchAllocs: materialising a user under the static policy — the
 // path every default run takes — costs the name's user token and nothing
 // else: the directory keeps the host's list it is given, and the agent comes

@@ -47,6 +47,8 @@ type RoamDriver struct {
 	agents  map[int]*locind.Agent
 	loginOK map[int]bool // user's last Login attempt succeeded
 	order   []int        // materialized users, in first-touch order
+	toNames []names.Name // Submit's recipient names; server.accept copies them
+	ids     []string     // Retrieve's result IDs, valid until the next Retrieve
 
 	overhead []OverheadEvent
 }
@@ -185,12 +187,12 @@ func (d *RoamDriver) Submit(from int, to []int, subject, body string) (string, e
 	if err != nil {
 		return "", err
 	}
-	toNames := make([]names.Name, len(to))
-	for i, u := range to {
+	d.toNames = d.toNames[:0]
+	for _, u := range to {
 		if _, err := d.ensure(u); err != nil {
 			return "", err
 		}
-		toNames[i] = d.pop.Name(u)
+		d.toNames = append(d.toNames, d.pop.Name(u))
 	}
 	sys := d.systems[d.pop.RegionOf(from)]
 	sid, err := sys.NearestServer(fa.CurrentHost())
@@ -201,7 +203,7 @@ func (d *RoamDriver) Submit(from int, to []int, subject, body string) (string, e
 	if !ok {
 		return "", fmt.Errorf("loadgen: no server process on node %d", sid)
 	}
-	id, err := srv.Submit(server.SubmitRequest{From: fa.User(), To: toNames, Subject: subject, Body: body})
+	id, err := srv.Submit(server.SubmitRequest{From: fa.User(), To: d.toNames, Subject: subject, Body: body})
 	if err != nil {
 		return "", err
 	}
@@ -210,7 +212,8 @@ func (d *RoamDriver) Submit(from int, to []int, subject, body string) (string, e
 
 // Retrieve implements Driver. locind's GetMail polls every live authority
 // server each call, so Polls ≈ the authority length by design here; the
-// polled servers stamp what they hand over, as in §3.1.
+// polled servers stamp what they hand over, as in §3.1. Only the IDs leave
+// here, in a slice the next Retrieve reuses.
 func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 	a, err := d.ensure(u)
 	if err != nil {
@@ -218,14 +221,14 @@ func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 	}
 	p0, dup0 := a.Polls(), a.Duplicates()
 	msgs := a.TakeMail() // only the IDs leave here; an agent lives as long as the run does
-	ids := make([]string, len(msgs))
-	for i, m := range msgs {
-		ids[i] = m.ID.String()
+	d.ids = d.ids[:0]
+	for _, m := range msgs {
+		d.ids = append(d.ids, m.ID.String())
 	}
 	mail.Release(msgs) // a one-message batch's slot goes to the next empty mailbox
 	a.DropNotifications()
 	return RetrieveResult{
-		IDs:          ids,
+		IDs:          d.ids,
 		Polls:        a.Polls() - p0,
 		Duplicates:   a.Duplicates() - dup0,
 		LastChecking: int64(d.sched.Now()),

@@ -3,7 +3,7 @@ package mail
 import (
 	"slices"
 
-	"github.com/largemail/largemail/internal/graph"
+	"github.com/largemail/largemail/internal/names"
 )
 
 // idSetInline is how many IDs an IDSet holds before it spills. Most
@@ -19,7 +19,7 @@ const idRunsFirst = 8
 
 // idRun is the IDs lo..hi, both included, of one origin node.
 type idRun struct {
-	node   graph.NodeID
+	node   names.NodeID
 	lo, hi uint64
 }
 

@@ -10,16 +10,15 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/largemail/largemail/internal/graph"
+	"github.com/largemail/largemail/internal/clock"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/obs"
-	"github.com/largemail/largemail/internal/sim"
 )
 
 // MessageID uniquely identifies a message: the node that accepted the
 // submission plus a per-node sequence number.
 type MessageID struct {
-	Node graph.NodeID
+	Node names.NodeID
 	Seq  uint64
 }
 
@@ -76,7 +75,7 @@ type Message struct {
 	To          []names.Name
 	Subject     string
 	Body        string
-	SubmittedAt sim.Time
+	SubmittedAt clock.Time
 	// Expansions counts how many distribution-list expansions this copy
 	// has been through; servers drop copies beyond a limit so cyclic group
 	// definitions cannot loop mail forever.
@@ -92,7 +91,7 @@ func (m Message) Size() int { return len(m.Subject) + len(m.Body) + m.PartsSize(
 // Stored is a message held in a mailbox with its arrival metadata.
 type Stored struct {
 	Message
-	ArrivedAt sim.Time
+	ArrivedAt clock.Time
 	Read      bool
 }
 
@@ -118,7 +117,7 @@ const (
 type Op struct {
 	Kind OpKind
 	Msg  Message     // OpDeposit: the stored message
-	At   sim.Time    // OpDeposit: arrival time
+	At   clock.Time  // OpDeposit: arrival time
 	Read bool        // OpDeposit: already read (snapshot replay)
 	IDs  []MessageID // OpMarkRead, OpEvict, OpSuppress
 }
@@ -165,7 +164,7 @@ func (b *Mailbox) TakeOps() []Op {
 
 // Deposit stores a message, reporting whether it was newly stored (false
 // for duplicates).
-func (b *Mailbox) Deposit(m Message, at sim.Time) bool {
+func (b *Mailbox) Deposit(m Message, at clock.Time) bool {
 	if !b.seen.Add(m.ID) {
 		return false
 	}
@@ -381,7 +380,7 @@ func (b *Mailbox) SeenIDs() []MessageID {
 // duplicate-suppression memory (0 if none) — the floor a restarted ID
 // allocator must resume above, or a fresh message could reuse a delivered
 // ID and be swallowed as a duplicate.
-func (b *Mailbox) MaxSeenSeq(node graph.NodeID) uint64 {
+func (b *Mailbox) MaxSeenSeq(node names.NodeID) uint64 {
 	var maxSeq uint64
 	b.seen.Each(func(id MessageID) {
 		if id.Node == node && id.Seq > maxSeq {

@@ -22,10 +22,9 @@ import (
 	"sync"
 	"unsafe"
 
-	"github.com/largemail/largemail/internal/graph"
+	"github.com/largemail/largemail/internal/clock"
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
-	"github.com/largemail/largemail/internal/sim"
 	"github.com/largemail/largemail/internal/sketch"
 )
 
@@ -141,7 +140,7 @@ func (s *Store) View(user names.Name, fn func(*mail.Mailbox)) bool {
 // Deposit stores a message for a user, reporting whether it was newly stored
 // (false for duplicates). With the term index enabled, a fresh deposit's
 // terms are indexed under the same shard lock. It is DepositBatch of one.
-func (s *Store) Deposit(user names.Name, m mail.Message, at sim.Time) bool {
+func (s *Store) Deposit(user names.Name, m mail.Message, at clock.Time) bool {
 	c := [1]Copy{{User: user, Msg: m, At: at}}
 	s.DepositBatch(c[:])
 	return c[0].Fresh
@@ -151,7 +150,7 @@ func (s *Store) Deposit(user names.Name, m mail.Message, at sim.Time) bool {
 type Copy struct {
 	User  names.Name
 	Msg   mail.Message
-	At    sim.Time
+	At    clock.Time
 	Fresh bool // set by DepositBatch: false for a duplicate
 	shard int  // DepositBatch's own: -1 once deposited
 }
@@ -231,7 +230,7 @@ func (s *Store) sum(f func(*shard) int64) int64 {
 // remembers every ID it ever accepted; an ID allocator resuming after a
 // process restart must start above this floor or its next message would be
 // suppressed as a duplicate of a delivered one.
-func (s *Store) MaxSeenSeq(node graph.NodeID) uint64 {
+func (s *Store) MaxSeenSeq(node names.NodeID) uint64 {
 	var maxSeq uint64
 	for i := range s.shards {
 		sh := &s.shards[i]

@@ -16,10 +16,9 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"github.com/largemail/largemail/internal/graph"
+	"github.com/largemail/largemail/internal/clock"
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
-	"github.com/largemail/largemail/internal/sim"
 )
 
 // Record is one journaled mailbox mutation attributed to its owner: the unit
@@ -141,7 +140,7 @@ func decodePayload(payload []byte) (Record, error) {
 	switch kind {
 	case mail.OpDeposit:
 		m := &rec.Op.Msg
-		m.ID.Node = graph.NodeID(d.uvarint())
+		m.ID.Node = names.NodeID(d.uvarint())
 		m.ID.Seq = d.uvarint()
 		m.From = d.name()
 		nTo := d.count()
@@ -150,7 +149,7 @@ func decodePayload(payload []byte) (Record, error) {
 		}
 		m.Subject = d.string()
 		m.Body = d.string()
-		m.SubmittedAt = sim.Time(d.varint())
+		m.SubmittedAt = clock.Time(d.varint())
 		m.Expansions = int(d.uvarint())
 		nParts := d.count()
 		for i := 0; i < nParts && d.err == nil; i++ {
@@ -158,14 +157,14 @@ func decodePayload(payload []byte) (Record, error) {
 			data := d.bytes()
 			m.Parts = append(m.Parts, mail.Part{Type: mail.ContentType(typ), Data: data})
 		}
-		rec.Op.At = sim.Time(d.varint())
+		rec.Op.At = clock.Time(d.varint())
 		rec.Op.Read = d.byte() != 0
 	case mail.OpDrain:
 		// no fields
 	case mail.OpMarkRead, mail.OpEvict, mail.OpSuppress:
 		n := d.count()
 		for i := 0; i < n && d.err == nil; i++ {
-			node := graph.NodeID(d.uvarint())
+			node := names.NodeID(d.uvarint())
 			seq := d.uvarint()
 			rec.Op.IDs = append(rec.Op.IDs, mail.MessageID{Node: node, Seq: seq})
 		}

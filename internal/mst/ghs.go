@@ -238,7 +238,6 @@ type ghsNode struct {
 	weights map[graph.NodeID]float64
 
 	bestEdge graph.NodeID
-	hasBest  bool
 	bestWt   float64
 	testEdge graph.NodeID
 	hasTest  bool
@@ -376,7 +375,6 @@ func (n *ghsNode) onInitiate(j graph.NodeID, m msgInitiate) {
 	n.fragment = m.Fragment
 	n.state = m.State
 	n.inBranch = j
-	n.hasBest = false
 	n.bestWt = math.Inf(1)
 	// Deterministic propagation order.
 	nbs := make([]graph.NodeID, 0, len(n.edges))
@@ -438,7 +436,6 @@ func (n *ghsNode) onAccept(j graph.NodeID) {
 	n.hasTest = false
 	if n.weights[j] < n.bestWt {
 		n.bestEdge = j
-		n.hasBest = true
 		n.bestWt = n.weights[j]
 	}
 	n.report()
@@ -467,7 +464,6 @@ func (n *ghsNode) onReport(j graph.NodeID, m msgReport) bool {
 		if m.Weight < n.bestWt {
 			n.bestWt = m.Weight
 			n.bestEdge = j
-			n.hasBest = true
 		}
 		n.report()
 		return true

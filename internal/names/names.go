@@ -33,6 +33,10 @@ var (
 	ErrBadStructure = errors.New("names: name must have exactly three tokens (region.host.user)")
 )
 
+// NodeID identifies a host, router or server of the internetwork, declared
+// here so that the mail layers name nodes without linking internal/graph.
+type NodeID int
+
 // Name is a fully qualified, location-dependent user name.
 type Name struct {
 	Region string

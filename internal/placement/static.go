@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/largemail/largemail/internal/graph"
+	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/obs"
 )
 
@@ -17,10 +17,10 @@ type StaticConfig struct {
 	// Lists returns a global host's current authority list as topology nodes:
 	// the driver's own slice, replaced (never edited) when a reconfiguration
 	// re-runs the assignment.
-	Lists func(gh int) []graph.NodeID
+	Lists func(gh int) []names.NodeID
 	// SlotOf maps a topology server node to its global slot (ok=false for
 	// nodes that are not placeable servers).
-	SlotOf func(id graph.NodeID) (int, bool)
+	SlotOf func(id names.NodeID) (int, bool)
 }
 
 // Static is the reference policy: the §3.1.1 static optimum, re-homed. It
@@ -32,7 +32,7 @@ type Static struct {
 
 // hostList is a host's authority list as last seen and its translation.
 type hostList struct {
-	nodes []graph.NodeID
+	nodes []names.NodeID
 	slots []int
 }
 

@@ -65,7 +65,6 @@ type Transfer struct {
 	Recipient names.Name
 	Origin    graph.NodeID
 	Token     uint64
-	Attempt   int
 }
 
 // TransferAck confirms a Transfer identified by its token.

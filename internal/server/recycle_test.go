@@ -48,7 +48,7 @@ var (
 	junkTransfer = Transfer{
 		Kind:      TransferDeposit,
 		Msg:       mail.Message{ID: mail.MessageID{Node: 666, Seq: 666}, From: bob, To: []names.Name{alice}, Subject: "poison", Body: "poison"},
-		Recipient: alice, Origin: s2, Token: 1, Attempt: 9,
+		Recipient: alice, Origin: s2, Token: 1,
 	}
 	junkFailed = []int{0}
 )

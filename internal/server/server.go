@@ -208,7 +208,7 @@ func (p *pendingTransfer) transfer() Transfer {
 	}
 	return Transfer{
 		Kind: p.kind, Msg: p.msg, Recipient: p.recipient,
-		Origin: p.s.id, Token: p.tok, Attempt: p.attempt,
+		Origin: p.s.id, Token: p.tok,
 	}
 }
 

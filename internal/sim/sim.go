@@ -14,20 +14,17 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math/rand"
+
+	"github.com/largemail/largemail/internal/clock"
 )
 
-// Time is a virtual time instant measured in microticks.
-//
-// The paper speaks of abstract "time units" (e.g. "the average communication
-// time is one time unit for all communication links", §3.1.1). One paper
-// time unit is Unit microticks so that fractional costs such as the 0.5-unit
-// message processing time stay exact in integer arithmetic.
-type Time int64
+// Time is clock.Time, declared in a leaf package so that the mail layers
+// stamp messages without linking this kernel.
+type Time = clock.Time
 
 // Unit is one paper "time unit" expressed in microticks.
-const Unit Time = 1000
+const Unit = clock.Unit
 
 // Units converts a float amount of paper time units to Time, rounding to the
 // nearest microtick.
@@ -37,12 +34,6 @@ func Units(u float64) Time {
 	}
 	return Time(u*float64(Unit) + 0.5)
 }
-
-// Units reports the time as a float number of paper time units.
-func (t Time) Units() float64 { return float64(t) / float64(Unit) }
-
-// String formats the time in paper time units.
-func (t Time) String() string { return fmt.Sprintf("%gu", t.Units()) }
 
 // Runner is what a scheduled event does when it fires.
 type Runner interface{ Run() }

@@ -90,9 +90,9 @@ func TestGetMailOversizedBatchArrivesInParts(t *testing.T) {
 				}
 			}
 			if checkmail {
-				s1, _ := s.cluster.Server("s1")
-				if q := s.cluster.Obs().Gauge("s1.qdepth").Value(); q != 0 || s1.Checks() != int64(responses+1) {
-					t.Errorf("after %d checkmails: s1.qdepth = %d, s1.checks = %d", responses+1, q, s1.Checks())
+				snap := s.cluster.Snapshot()
+				if q, n := snap.Gauges["s1.qdepth"], snap.Counters["s1.checks"]; q != 0 || n != int64(responses+1) {
+					t.Errorf("after %d checkmails: s1.qdepth = %d, s1.checks = %d", responses+1, q, n)
 				}
 				return
 			}
