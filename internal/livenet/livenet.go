@@ -393,9 +393,10 @@ func (s *Server) MailboxLen(user names.Name) (int, error) {
 }
 
 // Search returns the users on this server whose buffered mail contains every
-// term, in sorted order — the per-store leg of a wire `query`. It requires
-// the cluster's term index (ClusterConfig.TermIndex); without it the store
-// returns nothing, which opQuery surfaces as an explicit refusal instead.
+// term, each once and in no particular order — the per-store leg of a wire
+// `query`. It requires the cluster's term index (ClusterConfig.TermIndex);
+// without it the store returns nothing, which opQuery surfaces as an
+// explicit refusal instead.
 func (s *Server) Search(terms []string) ([]names.Name, error) {
 	var out []names.Name
 	err := s.callFn(func(st *serverState) {

@@ -15,12 +15,14 @@ var updateAttrGolden = flag.Bool("update-attr-golden", false, "rewrite testdata/
 
 // TestAttrScenarioGolden pins two seeded 2 000-user × 8-server runs — one
 // failure-free, one under a crash/latency schedule — byte for byte: the full
-// AttrReport and the full Snapshot. The goldens were recorded before
-// residents were materialised on first touch, so they hold the scenario to
-// the order in which the virtual population used to be derived: a changed
-// iteration order, a resident built from the wrong index, or a content
-// search returning holders in another order all move a count or a quantile
-// here. Regenerate (only for an intended behaviour change) with
+// AttrReport and the full Snapshot. The goldens were recorded while every
+// profile was still derived per evaluation, and they have held since through
+// per-user records, chunks of an interest group's users and a term search
+// that returns its holders as a set: a resident built from the wrong index, a
+// deposit or a sweep in another order, or an audit book that drops or
+// doubles a user all move a count or a quantile here; the order in which a
+// node reports its holders does not. Regenerate (only for an intended
+// behaviour change) with
 //
 //	go test ./internal/loadgen -run TestAttrScenarioGolden -update-attr-golden
 func TestAttrScenarioGolden(t *testing.T) {

@@ -3,7 +3,7 @@ package loadgen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 
 	"github.com/largemail/largemail/internal/attr"
@@ -13,6 +13,7 @@ import (
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/mail/mailstore"
 	"github.com/largemail/largemail/internal/mst"
+	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/netsim"
 	"github.com/largemail/largemail/internal/obs"
 	"github.com/largemail/largemail/internal/sim"
@@ -119,11 +120,15 @@ type attrQuery struct {
 	start       sim.Time
 	bound       sim.Time
 	deadAtStart []graph.NodeID
-	// mass distribution: the globally matching users.
-	truth map[int]bool
-	// content search: per-node users holding the term when the query left.
-	truthByNode map[graph.NodeID]map[int]bool
+	// truth is the ground truth at launch, ascending: a distribution's
+	// matching users, or a content search's holders server by server, global
+	// server gs's in truth[at[gs]:at[gs+1]].
+	truth []int
+	at    []int
 }
+
+// holdersOn returns the content search's launch-time holders on server gs.
+func (q *attrQuery) holdersOn(gs int) []int { return q.truth[q.at[gs]:q.at[gs+1]] }
 
 // AttrScenario drives the paper's third architecture: a servers-only
 // topology carrying a backbone-MST, broadcast/convergecast for delivery,
@@ -145,14 +150,25 @@ type AttrScenario struct {
 
 	// residents holds what a §3.3 server stores for each of its users — the
 	// name mail is deposited under and the attribute profile predicates are
-	// matched against — indexed by population index and filled on first
-	// touch (see resident).
-	residents []*resident
+	// matched against — in chunks of one interest group's users, built on
+	// first touch (see resident): residents[g][c] is group g's chunk c.
+	residents [attrGroups][][]resident
 
 	pending   map[uint64]*attrQuery
 	pendingID []uint64 // launch order, for deterministic completion sweeps
-	undrained map[graph.NodeID]map[int]bool
-	seq       int // launches so far; also the unique message-ID sequence
+	undrained [][]int  // per global server, users deposited to since the last sweep
+	seq       int      // launches so far; also the unique message-ID sequence
+
+	// got[u] == audits marks user u as reported by the query being audited;
+	// gotUsers lists those users once each, in the summary's order.
+	got      []uint32
+	audits   uint32
+	gotUsers []int
+	// Buffers reused: audited queries' truth, the evaluator's results.
+	spareTruth  [][]int
+	matched     []int
+	holders     []int
+	holderNames []names.Name
 
 	rep AttrReport
 }
@@ -170,8 +186,11 @@ func NewAttrScenario(cfg AttrConfig) (*AttrScenario, error) {
 		reg:       obs.NewRegistry(),
 		store:     make(map[graph.NodeID]*mailstore.Store),
 		pending:   make(map[uint64]*attrQuery),
-		undrained: make(map[graph.NodeID]map[int]bool),
-		residents: make([]*resident, cfg.Pop.Users),
+		undrained: make([][]int, cfg.Pop.TotalServers()),
+		got:       make([]uint32, cfg.Pop.Users),
+	}
+	for g := range s.residents {
+		s.residents[g] = make([][]resident, cfg.Pop.Users/attrGroups/residentChunk+1)
 	}
 	g := s.buildTopology()
 	s.net = netsim.New(s.sched, g)
@@ -251,37 +270,65 @@ func (s *AttrScenario) homeServer(u int) int {
 	return s.pop.RegionOf(u)*s.pop.ServersPerRegion + s.pop.HostOf(u)%s.pop.ServersPerRegion
 }
 
-// resident is one user's record in one allocation: the profile and the array
-// its Attrs point into.
+// resident is one user's record: the profile and the array its Attrs point
+// into.
 type resident struct {
 	attr.Profile
 	attrs [3]attr.Attribute
 }
 
+// residentChunk is how many users of one interest group a chunk holds.
+const residentChunk = 256
+
 // resident returns user u's record. The population is virtual — a pure
 // function of the index — so a record is derived the first time a query, a
 // deposit or a sweep touches the user and kept from then on: a distribution
 // costs its audience one record each, once, not one per candidate per
-// evaluation. Only touched users are ever held.
+// evaluation. Records are derived a chunk of u's interest group at a time, as
+// a distribution addresses a group: untouched groups are never held.
 func (s *AttrScenario) resident(u int) *attr.Profile {
-	if r := s.residents[u]; r != nil {
-		return &r.Profile
+	g, k := u%attrGroups, u/attrGroups
+	chunk := &s.residents[g][k/residentChunk]
+	if *chunk == nil {
+		*chunk = s.carveResidents(g, k/residentChunk)
 	}
-	var buf [24]byte
-	r := &resident{attrs: [3]attr.Attribute{
-		{Type: attr.TypeInterest, Value: token(groupTokens, "g", u%attrGroups), Visibility: attr.Public},
-		{Type: attr.TypeCity, Value: attrCities[u%len(attrCities)], Visibility: attr.Public},
-		{Type: attr.TypeName, Value: string(strconv.AppendInt(append(buf[:0], "user"...), int64(u), 10)), Visibility: attr.Public},
-	}}
-	r.Profile = attr.Profile{User: s.pop.Name(u), Attrs: r.attrs[:]}
-	s.residents[u] = r
-	return &r.Profile
+	return &(*chunk)[k%residentChunk].Profile
+}
+
+// carveResidents derives group g's chunk c, users g + attrGroups·k for k from
+// c·residentChunk: one []resident, and its users' u<n> and user<n> tokens in
+// one string of exactly their length, written on the stack first.
+func (s *AttrScenario) carveResidents(g, c int) []resident {
+	first := g + attrGroups*residentChunk*c
+	chunk := make([]resident, min(residentChunk, (s.pop.Users-first+attrGroups-1)/attrGroups))
+	var buf [residentChunk * (len("uuser") + 2*20)]byte
+	var ends [residentChunk][2]int // where each user's u<n> and user<n> end
+	text := buf[:0]
+	for j := range chunk {
+		text = strconv.AppendInt(append(text, 'u'), int64(first+attrGroups*j), 10)
+		ends[j][0] = len(text)
+		text = strconv.AppendInt(append(text, "user"...), int64(first+attrGroups*j), 10)
+		ends[j][1] = len(text)
+	}
+	tokens, start := string(text), 0
+	for j := range chunk {
+		u := first + attrGroups*j
+		user, tag := tokens[start:ends[j][0]], tokens[ends[j][0]:ends[j][1]]
+		start = ends[j][1]
+		chunk[j].attrs = [3]attr.Attribute{
+			{Type: attr.TypeInterest, Value: token(groupTokens, "g", g), Visibility: attr.Public},
+			{Type: attr.TypeCity, Value: attrCities[u%len(attrCities)], Visibility: attr.Public},
+			{Type: attr.TypeName, Value: tag, Visibility: attr.Public},
+		}
+		chunk[j].Profile = attr.Profile{User: s.pop.nameAs(u, user), Attrs: chunk[j].attrs[:]}
+	}
+	return chunk
 }
 
 // matchingOn enumerates group candidates homed on server gs and verifies
-// each against the real matcher.
+// each against the real matcher. The result is valid until the next call.
 func (s *AttrScenario) matchingOn(gs, group int, q attr.Query) []int {
-	var out []int
+	out := s.matched[:0]
 	for u := group; u < s.pop.Users; u += attrGroups {
 		if s.homeServer(u) != gs {
 			continue
@@ -290,6 +337,7 @@ func (s *AttrScenario) matchingOn(gs, group int, q attr.Query) []int {
 			out = append(out, u)
 		}
 	}
+	s.matched = out
 	return out
 }
 
@@ -304,17 +352,15 @@ func (s *AttrScenario) eval(node graph.NodeID, payload any) []broadcast.UserMatc
 		return nil
 	}
 	if p.Distribute {
-		users := s.matchingOn(int(node-simServerBase-1), p.Group, p.Query)
+		gs := int(node - simServerBase - 1)
+		users := s.matchingOn(gs, p.Group, p.Query)
 		items := make([]broadcast.UserMatch, 0, len(users))
 		now := s.sched.Now()
 		for _, u := range users {
 			s.store[node].Deposit(s.resident(u).User, mail.Message{
 				ID: p.MsgID, Subject: p.Subject, Body: p.Body, SubmittedAt: now,
 			}, now)
-			if s.undrained[node] == nil {
-				s.undrained[node] = make(map[int]bool)
-			}
-			s.undrained[node][u] = true
+			s.undrained[gs] = append(s.undrained[gs], u)
 			s.reg.Inc("bcast_deposits")
 			items = append(items, broadcast.UserMatch{User: u, Node: node})
 		}
@@ -330,14 +376,17 @@ func (s *AttrScenario) eval(node graph.NodeID, payload any) []broadcast.UserMatc
 }
 
 // contentHolders resolves the users on a node whose buffered mail contains
-// every term, as population indices.
+// every term, as population indices, each once, in no particular order. The
+// result is valid until the next call.
 func (s *AttrScenario) contentHolders(node graph.NodeID, terms []string) []int {
-	var out []int
-	for _, name := range s.store[node].SearchTerms(terms) {
+	s.holderNames = s.store[node].AppendSearch(s.holderNames[:0], terms)
+	out := s.holders[:0]
+	for _, name := range s.holderNames {
 		if u, ok := s.pop.UserIndex(name); ok {
 			out = append(out, u)
 		}
 	}
+	s.holders = out
 	return out
 }
 
@@ -371,6 +420,9 @@ func (s *AttrScenario) launch(content bool) {
 	depth := s.tree.MaxDepthFrom(origin)
 	s.rep.MaxDepth = max(s.rep.MaxDepth, depth)
 	q := &attrQuery{origin: origin, start: s.sched.Now(), content: content}
+	if n := len(s.spareTruth); n > 0 {
+		q.truth, s.spareTruth = s.spareTruth[n-1], s.spareTruth[:n-1]
+	}
 	q.bound = q.start + attrTimeout*sim.Time(depth) + sim.Unit
 	q.deadAtStart = s.downNodes(origin)
 
@@ -385,15 +437,11 @@ func (s *AttrScenario) launch(content bool) {
 		}
 		plan := attr.PlanQuery(query)
 		pruned = plan.Route == attr.RoutePruned && !s.cfg.DisablePrune
-		q.truthByNode = make(map[graph.NodeID]map[int]bool)
+		q.at = make([]int, s.pop.TotalServers()+1)
 		for gs := 0; gs < s.pop.TotalServers(); gs++ {
-			id := serverID(gs)
-			for _, u := range s.contentHolders(id, plan.Terms) {
-				if q.truthByNode[id] == nil {
-					q.truthByNode[id] = make(map[int]bool)
-				}
-				q.truthByNode[id][u] = true
-			}
+			q.truth = append(q.truth, s.contentHolders(serverID(gs), plan.Terms)...)
+			slices.Sort(q.truth[q.at[gs]:])
+			q.at[gs+1] = len(q.truth)
 		}
 		payload = broadcast.AttrQuery{Group: -1, Query: query, Terms: plan.Terms}
 	} else {
@@ -408,10 +456,9 @@ func (s *AttrScenario) launch(content bool) {
 			s.aud.RecordViolation(ViolationBroadcastLoss, "unparseable query "+qs)
 			return
 		}
-		q.truth = make(map[int]bool)
-		for u := group; u < s.pop.Users; u += attrGroups {
+		for u := group; u < s.pop.Users; u += attrGroups { // ascending
 			if query.Matches(s.resident(u)) {
-				q.truth[u] = true
+				q.truth = append(q.truth, u)
 			}
 		}
 		term := attrTerms[s.rng.Intn(len(attrTerms))]
@@ -459,6 +506,7 @@ func (s *AttrScenario) harvest() {
 		}
 		delete(s.pending, id)
 		s.audit(q, sum, at, st)
+		s.spareTruth = append(s.spareTruth, q.truth[:0])
 	}
 	s.pendingID = remaining
 }
@@ -495,21 +543,24 @@ func (s *AttrScenario) audit(q *attrQuery, sum broadcast.Summary, at sim.Time, s
 			}
 		}
 	}
-	got := make(map[int]bool)
+	s.audits++ // a wrap would need 2³² audits
+	s.gotUsers = s.gotUsers[:0]
 	for _, m := range sum.Items {
-		if got[m.User] {
+		if s.got[m.User] == s.audits {
 			s.aud.RecordViolation(ViolationBroadcastLoss,
 				fmt.Sprintf("query %d: u%d summarized twice", q.id, m.User))
+		} else {
+			s.got[m.User] = s.audits
+			s.gotUsers = append(s.gotUsers, m.User)
 		}
 		if prunedSet[m.Node] {
 			s.aud.RecordViolation(ViolationBroadcastLoss,
 				fmt.Sprintf("query %d: item from u%d@%d inside a pruned subtree", q.id, m.User, m.Node))
 		}
-		got[m.User] = true
 	}
 	if q.content {
 		s.rep.ContentQueries++
-		s.auditContent(q, got, excused, prunedSet)
+		s.auditContent(q, excused, prunedSet)
 		s.recordPrune(sum, st, prunedSet)
 		lat := float64(at-q.start) / float64(sim.Unit)
 		s.reg.Histogram("lat_convergecast", nil).Observe(lat)
@@ -524,14 +575,9 @@ func (s *AttrScenario) audit(q *attrQuery, sum broadcast.Summary, at sim.Time, s
 			fmt.Sprintf("query %d: distribution pruned %d subtrees", q.id, len(sum.Pruned)))
 	}
 	s.rep.Queries++
-	s.rep.Deliveries += len(got)
-	truth := make([]int, 0, len(q.truth))
-	for u := range q.truth {
-		truth = append(truth, u)
-	}
-	sort.Ints(truth)
-	for _, u := range truth {
-		if got[u] {
+	s.rep.Deliveries += len(s.gotUsers)
+	for _, u := range q.truth {
+		if s.got[u] == s.audits {
 			continue
 		}
 		if excused[serverID(s.homeServer(u))] {
@@ -545,8 +591,8 @@ func (s *AttrScenario) audit(q *attrQuery, sum broadcast.Summary, at sim.Time, s
 				fmt.Sprintf("query %d: u%d missing though its node responded", q.id, u))
 		}
 	}
-	for u := range got {
-		if !q.truth[u] {
+	for _, u := range s.gotUsers {
+		if _, ok := slices.BinarySearch(q.truth, u); !ok {
 			s.aud.RecordViolation(ViolationBroadcastLoss,
 				fmt.Sprintf("query %d: bogus delivery claim for u%d", q.id, u))
 		}
@@ -565,33 +611,34 @@ func (s *AttrScenario) audit(q *attrQuery, sum broadcast.Summary, at sim.Time, s
 // being visited — the sketch proved it holds nothing, so any launch-time
 // holder there is a pruning false negative, the one violation the
 // selective multicast must never commit.
-func (s *AttrScenario) auditContent(q *attrQuery, got map[int]bool, excused, prunedSet map[graph.NodeID]bool) {
-	truthAll := make(map[int]bool)
-	for node, holders := range q.truthByNode {
+// A claim is bogus when its user held no match at launch on its home server,
+// where all its copies are deposited.
+func (s *AttrScenario) auditContent(q *attrQuery, excused, prunedSet map[graph.NodeID]bool) {
+	for gs := 0; gs < s.pop.TotalServers(); gs++ {
+		node := serverID(gs)
 		if excused[node] {
 			continue
 		}
 		if prunedSet[node] {
-			for u := range holders {
+			for _, u := range q.holdersOn(gs) {
 				s.aud.RecordViolation(ViolationBroadcastLoss,
 					fmt.Sprintf("content query %d: u%d@%d held a match inside a pruned subtree (false negative)", q.id, u, node))
 			}
 			continue
 		}
-		for u := range holders {
-			truthAll[u] = true
-			if !got[u] {
+		for _, u := range q.holdersOn(gs) {
+			if s.got[u] != s.audits {
 				s.aud.RecordViolation(ViolationBroadcastLoss,
 					fmt.Sprintf("content query %d: u%d's indexed copy not reported", q.id, u))
 			}
 		}
 	}
-	for u := range got {
-		home := serverID(s.homeServer(u))
-		if excused[home] {
+	for _, u := range s.gotUsers {
+		home := s.homeServer(u)
+		if excused[serverID(home)] {
 			continue // evaluated before its subtree's summary was lost
 		}
-		if !truthAll[u] && !q.truthByNode[home][u] {
+		if _, held := slices.BinarySearch(q.holdersOn(home), u); !held {
 			s.aud.RecordViolation(ViolationBroadcastLoss,
 				fmt.Sprintf("content query %d: bogus holder claim for u%d", q.id, u))
 		}
@@ -630,25 +677,17 @@ func (s *AttrScenario) sweep() {
 			return
 		}
 	}
-	nodes := make([]graph.NodeID, 0, len(s.undrained))
-	for id := range s.undrained {
-		nodes = append(nodes, id)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	// One bulletin is drained from thousands of mailboxes: its ID is
 	// rendered for the ledger once per sweep, not once per copy.
 	idText := make(map[mail.MessageID]string)
 	var ids []string
-	for _, node := range nodes {
-		if !s.net.IsUp(node) {
+	for gs, users := range s.undrained {
+		node := serverID(gs)
+		if len(users) == 0 || !s.net.IsUp(node) {
 			continue // a crashed store is unreachable until recovery
 		}
-		users := make([]int, 0, len(s.undrained[node]))
-		for u := range s.undrained[node] {
-			users = append(users, u)
-		}
-		sort.Ints(users)
-		for _, u := range users {
+		slices.Sort(users)
+		for _, u := range slices.Compact(users) {
 			ids = ids[:0]
 			batch := s.store[node].Drain(s.resident(u).User)
 			for _, st := range batch {
@@ -662,7 +701,7 @@ func (s *AttrScenario) sweep() {
 			mail.Release(batch) // the next deposit into an empty mailbox reuses the slot
 			s.aud.CreditRetrieved(u, ids)
 		}
-		delete(s.undrained, node)
+		s.undrained[gs] = users[:0]
 	}
 }
 

@@ -241,12 +241,12 @@ func token(table *[tokenTableLen]string, prefix string, i int) string {
 // user token u<index>.
 func (p Population) Name(u int) names.Name {
 	var buf [24]byte
-	user := strconv.AppendInt(append(buf[:0], 'u'), int64(u), 10)
-	return names.Name{
-		Region: p.RegionName(p.RegionOf(u)),
-		Host:   token(hostTokens, "h", p.HostOf(u)),
-		User:   string(user),
-	}
+	return p.nameAs(u, string(strconv.AppendInt(append(buf[:0], 'u'), int64(u), 10)))
+}
+
+// nameAs is Name with the user token, u<index>, already rendered.
+func (p Population) nameAs(u int, user string) names.Name {
+	return names.Name{Region: p.RegionName(p.RegionOf(u)), Host: token(hostTokens, "h", p.HostOf(u)), User: user}
 }
 
 // RegionName returns the token for a region index.

@@ -17,6 +17,13 @@ const idSetInline = 3
 // IDs allocates no more often than it did then.
 const idRunsFirst = 8
 
+// idSpill is a spilled set: its runs, which start in first and move out to a
+// slice of their own only past idRunsFirst, so the spill is one allocation.
+type idSpill struct {
+	runs  []idRun
+	first [idRunsFirst]idRun
+}
+
 // idRun is the IDs lo..hi, both included, of one origin node.
 type idRun struct {
 	node   names.NodeID
@@ -25,11 +32,11 @@ type idRun struct {
 
 // IDSet is an exact set of message IDs: the duplicate-suppression memory of
 // a mailbox or a user agent. The first idSetInline IDs live in the value
-// itself; the fourth moves them all into a slice of runs made then, sorted by
-// (node, lo), no two of them touching, and from there on the set is that
-// slice — it never moves back. An origin numbers its messages in sequence,
-// so what one recipient has seen is mostly stretches of it: a batch of
-// sixteen to one user is one run of 24 bytes, as is an ID with no neighbour.
+// itself; the fourth moves them all into a slice of runs (an idSpill, made
+// then), sorted by (node, lo), no two of them touching, and from there on the
+// set is that slice — it never moves back. An origin numbers its messages in
+// sequence, so what one recipient has seen is mostly stretches of it: a batch
+// of sixteen to one user is one run of 24 bytes, as is an ID with no neighbour.
 // The zero value is an empty set. An IDSet must not be copied once it has
 // been added to.
 type IDSet struct {
@@ -37,7 +44,7 @@ type IDSet struct {
 	n      uint8 // IDs in inline; 0 once spilled
 	// spill is nil until the set outgrows inline. A pointer, not the slice:
 	// every mailbox and agent embeds an IDSet, and few ever spill.
-	spill *[]idRun
+	spill *idSpill
 }
 
 // find returns the index of the first run that starts after id, so that the
@@ -66,7 +73,7 @@ func holds(runs []idRun, i int, id MessageID) bool {
 // Has reports whether id is in the set.
 func (s *IDSet) Has(id MessageID) bool {
 	if s.spill != nil {
-		return holds(*s.spill, find(*s.spill, id), id)
+		return holds(s.spill.runs, find(s.spill.runs, id), id)
 	}
 	for i := uint8(0); i < s.n; i++ {
 		if s.inline[i] == id {
@@ -79,7 +86,7 @@ func (s *IDSet) Has(id MessageID) bool {
 // Add puts id in the set and reports whether it was new.
 func (s *IDSet) Add(id MessageID) bool {
 	if s.spill != nil {
-		return addRun(s.spill, id)
+		return addRun(&s.spill.runs, id)
 	}
 	if s.Has(id) {
 		return false
@@ -89,13 +96,13 @@ func (s *IDSet) Add(id MessageID) bool {
 		s.n++
 		return true
 	}
-	runs := make([]idRun, 0, idRunsFirst)
-	s.spill = &runs
+	s.spill = new(idSpill)
+	s.spill.runs = s.spill.first[:0]
 	for _, held := range s.inline {
-		addRun(s.spill, held)
+		addRun(&s.spill.runs, held)
 	}
 	s.n = 0
-	return addRun(s.spill, id)
+	return addRun(&s.spill.runs, id)
 }
 
 // addRun is Add on a spilled set: id extends the run it touches, joins two
@@ -127,14 +134,14 @@ func addRun(p *[]idRun, id MessageID) bool {
 // Delete removes id from the set and reports whether it was there.
 func (s *IDSet) Delete(id MessageID) bool {
 	if s.spill != nil {
-		runs := *s.spill
+		runs := s.spill.runs
 		i := find(runs, id)
 		if !holds(runs, i, id) {
 			return false
 		}
 		switch r := &runs[i-1]; {
 		case r.lo == r.hi:
-			*s.spill = slices.Delete(runs, i-1, i)
+			s.spill.runs = slices.Delete(runs, i-1, i)
 		case id.Seq == r.lo:
 			r.lo++
 		case id.Seq == r.hi:
@@ -142,7 +149,7 @@ func (s *IDSet) Delete(id MessageID) bool {
 		default: // the run splits around id
 			upper := idRun{node: r.node, lo: id.Seq + 1, hi: r.hi}
 			r.hi = id.Seq - 1
-			*s.spill = slices.Insert(runs, i, upper)
+			s.spill.runs = slices.Insert(runs, i, upper)
 		}
 		return true
 	}
@@ -160,7 +167,7 @@ func (s *IDSet) Delete(id MessageID) bool {
 func (s *IDSet) Len() int {
 	n := int(s.n)
 	if s.spill != nil {
-		for _, r := range *s.spill {
+		for _, r := range s.spill.runs {
 			n += int(r.hi-r.lo) + 1
 		}
 	}
@@ -176,7 +183,7 @@ func (s *IDSet) Each(fn func(MessageID)) {
 	if s.spill == nil {
 		return
 	}
-	for _, r := range *s.spill {
+	for _, r := range s.spill.runs {
 		for seq := r.lo; ; seq++ {
 			fn(MessageID{Node: r.node, Seq: seq})
 			if seq == r.hi { // tested here: hi may be the last uint64

@@ -328,8 +328,8 @@ func runsOf(t *testing.T, s *IDSet) [][3]uint64 {
 	if s.spill == nil {
 		t.Fatal("set has not spilled")
 	}
-	out := make([][3]uint64, 0, len(*s.spill))
-	for _, r := range *s.spill {
+	out := make([][3]uint64, 0, len(s.spill.runs))
+	for _, r := range s.spill.runs {
 		out = append(out, [3]uint64{uint64(r.node), r.lo, r.hi})
 	}
 	return out
@@ -456,8 +456,9 @@ func TestIDSetOutOfOrder(t *testing.T) {
 
 // TestIDSetSize: every mailbox and every agent embeds an IDSet, a million of
 // each in the large simulations, so the struct may not outgrow the 64 bytes
-// it had with a map behind it; and a spill is two allocations, as the map's
-// was, with room for idRunsFirst scattered IDs before the next.
+// it had with a map behind it; and a spill is one allocation (two, as the
+// map's was, while the slice header lived apart from its runs), with room for
+// idRunsFirst scattered IDs before the next.
 func TestIDSetSize(t *testing.T) {
 	if got := unsafe.Sizeof(IDSet{}); got > 64 {
 		t.Errorf("Sizeof(IDSet{}) = %d, want ≤ 64", got)
@@ -470,7 +471,58 @@ func TestIDSetSize(t *testing.T) {
 		for seq := uint64(0); seq < 2*idRunsFirst; seq += 2 { // isolated IDs: one run each
 			s.Add(MessageID{Node: 1, Seq: seq})
 		}
-	}); n > 2 {
-		t.Errorf("a set of %d scattered IDs: %v allocs, want ≤ 2", idRunsFirst, n)
+	}); n > 1 {
+		t.Errorf("a set of %d scattered IDs: %v allocs, want ≤ 1", idRunsFirst, n)
+	}
+	if got := unsafe.Sizeof(idSpill{}); got > 224 {
+		t.Errorf("Sizeof(idSpill{}) = %d, want ≤ 224, the two objects it replaced", got)
+	}
+}
+
+// TestIDSetSpillAllocBudget: the fourth Add, the one that spills, costs
+// exactly one allocation, and filling the spill up to idRunsFirst isolated
+// IDs costs no other; a set that then grows past idRunsFirst runs, and
+// shrinks again, agrees with the map on Has, Len, Each and Delete all the
+// way. Under the race detector the count is the same: nothing here goes
+// through a sync.Pool.
+func TestIDSetSpillAllocBudget(t *testing.T) {
+	id := func(seq uint64) MessageID { return MessageID{Node: 3, Seq: 2 * seq} } // no two touch
+	var base, s IDSet
+	for seq := uint64(0); seq < idSetInline; seq++ {
+		base.Add(id(seq))
+	}
+	if n := testing.AllocsPerRun(100, func() { s = base; s.Add(id(idSetInline)) }); n != 1 {
+		t.Errorf("the spilling Add: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s = base
+		for seq := uint64(idSetInline); seq < idRunsFirst; seq++ {
+			s.Add(id(seq))
+		}
+	}); n != 1 {
+		t.Errorf("spilling and filling %d runs: %v allocs, want 1", idRunsFirst, n)
+	}
+	ref := refSeen{}
+	var universe []MessageID
+	for seq := uint64(0); seq < 4*idRunsFirst; seq++ {
+		universe = append(universe, id(seq), MessageID{Node: 3, Seq: 2*seq + 1})
+		if seq < idRunsFirst {
+			ref[id(seq)] = true
+		}
+	}
+	sameSet(t, "full first runs", &s, ref, universe)
+	for seq := uint64(idRunsFirst); seq < 3*idRunsFirst; seq++ {
+		if !s.Add(id(seq)) {
+			t.Fatalf("Add(%v) reported held", id(seq))
+		}
+		ref[id(seq)] = true
+		sameSet(t, fmt.Sprintf("grown to %d", seq+1), &s, ref, universe)
+	}
+	for seq := uint64(0); seq < 3*idRunsFirst; seq += 2 {
+		if !s.Delete(id(seq)) || s.Delete(id(seq)) {
+			t.Fatalf("Delete(%v) did not report held then absent", id(seq))
+		}
+		delete(ref, id(seq))
+		sameSet(t, fmt.Sprintf("deleted %d", seq), &s, ref, universe)
 	}
 }

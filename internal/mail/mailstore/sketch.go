@@ -29,7 +29,7 @@ func (s *Store) Sketch() (*sketch.Filter, uint64) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		if sh.sk != nil {
-			f.Or(sh.sk.Snapshot())
+			sh.sk.OrInto(f)
 			gen += sh.skGen
 		}
 		sh.mu.RUnlock()

@@ -21,16 +21,17 @@ const (
 
 // Terms tokenizes a message's subject and body into its indexable terms:
 // lower-cased runs of letters and digits, length-bounded, de-duplicated,
-// capped at maxTermsPerMsg, in first-appearance order.
+// capped at maxTermsPerMsg, in first-appearance order, in one slice of its
+// exact length. Duplicates are found by scanning the terms kept.
 func Terms(subject, body string) []string {
-	var out []string
-	seen := make(map[string]bool)
+	var buf [maxTermsPerMsg]string
+	out := buf[:0]
 	emit := func(tok string) {
-		if len(tok) < minTermLen || len(tok) > maxTermLen || seen[tok] {
+		if len(tok) < minTermLen || len(tok) > maxTermLen ||
+			slices.ContainsFunc(out, func(t string) bool { return strings.EqualFold(t, tok) }) {
 			return
 		}
-		seen[tok] = true
-		out = append(out, tok)
+		out = append(out, strings.ToLower(tok))
 	}
 	split := func(s string) {
 		start := -1
@@ -43,7 +44,7 @@ func Terms(subject, body string) []string {
 				continue
 			}
 			if start >= 0 {
-				emit(strings.ToLower(s[start:i]))
+				emit(s[start:i])
 				start = -1
 			}
 			if len(out) >= maxTermsPerMsg {
@@ -51,14 +52,14 @@ func Terms(subject, body string) []string {
 			}
 		}
 		if start >= 0 && len(out) < maxTermsPerMsg {
-			emit(strings.ToLower(s[start:]))
+			emit(s[start:])
 		}
 	}
 	split(subject)
 	if len(out) < maxTermsPerMsg {
 		split(body)
 	}
-	return out
+	return slices.Clone(out)
 }
 
 // msgKey identifies an entry of a shard's message table by what was
@@ -180,53 +181,64 @@ func (sh *shard) indexRemove(mb *mail.Mailbox, m mail.Message) {
 }
 
 // SearchTerms returns the users whose buffered mail contains every one of
-// the terms (conjunction, case-insensitive), sorted by name — the evaluation form of a
-// planned content query's probe terms. Nil for an empty term list or a
-// disabled index.
-//
-// Each shard intersects its postings under its read lock, walking the
-// holders of the rarest term's messages and probing the rest, so the cost
-// follows the rarest term (a probe the holder's own message does not answer
-// walks the smaller of its mailbox and that term's postings); the names are
-// sorted once, at the end, and a mailbox holding two messages with the
-// rarest term is reported once.
-func (s *Store) SearchTerms(terms []string) []names.Name {
+// the terms (conjunction, case-insensitive): a set, each user once, in no
+// particular order — the evaluation form of a planned content query's probe
+// terms. Nil for an empty term list, a disabled index or no match.
+func (s *Store) SearchTerms(terms []string) []names.Name { return s.AppendSearch(nil, terms) }
+
+// AppendSearch appends SearchTerms's users to dst, so a caller that searches
+// often reuses one buffer. Each shard intersects its postings under its read
+// lock, walking the holders of the rarest term's messages and probing the
+// rest, so the cost follows the rarest term (a probe the holder's own message
+// does not answer walks the smaller of its mailbox and that term's postings).
+// A mailbox holding two messages with the rarest term is reported from the
+// first of them in its order only, so no name is compared or sorted.
+func (s *Store) AppendSearch(dst []names.Name, terms []string) []names.Name {
 	if len(terms) == 0 {
-		return nil
+		return dst
 	}
-	norm := make([]string, len(terms))
-	for i, t := range terms {
-		norm[i] = strings.ToLower(strings.TrimSpace(t))
-	}
-	posts := make([]map[*msgTerms]struct{}, len(terms))
-	var out []names.Name
+	var buf [4]map[*msgTerms]struct{}
+	posts := append(buf[:0], make([]map[*msgTerms]struct{}, len(terms))...)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		out = sh.appendHolders(out, norm, posts)
+		dst = sh.appendHolders(dst, terms, posts)
 		sh.mu.RUnlock()
 	}
-	slices.SortFunc(out, names.Compare)
-	return slices.Compact(out)
+	return dst
 }
 
 // appendHolders appends the owners of the shard's mailboxes that hold every
-// term, once per message of the rarest term they hold; posts is scratch, one
-// slot per term. Caller holds the shard lock.
+// term, each once; posts is scratch, one slot per term. Caller holds the
+// shard lock.
 func (sh *shard) appendHolders(out []names.Name, terms []string, posts []map[*msgTerms]struct{}) []names.Name {
 	rarest := 0
 	for i, t := range terms {
-		if posts[i] = sh.terms[t]; len(posts[i]) == 0 {
+		if posts[i] = sh.terms[strings.ToLower(strings.TrimSpace(t))]; len(posts[i]) == 0 {
 			return out
 		}
 		if len(posts[i]) < len(posts[rarest]) {
 			rarest = i
 		}
 	}
-	// holdsAll reports whether mb, a holder of e, holds some message with
-	// each other term: e itself when it is posted there, another entry if not,
-	// found by walking the shorter of mb's messages and that term's entries.
-	holdsAll := func(e *msgTerms, mb *mail.Mailbox) bool {
+	entry := func(m mail.Message) *msgTerms { return sh.msgTerms[msgKey{m.ID, m.Subject, m.Body}] }
+	// reports tells whether mb, a holder of e, is reported from e: whether e
+	// is the first of mb's messages posted under the rarest term, and mb holds
+	// some message with each other term — e itself when it is posted there,
+	// another entry if not, found by walking the shorter of mb's messages and
+	// that term's entries.
+	reports := func(e *msgTerms, mb *mail.Mailbox) bool {
+		if mb.Len() > 1 {
+			for j := range mb.Len() {
+				o := entry(mb.At(j))
+				if o == e {
+					break
+				}
+				if _, in := posts[rarest][o]; in {
+					return false
+				}
+			}
+		}
 	next:
 		for i, p := range posts {
 			if _, in := p[e]; in || i == rarest {
@@ -234,8 +246,7 @@ func (sh *shard) appendHolders(out []names.Name, terms []string, posts []map[*ms
 			}
 			if n := mb.Len(); n < len(p) {
 				for j := range n {
-					m := mb.At(j)
-					if _, in := p[sh.msgTerms[msgKey{m.ID, m.Subject, m.Body}]]; in {
+					if _, in := p[entry(mb.At(j))]; in {
 						continue next
 					}
 				}
@@ -251,11 +262,11 @@ func (sh *shard) appendHolders(out []names.Name, terms []string, posts []map[*ms
 		return true
 	}
 	for e := range posts[rarest] {
-		if e.first != nil && holdsAll(e, e.first) {
+		if e.first != nil && reports(e, e.first) {
 			out = append(out, e.first.Owner())
 		}
 		for mb := range e.more {
-			if holdsAll(e, mb) {
+			if reports(e, mb) {
 				out = append(out, mb.Owner())
 			}
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -75,10 +76,14 @@ func requireIndexRebuilds(t *testing.T, step int, srv *Server, words []string) {
 	st := srv.Store()
 	search := func() map[string][]names.Name {
 		out := make(map[string][]names.Name)
+		set := func(q string, terms ...string) { // a set: compared in one order
+			out[q] = st.SearchTerms(terms)
+			slices.SortFunc(out[q], names.Compare)
+		}
 		for _, a := range words {
-			out[a] = st.SearchTerms([]string{a})
+			set(a, a)
 			for _, b := range words {
-				out[a+"+"+b] = st.SearchTerms([]string{a, b})
+				set(a+"+"+b, a, b)
 			}
 		}
 		return out

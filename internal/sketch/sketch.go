@@ -90,21 +90,21 @@ func (c *Counting) Remove(term string) {
 	}
 }
 
-// Snapshot renders the current occupancy as an immutable bit filter,
-// suitable for ORing into subtree aggregates.
-func (c *Counting) Snapshot() *Filter {
-	f := NewFilter()
+// OrInto sets in f every bit whose slot counts a reference, folding the
+// filter's current occupancy into an aggregate without a filter of its own.
+// f must share the package geometry, as Or requires.
+func (c *Counting) OrInto(f *Filter) {
 	for at, n := range c.counts {
 		if n > 0 {
 			f.words[at>>6] |= 1 << (uint(at) & 63)
 		}
 	}
-	return f
 }
 
 // Filter is a plain Bloom bit set. Unlike Counting it supports Or, making
 // it the currency of the broadcast layer's subtree aggregation. The zero
-// value is not usable; construct with NewFilter or Counting.Snapshot.
+// value is not usable; construct with NewFilter and fill it with Add or
+// Counting.OrInto.
 type Filter struct {
 	words  []uint64
 	hashes int
@@ -115,8 +115,8 @@ func NewFilter() *Filter {
 	return &Filter{words: make([]uint64, DefaultBits/64), hashes: DefaultHashes}
 }
 
-// Add sets term's bits. Mostly useful in tests; production filters come
-// from Counting.Snapshot.
+// Add sets term's bits. Mostly useful in tests; production filters are
+// filled by Counting.OrInto.
 func (f *Filter) Add(term string) {
 	h1, h2 := hashPair(term)
 	mask := uint64(len(f.words)*64 - 1)

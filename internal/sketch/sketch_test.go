@@ -8,6 +8,55 @@ import (
 	"testing"
 )
 
+// Snapshot renders the filter's occupancy as a filter of its own, slot by
+// slot: the path stores aggregated through before Counting.OrInto, kept as
+// the reference OrInto is held to.
+func (c *Counting) Snapshot() *Filter {
+	f := NewFilter()
+	for at, n := range c.counts {
+		if n > 0 {
+			f.words[at>>6] |= 1 << (uint(at) & 63)
+		}
+	}
+	return f
+}
+
+// TestOrIntoMatchesSnapshots folds several counting filters, churned by
+// seeded adds and removes, into one filter through OrInto and through an Or
+// of their snapshots: the two must agree bit for bit, and OrInto must make
+// no allocation.
+func TestOrIntoMatchesSnapshots(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	cs := make([]*Counting, 5)
+	for i := range cs {
+		cs[i] = NewCounting()
+		live := map[string]int{}
+		for j := 0; j < 400*(i+1); j++ {
+			tm := fmt.Sprintf("t%d", rng.Intn(200))
+			if rng.Intn(3) == 0 && live[tm] > 0 {
+				cs[i].Remove(tm)
+				live[tm]--
+			} else {
+				cs[i].Add(tm)
+				live[tm]++
+			}
+		}
+	}
+	want, got := NewFilter(), NewFilter()
+	for _, c := range cs {
+		want.Or(c.Snapshot())
+		c.OrInto(got)
+	}
+	for i := range want.words {
+		if got.words[i] != want.words[i] {
+			t.Fatalf("word %d: OrInto %#x, snapshots %#x", i, got.words[i], want.words[i])
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { cs[0].OrInto(got) }); n != 0 {
+		t.Errorf("OrInto: %v allocs, want 0", n)
+	}
+}
+
 func TestCountingAddRemove(t *testing.T) {
 	c := NewCounting()
 	terms := []string{"budget", "offsite", "seminar", "deadline", "picnic"}
