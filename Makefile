@@ -133,13 +133,15 @@ tier2-retained:
 # query, 2.8 per copy the attr scenario deposits, 3.0 under -race, where
 # sync.Pool drops a quarter of the released slots; a slot array per first
 # deposit and the chunks its mailbox is carved from —
-# TestFirstDepositAllocBudget). And the mailbox slot a wire response gives
+# TestFirstDepositAllocBudget; 0 per first-touched user —
+# TestFirstTouchAllocs), and the auditors' verdicts through their string and
+# value paths (TestLedgerVerdicts). And the mailbox slot a wire response gives
 # back (mail.Release), scribbled on the same way and run ten times: the
 # hand-over schedules, the oversized batch, eight connections under
 # kill-restart.
 .PHONY: tier2-transit
 tier2-transit:
-	go test -race -run 'Recycled|PendingRecords|Poisoned|TransitAllocs|DepositCycle|TakeMail|HandedOver|DispatchAllocs|SendAllocs|ReusesRecord|TestSimSubmitAllocs|TestRoamSubmitAllocs|AllocBudget' \
+	go test -race -run 'Recycled|PendingRecords|Poisoned|TransitAllocs|DepositCycle|TakeMail|HandedOver|DispatchAllocs|SendAllocs|ReusesRecord|TestSimSubmitAllocs|TestRoamSubmitAllocs|TestFirstTouchAllocs|TestLedgerVerdicts|AllocBudget' \
 		./internal/netsim/ ./internal/server/ ./internal/client/ ./internal/locind/ ./internal/loadgen/ ./internal/broadcast/ ./internal/mail/ ./internal/mail/mailstore/
 	go test -race -count=10 -run 'ReleasedSlot|ReleaseTakes|OversizedBatch|TestDrainFit' ./internal/mail/ ./internal/wire/ ./internal/livenet/
 
@@ -174,7 +176,8 @@ tier2-determinism:
 # world placed one way — no branch on whether a placement policy is
 # configured in the drivers, and the §3.1.1 assignment built in one file; and
 # §3.2 delivers through internal/server — internal/locind keeps no retry
-# timers, acks or mailboxes of its own.
+# timers, acks or mailboxes of its own; and the harness keeps message IDs as
+# values — no m.ID.String() per copy in internal/loadgen.
 .PHONY: check
 check: tier1 tier1-race fuzz-smoke tier2-durability tier2-wire tier2-balance tier2-arch tier2-attr-prune tier2-retained tier2-transit tier2-determinism
 	@n=$$($(SIZE)); test $$n -le $(SIZE_CEILING) || { echo "make size = $$n, above SIZE_CEILING = $(SIZE_CEILING)" >&2; exit 1; }
@@ -182,6 +185,7 @@ check: tier1 tier1-race fuzz-smoke tier2-durability tier2-wire tier2-balance tie
 	@if grep -n -E 'Policy [!=]= ""|policy [!=]= nil' $$(ls internal/loadgen/*.go | grep -v _test.go); then echo "internal/loadgen branches on whether a placement policy is configured" >&2; exit 1; fi
 	@n=$$(grep -l -F 'assign.New(' $$(ls internal/core/*.go internal/loadgen/*.go | grep -v _test.go) | wc -l); test $$n -eq 1 || { echo "assign.New( appears in $$n non-test files under internal/core internal/loadgen, want 1" >&2; exit 1; }
 	@if grep -n -E 'sim\.Event|Ack struct|map\[names\.Name\]\*mail\.Mailbox' $$(ls internal/locind/*.go | grep -v _test.go); then echo "internal/locind keeps a delivery ledger of its own (a timer, an ack or a mailbox map)" >&2; exit 1; fi
+	@if grep -n -E 'ID\.String\(\)' $$(ls internal/loadgen/*.go | grep -v _test.go); then echo "internal/loadgen formats a message ID per copy; its books take IDs as values" >&2; exit 1; fi
 
 # Chaos: just the fault-injection soaks — compiled schedules of internal/faults
 # run through internal/loadgen's engine and auditors on both transports —
@@ -251,7 +255,7 @@ bench-pairs:
 # per package of internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 23946
+SIZE_CEILING = 24018
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 .PHONY: size
 size:

@@ -219,8 +219,9 @@ func (a *Agent) Notifications() []server.Notify {
 	return append([]server.Notify(nil), a.notifications...)
 }
 
-// DropNotifications releases the alerts the agent holds.
-func (a *Agent) DropNotifications() { a.notifications = nil }
+// DropNotifications forgets the alerts the agent holds; their array is kept
+// for the next ones (Notifications hands out copies).
+func (a *Agent) DropNotifications() { clear(a.notifications); a.notifications = a.notifications[:0] }
 
 // Connect performs the connection setup of §3.1.2a: "the user interface
 // will contact the first server from that list, and ask for a mail service.

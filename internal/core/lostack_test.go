@@ -91,12 +91,12 @@ func TestLostSubmitAckOwesTheMessage(t *testing.T) {
 		}
 
 		acked := make(map[string]bool)
-		var ackedIDs []string
+		var ackedIDs []obs.Key
 		for _, h := range s.Hosts() {
 			for _, ack := range h.Acks() {
 				if !acked[ack.Subject] {
 					acked[ack.Subject] = true
-					ackedIDs = append(ackedIDs, ack.ID.String())
+					ackedIDs = append(ackedIDs, ack.ID.TraceKey())
 				}
 			}
 		}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/obs"
 )
 
 var (
@@ -310,13 +311,13 @@ func TestDepositStampedBeforeRetrieval(t *testing.T) {
 			got += len(a.TakeMail())
 		}
 	}()
-	ids := make([]string, n)
+	ids := make([]obs.Key, n)
 	for i := range ids {
 		id, err := c.Submit(bob, []names.Name{alice}, "s", "b")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = id.String()
+		ids[i] = id.TraceKey()
 	}
 	select {
 	case <-done:

@@ -364,7 +364,7 @@ func (s *AttrScenario) eval(node graph.NodeID, payload any) []broadcast.UserMatc
 			s.reg.Inc("bcast_deposits")
 			items = append(items, broadcast.UserMatch{User: u, Node: node})
 		}
-		s.aud.RecordSubmit(p.MsgID.String(), users)
+		s.aud.recordSubmit(p.MsgID.TraceKey(), users)
 		return items
 	}
 	holders := s.contentHolders(node, p.Terms)
@@ -677,10 +677,7 @@ func (s *AttrScenario) sweep() {
 			return
 		}
 	}
-	// One bulletin is drained from thousands of mailboxes: its ID is
-	// rendered for the ledger once per sweep, not once per copy.
-	idText := make(map[mail.MessageID]string)
-	var ids []string
+	var ids []mail.MessageID
 	for gs, users := range s.undrained {
 		node := serverID(gs)
 		if len(users) == 0 || !s.net.IsUp(node) {
@@ -691,15 +688,10 @@ func (s *AttrScenario) sweep() {
 			ids = ids[:0]
 			batch := s.store[node].Drain(s.resident(u).User)
 			for _, st := range batch {
-				text, ok := idText[st.ID]
-				if !ok {
-					text = st.ID.String()
-					idText[st.ID] = text
-				}
-				ids = append(ids, text)
+				ids = append(ids, st.ID)
 			}
 			mail.Release(batch) // the next deposit into an empty mailbox reuses the slot
-			s.aud.CreditRetrieved(u, ids)
+			s.aud.creditIDs(u, ids)
 		}
 		s.undrained[gs] = users[:0]
 	}

@@ -3,6 +3,9 @@ package loadgen
 import (
 	"fmt"
 	"sort"
+
+	"github.com/largemail/largemail/internal/mail"
+	"github.com/largemail/largemail/internal/obs"
 )
 
 // Violation kinds reported by the auditors.
@@ -48,10 +51,9 @@ type Auditors struct {
 	authorityLen int
 	pollStrict   bool
 
-	outstanding map[copyKey]bool // committed copies not yet retrieved
-	seen        map[copyKey]bool // copies retrieved at least once
-	lastCheck   map[int]int64
-	retrievals  map[int]int
+	copies     map[copyKey]copyState // every copy committed or retrieved
+	lastCheck  map[int]int64
+	retrievals map[int]int
 
 	counts map[string]int
 	detail []string
@@ -66,23 +68,33 @@ func NewAuditors(authorityLen int, pollStrict bool) *Auditors {
 	return &Auditors{
 		authorityLen: authorityLen,
 		pollStrict:   pollStrict,
-		outstanding:  make(map[copyKey]bool),
-		seen:         make(map[copyKey]bool),
+		copies:       make(map[copyKey]copyState),
 		lastCheck:    make(map[int]int64),
 		retrievals:   make(map[int]int),
 		counts:       make(map[string]int),
 	}
 }
 
-// copyKey identifies one committed copy in the ledger: a message ID and the
-// recipient it is owed to. It is rendered as text only when a violation
-// names it.
+// copyKey identifies one copy in the ledger: a message ID and the recipient
+// it is owed to. It is rendered as text only when a violation names it.
 type copyKey struct {
-	id string
+	id obs.Key
 	u  int
 }
 
-func (k copyKey) String() string { return fmt.Sprintf("%s@u%d", k.id, k.u) }
+func (k copyKey) String() string { return copyText(k.id, k.u) }
+
+func copyText(id any, u int) string { return fmt.Sprintf("%v@u%d", id, u) }
+
+// copyState is what the ledger knows of a copy: owed (committed and not yet
+// retrieved), retrieved, or both — a copy retrieved before its submit was
+// ledgered is unledgered then and lost at the end, whatever comes after.
+type copyState uint8
+
+const (
+	copyOwed copyState = 1 << iota
+	copyRetrieved
+)
 
 func (a *Auditors) violate(kind, detail string) {
 	a.counts[kind]++
@@ -92,35 +104,60 @@ func (a *Auditors) violate(kind, detail string) {
 	}
 }
 
-// RecordSubmit ledgers a committed message: one copy owed per recipient.
+// RecordSubmit ledgers a committed message: one copy owed per recipient. An
+// id that is no message ID's text is an unledgered copy per recipient.
 func (a *Auditors) RecordSubmit(id string, rcpts []int) {
+	if k, ok := obs.ParseKey(id); ok {
+		a.recordSubmit(k, rcpts)
+		return
+	}
 	for _, u := range rcpts {
-		a.outstanding[copyKey{id, u}] = true
+		a.violate(ViolationUnledgered, copyText(id, u))
+	}
+}
+
+// recordSubmit is RecordSubmit for an ID held as a value.
+func (a *Auditors) recordSubmit(id obs.Key, rcpts []int) {
+	for _, u := range rcpts {
+		a.copies[copyKey{id, u}] |= copyOwed
 	}
 }
 
 // CreditRetrieved marks copies retrieved for user u without running the
-// retrieval-shape checks — for deliveries outside a normal sweep, like the
-// pre-migration drain of §3.1.4.
+// retrieval-shape checks. An id that is no message ID's text is unledgered.
 func (a *Auditors) CreditRetrieved(u int, ids []string) {
 	for _, id := range ids {
-		key := copyKey{id, u}
-		switch {
-		case a.seen[key]:
-			a.violate(ViolationDuplicate, key.String())
-		case a.outstanding[key]:
-			delete(a.outstanding, key)
-			a.seen[key] = true
-		default:
-			a.violate(ViolationUnledgered, key.String())
-			a.seen[key] = true
+		if k, ok := obs.ParseKey(id); ok {
+			a.credit(copyKey{k, u})
+		} else {
+			a.violate(ViolationUnledgered, copyText(id, u))
 		}
 	}
 }
 
+// creditIDs is CreditRetrieved for IDs held as values — for deliveries
+// outside a normal sweep, like the pre-migration drain of §3.1.4.
+func (a *Auditors) creditIDs(u int, ids []mail.MessageID) {
+	for _, id := range ids {
+		a.credit(copyKey{id.TraceKey(), u})
+	}
+}
+
+func (a *Auditors) credit(key copyKey) {
+	st := a.copies[key]
+	switch {
+	case st&copyRetrieved != 0:
+		a.violate(ViolationDuplicate, key.String())
+		return
+	case st&copyOwed == 0:
+		a.violate(ViolationUnledgered, key.String())
+	}
+	a.copies[key] = copyRetrieved
+}
+
 // RecordRetrieve ledgers one GetMail invocation by user u.
 func (a *Auditors) RecordRetrieve(u int, res RetrieveResult) {
-	a.CreditRetrieved(u, res.IDs)
+	a.creditIDs(u, res.IDs)
 	if last, ok := a.lastCheck[u]; ok && res.LastChecking < last {
 		a.violate(ViolationMonotone,
 			fmt.Sprintf("u%d: LastCheckingTime %d after %d", u, res.LastChecking, last))
@@ -152,23 +189,32 @@ func (a *Auditors) RecordRetrieve(u int, res RetrieveResult) {
 func (a *Auditors) RecordViolation(kind, detail string) { a.violate(kind, detail) }
 
 // RecordTraceGaps ledgers the final trace audit: each entry is a committed
-// message ID whose lifecycle span chain is missing or incomplete.
-func (a *Auditors) RecordTraceGaps(ids []string) {
+// message whose lifecycle span chain is missing or incomplete.
+func (a *Auditors) RecordTraceGaps(ids []obs.Key) {
+	var gaps []string
 	for _, id := range ids {
-		a.violate(ViolationTraceGap, id)
+		gaps = append(gaps, id.String())
 	}
+	a.violateSorted(ViolationTraceGap, gaps)
 }
 
-// FinishOutstanding converts every still-outstanding committed copy into a
-// loss violation. Call after the settle sweeps.
+// FinishOutstanding converts every copy still owed into a loss violation.
+// Call after the settle sweeps.
 func (a *Auditors) FinishOutstanding() {
-	keys := make([]string, 0, len(a.outstanding))
-	for k := range a.outstanding {
-		keys = append(keys, k.String())
+	var lost []string
+	for k, st := range a.copies {
+		if st&copyOwed != 0 {
+			lost = append(lost, k.String())
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		a.violate(ViolationLost, k)
+	a.violateSorted(ViolationLost, lost)
+}
+
+// violateSorted ledgers one violation per detail, in the order of the text.
+func (a *Auditors) violateSorted(kind string, details []string) {
+	sort.Strings(details)
+	for _, d := range details {
+		a.violate(kind, d)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/sim"
 )
 
@@ -29,9 +30,18 @@ func (r *recordingDriver) Submit(from int, to []int, subject, body string) (stri
 func (r *recordingDriver) Retrieve(u int) RetrieveResult {
 	res := r.Driver.Retrieve(u)
 	if len(res.IDs) > 0 {
-		r.log = append(r.log, fmt.Sprintf("retrieve u%d %s", u, strings.Join(res.IDs, ",")))
+		r.log = append(r.log, fmt.Sprintf("retrieve u%d %s", u, idList(res.IDs)))
 	}
 	return res
+}
+
+// idList is ids as comma-separated text.
+func idList(ids []mail.MessageID) string {
+	text := make([]string, len(ids))
+	for i, id := range ids {
+		text[i] = id.String()
+	}
+	return strings.Join(text, ",")
 }
 
 // runTraced runs one seeded closed loop over a fresh SimDriver and returns

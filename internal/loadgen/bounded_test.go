@@ -3,6 +3,8 @@ package loadgen
 import (
 	"testing"
 	"time"
+
+	"github.com/largemail/largemail/internal/mail"
 )
 
 // TestLiveDriverKeepsNoInbox is the same rule on the live transport: after an
@@ -56,7 +58,7 @@ func TestLongSweepRetainsNoBodies(t *testing.T) {
 	sd.Settle()
 
 	for name, d := range map[string]Driver{"sim": sd, "roam": rd} {
-		submitted, got := 0, map[string]int{}
+		submitted, got := 0, map[mail.MessageID]int{}
 		for r := 0; r < rounds; r++ {
 			for u := 0; u < users; u++ {
 				if _, err := d.Submit(u, []int{(u + 1 + r) % users}, "subject", "a body the agent must not keep"); err != nil {

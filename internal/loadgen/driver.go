@@ -2,16 +2,17 @@ package loadgen
 
 import (
 	"github.com/largemail/largemail/internal/faults"
+	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/obs"
 )
 
 // RetrieveResult is what one GetMail invocation yielded, in the units the
 // auditors check.
 type RetrieveResult struct {
-	// IDs are the message IDs newly retrieved, one entry per stored copy
-	// that reached the user's inbox this retrieval. They are valid until the
-	// driver's next Retrieve, which may reuse the slice.
-	IDs []string
+	// IDs are the message IDs newly retrieved, as values, one entry per
+	// stored copy that reached the user's inbox this retrieval. The slice is
+	// valid until the driver's next Retrieve, which may reuse it.
+	IDs []mail.MessageID
 	// Polls is how many CheckMail calls this retrieval issued — the
 	// §3.1.2c efficiency metric (≈1 when failure-free after the first
 	// retrieval, which must poll the whole authority list).
@@ -48,7 +49,7 @@ type ServerLoad struct {
 // the drain may have yielded messages regardless.
 type MigrationResult struct {
 	User    int
-	Drained []string
+	Drained []mail.MessageID
 	Moved   bool
 }
 
@@ -63,9 +64,10 @@ type PlacementRebalancer interface {
 
 // Driver is the transport contract of the workload engine: a mail system
 // the engine can submit into, retrieve from, advance in schedule ticks, and
-// inject faults into. SimDriver (netsim, event time) and LiveDriver
-// (livenet, wall clock) both satisfy it, which is what lets one engine and
-// one auditor suite exercise both transports.
+// inject faults into. SimDriver and RoamDriver (netsim, event time),
+// LiveDriver (livenet, wall clock) and WireDriver (livenet behind TCP) all
+// satisfy it, which is what lets one engine and one auditor suite exercise
+// every transport and both §3.1 and §3.2.
 type Driver interface {
 	// Population returns the population this driver was built for (with
 	// defaults applied).
@@ -73,7 +75,8 @@ type Driver interface {
 	// Submit sends one message from user index from to the given user
 	// indices. A nil error is the commit point: the message (every
 	// recipient copy) is owed to the no-loss audit. An error means nothing
-	// was accepted. Submit keeps nothing of to: the caller reuses it.
+	// was accepted. Submit keeps nothing of to: the caller reuses it. id is
+	// the message ID's text, which the engine parses once for its books.
 	Submit(from int, to []int, subject, body string) (id string, err error)
 	// Retrieve runs user u's GetMail.
 	Retrieve(u int) RetrieveResult

@@ -5,6 +5,8 @@ import (
 	"strings"
 
 	"github.com/largemail/largemail/internal/faults"
+	"github.com/largemail/largemail/internal/mail"
+	"github.com/largemail/largemail/internal/obs"
 )
 
 // Config parameterizes one closed-loop run.
@@ -114,8 +116,8 @@ type Engine struct {
 
 	sessions  []*session
 	touched   map[int]bool
-	sweepList []int    // touched users, in first-touch order
-	committed []string // message IDs owed complete traces
+	sweepList []int     // touched users, in first-touch order
+	committed []obs.Key // messages owed complete traces
 	submitted int
 	rcpts     []int // fire's recipients; Driver.Submit keeps none of them
 }
@@ -150,9 +152,9 @@ func (e *Engine) Auditors() *Auditors { return e.aud }
 
 // CreditRetrieved forwards out-of-band deliveries (e.g. a pre-migration
 // drain) to the auditors so the no-loss ledger stays balanced.
-func (e *Engine) CreditRetrieved(u int, ids []string) {
+func (e *Engine) CreditRetrieved(u int, ids []mail.MessageID) {
 	e.touch(u)
-	e.aud.CreditRetrieved(u, ids)
+	e.aud.creditIDs(u, ids)
 }
 
 func (e *Engine) touch(u int) {
@@ -255,8 +257,12 @@ func (e *Engine) fire(s *session, tick int, rep *Report) {
 	e.submitted++
 	rep.Submitted++
 	rep.Copies += len(rcpts)
-	e.committed = append(e.committed, id)
-	e.aud.RecordSubmit(id, rcpts)
+	if k, ok := obs.ParseKey(id); ok {
+		e.committed = append(e.committed, k)
+		e.aud.recordSubmit(k, rcpts)
+	} else {
+		e.aud.RecordSubmit(id, rcpts) // unledgered, under its text
+	}
 	e.touch(s.user)
 	for _, u := range rcpts {
 		e.touch(u)

@@ -70,6 +70,7 @@ type LiveDriver struct {
 
 	agents    map[int]*livenet.Agent
 	prevPolls map[int]int
+	mint      nameMint
 
 	placer
 }
@@ -135,10 +136,10 @@ func (d *LiveDriver) homeOf(u int) []string {
 
 // ensure lazily registers user u in the directory and creates its agent.
 func (d *LiveDriver) ensure(u int) (*livenet.Agent, names.Name, error) {
-	name := d.pop.Name(u)
 	if ag, ok := d.agents[u]; ok {
-		return ag, name, nil
+		return ag, ag.User(), nil
 	}
+	name := d.mint.name(d.pop, u)
 	d.cluster.Directory().SetAuthority(name, d.homeOf(u))
 	ag, err := d.cluster.NewAgent(name)
 	if err != nil {
@@ -187,7 +188,7 @@ func (d *LiveDriver) Retrieve(u int) RetrieveResult {
 	}
 	d.prevPolls[u] = ag.Polls()
 	for _, m := range got {
-		res.IDs = append(res.IDs, m.ID.String())
+		res.IDs = append(res.IDs, m.ID)
 	}
 	return res
 }
@@ -228,7 +229,7 @@ func (d *LiveDriver) migrateToSlot(u, from, to, tick int) MigrationResult {
 	if ag == nil || d.cluster.SpoolDepth() > 0 {
 		return res
 	}
-	name := d.pop.Name(u)
+	name := ag.User()
 	toName := serverLabel(to)
 	if s, ok := d.cluster.Server(toName); !ok || !s.Up() || !s.Reachable() {
 		return res
@@ -243,7 +244,7 @@ func (d *LiveDriver) migrateToSlot(u, from, to, tick int) MigrationResult {
 		return res
 	}
 	for _, m := range ag.TakeMail() {
-		res.Drained = append(res.Drained, m.ID.String())
+		res.Drained = append(res.Drained, m.ID)
 	}
 	d.noteRetrieved(u, len(res.Drained)) // drained mail is traffic too
 	d.prevPolls[u] = ag.Polls()          // the drain's polls are not the next sweep's

@@ -8,6 +8,7 @@ import (
 
 	"github.com/largemail/largemail/internal/faults"
 	"github.com/largemail/largemail/internal/livenet"
+	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/obs"
 	"github.com/largemail/largemail/internal/sim"
@@ -137,20 +138,93 @@ func TestAuditorsLedgerText(t *testing.T) {
 	}
 }
 
+// TestLedgerVerdicts drives one script through the auditors' string methods
+// and through the value path the engine takes — parse once, ledger the key,
+// hand a retrieval its IDs as values — and requires from both the verdicts
+// the text-keyed ledger gave: a clean copy, a duplicate, an unledgered copy,
+// a lost one, a retrieval before its submit (unledgered, then lost), and
+// text that is no message ID (unledgered under its text). A submit under
+// such text is unledgered too; it never becomes the zero key.
+func TestLedgerVerdicts(t *testing.T) {
+	type step struct {
+		submit bool
+		id     string
+		u      int
+	}
+	script := []step{
+		{true, "m1-1", 1}, {false, "m1-1", 1}, // clean
+		{true, "m1-2", 2}, {false, "m1-2", 2}, {false, "m1-2", 2}, // duplicate
+		{false, "m5-5", 3},                    // unledgered
+		{true, "m1-3", 4},                     // lost
+		{false, "m1-4", 5}, {true, "m1-4", 5}, // retrieved before its submit
+		{false, "not-an-id", 6},
+	}
+	wantCounts := map[string]int{ViolationDuplicate: 1, ViolationUnledgered: 3, ViolationLost: 2}
+	wantText := []string{
+		"duplicate: m1-2@u2",
+		"unledgered: m5-5@u3",
+		"unledgered: m1-4@u5",
+		"unledgered: not-an-id@u6",
+		"lost: m1-3@u4",
+		"lost: m1-4@u5",
+	}
+	byText, byValue := NewAuditors(2, false), NewAuditors(2, false)
+	for _, st := range script {
+		k, ok := obs.ParseKey(st.id)
+		switch {
+		case st.submit:
+			byText.RecordSubmit(st.id, []int{st.u})
+			if ok {
+				byValue.recordSubmit(k, []int{st.u})
+			} else {
+				byValue.RecordSubmit(st.id, []int{st.u})
+			}
+		default:
+			byText.CreditRetrieved(st.u, []string{st.id})
+			if ok {
+				id := mail.MessageID{Node: names.NodeID(k.Node), Seq: k.Seq}
+				byValue.RecordRetrieve(st.u, RetrieveResult{IDs: []mail.MessageID{id}})
+			} else {
+				byValue.CreditRetrieved(st.u, []string{st.id})
+			}
+		}
+	}
+	for name, a := range map[string]*Auditors{"string methods": byText, "values": byValue} {
+		a.FinishOutstanding()
+		if got := a.Counts(); !reflect.DeepEqual(got, wantCounts) {
+			t.Errorf("%s: counts = %v, want %v", name, got, wantCounts)
+		}
+		if got := a.Violations(); !reflect.DeepEqual(got, wantText) {
+			t.Errorf("%s: violations = %q, want %q", name, got, wantText)
+		}
+	}
+
+	a := NewAuditors(2, false)
+	a.RecordSubmit("m01-1", []int{7, 8})
+	a.FinishOutstanding()
+	if want := []string{"unledgered: m01-1@u7", "unledgered: m01-1@u8"}; !reflect.DeepEqual(a.Violations(), want) {
+		t.Errorf("submit under non-canonical text: violations = %q, want %q", a.Violations(), want)
+	}
+	if len(a.copies) != 0 {
+		t.Errorf("submit under non-canonical text ledgered %v", a.copies)
+	}
+}
+
 func TestAuditorsLedger(t *testing.T) {
+	m1, m2 := mail.MessageID{Node: 1, Seq: 1}, mail.MessageID{Node: 1, Seq: 2}
 	a := NewAuditors(2, true)
-	a.RecordSubmit("m1", []int{1, 2})
-	a.RecordRetrieve(1, RetrieveResult{IDs: []string{"m1"}, Polls: 2, LastChecking: 10})
+	a.RecordSubmit(m1.String(), []int{1, 2})
+	a.RecordRetrieve(1, RetrieveResult{IDs: []mail.MessageID{m1}, Polls: 2, LastChecking: 10})
 	if !a.Ok() {
 		t.Fatalf("clean retrieve flagged: %v", a.Violations())
 	}
 	// Duplicate copy.
-	a.RecordRetrieve(1, RetrieveResult{IDs: []string{"m1"}, Polls: 1, LastChecking: 20})
+	a.RecordRetrieve(1, RetrieveResult{IDs: []mail.MessageID{m1}, Polls: 1, LastChecking: 20})
 	if a.Counts()[ViolationDuplicate] != 1 {
 		t.Fatalf("duplicate not flagged: %v", a.Counts())
 	}
 	// Unledgered copy.
-	a.RecordRetrieve(1, RetrieveResult{IDs: []string{"ghost"}, Polls: 1, LastChecking: 30})
+	a.RecordRetrieve(1, RetrieveResult{IDs: []mail.MessageID{{Node: 9, Seq: 9}}, Polls: 1, LastChecking: 30})
 	if a.Counts()[ViolationUnledgered] != 1 {
 		t.Fatalf("unledgered not flagged: %v", a.Counts())
 	}
@@ -160,19 +234,19 @@ func TestAuditorsLedger(t *testing.T) {
 		t.Fatalf("monotone regression not flagged: %v", a.Counts())
 	}
 	// Poll inefficiency: second retrieval of user 2 must poll exactly 1.
-	a.RecordRetrieve(2, RetrieveResult{IDs: []string{"m1"}, Polls: 2, LastChecking: 10})
+	a.RecordRetrieve(2, RetrieveResult{IDs: []mail.MessageID{m1}, Polls: 2, LastChecking: 10})
 	a.RecordRetrieve(2, RetrieveResult{Polls: 3, LastChecking: 20})
 	if a.Counts()[ViolationPolls] != 1 {
 		t.Fatalf("poll inefficiency not flagged: %v", a.Counts())
 	}
 	// Outstanding copy (user 2 got its copy above; submit one that nobody
 	// retrieves).
-	a.RecordSubmit("m2", []int{3})
+	a.RecordSubmit(m2.String(), []int{3})
 	a.FinishOutstanding()
 	if a.Counts()[ViolationLost] != 1 {
 		t.Fatalf("loss not flagged: %v", a.Counts())
 	}
-	a.RecordTraceGaps([]string{"m2"})
+	a.RecordTraceGaps([]obs.Key{m2.TraceKey()})
 	if a.Counts()[ViolationTraceGap] != 1 {
 		t.Fatalf("trace gap not flagged: %v", a.Counts())
 	}
@@ -374,7 +448,15 @@ func TestEngineWithFaultsLive(t *testing.T) {
 func (a *Auditors) PollStrict() bool { return a.pollStrict }
 
 // Outstanding reports how many committed copies are still owed.
-func (a *Auditors) Outstanding() int { return len(a.outstanding) }
+func (a *Auditors) Outstanding() int {
+	n := 0
+	for _, st := range a.copies {
+		if st&copyOwed != 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // Cluster exposes the underlying cluster for tests.
 func (d *LiveDriver) Cluster() *livenet.Cluster { return d.cluster }

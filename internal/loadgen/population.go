@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 
 	"github.com/largemail/largemail/internal/faults"
 	"github.com/largemail/largemail/internal/graph"
@@ -247,6 +248,23 @@ func (p Population) Name(u int) names.Name {
 // nameAs is Name with the user token, u<index>, already rendered.
 func (p Population) nameAs(u int, user string) names.Name {
 	return names.Name{Region: p.RegionName(p.RegionOf(u)), Host: token(hostTokens, "h", p.HostOf(u)), User: user}
+}
+
+// nameMint spells first-touched users' names: Population.Name, with each
+// u<index> token a substring of a shared 4 KiB chunk, one allocation per
+// ≈ 500 users. A chunk without room for the longest token is dropped, never
+// rewritten, so every token handed out stays valid.
+type nameMint struct{ chunk strings.Builder }
+
+func (m *nameMint) name(p Population, u int) names.Name {
+	var buf [24]byte // 'u' and any int
+	tok := strconv.AppendInt(append(buf[:0], 'u'), int64(u), 10)
+	if m.chunk.Cap()-m.chunk.Len() < len(buf) {
+		m.chunk.Reset()
+		m.chunk.Grow(4096)
+	}
+	m.chunk.Write(tok)
+	return p.nameAs(u, m.chunk.String()[m.chunk.Len()-len(tok):])
 }
 
 // RegionName returns the token for a region index.

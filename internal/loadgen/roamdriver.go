@@ -47,8 +47,9 @@ type RoamDriver struct {
 	agents  map[int]*locind.Agent
 	loginOK map[int]bool // user's last Login attempt succeeded
 	order   []int        // materialized users, in first-touch order
-	toNames []names.Name // Submit's recipient names; server.accept copies them
-	ids     []string     // Retrieve's result IDs, valid until the next Retrieve
+	mint    nameMint
+	toNames []names.Name     // Submit's recipient names; server.accept copies them
+	ids     []mail.MessageID // Retrieve's result IDs, valid until the next Retrieve
 
 	overhead []OverheadEvent
 }
@@ -137,7 +138,7 @@ func (d *RoamDriver) ensure(u int) (*locind.Agent, error) {
 		return a, nil
 	}
 	sys := d.systems[d.pop.RegionOf(u)]
-	a, err := sys.NewAgent(d.pop.Name(u))
+	a, err := sys.NewAgent(d.mint.name(d.pop, u))
 	if err != nil {
 		return nil, err
 	}
@@ -189,10 +190,11 @@ func (d *RoamDriver) Submit(from int, to []int, subject, body string) (string, e
 	}
 	d.toNames = d.toNames[:0]
 	for _, u := range to {
-		if _, err := d.ensure(u); err != nil {
+		a, err := d.ensure(u)
+		if err != nil {
 			return "", err
 		}
-		d.toNames = append(d.toNames, d.pop.Name(u))
+		d.toNames = append(d.toNames, a.User())
 	}
 	sys := d.systems[d.pop.RegionOf(from)]
 	sid, err := sys.NearestServer(fa.CurrentHost())
@@ -223,7 +225,7 @@ func (d *RoamDriver) Retrieve(u int) RetrieveResult {
 	msgs := a.TakeMail() // only the IDs leave here; an agent lives as long as the run does
 	d.ids = d.ids[:0]
 	for _, m := range msgs {
-		d.ids = append(d.ids, m.ID.String())
+		d.ids = append(d.ids, m.ID)
 	}
 	mail.Release(msgs) // a one-message batch's slot goes to the next empty mailbox
 	a.DropNotifications()

@@ -78,9 +78,10 @@ type SimDriver struct {
 	lists map[graph.NodeID][]graph.NodeID // per host, the fabric's live table
 
 	agents  map[int]*client.Agent
-	toNames []names.Name // Submit's recipient names; server.accept copies them
-	ids     []string     // Retrieve's result IDs, valid until the next Retrieve
-	hostIdx map[int]int  // migrated users' host index
+	mint    nameMint
+	toNames []names.Name     // Submit's recipient names; server.accept copies them
+	ids     []mail.MessageID // Retrieve's result IDs, valid until the next Retrieve
+	hostIdx map[int]int      // migrated users' host index
 
 	placer
 	static *placement.Static // the policy's base
@@ -192,7 +193,7 @@ func (d *SimDriver) ensure(u int) (*client.Agent, error) {
 	if a, ok := d.agents[u]; ok {
 		return a, nil
 	}
-	name, gh := d.pop.Name(u), d.pop.HostOf(u) // a user nobody touched has not moved
+	name, gh := d.mint.name(d.pop, u), d.pop.HostOf(u) // a user nobody touched has not moved
 	h := hostID(gh)
 	list := d.lists[h]
 	slots := d.place(u, gh) // an empty answer leaves the host's list in force
@@ -286,7 +287,7 @@ func (d *SimDriver) Retrieve(u int) RetrieveResult {
 	d.noteRetrieved(u, len(msgs))
 	d.ids = d.ids[:0]
 	for _, m := range msgs {
-		d.ids = append(d.ids, m.ID.String())
+		d.ids = append(d.ids, m.ID)
 	}
 	mail.Release(msgs)
 	a.DropNotifications()
@@ -473,9 +474,7 @@ func (d *SimDriver) migrateToSlot(u, from, to, tick int) MigrationResult {
 	}
 	// The agent never saw the drain — seed its duplicate suppression, or a
 	// later straggler of a drained message would deliver as fresh.
-	for _, id := range a.NoteDelivered(drainedIDs) {
-		res.Drained = append(res.Drained, id.String())
-	}
+	res.Drained = a.NoteDelivered(drainedIDs)
 	d.noteRetrieved(u, len(res.Drained)) // drained mail is traffic too
 	if err := a.SetAuthority(newList); err != nil {
 		// Roll the directory back; the drained mail re-deposits nowhere, but
@@ -537,7 +536,7 @@ func (d *SimDriver) RemoveServer(label string) error {
 // and deleted at the old host, with a redirect left for senders still using
 // the old name. Returns the IDs drained before the handover so the caller can
 // credit them to the retrieval ledger.
-func (d *SimDriver) MigrateUser(u, newHost int) (drained []string, err error) {
+func (d *SimDriver) MigrateUser(u, newHost int) (drained []mail.MessageID, err error) {
 	if newHost < 0 || newHost >= d.pop.TotalHosts() {
 		return nil, fmt.Errorf("loadgen: no host %d", newHost)
 	}
@@ -549,7 +548,7 @@ func (d *SimDriver) MigrateUser(u, newHost int) (drained []string, err error) {
 	newName := a.User().Rename(d.pop.RegionName(newHost/d.pop.HostsPerRegion), token(hostTokens, "h", newHost))
 	moved, got, err := d.fab.Move(a, hostID(d.userHost(u)), hostID(newHost), newName)
 	for _, m := range got {
-		drained = append(drained, m.ID.String())
+		drained = append(drained, m.ID)
 	}
 	if err != nil {
 		return drained, err

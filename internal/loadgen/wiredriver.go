@@ -1,6 +1,9 @@
 package loadgen
 
 import (
+	"github.com/largemail/largemail/internal/mail"
+	"github.com/largemail/largemail/internal/names"
+	"github.com/largemail/largemail/internal/obs"
 	"github.com/largemail/largemail/internal/placement"
 	"github.com/largemail/largemail/internal/wire"
 )
@@ -23,7 +26,7 @@ type WireDriver struct {
 	srv *wire.Server
 	c   *wire.Client
 
-	registered map[int]bool
+	registered map[int]string // each registered user's name, spelled once
 }
 
 // NewWireDriver starts the server and dials the client. Call Close when done.
@@ -46,7 +49,7 @@ func NewWireDriver(cfg WireConfig) (*WireDriver, error) {
 		LiveDriver: newLiveDriver(srv.Cluster(), LiveConfig{Pop: cfg.Pop, Tick: liveTick}, placement.NameStatic),
 		srv:        srv,
 		c:          c,
-		registered: make(map[int]bool),
+		registered: make(map[int]string),
 	}, nil
 }
 
@@ -59,14 +62,14 @@ func (d *WireDriver) Close() {
 
 // ensure lazily registers user u's authority list over the wire.
 func (d *WireDriver) ensure(u int) (string, error) {
-	name := d.pop.Name(u).String()
-	if d.registered[u] {
+	if name, ok := d.registered[u]; ok {
 		return name, nil
 	}
+	name := d.pop.Name(u).String()
 	if err := d.c.Register(name, d.homeOf(u)...); err != nil {
 		return name, err
 	}
-	d.registered[u] = true
+	d.registered[u] = name
 	return name, nil
 }
 
@@ -106,7 +109,11 @@ func (d *WireDriver) Retrieve(u int) RetrieveResult {
 	}
 	d.prevPolls[u] = resp.Polls
 	for _, m := range resp.Messages {
-		res.IDs = append(res.IDs, m.ID)
+		// A server's IDs are canonical; text that is not leaves its copy
+		// uncredited, and the audit reports it lost.
+		if k, ok := obs.ParseKey(m.ID); ok {
+			res.IDs = append(res.IDs, mail.MessageID{Node: names.NodeID(k.Node), Seq: k.Seq})
+		}
 	}
 	return res
 }

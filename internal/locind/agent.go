@@ -104,8 +104,9 @@ func (a *Agent) Notifications() []server.Notify {
 	return append([]server.Notify(nil), a.notifications...)
 }
 
-// DropNotifications releases the alerts the agent holds.
-func (a *Agent) DropNotifications() { a.notifications = nil }
+// DropNotifications forgets the alerts the agent holds; their array is kept
+// for the next ones (Notifications hands out copies).
+func (a *Agent) DropNotifications() { clear(a.notifications); a.notifications = a.notifications[:0] }
 
 // Inbox returns retrieved messages (since the last TakeMail).
 func (a *Agent) Inbox() []mail.Stored { return a.inbox.Since(0) }

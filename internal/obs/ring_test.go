@@ -43,6 +43,40 @@ func (t *Tracer) IDs() []string {
 	return out
 }
 
+// Trace returns the message's recorded lifecycle, its events appended to dst
+// (nil for a copy of the caller's own). id is the canonical "m<node>-<seq>"
+// text; any other string has no trace.
+func (t *Tracer) Trace(id string, dst []SpanEvent) (Trace, bool) {
+	k, ok := ParseKey(id)
+	if !ok {
+		return Trace{}, false
+	}
+	events, ok := t.Events(k, dst)
+	if !ok {
+		return Trace{}, false
+	}
+	return Trace{ID: id, Events: events}, true
+}
+
+// incompleteText is Incomplete over ID text, sorted as strings — the form the
+// reference tracers answer in. Text that names no key is reported as it is.
+func (t *Tracer) incompleteText(ids []string) []string {
+	var keys []Key
+	var out []string
+	for _, id := range ids {
+		if k, ok := ParseKey(id); ok {
+			keys = append(keys, k)
+		} else {
+			out = append(out, id)
+		}
+	}
+	for _, k := range t.Incomplete(keys) {
+		out = append(out, k.String())
+	}
+	sort.Strings(out)
+	return out
+}
+
 // refRing is the bounded tracer's model: refTracer, plus, per shard, the IDs
 // it holds in creation order. A stamp on an ID it does not hold — new, or
 // dropped earlier — first drops the shard's oldest once the shard holds
@@ -127,7 +161,7 @@ func TestRingTracerMatchesReference(t *testing.T) {
 			if dropped := ref.evictions > 0; dropped != (missing > 0) {
 				t.Fatalf("%s: %d evictions but %d traces missing", when, ref.evictions, missing)
 			}
-			if got, want := tr.Incomplete(probe), ref.Incomplete(probe); !reflect.DeepEqual(got, want) {
+			if got, want := tr.incompleteText(probe), ref.Incomplete(probe); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: Incomplete differs (%d against %d)", when, len(got), len(want))
 			}
 			snap := reg.Snapshot()
@@ -220,7 +254,7 @@ func TestRingLateStamp(t *testing.T) {
 	if got, ok := tr.Trace(old.String(), nil); ok {
 		t.Errorf("dropped key still has a trace: %+v", got)
 	}
-	if got := tr.Incomplete([]string{old.String()}); len(got) != 1 {
+	if got := tr.Incomplete([]Key{old}); len(got) != 1 {
 		t.Errorf("Incomplete = %v, want the dropped key reported", got)
 	}
 	if got := tr.Len(); got != ringRecords {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -372,42 +371,39 @@ func (t *Tracer) StampKey(k Key, stage Stage, where string) {
 	}
 }
 
-// Trace returns the message's recorded lifecycle, its events appended to dst
-// (nil for a copy of the caller's own). id is the canonical "m<node>-<seq>"
-// text; any other string has no trace.
-func (t *Tracer) Trace(id string, dst []SpanEvent) (Trace, bool) {
-	k, ok := ParseKey(id)
-	if t == nil || !ok {
-		return Trace{}, false
+// Events appends the message's recorded lifecycle events to dst (nil for a
+// copy of the caller's own); false when k has no trace.
+func (t *Tracer) Events(k Key, dst []SpanEvent) ([]SpanEvent, bool) {
+	if t == nil {
+		return nil, false
 	}
 	sh := t.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	r := sh.index[k]
 	if r == nil {
-		return Trace{}, false
+		return nil, false
 	}
-	events := append(append(dst, r.inline[:r.n]...), r.more...)
-	return Trace{ID: id, Events: events}, true
+	return append(append(dst, r.inline[:r.n]...), r.more...), true
 }
 
-// Incomplete returns the subset of ids whose traces are missing or fail
-// Trace.Complete, sorted — the audit primitive the chaos soak builds on:
-// every committed message must show a complete submit→retrieve span chain,
-// even across crash/recover windows. One buffer holds each trace in turn.
-func (t *Tracer) Incomplete(ids []string) []string {
-	var out []string
-	var events []SpanEvent
-	for _, id := range ids {
-		tr, ok := t.Trace(id, events[:0])
+// Incomplete returns the keys whose traces are missing or fail
+// Trace.Complete, in the order given — the audit primitive the chaos soak
+// builds on: every committed message must show a complete submit→retrieve
+// span chain, even across crash/recover windows. One buffer holds each trace
+// in turn, and nothing is formatted.
+func (t *Tracer) Incomplete(keys []Key) []Key {
+	var out []Key
+	var buf []SpanEvent
+	for _, k := range keys {
+		events, ok := t.Events(k, buf[:0])
 		if ok {
-			events = tr.Events
+			buf = events
 		}
-		if !ok || !tr.Complete() {
-			out = append(out, id)
+		if !ok || !(Trace{Events: events}).Complete() {
+			out = append(out, k)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 

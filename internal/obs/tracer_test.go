@@ -71,11 +71,12 @@ func TestTraceIncomplete(t *testing.T) {
 	clk.now = 3
 	tr.Stamp(full, StageRetrieve, "s1")
 
-	gaps := tr.Incomplete([]string{full, neverSeen, partial})
-	if len(gaps) != 2 || gaps[0] != partial || gaps[1] != neverSeen {
-		t.Errorf("Incomplete = %v, want [%s %s]", gaps, partial, neverSeen)
+	key := func(id string) Key { k, _ := ParseKey(id); return k }
+	gaps := tr.Incomplete([]Key{key(full), key(neverSeen), key(partial)})
+	if len(gaps) != 2 || gaps[0] != key(neverSeen) || gaps[1] != key(partial) {
+		t.Errorf("Incomplete = %v, want [%s %s], in the order given", gaps, neverSeen, partial)
 	}
-	if got := tr.Incomplete([]string{full}); len(got) != 0 {
+	if got := tr.Incomplete([]Key{key(full)}); len(got) != 0 {
 		t.Errorf("Incomplete([full]) = %v, want empty", got)
 	}
 	if tr.Len() != 2 {
@@ -93,21 +94,21 @@ func TestTraceIncomplete(t *testing.T) {
 func TestIncompleteSharesOneBuffer(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracer(clk.Now, nil)
-	ids := make([]string, 256)
-	for i := range ids {
-		ids[i] = Key{Node: 1, Seq: uint64(i + 1)}.String()
+	keys := make([]Key, 256)
+	for i := range keys {
+		keys[i] = Key{Node: 1, Seq: uint64(i + 1)}
 		for _, st := range []Stage{StageSubmit, StageDeposit, StageRetrieve} {
 			clk.now++
-			tr.Stamp(ids[i], st, "s1")
+			tr.StampKey(keys[i], st, "s1")
 		}
 	}
 	buf := append(make([]SpanEvent, 0, 8), SpanEvent{Stage: StageNotify})
-	got, ok := tr.Trace(ids[0], buf)
+	got, ok := tr.Trace(keys[0].String(), buf)
 	if !ok || len(got.Events) != 4 || &got.Events[0] != &buf[0] || got.Events[0].Stage != StageNotify || got.Events[1].Stage != StageSubmit {
-		t.Fatalf("Trace(%s, one event) = %+v, %v; want the three stamps appended in place", ids[0], got.Events, ok)
+		t.Fatalf("Trace(%s, one event) = %+v, %v; want the three stamps appended in place", keys[0], got.Events, ok)
 	}
-	if n := testing.AllocsPerRun(10, func() { tr.Incomplete(ids) }); n > 1 {
-		t.Errorf("Incomplete over %d complete traces: %v allocs, want ≤ 1", len(ids), n)
+	if n := testing.AllocsPerRun(10, func() { tr.Incomplete(keys) }); n > 1 {
+		t.Errorf("Incomplete over %d complete traces: %v allocs, want ≤ 1", len(keys), n)
 	}
 }
 
@@ -134,7 +135,7 @@ func TestParseKey(t *testing.T) {
 }
 
 // TestStampNonCanonicalID pins what the string shim does with text that is
-// not a message ID: nothing is recorded, and the audit reports it missing.
+// not a message ID: nothing is recorded, and Trace finds nothing under it.
 func TestStampNonCanonicalID(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(WallClock, reg)
@@ -150,9 +151,6 @@ func TestStampNonCanonicalID(t *testing.T) {
 	}
 	if _, ok := tr.Trace("m1-1", nil); ok {
 		t.Error(`"m01-1" aliased to m1-1`)
-	}
-	if got := tr.Incomplete([]string{"not-an-id"}); len(got) != 1 {
-		t.Errorf("Incomplete = %v, want the id reported missing", got)
 	}
 	if n := len(reg.Snapshot().Histograms); n != 0 {
 		t.Errorf("dropped stamps fed %d histograms", n)
@@ -179,8 +177,11 @@ func TestNilTracerSafe(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Error("nil tracer Len != 0")
 	}
-	if got := tr.Incomplete([]string{"a"}); len(got) != 1 || got[0] != "a" {
-		t.Errorf("nil tracer Incomplete = %v, want [a]", got)
+	if _, ok := tr.Trace("a", nil); ok {
+		t.Error("nil tracer returned a trace for text that is no ID")
+	}
+	if k := (Key{Node: 1, Seq: 1}); !reflect.DeepEqual(tr.Incomplete([]Key{k}), []Key{k}) {
+		t.Errorf("nil tracer Incomplete = %v, want [%v]", tr.Incomplete([]Key{k}), k)
 	}
 	tr.Reset() // must not panic
 }
@@ -225,13 +226,13 @@ func TestTracerConcurrent(t *testing.T) {
 	if tr.Len() != workers*msgs+shared {
 		t.Errorf("Len = %d, want %d", tr.Len(), workers*msgs+shared)
 	}
-	var ids []string
+	var keys []Key
 	for w := 0; w < workers; w++ {
 		for i := 0; i < msgs; i++ {
-			ids = append(ids, fmt.Sprintf("m%d-%d", w+1, i))
+			keys = append(keys, Key{Node: int64(w + 1), Seq: uint64(i)})
 		}
 	}
-	if gaps := tr.Incomplete(ids); len(gaps) != 0 {
+	if gaps := tr.Incomplete(keys); len(gaps) != 0 {
 		t.Errorf("%d incomplete traces after concurrent stamping", len(gaps))
 	}
 	for i := 0; i < shared; i++ { // far past the inline capacity, none lost
@@ -332,7 +333,7 @@ func TestTracerMatchesReference(t *testing.T) {
 		if overflowed == 0 {
 			t.Fatalf("%s: no trace outgrew the inline array; the schedule is too short", when)
 		}
-		if got, want := tr.Incomplete(probe), ref.Incomplete(probe); !reflect.DeepEqual(got, want) {
+		if got, want := tr.incompleteText(probe), ref.Incomplete(probe); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Incomplete = %v, want %v", when, got, want)
 		}
 		if got, want := reg.Snapshot(), refReg.Snapshot(); !reflect.DeepEqual(got, want) {

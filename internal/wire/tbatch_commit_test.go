@@ -222,13 +222,13 @@ func runRefSchedule(t *testing.T, frames []Request, faults []refFault, rough boo
 	// The cluster numbers its messages m1-1, m1-2, … and stamps each as it
 	// numbers it, so the traced IDs run from m1-1 to the first one missing.
 	for seq := 1; ; seq++ {
-		id := fmt.Sprintf("m1-%d", seq)
-		tr, ok := s.cluster.Tracer().Trace(id, nil)
+		k := obs.Key{Node: 1, Seq: uint64(seq)}
+		events, ok := s.cluster.Tracer().Events(k, nil)
 		if !ok {
 			break
 		}
 		var stages []string
-		for _, e := range tr.Events {
+		for _, e := range events {
 			switch {
 			case e.Stage != obs.StageResolve:
 				stages = append(stages, e.Stage.String()+"@"+e.Where)
@@ -239,7 +239,7 @@ func runRefSchedule(t *testing.T, frames []Request, faults []refFault, rough boo
 			}
 		}
 		slices.Sort(stages)
-		run.traces = append(run.traces, id+": "+strings.Join(stages, " "))
+		run.traces = append(run.traces, k.String()+": "+strings.Join(stages, " "))
 	}
 	ws, _ := s.cluster.DurabilityStats()
 	run.rotated = ws.Rotations > 0 || ws.Compactions > 0
