@@ -86,12 +86,21 @@ tier2-balance:
 # (loss/bound/partial auditors under chaos), the convergecast node-kill
 # regression, and the typed tree against the old []any convergecast kept as
 # its reference model (topologies × fault cases × seeds: same items,
-# unavailable and pruned roots, ledger and time).
+# unavailable and pruned roots, ledger and time). Then §3.2 at full scale:
+# the roaming scenario at 1M users × 64 servers under faults, seeds 1–8,
+# each run audited clean (its binary goes under .bench_build/).
 .PHONY: tier2-arch
 tier2-arch:
 	go test -race -run 'TestRoam|TestE7|TestRehash|TestFederated|TestPendingDepositWalks|TestDeliveryMatchesReference|TestAttrScenario|TestConvergecast|TestEvacuate' \
 		./internal/loadgen/ ./internal/locind/ ./internal/broadcast/ ./internal/server/
 	go test -race ./internal/attr/
+	@mkdir -p .bench_build/arch
+	go build -o .bench_build/arch/mailbench ./cmd/mailbench
+	@set -e; for seed in 1 2 3 4 5 6 7 8; do \
+		.bench_build/arch/mailbench -arch roaming -users 1000000 -servers 64 -seed $$seed -faults > .bench_build/arch/roaming.out || true; \
+		grep -q '^auditors: clean' .bench_build/arch/roaming.out || { echo "tier2-arch: -arch roaming -faults seed $$seed is not audited clean" >&2; grep VIOLATION .bench_build/arch/roaming.out | head >&2; exit 1; }; \
+		echo "audited clean: -arch roaming -users 1000000 -servers 64 -faults -seed $$seed"; \
+	done
 
 # Tier-2 attr-prune slice: the selective-multicast machinery under the race
 # detector — the sketch unit tests (churn no-false-negative property, FP
@@ -255,7 +264,7 @@ bench-pairs:
 # per package of internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 24018
+SIZE_CEILING = 24063
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 .PHONY: size
 size:

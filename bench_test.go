@@ -509,7 +509,7 @@ func BenchmarkLiveClusterSubmit(b *testing.B) {
 }
 
 // BenchmarkLocindRehash measures the §3.2.3c reconfiguration lever: change
-// the hash modulus and migrate affected mailboxes.
+// the sub-group count and migrate affected mailboxes.
 func BenchmarkLocindRehash(b *testing.B) {
 	ex := graph.Figure1()
 	users := make(map[graph.NodeID][]string)

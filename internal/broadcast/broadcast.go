@@ -120,6 +120,8 @@ type TreeOf[T any] struct {
 	nodesVia    map[graph.NodeID]map[graph.NodeID][]graph.NodeID
 	sketchVia   map[graph.NodeID]map[graph.NodeID]*sketch.Filter
 	genVia      map[graph.NodeID]map[graph.NodeID]uint64
+	local       map[graph.NodeID]*sketch.Filter // RefreshSketches' node snapshots; empty between refreshes
+	gens        map[graph.NodeID]uint64
 }
 
 // ConfigOf configures SetupOf.
@@ -178,6 +180,8 @@ func SetupOf[T any](cfg ConfigOf[T]) (*TreeOf[T], error) {
 		nodesVia:    make(map[graph.NodeID]map[graph.NodeID][]graph.NodeID),
 		sketchVia:   make(map[graph.NodeID]map[graph.NodeID]*sketch.Filter),
 		genVia:      make(map[graph.NodeID]map[graph.NodeID]uint64),
+		local:       make(map[graph.NodeID]*sketch.Filter),
+		gens:        make(map[graph.NodeID]uint64),
 	}
 	if t.sketchFn != nil && t.sketchGenFn == nil {
 		return nil, errors.New("broadcast: Sketch hook without SketchGen")

@@ -83,30 +83,32 @@ func (t *TreeOf[T]) RefreshSketches() int {
 	if t.sketchFn == nil {
 		return 0
 	}
-	local := make(map[graph.NodeID]*sketch.Filter, len(t.adj))
-	gens := make(map[graph.NodeID]uint64, len(t.adj))
 	for id := range t.adj {
 		f, g := t.sketchFn(id)
 		if f == nil {
 			continue // no sketch at this node: branches containing it cannot cache
 		}
-		local[id] = f
-		gens[id] = g
+		t.local[id] = f
+		t.gens[id] = g
 	}
 	cached := 0
 	for id, vias := range t.nodesVia {
 		for nb, covered := range vias {
-			agg := sketch.NewFilter()
+			agg := t.sketchVia[id][nb] // refilled in place: nothing outside the tree holds it
+			if agg == nil {
+				agg = sketch.NewFilter()
+			}
+			agg.Reset()
 			var gsum uint64
 			complete := true
 			for _, c := range covered {
-				f := local[c]
+				f := t.local[c]
 				if f == nil {
 					complete = false
 					break
 				}
 				agg.Or(f)
-				gsum += gens[c]
+				gsum += t.gens[c]
 			}
 			if !complete {
 				delete(t.sketchVia[id], nb)
@@ -117,6 +119,8 @@ func (t *TreeOf[T]) RefreshSketches() int {
 			cached++
 		}
 	}
+	clear(t.local) // the snapshots are the stores': keep the maps, not them
+	clear(t.gens)
 	return cached
 }
 

@@ -265,3 +265,50 @@ func TestDistributeUnderCrashStillFlagsUnavailable(t *testing.T) {
 		t.Fatalf("every node holds the term; nothing should be pruned: %+v", res)
 	}
 }
+
+// TestDistributeRefreshReusesFilters: a refresh clears and refills each
+// edge's cached filter instead of making a new one, so past the first it
+// allocates no more than the node snapshots the Sketch hook hands it — and
+// the refilled cache still proves what it proved and no longer proves what
+// a deposit since made false.
+func TestDistributeRefreshReusesFilters(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	w := newPruneWorld(t, 12, rng)
+	w.deposit(1, 100, "quarterly budget numbers")
+	edges := w.tree.RefreshSketches()
+	was := map[[2]graph.NodeID]*sketch.Filter{}
+	for id, vias := range w.tree.sketchVia {
+		for nb, f := range vias {
+			was[[2]graph.NodeID{id, nb}] = f
+		}
+	}
+	if len(was) != edges || edges == 0 {
+		t.Fatalf("%d edges cached, %d filters", edges, len(was))
+	}
+	snapshots := testing.AllocsPerRun(10, func() {
+		for id := range w.stores {
+			w.tree.sketchFn(id)
+		}
+	})
+	if a := testing.AllocsPerRun(10, func() { w.tree.RefreshSketches() }); a > snapshots {
+		t.Errorf("a warmed refresh makes %.0f allocations, its %d node snapshots %.0f", a, w.n, snapshots)
+	}
+	w.deposit(5, 200, "budget forecast")
+	if w.tree.RefreshSketches() != edges {
+		t.Fatal("the second refresh cached another edge count")
+	}
+	for id, vias := range w.tree.sketchVia {
+		for nb, f := range vias {
+			if was[[2]graph.NodeID{id, nb}] != f {
+				t.Errorf("edge %d→%d has a new filter", id, nb)
+			}
+		}
+	}
+	res, _ := w.run(t, 1, termProbe{Terms: []string{"budget"}}, true)
+	if got := itemSet(res.Items); !reflect.DeepEqual(got, []string{"u100@1", "u200@5"}) {
+		t.Fatalf("items = %v, want both holders", got)
+	}
+	if _, st := w.run(t, 1, termProbe{Terms: []string{"forecast"}}, true); st.PrunedNodes == 0 {
+		t.Error("the refilled cache pruned nothing")
+	}
+}

@@ -40,16 +40,18 @@ func newRoamDriver(t *testing.T, cfg RoamConfig) *RoamDriver {
 func TestRoamScenarioFailureFree(t *testing.T) {
 	drv := newRoamDriver(t, RoamConfig{
 		Seed: 1,
-		Pop:  Population{Users: 200, Regions: 2, ServersPerRegion: 3},
+		Pop:  Population{Users: 400, Regions: 2, ServersPerRegion: 3},
 	})
 	rep := RunRoamScenario(drv,
-		Config{Seed: 1, Messages: 120, Sessions: 16},
+		Config{Seed: 1, Messages: 200, Sessions: 16},
 		// RehashEvery deliberately off-phase with the engine's sweep period
-		// so rehashes catch mailboxes with undelivered mail in them.
+		// so rehashes catch mailboxes with undelivered mail in them. A
+		// rehash moves only the users entering or leaving the newest
+		// sub-group, so the world is big enough that one of them holds mail.
 		RoamScenarioConfig{Seed: 1, roamEvery: 4, roamsPerWave: 6, RehashEvery: 7})
 	requireClean(t, rep)
-	if rep.Submitted != 120 {
-		t.Fatalf("Submitted = %d, want 120", rep.Submitted)
+	if rep.Submitted != 200 {
+		t.Fatalf("Submitted = %d, want 200", rep.Submitted)
 	}
 	if rep.Retrievals == 0 {
 		t.Fatalf("no retrieval activity: %+v", rep)

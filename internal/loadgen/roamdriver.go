@@ -74,7 +74,7 @@ func NewRoamDriver(cfg RoamConfig) (*RoamDriver, error) {
 			Region:    p.RegionName(r),
 			Net:       d.net,
 			Servers:   servers,
-			Subgroups: 2 * p.ServersPerRegion, // the hash modulus a region starts with
+			Subgroups: 2 * p.ServersPerRegion, // the sub-group count a region starts with
 			ListLen:   p.AuthorityLen,
 			Stats:     d.reg,
 			Trace:     d.trace,
@@ -166,7 +166,7 @@ func (d *RoamDriver) Roam(u, gh int) error {
 	return nil
 }
 
-// Rehash changes every region's hash modulus — the live reconfiguration of
+// Rehash changes every region's sub-group count — the live reconfiguration of
 // §3.2.3c — and returns the total mailboxes migrated.
 func (d *RoamDriver) Rehash(k int) (int, error) {
 	moved := 0

@@ -7,7 +7,7 @@ import (
 
 // RoamScenarioConfig shapes the roaming workload layered on the engine:
 // periodic waves of users moving between hosts inside their region, with the
-// location index's hash modulus rehashed live underneath them.
+// location index's sub-group count changed live underneath them.
 type RoamScenarioConfig struct {
 	Seed int64
 	// roamEvery triggers a roam wave every n ticks (default 5), and
@@ -15,10 +15,9 @@ type RoamScenarioConfig struct {
 	// package's tests vary both.
 	roamEvery    int
 	roamsPerWave int
-	// RehashEvery triggers a live Rehash every n ticks (0 disables). The
-	// rehashes alternate the moduli 2×servers-per-region + 1 and
-	// 2×servers-per-region: a modulus that is a multiple of the server count
-	// maps every sub-group to the same server as before, so one must not be.
+	// RehashEvery triggers a live Rehash every n ticks (0 disables),
+	// alternating the sub-group count between 2×servers-per-region + 1 and
+	// 2×servers-per-region.
 	RehashEvery int
 }
 

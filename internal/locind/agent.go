@@ -2,6 +2,7 @@ package locind
 
 import (
 	"fmt"
+	"unsafe"
 
 	"github.com/largemail/largemail/internal/graph"
 	"github.com/largemail/largemail/internal/mail"
@@ -42,15 +43,34 @@ func (h *Hostd) Receive(env netsim.Envelope) {
 		a, here := h.agents[m.User]
 		found := here && a.loggedIn
 		if found {
-			a.notifications = append(a.notifications, server.Notify{User: m.User, ID: m.ID, Server: m.Server})
+			h.sys.alert(a, server.Notify{User: m.User, ID: m.ID, Server: m.Server})
 		}
 		_ = h.sys.net.Send(h.id, m.Server, h.sys.free.probeReply.Box(ProbeReply{Token: m.Token, Found: found}))
 	case *netsim.Box[server.Notify]:
 		if a, here := h.agents[b.V.User]; here {
-			a.notifications = append(a.notifications, b.V)
+			h.sys.alert(a, b.V)
 		}
 	}
 }
+
+// alert hands n to a. A first alert takes a cap-1 slot of the system's chunk;
+// a second moves the list off it by append, never into a neighbour's slot.
+func (s *System) alert(a *Agent, n server.Notify) {
+	if a.notifications == nil {
+		if len(s.spareAlerts) == 0 {
+			s.spareAlerts = make([]server.Notify, alertChunk)
+		}
+		a.notifications, s.spareAlerts = s.spareAlerts[:0:1], s.spareAlerts[1:]
+	}
+	a.notifications = append(a.notifications, n)
+}
+
+// agentChunk and alertChunk fill the 8 KiB size class after Go's 8-byte header
+// (as core's agentChunk); agents and first alerts live as long as the system.
+const (
+	agentChunk = int((8192 - 8) / unsafe.Sizeof(Agent{}))
+	alertChunk = int((8192 - 8) / unsafe.Sizeof(server.Notify{}))
+)
 
 // Agent is a roaming user of the location-independent system. Unlike the
 // syntax-directed design, the agent's current host is state, not identity:
@@ -84,7 +104,12 @@ func (s *System) NewAgent(user names.Name) (*Agent, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: node %d has no host process", ErrUnknownHost, primary)
 	}
-	a := &Agent{user: user, sys: s, current: h, primary: primary}
+	if len(s.spareAgents) == 0 {
+		s.spareAgents = make([]Agent, agentChunk)
+	}
+	a := &s.spareAgents[0]
+	s.spareAgents = s.spareAgents[1:]
+	*a = Agent{user: user, sys: s, current: h, primary: primary}
 	h.agents[user] = a
 	return a, nil
 }

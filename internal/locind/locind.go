@@ -124,7 +124,7 @@ type Config struct {
 	Net    *netsim.Network
 	// Servers are the region's mail servers, in preference order.
 	Servers []graph.NodeID
-	// Subgroups is the hash modulus k; zero means max(1, 2×#servers).
+	// Subgroups is the sub-group count k; zero means max(1, 2×#servers).
 	Subgroups int
 	// ListLen is the authority-list length per sub-group; zero means
 	// min(2, #servers).
@@ -150,7 +150,7 @@ type System struct {
 	// servers is the rotation; authority holds every sub-group's list, row g
 	// at [g·listLen, (g+1)·listLen); others maps each server process to the
 	// rotation without it. All three are replaced, never edited, whenever
-	// the rotation or the modulus changes (retable), so a row handed out by
+	// the rotation or the sub-group count changes (retable), so a row handed out by
 	// Resolve — to a pending transfer, a consultation walk, a caller — stays
 	// what it was when it was read, and nobody may write to one.
 	servers   []graph.NodeID
@@ -163,6 +163,9 @@ type System struct {
 	free    payloadLists
 	stats   *obs.Registry
 	trace   *obs.Tracer // nil when lifecycle stamping is off
+
+	spareAgents []Agent         // the rest of the chunk NewAgent carves agents from
+	spareAlerts []server.Notify // the rest of the chunk first alerts are carved from
 
 	// onOverhead, when set via SetOverheadHook, observes every piece of
 	// roaming-tracking work a delivery incurs: one "consult" event per
@@ -251,7 +254,7 @@ func (s *System) startServer(id graph.NodeID) error {
 }
 
 // retable rebuilds the authority table and the per-server consultation
-// lists from the current rotation, modulus and list length: sub-group g is
+// lists from the current rotation, sub-group count and list length: sub-group g is
 // served by servers[g mod n], servers[(g+1) mod n], ... for ListLen entries,
 // which spreads sub-groups evenly.
 func (s *System) retable() {
@@ -340,13 +343,13 @@ func (s *System) NearestServer(from graph.NodeID) (graph.NodeID, error) {
 	return best, nil
 }
 
-// Rehash changes the hash modulus — the paper's reconfiguration lever
+// Rehash changes the sub-group count — the paper's reconfiguration lever
 // ("reallocation of servers and reallocation of load can be done by
 // changing the hashing functions", §3.2.3c) — and has every server evacuate
 // the mailboxes of users it no longer serves through the normal acked
 // deposit path, so a target that is down mid-rehash is covered by the same
-// retries as any other deposit. No user names change. It returns how many
-// mailboxes moved.
+// retries as any other deposit. No user names change; only users entering or
+// leaving sub-group min(old, k) move. It returns how many mailboxes moved.
 func (s *System) Rehash(k int) (moved int, err error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("locind: invalid sub-group count %d", k)

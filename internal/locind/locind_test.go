@@ -276,10 +276,12 @@ func TestRehashMigratesMailboxes(t *testing.T) {
 	w.bob.Send([]names.Name{uAlice}, "m1", "b")
 	w.bob.Send([]names.Name{uBob}, "m2", "b")
 	w.sched.Run()
-	// Find a modulus under which alice's authority head changes.
+	// Find a sub-group count under which alice's authority head changes.
+	// The hash is jump consistent, so a name keeps its group across long
+	// runs of k; search down to a single sub-group as well as upward.
 	oldHead := w.sys.Resolve(uAlice)[0]
 	newK := -1
-	for k := 2; k < 12; k++ {
+	for k := 1; k < 64; k++ {
 		g := uAlice.Subgroup(k)
 		if w.sys.servers[g%len(w.sys.servers)] != oldHead {
 			newK = k
@@ -287,7 +289,7 @@ func TestRehashMigratesMailboxes(t *testing.T) {
 		}
 	}
 	if newK == -1 {
-		t.Skip("no modulus changes alice's head server; hash degenerate")
+		t.Skip("no sub-group count changes alice's head server; hash degenerate")
 	}
 	// Force single-entry authority lists so a head change means migration.
 	w.sys.listLen = 1
@@ -308,7 +310,7 @@ func TestRehashMigratesMailboxes(t *testing.T) {
 		t.Errorf("after rehash GetMail = %v", got)
 	}
 	if _, err := w.sys.Rehash(0); err == nil {
-		t.Error("invalid modulus accepted")
+		t.Error("invalid sub-group count accepted")
 	}
 }
 
@@ -715,5 +717,5 @@ func (f *Federation) System(region string) (*System, bool) {
 	return s, ok
 }
 
-// Subgroups returns the current hash modulus.
+// Subgroups returns the current sub-group count.
 func (s *System) Subgroups() int { return s.subgroups }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/largemail/largemail/internal/graph"
@@ -59,7 +60,7 @@ var junkMsg = mail.Message{
 // which acks race the ack timeout (extra delay pushes the server round trip of
 // 2–4 units past the timeout of 8, so a deposit is sent twice and acked
 // twice), servers crash under deposits and probes in flight and re-dispatch on
-// recovery, users roam and log in elsewhere, and the hash modulus changes
+// recovery, users roam and log in elsewhere, and the sub-group count changes
 // while notifications are pending. It checks that every committed copy
 // reaches its recipient exactly once and returns the protocol's counters.
 func runPendingSchedule(t *testing.T, poison bool) (string, *raceWorld) {
@@ -92,7 +93,7 @@ func runPendingSchedule(t *testing.T, poison bool) (string, *raceWorld) {
 	for i := range owed {
 		owed[i] = map[mail.MessageID]bool{}
 	}
-	moduli := []int{7, 6, 5, 6}
+	counts := []int{7, 6, 5, 6}
 	rehashes := 0
 	for step := 0; step < 700; step++ {
 		switch op := rng.Intn(12); {
@@ -121,7 +122,7 @@ func runPendingSchedule(t *testing.T, poison bool) (string, *raceWorld) {
 				w.net.Recover(id)
 			}
 		case op < 9:
-			if _, err := w.sys.Rehash(moduli[rehashes%len(moduli)]); err != nil {
+			if _, err := w.sys.Rehash(counts[rehashes%len(counts)]); err != nil {
 				t.Fatal(err)
 			}
 			rehashes++
@@ -182,8 +183,13 @@ func runPendingSchedule(t *testing.T, poison bool) (string, *raceWorld) {
 // recovery_redispatches 432 rehash_messages_moved 283; consultations 174
 // notify_home 35 notify_roaming 86 notify_offline 61 notify_known 235"; a
 // server counts a recovery re-drive as a retry. Until the alert at login was
-// counted apart, notifies read 261: both kinds of alert.)
-const pendingScheduleWant = "190 copies; deposit_transfers 1170 retries 689 duplicate_deposits 223 deposits_local 492 deposit_reroutes 110 rehash_messages_moved 283; consultations 170 notify_home 39 notify_roaming 83 notify_offline 56 notifies 235 login_alerts 26"
+// counted apart, notifies read 261: both kinds of alert. Until the sub-group
+// hash was jump-consistent, every rehash re-homed most buffered mailboxes:
+// "190 copies; deposit_transfers 1170 retries 689 duplicate_deposits 223
+// deposits_local 492 deposit_reroutes 110 rehash_messages_moved 283;
+// consultations 170 notify_home 39 notify_roaming 83 notify_offline 56
+// notifies 235 login_alerts 26".)
+const pendingScheduleWant = "190 copies; deposit_transfers 646 retries 428 duplicate_deposits 140 deposits_local 300 deposit_reroutes 44 rehash_messages_moved 84; consultations 96 notify_home 39 notify_roaming 45 notify_offline 48 notifies 109 login_alerts 23"
 
 // TestRecycledPendingRecords is the twin of internal/server's
 // TestRecycledTransferRecords for what locind still recycles: a finished
@@ -352,5 +358,41 @@ func TestTakeMailMatchesGetMail(t *testing.T) {
 	}
 	if batches < 100 || dups < 20 {
 		t.Fatalf("the schedules handed over %d batches and suppressed %d duplicates; too few to prove anything", batches, dups)
+	}
+}
+
+// TestAgentAndFirstAlertAllocs (budget): making an agent and handing it its
+// first alert costs no allocation of its own. Both are carved from the
+// system's chunks; what is left is the host's agent map growing.
+func TestAgentAndFirstAlertAllocs(t *testing.T) {
+	w := newRaceWorld(t)
+	const agents = 10_000
+	users := make([]names.Name, agents)
+	for i := range users {
+		users[i] = tableUser(i)
+	}
+	hosts := make([]*Hostd, agents)
+	for i, u := range users {
+		id, _ := w.sys.PrimaryHost(u)
+		hosts[i] = w.sys.hostPs[id]
+	}
+	box := &netsim.Box[server.Notify]{V: server.Notify{ID: mail.MessageID{Node: t1, Seq: 1}, Server: t1}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, u := range users {
+		if _, err := w.sys.NewAgent(u); err != nil {
+			t.Fatal(err)
+		}
+		box.V.User = u
+		hosts[i].Receive(netsim.Envelope{Payload: box})
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / agents; per > 0.1 {
+		t.Errorf("%.3f allocations per agent and first alert, want ≤ 0.1", per)
+	}
+	for i, u := range users {
+		if a := hosts[i].agents[u]; len(a.notifications) != 1 || a.notifications[0].User != u {
+			t.Fatalf("%v holds alerts %v", u, a.notifications)
+		}
 	}
 }

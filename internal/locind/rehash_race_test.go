@@ -2,9 +2,11 @@ package locind
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/largemail/largemail/internal/graph"
+	"github.com/largemail/largemail/internal/mail"
 	"github.com/largemail/largemail/internal/names"
 	"github.com/largemail/largemail/internal/netsim"
 	"github.com/largemail/largemail/internal/sim"
@@ -69,7 +71,7 @@ func newRaceWorld(t *testing.T) *raceWorld {
 }
 
 // TestRehashRacesInFlightDeliveries is the reconfiguration table test: every
-// way the sub-group map can change — modulus up, modulus down, a server
+// way the sub-group map can change — sub-groups added, removed, a server
 // joining, a server leaving — races in-flight deliveries and mid-flight
 // roams, and afterwards every user's resolution is consistent (their
 // authority list serves their mail) and delivery is exactly-once.
@@ -192,15 +194,15 @@ func TestRehashRacesInFlightDeliveries(t *testing.T) {
 // a message evacuated off its authority server by one rehash and routed back
 // by the next must be re-deposited there, not swallowed as a duplicate by
 // the server's seen-set. (Needs ≥4 servers: with 3 servers and 2-entry
-// authority lists, no pair of moduli can move a mailbox away and back.)
+// authority lists, no pair of sub-group counts can move a mailbox away and back.)
 func TestRehashRoundTripKeepsMail(t *testing.T) {
 	w := newRaceWorld(t)
 	if err := w.sys.AddServer(t4); err != nil {
 		t.Fatal(err)
 	}
 
-	// Probe for a user whose head under modulus 6 is excluded from their
-	// authority list under modulus 7 AND vice versa — the round-trip shape.
+	// Probe for a user whose head under 6 sub-groups is excluded from their
+	// authority list under 7 AND vice versa — the round-trip shape.
 	authUnder := func(k int, n names.Name) []graph.NodeID {
 		if _, err := w.sys.Rehash(k); err != nil {
 			t.Fatal(err)
@@ -249,5 +251,64 @@ func TestRehashRoundTripKeepsMail(t *testing.T) {
 
 	if got := rcpt.GetMail(); len(got) != 1 {
 		t.Fatalf("after round-trip rehash GetMail = %d messages, want 1", len(got))
+	}
+}
+
+// TestRehashMovesOnlyNewGroup: a rehash from k to k+1 sub-groups, or from k+1
+// back to k, evacuates exactly the mailboxes of users entering or leaving
+// sub-group k whose holder is off their new authority list. Every other mailbox stays
+// where it was, and once the evacuation drains every message is on its
+// user's list.
+func TestRehashMovesOnlyNewGroup(t *testing.T) {
+	w := newRaceWorld(t)
+	const users = 600
+	holder := make([]graph.NodeID, users)
+	for i := range holder {
+		u := tableUser(i)
+		holder[i] = w.sys.Resolve(u)[0]
+		p, _ := w.sys.Server(holder[i])
+		p.Store().Deposit(u, mail.Message{
+			ID: mail.MessageID{Node: 1, Seq: uint64(i + 1)}, To: []names.Name{u}, Subject: "s", Body: "b",
+		}, 0)
+	}
+	for _, k := range []int{7, 8, 9, 8, 7, 6} {
+		prev := w.sys.Subgroups()
+		edge := max(prev, k) - 1 // the sub-group only the larger count has
+		moved, err := w.sys.Rehash(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		left := 0
+		for i := range holder {
+			u := tableUser(i)
+			p, _ := w.sys.Server(holder[i])
+			changed := u.Subgroup(prev) != u.Subgroup(k)
+			if changed && u.Subgroup(max(prev, k)) != edge {
+				t.Errorf("%d → %d: %v moved between sub-groups %d and %d", prev, k, u, u.Subgroup(prev), u.Subgroup(k))
+			}
+			gone := p.MailboxLen(u) == 0
+			if want := changed && !slices.Contains(w.sys.Resolve(u), holder[i]); gone != want {
+				t.Errorf("%d → %d: %v's mailbox left %d: %v, want %v (sub-group %d → %d)", prev, k, u, holder[i], gone, want, u.Subgroup(prev), u.Subgroup(k))
+			}
+			if gone {
+				left++
+			}
+		}
+		if moved != left || moved == 0 || moved > users/k {
+			t.Errorf("%d → %d: Rehash moved %d mailboxes, %d left their holder, want 0 < n ≤ %d", prev, k, moved, left, users/k)
+		}
+		w.sched.Run()
+		for i := range holder {
+			u := tableUser(i)
+			list := w.sys.Resolve(u)
+			at := slices.IndexFunc(list, func(id graph.NodeID) bool {
+				p, _ := w.sys.Server(id)
+				return p.MailboxLen(u) == 1
+			})
+			if at < 0 {
+				t.Fatalf("%d → %d: no server of %v holds %v's message", prev, k, list, u)
+			}
+			holder[i] = list[at]
+		}
 	}
 }

@@ -133,8 +133,8 @@ func TestAuthorityTableMatchesFormula(t *testing.T) {
 func TestPendingDepositWalksOldCandidatesAcrossRehash(t *testing.T) {
 	w := newRaceWorld(t)
 	servers := w.sys.Servers()
-	// Find a user whose second authority under modulus 6 is off their list
-	// under modulus 7.
+	// Find a user whose second authority under 6 sub-groups is off their
+	// list under 7.
 	var u names.Name
 	var old []graph.NodeID
 	found := false
@@ -229,7 +229,7 @@ func BenchmarkAuthorityFor(b *testing.B) {
 }
 
 // BenchmarkEvacuate is the §3.2.3c reconfiguration bench: one Rehash over
-// 4 servers holding 4096 buffered mailboxes, alternating two moduli so every
+// 4 servers holding 4096 buffered mailboxes, alternating two sub-group counts so every
 // wave moves mail, then the deliveries it caused drained. What a rehash costs
 // per buffered mailbox is ns/op ÷ 4096. The drained=60000 variant adds the
 // drained-empty mailboxes a long run leaves behind, as sim_roaming's servers

@@ -17,7 +17,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strings"
 )
 
@@ -191,15 +190,23 @@ func (n Name) Rename(newRegion, newHost string) Name {
 // The paper's location-independent design divides regions "into small
 // groups of manageable size using some mapping functions" (§3.2.1) and
 // resolves a name "within the context of that sub-group" (§3.2.2b). The
-// hash covers only the user token, so a user keeps their sub-group while
-// roaming between hosts of the region.
+// hash skips the host, so roaming keeps the sub-group, and is Lamping–Veach
+// jump consistent: from k to k+1 sub-groups a name moves only into group k.
 func (n Name) Subgroup(k int) int {
 	if k <= 0 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(n.Region))
-	h.Write([]byte{0})
-	h.Write([]byte(n.User))
-	return int(h.Sum32() % uint32(k))
+	key := uint64(14695981039346656037) // FNV-1a 64 of region, 0, user
+	for _, s := range [...]string{n.Region, "\x00", n.User} {
+		for i := 0; i < len(s); i++ {
+			key = (key ^ uint64(s[i])) * 1099511628211
+		}
+	}
+	b, j := int64(-1), int64(0)
+	for j < int64(k) {
+		b = j
+		key = key*2862933555777941757 + 1
+		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64(key>>33+1)))
+	}
+	return int(b)
 }

@@ -3,6 +3,7 @@ package names
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -206,6 +207,66 @@ func TestSubgroupDistributes(t *testing.T) {
 			t.Errorf("sub-group %d has %d names; distribution too skewed", g, c)
 		}
 	}
+}
+
+// TestSubgroupGrowsConsistently: from k to k+1 sub-groups a name either keeps
+// its sub-group or moves to the new one, k, and about 1/(k+1) of the names
+// move; the k+1 sub-groups are within 10 % of their mean; and Subgroup is the
+// jump hash of FNV-64a over region, a zero byte and the user token.
+func TestSubgroupGrowsConsistently(t *testing.T) {
+	const users = 100_000
+	ns := make([]Name, users)
+	for i := range ns {
+		ns[i] = Name{Region: "R" + itoa(i%3), Host: "h", User: "u" + itoa(i)}
+	}
+	for _, k := range []int{1, 2, 6, 7, 16, 63} {
+		moved := 0
+		counts := make([]int, k+1)
+		for _, n := range ns {
+			was, now := n.Subgroup(k), n.Subgroup(k+1)
+			if now != was && now != k {
+				t.Fatalf("%v: sub-group %d of %d became %d of %d", n, was, k, now, k+1)
+			}
+			if now != was {
+				moved++
+			}
+			counts[now]++
+		}
+		share, want := float64(moved)/users, 1/float64(k+1)
+		if share < 0.5*want || share > 1.5*want {
+			t.Errorf("k=%d→%d moved %.4f of the names, want about %.4f", k, k+1, share, want)
+		}
+		mean := float64(users) / float64(k+1)
+		for g, c := range counts {
+			if float64(c) < 0.9*mean || float64(c) > 1.1*mean {
+				t.Errorf("k=%d: sub-group %d holds %d names, mean %.0f", k+1, g, c, mean)
+			}
+		}
+	}
+	for _, n := range ns[:1000] {
+		h := fnv.New64a()
+		h.Write([]byte(n.Region + "\x00" + n.User))
+		for _, k := range []int{1, 5, 64} {
+			if got, want := n.Subgroup(k), jumpRef(h.Sum64(), k); got != want {
+				t.Fatalf("%v: Subgroup(%d) = %d, jump hash of its key %d", n, k, got, want)
+			}
+		}
+	}
+	n := ns[42]
+	if a := testing.AllocsPerRun(100, func() { _ = n.Subgroup(64) }); a != 0 {
+		t.Errorf("Subgroup allocates %.1f times", a)
+	}
+}
+
+// jumpRef is the jump consistent hash as Lamping and Veach print it (2014).
+func jumpRef(key uint64, buckets int) int {
+	b, j := int64(-1), int64(0)
+	for j < int64(buckets) {
+		b = j
+		key = key*2862933555777941757 + 1
+		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64((key>>33)+1)))
+	}
+	return int(b)
 }
 
 func itoa(i int) string {

@@ -115,6 +115,9 @@ func NewFilter() *Filter {
 	return &Filter{words: make([]uint64, DefaultBits/64), hashes: DefaultHashes}
 }
 
+// Reset clears every bit: an empty filter of the same geometry, to refill.
+func (f *Filter) Reset() { clear(f.words) }
+
 // Add sets term's bits. Mostly useful in tests; production filters are
 // filled by Counting.OrInto.
 func (f *Filter) Add(term string) {

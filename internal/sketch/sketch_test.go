@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -198,4 +199,19 @@ func (f *Filter) Bits() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
+}
+
+func TestFilterReset(t *testing.T) {
+	f := NewFilter()
+	f.Add("alpha")
+	f.Reset()
+	if !reflect.DeepEqual(f, NewFilter()) {
+		t.Fatal("Reset left bits set")
+	}
+	f.Add("beta")
+	want := NewFilter()
+	want.Add("beta")
+	if !reflect.DeepEqual(f, want) {
+		t.Fatal("a reset filter does not fill like a new one")
+	}
 }
