@@ -118,7 +118,9 @@ tier2-attr-prune:
 # behind, under the race detector — the flat-heap gate (160 000 messages
 # through a durable wire server; retained_bytes_per_msg is not a BENCHMARK.json
 # metric, so this test is what holds it), the bounded tracer against its model
-# and under concurrent stampers, the IDSet run layout, the two
+# and under concurrent stampers, a stamp's allocation budget (a
+# three-recipient lifecycle included), a trace audit sharing one buffer, site
+# names interned while others stamp, the IDSet run layout, the two
 # frame-aliasing pins, the client's ID arena (a kept ID holds no payload and
 # no body, and is never written again) and text arena (a kept body pins one
 # chunk), and the §3.3 tree after 2 000 taken
@@ -126,7 +128,7 @@ tier2-attr-prune:
 .PHONY: tier2-retained
 tier2-retained:
 	go test -race -run 'TestIngestRetainedFlat|TestMailboxKeyDoesNotAliasFrame|TestKeptIDPinsNoPayload|TestPipelineKeptIDsHoldNoBodies|TestPipelineKeptBodyPinsOneChunk|TestIDArenaNeverRewrites' ./internal/wire/
-	go test -race -run 'Ring|TestTracerMatchesReference|TestStampAllocs' ./internal/obs/
+	go test -race -run 'Ring|TestTracerMatchesReference|TestStampAllocs|TestIncompleteSharesOneBuffer|TestInternConcurrent' ./internal/obs/
 	go test -race -run 'IDSet|TestMailboxMatchesReference|TestDurableSeenSetSameLayout' ./internal/mail/ ./internal/mail/mailstore/
 	go test -race -run 'TestTreeRetainsNothing' ./internal/broadcast/
 
@@ -157,9 +159,12 @@ tier2-transit:
 # Tier-2 determinism gate: same seed ⇒ same bytes, as a test and not a habit.
 # One small mailbench run per architecture, faults off and on, executed twice;
 # stdout must be byte-identical once the wall-clock line ("… wall") is
-# dropped. Full precision — every float of the Report and Snapshot —
-# is tier-1's TestEngineDeterminism and TestRoamScenarioDeterminism. Everything
-# it writes goes under .bench_build/.
+# dropped. Then the same for ROADMAP item 1's point (1M users × 64 servers
+# under faults), which its auditors do not pass: a violating run must print
+# the same verdict twice too, so it only has to reach one. Full precision —
+# every float of the Report and Snapshot — is tier-1's TestEngineDeterminism
+# and TestRoamScenarioDeterminism. Everything it writes goes under
+# .bench_build/.
 .PHONY: tier2-determinism
 tier2-determinism:
 	@mkdir -p .bench_build/determinism
@@ -177,6 +182,14 @@ tier2-determinism:
 		cmp a.txt b.txt || { echo "tier2-determinism: -arch $$arch $$faults differs between two runs of seed 3" >&2; diff a.txt b.txt | head -20 >&2; exit 1; }; \
 		echo "deterministic: -arch $$arch $$faults ($$(wc -l < a.txt) lines)"; \
 	done; done
+	@set -e; cd .bench_build/determinism; item1="-transport netsim -users 1000000 -servers 64 -seed 3 -faults -batch 16 -flush 20 -retry 200 -messages 20000 -ticks 300"; \
+	for pass in a b; do \
+		./mailbench $$item1 > $$pass.out 2>/dev/null || true; \
+		grep -q -e '^auditors:' -e '^VIOLATION' $$pass.out || { echo "tier2-determinism: mailbench $$item1 printed no auditor verdict" >&2; exit 1; }; \
+		grep -v wall $$pass.out > $$pass.txt; \
+	done; \
+	cmp a.txt b.txt || { echo "tier2-determinism: mailbench $$item1 differs between two runs" >&2; diff a.txt b.txt | head -20 >&2; exit 1; }; \
+	echo "deterministic: mailbench $$item1 ($$(wc -l < a.txt) lines, $$(grep -c '^VIOLATION' a.txt) violation kinds)"
 
 # Check: the full pre-merge gate. The last lines are ratchets: the product
 # may not outgrow SIZE_CEILING (see `size`); internal/faults stays schedules
@@ -264,7 +277,7 @@ bench-pairs:
 # per package of internal/ (the root holds doc.go only). SIZE_CEILING is what
 # `check` holds the total to: the count of the PR that last set it. A PR that
 # needs more raises it here, in its own diff, where a reviewer sees it.
-SIZE_CEILING = 24063
+SIZE_CEILING = 24093
 SIZE = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 .PHONY: size
 size:

@@ -523,6 +523,7 @@ func pct(a, b int64) float64 {
 }
 
 // reportAudit prints the auditor verdict and returns the violation total.
+// Violations print in key order, so one seed prints one text.
 func reportAudit(w io.Writer, ok bool, violations map[string]int, examples []string, cleanMsg string) int {
 	bad := 0
 	if ok {
@@ -530,9 +531,14 @@ func reportAudit(w io.Writer, ok bool, violations map[string]int, examples []str
 		fmt.Fprintln(w)
 		return 0
 	}
-	for k, v := range violations {
-		bad += v
-		fmt.Fprintf(w, "VIOLATION %s: %d\n", k, v)
+	kinds := make([]string, 0, len(violations))
+	for k := range violations {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		bad += violations[k]
+		fmt.Fprintf(w, "VIOLATION %s: %d\n", k, violations[k])
 	}
 	for _, ex := range examples {
 		fmt.Fprintf(w, "  e.g. %s\n", ex)

@@ -64,3 +64,17 @@ func firstDiff(got, want string) string {
 	}
 	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }
+
+// TestReportAuditKeyOrder pins the verdict's text: violations print in key
+// order whatever order the map ranges in, followed by the examples, and the
+// return is their total.
+func TestReportAuditKeyOrder(t *testing.T) {
+	violations := map[string]int{"trace_gap": 80, "lost": 187, "duplicate": 2, "misrouted": 1, "bound": 5}
+	want := "VIOLATION bound: 5\nVIOLATION duplicate: 2\nVIOLATION lost: 187\nVIOLATION misrouted: 1\nVIOLATION trace_gap: 80\n  e.g. m1-2\n\n"
+	for i := 0; i < 20; i++ {
+		var out bytes.Buffer
+		if bad := reportAudit(&out, false, violations, []string{"m1-2"}, "clean"); bad != 275 || out.String() != want {
+			t.Fatalf("reportAudit = %d,\n%s\nwant 275,\n%s", bad, out.String(), want)
+		}
+	}
+}

@@ -277,7 +277,7 @@ func TestDocEntriesWithinBudget(t *testing.T) {
 // docsTotalBudget bounds DESIGN.md and EXPERIMENTS.md together, in bytes: the
 // size the change that last set it left. Like SIZE_CEILING it only goes
 // down; a change that adds to the docs takes as much out elsewhere.
-const docsTotalBudget = 327469
+const docsTotalBudget = 326376
 
 // TestDocsWithinTotalBudget: DESIGN.md and EXPERIMENTS.md together are at
 // most docsTotalBudget bytes.

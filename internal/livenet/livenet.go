@@ -168,6 +168,7 @@ type serverState struct {
 // set) the mailboxes come back, on a memory cluster they are gone.
 type Server struct {
 	name    string
+	site    obs.Site      // name, interned for span events
 	stats   *obs.Registry // cluster-wide instrument registry (concurrency-safe)
 	trace   *obs.Tracer   // the cluster's lifecycle tracer
 	mkStore func() (*mailstore.Store, error)
@@ -352,7 +353,7 @@ func (s *Server) deposit(st *serverState, copies []mailstore.Copy) {
 			s.deposits.Inc()
 			s.qdepth.Add(1)
 		}
-		s.trace.StampKey(copies[i].Msg.ID.TraceKey(), obs.StageDeposit, s.name)
+		s.trace.StampKey(copies[i].Msg.ID.TraceKey(), obs.StageDeposit, s.site)
 	}
 }
 
@@ -548,6 +549,9 @@ type ClusterConfig struct {
 	TermIndex bool
 }
 
+// The sites of the cluster's own stamps: its submit path and its directory.
+var siteCluster, siteDirectory = obs.Intern("cluster"), obs.Intern("directory")
+
 // Cluster is a set of live servers sharing a directory.
 type Cluster struct {
 	cfg     ClusterConfig
@@ -668,6 +672,7 @@ func (c *Cluster) AddServer(name string) (*Server, error) {
 	}
 	s := &Server{
 		name:     name,
+		site:     obs.Intern(name),
 		stats:    c.stats,
 		trace:    c.trace,
 		mkStore:  func() (*mailstore.Store, error) { return c.newStore(name) },
@@ -860,7 +865,7 @@ func (c *Cluster) SubmitBatch(ctx context.Context, from names.Name, subs []Submi
 			sub.Err = err
 		default:
 			sub.ID = mail.MessageID{Node: 1, Seq: c.nextSeq.Add(1)}
-			c.trace.StampKey(sub.ID.TraceKey(), obs.StageSubmit, "cluster")
+			c.trace.StampKey(sub.ID.TraceKey(), obs.StageSubmit, siteCluster)
 			msg := mail.Message{ID: sub.ID, From: from, To: sub.To, Subject: sub.Subject, Body: sub.Body}
 			for _, rcpt := range sub.To {
 				b.copies = append(b.copies, delivery{sub: i, msg: msg, rcpt: rcpt})
@@ -913,7 +918,7 @@ func (c *Cluster) deliver(ctx context.Context, b *batch, spool bool) {
 			d.err = fmt.Errorf("%w: %v", ErrNoAuthority, d.rcpt)
 			continue
 		}
-		c.trace.StampKey(d.msg.ID.TraceKey(), obs.StageResolve, "directory")
+		c.trace.StampKey(d.msg.ID.TraceKey(), obs.StageResolve, siteDirectory)
 		d.srv = c.firstAvailable(d.list)
 	}
 	for k := range b.copies {
@@ -1165,7 +1170,7 @@ func (a *Agent) poll(s *Server) error {
 	}
 	fresh := a.inbox.Newest(a.inbox.Absorb(&a.seen, msgs))
 	for i := range fresh {
-		a.cluster.trace.StampKey(fresh[i].ID.TraceKey(), obs.StageRetrieve, s.name)
+		a.cluster.trace.StampKey(fresh[i].ID.TraceKey(), obs.StageRetrieve, s.site)
 	}
 	return nil
 }

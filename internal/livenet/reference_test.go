@@ -132,7 +132,7 @@ func (a *refAgent) poll(s *Server) error {
 		if !adopt {
 			a.inbox = append(a.inbox, msgs[i])
 		}
-		a.cluster.trace.StampKey(id.TraceKey(), obs.StageRetrieve, s.name)
+		a.cluster.trace.StampKey(id.TraceKey(), obs.StageRetrieve, s.site)
 	}
 	if adopt {
 		a.inbox = msgs[:len(msgs):len(msgs)]

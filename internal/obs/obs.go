@@ -81,67 +81,41 @@ func NewRegistry() *Registry { return &Registry{} }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c != nil {
-		return c
-	}
-	if r.counters == nil {
-		r.counters = make(map[string]*Counter)
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return instrument(r, &r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g != nil {
-		return g
-	}
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return instrument(r, &r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it with the given bucket
 // upper bounds on first use (nil bounds take DefaultLatencyBuckets). Bounds
 // passed on later calls for an existing name are ignored.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+	return instrument(r, &r.hists, name, func() *Histogram { return NewHistogram(bounds) })
+}
+
+// instrument returns the named instrument of one of r's maps, made by mk
+// and added on first use.
+func instrument[T any](r *Registry, m *map[string]*T, name string, mk func() *T) *T {
 	r.mu.RLock()
-	h := r.hists[name]
+	v := (*m)[name]
 	r.mu.RUnlock()
-	if h != nil {
-		return h
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.hists[name]; h != nil {
-		return h
+	if v = (*m)[name]; v != nil {
+		return v
 	}
-	if r.hists == nil {
-		r.hists = make(map[string]*Histogram)
+	if *m == nil {
+		*m = make(map[string]*T)
 	}
-	h = NewHistogram(bounds)
-	r.hists[name] = h
-	return h
+	v = mk()
+	(*m)[name] = v
+	return v
 }
 
 // Add increments the named counter by delta. It is the migration-compatible
@@ -162,15 +136,11 @@ func (r *Registry) Get(name string) int64 {
 	return c.Value()
 }
 
-// Counters returns a consistent copy of all counter values.
+// Counters returns a consistent copy of all counter values (nil for none).
 func (r *Registry) Counters() map[string]int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.counters))
-	for n, c := range r.counters {
-		out[n] = c.Value()
-	}
-	return out
+	return values(r.counters, (*Counter).Value)
 }
 
 // Reset drops every instrument. Meant for tests and between experiment runs;
@@ -189,24 +159,22 @@ func (r *Registry) Reset() {
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s := Snapshot{Version: SnapshotVersion}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for n, c := range r.counters {
-			s.Counters[n] = c.Value()
-		}
+	return Snapshot{
+		Version:    SnapshotVersion,
+		Counters:   values(r.counters, (*Counter).Value),
+		Gauges:     values(r.gauges, (*Gauge).Value),
+		Histograms: values(r.hists, (*Histogram).Snapshot),
 	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for n, g := range r.gauges {
-			s.Gauges[n] = g.Value()
-		}
+}
+
+// values maps each instrument of m to its value, nil when m is empty.
+func values[T, V any](m map[string]*T, value func(*T) V) map[string]V {
+	if len(m) == 0 {
+		return nil
 	}
-	if len(r.hists) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
-		for n, h := range r.hists {
-			s.Histograms[n] = h.Snapshot()
-		}
+	out := make(map[string]V, len(m))
+	for n, v := range m {
+		out[n] = value(v)
 	}
-	return s
+	return out
 }

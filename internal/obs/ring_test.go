@@ -189,7 +189,7 @@ func TestRingTracerMatchesReference(t *testing.T) {
 			}
 			stage := PipelineStages[rng.Intn(len(PipelineStages))]
 			where := wheres[rng.Intn(len(wheres))]
-			tr.StampKey(k, stage, where)
+			tr.StampKey(k, stage, Intern(where))
 			ref.Stamp(k, stage, where)
 			if created == ringRecords/2 && ref.evictions == 0 {
 				check("before the first eviction") // runs once or twice: cheap here
@@ -225,14 +225,14 @@ func TestRingLateStamp(t *testing.T) {
 	tr := NewRingTracer(clk.Now, reg)
 	old := Key{Node: 1, Seq: 1}
 	clk.now = 10
-	tr.StampKey(old, StageSubmit, "s1")
+	tr.StampKey(old, StageSubmit, Intern("s1"))
 	for i := 0; i < 2*inlineEvents; i++ { // well into the overflow slice
 		clk.now += 5
-		tr.StampKey(old, StageDeposit, "s1")
+		tr.StampKey(old, StageDeposit, Intern("s1"))
 	}
 	fill := sameShardKeys(old, 2, ringRecords)
 	for _, k := range fill[:ringRecords-1] {
-		tr.StampKey(k, StageSubmit, "s2")
+		tr.StampKey(k, StageSubmit, Intern("s2"))
 	}
 	if _, ok := tr.Trace(old.String(), nil); !ok || reg.Get("trace_evictions") != 0 {
 		t.Fatalf("a shard holding exactly ringRecords keys dropped one (%d evictions)", reg.Get("trace_evictions"))
@@ -247,7 +247,7 @@ func TestRingLateStamp(t *testing.T) {
 
 	taker := fill[ringRecords-1]
 	clk.now = 1000
-	tr.StampKey(taker, StageRetrieve, "s3") // takes old's record over
+	tr.StampKey(taker, StageRetrieve, Intern("s3")) // takes old's record over
 	if got, ok := tr.Trace(taker.String(), nil); !ok || !reflect.DeepEqual(got.Events, []SpanEvent{{Stage: StageRetrieve, At: 1000, Where: "s3"}}) {
 		t.Errorf("taker's trace = %+v, %v; want its one retrieve", got, ok)
 	}
@@ -262,7 +262,7 @@ func TestRingLateStamp(t *testing.T) {
 	}
 
 	clk.now = 2000
-	tr.StampKey(old, StageRetrieve, "s1") // the late stamp
+	tr.StampKey(old, StageRetrieve, Intern("s1")) // the late stamp
 	if got, _ := tr.Trace(old.String(), nil); len(got.Events) != 1 || got.Events[0].At != 2000 {
 		t.Errorf("late stamp's trace = %+v, want one event of its own", got)
 	}
@@ -287,9 +287,9 @@ func TestRingLateStamp(t *testing.T) {
 		t.Fatal("Reset left traces")
 	}
 	for _, k := range fill {
-		tr.StampKey(k, StageSubmit, "s2")
+		tr.StampKey(k, StageSubmit, Intern("s2"))
 	}
-	tr.StampKey(old, StageSubmit, "s1")
+	tr.StampKey(old, StageSubmit, Intern("s1"))
 	if _, ok := tr.Trace(fill[0].String(), nil); ok || tr.Len() != ringRecords {
 		t.Errorf("after Reset the shard holds %d keys, its oldest still there: %v", tr.Len(), ok)
 	}
@@ -311,11 +311,11 @@ func TestRingTracerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			where := fmt.Sprintf("w%d", w+1)
+			where := Intern(fmt.Sprintf("w%d", w+1))
 			for i := 0; i < msgs; i++ {
 				own := Key{Node: int64(w + 1), Seq: uint64(i)}
 				tr.StampKey(own, StageSubmit, where)
-				tr.StampKey(Key{Node: 100, Seq: uint64(i % 8)}, StageResolve, "w100")
+				tr.StampKey(Key{Node: 100, Seq: uint64(i % 8)}, StageResolve, Intern("w100"))
 				tr.StampKey(own, StageDeposit, where)
 				tr.StampKey(own, StageRetrieve, where)
 			}
@@ -351,7 +351,7 @@ func TestRingStampAllocs(t *testing.T) {
 	pipeline := func() {
 		seq++
 		for _, st := range PipelineStages {
-			tr.StampKey(Key{Node: 1, Seq: seq}, st, "s1")
+			tr.StampKey(Key{Node: 1, Seq: seq}, st, Intern("s1"))
 		}
 	}
 	for i := 0; i < 2*traceShards*ringRecords; i++ { // twice round: every shard is full
@@ -370,7 +370,7 @@ func TestRingStampAllocs(t *testing.T) {
 		t.Errorf("six stages of a fresh message on a full ring: %v allocs, want 0", n)
 	}
 	k := Key{Node: 1, Seq: seq}
-	if n := testing.AllocsPerRun(100, func() { tr.StampKey(k, StageDeposit, "s1") }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { tr.StampKey(k, StageDeposit, Intern("s1")) }); n != 0 {
 		t.Errorf("stamp on a held key: %v allocs, want 0", n)
 	}
 }

@@ -31,20 +31,10 @@ type Snapshot struct {
 // name (gauges are suffixed "(gauge)" in the name column).
 func (s Snapshot) CounterTable(title string) *Table {
 	t := NewTable(title, "name", "value")
-	names := make([]string, 0, len(s.Counters)+len(s.Gauges))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(s.Counters) {
 		t.AddRow(n, s.Counters[n])
 	}
-	gnames := make([]string, 0, len(s.Gauges))
-	for n := range s.Gauges {
-		gnames = append(gnames, n)
-	}
-	sort.Strings(gnames)
-	for _, n := range gnames {
+	for _, n := range sortedKeys(s.Gauges) {
 		t.AddRow(n+" (gauge)", s.Gauges[n])
 	}
 	return t
@@ -60,14 +50,19 @@ func (s Snapshot) LatencyTable(title string, scale float64, unit string) *Table 
 	}
 	t := NewTable(title, "histogram", "count",
 		"mean ("+unit+")", "p50 ("+unit+")", "p95 ("+unit+")", "p99 ("+unit+")", "max ("+unit+")")
-	names := make([]string, 0, len(s.Histograms))
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(s.Histograms) {
 		h := s.Histograms[n]
 		t.AddRow(n, h.Count, h.Mean/scale, h.P50/scale, h.P95/scale, h.P99/scale, h.Max/scale)
 	}
 	return t
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

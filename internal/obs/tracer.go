@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,6 +49,45 @@ func (s Stage) String() string {
 	default:
 		return fmt.Sprintf("Stage(%d)", uint8(s))
 	}
+}
+
+// Site names the component that stamps events (a server, the cluster, the
+// directory): an index into a process-wide table of names, so a stored event
+// carries four bytes where a string header took sixteen. The zero Site is
+// "". Owners intern their name once, when they are built.
+type Site uint32
+
+// siteTable is one generation of the site table: Intern replaces it whole,
+// under sitesMu, and readers load it without a lock.
+type siteTable struct {
+	names []string
+	index map[string]Site
+}
+
+var (
+	sitesMu sync.Mutex
+	sites   atomic.Pointer[siteTable]
+)
+
+func init() { sites.Store(&siteTable{names: []string{""}, index: map[string]Site{"": 0}}) }
+
+// Intern returns the site for name, adding it on first use. The table never
+// shrinks: names are meant to be few and fixed, not one per message.
+func Intern(name string) Site {
+	if s, ok := sites.Load().index[name]; ok {
+		return s
+	}
+	sitesMu.Lock()
+	defer sitesMu.Unlock()
+	cur := sites.Load()
+	s, ok := cur.index[name]
+	if !ok {
+		s = Site(len(cur.names))
+		next := &siteTable{append(slices.Clip(cur.names), name), maps.Clone(cur.index)}
+		next.index[name] = s
+		sites.Store(next)
+	}
+	return s
 }
 
 // SpanEvent is one stamped step of a message's lifecycle.
@@ -126,28 +167,37 @@ const (
 	traceShards = 1 << shardBits
 	shardBits   = 6
 	// inlineEvents is how many events a record holds before spilling into its
-	// overflow slice: one pass through all six pipeline stages fits, so only
-	// multi-recipient and retried messages pay for a slice.
-	inlineEvents = 6
+	// overflow slice: the whole lifecycle of 94 % of sim_deliver's messages
+	// (EXPERIMENTS E56). The rest, 13 events at most there, make their
+	// overflow slice in one allocation of as many cells again.
+	inlineEvents = 10
 	// A shard's slabs double from slabMin to slabMax records: a tracer that
 	// sees few messages stays small, a busy one pays one allocation per
 	// slabMax new traces, and what is allocated ahead of use stays under one
 	// slab per shard (1 MB in all).
 	slabMin, slabMax = 8, 64
 	// ringRecords is how many traces one shard of a bounded tracer keeps
-	// (NewRingTracer): 1 024 × 64 shards × (a 248 B record, its ring slot and
-	// its index entry) is about 21 MB at most, however long the process runs.
-	// The window it gives — the newest 65 536 messages, spread by the shard
-	// hash — is far longer than a message's time to retrieval on a server that
-	// is keeping up; trace_evictions counts how often it was not.
+	// (NewRingTracer): 1 024 × 64 shards × (a 216 B record, its ring slot and
+	// its index entry) is about 18 MB, plus the overflow slices records kept,
+	// however long the process runs. The window it gives — the newest 65 536
+	// messages, spread by the shard hash — is far longer than a message's time
+	// to retrieval on a server that is keeping up; trace_evictions counts how
+	// often it was not.
 	ringRecords = 1024
 )
 
-// record is one message's trace: a fixed-size slab cell.
+// cell is one stored event: a SpanEvent with its Where interned, 16 bytes.
+type cell struct {
+	At    int64
+	site  Site
+	Stage Stage
+}
+
+// record is one message's trace: a fixed-size slab entry.
 type record struct {
 	n      int // events in inline
-	inline [inlineEvents]SpanEvent
-	more   []SpanEvent // events beyond inline, in stamp order
+	inline [inlineEvents]cell
+	more   []cell // events beyond inline, in stamp order
 	// The instants a stamp needs, kept so it never walks the events.
 	last, submitAt int64 // At of the latest event and of the first submit
 	hasSubmit      bool
@@ -169,7 +219,7 @@ type traceShard struct {
 	// limit is how many records the shard may hold, 0 for no bound. A bounded
 	// shard lists its records in ring in creation order; once it holds limit
 	// of them ring[next] is the oldest, and the next new key takes that record
-	// over instead of a fresh slab cell.
+	// over instead of a fresh slab entry.
 	limit int
 	ring  []ringSlot
 	next  int
@@ -181,8 +231,8 @@ type traceShard struct {
 //
 // Traces are keyed by Key value and spread over traceShards tables, each with
 // its own lock. A stamp on a message already seen writes into that message's
-// record and allocates nothing (past inlineEvents, what growing the overflow
-// slice costs); a new message takes the next cell of its shard's slab.
+// record and allocates nothing (past inlineEvents, one allocation for the
+// overflow slice); a new message takes the next entry of its shard's slab.
 //
 // NewTracer keeps every trace until Reset: the simulations and the auditors
 // read whole traces when a run ends. NewRingTracer, what a long-running
@@ -202,13 +252,13 @@ type Tracer struct {
 	clock Clock
 	reg   *Registry
 
-	// Per-stage span histograms plus lat_e2e, cached after the first lookup:
-	// Stamp is on the wire hot path, and a registry lookup (name concat +
-	// map access under the registry lock) per stamp showed up in profiles.
-	// Lazy (not resolved at construction) so unused stages never register —
-	// snapshots must not grow empty histograms. Racing initializations are
-	// harmless: Registry.Histogram is idempotent.
-	stageHist [StageRetrieve + 1]atomic.Pointer[Histogram]
+	// Span histograms, one per Stage value, plus lat_e2e, cached after the
+	// first lookup: a registry lookup (name concat + map access under the
+	// registry lock) per stamp showed up in profiles. Lazy (not resolved at
+	// construction) so unused stages never register — snapshots must not
+	// grow empty histograms. Racing initializations are harmless:
+	// Registry.Histogram is idempotent.
+	stageHist [256]atomic.Pointer[Histogram]
 	e2eHist   atomic.Pointer[Histogram]
 	// evictions is the registry's "trace_evictions" counter, made by the first
 	// eviction: a tracer that never evicts adds nothing to a snapshot.
@@ -272,9 +322,7 @@ func (sh *traceShard) record(k Key) (r *record, evicted bool) {
 		delete(sh.index, slot.key)
 		// Everything but the overflow array goes: a record that kept its
 		// last or submitAt would hand the new key a previous event.
-		more := slot.rec.more
-		clear(more)
-		*slot.rec = record{more: more[:0]}
+		*slot.rec = record{more: slot.rec.more[:0]}
 		slot.key = k
 		sh.index[k] = slot.rec
 		return slot.rec, true
@@ -285,8 +333,8 @@ func (sh *traceShard) record(k Key) (r *record, evicted bool) {
 	if len(sh.slab) == cap(sh.slab) {
 		n := min(max(2*cap(sh.slab), slabMin), slabMax)
 		if sh.limit > 0 {
-			// A bounded shard makes its last slab no larger than the cells it
-			// still needs, and its ring grows with the slabs, to the cell: what
+			// A bounded shard makes its last slab no larger than the records it
+			// still needs, and its ring grows with the slabs, to the record: what
 			// a full shard holds is then exactly limit of each.
 			n = min(n, sh.limit-len(sh.ring))
 			sh.ring = append(make([]ringSlot, 0, len(sh.ring)+n), sh.ring...)
@@ -302,20 +350,20 @@ func (sh *traceShard) record(k Key) (r *record, evicted bool) {
 	return r, false
 }
 
-// Stamp is StampKey for callers that hold the ID as text — the benchmark's
-// tracer replay and tests. It forwards canonical "m<node>-<seq>" text (see
-// ParseKey) and drops any other string without recording anything: the
-// tracer has no string-keyed store, so such an ID has no trace, and Trace
-// and Incomplete report it missing.
+// Stamp is StampKey for callers that hold the ID and the site as text — the
+// benchmark's tracer replay and tests. It forwards canonical "m<node>-<seq>"
+// text (see ParseKey), interning where, and drops any other string without
+// recording anything: the tracer has no string-keyed store, so such an ID
+// has no trace, and Trace and Incomplete report it missing.
 func (t *Tracer) Stamp(id string, stage Stage, where string) {
 	if k, ok := ParseKey(id); ok {
-		t.StampKey(k, stage, where)
+		t.StampKey(k, stage, Intern(where))
 	}
 }
 
 // StampKey records that the message reached a pipeline stage at the current
-// instant. where names the component that stamped (server name, cluster).
-func (t *Tracer) StampKey(k Key, stage Stage, where string) {
+// instant. site names the component that stamped (server, cluster).
+func (t *Tracer) StampKey(k Key, stage Stage, site Site) {
 	if t == nil {
 		return
 	}
@@ -329,11 +377,14 @@ func (t *Tracer) StampKey(k Key, stage Stage, where string) {
 		r.submitAt, r.hasSubmit = now, true
 	}
 	r.last = now
-	ev := SpanEvent{Stage: stage, At: now, Where: where}
+	ev := cell{At: now, site: site, Stage: stage}
 	if r.n < inlineEvents {
 		r.inline[r.n] = ev
 		r.n++
 	} else {
+		if r.more == nil {
+			r.more = make([]cell, 0, inlineEvents)
+		}
 		r.more = append(r.more, ev)
 	}
 	sh.mu.Unlock()
@@ -350,16 +401,12 @@ func (t *Tracer) StampKey(k Key, stage Stage, where string) {
 		c.Inc()
 	}
 	if hasPrev {
-		if int(stage) < len(t.stageHist) {
-			h := t.stageHist[stage].Load()
-			if h == nil {
-				h = t.reg.Histogram("lat_"+stage.String(), nil)
-				t.stageHist[stage].Store(h)
-			}
-			h.Observe(float64(now - prev))
-		} else { // unknown stage value: fall back to a registry lookup
-			t.reg.Histogram("lat_"+stage.String(), nil).Observe(float64(now - prev))
+		h := t.stageHist[stage].Load()
+		if h == nil {
+			h = t.reg.Histogram("lat_"+stage.String(), nil)
+			t.stageHist[stage].Store(h)
 		}
+		h.Observe(float64(now - prev))
 	}
 	if submitOK {
 		h := t.e2eHist.Load()
@@ -384,7 +431,16 @@ func (t *Tracer) Events(k Key, dst []SpanEvent) ([]SpanEvent, bool) {
 	if r == nil {
 		return nil, false
 	}
-	return append(append(dst, r.inline[:r.n]...), r.more...), true
+	names := sites.Load().names
+	if need := len(dst) + r.n + len(r.more); need > cap(dst) {
+		dst = append(make([]SpanEvent, 0, need), dst...)
+	}
+	for _, cells := range [2][]cell{r.inline[:r.n], r.more} {
+		for _, c := range cells {
+			dst = append(dst, SpanEvent{Stage: c.Stage, At: c.At, Where: names[c.site]})
+		}
+	}
+	return dst, true
 }
 
 // Incomplete returns the keys whose traces are missing or fail

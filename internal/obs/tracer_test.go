@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // fakeClock is a manually advanced Clock for deterministic tracer tests.
@@ -99,7 +100,7 @@ func TestIncompleteSharesOneBuffer(t *testing.T) {
 		keys[i] = Key{Node: 1, Seq: uint64(i + 1)}
 		for _, st := range []Stage{StageSubmit, StageDeposit, StageRetrieve} {
 			clk.now++
-			tr.StampKey(keys[i], st, "s1")
+			tr.StampKey(keys[i], st, Intern("s1"))
 		}
 	}
 	buf := append(make([]SpanEvent, 0, 8), SpanEvent{Stage: StageNotify})
@@ -215,10 +216,10 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < msgs; i++ {
 				own := Key{Node: int64(w + 1), Seq: uint64(i)}
-				tr.StampKey(own, StageSubmit, "s1")
-				tr.StampKey(Key{Node: 100, Seq: uint64(i % shared)}, StageResolve, "s1")
-				tr.StampKey(own, StageDeposit, "s1")
-				tr.StampKey(own, StageRetrieve, "s1")
+				tr.StampKey(own, StageSubmit, Intern("s1"))
+				tr.StampKey(Key{Node: 100, Seq: uint64(i % shared)}, StageResolve, Intern("s1"))
+				tr.StampKey(own, StageDeposit, Intern("s1"))
+				tr.StampKey(own, StageRetrieve, Intern("s1"))
 			}
 		}(w)
 	}
@@ -243,6 +244,41 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 	if hs := reg.Histogram("lat_e2e", nil).Snapshot(); hs.Count != workers*msgs {
 		t.Errorf("lat_e2e count = %d, want %d", hs.Count, workers*msgs)
+	}
+}
+
+// TestInternConcurrent has 8 goroutines intern names while they stamp and read
+// traces — each its own names, and all of them one shared set, new to the
+// process on every run; meaningful under -race. A name gets one site
+// whichever goroutine interns it first, and every event reads back the name
+// its site was interned from.
+func TestInternConcurrent(t *testing.T) {
+	tr := NewTracer(WallClock, nil)
+	const workers, names = 8, 64
+	run := rand.Int63()
+	var got [workers][names]Site
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range names {
+				shared, own := fmt.Sprintf("%d-%d", run, i), fmt.Sprintf("%d-w%d-%d", run, w, i)
+				got[w][i] = Intern(shared)
+				k := Key{Node: int64(w), Seq: uint64(i)}
+				tr.StampKey(k, StageSubmit, Intern(own))
+				tr.StampKey(k, StageDeposit, got[w][i])
+				if ev, _ := tr.Events(k, nil); len(ev) != 2 || ev[0].Where != own || ev[1].Where != shared {
+					t.Errorf("%v reads %+v, want %s then %s", k, ev, own, shared)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if got[w] != got[0] {
+			t.Fatalf("worker %d interned the shared names as other sites", w)
+		}
 	}
 }
 
@@ -353,7 +389,7 @@ func TestTracerMatchesReference(t *testing.T) {
 			k := Key{Node: int64(1 + rng.Intn(3)), Seq: uint64(seq)}
 			stage := PipelineStages[rng.Intn(len(PipelineStages))]
 			where := wheres[rng.Intn(len(wheres))]
-			tr.StampKey(k, stage, where)
+			tr.StampKey(k, stage, Intern(where))
 			ref.Stamp(k.String(), stage, where)
 		}
 	}
@@ -369,14 +405,17 @@ func TestTracerMatchesReference(t *testing.T) {
 }
 
 // TestStampAllocs holds the tracer to its budget: a stamp on a message
-// already traced allocates nothing, and a new message's whole pipeline costs
-// less than one allocation (its share of a slab and of index growth).
+// already traced allocates nothing, a new message's six stages cost less than
+// one allocation (its share of a slab and of index growth), and the thirteen
+// stamps of a three-recipient lifecycle, three past the inline events, add
+// one: the overflow slice, made once at its size.
 func TestStampAllocs(t *testing.T) {
 	tr := NewTracer(WallClock, NewRegistry())
+	s1 := Intern("s1")
 	k := Key{Node: 1, Seq: 1}
-	tr.StampKey(k, StageSubmit, "s1")
-	tr.StampKey(k, StageDeposit, "s1") // registers lat_deposit
-	if n := testing.AllocsPerRun(100, func() { tr.StampKey(k, StageDeposit, "s1") }); n != 0 {
+	tr.StampKey(k, StageSubmit, s1)
+	tr.StampKey(k, StageDeposit, s1) // registers lat_deposit
+	if n := testing.AllocsPerRun(100, func() { tr.StampKey(k, StageDeposit, s1) }); n != 0 {
 		t.Errorf("stamp on an existing trace: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { tr.Stamp("m1-1", StageDeposit, "s1") }); n != 0 {
@@ -384,16 +423,65 @@ func TestStampAllocs(t *testing.T) {
 	}
 	tr.Reset() // the two runs above grew k's overflow slice; start clean
 	for _, st := range PipelineStages {
-		tr.StampKey(Key{Node: 2, Seq: 0}, st, "s1") // registers every histogram
+		tr.StampKey(Key{Node: 2, Seq: 0}, st, s1) // registers every histogram
 	}
 	seq := uint64(0)
 	n := testing.AllocsPerRun(20000, func() {
 		seq++
 		for _, st := range PipelineStages {
-			tr.StampKey(Key{Node: 1, Seq: seq}, st, "s1")
+			tr.StampKey(Key{Node: 1, Seq: seq}, st, s1)
 		}
 	})
 	if n > 1 {
 		t.Errorf("six stages of a fresh message: %v allocs, want ≤ 1", n)
+	}
+	n = testing.AllocsPerRun(20000, func() {
+		seq++
+		stampLifecycle(tr, Key{Node: 1, Seq: seq}, 3, s1)
+	})
+	if n > 1 {
+		t.Errorf("a fresh message's three-recipient lifecycle: %v allocs, want ≤ 1", n)
+	}
+}
+
+// TestRecordLayout pins the sizes the ring arithmetic rests on: an event is
+// stored in 16 bytes, and a record with its inline events takes at most 216
+// (a SpanEvent took 32, and a record of six of them 248).
+func TestRecordLayout(t *testing.T) {
+	if c, r := unsafe.Sizeof(cell{}), unsafe.Sizeof(record{}); c != 16 || r > 216 {
+		t.Errorf("cell %d B, record %d B; want 16 and at most 216", c, r)
+	}
+}
+
+// stampLifecycle stamps what the delivery path stamps for one message with
+// the given number of recipients: one submit, then each recipient's resolve,
+// relay, deposit and retrieve — 1 + 4·recipients events.
+func stampLifecycle(tr *Tracer, k Key, recipients int, site Site) {
+	tr.StampKey(k, StageSubmit, site)
+	for range recipients {
+		tr.StampKey(k, StageResolve, site)
+		tr.StampKey(k, StageRelay, site)
+		tr.StampKey(k, StageDeposit, site)
+	}
+	for range recipients {
+		tr.StampKey(k, StageRetrieve, site)
+	}
+}
+
+// BenchmarkStampLifecycle is the tracer stamp microbenchmark: one op is a
+// fresh message's whole lifecycle (stampLifecycle) for one, two and three
+// recipients; the third outgrows the inline events.
+func BenchmarkStampLifecycle(b *testing.B) {
+	for _, recipients := range []int{1, 2, 3} {
+		b.Run(fmt.Sprintf("rcpts=%d", recipients), func(b *testing.B) {
+			tr := NewTracer(WallClock, NewRegistry())
+			site := Intern("s1")
+			stampLifecycle(tr, Key{Node: 2}, recipients, site) // registers the histograms
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				stampLifecycle(tr, Key{Node: 1, Seq: uint64(i)}, recipients, site)
+			}
+		})
 	}
 }

@@ -163,8 +163,8 @@ type Server struct {
 	stats *obs.Registry
 	trace *obs.Tracer // nil-safe; shared across the deployment when set
 	// where names this server in span events, matching the per-entity
-	// instrument prefix convention ("s<node>"); built once, stamped often.
-	where string
+	// instrument prefix convention ("s<node>"); interned once, stamped often.
+	where obs.Site
 }
 
 // rerouteKey identifies one transfer for reroute dedup: its retries carry its
@@ -277,7 +277,7 @@ func New(cfg Config) (*Server, error) {
 		inflight:        make(map[uint64]*inflightBatch),
 		stats:           obs.NewRegistry(),
 		trace:           cfg.Trace,
-		where:           fmt.Sprintf("s%d", cfg.ID),
+		where:           obs.Intern(fmt.Sprintf("s%d", cfg.ID)),
 	}
 	if err := cfg.Net.Register(cfg.ID, s); err != nil {
 		return nil, err
